@@ -59,12 +59,6 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
-# Tracer overhead gate. A disabled tracer (nil lanes, one nil check per
-# protocol call, nothing on the per-node loop) must keep
-# BenchmarkTracerDisabled and BenchmarkSequentialSearch within 2% of the
-# pre-tracer numbers in results/BENCH_PR1.json; BenchmarkTracerEnabled
-# and BenchmarkLaneRec show the full recording cost (~hundreds of ns per
-# protocol event, zero allocations).
 # DES engine microbenches: batched vs legacy on identical event sequences.
 bench-des:
 	$(GO) test -run '^$$' -bench 'SimEngine|SimSteal' -benchtime=2s .
@@ -75,6 +69,13 @@ bench-des:
 bench-des-par:
 	$(GO) test -run '^$$' -bench 'SimSharded' -benchtime=2s .
 
+# Tracer overhead gate. A disabled tracer (nil lanes, one nil check per
+# protocol call, nothing on the per-node loop) must keep
+# BenchmarkTracerDisabled and BenchmarkSequentialSearch within 2% of a
+# pre-tracer build (benchmark/ reports the current core.trace_overhead_pct);
+# BenchmarkTracerEnabled and BenchmarkLaneRec show the full recording cost
+# (~hundreds of ns per protocol event, zero allocations). Then the
+# sampler's <2% gate, which needs a spare core.
 bench-obs:
 	$(GO) test -run '^$$' -bench 'Tracer|LaneRec|SequentialSearch|Sampler' -benchtime=2s .
 	OBS_BENCH_GATE=1 $(GO) test -run TestSamplerOverheadGate -count=1 -v ./internal/des/
@@ -82,8 +83,7 @@ bench-obs:
 # Owner-path microbenches for the relaxed (fence-free) shared region: the
 # lock-based release/reacquire burst vs the store-only publish / ledger-CAS
 # retract burst, then the >=2x speedup gate (min of 3 runs per side;
-# self-skips below 4 cores, where scheduling noise owns the timings —
-# results/BENCH_PR8.json records what a 1-core host measures).
+# self-skips below 4 cores, where scheduling noise owns the timings).
 bench-relaxed:
 	$(GO) test -run '^$$' -bench 'OwnerPath' -benchtime=2s .
 	RELAXED_BENCH_GATE=1 $(GO) test -run TestRelaxedOwnerPathGate -count=1 -v .
@@ -91,7 +91,7 @@ bench-relaxed:
 # Closed-loop adaptive policy gate (DESIGN.md §15): sweep fixed chunks on
 # T3XXL, then run the controller from the worst candidate and require
 # >= 0.95x the best fixed rate. Deterministic DES — holds on any host
-# (~20s single-core); results/BENCH_PR9.json records this container's run.
+# (~20s single-core).
 bench-adapt:
 	ADAPT_BENCH_GATE=1 $(GO) test -run TestAdaptBenchGate -count=1 -v -timeout 10m ./internal/des/
 

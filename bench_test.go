@@ -112,8 +112,8 @@ func BenchmarkRealRun(b *testing.B) {
 // BenchmarkTracerDisabled and BenchmarkTracerEnabled bracket the cost of
 // the internal/obs event tracer on a real concurrent run. Disabled means
 // the workers hold nil lanes and every recording call is one nil check —
-// the difference against pre-tracer builds must stay under 2% (compare
-// BenchmarkSequentialSearch against results/BENCH_PR1.json). Enabled
+// the difference against pre-tracer builds must stay under 2% (the
+// benchmark's core.trace_overhead_pct row measures it today). Enabled
 // shows the full recording cost for scale: the protocol path only, never
 // the per-node loop.
 func BenchmarkTracerDisabled(b *testing.B) { benchTracedRun(b, false) }

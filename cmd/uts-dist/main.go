@@ -22,13 +22,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"time"
 
+	"repro/internal/cliflags"
 	"repro/internal/cluster"
 	"repro/internal/obs"
-	"repro/internal/policy"
+	"repro/internal/stats"
 	"repro/internal/uts"
 )
 
@@ -36,23 +38,18 @@ func main() {
 	os.Exit(run())
 }
 
-// options carries every uts-dist setting through the launch paths.
+// options carries every uts-dist setting through the launch paths: the
+// shared flags (tree, -ranks, -chunk, -adapt, -seed, trace group) plus the
+// transport's own.
 type options struct {
-	ranks        int
+	*cliflags.Flags
 	coord        string
 	bind         string
 	advertise    string
-	tree         string
-	chunk        int
-	adapt        bool
-	seed         int64
 	rpcTimeout   time.Duration
 	rpcRetries   int
 	statsTimeout time.Duration
 	faultSpec    string
-	traceOut     string
-	timeline     bool
-	hist         bool
 	metricsAddr  string
 	metricsLing  time.Duration
 
@@ -61,95 +58,90 @@ type options struct {
 }
 
 // config builds the cluster configuration for one rank from the options.
-func (o *options) config(rank int) cluster.Config {
-	cfg := cluster.Config{
-		Rank: rank, Ranks: o.ranks, Coord: o.coord,
+func (o *options) config(rank int, tracer *obs.Tracer) cluster.Config {
+	return cluster.Config{
+		Rank: rank, Ranks: o.PEs, Coord: o.coord,
 		Bind: o.bind, Advertise: o.advertise,
-		Spec: o.sp, Chunk: o.chunk, Seed: o.seed,
+		Spec: o.sp, Chunk: o.Chunk, Seed: o.Seed,
 		RPCTimeout: o.rpcTimeout, RPCRetries: o.rpcRetries,
 		StatsTimeout: o.statsTimeout, Fault: o.fault,
 		MetricsAddr: o.metricsAddr, MetricsLinger: o.metricsLing,
+		Adapt: o.AdaptConfig(), Tracer: tracer,
 	}
-	if o.adapt {
-		cfg.Adapt = &policy.Config{}
-	}
-	return cfg
 }
 
 func run() int {
-	var o options
+	o := options{Flags: cliflags.Register(flag.CommandLine, cliflags.Defaults{
+		Tree:  "bench-small",
+		Width: "ranks", PEs: 1, WidthUsage: "total number of ranks",
+		Chunk:         16,
+		AdaptUsage:    "adapt k per rank at runtime from steal feedback (closed-loop, bounded around -chunk)",
+		Seed:          true,
+		Trace:         true,
+		TraceUsage:    "write Chrome trace_event JSON per rank (rank 0 to the path, rank N to path.rankN)",
+		TimelineUsage: "print rank 0's steal-protocol event timeline",
+		HistUsage:     "record protocol events and fold rank 0's histograms into the summary",
+	})}
 	launch := flag.Int("launch", 0, "spawn this many ranks locally (rank 0 in-process, others as children)")
 	rank := flag.Int("rank", 0, "this process's rank")
-	flag.IntVar(&o.ranks, "ranks", 1, "total number of ranks")
 	flag.StringVar(&o.coord, "coord", "127.0.0.1:17717", "coordinator address (rank 0 listens, others dial)")
 	flag.StringVar(&o.bind, "bind", "", "worker listen address (default 127.0.0.1:0; multi-host: 0.0.0.0:0 or :port)")
 	flag.StringVar(&o.advertise, "advertise", "", "address peers dial this rank at (default the listener's; needed with a wildcard -bind)")
-	flag.StringVar(&o.tree, "tree", "bench-small", "named sample tree")
-	flag.IntVar(&o.chunk, "chunk", 16, "steal granularity k (nodes)")
-	flag.BoolVar(&o.adapt, "adapt", false, "adapt k per rank at runtime from steal feedback (closed-loop, bounded around -chunk)")
-	flag.Int64Var(&o.seed, "seed", 0, "probe-order seed")
 	flag.DurationVar(&o.rpcTimeout, "rpc-timeout", 0, "per-RPC deadline (default 5s)")
 	flag.IntVar(&o.rpcRetries, "rpc-retries", 0, "retries for idempotent RPCs before a peer is declared dead (default 2)")
 	flag.DurationVar(&o.statsTimeout, "stats-timeout", 0, "rank 0's bound on the end-of-run stats gather (default 30s)")
 	flag.StringVar(&o.faultSpec, "fault", "", `fault-injection rules, e.g. "rank=2,side=client,kind=cas,op=kill" (see cluster.ParseFaultSpec)`)
-	flag.StringVar(&o.traceOut, "trace", "", "write Chrome trace_event JSON per rank (rank 0 to the path, rank N to path.rankN)")
-	flag.BoolVar(&o.timeline, "timeline", false, "print rank 0's steal-protocol event timeline")
-	flag.BoolVar(&o.hist, "hist", false, "record protocol events and fold rank 0's histograms into the summary")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9100; rank 0 adds the cluster-wide rollup)")
 	flag.DurationVar(&o.metricsLing, "metrics-linger", 0, "keep the metrics endpoint up this long after the search finishes (lets a final scrape land)")
 	flag.Parse()
 
-	o.sp = uts.ByName(o.tree)
-	if o.sp == nil {
-		fmt.Fprintf(os.Stderr, "unknown tree %q\n", o.tree)
+	if *launch > 0 {
+		o.PEs = *launch
+	}
+	sp, _, tracer, err := o.Resolve()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	o.sp = sp
 	if o.faultSpec != "" {
 		plan, err := cluster.ParseFaultSpec(o.faultSpec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
-		plan.Seed = o.seed
+		plan.Seed = o.Seed
 		o.fault = plan
 	}
 
 	if *launch > 0 {
-		o.ranks = *launch
-		return launchLocal(&o)
+		return launchLocal(&o, tracer)
 	}
 
-	cfg := o.config(*rank)
-	var tracer *obs.Tracer
-	if o.traceOut != "" || o.timeline || o.hist {
-		tracer = obs.New(o.ranks, 0)
-		cfg.Tracer = tracer
-	}
+	cfg := o.config(*rank, tracer)
 	announceMetrics(&cfg, *rank)
 	res, err := cluster.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	if res != nil { // rank 0
-		fmt.Printf("tree=%s ranks=%d chunk=%d\n", o.sp.String(), o.ranks, o.chunk)
+	o.TraceOut = rankTracePath(o.TraceOut, *rank)
+	return o.report(res, tracer, "")
+}
+
+// report prints rank 0's summary (res is nil on every other rank, which
+// prints nothing) and runs the trace epilogue: every rank writes its
+// trace file, only rank 0 says so.
+func (o *options) report(res *stats.Run, tracer *obs.Tracer, how string) int {
+	w := io.Discard
+	if res != nil {
+		w = os.Stdout
+		fmt.Printf("tree=%s ranks=%d chunk=%d%s\n", o.sp.String(), o.PEs, o.Chunk, how)
 		fmt.Print(res.Summary())
-		if o.timeline {
-			if err := obs.WriteTimeline(os.Stdout, tracer); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-		}
 	}
-	if o.traceOut != "" {
-		path := rankTracePath(o.traceOut, *rank)
-		if err := obs.WriteChromeTraceFile(path, tracer); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if *rank == 0 {
-			fmt.Printf("trace written to %s\n", path)
-		}
+	if err := o.Finish(w, tracer); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 	return 0
 }
@@ -187,11 +179,11 @@ func rankTracePath(path string, rank int) string {
 func (o *options) childArgs(rank int) []string {
 	args := []string{
 		"-rank", fmt.Sprint(rank),
-		"-ranks", fmt.Sprint(o.ranks),
+		"-ranks", fmt.Sprint(o.PEs),
 		"-coord", o.coord,
-		"-tree", o.tree,
-		"-chunk", fmt.Sprint(o.chunk),
-		"-seed", fmt.Sprint(o.seed),
+		"-tree", o.Tree,
+		"-chunk", fmt.Sprint(o.Chunk),
+		"-seed", fmt.Sprint(o.Seed),
 	}
 	if o.rpcTimeout != 0 {
 		args = append(args, "-rpc-timeout", o.rpcTimeout.String())
@@ -202,14 +194,14 @@ func (o *options) childArgs(rank int) []string {
 	if o.statsTimeout != 0 {
 		args = append(args, "-stats-timeout", o.statsTimeout.String())
 	}
-	if o.adapt {
+	if o.Adapt {
 		args = append(args, "-adapt")
 	}
 	if o.faultSpec != "" {
 		args = append(args, "-fault", o.faultSpec)
 	}
-	if o.traceOut != "" {
-		args = append(args, "-trace", o.traceOut)
+	if o.TraceOut != "" {
+		args = append(args, "-trace", o.TraceOut)
 	}
 	if o.metricsAddr != "" {
 		// Children share this host, so a pinned port would collide; each
@@ -226,14 +218,14 @@ func (o *options) childArgs(rank int) []string {
 
 // launchLocal runs rank 0 in-process and spawns ranks 1..n-1 as child
 // processes of this binary, all against the same coordinator address.
-func launchLocal(o *options) int {
+func launchLocal(o *options, tracer *obs.Tracer) int {
 	self, err := os.Executable()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	children := make([]*exec.Cmd, 0, o.ranks-1)
-	for r := 1; r < o.ranks; r++ {
+	children := make([]*exec.Cmd, 0, o.PEs-1)
+	for r := 1; r < o.PEs; r++ {
 		cmd := exec.Command(self, o.childArgs(r)...)
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
@@ -244,13 +236,8 @@ func launchLocal(o *options) int {
 		children = append(children, cmd)
 	}
 
-	cfg := o.config(0)
+	cfg := o.config(0, tracer)
 	cfg.Bind, cfg.Advertise = "", "" // children share this host; let each rank pick its own port
-	var tracer *obs.Tracer
-	if o.traceOut != "" || o.timeline || o.hist {
-		tracer = obs.New(o.ranks, 0)
-		cfg.Tracer = tracer
-	}
 	announceMetrics(&cfg, 0)
 	res, err := cluster.Run(cfg)
 	status := 0
@@ -264,23 +251,9 @@ func launchLocal(o *options) int {
 			status = 1
 		}
 	}
-	if res != nil {
-		fmt.Printf("tree=%s ranks=%d chunk=%d (local processes)\n", o.sp.String(), o.ranks, o.chunk)
-		fmt.Print(res.Summary())
-		if o.timeline {
-			if err := obs.WriteTimeline(os.Stdout, tracer); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				status = 1
-			}
-		}
-	}
-	if o.traceOut != "" {
-		if err := obs.WriteChromeTraceFile(o.traceOut, tracer); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			status = 1
-		} else {
-			fmt.Printf("trace written to %s (plus .rankN files)\n", o.traceOut)
-		}
+	o.Note = " (plus .rankN files)"
+	if o.report(res, tracer, " (local processes)") != 0 {
+		status = 1
 	}
 	return status
 }

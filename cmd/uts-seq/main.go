@@ -9,22 +9,23 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/cliflags"
 	"repro/internal/uts"
 )
 
 func main() {
-	tree := flag.String("tree", "", "run only the named tree (default: all samples)")
+	f := cliflags.Register(flag.CommandLine, cliflags.Defaults{TreeUsage: "run only the named tree (default: all samples)"})
 	timeout := flag.Duration("timeout", 120*time.Second, "per-tree time budget")
 	flag.Parse()
 
+	only, _, _, err := f.Resolve()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	specs := uts.SampleTrees
-	if *tree != "" {
-		sp := uts.ByName(*tree)
-		if sp == nil {
-			fmt.Fprintf(os.Stderr, "unknown tree %q\n", *tree)
-			os.Exit(2)
-		}
-		specs = []*uts.Spec{sp}
+	if only != nil {
+		specs = []*uts.Spec{only}
 	}
 	fmt.Printf("%-14s %-6s %12s %12s %8s %10s\n", "tree", "rng", "nodes", "leaves", "maxdep", "Mnodes/s")
 	for _, sp := range specs {

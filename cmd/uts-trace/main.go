@@ -19,54 +19,42 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/des"
-	"repro/internal/obs"
-	"repro/internal/pgas"
-	"repro/internal/uts"
 )
 
 func main() {
-	tree := flag.String("tree", "bench-medium", "named sample tree")
-	alg := flag.String("alg", string(core.UPCDistMem), "algorithm to trace")
-	pes := flag.Int("pes", 64, "simulated processing elements")
-	chunk := flag.Int("chunk", 8, "steal granularity k (nodes)")
-	profile := flag.String("profile", "kittyhawk", "machine profile")
-	buckets := flag.Int("buckets", 40, "time buckets in the chart")
-	width := flag.Int("width", 50, "chart width in characters")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file (open in ui.perfetto.dev)")
-	timeline := flag.Bool("timeline", false, "print the merged steal-protocol event timeline")
-	hist := flag.Bool("hist", false, "print the steal-protocol latency histograms")
+	f := cliflags.Register(flag.CommandLine, cliflags.Defaults{
+		Tree:    "bench-medium",
+		Profile: "kittyhawk", ProfileUsage: "machine profile",
+		AlgUsage: "algorithm to trace", Algs: cliflags.Simulatable(),
+		Width: "pes", PEs: 64, WidthUsage: "simulated processing elements",
+		Chunk: 8,
+		Trace: true, Virtual: true, HistUsage: "print the steal-protocol latency histograms",
+		Chart: true,
+	})
 	flag.Parse()
 
-	sp := uts.ByName(*tree)
-	if sp == nil {
-		fmt.Fprintf(os.Stderr, "unknown tree %q\n", *tree)
-		os.Exit(2)
-	}
-	model, ok := pgas.Profiles[*profile]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown profile %q\n", *profile)
+	sp, model, tracer, err := f.Resolve()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
 	// First a quick untraced run to size the sampling interval so the
 	// chart covers the whole makespan at the requested resolution.
-	pre, err := des.Run(sp, des.Config{Algorithm: core.Algorithm(*alg), PEs: *pes, Chunk: *chunk, Model: model})
+	cfg := des.Config{Algorithm: core.Algorithm(f.Alg), PEs: f.PEs, Chunk: f.Chunk, Model: model}
+	pre, err := des.Run(sp, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	interval := pre.Elapsed / time.Duration(*buckets*4)
+	interval := pre.Elapsed / time.Duration(f.Buckets*4)
 	if interval <= 0 {
 		interval = time.Microsecond
 	}
-	cfg := des.Config{Algorithm: core.Algorithm(*alg), PEs: *pes, Chunk: *chunk, Model: model}
-	var tracer *obs.Tracer
-	if *traceOut != "" || *timeline || *hist {
-		tracer = obs.NewVirtual(*pes, 0)
-		cfg.Tracer = tracer
-	}
+	cfg.Tracer = tracer
 	res, trace, err := des.RunTraced(sp, cfg, interval)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -74,7 +62,7 @@ func main() {
 	}
 
 	fmt.Printf("work sources over virtual time: %s, %d PEs, chunk %d, %s\n",
-		*alg, *pes, *chunk, model.Name)
+		f.Alg, f.PEs, f.Chunk, model.Name)
 	fmt.Printf("makespan %v, rate %.1fM nodes/s, efficiency %.1f%%\n\n",
 		res.Elapsed.Round(time.Microsecond), res.Rate()/1e6, 100*res.Efficiency())
 
@@ -89,41 +77,32 @@ func main() {
 	if span <= 0 {
 		span = interval
 	}
-	peaks := make([]int, *buckets)
+	peaks := make([]int, f.Buckets)
 	for _, s := range samples {
-		b := int(int64(s.T) * int64(*buckets) / (int64(span) + 1))
+		b := int(int64(s.T) * int64(f.Buckets) / (int64(span) + 1))
 		if s.WorkSources > peaks[b] {
 			peaks[b] = s.WorkSources
 		}
 	}
 	for b, v := range peaks {
-		bar := v * *width / *pes
+		bar := v * f.Width / f.PEs
 		if v > 0 && bar == 0 {
 			bar = 1
 		}
 		fmt.Printf("%8v |%s%s| %d\n",
-			(span * time.Duration(b) / time.Duration(*buckets)).Round(time.Microsecond),
-			strings.Repeat("█", bar), strings.Repeat(" ", *width-bar), v)
+			(span * time.Duration(b) / time.Duration(f.Buckets)).Round(time.Microsecond),
+			strings.Repeat("█", bar), strings.Repeat(" ", f.Width-bar), v)
 	}
-	if t := trace.TimeToSources(*pes / 4); t >= 0 {
-		fmt.Printf("\nreached %d work sources (P/4) at %v\n", *pes/4, t.Round(time.Microsecond))
+	if t := trace.TimeToSources(f.PEs / 4); t >= 0 {
+		fmt.Printf("\nreached %d work sources (P/4) at %v\n", f.PEs/4, t.Round(time.Microsecond))
 	} else {
-		fmt.Printf("\nnever reached %d work sources (P/4)\n", *pes/4)
+		fmt.Printf("\nnever reached %d work sources (P/4)\n", f.PEs/4)
 	}
-	if *hist && res.Obs != nil {
+	if f.Hist && res.Obs != nil {
 		fmt.Print("\n" + res.Obs.String())
 	}
-	if *timeline {
-		if err := obs.WriteTimeline(os.Stdout, tracer); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *traceOut != "" {
-		if err := obs.WriteChromeTraceFile(*traceOut, tracer); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace written to %s\n", *traceOut)
+	if err := f.Finish(os.Stdout, tracer); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

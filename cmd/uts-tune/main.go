@@ -11,50 +11,32 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 
+	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/des"
-	"repro/internal/pgas"
 	"repro/internal/policy"
-	"repro/internal/uts"
 )
 
 func main() {
-	tree := flag.String("tree", "bench-medium", "named sample tree")
-	alg := flag.String("alg", string(core.UPCDistMem), "algorithm to tune")
-	pes := flag.Int("pes", 64, "simulated processing elements")
-	profile := flag.String("profile", "kittyhawk", "machine profile")
-	engine := flag.String("engine", des.EngineBatched, "simulation engine: batched, legacy")
-	shards := flag.Int("shards", 1, "parallel dispatcher shards per sweep point (0 = one per available core; 1 = sequential engine)")
-	adapt := flag.Bool("adapt", false, "after the sweep, run the closed-loop controller from the worst candidate and compare it against the best fixed chunk")
+	f := cliflags.Register(flag.CommandLine, cliflags.Defaults{
+		Tree:    "bench-medium",
+		Profile: "kittyhawk", ProfileUsage: "machine profile",
+		AlgUsage: "algorithm to tune", Algs: cliflags.Simulatable(),
+		Width: "pes", PEs: 64, WidthUsage: "simulated processing elements",
+		ShardsUsage: "parallel dispatcher shards per sweep point (0 = one per available core; 1 = sequential engine)",
+		AdaptUsage:  "after the sweep, run the closed-loop controller from the worst candidate and compare it against the best fixed chunk",
+	})
 	flag.Parse()
 
-	sp := uts.ByName(*tree)
-	if sp == nil {
-		fmt.Fprintf(os.Stderr, "unknown tree %q\n", *tree)
+	sp, model, _, err := f.Resolve()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	model, ok := pgas.Profiles[*profile]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown profile %q\n", *profile)
-		os.Exit(2)
-	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "-shards %d out of range (want 0 for auto or a positive count)\n", *shards)
-		os.Exit(2)
-	}
-	nshards := *shards
-	if nshards == 0 {
-		nshards = runtime.GOMAXPROCS(0)
-	}
-
 	cfg := des.Config{
-		Algorithm: core.Algorithm(*alg), PEs: *pes, Model: model, Engine: *engine,
-	}
-	if nshards > 1 {
-		cfg.Shards = nshards
+		Algorithm: core.Algorithm(f.Alg), PEs: f.PEs, Model: model, Engine: f.Engine, Shards: f.Shards,
 	}
 	best, results, err := des.TuneChunk(sp, cfg, nil)
 	if err != nil {
@@ -63,7 +45,7 @@ func main() {
 	}
 
 	fmt.Printf("chunk-size sweep: %s on %d simulated PEs (%s profile), %s\n\n",
-		*alg, *pes, model.Name, sp.Name)
+		f.Alg, f.PEs, model.Name, sp.Name)
 	chunks := make([]int, 0, len(results))
 	for k := range results {
 		chunks = append(chunks, k)
@@ -81,7 +63,7 @@ func main() {
 			k, res.Rate()/1e6, 100*res.Efficiency(), 100*res.Rate()/peak, marker)
 	}
 
-	if *adapt {
+	if f.Adapt {
 		// Start the controller from the sweep's worst candidate — the
 		// harshest recovery test — and report where it lands relative to
 		// the sweep's peak.

@@ -17,31 +17,29 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/cliflags"
 	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/pgas"
-	"repro/internal/policy"
 	"repro/internal/uts"
 )
 
 func main() {
-	tree := flag.String("tree", "bench-small", "named sample tree (see -trees)")
+	f := cliflags.Register(flag.CommandLine, cliflags.Defaults{
+		Tree: "bench-small", TreeUsage: "named sample tree (see -trees)",
+		Profile: "sharedmem", ProfileUsage: "latency model: sharedmem, altix, kittyhawk, topsail",
+		AlgUsage: "seq, upc-sharedmem, upc-term, upc-term-rapdif, upc-term-relaxed, upc-distmem, mpi-ws",
+		Algs:     append([]core.Algorithm{core.Sequential}, cliflags.Simulatable()...),
+		Width:    "threads", PEs: 4, WidthUsage: "worker threads (goroutines)",
+		Chunk:      16,
+		AdaptUsage: "adapt chunk/steal-half/poll per thread at runtime from steal feedback (closed-loop, bounded around -chunk/-poll)",
+		Poll:       true, Seed: true,
+		Trace:     true,
+		RingUsage: "per-thread trace ring capacity in events (0 = default)",
+		LiveUsage: "print a live progress line to stderr every interval (e.g. 1s; 0 = off)",
+	})
 	custom := flag.String("t", "", "custom binomial tree: 'binomial r=SEED b0=N m=M q=Q'")
-	alg := flag.String("alg", string(core.UPCDistMem), "seq, upc-sharedmem, upc-term, upc-term-rapdif, upc-term-relaxed, upc-distmem, mpi-ws")
-	threads := flag.Int("threads", 4, "worker threads (goroutines)")
-	chunk := flag.Int("chunk", 16, "steal granularity k (nodes)")
-	adapt := flag.Bool("adapt", false, "adapt chunk/steal-half/poll per thread at runtime from steal feedback (closed-loop, bounded around -chunk/-poll)")
-	poll := flag.Int("poll", 8, "mpi-ws polling interval (nodes)")
-	profile := flag.String("profile", "sharedmem", "latency model: sharedmem, altix, kittyhawk, topsail")
-	seed := flag.Int64("seed", 0, "probe-order seed")
 	verbose := flag.Bool("verbose", false, "print the per-thread counter table")
 	baseline := flag.Bool("baseline", false, "measure the sequential rate first for speedup reporting")
 	trees := flag.Bool("trees", false, "list sample trees and exit")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file (open in ui.perfetto.dev)")
-	timeline := flag.Bool("timeline", false, "print the merged steal-protocol event timeline")
-	hist := flag.Bool("hist", false, "record protocol events and fold latency histograms into the summary")
-	ring := flag.Int("ring", 0, "per-thread trace ring capacity in events (0 = default)")
-	live := flag.Duration("live", 0, "print a live progress line to stderr every interval (e.g. 1s; 0 = off)")
 	flag.Parse()
 
 	if *trees {
@@ -51,77 +49,47 @@ func main() {
 		return
 	}
 
-	var sp *uts.Spec
 	if *custom != "" {
-		parsed, err := parseCustom(*custom)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		sp = parsed
-	} else {
-		sp = uts.ByName(*tree)
-		if sp == nil {
-			fmt.Fprintf(os.Stderr, "unknown tree %q (use -trees)\n", *tree)
-			os.Exit(2)
-		}
+		f.Tree = "" // -t replaces -tree
 	}
-	model, ok := pgas.Profiles[*profile]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown profile %q\n", *profile)
+	sp, model, tracer, err := f.Resolve()
+	if err == nil && *custom != "" {
+		sp, err = parseCustom(*custom)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
 	opt := core.Options{
-		Algorithm:    core.Algorithm(*alg),
-		Threads:      *threads,
-		Chunk:        *chunk,
-		PollInterval: *poll,
+		Algorithm:    core.Algorithm(f.Alg),
+		Threads:      f.PEs,
+		Chunk:        f.Chunk,
+		PollInterval: f.Poll,
 		Model:        model,
-		Seed:         *seed,
-	}
-	if *adapt {
-		opt.Adapt = &policy.Config{}
-	}
-	var tracer *obs.Tracer
-	if *traceOut != "" || *timeline || *hist || *live > 0 {
-		tracer = obs.New(*threads, *ring)
-		opt.Tracer = tracer
+		Seed:         f.Seed,
+		Adapt:        f.AdaptConfig(),
+		Tracer:       tracer,
 	}
 	if *baseline {
 		c := uts.SearchSequential(sp)
 		opt.SeqRate = c.Rate()
 		fmt.Printf("sequential baseline: %.2fM nodes/s\n", c.Rate()/1e6)
 	}
-	var sampler *obs.Sampler
-	if *live > 0 {
-		sampler = obs.NewSampler(tracer)
-		sampler.OnSample(func(st obs.LiveStats) { fmt.Fprintln(os.Stderr, st.Line()) })
-		sampler.Start(*live)
-	}
+	sampler := f.StartLive(tracer, os.Stderr)
 	res, err := core.Run(sp, opt)
 	sampler.Stop() // nil-safe; takes and prints the final sample
+	if err == nil {
+		fmt.Printf("tree=%s alg=%s\n", sp.String(), res.Algorithm)
+		fmt.Print(res.Summary())
+		if *verbose {
+			fmt.Print(res.PerThreadTable())
+		}
+		err = f.Finish(os.Stdout, tracer)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	fmt.Printf("tree=%s alg=%s\n", sp.String(), res.Algorithm)
-	fmt.Print(res.Summary())
-	if *verbose {
-		fmt.Print(res.PerThreadTable())
-	}
-	if *timeline {
-		if err := obs.WriteTimeline(os.Stdout, tracer); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *traceOut != "" {
-		if err := obs.WriteChromeTraceFile(*traceOut, tracer); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace written to %s\n", *traceOut)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/policy"
 	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/uts"
@@ -18,108 +17,53 @@ import (
 // worker thread, with every remote interaction going over TCP.
 func (n *node) search() error {
 	w := &clusterWorker{
-		n:     n,
-		sp:    n.cfg.Spec,
-		k:     n.cfg.Chunk,
-		rng:   core.NewProbeOrder(n.cfg.Seed, n.cfg.Rank),
-		ranks: n.cfg.Ranks,
-		me:    n.cfg.Rank,
-		ex:    uts.NewExpander(n.cfg.Spec),
-		lane:  n.cfg.Tracer.Lane(n.cfg.Rank),
-		ctl:   n.pset.Controller(0),
+		// This rank is one PE, so it owns the set's single controller.
+		WallPE: core.WallPE{PE: core.NewPE(n.cfg.Spec, &n.t, n.cfg.Tracer.Lane(n.cfg.Rank), n.pset.Controller(0))},
+		n:      n,
+		sp:     n.cfg.Spec,
+		k:      n.cfg.Chunk,
+		rng:    core.NewProbeOrder(n.cfg.Seed, n.cfg.Rank),
+		ranks:  n.cfg.Ranks,
+		me:     n.cfg.Rank,
 	}
 	if w.me == 0 {
-		w.local.Push(uts.Root(w.sp))
+		w.Local.Push(uts.Root(w.sp))
 	}
-	w.n.t.StartTimers(time.Now())
-	defer func() { w.n.t.StopTimers(time.Now()) }()
+	w.Start()
+	defer w.Stop()
 	return w.main()
 }
 
-// clusterWorker is the per-process worker thread state.
+// clusterWorker is the per-process worker thread state. k is refreshed
+// from the controller at the yield cadence, never mid-release.
 type clusterWorker struct {
+	core.WallPE
 	n     *node
 	sp    *uts.Spec
 	k     int
 	me    int
 	ranks int
 	rng   *core.ProbeOrder
-
-	local stack.Deque
 	pool  stack.Pool
-	ex    *uts.Expander
-	lane  *obs.Lane // nil when the run is untraced
-
-	nodesFlushed int64 // t.Nodes already published to the lane's live counter
-
-	// Adaptive control (nil ctl = fixed knobs, the wiring costs nothing).
-	// This rank is one PE, so it owns the set's single controller; k is
-	// refreshed from it at the yield cadence, never mid-release.
-	ctl      *policy.Controller
-	ctlNodes int64 // t.Nodes already reported to the controller
-	stolen   int   // nodes delivered by the last successful steal
-}
-
-// noteCtl feeds node progress and the current stack depth to the
-// controller and refreshes the adapted chunk. Called at the yield cadence
-// — a point with no release in flight, so the 2k threshold and the
-// TakeBottom granularity never straddle a knob change.
-func (w *clusterWorker) noteCtl() {
-	if w.ctl == nil {
-		return
-	}
-	w.ctl.NoteNodes(int(w.n.t.Nodes-w.ctlNodes), w.local.Len(), time.Now().UnixNano())
-	w.ctlNodes = w.n.t.Nodes
-	w.k = w.ctl.Chunk()
-}
-
-// stealTimed wraps steal with the controller's latency observation.
-func (w *clusterWorker) stealTimed(v int) (bool, error) {
-	if w.ctl == nil {
-		return w.steal(v)
-	}
-	w.ctl.StealBegin(time.Now().UnixNano())
-	w.stolen = 0
-	ok, err := w.steal(v)
-	w.ctl.StealEnd(ok, w.stolen, time.Now().UnixNano())
-	return ok, err
-}
-
-// flushNodes publishes node progress to the lane's live counter (read by
-// the Sampler and the kindMetrics snapshot) in batches at protocol
-// cadence — one atomic add per flush, never per node, so the hot loop
-// stays free of shared-memory traffic.
-func (w *clusterWorker) flushNodes() {
-	if d := w.n.t.Nodes - w.nodesFlushed; d != 0 {
-		w.lane.AddNodes(d)
-		w.nodesFlushed = w.n.t.Nodes
-	}
-}
-
-// setState pairs the stats state timer with the tracer's state event.
-func (w *clusterWorker) setState(s stats.State) {
-	w.n.t.Switch(s, time.Now())
-	w.lane.Rec(obs.KindStateChange, -1, int64(s))
 }
 
 func (w *clusterWorker) main() error {
 	t := &w.n.t
-	w.lane.Rec(obs.KindStateChange, -1, int64(stats.Working))
 	for {
 		if err := w.work(); err != nil {
 			return err
 		}
 		w.n.workAvail.Store(-1)
-		w.setState(stats.Searching)
+		w.SetState(stats.Searching)
 		got, err := w.discover()
 		if err != nil {
 			return err
 		}
 		if got {
-			w.setState(stats.Working)
+			w.SetState(stats.Working)
 			continue
 		}
-		w.setState(stats.Idle)
+		w.SetState(stats.Idle)
 		// Reserved-but-unfetched handoff entries pin this worker out of
 		// the termination barrier: entering with work still reserved
 		// could let the run terminate with that subtree unexplored. Wait
@@ -130,11 +74,11 @@ func (w *clusterWorker) main() error {
 			return err
 		}
 		if regained && w.pool.Len() > 0 {
-			w.setState(stats.Working)
+			w.SetState(stats.Working)
 			continue
 		}
 		t.TermBarrierEntries++
-		w.lane.Rec(obs.KindTermEnter, -1, 0)
+		w.Lane.Rec(obs.KindTermEnter, -1, 0)
 		done, err := w.terminate()
 		if err != nil {
 			return err
@@ -142,8 +86,8 @@ func (w *clusterWorker) main() error {
 		if done {
 			return w.service() // deny any last raced-in request
 		}
-		w.lane.Rec(obs.KindTermExit, -1, 0)
-		w.setState(stats.Working)
+		w.Lane.Rec(obs.KindTermExit, -1, 0)
+		w.SetState(stats.Working)
 	}
 }
 
@@ -156,39 +100,32 @@ func (w *clusterWorker) work() error {
 		if sinceYield++; sinceYield >= 256 {
 			sinceYield = 0
 			w.reclaim() // one atomic load while the handoff table is empty
-			w.flushNodes()
-			w.noteCtl()
+			w.FlushNodes()
+			w.NoteCtl(w.Now())
+			w.k = w.Chunk(w.k)
 			runtime.Gosched()
 		}
 		if err := w.service(); err != nil {
 			return err
 		}
-		node, ok := w.local.Pop()
-		if !ok {
-			c, ok2 := w.pool.TakeNewest()
-			if !ok2 {
-				w.flushNodes()
+		if !w.Visit() {
+			c, ok := w.pool.TakeNewest()
+			if !ok {
+				w.FlushNodes()
 				return nil
 			}
 			w.n.workAvail.Store(int32(w.pool.Len()))
 			t.Reacquires++
-			w.lane.Rec(obs.KindReacquire, -1, int64(len(c)))
-			w.local.PushAll(c)
+			w.Lane.Rec(obs.KindReacquire, -1, int64(len(c)))
+			w.Local.PushAll(c)
 			w.n.putNodeBuf(c) // contents copied; buffer rejoins the cycle
 			continue
 		}
-		t.Nodes++
-		if node.NumKids == 0 {
-			t.Leaves++
-		} else {
-			w.local.PushAll(w.ex.Children(&node))
-		}
-		t.NoteDepth(w.local.Len())
-		if w.local.Len() >= 2*w.k {
-			w.pool.Put(w.local.TakeBottomAppend(w.n.getNodeBuf(), w.k))
+		if w.Local.Len() >= 2*w.k {
+			w.pool.Put(w.Local.TakeBottomAppend(w.n.getNodeBuf(), w.k))
 			w.n.workAvail.Store(int32(w.pool.Len()))
 			t.Releases++
-			w.lane.Rec(obs.KindRelease, -1, int64(w.pool.Len()))
+			w.Lane.Rec(obs.KindRelease, -1, int64(w.pool.Len()))
 		}
 	}
 }
@@ -242,13 +179,13 @@ func (w *clusterWorker) service() error {
 	w.n.reqWord.Store(-1)
 	w.n.t.Requests++
 	if amount > 0 {
-		w.lane.Rec(obs.KindStealGrant, thief, int64(amount))
+		w.Lane.Rec(obs.KindStealGrant, thief, int64(amount))
 	} else {
-		w.lane.Rec(obs.KindStealDeny, thief, 0)
-		if w.ctl != nil && w.local.Len() > 0 {
+		w.Lane.Rec(obs.KindStealDeny, thief, 0)
+		if w.Ctl != nil && w.Local.Len() > 0 {
 			// Denied while holding private work: the release threshold is
 			// withholding — evidence toward a smaller k.
-			w.ctl.NoteDenied()
+			w.Ctl.NoteDenied()
 		}
 	}
 	return nil
@@ -265,7 +202,7 @@ func (w *clusterWorker) reclaim() bool {
 		return false
 	}
 	for _, e := range entries {
-		w.lane.Rec(obs.KindHandoffReclaim, e.thief, int64(len(e.chunks)))
+		w.Lane.Rec(obs.KindHandoffReclaim, e.thief, int64(len(e.chunks)))
 		for _, c := range e.chunks {
 			w.pool.Put(c)
 		}
@@ -326,9 +263,9 @@ func (w *clusterWorker) discover() (bool, error) {
 				return false, err
 			}
 			if wa > 0 {
-				w.setState(stats.Stealing)
-				ok, err := w.stealTimed(v)
-				w.setState(stats.Searching)
+				w.BeginSteal()
+				ok, err := w.steal(v)
+				w.EndSteal(ok, stats.Searching)
 				if err != nil {
 					return false, err
 				}
@@ -354,14 +291,14 @@ func (w *clusterWorker) probe(v int) (int32, error) {
 	if err != nil {
 		return 0, err
 	}
-	w.lane.Rec(obs.KindProbeResult, int32(v), int64(resp.Avail))
+	w.Lane.Rec(obs.KindProbeResult, int32(v), int64(resp.Avail))
 	return resp.Avail, nil
 }
 
 // stealFail books one failed steal attempt at rank v.
 func (w *clusterWorker) stealFail(v int) {
 	w.n.t.FailedSteals++
-	w.lane.Rec(obs.KindStealFail, int32(v), 0)
+	w.Lane.Rec(obs.KindStealFail, int32(v), 0)
 }
 
 // steal claims v's request word, waits (bounded) for the owner's response
@@ -374,7 +311,7 @@ func (w *clusterWorker) stealFail(v int) {
 // from one whose response was merely lost.
 func (w *clusterWorker) steal(v int) (bool, error) {
 	t := &w.n.t
-	w.lane.Rec(obs.KindStealRequest, int32(v), 0)
+	w.Lane.Rec(obs.KindStealRequest, int32(v), 0)
 	resp, err := w.n.call(v, &request{Kind: kindCASRequest, From: w.me, Thief: int32(w.me)})
 	if err != nil {
 		if errors.Is(err, errPeerDead) || errors.Is(err, errRPCFailed) {
@@ -449,13 +386,10 @@ func (w *clusterWorker) steal(v int) (bool, error) {
 	}
 	t.Steals++
 	t.ChunksGot += int64(len(got.Chunk))
-	total := 0
-	for _, c := range got.Chunk {
-		total += len(c)
-	}
-	w.stolen = total
-	w.lane.Rec(obs.KindChunkTransfer, int32(v), int64(total))
-	w.local.PushAll(got.Chunk[0])
+	total := stack.NodeCount(got.Chunk)
+	w.Stolen = total
+	w.Lane.Rec(obs.KindChunkTransfer, int32(v), int64(total))
+	w.Local.PushAll(got.Chunk[0])
 	w.n.putNodeBuf(got.Chunk[0]) // contents copied; buffer rejoins the cycle
 	for _, c := range got.Chunk[1:] {
 		w.pool.Put(c)
@@ -545,9 +479,9 @@ func (w *clusterWorker) terminate() (bool, error) {
 			if !ok {
 				return true, nil // termination raced in; we are done
 			}
-			w.setState(stats.Stealing)
-			got, err := w.stealTimed(v)
-			w.setState(stats.Idle)
+			w.BeginSteal()
+			got, err := w.steal(v)
+			w.EndSteal(got, stats.Idle)
 			if err != nil {
 				return false, err
 			}

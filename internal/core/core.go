@@ -138,17 +138,6 @@ type Options struct {
 // run is not adaptive.
 func (o *Options) PolicySet() *policy.Set { return o.policySet }
 
-// hierPays reports whether the latency model makes intra-node victims
-// worth preferring: a same-node steal round trip (lock plus reference)
-// costing at most half the remote one. With no intra model the machine is
-// flat and tiering cannot pay.
-func hierPays(remote, intra *pgas.Model) bool {
-	if intra == nil || remote == nil {
-		return false
-	}
-	return 2*(intra.LockRTT+intra.RemoteRef) <= remote.LockRTT+remote.RemoteRef
-}
-
 // withDefaults returns a copy of o with defaults applied.
 func (o Options) withDefaults() Options {
 	if o.Algorithm == "" {
@@ -235,13 +224,8 @@ func RunCtx(ctx context.Context, sp *uts.Spec, opt Options) (*Result, error) {
 		}()
 	}
 	opt.abort = &abort
-	opt.policySet = policy.NewSet(opt.Adapt, policy.Base{
-		Chunk:     opt.Chunk,
-		Poll:      opt.PollInterval,
-		StealHalf: opt.Algorithm == UPCTermRapdif,
-		NodeSize:  opt.NodeSize,
-		HierPays:  hierPays(opt.Model, opt.IntraModel),
-	}, opt.Threads)
+	opt.policySet = policy.NewSet(opt.Adapt,
+		PolicyBase(opt.Algorithm, opt.Chunk, opt.PollInterval, opt.NodeSize, opt.Model, opt.IntraModel), opt.Threads)
 
 	res := &Result{Spec: sp, Algorithm: opt.Algorithm, Chunk: opt.Chunk}
 	res.SeqRate = opt.SeqRate
@@ -262,14 +246,8 @@ func RunCtx(ctx context.Context, sp *uts.Spec, opt Options) (*Result, error) {
 		res.Threads[0].InState[stats.Working] = c.Elapsed
 	case Static:
 		err = runStatic(sp, opt, res)
-	case UPCSharedMem:
-		err = runShared(sp, opt, res, sharedVariant{})
-	case UPCTerm:
-		err = runShared(sp, opt, res, sharedVariant{streamTerm: true})
-	case UPCTermRapdif:
-		err = runShared(sp, opt, res, sharedVariant{streamTerm: true, stealHalf: true})
-	case UPCTermRelaxed:
-		err = runShared(sp, opt, res, sharedVariant{streamTerm: true, relaxed: true})
+	case UPCSharedMem, UPCTerm, UPCTermRapdif, UPCTermRelaxed:
+		err = runShared(sp, opt, res, SharedVariants[opt.Algorithm])
 	case UPCDistMem:
 		err = runDistMem(sp, opt, res, false)
 	case UPCDistMemHier:
@@ -287,23 +265,6 @@ func RunCtx(ctx context.Context, sp *uts.Spec, opt Options) (*Result, error) {
 		return res, ctx.Err()
 	}
 	return res, nil
-}
-
-// sharedVariant selects the refinements layered onto the shared-memory
-// algorithm to form upc-term and upc-term-rapdif.
-type sharedVariant struct {
-	// streamTerm replaces the cancelable barrier with the streamlined
-	// detector (Section 3.3.1).
-	streamTerm bool
-	// stealHalf steals half the victim's chunks instead of one
-	// (Section 3.3.2).
-	stealHalf bool
-	// relaxed replaces the lock-guarded shared region with the fence-free
-	// relaxed ring and its multiplicity ledger (upc-term-relaxed,
-	// DESIGN.md §14). Implies streamTerm in practice: the tri-state
-	// workAvail termination protocol is what makes the owner-only
-	// workAvail writes safe.
-	relaxed bool
 }
 
 // yieldEvery is the number of nodes a worker explores between cooperative

@@ -2,13 +2,10 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/pgas"
-	"repro/internal/policy"
 	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/term"
@@ -19,14 +16,13 @@ import (
 const noThief = -1
 
 // privStack is one thread's state in the distributed-memory algorithm
-// (Section 3.3.3). The DFS stack and steal pool are touched only by their
-// owner — no locks anywhere on the work path. Thieves interact through two
-// words: they read workAvail one-sidedly, and write their ID into request;
-// the owner polls request (a local read) and answers by writing into the
-// thief's response slot.
+// (Section 3.3.3). The DFS stack (the worker's PE.Local) and the steal pool
+// are touched only by their owner — no locks anywhere on the work path.
+// Thieves interact through two words: they read workAvail one-sidedly, and
+// write their ID into request; the owner polls request (a local read) and
+// answers by writing into the thief's response slot.
 type privStack struct {
-	local stack.Deque // owner only
-	pool  stack.Pool  // owner only
+	pool stack.Pool // owner only
 
 	// workAvail: −1 when the thread has no work at all, otherwise the
 	// number of stealable chunks (0 = working, no surplus). Probed
@@ -45,10 +41,11 @@ type privStack struct {
 	// the release/acquire ordering for resp.
 	resp      []stack.Chunk
 	respReady atomic.Bool
+
+	_ [2*cacheLine - 72]byte // pad to a cache-line multiple (TestStackStructsPadded)
 }
 
 type distRun struct {
-	sp     *uts.Spec
 	opt    Options
 	dom    *pgas.Domain
 	stacks []*privStack
@@ -63,118 +60,55 @@ func runDistMem(sp *uts.Spec, opt Options, res *Result, hier bool) error {
 		return err
 	}
 	dom.SetTopology(opt.NodeSize, opt.IntraModel)
-	r := &distRun{sp: sp, opt: opt, dom: dom, sb: term.NewStreamBarrier(dom), hier: hier}
+	r := &distRun{opt: opt, dom: dom, sb: term.NewStreamBarrier(dom), hier: hier}
 	r.stacks = make([]*privStack, opt.Threads)
 	for i := range r.stacks {
 		r.stacks[i] = &privStack{}
 		r.stacks[i].request.Store(noThief)
 	}
 
-	var wg sync.WaitGroup
-	for me := 0; me < opt.Threads; me++ {
-		wg.Add(1)
-		go func(me int) {
-			defer wg.Done()
-			w := &distWorker{run: r, me: me, rng: NewProbeOrder(opt.Seed, me), t: &res.Threads[me], ex: uts.NewExpander(sp), lane: opt.Tracer.Lane(me), ctl: opt.policySet.Controller(me)}
-			if me == 0 {
-				w.stack().local.Push(uts.Root(sp))
-			}
-			w.main()
-		}(me)
-	}
-	wg.Wait()
+	eachThread(sp, opt, res, func(me int, pe WallPE) {
+		w := &distWorker{WallPE: pe, run: r, me: me, rng: NewProbeOrder(opt.Seed, me)}
+		if me == 0 {
+			w.Local.Push(uts.Root(sp))
+		}
+		w.main()
+	})
 	return nil
 }
 
 type distWorker struct {
-	run  *distRun
-	me   int
-	rng  *ProbeOrder
-	t    *stats.Thread
-	ex   *uts.Expander
-	lane *obs.Lane          // nil when the run is untraced
-	ctl  *policy.Controller // nil when the run is not adaptive
-
-	nodesFlushed int64 // t.Nodes already published to the lane's live counter
-	ctlNodes     int64 // t.Nodes already reported to the controller
-	stolenNodes  int   // nodes delivered by the last successful steal
+	WallPE
+	run *distRun
+	me  int
+	rng *ProbeOrder
 }
 
 func (w *distWorker) stack() *privStack { return w.run.stacks[w.me] }
 
-// flushNodes publishes node progress to the lane's live counter in
-// batches at the hot loop's yield cadence — one atomic add per flush,
-// never per node.
-func (w *distWorker) flushNodes() {
-	if d := w.t.Nodes - w.nodesFlushed; d != 0 {
-		w.lane.AddNodes(d)
-		w.nodesFlushed = w.t.Nodes
-	}
-}
-
-// setState pairs the stats state timer with the tracer's state event.
-func (w *distWorker) setState(s stats.State) {
-	w.t.Switch(s, time.Now())
-	w.lane.Rec(obs.KindStateChange, -1, int64(s))
-}
-
-// noteCtl feeds node progress to the thread's controller at the yield
-// cadence; a no-op for fixed-knob runs.
-func (w *distWorker) noteCtl() {
-	if w.ctl == nil {
-		return
-	}
-	now := time.Now() //uts:ok detcheck policy feedback timestamp; adaptive real-mode runs are wall-clock paced by design
-	w.ctl.NoteNodes(int(w.t.Nodes-w.ctlNodes), w.stack().local.Len(), now.UnixNano())
-	w.ctlNodes = w.t.Nodes
-}
-
-// chunk returns the release granularity in effect.
-func (w *distWorker) chunk() int {
-	if w.ctl != nil {
-		return w.ctl.Chunk()
-	}
-	return w.run.opt.Chunk
-}
-
-// stealTimed wraps a steal attempt with the controller's latency window.
-func (w *distWorker) stealTimed(v int) bool {
-	if w.ctl == nil {
-		return w.steal(v)
-	}
-	t0 := time.Now() //uts:ok detcheck policy steal-latency feedback; wall-paced by design in real mode
-	w.ctl.StealBegin(t0.UnixNano())
-	w.stolenNodes = 0
-	ok := w.steal(v)
-	t1 := time.Now() //uts:ok detcheck policy steal-latency feedback; wall-paced by design in real mode
-	w.ctl.StealEnd(ok, w.stolenNodes, t1.UnixNano())
-	return ok
-}
-
 func (w *distWorker) main() {
-	w.t.StartTimers(time.Now())
-	w.lane.Rec(obs.KindStateChange, -1, int64(stats.Working))
-	defer func() { w.t.StopTimers(time.Now()) }()
+	w.Start()
+	defer w.Stop()
 	for {
 		w.work()
 		if w.run.opt.abort.Load() {
 			return
 		}
 		w.stack().workAvail.Store(-1)
-		w.setState(stats.Searching)
+		w.SetState(stats.Searching)
 		if w.search() {
-			w.setState(stats.Working)
+			w.SetState(stats.Working)
 			continue
 		}
-		w.setState(stats.Idle)
-		w.t.TermBarrierEntries++
-		w.lane.Rec(obs.KindTermEnter, -1, 0)
+		w.SetState(stats.Idle)
+		w.T.TermBarrierEntries++
+		w.Lane.Rec(obs.KindTermEnter, -1, 0)
 		if w.terminate() {
 			w.service() // answer any last raced-in request with a denial
 			return
 		}
-		w.lane.Rec(obs.KindTermExit, -1, 0)
-		w.setState(stats.Working)
+		w.Lane.Rec(obs.KindTermExit, -1, 0)
+		w.SetState(stats.Working)
 	}
 }
 
@@ -182,47 +116,39 @@ func (w *distWorker) main() {
 // The owner polls its request word every iteration — a local read whose
 // cost is negligible, which is the whole point of the design.
 func (w *distWorker) work() {
-	k := w.chunk()
+	k := w.Chunk(w.run.opt.Chunk)
 	s := w.stack()
 	sinceYield := 0
 	for {
 		if sinceYield++; sinceYield >= yieldEvery {
 			sinceYield = 0
-			w.flushNodes()
-			w.noteCtl()
-			k = w.chunk() // may have adapted at the window boundary
+			w.FlushNodes()
+			w.NoteCtl(w.Now())
+			k = w.Chunk(w.run.opt.Chunk) // may have adapted at the window boundary
 			if w.run.opt.abort.Load() {
 				return
 			}
 			runtime.Gosched()
 		}
 		w.service()
-		n, ok := s.local.Pop()
-		if !ok {
+		if !w.Visit() {
 			// Reacquire from the thread's own pool: owner-only, no lock.
-			c, ok2 := s.pool.TakeNewest()
-			if !ok2 {
-				w.flushNodes()
+			c, ok := s.pool.TakeNewest()
+			if !ok {
+				w.FlushNodes()
 				return
 			}
 			s.workAvail.Store(int32(s.pool.Len()))
-			w.t.Reacquires++
-			w.lane.Rec(obs.KindReacquire, -1, int64(len(c)))
-			s.local.PushAll(c)
+			w.T.Reacquires++
+			w.Lane.Rec(obs.KindReacquire, -1, int64(len(c)))
+			w.Local.PushAll(c)
 			continue
 		}
-		w.t.Nodes++
-		if n.NumKids == 0 {
-			w.t.Leaves++
-		} else {
-			s.local.PushAll(w.ex.Children(&n))
-		}
-		w.t.NoteDepth(s.local.Len())
-		if s.local.Len() >= 2*k {
-			s.pool.Put(s.local.TakeBottom(k))
+		if w.Local.Len() >= 2*k {
+			s.pool.Put(w.Local.TakeBottom(k))
 			s.workAvail.Store(int32(s.pool.Len()))
-			w.t.Releases++
-			w.lane.Rec(obs.KindRelease, -1, int64(s.pool.Len()))
+			w.T.Releases++
+			w.Lane.Rec(obs.KindRelease, -1, int64(s.pool.Len()))
 		}
 	}
 }
@@ -248,16 +174,16 @@ func (w *distWorker) service() {
 	ts.resp = chunks
 	ts.respReady.Store(true)
 	s.request.Store(noThief) // local write
-	w.t.Requests++
+	w.T.Requests++
 	if len(chunks) > 0 {
-		w.lane.Rec(obs.KindStealGrant, thief, int64(len(chunks)))
+		w.Lane.Rec(obs.KindStealGrant, thief, int64(len(chunks)))
 	} else {
-		w.lane.Rec(obs.KindStealDeny, thief, 0)
-		if w.ctl != nil && s.local.Len() > 0 {
+		w.Lane.Rec(obs.KindStealDeny, thief, 0)
+		if w.Ctl != nil && w.Local.Len() > 0 {
 			// Denied while still holding local work: the victim-side
 			// witness that this thread's k is withholding work from live
 			// demand.
-			w.ctl.NoteDenied()
+			w.Ctl.NoteDenied()
 		}
 	}
 }
@@ -272,25 +198,14 @@ func (w *distWorker) search() bool {
 	}
 	for {
 		sawWorker := false
-		var perm []int
-		switch {
-		case w.run.hier:
-			perm = w.rng.CycleHier(w.me, n, w.run.dom.NodeSize())
-		case w.ctl != nil && w.ctl.NodeSize() > 1:
-			// Adaptive tiering: the latency model said intra-node steals
-			// are cheap enough to prefer, so walk the hierarchy even
-			// though the flat algorithm was selected.
-			perm = w.rng.CycleHier(w.me, n, w.ctl.NodeSize())
-		default:
-			perm = w.rng.Cycle(w.me, n)
-		}
+		perm := w.rng.CycleHier(w.me, n, w.VictimTier(w.run.hier, w.run.dom.NodeSize()))
 		for _, v := range perm {
 			w.service()
 			wa := w.probe(v)
 			if wa > 0 {
-				w.setState(stats.Stealing)
-				ok := w.stealTimed(v)
-				w.setState(stats.Searching)
+				w.BeginSteal()
+				ok := w.steal(v)
+				w.EndSteal(ok, stats.Searching)
 				if ok {
 					return true
 				}
@@ -311,9 +226,9 @@ func (w *distWorker) search() bool {
 
 func (w *distWorker) probe(v int) int32 {
 	w.run.dom.ChargeRef(w.me, v)
-	w.t.Probes++
+	w.T.Probes++
 	wa := w.run.stacks[v].workAvail.Load()
-	w.lane.Rec(obs.KindProbeResult, int32(v), int64(wa))
+	w.Lane.Rec(obs.KindProbeResult, int32(v), int64(wa))
 	return wa
 }
 
@@ -329,10 +244,10 @@ func (w *distWorker) steal(v int) bool {
 
 	// Write our ID into the lock-protected request variable.
 	r.dom.ChargeLockRTT(w.me, v)
-	w.lane.Rec(obs.KindStealRequest, int32(v), 0)
+	w.Lane.Rec(obs.KindStealRequest, int32(v), 0)
 	if !vs.request.CompareAndSwap(noThief, int32(w.me)) {
-		w.t.FailedSteals++
-		w.lane.Rec(obs.KindStealFail, int32(v), 0)
+		w.T.FailedSteals++
+		w.Lane.Rec(obs.KindStealFail, int32(v), 0)
 		return false
 	}
 
@@ -340,8 +255,8 @@ func (w *distWorker) steal(v int) bool {
 	me := w.stack()
 	for !me.respReady.Load() {
 		if w.run.opt.abort.Load() {
-			w.t.FailedSteals++
-			w.lane.Rec(obs.KindStealFail, int32(v), 0)
+			w.T.FailedSteals++
+			w.Lane.Rec(obs.KindStealFail, int32(v), 0)
 			return false
 		}
 		w.service() // we may be someone else's victim meanwhile
@@ -352,22 +267,19 @@ func (w *distWorker) steal(v int) bool {
 	me.respReady.Store(false)
 
 	if len(chunks) == 0 {
-		w.t.FailedSteals++
-		w.lane.Rec(obs.KindStealFail, int32(v), 0)
+		w.T.FailedSteals++
+		w.Lane.Rec(obs.KindStealFail, int32(v), 0)
 		return false
 	}
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
+	total := stack.NodeCount(chunks)
 	// One-sided get of the granted work.
-	r.dom.ChargeBulk(w.me, v, total*nodeBytes)
-	w.t.Steals++
-	w.t.ChunksGot += int64(len(chunks))
-	w.stolenNodes = total
-	w.lane.Rec(obs.KindChunkTransfer, int32(v), int64(total))
+	r.dom.ChargeBulk(w.me, v, total*NodeBytes)
+	w.T.Steals++
+	w.T.ChunksGot += int64(len(chunks))
+	w.Stolen = total
+	w.Lane.Rec(obs.KindChunkTransfer, int32(v), int64(total))
 
-	me.local.PushAll(chunks[0])
+	w.Local.PushAll(chunks[0])
 	for _, c := range chunks[1:] {
 		me.pool.Put(c)
 	}
@@ -397,9 +309,9 @@ func (w *distWorker) terminate() bool {
 			if !sb.Leave(w.me) {
 				return true
 			}
-			w.setState(stats.Stealing)
-			ok := w.stealTimed(v)
-			w.setState(stats.Idle)
+			w.BeginSteal()
+			ok := w.steal(v)
+			w.EndSteal(ok, stats.Idle)
 			if ok {
 				return false
 			}

@@ -2,13 +2,10 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/msg"
 	"repro/internal/obs"
-	"repro/internal/policy"
 	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/uts"
@@ -23,42 +20,32 @@ func runMPIWS(sp *uts.Spec, opt Options, res *Result) error {
 	if err != nil {
 		return err
 	}
-	var wg sync.WaitGroup
-	for me := 0; me < opt.Threads; me++ {
-		wg.Add(1)
-		go func(me int) {
-			defer wg.Done()
-			w := &mpiWorker{
-				sp:    sp,
-				abort: opt.abort,
-				comm:  comm,
-				me:    me,
-				n:     opt.Threads,
-				k:     opt.Chunk,
-				poll:  opt.PollInterval,
-				rng:   NewProbeOrder(opt.Seed, me),
-				t:     &res.Threads[me],
-				ex:    uts.NewExpander(sp),
-				lane:  opt.Tracer.Lane(me),
-				ctl:   opt.policySet.Controller(me),
-			}
-			if me == 0 {
-				w.local.Push(uts.Root(sp))
-				// Rank 0 owns the initial (conceptually black) token; the
-				// first circulated round is never conclusive.
-				w.haveToken = true
-				w.tokenColor = msg.Black
-				w.firstPass = true
-			}
-			w.main()
-		}(me)
-	}
-	wg.Wait()
+	eachThread(sp, opt, res, func(me int, pe WallPE) {
+		w := &mpiWorker{
+			WallPE: pe,
+			abort:  opt.abort,
+			comm:   comm,
+			me:     me,
+			n:      opt.Threads,
+			k:      opt.Chunk,
+			poll:   opt.PollInterval,
+			rng:    NewProbeOrder(opt.Seed, me),
+		}
+		if me == 0 {
+			w.Local.Push(uts.Root(sp))
+			// Rank 0 owns the initial (conceptually black) token; the
+			// first circulated round is never conclusive.
+			w.haveToken = true
+			w.tokenColor = msg.Black
+			w.firstPass = true
+		}
+		w.main()
+	})
 	return nil
 }
 
 type mpiWorker struct {
-	sp    *uts.Spec
+	WallPE
 	abort *atomic.Bool
 	comm  *msg.Comm
 	me    int
@@ -66,12 +53,6 @@ type mpiWorker struct {
 	k     int
 	poll  int
 	rng   *ProbeOrder
-	t     *stats.Thread
-	lane  *obs.Lane          // nil when the run is untraced
-	ctl   *policy.Controller // nil when the run is not adaptive
-
-	local stack.Deque
-	ex    *uts.Expander
 
 	// Dijkstra token-ring state.
 	color       msg.Color // this process's color; black after sending work
@@ -80,41 +61,25 @@ type mpiWorker struct {
 	firstPass   bool
 	outstanding bool // a steal request awaits its reply
 	terminated  bool
-
-	nodesFlushed int64 // t.Nodes already published to the lane's live counter
-	ctlNodes     int64 // t.Nodes already reported to the controller
 }
 
-// flushNodes publishes node progress to the lane's live counter in
-// batches at the poll/yield cadence — one atomic add per flush, never
-// per node.
-func (w *mpiWorker) flushNodes() {
-	if d := w.t.Nodes - w.nodesFlushed; d != 0 {
-		w.lane.AddNodes(d)
-		w.nodesFlushed = w.t.Nodes
-	}
-}
-
-// noteCtl feeds node progress to the rank's controller at the yield
-// cadence and refreshes the adapted knobs (chunk size and poll interval)
-// after any window boundary; a no-op for fixed-knob runs.
-func (w *mpiWorker) noteCtl() {
-	if w.ctl == nil {
+// refreshCtl is the rank's NoteCtl point: it also re-reads the adapted
+// knobs (chunk size and poll interval), which this worker caches, after
+// any window boundary. A no-op for fixed-knob runs.
+func (w *mpiWorker) refreshCtl() {
+	if w.Ctl == nil {
 		return
 	}
-	now := time.Now() //uts:ok detcheck policy feedback timestamp; adaptive real-mode runs are wall-clock paced by design
-	w.ctl.NoteNodes(int(w.t.Nodes-w.ctlNodes), w.local.Len(), now.UnixNano())
-	w.ctlNodes = w.t.Nodes
-	w.k = w.ctl.Chunk()
-	w.poll = w.ctl.Poll()
+	w.NoteCtl(w.Now())
+	w.k = w.Ctl.Chunk()
+	w.poll = w.Ctl.Poll()
 }
 
 func (w *mpiWorker) main() {
-	w.t.StartTimers(time.Now())
-	w.lane.Rec(obs.KindStateChange, -1, int64(stats.Working))
-	defer func() { w.t.StopTimers(time.Now()) }()
+	w.Start()
+	defer w.Stop()
 	for !w.terminated {
-		if w.local.Len() > 0 {
+		if w.Local.Len() > 0 {
 			w.work()
 		} else {
 			w.idle()
@@ -126,23 +91,15 @@ func (w *mpiWorker) main() {
 // — the cost/latency tradeoff the paper's Section 3.2 highlights.
 func (w *mpiWorker) work() {
 	since, sinceYield := 0, 0
-	for w.local.Len() > 0 && !w.terminated {
-		n, _ := w.local.Pop()
-		w.t.Nodes++
-		if n.NumKids == 0 {
-			w.t.Leaves++
-		} else {
-			w.local.PushAll(w.ex.Children(&n))
-		}
-		w.t.NoteDepth(w.local.Len())
+	for !w.terminated && w.Visit() {
 		if since++; since >= w.poll {
 			since = 0
 			w.drain()
 		}
 		if sinceYield++; sinceYield >= yieldEvery {
 			sinceYield = 0
-			w.flushNodes()
-			w.noteCtl()
+			w.FlushNodes()
+			w.refreshCtl()
 			if w.abort.Load() {
 				w.terminated = true
 				return
@@ -150,7 +107,7 @@ func (w *mpiWorker) work() {
 			runtime.Gosched()
 		}
 	}
-	w.flushNodes()
+	w.FlushNodes()
 	w.drain()
 }
 
@@ -167,8 +124,8 @@ func (w *mpiWorker) drain() {
 		got++
 		w.handle(m)
 	}
-	if w.ctl != nil {
-		w.ctl.NotePoll(got)
+	if w.Ctl != nil {
+		w.Ctl.NotePoll(got)
 	}
 }
 
@@ -176,44 +133,39 @@ func (w *mpiWorker) drain() {
 func (w *mpiWorker) handle(m msg.Message) {
 	switch m.Tag {
 	case msg.TagStealRequest:
-		w.t.Requests++
-		if w.local.Len() >= 2*w.k {
-			chunk := w.local.TakeBottom(w.k)
+		w.T.Requests++
+		if w.Local.Len() >= 2*w.k {
+			chunk := w.Local.TakeBottom(w.k)
 			w.color = msg.Black // work moved: taint this round
-			w.t.Releases++
-			w.lane.Rec(obs.KindStealGrant, int32(m.From), 1)
+			w.T.Releases++
+			w.Lane.Rec(obs.KindStealGrant, int32(m.From), 1)
 			w.comm.Send(w.me, m.From, msg.Message{Tag: msg.TagWork, Chunks: []stack.Chunk{chunk}})
 		} else {
-			if w.ctl != nil && w.local.Len() > 0 {
+			if w.Ctl != nil && w.Local.Len() > 0 {
 				// Denied while holding work: victim-side evidence that the
 				// release threshold (2k) is too high for the current load.
-				w.ctl.NoteDenied()
+				w.Ctl.NoteDenied()
 			}
-			w.lane.Rec(obs.KindStealDeny, int32(m.From), 0)
+			w.Lane.Rec(obs.KindStealDeny, int32(m.From), 0)
 			w.comm.Send(w.me, m.From, msg.Message{Tag: msg.TagNoWork})
 		}
 	case msg.TagWork:
 		w.outstanding = false
-		w.t.Steals++
-		w.t.ChunksGot += int64(len(m.Chunks))
+		w.T.Steals++
+		w.T.ChunksGot += int64(len(m.Chunks))
 		total := 0
 		for _, c := range m.Chunks {
 			total += len(c)
-			w.local.PushAll(c)
+			w.Local.PushAll(c)
 		}
-		if w.ctl != nil {
-			now := time.Now() //uts:ok detcheck policy steal-latency feedback; wall-paced by design in real mode
-			w.ctl.StealEnd(true, total, now.UnixNano())
-		}
-		w.lane.Rec(obs.KindChunkTransfer, int32(m.From), int64(total))
+		w.Stolen = total
+		w.StealEnd(true, w.Now())
+		w.Lane.Rec(obs.KindChunkTransfer, int32(m.From), int64(total))
 	case msg.TagNoWork:
 		w.outstanding = false
-		w.t.FailedSteals++
-		if w.ctl != nil {
-			now := time.Now() //uts:ok detcheck policy steal-latency feedback; wall-paced by design in real mode
-			w.ctl.StealEnd(false, 0, now.UnixNano())
-		}
-		w.lane.Rec(obs.KindStealFail, int32(m.From), 0)
+		w.T.FailedSteals++
+		w.StealEnd(false, w.Now())
+		w.Lane.Rec(obs.KindStealFail, int32(m.From), 0)
 	case msg.TagToken:
 		w.haveToken = true
 		w.tokenColor = m.Color
@@ -227,16 +179,10 @@ func (w *mpiWorker) handle(m msg.Message) {
 // the token only when passive — stack empty, no outstanding request, and
 // inbox drained — which, with instantaneous message enqueue, is what makes
 // the white-round conclusion sound.
-// setState pairs the stats state timer with the tracer's state event.
-func (w *mpiWorker) setState(s stats.State) {
-	w.t.Switch(s, time.Now())
-	w.lane.Rec(obs.KindStateChange, -1, int64(s))
-}
-
 func (w *mpiWorker) idle() {
-	w.setState(stats.Searching)
-	defer w.setState(stats.Working)
-	for w.local.Len() == 0 && !w.terminated {
+	w.SetState(stats.Searching)
+	defer w.SetState(stats.Working)
+	for w.Local.Len() == 0 && !w.terminated {
 		if m, ok := w.comm.Recv(w.me); ok {
 			w.handle(m)
 			continue
@@ -256,17 +202,14 @@ func (w *mpiWorker) idle() {
 		}
 		if !w.outstanding {
 			v := w.rng.Victim(w.me, w.n)
-			w.t.Probes++
-			if w.ctl != nil {
-				now := time.Now() //uts:ok detcheck policy steal-latency feedback; wall-paced by design in real mode
-				w.ctl.StealBegin(now.UnixNano())
-			}
-			w.lane.Rec(obs.KindStealRequest, int32(v), 0)
+			w.T.Probes++
+			w.StealBegin(w.Now())
+			w.Lane.Rec(obs.KindStealRequest, int32(v), 0)
 			w.comm.Send(w.me, v, msg.Message{Tag: msg.TagStealRequest})
 			w.outstanding = true
 			continue
 		}
-		w.noteCtl()
+		w.refreshCtl()
 		runtime.Gosched()
 	}
 }

@@ -3,26 +3,25 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/pgas"
-	"repro/internal/policy"
 	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/term"
 	"repro/internal/uts"
 )
 
-// nodeBytes is the nominal wire size of one node descriptor (20-byte RNG
-// state plus height and child count), used for bandwidth charging.
-const nodeBytes = 28
+// cacheLine is the coherence granule the per-thread shared structs are
+// padded to, so the words two threads' structs expose to remote probes
+// never share a line whatever the heap alignment.
+const cacheLine = 64
 
 // sharedStack is one thread's stack in the shared-memory algorithm
 // (Section 3.1, Figure 2): a local region the owner manipulates without
-// synchronization and a lock-guarded shared region holding whole chunks.
+// synchronization (the worker's PE.Local) and a lock-guarded shared region
+// holding whole chunks.
 type sharedStack struct {
 	lk   *pgas.Lock
 	pool stack.Pool // guarded by lk
@@ -39,13 +38,14 @@ type sharedStack struct {
 	// chunks (0 = working but no surplus). The plain shared-memory
 	// algorithm uses only the chunk count.
 	workAvail atomic.Int32
+
+	_ [cacheLine - 56]byte // pad to a cache-line multiple (TestStackStructsPadded)
 }
 
 // sharedRun bundles the state shared by all threads of one run.
 type sharedRun struct {
-	sp      *uts.Spec
 	opt     Options
-	variant sharedVariant
+	variant SharedVariant
 	dom     *pgas.Domain
 	stacks  []*sharedStack
 	cb      *term.CancelBarrier // sharedmem termination
@@ -53,40 +53,34 @@ type sharedRun struct {
 }
 
 // runShared executes upc-sharedmem / upc-term / upc-term-rapdif.
-func runShared(sp *uts.Spec, opt Options, res *Result, v sharedVariant) error {
+func runShared(sp *uts.Spec, opt Options, res *Result, v SharedVariant) error {
 	dom, err := pgas.NewDomain(opt.Threads, opt.Model)
 	if err != nil {
 		return err
 	}
-	r := &sharedRun{sp: sp, opt: opt, variant: v, dom: dom}
+	r := &sharedRun{opt: opt, variant: v, dom: dom}
 	r.stacks = make([]*sharedStack, opt.Threads)
 	for i := range r.stacks {
 		r.stacks[i] = &sharedStack{lk: dom.NewLock(i)}
-		if v.relaxed {
+		if v.Relaxed {
 			r.stacks[i].ring = stack.NewRelaxed(i)
 		}
 	}
-	if v.streamTerm {
+	if v.StreamTerm {
 		r.sb = term.NewStreamBarrier(dom)
 	} else {
 		r.cb = term.NewCancelBarrier(dom)
 		r.cb.SetAbort(opt.abort)
 	}
 
-	var wg sync.WaitGroup
-	for me := 0; me < opt.Threads; me++ {
-		wg.Add(1)
-		go func(me int) {
-			defer wg.Done()
-			w := &sharedWorker{run: r, me: me, rng: NewProbeOrder(opt.Seed, me), t: &res.Threads[me], ex: uts.NewExpander(sp), lane: opt.Tracer.Lane(me), ctl: opt.policySet.Controller(me)}
-			if me == 0 {
-				w.local.Push(uts.Root(sp))
-			}
-			w.main()
-		}(me)
-	}
-	wg.Wait()
-	if v.relaxed && !opt.abort.Load() {
+	eachThread(sp, opt, res, func(me int, pe WallPE) {
+		w := &sharedWorker{WallPE: pe, run: r, me: me, rng: NewProbeOrder(opt.Seed, me)}
+		if me == 0 {
+			w.Local.Push(uts.Root(sp))
+		}
+		w.main()
+	})
+	if v.Relaxed && !opt.abort.Load() {
 		// Accounting check: termination required every ring to drain, so
 		// every chunk ever published must have exactly one ledger
 		// consumer. A leftover unconsumed entry would mean lost work.
@@ -102,137 +96,68 @@ func runShared(sp *uts.Spec, opt Options, res *Result, v sharedVariant) error {
 
 // sharedWorker is one thread's execution state.
 type sharedWorker struct {
-	run   *sharedRun
-	me    int
-	local stack.Deque
-	rng   *ProbeOrder
-	t     *stats.Thread
-	ex    *uts.Expander
-	lane  *obs.Lane          // nil when the run is untraced
-	ctl   *policy.Controller // nil when the run is not adaptive
-
-	nodesFlushed int64 // t.Nodes already published to the lane's live counter
-	ctlNodes     int64 // t.Nodes already reported to the controller
-	stolenNodes  int   // nodes delivered by the last successful steal
+	WallPE
+	run *sharedRun
+	me  int
+	rng *ProbeOrder
 }
 
 func (w *sharedWorker) stack() *sharedStack { return w.run.stacks[w.me] }
 
-// flushNodes publishes node progress to the lane's live counter in
-// batches at the hot loop's yield cadence — one atomic add per flush,
-// never per node.
-func (w *sharedWorker) flushNodes() {
-	if d := w.t.Nodes - w.nodesFlushed; d != 0 {
-		w.lane.AddNodes(d)
-		w.nodesFlushed = w.t.Nodes
-	}
-}
-
-// setState pairs the stats state timer with the tracer's state event.
-func (w *sharedWorker) setState(s stats.State) {
-	w.t.Switch(s, time.Now())
-	w.lane.Rec(obs.KindStateChange, -1, int64(s))
-}
-
-// noteCtl feeds node progress (and a wall timestamp to close adaptation
-// windows against) to the thread's controller. Called at the yield
-// cadence, never per node; a no-op for fixed-knob runs.
-func (w *sharedWorker) noteCtl() {
-	if w.ctl == nil {
-		return
-	}
-	now := time.Now() //uts:ok detcheck policy feedback timestamp; adaptive real-mode runs are wall-clock paced by design
-	w.ctl.NoteNodes(int(w.t.Nodes-w.ctlNodes), w.local.Len(), now.UnixNano())
-	w.ctlNodes = w.t.Nodes
-}
-
-// chunk returns the release granularity in effect: the adapted value
-// under a controller, the static option otherwise.
-func (w *sharedWorker) chunk() int {
-	if w.ctl != nil {
-		return w.ctl.Chunk()
-	}
-	return w.run.opt.Chunk
-}
-
-// stealTimed wraps a steal attempt with the controller's latency window
-// (wall time; the pgas charges inside the attempt are real delays).
-func (w *sharedWorker) stealTimed(v int) bool {
-	if w.ctl == nil {
-		return w.steal(v)
-	}
-	t0 := time.Now() //uts:ok detcheck policy steal-latency feedback; wall-paced by design in real mode
-	w.ctl.StealBegin(t0.UnixNano())
-	w.stolenNodes = 0
-	ok := w.steal(v)
-	t1 := time.Now() //uts:ok detcheck policy steal-latency feedback; wall-paced by design in real mode
-	w.ctl.StealEnd(ok, w.stolenNodes, t1.UnixNano())
-	return ok
-}
-
 // main is the Figure-1 state machine.
 func (w *sharedWorker) main() {
-	w.t.StartTimers(time.Now())
-	w.lane.Rec(obs.KindStateChange, -1, int64(stats.Working))
-	defer func() { w.t.StopTimers(time.Now()) }()
+	w.Start()
+	defer w.Stop()
 	for {
 		w.work()
 		if w.run.opt.abort.Load() {
 			return
 		}
-		if w.run.variant.streamTerm {
+		if w.run.variant.StreamTerm {
 			w.stack().workAvail.Store(-1)
 		}
-		w.setState(stats.Searching)
+		w.SetState(stats.Searching)
 		if w.search() {
-			w.setState(stats.Working)
+			w.SetState(stats.Working)
 			continue
 		}
-		w.setState(stats.Idle)
-		w.t.TermBarrierEntries++
-		w.lane.Rec(obs.KindTermEnter, -1, 0)
+		w.SetState(stats.Idle)
+		w.T.TermBarrierEntries++
+		w.Lane.Rec(obs.KindTermEnter, -1, 0)
 		if w.terminate() {
 			return
 		}
-		w.lane.Rec(obs.KindTermExit, -1, 0)
-		w.setState(stats.Working)
+		w.Lane.Rec(obs.KindTermExit, -1, 0)
+		w.SetState(stats.Working)
 	}
 }
 
 // work explores nodes until both the local region and the thread's own
 // shared region are empty ("Working" in Figure 1).
 func (w *sharedWorker) work() {
-	k := w.chunk()
+	k := w.Chunk(w.run.opt.Chunk)
 	sinceYield := 0
 	for {
 		if sinceYield++; sinceYield >= yieldEvery {
 			sinceYield = 0
-			w.flushNodes()
-			w.noteCtl()
-			k = w.chunk() // may have adapted at the window boundary
+			w.FlushNodes()
+			w.NoteCtl(w.Now())
+			k = w.Chunk(w.run.opt.Chunk) // may have adapted at the window boundary
 			if w.run.opt.abort.Load() {
 				return
 			}
 			runtime.Gosched()
 		}
-		n, ok := w.local.Pop()
-		if !ok {
+		if !w.Visit() {
 			if !w.reacquire() {
-				w.flushNodes()
+				w.FlushNodes()
 				return
 			}
 			continue
 		}
-		w.t.Nodes++
-		if n.NumKids == 0 {
-			w.t.Leaves++
-		} else {
-			w.local.PushAll(w.ex.Children(&n))
-		}
-		w.t.NoteDepth(w.local.Len())
 		// Release surplus once the local region has a comfortable depth
 		// (at least 2k, per Section 3.1).
-		if w.local.Len() >= 2*k {
+		if w.Local.Len() >= 2*k {
 			w.release(k)
 		}
 	}
@@ -242,20 +167,20 @@ func (w *sharedWorker) work() {
 // them stealable, and — under the shared-memory algorithm — resets the
 // cancelable barrier, a remote lock operation charged to this thread.
 func (w *sharedWorker) release(k int) {
-	if w.run.variant.relaxed {
+	if w.run.variant.Relaxed {
 		w.releaseRelaxed(k)
 		return
 	}
 	s := w.stack()
-	chunk := w.local.TakeBottom(k)
+	chunk := w.Local.TakeBottom(k)
 	s.lk.Acquire(w.me)
 	s.pool.Put(chunk)
 	avail := int32(s.pool.Len())
 	s.workAvail.Store(avail)
 	s.lk.Release(w.me)
-	w.t.Releases++
-	w.lane.Rec(obs.KindRelease, -1, int64(avail))
-	if !w.run.variant.streamTerm {
+	w.T.Releases++
+	w.Lane.Rec(obs.KindRelease, -1, int64(avail))
+	if !w.run.variant.StreamTerm {
 		w.run.cb.Cancel(w.me)
 	}
 }
@@ -272,30 +197,30 @@ func (w *sharedWorker) releaseRelaxed(k int) {
 	if s.ring.Full() {
 		return
 	}
-	chunk := w.local.TakeBottom(k)
+	chunk := w.Local.TakeBottom(k)
 	rec, ok := s.ring.Publish(chunk)
 	if rec != nil {
 		// Publish resolved a clobbered, never-consumed slot: the chunk
 		// comes back to the owner and goes straight back to work.
-		w.local.PushAll(rec)
+		w.Local.PushAll(rec)
 	}
 	if !ok {
 		// Unreachable after the Full() check (single owner), but keep the
 		// nodes rather than lose them if the protocol ever changes.
-		w.local.PushAll(chunk)
+		w.Local.PushAll(chunk)
 		return
 	}
 	if s.ring.Live() == 1 {
 		s.workAvail.Store(1)
 	}
-	w.t.Releases++
-	w.lane.Rec(obs.KindRelease, -1, int64(s.ring.Live()))
+	w.T.Releases++
+	w.Lane.Rec(obs.KindRelease, -1, int64(s.ring.Live()))
 }
 
 // reacquire moves the newest chunk of the thread's own shared region back
 // onto the local stack. It reports false if no chunk was available.
 func (w *sharedWorker) reacquire() bool {
-	if w.run.variant.relaxed {
+	if w.run.variant.Relaxed {
 		return w.reacquireRelaxed()
 	}
 	s := w.stack()
@@ -308,9 +233,9 @@ func (w *sharedWorker) reacquire() bool {
 	if !ok {
 		return false
 	}
-	w.t.Reacquires++
-	w.lane.Rec(obs.KindReacquire, -1, int64(len(c)))
-	w.local.PushAll(c)
+	w.T.Reacquires++
+	w.Lane.Rec(obs.KindReacquire, -1, int64(len(c)))
+	w.Local.PushAll(c)
 	return true
 }
 
@@ -328,9 +253,9 @@ func (w *sharedWorker) reacquireRelaxed() bool {
 	if s.ring.Live() == 0 {
 		s.workAvail.Store(0)
 	}
-	w.t.Reacquires++
-	w.lane.Rec(obs.KindReacquire, -1, int64(len(c)))
-	w.local.PushAll(c)
+	w.T.Reacquires++
+	w.Lane.Rec(obs.KindReacquire, -1, int64(len(c)))
+	w.Local.PushAll(c)
 	return true
 }
 
@@ -351,9 +276,9 @@ func (w *sharedWorker) search() bool {
 		for _, v := range w.rng.Cycle(w.me, n) {
 			wa := w.probe(v)
 			if wa > 0 {
-				w.setState(stats.Stealing)
-				ok := w.stealTimed(v)
-				w.setState(stats.Searching)
+				w.BeginSteal()
+				ok := w.steal(v)
+				w.EndSteal(ok, stats.Searching)
 				if ok {
 					return true
 				}
@@ -362,7 +287,7 @@ func (w *sharedWorker) search() bool {
 				sawWorker = true
 			}
 		}
-		if !r.variant.streamTerm {
+		if !r.variant.StreamTerm {
 			// Shared-memory algorithm: one empty cycle sends the thread
 			// to the cancelable barrier.
 			return false
@@ -382,9 +307,9 @@ func (w *sharedWorker) search() bool {
 // probe reads a victim's work-available count without locking.
 func (w *sharedWorker) probe(v int) int32 {
 	w.run.dom.ChargeRef(w.me, v)
-	w.t.Probes++
+	w.T.Probes++
 	wa := w.run.stacks[v].workAvail.Load()
-	w.lane.Rec(obs.KindProbeResult, int32(v), int64(wa))
+	w.Lane.Rec(obs.KindProbeResult, int32(v), int64(wa))
 	return wa
 }
 
@@ -394,15 +319,15 @@ func (w *sharedWorker) probe(v int) int32 {
 // any further chunks go straight into the thief's own shared region, making
 // the thief a work source for others (Section 3.3.2).
 func (w *sharedWorker) steal(v int) bool {
-	if w.run.variant.relaxed {
+	if w.run.variant.Relaxed {
 		return w.stealRelaxed(v)
 	}
 	r := w.run
 	vs := r.stacks[v]
-	w.lane.Rec(obs.KindStealRequest, int32(v), 0)
-	half := r.variant.stealHalf
-	if w.ctl != nil {
-		half = w.ctl.StealHalf()
+	w.Lane.Rec(obs.KindStealRequest, int32(v), 0)
+	half := r.variant.StealHalf
+	if w.Ctl != nil {
+		half = w.Ctl.StealHalf()
 	}
 	vs.lk.Acquire(w.me)
 	var chunks []stack.Chunk
@@ -416,24 +341,21 @@ func (w *sharedWorker) steal(v int) bool {
 	}
 	vs.lk.Release(w.me)
 	if len(chunks) == 0 {
-		w.t.FailedSteals++
-		w.lane.Rec(obs.KindStealFail, int32(v), 0)
+		w.T.FailedSteals++
+		w.Lane.Rec(obs.KindStealFail, int32(v), 0)
 		return false
 	}
 
 	// Transfer outside the critical region: the victim keeps working
 	// while the one-sided get completes.
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	r.dom.ChargeBulk(w.me, v, total*nodeBytes)
-	w.t.Steals++
-	w.t.ChunksGot += int64(len(chunks))
-	w.stolenNodes = total
-	w.lane.Rec(obs.KindChunkTransfer, int32(v), int64(total))
+	total := stack.NodeCount(chunks)
+	r.dom.ChargeBulk(w.me, v, total*NodeBytes)
+	w.T.Steals++
+	w.T.ChunksGot += int64(len(chunks))
+	w.Stolen = total
+	w.Lane.Rec(obs.KindChunkTransfer, int32(v), int64(total))
 
-	w.local.PushAll(chunks[0])
+	w.Local.PushAll(chunks[0])
 	if len(chunks) > 1 {
 		ms := w.stack()
 		ms.lk.Acquire(w.me)
@@ -442,7 +364,7 @@ func (w *sharedWorker) steal(v int) bool {
 		}
 		ms.workAvail.Store(int32(ms.pool.Len()))
 		ms.lk.Release(w.me)
-	} else if r.variant.streamTerm {
+	} else if r.variant.StreamTerm {
 		// Back to "working, no surplus".
 		w.stack().workAvail.Store(0)
 	}
@@ -462,26 +384,26 @@ func (w *sharedWorker) steal(v int) bool {
 func (w *sharedWorker) stealRelaxed(v int) bool {
 	r := w.run
 	vs := r.stacks[v]
-	w.lane.Rec(obs.KindStealRequest, int32(v), 0)
+	w.Lane.Rec(obs.KindStealRequest, int32(v), 0)
 	r.dom.ChargeRef(w.me, v) // slot-word scan (one-sided reads)
 	r.dom.ChargeRef(w.me, v) // claim store + ledger CAS round
 	c, dups, ok := vs.ring.Claim(w.me)
 	if dups > 0 {
-		w.t.DuplicateTakes += int64(dups)
-		w.lane.Rec(obs.KindDuplicateTake, int32(v), int64(dups))
+		w.T.DuplicateTakes += int64(dups)
+		w.Lane.Rec(obs.KindDuplicateTake, int32(v), int64(dups))
 	}
 	if !ok {
-		w.t.FailedSteals++
-		w.lane.Rec(obs.KindStealFail, int32(v), 0)
+		w.T.FailedSteals++
+		w.Lane.Rec(obs.KindStealFail, int32(v), 0)
 		return false
 	}
-	r.dom.ChargeBulk(w.me, v, len(c)*nodeBytes)
-	w.t.Steals++
-	w.t.ChunksGot++
-	w.stolenNodes = len(c)
-	w.lane.Rec(obs.KindChunkTransfer, int32(v), int64(len(c)))
-	w.local.PushAll(c)
-	if r.variant.streamTerm {
+	r.dom.ChargeBulk(w.me, v, len(c)*NodeBytes)
+	w.T.Steals++
+	w.T.ChunksGot++
+	w.Stolen = len(c)
+	w.Lane.Rec(obs.KindChunkTransfer, int32(v), int64(len(c)))
+	w.Local.PushAll(c)
+	if r.variant.StreamTerm {
 		// Back to "working, no surplus" (own stack: still single-writer).
 		w.stack().workAvail.Store(0)
 	}
@@ -492,7 +414,7 @@ func (w *sharedWorker) stealRelaxed(v int) bool {
 // the whole computation is finished and false when the thread acquired (or
 // may acquire) work and should resume the main loop.
 func (w *sharedWorker) terminate() bool {
-	if !w.run.variant.streamTerm {
+	if !w.run.variant.StreamTerm {
 		return w.run.cb.Enter(w.me)
 	}
 	sb := w.run.sb
@@ -514,9 +436,9 @@ func (w *sharedWorker) terminate() bool {
 			if !sb.Leave(w.me) {
 				return true
 			}
-			w.setState(stats.Stealing)
-			ok := w.stealTimed(v)
-			w.setState(stats.Idle)
+			w.BeginSteal()
+			ok := w.steal(v)
+			w.EndSteal(ok, stats.Idle)
 			if ok {
 				return false
 			}

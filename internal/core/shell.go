@@ -1,0 +1,236 @@
+package core
+
+import (
+	"sync"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/pgas"
+	"repro/internal/policy"
+	"repro/internal/stack"
+	"repro/internal/stats"
+	"repro/internal/uts"
+)
+
+// NodeBytes is the nominal wire size of one node descriptor (20-byte RNG
+// state plus height and child count), used for bandwidth charging on every
+// substrate.
+const NodeBytes = 28
+
+// PE is the per-PE shell every scheduler on every substrate embeds: the
+// bookkeeping around the Figure-1 state machine that does not depend on
+// which protocol moves the work or on which clock times it. The goroutine
+// workers here and the cluster's rank worker reach it through WallPE; the
+// simulator's PEs wrap it in their virtual-time adapter (des/pe.go).
+//
+// The shell is clock-free, like policy.Controller: every timestamp is the
+// caller's, so virtual-time runs stay deterministic. A nil Lane and a nil
+// Ctl make every method a no-op beyond the counters, which is the
+// untraced, fixed-knob fast path.
+type PE struct {
+	T     *stats.Thread
+	Local stack.Deque // the owner-only DFS stack
+	Ex    *uts.Expander
+	Lane  *obs.Lane          // nil when the run is untraced
+	Ctl   *policy.Controller // nil when the run is not adaptive
+
+	// Stolen is the node count delivered by the steal in flight: steal
+	// bodies set it on success, StealEnd reports it to the controller.
+	Stolen int
+
+	flushed  int64 // T.Nodes already published to the lane's live counter
+	ctlNodes int64 // T.Nodes already reported to the controller
+}
+
+// NewPE builds the shell for one PE of a search of sp.
+func NewPE(sp *uts.Spec, t *stats.Thread, lane *obs.Lane, ctl *policy.Controller) PE {
+	return PE{T: t, Ex: uts.NewExpander(sp), Lane: lane, Ctl: ctl}
+}
+
+// Visit is the node kernel: pop the newest local node, count it, push its
+// children. It reports false, touching nothing, when the local stack is
+// empty.
+//
+//uts:noalloc
+func (pe *PE) Visit() bool {
+	n, ok := pe.Local.Pop()
+	if !ok {
+		return false
+	}
+	pe.T.Nodes++
+	if n.NumKids == 0 {
+		pe.T.Leaves++
+	} else {
+		pe.Local.PushAll(pe.Ex.Children(&n))
+	}
+	pe.T.NoteDepth(pe.Local.Len())
+	return true
+}
+
+// FlushNodes publishes node progress to the lane's live counter — one
+// atomic add per flush, called at the yield/quantum cadence and never per
+// node. The counter is observation-only.
+//
+//uts:noalloc
+func (pe *PE) FlushNodes() {
+	if d := pe.T.Nodes - pe.flushed; d != 0 {
+		pe.Lane.AddNodes(d)
+		pe.flushed = pe.T.Nodes
+	}
+}
+
+// NoteCtl feeds node progress and the stack depth to the controller,
+// stamped now, which is what closes adaptation windows. Called at the
+// FlushNodes cadence — a point with no release in flight, so the 2k
+// threshold and the released chunk never straddle a knob change.
+//
+//uts:noalloc
+func (pe *PE) NoteCtl(now int64) {
+	if pe.Ctl == nil {
+		return
+	}
+	pe.Ctl.NoteNodes(int(pe.T.Nodes-pe.ctlNodes), pe.Local.Len(), now)
+	pe.ctlNodes = pe.T.Nodes
+}
+
+// Chunk returns the release granularity in effect: the adapted value under
+// a controller, fixed otherwise.
+func (pe *PE) Chunk(fixed int) int {
+	if pe.Ctl != nil {
+		return pe.Ctl.Chunk()
+	}
+	return fixed
+}
+
+// VictimTier returns the node width a probe cycle should group same-node
+// victims by: the topology's under the hierarchical algorithm; under a
+// flat one the controller's, which is above 1 when the latency model said
+// intra-node steals are cheap enough to prefer; else 1, a flat cycle.
+func (pe *PE) VictimTier(hier bool, nodeSize int) int {
+	switch {
+	case hier:
+		return nodeSize
+	case pe.Ctl != nil && pe.Ctl.NodeSize() > 1:
+		return pe.Ctl.NodeSize()
+	}
+	return 1
+}
+
+// StealBegin opens the controller's steal-latency window at now.
+func (pe *PE) StealBegin(now int64) {
+	if pe.Ctl == nil {
+		return
+	}
+	pe.Stolen = 0
+	pe.Ctl.StealBegin(now)
+}
+
+// StealEnd closes the window at now with the attempt's outcome and the
+// Stolen node count.
+func (pe *PE) StealEnd(ok bool, now int64) {
+	if pe.Ctl == nil {
+		return
+	}
+	pe.Ctl.StealEnd(ok, pe.Stolen, now)
+}
+
+// WallPE is the shell on the wall clock: what the goroutine workers of
+// this package and the cluster's rank worker embed.
+type WallPE struct{ PE }
+
+// eachThread runs body on one goroutine per thread of a run of this
+// package, handing each its shell, and waits for all of them.
+func eachThread(sp *uts.Spec, opt Options, res *Result, body func(me int, pe WallPE)) {
+	var wg sync.WaitGroup
+	for me := 0; me < opt.Threads; me++ {
+		wg.Add(1)
+		go func(me int) {
+			defer wg.Done()
+			body(me, WallPE{NewPE(sp, &res.Threads[me], opt.Tracer.Lane(me), opt.policySet.Controller(me))})
+		}(me)
+	}
+	wg.Wait()
+}
+
+// Start begins wall-clock state accounting in the Working state.
+func (w *WallPE) Start() {
+	w.T.StartTimers(time.Now())
+	w.Lane.Rec(obs.KindStateChange, -1, int64(stats.Working))
+}
+
+// Stop charges the final interval and freezes the accounting.
+func (w *WallPE) Stop() { w.T.StopTimers(time.Now()) }
+
+// SetState pairs the stats state timer with the tracer's state event.
+func (w *WallPE) SetState(s stats.State) {
+	w.T.Switch(s, time.Now())
+	w.Lane.Rec(obs.KindStateChange, -1, int64(s))
+}
+
+// Now is the timestamp controller feedback is stamped with. Fixed-knob
+// runs never read it, so they get zero and never pay for the clock.
+func (w *WallPE) Now() int64 {
+	if w.Ctl == nil {
+		return 0
+	}
+	return time.Now().UnixNano() //uts:ok detcheck policy feedback timestamp; adaptive real-mode runs are wall-clock paced by design
+}
+
+// BeginSteal enters the Stealing state and opens the steal window.
+func (w *WallPE) BeginSteal() {
+	w.SetState(stats.Stealing)
+	w.StealBegin(w.Now())
+}
+
+// EndSteal closes the steal window and moves to state back.
+func (w *WallPE) EndSteal(ok bool, back stats.State) {
+	w.StealEnd(ok, w.Now())
+	w.SetState(back)
+}
+
+// SharedVariant selects the refinements layered onto the shared-memory
+// algorithm to form upc-term, upc-term-rapdif and upc-term-relaxed.
+type SharedVariant struct {
+	// StreamTerm replaces the cancelable barrier with the streamlined
+	// detector (Section 3.3.1).
+	StreamTerm bool
+	// StealHalf steals half the victim's chunks instead of one
+	// (Section 3.3.2).
+	StealHalf bool
+	// Relaxed replaces the lock-guarded shared region with the fence-free
+	// relaxed ring and its multiplicity ledger (upc-term-relaxed,
+	// DESIGN.md §14). Implies StreamTerm in practice: the tri-state
+	// workAvail termination protocol is what makes the owner-only
+	// workAvail writes safe.
+	Relaxed bool
+}
+
+// SharedVariants maps each member of the shared-memory family to its
+// refinements.
+var SharedVariants = map[Algorithm]SharedVariant{
+	UPCSharedMem:   {},
+	UPCTerm:        {StreamTerm: true},
+	UPCTermRapdif:  {StreamTerm: true, StealHalf: true},
+	UPCTermRelaxed: {StreamTerm: true, Relaxed: true},
+}
+
+// PolicyBase is the static configuration the adaptive controllers start
+// from and stay bounded around, the same on every substrate.
+func PolicyBase(a Algorithm, chunk, poll, nodeSize int, model, intra *pgas.Model) policy.Base {
+	return policy.Base{
+		Chunk:     chunk,
+		Poll:      poll,
+		StealHalf: SharedVariants[a].StealHalf,
+		NodeSize:  nodeSize,
+		HierPays:  hierPays(model, intra),
+	}
+}
+
+// hierPays reports whether the latency model makes intra-node victims
+// worth preferring: a same-node steal round trip (lock plus reference)
+// costing at most half the remote one. With no intra model the machine is
+// flat and tiering cannot pay.
+func hierPays(remote, intra *pgas.Model) bool {
+	return intra != nil && remote != nil &&
+		2*(intra.LockRTT+intra.RemoteRef) <= remote.LockRTT+remote.RemoteRef
+}

@@ -1,0 +1,135 @@
+package core
+
+import (
+	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/obs"
+	"repro/internal/policy"
+	"repro/internal/stats"
+	"repro/internal/uts"
+)
+
+// traverse drives a shell through a whole tree the way every work loop
+// does, flushing every flushEvery nodes, and returns the node count.
+func traverse(pe *PE, sp *uts.Spec, flushEvery int) int64 {
+	pe.Local.Push(uts.Root(sp))
+	for i := 1; pe.Visit(); i++ {
+		if i%flushEvery == 0 {
+			pe.FlushNodes()
+		}
+	}
+	pe.FlushNodes()
+	return pe.T.Nodes
+}
+
+// TestShellNilHooksAreNoOps: with no lane and no controller the shell is
+// the bare traversal — exact counts, fixed knobs, and no method touches a
+// hook.
+func TestShellNilHooksAreNoOps(t *testing.T) {
+	sp := &uts.BenchTiny
+	want := uts.SearchSequential(sp)
+	var th stats.Thread
+	pe := NewPE(sp, &th, nil, nil)
+	pe.NoteCtl(1)
+	pe.StealBegin(2)
+	pe.Stolen = 9
+	pe.StealEnd(true, 3)
+	traverse(&pe, sp, 64)
+	pe.NoteCtl(4)
+	if th.Nodes != want.Nodes || th.Leaves != want.Leaves {
+		t.Errorf("shell traversal counted %d nodes / %d leaves, sequential %d / %d", th.Nodes, th.Leaves, want.Nodes, want.Leaves)
+	}
+	if th.MaxStackDepth == 0 {
+		t.Error("Visit never noted a stack depth")
+	}
+	if got := pe.Chunk(16); got != 16 {
+		t.Errorf("Chunk(16) = %d without a controller", got)
+	}
+	if pe.Visit() {
+		t.Error("Visit reported a node on an empty stack")
+	}
+	if th.Nodes != want.Nodes {
+		t.Error("Visit on an empty stack changed the counters")
+	}
+
+	w := WallPE{PE: pe}
+	if w.Now() != 0 {
+		t.Error("a fixed-knob WallPE read the clock")
+	}
+}
+
+// TestShellFlushPublishesEachNodeOnce: whatever the flush cadence, the
+// lane's live counter ends equal to the thread's node count — no node
+// published twice, none dropped, and a second flush adds nothing.
+func TestShellFlushPublishesEachNodeOnce(t *testing.T) {
+	sp := &uts.BenchTiny
+	for _, every := range []int{1, 7, 64, 1 << 20} {
+		lane := obs.New(1, 0).Lane(0)
+		var th stats.Thread
+		pe := NewPE(sp, &th, lane, nil)
+		n := traverse(&pe, sp, every)
+		if got := lane.LiveNodes(); got != n {
+			t.Errorf("flush every %d: lane counted %d nodes, thread %d", every, got, n)
+		}
+		pe.FlushNodes()
+		if got := lane.LiveNodes(); got != n {
+			t.Errorf("flush every %d: an empty flush moved the counter to %d", every, got)
+		}
+	}
+}
+
+// TestShellChunkFollowsController: the fixed value is only the fallback.
+func TestShellChunkFollowsController(t *testing.T) {
+	set := policy.NewSet(&policy.Config{}, policy.Base{Chunk: 5}, 1)
+	var th stats.Thread
+	pe := NewPE(&uts.BenchTiny, &th, nil, set.Controller(0))
+	if got := pe.Chunk(16); got != 5 {
+		t.Errorf("Chunk(16) = %d under a controller based at 5", got)
+	}
+}
+
+// TestShellHotPathAllocatesNothing pins the per-node and per-quantum
+// methods at zero allocations with a live lane and a live controller.
+func TestShellHotPathAllocatesNothing(t *testing.T) {
+	sp := &uts.BenchTiny
+	lane := obs.New(1, 0).Lane(0)
+	// Controller 1 keeps no trajectory; an hour-long window never closes.
+	set := policy.NewSet(&policy.Config{Window: time.Hour}, policy.Base{Chunk: 16}, 2)
+	var th stats.Thread
+	pe := NewPE(sp, &th, lane, set.Controller(1))
+	traverse(&pe, sp, 64) // grow the stack and scratch buffers once
+	root := uts.Root(sp)
+	if n := testing.AllocsPerRun(2000, func() {
+		if !pe.Visit() {
+			pe.Local.Push(root)
+		}
+	}); n != 0 {
+		t.Errorf("Visit: %v allocs/op", n)
+	}
+	if n := testing.AllocsPerRun(2000, func() {
+		pe.T.Nodes++
+		pe.FlushNodes()
+	}); n != 0 {
+		t.Errorf("FlushNodes: %v allocs/op", n)
+	}
+	if n := testing.AllocsPerRun(2000, func() {
+		pe.T.Nodes++
+		pe.NoteCtl(1)
+	}); n != 0 {
+		t.Errorf("NoteCtl: %v allocs/op", n)
+	}
+}
+
+// TestStackStructsPadded: the per-thread structs that hold the words
+// other threads probe are whole cache lines, so two threads' structs never
+// share one whatever the allocator's alignment.
+func TestStackStructsPadded(t *testing.T) {
+	if n := unsafe.Sizeof(sharedStack{}); n%cacheLine != 0 {
+		t.Errorf("sharedStack is %d bytes, not a multiple of %d: adjust its pad", n, cacheLine)
+	}
+	if n := unsafe.Sizeof(privStack{}); n%cacheLine != 0 {
+		t.Errorf("privStack is %d bytes, not a multiple of %d: adjust its pad", n, cacheLine)
+	}
+}

@@ -2,11 +2,7 @@ package core
 
 import (
 	"runtime"
-	"sync"
-	"time"
 
-	"repro/internal/obs"
-	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/uts"
 )
@@ -25,61 +21,31 @@ func runStatic(sp *uts.Spec, opt Options, res *Result) error {
 	root := uts.Root(sp)
 	kids := uts.Children(sp, st, &root, nil)
 
-	var wg sync.WaitGroup
-	for me := 0; me < opt.Threads; me++ {
-		wg.Add(1)
-		go func(me int) {
-			defer wg.Done()
-			t := &res.Threads[me]
-			lane := opt.Tracer.Lane(me)
-			t.StartTimers(time.Now())
-			lane.Rec(obs.KindStateChange, -1, int64(stats.Working))
-			defer func() { t.StopTimers(time.Now()) }()
-			if me == 0 {
-				t.Nodes++ // the root itself
-				if root.NumKids == 0 {
-					t.Leaves++
-				}
+	eachThread(sp, opt, res, func(me int, w WallPE) {
+		w.Start()
+		defer w.Stop()
+		if me == 0 {
+			w.T.Nodes++ // the root itself
+			if root.NumKids == 0 {
+				w.T.Leaves++
 			}
-			var local stack.Deque
-			for i := me; i < len(kids); i += opt.Threads {
-				local.Push(kids[i])
-			}
-			ex := uts.NewExpander(sp)
-			sinceYield := 0
-			nodesFlushed := int64(0)
-			flushNodes := func() {
-				if d := t.Nodes - nodesFlushed; d != 0 {
-					lane.AddNodes(d)
-					nodesFlushed = t.Nodes
-				}
-			}
-			for {
-				n, ok := local.Pop()
-				if !ok {
+		}
+		for i := me; i < len(kids); i += opt.Threads {
+			w.Local.Push(kids[i])
+		}
+		sinceYield := 0
+		for w.Visit() {
+			if sinceYield++; sinceYield >= yieldEvery {
+				sinceYield = 0
+				w.FlushNodes()
+				if opt.abort.Load() {
 					break
 				}
-				t.Nodes++
-				if n.NumKids == 0 {
-					t.Leaves++
-				} else {
-					local.PushAll(ex.Children(&n))
-				}
-				t.NoteDepth(local.Len())
-				if sinceYield++; sinceYield >= yieldEvery {
-					sinceYield = 0
-					flushNodes()
-					if opt.abort.Load() {
-						break
-					}
-					runtime.Gosched()
-				}
+				runtime.Gosched()
 			}
-			flushNodes()
-			t.Switch(stats.Idle, time.Now())
-			lane.Rec(obs.KindStateChange, -1, int64(stats.Idle))
-		}(me)
-	}
-	wg.Wait()
+		}
+		w.FlushNodes()
+		w.SetState(stats.Idle)
+	})
 	return nil
 }

@@ -15,7 +15,6 @@ import (
 // simDistRun is the run state of the simulated distributed-memory
 // algorithm (Section 3.3.3).
 type simDistRun struct {
-	sp  *uts.Spec
 	cfg Config
 	cs  costs
 	pes []*simDistPE
@@ -28,8 +27,6 @@ type simDistRun struct {
 
 	sbCount     int
 	sbAnnounced bool
-
-	finish func(*Proc)
 }
 
 // Remote operations of the distributed-memory protocol (see remote.go).
@@ -131,76 +128,19 @@ func (r *simDistRun) bulkCost(a, b, n int) time.Duration {
 // simDistPE is one simulated PE: owner-only stack and pool, a request
 // word claimed by thieves, and an incoming response slot.
 type simDistPE struct {
-	r     *simDistRun
-	p     *Proc
-	me    int
-	t     *stats.Thread
-	lane  *obs.Lane // nil when the run is untraced
-	state stats.State
+	simPE
+	r *simDistRun
 
-	local     stack.Deque
 	pool      stack.Pool
 	workAvail int
 	request   int // thief ID or -1
 
 	resp      []stack.Chunk
 	respReady bool
-
-	rng *core.ProbeOrder
-	ex  *uts.Expander
-
-	nodesFlushed int64              // t.Nodes already published to the lane's live counter
-	ctl          *policy.Controller // nil when the run is not adaptive
-	ctlNodes     int64              // t.Nodes already reported to the controller
-	stolen       int                // nodes delivered by the last steal (controller feedback)
-}
-
-// flushNodes publishes node progress to the lane's live counter in
-// batches at the work loop's quantum boundaries — one atomic add per
-// flush, never per node, and never a schedule perturbation (the live
-// counter is observation-only).
-func (pe *simDistPE) flushNodes() {
-	if d := pe.t.Nodes - pe.nodesFlushed; d != 0 {
-		pe.lane.AddNodes(d)
-		pe.nodesFlushed = pe.t.Nodes
-	}
-}
-
-// noteCtl feeds node progress to the PE's controller stamped with virtual
-// time, closing adaptation windows; a no-op for fixed-knob runs.
-func (pe *simDistPE) noteCtl() {
-	if pe.ctl == nil {
-		return
-	}
-	pe.ctl.NoteNodes(int(pe.t.Nodes-pe.ctlNodes), pe.local.Len(), int64(pe.p.Now()))
-	pe.ctlNodes = pe.t.Nodes
-}
-
-// chunk returns the release granularity in effect: the adapted value under
-// a controller, the configured constant otherwise.
-func (pe *simDistPE) chunk() int {
-	if pe.ctl != nil {
-		return pe.ctl.Chunk()
-	}
-	return pe.r.cfg.Chunk
-}
-
-// stealTimed brackets a steal attempt with the controller's latency probe,
-// stamped with virtual time on both edges.
-func (pe *simDistPE) stealTimed(v int) bool {
-	if pe.ctl == nil {
-		return pe.steal(v)
-	}
-	pe.ctl.StealBegin(int64(pe.p.Now()))
-	pe.stolen = 0
-	ok := pe.steal(v)
-	pe.ctl.StealEnd(ok, pe.stolen, int64(pe.p.Now()))
-	return ok
 }
 
 func simDistMem(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps *policy.Set, finish func(*Proc)) (sampler, error) {
-	r := &simDistRun{sp: sp, cfg: cfg, cs: cs, finish: finish,
-		hier: cfg.Algorithm == core.UPCDistMemHier}
+	r := &simDistRun{cfg: cfg, cs: cs, hier: cfg.Algorithm == core.UPCDistMemHier}
 	if cfg.NodeSize >= 2 && cfg.Intra != nil {
 		r.nodeSize = cfg.NodeSize
 		r.intra = newCosts(cfg.Intra)
@@ -208,52 +148,24 @@ func simDistMem(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, 
 	sim.SetRemote(r.apply)
 	r.pes = make([]*simDistPE, cfg.PEs)
 	for i := 0; i < cfg.PEs; i++ {
-		pe := &simDistPE{r: r, me: i, t: &res.Threads[i], lane: cfg.Tracer.Lane(i), request: -1, rng: core.NewProbeOrder(cfg.Seed, i), ex: uts.NewExpander(sp), ctl: ps.Controller(i)}
+		pe := &simDistPE{simPE: newSimPE(sp, cfg, res, ps, i), r: r, request: -1}
 		r.pes[i] = pe
 		if i == 0 {
-			pe.local.Push(uts.Root(sp))
+			pe.Local.Push(uts.Root(sp))
 		}
-		sim.Spawn(func(p *Proc) {
-			pe.p = p
-			pe.main()
-			r.finish(p)
-		})
+		pe.spawn(sim, pe.main, finish)
 	}
 	return func() (sources, working int) {
 		for _, pe := range r.pes {
 			if pe.workAvail > 0 {
 				sources++
 			}
-			if pe.local.Len() > 0 || pe.pool.Len() > 0 {
+			if pe.Local.Len() > 0 || pe.pool.Len() > 0 {
 				working++
 			}
 		}
 		return
 	}, nil
-}
-
-func (pe *simDistPE) advance(d time.Duration) {
-	pe.t.AddState(pe.state, d)
-	pe.p.Advance(d)
-}
-
-// charge books d of virtual time against the PE's current state without
-// advancing the clock — used by step functions, where the engine advances.
-func (pe *simDistPE) charge(d time.Duration) time.Duration {
-	pe.t.AddState(pe.state, d)
-	return d
-}
-
-// rec records an event stamped with the PE's current virtual time.
-func (pe *simDistPE) rec(k obs.Kind, other int32, value int64) {
-	pe.lane.RecV(k, other, value, pe.p.Now())
-}
-
-// setState pairs the stats state charge target with the tracer's state
-// event.
-func (pe *simDistPE) setState(s stats.State) {
-	pe.state = s
-	pe.rec(obs.KindStateChange, -1, int64(s))
 }
 
 func (pe *simDistPE) main() {
@@ -267,7 +179,7 @@ func (pe *simDistPE) main() {
 			continue
 		}
 		pe.setState(stats.Idle)
-		pe.t.TermBarrierEntries++
+		pe.T.TermBarrierEntries++
 		pe.rec(obs.KindTermEnter, -1, 0)
 		if pe.terminate() {
 			pe.service()
@@ -288,7 +200,7 @@ func (pe *simDistPE) main() {
 // reproduces the original flush-then-manipulate order exactly.
 func (pe *simDistPE) work() {
 	cs := &pe.r.cs
-	k := pe.chunk()
+	k := pe.Chunk(pe.r.cfg.Chunk)
 	batch := pe.r.cfg.Batch
 	pending := 0
 	releasing := false
@@ -297,9 +209,9 @@ func (pe *simDistPE) work() {
 	step := func() (time.Duration, uint8) {
 		if releasing {
 			releasing = false
-			pe.pool.Put(pe.local.TakeBottom(k))
+			pe.pool.Put(pe.Local.TakeBottom(k))
 			pe.workAvail = pe.pool.Len()
-			pe.t.Releases++
+			pe.T.Releases++
 			pe.rec(obs.KindRelease, -1, int64(pe.workAvail))
 		}
 		if drained {
@@ -310,28 +222,20 @@ func (pe *simDistPE) work() {
 				return 0, StepDone
 			}
 			pe.workAvail = pe.pool.Len()
-			pe.t.Reacquires++
+			pe.T.Reacquires++
 			pe.rec(obs.KindReacquire, -1, int64(len(c)))
-			pe.local.PushAll(c)
+			pe.Local.PushAll(c)
 		}
 		for {
-			n, ok := pe.local.Pop()
-			if !ok {
+			if !pe.Visit() {
 				drained = true
 				d := time.Duration(pending) * cs.nodeCost
 				pending = 0
-				pe.flushNodes()
+				pe.FlushNodes()
 				return pe.charge(d), 0
 			}
 			pending++
-			pe.t.Nodes++
-			if n.NumKids == 0 {
-				pe.t.Leaves++
-			} else {
-				pe.local.PushAll(pe.ex.Children(&n))
-			}
-			pe.t.NoteDepth(pe.local.Len())
-			if pe.local.Len() >= 2*k {
+			if pe.Local.Len() >= 2*k {
 				releasing = true
 				d := time.Duration(pending) * cs.nodeCost
 				pending = 0
@@ -340,12 +244,12 @@ func (pe *simDistPE) work() {
 			if pending >= batch {
 				d := time.Duration(pending) * cs.nodeCost
 				pending = 0
-				pe.flushNodes()
+				pe.FlushNodes()
 				// The knob refresh sits at the batch boundary — a point with
 				// no release pending, so the 2k threshold and the released
 				// chunk never straddle a chunk-size change.
-				pe.noteCtl()
-				k = pe.chunk()
+				pe.NoteCtl(pe.now())
+				k = pe.Chunk(pe.r.cfg.Chunk)
 				return pe.charge(d), 0
 			}
 		}
@@ -373,17 +277,17 @@ func (pe *simDistPE) service() {
 		pe.workAvail = pe.pool.Len()
 	}
 	d := 2 * pe.r.refCost(pe.me, thief) // amount + address writes
-	pe.t.AddState(pe.state, d)
+	pe.T.AddState(pe.state, d)
 	pe.p.RemoteSend(thief, d, 0, opDistDeliver, 0, 0, chunks)
 	pe.request = -1
-	pe.t.Requests++
+	pe.T.Requests++
 	if len(chunks) > 0 {
 		pe.rec(obs.KindStealGrant, int32(thief), int64(len(chunks)))
 	} else {
-		if pe.ctl != nil && pe.local.Len() > 0 {
+		if pe.Ctl != nil && pe.Local.Len() > 0 {
 			// Denied while the local stack holds work: victim-side evidence
 			// that the 2k release threshold is withholding work from demand.
-			pe.ctl.NoteDenied()
+			pe.Ctl.NoteDenied()
 		}
 		pe.rec(obs.KindStealDeny, int32(thief), 0)
 	}
@@ -406,16 +310,7 @@ func (pe *simDistPE) search() bool {
 	stealFrom := -1
 	exhausted := false
 	newWalk := func() {
-		switch {
-		case pe.r.hier:
-			walk = pe.rng.WalkHier(pe.me, n, pe.r.nodeSize)
-		case pe.ctl != nil && pe.ctl.NodeSize() > 1:
-			// Adaptive tiering: the controller turned on the intra-node
-			// tier because the latency model says same-node steals pay.
-			walk = pe.rng.WalkHier(pe.me, n, pe.ctl.NodeSize())
-		default:
-			walk = pe.rng.Walk(pe.me, n)
-		}
+		walk = pe.rng.WalkHier(pe.me, n, pe.VictimTier(pe.r.hier, pe.r.nodeSize))
 		sawWorker = false
 	}
 	newWalk()
@@ -438,7 +333,7 @@ func (pe *simDistPE) search() bool {
 			d := pe.p.StageRemote(victim, pe.r.refCost(pe.me, victim), opDistReadAvail, 0, 0)
 			return pe.charge(d), StepNoPoll
 		default: // phEval
-			pe.t.Probes++
+			pe.T.Probes++
 			wa := int(pe.p.StagedResult(0))
 			pe.rec(obs.KindProbeResult, int32(victim), int64(wa))
 			if wa > 0 {
@@ -471,10 +366,10 @@ func (pe *simDistPE) search() bool {
 		}
 		v := stealFrom
 		stealFrom = -1
-		pe.setState(stats.Stealing)
-		ok := pe.stealTimed(v)
-		pe.setState(stats.Searching)
-		pe.noteCtl()
+		pe.beginSteal()
+		ok := pe.steal(v)
+		pe.endSteal(ok, stats.Searching)
+		pe.NoteCtl(pe.now())
 		if ok {
 			return true
 		}
@@ -501,9 +396,9 @@ func (pe *simDistPE) steal(v int) bool {
 
 	pe.rec(obs.KindStealRequest, int32(v), 0)
 	d := r.lockCost(pe.me, v) // lock-protected request-word write
-	pe.t.AddState(pe.state, d)
+	pe.T.AddState(pe.state, d)
 	if pe.p.RemoteCall(v, d, opDistClaim, int64(pe.me), 0) == 0 {
-		pe.t.FailedSteals++
+		pe.T.FailedSteals++
 		pe.rec(obs.KindStealFail, int32(v), 0)
 		return false
 	}
@@ -544,21 +439,18 @@ func (pe *simDistPE) steal(v int) bool {
 	pe.respReady = false
 
 	if len(chunks) == 0 {
-		pe.t.FailedSteals++
+		pe.T.FailedSteals++
 		pe.rec(obs.KindStealFail, int32(v), 0)
 		return false
 	}
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	pe.advance(r.bulkCost(pe.me, v, total*nodeBytes)) // one-sided get
-	pe.t.Steals++
-	pe.t.ChunksGot += int64(len(chunks))
-	pe.stolen = total
+	total := stack.NodeCount(chunks)
+	pe.advance(r.bulkCost(pe.me, v, total*core.NodeBytes)) // one-sided get
+	pe.T.Steals++
+	pe.T.ChunksGot += int64(len(chunks))
+	pe.Stolen = total
 	pe.rec(obs.KindChunkTransfer, int32(v), int64(total))
 
-	pe.local.PushAll(chunks[0])
+	pe.Local.PushAll(chunks[0])
 	for _, c := range chunks[1:] {
 		pe.pool.Put(c)
 	}
@@ -569,12 +461,12 @@ func (pe *simDistPE) steal(v int) bool {
 func (pe *simDistPE) sbEnter() bool {
 	r := pe.r
 	d := r.cs.remoteRef
-	pe.t.AddState(pe.state, d)
+	pe.T.AddState(pe.state, d)
 	if pe.p.RemoteCall(0, d, opDistSbEnter, 0, 0) != 0 {
 		// This arrival completed the barrier: announce termination, paying
 		// one remote reference per level of the announcement tree.
 		ad := time.Duration(term.AnnounceLevels(len(r.pes))) * r.cs.remoteRef
-		pe.t.AddState(pe.state, ad)
+		pe.T.AddState(pe.state, ad)
 		pe.p.RemoteSend(0, ad, 0, opDistSbAnnounce, 0, 0, nil)
 		return true
 	}
@@ -626,7 +518,7 @@ func (pe *simDistPE) terminate() bool {
 			pe.p.StageRemote(0, d, opDistReadAnnounced, 0, 0)
 			return pe.charge(d), StepNoPoll
 		default: // phEval
-			pe.t.Probes++
+			pe.T.Probes++
 			wa := int(pe.p.StagedResult(0))
 			sawAnn = pe.p.StagedResult(1) != 0
 			pe.rec(obs.KindProbeResult, int32(victim), int64(wa))
@@ -652,11 +544,11 @@ func (pe *simDistPE) terminate() bool {
 			return true
 		}
 		ld := r.cs.remoteRef // leave the barrier
-		pe.t.AddState(pe.state, ld)
+		pe.T.AddState(pe.state, ld)
 		pe.p.RemoteCall(0, ld, opDistSbLeave, 0, 0)
-		pe.setState(stats.Stealing)
-		ok := pe.stealTimed(v)
-		pe.setState(stats.Idle)
+		pe.beginSteal()
+		ok := pe.steal(v)
+		pe.endSteal(ok, stats.Idle)
 		if ok {
 			return false
 		}

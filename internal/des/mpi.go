@@ -35,10 +35,7 @@ const opMPIDeliver uint8 = 0
 
 func (r *simMPIRun) apply(dst int, op uint8, a, b int64, chunks []stack.Chunk) int64 {
 	pe := r.pes[dst]
-	size := 16
-	for _, c := range chunks {
-		size += nodeBytes * len(c)
-	}
+	size := 16 + core.NodeBytes*stack.NodeCount(chunks)
 	m := simMsg{
 		sentAt:   time.Duration(b),
 		arriveAt: time.Duration(b) + r.cs.bulk(size),
@@ -64,26 +61,16 @@ func (r *simMPIRun) apply(dst int, op uint8, a, b int64, chunks []stack.Chunk) i
 
 // simMPIRun is the run state of the simulated mpi-ws baseline.
 type simMPIRun struct {
-	sp     *uts.Spec
-	cfg    Config
-	cs     costs
-	pes    []*simMPIPE
-	finish func(*Proc)
+	cfg Config
+	cs  costs
+	pes []*simMPIPE
 }
 
 // simMPIPE is one simulated MPI rank.
 type simMPIPE struct {
+	simPE
 	r     *simMPIRun
-	p     *Proc
-	me    int
-	t     *stats.Thread
-	lane  *obs.Lane // nil when the run is untraced
-	state stats.State
-
-	local stack.Deque
 	inbox []simMsg
-	ex    *uts.Expander
-	rng   *core.ProbeOrder
 
 	color       msg.Color
 	haveToken   bool
@@ -91,76 +78,39 @@ type simMPIPE struct {
 	firstPass   bool
 	outstanding bool
 	terminated  bool
-
-	nodesFlushed int64              // t.Nodes already published to the lane's live counter
-	ctl          *policy.Controller // nil when the run is not adaptive
-	ctlNodes     int64              // t.Nodes already reported to the controller
-}
-
-// flushNodes publishes node progress to the lane's live counter in
-// batches at the explore phase's poll boundaries — one atomic add per
-// flush, never per node.
-func (pe *simMPIPE) flushNodes() {
-	if d := pe.t.Nodes - pe.nodesFlushed; d != 0 {
-		pe.lane.AddNodes(d)
-		pe.nodesFlushed = pe.t.Nodes
-	}
-}
-
-// noteCtl feeds node progress to the rank's controller stamped with
-// virtual time, closing adaptation windows; a no-op for fixed-knob runs.
-func (pe *simMPIPE) noteCtl() {
-	if pe.ctl == nil {
-		return
-	}
-	pe.ctl.NoteNodes(int(pe.t.Nodes-pe.ctlNodes), pe.local.Len(), int64(pe.p.Now()))
-	pe.ctlNodes = pe.t.Nodes
-}
-
-// chunk returns the grant granularity in effect: the adapted value under
-// a controller, the configured constant otherwise.
-func (pe *simMPIPE) chunk() int {
-	if pe.ctl != nil {
-		return pe.ctl.Chunk()
-	}
-	return pe.r.cfg.Chunk
 }
 
 // pollIntv returns the poll interval in effect.
 func (pe *simMPIPE) pollIntv() int {
-	if pe.ctl != nil {
-		return pe.ctl.Poll()
+	if pe.Ctl != nil {
+		return pe.Ctl.Poll()
 	}
 	return pe.r.cfg.PollInterval
 }
 
 func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps *policy.Set, finish func(*Proc)) (sampler, error) {
-	r := &simMPIRun{sp: sp, cfg: cfg, cs: cs, finish: finish}
+	r := &simMPIRun{cfg: cfg, cs: cs}
 	sim.SetRemote(r.apply)
 	r.pes = make([]*simMPIPE, cfg.PEs)
 	for i := 0; i < cfg.PEs; i++ {
-		pe := &simMPIPE{r: r, me: i, t: &res.Threads[i], lane: cfg.Tracer.Lane(i), rng: core.NewProbeOrder(cfg.Seed, i), ex: uts.NewExpander(sp), ctl: ps.Controller(i)}
+		pe := &simMPIPE{simPE: newSimPE(sp, cfg, res, ps, i), r: r}
 		r.pes[i] = pe
 		if i == 0 {
-			pe.local.Push(uts.Root(sp))
+			pe.Local.Push(uts.Root(sp))
 			pe.haveToken = true
 			pe.tokenColor = msg.Black
 			pe.firstPass = true
 		}
-		sim.Spawn(func(p *Proc) {
-			pe.p = p
-			pe.main()
-			r.finish(p)
-		})
+		pe.spawn(sim, pe.main, finish)
 	}
 	return func() (sources, working int) {
 		for _, pe := range r.pes {
 			// An MPI rank is a work source when it has enough stack to
 			// satisfy a request (the 2k surplus rule of handle()).
-			if pe.local.Len() >= 2*r.cfg.Chunk {
+			if pe.Local.Len() >= 2*r.cfg.Chunk {
 				sources++
 			}
-			if pe.local.Len() > 0 {
+			if pe.Local.Len() > 0 {
 				working++
 			}
 		}
@@ -168,39 +118,12 @@ func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps
 	}, nil
 }
 
-func (pe *simMPIPE) advance(d time.Duration) {
-	pe.t.AddState(pe.state, d)
-	pe.p.Advance(d)
-}
-
-// charge books d of virtual time against the rank's current state without
-// advancing the clock — used by step functions, where the engine advances.
-func (pe *simMPIPE) charge(d time.Duration) time.Duration {
-	pe.t.AddState(pe.state, d)
-	return d
-}
-
-// rec records an event stamped with the rank's current virtual time.
-func (pe *simMPIPE) rec(k obs.Kind, other int32, value int64) {
-	pe.lane.RecV(k, other, value, pe.p.Now())
-}
-
-// setState pairs the stats state charge target with the tracer's state
-// event.
-func (pe *simMPIPE) setState(s stats.State) {
-	pe.state = s
-	pe.rec(obs.KindStateChange, -1, int64(s))
-}
-
 // send charges the sender the injection overhead and delivers the message
 // after the transfer latency.
 func (pe *simMPIPE) send(to int, tag msg.Tag, chunks []stack.Chunk, color msg.Color) {
-	size := 16
-	for _, c := range chunks {
-		size += nodeBytes * len(c)
-	}
+	size := 16 + core.NodeBytes*stack.NodeCount(chunks)
 	adv := pe.r.cs.localRef // injection overhead
-	pe.t.AddState(pe.state, adv)
+	pe.T.AddState(pe.state, adv)
 	a := int64(uint32(pe.me)) | int64(tag)<<32 | int64(color)<<40
 	b := int64(pe.p.Now() + adv)
 	pe.p.RemoteSend(to, adv, pe.r.cs.bulk(size), opMPIDeliver, a, b, chunks)
@@ -233,7 +156,7 @@ func (pe *simMPIPE) hasArrived() bool {
 func (pe *simMPIPE) main() {
 	pe.rec(obs.KindStateChange, -1, int64(stats.Working))
 	for !pe.terminated {
-		if pe.local.Len() > 0 {
+		if pe.Local.Len() > 0 {
 			pe.work()
 		} else {
 			pe.idle()
@@ -262,16 +185,8 @@ func (pe *simMPIPE) work() {
 		switch ph {
 		case wExplore:
 			atPoll = false
-			for pe.local.Len() > 0 && !pe.terminated {
-				n, _ := pe.local.Pop()
+			for !pe.terminated && pe.Visit() {
 				pending++
-				pe.t.Nodes++
-				if n.NumKids == 0 {
-					pe.t.Leaves++
-				} else {
-					pe.local.PushAll(pe.ex.Children(&n))
-				}
-				pe.t.NoteDepth(pe.local.Len())
 				if pending >= poll {
 					atPoll = true
 					break
@@ -279,8 +194,8 @@ func (pe *simMPIPE) work() {
 			}
 			d := time.Duration(pending) * cs.nodeCost
 			pending = 0
-			pe.flushNodes()
-			pe.noteCtl()
+			pe.FlushNodes()
+			pe.NoteCtl(pe.now())
 			poll = pe.pollIntv()
 			ph = wIprobe
 			return pe.charge(d), 0
@@ -292,10 +207,10 @@ func (pe *simMPIPE) work() {
 			if pe.hasArrived() {
 				return 0, StepDone
 			}
-			if pe.ctl != nil {
-				pe.ctl.NotePoll(0) // an iprobe that found nothing
+			if pe.Ctl != nil {
+				pe.Ctl.NotePoll(0) // an iprobe that found nothing
 			}
-			if atPoll && pe.local.Len() > 0 && !pe.terminated {
+			if atPoll && pe.Local.Len() > 0 && !pe.terminated {
 				ph = wExplore
 				return 0, 0
 			}
@@ -329,14 +244,14 @@ func (pe *simMPIPE) work() {
 			got++
 			pe.handle(m)
 		}
-		if pe.ctl != nil {
-			pe.ctl.NotePoll(got)
+		if pe.Ctl != nil {
+			pe.Ctl.NotePoll(got)
 		}
 		if !atPoll {
 			// The drain that saw the message was the trailing one.
 			return
 		}
-		if pe.local.Len() > 0 && !pe.terminated {
+		if pe.Local.Len() > 0 && !pe.terminated {
 			ph = wExplore
 			continue
 		}
@@ -350,42 +265,39 @@ func (pe *simMPIPE) work() {
 func (pe *simMPIPE) handle(m simMsg) {
 	switch m.tag {
 	case msg.TagStealRequest:
-		pe.t.Requests++
-		k := pe.chunk()
-		if pe.local.Len() >= 2*k {
-			chunk := pe.local.TakeBottom(k)
+		pe.T.Requests++
+		k := pe.Chunk(pe.r.cfg.Chunk)
+		if pe.Local.Len() >= 2*k {
+			chunk := pe.Local.TakeBottom(k)
 			pe.color = msg.Black
-			pe.t.Releases++
+			pe.T.Releases++
 			pe.rec(obs.KindStealGrant, int32(m.from), 1)
 			pe.send(m.from, msg.TagWork, []stack.Chunk{chunk}, 0)
 		} else {
-			if pe.ctl != nil && pe.local.Len() > 0 {
+			if pe.Ctl != nil && pe.Local.Len() > 0 {
 				// Denied while holding work: victim-side evidence that the
 				// 2k grant threshold is withholding work from demand.
-				pe.ctl.NoteDenied()
+				pe.Ctl.NoteDenied()
 			}
 			pe.rec(obs.KindStealDeny, int32(m.from), 0)
 			pe.send(m.from, msg.TagNoWork, nil, 0)
 		}
 	case msg.TagWork:
 		pe.outstanding = false
-		pe.t.Steals++
-		pe.t.ChunksGot += int64(len(m.chunks))
+		pe.T.Steals++
+		pe.T.ChunksGot += int64(len(m.chunks))
 		total := 0
 		for _, c := range m.chunks {
 			total += len(c)
-			pe.local.PushAll(c)
+			pe.Local.PushAll(c)
 		}
-		if pe.ctl != nil {
-			pe.ctl.StealEnd(true, total, int64(pe.p.Now()))
-		}
+		pe.Stolen = total
+		pe.StealEnd(true, pe.now())
 		pe.rec(obs.KindChunkTransfer, int32(m.from), int64(total))
 	case msg.TagNoWork:
 		pe.outstanding = false
-		pe.t.FailedSteals++
-		if pe.ctl != nil {
-			pe.ctl.StealEnd(false, 0, int64(pe.p.Now()))
-		}
+		pe.T.FailedSteals++
+		pe.StealEnd(false, pe.now())
 		pe.rec(obs.KindStealFail, int32(m.from), 0)
 	case msg.TagToken:
 		pe.haveToken = true
@@ -407,7 +319,7 @@ func (pe *simMPIPE) idle() {
 		}
 		return pe.charge(pe.r.cs.idlePoll), 0
 	}
-	for pe.local.Len() == 0 && !pe.terminated {
+	for pe.Local.Len() == 0 && !pe.terminated {
 		if m, ok := pe.recv(); ok {
 			pe.handle(m)
 			continue
@@ -423,17 +335,15 @@ func (pe *simMPIPE) idle() {
 		}
 		if !pe.outstanding {
 			v := pe.rng.Victim(pe.me, len(pe.r.pes))
-			pe.t.Probes++
-			if pe.ctl != nil {
-				pe.ctl.StealBegin(int64(pe.p.Now()))
-			}
+			pe.T.Probes++
+			pe.StealBegin(pe.now())
 			pe.rec(obs.KindStealRequest, int32(v), 0)
 			pe.send(v, msg.TagStealRequest, nil, 0)
 			pe.outstanding = true
 			continue
 		}
 		pe.p.AdvanceStepped(wait)
-		pe.noteCtl()
+		pe.NoteCtl(pe.now())
 	}
 }
 

@@ -1,0 +1,83 @@
+package des
+
+import (
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/policy"
+	"repro/internal/stats"
+	"repro/internal/uts"
+)
+
+// simPE is the per-PE shell of internal/core on the virtual clock: what
+// every simulated PE embeds. Time is charged to the PE's current Figure-1
+// state as it is consumed, and trace events and controller feedback are
+// stamped with Proc.Now, so neither can perturb a schedule.
+type simPE struct {
+	core.PE
+	p     *Proc
+	me    int
+	rng   *core.ProbeOrder
+	state stats.State // Working at start, the zero value
+}
+
+// newSimPE builds PE i's shell for a simulated run; spawn binds p.
+func newSimPE(sp *uts.Spec, cfg Config, res *core.Result, ps *policy.Set, i int) simPE {
+	return simPE{
+		PE:  core.NewPE(sp, &res.Threads[i], cfg.Tracer.Lane(i), ps.Controller(i)),
+		me:  i,
+		rng: core.NewProbeOrder(cfg.Seed, i),
+	}
+}
+
+// spawn registers the PE's process with the simulation: body runs on it
+// with pe.p bound, and finish records its end.
+func (pe *simPE) spawn(sim *Sim, body func(), finish func(*Proc)) {
+	sim.Spawn(func(p *Proc) {
+		pe.p = p
+		body()
+		finish(p)
+	})
+}
+
+// now is the virtual timestamp controller feedback is stamped with.
+func (pe *simPE) now() int64 { return int64(pe.p.Now()) }
+
+// advance consumes virtual time, charging it to the PE's current state.
+func (pe *simPE) advance(d time.Duration) {
+	pe.T.AddState(pe.state, d)
+	pe.p.Advance(d)
+}
+
+// charge books d of virtual time against the PE's current state without
+// advancing the clock — used by step functions, where the engine advances,
+// and ahead of remote operations that carry their own delay.
+func (pe *simPE) charge(d time.Duration) time.Duration {
+	pe.T.AddState(pe.state, d)
+	return d
+}
+
+// rec records an event stamped with the PE's current virtual time.
+func (pe *simPE) rec(k obs.Kind, other int32, value int64) {
+	pe.Lane.RecV(k, other, value, pe.p.Now())
+}
+
+// setState pairs the stats state charge target with the tracer's state
+// event.
+func (pe *simPE) setState(s stats.State) {
+	pe.state = s
+	pe.rec(obs.KindStateChange, -1, int64(s))
+}
+
+// beginSteal enters the Stealing state and opens the steal window.
+func (pe *simPE) beginSteal() {
+	pe.setState(stats.Stealing)
+	pe.StealBegin(pe.now())
+}
+
+// endSteal closes the steal window and moves to state back.
+func (pe *simPE) endSteal(ok bool, back stats.State) {
+	pe.StealEnd(ok, pe.now())
+	pe.setState(back)
+}

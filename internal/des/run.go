@@ -243,6 +243,12 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 	if cfg.Chunk < 1 {
 		return nil, nil, info, fmt.Errorf("des: need chunk >= 1, got %d", cfg.Chunk)
 	}
+	if cfg.PollInterval < 0 {
+		return nil, nil, info, fmt.Errorf("des: negative poll interval %d", cfg.PollInterval)
+	}
+	if cfg.NodeSize < 0 {
+		return nil, nil, info, fmt.Errorf("des: negative node size %d", cfg.NodeSize)
+	}
 	cs := newCosts(cfg.Model)
 	var sim *Sim
 	switch cfg.Engine {
@@ -266,8 +272,7 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 		if shards > cfg.PEs {
 			shards = cfg.PEs
 		}
-		switch cfg.Algorithm {
-		case core.UPCSharedMem, core.UPCTerm, core.UPCTermRapdif, core.UPCTermRelaxed:
+		if _, shared := core.SharedVariants[cfg.Algorithm]; shared {
 			// The shared-memory family synchronizes through zero-latency
 			// lock handoffs (Block/Wake), which carry no lookahead; it
 			// runs sharded but undivided.
@@ -319,13 +324,8 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 				acfg.Window = w
 			}
 		}
-		pset = policy.NewSet(&acfg, policy.Base{
-			Chunk:     cfg.Chunk,
-			Poll:      cfg.PollInterval,
-			StealHalf: cfg.Algorithm == core.UPCTermRapdif,
-			NodeSize:  cfg.NodeSize,
-			HierPays:  hierPays(cfg.Model, cfg.Intra),
-		}, cfg.PEs)
+		pset = policy.NewSet(&acfg,
+			core.PolicyBase(cfg.Algorithm, cfg.Chunk, cfg.PollInterval, cfg.NodeSize, cfg.Model, cfg.Intra), cfg.PEs)
 	}
 
 	// Completion bookkeeping must be shard-safe: every PE records its own
@@ -344,14 +344,8 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 	switch cfg.Algorithm {
 	case core.Static:
 		smp, err = simStatic(sim, sp, cfg, cs, res, finish)
-	case core.UPCSharedMem:
-		smp, err = simShared(sim, sp, cfg, cs, res, sharedMode{}, pset, finish)
-	case core.UPCTerm:
-		smp, err = simShared(sim, sp, cfg, cs, res, sharedMode{streamTerm: true}, pset, finish)
-	case core.UPCTermRapdif:
-		smp, err = simShared(sim, sp, cfg, cs, res, sharedMode{streamTerm: true, stealHalf: true}, pset, finish)
-	case core.UPCTermRelaxed:
-		smp, err = simShared(sim, sp, cfg, cs, res, sharedMode{streamTerm: true, relaxed: true}, pset, finish)
+	case core.UPCSharedMem, core.UPCTerm, core.UPCTermRapdif, core.UPCTermRelaxed:
+		smp, err = simShared(sim, sp, cfg, cs, res, core.SharedVariants[cfg.Algorithm], pset, finish)
 	case core.UPCDistMem, core.UPCDistMemHier:
 		smp, err = simDistMem(sim, sp, cfg, cs, res, pset, finish)
 	case core.MPIWS:
@@ -389,15 +383,4 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 	res.Obs = cfg.Tracer.Summary()
 	res.Policy = pset.Summary()
 	return res, trace, info, nil
-}
-
-// hierPays reports whether the latency model makes intra-node victims
-// worth preferring: a same-node steal round trip (lock plus reference)
-// costing at most half the remote one. With no intra model the machine
-// is flat and tiering cannot pay. Mirrors the wiring in internal/core.
-func hierPays(remote, intra *pgas.Model) bool {
-	if intra == nil || remote == nil {
-		return false
-	}
-	return 2*(intra.LockRTT+intra.RemoteRef) <= remote.LockRTT+remote.RemoteRef
 }

@@ -12,36 +12,13 @@ import (
 	"repro/internal/uts"
 )
 
-// nodeBytes is the nominal wire size of a node descriptor, matching the
-// bandwidth charging of internal/core.
-const nodeBytes = 28
-
-// sharedMode selects the refinements of the shared-memory family, exactly
-// as core.sharedVariant does for the real implementation.
-type sharedMode struct {
-	streamTerm bool
-	stealHalf  bool
-	// relaxed models upc-term-relaxed (DESIGN.md §14): no lock on any
-	// path — releases and reacquires cost one local reference (the slot
-	// store / ledger CAS), steals cost two remote references (slot scan +
-	// claim handshake) with no lock round trip, the shared region is
-	// bounded at stack.RelaxedSlots chunks, and thieves do not refresh
-	// the victim's workAvail (it is owner-written in the real protocol,
-	// so probes can see stale positives that end in failed steals). The
-	// simulator serializes all accesses on virtual time, so duplicate
-	// takes never occur here: DES sweeps the protocol's cost shape, the
-	// real-core backend exercises its races.
-	relaxed bool
-}
-
 // simSharedRun is the per-run shared state of the simulated shared-memory
 // family. All fields are mutated only by the PE currently scheduled by the
 // event loop, so no synchronization is needed.
 type simSharedRun struct {
-	sp   *uts.Spec
 	cfg  Config
 	cs   costs
-	mode sharedMode
+	mode core.SharedVariant
 	pes  []*simSharedPE
 
 	// Cancelable barrier (Section 3.1).
@@ -53,97 +30,45 @@ type simSharedRun struct {
 	// Streamlined barrier (Section 3.3.1).
 	sbCount     int
 	sbAnnounced bool
-
-	finish func(*Proc)
 }
 
-// simSharedPE is one simulated PE of the shared-memory family.
+// simSharedPE is one simulated PE of the shared-memory family. Under
+// Relaxed no path takes a lock: releases and reacquires cost one local
+// reference (the slot store / ledger CAS), steals cost two remote
+// references (slot scan + claim handshake) with no lock round trip, the
+// shared region is bounded at stack.RelaxedSlots chunks, and thieves do
+// not refresh the victim's workAvail (it is owner-written in the real
+// protocol, so probes can see stale positives that end in failed steals).
+// The simulator serializes all accesses on virtual time, so duplicate
+// takes never occur here: DES sweeps the protocol's cost shape, the
+// real-core backend exercises its races.
 type simSharedPE struct {
-	r     *simSharedRun
-	p     *Proc
-	me    int
-	t     *stats.Thread
-	lane  *obs.Lane // nil when the run is untraced
-	state stats.State
+	simPE
+	r *simSharedRun
 
-	local     stack.Deque
 	lock      Lock
 	pool      stack.Pool
 	workAvail int
-
-	rng *core.ProbeOrder
-	ex  *uts.Expander
-
-	nodesFlushed int64              // t.Nodes already published to the lane's live counter
-	ctl          *policy.Controller // nil when the run is not adaptive
-	ctlNodes     int64              // t.Nodes already reported to the controller
-	stolen       int                // nodes delivered by the last steal (controller feedback)
-}
-
-// flushNodes publishes node progress to the lane's live counter in
-// batches at the work loop's quantum boundaries — one atomic add per
-// flush, never per node.
-func (pe *simSharedPE) flushNodes() {
-	if d := pe.t.Nodes - pe.nodesFlushed; d != 0 {
-		pe.lane.AddNodes(d)
-		pe.nodesFlushed = pe.t.Nodes
-	}
-}
-
-// noteCtl feeds node progress to the PE's controller stamped with virtual
-// time, closing adaptation windows; a no-op for fixed-knob runs.
-func (pe *simSharedPE) noteCtl() {
-	if pe.ctl == nil {
-		return
-	}
-	pe.ctl.NoteNodes(int(pe.t.Nodes-pe.ctlNodes), pe.local.Len(), int64(pe.p.Now()))
-	pe.ctlNodes = pe.t.Nodes
-}
-
-// chunk returns the release granularity in effect: the adapted value under
-// a controller, the configured constant otherwise.
-func (pe *simSharedPE) chunk() int {
-	if pe.ctl != nil {
-		return pe.ctl.Chunk()
-	}
-	return pe.r.cfg.Chunk
-}
-
-// stealTimed brackets a steal attempt with the controller's latency probe,
-// stamped with virtual time on both edges.
-func (pe *simSharedPE) stealTimed(v int) bool {
-	if pe.ctl == nil {
-		return pe.steal(v)
-	}
-	pe.ctl.StealBegin(int64(pe.p.Now()))
-	pe.stolen = 0
-	ok := pe.steal(v)
-	pe.ctl.StealEnd(ok, pe.stolen, int64(pe.p.Now()))
-	return ok
 }
 
 // simShared sets up the PEs for upc-sharedmem / upc-term / upc-term-rapdif.
-func simShared(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, mode sharedMode, ps *policy.Set, finish func(*Proc)) (sampler, error) {
-	r := &simSharedRun{sp: sp, cfg: cfg, cs: cs, mode: mode, finish: finish}
+func simShared(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, mode core.SharedVariant, ps *policy.Set, finish func(*Proc)) (sampler, error) {
+	r := &simSharedRun{cfg: cfg, cs: cs, mode: mode}
 	r.pes = make([]*simSharedPE, cfg.PEs)
 	for i := 0; i < cfg.PEs; i++ {
-		pe := &simSharedPE{r: r, me: i, t: &res.Threads[i], lane: cfg.Tracer.Lane(i), rng: core.NewProbeOrder(cfg.Seed, i), ex: uts.NewExpander(sp), ctl: ps.Controller(i)}
+		pe := &simSharedPE{simPE: newSimPE(sp, cfg, res, ps, i), r: r}
 		r.pes[i] = pe
 		if i == 0 {
-			pe.local.Push(uts.Root(sp))
+			pe.Local.Push(uts.Root(sp))
 		}
-		sim.Spawn(func(p *Proc) {
-			pe.p = p
-			pe.main()
-			r.finish(p)
-		})
+		pe.spawn(sim, pe.main, finish)
 	}
 	return func() (sources, working int) {
 		for _, pe := range r.pes {
 			if pe.workAvail > 0 {
 				sources++
 			}
-			if pe.local.Len() > 0 || pe.pool.Len() > 0 {
+			if pe.Local.Len() > 0 || pe.pool.Len() > 0 {
 				working++
 			}
 		}
@@ -151,50 +76,25 @@ func simShared(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, m
 	}, nil
 }
 
-// advance consumes virtual time, charging it to the PE's current state.
-func (pe *simSharedPE) advance(d time.Duration) {
-	pe.t.AddState(pe.state, d)
-	pe.p.Advance(d)
-}
-
-// charge books d of virtual time against the PE's current state without
-// advancing the clock — used by step functions, where the engine advances.
-func (pe *simSharedPE) charge(d time.Duration) time.Duration {
-	pe.t.AddState(pe.state, d)
-	return d
-}
-
-// rec records an event stamped with the PE's current virtual time.
-func (pe *simSharedPE) rec(k obs.Kind, other int32, value int64) {
-	pe.lane.RecV(k, other, value, pe.p.Now())
-}
-
-// setState pairs the stats state charge target with the tracer's state
-// event.
-func (pe *simSharedPE) setState(s stats.State) {
-	pe.state = s
-	pe.rec(obs.KindStateChange, -1, int64(s))
-}
-
 // acquire/release wrap the virtual lock with affinity-dependent costs and
 // charge the queueing wait to the current state.
 func (pe *simSharedPE) acquire(l *Lock, cost time.Duration) {
 	before := pe.p.Now()
 	pe.p.Acquire(l, cost)
-	pe.t.AddState(pe.state, pe.p.Now()-before)
+	pe.T.AddState(pe.state, pe.p.Now()-before)
 }
 
 func (pe *simSharedPE) release(l *Lock, cost time.Duration) {
 	before := pe.p.Now()
 	pe.p.Release(l, cost)
-	pe.t.AddState(pe.state, pe.p.Now()-before)
+	pe.T.AddState(pe.state, pe.p.Now()-before)
 }
 
 func (pe *simSharedPE) main() {
 	pe.rec(obs.KindStateChange, -1, int64(stats.Working))
 	for {
 		pe.work()
-		if pe.r.mode.streamTerm {
+		if pe.r.mode.StreamTerm {
 			pe.workAvail = -1
 		}
 		pe.setState(stats.Searching)
@@ -203,7 +103,7 @@ func (pe *simSharedPE) main() {
 			continue
 		}
 		pe.setState(stats.Idle)
-		pe.t.TermBarrierEntries++
+		pe.T.TermBarrierEntries++
 		pe.rec(obs.KindTermEnter, -1, 0)
 		if pe.terminate() {
 			return
@@ -222,31 +122,23 @@ func (pe *simSharedPE) main() {
 // no boundary ever needs an interrupt check.
 func (pe *simSharedPE) work() {
 	cs := &pe.r.cs
-	k := pe.chunk()
+	k := pe.Chunk(pe.r.cfg.Chunk)
 	batch := pe.r.cfg.Batch
 	pending := 0
 	thresholdHit := false
 	step := func() (time.Duration, uint8) {
 		for {
-			n, ok := pe.local.Pop()
-			if !ok {
+			if !pe.Visit() {
 				d := time.Duration(pending) * cs.nodeCost
 				pending = 0
-				pe.flushNodes()
+				pe.FlushNodes()
 				return pe.charge(d), StepDone
 			}
 			pending++
-			pe.t.Nodes++
-			if n.NumKids == 0 {
-				pe.t.Leaves++
-			} else {
-				pe.local.PushAll(pe.ex.Children(&n))
-			}
-			pe.t.NoteDepth(pe.local.Len())
 			// Under the relaxed mode the shared region is a bounded ring:
 			// when it is full the release is skipped (back-pressure) and
 			// the PE keeps exploring locally instead of ending the batch.
-			if pe.local.Len() >= 2*k && !(pe.r.mode.relaxed && pe.pool.Len() >= stack.RelaxedSlots) {
+			if pe.Local.Len() >= 2*k && !(pe.r.mode.Relaxed && pe.pool.Len() >= stack.RelaxedSlots) {
 				thresholdHit = true
 				d := time.Duration(pending) * cs.nodeCost
 				pending = 0
@@ -255,17 +147,17 @@ func (pe *simSharedPE) work() {
 			if pending >= batch {
 				d := time.Duration(pending) * cs.nodeCost
 				pending = 0
-				pe.flushNodes()
-				pe.noteCtl()
-				k = pe.chunk()
+				pe.FlushNodes()
+				pe.NoteCtl(pe.now())
+				k = pe.Chunk(pe.r.cfg.Chunk)
 				return pe.charge(d), 0
 			}
 		}
 	}
 	for {
 		pe.p.AdvanceStepped(step)
-		pe.noteCtl()
-		k = pe.chunk()
+		pe.NoteCtl(pe.now())
+		k = pe.Chunk(pe.r.cfg.Chunk)
 		if thresholdHit {
 			thresholdHit = false
 			pe.releaseChunk(k)
@@ -283,14 +175,14 @@ func (pe *simSharedPE) work() {
 // algorithm, resets the cancelable barrier.
 func (pe *simSharedPE) releaseChunk(k int) {
 	cs := &pe.r.cs
-	chunk := pe.local.TakeBottom(k)
-	if pe.r.mode.relaxed {
+	chunk := pe.Local.TakeBottom(k)
+	if pe.r.mode.Relaxed {
 		// Fence-free publish: one local store into the ring slot, no lock
 		// round trip at all — the owner-path saving the variant exists for.
 		pe.advance(cs.localRef)
 		pe.pool.Put(chunk)
 		pe.workAvail = pe.pool.Len()
-		pe.t.Releases++
+		pe.T.Releases++
 		pe.rec(obs.KindRelease, -1, int64(pe.workAvail))
 		return
 	}
@@ -299,16 +191,16 @@ func (pe *simSharedPE) releaseChunk(k int) {
 	pe.pool.Put(chunk)
 	pe.workAvail = pe.pool.Len()
 	pe.release(&pe.lock, cs.localRef)
-	pe.t.Releases++
+	pe.T.Releases++
 	pe.rec(obs.KindRelease, -1, int64(pe.workAvail))
-	if !pe.r.mode.streamTerm {
+	if !pe.r.mode.StreamTerm {
 		pe.cbCancelOp()
 	}
 }
 
 func (pe *simSharedPE) reacquire() bool {
 	cs := &pe.r.cs
-	if pe.r.mode.relaxed {
+	if pe.r.mode.Relaxed {
 		// Fence-free retract: the ledger compare-and-swap on the owner's
 		// own partition, no lock.
 		pe.advance(cs.localRef)
@@ -317,9 +209,9 @@ func (pe *simSharedPE) reacquire() bool {
 			return false
 		}
 		pe.workAvail = pe.pool.Len()
-		pe.t.Reacquires++
+		pe.T.Reacquires++
 		pe.rec(obs.KindReacquire, -1, int64(len(c)))
-		pe.local.PushAll(c)
+		pe.Local.PushAll(c)
 		return true
 	}
 	pe.acquire(&pe.lock, cs.localRef)
@@ -332,9 +224,9 @@ func (pe *simSharedPE) reacquire() bool {
 	if !ok {
 		return false
 	}
-	pe.t.Reacquires++
+	pe.T.Reacquires++
 	pe.rec(obs.KindReacquire, -1, int64(len(c)))
-	pe.local.PushAll(c)
+	pe.Local.PushAll(c)
 	return true
 }
 
@@ -360,7 +252,7 @@ func (pe *simSharedPE) search() bool {
 	step := func() (time.Duration, uint8) {
 		if probing {
 			probing = false
-			pe.t.Probes++
+			pe.T.Probes++
 			wa := pe.r.pes[victim].workAvail
 			pe.rec(obs.KindProbeResult, int32(victim), int64(wa))
 			if wa > 0 {
@@ -373,7 +265,7 @@ func (pe *simSharedPE) search() bool {
 			}
 			walk.Advance()
 			if walk.Exhausted() {
-				if !r.mode.streamTerm || !sawWorker {
+				if !r.mode.StreamTerm || !sawWorker {
 					exhausted = true
 					return 0, StepDone
 				}
@@ -392,16 +284,16 @@ func (pe *simSharedPE) search() bool {
 		}
 		v := stealFrom
 		stealFrom = -1
-		pe.setState(stats.Stealing)
-		ok := pe.stealTimed(v)
-		pe.setState(stats.Searching)
-		pe.noteCtl()
+		pe.beginSteal()
+		ok := pe.steal(v)
+		pe.endSteal(ok, stats.Searching)
+		pe.NoteCtl(pe.now())
 		if ok {
 			return true
 		}
 		walk.Advance()
 		if walk.Exhausted() {
-			if !r.mode.streamTerm || !sawWorker {
+			if !r.mode.StreamTerm || !sawWorker {
 				return false
 			}
 			newWalk()
@@ -415,7 +307,7 @@ func (pe *simSharedPE) steal(v int) bool {
 	cs := &r.cs
 	vs := r.pes[v]
 	pe.rec(obs.KindStealRequest, int32(v), 0)
-	if r.mode.relaxed {
+	if r.mode.Relaxed {
 		return pe.stealRelaxed(v)
 	}
 	pe.acquire(&vs.lock, cs.lockRTT)
@@ -423,9 +315,9 @@ func (pe *simSharedPE) steal(v int) bool {
 	// while holding the lock — this is the hold period during which the
 	// paper observes working threads being delayed by thieves.
 	pe.advance(2 * cs.remoteRef)
-	half := r.mode.stealHalf
-	if pe.ctl != nil {
-		half = pe.ctl.StealHalf()
+	half := r.mode.StealHalf
+	if pe.Ctl != nil {
+		half = pe.Ctl.StealHalf()
 	}
 	var chunks []stack.Chunk
 	if half {
@@ -438,22 +330,19 @@ func (pe *simSharedPE) steal(v int) bool {
 	}
 	pe.release(&vs.lock, cs.lockRTT)
 	if len(chunks) == 0 {
-		pe.t.FailedSteals++
+		pe.T.FailedSteals++
 		pe.rec(obs.KindStealFail, int32(v), 0)
 		return false
 	}
 
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	pe.advance(cs.bulk(total * nodeBytes))
-	pe.t.Steals++
-	pe.t.ChunksGot += int64(len(chunks))
-	pe.stolen = total
+	total := stack.NodeCount(chunks)
+	pe.advance(cs.bulk(total * core.NodeBytes))
+	pe.T.Steals++
+	pe.T.ChunksGot += int64(len(chunks))
+	pe.Stolen = total
 	pe.rec(obs.KindChunkTransfer, int32(v), int64(total))
 
-	pe.local.PushAll(chunks[0])
+	pe.Local.PushAll(chunks[0])
 	if len(chunks) > 1 {
 		pe.acquire(&pe.lock, cs.localRef)
 		for _, c := range chunks[1:] {
@@ -461,7 +350,7 @@ func (pe *simSharedPE) steal(v int) bool {
 		}
 		pe.workAvail = pe.pool.Len()
 		pe.release(&pe.lock, cs.localRef)
-	} else if r.mode.streamTerm {
+	} else if r.mode.StreamTerm {
 		pe.workAvail = 0
 	}
 	return true
@@ -481,17 +370,17 @@ func (pe *simSharedPE) stealRelaxed(v int) bool {
 	pe.advance(2 * cs.remoteRef) // slot scan + claim handshake
 	c, ok := vs.pool.TakeOldest()
 	if !ok {
-		pe.t.FailedSteals++
+		pe.T.FailedSteals++
 		pe.rec(obs.KindStealFail, int32(v), 0)
 		return false
 	}
-	pe.advance(cs.bulk(len(c) * nodeBytes))
-	pe.t.Steals++
-	pe.t.ChunksGot++
-	pe.stolen = len(c)
+	pe.advance(cs.bulk(len(c) * core.NodeBytes))
+	pe.T.Steals++
+	pe.T.ChunksGot++
+	pe.Stolen = len(c)
 	pe.rec(obs.KindChunkTransfer, int32(v), int64(len(c)))
-	pe.local.PushAll(c)
-	if r.mode.streamTerm {
+	pe.Local.PushAll(c)
+	if r.mode.StreamTerm {
 		pe.workAvail = 0
 	}
 	return true
@@ -579,7 +468,7 @@ func (pe *simSharedPE) sbEnter() bool {
 
 func (pe *simSharedPE) terminate() bool {
 	r := pe.r
-	if !r.mode.streamTerm {
+	if !r.mode.StreamTerm {
 		return pe.cbEnter()
 	}
 	if pe.sbEnter() {
@@ -612,7 +501,7 @@ func (pe *simSharedPE) terminate() bool {
 			ph = tEval
 			return pe.charge(pe.r.cs.remoteRef), 0
 		default: // tEval
-			pe.t.Probes++
+			pe.T.Probes++
 			wa := pe.r.pes[victim].workAvail
 			pe.rec(obs.KindProbeResult, int32(victim), int64(wa))
 			ph = tAnn
@@ -635,9 +524,9 @@ func (pe *simSharedPE) terminate() bool {
 		}
 		pe.advance(r.cs.remoteRef) // leave the barrier
 		r.sbCount--
-		pe.setState(stats.Stealing)
-		ok := pe.stealTimed(v)
-		pe.setState(stats.Idle)
+		pe.beginSteal()
+		ok := pe.steal(v)
+		pe.endSteal(ok, stats.Idle)
 		if ok {
 			return false
 		}

@@ -2,15 +2,24 @@
 // paper's work-stealing protocols at cluster scale (hundreds to thousands
 // of processing elements) on a single machine.
 //
-// Each simulated PE executes the *same protocol logic* as the real
-// goroutine implementations in internal/core — real UTS nodes are
-// generated, real stacks are manipulated, real steal/termination decisions
-// are taken — but time is virtual: exploring a node costs Model.NodeCost,
-// a remote reference costs Model.RemoteRef, a lock acquisition queues
-// behind the current holder, and so on. Because the event loop is
-// sequential and tie-broken deterministically, a simulation is an exact
-// function of (tree spec, algorithm, machine profile, seed): every figure
-// regenerated from it is bit-reproducible.
+// Each simulated PE runs the protocols of the real goroutine
+// implementations in internal/core — real UTS nodes are generated, real
+// stacks are manipulated, real steal/termination decisions are taken — but
+// time is virtual: exploring a node costs Model.NodeCost, a remote
+// reference costs Model.RemoteRef, a lock acquisition queues behind the
+// current holder, and so on. What the two substrates share by construction
+// is the per-PE shell (core.PE, embedded here through simPE in pe.go): the
+// node kernel, the node/leaf/depth counters, the live-progress flush, the
+// controller feedback points, plus the node wire size, the shared-memory
+// variant table and the controllers' base configuration. What is still
+// mirrored by hand is the protocol bodies themselves — work/search/steal/
+// terminate in core/{sharedmem,distmem,mpiws}.go against the step machines
+// of des/{shared,dist,mpi}.go — and the differential suites (exact counts
+// on both sides, golden fingerprints here) are what keep them honest.
+//
+// Because the event loop is sequential and tie-broken deterministically, a
+// simulation is an exact function of (tree spec, algorithm, machine
+// profile, seed): every figure regenerated from it is bit-reproducible.
 //
 // The simulator is process-oriented: each PE is a goroutine whose
 // execution is interleaved one-at-a-time by the event loop. A PE calls

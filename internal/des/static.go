@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/uts"
 )
@@ -23,23 +22,19 @@ func simStatic(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, f
 
 	pes := make([]*simStaticPE, cfg.PEs)
 	for i := 0; i < cfg.PEs; i++ {
-		pe := &simStaticPE{sp: sp, cs: cs, me: i, t: &res.Threads[i], lane: cfg.Tracer.Lane(i), batch: cfg.Batch, ex: uts.NewExpander(sp)}
+		pe := &simStaticPE{simPE: newSimPE(sp, cfg, res, nil, i), cs: cs, batch: cfg.Batch}
 		pes[i] = pe
 		if i == 0 {
 			pe.extraRoot = &root
 		}
 		for j := i; j < len(kids); j += cfg.PEs {
-			pe.local.Push(kids[j])
+			pe.Local.Push(kids[j])
 		}
-		sim.Spawn(func(p *Proc) {
-			pe.p = p
-			pe.run()
-			finish(p)
-		})
+		pe.spawn(sim, pe.run, finish)
 	}
 	return func() (sources, working int) {
 		for _, pe := range pes {
-			if pe.local.Len() > 0 {
+			if pe.Local.Len() > 0 {
 				working++
 			}
 		}
@@ -48,36 +43,18 @@ func simStatic(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, f
 }
 
 type simStaticPE struct {
-	sp        *uts.Spec
+	simPE
 	cs        costs
-	p         *Proc
-	me        int
-	t         *stats.Thread
-	lane      *obs.Lane // nil when the run is untraced
 	batch     int
-	local     stack.Deque
 	extraRoot *uts.Node
-	ex        *uts.Expander
-
-	nodesFlushed int64 // t.Nodes already published to the lane's live counter
-}
-
-// flushNodes publishes node progress to the lane's live counter in
-// batches at the quantum boundaries — one atomic add per flush, never
-// per node.
-func (pe *simStaticPE) flushNodes() {
-	if d := pe.t.Nodes - pe.nodesFlushed; d != 0 {
-		pe.lane.AddNodes(d)
-		pe.nodesFlushed = pe.t.Nodes
-	}
 }
 
 func (pe *simStaticPE) run() {
-	pe.lane.RecV(obs.KindStateChange, -1, int64(stats.Working), pe.p.Now())
+	pe.rec(obs.KindStateChange, -1, int64(stats.Working))
 	if pe.extraRoot != nil {
-		pe.t.Nodes++
+		pe.T.Nodes++
 		if pe.extraRoot.NumKids == 0 {
-			pe.t.Leaves++
+			pe.T.Leaves++
 		}
 	}
 	// The whole share is one stepped advance: one quantum per batch of
@@ -87,30 +64,20 @@ func (pe *simStaticPE) run() {
 	pending := 0
 	pe.p.AdvanceStepped(func() (time.Duration, uint8) {
 		for {
-			n, ok := pe.local.Pop()
-			if !ok {
+			if !pe.Visit() {
 				d := time.Duration(pending) * pe.cs.nodeCost
 				pending = 0
-				pe.flushNodes()
-				pe.t.AddState(stats.Working, d)
-				return d, StepDone
+				pe.FlushNodes()
+				return pe.charge(d), StepDone
 			}
 			pending++
-			pe.t.Nodes++
-			if n.NumKids == 0 {
-				pe.t.Leaves++
-			} else {
-				pe.local.PushAll(pe.ex.Children(&n))
-			}
-			pe.t.NoteDepth(pe.local.Len())
 			if pending >= pe.batch {
 				d := time.Duration(pending) * pe.cs.nodeCost
 				pending = 0
-				pe.flushNodes()
-				pe.t.AddState(stats.Working, d)
-				return d, 0
+				pe.FlushNodes()
+				return pe.charge(d), 0
 			}
 		}
 	})
-	pe.lane.RecV(obs.KindStateChange, -1, int64(stats.Idle), pe.p.Now())
+	pe.rec(obs.KindStateChange, -1, int64(stats.Idle))
 }

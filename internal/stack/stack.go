@@ -105,9 +105,12 @@ type Pool struct {
 func (p *Pool) Len() int { return len(p.chunks) - p.head }
 
 // Nodes returns the total node count across chunks.
-func (p *Pool) Nodes() int {
+func (p *Pool) Nodes() int { return NodeCount(p.chunks[p.head:]) }
+
+// NodeCount returns the number of nodes held by chunks.
+func NodeCount(chunks []Chunk) int {
 	n := 0
-	for _, c := range p.chunks[p.head:] {
+	for _, c := range chunks {
 		n += len(c)
 	}
 	return n

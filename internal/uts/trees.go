@@ -54,8 +54,8 @@ var (
 		Q: 0.5 * (1 - 2e-2)}
 
 	// T3XXL: expected ~5M nodes, ALFG-driven like the paper's runs; the
-	// 1024-PE scale workload for the batched DES engine (the BENCH_PR3
-	// wall-time target).
+	// 1024-PE scale workload for the batched DES engine (its wall-time
+	// target).
 	T3XXL = Spec{Name: "t3-xxl", Kind: Binomial, Seed: 100, B0: 2000, M: 2,
 		Q: 0.5 * (1 - 4e-4), RNG: "ALFG"}
 
