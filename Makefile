@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race short bench bench-smoke bench-obs bench-des bench-des-par bench-relaxed bench-adapt experiments experiments-full clean lint lint-suppressions fuzz-smoke
+.PHONY: all build test race short bench bench-smoke bench-obs bench-des bench-des-par bench-relaxed bench-adapt experiments experiments-full clean lint lint-suppressions fuzz-smoke fingerprints
 
 all: build test
 
@@ -94,6 +94,21 @@ bench-relaxed:
 # (~20s single-core).
 bench-adapt:
 	ADAPT_BENCH_GATE=1 $(GO) test -run TestAdaptBenchGate -count=1 -v -timeout 10m ./internal/des/
+
+# Simulator fingerprints of the six Figure-1 algorithms: the uts-sim header
+# line (events=..., wall= stripped) and summary over trees x PE counts x
+# seeds, 270 deterministic runs (~15 s). A scheduler refactor that claims
+# "byte-identical" shows it with one diff:
+#   make -s fingerprints > /tmp/after.txt   (and the same in a checkout of
+#   the parent commit), then diff the two files.
+fingerprints:
+	@$(GO) build -o bin/uts-sim ./cmd/uts-sim
+	@for alg in upc-sharedmem upc-term upc-term-rapdif upc-term-relaxed upc-distmem upc-distmem-hier; do \
+	for tree in bench-tiny t3-small bench-medium; do \
+	for pes in 1 2 7 64 256; do \
+	for seed in 1 2 3; do \
+		bin/uts-sim -tree $$tree -alg $$alg -pes $$pes -seed $$seed | sed 's/ wall=[^ ]*//'; \
+	done; done; done; done
 
 # Regenerate every paper table/figure at quick scale (~3 min).
 experiments:

@@ -276,7 +276,7 @@ func TestFaultServiceWithdrawsOnDeadThief(t *testing.T) {
 	}
 	n := newNode(cfg)
 	n.addrs = []string{"", ln.Addr().String()}
-	w := &clusterWorker{n: n, sp: n.cfg.Spec, k: cfg.Chunk, me: 0, ranks: 2}
+	w := &clusterWorker{n: n, k: cfg.Chunk, me: 0}
 
 	work := make(stack.Chunk, 4)
 	for i := 0; i < 3; i++ {
@@ -315,7 +315,7 @@ func reclaimNode(t *testing.T, thief int32) (*node, *clusterWorker, uint64) {
 		t.Fatal(err)
 	}
 	n := newNode(cfg)
-	w := &clusterWorker{n: n, sp: n.cfg.Spec, k: cfg.Chunk, me: 0, ranks: 3}
+	w := &clusterWorker{n: n, k: cfg.Chunk, me: 0}
 	h := n.deposit(append(n.getChunkBuf(), make(stack.Chunk, 4)), thief)
 	return n, w, h
 }

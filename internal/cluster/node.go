@@ -596,7 +596,7 @@ func Run(cfg Config) (*stats.Run, error) {
 	defer n.stopMetrics()
 
 	start := time.Now()
-	if err := n.search(); err != nil {
+	if err := n.runWorker(); err != nil {
 		return nil, err
 	}
 

@@ -9,95 +9,73 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stack"
-	"repro/internal/stats"
 	"repro/internal/uts"
 )
 
-// search runs the Section 3.3 distributed-memory algorithm on this rank's
-// worker thread, with every remote interaction going over TCP.
-func (n *node) search() error {
+// runWorker runs the Section 3.3 distributed-memory algorithm on this
+// rank's worker thread, with every remote interaction going over TCP.
+func (n *node) runWorker() error {
 	w := &clusterWorker{
 		// This rank is one PE, so it owns the set's single controller.
 		WallPE: core.WallPE{PE: core.NewPE(n.cfg.Spec, &n.t, n.cfg.Tracer.Lane(n.cfg.Rank), n.pset.Controller(0))},
 		n:      n,
-		sp:     n.cfg.Spec,
 		k:      n.cfg.Chunk,
-		rng:    core.NewProbeOrder(n.cfg.Seed, n.cfg.Rank),
-		ranks:  n.cfg.Ranks,
 		me:     n.cfg.Rank,
 	}
+	w.Interrupt = func() bool {
+		return n.reqWord.Load() >= 0 || n.killed.Load() || w.err != nil
+	}
 	if w.me == 0 {
-		w.Local.Push(uts.Root(w.sp))
+		w.Local.Push(uts.Root(n.cfg.Spec))
 	}
 	w.Start()
 	defer w.Stop()
-	return w.main()
+	m := core.Machine{H: w, PE: &w.PE, Rng: core.NewProbeOrder(n.cfg.Seed, w.me), Me: w.me, N: n.cfg.Ranks, Stream: true}
+	m.Run()
+	return w.err
 }
 
-// clusterWorker is the per-process worker thread state. k is refreshed
-// from the controller at the yield cadence, never mid-release.
+// clusterWorker is the per-process worker thread state, the machine's
+// Host (core.Host) over TCP. k is refreshed from the controller at the
+// yield cadence, never mid-release. The fault paths reach the machine
+// through the hooks every host has: a dead rank answers a probe "not a
+// worker", reserved work no thief fetched comes home through Settle, and
+// an error the run cannot survive (this rank killed, the coordinator
+// unreachable) is kept in err, which is what Stopped reports.
 type clusterWorker struct {
 	core.WallPE
-	n     *node
-	sp    *uts.Spec
-	k     int
-	me    int
-	ranks int
-	rng   *core.ProbeOrder
-	pool  stack.Pool
+	n    *node
+	k    int
+	me   int
+	pool stack.Pool
+	err  error
 }
 
-func (w *clusterWorker) main() error {
-	t := &w.n.t
-	for {
-		if err := w.work(); err != nil {
-			return err
-		}
-		w.n.workAvail.Store(-1)
-		w.SetState(stats.Searching)
-		got, err := w.discover()
-		if err != nil {
-			return err
-		}
-		if got {
-			w.SetState(stats.Working)
-			continue
-		}
-		w.SetState(stats.Idle)
-		// Reserved-but-unfetched handoff entries pin this worker out of
-		// the termination barrier: entering with work still reserved
-		// could let the run terminate with that subtree unexplored. Wait
-		// for every entry to be fetched or reclaimed; reclaimed work
-		// sends the worker back to Working instead.
-		regained, err := w.drainHandoffs()
-		if err != nil {
-			return err
-		}
-		if regained && w.pool.Len() > 0 {
-			w.SetState(stats.Working)
-			continue
-		}
-		t.TermBarrierEntries++
-		w.Lane.Rec(obs.KindTermEnter, -1, 0)
-		done, err := w.terminate()
-		if err != nil {
-			return err
-		}
-		if done {
-			return w.service() // deny any last raced-in request
-		}
-		w.Lane.Rec(obs.KindTermExit, -1, 0)
-		w.SetState(stats.Working)
+// fail records the first fatal error.
+func (w *clusterWorker) fail(err error) {
+	if err != nil && w.err == nil {
+		w.err = err
 	}
 }
 
-// work explores nodes until the local stack and the steal pool drain,
-// polling the request word (a local atomic) every node.
-func (w *clusterWorker) work() error {
+// failUnlessPeer is fail for an RPC whose failure may be the peer's alone
+// (it died, or the call gave out): that costs a steal, not the run.
+func (w *clusterWorker) failUnlessPeer(err error) {
+	if !errors.Is(err, errPeerDead) && !errors.Is(err, errRPCFailed) {
+		w.fail(err)
+	}
+}
+
+func (w *clusterWorker) Stopped() bool { return w.err != nil }
+
+// Work explores nodes until the local stack and the steal pool drain,
+// polling the request word (a local atomic) every node, and leaves the
+// work-available word saying the rank is out of work.
+func (w *clusterWorker) Work() {
 	t := &w.n.t
 	sinceYield := 0
 	for {
-		if sinceYield++; sinceYield >= 256 {
+		if sinceYield++; sinceYield >= core.ClusterYieldEvery {
 			sinceYield = 0
 			w.reclaim() // one atomic load while the handoff table is empty
 			w.FlushNodes()
@@ -106,13 +84,15 @@ func (w *clusterWorker) work() error {
 			runtime.Gosched()
 		}
 		if err := w.service(); err != nil {
-			return err
+			w.fail(err)
+			return
 		}
 		if !w.Visit() {
 			c, ok := w.pool.TakeNewest()
 			if !ok {
 				w.FlushNodes()
-				return nil
+				w.n.workAvail.Store(-1)
+				return
 			}
 			w.n.workAvail.Store(int32(w.pool.Len()))
 			t.Reacquires++
@@ -127,6 +107,13 @@ func (w *clusterWorker) work() error {
 			t.Releases++
 			w.Lane.Rec(obs.KindRelease, -1, int64(w.pool.Len()))
 		}
+	}
+}
+
+// Service answers a pending steal request unless the run is already lost.
+func (w *clusterWorker) Service() {
+	if w.err == nil {
+		w.fail(w.service())
 	}
 }
 
@@ -212,96 +199,59 @@ func (w *clusterWorker) reclaim() bool {
 	return true
 }
 
-// drainHandoffs blocks until the handoff table is empty: every reserved
-// entry has either been fetched by its thief or reclaimed back into the
-// pool. It keeps servicing steal requests meanwhile (reclaimed work is
-// immediately stealable again), and reports whether any reclaim put
-// work back — the caller must then resume working rather than enter the
-// termination barrier.
-func (w *clusterWorker) drainHandoffs() (bool, error) {
-	regained := false
-	for w.n.handoffN.Load() > 0 {
-		if err := w.service(); err != nil {
-			return regained, err
-		}
+// Settle takes stranded reservations back. Before a probe cycle it is one
+// sweep: work stranded by a thief that never fetched its grant counts as
+// discovered work, not a reason to keep searching. Entering the barrier it
+// blocks until every reserved entry is fetched or reclaimed — entering
+// with work still reserved could let the run terminate with that subtree
+// unexplored — and keeps servicing steal requests meanwhile (reclaimed
+// work is immediately stealable again).
+func (w *clusterWorker) Settle(entering bool) bool {
+	regained := w.reclaim()
+	for entering && w.err == nil && w.n.handoffN.Load() > 0 {
+		w.Service()
 		if w.reclaim() {
 			regained = true
 		}
 		runtime.Gosched()
 	}
-	return regained, nil
+	return regained && w.pool.Len() > 0
 }
 
-// discover probes the other ranks in pseudo-random cycles, returning true
-// once work has been stolen onto the local stack and false when a full
-// cycle saw every other rank entirely out of work. Ranks marked dead are
-// skipped; a probe that dies mid-cycle degrades to "not a worker" rather
-// than aborting the search. Each cycle starts with a reclaim sweep: work
-// stranded by a thief that never fetched its grant counts as discovered
-// work, not a reason to keep searching.
-func (w *clusterWorker) discover() (bool, error) {
-	if w.ranks == 1 {
-		return false, nil
-	}
-	for {
-		if w.reclaim() {
-			return true, nil
-		}
-		sawWorker := false
-		for _, v := range w.rng.Cycle(w.me, w.ranks) {
-			if err := w.service(); err != nil {
-				return false, err
-			}
-			if w.n.isDead(v) {
-				continue
-			}
-			wa, err := w.probe(v)
-			if err != nil {
-				if errors.Is(err, errPeerDead) {
-					continue
-				}
-				return false, err
-			}
-			if wa > 0 {
-				w.BeginSteal()
-				ok, err := w.steal(v)
-				w.EndSteal(ok, stats.Searching)
-				if err != nil {
-					return false, err
-				}
-				if ok {
-					return true, nil
-				}
-			}
-			if wa >= 0 {
-				sawWorker = true
-			}
-		}
-		if !sawWorker {
-			return false, nil
-		}
-		runtime.Gosched()
-	}
-}
-
-// probe reads rank v's work-available word with a one-sided get.
-func (w *clusterWorker) probe(v int) (int32, error) {
-	w.n.t.Probes++
+// getAvail reads rank v's work-available word with a one-sided get. A rank
+// that dies under the read is not a worker (−1); any other failure also
+// ends the run.
+func (w *clusterWorker) getAvail(v int) int32 {
 	resp, err := w.n.call(v, &request{Kind: kindGetAvail, From: w.me})
 	if err != nil {
-		return 0, err
+		if !errors.Is(err, errPeerDead) {
+			w.fail(err)
+		}
+		return -1
 	}
-	w.Lane.Rec(obs.KindProbeResult, int32(v), int64(resp.Avail))
-	return resp.Avail, nil
+	return resp.Avail
 }
 
-// stealFail books one failed steal attempt at rank v.
-func (w *clusterWorker) stealFail(v int) {
-	w.n.t.FailedSteals++
-	w.Lane.Rec(obs.KindStealFail, int32(v), 0)
+// StageAvail probes rank v, unless it is already marked dead.
+func (w *clusterWorker) StageAvail(v int) time.Duration {
+	if w.err != nil || w.n.isDead(v) {
+		return w.Stage(-1)
+	}
+	return w.Stage(int64(w.getAvail(v)))
 }
 
-// steal claims v's request word, waits (bounded) for the owner's response
+// StageAnnounced asks rank 0 whether termination was announced.
+func (w *clusterWorker) StageAnnounced(time.Duration) time.Duration {
+	switch {
+	case w.err != nil:
+		return w.Stage(0)
+	case w.me == 0:
+		return w.StageFlag(w.n.announced.Load())
+	}
+	return w.StageFlag(w.barrier(kindBarrierDone).Done)
+}
+
+// Steal claims v's request word, waits (bounded) for the owner's response
 // in the local slot, then fetches the reserved chunks with a one-sided
 // get. A victim that dies at any point in the exchange turns the attempt
 // into a failed steal, never a hang: the CAS and the chunk fetch carry
@@ -309,20 +259,13 @@ func (w *clusterWorker) stealFail(v int) {
 // live victim can spend unable to service (its own retry loop toward a
 // dead peer) — after which a confirmation probe separates a dead victim
 // from one whose response was merely lost.
-func (w *clusterWorker) steal(v int) (bool, error) {
+func (w *clusterWorker) Steal(v int) bool {
 	t := &w.n.t
 	w.Lane.Rec(obs.KindStealRequest, int32(v), 0)
 	resp, err := w.n.call(v, &request{Kind: kindCASRequest, From: w.me, Thief: int32(w.me)})
-	if err != nil {
-		if errors.Is(err, errPeerDead) || errors.Is(err, errRPCFailed) {
-			w.stealFail(v)
-			return false, nil
-		}
-		return false, err
-	}
-	if !resp.OK {
-		w.stealFail(v)
-		return false, nil
+	if err != nil || !resp.OK {
+		w.failUnlessPeer(err)
+		return false
 	}
 	var amount int32
 	var handle uint64
@@ -346,7 +289,8 @@ func (w *clusterWorker) steal(v int) (bool, error) {
 			break
 		}
 		if err := w.service(); err != nil {
-			return false, err
+			w.fail(err)
+			return false
 		}
 		if spins++; spins&0xff == 0 && time.Now().After(respDeadline) {
 			// No response within the worst-case service gap. The
@@ -355,34 +299,26 @@ func (w *clusterWorker) steal(v int) (bool, error) {
 			// verdicts: if it also fails, call() marks v dead; if v
 			// answers, the exchange is abandoned without a verdict and
 			// any reserved work returns via v's reclaim sweep.
-			if _, perr := w.probe(v); perr != nil && !errors.Is(perr, errPeerDead) {
-				return false, perr
-			}
-			w.stealFail(v)
-			return false, nil
+			w.getAvail(v)
+			return false
 		}
 		runtime.Gosched()
 	}
 	if amount == 0 {
-		w.stealFail(v)
-		return false, nil
+		return false
 	}
 	got, err := w.n.call(v, &request{Kind: kindGetChunks, From: w.me, Handle: handle})
 	if err != nil {
-		if errors.Is(err, errPeerDead) || errors.Is(err, errRPCFailed) {
-			// The fetch failed, but the reservation is intact at v (or
-			// redeposited there when only the response leg was lost):
-			// v's reclaim sweep returns the work to v's own pool.
-			w.stealFail(v)
-			return false, nil
-		}
-		return false, err
+		// If only the fetch failed, the reservation is intact at v (or
+		// redeposited there when only the response leg was lost): v's
+		// reclaim sweep returns the work to v's own pool.
+		w.failUnlessPeer(err)
+		return false
 	}
 	if len(got.Chunk) == 0 {
 		// The entry is gone: v's reclaim sweep took it back because this
 		// steal outlived the stale-entry bound. The work stays at v.
-		w.stealFail(v)
-		return false, nil
+		return false
 	}
 	t.Steals++
 	t.ChunksGot += int64(len(got.Chunk))
@@ -395,104 +331,36 @@ func (w *clusterWorker) steal(v int) (bool, error) {
 		w.pool.Put(c)
 	}
 	w.n.workAvail.Store(int32(w.pool.Len()))
-	return true, nil
+	return true
 }
 
-// Barrier operations, served by rank 0's progress engine; rank 0's own
-// worker shortcuts to local state. For other ranks a coordinator that
-// cannot be reached is fatal — without rank 0 there is no termination
-// protocol and no one to report results to — but the error arrives in
-// bounded time instead of hanging.
-func (w *clusterWorker) barrierEnter() (bool, error) {
-	if w.me == 0 {
-		return w.n.barEnter(0), nil
-	}
-	resp, err := w.n.call(0, &request{Kind: kindBarrierEnter, From: w.me})
+// barrier performs one operation on the barrier of Section 3.3.1, served
+// by rank 0's progress engine (rank 0's own worker shortcuts to local
+// state). A coordinator that cannot be reached is fatal — without rank 0
+// there is no termination protocol and no one to report results to — but
+// the error arrives in bounded time instead of hanging, and the answer is
+// then the zero one: not last, not allowed to leave, not done.
+func (w *clusterWorker) barrier(kind reqKind) *response {
+	resp, err := w.n.call(0, &request{Kind: kind, From: w.me})
 	if err != nil {
-		return false, err
+		w.fail(err)
+		return &response{}
 	}
-	return resp.Last, nil
+	return resp
 }
 
-func (w *clusterWorker) barrierLeave() (bool, error) {
+// Enter and Leave: the barrier completes over the surviving membership
+// (rank 0 shrinks the required count as deaths are reported).
+func (w *clusterWorker) Enter() bool {
 	if w.me == 0 {
-		return w.n.barLeave(0), nil
+		return w.n.barEnter(0)
 	}
-	resp, err := w.n.call(0, &request{Kind: kindBarrierLeave, From: w.me})
-	if err != nil {
-		return false, err
-	}
-	return resp.OK, nil
+	return w.barrier(kindBarrierEnter).Last
 }
 
-func (w *clusterWorker) barrierDone() (bool, error) {
+func (w *clusterWorker) Leave() bool {
 	if w.me == 0 {
-		return w.n.announced.Load(), nil
+		return w.n.barLeave(0)
 	}
-	resp, err := w.n.call(0, &request{Kind: kindBarrierDone, From: w.me})
-	if err != nil {
-		return false, err
-	}
-	return resp.Done, nil
-}
-
-// terminate runs the streamlined termination protocol of Section 3.3.1
-// over the barrier RPCs: enter only when a full cycle saw no work, keep
-// servicing requests while waiting, inspect one rank at a time, and leave
-// before any steal attempt. Dead ranks are skipped during inspection; the
-// barrier itself completes over the surviving membership (rank 0 shrinks
-// the required count as deaths are reported).
-func (w *clusterWorker) terminate() (bool, error) {
-	last, err := w.barrierEnter()
-	if err != nil || last {
-		return last, err
-	}
-	for {
-		if err := w.service(); err != nil {
-			return false, err
-		}
-		done, err := w.barrierDone()
-		if err != nil || done {
-			return done, err
-		}
-		if w.ranks < 2 {
-			continue
-		}
-		v := w.rng.Victim(w.me, w.ranks)
-		if w.n.isDead(v) {
-			runtime.Gosched()
-			continue
-		}
-		wa, err := w.probe(v)
-		if err != nil {
-			if errors.Is(err, errPeerDead) {
-				runtime.Gosched()
-				continue
-			}
-			return false, err
-		}
-		if wa > 0 {
-			ok, err := w.barrierLeave()
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return true, nil // termination raced in; we are done
-			}
-			w.BeginSteal()
-			got, err := w.steal(v)
-			w.EndSteal(got, stats.Idle)
-			if err != nil {
-				return false, err
-			}
-			if got {
-				return false, nil
-			}
-			last, err := w.barrierEnter()
-			if err != nil || last {
-				return last, err
-			}
-		}
-		runtime.Gosched()
-	}
+	return w.barrier(kindBarrierLeave).OK
 }

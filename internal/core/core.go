@@ -275,6 +275,13 @@ func RunCtx(ctx context.Context, sp *uts.Spec, opt Options) (*Result, error) {
 // negligible cost (a Gosched with an empty run queue is cheap).
 const yieldEvery = 64
 
+// ClusterYieldEvery is the same cadence for the cluster's rank worker, 4x
+// longer because a rank is a process with one worker: it yields to its own
+// progress engine, mostly blocked on the network and done in microseconds,
+// not to P−1 workers each wanting a time slice — and every yield point
+// there also pays the handoff-table sweep.
+const ClusterYieldEvery = 4 * yieldEvery
+
 // ProbeOrder is a small per-thread xorshift64* generator for pseudo-random
 // probe orders; it keeps probe sequences deterministic per (seed, thread)
 // without sharing math/rand state across threads. It also owns the probe

@@ -3,11 +3,11 @@ package core
 import (
 	"runtime"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/pgas"
 	"repro/internal/stack"
-	"repro/internal/stats"
 	"repro/internal/term"
 	"repro/internal/uts"
 )
@@ -50,7 +50,6 @@ type distRun struct {
 	dom    *pgas.Domain
 	stacks []*privStack
 	sb     *term.StreamBarrier
-	hier   bool // locality-aware probe order (upc-distmem-hier)
 }
 
 // runDistMem executes upc-distmem, or upc-distmem-hier when hier is set.
@@ -60,7 +59,7 @@ func runDistMem(sp *uts.Spec, opt Options, res *Result, hier bool) error {
 		return err
 	}
 	dom.SetTopology(opt.NodeSize, opt.IntraModel)
-	r := &distRun{opt: opt, dom: dom, sb: term.NewStreamBarrier(dom), hier: hier}
+	r := &distRun{opt: opt, dom: dom, sb: term.NewStreamBarrier(dom)}
 	r.stacks = make([]*privStack, opt.Threads)
 	for i := range r.stacks {
 		r.stacks[i] = &privStack{}
@@ -68,54 +67,38 @@ func runDistMem(sp *uts.Spec, opt Options, res *Result, hier bool) error {
 	}
 
 	eachThread(sp, opt, res, func(me int, pe WallPE) {
-		w := &distWorker{WallPE: pe, run: r, me: me, rng: NewProbeOrder(opt.Seed, me)}
+		w := &distWorker{WallPE: pe, run: r, me: me}
+		w.Interrupt = func() bool { return w.stack().request.Load() != noThief || opt.abort.Load() }
 		if me == 0 {
 			w.Local.Push(uts.Root(sp))
 		}
-		w.main()
+		w.Start()
+		defer w.Stop()
+		m := Machine{H: w, PE: &w.PE, Rng: NewProbeOrder(opt.Seed, me), Me: me, N: opt.Threads,
+			Stream: true, Hier: hier, NodeSize: dom.NodeSize()}
+		m.Run()
 	})
 	return nil
 }
 
+// distWorker is one thread's execution state: the machine's Host for the
+// distributed-memory algorithm on the wall clock.
 type distWorker struct {
 	WallPE
 	run *distRun
 	me  int
-	rng *ProbeOrder
 }
 
 func (w *distWorker) stack() *privStack { return w.run.stacks[w.me] }
 
-func (w *distWorker) main() {
-	w.Start()
-	defer w.Stop()
-	for {
-		w.work()
-		if w.run.opt.abort.Load() {
-			return
-		}
-		w.stack().workAvail.Store(-1)
-		w.SetState(stats.Searching)
-		if w.search() {
-			w.SetState(stats.Working)
-			continue
-		}
-		w.SetState(stats.Idle)
-		w.T.TermBarrierEntries++
-		w.Lane.Rec(obs.KindTermEnter, -1, 0)
-		if w.terminate() {
-			w.service() // answer any last raced-in request with a denial
-			return
-		}
-		w.Lane.Rec(obs.KindTermExit, -1, 0)
-		w.SetState(stats.Working)
-	}
-}
+// Stopped reports a cancelled run.
+func (w *distWorker) Stopped() bool { return w.run.opt.abort.Load() }
 
-// work explores nodes until local stack and steal pool are both empty.
-// The owner polls its request word every iteration — a local read whose
-// cost is negligible, which is the whole point of the design.
-func (w *distWorker) work() {
+// Work explores nodes until local stack and steal pool are both empty,
+// then tells probing threads so. The owner polls its request word every
+// iteration — a local read whose cost is negligible, which is the whole
+// point of the design.
+func (w *distWorker) Work() {
 	k := w.Chunk(w.run.opt.Chunk)
 	s := w.stack()
 	sinceYield := 0
@@ -130,12 +113,13 @@ func (w *distWorker) work() {
 			}
 			runtime.Gosched()
 		}
-		w.service()
+		w.Service()
 		if !w.Visit() {
 			// Reacquire from the thread's own pool: owner-only, no lock.
 			c, ok := s.pool.TakeNewest()
 			if !ok {
 				w.FlushNodes()
+				s.workAvail.Store(-1)
 				return
 			}
 			s.workAvail.Store(int32(s.pool.Len()))
@@ -153,10 +137,10 @@ func (w *distWorker) work() {
 	}
 }
 
-// service answers a pending steal request: half of the available chunks if
+// Service answers a pending steal request: half of the available chunks if
 // any (Section 3.3.2's rapid diffusion), or a zero-chunk denial. Costs the
 // owner two remote writes only when a request is actually pending.
-func (w *distWorker) service() {
+func (w *distWorker) Service() {
 	s := w.stack()
 	thief := s.request.Load()
 	if thief == noThief {
@@ -188,57 +172,24 @@ func (w *distWorker) service() {
 	}
 }
 
-// search probes other threads in pseudo-random cycles, stealing when it
-// finds surplus. It returns true with work on the local stack, or false
-// when a full cycle saw every other thread entirely out of work.
-func (w *distWorker) search() bool {
-	n := w.run.dom.Threads()
-	if n == 1 {
-		return false
-	}
-	for {
-		sawWorker := false
-		perm := w.rng.CycleHier(w.me, n, w.VictimTier(w.run.hier, w.run.dom.NodeSize()))
-		for _, v := range perm {
-			w.service()
-			wa := w.probe(v)
-			if wa > 0 {
-				w.BeginSteal()
-				ok := w.steal(v)
-				w.EndSteal(ok, stats.Searching)
-				if ok {
-					return true
-				}
-			}
-			if wa >= 0 {
-				sawWorker = true
-			}
-		}
-		if !sawWorker {
-			return false
-		}
-		if w.run.opt.abort.Load() {
-			return false
-		}
-		runtime.Gosched()
-	}
-}
-
-func (w *distWorker) probe(v int) int32 {
+// StageAvail reads a victim's work-available count one-sidedly.
+func (w *distWorker) StageAvail(v int) time.Duration {
 	w.run.dom.ChargeRef(w.me, v)
-	w.T.Probes++
-	wa := w.run.stacks[v].workAvail.Load()
-	w.Lane.Rec(obs.KindProbeResult, int32(v), int64(wa))
-	return wa
+	return w.Stage(int64(w.run.stacks[v].workAvail.Load()))
 }
 
-// steal runs the asynchronous request/response protocol: claim the
+// StageAnnounced polls the barrier's announcement flag.
+func (w *distWorker) StageAnnounced(time.Duration) time.Duration {
+	return w.StageFlag(w.run.sb.Done(w.me))
+}
+
+// Steal runs the asynchronous request/response protocol: claim the
 // victim's request word, wait for the owner's answer, then transfer the
 // granted chunks with a one-sided get. The wait always terminates: a
 // victim in any state — working, searching, or parked in the termination
 // barrier — keeps servicing its request word, and termination cannot be
 // announced while this thread is outside the barrier.
-func (w *distWorker) steal(v int) bool {
+func (w *distWorker) Steal(v int) bool {
 	r := w.run
 	vs := r.stacks[v]
 
@@ -246,8 +197,6 @@ func (w *distWorker) steal(v int) bool {
 	r.dom.ChargeLockRTT(w.me, v)
 	w.Lane.Rec(obs.KindStealRequest, int32(v), 0)
 	if !vs.request.CompareAndSwap(noThief, int32(w.me)) {
-		w.T.FailedSteals++
-		w.Lane.Rec(obs.KindStealFail, int32(v), 0)
 		return false
 	}
 
@@ -255,11 +204,9 @@ func (w *distWorker) steal(v int) bool {
 	me := w.stack()
 	for !me.respReady.Load() {
 		if w.run.opt.abort.Load() {
-			w.T.FailedSteals++
-			w.Lane.Rec(obs.KindStealFail, int32(v), 0)
 			return false
 		}
-		w.service() // we may be someone else's victim meanwhile
+		w.Service() // we may be someone else's victim meanwhile
 		runtime.Gosched()
 	}
 	chunks := me.resp
@@ -267,8 +214,6 @@ func (w *distWorker) steal(v int) bool {
 	me.respReady.Store(false)
 
 	if len(chunks) == 0 {
-		w.T.FailedSteals++
-		w.Lane.Rec(obs.KindStealFail, int32(v), 0)
 		return false
 	}
 	total := stack.NodeCount(chunks)
@@ -287,38 +232,6 @@ func (w *distWorker) steal(v int) bool {
 	return true
 }
 
-// terminate enters the streamlined barrier and, while waiting, keeps
-// servicing steal requests and inspects one other thread at a time,
-// leaving the barrier before any steal attempt.
-func (w *distWorker) terminate() bool {
-	sb := w.run.sb
-	if sb.Enter(w.me) {
-		return true
-	}
-	n := w.run.dom.Threads()
-	for {
-		if w.run.opt.abort.Load() {
-			return true
-		}
-		w.service()
-		if sb.Done(w.me) {
-			return true
-		}
-		v := w.rng.Victim(w.me, n)
-		if wa := w.probe(v); wa > 0 {
-			if !sb.Leave(w.me) {
-				return true
-			}
-			w.BeginSteal()
-			ok := w.steal(v)
-			w.EndSteal(ok, stats.Idle)
-			if ok {
-				return false
-			}
-			if sb.Enter(w.me) {
-				return true
-			}
-		}
-		runtime.Gosched()
-	}
-}
+// Enter and Leave are the streamlined barrier's.
+func (w *distWorker) Enter() bool { return w.run.sb.Enter(w.me) }
+func (w *distWorker) Leave() bool { return w.run.sb.Leave(w.me) }

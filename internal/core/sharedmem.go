@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/pgas"
 	"repro/internal/stack"
-	"repro/internal/stats"
 	"repro/internal/term"
 	"repro/internal/uts"
 )
@@ -74,11 +74,15 @@ func runShared(sp *uts.Spec, opt Options, res *Result, v SharedVariant) error {
 	}
 
 	eachThread(sp, opt, res, func(me int, pe WallPE) {
-		w := &sharedWorker{WallPE: pe, run: r, me: me, rng: NewProbeOrder(opt.Seed, me)}
+		w := &sharedWorker{WallPE: pe, run: r, me: me}
+		w.Interrupt = opt.abort.Load
 		if me == 0 {
 			w.Local.Push(uts.Root(sp))
 		}
-		w.main()
+		w.Start()
+		defer w.Stop()
+		m := Machine{H: w, PE: &w.PE, Rng: NewProbeOrder(opt.Seed, me), Me: me, N: opt.Threads, Stream: v.StreamTerm}
+		m.Run()
 	})
 	if v.Relaxed && !opt.abort.Load() {
 		// Accounting check: termination required every ring to drain, so
@@ -94,47 +98,27 @@ func runShared(sp *uts.Spec, opt Options, res *Result, v SharedVariant) error {
 	return nil
 }
 
-// sharedWorker is one thread's execution state.
+// sharedWorker is one thread's execution state: the machine's Host for the
+// shared-memory family on the wall clock.
 type sharedWorker struct {
 	WallPE
 	run *sharedRun
 	me  int
-	rng *ProbeOrder
 }
 
 func (w *sharedWorker) stack() *sharedStack { return w.run.stacks[w.me] }
 
-// main is the Figure-1 state machine.
-func (w *sharedWorker) main() {
-	w.Start()
-	defer w.Stop()
-	for {
-		w.work()
-		if w.run.opt.abort.Load() {
-			return
-		}
-		if w.run.variant.StreamTerm {
-			w.stack().workAvail.Store(-1)
-		}
-		w.SetState(stats.Searching)
-		if w.search() {
-			w.SetState(stats.Working)
-			continue
-		}
-		w.SetState(stats.Idle)
-		w.T.TermBarrierEntries++
-		w.Lane.Rec(obs.KindTermEnter, -1, 0)
-		if w.terminate() {
-			return
-		}
-		w.Lane.Rec(obs.KindTermExit, -1, 0)
-		w.SetState(stats.Working)
-	}
-}
+// Stopped reports a cancelled run.
+func (w *sharedWorker) Stopped() bool { return w.run.opt.abort.Load() }
 
-// work explores nodes until both the local region and the thread's own
-// shared region are empty ("Working" in Figure 1).
-func (w *sharedWorker) work() {
+// Service has nothing to answer: thieves of this family help themselves
+// under the victim's lock.
+func (w *sharedWorker) Service() {}
+
+// Work explores nodes until both the local region and the thread's own
+// shared region are empty ("Working" in Figure 1), then — under
+// streamlined termination — tells probing threads so.
+func (w *sharedWorker) Work() {
 	k := w.Chunk(w.run.opt.Chunk)
 	sinceYield := 0
 	for {
@@ -151,6 +135,9 @@ func (w *sharedWorker) work() {
 		if !w.Visit() {
 			if !w.reacquire() {
 				w.FlushNodes()
+				if w.run.variant.StreamTerm {
+					w.stack().workAvail.Store(-1)
+				}
 				return
 			}
 			continue
@@ -243,7 +230,7 @@ func (w *sharedWorker) reacquire() bool {
 // the relaxed ring: no lock, one ledger compare-and-swap. A false return
 // is the owner's proof that every chunk it ever published has been
 // consumed (by itself or by thieves), which makes the subsequent
-// workAvail=−1 store in main() safe for streamlined termination.
+// workAvail=−1 store in Work safe for streamlined termination.
 func (w *sharedWorker) reacquireRelaxed() bool {
 	s := w.stack()
 	c, ok := s.ring.Retract()
@@ -259,58 +246,15 @@ func (w *sharedWorker) reacquireRelaxed() bool {
 	return true
 }
 
-// search performs one or more full pseudo-random probe cycles over the
-// other threads ("Work Discovery"). It returns true once work has been
-// stolen onto the local stack. It returns false when the thread should
-// move to termination detection: immediately after one empty cycle under
-// the shared-memory algorithm, or only after a cycle in which every other
-// thread was entirely out of work under streamlined termination.
-func (w *sharedWorker) search() bool {
-	r := w.run
-	n := r.dom.Threads()
-	if n == 1 {
-		return false
-	}
-	for {
-		sawWorker := false
-		for _, v := range w.rng.Cycle(w.me, n) {
-			wa := w.probe(v)
-			if wa > 0 {
-				w.BeginSteal()
-				ok := w.steal(v)
-				w.EndSteal(ok, stats.Searching)
-				if ok {
-					return true
-				}
-			}
-			if wa >= 0 {
-				sawWorker = true
-			}
-		}
-		if !r.variant.StreamTerm {
-			// Shared-memory algorithm: one empty cycle sends the thread
-			// to the cancelable barrier.
-			return false
-		}
-		if !sawWorker {
-			// Streamlined termination: every other thread reported −1
-			// (no work at all); only now head for the barrier.
-			return false
-		}
-		if w.run.opt.abort.Load() {
-			return false
-		}
-		runtime.Gosched()
-	}
+// StageAvail reads a victim's work-available count without locking.
+func (w *sharedWorker) StageAvail(v int) time.Duration {
+	w.run.dom.ChargeRef(w.me, v)
+	return w.Stage(int64(w.run.stacks[v].workAvail.Load()))
 }
 
-// probe reads a victim's work-available count without locking.
-func (w *sharedWorker) probe(v int) int32 {
-	w.run.dom.ChargeRef(w.me, v)
-	w.T.Probes++
-	wa := w.run.stacks[v].workAvail.Load()
-	w.Lane.Rec(obs.KindProbeResult, int32(v), int64(wa))
-	return wa
+// StageAnnounced polls the streamlined barrier's announcement flag.
+func (w *sharedWorker) StageAnnounced(time.Duration) time.Duration {
+	return w.StageFlag(w.run.sb.Done(w.me))
 }
 
 // steal locks the victim's stack, reserves one chunk (or half the chunks
@@ -318,7 +262,7 @@ func (w *sharedWorker) probe(v int) int32 {
 // with a one-sided get. The first chunk lands on the thief's local stack;
 // any further chunks go straight into the thief's own shared region, making
 // the thief a work source for others (Section 3.3.2).
-func (w *sharedWorker) steal(v int) bool {
+func (w *sharedWorker) Steal(v int) bool {
 	if w.run.variant.Relaxed {
 		return w.stealRelaxed(v)
 	}
@@ -341,8 +285,6 @@ func (w *sharedWorker) steal(v int) bool {
 	}
 	vs.lk.Release(w.me)
 	if len(chunks) == 0 {
-		w.T.FailedSteals++
-		w.Lane.Rec(obs.KindStealFail, int32(v), 0)
 		return false
 	}
 
@@ -393,8 +335,6 @@ func (w *sharedWorker) stealRelaxed(v int) bool {
 		w.Lane.Rec(obs.KindDuplicateTake, int32(v), int64(dups))
 	}
 	if !ok {
-		w.T.FailedSteals++
-		w.Lane.Rec(obs.KindStealFail, int32(v), 0)
 		return false
 	}
 	r.dom.ChargeBulk(w.me, v, len(c)*NodeBytes)
@@ -410,42 +350,15 @@ func (w *sharedWorker) stealRelaxed(v int) bool {
 	return true
 }
 
-// terminate runs the termination-detection protocol. It returns true when
-// the whole computation is finished and false when the thread acquired (or
-// may acquire) work and should resume the main loop.
-func (w *sharedWorker) terminate() bool {
+// Enter enters the family's barrier: the streamlined one, or the
+// cancelable barrier of Section 3.1, which waits inside until it
+// completes or a release cancels it.
+func (w *sharedWorker) Enter() bool {
 	if !w.run.variant.StreamTerm {
 		return w.run.cb.Enter(w.me)
 	}
-	sb := w.run.sb
-	if sb.Enter(w.me) {
-		return true
-	}
-	// While waiting, inspect a single thread at a time so as not to
-	// overwhelm any remaining workers (Section 3.3.1).
-	n := w.run.dom.Threads()
-	for {
-		if w.run.opt.abort.Load() {
-			return true
-		}
-		if sb.Done(w.me) {
-			return true
-		}
-		v := w.rng.Victim(w.me, n)
-		if wa := w.probe(v); wa > 0 {
-			if !sb.Leave(w.me) {
-				return true
-			}
-			w.BeginSteal()
-			ok := w.steal(v)
-			w.EndSteal(ok, stats.Idle)
-			if ok {
-				return false
-			}
-			if sb.Enter(w.me) {
-				return true
-			}
-		}
-		runtime.Gosched()
-	}
+	return w.run.sb.Enter(w.me)
 }
+
+// Leave takes the thread out of the streamlined barrier.
+func (w *sharedWorker) Leave() bool { return w.run.sb.Leave(w.me) }

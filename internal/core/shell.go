@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"time"
 
@@ -103,15 +104,12 @@ func (pe *PE) Chunk(fixed int) int {
 }
 
 // VictimTier returns the node width a probe cycle should group same-node
-// victims by: the topology's under the hierarchical algorithm; under a
-// flat one the controller's, which is above 1 when the latency model said
-// intra-node steals are cheap enough to prefer; else 1, a flat cycle.
+// victims by, given the scheduler's topology (nodeSize <= 1: none): that
+// width under the hierarchical algorithm, or when the controller found
+// intra-node steals cheap enough to prefer; else 1, a flat cycle.
 func (pe *PE) VictimTier(hier bool, nodeSize int) int {
-	switch {
-	case hier:
+	if nodeSize > 1 && (hier || pe.Ctl != nil && pe.Ctl.NodeSize() > 1) {
 		return nodeSize
-	case pe.Ctl != nil && pe.Ctl.NodeSize() > 1:
-		return pe.Ctl.NodeSize()
 	}
 	return 1
 }
@@ -135,8 +133,18 @@ func (pe *PE) StealEnd(ok bool, now int64) {
 }
 
 // WallPE is the shell on the wall clock: what the goroutine workers of
-// this package and the cluster's rank worker embed.
-type WallPE struct{ PE }
+// this package and the cluster's rank worker embed. It is the clock third
+// of the machine's Host and, with Steps, most of the engine third.
+type WallPE struct {
+	PE
+
+	// Interrupt reports, at a service point of the machine, a pending
+	// steal request or an abandoned run. The scheduler sets it.
+	Interrupt func() bool
+
+	staged [2]int64 // the reads of the current quantum, in staging order
+	nstag  int
+}
 
 // eachThread runs body on one goroutine per thread of a run of this
 // package, handing each its shell, and waits for all of them.
@@ -146,7 +154,7 @@ func eachThread(sp *uts.Spec, opt Options, res *Result, body func(me int, pe Wal
 		wg.Add(1)
 		go func(me int) {
 			defer wg.Done()
-			body(me, WallPE{NewPE(sp, &res.Threads[me], opt.Tracer.Lane(me), opt.policySet.Controller(me))})
+			body(me, WallPE{PE: NewPE(sp, &res.Threads[me], opt.Tracer.Lane(me), opt.policySet.Controller(me))})
 		}(me)
 	}
 	wg.Wait()
@@ -187,6 +195,52 @@ func (w *WallPE) EndSteal(ok bool, back stats.State) {
 	w.StealEnd(ok, w.Now())
 	w.SetState(back)
 }
+
+// Rec records a trace event stamped with the wall clock.
+func (w *WallPE) Rec(k obs.Kind, other int32, value int64) { w.Lane.Rec(k, other, value) }
+
+// Steps is the machine's engine on the wall clock, the synchronous
+// counterpart of the simulator's stepped advance: quanta run back to back
+// (a staged read has already taken its time), and every service point
+// yields the processor — searching and waiting PEs must not starve working
+// ones when goroutines outnumber cores — then asks Interrupt.
+func (w *WallPE) Steps(step Stepper) bool {
+	for {
+		w.nstag = 0
+		_, fl := step()
+		if fl&StepDone != 0 {
+			return false
+		}
+		if fl&StepNoPoll == 0 {
+			runtime.Gosched()
+			if w.Interrupt() {
+				return true
+			}
+		}
+	}
+}
+
+// Stage is how a wall-clock host stages a read it has just executed.
+func (w *WallPE) Stage(v int64) time.Duration {
+	w.staged[w.nstag] = v
+	w.nstag++
+	return 0
+}
+
+// StageFlag stages a read whose answer is a flag.
+func (w *WallPE) StageFlag(set bool) time.Duration {
+	if set {
+		return w.Stage(1)
+	}
+	return w.Stage(0)
+}
+
+// Staged returns the i-th read staged by the last quantum.
+func (w *WallPE) Staged(i int) int64 { return w.staged[i] }
+
+// Settle: only a host that hands work out through a table (the cluster)
+// has work that comes home by itself.
+func (w *WallPE) Settle(bool) bool { return false }
 
 // SharedVariant selects the refinements layered onto the shared-memory
 // algorithm to form upc-term, upc-term-rapdif and upc-term-relaxed.

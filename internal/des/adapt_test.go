@@ -71,6 +71,29 @@ func TestAdaptOffByteIdentical(t *testing.T) {
 		{"shmem-tiny-kh", &uts.BenchTiny,
 			Config{Algorithm: core.UPCSharedMem, PEs: 8, Chunk: 4, Model: &pgas.KittyHawk, Seed: 6},
 			fingerprint{1226414, 2338, 3337, 37, 158, 13, 108}},
+		// Corners, recorded at the commit before the five hand-mirrored
+		// discovery/termination loops became one machine: 1 PE (no probe
+		// cycle; upc-term skips the zero-level announce advance that
+		// upc-distmem pays), 2 PEs (one-victim cycles), plain upc-term,
+		// and a hierarchical cycle over a partial last node.
+		{"term-1pe-kh", &uts.T3Small,
+			Config{Algorithm: core.UPCTerm, PEs: 1, Chunk: 16, Model: &pgas.KittyHawk, Seed: 7},
+			fingerprint{2549727, 886, 6089, 0, 0, 0, 17}},
+		{"distmem-1pe-kh", &uts.T3Small,
+			Config{Algorithm: core.UPCDistMem, PEs: 1, Chunk: 16, Model: &pgas.KittyHawk, Seed: 8},
+			fingerprint{2549202, 782, 6089, 0, 0, 0, 17}},
+		{"term-2pe-altix", &uts.T3Small,
+			Config{Algorithm: core.UPCTerm, PEs: 2, Chunk: 8, Model: &pgas.Altix, Seed: 9},
+			fingerprint{2792975, 1371, 6089, 12, 150, 0, 57}},
+		{"term-32pe-kh", &uts.T3Small,
+			Config{Algorithm: core.UPCTerm, PEs: 32, Chunk: 16, Model: &pgas.KittyHawk, Seed: 10},
+			fingerprint{1072020, 7024, 6089, 17, 5191, 51, 17}},
+		{"shmem-1pe-kh", &uts.BenchTiny,
+			Config{Algorithm: core.UPCSharedMem, PEs: 1, Chunk: 4, Model: &pgas.KittyHawk, Seed: 11},
+			fingerprint{1399771, 1874, 3337, 0, 0, 0, 108}},
+		{"hier-7pe-partial-node", &uts.T3Small,
+			Config{Algorithm: core.UPCDistMemHier, PEs: 7, Chunk: 16, Model: &pgas.KittyHawk, NodeSize: 8, Intra: &altix, Seed: 12},
+			fingerprint{599088, 3209, 6089, 14, 2283, 13, 17}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -88,7 +88,7 @@ func (pe *simMPIPE) pollIntv() int {
 	return pe.r.cfg.PollInterval
 }
 
-func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps *policy.Set, finish func(*Proc)) (sampler, error) {
+func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps *policy.Set, finish func(*Proc)) sampler {
 	r := &simMPIRun{cfg: cfg, cs: cs}
 	sim.SetRemote(r.apply)
 	r.pes = make([]*simMPIPE, cfg.PEs)
@@ -115,7 +115,7 @@ func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps
 			}
 		}
 		return
-	}, nil
+	}
 }
 
 // send charges the sender the injection overhead and delivers the message
@@ -154,7 +154,6 @@ func (pe *simMPIPE) hasArrived() bool {
 }
 
 func (pe *simMPIPE) main() {
-	pe.rec(obs.KindStateChange, -1, int64(stats.Working))
 	for !pe.terminated {
 		if pe.Local.Len() > 0 {
 			pe.work()
@@ -195,7 +194,7 @@ func (pe *simMPIPE) work() {
 			d := time.Duration(pending) * cs.nodeCost
 			pending = 0
 			pe.FlushNodes()
-			pe.NoteCtl(pe.now())
+			pe.NoteCtl(pe.Now())
 			poll = pe.pollIntv()
 			ph = wIprobe
 			return pe.charge(d), 0
@@ -271,7 +270,7 @@ func (pe *simMPIPE) handle(m simMsg) {
 			chunk := pe.Local.TakeBottom(k)
 			pe.color = msg.Black
 			pe.T.Releases++
-			pe.rec(obs.KindStealGrant, int32(m.from), 1)
+			pe.Rec(obs.KindStealGrant, int32(m.from), 1)
 			pe.send(m.from, msg.TagWork, []stack.Chunk{chunk}, 0)
 		} else {
 			if pe.Ctl != nil && pe.Local.Len() > 0 {
@@ -279,7 +278,7 @@ func (pe *simMPIPE) handle(m simMsg) {
 				// 2k grant threshold is withholding work from demand.
 				pe.Ctl.NoteDenied()
 			}
-			pe.rec(obs.KindStealDeny, int32(m.from), 0)
+			pe.Rec(obs.KindStealDeny, int32(m.from), 0)
 			pe.send(m.from, msg.TagNoWork, nil, 0)
 		}
 	case msg.TagWork:
@@ -292,13 +291,13 @@ func (pe *simMPIPE) handle(m simMsg) {
 			pe.Local.PushAll(c)
 		}
 		pe.Stolen = total
-		pe.StealEnd(true, pe.now())
-		pe.rec(obs.KindChunkTransfer, int32(m.from), int64(total))
+		pe.StealEnd(true, pe.Now())
+		pe.Rec(obs.KindChunkTransfer, int32(m.from), int64(total))
 	case msg.TagNoWork:
 		pe.outstanding = false
 		pe.T.FailedSteals++
-		pe.StealEnd(false, pe.now())
-		pe.rec(obs.KindStealFail, int32(m.from), 0)
+		pe.StealEnd(false, pe.Now())
+		pe.Rec(obs.KindStealFail, int32(m.from), 0)
 	case msg.TagToken:
 		pe.haveToken = true
 		pe.tokenColor = m.color
@@ -308,8 +307,8 @@ func (pe *simMPIPE) handle(m simMsg) {
 }
 
 func (pe *simMPIPE) idle() {
-	pe.setState(stats.Searching)
-	defer pe.setState(stats.Working)
+	pe.SetState(stats.Searching)
+	defer pe.SetState(stats.Working)
 	// The wait for a response or the token is a stepped advance: one
 	// idle-poll quantum per check, committed inline until a message
 	// arrival event lands in the window.
@@ -336,14 +335,14 @@ func (pe *simMPIPE) idle() {
 		if !pe.outstanding {
 			v := pe.rng.Victim(pe.me, len(pe.r.pes))
 			pe.T.Probes++
-			pe.StealBegin(pe.now())
-			pe.rec(obs.KindStealRequest, int32(v), 0)
+			pe.StealBegin(pe.Now())
+			pe.Rec(obs.KindStealRequest, int32(v), 0)
 			pe.send(v, msg.TagStealRequest, nil, 0)
 			pe.outstanding = true
 			continue
 		}
 		pe.p.AdvanceStepped(wait)
-		pe.NoteCtl(pe.now())
+		pe.NoteCtl(pe.Now())
 	}
 }
 

@@ -196,35 +196,52 @@ func TestSamplerOverheadGate(t *testing.T) {
 	}
 }
 
-// TestTracedEventsWellFormed runs one stealing-heavy configuration and
-// checks the merged event stream invariants: nondecreasing virtual
-// timestamps, per-lane sequence numbers, and kinds within the taxonomy.
+// TestTracedEventsWellFormed runs one stealing-heavy configuration on each
+// clock and checks the merged event stream invariants: nondecreasing
+// timestamps (virtual ones in virtual time), per-lane sequence numbers,
+// kinds within the taxonomy, and — the machine being one — the same probe
+// bracket on both: every probe-result answers the probe-start before it.
 func TestTracedEventsWellFormed(t *testing.T) {
-	tr := obs.NewVirtual(8, 0)
-	if _, err := Run(&uts.BenchTiny, Config{Algorithm: core.UPCDistMem, PEs: 8, Chunk: 4, Tracer: tr}); err != nil {
+	virt, wall := obs.NewVirtual(8, 0), obs.New(8, 0)
+	if _, err := Run(&uts.BenchTiny, Config{Algorithm: core.UPCDistMem, PEs: 8, Chunk: 4, Tracer: virt}); err != nil {
 		t.Fatal(err)
 	}
-	events := tr.Events()
-	if len(events) == 0 {
-		t.Fatal("no events recorded")
+	if _, err := core.Run(&uts.BenchTiny, core.Options{Algorithm: core.UPCDistMem, Threads: 8, Chunk: 4, Tracer: wall}); err != nil {
+		t.Fatal(err)
 	}
-	lastSeq := map[int32]uint64{}
-	for i, e := range events {
-		if i > 0 && e.T() < events[i-1].T() {
-			t.Fatalf("event %d out of time order", i)
+	for _, tr := range []*obs.Tracer{virt, wall} {
+		events := tr.Events()
+		if len(events) == 0 {
+			t.Fatal("no events recorded")
 		}
-		if e.Virt < 0 {
-			t.Fatalf("event %d has no virtual timestamp: %+v", i, e)
+		lastSeq := map[int32]uint64{}
+		probing := map[int32]int32{} // PE -> victim of its probe in flight, +1
+		for i, e := range events {
+			if i > 0 && e.T() < events[i-1].T() {
+				t.Fatalf("event %d out of time order", i)
+			}
+			if tr.Virtual() && e.Virt < 0 {
+				t.Fatalf("event %d has no virtual timestamp: %+v", i, e)
+			}
+			if e.PE < 0 || e.PE >= 8 {
+				t.Fatalf("event %d from unknown PE %d", i, e.PE)
+			}
+			if e.Kind.String() == "" || strings.HasPrefix(e.Kind.String(), "Kind(") {
+				t.Fatalf("event %d has unknown kind %d", i, e.Kind)
+			}
+			if last, ok := lastSeq[e.PE]; ok && e.Seq <= last {
+				t.Fatalf("PE %d sequence regressed at event %d", e.PE, i)
+			}
+			lastSeq[e.PE] = e.Seq
+			switch e.Kind {
+			case obs.KindProbeStart:
+				probing[e.PE] = e.Other + 1
+			case obs.KindProbeResult:
+				if probing[e.PE] != e.Other+1 {
+					t.Fatalf("virtual=%v: event %d: probe-result from PE %d without its probe-start", tr.Virtual(), i, e.Other)
+				}
+				probing[e.PE] = 0
+			}
 		}
-		if e.PE < 0 || e.PE >= 8 {
-			t.Fatalf("event %d from unknown PE %d", i, e.PE)
-		}
-		if e.Kind.String() == "" || strings.HasPrefix(e.Kind.String(), "Kind(") {
-			t.Fatalf("event %d has unknown kind %d", i, e.Kind)
-		}
-		if last, ok := lastSeq[e.PE]; ok && e.Seq <= last {
-			t.Fatalf("PE %d sequence regressed at event %d", e.PE, i)
-		}
-		lastSeq[e.PE] = e.Seq
 	}
 }

@@ -32,17 +32,18 @@ func newSimPE(sp *uts.Spec, cfg Config, res *core.Result, ps *policy.Set, i int)
 }
 
 // spawn registers the PE's process with the simulation: body runs on it
-// with pe.p bound, and finish records its end.
+// with pe.p bound, from the Working state, and finish records its end.
 func (pe *simPE) spawn(sim *Sim, body func(), finish func(*Proc)) {
 	sim.Spawn(func(p *Proc) {
 		pe.p = p
+		pe.Rec(obs.KindStateChange, -1, int64(stats.Working))
 		body()
 		finish(p)
 	})
 }
 
-// now is the virtual timestamp controller feedback is stamped with.
-func (pe *simPE) now() int64 { return int64(pe.p.Now()) }
+// Now is the virtual timestamp controller feedback is stamped with.
+func (pe *simPE) Now() int64 { return int64(pe.p.Now()) }
 
 // advance consumes virtual time, charging it to the PE's current state.
 func (pe *simPE) advance(d time.Duration) {
@@ -58,26 +59,38 @@ func (pe *simPE) charge(d time.Duration) time.Duration {
 	return d
 }
 
-// rec records an event stamped with the PE's current virtual time.
-func (pe *simPE) rec(k obs.Kind, other int32, value int64) {
+// Rec records an event stamped with the PE's current virtual time.
+func (pe *simPE) Rec(k obs.Kind, other int32, value int64) {
 	pe.Lane.RecV(k, other, value, pe.p.Now())
 }
 
-// setState pairs the stats state charge target with the tracer's state
+// SetState pairs the stats state charge target with the tracer's state
 // event.
-func (pe *simPE) setState(s stats.State) {
+func (pe *simPE) SetState(s stats.State) {
 	pe.state = s
-	pe.rec(obs.KindStateChange, -1, int64(s))
+	pe.Rec(obs.KindStateChange, -1, int64(s))
 }
 
-// beginSteal enters the Stealing state and opens the steal window.
-func (pe *simPE) beginSteal() {
-	pe.setState(stats.Stealing)
-	pe.StealBegin(pe.now())
+// BeginSteal enters the Stealing state and opens the steal window.
+func (pe *simPE) BeginSteal() {
+	pe.SetState(stats.Stealing)
+	pe.StealBegin(pe.Now())
 }
 
-// endSteal closes the steal window and moves to state back.
-func (pe *simPE) endSteal(ok bool, back stats.State) {
-	pe.StealEnd(ok, pe.now())
-	pe.setState(back)
+// EndSteal closes the steal window and moves to state back.
+func (pe *simPE) EndSteal(ok bool, back stats.State) {
+	pe.StealEnd(ok, pe.Now())
+	pe.SetState(back)
 }
+
+// Steps and Staged: the engine third of the machine's Host (core.Host) in
+// virtual time is the stepped advance itself. A service point is a quantum
+// boundary at which the dispatcher finds a posted interrupt; a staged read
+// executes in its owner's context at the boundary it was staged against.
+func (pe *simPE) Steps(step core.Stepper) bool { return pe.p.AdvanceStepped(step) != 0 }
+func (pe *simPE) Staged(i int) int64           { return pe.p.StagedResult(i) }
+
+// Settle and Stopped: a simulated PE hands out no work that could come
+// back unfetched, and a simulation is never abandoned midway.
+func (pe *simPE) Settle(bool) bool { return false }
+func (pe *simPE) Stopped() bool    { return false }

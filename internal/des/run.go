@@ -70,8 +70,8 @@ type Config struct {
 	// conservatively with the machine model's minimum remote-hop cost as
 	// lookahead. Results are bit-identical to the sequential engines for
 	// any shard count; Shards is a parallelism knob, not a semantic one.
-	// It is capped at PEs. The shared-memory family (upc-shmem, upc-term,
-	// upc-term-rapdif) synchronizes through zero-latency lock handoffs and
+	// It is capped at PEs. The shared-memory family (upc-sharedmem, upc-term,
+	// upc-term-rapdif, upc-term-relaxed) synchronizes through zero-latency lock handoffs and
 	// always runs as a single shard. Zero selects the sequential engine
 	// named by Engine. Requires a model (and, with NodeSize >= 2, an Intra
 	// model) whose MinRemoteHop is positive when more than one shard is in
@@ -249,6 +249,9 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 	if cfg.NodeSize < 0 {
 		return nil, nil, info, fmt.Errorf("des: negative node size %d", cfg.NodeSize)
 	}
+	if cfg.Batch < 0 {
+		return nil, nil, info, fmt.Errorf("des: negative batch %d", cfg.Batch)
+	}
 	cs := newCosts(cfg.Model)
 	var sim *Sim
 	switch cfg.Engine {
@@ -340,21 +343,17 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 	}
 
 	var smp sampler
-	var err error
 	switch cfg.Algorithm {
 	case core.Static:
-		smp, err = simStatic(sim, sp, cfg, cs, res, finish)
+		smp = simStatic(sim, sp, cfg, cs, res, finish)
 	case core.UPCSharedMem, core.UPCTerm, core.UPCTermRapdif, core.UPCTermRelaxed:
-		smp, err = simShared(sim, sp, cfg, cs, res, core.SharedVariants[cfg.Algorithm], pset, finish)
+		smp = simShared(sim, sp, cfg, cs, res, core.SharedVariants[cfg.Algorithm], pset, finish)
 	case core.UPCDistMem, core.UPCDistMemHier:
-		smp, err = simDistMem(sim, sp, cfg, cs, res, pset, finish)
+		smp = simDistMem(sim, sp, cfg, cs, res, pset, finish)
 	case core.MPIWS:
-		smp, err = simMPIWS(sim, sp, cfg, cs, res, pset, finish)
+		smp = simMPIWS(sim, sp, cfg, cs, res, pset, finish)
 	default:
 		return nil, nil, info, fmt.Errorf("des: cannot simulate algorithm %q", cfg.Algorithm)
-	}
-	if err != nil {
-		return nil, nil, info, err
 	}
 
 	var trace *Trace

@@ -7,17 +7,17 @@ import (
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/stack"
-	"repro/internal/stats"
-	"repro/internal/term"
 	"repro/internal/uts"
 )
 
 // simSharedRun is the per-run shared state of the simulated shared-memory
 // family. All fields are mutated only by the PE currently scheduled by the
-// event loop, so no synchronization is needed.
+// event loop, so no synchronization is needed. Beyond the common remote
+// operations (upc.go) a PE of this family touches another's state
+// directly, under that PE's virtual lock, which is legal because the
+// family always runs as one shard.
 type simSharedRun struct {
-	cfg  Config
-	cs   costs
+	upcRun
 	mode core.SharedVariant
 	pes  []*simSharedPE
 
@@ -26,13 +26,10 @@ type simSharedRun struct {
 	cbCount  int
 	cbCancel bool
 	cbDone   bool
-
-	// Streamlined barrier (Section 3.3.1).
-	sbCount     int
-	sbAnnounced bool
 }
 
-// simSharedPE is one simulated PE of the shared-memory family. Under
+// simSharedPE is one simulated PE of the shared-memory family, the
+// machine's Host (core.Host) for it in virtual time. Under
 // Relaxed no path takes a lock: releases and reacquires cost one local
 // reference (the slot store / ledger CAS), steals cost two remote
 // references (slot scan + claim handshake) with no lock round trip, the
@@ -43,37 +40,27 @@ type simSharedRun struct {
 // takes never occur here: DES sweeps the protocol's cost shape, the
 // real-core backend exercises its races.
 type simSharedPE struct {
-	simPE
+	upcPE
 	r *simSharedRun
 
-	lock      Lock
-	pool      stack.Pool
-	workAvail int
+	lock Lock
 }
 
 // simShared sets up the PEs for upc-sharedmem / upc-term / upc-term-rapdif.
-func simShared(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, mode core.SharedVariant, ps *policy.Set, finish func(*Proc)) (sampler, error) {
-	r := &simSharedRun{cfg: cfg, cs: cs, mode: mode}
+func simShared(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, mode core.SharedVariant, ps *policy.Set, finish func(*Proc)) sampler {
+	r := &simSharedRun{upcRun: upcRun{cfg: cfg, cs: cs, upc: make([]*upcPE, cfg.PEs), freeAnnounce: true}, mode: mode}
+	sim.SetRemote(r.apply)
 	r.pes = make([]*simSharedPE, cfg.PEs)
 	for i := 0; i < cfg.PEs; i++ {
-		pe := &simSharedPE{simPE: newSimPE(sp, cfg, res, ps, i), r: r}
-		r.pes[i] = pe
+		pe := &simSharedPE{upcPE: upcPE{simPE: newSimPE(sp, cfg, res, ps, i), u: &r.upcRun}, r: r}
+		r.pes[i], r.upc[i] = pe, &pe.upcPE
 		if i == 0 {
 			pe.Local.Push(uts.Root(sp))
 		}
-		pe.spawn(sim, pe.main, finish)
+		m := &core.Machine{H: pe, PE: &pe.PE, Rng: pe.rng, Me: i, N: cfg.PEs, Stream: mode.StreamTerm}
+		pe.spawn(sim, m.Run, finish)
 	}
-	return func() (sources, working int) {
-		for _, pe := range r.pes {
-			if pe.workAvail > 0 {
-				sources++
-			}
-			if pe.Local.Len() > 0 || pe.pool.Len() > 0 {
-				working++
-			}
-		}
-		return
-	}, nil
+	return upcSampler(r.upc)
 }
 
 // acquire/release wrap the virtual lock with affinity-dependent costs and
@@ -90,37 +77,19 @@ func (pe *simSharedPE) release(l *Lock, cost time.Duration) {
 	pe.T.AddState(pe.state, pe.p.Now()-before)
 }
 
-func (pe *simSharedPE) main() {
-	pe.rec(obs.KindStateChange, -1, int64(stats.Working))
-	for {
-		pe.work()
-		if pe.r.mode.StreamTerm {
-			pe.workAvail = -1
-		}
-		pe.setState(stats.Searching)
-		if pe.search() {
-			pe.setState(stats.Working)
-			continue
-		}
-		pe.setState(stats.Idle)
-		pe.T.TermBarrierEntries++
-		pe.rec(obs.KindTermEnter, -1, 0)
-		if pe.terminate() {
-			return
-		}
-		pe.rec(obs.KindTermExit, -1, 0)
-		pe.setState(stats.Working)
-	}
-}
+// Service has nothing to answer: thieves of this family take from the pool
+// under the victim's lock rather than posting requests.
+func (pe *simSharedPE) Service() {}
 
-// work explores nodes as one stepped advance: each quantum is a batch of
+// Work explores nodes as one stepped advance: each quantum is a batch of
 // node work, ending the advance at the 2k release threshold and when the
 // local region drains — the lock-protected release/reacquire manipulations
 // run on the PE's own goroutine between advances, at the same virtual
 // instants as the original per-batch loop. Thieves of this family take
 // from the pool under the victim's lock rather than posting requests, so
-// no boundary ever needs an interrupt check.
-func (pe *simSharedPE) work() {
+// no boundary ever needs an interrupt check. Under streamlined termination
+// the PE returns with its counter saying it is out of work.
+func (pe *simSharedPE) Work() {
 	cs := &pe.r.cs
 	k := pe.Chunk(pe.r.cfg.Chunk)
 	batch := pe.r.cfg.Batch
@@ -148,7 +117,7 @@ func (pe *simSharedPE) work() {
 				d := time.Duration(pending) * cs.nodeCost
 				pending = 0
 				pe.FlushNodes()
-				pe.NoteCtl(pe.now())
+				pe.NoteCtl(pe.Now())
 				k = pe.Chunk(pe.r.cfg.Chunk)
 				return pe.charge(d), 0
 			}
@@ -156,7 +125,7 @@ func (pe *simSharedPE) work() {
 	}
 	for {
 		pe.p.AdvanceStepped(step)
-		pe.NoteCtl(pe.now())
+		pe.NoteCtl(pe.Now())
 		k = pe.Chunk(pe.r.cfg.Chunk)
 		if thresholdHit {
 			thresholdHit = false
@@ -164,6 +133,9 @@ func (pe *simSharedPE) work() {
 			continue
 		}
 		if !pe.reacquire() {
+			if pe.r.mode.StreamTerm {
+				pe.workAvail = -1
+			}
 			return
 		}
 	}
@@ -183,7 +155,7 @@ func (pe *simSharedPE) releaseChunk(k int) {
 		pe.pool.Put(chunk)
 		pe.workAvail = pe.pool.Len()
 		pe.T.Releases++
-		pe.rec(obs.KindRelease, -1, int64(pe.workAvail))
+		pe.Rec(obs.KindRelease, -1, int64(pe.workAvail))
 		return
 	}
 	pe.acquire(&pe.lock, cs.localRef)
@@ -192,7 +164,7 @@ func (pe *simSharedPE) releaseChunk(k int) {
 	pe.workAvail = pe.pool.Len()
 	pe.release(&pe.lock, cs.localRef)
 	pe.T.Releases++
-	pe.rec(obs.KindRelease, -1, int64(pe.workAvail))
+	pe.Rec(obs.KindRelease, -1, int64(pe.workAvail))
 	if !pe.r.mode.StreamTerm {
 		pe.cbCancelOp()
 	}
@@ -210,7 +182,7 @@ func (pe *simSharedPE) reacquire() bool {
 		}
 		pe.workAvail = pe.pool.Len()
 		pe.T.Reacquires++
-		pe.rec(obs.KindReacquire, -1, int64(len(c)))
+		pe.Rec(obs.KindReacquire, -1, int64(len(c)))
 		pe.Local.PushAll(c)
 		return true
 	}
@@ -225,88 +197,16 @@ func (pe *simSharedPE) reacquire() bool {
 		return false
 	}
 	pe.T.Reacquires++
-	pe.rec(obs.KindReacquire, -1, int64(len(c)))
+	pe.Rec(obs.KindReacquire, -1, int64(len(c)))
 	pe.Local.PushAll(c)
 	return true
 }
 
-func (pe *simSharedPE) search() bool {
-	r := pe.r
-	n := len(r.pes)
-	if n == 1 {
-		return false
-	}
-	var walk core.ProbeWalk
-	sawWorker := false
-	stealFrom := -1
-	exhausted := false
-	newWalk := func() {
-		walk = pe.rng.Walk(pe.me, n)
-		sawWorker = false
-	}
-	newWalk()
-	probing := false
-	victim := -1
-	// Each quantum is one probe's remote reference; the evaluation happens
-	// at the probe's completion instant inside the next step call.
-	step := func() (time.Duration, uint8) {
-		if probing {
-			probing = false
-			pe.T.Probes++
-			wa := pe.r.pes[victim].workAvail
-			pe.rec(obs.KindProbeResult, int32(victim), int64(wa))
-			if wa > 0 {
-				sawWorker = true
-				stealFrom = victim
-				return 0, StepDone
-			}
-			if wa >= 0 {
-				sawWorker = true
-			}
-			walk.Advance()
-			if walk.Exhausted() {
-				if !r.mode.StreamTerm || !sawWorker {
-					exhausted = true
-					return 0, StepDone
-				}
-				newWalk()
-			}
-		}
-		victim = walk.Victim()
-		pe.rec(obs.KindProbeStart, int32(victim), 0)
-		probing = true
-		return pe.charge(pe.r.cs.remoteRef), 0
-	}
-	for {
-		pe.p.AdvanceStepped(step)
-		if exhausted {
-			return false
-		}
-		v := stealFrom
-		stealFrom = -1
-		pe.beginSteal()
-		ok := pe.steal(v)
-		pe.endSteal(ok, stats.Searching)
-		pe.NoteCtl(pe.now())
-		if ok {
-			return true
-		}
-		walk.Advance()
-		if walk.Exhausted() {
-			if !r.mode.StreamTerm || !sawWorker {
-				return false
-			}
-			newWalk()
-		}
-		probing = false
-	}
-}
-
-func (pe *simSharedPE) steal(v int) bool {
+func (pe *simSharedPE) Steal(v int) bool {
 	r := pe.r
 	cs := &r.cs
 	vs := r.pes[v]
-	pe.rec(obs.KindStealRequest, int32(v), 0)
+	pe.Rec(obs.KindStealRequest, int32(v), 0)
 	if r.mode.Relaxed {
 		return pe.stealRelaxed(v)
 	}
@@ -330,8 +230,6 @@ func (pe *simSharedPE) steal(v int) bool {
 	}
 	pe.release(&vs.lock, cs.lockRTT)
 	if len(chunks) == 0 {
-		pe.T.FailedSteals++
-		pe.rec(obs.KindStealFail, int32(v), 0)
 		return false
 	}
 
@@ -340,7 +238,7 @@ func (pe *simSharedPE) steal(v int) bool {
 	pe.T.Steals++
 	pe.T.ChunksGot += int64(len(chunks))
 	pe.Stolen = total
-	pe.rec(obs.KindChunkTransfer, int32(v), int64(total))
+	pe.Rec(obs.KindChunkTransfer, int32(v), int64(total))
 
 	pe.Local.PushAll(chunks[0])
 	if len(chunks) > 1 {
@@ -370,15 +268,13 @@ func (pe *simSharedPE) stealRelaxed(v int) bool {
 	pe.advance(2 * cs.remoteRef) // slot scan + claim handshake
 	c, ok := vs.pool.TakeOldest()
 	if !ok {
-		pe.T.FailedSteals++
-		pe.rec(obs.KindStealFail, int32(v), 0)
 		return false
 	}
 	pe.advance(cs.bulk(len(c) * core.NodeBytes))
 	pe.T.Steals++
 	pe.T.ChunksGot++
 	pe.Stolen = len(c)
-	pe.rec(obs.KindChunkTransfer, int32(v), int64(len(c)))
+	pe.Rec(obs.KindChunkTransfer, int32(v), int64(len(c)))
 	pe.Local.PushAll(c)
 	if r.mode.StreamTerm {
 		pe.workAvail = 0
@@ -450,89 +346,11 @@ func (pe *simSharedPE) cbCancelOp() {
 	pe.release(&r.cbLock, pe.barrierLockCost())
 }
 
-// sbEnter mirrors term.StreamBarrier.Enter: one remote reference, and the
-// last arrival pays the log-depth tree announcement.
-func (pe *simSharedPE) sbEnter() bool {
-	r := pe.r
-	pe.advance(r.cs.remoteRef)
-	r.sbCount++
-	if r.sbCount == len(r.pes) {
-		if lv := term.AnnounceLevels(len(r.pes)); lv > 0 {
-			pe.advance(time.Duration(lv) * r.cs.remoteRef)
-		}
-		r.sbAnnounced = true
-		return true
-	}
-	return false
-}
-
-func (pe *simSharedPE) terminate() bool {
-	r := pe.r
-	if !r.mode.StreamTerm {
+// Enter enters the family's barrier: the streamlined one, or the
+// cancelable one, which waits inside.
+func (pe *simSharedPE) Enter() bool {
+	if !pe.r.mode.StreamTerm {
 		return pe.cbEnter()
 	}
-	if pe.sbEnter() {
-		return true
-	}
-	n := len(r.pes)
-	announced := false
-	stealFrom := -1
-	victim := -1
-	const (
-		tAnn = iota
-		tCheck
-		tEval
-	)
-	ph := tAnn
-	// Each in-barrier iteration: pay the announcement-flag poll, check it,
-	// probe a victim, evaluate — all inline while no earlier event lands.
-	step := func() (time.Duration, uint8) {
-		switch ph {
-		case tAnn:
-			ph = tCheck
-			return pe.charge(r.cs.remoteRef), 0
-		case tCheck:
-			if r.sbAnnounced {
-				announced = true
-				return 0, StepDone
-			}
-			victim = pe.rng.Victim(pe.me, n)
-			pe.rec(obs.KindProbeStart, int32(victim), 0)
-			ph = tEval
-			return pe.charge(pe.r.cs.remoteRef), 0
-		default: // tEval
-			pe.T.Probes++
-			wa := pe.r.pes[victim].workAvail
-			pe.rec(obs.KindProbeResult, int32(victim), int64(wa))
-			ph = tAnn
-			if wa > 0 {
-				stealFrom = victim
-				return 0, StepDone
-			}
-			return 0, 0
-		}
-	}
-	for {
-		pe.p.AdvanceStepped(step)
-		if announced {
-			return true
-		}
-		v := stealFrom
-		stealFrom = -1
-		if r.sbAnnounced {
-			return true
-		}
-		pe.advance(r.cs.remoteRef) // leave the barrier
-		r.sbCount--
-		pe.beginSteal()
-		ok := pe.steal(v)
-		pe.endSteal(ok, stats.Idle)
-		if ok {
-			return false
-		}
-		if pe.sbEnter() {
-			return true
-		}
-		ph = tAnn
-	}
+	return pe.upcPE.Enter()
 }

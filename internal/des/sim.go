@@ -8,14 +8,15 @@
 // time is virtual: exploring a node costs Model.NodeCost, a remote
 // reference costs Model.RemoteRef, a lock acquisition queues behind the
 // current holder, and so on. What the two substrates share by construction
-// is the per-PE shell (core.PE, embedded here through simPE in pe.go): the
-// node kernel, the node/leaf/depth counters, the live-progress flush, the
-// controller feedback points, plus the node wire size, the shared-memory
-// variant table and the controllers' base configuration. What is still
-// mirrored by hand is the protocol bodies themselves — work/search/steal/
-// terminate in core/{sharedmem,distmem,mpiws}.go against the step machines
-// of des/{shared,dist,mpi}.go — and the differential suites (exact counts
-// on both sides, golden fingerprints here) are what keep them honest.
+// is the per-PE shell (core.PE, embedded here through simPE in pe.go) — the
+// node kernel, the counters, the live-progress flush, the controller
+// feedback points — and, for the UPC algorithms, the Figure-1 loop with its
+// work discovery and termination wait: core.Machine, driven here by the
+// stepped advance and there by core.WallPE.Steps (TestMachineDriversAgree
+// holds the two drivers to one log). What is still mirrored by hand is how
+// work moves — the work/release/steal bodies of core/{sharedmem,distmem}.go
+// against des/{shared,dist}.go — and all of mpi-ws; the differential suites
+// (exact counts on both sides, golden fingerprints here) keep those honest.
 //
 // Because the event loop is sequential and tie-broken deterministically, a
 // simulation is an exact function of (tree spec, algorithm, machine
@@ -30,24 +31,29 @@
 //
 // # Engines
 //
-// Two engines implement that contract. The batched engine (the default,
+// Three engines implement that contract. The batched engine (the default,
 // New) dispatches events by baton passing: control moves from the event
 // queue to a PE and back through a single buffered channel send, the event
 // queue is a flat 4-ary indexed min-heap of value-typed entries, an
 // Advance whose deadline precedes every queued event commits inline
 // without touching the heap or parking the goroutine, and protocol loops
 // expressed as step functions (AdvanceStepped) run entirely inside the
-// dispatcher with zero goroutine switches. The legacy engine (NewLegacy)
-// keeps the original two-channel wake/park handshake and boxed
-// container/heap queue; it exists as the bit-identical reference for the
-// differential tests and benchmarks. Both engines execute the same events
-// in the same order — Sim.Events counts identically — they differ only in
-// how cheaply a boundary is reached.
+// dispatcher with zero goroutine switches. The sharded engine (NewSharded,
+// sharded.go) partitions the PEs over one such dispatcher per shard,
+// synchronized by conservative lookahead, with every cross-PE effect a
+// remote operation (remote.go). The legacy engine (NewLegacy) keeps the
+// original two-channel wake/park handshake and boxed container/heap queue;
+// it exists as the bit-identical reference for the differential tests and
+// benchmarks. All three execute the same events in the same order —
+// Sim.Events counts identically — they differ only in how cheaply a
+// boundary is reached.
 package des
 
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Sim is one simulation instance.
@@ -102,14 +108,15 @@ type Intr uint32
 // IntrSteal signals a pending steal request on the PE's request word.
 const IntrSteal Intr = 1 << 0
 
-// Step flags returned by a Stepper alongside the quantum duration.
+// Step flags returned by a Stepper alongside the quantum duration. The
+// vocabulary is core's, where the one protocol machine written in it lives.
 const (
 	// StepDone ends the stepped advance; AdvanceStepped returns 0.
-	StepDone uint8 = 1 << 0
+	StepDone = core.StepDone
 	// StepNoPoll suppresses the interrupt check at this quantum's
 	// boundary — used for boundaries where the original protocol had no
 	// service point, keeping the batched schedule bit-identical.
-	StepNoPoll uint8 = 1 << 1
+	StepNoPoll = core.StepNoPoll
 )
 
 // Stepper yields one quantum of a stepped advance: the virtual duration to
@@ -117,7 +124,7 @@ const (
 // may freely read and write simulation state (exactly one PE runs at any
 // instant) but must not call Advance, Block, or lock operations — they
 // execute in dispatcher context, possibly on another PE's goroutine.
-type Stepper func() (time.Duration, uint8)
+type Stepper = core.Stepper
 
 // procStatus is what a parked PE asked for (legacy engine).
 type procStatus int

@@ -15,7 +15,7 @@ import (
 // binomial trees, essentially the whole tree on one PE — which is the
 // quantitative form of the paper's premise that UTS cannot be statically
 // partitioned.
-func simStatic(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, finish func(*Proc)) (sampler, error) {
+func simStatic(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, finish func(*Proc)) sampler {
 	st := sp.Stream()
 	root := uts.Root(sp)
 	kids := uts.Children(sp, st, &root, nil)
@@ -39,7 +39,7 @@ func simStatic(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, f
 			}
 		}
 		return 0, working
-	}, nil
+	}
 }
 
 type simStaticPE struct {
@@ -50,7 +50,6 @@ type simStaticPE struct {
 }
 
 func (pe *simStaticPE) run() {
-	pe.rec(obs.KindStateChange, -1, int64(stats.Working))
 	if pe.extraRoot != nil {
 		pe.T.Nodes++
 		if pe.extraRoot.NumKids == 0 {
@@ -79,5 +78,5 @@ func (pe *simStaticPE) run() {
 			}
 		}
 	})
-	pe.rec(obs.KindStateChange, -1, int64(stats.Idle))
+	pe.Rec(obs.KindStateChange, -1, int64(stats.Idle))
 }
