@@ -95,15 +95,16 @@ bench-relaxed:
 bench-adapt:
 	ADAPT_BENCH_GATE=1 $(GO) test -run TestAdaptBenchGate -count=1 -v -timeout 10m ./internal/des/
 
-# Simulator fingerprints of the six Figure-1 algorithms: the uts-sim header
-# line (events=..., wall= stripped) and summary over trees x PE counts x
-# seeds, 270 deterministic runs (~15 s). A scheduler refactor that claims
-# "byte-identical" shows it with one diff:
+# Simulator fingerprints of all eight simulatable algorithms — every des
+# family: the six Figure-1 UPC variants, the mpi-ws baseline and static —
+# as the uts-sim header line (events=..., wall= stripped) and summary over
+# trees x PE counts x seeds, 360 deterministic runs (~40 s). A scheduler
+# refactor that claims "byte-identical" shows it with one diff:
 #   make -s fingerprints > /tmp/after.txt   (and the same in a checkout of
 #   the parent commit), then diff the two files.
 fingerprints:
 	@$(GO) build -o bin/uts-sim ./cmd/uts-sim
-	@for alg in upc-sharedmem upc-term upc-term-rapdif upc-term-relaxed upc-distmem upc-distmem-hier; do \
+	@for alg in upc-sharedmem upc-term upc-term-rapdif upc-term-relaxed upc-distmem upc-distmem-hier mpi-ws static; do \
 	for tree in bench-tiny t3-small bench-medium; do \
 	for pes in 1 2 7 64 256; do \
 	for seed in 1 2 3; do \

@@ -72,7 +72,6 @@ func (w *clusterWorker) Stopped() bool { return w.err != nil }
 // polling the request word (a local atomic) every node, and leaves the
 // work-available word saying the rank is out of work.
 func (w *clusterWorker) Work() {
-	t := &w.n.t
 	sinceYield := 0
 	for {
 		if sinceYield++; sinceYield >= core.ClusterYieldEvery {
@@ -95,17 +94,14 @@ func (w *clusterWorker) Work() {
 				return
 			}
 			w.n.workAvail.Store(int32(w.pool.Len()))
-			t.Reacquires++
-			w.Lane.Rec(obs.KindReacquire, -1, int64(len(c)))
-			w.Local.PushAll(c)
+			w.Reacquired(c)
 			w.n.putNodeBuf(c) // contents copied; buffer rejoins the cycle
 			continue
 		}
 		if w.Local.Len() >= 2*w.k {
 			w.pool.Put(w.Local.TakeBottomAppend(w.n.getNodeBuf(), w.k))
 			w.n.workAvail.Store(int32(w.pool.Len()))
-			t.Releases++
-			w.Lane.Rec(obs.KindRelease, -1, int64(w.pool.Len()))
+			w.Released(w.pool.Len())
 		}
 	}
 }
@@ -164,16 +160,10 @@ func (w *clusterWorker) service() error {
 		return err
 	}
 	w.n.reqWord.Store(-1)
-	w.n.t.Requests++
 	if amount > 0 {
-		w.Lane.Rec(obs.KindStealGrant, thief, int64(amount))
+		w.Granted(int(thief), int(amount))
 	} else {
-		w.Lane.Rec(obs.KindStealDeny, thief, 0)
-		if w.Ctl != nil && w.Local.Len() > 0 {
-			// Denied while holding private work: the release threshold is
-			// withholding — evidence toward a smaller k.
-			w.Ctl.NoteDenied()
-		}
+		w.Denied(int(thief))
 	}
 	return nil
 }
@@ -260,7 +250,6 @@ func (w *clusterWorker) StageAnnounced(time.Duration) time.Duration {
 // dead peer) — after which a confirmation probe separates a dead victim
 // from one whose response was merely lost.
 func (w *clusterWorker) Steal(v int) bool {
-	t := &w.n.t
 	w.Lane.Rec(obs.KindStealRequest, int32(v), 0)
 	resp, err := w.n.call(v, &request{Kind: kindCASRequest, From: w.me, Thief: int32(w.me)})
 	if err != nil || !resp.OK {
@@ -320,14 +309,9 @@ func (w *clusterWorker) Steal(v int) bool {
 		// steal outlived the stale-entry bound. The work stays at v.
 		return false
 	}
-	t.Steals++
-	t.ChunksGot += int64(len(got.Chunk))
-	total := stack.NodeCount(got.Chunk)
-	w.Stolen = total
-	w.Lane.Rec(obs.KindChunkTransfer, int32(v), int64(total))
-	w.Local.PushAll(got.Chunk[0])
+	rest := w.Landed(v, got.Chunk)
 	w.n.putNodeBuf(got.Chunk[0]) // contents copied; buffer rejoins the cycle
-	for _, c := range got.Chunk[1:] {
+	for _, c := range rest {
 		w.pool.Put(c)
 	}
 	w.n.workAvail.Store(int32(w.pool.Len()))

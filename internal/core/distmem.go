@@ -123,16 +123,13 @@ func (w *distWorker) Work() {
 				return
 			}
 			s.workAvail.Store(int32(s.pool.Len()))
-			w.T.Reacquires++
-			w.Lane.Rec(obs.KindReacquire, -1, int64(len(c)))
-			w.Local.PushAll(c)
+			w.Reacquired(c)
 			continue
 		}
 		if w.Local.Len() >= 2*k {
 			s.pool.Put(w.Local.TakeBottom(k))
 			s.workAvail.Store(int32(s.pool.Len()))
-			w.T.Releases++
-			w.Lane.Rec(obs.KindRelease, -1, int64(s.pool.Len()))
+			w.Released(s.pool.Len())
 		}
 	}
 }
@@ -158,17 +155,10 @@ func (w *distWorker) Service() {
 	ts.resp = chunks
 	ts.respReady.Store(true)
 	s.request.Store(noThief) // local write
-	w.T.Requests++
 	if len(chunks) > 0 {
-		w.Lane.Rec(obs.KindStealGrant, thief, int64(len(chunks)))
+		w.Granted(int(thief), len(chunks))
 	} else {
-		w.Lane.Rec(obs.KindStealDeny, thief, 0)
-		if w.Ctl != nil && w.Local.Len() > 0 {
-			// Denied while still holding local work: the victim-side
-			// witness that this thread's k is withholding work from live
-			// demand.
-			w.Ctl.NoteDenied()
-		}
+		w.Denied(int(thief))
 	}
 }
 
@@ -216,16 +206,9 @@ func (w *distWorker) Steal(v int) bool {
 	if len(chunks) == 0 {
 		return false
 	}
-	total := stack.NodeCount(chunks)
 	// One-sided get of the granted work.
-	r.dom.ChargeBulk(w.me, v, total*NodeBytes)
-	w.T.Steals++
-	w.T.ChunksGot += int64(len(chunks))
-	w.Stolen = total
-	w.Lane.Rec(obs.KindChunkTransfer, int32(v), int64(total))
-
-	w.Local.PushAll(chunks[0])
-	for _, c := range chunks[1:] {
+	r.dom.ChargeBulk(w.me, v, stack.NodeCount(chunks)*NodeBytes)
+	for _, c := range w.Landed(v, chunks) {
 		me.pool.Put(c)
 	}
 	me.workAvail.Store(int32(me.pool.Len()))

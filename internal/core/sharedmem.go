@@ -165,8 +165,7 @@ func (w *sharedWorker) release(k int) {
 	avail := int32(s.pool.Len())
 	s.workAvail.Store(avail)
 	s.lk.Release(w.me)
-	w.T.Releases++
-	w.Lane.Rec(obs.KindRelease, -1, int64(avail))
+	w.Released(int(avail))
 	if !w.run.variant.StreamTerm {
 		w.run.cb.Cancel(w.me)
 	}
@@ -200,8 +199,7 @@ func (w *sharedWorker) releaseRelaxed(k int) {
 	if s.ring.Live() == 1 {
 		s.workAvail.Store(1)
 	}
-	w.T.Releases++
-	w.Lane.Rec(obs.KindRelease, -1, int64(s.ring.Live()))
+	w.Released(s.ring.Live())
 }
 
 // reacquire moves the newest chunk of the thread's own shared region back
@@ -220,9 +218,7 @@ func (w *sharedWorker) reacquire() bool {
 	if !ok {
 		return false
 	}
-	w.T.Reacquires++
-	w.Lane.Rec(obs.KindReacquire, -1, int64(len(c)))
-	w.Local.PushAll(c)
+	w.Reacquired(c)
 	return true
 }
 
@@ -240,9 +236,7 @@ func (w *sharedWorker) reacquireRelaxed() bool {
 	if s.ring.Live() == 0 {
 		s.workAvail.Store(0)
 	}
-	w.T.Reacquires++
-	w.Lane.Rec(obs.KindReacquire, -1, int64(len(c)))
-	w.Local.PushAll(c)
+	w.Reacquired(c)
 	return true
 }
 
@@ -290,18 +284,11 @@ func (w *sharedWorker) Steal(v int) bool {
 
 	// Transfer outside the critical region: the victim keeps working
 	// while the one-sided get completes.
-	total := stack.NodeCount(chunks)
-	r.dom.ChargeBulk(w.me, v, total*NodeBytes)
-	w.T.Steals++
-	w.T.ChunksGot += int64(len(chunks))
-	w.Stolen = total
-	w.Lane.Rec(obs.KindChunkTransfer, int32(v), int64(total))
-
-	w.Local.PushAll(chunks[0])
-	if len(chunks) > 1 {
+	r.dom.ChargeBulk(w.me, v, stack.NodeCount(chunks)*NodeBytes)
+	if rest := w.Landed(v, chunks); len(rest) > 0 {
 		ms := w.stack()
 		ms.lk.Acquire(w.me)
-		for _, c := range chunks[1:] {
+		for _, c := range rest {
 			ms.pool.Put(c)
 		}
 		ms.workAvail.Store(int32(ms.pool.Len()))
@@ -338,11 +325,7 @@ func (w *sharedWorker) stealRelaxed(v int) bool {
 		return false
 	}
 	r.dom.ChargeBulk(w.me, v, len(c)*NodeBytes)
-	w.T.Steals++
-	w.T.ChunksGot++
-	w.Stolen = len(c)
-	w.Lane.Rec(obs.KindChunkTransfer, int32(v), int64(len(c)))
-	w.Local.PushAll(c)
+	w.Landed(v, []stack.Chunk{c})
 	if r.variant.StreamTerm {
 		// Back to "working, no surplus" (own stack: still single-writer).
 		w.stack().workAvail.Store(0)

@@ -24,9 +24,10 @@ const NodeBytes = 28
 // workers here and the cluster's rank worker reach it through WallPE; the
 // simulator's PEs wrap it in their virtual-time adapter (des/pe.go).
 //
-// The shell is clock-free, like policy.Controller: every timestamp is the
-// caller's, so virtual-time runs stay deterministic. A nil Lane and a nil
-// Ctl make every method a no-op beyond the counters, which is the
+// The shell is clock-free, like policy.Controller: every timestamp that
+// feeds a decision is the caller's, so virtual-time runs stay
+// deterministic; only trace events are stamped here (Rec). A nil Lane and
+// a nil Ctl make every method a no-op beyond the counters, which is the
 // untraced, fixed-knob fast path.
 type PE struct {
 	T     *stats.Thread
@@ -34,6 +35,10 @@ type PE struct {
 	Ex    *uts.Expander
 	Lane  *obs.Lane          // nil when the run is untraced
 	Ctl   *policy.Controller // nil when the run is not adaptive
+
+	// Virt is the virtual clock trace events are stamped with; nil on the
+	// wall clock. The simulator binds it when the PE's process starts.
+	Virt func() time.Duration
 
 	// Stolen is the node count delivered by the steal in flight: steal
 	// bodies set it on success, StealEnd reports it to the controller.
@@ -103,6 +108,14 @@ func (pe *PE) Chunk(fixed int) int {
 	return fixed
 }
 
+// Poll returns the mpi-ws poll interval in effect, like Chunk.
+func (pe *PE) Poll(fixed int) int {
+	if pe.Ctl != nil {
+		return pe.Ctl.Poll()
+	}
+	return fixed
+}
+
 // VictimTier returns the node width a probe cycle should group same-node
 // victims by, given the scheduler's topology (nodeSize <= 1: none): that
 // width under the hierarchical algorithm, or when the controller found
@@ -112,6 +125,75 @@ func (pe *PE) VictimTier(hier bool, nodeSize int) int {
 		return nodeSize
 	}
 	return 1
+}
+
+// Rec records a trace event stamped with the PE's timebase: the virtual
+// clock if one is bound, else the wall clock.
+//
+//uts:noalloc
+func (pe *PE) Rec(k obs.Kind, other int32, value int64) {
+	switch {
+	case pe.Lane == nil: // untraced
+	case pe.Virt != nil:
+		pe.Lane.RecV(k, other, value, pe.Virt())
+	default:
+		pe.Lane.Rec(k, other, value)
+	}
+}
+
+// The work-movement events: what every protocol on every substrate books
+// and traces when a chunk changes hands. Charges, locks, work-available
+// stores and buffer recycling are the protocol's and stay at its call
+// sites.
+
+// Released books a chunk made stealable, leaving avail of them.
+//
+//uts:noalloc
+func (pe *PE) Released(avail int) {
+	pe.T.Releases++
+	pe.Rec(obs.KindRelease, -1, int64(avail))
+}
+
+// Reacquired books the owner taking chunk c back and puts it on the local
+// stack.
+//
+//uts:noalloc
+func (pe *PE) Reacquired(c stack.Chunk) {
+	pe.T.Reacquires++
+	pe.Rec(obs.KindReacquire, -1, int64(len(c)))
+	pe.Local.PushAll(c)
+}
+
+// Granted books a steal request from thief answered with n chunks.
+func (pe *PE) Granted(thief, n int) {
+	pe.T.Requests++
+	pe.Rec(obs.KindStealGrant, int32(thief), int64(n))
+}
+
+// Denied books a steal request from thief answered with nothing. Denying
+// while the local stack still holds work is the victim-side witness that
+// the release threshold (2k) withholds work from live demand — evidence
+// toward a smaller k.
+func (pe *PE) Denied(thief int) {
+	pe.T.Requests++
+	if pe.Ctl != nil && pe.Local.Len() > 0 {
+		pe.Ctl.NoteDenied()
+	}
+	pe.Rec(obs.KindStealDeny, int32(thief), 0)
+}
+
+// Landed books a successful steal of chunks (at least one) from v and puts
+// the first on the local stack. The rest are returned for the caller to
+// store: further chunks make the thief a work source itself (Section
+// 3.3.2).
+func (pe *PE) Landed(v int, chunks []stack.Chunk) []stack.Chunk {
+	total := stack.NodeCount(chunks)
+	pe.T.Steals++
+	pe.T.ChunksGot += int64(len(chunks))
+	pe.Stolen = total
+	pe.Rec(obs.KindChunkTransfer, int32(v), int64(total))
+	pe.Local.PushAll(chunks[0])
+	return chunks[1:]
 }
 
 // StealBegin opens the controller's steal-latency window at now.
@@ -195,9 +277,6 @@ func (w *WallPE) EndSteal(ok bool, back stats.State) {
 	w.StealEnd(ok, w.Now())
 	w.SetState(back)
 }
-
-// Rec records a trace event stamped with the wall clock.
-func (w *WallPE) Rec(k obs.Kind, other int32, value int64) { w.Lane.Rec(k, other, value) }
 
 // Steps is the machine's engine on the wall clock, the synchronous
 // counterpart of the simulator's stepped advance: quanta run back to back

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/policy"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/uts"
 )
@@ -119,6 +120,39 @@ func TestShellHotPathAllocatesNothing(t *testing.T) {
 		pe.NoteCtl(1)
 	}); n != 0 {
 		t.Errorf("NoteCtl: %v allocs/op", n)
+	}
+	// The release/reacquire pair, traced on either clock.
+	chunk := make(stack.Chunk, 16)
+	for _, virt := range []func() time.Duration{nil, func() time.Duration { return 7 }} {
+		pe.Virt = virt
+		if n := testing.AllocsPerRun(2000, func() {
+			pe.Released(1)
+			pe.Reacquired(chunk)
+			pe.Local.TakeBottomAppend(chunk[:0], len(chunk))
+		}); n != 0 {
+			t.Errorf("Released+Reacquired (virtual clock: %v): %v allocs/op", virt != nil, n)
+		}
+	}
+}
+
+// TestShellWorkMovementBooks: each work-movement event moves exactly its
+// counters, and a landed steal keeps its first chunk and hands back the
+// rest.
+func TestShellWorkMovementBooks(t *testing.T) {
+	set := policy.NewSet(&policy.Config{Window: time.Hour}, policy.Base{Chunk: 16}, 1)
+	var th stats.Thread
+	pe := NewPE(&uts.BenchTiny, &th, nil, set.Controller(0))
+	pe.Released(3)
+	pe.Reacquired(make(stack.Chunk, 4))
+	pe.Granted(2, 1)
+	pe.Denied(2)
+	rest := pe.Landed(1, []stack.Chunk{make(stack.Chunk, 2), make(stack.Chunk, 3)})
+	got := [6]int64{th.Releases, th.Reacquires, th.Requests, th.Steals, th.ChunksGot, int64(pe.Local.Len())}
+	if want := [6]int64{1, 1, 2, 1, 2, 4 + 2}; got != want {
+		t.Errorf("releases/reacquires/requests/steals/chunksGot/depth = %v, want %v", got, want)
+	}
+	if len(rest) != 1 || len(rest[0]) != 3 || pe.Stolen != 5 {
+		t.Errorf("Landed returned %d chunks, Stolen = %d; want the second chunk back and 5 nodes", len(rest), pe.Stolen)
 	}
 }
 

@@ -94,6 +94,23 @@ func TestAdaptOffByteIdentical(t *testing.T) {
 		{"hier-7pe-partial-node", &uts.T3Small,
 			Config{Algorithm: core.UPCDistMemHier, PEs: 7, Chunk: 16, Model: &pgas.KittyHawk, NodeSize: 8, Intra: &altix, Seed: 12},
 			fingerprint{599088, 3209, 6089, 14, 2283, 13, 17}},
+		// mpi-ws corners, recorded at the commit before the simulated and the
+		// real rank became one core.MsgRank: a lone rank (terminates without a
+		// message), 2 ranks (the token ring is one hop each way), the finest
+		// grain (a poll per node, one-node grants), and the benchmark's
+		// sim_msgpoll shape.
+		{"mpiws-1pe-kh", &uts.T3Small,
+			Config{Algorithm: core.MPIWS, PEs: 1, Chunk: 16, PollInterval: 8, Model: &pgas.KittyHawk, Seed: 13},
+			fingerprint{2926202, 1525, 6089, 0, 0, 0, 0}},
+		{"mpiws-2pe-altix", &uts.T3Small,
+			Config{Algorithm: core.MPIWS, PEs: 2, Chunk: 8, PollInterval: 8, Model: &pgas.Altix, Seed: 14},
+			fingerprint{2801885, 2116, 6089, 12, 28, 15, 12}},
+		{"mpiws-poll1-k1-kh", &uts.T3Small,
+			Config{Algorithm: core.MPIWS, PEs: 16, Chunk: 1, PollInterval: 1, Model: &pgas.KittyHawk, Seed: 15},
+			fingerprint{1976803, 44364, 6089, 425, 2830, 2391, 425}},
+		{"mpiws-msgpoll-256pe-kh", &uts.BenchSmall,
+			Config{Algorithm: core.MPIWS, PEs: 256, Chunk: 16, PollInterval: 8, Model: &pgas.KittyHawk, Seed: 16},
+			fingerprint{8156183, 2525770, 63575, 108, 226044, 225700, 108}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -288,5 +305,32 @@ func TestAdaptiveSummaryRendered(t *testing.T) {
 	}
 	if strings.Contains(res.Summary(), "adaptive:") {
 		t.Errorf("fixed-knob summary must not mention adaptation:\n%s", res.Summary())
+	}
+}
+
+// TestMPIWSSamplerFollowsAdaptedChunk: the diffusion sampler counts a rank
+// as a work source by the rule a steal request is granted by (the adapted
+// 2k, core.MsgRank.Grantable), so a traced adaptive run started from a k
+// too large to ever be reached cannot report successful steals from zero
+// sources.
+func TestMPIWSSamplerFollowsAdaptedChunk(t *testing.T) {
+	cfg := Config{Algorithm: core.MPIWS, PEs: 16, Chunk: 128, PollInterval: 8,
+		Model: &pgas.KittyHawk, Seed: 51, Adapt: &policy.Config{}}
+	res, tr, err := RunTraced(&uts.T3Small, cfg, time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steals := res.Sum(func(t *stats.Thread) int64 { return t.Steals })
+	peak := 0
+	for _, s := range tr.Samples {
+		if s.WorkSources > peak {
+			peak = s.WorkSources
+		}
+	}
+	if steals == 0 {
+		t.Fatalf("the configuration no longer exercises the rule: no steals (policy: %s)", res.Policy)
+	}
+	if peak == 0 {
+		t.Errorf("%d steals succeeded but the sampler never saw a work source", steals)
 	}
 }

@@ -98,7 +98,7 @@ func simDistMem(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, 
 func (pe *simDistPE) Work() {
 	cs := &pe.r.cs
 	k := pe.Chunk(pe.r.cfg.Chunk)
-	batch := pe.r.cfg.Batch
+	batch := pe.r.cfg.batch()
 	pending := 0
 	releasing := false
 	drained := false
@@ -108,8 +108,7 @@ func (pe *simDistPE) Work() {
 			releasing = false
 			pe.pool.Put(pe.Local.TakeBottom(k))
 			pe.workAvail = pe.pool.Len()
-			pe.T.Releases++
-			pe.Rec(obs.KindRelease, -1, int64(pe.workAvail))
+			pe.Released(pe.workAvail)
 		}
 		if drained {
 			drained = false
@@ -119,9 +118,7 @@ func (pe *simDistPE) Work() {
 				return 0, StepDone
 			}
 			pe.workAvail = pe.pool.Len()
-			pe.T.Reacquires++
-			pe.Rec(obs.KindReacquire, -1, int64(len(c)))
-			pe.Local.PushAll(c)
+			pe.Reacquired(c)
 		}
 		for {
 			if !pe.Visit() {
@@ -178,16 +175,10 @@ func (pe *simDistPE) Service() {
 	pe.T.AddState(pe.state, d)
 	pe.p.RemoteSend(thief, d, 0, opDistDeliver, 0, 0, chunks)
 	pe.request = -1
-	pe.T.Requests++
 	if len(chunks) > 0 {
-		pe.Rec(obs.KindStealGrant, int32(thief), int64(len(chunks)))
+		pe.Granted(thief, len(chunks))
 	} else {
-		if pe.Ctl != nil && pe.Local.Len() > 0 {
-			// Denied while the local stack holds work: victim-side evidence
-			// that the 2k release threshold is withholding work from demand.
-			pe.Ctl.NoteDenied()
-		}
-		pe.Rec(obs.KindStealDeny, int32(thief), 0)
+		pe.Denied(thief)
 	}
 }
 
@@ -246,15 +237,8 @@ func (pe *simDistPE) Steal(v int) bool {
 	if len(chunks) == 0 {
 		return false
 	}
-	total := stack.NodeCount(chunks)
-	pe.advance(r.between(pe.me, v).bulk(total * core.NodeBytes)) // one-sided get
-	pe.T.Steals++
-	pe.T.ChunksGot += int64(len(chunks))
-	pe.Stolen = total
-	pe.Rec(obs.KindChunkTransfer, int32(v), int64(total))
-
-	pe.Local.PushAll(chunks[0])
-	for _, c := range chunks[1:] {
+	pe.advance(r.between(pe.me, v).bulk(stack.NodeCount(chunks) * core.NodeBytes)) // one-sided get
+	for _, c := range pe.Landed(v, chunks) {
 		pe.pool.Put(c)
 	}
 	pe.workAvail = pe.pool.Len()

@@ -12,8 +12,9 @@ import (
 
 // simPE is the per-PE shell of internal/core on the virtual clock: what
 // every simulated PE embeds. Time is charged to the PE's current Figure-1
-// state as it is consumed, and trace events and controller feedback are
-// stamped with Proc.Now, so neither can perturb a schedule.
+// state as it is consumed, and trace events (core.PE.Rec through Virt) and
+// controller feedback are stamped with Proc.Now, so neither can perturb a
+// schedule.
 type simPE struct {
 	core.PE
 	p     *Proc
@@ -36,6 +37,7 @@ func newSimPE(sp *uts.Spec, cfg Config, res *core.Result, ps *policy.Set, i int)
 func (pe *simPE) spawn(sim *Sim, body func(), finish func(*Proc)) {
 	sim.Spawn(func(p *Proc) {
 		pe.p = p
+		pe.Virt = p.Now
 		pe.Rec(obs.KindStateChange, -1, int64(stats.Working))
 		body()
 		finish(p)
@@ -57,11 +59,6 @@ func (pe *simPE) advance(d time.Duration) {
 func (pe *simPE) charge(d time.Duration) time.Duration {
 	pe.T.AddState(pe.state, d)
 	return d
-}
-
-// Rec records an event stamped with the PE's current virtual time.
-func (pe *simPE) Rec(k obs.Kind, other int32, value int64) {
-	pe.Lane.RecV(k, other, value, pe.p.Now())
 }
 
 // SetState pairs the stats state charge target with the tracer's state

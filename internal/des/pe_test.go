@@ -10,8 +10,7 @@ import (
 
 // TestNegativePollAndNodeSizeRejected: des.run mirrors core's option
 // validation, so the same bad input is an error on both substrates
-// instead of a silently odd simulation. Batch is the simulator's own knob
-// (core polls per node) and is held to the same rule.
+// instead of a silently odd simulation.
 func TestNegativePollAndNodeSizeRejected(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config
@@ -19,14 +18,10 @@ func TestNegativePollAndNodeSizeRejected(t *testing.T) {
 	}{
 		{Config{Algorithm: core.MPIWS, PEs: 4, PollInterval: -1}, "negative poll interval -1"},
 		{Config{Algorithm: core.UPCDistMemHier, PEs: 4, NodeSize: -2}, "negative node size -2"},
-		{Config{Algorithm: core.UPCDistMem, PEs: 4, Batch: -3}, "negative batch -3"},
 	} {
 		_, err := Run(&uts.BenchTiny, tc.cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: got error %v, want one containing %q", tc.cfg, err, tc.want)
-		}
-		if tc.cfg.Batch != 0 {
-			continue
 		}
 		copt := core.Options{Algorithm: tc.cfg.Algorithm, Threads: 2, PollInterval: tc.cfg.PollInterval, NodeSize: tc.cfg.NodeSize}
 		if _, cerr := core.Run(&uts.BenchTiny, copt); cerr == nil {

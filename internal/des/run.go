@@ -30,11 +30,6 @@ type Config struct {
 	// PollInterval is the number of nodes an mpi-ws rank explores between
 	// message-queue polls; default 8.
 	PollInterval int
-	// Batch is the number of nodes a UPC-variant PE explores between
-	// protocol service points (request polling happens per node in the
-	// real implementation; the simulator batches it to bound event
-	// counts). Default min(Chunk, 8), at least 1.
-	Batch int
 	// Seed randomizes probe orders.
 	Seed int64
 	// NodeSize, when >= 2, groups PEs into cluster nodes of NodeSize
@@ -121,14 +116,13 @@ func (c Config) withDefaults() Config {
 	if c.PollInterval == 0 {
 		c.PollInterval = 8
 	}
-	if c.Batch == 0 {
-		c.Batch = c.Chunk
-		if c.Batch > 8 {
-			c.Batch = 8
-		}
-	}
 	return c
 }
+
+// batch is the number of nodes a UPC-variant or static PE explores between
+// protocol service points: request polling happens per node in the real
+// implementation; the simulator batches it to bound event counts.
+func (c Config) batch() int { return min(c.Chunk, 8) }
 
 // costs holds the clamped per-operation virtual costs for a run.
 type costs struct {
@@ -248,9 +242,6 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 	}
 	if cfg.NodeSize < 0 {
 		return nil, nil, info, fmt.Errorf("des: negative node size %d", cfg.NodeSize)
-	}
-	if cfg.Batch < 0 {
-		return nil, nil, info, fmt.Errorf("des: negative batch %d", cfg.Batch)
 	}
 	cs := newCosts(cfg.Model)
 	var sim *Sim

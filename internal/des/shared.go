@@ -92,7 +92,7 @@ func (pe *simSharedPE) Service() {}
 func (pe *simSharedPE) Work() {
 	cs := &pe.r.cs
 	k := pe.Chunk(pe.r.cfg.Chunk)
-	batch := pe.r.cfg.Batch
+	batch := pe.r.cfg.batch()
 	pending := 0
 	thresholdHit := false
 	step := func() (time.Duration, uint8) {
@@ -154,8 +154,7 @@ func (pe *simSharedPE) releaseChunk(k int) {
 		pe.advance(cs.localRef)
 		pe.pool.Put(chunk)
 		pe.workAvail = pe.pool.Len()
-		pe.T.Releases++
-		pe.Rec(obs.KindRelease, -1, int64(pe.workAvail))
+		pe.Released(pe.workAvail)
 		return
 	}
 	pe.acquire(&pe.lock, cs.localRef)
@@ -163,8 +162,7 @@ func (pe *simSharedPE) releaseChunk(k int) {
 	pe.pool.Put(chunk)
 	pe.workAvail = pe.pool.Len()
 	pe.release(&pe.lock, cs.localRef)
-	pe.T.Releases++
-	pe.Rec(obs.KindRelease, -1, int64(pe.workAvail))
+	pe.Released(pe.workAvail)
 	if !pe.r.mode.StreamTerm {
 		pe.cbCancelOp()
 	}
@@ -181,9 +179,7 @@ func (pe *simSharedPE) reacquire() bool {
 			return false
 		}
 		pe.workAvail = pe.pool.Len()
-		pe.T.Reacquires++
-		pe.Rec(obs.KindReacquire, -1, int64(len(c)))
-		pe.Local.PushAll(c)
+		pe.Reacquired(c)
 		return true
 	}
 	pe.acquire(&pe.lock, cs.localRef)
@@ -196,9 +192,7 @@ func (pe *simSharedPE) reacquire() bool {
 	if !ok {
 		return false
 	}
-	pe.T.Reacquires++
-	pe.Rec(obs.KindReacquire, -1, int64(len(c)))
-	pe.Local.PushAll(c)
+	pe.Reacquired(c)
 	return true
 }
 
@@ -233,17 +227,10 @@ func (pe *simSharedPE) Steal(v int) bool {
 		return false
 	}
 
-	total := stack.NodeCount(chunks)
-	pe.advance(cs.bulk(total * core.NodeBytes))
-	pe.T.Steals++
-	pe.T.ChunksGot += int64(len(chunks))
-	pe.Stolen = total
-	pe.Rec(obs.KindChunkTransfer, int32(v), int64(total))
-
-	pe.Local.PushAll(chunks[0])
-	if len(chunks) > 1 {
+	pe.advance(cs.bulk(stack.NodeCount(chunks) * core.NodeBytes))
+	if rest := pe.Landed(v, chunks); len(rest) > 0 {
 		pe.acquire(&pe.lock, cs.localRef)
-		for _, c := range chunks[1:] {
+		for _, c := range rest {
 			pe.pool.Put(c)
 		}
 		pe.workAvail = pe.pool.Len()
@@ -271,11 +258,7 @@ func (pe *simSharedPE) stealRelaxed(v int) bool {
 		return false
 	}
 	pe.advance(cs.bulk(len(c) * core.NodeBytes))
-	pe.T.Steals++
-	pe.T.ChunksGot++
-	pe.Stolen = len(c)
-	pe.Rec(obs.KindChunkTransfer, int32(v), int64(len(c)))
-	pe.Local.PushAll(c)
+	pe.Landed(v, []stack.Chunk{c})
 	if r.mode.StreamTerm {
 		pe.workAvail = 0
 	}

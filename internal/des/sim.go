@@ -10,13 +10,19 @@
 // current holder, and so on. What the two substrates share by construction
 // is the per-PE shell (core.PE, embedded here through simPE in pe.go) — the
 // node kernel, the counters, the live-progress flush, the controller
-// feedback points — and, for the UPC algorithms, the Figure-1 loop with its
-// work discovery and termination wait: core.Machine, driven here by the
-// stepped advance and there by core.WallPE.Steps (TestMachineDriversAgree
-// holds the two drivers to one log). What is still mirrored by hand is how
-// work moves — the work/release/steal bodies of core/{sharedmem,distmem}.go
-// against des/{shared,dist}.go — and all of mpi-ws; the differential suites
-// (exact counts on both sides, golden fingerprints here) keep those honest.
+// feedback points, the bookkeeping of every work-movement event (released,
+// reacquired, granted, denied, landed) — and the protocol loops: for the
+// UPC algorithms the Figure-1 loop with its work discovery and termination
+// wait, core.Machine, driven here by the stepped advance and there by
+// core.WallPE.Steps; for mpi-ws the whole rank — message handling, the
+// idle/steal-request loop, the Dijkstra token ring — core.MsgRank, over
+// the inbox of mpi.go here and msg.Comm there (TestMachineDriversAgree and
+// TestMsgRankDriversAgree hold each pair of drivers to one log). What is
+// still mirrored by hand is the UPC work/release/steal bodies — what is
+// charged, locked and stored around those events, core/{sharedmem,distmem}.go
+// against des/{shared,dist}.go — and mpi-ws's poll loop (Work); the
+// differential suites (exact counts on both sides, golden fingerprints
+// here) keep those honest.
 //
 // Because the event loop is sequential and tie-broken deterministically, a
 // simulation is an exact function of (tree spec, algorithm, machine

@@ -22,7 +22,7 @@ func simStatic(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, f
 
 	pes := make([]*simStaticPE, cfg.PEs)
 	for i := 0; i < cfg.PEs; i++ {
-		pe := &simStaticPE{simPE: newSimPE(sp, cfg, res, nil, i), cs: cs, batch: cfg.Batch}
+		pe := &simStaticPE{simPE: newSimPE(sp, cfg, res, nil, i), cs: cs, batch: cfg.batch()}
 		pes[i] = pe
 		if i == 0 {
 			pe.extraRoot = &root

@@ -30,7 +30,6 @@ func TuneChunk(sp *uts.Spec, cfg Config, candidates []int) (best int, results ma
 		}
 		c := cfg
 		c.Chunk = k
-		c.Batch = 0 // re-derive the service batch from each chunk size
 		res, runErr := Run(sp, c)
 		if runErr != nil {
 			return 0, nil, fmt.Errorf("des: tuning chunk %d: %w", k, runErr)
