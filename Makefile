@@ -34,9 +34,11 @@ lint: bin/uts-vet
 		echo "lint: govulncheck not installed; skipping (CI runs it)"; \
 	fi
 
-# Seeded-corpus fuzz smoke for the -fault mini-language parser.
+# Seeded-corpus fuzz smoke: the -fault mini-language parser, and both
+# spawn kernels against crypto/sha1 (the SHA-NI leg self-skips without it).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime=10s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzSpawnKernels -fuzztime=10s ./internal/rng/
 
 build:
 	$(GO) build ./...

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cliflags"
+	"repro/internal/rng"
 	"repro/internal/uts"
 )
 
@@ -27,6 +28,8 @@ func main() {
 	if only != nil {
 		specs = []*uts.Spec{only}
 	}
+	// A sequential rate is a spawn-kernel rate: never print one without it.
+	fmt.Printf("# BRG spawn kernel: %s\n", rng.KernelName())
 	fmt.Printf("%-14s %-6s %12s %12s %8s %10s\n", "tree", "rng", "nodes", "leaves", "maxdep", "Mnodes/s")
 	for _, sp := range specs {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)

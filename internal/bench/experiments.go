@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/pgas"
+	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/uts"
 )
@@ -104,7 +105,7 @@ var chunkSweep = []int{1, 2, 4, 8, 16, 32, 64, 128}
 func E1Sequential(sc Scale) (*Table, error) {
 	t := &Table{
 		ID:      "E1",
-		Title:   "Sequential exploration rate (Section 4.1)",
+		Title:   "Sequential exploration rate (Section 4.1), BRG spawn kernel: " + rng.KernelName(),
 		Columns: []string{"tree", "rng", "nodes", "Mnodes/s"},
 		Notes: []string{
 			"paper: 2.10M/s (Topsail), 2.39M/s (Kitty Hawk), 1.12M/s (Altix); rate is SHA-1 bound",

@@ -1,15 +1,20 @@
 package rng
 
-import "encoding/binary"
+import (
+	"crypto/sha1"
+	"encoding/binary"
+)
 
 // BRG is the SHA-1 based splittable stream from the UTS distribution
 // (named after the Brian Gladman reference implementation UTS shipped).
 // A node's state is a SHA-1 digest; child states are digests of the parent
 // state concatenated with the 4-byte big-endian child index. This is the
 // generator used for all results in the paper: the sequential exploration
-// rate of UTS is essentially the machine's SHA-1 throughput. The digest
-// comes from this package's own RFC 3174 implementation (sha1.go), just
-// as UTS shipped its own; the tests cross-check it against crypto/sha1.
+// rate of UTS is essentially the machine's SHA-1 throughput. The root
+// state is one crypto/sha1 call per tree; every spawn goes through a
+// kernel specialized to the fixed 24-byte message (sha1spawn.go, and
+// sha1spawn_amd64.s where the CPU has the SHA extensions), which the
+// tests pin to crypto/sha1.
 //
 // BRG is safe for concurrent use; it holds no state.
 type BRG struct{}
@@ -18,11 +23,11 @@ type BRG struct{}
 func (BRG) Init(seed int32) State {
 	var buf [4]byte
 	binary.BigEndian.PutUint32(buf[:], uint32(seed))
-	return State(sha1Sum(buf[:]))
+	return State(sha1.Sum(buf[:]))
 }
 
 // Spawn hashes the parent state and the child index into the child state,
-// through the specialized single-block kernel of sha1spawn.go.
+// through the specialized single-block spawn kernel.
 func (BRG) Spawn(s *State, i int) State {
 	return sha1Spawn(s, i)
 }
@@ -36,25 +41,12 @@ func (BRG) SpawnInto(dst *State, s *State, i int) {
 }
 
 // SpawnMany fills dst[j] with the state of child base+j of s for every j,
-// hoisting the parent-dependent prefix of the kernel (message words and
-// rounds 0..4) once across the whole batch. It is equivalent to len(dst)
-// calls to Spawn with consecutive indices.
+// loading the parent once for the whole batch. It is equivalent to
+// len(dst) calls to Spawn with consecutive indices.
 func (BRG) SpawnMany(dst []State, s *State, base int) {
 	var z Spawner
 	z.Reset(s)
-	for j := range dst {
-		z.SpawnInto(&dst[j], base+j)
-	}
-}
-
-// spawnGeneric is the pre-specialization spawn path, retained as the
-// differential reference for the fast kernel (see sha1spawn_test.go) and
-// as the baseline leg of the BenchmarkSpawn suite.
-func spawnGeneric(s *State, i int) State {
-	var buf [StateSize + 4]byte
-	copy(buf[:StateSize], s[:])
-	binary.BigEndian.PutUint32(buf[StateSize:], uint32(i))
-	return State(sha1Sum(buf[:]))
+	z.SpawnMany(dst, base)
 }
 
 // Rand interprets the last four state bytes as a big-endian word and masks

@@ -11,7 +11,11 @@
 //     20-byte SHA-1 digest; spawning child i hashes the parent state
 //     concatenated with i. Cryptographic mixing guarantees that sibling
 //     subtrees are statistically independent, which is what gives UTS its
-//     extreme, position-independent imbalance.
+//     extreme, position-independent imbalance. The hash is crypto/sha1's
+//     function; spawns compute it with a kernel specialized to the fixed
+//     24-byte message — SHA-NI, two sibling lanes per call, where the CPU
+//     has it, unrolled Go elsewhere (KernelName says which) — and the
+//     tests pin both to crypto/sha1.
 //   - ALFG: an additive lagged-Fibonacci generator. Much cheaper per spawn,
 //     used for very large simulator runs where SHA-1 would dominate runtime.
 //

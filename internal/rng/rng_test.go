@@ -1,7 +1,6 @@
 package rng
 
 import (
-	"crypto/sha1"
 	"testing"
 	"testing/quick"
 )
@@ -175,57 +174,5 @@ func BenchmarkSpawnALFG(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		st = s.Spawn(&st, i&1)
-	}
-}
-
-// TestSHA1AgainstStdlib cross-checks the from-scratch RFC 3174
-// implementation against crypto/sha1 on random inputs of every length
-// class (empty, sub-block, exact block, padding overflow, multi-block).
-func TestSHA1AgainstStdlib(t *testing.T) {
-	f := func(data []byte) bool {
-		return sha1Sum(data) == sha1.Sum(data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-	for _, n := range []int{0, 1, 23, 55, 56, 63, 64, 65, 119, 120, 127, 128, 1000} {
-		data := make([]byte, n)
-		for i := range data {
-			data[i] = byte(i * 37)
-		}
-		if sha1Sum(data) != sha1.Sum(data) {
-			t.Errorf("length %d: digest mismatch vs crypto/sha1", n)
-		}
-	}
-}
-
-// TestSHA1KnownVectors pins the FIPS 180-1 / RFC 3174 published vectors.
-func TestSHA1KnownVectors(t *testing.T) {
-	hex := func(d [20]byte) string {
-		const digits = "0123456789abcdef"
-		out := make([]byte, 40)
-		for i, b := range d {
-			out[2*i] = digits[b>>4]
-			out[2*i+1] = digits[b&15]
-		}
-		return string(out)
-	}
-	vectors := map[string]string{
-		"":    "da39a3ee5e6b4b0d3255bfef95601890afd80709",
-		"abc": "a9993e364706816aba3e25717850c26c9cd0d89d",
-		"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq": "84983e441c3bd26ebaae4aa1f95129e5e54670f1",
-	}
-	for in, want := range vectors {
-		if got := hex(sha1Sum([]byte(in))); got != want {
-			t.Errorf("SHA1(%q) = %s, want %s", in, got, want)
-		}
-	}
-	// The million-'a' vector exercises long multi-block hashing.
-	million := make([]byte, 1_000_000)
-	for i := range million {
-		million[i] = 'a'
-	}
-	if got := hex(sha1Sum(million)); got != "34aa973cd4c4daa4f61eeb2bdbad27316534016f" {
-		t.Errorf("SHA1(1M x 'a') = %s", got)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"math/bits"
 )
 
-// This file is the spawn fast path: a SHA-1 kernel specialized for the one
+// This file is the portable spawn kernel: SHA-1 specialized for the one
 // message shape the tree generator ever hashes — the 24-byte concatenation
 // of a 20-byte parent state and a 4-byte big-endian child index. That
 // message always fits one 64-byte block, so the padding is known at compile
@@ -20,28 +20,59 @@ import (
 // message: rounds 0..4 consume only words 0..4 (the parent state), so for
 // a fixed parent the chaining registers after round 4 are the same for
 // every child index. Spawner caches that prefix once per parent; each
-// SpawnInto then runs only rounds 5..79. A node expansion that evaluates
-// k·g spawns (k children under granularity g) pays for the prefix once.
+// SpawnInto then runs only rounds 5..79.
 //
-// The differential tests in sha1spawn_test.go pin this kernel bit-for-bit
-// against both crypto/sha1 and the generic sha1Sum path on random states
-// and child indices.
+// On amd64 CPUs with the SHA extensions the same Spawner methods run the
+// two-lane kernel of sha1spawn_amd64.s instead (useNI, decided once from
+// CPUID — there is no knob); this Go kernel is then the fallback for every
+// other machine and the second oracle of the differential tests, which pin
+// both kernels bit-for-bit to crypto/sha1 (refSpawn in sha1spawn_test.go).
 
-// Spawner holds the parent-invariant prefix of the spawn kernel: the five
-// parent message words and the SHA-1 chaining registers after the five
-// rounds that consume them. The zero value is meaningless; call Reset
-// before SpawnInto. A Spawner is a plain value (no heap state) intended to
-// live on the caller's stack for the duration of one node expansion.
+// SHA-1 initial chaining value and the round constant of rounds 0..19
+// (FIPS 180-1 §7); the later round constants appear literally below.
+const (
+	sha1Init0 = 0x67452301
+	sha1Init1 = 0xefcdab89
+	sha1Init2 = 0x98badcfe
+	sha1Init3 = 0x10325476
+	sha1Init4 = 0xc3d2e1f0
+
+	sha1K0 = 0x5a827999
+)
+
+// KernelName reports which spawn kernel this process runs: "sha-ni x2"
+// (SHA extensions, two sibling lanes per call) or "go-unrolled". A
+// sequential rate means nothing without it.
+func KernelName() string {
+	if useNI {
+		return "sha-ni x2"
+	}
+	return "go-unrolled"
+}
+
+// Spawner holds what the spawn kernel keeps per parent: a copy of the
+// parent state (all the SHA-NI kernel reads) and, for the portable kernel,
+// the five parent message words and the SHA-1 chaining registers after the
+// five rounds that consume them. The zero value is meaningless; call Reset
+// first. A Spawner is a plain value (no heap state) intended to live on
+// the caller's stack for the duration of one node expansion; because it
+// copies the parent, any destination may alias the state it was Reset to.
 type Spawner struct {
+	parent             State
 	w0, w1, w2, w3, w4 uint32 // parent state as big-endian message words
 	a, b, c, d, e      uint32 // chaining registers after rounds 0..4
 }
 
-// Reset loads the parent state s and precomputes the child-independent
-// rounds 0..4.
+// Reset loads the parent state s. For the portable kernel it also runs
+// the child-independent rounds 0..4; the SHA-NI kernel does four rounds
+// per instruction and has no use for them.
 //
 //uts:noalloc
 func (z *Spawner) Reset(s *State) {
+	z.parent = *s
+	if useNI {
+		return
+	}
 	w0 := binary.BigEndian.Uint32(s[0:4])
 	w1 := binary.BigEndian.Uint32(s[4:8])
 	w2 := binary.BigEndian.Uint32(s[8:12])
@@ -62,12 +93,46 @@ func (z *Spawner) Reset(s *State) {
 	z.a, z.b, z.c, z.d, z.e = a, b, c, d, e
 }
 
+// SpawnPair writes the states of children i and i+1 of the Reset parent
+// into *dst0 and *dst1, in that order (dst0 == dst1 keeps child i+1). The
+// paper's trees are binary in the interior, so one call is one expansion:
+// the SHA-NI kernel runs the two hash chains interleaved, each filling the
+// other's instruction latency.
+//
+//uts:noalloc
+func (z *Spawner) SpawnPair(dst0, dst1 *State, i int) {
+	if useNI {
+		spawnPairNI(dst0, dst1, &z.parent, uint32(i))
+		return
+	}
+	z.SpawnInto(dst0, i)
+	z.SpawnInto(dst1, i+1)
+}
+
+// SpawnMany fills dst[j] with the state of child base+j of the Reset
+// parent: pairs, then the odd one out.
+//
+//uts:noalloc
+func (z *Spawner) SpawnMany(dst []State, base int) {
+	j := 0
+	for ; j+1 < len(dst); j += 2 {
+		z.SpawnPair(&dst[j], &dst[j+1], base+j)
+	}
+	if j < len(dst) {
+		z.SpawnInto(&dst[j], base+j)
+	}
+}
+
 // SpawnInto writes the state of child number i of the Reset parent into
-// *dst, running rounds 5..79 of the specialized block. It does not modify
-// the Spawner, so one Reset serves any number of SpawnInto calls.
+// *dst. It does not modify the Spawner, so one Reset serves any number of
+// calls. The portable kernel runs rounds 5..79 of the specialized block.
 //
 //uts:noalloc
 func (z *Spawner) SpawnInto(dst *State, i int) {
+	if useNI {
+		spawnNI(dst, &z.parent, uint32(i))
+		return
+	}
 	w5 := uint32(i)
 	w0, w1, w2, w3, w4 := z.w0, z.w1, z.w2, z.w3, z.w4
 	a, b, c, d, e := z.a, z.b, z.c, z.d, z.e
@@ -292,8 +357,8 @@ func (z *Spawner) SpawnInto(dst *State, i int) {
 	binary.BigEndian.PutUint32(dst[16:20], sha1Init4+e)
 }
 
-// sha1Spawn is the one-shot form of the fast path: the child state of s at
-// child index i, equal to sha1Sum(s ‖ bigendian32(i)).
+// sha1Spawn is the one-shot form: the child state of s at child index i,
+// equal to SHA-1(s ‖ bigendian32(i)).
 func sha1Spawn(s *State, i int) State {
 	var z Spawner
 	z.Reset(s)

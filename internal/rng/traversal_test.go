@@ -1,0 +1,104 @@
+package rng_test
+
+import (
+	"testing"
+
+	"repro/internal/rng"
+	"repro/internal/uts"
+)
+
+// These are tests of uts.Children's pair walk, and they live here because
+// only this directory's tests can set the kernel dispatch variable
+// (rng.ForceKernel, export_test.go): the program has no knob for it.
+
+// kernelTrees is every sample tree that reaches the SHA-1 kernel, plus the
+// shapes the pair walk has corners for: granularity 2 (a pair is one
+// child's two spawns) and 3 (pairs straddle children), and the full-scale
+// root fan-out B0 = 2000 on a small tree. The geometric samples supply odd
+// child counts (the one-lane tail).
+func kernelTrees(short bool) []*uts.Spec {
+	var specs []*uts.Spec
+	for _, sp := range uts.SampleTrees {
+		if _, brg := sp.Stream().(rng.BRG); !brg {
+			continue // ALFG trees never execute a SHA-1
+		}
+		if short && sp == &uts.BenchLarge {
+			continue
+		}
+		specs = append(specs, sp)
+	}
+	g2, g3, geo3, wide := uts.BenchSmall, uts.T3Small, uts.GeoCyclic, uts.T3Small
+	g2.Name, g2.Granularity = "bench-small-g2", 2
+	g3.Name, g3.Granularity = "t3-small-g3", 3
+	geo3.Name, geo3.Granularity = "geo-cyclic-g3", 3
+	wide.Name, wide.B0 = "t3-small-b2000", 2000
+	return append(specs, &g2, &g3, &geo3, &wide)
+}
+
+// TestCountsIdenticalUnderBothKernels requires the same tree — nodes,
+// leaves, depth — from the sequential traversal whichever kernel spawns it.
+func TestCountsIdenticalUnderBothKernels(t *testing.T) {
+	if !rng.NIAvailable() {
+		t.Skip("CPUID reports no SHA/SSSE3/SSE4.1: only the portable kernel can run on this host")
+	}
+	for _, sp := range kernelTrees(testing.Short()) {
+		search := func(ni bool) uts.Count {
+			defer rng.ForceKernel(ni)()
+			c := uts.SearchSequential(sp)
+			c.Elapsed = 0
+			return c
+		}
+		ni, portable := search(true), search(false)
+		if ni != portable {
+			t.Errorf("%s: sha-ni %+v, go-unrolled %+v", sp.Name, ni, portable)
+		}
+		if ni.Nodes < 2 {
+			t.Errorf("%s: degenerate tree, %d nodes", sp.Name, ni.Nodes)
+		}
+	}
+}
+
+// TestChildrenAllocatesNothing holds a node expansion into a stack with
+// room to zero allocations under both kernels, at granularity 1 and 3.
+func TestChildrenAllocatesNothing(t *testing.T) {
+	g3 := uts.BenchTiny
+	g3.Granularity = 3
+	for _, sp := range []*uts.Spec{&uts.BenchTiny, &g3} {
+		for _, ni := range []bool{true, false} {
+			if ni && !rng.NIAvailable() {
+				continue
+			}
+			restore := rng.ForceKernel(ni)
+			st := sp.Stream()
+			root := uts.Root(sp)
+			stack := make([]uts.Node, 0, 4*uts.MaxChildren)
+			if n := testing.AllocsPerRun(200, func() {
+				stack = uts.Children(sp, st, &root, stack[:0])
+				stack = uts.Children(sp, st, &stack[0], stack)
+			}); n != 0 {
+				t.Errorf("%s, %s: Children allocates %v times per run, want 0", sp.Name, rng.KernelName(), n)
+			}
+			restore()
+		}
+	}
+}
+
+// BenchmarkSequentialByKernel is the sequential traversal rate under each
+// kernel — the only place the portable kernel's rate can be read on a host
+// that has SHA-NI.
+func BenchmarkSequentialByKernel(b *testing.B) {
+	for _, ni := range []bool{true, false} {
+		if ni && !rng.NIAvailable() {
+			continue
+		}
+		restore := rng.ForceKernel(ni)
+		b.Run(rng.KernelName(), func(b *testing.B) {
+			var nodes int64
+			for i := 0; i < b.N; i++ {
+				nodes += uts.SearchSequential(&uts.BenchSmall).Nodes
+			}
+			b.ReportMetric(float64(nodes)/b.Elapsed().Seconds()/1e6, "Mnodes/s")
+		})
+		restore()
+	}
+}

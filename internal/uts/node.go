@@ -33,7 +33,7 @@ func Root(sp *Spec) Node {
 // fixed convention is fine; this one matches pushing onto a LIFO stack.
 //
 // This is the traversal hot path: for the built-in stream families it runs
-// entirely on concrete code (the batched SHA-1 spawn kernel for BRG, the
+// entirely on concrete code (the paired SHA-1 spawn kernel for BRG, the
 // inlinable concrete methods for ALFG) and performs no heap allocation
 // beyond amortized growth of dst — in particular n never escapes, so
 // callers can keep their current node in a stack variable. Third-party
@@ -69,23 +69,37 @@ func Children(sp *Spec, st rng.Stream, n *Node, dst []Node) []Node {
 
 	switch st.(type) {
 	case rng.BRG:
-		// Fast path: one Spawner hoists the parent-dependent prefix of the
-		// SHA-1 block across all k·g spawns of this node.
+		// Fast path: one Spawner loads the parent once and walks the k·g
+		// spawn sequence of this node two at a time — the interior of the
+		// paper's trees is binary, so an expansion is one SpawnPair.
 		var z rng.Spawner
 		z.Reset(&n.State)
-		idx := 0
+		if g == 1 {
+			// The common case, kept apart from the general walk below for
+			// its two idx/g divisions per pair (≈2 % of a traversal).
+			i := 0
+			for ; i+1 < k; i += 2 {
+				z.SpawnPair(&kids[i].State, &kids[i+1].State, i)
+			}
+			if i < k {
+				z.SpawnInto(&kids[i].State, i)
+			}
+		} else {
+			// Compute granularity (UTS -g): g spawns per child, the child
+			// taking the state of the last one, index i·g+g−1. The first
+			// g−1 evaluations are the knob that scales per-node computation;
+			// they must run in full, so spawn idx lands in child idx/g and
+			// is overwritten there by the next one in sequence.
+			idx, total := 0, k*g
+			for ; idx+1 < total; idx += 2 {
+				z.SpawnPair(&kids[idx/g].State, &kids[(idx+1)/g].State, idx)
+			}
+			if idx < total {
+				z.SpawnInto(&kids[idx/g].State, idx)
+			}
+		}
 		for i := range kids {
 			c := &kids[i]
-			// Compute granularity (UTS -g): g spawns per child, the child
-			// taking the state of the last one. The first g−1 evaluations
-			// are the knob that scales per-node computation; they must run
-			// in full, so they share c.State as a discard target.
-			for j := 1; j < g; j++ {
-				z.SpawnInto(&c.State, idx)
-				idx++
-			}
-			z.SpawnInto(&c.State, idx)
-			idx++
 			c.Height = h
 			c.NumKids = int32(childCount(sp, h, rng.StateRand(&c.State)))
 		}
