@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race short bench bench-smoke bench-obs bench-des bench-des-par bench-relaxed bench-adapt experiments experiments-full clean lint lint-suppressions fuzz-smoke fingerprints
+.PHONY: all build test race short bench-smoke gates experiments experiments-full clean lint lint-suppressions fuzz-smoke fingerprints
 
 all: build test
 
@@ -53,49 +53,17 @@ short:
 race:
 	$(GO) test -race ./...
 
-bench:
-	$(GO) test -bench=. -benchmem ./...
-
-# One iteration of every benchmark: catches bit-rot in benchmark code
-# without measuring anything. Cheap enough for CI.
+# One iteration of every Benchmark* function, each in the package it
+# measures: keeps them compiling and running, measures nothing. Rates and
+# ratios are rows of BENCHMARK.json (`bash benchmark/run.sh`, DESIGN.md §18).
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
-# DES engine microbenches: batched vs legacy on identical event sequences.
-bench-des:
-	$(GO) test -run '^$$' -bench 'SimEngine|SimSteal' -benchtime=2s .
-
-# Parallel-dispatch scaling of the sharded DES engine: the same schedule
-# dispatched by 1/2/4/8 shard goroutines. Meaningful only on a machine
-# with idle cores to match the shard count.
-bench-des-par:
-	$(GO) test -run '^$$' -bench 'SimSharded' -benchtime=2s .
-
-# Tracer overhead gate. A disabled tracer (nil lanes, one nil check per
-# protocol call, nothing on the per-node loop) must keep
-# BenchmarkTracerDisabled and BenchmarkSequentialSearch within 2% of a
-# pre-tracer build (benchmark/ reports the current core.trace_overhead_pct);
-# BenchmarkTracerEnabled and BenchmarkLaneRec show the full recording cost
-# (~hundreds of ns per protocol event, zero allocations). Then the
-# sampler's <2% gate, which needs a spare core.
-bench-obs:
-	$(GO) test -run '^$$' -bench 'Tracer|LaneRec|SequentialSearch|Sampler' -benchtime=2s .
-	OBS_BENCH_GATE=1 $(GO) test -run TestSamplerOverheadGate -count=1 -v ./internal/des/
-
-# Owner-path microbenches for the relaxed (fence-free) shared region: the
-# lock-based release/reacquire burst vs the store-only publish / ledger-CAS
-# retract burst, then the >=2x speedup gate (min of 3 runs per side;
-# self-skips below 4 cores, where scheduling noise owns the timings).
-bench-relaxed:
-	$(GO) test -run '^$$' -bench 'OwnerPath' -benchtime=2s .
-	RELAXED_BENCH_GATE=1 $(GO) test -run TestRelaxedOwnerPathGate -count=1 -v .
-
-# Closed-loop adaptive policy gate (DESIGN.md §15): sweep fixed chunks on
-# T3XXL, then run the controller from the worst candidate and require
-# >= 0.95x the best fixed rate. Deterministic DES — holds on any host
-# (~20s single-core).
-bench-adapt:
-	ADAPT_BENCH_GATE=1 $(GO) test -run TestAdaptBenchGate -count=1 -v -timeout 10m ./internal/des/
+# The opt-in gates behind the one switch UTS_GATES=1 (DESIGN.md §18):
+# batched engine >= 4x the legacy reference, attached sampler <= 2% (both
+# wall-clock), adaptive from the worst chunk >= 0.95x the best (T3XXL, ~30 s).
+gates:
+	UTS_GATES=1 $(GO) test -count=1 -v -timeout 10m -run 'Gate$$' ./internal/des/
 
 # Simulator fingerprints of all eight simulatable algorithms — every des
 # family: the six Figure-1 UPC variants, the mpi-ws baseline and static —

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -26,7 +25,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment ID (E1..E7, A1..A3) or \"all\"")
 	scale := flag.String("scale", "quick", "smoke, quick or full")
 	csvDir := flag.String("csv", "", "directory to write per-experiment CSV files (optional)")
-	jsonOut := flag.String("json", "", "write all experiment tables to this file as JSON (optional)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -103,7 +101,6 @@ func main() {
 	}
 
 	fmt.Printf("# UTS load-balancing reproduction — scale=%s\n\n", sc)
-	var tables []*bench.Table
 	for _, e := range exps {
 		start := time.Now()
 		tab, err := e.Run(sc)
@@ -113,7 +110,6 @@ func main() {
 		}
 		tab.Notes = append(tab.Notes, fmt.Sprintf("scale=%s, generated in %v", sc, time.Since(start).Round(time.Millisecond)))
 		tab.Fprint(os.Stdout)
-		tables = append(tables, tab)
 		if *csvDir != "" {
 			path := filepath.Join(*csvDir, e.ID+".csv")
 			if err := os.WriteFile(path, []byte(tab.CSV()), 0o644); err != nil {
@@ -121,29 +117,6 @@ func main() {
 				os.Exit(1)
 			}
 		}
-	}
-	if *jsonOut != "" {
-		doc := struct {
-			Scale       string         `json:"scale"`
-			GeneratedAt string         `json:"generated_at"`
-			Go          string         `json:"go"`
-			Experiments []*bench.Table `json:"experiments"`
-		}{
-			Scale:       sc.String(),
-			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-			Go:          runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-			Experiments: tables,
-		}
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonOut, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("json results written to %s\n", *jsonOut)
 	}
 }
 

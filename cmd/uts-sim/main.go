@@ -55,7 +55,6 @@ func main() {
 		Model:        model,
 		PollInterval: f.Poll,
 		Seed:         f.Seed,
-		Engine:       f.Engine,
 		Shards:       f.Shards,
 		Adapt:        f.AdaptConfig(),
 		Tracer:       tracer,

@@ -93,11 +93,7 @@ func main() {
 			(span * time.Duration(b) / time.Duration(f.Buckets)).Round(time.Microsecond),
 			strings.Repeat("█", bar), strings.Repeat(" ", f.Width-bar), v)
 	}
-	if t := trace.TimeToSources(f.PEs / 4); t >= 0 {
-		fmt.Printf("\nreached %d work sources (P/4) at %v\n", f.PEs/4, t.Round(time.Microsecond))
-	} else {
-		fmt.Printf("\nnever reached %d work sources (P/4)\n", f.PEs/4)
-	}
+	fmt.Printf("\n%s\n", diffusionLine(trace, f.PEs))
 	if f.Hist && res.Obs != nil {
 		fmt.Print("\n" + res.Obs.String())
 	}
@@ -105,4 +101,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// diffusionLine reports when a quarter of the pes PEs — at least one, so
+// that 1 to 3 PEs do not ask for zero — first held stealable surplus.
+func diffusionLine(trace *des.Trace, pes int) string {
+	quarter := max(1, pes/4)
+	if t := trace.TimeToSources(quarter); t >= 0 {
+		return fmt.Sprintf("reached %d work sources (P/4) at %v", quarter, t.Round(time.Microsecond))
+	}
+	return fmt.Sprintf("never reached %d work sources (P/4)", quarter)
 }

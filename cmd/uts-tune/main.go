@@ -36,7 +36,7 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := des.Config{
-		Algorithm: core.Algorithm(f.Alg), PEs: f.PEs, Model: model, Engine: f.Engine, Shards: f.Shards,
+		Algorithm: core.Algorithm(f.Alg), PEs: f.PEs, Model: model, Shards: f.Shards,
 	}
 	best, results, err := des.TuneChunk(sp, cfg, nil)
 	if err != nil {

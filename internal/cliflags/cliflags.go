@@ -1,5 +1,5 @@
 // Package cliflags is the one definition of the flags the UTS commands
-// share — the tree, machine-profile, scheduler, engine and trace/live
+// share — the tree, machine-profile, scheduler, shard and trace/live
 // groups of uts, uts-sim, uts-dist, uts-tune and uts-trace — and of what
 // they resolve to. A command passes its own defaults and wording in a
 // Defaults value; flag names, validation, the tracer/sampler set-up and
@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/des"
 	"repro/internal/obs"
 	"repro/internal/pgas"
 	"repro/internal/policy"
@@ -49,7 +48,7 @@ type Defaults struct {
 	AdaptUsage string // usage of -adapt
 	Poll, Seed bool   // register -poll, -seed
 
-	ShardsUsage string // usage of -shards; also registers -engine
+	ShardsUsage string // usage of -shards
 
 	Trace         bool   // register -trace, -timeline, -hist
 	TraceUsage    string // "" = the shared wording, likewise the next two
@@ -69,9 +68,8 @@ type Flags struct {
 	Seed               int64
 	Adapt              bool
 
-	// Engine and Shards are des.Config's fields of the same names; after
-	// Resolve, Shards is the effective count (0 = sequential engine).
-	Engine string
+	// Shards is des.Config's field of the same name; after Resolve it is
+	// the effective count (0 = sequential engine).
 	Shards int
 
 	TraceOut       string
@@ -113,7 +111,6 @@ func Register(fs *flag.FlagSet, d Defaults) *Flags {
 		fs.Int64Var(&f.Seed, "seed", 0, "probe-order seed")
 	}
 	if d.ShardsUsage != "" {
-		fs.StringVar(&f.Engine, "engine", des.EngineBatched, "simulation engine: batched, legacy")
 		fs.IntVar(&f.Shards, "shards", 1, d.ShardsUsage)
 	}
 	if d.Trace {
@@ -189,6 +186,16 @@ func (f *Flags) validate() error {
 	}
 	if d.Width != "" {
 		if err := atLeast1(d.Width, f.PEs); err != nil {
+			return err
+		}
+	}
+	if d.Chunk != 0 {
+		if err := atLeast1("chunk", f.Chunk); err != nil {
+			return err
+		}
+	}
+	if d.Poll {
+		if err := atLeast1("poll", f.Poll); err != nil {
 			return err
 		}
 	}

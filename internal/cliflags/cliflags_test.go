@@ -78,6 +78,10 @@ func TestResolveRejectsBadInput(t *testing.T) {
 		{"uts-sim -pes beyond the bound", simCLI, []string{"-pes", "2000000", "-hist"}, "-pes 2000000 out of range [1, 1048576]"},
 		{"uts-sim -pes 0", simCLI, []string{"-pes", "0"}, "-pes 0 out of range [1, 1048576]"},
 		{"negative shards", tuneCLI, []string{"-shards", "-1"}, "-shards -1 out of range"},
+		{"uts -chunk -3", utsCLI, []string{"-chunk", "-3"}, "-chunk -3: need at least 1"},
+		{"uts-sim -poll -1", simCLI, []string{"-poll", "-1"}, "-poll -1: need at least 1"},
+		{"uts-trace -chunk 0", traceCLI, []string{"-chunk", "0"}, "-chunk 0: need at least 1"},
+		{"uts-dist -chunk -3 -trace", distCLI, []string{"-chunk", "-3", "-trace", "x.json"}, "-chunk -3: need at least 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sp, model, tracer, err := parse(t, tc.d, tc.args...).Resolve()

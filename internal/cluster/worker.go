@@ -250,7 +250,6 @@ func (w *clusterWorker) StageAnnounced(time.Duration) time.Duration {
 // dead peer) — after which a confirmation probe separates a dead victim
 // from one whose response was merely lost.
 func (w *clusterWorker) Steal(v int) bool {
-	w.Lane.Rec(obs.KindStealRequest, int32(v), 0)
 	resp, err := w.n.call(v, &request{Kind: kindCASRequest, From: w.me, Thief: int32(w.me)})
 	if err != nil || !resp.OK {
 		w.failUnlessPeer(err)

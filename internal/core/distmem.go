@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/pgas"
 	"repro/internal/stack"
 	"repro/internal/term"
@@ -185,7 +184,6 @@ func (w *distWorker) Steal(v int) bool {
 
 	// Write our ID into the lock-protected request variable.
 	r.dom.ChargeLockRTT(w.me, v)
-	w.Lane.Rec(obs.KindStealRequest, int32(v), 0)
 	if !vs.request.CompareAndSwap(noThief, int32(w.me)) {
 		return false
 	}

@@ -239,6 +239,7 @@ func (m *Machine) steps(step Stepper) bool {
 func (m *Machine) steal(v int, back stats.State) bool {
 	h := m.H
 	h.BeginSteal()
+	h.Rec(obs.KindStealRequest, int32(v), 0)
 	ok := h.Steal(v)
 	if !ok {
 		m.PE.T.FailedSteals++

@@ -262,7 +262,6 @@ func (w *sharedWorker) Steal(v int) bool {
 	}
 	r := w.run
 	vs := r.stacks[v]
-	w.Lane.Rec(obs.KindStealRequest, int32(v), 0)
 	half := r.variant.StealHalf
 	if w.Ctl != nil {
 		half = w.Ctl.StealHalf()
@@ -313,7 +312,6 @@ func (w *sharedWorker) Steal(v int) bool {
 func (w *sharedWorker) stealRelaxed(v int) bool {
 	r := w.run
 	vs := r.stacks[v]
-	w.Lane.Rec(obs.KindStealRequest, int32(v), 0)
 	r.dom.ChargeRef(w.me, v) // slot-word scan (one-sided reads)
 	r.dom.ChargeRef(w.me, v) // claim store + ledger CAS round
 	c, dups, ok := vs.ring.Claim(w.me)

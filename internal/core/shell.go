@@ -218,6 +218,12 @@ func (pe *PE) StealEnd(ok bool, now int64) {
 // this package and the cluster's rank worker embed. It is the clock third
 // of the machine's Host and, with Steps, most of the engine third.
 type WallPE struct {
+	// A line of distance in front of the per-node words (PE.Local's
+	// header): the workers that embed this can be allocated next to each
+	// other, and without it the fields one reads per node at its tail share
+	// a line with the ones its neighbour writes per node (DESIGN.md §18).
+	_ [cacheLine]byte
+
 	PE
 
 	// Interrupt reports, at a service point of the machine, a pending
@@ -245,7 +251,7 @@ func eachThread(sp *uts.Spec, opt Options, res *Result, body func(me int, pe Wal
 // Start begins wall-clock state accounting in the Working state.
 func (w *WallPE) Start() {
 	w.T.StartTimers(time.Now())
-	w.Lane.Rec(obs.KindStateChange, -1, int64(stats.Working))
+	w.Rec(obs.KindStateChange, -1, int64(stats.Working))
 }
 
 // Stop charges the final interval and freezes the accounting.
@@ -254,7 +260,7 @@ func (w *WallPE) Stop() { w.T.StopTimers(time.Now()) }
 // SetState pairs the stats state timer with the tracer's state event.
 func (w *WallPE) SetState(s stats.State) {
 	w.T.Switch(s, time.Now())
-	w.Lane.Rec(obs.KindStateChange, -1, int64(s))
+	w.Rec(obs.KindStateChange, -1, int64(s))
 }
 
 // Now is the timestamp controller feedback is stamped with. Fixed-knob

@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"repro/internal/obs"
+	"repro/internal/pgas"
 	"repro/internal/policy"
 	"repro/internal/stack"
 	"repro/internal/stats"
@@ -158,8 +159,15 @@ func TestShellWorkMovementBooks(t *testing.T) {
 
 // TestStackStructsPadded: the per-thread structs that hold the words
 // other threads probe are whole cache lines, so two threads' structs never
-// share one whatever the allocator's alignment.
+// share one whatever the allocator's alignment. So is a pgas.Lock, and a
+// worker's per-node words start a line past whatever precedes the worker.
 func TestStackStructsPadded(t *testing.T) {
+	if n := unsafe.Sizeof(pgas.Lock{}); n%cacheLine != 0 {
+		t.Errorf("pgas.Lock is %d bytes, not a multiple of %d: adjust its pad", n, cacheLine)
+	}
+	if off := unsafe.Offsetof(WallPE{}.PE); off < cacheLine {
+		t.Errorf("WallPE.PE starts at byte %d, less than a cache line (%d) into the worker", off, cacheLine)
+	}
 	if n := unsafe.Sizeof(sharedStack{}); n%cacheLine != 0 {
 		t.Errorf("sharedStack is %d bytes, not a multiple of %d: adjust its pad", n, cacheLine)
 	}

@@ -1,7 +1,6 @@
 package des
 
 import (
-	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -179,7 +178,7 @@ func TestAdaptiveDeterministic(t *testing.T) {
 // a start whose fixed rate was under half the best (the serialized k=128
 // pathology). T3Small is ~6k nodes, so the adaptation transient is a
 // large fraction of the run; the full within-10%-of-best acceptance bar
-// runs on T3XXL behind ADAPT_BENCH_GATE (TestAdaptBenchGate), where the
+// runs on T3XXL behind UTS_GATES (TestAdaptBenchGate), where the
 // transient amortizes.
 func TestAdaptiveConverges(t *testing.T) {
 	models := []*pgas.Model{&pgas.KittyHawk, &pgas.Altix}
@@ -221,12 +220,9 @@ func TestAdaptiveConverges(t *testing.T) {
 // tree: adaptive control started from the worst chunk in the sweep must
 // land within 5% of the best fixed-chunk rate on T3XXL, where the
 // adaptation transient amortizes over 5.2M nodes. It sweeps a reduced
-// candidate set and runs ~15s single-core, so it only runs when the
-// ADAPT_BENCH_GATE environment variable is set (`make bench-adapt`).
+// candidate set and runs ~15s single-core, so it is opt-in (gate).
 func TestAdaptBenchGate(t *testing.T) {
-	if os.Getenv("ADAPT_BENCH_GATE") == "" {
-		t.Skip("set ADAPT_BENCH_GATE=1 (or run `make bench-adapt`) to run the T3XXL gate")
-	}
+	gate(t)
 	base := Config{Algorithm: core.UPCDistMem, PEs: 256,
 		Model: &pgas.KittyHawk, Seed: 7, Shards: runtime.NumCPU()}
 	best, results, err := TuneChunk(&uts.T3XXL, base, []int{1, 8, 64, 128})

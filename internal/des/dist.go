@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/stack"
 	"repro/internal/uts"
@@ -192,7 +191,6 @@ func (pe *simDistPE) Steal(v int) bool {
 	r := pe.r
 	cs := &r.cs
 
-	pe.Rec(obs.KindStealRequest, int32(v), 0)
 	d := r.between(pe.me, v).lockRTT // lock-protected request-word write
 	pe.T.AddState(pe.state, d)
 	if pe.p.RemoteCall(v, d, opDistClaim, int64(pe.me), 0) == 0 {

@@ -9,66 +9,63 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pgas"
+	"repro/internal/stats"
 	"repro/internal/uts"
 )
 
-// TestEngineDifferential proves the batched engine bit-identical to the
-// legacy reference: same makespan, same event count, and the same
-// per-thread counters and state times for every algorithm × tree × seed.
-func TestEngineDifferential(t *testing.T) {
+// differentialCases calls fn for every algorithm × tree × seed
+// configuration the engine differentials cover.
+func differentialCases(fn func(name string, sp *uts.Spec, cfg Config)) {
 	algos := []core.Algorithm{
 		core.Static, core.UPCSharedMem, core.UPCTerm, core.UPCTermRapdif,
 		core.UPCDistMem, core.UPCDistMemHier, core.MPIWS,
 	}
-	trees := []*uts.Spec{&uts.GeoLinear, &uts.T3Small}
-	seeds := []int64{1, 2, 3}
-
 	for _, algo := range algos {
-		for _, sp := range trees {
-			for _, seed := range seeds {
-				name := fmt.Sprintf("%s/%s/seed%d", algo, sp.Name, seed)
-				t.Run(name, func(t *testing.T) {
-					cfg := Config{
-						Algorithm: algo,
-						PEs:       16,
-						Chunk:     8,
-						Model:     &pgas.KittyHawk,
-						Seed:      seed,
-					}
-					cfg.Engine = EngineBatched
-					bres, binfo, err := RunInfo(sp, cfg)
-					if err != nil {
-						t.Fatalf("batched: %v", err)
-					}
-					cfg.Engine = EngineLegacy
-					lres, linfo, err := RunInfo(sp, cfg)
-					if err != nil {
-						t.Fatalf("legacy: %v", err)
-					}
-					if bres.Elapsed != lres.Elapsed {
-						t.Errorf("makespan diverged: batched %v, legacy %v", bres.Elapsed, lres.Elapsed)
-					}
-					if binfo.Events != linfo.Events {
-						t.Errorf("event count diverged: batched %d, legacy %d", binfo.Events, linfo.Events)
-					}
-					for i := range bres.Threads {
-						if !reflect.DeepEqual(bres.Threads[i], lres.Threads[i]) {
-							t.Errorf("thread %d diverged:\nbatched %+v\nlegacy  %+v",
-								i, bres.Threads[i], lres.Threads[i])
-						}
-					}
-				})
+		for _, sp := range []*uts.Spec{&uts.GeoLinear, &uts.T3Small} {
+			for _, seed := range []int64{1, 2, 3} {
+				fn(fmt.Sprintf("%s/%s/seed%d", algo, sp.Name, seed), sp,
+					Config{Algorithm: algo, PEs: 16, Chunk: 8, Model: &pgas.KittyHawk, Seed: seed})
 			}
 		}
 	}
 }
 
-// TestUnknownEngineRejected checks the Config.Engine validation.
-func TestUnknownEngineRejected(t *testing.T) {
-	_, _, err := RunInfo(&uts.BenchTiny, Config{Engine: "quantum"})
-	if err == nil {
-		t.Fatal("expected an error for an unknown engine name")
+// runSame runs cfg on the engine it selects and requires the batched
+// engine's result (bres, binfo) bit for bit: same makespan, same event
+// count, same per-thread counters and state times.
+func runSame(t *testing.T, engine string, sp *uts.Spec, cfg Config, bres *core.Result, binfo Info) Info {
+	t.Helper()
+	res, info, err := RunInfo(sp, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", engine, err)
 	}
+	if res.Elapsed != bres.Elapsed {
+		t.Errorf("makespan diverged: %s %v, batched %v", engine, res.Elapsed, bres.Elapsed)
+	}
+	if info.Events != binfo.Events {
+		t.Errorf("event count diverged: %s %d, batched %d", engine, info.Events, binfo.Events)
+	}
+	for i := range bres.Threads {
+		if !reflect.DeepEqual(res.Threads[i], bres.Threads[i]) {
+			t.Errorf("thread %d diverged:\n%s %+v\nbatched %+v", i, engine, res.Threads[i], bres.Threads[i])
+		}
+	}
+	return info
+}
+
+// TestEngineDifferential proves the batched engine bit-identical to the
+// legacy reference for every algorithm × tree × seed.
+func TestEngineDifferential(t *testing.T) {
+	differentialCases(func(name string, sp *uts.Spec, cfg Config) {
+		t.Run(name, func(t *testing.T) {
+			bres, binfo, err := RunInfo(sp, cfg)
+			if err != nil {
+				t.Fatalf("batched: %v", err)
+			}
+			cfg.reference = true
+			runSame(t, "legacy", sp, cfg, bres, binfo)
+		})
+	})
 }
 
 // TestLockRingWraparoundFIFO drives the waiter ring directly through many
@@ -138,58 +135,130 @@ func TestLockFIFOUnderHeavyContention(t *testing.T) {
 	}
 }
 
-// TestEngineThroughputGate is the CI regression gate for the batched
-// engine: a pure-dispatch workload (the BenchmarkSimDispatch shape — 64
-// PEs burning interleaved stepped quanta with no tree work) must sustain
-// at least 4x the event rate of the legacy reference. The measured ratio
-// is ~10x; the 4x floor leaves headroom for noisy CI runners while still
-// catching any change that reintroduces per-event goroutine switches or
-// per-event allocation. Skipped unless DES_BENCH_GATE=1.
-func TestEngineThroughputGate(t *testing.T) {
-	if os.Getenv("DES_BENCH_GATE") != "1" {
-		t.Skip("set DES_BENCH_GATE=1 to run the engine throughput gate")
+// gate skips t unless UTS_GATES=1 (`make gates`): the one switch every
+// slow or wall-clock gate of the repo hides behind. DESIGN.md §18.
+func gate(t *testing.T) {
+	t.Helper()
+	if os.Getenv("UTS_GATES") != "1" {
+		t.Skip("set UTS_GATES=1 (or run `make gates`) to run this gate")
 	}
-	run := func(legacy bool) float64 {
-		const pes, quanta = 64, 20000
-		var sim *Sim
-		if legacy {
-			sim = NewLegacy()
-		} else {
-			sim = New()
-		}
-		for i := 0; i < pes; i++ {
-			sim.Spawn(func(p *Proc) {
-				n := 0
-				p.AdvanceStepped(func() (time.Duration, uint8) {
-					if n >= quanta {
-						return 0, StepDone
-					}
-					n++
-					return time.Duration(1 + (n & 3)), 0
-				})
+}
+
+// engines: the batched one and the legacy reference, for the benchmarks.
+var engines = []struct {
+	name      string
+	reference bool // Config.reference
+	new       func() *Sim
+}{{EngineBatched, false, New}, {"legacy", true, newLegacy}}
+
+// dispatchWorkload is pure dispatch: pes PEs each burn quanta interleaved
+// 1-4ns stepped quanta with no tree or protocol work, so every cost is heap
+// exchange, quantum accounting, and (legacy) a goroutine round trip per event.
+func dispatchWorkload(sim *Sim, pes, quanta int) {
+	for i := 0; i < pes; i++ {
+		sim.Spawn(func(p *Proc) {
+			n := 0
+			p.AdvanceStepped(func() (time.Duration, uint8) {
+				if n >= quanta {
+					return 0, StepDone
+				}
+				n++
+				return time.Duration(1 + (n & 3)), 0
 			})
-		}
+		})
+	}
+}
+
+// TestEngineThroughputGate is the regression gate for the batched engine:
+// the pure-dispatch workload must sustain at least 4x the event rate of
+// the legacy reference. The measured ratio is ~10x; the 4x floor leaves
+// headroom for noisy CI runners while still catching any change that
+// reintroduces per-event goroutine switches or per-event allocation.
+func TestEngineThroughputGate(t *testing.T) {
+	gate(t)
+	run := func(newSim func() *Sim) float64 {
+		sim := newSim()
+		dispatchWorkload(sim, 64, 20000)
 		start := time.Now() //uts:ok detcheck real-time throughput measurement of the engine itself
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return float64(sim.Events()) / time.Since(start).Seconds()
 	}
-	best := func(legacy bool) float64 {
+	best := func(newSim func() *Sim) float64 {
 		var b float64
 		for i := 0; i < 3; i++ {
-			if r := run(legacy); r > b {
+			if r := run(newSim); r > b {
 				b = r
 			}
 		}
 		return b
 	}
-	run(false) // warm the scheduler before timing anything
-	batched, legacy := best(false), best(true)
+	run(New) // warm the scheduler before timing anything
+	batched, legacy := best(New), best(newLegacy)
 	ratio := batched / legacy
 	t.Logf("batched %.2fM events/s, legacy %.2fM events/s, ratio %.1fx",
 		batched/1e6, legacy/1e6, ratio)
 	if ratio < 4 {
 		t.Errorf("batched engine dispatches at only %.1fx the legacy rate; want >= 4x", ratio)
+	}
+}
+
+// BenchmarkSimDispatch is the pure engine microbenchmark, the number the
+// batched rewrite targets; BenchmarkSimEngine shows the same ratio diluted
+// by the simulation's real node-expansion work.
+func BenchmarkSimDispatch(b *testing.B) {
+	for _, e := range engines {
+		b.Run(e.name, func(b *testing.B) {
+			b.ReportAllocs()
+			sim := e.new()
+			dispatchWorkload(sim, 64, b.N/64+1)
+			if err := sim.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(sim.Events())/b.Elapsed().Seconds(), "events/s")
+		})
+	}
+}
+
+// benchSim simulates cfg b.N times. Every engine executes the identical
+// event sequence (the differentials prove it), so events/s isolates engine
+// overhead: heap handling, goroutine handoffs, allocation, shard sync.
+func benchSim(b *testing.B, sp *uts.Spec, cfg Config) {
+	b.ReportAllocs()
+	var events uint64
+	var steals int64
+	for i := 0; i < b.N; i++ {
+		res, info, err := RunInfo(sp, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += info.Events
+		steals += res.Sum(func(t *stats.Thread) int64 { return t.Steals })
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(steals)/float64(b.N), "steals/run")
+}
+
+// BenchmarkSimEngine compares the batched engine against the legacy
+// reference on the same mid-scale configuration.
+func BenchmarkSimEngine(b *testing.B) {
+	for _, e := range engines {
+		b.Run(e.name, func(b *testing.B) {
+			benchSim(b, &uts.T3Small, Config{Algorithm: core.UPCDistMem, PEs: 64, Chunk: 8,
+				Model: &pgas.KittyHawk, reference: e.reference})
+		})
+	}
+}
+
+// BenchmarkSimSteal stresses the steal path: chunk 1 under rapid diffusion
+// makes nearly every explored node a protocol interaction, so interrupt
+// delivery and the lock waiter ring dominate instead of batched work.
+func BenchmarkSimSteal(b *testing.B) {
+	for _, e := range engines {
+		b.Run(e.name, func(b *testing.B) {
+			benchSim(b, &uts.BenchTiny, Config{Algorithm: core.UPCTermRapdif, PEs: 16, Chunk: 1,
+				Model: &pgas.KittyHawk, reference: e.reference})
+		})
 	}
 }

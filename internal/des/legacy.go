@@ -10,7 +10,8 @@ import (
 // the event queue in a boxed container/heap. It is retained verbatim (plus
 // the Events counter and the stepped-advance emulation) so the batched
 // engine's schedule can be proven bit-identical against it — see the
-// differential tests in engine_test.go and Config.Engine.
+// differential tests in engine_test.go, which select it through newLegacy
+// and Config.reference. Nothing outside this package's tests can.
 
 // runLegacy is the legacy central loop: two channel rendezvous and one
 // goroutine switch per event.

@@ -1,7 +1,6 @@
 package des
 
 import (
-	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -149,16 +148,13 @@ func TestSamplerIsObservationOnly(t *testing.T) {
 // The sampler only reads the rings' seqlock side from its own goroutine,
 // so any measurable slowdown means a lock, a store, or an allocation
 // leaked onto the record path. Best-of-5 wall times on a deterministic
-// workload keep scheduler noise below the threshold. Skipped unless
-// OBS_BENCH_GATE=1, and — like the sharded dispatch gate — it needs real
+// workload keep scheduler noise below the threshold. It needs real
 // parallelism: on a single core the sampler's own fold work timeshares
 // with the simulation and the wall clock measures CPU sharing, not
 // record-path interference (which the differential tests already pin to
 // zero).
 func TestSamplerOverheadGate(t *testing.T) {
-	if os.Getenv("OBS_BENCH_GATE") != "1" {
-		t.Skip("set OBS_BENCH_GATE=1 to run the sampler overhead gate")
-	}
+	gate(t)
 	if runtime.NumCPU() < 2 {
 		t.Skip("sampler overhead gate needs a spare core for the sampler goroutine")
 	}

@@ -44,11 +44,6 @@ type Config struct {
 	// obs.NewVirtual(PEs, ringSize)). Recording costs no virtual time,
 	// so traced runs are bit-identical to untraced ones.
 	Tracer *obs.Tracer
-	// Engine selects the simulation engine: EngineBatched (the default,
-	// also selected by "") or EngineLegacy, the original reference engine.
-	// Both produce bit-identical results; legacy exists for differential
-	// testing and as the benchmark baseline.
-	Engine string
 	// Adapt, when non-nil, gives every simulated PE a closed-loop
 	// controller (internal/policy) that adapts the chunk size, the
 	// steal-half selection, and the mpi-ws poll interval from windowed
@@ -67,24 +62,27 @@ type Config struct {
 	// any shard count; Shards is a parallelism knob, not a semantic one.
 	// It is capped at PEs. The shared-memory family (upc-sharedmem, upc-term,
 	// upc-term-rapdif, upc-term-relaxed) synchronizes through zero-latency lock handoffs and
-	// always runs as a single shard. Zero selects the sequential engine
-	// named by Engine. Requires a model (and, with NodeSize >= 2, an Intra
-	// model) whose MinRemoteHop is positive when more than one shard is in
-	// play, and is incompatible with EngineLegacy.
+	// always runs as a single shard. Zero selects the sequential batched
+	// engine. Requires a model (and, with NodeSize >= 2, an Intra model)
+	// whose MinRemoteHop is positive when more than one shard is in play.
 	Shards int
+
+	// reference runs the simulation on the legacy reference engine
+	// (legacy.go) instead of the batched one. Only this package's tests
+	// can set it: the reference pins the schedule, nobody runs on it.
+	reference bool
 }
 
-// Engine names accepted by Config.Engine (EngineSharded is reported in
-// Info when Config.Shards > 0, never set in Config.Engine).
+// The two engines a run can use, as Info.Engine reports them: batched
+// unless Config.Shards > 0.
 const (
 	EngineBatched = "batched"
-	EngineLegacy  = "legacy"
 	EngineSharded = "sharded"
 )
 
 // Info reports engine-level facts about a completed simulation.
 type Info struct {
-	// Engine is the engine that ran ("batched", "legacy" or "sharded").
+	// Engine is the engine that ran (EngineBatched or EngineSharded).
 	Engine string
 	// Events is the number of simulated-time boundaries executed; it is
 	// identical across engines for the same configuration, so events per
@@ -244,24 +242,16 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 		return nil, nil, info, fmt.Errorf("des: negative node size %d", cfg.NodeSize)
 	}
 	cs := newCosts(cfg.Model)
-	var sim *Sim
-	switch cfg.Engine {
-	case "", EngineBatched:
-		info.Engine = EngineBatched
-		sim = New()
-	case EngineLegacy:
-		info.Engine = EngineLegacy
-		sim = NewLegacy()
-	default:
-		return nil, nil, info, fmt.Errorf("des: unknown engine %q (valid: %s, %s)", cfg.Engine, EngineBatched, EngineLegacy)
+	sim := New()
+	info.Engine = EngineBatched
+	if cfg.reference {
+		sim = newLegacy()
+		info.Engine = "legacy"
 	}
 	if cfg.Shards < 0 {
 		return nil, nil, info, fmt.Errorf("des: need shards >= 0, got %d", cfg.Shards)
 	}
 	if cfg.Shards > 0 {
-		if cfg.Engine == EngineLegacy {
-			return nil, nil, info, fmt.Errorf("des: the legacy engine cannot shard (drop shards or the engine override)")
-		}
 		shards := cfg.Shards
 		if shards > cfg.PEs {
 			shards = cfg.PEs

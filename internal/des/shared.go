@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/stack"
 	"repro/internal/uts"
@@ -200,7 +199,6 @@ func (pe *simSharedPE) Steal(v int) bool {
 	r := pe.r
 	cs := &r.cs
 	vs := r.pes[v]
-	pe.Rec(obs.KindStealRequest, int32(v), 0)
 	if r.mode.Relaxed {
 		return pe.stealRelaxed(v)
 	}

@@ -47,12 +47,13 @@
 // dispatcher with zero goroutine switches. The sharded engine (NewSharded,
 // sharded.go) partitions the PEs over one such dispatcher per shard,
 // synchronized by conservative lookahead, with every cross-PE effect a
-// remote operation (remote.go). The legacy engine (NewLegacy) keeps the
-// original two-channel wake/park handshake and boxed container/heap queue;
-// it exists as the bit-identical reference for the differential tests and
-// benchmarks. All three execute the same events in the same order —
-// Sim.Events counts identically — they differ only in how cheaply a
-// boundary is reached.
+// remote operation (remote.go). Those are the two a run can use. The
+// legacy engine (legacy.go) keeps the original two-channel wake/park
+// handshake and boxed container/heap queue; it is the bit-identical
+// reference this package's tests hold the other two to
+// (TestEngineDifferential) and is reachable from nowhere else. All three
+// execute the same events in the same order — Sim.Events counts
+// identically — they differ only in how cheaply a boundary is reached.
 package des
 
 import (
@@ -87,11 +88,11 @@ type Sim struct {
 // New creates an empty simulation using the batched engine.
 func New() *Sim { return &Sim{} }
 
-// NewLegacy creates an empty simulation using the legacy reference engine:
+// newLegacy creates an empty simulation using the legacy reference engine:
 // the original two-channel wake/park handshake with a boxed container/heap
 // event queue. It executes the exact same schedule as the batched engine
-// and exists so differential tests and benchmarks can compare against it.
-func NewLegacy() *Sim { return &Sim{legacy: true} }
+// and exists so this package's tests can compare against it.
+func newLegacy() *Sim { return &Sim{legacy: true} }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Duration { return time.Duration(s.now) }

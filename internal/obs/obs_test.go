@@ -388,3 +388,14 @@ func TestWallClockRecording(t *testing.T) {
 		t.Errorf("steal-latency samples = %d, want 1", n)
 	}
 }
+
+// BenchmarkLaneRec measures the raw cost of recording one event into a
+// lane's ring — the per-protocol-operation price of an enabled tracer.
+func BenchmarkLaneRec(b *testing.B) {
+	l := New(1, 0).Lane(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Rec(KindProbeResult, 1, int64(i))
+	}
+}

@@ -119,6 +119,12 @@ type Lock struct {
 	dom   *Domain
 	owner int
 	mu    sync.Mutex
+
+	// One lock, one cache line: the locks of a run are allocated back to
+	// back, and at their bare 24 bytes two threads' mutex words share a
+	// line, so each owner's uncontended acquire bounces the other's
+	// (DESIGN.md §18).
+	_ [64 - 24]byte
 }
 
 // NewLock returns a lock whose affinity is to thread owner.

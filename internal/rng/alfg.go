@@ -2,11 +2,13 @@ package rng
 
 import "encoding/binary"
 
-// ALFG is a cheap splittable stream in the spirit of the additive
+// ALFG is a splittable stream in the spirit of the additive
 // lagged-Fibonacci generator option of the UTS distribution. It exists for
-// the same reason the original did: on very large trees SHA-1 dominates the
-// sequential cost, and a fast generator lets the simulator explore trees an
-// order of magnitude larger in the same wall time.
+// the same reason the original did: on very large trees SHA-1 dominated the
+// sequential cost, and a generator without it let the simulator explore
+// larger trees in the same wall time. That held against a ~285 ns software
+// SHA-1 spawn; against the SHA-NI kernel (~45 ns per child) a spawn here
+// (~250 ns, the register fill below) is the slower of the two.
 //
 // Layout of the 20-byte state: bytes [0:8] hold a 64-bit stream key, bytes
 // [8:16] a 64-bit position word, bytes [16:20] the cached 31-bit random value
@@ -37,8 +39,8 @@ func splitmix64(x uint64) uint64 {
 }
 
 // alfgValue seeds a lag-(17,5) register from key and clocks it alfgWarm
-// times, returning the final word. Cost is ~50 integer adds — roughly 30x
-// cheaper than a SHA-1 compression.
+// times, returning the final word: 17 SplitMix64 finalizers to fill the
+// register, then 34 adds — most of a spawn's ~250 ns.
 func alfgValue(key uint64) uint64 {
 	var reg [alfgLong]uint64
 	s := key

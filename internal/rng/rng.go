@@ -16,8 +16,13 @@
 //     24-byte message — SHA-NI, two sibling lanes per call, where the CPU
 //     has it, unrolled Go elsewhere (KernelName says which) — and the
 //     tests pin both to crypto/sha1.
-//   - ALFG: an additive lagged-Fibonacci generator. Much cheaper per spawn,
-//     used for very large simulator runs where SHA-1 would dominate runtime.
+//   - ALFG: an additive lagged-Fibonacci generator, no SHA-1 involved;
+//     what the simulator's large runs and the benchmark's sim_* trees use.
+//     It was much cheaper per spawn than the first BRG kernels (~285 ns);
+//     it no longer is where the SHA-NI kernel runs: ~250 ns per child
+//     against ~45 ns (the rng.alfg_spawn_ns and rng.brg_spawnmany_ns rows
+//     of benchmark/). Its trees are its own, so it stays what those runs
+//     are pinned to.
 //
 // All streams are deterministic functions of the root seed, so every tree in
 // this repository is exactly reproducible.
