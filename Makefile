@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race short bench-smoke gates experiments experiments-full clean lint lint-suppressions fuzz-smoke fingerprints
+.PHONY: all build test race short bench-smoke gates cluster-stress experiments experiments-full clean lint lint-suppressions fuzz-smoke fingerprints
 
 all: build test
 
@@ -61,9 +61,24 @@ bench-smoke:
 
 # The opt-in gates behind the one switch UTS_GATES=1 (DESIGN.md §18):
 # batched engine >= 4x the legacy reference, attached sampler <= 2% (both
-# wall-clock), adaptive from the worst chunk >= 0.95x the best (T3XXL, ~30 s).
+# wall-clock; the sampler's is 1000 paired runs, ~30 s), adaptive from the
+# worst chunk >= 0.95x the best (T3XXL, ~30 s).
 gates:
 	UTS_GATES=1 $(GO) test -count=1 -v -timeout 10m -run 'Gate$$' ./internal/des/
+
+# The load under which reserved work falling off the cluster's handoff
+# ledger shows (DESIGN.md §10): one test binary, three copies at once so that
+# ranks get descheduled mid-protocol, every fault scenario and the 4-rank
+# steal test 20 times each (~2.5 min on 2 cores). Any copy that does not
+# end in PASS — a failed test, a panic, a hang past the timeout — fails.
+cluster-stress:
+	$(GO) test -c -o bin/cluster.test ./internal/cluster/
+	@cd internal/cluster && for i in 1 2 3; do \
+		../../bin/cluster.test -test.run 'TestFault|TestFourRanksSteals' -test.count=20 -test.timeout 300s > ../../bin/cluster-stress.$$i.log 2>&1 & \
+	done; wait
+	@for i in 1 2 3; do \
+		tail -n 1 bin/cluster-stress.$$i.log | grep -qx PASS || { cat bin/cluster-stress.$$i.log; exit 1; }; \
+	done; echo "cluster-stress: 3 x 20 runs of every TestFault* and TestFourRanksSteals, all PASS"
 
 # Simulator fingerprints of all eight simulatable algorithms — every des
 # family: the six Figure-1 UPC variants, the mpi-ws baseline and static —

@@ -23,12 +23,12 @@ import (
 )
 
 func main() {
+	algs := append([]core.Algorithm{core.Sequential}, cliflags.Simulatable()...)
 	f := cliflags.Register(flag.CommandLine, cliflags.Defaults{
 		Tree: "bench-small", TreeUsage: "named sample tree (see -trees)",
 		Profile: "sharedmem", ProfileUsage: "latency model: sharedmem, altix, kittyhawk, topsail",
-		AlgUsage: "seq, upc-sharedmem, upc-term, upc-term-rapdif, upc-term-relaxed, upc-distmem, mpi-ws",
-		Algs:     append([]core.Algorithm{core.Sequential}, cliflags.Simulatable()...),
-		Width:    "threads", PEs: 4, WidthUsage: "worker threads (goroutines)",
+		AlgUsage: cliflags.AlgList(algs), Algs: algs,
+		Width: "threads", PEs: 4, WidthUsage: "worker threads (goroutines)",
 		Chunk:      16,
 		AdaptUsage: "adapt chunk/steal-half/poll per thread at runtime from steal feedback (closed-loop, bounded around -chunk/-poll)",
 		Poll:       true, Seed: true,

@@ -8,7 +8,7 @@ import (
 
 // TestProgressEngineZeroSteadyStateAllocs drives the progress engine's
 // request handler through the full hot cycle — probe, request CAS,
-// response write, chunk deposit/serve/recycle, barrier check — and
+// response write, chunk reserve/serve/settle/recycle, barrier check — and
 // verifies the steady state allocates nothing: reused request/reply
 // structs plus the free-listed chunk buffers make every served operation
 // allocation-free once the cycle is warm.
@@ -43,19 +43,21 @@ func TestProgressEngineZeroSteadyStateAllocs(t *testing.T) {
 			panic("putResponse rejected")
 		}
 		n.respReady.Store(false)
-		// The worker deposits a chunk drawn from the free lists; the
-		// engine serves and recycles it — the kindGetChunks hot path.
+		// The worker reserves a chunk drawn from the free lists; the
+		// engine serves, settles and recycles it — the kindGetChunks hot
+		// path.
 		c := append(n.getNodeBuf(), proto...)
 		buf := append(n.getChunkBuf(), c)
-		h := n.deposit(buf, 2)
+		h := n.handoff.reserve(buf, 2)
 		req.reset()
 		resp.reset()
 		req.Kind, req.Handle = kindGetChunks, h
-		recycle, ok := n.handleRequest(&req, &resp)
+		_, ok := n.handleRequest(&req, &resp)
 		if !ok || len(resp.Chunk) != 1 || len(resp.Chunk[0]) != len(proto) {
 			panic("bad handoff serve")
 		}
-		n.recycle(recycle)
+		n.handoff.settle(h, true)
+		n.recycle(resp.Chunk)
 		// A waiter polls the barrier.
 		req.reset()
 		resp.reset()

@@ -105,9 +105,9 @@ func TestTwoRanks(t *testing.T) {
 }
 
 func TestFourRanksSteals(t *testing.T) {
-	run := launch(t, 4, &uts.BenchSmall, 8, 1)
-	if run.Nodes() != 63575 {
-		t.Errorf("nodes = %d, want 63575", run.Nodes())
+	run := launch(t, 4, stealTree, 8, 1)
+	if run.Nodes() != stealTreeNodes {
+		t.Errorf("nodes = %d, want %d", run.Nodes(), stealTreeNodes)
 	}
 	if run.Sum(func(th *stats.Thread) int64 { return th.Steals }) == 0 {
 		t.Error("no steals happened across a 4-process run of an unbalanced tree")

@@ -5,6 +5,7 @@ import (
 	"net"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,12 +27,23 @@ func faultCfg(sp *uts.Spec, chunk int, plan *FaultPlan) Config {
 	}
 }
 
+// stealTree is the tree of every test whose scenario needs a steal to
+// happen: sized by node count, not by hope. Two ranks take ~15 ms over
+// bench-medium's 481599 nodes on a SHA-NI host (four times that on the
+// portable kernel), against ~0.2 ms from the end of bootstrap to a thief's
+// first CAS; bench-small (63575 nodes, ~4 ms) is too close to that for a
+// steal to be certain.
+var stealTree = &uts.BenchMedium
+
+const stealTreeNodes, stealTreeLeaves = 481599, 241049
+
 // launchFaulty runs an in-process cluster where ranks are allowed — even
 // expected — to fail. It returns rank 0's result (nil when rank 0 itself
-// failed) and every rank's error, and fails the test if the cluster does
-// not wind down within deadline: bounded completion under faults is the
-// property every test here is ultimately asserting.
-func launchFaulty(t *testing.T, n int, base Config, deadline time.Duration) (*stats.Run, map[int]error) {
+// failed), every rank's error and, per rule of base.Fault, how many times
+// it fired over all ranks; it fails the test if the cluster does not wind
+// down within deadline: bounded completion under faults is the property
+// every test here is ultimately asserting.
+func launchFaulty(t *testing.T, n int, base Config, deadline time.Duration) (*stats.Run, map[int]error, []int) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(n + 1)
 	defer runtime.GOMAXPROCS(old)
@@ -42,22 +54,26 @@ func launchFaulty(t *testing.T, n int, base Config, deadline time.Duration) (*st
 		err  error
 	}
 	results := make(chan rankDone, n)
+	nodes := make([]*node, n)
+	launch := func(r int, coord string, coordReady chan<- string) {
+		cfg := base
+		cfg.Rank, cfg.Ranks, cfg.Coord, cfg.CoordReady = r, n, coord, coordReady
+		cfg, err := cfg.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[r] = newNode(cfg)
+		go func() {
+			run, err := nodes[r].run()
+			results <- rankDone{r, run, err}
+		}()
+	}
 
-	cfg0 := base
-	cfg0.Rank, cfg0.Ranks, cfg0.Coord, cfg0.CoordReady = 0, n, "127.0.0.1:0", ready
-	go func() {
-		run, err := Run(cfg0)
-		results <- rankDone{0, run, err}
-	}()
+	launch(0, "127.0.0.1:0", ready)
 	select {
 	case coord := <-ready:
 		for r := 1; r < n; r++ {
-			go func(r int) {
-				cfg := base
-				cfg.Rank, cfg.Ranks, cfg.Coord = r, n, coord
-				run, err := Run(cfg)
-				results <- rankDone{r, run, err}
-			}(r)
+			launch(r, coord, nil)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("coordinator never came up")
@@ -77,8 +93,44 @@ func launchFaulty(t *testing.T, n int, base Config, deadline time.Duration) (*st
 			t.Fatalf("cluster did not wind down within %v: %d of %d ranks finished (hang)", deadline, got, n)
 		}
 	}
-	return run, errs
+	if base.Fault == nil {
+		return run, errs, nil
+	}
+	fired := make([]int, len(base.Fault.Rules))
+	for _, nd := range nodes {
+		if nd.faults == nil {
+			continue
+		}
+		nd.faults.mu.Lock()
+		for _, st := range nd.faults.rules {
+			for i, r := range base.Fault.Rules {
+				if st.FaultRule == r {
+					fired[i] += st.fired
+				}
+			}
+		}
+		nd.faults.mu.Unlock()
+	}
+	return run, errs, fired
 }
+
+// requireFired stops a test whose fault never happened (or happened some
+// other number of times than intended) before it reads a verdict off a run
+// that was not the scenario: want[i] is how often rule i must have fired,
+// anyTimes for an uncapped rule that must have fired at all.
+func requireFired(t *testing.T, fired []int, want ...int) {
+	t.Helper()
+	for i, w := range want {
+		if fired[i] == 0 {
+			t.Fatalf("fault never fired: rule %d was armed and found nothing to fire on", i)
+		}
+		if w != anyTimes && fired[i] != w {
+			t.Fatalf("fault rule %d fired %d times, want %d", i, fired[i], w)
+		}
+	}
+}
+
+const anyTimes = -1
 
 // TestFaultKillMidStealFourRanks is the headline degradation scenario: a
 // 4-rank run where rank 2 is killed in the middle of a steal (right as it
@@ -93,7 +145,8 @@ func TestFaultKillMidStealFourRanks(t *testing.T) {
 	plan := &FaultPlan{Rules: []FaultRule{
 		{Rank: 2, Peer: -1, Side: ClientSide, Kind: int(kindCASRequest), Op: FaultKill},
 	}}
-	run, errs := launchFaulty(t, 4, faultCfg(&uts.BenchSmall, 8, plan), 60*time.Second)
+	run, errs, fired := launchFaulty(t, 4, faultCfg(stealTree, 8, plan), 60*time.Second)
+	requireFired(t, fired, 1)
 
 	if !errors.Is(errs[2], errKilled) {
 		t.Errorf("rank 2 exited with %v, want errKilled", errs[2])
@@ -112,9 +165,9 @@ func TestFaultKillMidStealFourRanks(t *testing.T) {
 	if len(run.SuspectedRanks) != 1 || run.SuspectedRanks[0] != 2 {
 		t.Errorf("SuspectedRanks = %v, want [2]: the coordinator saw the death verdict", run.SuspectedRanks)
 	}
-	if run.Nodes() != 63575 || run.Leaves() != 31887 {
-		t.Errorf("counts = (%d, %d), want the full tree (63575, 31887): the victim died before holding work",
-			run.Nodes(), run.Leaves())
+	if run.Nodes() != stealTreeNodes || run.Leaves() != stealTreeLeaves {
+		t.Errorf("counts = (%d, %d), want the full tree (%d, %d): the victim died before holding work",
+			run.Nodes(), run.Leaves(), stealTreeNodes, stealTreeLeaves)
 	}
 }
 
@@ -144,9 +197,10 @@ func requireHealthyExactRun(t *testing.T, run *stats.Run, errs map[int]error, no
 }
 
 // TestFaultSeverMidSteal severs the connection right as rank 0's progress
-// engine would hand stolen chunks to rank 1. The consumed handoff entry
-// is redeposited on the victim side (the response never left the
-// process) and the reclaim sweep returns it to rank 0's pool; the thief
+// engine would hand stolen chunks to rank 1. The handoff entry in service
+// is settled as not delivered (the response never left the process), so
+// it stays on the ledger and the reclaim sweep returns it to rank 0's
+// pool — rank 0 cannot reach the barrier in between; the thief
 // books a failed steal without a death verdict, because rank 0 still
 // answers its confirmation probe over a fresh connection. One severed
 // connection therefore costs one steal — not a peer, not a subtree: the
@@ -155,11 +209,28 @@ func TestFaultSeverMidSteal(t *testing.T) {
 	plan := &FaultPlan{Rules: []FaultRule{
 		{Rank: 0, Peer: -1, Side: ServerSide, Kind: int(kindGetChunks), Op: FaultSever, Times: 1},
 	}}
-	// BenchSmall keeps rank 0 busy long enough that rank 1 reliably steals
-	// (BenchTiny can drain before the thief's first steal lands, leaving
-	// the fault rule nothing to fire on).
-	run, errs := launchFaulty(t, 2, faultCfg(&uts.BenchSmall, 4, plan), 30*time.Second)
-	requireHealthyExactRun(t, run, errs, 63575, 31887)
+	run, errs, fired := launchFaulty(t, 2, faultCfg(stealTree, 4, plan), 30*time.Second)
+	requireFired(t, fired, 1)
+	requireHealthyExactRun(t, run, errs, stealTreeNodes, stealTreeLeaves)
+}
+
+// TestFaultSeverEverySteal severs every chunk fetch rank 0 serves, so each
+// steal of the run strands its grant and the sweep brings it home, again
+// and again, down to the last chunks of the tree — where a victim that
+// finds its pool empty looks at the ledger on its way into the barrier.
+// An entry that is off the ledger while its reply is being (not) sent would
+// let it through, and the run would print a clean, short count. Rank 1
+// never receives a node; rank 0 explores the whole tree.
+func TestFaultSeverEverySteal(t *testing.T) {
+	plan := &FaultPlan{Rules: []FaultRule{
+		{Rank: 0, Peer: -1, Side: ServerSide, Kind: int(kindGetChunks), Op: FaultSever},
+	}}
+	run, errs, fired := launchFaulty(t, 2, faultCfg(stealTree, 4, plan), 30*time.Second)
+	requireFired(t, fired, anyTimes)
+	requireHealthyExactRun(t, run, errs, stealTreeNodes, stealTreeLeaves)
+	if steals := run.Sum(func(th *stats.Thread) int64 { return th.Steals }); steals != 0 {
+		t.Errorf("%d steals landed although every fetch was severed", steals)
+	}
 }
 
 // TestFaultDropPutResponse makes the victim's steal grant vanish in
@@ -174,8 +245,9 @@ func TestFaultDropPutResponse(t *testing.T) {
 	plan := &FaultPlan{Rules: []FaultRule{
 		{Rank: 0, Peer: -1, Side: ClientSide, Kind: int(kindPutResponse), Op: FaultDrop, Times: 1},
 	}}
-	run, errs := launchFaulty(t, 2, faultCfg(&uts.BenchSmall, 4, plan), 30*time.Second)
-	requireHealthyExactRun(t, run, errs, 63575, 31887)
+	run, errs, fired := launchFaulty(t, 2, faultCfg(stealTree, 4, plan), 30*time.Second)
+	requireFired(t, fired, 1)
+	requireHealthyExactRun(t, run, errs, stealTreeNodes, stealTreeLeaves)
 }
 
 // TestFaultLostGetChunksReclaimed is the review's headline lost-work
@@ -190,8 +262,9 @@ func TestFaultLostGetChunksReclaimed(t *testing.T) {
 	plan := &FaultPlan{Rules: []FaultRule{
 		{Rank: 1, Peer: -1, Side: ClientSide, Kind: int(kindGetChunks), Op: FaultDrop, Times: 1},
 	}}
-	run, errs := launchFaulty(t, 2, faultCfg(&uts.BenchSmall, 4, plan), 30*time.Second)
-	requireHealthyExactRun(t, run, errs, 63575, 31887)
+	run, errs, fired := launchFaulty(t, 2, faultCfg(stealTree, 4, plan), 30*time.Second)
+	requireFired(t, fired, 1)
+	requireHealthyExactRun(t, run, errs, stealTreeNodes, stealTreeLeaves)
 }
 
 // TestFaultKillBeforeBarrier kills rank 3 as it tries to enter the
@@ -201,7 +274,8 @@ func TestFaultKillBeforeBarrier(t *testing.T) {
 	plan := &FaultPlan{Rules: []FaultRule{
 		{Rank: 3, Peer: -1, Side: ClientSide, Kind: int(kindBarrierEnter), Op: FaultKill},
 	}}
-	run, errs := launchFaulty(t, 4, faultCfg(&uts.BenchTiny, 4, plan), 60*time.Second)
+	run, errs, fired := launchFaulty(t, 4, faultCfg(&uts.BenchTiny, 4, plan), 60*time.Second)
+	requireFired(t, fired, 1)
 
 	if !errors.Is(errs[3], errKilled) {
 		t.Errorf("rank 3 exited with %v, want errKilled", errs[3])
@@ -231,7 +305,8 @@ func TestFaultKillMidBootstrap(t *testing.T) {
 	}}
 	cfg := faultCfg(&uts.BenchTiny, 4, plan)
 	cfg.DialTimeout = 2 * time.Second
-	run, errs := launchFaulty(t, 3, cfg, 30*time.Second)
+	run, errs, fired := launchFaulty(t, 3, cfg, 30*time.Second)
+	requireFired(t, fired, 1)
 
 	if run != nil {
 		t.Error("rank 0 produced a result from a cluster that never finished bootstrapping")
@@ -290,12 +365,9 @@ func TestFaultServiceWithdrawsOnDeadThief(t *testing.T) {
 		t.Fatalf("service returned %v; a dead thief must not fail the victim", err)
 	}
 	if got := w.pool.Len(); got != before {
-		t.Errorf("pool has %d chunks after withdraw, want %d (reserved work leaked)", got, before)
+		t.Errorf("pool has %d chunks after the take-back, want %d (reserved work leaked)", got, before)
 	}
-	n.handoffMu.Lock()
-	pending := len(n.handoff)
-	n.handoffMu.Unlock()
-	if pending != 0 {
+	if pending := n.handoff.Pending(); pending != 0 {
 		t.Errorf("%d handoff entries left behind", pending)
 	}
 	if n.reqWord.Load() != -1 {
@@ -316,8 +388,30 @@ func reclaimNode(t *testing.T, thief int32) (*node, *clusterWorker, uint64) {
 	}
 	n := newNode(cfg)
 	w := &clusterWorker{n: n, k: cfg.Chunk, me: 0}
-	h := n.deposit(append(n.getChunkBuf(), make(stack.Chunk, 4)), thief)
+	h := n.handoff.reserve(append(n.getChunkBuf(), make(stack.Chunk, 4)), thief)
 	return n, w, h
+}
+
+// fetch plays a thief's GetChunks for handle h through the progress
+// engine's handler and returns the chunks the reply carries.
+func fetch(t *testing.T, n *node, h uint64) []stack.Chunk {
+	t.Helper()
+	req := request{Kind: kindGetChunks, Handle: h}
+	var resp response
+	if _, ok := n.handleRequest(&req, &resp); !ok {
+		t.Fatal("chunk fetch dropped the connection")
+	}
+	return resp.Chunk
+}
+
+// eventually polls cond, for as long as a loaded host can reasonably need.
+func eventually(t *testing.T, cond func() bool, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal(what)
+		}
+	}
 }
 
 // TestHandoffReclaimDeadThief: a reservation whose thief this rank has
@@ -335,7 +429,7 @@ func TestHandoffReclaimDeadThief(t *testing.T) {
 	if got := w.pool.Len(); got != 1 {
 		t.Errorf("pool has %d chunks after reclaim, want 1", got)
 	}
-	if n.handoffN.Load() != 0 {
+	if n.handoff.Pending() != 0 {
 		t.Error("handoff table still non-empty after reclaim")
 	}
 	if wa := n.workAvail.Load(); wa != 1 {
@@ -349,47 +443,109 @@ func TestHandoffReclaimDeadThief(t *testing.T) {
 // reclaim gets an empty response (a failed steal), never the work twice.
 func TestHandoffReclaimStaleAge(t *testing.T) {
 	n, w, h := reclaimNode(t, 1)
-	n.handoffMu.Lock()
-	for k, e := range n.handoff {
-		e.at = time.Now().Add(-n.staleAfter() - time.Second)
-		n.handoff[k] = e
-	}
-	n.handoffMu.Unlock()
-	if !w.reclaim() {
-		t.Fatal("reclaim skipped an entry older than the stale bound")
-	}
+	// The backoff floors leave the shortest stale bound at ~9 ms.
+	n.cfg.RPCTimeout = time.Nanosecond
+	eventually(t, w.reclaim, "reclaim skipped an entry older than the stale bound")
 	if got := w.pool.Len(); got != 1 {
 		t.Errorf("pool has %d chunks after reclaim, want 1", got)
 	}
-	var req request
-	var resp response
-	req.Kind, req.Handle = kindGetChunks, h
-	if _, ok := n.handleRequest(&req, &resp); !ok {
-		t.Fatal("late fetch of a reclaimed handle dropped the connection")
-	}
-	if len(resp.Chunk) != 0 {
+	if len(fetch(t, n, h)) != 0 {
 		t.Error("late fetch of a reclaimed handle returned chunks: work delivered twice")
 	}
 }
 
-// TestHandoffRedepositStranded: chunks redeposited by the progress
-// engine (a served GetChunks response that never reached the thief) are
-// immediately stranded and come back on the very next sweep.
-func TestHandoffRedepositStranded(t *testing.T) {
+// TestHandoffServeLeavesEntryPending is the window this ledger closes: an
+// entry the progress engine is sending stays counted until settled, so a
+// worker asking "anything pending?" on its way into the barrier cannot be
+// told no while the chunks are in nobody's pool and on no wire yet.
+func TestHandoffServeLeavesEntryPending(t *testing.T) {
+	n, _, h := reclaimNode(t, 1)
+	if got := len(fetch(t, n, h)); got != 1 {
+		t.Fatalf("handoff serve returned %d chunks, want 1", got)
+	}
+	if got := n.handoff.Pending(); got != 1 {
+		t.Fatalf("Pending() = %d with a served reply not yet settled, want 1", got)
+	}
+	n.handoff.settle(h, true)
+	n.handoff.settle(h, false) // nothing in service: must not strand a phantom
+	if got := n.handoff.Pending(); got != 0 {
+		t.Fatalf("Pending() = %d after the only entry was delivered, want 0", got)
+	}
+}
+
+// TestHandoffUndeliveredServeStranded: an entry whose served GetChunks
+// response never reached the thief is out of the worker's reach while in
+// service — no sweep takes it, and a worker on its way into the barrier
+// waits for it — and comes home the moment it is settled as not delivered.
+func TestHandoffUndeliveredServeStranded(t *testing.T) {
 	n, w, h := reclaimNode(t, 1)
-	var req request
-	var resp response
-	req.Kind, req.Handle = kindGetChunks, h
-	recycle, ok := n.handleRequest(&req, &resp)
-	if !ok || len(recycle) != 1 {
-		t.Fatalf("handoff serve failed: ok=%v chunks=%d", ok, len(recycle))
+	if got := len(fetch(t, n, h)); got != 1 {
+		t.Fatalf("handoff serve returned %d chunks, want 1", got)
 	}
-	n.redeposit(1, recycle)
-	if !w.reclaim() {
-		t.Fatal("redeposited chunks were not immediately reclaimable")
+	n.markDead(1)
+	if w.reclaim() {
+		t.Fatal("reclaim took back an entry the engine is serving: double delivery")
 	}
-	if got := w.pool.Len(); got != 1 {
-		t.Errorf("pool has %d chunks after reclaim, want 1", got)
+	settled := make(chan bool, 1)
+	go func() { settled <- w.Settle(true) }()
+	select {
+	case <-settled:
+		t.Fatal("Settle(true) let the worker into the barrier with an entry in service")
+	case <-time.After(20 * time.Millisecond):
+	}
+	n.handoff.settle(h, false)
+	select {
+	case regained := <-settled:
+		if !regained || w.pool.Len() != 1 {
+			t.Errorf("Settle(true) = %v with %d chunks pooled, want the stranded chunk back", regained, w.pool.Len())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Settle(true) never saw the stranded entry")
+	}
+}
+
+// TestRankLeavingWithReservedWorkIsLabelled drives a rank to termination
+// with an entry left in its ledger — the shape any future loss would have
+// — and wants the error that names it, not a clean exit. Rank 0 is a bare
+// progress engine with no work; rank 1 is a real worker, and the entry is
+// slipped in once it provably sits in the barrier, past its last Settle.
+func TestRankLeavingWithReservedWorkIsLabelled(t *testing.T) {
+	mk := func(rank int) *node {
+		cfg, err := Config{Rank: rank, Ranks: 2, Spec: &uts.BenchTiny, Chunk: 4}.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newNode(cfg)
+	}
+	n0, n1 := mk(0), mk(1)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n0.ln = ln
+	n0.workAvail.Store(-1)
+	go n0.serve()
+	defer n0.close()
+	n1.addrs = []string{ln.Addr().String(), ""}
+	defer n1.close()
+
+	done := make(chan error, 1)
+	go func() { done <- n1.runWorker() }()
+	eventually(t, func() bool {
+		n0.barMu.Lock()
+		defer n0.barMu.Unlock()
+		return n0.barIn[1]
+	}, "rank 1 never entered the barrier")
+	n1.handoff.reserve([]stack.Chunk{make(stack.Chunk, 4)}, 0)
+	n0.barEnter(0) // everyone is inside: termination is announced
+
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "1 handoff entries reserved") {
+			t.Fatalf("rank 1 left with reserved work and reported %v, want the labelled error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("rank 1 did not terminate")
 	}
 }
 
@@ -672,7 +828,7 @@ func TestBindAdvertiseCluster(t *testing.T) {
 		Spec: &uts.BenchTiny, Chunk: 4,
 		Bind: "0.0.0.0:0", Advertise: "127.0.0.1",
 	}
-	run, errs := launchFaulty(t, 2, base, 60*time.Second)
+	run, errs, _ := launchFaulty(t, 2, base, 60*time.Second)
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d failed: %v", r, err)

@@ -61,7 +61,7 @@ func (n *node) metricsSnapshot() *MetricsSnapshot {
 
 		RPCRetries:     st.Kinds[obs.KindRPCRetry],
 		DeadPeers:      n.deadCount(),
-		HandoffPending: int64(n.handoffN.Load()),
+		HandoffPending: int64(n.handoff.Pending()),
 	}
 	if n.cfg.Rank == 0 {
 		m.SuspectedRanks = int64(len(n.suspectedRanks()))
@@ -115,7 +115,7 @@ func (n *node) startMetrics() error {
 			return float64(len(n.suspectedRanks()))
 		})
 	reg.GaugeFunc("uts_handoff_pending", "Handoff-table entries reserved but not yet fetched.", nil,
-		func() float64 { return float64(n.handoffN.Load()) })
+		func() float64 { return float64(n.handoff.Pending()) })
 	telemetry.RegisterSampler(reg, n.sampler)
 	telemetry.RegisterPolicy(reg, n.pset)
 	telemetry.RegisterRuntime(reg)

@@ -163,7 +163,7 @@ var errConnBroken = errors.New("cluster: connection broken by earlier rpc failur
 // errRPCFailed wraps a non-idempotent RPC that failed while the peer
 // demonstrably stayed alive (the confirmation probe answered): the
 // exchange is lost, but the peer keeps its membership. Callers degrade
-// the one operation — a failed steal, a withdrawn reservation — without
+// the one operation — a failed steal, a reservation taken back — without
 // the false death verdict a single transient stall used to produce.
 var errRPCFailed = errors.New("rpc failed (peer alive)")
 
@@ -187,17 +187,8 @@ type node struct {
 	respFrom   int
 	respReady  atomic.Bool
 
-	// Handoff table: chunks reserved by the worker, fetched one-sidedly
-	// by thieves. Guarded by handoffMu (worker deposits, progress engine
-	// serves). Each entry remembers its thief and deposit time so the
-	// worker's reclaim sweep can take back reservations that were never
-	// fetched — a thief that gave up or died must not strand the subtree
-	// it was granted. handoffN mirrors len(handoff) so the hot loop can
-	// ask "anything pending?" with one atomic load.
-	handoffMu  sync.Mutex
-	handoffSeq uint64
-	handoff    map[uint64]handoffEntry
-	handoffN   atomic.Int32
+	// Reserved work: chunks granted to a thief that has yet to fetch them.
+	handoff handoff
 
 	// Failure detection. dead[r] is this rank's local verdict that r is
 	// unreachable (RPCs exhausted their retries); it removes r from
@@ -275,7 +266,6 @@ type node struct {
 func newNode(cfg Config) *node {
 	n := &node{
 		cfg:       cfg,
-		handoff:   map[uint64]handoffEntry{},
 		dead:      make([]atomic.Bool, cfg.Ranks),
 		barIn:     make([]bool, cfg.Ranks),
 		deadSeen:  make([]bool, cfg.Ranks),
@@ -578,8 +568,12 @@ func Run(cfg Config) (*stats.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := newNode(cfg)
+	return newNode(cfg).run()
+}
 
+// run is Run on a built node (tests keep the node to inspect afterwards).
+func (n *node) run() (*stats.Run, error) {
+	cfg := &n.cfg
 	if err := n.bootstrap(); err != nil {
 		n.close() // a partial bootstrap may have opened the listener
 		return nil, err
@@ -924,6 +918,35 @@ func (n *node) serveConn(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) {
 	var req request
 	var resp response
 	mute := false
+	// reply sends resp unless an injected fault withholds it: delivered if
+	// it was written to the socket in full, open if the connection serves on.
+	reply := func() (delivered, open bool) {
+		if op, d, hooked := n.faults.act(ServerSide, req.From, req.Kind); hooked {
+			switch op {
+			case FaultDelay:
+				time.Sleep(d)
+			case FaultDrop:
+				return false, true
+			case FaultSever:
+				return false, false
+			case FaultBlackHole:
+				mute = true
+			case FaultKill:
+				n.die()
+				return false, false
+			}
+		}
+		if mute {
+			return false, true
+		}
+		if n.cfg.RPCTimeout > 0 {
+			conn.SetWriteDeadline(time.Now().Add(n.cfg.RPCTimeout))
+		}
+		if err := enc.Encode(&resp); err != nil {
+			return false, false
+		}
+		return true, true
+	}
 	for {
 		req.reset()
 		if err := dec.Decode(&req); err != nil {
@@ -933,60 +956,30 @@ func (n *node) serveConn(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) {
 			return
 		}
 		resp.reset()
-		recycle, ok := n.handleRequest(&req, &resp)
+		serving, ok := n.handleRequest(&req, &resp)
 		if !ok {
 			return // protocol error: drop the connection
 		}
-		// Any path on which a served GetChunks response provably does not
-		// reach the thief must redeposit the chunks — already consumed
-		// from the handoff table — rather than recycle (double delivery)
-		// or leak them (a lost subtree and a silently short node count).
-		if op, d, hooked := n.faults.act(ServerSide, req.From, req.Kind); hooked {
-			switch op {
-			case FaultDelay:
-				time.Sleep(d)
-			case FaultDrop:
-				if recycle != nil {
-					n.redeposit(int32(req.From), recycle)
-				}
-				continue
-			case FaultSever:
-				if recycle != nil {
-					n.redeposit(int32(req.From), recycle)
-				}
-				return
-			case FaultBlackHole:
-				mute = true
-			case FaultKill:
-				n.die()
-				return
+		delivered, open := reply()
+		if serving {
+			// A handoff entry is in service, and is settled here and nowhere
+			// else: delivered, it leaves the ledger and its buffers rejoin the
+			// free lists; if not, it stays, stranded, for the worker.
+			n.handoff.settle(req.Handle, delivered)
+			if delivered {
+				n.recycle(resp.Chunk)
 			}
 		}
-		if mute {
-			if recycle != nil {
-				n.redeposit(int32(req.From), recycle)
-			}
-			continue
-		}
-		if n.cfg.RPCTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(n.cfg.RPCTimeout))
-		}
-		if err := enc.Encode(&resp); err != nil {
-			if recycle != nil {
-				n.redeposit(int32(req.From), recycle)
-			}
+		if !open {
 			return
-		}
-		if recycle != nil {
-			n.recycle(recycle)
 		}
 	}
 }
 
 // handleRequest services one progress-engine request, writing the reply
-// into resp. It returns the chunk buffer to recycle once resp has been
-// encoded (kindGetChunks only) and whether the connection should stay open.
-func (n *node) handleRequest(req *request, resp *response) (recycle []stack.Chunk, ok bool) {
+// into resp. It reports whether that put a handoff entry in service (one
+// settle is owed) and whether the connection should stay open.
+func (n *node) handleRequest(req *request, resp *response) (serving, ok bool) {
 	switch req.Kind {
 	case kindGetAvail:
 		resp.Avail = n.workAvail.Load()
@@ -1000,17 +993,9 @@ func (n *node) handleRequest(req *request, resp *response) (recycle []stack.Chun
 		n.respReady.Store(true)
 		n.respMu.Unlock()
 	case kindGetChunks:
-		// An absent handle is served as an empty response, not an error:
-		// the worker's reclaim sweep may have taken the entry back, and
-		// the thief books a failed steal for it.
-		n.handoffMu.Lock()
-		if e, ok := n.handoff[req.Handle]; ok {
-			delete(n.handoff, req.Handle)
-			n.handoffN.Store(int32(len(n.handoff)))
-			resp.Chunk = e.chunks
-		}
-		n.handoffMu.Unlock()
-		recycle = resp.Chunk
+		// No entry to serve is an empty response, not an error: the worker
+		// may have taken it back, and the thief books a failed steal.
+		resp.Chunk, serving = n.handoff.serve(req.Handle)
 	case kindBarrierEnter:
 		resp.Last = n.barEnter(req.From)
 	case kindBarrierLeave:
@@ -1034,9 +1019,9 @@ func (n *node) handleRequest(req *request, resp *response) (recycle []stack.Chun
 	case kindMetrics:
 		resp.Metrics = n.metricsSnapshot()
 	default:
-		return nil, false
+		return false, false
 	}
-	return recycle, true
+	return serving, true
 }
 
 // barEnter registers rank from inside the barrier and reports whether
@@ -1116,29 +1101,25 @@ func (n *node) dropPeer(r int, pc *peerConn) {
 	n.peersMu.Unlock()
 }
 
-// die makes this rank behave like a killed process: stop accepting,
-// stop serving, break every outgoing connection, and let the worker exit
-// with errKilled at its next poll. Fault-injection only.
+// die makes this rank behave like a killed process: the teardown below,
+// and the worker exits with errKilled at its next poll. Fault-injection
+// only.
 func (n *node) die() {
 	n.killOnce.Do(func() {
 		n.killed.Store(true)
-		if n.ln != nil {
-			n.ln.Close()
-		}
-		n.peersMu.Lock()
-		for _, p := range n.peers {
-			if p != nil {
-				p.close()
-			}
-		}
-		n.peersMu.Unlock()
+		n.teardown()
 	})
 }
 
-// close tears down the listener, stops the progress engine, and breaks
-// every outgoing connection — the teardown a real process exit implies.
+// close is the normal end: the progress engine stops answering.
 func (n *node) close() {
 	n.shut.Store(true)
+	n.teardown()
+}
+
+// teardown closes the listener and breaks every outgoing connection — what
+// a real process exit implies.
+func (n *node) teardown() {
 	if n.ln != nil {
 		n.ln.Close()
 	}
@@ -1149,85 +1130,6 @@ func (n *node) close() {
 		}
 	}
 	n.peersMu.Unlock()
-}
-
-// handoffEntry is one reserved-work record in the handoff table: the
-// chunks, which thief they were granted to, and when. A zero deposit
-// time marks the entry as already stranded (the redeposit path), making
-// it eligible for the very next reclaim sweep.
-type handoffEntry struct {
-	chunks []stack.Chunk
-	thief  int32
-	at     time.Time
-}
-
-// deposit reserves chunks in the handoff table for thief and returns
-// their handle.
-func (n *node) deposit(chunks []stack.Chunk, thief int32) uint64 {
-	n.handoffMu.Lock()
-	n.handoffSeq++
-	h := n.handoffSeq
-	n.handoff[h] = handoffEntry{chunks: chunks, thief: thief, at: time.Now()}
-	n.handoffN.Store(int32(len(n.handoff)))
-	n.handoffMu.Unlock()
-	return h
-}
-
-// redeposit puts chunks whose served GetChunks response never reached
-// the thief back into the table as an already-stranded entry. The
-// progress engine cannot touch the worker-owned pool directly, so the
-// table is the rendezvous: the worker's next reclaim sweep returns the
-// work to the pool. This is the server-side counterpart of service()'s
-// withdraw — a lost response must not lose the subtree it carried.
-func (n *node) redeposit(thief int32, chunks []stack.Chunk) {
-	n.handoffMu.Lock()
-	n.handoffSeq++
-	n.handoff[n.handoffSeq] = handoffEntry{chunks: chunks, thief: thief}
-	n.handoffN.Store(int32(len(n.handoff)))
-	n.handoffMu.Unlock()
-}
-
-// withdraw takes reserved chunks back out of the handoff table — the
-// un-deposit used when the steal response never reached the thief and
-// the reserved work must return to the pool instead of leaking.
-func (n *node) withdraw(h uint64) ([]stack.Chunk, bool) {
-	n.handoffMu.Lock()
-	defer n.handoffMu.Unlock()
-	e, ok := n.handoff[h]
-	if ok {
-		delete(n.handoff, h)
-		n.handoffN.Store(int32(len(n.handoff)))
-	}
-	return e.chunks, ok
-}
-
-// reclaimStranded withdraws every handoff entry whose thief this rank
-// has declared dead or whose age exceeds staleAfter, returning the
-// entries so the worker can put the work back into its pool. This is
-// the backstop for death-verdict false positives: a thief that timed
-// out waiting for the response (while the PutResponse in fact landed)
-// never fetches its grant, and without the sweep that subtree would sit
-// in the table forever while the run printed a clean, silently short
-// summary. Worker-goroutine only. Delivery and reclamation cannot
-// double-count: both delete the entry under handoffMu, so exactly one
-// side obtains the chunks.
-func (n *node) reclaimStranded() []handoffEntry {
-	if n.handoffN.Load() == 0 {
-		return nil
-	}
-	now := time.Now()
-	limit := n.staleAfter()
-	var out []handoffEntry
-	n.handoffMu.Lock()
-	for h, e := range n.handoff {
-		if n.isDead(int(e.thief)) || now.Sub(e.at) > limit {
-			delete(n.handoff, h)
-			out = append(out, e)
-		}
-	}
-	n.handoffN.Store(int32(len(n.handoff)))
-	n.handoffMu.Unlock()
-	return out
 }
 
 // getNodeBuf returns a recycled node buffer, or nil when none is free (the
@@ -1265,7 +1167,7 @@ func (n *node) getChunkBuf() []stack.Chunk {
 
 // putChunkBuf recycles a response buffer alone, dropping its references;
 // used when the node buffers it carried went back to the pool instead of
-// the free lists (the withdraw path).
+// the free lists (the take-back path).
 func (n *node) putChunkBuf(buf []stack.Chunk) {
 	for i := range buf {
 		buf[i] = nil

@@ -32,6 +32,12 @@ func (n *node) runWorker() error {
 	defer w.Stop()
 	m := core.Machine{H: w, PE: &w.PE, Rng: core.NewProbeOrder(n.cfg.Seed, w.me), Me: w.me, N: n.cfg.Ranks, Stream: true}
 	m.Run()
+	// A rank that terminates cleanly holds nothing: work still reserved or
+	// pooled is a subtree nobody explored, and says so rather than count short.
+	if reserved, pooled := n.handoff.Pending(), w.pool.Len(); w.err == nil && reserved+pooled > 0 {
+		return fmt.Errorf("cluster: rank %d terminated with unexplored work: %d handoff entries reserved, %d chunks pooled",
+			w.me, reserved, pooled)
+	}
 	return w.err
 }
 
@@ -116,9 +122,9 @@ func (w *clusterWorker) Service() {
 // service answers a pending steal request: reserve half the pool in the
 // handoff table and write amount+handle into the thief's response slot.
 // A thief that cannot be reached is handled gracefully: the reserved
-// work is withdrawn from the handoff table and returned to the pool
-// (never stranded), the request word is cleared, and the worker keeps
-// going — a dead thief must not take its victim down with it.
+// work is taken back out of the handoff table into the pool (never
+// stranded), the request word is cleared, and the worker keeps going — a
+// dead thief must not take its victim down with it.
 func (w *clusterWorker) service() error {
 	if w.n.killed.Load() {
 		return errKilled
@@ -136,30 +142,24 @@ func (w *clusterWorker) service() error {
 		chunks := w.pool.TakeHalfAppend(w.n.getChunkBuf())
 		w.n.workAvail.Store(int32(w.pool.Len()))
 		amount = int32(len(chunks))
-		handle = w.n.deposit(chunks, thief)
+		handle = w.n.handoff.reserve(chunks, thief)
 	}
 	_, err := w.n.call(int(thief), &request{
 		Kind: kindPutResponse, From: w.me, Amount: amount, Handle: handle,
 	})
+	w.n.reqWord.Store(-1)
 	if err != nil {
 		// The thief never learned the handle: un-reserve the work so it
-		// is stolen or explored locally instead of leaking.
-		if amount > 0 {
-			if chunks, ok := w.n.withdraw(handle); ok {
-				for _, c := range chunks {
-					w.pool.Put(c)
-				}
-				w.n.putChunkBuf(chunks)
-			}
-			w.n.workAvail.Store(int32(w.pool.Len()))
+		// is stolen or explored locally instead of leaking. (If it did and
+		// its fetch is in service, the entry stays for a later sweep.)
+		if chunks, ok := w.n.handoff.takeBack(handle); ok {
+			w.comeHome(chunks)
 		}
-		w.n.reqWord.Store(-1)
 		if errors.Is(err, errPeerDead) || errors.Is(err, errRPCFailed) {
 			return nil
 		}
 		return err
 	}
-	w.n.reqWord.Store(-1)
 	if amount > 0 {
 		w.Granted(int(thief), int(amount))
 	} else {
@@ -168,37 +168,44 @@ func (w *clusterWorker) service() error {
 	return nil
 }
 
-// reclaim sweeps the handoff table for stranded reservations — entries
-// whose thief this rank declared dead, or that sat unfetched past the
-// stale bound — and puts the work back into the pool. Returns true when
-// any work came back. Costs one atomic load while the table is empty,
-// so the hot loop calls it on its yield cadence.
+// comeHome puts chunks taken back from the handoff table into the pool,
+// stealable again, and recycles the buffer that carried them.
+func (w *clusterWorker) comeHome(chunks []stack.Chunk) {
+	for _, c := range chunks {
+		w.pool.Put(c)
+	}
+	w.n.putChunkBuf(chunks)
+	w.n.workAvail.Store(int32(w.pool.Len()))
+}
+
+// reclaim sweeps the handoff table for reservations that will not be
+// fetched — stranded by a reply that never went out, granted to a thief
+// this rank declared dead (or that gave up on a response which did land),
+// unfetched past the stale bound — and puts the work back into the pool.
+// Returns true when any came back. Costs one atomic load while the table
+// is empty, so the hot loop calls it on its yield cadence.
 func (w *clusterWorker) reclaim() bool {
-	entries := w.n.reclaimStranded()
-	if len(entries) == 0 {
+	if w.n.handoff.Pending() == 0 {
 		return false
 	}
+	entries := w.n.handoff.sweep(w.n.isDead, w.n.staleAfter())
 	for _, e := range entries {
 		w.Lane.Rec(obs.KindHandoffReclaim, e.thief, int64(len(e.chunks)))
-		for _, c := range e.chunks {
-			w.pool.Put(c)
-		}
-		w.n.putChunkBuf(e.chunks)
+		w.comeHome(e.chunks)
 	}
-	w.n.workAvail.Store(int32(w.pool.Len()))
-	return true
+	return len(entries) > 0
 }
 
 // Settle takes stranded reservations back. Before a probe cycle it is one
 // sweep: work stranded by a thief that never fetched its grant counts as
 // discovered work, not a reason to keep searching. Entering the barrier it
-// blocks until every reserved entry is fetched or reclaimed — entering
-// with work still reserved could let the run terminate with that subtree
-// unexplored — and keeps servicing steal requests meanwhile (reclaimed
-// work is immediately stealable again).
+// blocks until every reserved entry, one being served included, is
+// delivered or reclaimed — entering with work still reserved could let
+// the run terminate with that subtree unexplored — and keeps servicing
+// steal requests meanwhile (reclaimed work is immediately stealable again).
 func (w *clusterWorker) Settle(entering bool) bool {
 	regained := w.reclaim()
-	for entering && w.err == nil && w.n.handoffN.Load() > 0 {
+	for entering && w.err == nil && w.n.handoff.Pending() > 0 {
 		w.Service()
 		if w.reclaim() {
 			regained = true
@@ -298,7 +305,7 @@ func (w *clusterWorker) Steal(v int) bool {
 	got, err := w.n.call(v, &request{Kind: kindGetChunks, From: w.me, Handle: handle})
 	if err != nil {
 		// If only the fetch failed, the reservation is intact at v (or
-		// redeposited there when only the response leg was lost): v's
+		// stranded there when only the response leg was lost): v's
 		// reclaim sweep returns the work to v's own pool.
 		w.failUnlessPeer(err)
 		return false

@@ -133,11 +133,6 @@ type Options struct {
 	policySet *policy.Set
 }
 
-// PolicySet exposes the run's controller set while the run is live; used
-// by the telemetry bridge to register uts_policy_* gauges. Nil when the
-// run is not adaptive.
-func (o *Options) PolicySet() *policy.Set { return o.policySet }
-
 // withDefaults returns a copy of o with defaults applied.
 func (o Options) withDefaults() Options {
 	if o.Algorithm == "" {

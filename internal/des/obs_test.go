@@ -1,7 +1,9 @@
 package des
 
 import (
+	"math"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -147,8 +149,16 @@ func TestSamplerIsObservationOnly(t *testing.T) {
 // cadence must run within 2% of the same traced simulation without one.
 // The sampler only reads the rings' seqlock side from its own goroutine,
 // so any measurable slowdown means a lock, a store, or an allocation
-// leaked onto the record path. Best-of-5 wall times on a deterministic
-// workload keep scheduler noise below the threshold. It needs real
+// leaked onto the record path.
+//
+// The hosts this runs on time one and the same run anywhere in ±15 %, at
+// 7 ms and at 2 s alike (their level shifts for seconds at a time), so no
+// handful of timings decides 2 %. What cancels a shifting level is a pair
+// of runs a few milliseconds apart, and what beats the rest is many of
+// them: 1000 detached/attached pairs in alternating order, judged on the
+// median pair ratio. The distribution-free 99 % lower confidence bound of
+// that median (the order statistic 2.33·√n/2 places under it) is logged
+// beside it to show how far the reading can be trusted. It needs real
 // parallelism: on a single core the sampler's own fold work timeshares
 // with the simulation and the wall clock measures CPU sharing, not
 // record-path interference (which the differential tests already pin to
@@ -174,21 +184,25 @@ func TestSamplerOverheadGate(t *testing.T) {
 		}
 		return wall
 	}
-	best := func(sampled bool) time.Duration {
-		b := time.Duration(1<<63 - 1)
-		for i := 0; i < 5; i++ {
-			if w := run(sampled); w < b {
-				b = w
-			}
-		}
-		return b
-	}
 	run(true) // warm caches and the scheduler before timing
-	plain, sampled := best(false), best(true)
-	overhead := float64(sampled-plain) / float64(plain)
-	t.Logf("detached %v, attached %v, overhead %.2f%%", plain, sampled, 100*overhead)
-	if overhead > 0.02 {
-		t.Errorf("sampler adds %.2f%% to a traced run; want <= 2%%", 100*overhead)
+	const pairs = 1000
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		var plain, sampled time.Duration
+		if i%2 == 0 {
+			plain, sampled = run(false), run(true)
+		} else {
+			sampled, plain = run(true), run(false)
+		}
+		ratios[i] = float64(sampled) / float64(plain)
+	}
+	sort.Float64s(ratios)
+	median := ratios[pairs/2] - 1
+	lower := ratios[pairs/2-int(2.33*math.Sqrt(pairs)/2)] - 1
+	t.Logf("%d pairs: median overhead %+.2f%% (middle half of the pairs %+.1f%% … %+.1f%%), 99%% lower bound %+.2f%%",
+		pairs, 100*median, 100*(ratios[pairs/4]-1), 100*(ratios[3*pairs/4]-1), 100*lower)
+	if median > 0.02 {
+		t.Errorf("sampler adds %.2f%% to a traced run; want <= 2%%", 100*median)
 	}
 }
 
@@ -197,6 +211,11 @@ func TestSamplerOverheadGate(t *testing.T) {
 // timestamps (virtual ones in virtual time), per-lane sequence numbers,
 // kinds within the taxonomy, and — the machine being one — the same probe
 // bracket on both: every probe-result answers the probe-start before it.
+// A wall-clock lane can outrun its ring (on a loaded host idle threads
+// probe for as long as the workers are descheduled), and what a wrapped
+// ring retains may open between a probe-start and its result: such a lane
+// is held to the bracket from its first retained probe-start on. Virtual
+// lanes never wrap here, and are held to it from their first event.
 func TestTracedEventsWellFormed(t *testing.T) {
 	virt, wall := obs.NewVirtual(8, 0), obs.New(8, 0)
 	if _, err := Run(&uts.BenchTiny, Config{Algorithm: core.UPCDistMem, PEs: 8, Chunk: 4, Tracer: virt}); err != nil {
@@ -212,6 +231,17 @@ func TestTracedEventsWellFormed(t *testing.T) {
 		}
 		lastSeq := map[int32]uint64{}
 		probing := map[int32]int32{} // PE -> victim of its probe in flight, +1
+		// midBracket marks the lanes whose retained history may open inside
+		// a bracket: they dropped events and have shown no probe-start yet.
+		midBracket := map[int32]bool{}
+		for pe := 0; pe < 8; pe++ {
+			if dropped := tr.Lane(pe).Recorded() - obs.DefaultRingSize; dropped > 0 {
+				if tr.Virtual() {
+					t.Fatalf("virtual lane %d dropped %d events: the strict half of this test needs the whole history", pe, dropped)
+				}
+				midBracket[int32(pe)] = true
+			}
+		}
 		for i, e := range events {
 			if i > 0 && e.T() < events[i-1].T() {
 				t.Fatalf("event %d out of time order", i)
@@ -232,8 +262,9 @@ func TestTracedEventsWellFormed(t *testing.T) {
 			switch e.Kind {
 			case obs.KindProbeStart:
 				probing[e.PE] = e.Other + 1
+				midBracket[e.PE] = false
 			case obs.KindProbeResult:
-				if probing[e.PE] != e.Other+1 {
+				if probing[e.PE] != e.Other+1 && !midBracket[e.PE] {
 					t.Fatalf("virtual=%v: event %d: probe-result from PE %d without its probe-start", tr.Virtual(), i, e.Other)
 				}
 				probing[e.PE] = 0

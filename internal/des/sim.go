@@ -529,7 +529,6 @@ type flatHeap struct {
 }
 
 func (h *flatHeap) empty() bool { return len(h.a) == 0 }
-func (h *flatHeap) minT() int64 { return h.a[0].t }
 
 // rootAfter reports whether the heap minimum orders strictly after a
 // would-be event of proc id at time t — the inline-commit condition. A

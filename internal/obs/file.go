@@ -24,16 +24,3 @@ func WriteChromeTraceFile(path string, t *Tracer) error {
 	}
 	return f.Close()
 }
-
-// WriteTimelineFile writes the merged text timeline to path. Nil-safe.
-func WriteTimelineFile(path string, t *Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteTimeline(f, t); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}

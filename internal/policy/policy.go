@@ -29,9 +29,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Config enables adaptation and bounds it. The zero value means "adapt
-// with defaults derived from the base configuration": callers that want
-// fixed behavior pass a nil *Config instead.
+// Config enables adaptation. The zero value means "adapt with defaults
+// derived from the base configuration": callers that want fixed behavior
+// pass a nil *Config instead.
 type Config struct {
 	// Window is the feedback interval between adaptation decisions, in
 	// the caller's time base (wall for real runs, virtual for the DES).
@@ -39,16 +39,6 @@ type Config struct {
 	// internal/core uses 500µs of wall time, the DES derives a window
 	// from the machine model's message costs.
 	Window time.Duration
-
-	// MinChunk/MaxChunk bound the adapted chunk size. Zero values derive
-	// bounds from the base chunk: [1, max(128, 8·base)]. The range is
-	// deliberately wide — a deliberately-bad start (k=1 on a machine
-	// whose plateau sits at 16) must be able to reach the plateau.
-	MinChunk, MaxChunk int
-
-	// MinPoll/MaxPoll bound the adapted mpi-ws poll interval. Zero
-	// values derive [max(1, base/4), base·8].
-	MinPoll, MaxPoll int
 }
 
 // Base is the static configuration the controllers start from and adapt
@@ -118,6 +108,14 @@ type Controller struct {
 	cfg  Config
 	base Base
 
+	// Bounds of the adapted knobs, derived from the base configuration:
+	// the chunk size moves in [1, max(128, 8·base)] — deliberately wide,
+	// a deliberately-bad start (k=1 on a machine whose plateau sits at
+	// 16) must be able to reach the plateau — and the mpi-ws poll interval
+	// in [max(1, base/4), 8·base].
+	kMin, kMax       int
+	pollMin, pollMax int
+
 	// Knobs, read by the owning PE on its hot path.
 	k        int
 	half     bool
@@ -161,33 +159,15 @@ type Controller struct {
 func (c *Controller) init(cfg Config, base Base, track bool) {
 	c.cfg = cfg
 	c.base = base
-	if c.cfg.MinChunk <= 0 {
-		c.cfg.MinChunk = 1
-	}
-	if c.cfg.MaxChunk <= 0 {
-		c.cfg.MaxChunk = 8 * base.Chunk
-		if c.cfg.MaxChunk < 128 {
-			c.cfg.MaxChunk = 128
-		}
-	}
-	if c.cfg.MinPoll <= 0 {
-		c.cfg.MinPoll = base.Poll / 4
-		if c.cfg.MinPoll < 1 {
-			c.cfg.MinPoll = 1
-		}
-	}
-	if c.cfg.MaxPoll <= 0 {
-		c.cfg.MaxPoll = 8 * base.Poll
-		if c.cfg.MaxPoll < c.cfg.MinPoll {
-			c.cfg.MaxPoll = c.cfg.MinPoll
-		}
-	}
+	c.kMin, c.kMax = 1, max(128, 8*base.Chunk)
+	c.pollMin = max(1, base.Poll/4)
+	c.pollMax = max(c.pollMin, 8*base.Poll)
 	if c.cfg.Window <= 0 {
 		c.cfg.Window = 500 * time.Microsecond
 	}
-	c.k = clamp(base.Chunk, c.cfg.MinChunk, c.cfg.MaxChunk)
+	c.k = clamp(base.Chunk, c.kMin, c.kMax)
 	c.half = base.StealHalf
-	c.poll = clamp(base.Poll, c.cfg.MinPoll, c.cfg.MaxPoll)
+	c.poll = clamp(base.Poll, c.pollMin, c.pollMax)
 	c.nodeSize = 1
 	if base.NodeSize > 1 && base.HierPays {
 		c.nodeSize = base.NodeSize
@@ -312,7 +292,7 @@ func (c *Controller) closeWindow(nowNS int64) {
 		// actually seen (threshold 2k at half the observed peak), rather
 		// than creeping down by halves — every starved window extends the
 		// serialized prefix, so the escape must be a single move.
-		c.k = clamp(min(c.k/2, c.depthMax/4), c.cfg.MinChunk, c.cfg.MaxChunk)
+		c.k = clamp(min(c.k/2, c.depthMax/4), c.kMin, c.kMax)
 		if c.k < c.kLo {
 			c.kLo = c.k
 		}
@@ -399,14 +379,14 @@ func (c *Controller) adapt(nowNS int64, stealEv, pollEv bool) {
 		case failFrac > failHi || c.denied >= minAttempts:
 			// Work withheld: victims (or we, as a victim) sit below the
 			// release threshold while demand goes unmet. Halve.
-			c.k = clamp(c.k/2, c.cfg.MinChunk, c.cfg.MaxChunk)
+			c.k = clamp(c.k/2, c.kMin, c.kMax)
 		case share > shareExtreme:
 			// Steal traffic swamps useful work — far left of the Figure-4
 			// plateau. Slow-start: double.
-			c.k = clamp(c.k*2, c.cfg.MinChunk, c.cfg.MaxChunk)
+			c.k = clamp(c.k*2, c.kMin, c.kMax)
 		case share > shareHi:
 			// Overhead still material: additive increase.
-			c.k = clamp(c.k+max(1, c.k/4), c.cfg.MinChunk, c.cfg.MaxChunk)
+			c.k = clamp(c.k+max(1, c.k/4), c.kMin, c.kMax)
 		}
 
 		// Steal-half under scarcity: when most attempts fail, a success
@@ -422,9 +402,9 @@ func (c *Controller) adapt(nowNS int64, stealEv, pollEv bool) {
 	if pollEv {
 		hit := float64(c.msgs) / float64(c.polls)
 		if hit < pollLo {
-			c.poll = clamp(c.poll*2, c.cfg.MinPoll, c.cfg.MaxPoll)
+			c.poll = clamp(c.poll*2, c.pollMin, c.pollMax)
 		} else if hit > pollHi {
-			c.poll = clamp(c.poll/2, c.cfg.MinPoll, c.cfg.MaxPoll)
+			c.poll = clamp(c.poll/2, c.pollMin, c.pollMax)
 		}
 	}
 

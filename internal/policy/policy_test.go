@@ -267,22 +267,29 @@ func TestStarvationEscape(t *testing.T) {
 	}
 }
 
-// TestBoundsClamp: explicit bounds cap both the starting chunk and every
-// adaptation step.
+// TestBoundsClamp: the bounds derived from the base chunk, [1, max(128,
+// 8·base)], stop the doubling at one end and the halving at the other.
 func TestBoundsClamp(t *testing.T) {
-	_, c := newCtl(t, Config{MinChunk: 4, MaxChunk: 32}, Base{Chunk: 64})
-	if c.Chunk() != 32 {
-		t.Fatalf("start clamped: k=%d, want 32", c.Chunk())
-	}
-	for w := int64(0); w < 6; w++ {
-		at := w * win
+	_, c := newCtl(t, Config{}, Base{Chunk: 4})
+	at := int64(0)
+	window := func(book func(at int64)) {
 		for i := int64(0); i < 4; i++ {
-			fail(c, at+i*20, 10)
+			book(at + i*220)
 		}
-		c.NoteNodes(10, 0, at+win)
+		at += win
+		c.NoteNodes(10, 0, at)
 	}
-	if c.Chunk() != 4 {
-		t.Errorf("halving must stop at MinChunk: k=%d, want 4", c.Chunk())
+	for w := 0; w < 8; w++ {
+		window(func(at int64) { ok(c, at, 200, 5) })
+	}
+	if c.Chunk() != 128 {
+		t.Fatalf("doubling must stop at max(128, 8·base): k=%d, want 128", c.Chunk())
+	}
+	for w := 0; w < 10; w++ {
+		window(func(at int64) { fail(c, at, 10) })
+	}
+	if c.Chunk() != 1 {
+		t.Errorf("halving must stop at 1: k=%d", c.Chunk())
 	}
 }
 

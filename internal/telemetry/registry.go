@@ -20,7 +20,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Label is one name="value" pair attached to a metric. Names must match
@@ -73,33 +72,6 @@ type series struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*family)}
-}
-
-// Counter is a monotonically increasing int64 metric. Concurrency-safe.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds delta (negative deltas are ignored: counters are monotone).
-func (c *Counter) Add(delta int64) {
-	if delta > 0 {
-		c.v.Add(delta)
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Counter registers and returns an owned counter.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.register(name, help, "counter", labels, func(w io.Writer, n, l string) {
-		fmt.Fprintf(w, "%s%s %d\n", n, l, c.Value())
-	})
-	return c
 }
 
 // CounterFunc registers a counter whose value is pulled from fn at scrape

@@ -13,10 +13,7 @@ import (
 
 func TestCounterExposition(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("test_total", "A test counter.")
-	c.Inc()
-	c.Add(41)
-	c.Add(-5) // ignored: counters are monotone
+	reg.CounterFunc("test_total", "A test counter.", nil, func() float64 { return 42 })
 	var b strings.Builder
 	reg.WriteText(&b)
 	want := "# HELP test_total A test counter.\n# TYPE test_total counter\ntest_total 42\n"
@@ -77,6 +74,7 @@ func TestSpecialFloatValues(t *testing.T) {
 }
 
 func TestRegistrationPanics(t *testing.T) {
+	zero := func() float64 { return 0 }
 	expectPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -87,25 +85,25 @@ func TestRegistrationPanics(t *testing.T) {
 		fn()
 	}
 	expectPanic("bad metric name", func() {
-		NewRegistry().Counter("bad-name", "")
+		NewRegistry().CounterFunc("bad-name", "", nil, zero)
 	})
 	expectPanic("bad label name", func() {
-		NewRegistry().Counter("ok", "", Label{"bad-label", "v"})
+		NewRegistry().CounterFunc("ok", "", []Label{{"bad-label", "v"}}, zero)
 	})
 	expectPanic("duplicate series", func() {
 		r := NewRegistry()
-		r.Counter("dup", "", Label{"a", "1"})
-		r.Counter("dup", "", Label{"a", "1"})
+		r.CounterFunc("dup", "", []Label{{"a", "1"}}, zero)
+		r.CounterFunc("dup", "", []Label{{"a", "1"}}, zero)
 	})
 	expectPanic("type mismatch", func() {
 		r := NewRegistry()
-		r.Counter("m", "")
-		r.GaugeFunc("m", "", []Label{{"a", "1"}}, func() float64 { return 0 })
+		r.CounterFunc("m", "", nil, zero)
+		r.GaugeFunc("m", "", []Label{{"a", "1"}}, zero)
 	})
 	// Same family, different labels: fine.
 	r := NewRegistry()
-	r.Counter("ok_total", "", Label{"a", "1"})
-	r.Counter("ok_total", "", Label{"a", "2"})
+	r.CounterFunc("ok_total", "", []Label{{"a", "1"}}, zero)
+	r.CounterFunc("ok_total", "", []Label{{"a", "2"}}, zero)
 }
 
 func TestValidNames(t *testing.T) {
@@ -129,8 +127,7 @@ func TestValidNames(t *testing.T) {
 // checks the exposition plus the pprof index and OnScrape appenders.
 func TestServerScrape(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("scraped_total", "Scrapes observed.")
-	c.Add(5)
+	reg.CounterFunc("scraped_total", "Scrapes observed.", nil, func() float64 { return 5 })
 	RegisterRuntime(reg)
 	srv, err := NewServer("127.0.0.1:0", reg)
 	if err != nil {
