@@ -163,9 +163,10 @@ func announceMetrics(cfg *cluster.Config, rank int) {
 }
 
 // rankTracePath places rank 0's trace at the requested path and every
-// other rank's alongside it with a .rankN suffix.
+// other rank's alongside it with a .rankN suffix; no path, no trace, on
+// any rank.
 func rankTracePath(path string, rank int) string {
-	if rank == 0 {
+	if rank == 0 || path == "" {
 		return path
 	}
 	return fmt.Sprintf("%s.rank%d", path, rank)

@@ -1,7 +1,6 @@
 package des
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -224,7 +223,7 @@ func TestAdaptiveConverges(t *testing.T) {
 func TestAdaptBenchGate(t *testing.T) {
 	gate(t)
 	base := Config{Algorithm: core.UPCDistMem, PEs: 256,
-		Model: &pgas.KittyHawk, Seed: 7, Shards: runtime.NumCPU()}
+		Model: &pgas.KittyHawk, Seed: 7}
 	best, results, err := TuneChunk(&uts.T3XXL, base, []int{1, 8, 64, 128})
 	if err != nil {
 		t.Fatal(err)

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/pgas"
@@ -145,11 +147,13 @@ func gate(t *testing.T) {
 }
 
 // engines: the batched one and the legacy reference, for the benchmarks.
-var engines = []struct {
+type engineLeg struct {
 	name      string
 	reference bool // Config.reference
 	new       func() *Sim
-}{{EngineBatched, false, New}, {"legacy", true, newLegacy}}
+}
+
+var engines = []engineLeg{{EngineBatched, false, New}, {"legacy", true, newLegacy}}
 
 // dispatchWorkload is pure dispatch: pes PEs each burn quanta interleaved
 // 1-4ns stepped quanta with no tree or protocol work, so every cost is heap
@@ -204,11 +208,60 @@ func TestEngineThroughputGate(t *testing.T) {
 	}
 }
 
+// TestEngineCountsPinned pins how the batched engine reaches its boundaries,
+// not just how many: events that went through the queue (Info.Pops; the
+// rest committed inline) and goroutine switches (Info.Handoffs), on pure
+// dispatch and on two rows of the differential matrix. The counts are exact
+// on any host, so an indirection added to the dispatcher shows here as an
+// integer where a timing would drown it; the values are what the engine
+// reported before the sharded engine came to share its dispatcher.
+func TestEngineCountsPinned(t *testing.T) {
+	if size := unsafe.Sizeof(ev{}); size != 24 {
+		t.Errorf("a queued event is %d bytes, want 24", size)
+	}
+	check := func(name string, got, want Info) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: %+v, want %+v", name, got, want)
+		}
+	}
+	sim := New()
+	dispatchWorkload(sim, 64, 2000)
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	check("dispatchWorkload(64, 2000)", Info{Events: sim.events, Pops: sim.pops, Handoffs: sim.handoffs},
+		Info{Events: 128064, Pops: 128064, Handoffs: 128})
+	want := map[string]Info{
+		"upc-distmem/t3-small/seed1": {Engine: EngineBatched, Events: 2976, Pops: 2940, Handoffs: 441},
+		"mpi-ws/t3-small/seed1":      {Engine: EngineBatched, Events: 14315, Pops: 12379, Handoffs: 2632},
+	}
+	differentialCases(func(name string, sp *uts.Spec, cfg Config) {
+		if w, ok := want[name]; ok {
+			_, info, err := RunInfo(sp, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			check(name, info, w)
+			delete(want, name)
+		}
+	})
+	if len(want) != 0 {
+		t.Errorf("rows missing from the differential matrix: %v", want)
+	}
+}
+
 // BenchmarkSimDispatch is the pure engine microbenchmark, the number the
 // batched rewrite targets; BenchmarkSimEngine shows the same ratio diluted
-// by the simulation's real node-expansion work.
+// by the simulation's real node-expansion work. The sharded legs run the
+// same dispatcher: one shard has no peers, so that leg is the batched engine
+// reached through NewSharded and the two agree; two shards put the
+// dispatcher behind a shard's gate, where they only trade horizon promises
+// (the workload has no remote operation).
 func BenchmarkSimDispatch(b *testing.B) {
-	for _, e := range engines {
+	for _, e := range append(slices.Clip(engines),
+		engineLeg{name: "sharded-1", new: func() *Sim { return NewSharded(1, 0) }},
+		engineLeg{name: "sharded-2", new: func() *Sim { return NewSharded(2, 4*time.Microsecond) }}) {
 		b.Run(e.name, func(b *testing.B) {
 			b.ReportAllocs()
 			sim := e.new()

@@ -7,10 +7,11 @@ import (
 )
 
 // This file is the remote-operation layer: the single doorway through which
-// one simulated PE touches state owned by another. Under the sequential
-// engines the doorway is a plain function call — exactly one PE runs at any
-// instant, so applying an operation inline at the caller's clock is the
-// definition of correct. Under the sharded engine (sharded.go) the same
+// one simulated PE touches state owned by another. While both PEs share a
+// dispatcher — always, under the sequential engines — the doorway is a plain
+// function call: exactly one of its PEs runs at any instant, so applying an
+// operation inline at the caller's clock is the definition of correct. When
+// the sharded engine (sharded.go) has put dst on another shard, the same
 // calls become messages stamped with the virtual instant and the caller's
 // (proc, seq) position, and the owning shard applies them in global key
 // order — which is why routing every cross-PE effect through this layer is
@@ -47,12 +48,12 @@ type RemoteApply func(dst int, op uint8, a, b int64, chunks []stack.Chunk) int64
 // stagedOp is one remote operation staged against the current quantum's
 // boundary.
 type stagedOp struct {
-	dst   int32
-	op    uint8
-	local bool // sharded engine: same-shard op, executed at the boundary
-	a     int64
-	b     int64
-	res   int64
+	dst  int32
+	op   uint8
+	away bool // sent to dst's shard: res arrives by rendezvous reply (sharded.go)
+	a    int64
+	b    int64
+	res  int64
 }
 
 // SetRemote registers the remote-operation interpreter for this run. Must
@@ -67,8 +68,8 @@ func (s *Sim) SetRemote(fn RemoteApply) { s.remote = fn }
 //
 //uts:noalloc
 func (p *Proc) RemoteCall(dst int, d time.Duration, op uint8, a, b int64) int64 {
-	if p.sh != nil {
-		return p.sh.remoteCall(p, dst, d, op, a, b)
+	if sh := p.d.sh; sh != nil && sh.foreign(dst) {
+		return sh.remoteCall(p, dst, d, op, a, b)
 	}
 	p.Advance(d)
 	return p.sim.remote(dst, op, a, b, nil)
@@ -84,8 +85,8 @@ func (p *Proc) RemoteCall(dst int, d time.Duration, op uint8, a, b int64) int64 
 //
 //uts:noalloc
 func (p *Proc) RemoteSend(dst int, adv, effectDelay time.Duration, op uint8, a, b int64, chunks []stack.Chunk) {
-	if p.sh != nil {
-		p.sh.remoteSend(p, dst, adv, effectDelay, op, a, b, chunks)
+	if sh := p.d.sh; sh != nil && sh.foreign(dst) {
+		sh.remoteSend(p, dst, adv, effectDelay, op, a, b, chunks)
 		return
 	}
 	p.Advance(adv)
@@ -106,8 +107,8 @@ func (p *Proc) StageRemote(dst int, d time.Duration, op uint8, a, b int64) time.
 	}
 	p.staged[p.nstag] = stagedOp{dst: int32(dst), op: op, a: a, b: b}
 	p.nstag++
-	if p.sh != nil {
-		p.sh.stageRemote(p, d)
+	if sh := p.d.sh; sh != nil && sh.foreign(dst) {
+		sh.stageRemote(p, d)
 	}
 	return d
 }
@@ -118,16 +119,17 @@ func (p *Proc) StageRemote(dst int, d time.Duration, op uint8, a, b int64) time.
 //uts:noalloc
 func (p *Proc) StagedResult(i int) int64 { return p.staged[i].res }
 
-// runStaged executes the staged ops of a quantum that just reached its
-// boundary, in staging order, under the sequential engines. (The sharded
-// engine resolves staged ops through rendezvous replies instead; see
-// sharded.go.)
+// runStaged resolves the staged ops of a quantum that just reached its
+// boundary, in staging order: each executes here, at the proc's own position
+// in the schedule, unless it went to another shard — then its reply has
+// already filled the slot.
 //
 //uts:noalloc
 func (p *Proc) runStaged() {
 	for i := 0; i < p.nstag; i++ {
-		st := &p.staged[i]
-		st.res = p.sim.remote(int(st.dst), st.op, st.a, st.b, nil)
+		if st := &p.staged[i]; !st.away {
+			st.res = p.sim.remote(int(st.dst), st.op, st.a, st.b, nil)
+		}
 	}
 	p.nstag = 0
 }

@@ -54,17 +54,19 @@ type Config struct {
 	// every knob fixed and the simulation byte-identical to earlier
 	// releases.
 	Adapt *policy.Config
-	// Shards, when > 0, runs the simulation on the sharded engine: the
+	// Shards, when > 1, runs the simulation on the sharded engine: the
 	// simulated PEs are partitioned into that many contiguous-ID shards,
 	// each dispatched by its own goroutine (so a real core), synchronized
 	// conservatively with the machine model's minimum remote-hop cost as
 	// lookahead. Results are bit-identical to the sequential engines for
 	// any shard count; Shards is a parallelism knob, not a semantic one.
-	// It is capped at PEs. The shared-memory family (upc-sharedmem, upc-term,
-	// upc-term-rapdif, upc-term-relaxed) synchronizes through zero-latency lock handoffs and
-	// always runs as a single shard. Zero selects the sequential batched
-	// engine. Requires a model (and, with NodeSize >= 2, an Intra model)
-	// whose MinRemoteHop is positive when more than one shard is in play.
+	// It is capped at PEs, and the shared-memory family (upc-sharedmem,
+	// upc-term, upc-term-rapdif, upc-term-relaxed), which synchronizes
+	// through zero-latency lock handoffs, cannot be divided. One effective
+	// shard — asked for, or left by the cap or the family rule — is the
+	// sequential batched engine, as is zero; only more than one requires
+	// a model (and, with NodeSize >= 2, an Intra model) whose MinRemoteHop
+	// is positive.
 	Shards int
 
 	// reference runs the simulation on the legacy reference engine
@@ -74,7 +76,7 @@ type Config struct {
 }
 
 // The two engines a run can use, as Info.Engine reports them: batched
-// unless Config.Shards > 0.
+// unless more than one shard is in play.
 const (
 	EngineBatched = "batched"
 	EngineSharded = "sharded"
@@ -89,13 +91,19 @@ type Info struct {
 	// wall second compares pure engine overhead.
 	Events uint64
 	// Shards is the effective shard count of a sharded run (after capping
-	// at PEs and the single-shard algorithm restrictions); 0 under the
-	// sequential engines.
+	// at PEs), at least 2; 0 under the sequential engines.
 	Shards int
 	// Lookahead is the conservative-synchronization window of a sharded
 	// run: the minimum virtual latency separating any cross-PE operation
 	// from its decision instant, derived from the clamped cost model.
 	Lookahead time.Duration
+	// Pops is the number of events that came off an event heap or its
+	// parked slot, summed over shards; Events − Pops committed inline.
+	Pops uint64
+	// Handoffs is the number of baton passes to a PE goroutine — goroutine
+	// switches — summed over shards. Both counts are exact and, on the
+	// batched engine, a function of the configuration alone.
+	Handoffs uint64
 }
 
 func (c Config) withDefaults() Config {
@@ -251,32 +259,24 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 	if cfg.Shards < 0 {
 		return nil, nil, info, fmt.Errorf("des: need shards >= 0, got %d", cfg.Shards)
 	}
-	if cfg.Shards > 0 {
-		shards := cfg.Shards
-		if shards > cfg.PEs {
-			shards = cfg.PEs
-		}
-		if _, shared := core.SharedVariants[cfg.Algorithm]; shared {
-			// The shared-memory family synchronizes through zero-latency
-			// lock handoffs (Block/Wake), which carry no lookahead; it
-			// runs sharded but undivided.
-			shards = 1
-		}
-		if interval > 0 && shards > 1 {
+	// The shared-memory family synchronizes through zero-latency lock
+	// handoffs (Block/Wake), which carry no lookahead: it is never divided.
+	// One shard, there or after the cap at PEs, is the batched engine above.
+	_, lockCoupled := core.SharedVariants[cfg.Algorithm]
+	if shards := min(cfg.Shards, cfg.PEs); shards > 1 && !lockCoupled {
+		if interval > 0 {
 			return nil, nil, info, fmt.Errorf("des: traced runs sample global protocol state and need a single shard, got %d", shards)
 		}
+		if cfg.Model.MinRemoteHop() <= 0 {
+			return nil, nil, info, fmt.Errorf("des: model %q has no minimum remote-hop cost; a zero-latency machine cannot run sharded (use shards <= 1)", cfg.Model.Name)
+		}
 		la := cs.remoteRef
-		if shards > 1 {
-			if cfg.Model.MinRemoteHop() <= 0 {
-				return nil, nil, info, fmt.Errorf("des: model %q has no minimum remote-hop cost; a zero-latency machine cannot run sharded (use shards <= 1)", cfg.Model.Name)
+		if cfg.NodeSize >= 2 && cfg.Intra != nil {
+			if cfg.Intra.MinRemoteHop() <= 0 {
+				return nil, nil, info, fmt.Errorf("des: intra-node model %q has no minimum remote-hop cost; a zero-latency machine cannot run sharded (use shards <= 1)", cfg.Intra.Name)
 			}
-			if cfg.NodeSize >= 2 && cfg.Intra != nil {
-				if cfg.Intra.MinRemoteHop() <= 0 {
-					return nil, nil, info, fmt.Errorf("des: intra-node model %q has no minimum remote-hop cost; a zero-latency machine cannot run sharded (use shards <= 1)", cfg.Intra.Name)
-				}
-				if ila := newCosts(cfg.Intra).remoteRef; ila < la {
-					la = ila
-				}
+			if ila := newCosts(cfg.Intra).remoteRef; ila < la {
+				la = ila
 			}
 		}
 		info.Engine = EngineSharded
@@ -352,7 +352,7 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 	if err := sim.Run(); err != nil {
 		return nil, nil, info, err
 	}
-	info.Events = sim.Events()
+	info.Events, info.Pops, info.Handoffs = sim.events, sim.pops, sim.handoffs
 	var makespan time.Duration
 	for _, t := range ends {
 		if t > makespan {

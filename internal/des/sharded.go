@@ -13,14 +13,16 @@ import (
 // execution of the exact sequential schedule.
 //
 // The simulated PEs are partitioned into S shards of contiguous IDs. Each
-// shard owns a flat 4-ary event heap, a virtual clock, and a baton: exactly
-// one goroutine executes a shard's events at any moment, handed between the
-// dispatcher loop and the shard's PE goroutines exactly as in the batched
-// engine — so within a shard the PR 3 inline fast path survives unchanged.
-// Across shards, every interaction goes through the remote-operation layer
-// (remote.go): operations become messages carrying the virtual instant and
-// the initiating proc's (id, seq) position, delivered through per-shard-
-// pair inboxes and merged into the owner's heap, where they execute in
+// shard is one dispatcher (sim.go) — the batched engine's own clock, heap of
+// proc resumptions, parked slot and baton, so Advance, AdvanceStepped,
+// Block/Wake and the inline fast path are the same code under both engines —
+// plus what this file adds, all of it cross-shard: inboxes, horizon
+// promises, the queue of remote operations, rendezvous stalls, sleep/kick
+// and the deadlock check. Every interaction between shards goes through the
+// remote-operation layer (remote.go): operations become messages carrying
+// the virtual instant and the initiating proc's (id, seq) position,
+// delivered through per-shard-pair inboxes into the owner's operation queue,
+// and the owner's gate (ready) interleaves them with its proc events in
 // global (t, pid, seq) key order.
 //
 // # Conservative synchronization
@@ -42,14 +44,13 @@ import (
 // Rendezvous operations (RemoteCall, StageRemote) need a result back; the
 // reply is solicited — stamped with the requester's own boundary, not
 // bounded below by the owner's promise — so the requester *self-gates*:
-// it stalls at the boundary, executes every smaller-keyed event that
-// arrives meanwhile, and resumes only when the reply lands. The shard
-// holding the globally minimal proc event can always run (every peer
-// promise is at least that minimum plus L), so some shard always makes
-// progress and the protocol is deadlock-free; if every shard sleeps with
-// an infinite horizon while procs remain, the procs are blocked on each
-// other — a protocol deadlock, reported exactly like the sequential
-// engine's drained-queue error.
+// it stalls at the boundary, its shard with it (see stall), and resumes
+// only when the reply lands. The shard holding the globally minimal proc
+// event can always run (every peer promise is at least that minimum plus
+// L), so some shard always makes progress and the protocol is
+// deadlock-free; if every shard sleeps with an infinite horizon while procs
+// remain, the procs are blocked on each other — a protocol deadlock,
+// reported exactly like the sequential engine's drained-queue error.
 //
 // # Determinism
 //
@@ -64,120 +65,86 @@ import (
 
 const maxVT = int64(^uint64(0) >> 1) // +infinity for virtual time
 
-// sev event kinds.
+// shardMsg kinds.
 const (
-	seProc   byte = iota // a proc resumption (scheduled or parked boundary)
-	seEffect             // fire-and-forget remote apply at the stamp
-	seCall               // rendezvous request: apply at the stamp, reply
-	seReply              // rendezvous reply: fills a slot, never enters the heap
+	msgEffect byte = iota // fire-and-forget remote apply at the stamp
+	msgCall               // rendezvous request: apply at the stamp, reply
+	msgReply              // rendezvous reply: fills a slot, never queued
 )
 
-// sev is one sharded-engine event: a proc resumption or a cross-shard
-// operation, ordered by the same (t, pid, seq) key the sequential engines
-// use. Delayed effects carry pid −1 so they order before every proc
-// boundary at their stamp — a receiver polling its queue at exactly the
-// arrival instant must see the message, as it does sequentially.
-type sev struct {
+// shardMsg is one cross-shard message: a remote operation ordered by the
+// same (t, pid, seq) key as the proc events, or the reply to one. Delayed
+// effects carry pid −1 so they order before every proc boundary at their
+// stamp — a receiver polling its queue at exactly the arrival instant must
+// see the message, as it does sequentially.
+type shardMsg struct {
 	t      int64
 	pid    int32
 	seq    uint64
-	p      *Proc // seProc: the proc to resume
 	kind   byte
-	from   int32 // seCall: requesting shard (reply destination)
-	slot   int8  // seCall/seReply: staged slot, or -1 for RemoteCall
-	dst    int32 // seEffect/seCall: destination PE; seReply: requester PE
+	from   int32 // msgCall: requesting shard (reply destination)
+	slot   int8  // msgCall/msgReply: staged slot, or -1 for RemoteCall
+	dst    int32 // msgEffect/msgCall: destination PE; msgReply: requester PE
 	op     uint8
 	a, b   int64
 	chunks []stack.Chunk
 }
 
-func sevLess(a, b *sev) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	if a.pid != b.pid {
-		return a.pid < b.pid
-	}
-	return a.seq < b.seq
+// opQueue is a shard's pending remote operations sorted by (t, pid, seq),
+// the next one due at a[head]. A sorted slice, because operations arrive
+// almost in order: on the benchmark's two-shard runs the queue holds 54–69
+// entries when one is inserted and peaks at 84–202 (247 at eight shards),
+// but the newcomer belongs 0.02–2.8 places from the tail on average (5.4 at
+// eight, never more than 53), so an insert moves a few entries and a pop
+// none.
+type opQueue struct {
+	a    []shardMsg
+	head int
 }
 
-// shHeap is the per-shard flat 4-ary min-heap of sharded events — the same
-// layout and hole-insertion sift as the sequential flatHeap.
-type shHeap struct {
-	a []sev
+func (q *opQueue) len() int         { return len(q.a) - q.head }
+func (q *opQueue) first() *shardMsg { return &q.a[q.head] }
+
+func (q *opQueue) push(m *shardMsg) {
+	if q.head > 0 && len(q.a) == cap(q.a) {
+		// Reclaim the consumed prefix rather than grow past it.
+		n := copy(q.a, q.a[q.head:])
+		clear(q.a[n:])
+		q.a, q.head = q.a[:n], 0
+	}
+	q.a = append(q.a, shardMsg{})
+	i := len(q.a) - 1
+	for ; i > q.head && m.before(&q.a[i-1]); i-- {
+		q.a[i] = q.a[i-1]
+	}
+	q.a[i] = *m
 }
 
-//uts:noalloc
-func (h *shHeap) push(e sev) {
-	h.a = append(h.a, e) //uts:ok noalloc amortized slice growth; steady-state pushes reuse the backing array
-	a := h.a
-	i := len(a) - 1
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !sevLess(&e, &a[parent]) {
-			break
-		}
-		a[i] = a[parent]
-		i = parent
+func (q *opQueue) pop() shardMsg {
+	m := q.a[q.head]
+	q.a[q.head] = shardMsg{} // drops the chunks reference
+	if q.head++; q.head == len(q.a) {
+		q.a, q.head = q.a[:0], 0
 	}
-	a[i] = e
+	return m
 }
 
-//uts:noalloc
-func (h *shHeap) pop() sev {
-	n := len(h.a) - 1
-	top := h.a[0]
-	h.a[0] = h.a[n]
-	h.a[n] = sev{}
-	h.a = h.a[:n]
-	if n > 1 {
-		h.siftDown(0)
+func (m *shardMsg) before(o *shardMsg) bool {
+	if m.t != o.t {
+		return m.t < o.t
 	}
-	return top
+	if m.pid != o.pid {
+		return m.pid < o.pid
+	}
+	return m.seq < o.seq
 }
 
-//uts:noalloc
-func (h *shHeap) siftDown(i int) {
-	a := h.a
-	n := len(a)
-	e := a[i]
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if sevLess(&a[j], &a[m]) {
-				m = j
-			}
-		}
-		if !sevLess(&a[m], &e) {
-			break
-		}
-		a[i] = a[m]
-		i = m
-	}
-	a[i] = e
-}
-
-// rootAfterProc reports whether the heap minimum orders strictly after a
-// would-be boundary of proc pid at time t — the shard-local half of the
-// inline-commit condition. A (t, pid) tie against a queued event is
-// impossible: a proc has one outstanding resumption, its own requests
-// live in other shards' heaps, and delayed effects carry pid −1.
-//
-//uts:noalloc
-func (h *shHeap) rootAfterProc(t int64, pid int32) bool {
-	r := &h.a[0]
-	if r.t != t {
-		return r.t > t
-	}
-	return r.pid > pid
+// keyBefore orders two (t, pid) key prefixes. Across the kinds of thing a
+// shard has pending the prefix never ties: a proc has one outstanding
+// resumption or stall, its own requests queue in other shards, and delayed
+// effects carry pid −1.
+func keyBefore(t1 int64, id1 int, t2 int64, id2 int) bool {
+	return t1 < t2 || (t1 == t2 && id1 < id2)
 }
 
 // shInbox is one bounded shard-pair inbox: peers append under the mutex,
@@ -186,17 +153,16 @@ func (h *shHeap) rootAfterProc(t int64, pid int32) bool {
 type shInbox struct {
 	mu    sync.Mutex
 	dirty atomic.Bool
-	q     []sev
-	spare []sev
+	q     []shardMsg
+	spare []shardMsg
 }
 
-// shard is one partition of the simulation: a block of contiguous PEs, an
-// event heap, a clock, and the conservative-synchronization state.
+// shard is one partition of the simulation: the dispatcher of a block of
+// contiguous PEs, and the conservative-synchronization state around it.
 type shard struct {
-	eng  *shardEngine
-	idx  int
-	heap shHeap
-	now  int64
+	dispatcher
+	eng *shardEngine
+	idx int
 
 	// safeT caches min over peers' promises: every event with t < safeT
 	// is safe to execute without looking at the inboxes again (messages
@@ -211,18 +177,15 @@ type shard struct {
 	pub        int64
 	lastNowPub int64
 
-	// helds are procs stalled at a boundary awaiting rendezvous replies,
-	// each at key (heldT, id). Events beyond the minimum held key must
-	// wait; events before it keep executing.
-	helds []*Proc
+	// held is the proc stalled at the boundary the clock stands on, awaiting
+	// rendezvous replies; nothing else runs in the shard until they are in
+	// (see stall). ops are the remote operations peers sent here.
+	held *Proc
+	ops  opQueue
 
 	in       []shInbox // indexed by sending shard
 	kick     chan struct{}
 	sleeping atomic.Int32
-
-	events   uint64
-	nprocs   int
-	finished int
 	exited   bool // dispatch loop has exited (wg accounting)
 }
 
@@ -230,9 +193,8 @@ type shard struct {
 type shardEngine struct {
 	sim      *Sim
 	nshards  int
-	la       int64 // lookahead L: minimum cross-shard stamp distance
-	pending  []*Proc
-	byPid    []*Proc
+	la       int64   // lookahead L: minimum cross-shard stamp distance
+	procs    []*Proc // by PE number
 	shards   []*shard
 	shardOf  []int32
 	wg       sync.WaitGroup
@@ -247,7 +209,10 @@ type shardEngine struct {
 // parallel dispatchers synchronized with conservative lookahead la, which
 // must be positive when shards > 1 (it is the minimum virtual latency of
 // any cross-PE operation — see pgas.Model.MinRemoteHop). PEs are assigned
-// to shards in contiguous blocks of spawn order at Run time.
+// to shards in contiguous blocks of spawn order at Run time, the count
+// capped at theirs. One shard — asked for, or left by the cap — has no peer
+// and nothing cross-shard to add: the run is New's, on the Sim's own
+// dispatcher (des.Run does not even ask; this package's tests do).
 func NewSharded(shards int, la time.Duration) *Sim {
 	if shards < 1 {
 		panic("des: sharded engine needs at least one shard")
@@ -272,39 +237,29 @@ func (s *Sim) Shards() int {
 // assign partitions the spawned procs into contiguous-ID shard blocks and
 // seeds each shard's heap and horizon.
 func (eng *shardEngine) assign() {
-	n := len(eng.pending)
-	s := eng.nshards
-	if s > n {
-		s = n
-		eng.nshards = s
-	}
-	eng.byPid = eng.pending
+	n, s := len(eng.procs), eng.nshards
 	eng.shardOf = make([]int32, n)
 	eng.shards = make([]*shard, s)
 	for i := range eng.shards {
-		eng.shards[i] = &shard{
+		sh := &shard{
 			eng:   eng,
 			idx:   i,
 			in:    make([]shInbox, s),
 			kick:  make(chan struct{}, 1),
 			safeT: eng.la,
+			pub:   eng.la, // heap min 0 + L
 		}
+		sh.dispatcher.sh = sh
+		sh.promise.Store(eng.la)
+		eng.shards[i] = sh
 	}
-	for pid, p := range eng.pending {
+	for pid, p := range eng.procs {
 		si := pid * s / n
 		eng.shardOf[pid] = int32(si)
 		sh := eng.shards[si]
-		p.sh = sh
+		p.d = &sh.dispatcher
 		sh.nprocs++
-		p.seq++
-		sh.heap.push(sev{t: 0, pid: int32(pid), seq: p.seq, p: p, kind: seProc})
-	}
-	for _, sh := range eng.shards {
-		sh.promise.Store(eng.la) // heap min 0 + L
-		sh.pub = eng.la
-		if s == 1 {
-			sh.safeT = maxVT // no peers: pure fast path
-		}
+		eng.sim.schedule(p, 0)
 	}
 }
 
@@ -312,8 +267,14 @@ func (eng *shardEngine) assign() {
 // shard's baton, and the engine waits for every shard's dispatch loop to
 // exit (global completion, or a deadlock report).
 func (eng *shardEngine) run() error {
-	if eng.sim.nprocs == 0 {
-		return nil
+	s := eng.sim
+	if eng.nshards = min(eng.nshards, len(eng.procs)); eng.nshards <= 1 {
+		// No peers, so nothing cross-shard to build: the procs stay on
+		// the Sim's own dispatcher, where Spawn put them.
+		for _, p := range eng.procs {
+			s.schedule(p, 0)
+		}
+		return s.runBatched()
 	}
 	eng.done = make(chan struct{})
 	eng.assign()
@@ -322,16 +283,14 @@ func (eng *shardEngine) run() error {
 		go sh.dispatch()
 	}
 	eng.wg.Wait()
-	var events uint64
-	mx := int64(0)
 	for _, sh := range eng.shards {
-		events += sh.events
-		if sh.now > mx {
-			mx = sh.now
+		s.events += sh.events
+		s.pops += sh.pops
+		s.handoffs += sh.handoffs
+		if sh.now > s.now {
+			s.now = sh.now
 		}
 	}
-	eng.sim.events = events
-	eng.sim.now = mx
 	return eng.err
 }
 
@@ -343,9 +302,9 @@ func (eng *shardEngine) fail(err error) {
 	})
 }
 
-// shardDone is called by the wrapper of a shard's last finishing proc;
-// when every shard's procs have finished the run is over (no proc can
-// send again, so nothing meaningful remains in flight).
+// shardDone is called once per shard, when its last proc has finished; when
+// every shard's procs have the run is over (no proc can send again, so
+// nothing meaningful remains in flight).
 func (eng *shardEngine) shardDone() {
 	if int(eng.doneShs.Add(1)) == len(eng.shards) {
 		eng.failOnce.Do(func() { close(eng.done) })
@@ -358,7 +317,7 @@ func (eng *shardEngine) shardDone() {
 // flag-then-drain order so a wakeup is never lost.
 //
 //uts:noalloc
-func (sh *shard) enqueue(from int, m sev) {
+func (sh *shard) enqueue(from int, m shardMsg) {
 	ib := &sh.in[from]
 	ib.mu.Lock()
 	ib.q = append(ib.q, m) //uts:ok noalloc amortized growth of a bounded, reused inbox buffer
@@ -374,7 +333,7 @@ func (sh *shard) enqueue(from int, m sev) {
 
 // drain merges every arrived message: replies fill their proc's slots
 // immediately (they are position-free — the stalled proc consumes them at
-// its own boundary), everything else enters the heap at its key.
+// its own boundary), operations join the queue at their key.
 //
 //uts:noalloc
 func (sh *shard) drain() {
@@ -391,8 +350,8 @@ func (sh *shard) drain() {
 		ib.mu.Unlock()
 		for j := range msgs {
 			m := &msgs[j]
-			if m.kind == seReply {
-				p := sh.eng.byPid[m.dst]
+			if m.kind == msgReply {
+				p := sh.eng.procs[m.dst]
 				if m.slot >= 0 {
 					p.staged[m.slot].res = m.a
 				} else {
@@ -401,8 +360,8 @@ func (sh *shard) drain() {
 				p.pendReplies--
 				continue
 			}
-			sh.heap.push(*m)
-			msgs[j].chunks = nil
+			sh.ops.push(m)
+			m.chunks = nil
 		}
 	}
 }
@@ -462,19 +421,42 @@ func (sh *shard) refreshSafe() {
 	sh.safeT = m
 }
 
-// horizon is the earliest key this shard could still emit a message from:
-// its earliest pending proc boundary (queued or stalled), plus lookahead.
+// front returns the key prefix of the dispatcher's earliest proc event, if
+// it has one. An event parked because the gate held it back — not, as in
+// the batched engine, because the heap root came first — may precede the
+// root; front swaps the two, which leaves the heap a heap and the slot
+// ordered after its root, as dispatcher.next expects.
+//
+//uts:noalloc
+func (sh *shard) front() (t int64, id int, ok bool) {
+	e := &sh.pend
+	if !sh.heap.empty() {
+		e = &sh.heap.a[0]
+		if sh.hasPend && evLess(sh.pend, *e) {
+			sh.pend, *e = *e, sh.pend
+		}
+	} else if !sh.hasPend {
+		return 0, 0, false
+	}
+	return e.t, e.p.id, true
+}
+
+// horizon is the earliest key this shard could still emit a message from,
+// plus lookahead. It is taken over everything pending — heap root, parked
+// slot, stalled proc, queued operations: an event the gate is holding back
+// sits in the parked slot, not the heap, and may be the earliest of all.
 //
 //uts:noalloc
 func (sh *shard) horizon() int64 {
 	m := maxVT
-	if len(sh.heap.a) > 0 {
-		m = sh.heap.a[0].t
+	if t, _, ok := sh.front(); ok {
+		m = t
 	}
-	for _, hp := range sh.helds {
-		if hp.heldT < m {
-			m = hp.heldT
-		}
+	if sh.ops.len() > 0 && sh.ops.first().t < m {
+		m = sh.ops.first().t
+	}
+	if sh.held != nil {
+		m = sh.now
 	}
 	if m == maxVT {
 		return maxVT
@@ -482,359 +464,191 @@ func (sh *shard) horizon() int64 {
 	return m + sh.eng.la
 }
 
-// minHeld returns the stalled proc with the smallest (heldT, id) key.
+// clear reports whether a boundary of proc id at time t lies below the
+// peers' horizon and ahead of every queued operation. (A stalled proc need
+// not be looked for: nothing commits while one is held.)
 //
 //uts:noalloc
-func (sh *shard) minHeld() *Proc {
-	var hp *Proc
-	for _, q := range sh.helds {
-		if hp == nil || q.heldT < hp.heldT || (q.heldT == hp.heldT && q.id < hp.id) {
-			hp = q
-		}
-	}
-	return hp
+func (sh *shard) clear(t int64, id int) bool {
+	return t < sh.safeT && (sh.ops.len() == 0 || keyBefore(t, id, sh.ops.first().t, int(sh.ops.first().pid)))
 }
 
-//uts:noalloc
-func (sh *shard) removeHeld(p *Proc) {
-	for i, q := range sh.helds {
-		if q == p {
-			n := len(sh.helds) - 1
-			sh.helds[i] = sh.helds[n]
-			sh.helds[n] = nil
-			sh.helds = sh.helds[:n]
-			return
-		}
-	}
-}
-
-// commitOK is the shard-local half of the inline-commit condition: the
-// boundary (t, pid) must precede every queued event and every stalled
-// proc's boundary. The cross-shard half (t < safeT) is checked by callers.
+// admits is the cross-shard half of the inline-commit test (the heap root
+// is the dispatcher's own, sim.go): the boundary must be clear, after one
+// refresh of visibility if need be — cheaper than the park it may save.
 //
 //uts:noalloc
-func (sh *shard) commitOK(t int64, pid int32) bool {
-	for _, hp := range sh.helds {
-		if t > hp.heldT || (t == hp.heldT && int(pid) > hp.id) {
+func (sh *shard) admits(t int64, id int) bool {
+	if !sh.clear(t, id) {
+		sh.refreshSafe()
+		if !sh.clear(t, id) {
 			return false
 		}
 	}
-	if len(sh.heap.a) == 0 {
-		return true
-	}
-	return sh.heap.rootAfterProc(t, pid)
+	sh.maybePublish(t)
+	return true
 }
 
-// assertHop enforces the promise contract on protocols: every cross-shard
-// operation must land at least one lookahead after its deciding instant.
+// foreign reports whether PE dst lives on another shard.
 //
 //uts:noalloc
-func (sh *shard) assertHop(stamp int64) {
-	if stamp-sh.now < sh.eng.la {
+func (sh *shard) foreign(dst int) bool { return int(sh.eng.shardOf[dst]) != sh.idx }
+
+// send stamps a message for foreign PE dst with p's next (id, seq) position
+// and delivers it to dst's shard. It enforces the promise contract on
+// protocols: every cross-shard operation must land at least one lookahead
+// after its deciding instant.
+//
+//uts:noalloc
+func (sh *shard) send(p *Proc, dst int, m shardMsg) {
+	if m.t-sh.now < sh.eng.la {
 		panic("des: cross-shard operation beneath the lookahead — protocol violates the cost model's minimum remote hop")
 	}
+	p.seq++
+	m.seq = p.seq
+	m.from = int32(sh.idx)
+	m.dst = int32(dst)
+	sh.eng.shards[sh.eng.shardOf[dst]].enqueue(sh.idx, m)
 }
 
-// remoteCall implements Proc.RemoteCall under the sharded engine: enqueue
-// the rendezvous request at the completion stamp, advance, and stall at
-// the boundary until the owner's reply lands.
+// remoteCall is Proc.RemoteCall against a foreign PE: enqueue the
+// rendezvous request at the completion stamp, advance, and stall at the
+// boundary until the owner's reply lands.
 func (sh *shard) remoteCall(p *Proc, dst int, d time.Duration, op uint8, a, b int64) int64 {
-	eng := sh.eng
-	od := eng.shardOf[dst]
-	if int(od) == sh.idx {
-		p.Advance(d)
-		return eng.sim.remote(dst, op, a, b, nil)
-	}
-	stamp := sh.now + int64(d)
-	sh.assertHop(stamp)
-	p.seq++
 	p.pendReplies++
-	eng.shards[od].enqueue(sh.idx, sev{
-		t: stamp, pid: int32(p.id), seq: p.seq, kind: seCall,
-		from: int32(sh.idx), slot: -1, dst: int32(dst), op: op, a: a, b: b,
-	})
+	sh.send(p, dst, shardMsg{t: sh.now + int64(d), pid: int32(p.id), kind: msgCall, slot: -1, op: op, a: a, b: b})
 	p.Advance(d)
 	if p.pendReplies > 0 {
-		sh.stallFrame(p)
+		sh.stall(p)
+		p.yield()
 	}
 	return p.callRes
 }
 
-// remoteSend implements Proc.RemoteSend under the sharded engine: the
-// effect applies in the owner's shard at now+adv+effectDelay. Zero-delay
-// effects keep the sender's (pid, seq) position — they commit at the
-// sender's completion instant exactly as sequentially; delayed effects
-// order before every proc boundary at their arrival stamp (pid −1).
+// remoteSend is Proc.RemoteSend against a foreign PE: the effect applies in
+// the owner's shard at now+adv+effectDelay. Zero-delay effects keep the
+// sender's (pid, seq) position — they commit at the sender's completion
+// instant exactly as sequentially; delayed effects order before every proc
+// boundary at their arrival stamp (pid −1).
 func (sh *shard) remoteSend(p *Proc, dst int, adv, effectDelay time.Duration, op uint8, a, b int64, chunks []stack.Chunk) {
-	eng := sh.eng
-	od := eng.shardOf[dst]
-	if int(od) == sh.idx {
-		p.Advance(adv)
-		eng.sim.remote(dst, op, a, b, chunks)
-		return
-	}
-	stamp := sh.now + int64(adv) + int64(effectDelay)
-	sh.assertHop(stamp)
 	pid := int32(p.id)
 	if effectDelay > 0 {
 		pid = -1
 	}
-	p.seq++
-	eng.shards[od].enqueue(sh.idx, sev{
-		t: stamp, pid: pid, seq: p.seq, kind: seEffect,
-		dst: int32(dst), op: op, a: a, b: b, chunks: chunks,
-	})
+	sh.send(p, dst, shardMsg{t: sh.now + int64(adv) + int64(effectDelay), pid: pid, kind: msgEffect, op: op, a: a, b: b, chunks: chunks})
 	p.Advance(adv)
 }
 
-// stageRemote implements the sharded half of Proc.StageRemote: same-shard
-// ops are marked for inline execution at the boundary; cross-shard ops
-// become rendezvous requests stamped with the boundary instant.
+// stageRemote is Proc.StageRemote against a foreign PE: the op just staged
+// becomes a rendezvous request stamped with the boundary instant.
 func (sh *shard) stageRemote(p *Proc, d time.Duration) {
-	st := &p.staged[p.nstag-1]
-	eng := sh.eng
-	od := eng.shardOf[st.dst]
-	if int(od) == sh.idx {
-		st.local = true
-		return
-	}
-	stamp := sh.now + int64(d)
-	sh.assertHop(stamp)
-	p.seq++
+	slot := p.nstag - 1
+	st := &p.staged[slot]
+	st.away = true
 	p.pendReplies++
-	eng.shards[od].enqueue(sh.idx, sev{
-		t: stamp, pid: int32(p.id), seq: p.seq, kind: seCall,
-		from: int32(sh.idx), slot: int8(p.nstag - 1), dst: st.dst, op: st.op, a: st.a, b: st.b,
-	})
+	sh.send(p, int(st.dst), shardMsg{t: sh.now + int64(d), pid: int32(p.id), kind: msgCall, slot: int8(slot), op: st.op, a: st.a, b: st.b})
 }
 
-// runStagedSharded resolves a boundary's staged ops: cross-shard slots
-// were filled by rendezvous replies; same-shard slots execute here, at
-// the proc's own position in its shard's schedule.
+// stall holds p at the boundary the clock stands on until its outstanding
+// rendezvous replies arrive, and the shard with it. A boundary is reached
+// by a pop or an inline commit, either of which required it to lie below
+// safeT and to order before everything else pending, and every message
+// stamped below safeT is already here: nothing that orders before p can
+// still arrive, so while p waits the shard only drains replies, and at most
+// one proc is ever held. A proc stalled inside a stepped advance (stepFn
+// set) resumes in dispatcher context, any other by a baton pass to its
+// goroutine.
+func (sh *shard) stall(p *Proc) { sh.held = p }
+
+// turn is what a shard's gate found to do next.
+type turn uint8
+
+const (
+	turnWait turn = iota // the earliest pending item lies beyond safeT or awaits replies
+	turnProc             // the dispatcher's earliest proc event
+	turnOp               // the earliest queued remote operation
+	turnHeld             // the stalled proc: its replies are in
+)
+
+// pick finds the earliest item pending in the shard — the stalled proc if
+// there is one, else proc event or queued operation — and reports it if it
+// may run now (after a drain and horizon refresh).
 //
 //uts:noalloc
-func (p *Proc) runStagedSharded() {
-	for i := 0; i < p.nstag; i++ {
-		st := &p.staged[i]
-		if st.local {
-			st.local = false
-			st.res = p.sh.eng.sim.remote(int(st.dst), st.op, st.a, st.b, nil)
+func (sh *shard) pick() turn {
+	if sh.held != nil {
+		if sh.held.pendReplies > 0 {
+			return turnWait
+		}
+		return turnHeld
+	}
+	t, id, what := maxVT, 0, turnWait
+	if pt, pid, ok := sh.front(); ok {
+		t, id, what = pt, pid, turnProc
+	}
+	if sh.ops.len() > 0 {
+		if o := sh.ops.first(); keyBefore(o.t, int(o.pid), t, id) {
+			t, what = o.t, turnOp
 		}
 	}
-	p.nstag = 0
-}
-
-// stallFrame parks the running proc at its current boundary until its
-// outstanding rendezvous replies arrive, handing the baton to the
-// dispatcher so every smaller-keyed event keeps executing meanwhile.
-func (sh *shard) stallFrame(p *Proc) {
-	p.heldT = sh.now
-	p.heldLive = true
-	sh.helds = append(sh.helds, p)
-	sh.dispatch()
-	<-p.ch
-}
-
-// shardAdvance is Proc.Advance under the sharded engine.
-//
-//uts:noalloc
-func (p *Proc) shardAdvance(d time.Duration) {
-	sh := p.sh
-	t := sh.now + int64(d)
-	pid := int32(p.id)
-	if t < sh.safeT && sh.commitOK(t, pid) {
-		sh.now = t
-		sh.events++
-		sh.maybePublish(t)
-		return
+	if t >= sh.safeT {
+		return turnWait
 	}
-	// Refresh visibility once before paying for a park.
-	sh.refreshSafe()
-	if t < sh.safeT && sh.commitOK(t, pid) {
-		sh.now = t
-		sh.events++
-		sh.maybePublish(t)
-		return
-	}
-	p.seq++
-	sh.heap.push(sev{t: t, pid: pid, seq: p.seq, p: p, kind: seProc})
-	sh.dispatch()
-	<-p.ch
+	return what
 }
 
-// shardAdvanceStepped is Proc.AdvanceStepped under the sharded engine:
-// identical boundary semantics to the batched engine, plus the rendezvous
-// stall when a boundary's staged replies are still in flight.
-func (p *Proc) shardAdvanceStepped(step Stepper) Intr {
-	sh := p.sh
-	pid := int32(p.id)
-	for {
-		d, fl := step()
-		if d > 0 {
-			t := sh.now + int64(d)
-			if !(t < sh.safeT && sh.commitOK(t, pid)) {
-				sh.refreshSafe()
-				if !(t < sh.safeT && sh.commitOK(t, pid)) {
-					p.stepFn = step
-					p.stepFl = fl
-					p.seq++
-					sh.heap.push(sev{t: t, pid: pid, seq: p.seq, p: p, kind: seProc})
-					sh.dispatch()
-					return <-p.ch
-				}
-			}
-			sh.now = t
-			sh.events++
-			sh.maybePublish(t)
-		}
-		if p.pendReplies > 0 {
-			sh.stallFrame(p)
-		}
-		if p.nstag > 0 {
-			p.runStagedSharded()
-		}
-		if fl&StepDone != 0 {
-			return 0
-		}
-		if fl&StepNoPoll == 0 && p.intr != 0 {
-			m := p.intr
-			p.intr = 0
-			return m
-		}
-	}
-}
-
-// shardContStep resumes a parked stepped advance at its boundary in
-// dispatcher context, mirroring the batched engine's contStep. Returns
-// true when the baton was handed to the proc's goroutine.
-func (sh *shard) shardContStep(p *Proc) bool {
-	fl := p.stepFl
-	pid := int32(p.id)
-	for {
-		if p.nstag > 0 {
-			p.runStagedSharded()
-		}
-		if fl&StepDone != 0 {
-			p.stepFn = nil
-			p.ch <- 0
-			return true
-		}
-		if fl&StepNoPoll == 0 && p.intr != 0 {
-			m := p.intr
-			p.intr = 0
-			p.stepFn = nil
-			p.ch <- m
-			return true
-		}
-		var d time.Duration
-		d, fl = p.stepFn()
-		if d > 0 {
-			t := sh.now + int64(d)
-			if !(t < sh.safeT && sh.commitOK(t, pid)) {
-				p.stepFl = fl
-				p.seq++
-				sh.heap.push(sev{t: t, pid: pid, seq: p.seq, p: p, kind: seProc})
-				return false
-			}
-			sh.now = t
-			sh.events++
-			sh.maybePublish(t)
-		}
-		if p.pendReplies > 0 {
-			// Boundary awaits rendezvous replies: stall in dispatcher
-			// context; dispatch resumes the continuation when they land.
-			p.stepFl = fl
-			p.heldT = sh.now
-			sh.helds = append(sh.helds, p)
-			return false
-		}
-	}
-}
-
-// shardYield hands the baton to the dispatcher and blocks until an event
-// hands it back (Block under the sharded engine; Wake pushes the event).
-func (p *Proc) shardYield() Intr {
-	p.sh.dispatch()
-	return <-p.ch
-}
-
-// dispatch is the shard's event loop. Exactly one goroutine per shard runs
-// it at any moment; it returns after handing the baton to a proc, and the
+// ready is the shard's gate, asked by dispatch before every pop. It runs
+// whatever precedes the dispatcher's earliest proc event — arrived remote
+// operations, stalled procs whose replies are in — and sleeps while nothing
+// may run, until that event is safe to execute (true). It returns false
+// when the baton has left with a resumed proc, or the run is over; the
 // goroutine that observes global completion (or failure) does the shard's
 // final exit accounting.
-func (sh *shard) dispatch() {
-	eng := sh.eng
+func (sh *shard) ready() bool {
+	if sh.finished == sh.nprocs {
+		// The last proc's exit brought dispatch here, and no later pass
+		// does: without procs no event is left to return true for.
+		sh.eng.shardDone()
+	}
 	for {
 		sh.drain()
-		for sh.runnable() {
-			hp := sh.minHeld()
-			if len(sh.heap.a) > 0 {
-				e := &sh.heap.a[0]
-				if (hp == nil || e.t < hp.heldT || (e.t == hp.heldT && int(e.pid) < hp.id)) && e.t < sh.safeT {
-					ev := sh.heap.pop()
-					if sh.execute(&ev) {
-						return
-					}
-					sh.drain()
+		what := sh.pick()
+		if what == turnWait {
+			// Nothing executable against the cached horizon: refresh
+			// once before paying for a sleep.
+			sh.refreshSafe()
+			if what = sh.pick(); what == turnWait {
+				if sh.sleep() {
 					continue
 				}
-			}
-			// Otherwise runnable means the minimal stalled proc has its
-			// replies: resume it at its boundary.
-			sh.removeHeld(hp)
-			sh.now = hp.heldT
-			if hp.heldLive {
-				hp.heldLive = false
-				hp.ch <- 0
-				return
-			}
-			if sh.shardContStep(hp) {
-				return
-			}
-			sh.drain()
-		}
-		// Nothing executable against the cached horizon: refresh once
-		// before paying for a sleep.
-		sh.refreshSafe()
-		if sh.runnable() {
-			continue
-		}
-		if !sh.sleep() {
-			if !sh.exited {
-				sh.exited = true
-				eng.wg.Done()
-			}
-			return
-		}
-	}
-}
-
-// execute runs one popped event; reports whether the baton left the
-// dispatcher.
-func (sh *shard) execute(e *sev) bool {
-	eng := sh.eng
-	switch e.kind {
-	case seProc:
-		sh.now = e.t
-		sh.events++
-		p := e.p
-		if p.stepFn != nil {
-			if p.pendReplies > 0 {
-				p.heldT = e.t
-				sh.helds = append(sh.helds, p)
+				if !sh.exited {
+					sh.exited = true
+					sh.eng.wg.Done()
+				}
 				return false
 			}
-			return sh.shardContStep(p)
 		}
-		p.ch <- 0
-		return true
-	case seCall:
-		res := eng.sim.remote(int(e.dst), e.op, e.a, e.b, e.chunks)
-		eng.shards[e.from].enqueue(sh.idx, sev{kind: seReply, dst: e.pid, slot: e.slot, a: res})
-		return false
-	default: // seEffect
-		eng.sim.remote(int(e.dst), e.op, e.a, e.b, e.chunks)
-		return false
+		switch what {
+		case turnProc:
+			return true
+		case turnOp:
+			m := sh.ops.pop()
+			res := sh.eng.sim.remote(int(m.dst), m.op, m.a, m.b, m.chunks)
+			if m.kind == msgCall {
+				sh.eng.shards[m.from].enqueue(sh.idx, shardMsg{kind: msgReply, dst: m.pid, slot: m.slot, a: res})
+			}
+		case turnHeld:
+			hp := sh.held
+			sh.held = nil
+			if hp.stepFn == nil {
+				sh.handoffs++
+				hp.ch <- 0
+				return false
+			}
+			if sh.contStep(hp) {
+				return false
+			}
+		}
 	}
 }
 
@@ -849,7 +663,7 @@ func (sh *shard) sleep() bool {
 	sh.sleeping.Store(1)
 	n := eng.sleepers.Add(1)
 	sh.refreshSafe()
-	if sh.runnable() {
+	if sh.pick() != turnWait {
 		sh.sleeping.Store(0)
 		eng.sleepers.Add(-1)
 		return true
@@ -875,21 +689,6 @@ func (sh *shard) sleep() bool {
 	return alive
 }
 
-// runnable reports whether anything can execute right now (after a drain
-// and horizon refresh).
-//
-//uts:noalloc
-func (sh *shard) runnable() bool {
-	hp := sh.minHeld()
-	if len(sh.heap.a) > 0 {
-		e := &sh.heap.a[0]
-		if (hp == nil || e.t < hp.heldT || (e.t == hp.heldT && int(e.pid) < hp.id)) && e.t < sh.safeT {
-			return true
-		}
-	}
-	return hp != nil && hp.pendReplies == 0
-}
-
 // checkDeadlock runs on the last shard to fall asleep. If every shard
 // sleeps with an infinite horizon, no proc event exists or can ever be
 // created anywhere — promises are monotone, only proc events generate
@@ -910,5 +709,5 @@ func (eng *shardEngine) checkDeadlock() {
 		return
 	}
 	eng.fail(fmt.Errorf("des: deadlock: %d of %d PEs still blocked (sharded, %d shards)",
-		blocked, len(eng.byPid), len(eng.shards)))
+		blocked, len(eng.procs), len(eng.shards)))
 }

@@ -38,17 +38,17 @@
 // # Engines
 //
 // Three engines implement that contract. The batched engine (the default,
-// New) dispatches events by baton passing: control moves from the event
-// queue to a PE and back through a single buffered channel send, the event
-// queue is a flat 4-ary indexed min-heap of value-typed entries, an
-// Advance whose deadline precedes every queued event commits inline
-// without touching the heap or parking the goroutine, and protocol loops
-// expressed as step functions (AdvanceStepped) run entirely inside the
-// dispatcher with zero goroutine switches. The sharded engine (NewSharded,
-// sharded.go) partitions the PEs over one such dispatcher per shard,
-// synchronized by conservative lookahead, with every cross-PE effect a
-// remote operation (remote.go). Those are the two a run can use. The
-// legacy engine (legacy.go) keeps the original two-channel wake/park
+// New) is one dispatcher: control moves from the event queue to a PE and
+// back through a single buffered channel send, the event queue is a flat
+// 4-ary indexed min-heap of value-typed entries, an Advance whose deadline
+// precedes every queued event commits inline without touching the heap or
+// parking the goroutine, and protocol loops expressed as step functions
+// (AdvanceStepped) run entirely inside the dispatcher with zero goroutine
+// switches. The sharded engine (NewSharded, sharded.go) is S of the same
+// dispatcher, one per block of PEs, plus the layer that is genuinely
+// cross-shard: conservative lookahead between them, and every cross-PE
+// effect a remote operation (remote.go). Those are the two a run can use.
+// The legacy engine (legacy.go) keeps the original two-channel wake/park
 // handshake and boxed container/heap queue; it is the bit-identical
 // reference this package's tests hold the other two to
 // (TestEngineDifferential) and is reachable from nowhere else. All three
@@ -63,19 +63,34 @@ import (
 	"repro/internal/core"
 )
 
-// Sim is one simulation instance.
-type Sim struct {
+// dispatcher is the event loop of the batched engine, and of every shard of
+// the sharded one: a clock, the queue of proc resumptions with its parked
+// slot, and the baton — exactly one goroutine executes a dispatcher's code
+// at any moment, the loop or the PE it last handed control to.
+type dispatcher struct {
 	heap     flatHeap
 	pend     ev    // parked event awaiting the dispatcher, if hasPend
 	hasPend  bool  // see park: fuses the park-then-dispatch heap traffic
 	now      int64 // virtual time, ns
 	nprocs   int
 	finished int
-	stuck    bool
 	events   uint64
+	pops     uint64 // events that came off the heap or the parked slot
+	handoffs uint64 // baton passes to a PE goroutine
 
-	doneCh chan error
-	err    error
+	doneCh chan error // where a dispatcher without peers reports its drained queue
+
+	// sh is the shard this dispatcher drives, nil when it has no peers: the
+	// layer that gates what may run against the other shards' horizons
+	// (sharded.go).
+	sh *shard
+}
+
+// Sim is one simulation instance. Its own dispatcher is the whole batched
+// engine; the legacy reference borrows that dispatcher's clock and counters,
+// and a sharded run leaves its totals there.
+type Sim struct {
+	dispatcher
 
 	remote RemoteApply // remote-operation interpreter (remote.go)
 
@@ -146,6 +161,7 @@ const (
 type Proc struct {
 	id  int
 	sim *Sim
+	d   *dispatcher // the event loop that owns this PE: the Sim's, or its shard's
 
 	// Batched engine: the single handoff channel (capacity 1, so a PE
 	// popping its own next event can self-deliver), the pending interrupt
@@ -165,16 +181,12 @@ type Proc struct {
 	status procStatus
 	delay  int64
 
-	// Sharded engine: owning shard (nil under the sequential engines), the
-	// staged remote-operation slots of the current quantum, and the
-	// rendezvous-stall state (sharded.go). heldT/heldLive describe a proc
-	// stalled at a boundary awaiting pendReplies rendezvous replies;
-	// callRes receives a RemoteCall's reply.
-	sh          *shard
+	// Remote-operation layer: the staged slots of the current quantum
+	// (remote.go) and, under the sharded engine, the rendezvous replies the
+	// proc's boundary still awaits; callRes receives a RemoteCall's
+	// (sharded.go).
 	staged      [2]stagedOp
 	nstag       int
-	heldT       int64
-	heldLive    bool
 	pendReplies int32
 	callRes     int64
 }
@@ -182,14 +194,9 @@ type Proc struct {
 // ID returns the PE number.
 func (p *Proc) ID() int { return p.id }
 
-// Now returns the current virtual time (valid only while running). Under
-// the sharded engine this is the owning shard's clock.
-func (p *Proc) Now() time.Duration {
-	if p.sh != nil {
-		return time.Duration(p.sh.now)
-	}
-	return time.Duration(p.sim.now)
-}
+// Now returns the current virtual time (valid only while running): the
+// clock of the dispatcher that owns the PE.
+func (p *Proc) Now() time.Duration { return time.Duration(p.d.now) }
 
 // Post sets interrupt bits on p. The poster is another PE (or the
 // simulation setup); p observes the mask at its next polling boundary.
@@ -203,24 +210,8 @@ func (p *Proc) ClearIntr(m Intr) { p.intr &^= m }
 // Spawn registers a PE with the given body, scheduled to start at virtual
 // time zero. Must be called before Run.
 func (s *Sim) Spawn(body func(p *Proc)) *Proc {
-	p := &Proc{id: s.nprocs, sim: s}
+	p := &Proc{id: s.nprocs, sim: s, d: &s.dispatcher}
 	s.nprocs++
-	if s.eng != nil {
-		p.ch = make(chan Intr, 1)
-		eng := s.eng
-		eng.pending = append(eng.pending, p)
-		go func() {
-			<-p.ch // shard assignment (assign) happens before this send
-			body(p)
-			sh := p.sh
-			sh.finished++
-			if sh.finished == sh.nprocs {
-				eng.shardDone()
-			}
-			sh.dispatch()
-		}()
-		return p
-	}
 	if s.legacy {
 		p.wake = make(chan struct{})
 		p.park = make(chan struct{})
@@ -235,9 +226,15 @@ func (s *Sim) Spawn(body func(p *Proc)) *Proc {
 		go func() {
 			<-p.ch
 			body(p)
-			s.finished++
-			s.dispatch()
+			d := p.d // a sharded Run has moved p to its shard's dispatcher
+			d.finished++
+			d.dispatch()
 		}()
+	}
+	if s.eng != nil {
+		// Scheduled by Run, once the PE count fixes the shard blocks.
+		s.eng.procs = append(s.eng.procs, p)
+		return p
 	}
 	s.schedule(p, 0)
 	return p
@@ -249,7 +246,7 @@ func (s *Sim) schedule(p *Proc, t int64) {
 	if s.legacy {
 		s.lheap.push(ev{t: t, seq: p.seq, p: p})
 	} else {
-		s.heap.push(ev{t: t, seq: p.seq, p: p})
+		p.d.heap.push(ev{t: t, seq: p.seq, p: p})
 	}
 }
 
@@ -260,28 +257,29 @@ func (s *Sim) schedule(p *Proc, t int64) {
 // schedule would have drawn it, so tie-breaks are unchanged.
 //
 //uts:noalloc
-func (s *Sim) park(p *Proc, t int64) {
+func (d *dispatcher) park(p *Proc, t int64) {
 	p.seq++
-	s.pend = ev{t: t, seq: p.seq, p: p}
-	s.hasPend = true
+	d.pend = ev{t: t, seq: p.seq, p: p}
+	d.hasPend = true
 }
 
-// next yields the globally minimal event: the pending parked event fused
-// against the heap root, or a plain pop. A parked event can never precede
-// the root (the park condition required the root's key to order at or
-// before the parked event's (t, id, seq) key), so the pending slot always
-// goes through exchange when the heap is nonempty.
+// next yields the minimal pending event: the parked event fused against the
+// heap root, or a plain pop. A parked event never precedes the root — the
+// park condition required the root's key to order at or before the parked
+// event's, and a shard's gate, which also parks what it holds back, restores
+// that order before it lets the event through (shard.front) — so the slot
+// always goes through exchange when the heap is nonempty.
 //
 //uts:noalloc
-func (s *Sim) next() (ev, bool) {
-	if s.hasPend {
-		s.hasPend = false
-		if len(s.heap.a) == 0 {
-			return s.pend, true
+func (d *dispatcher) next() (ev, bool) {
+	if d.hasPend {
+		d.hasPend = false
+		if d.heap.empty() {
+			return d.pend, true
 		}
-		return s.heap.exchange(s.pend), true
+		return d.heap.exchange(d.pend), true
 	}
-	return s.heap.pop()
+	return d.heap.pop()
 }
 
 // Run executes the simulation until every spawned PE has finished. It
@@ -294,60 +292,99 @@ func (s *Sim) Run() error {
 	if s.legacy {
 		return s.runLegacy()
 	}
+	return s.runBatched()
+}
+
+// runBatched runs the Sim's own dispatcher until its queue drains.
+func (s *Sim) runBatched() error {
 	s.doneCh = make(chan error, 1)
 	s.dispatch()
 	return <-s.doneCh
 }
 
 // dispatch pops events until control is handed to a PE goroutine or the
-// queue drains. Exactly one goroutine executes engine code at any moment:
-// either Run's caller or the PE that just yielded; every transfer of
-// control is one buffered-channel send, which is also the happens-before
-// edge that makes lock-free sharing of all simulation state sound.
+// queue drains. Exactly one goroutine executes a dispatcher's code at any
+// moment: either the one that started it or the PE that just yielded; every
+// transfer of control is one buffered-channel send, which is also the
+// happens-before edge that makes lock-free sharing of all simulation state
+// sound. A shard's dispatcher first asks its gate whether the minimal event
+// may run yet; the gate returns false once the baton has left by its hand
+// or the run is over.
 //
 //uts:noalloc
-func (s *Sim) dispatch() {
+func (d *dispatcher) dispatch() {
 	for {
-		e, ok := s.next()
-		if !ok {
-			if s.finished != s.nprocs {
-				s.stuck = true
-				//uts:ok noalloc deadlock teardown: the simulation is over once this error is built
-				s.err = fmt.Errorf("des: deadlock: %d of %d PEs still blocked at t=%v", s.nprocs-s.finished, s.nprocs, s.Now())
-			}
-			s.doneCh <- s.err
+		if d.sh != nil && !d.sh.ready() {
 			return
 		}
-		s.now = e.t
-		s.events++
+		e, ok := d.next()
+		if !ok {
+			var err error
+			if d.finished != d.nprocs {
+				//uts:ok noalloc deadlock teardown: the simulation is over once this error is built
+				err = fmt.Errorf("des: deadlock: %d of %d PEs still blocked at t=%v", d.nprocs-d.finished, d.nprocs, time.Duration(d.now))
+			}
+			d.doneCh <- err
+			return
+		}
+		d.now = e.t
+		d.events++
+		d.pops++
 		p := e.p
 		if p.stepFn != nil {
-			if s.contStep(p) {
+			if d.contStep(p) {
 				return
 			}
 			continue
 		}
+		d.handoffs++
 		p.ch <- 0
 		return
 	}
+}
+
+// The inline-commit test, d.ahead(t, id) && d.admitted(t, id): a boundary of
+// proc id at time t may be taken without the queue when it orders before
+// every queued event and — only when the dispatcher has peers — its shard
+// admits it (sharded.go). It is one predicate spelled in two halves so that
+// both inline into the three boundary sites: as one function, the shard's
+// call in its body kept the whole test out of line, and the batched engine
+// paid a call at every boundary although 99 % of a protocol run's
+// boundaries fail the first half (DESIGN.md §9 has the measurement).
+//
+//uts:noalloc
+func (d *dispatcher) ahead(t int64, id int) bool {
+	return d.heap.empty() || d.heap.rootAfter(t, id)
+}
+
+//uts:noalloc
+func (d *dispatcher) admitted(t int64, id int) bool {
+	return d.sh == nil || d.sh.admits(t, id)
 }
 
 // contStep resumes a parked stepped advance at its boundary, in dispatcher
 // context. It applies the boundary's flags, then keeps stepping inline —
 // committing quanta that precede every queued event without any heap or
 // channel traffic — until the advance ends (control is handed to the PE's
-// goroutine; returns true) or a quantum collides with the queue and is
-// rescheduled (returns false: the dispatcher keeps going).
+// goroutine; returns true), a quantum collides with the queue and is
+// rescheduled, or the boundary must first wait for rendezvous replies
+// (both return false: the dispatcher keeps going).
 //
 //uts:noalloc
-func (s *Sim) contStep(p *Proc) bool {
+func (d *dispatcher) contStep(p *Proc) bool {
 	fl := p.stepFl
 	for {
+		if p.pendReplies > 0 {
+			p.stepFl = fl
+			d.sh.stall(p)
+			return false
+		}
 		if p.nstag > 0 {
 			p.runStaged()
 		}
 		if fl&StepDone != 0 {
 			p.stepFn = nil
+			d.handoffs++
 			p.ch <- 0
 			return true
 		}
@@ -355,20 +392,21 @@ func (s *Sim) contStep(p *Proc) bool {
 			m := p.intr
 			p.intr = 0
 			p.stepFn = nil
+			d.handoffs++
 			p.ch <- m
 			return true
 		}
-		var d time.Duration
-		d, fl = p.stepFn()
-		if d > 0 {
-			t := s.now + int64(d)
-			if !s.heap.empty() && !s.heap.rootAfter(t, p.id) {
+		var dt time.Duration
+		dt, fl = p.stepFn()
+		if dt > 0 {
+			t := d.now + int64(dt)
+			if !(d.ahead(t, p.id) && d.admitted(t, p.id)) {
 				p.stepFl = fl
-				s.park(p, t)
+				d.park(p, t)
 				return false
 			}
-			s.now = t
-			s.events++
+			d.now = t
+			d.events++
 		}
 	}
 }
@@ -386,22 +424,18 @@ func (p *Proc) Advance(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	if p.sh != nil {
-		p.shardAdvance(d)
-		return
-	}
-	s := p.sim
-	if s.legacy {
+	if p.sim.legacy {
 		p.legacyAdvance(int64(d))
 		return
 	}
-	t := s.now + int64(d)
-	if s.heap.empty() || s.heap.rootAfter(t, p.id) {
-		s.now = t
-		s.events++
+	q := p.d
+	t := q.now + int64(d)
+	if q.ahead(t, p.id) && q.admitted(t, p.id) {
+		q.now = t
+		q.events++
 		return
 	}
-	s.park(p, t)
+	q.park(p, t)
 	p.yield()
 }
 
@@ -417,29 +451,34 @@ func (p *Proc) Advance(d time.Duration) {
 // that explore before polling. Quanta run inline while their boundary
 // precedes every queued event; otherwise the PE parks and the dispatcher
 // continues the same step sequence in place, so a whole batch of node
-// work, probes, or idle polls costs zero goroutine switches.
+// work, probes, or idle polls costs zero goroutine switches. A boundary
+// whose staged operations went to another shard parks the same way, held
+// until their replies are in.
 //
 //uts:noalloc
 func (p *Proc) AdvanceStepped(step Stepper) Intr {
-	if p.sh != nil {
-		return p.shardAdvanceStepped(step)
-	}
-	s := p.sim
-	if s.legacy {
+	if p.sim.legacy {
 		return p.legacyAdvanceStepped(step)
 	}
+	q := p.d
 	for {
 		d, fl := step()
 		if d > 0 {
-			t := s.now + int64(d)
-			if !s.heap.empty() && !s.heap.rootAfter(t, p.id) {
+			t := q.now + int64(d)
+			if !(q.ahead(t, p.id) && q.admitted(t, p.id)) {
 				p.stepFn = step
 				p.stepFl = fl
-				s.park(p, t)
+				q.park(p, t)
 				return p.yield()
 			}
-			s.now = t
-			s.events++
+			q.now = t
+			q.events++
+		}
+		if p.pendReplies > 0 {
+			p.stepFn = step
+			p.stepFl = fl
+			q.sh.stall(p)
+			return p.yield()
 		}
 		if p.nstag > 0 {
 			p.runStaged()
@@ -461,16 +500,12 @@ func (p *Proc) AdvanceStepped(step Stepper) Intr {
 //
 //uts:noalloc
 func (p *Proc) yield() Intr {
-	p.sim.dispatch()
+	p.d.dispatch()
 	return <-p.ch
 }
 
 // Block parks the PE until another PE calls Wake on it.
 func (p *Proc) Block() {
-	if p.sh != nil {
-		p.shardYield()
-		return
-	}
 	if p.sim.legacy {
 		p.legacyBlock()
 		return
@@ -480,20 +515,15 @@ func (p *Proc) Block() {
 
 // Wake schedules a blocked PE q to resume at the current virtual time plus
 // d. Calling Wake on a PE that is not blocked corrupts the schedule; the
-// lock discipline in this package is the only caller. Under the sharded
-// engine waker and woken must share a shard: Block/Wake handoffs carry no
-// lookahead, so the run configuration must keep lock-coupled PEs together
-// (run.go forces one shard for the shared-memory family).
+// lock discipline in this package is the only caller. Waker and woken must
+// share a dispatcher: Block/Wake handoffs carry no lookahead, so the run
+// configuration must keep lock-coupled PEs on one (run.go never shards the
+// shared-memory family).
 func (p *Proc) Wake(q *Proc, d time.Duration) {
-	if sh := p.sh; sh != nil {
-		if q.sh != sh {
-			panic("des: cross-shard Wake — zero-lookahead handoffs must stay within one shard")
-		}
-		q.seq++
-		sh.heap.push(sev{t: sh.now + int64(d), pid: int32(q.id), seq: q.seq, p: q, kind: seProc})
-		return
+	if q.d != p.d {
+		panic("des: cross-shard Wake — zero-lookahead handoffs must stay within one shard")
 	}
-	p.sim.schedule(q, p.sim.now+int64(d))
+	p.sim.schedule(q, p.d.now+int64(d))
 }
 
 // ev is one scheduled resumption, ordered by the key (t, proc ID, per-proc
