@@ -18,19 +18,16 @@ import (
 	"repro/internal/des"
 )
 
-// maxPEs bounds -pes: above this, memory for per-PE state (goroutine
-// stacks, counters, trace lanes) exceeds what a single host handles. The
-// sharded engine's horizon protocol keeps per-PE engine state constant, so
-// the bound is set by goroutine stacks alone: ~1M PEs fits in a few GB.
-const maxPEs = 1 << 20
-
 func main() {
 	algs := cliflags.Simulatable()
 	f := cliflags.Register(flag.CommandLine, cliflags.Defaults{
 		Tree:    "bench-medium",
 		Profile: "kittyhawk", ProfileUsage: "machine profile: sharedmem, altix, kittyhawk, topsail",
 		AlgUsage: "algorithm: " + cliflags.AlgList(algs), Algs: algs,
-		Width: "pes", PEs: 64, MaxPEs: maxPEs, WidthUsage: "simulated processing elements (1..1048576)",
+		// -pes is bounded by the engine: PE ids are a field of its event key.
+		// (Per-PE state is goroutine stacks, counters and trace lanes — at
+		// that bound, a few GB.)
+		Width: "pes", PEs: 64, MaxPEs: des.MaxPEs, WidthUsage: fmt.Sprintf("simulated processing elements (1..%d)", des.MaxPEs),
 		Chunk:      16,
 		AdaptUsage: "adapt chunk/steal-half/poll per PE at runtime from steal feedback (virtual-time windows; deterministic)",
 		Poll:       true, Seed: true,

@@ -216,8 +216,8 @@ func TestEngineThroughputGate(t *testing.T) {
 // integer where a timing would drown it; the values are what the engine
 // reported before the sharded engine came to share its dispatcher.
 func TestEngineCountsPinned(t *testing.T) {
-	if size := unsafe.Sizeof(ev{}); size != 24 {
-		t.Errorf("a queued event is %d bytes, want 24", size)
+	if size := unsafe.Sizeof(ev{}); size > 24 {
+		t.Errorf("a queued event is %d bytes, want at most 24", size)
 	}
 	check := func(name string, got, want Info) {
 		t.Helper()

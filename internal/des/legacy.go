@@ -81,11 +81,11 @@ func (p *Proc) legacyAdvanceStepped(step Stepper) Intr {
 	}
 }
 
-// evHeap is the legacy boxed min-heap on (t, seq).
+// evHeap is the legacy boxed min-heap, on the same key as flatHeap.
 type evHeap []ev
 
 func (h evHeap) Len() int            { return len(h) }
-func (h evHeap) Less(i, j int) bool  { return evLess(h[i], h[j]) }
+func (h evHeap) Less(i, j int) bool  { return h[i].less(&h[j]) }
 func (h evHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *evHeap) Push(x interface{}) { *h = append(*h, x.(ev)) }
 func (h *evHeap) Pop() interface{} {

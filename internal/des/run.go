@@ -240,6 +240,13 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 	if cfg.PEs < 1 {
 		return nil, nil, info, fmt.Errorf("des: need at least one PE, got %d", cfg.PEs)
 	}
+	procs := cfg.PEs
+	if interval > 0 {
+		procs++ // the trace sampler is a proc of its own
+	}
+	if procs > MaxPEs {
+		return nil, nil, info, fmt.Errorf("des: %d simulated procs, the event key orders at most %d", procs, MaxPEs)
+	}
 	if cfg.Chunk < 1 {
 		return nil, nil, info, fmt.Errorf("des: need chunk >= 1, got %d", cfg.Chunk)
 	}

@@ -432,7 +432,7 @@ func (sh *shard) front() (t int64, id int, ok bool) {
 	e := &sh.pend
 	if !sh.heap.empty() {
 		e = &sh.heap.a[0]
-		if sh.hasPend && evLess(sh.pend, *e) {
+		if sh.hasPend && sh.pend.less(e) {
 			sh.pend, *e = *e, sh.pend
 		}
 	} else if !sh.hasPend {
@@ -504,8 +504,7 @@ func (sh *shard) send(p *Proc, dst int, m shardMsg) {
 	if m.t-sh.now < sh.eng.la {
 		panic("des: cross-shard operation beneath the lookahead — protocol violates the cost model's minimum remote hop")
 	}
-	p.seq++
-	m.seq = p.seq
+	m.seq = p.nextSeq()
 	m.from = int32(sh.idx)
 	m.dst = int32(dst)
 	sh.eng.shards[sh.eng.shardOf[dst]].enqueue(sh.idx, m)

@@ -58,6 +58,7 @@ package des
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/core"
@@ -171,8 +172,8 @@ type Proc struct {
 	stepFn Stepper
 	stepFl uint8
 
-	// seq numbers this proc's scheduled resumptions; the (t, id, seq) key
-	// orders the event queue identically under every engine.
+	// seq numbers this proc's scheduled resumptions (nextSeq); the
+	// (t, id, seq) key orders the event queue identically under every engine.
 	seq uint64
 
 	// Legacy engine: two-channel wake/park handshake.
@@ -210,6 +211,9 @@ func (p *Proc) ClearIntr(m Intr) { p.intr &^= m }
 // Spawn registers a PE with the given body, scheduled to start at virtual
 // time zero. Must be called before Run.
 func (s *Sim) Spawn(body func(p *Proc)) *Proc {
+	if s.nprocs >= MaxPEs {
+		panic(fmt.Sprintf("des: Spawn of PE %d: the event key holds %d PE ids", s.nprocs, MaxPEs))
+	}
 	p := &Proc{id: s.nprocs, sim: s, d: &s.dispatcher}
 	s.nprocs++
 	if s.legacy {
@@ -242,11 +246,11 @@ func (s *Sim) Spawn(body func(p *Proc)) *Proc {
 
 // schedule enqueues a run event for p at virtual time t.
 func (s *Sim) schedule(p *Proc, t int64) {
-	p.seq++
+	e := ev{t: t, key: p.nextKey(), p: p}
 	if s.legacy {
-		s.lheap.push(ev{t: t, seq: p.seq, p: p})
+		s.lheap.push(e)
 	} else {
-		p.d.heap.push(ev{t: t, seq: p.seq, p: p})
+		p.d.heap.push(e)
 	}
 }
 
@@ -258,8 +262,7 @@ func (s *Sim) schedule(p *Proc, t int64) {
 //
 //uts:noalloc
 func (d *dispatcher) park(p *Proc, t int64) {
-	p.seq++
-	d.pend = ev{t: t, seq: p.seq, p: p}
+	d.pend = ev{t: t, key: p.nextKey(), p: p}
 	d.hasPend = true
 }
 
@@ -534,21 +537,65 @@ func (p *Proc) Wake(q *Proc, d time.Duration) {
 // DESIGN.md §12). Within one proc the seq keeps its resumptions FIFO;
 // across procs a time tie resolves by proc ID, which is deterministic
 // under every engine.
+//
+// The tie-break travels as one word, key = id<<seqBits | seq, so the order
+// is that of the 128-bit unsigned number (t, key) — virtual time is never
+// negative — and comparing two events is a subtraction, not three branches.
 type ev struct {
 	t   int64
-	seq uint64
+	key uint64
 	p   *Proc
 }
 
-func evLess(a, b ev) bool {
-	if a.t != b.t {
-		return a.t < b.t
+// The key word's two fields. idBits is the one constant that bounds how many
+// procs a simulation can hold (MaxPEs); seqBits leaves each of them 2⁴⁴
+// resumptions, some days of wall time at the engine's best rate.
+const (
+	idBits  = 20
+	seqBits = 64 - idBits
+	seqMax  = 1<<seqBits - 1
+
+	// MaxPEs is the largest number of procs one simulation can order: PE ids
+	// are a field of the event key. Config.PEs above it is an error (a traced
+	// run's sampler takes one id too), a Spawn past it panics.
+	MaxPEs = 1 << idBits
+)
+
+// nextSeq draws p's next sequence number. One that no longer fits its field
+// would carry into the id and reorder the run, so it stops it instead.
+//
+//uts:noalloc
+func (p *Proc) nextSeq() uint64 {
+	if p.seq == seqMax {
+		panic("des: a PE exhausted the event key's sequence field")
 	}
-	if a.p.id != b.p.id {
-		return a.p.id < b.p.id
-	}
-	return a.seq < b.seq
+	p.seq++
+	return p.seq
 }
+
+// nextKey is the tie-break word of p's next scheduled resumption.
+//
+//uts:noalloc
+func (p *Proc) nextKey() uint64 { return uint64(p.id)<<seqBits | p.nextSeq() }
+
+// before128 is the borrow of (t1, k1) − (t2, k2) as 128-bit numbers: 1 when
+// the first key orders strictly before the second, else 0.
+//
+//uts:noalloc
+func before128(t1 int64, k1 uint64, t2 int64, k2 uint64) uint64 {
+	_, b := bits.Sub64(k1, k2, 0)
+	_, b = bits.Sub64(uint64(t1), uint64(t2), b)
+	return b
+}
+
+// before is the event order as a 0/1 word, for the selection in siftDown
+// that must not branch on it; less is the same as a bool.
+//
+//uts:noalloc
+func (a *ev) before(b *ev) uint64 { return before128(a.t, a.key, b.t, b.key) }
+
+//uts:noalloc
+func (a *ev) less(b *ev) bool { return a.before(b) != 0 }
 
 // flatHeap is a flat 4-ary indexed min-heap of value-typed events: no
 // interface boxing, no per-push allocation beyond slice growth, and a
@@ -564,15 +611,13 @@ func (h *flatHeap) empty() bool { return len(h.a) == 0 }
 // would-be event of proc id at time t — the inline-commit condition. A
 // proc has at most one outstanding resumption, so the (t, id) prefix of
 // the key can never tie exactly against a queued event and the seq
-// component need not be consulted.
+// component need not be consulted: the would-be event stands for all of
+// them with its seq field full.
 //
 //uts:noalloc
 func (h *flatHeap) rootAfter(t int64, id int) bool {
 	r := &h.a[0]
-	if r.t != t {
-		return r.t > t
-	}
-	return r.p.id > id
+	return before128(t, uint64(id)<<seqBits|seqMax, r.t, r.key) != 0
 }
 
 //uts:noalloc
@@ -582,7 +627,7 @@ func (h *flatHeap) push(e ev) {
 	i := len(a) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !evLess(e, a[parent]) {
+		if !e.less(&a[parent]) {
 			break
 		}
 		a[i] = a[parent]
@@ -626,6 +671,13 @@ func (h *flatHeap) exchange(e ev) ev {
 // element is held aside while smaller children move up, then written once
 // at its final slot — half the memory traffic of swapping at every level.
 //
+// Which of four children is smallest is as good as random, and a branch per
+// comparison mispredicts accordingly (a third of a protocol run went here),
+// so a full group is settled by arithmetic on the comparison bits: the
+// smaller of each pair, then the smaller of those. Keys are distinct — every
+// (id, seq) is drawn once — so the minimum is the one the loop would find.
+// Only the last group of a heap can be short; it keeps the loop.
+//
 //uts:noalloc
 func (h *flatHeap) siftDown(i int) {
 	a := h.a
@@ -637,16 +689,19 @@ func (h *flatHeap) siftDown(i int) {
 			break
 		}
 		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if evLess(a[j], a[m]) {
-				m = j
+		if c+4 <= n {
+			g := a[c : c+4 : c+4]
+			lo := int(g[1].before(&g[0]))
+			hi := 2 + int(g[3].before(&g[2]))
+			m += lo + (hi-lo)&-int(g[hi].before(&g[lo]))
+		} else {
+			for j := c + 1; j < n; j++ {
+				if a[j].less(&a[m]) {
+					m = j
+				}
 			}
 		}
-		if !evLess(a[m], e) {
+		if !a[m].less(&e) {
 			break
 		}
 		a[i] = a[m]

@@ -18,11 +18,16 @@
 //     tests pin both to crypto/sha1.
 //   - ALFG: an additive lagged-Fibonacci generator, no SHA-1 involved;
 //     what the simulator's large runs and the benchmark's sim_* trees use.
-//     It was much cheaper per spawn than the first BRG kernels (~285 ns);
-//     it no longer is where the SHA-NI kernel runs: ~250 ns per child
-//     against ~45 ns (the rng.alfg_spawn_ns and rng.brg_spawnmany_ns rows
-//     of benchmark/). Its trees are its own, so it stays what those runs
-//     are pinned to.
+//     A child's value is the word x[50] of x[n] = x[n−17] + x[n−6] over a
+//     register filled from a SplitMix64 chain — a fixed linear map of seven
+//     of the fill's words, which is how it is computed (alfg.go). The chain
+//     is the cost: ~105 ns for one child, ~55 ns per child for the two
+//     siblings of a binary node spawned side by side. That is a little over
+//     a SHA-NI BRG child (~45 ns) and well under half the portable BRG
+//     kernel's (~130–155 ns), so ALFG is the cheaper family on every host
+//     without SHA extensions and about level where they exist (the
+//     rng.alfg_spawn_ns and rng.brg_spawnmany_ns rows of benchmark/). Its
+//     trees are its own, so it stays what those runs are pinned to.
 //
 // All streams are deterministic functions of the root seed, so every tree in
 // this repository is exactly reproducible.

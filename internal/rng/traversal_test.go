@@ -59,11 +59,14 @@ func TestCountsIdenticalUnderBothKernels(t *testing.T) {
 }
 
 // TestChildrenAllocatesNothing holds a node expansion into a stack with
-// room to zero allocations under both kernels, at granularity 1 and 3.
+// room to zero allocations under both kernels, at granularity 1 and 3, and
+// the same for the ALFG arm (which the kernel switch does not reach).
 func TestChildrenAllocatesNothing(t *testing.T) {
-	g3 := uts.BenchTiny
+	g3, alfg, alfg3 := uts.BenchTiny, uts.BenchTiny, uts.BenchTiny
 	g3.Granularity = 3
-	for _, sp := range []*uts.Spec{&uts.BenchTiny, &g3} {
+	alfg.Name, alfg.RNG = "bench-tiny+alfg", "ALFG"
+	alfg3.Name, alfg3.RNG, alfg3.Granularity = "bench-tiny+alfg-g3", "ALFG", 3
+	for _, sp := range []*uts.Spec{&uts.BenchTiny, &g3, &alfg, &alfg3} {
 		for _, ni := range []bool{true, false} {
 			if ni && !rng.NIAvailable() {
 				continue

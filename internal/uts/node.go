@@ -33,8 +33,8 @@ func Root(sp *Spec) Node {
 // fixed convention is fine; this one matches pushing onto a LIFO stack.
 //
 // This is the traversal hot path: for the built-in stream families it runs
-// entirely on concrete code (the paired SHA-1 spawn kernel for BRG, the
-// inlinable concrete methods for ALFG) and performs no heap allocation
+// entirely on concrete code (the paired spawn of either family: two SHA-1
+// lanes for BRG, two finalizer chains for ALFG) and performs no heap allocation
 // beyond amortized growth of dst — in particular n never escapes, so
 // callers can keep their current node in a stack variable. Third-party
 // Stream implementations take a generic path that costs two short-lived
@@ -104,16 +104,24 @@ func Children(sp *Spec, st rng.Stream, n *Node, dst []Node) []Node {
 			c.NumKids = int32(childCount(sp, h, rng.StateRand(&c.State)))
 		}
 	case rng.ALFG:
+		// Two siblings per call, as above: a spawn is one serial chain of
+		// finalizers, and two chains overlap almost for free.
 		var a rng.ALFG
-		idx := 0
+		if g == 1 {
+			i := 0
+			for ; i+1 < k; i += 2 {
+				a.SpawnPairInto(&kids[i].State, &kids[i+1].State, &n.State, i)
+			}
+			if i < k {
+				a.SpawnInto(&kids[i].State, &n.State, i)
+			}
+		} else {
+			for idx := 0; idx < k*g; idx++ {
+				a.SpawnInto(&kids[idx/g].State, &n.State, idx)
+			}
+		}
 		for i := range kids {
 			c := &kids[i]
-			for j := 1; j < g; j++ {
-				a.SpawnInto(&c.State, &n.State, idx)
-				idx++
-			}
-			a.SpawnInto(&c.State, &n.State, idx)
-			idx++
 			c.Height = h
 			c.NumKids = int32(childCount(sp, h, rng.StateRand(&c.State)))
 		}

@@ -348,6 +348,44 @@ func TestGranularityDefinesDifferentTree(t *testing.T) {
 	}
 }
 
+// opaqueStream hides a built-in stream's concrete type, so Children takes
+// the generic interface path: one Spawn per evaluation, the definition the
+// per-family fast paths are shortcuts of.
+type opaqueStream struct{ rng.Stream }
+
+// TestFamilyPathsMatchGenericStream counts whole trees through Children
+// twice — the family's own arm (pairs and odd tail at granularity 1, the
+// g-spawns-per-child walk above it) and the generic path — and requires the
+// same nodes in the same order.
+func TestFamilyPathsMatchGenericStream(t *testing.T) {
+	alfg, alfg3, brg3 := BenchTiny, BenchTiny, BenchTiny
+	alfg.Name, alfg.RNG = "bench-tiny+alfg", "ALFG"
+	alfg3.Name, alfg3.RNG, alfg3.Granularity = "bench-tiny+alfg-g3", "ALFG", 3
+	brg3.Name, brg3.Granularity = "bench-tiny-g3", 3
+	geo := GeoLinear // odd child counts: the one-lane tail
+	geo.Name, geo.RNG = "geo-linear+alfg", "ALFG"
+	for _, sp := range []*Spec{&alfg, &alfg3, &brg3, &geo} {
+		fast, generic := sp.Stream(), opaqueStream{sp.Stream()}
+		var nodes int
+		a, b := []Node{Root(sp)}, []Node{Root(sp)}
+		for len(a) > 0 {
+			na, nb := a[len(a)-1], b[len(b)-1]
+			if na != nb {
+				t.Fatalf("%s: node %d is %+v on the family path, %+v on the generic one", sp.Name, nodes, na, nb)
+			}
+			nodes++
+			a = Children(sp, fast, &na, a[:len(a)-1])
+			b = Children(sp, generic, &nb, b[:len(b)-1])
+			if len(a) != len(b) {
+				t.Fatalf("%s: stacks diverge after node %d: %d vs %d entries", sp.Name, nodes, len(a), len(b))
+			}
+		}
+		if nodes < 100 {
+			t.Errorf("%s: degenerate tree, %d nodes", sp.Name, nodes)
+		}
+	}
+}
+
 func TestGranularityValidation(t *testing.T) {
 	sp := BenchTiny
 	sp.Granularity = -1
