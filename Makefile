@@ -34,11 +34,14 @@ lint: bin/uts-vet
 		echo "lint: govulncheck not installed; skipping (CI runs it)"; \
 	fi
 
-# Seeded-corpus fuzz smoke: the -fault mini-language parser, both spawn
-# kernels against crypto/sha1 (the SHA-NI leg self-skips without it), and
-# the ALFG spawns against the register loop that defines them.
+# Seeded-corpus fuzz smoke: the -fault mini-language parser, arbitrary
+# bytes on a served cluster connection (no panic, no wedged engine, request
+# word and handoff ledger intact), both spawn kernels against crypto/sha1
+# (the SHA-NI leg self-skips without it), and the ALFG spawns against the
+# register loop that defines them.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime=10s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzServeConn -fuzztime=10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzSpawnKernels -fuzztime=10s ./internal/rng/
 	$(GO) test -run '^$$' -fuzz FuzzALFGKernels -fuzztime=10s ./internal/rng/
 

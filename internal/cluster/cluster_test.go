@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"encoding/gob"
+	"errors"
 	"net"
 	"runtime"
 	"sync"
@@ -85,6 +85,66 @@ func launch(t *testing.T, n int, sp *uts.Spec, chunk int, seed int64) *stats.Run
 		t.Fatal("rank 0 produced no result")
 		return nil
 	}
+}
+
+// testNode builds a node as Run does — validated, defaults filled in —
+// for tests that drive the progress engine or the worker directly.
+func testNode(t *testing.T, cfg Config) *node {
+	t.Helper()
+	if cfg.Spec == nil {
+		cfg.Spec = &uts.BenchTiny
+	}
+	n, err := newNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// serveOn brings up n's progress engine on a loopback listener, down again
+// when the test ends, and returns the address.
+func serveOn(t *testing.T, n *node) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.ln = ln
+	go n.serve()
+	t.Cleanup(n.close)
+	return ln.Addr().String()
+}
+
+// silentPeer is a peer that accepts connections and never answers — a
+// wedged process — until the test ends. Returns its address.
+func silentPeer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// dialPeer opens a client connection to addr, closed when the test ends.
+func dialPeer(t *testing.T, addr string) *peerConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return newPeerConn(conn)
 }
 
 func TestSingleRank(t *testing.T) {
@@ -194,8 +254,7 @@ func TestCoordinatorRejectsBadHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(&request{Kind: kindHello, From: 99, Addr: "127.0.0.1:1"}); err != nil {
+	if err := newPeerConn(conn).enc.Encode(&request{Kind: kindHello, From: 99, Addr: "127.0.0.1:1"}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -211,30 +270,13 @@ func TestCoordinatorRejectsBadHello(t *testing.T) {
 // TestProgressEngineDropsUnknownRPC verifies the served-connection
 // protocol-error path: an unknown request kind closes the connection.
 func TestProgressEngineDropsUnknownRPC(t *testing.T) {
-	n := newNode(Config{Rank: 1, Ranks: 2})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	n.ln = ln
-	go n.serve()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
+	n := testNode(t, Config{Rank: 1, Ranks: 2})
+	pc := dialPeer(t, serveOn(t, n))
 
 	// A valid one-sided read works.
 	n.workAvail.Store(7)
-	if err := enc.Encode(&request{Kind: kindGetAvail}); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := dec.Decode(&resp); err != nil {
+	resp, err := pc.callOnce(&request{Kind: kindGetAvail}, 5*time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Avail != 7 {
@@ -242,11 +284,7 @@ func TestProgressEngineDropsUnknownRPC(t *testing.T) {
 	}
 
 	// An unknown kind drops the connection.
-	if err := enc.Encode(&request{Kind: reqKind(200)}); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if err := dec.Decode(&resp); err == nil {
+	if _, err := pc.callOnce(&request{Kind: reqKind(200)}, 5*time.Second); err == nil {
 		t.Error("connection survived an unknown RPC kind")
 	}
 }
@@ -254,23 +292,8 @@ func TestProgressEngineDropsUnknownRPC(t *testing.T) {
 // TestOneSidedCAS exercises the request-word claim semantics through the
 // progress engine: first claim wins, second fails until the owner resets.
 func TestOneSidedCAS(t *testing.T) {
-	n := newNode(Config{Rank: 1, Ranks: 4})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	n.ln = ln
-	go n.serve()
-
-	pc := func() *peerConn {
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &peerConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
-	}()
-	defer pc.conn.Close()
+	n := testNode(t, Config{Rank: 1, Ranks: 4})
+	pc := dialPeer(t, serveOn(t, n))
 
 	r1, err := pc.callOnce(&request{Kind: kindCASRequest, Thief: 2}, 5*time.Second)
 	if err != nil {
@@ -293,5 +316,99 @@ func TestOneSidedCAS(t *testing.T) {
 	}
 	if !r3.OK {
 		t.Fatal("CAS failed after the owner reset the word")
+	}
+}
+
+// TestCASRequestRejectsBadThief: the request word only ever holds a rank
+// the worker can answer. A claim in the name of a rank outside [0, Ranks)
+// — which the worker would index its peers with — or of this rank itself is
+// a protocol error: the connection goes, the word stays free.
+func TestCASRequestRejectsBadThief(t *testing.T) {
+	n := testNode(t, Config{Rank: 1, Ranks: 2})
+	for _, thief := range []int32{99, 2, -5, -1, 1} {
+		var resp response
+		if _, ok := n.handleRequest(&request{Kind: kindCASRequest, Thief: thief}, &resp); ok || resp.OK {
+			t.Errorf("CAS for thief %d accepted (ok=%v, OK=%v)", thief, ok, resp.OK)
+		}
+		if w := n.reqWord.Load(); w != -1 {
+			t.Fatalf("request word = %d after a CAS for thief %d, want it untouched", w, thief)
+		}
+	}
+	var resp response
+	if _, ok := n.handleRequest(&request{Kind: kindCASRequest, Thief: 0}, &resp); !ok || !resp.OK || n.reqWord.Load() != 0 {
+		t.Errorf("CAS for the one valid thief: ok=%v OK=%v word=%d", ok, resp.OK, n.reqWord.Load())
+	}
+}
+
+// TestBadThiefOnTheWire sends the same claims to a rank whose worker is
+// live (rank 1, idle in the barrier; rank 0 is a bare progress engine).
+// Unchecked, thief 99 had the worker index its connections out of range —
+// a panic on the worker goroutine — and thief −5 claimed the word with a
+// value the worker never clears, shutting every later thief out.
+func TestBadThiefOnTheWire(t *testing.T) {
+	n0 := testNode(t, Config{Rank: 0, Ranks: 2, Chunk: 4})
+	n1 := testNode(t, Config{Rank: 1, Ranks: 2, Chunk: 4})
+	n0.workAvail.Store(-1)
+	n1.addrs = []string{serveOn(t, n0), serveOn(t, n1)}
+	done := make(chan error, 1)
+	go func() { done <- n1.runWorker() }()
+
+	for _, thief := range []int32{99, -5} {
+		req := request{Kind: kindCASRequest, From: 0, Thief: thief}
+		if resp, err := dialPeer(t, n1.addrs[1]).callOnce(&req, 5*time.Second); err == nil {
+			t.Errorf("CAS for thief %d answered (OK=%v), want the connection dropped", thief, resp.OK)
+		}
+	}
+	// The word is free and the worker serving: rank 0's claim gets its denial.
+	req := request{Kind: kindCASRequest, From: 0, Thief: 0}
+	if resp, err := dialPeer(t, n1.addrs[1]).callOnce(&req, 5*time.Second); err != nil || !resp.OK {
+		t.Fatalf("valid CAS after the bad ones: %+v, %v", resp, err)
+	}
+	eventually(t, n0.respReady.Load, "rank 1's worker never answered rank 0's claim")
+
+	n0.barEnter(0) // everyone is inside: termination is announced
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("rank 1 did not terminate")
+	}
+}
+
+// TestPeerSetCloseUnderExchange: closeAll is the one call another goroutine
+// may make on a set. It must unblock an exchange waiting out its deadline
+// on a peer that accepts and never answers — what die and close rely on —
+// and leave a set that dials nothing again.
+func TestPeerSetCloseUnderExchange(t *testing.T) {
+	n := testNode(t, Config{Rank: 0, Ranks: 2, RPCTimeout: time.Minute})
+	n.addrs[1] = silentPeer(t)
+	failed := make(chan error, 1)
+	go func() {
+		_, err := n.peers.exchange(1, &request{Kind: kindGetAvail}, n.cfg.RPCTimeout)
+		failed <- err
+	}()
+	eventually(t, func() bool {
+		n.peers.mu.Lock()
+		defer n.peers.mu.Unlock()
+		return n.peers.conns[1] != nil
+	}, "the exchange never got its connection")
+	n.peers.closeAll()
+	select {
+	case err := <-failed:
+		if err == nil {
+			t.Fatal("exchange with a silent peer succeeded")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("closeAll did not unblock the exchange")
+	}
+	if _, err := n.peers.exchange(1, &request{Kind: kindGetAvail}, n.cfg.RPCTimeout); !errors.Is(err, errSetClosed) {
+		t.Errorf("exchange on a closed set: %v, want errSetClosed", err)
+	}
+	for r, pc := range n.peers.conns {
+		if pc != nil {
+			t.Errorf("closed set kept a connection to rank %d", r)
+		}
 	}
 }

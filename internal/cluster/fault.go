@@ -291,36 +291,10 @@ func (c *faultConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-// blackhole mutes conn if it is fault-wrapped; reports whether it was.
-func blackhole(conn net.Conn) bool {
+// blackhole mutes conn, if it is fault-wrapped (an outgoing connection of
+// a rank with rules armed always is).
+func blackhole(conn net.Conn) {
 	if fc, ok := conn.(*faultConn); ok {
 		fc.swallow.Store(true)
-		return true
 	}
-	return false
-}
-
-// faultListener wraps inbound connections in faultConns so server-side
-// rules can black-hole them, and forwards deadline control so the
-// bootstrap accept timeout works through the wrapper.
-type faultListener struct {
-	net.Listener
-}
-
-// Accept wraps the accepted connection.
-func (l *faultListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return &faultConn{Conn: conn}, nil
-}
-
-// SetDeadline forwards to the underlying listener when it supports
-// deadlines (TCP listeners do).
-func (l *faultListener) SetDeadline(t time.Time) error {
-	if d, ok := l.Listener.(interface{ SetDeadline(time.Time) error }); ok {
-		return d.SetDeadline(t)
-	}
-	return nil
 }

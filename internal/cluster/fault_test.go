@@ -58,11 +58,7 @@ func launchFaulty(t *testing.T, n int, base Config, deadline time.Duration) (*st
 	launch := func(r int, coord string, coordReady chan<- string) {
 		cfg := base
 		cfg.Rank, cfg.Ranks, cfg.Coord, cfg.CoordReady = r, n, coord, coordReady
-		cfg, err := cfg.withDefaults()
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[r] = newNode(cfg)
+		nodes[r] = testNode(t, cfg)
 		go func() {
 			run, err := nodes[r].run()
 			results <- rankDone{r, run, err}
@@ -326,32 +322,12 @@ func TestFaultKillMidBootstrap(t *testing.T) {
 // clear — with the worker reporting no error, because a dead thief is the
 // thief's problem.
 func TestFaultServiceWithdrawsOnDeadThief(t *testing.T) {
-	// A listener that accepts and stays silent stands in for the thief.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-		}
-	}()
-
-	cfg, err := Config{
-		Rank: 0, Ranks: 2, Spec: &uts.BenchTiny, Chunk: 4,
+	n := testNode(t, Config{
+		Rank: 0, Ranks: 2, Chunk: 4,
 		RPCTimeout: 100 * time.Millisecond, RPCRetries: -1,
-	}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := newNode(cfg)
-	n.addrs = []string{"", ln.Addr().String()}
-	w := &clusterWorker{n: n, k: cfg.Chunk, me: 0}
+	})
+	n.addrs = []string{"", silentPeer(t)} // the thief accepts and stays silent
+	w := &clusterWorker{n: n, k: n.cfg.Chunk, me: 0}
 
 	work := make(stack.Chunk, 4)
 	for i := 0; i < 3; i++ {
@@ -382,13 +358,9 @@ func TestFaultServiceWithdrawsOnDeadThief(t *testing.T) {
 // entry granted to thief, returning both and the entry's handle.
 func reclaimNode(t *testing.T, thief int32) (*node, *clusterWorker, uint64) {
 	t.Helper()
-	cfg, err := Config{Rank: 0, Ranks: 3, Spec: &uts.BenchTiny, Chunk: 4}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := newNode(cfg)
-	w := &clusterWorker{n: n, k: cfg.Chunk, me: 0}
-	h := n.handoff.reserve(append(n.getChunkBuf(), make(stack.Chunk, 4)), thief)
+	n := testNode(t, Config{Rank: 0, Ranks: 3, Chunk: 4})
+	w := &clusterWorker{n: n, k: n.cfg.Chunk, me: 0}
+	h := n.handoff.reserve([]stack.Chunk{make(stack.Chunk, 4)}, thief)
 	return n, w, h
 }
 
@@ -510,23 +482,10 @@ func TestHandoffUndeliveredServeStranded(t *testing.T) {
 // progress engine with no work; rank 1 is a real worker, and the entry is
 // slipped in once it provably sits in the barrier, past its last Settle.
 func TestRankLeavingWithReservedWorkIsLabelled(t *testing.T) {
-	mk := func(rank int) *node {
-		cfg, err := Config{Rank: rank, Ranks: 2, Spec: &uts.BenchTiny, Chunk: 4}.withDefaults()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return newNode(cfg)
-	}
-	n0, n1 := mk(0), mk(1)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n0.ln = ln
+	n0 := testNode(t, Config{Rank: 0, Ranks: 2, Chunk: 4})
+	n1 := testNode(t, Config{Rank: 1, Ranks: 2, Chunk: 4})
 	n0.workAvail.Store(-1)
-	go n0.serve()
-	defer n0.close()
-	n1.addrs = []string{ln.Addr().String(), ""}
+	n1.addrs = []string{serveOn(t, n0), ""}
 	defer n1.close()
 
 	done := make(chan error, 1)
@@ -577,12 +536,8 @@ func TestWithDefaultsClampsTimeouts(t *testing.T) {
 // one genuinely dead rank cascades into survivors declaring each other
 // dead while blocked retrying toward it.
 func TestRespWaitCoversRetryBudget(t *testing.T) {
-	cfg, err := Config{Rank: 0, Ranks: 2, Spec: &uts.BenchTiny}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := newNode(cfg)
-	budget := time.Duration(1+cfg.RPCRetries) * 2 * cfg.RPCTimeout
+	n := testNode(t, Config{Rank: 0, Ranks: 2})
+	budget := time.Duration(1+n.cfg.RPCRetries) * 2 * n.cfg.RPCTimeout
 	if got := n.respWait(); got <= budget {
 		t.Errorf("respWait = %v, want > %v (the full retry budget)", got, budget)
 	}
@@ -594,12 +549,11 @@ func TestRespWaitCoversRetryBudget(t *testing.T) {
 // arrivals with a bare WaitGroup counter, so a duplicate report panicked
 // the coordinator via a negative counter.
 func TestStatsDuplicateReportRejected(t *testing.T) {
-	n := newNode(Config{Rank: 0, Ranks: 3, Spec: &uts.BenchTiny})
+	n := testNode(t, Config{Rank: 0, Ranks: 3})
 	th := stats.Thread{ID: 1, Nodes: 42}
-	var resp response
 	deliver := func(from int) {
 		req := request{Kind: kindStats, From: from, Stats: &th}
-		resp.reset()
+		var resp response
 		if _, ok := n.handleRequest(&req, &resp); !ok {
 			t.Fatalf("stats delivery from rank %d rejected the connection", from)
 		}
@@ -625,7 +579,7 @@ func TestStatsDuplicateReportRejected(t *testing.T) {
 // completion — the mechanism that lets termination fire with a dead rank
 // still "missing".
 func TestBarrierMembershipShrinks(t *testing.T) {
-	n := newNode(Config{Rank: 0, Ranks: 3, Spec: &uts.BenchTiny})
+	n := testNode(t, Config{Rank: 0, Ranks: 3})
 	if n.barEnter(0) {
 		t.Fatal("barrier announced with one of three ranks inside")
 	}
@@ -652,7 +606,7 @@ func TestBarrierMembershipShrinks(t *testing.T) {
 // the barrier and then dies. It must be backed out, not counted toward
 // termination on behalf of ranks still working.
 func TestBarrierBacksOutDyingRank(t *testing.T) {
-	n := newNode(Config{Rank: 0, Ranks: 3, Spec: &uts.BenchTiny})
+	n := testNode(t, Config{Rank: 0, Ranks: 3})
 	n.barEnter(1)
 	n.noteDead(1)
 	if n.announced.Load() {
@@ -670,7 +624,7 @@ func TestBarrierBacksOutDyingRank(t *testing.T) {
 // reports nor is declared dead must only stall rank 0 for StatsTimeout,
 // after which it is named in the failure list along with any dead ranks.
 func TestGatherStatsTimeout(t *testing.T) {
-	n := newNode(Config{Rank: 0, Ranks: 4, Spec: &uts.BenchTiny, StatsTimeout: 200 * time.Millisecond})
+	n := testNode(t, Config{Rank: 0, Ranks: 4, StatsTimeout: 200 * time.Millisecond})
 	th := stats.Thread{ID: 1}
 	var resp response
 	req := request{Kind: kindStats, From: 1, Stats: &th}
@@ -692,7 +646,7 @@ func TestGatherStatsTimeout(t *testing.T) {
 // reported or died the gather returns immediately, long before the
 // timeout backstop.
 func TestGatherStatsSettlesEarly(t *testing.T) {
-	n := newNode(Config{Rank: 0, Ranks: 3, Spec: &uts.BenchTiny, StatsTimeout: time.Hour})
+	n := testNode(t, Config{Rank: 0, Ranks: 3, StatsTimeout: time.Hour})
 	th := stats.Thread{ID: 1}
 	var resp response
 	req := request{Kind: kindStats, From: 1, Stats: &th}

@@ -1,12 +1,19 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
+	"io"
+	"net"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/stack"
+	"repro/internal/stats"
 )
 
 // renderFaultRule formats a rule back into the -fault mini-language with
@@ -121,4 +128,98 @@ func TestRenderFaultRuleInverse(t *testing.T) {
 	if !reflect.DeepEqual(plan.Rules[0], r) {
 		t.Fatalf("got %+v, want %+v", plan.Rules[0], r)
 	}
+}
+
+// gobStream encodes reqs as one client would put them on a connection.
+func gobStream(t testing.TB, reqs ...request) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	for i := range reqs {
+		if err := enc.Encode(&reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// FuzzServeConn writes arbitrary bytes to a served connection of a rank
+// that holds one reserved handoff entry (handle 1, thief 2), reading
+// whatever comes back, then hangs up. Invariants:
+//
+//   - nothing panics and serveConn returns (garbage, truncation and an
+//     unknown kind all end the connection, never wedge the engine);
+//   - the request word is free or names a rank the worker can answer:
+//     another rank of the run;
+//   - the ledger's rule holds from outside: the reserved entry is still
+//     pending, or its chunk arrived in a reply — never neither, never both —
+//     and no input conjures a second entry.
+func FuzzServeConn(f *testing.F) {
+	th := stats.Thread{ID: 2, Nodes: 7}
+	valid := []request{
+		{Kind: kindHello, From: 2, Addr: "127.0.0.1:1"},
+		{Kind: kindGetAvail, From: 2},
+		{Kind: kindCASRequest, From: 2, Thief: 2},
+		{Kind: kindPutResponse, From: 2, Amount: 1, Handle: 3},
+		{Kind: kindGetChunks, From: 2, Handle: 1},
+		{Kind: kindGetChunks, From: 2, Handle: 9},
+		{Kind: kindBarrierEnter, From: 2},
+		{Kind: kindBarrierLeave, From: 2},
+		{Kind: kindBarrierDone, From: 2},
+		{Kind: kindStats, From: 2, Stats: &th},
+		{Kind: kindPeerDown, From: 2, Dead: 1},
+		{Kind: kindMetrics, From: 2},
+	}
+	for _, req := range valid {
+		stream := gobStream(f, req)
+		for _, cut := range []int{len(stream), len(stream) - 1, len(stream) / 2, len(stream) / 4, 1} {
+			f.Add(stream[:cut])
+		}
+	}
+	f.Add(gobStream(f, valid[1:]...)) // one connection, every kind in turn
+	f.Add(gobStream(f, request{Kind: reqKind(200), From: 2}))
+	f.Add(gobStream(f, request{Kind: kindCASRequest, From: 2, Thief: 99}))
+	f.Add(gobStream(f, request{Kind: kindCASRequest, From: 2, Thief: -5}))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := testNode(t, Config{Rank: 0, Ranks: 3, Chunk: 4})
+		n.handoff.reserve([]stack.Chunk{make(stack.Chunk, 4)}, 2)
+		client, served := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			n.serveConn(newPeerConn(served))
+			close(done)
+		}()
+		// net.Pipe is unbuffered: the engine's replies must be read while the
+		// request bytes are written, and they are a gob stream of responses.
+		delivered := make(chan int, 1)
+		go func() {
+			got := 0
+			for dec := gob.NewDecoder(client); ; {
+				var resp response
+				if err := dec.Decode(&resp); err != nil {
+					io.Copy(io.Discard, client)
+					delivered <- got
+					return
+				}
+				got += len(resp.Chunk)
+			}
+		}()
+		client.SetWriteDeadline(time.Now().Add(10 * time.Second))
+		client.Write(data) // an error means the engine hung up first
+		client.Close()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("serveConn did not return after its peer hung up")
+		}
+
+		if w := n.reqWord.Load(); w != -1 && w != 1 && w != 2 {
+			t.Errorf("request word = %d, want -1 or another rank of the run", w)
+		}
+		if pending, got := n.handoff.Pending(), <-delivered; pending+got != 1 {
+			t.Errorf("%d entries pending and %d chunks delivered, want the one reserved chunk in exactly one place", pending, got)
+		}
+	})
 }

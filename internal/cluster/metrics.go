@@ -39,7 +39,7 @@ type MetricsSnapshot struct {
 // metricsSnapshot builds this rank's snapshot. Safe from any goroutine
 // (the progress engine serves it concurrently with the worker).
 func (n *node) metricsSnapshot() *MetricsSnapshot {
-	st := n.sampler.Stats() // nil-safe: zero stats when telemetry is off
+	st := n.sampler.Load().Stats() // nil-safe: zero stats when telemetry is off (or not up yet)
 	m := &MetricsSnapshot{
 		Rank:          n.cfg.Rank,
 		UptimeSeconds: st.Elapsed.Seconds(),
@@ -98,7 +98,8 @@ func (n *node) startMetrics() error {
 		cfg.Tracer = obs.New(cfg.Ranks, 0)
 		n.lane = cfg.Tracer.Lane(cfg.Rank)
 	}
-	n.sampler = obs.NewSampler(cfg.Tracer)
+	sampler := obs.NewSampler(cfg.Tracer)
+	n.sampler.Store(sampler)
 
 	reg := telemetry.NewRegistry()
 	reg.GaugeFunc("uts_rank", "This process's rank.", nil,
@@ -116,7 +117,7 @@ func (n *node) startMetrics() error {
 		})
 	reg.GaugeFunc("uts_handoff_pending", "Handoff-table entries reserved but not yet fetched.", nil,
 		func() float64 { return float64(n.handoff.Pending()) })
-	telemetry.RegisterSampler(reg, n.sampler)
+	telemetry.RegisterSampler(reg, sampler)
 	telemetry.RegisterPolicy(reg, n.pset)
 	telemetry.RegisterRuntime(reg)
 
@@ -126,10 +127,10 @@ func (n *node) startMetrics() error {
 	}
 	n.telem = srv
 	if cfg.Rank == 0 {
-		n.roll = &rollup{conns: make([]*peerConn, cfg.Ranks)}
+		n.roll = &rollup{peers: newPeerSet(n)}
 		srv.OnScrape(n.writeRollup)
 	}
-	n.sampler.Start(time.Second)
+	sampler.Start(time.Second)
 	if cfg.MetricsReady != nil {
 		cfg.MetricsReady <- srv.Addr()
 	}
@@ -148,23 +149,22 @@ func (n *node) stopMetrics() {
 	if n.cfg.MetricsLinger > 0 {
 		time.Sleep(n.cfg.MetricsLinger)
 	}
-	n.sampler.Stop()
+	n.sampler.Load().Stop()
 	n.telem.Close()
 	if n.roll != nil {
-		n.roll.close()
+		n.roll.peers.closeAll()
 	}
 }
 
 // rollup is rank 0's cluster-wide metrics poller. It keeps its own
-// outgoing connections — never the worker's peer set — because the
-// worker's call path records into the rank's single-writer tracer lane
-// and the rollup runs on HTTP handler goroutines. Polls are single
-// attempt with no retry and no death verdict: telemetry must observe the
-// failure detector, not feed it, so an unreachable rank merely reports
-// as down on this scrape.
+// connection set — never the worker's — because a set serves one caller at
+// a time and the rollup runs on HTTP handler goroutines (mu makes them one).
+// Polls are single attempt with no retry and no death verdict: telemetry
+// must observe the failure detector, not feed it, so an unreachable rank
+// merely reports as down on this scrape.
 type rollup struct {
 	mu    sync.Mutex
-	conns []*peerConn
+	peers *peerSet
 	last  time.Time
 	cache []*MetricsSnapshot
 }
@@ -197,40 +197,13 @@ func (ru *rollup) poll(n *node) []*MetricsSnapshot {
 	return snaps
 }
 
-// pollRank fetches one rank's snapshot over the rollup's own connection,
-// dialing (or redialing after a failure) on demand.
+// pollRank fetches one rank's snapshot; nil when the exchange failed.
 func (ru *rollup) pollRank(n *node, r int) *MetricsSnapshot {
-	pc := ru.conns[r]
-	if pc == nil || pc.broken.Load() {
-		if r >= len(n.addrs) || n.addrs[r] == "" {
-			return nil
-		}
-		conn, err := n.dial(n.addrs[r], n.cfg.RPCTimeout)
-		if err != nil {
-			return nil
-		}
-		pc = newPeerConn(conn)
-		ru.conns[r] = pc
-	}
-	req := request{Kind: kindMetrics, From: n.cfg.Rank}
-	resp, err := pc.callOnce(&req, n.cfg.RPCTimeout)
+	resp, err := ru.peers.exchange(r, &request{Kind: kindMetrics, From: n.cfg.Rank}, n.cfg.RPCTimeout)
 	if err != nil {
-		ru.conns[r] = nil
 		return nil
 	}
 	return resp.Metrics
-}
-
-// close drops the poller connections.
-func (ru *rollup) close() {
-	ru.mu.Lock()
-	defer ru.mu.Unlock()
-	for i, pc := range ru.conns {
-		if pc != nil {
-			pc.close()
-			ru.conns[i] = nil
-		}
-	}
 }
 
 // rollupFamily describes one exposition family of the rollup: its

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"regexp"
 	"runtime"
@@ -168,5 +169,37 @@ func TestMetricsRollup(t *testing.T) {
 	case err := <-errs:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// TestRollupPollDownRank: past bootstrap a refused connection means the
+// rank is gone, so a scrape makes one bounded attempt toward it — not a
+// retrying dial for a whole RPCTimeout (5 s here) per such rank with the
+// rollup's lock held — and reports that rank, and only it, down. Telemetry
+// observes the failure detector; it passes no verdict.
+func TestRollupPollDownRank(t *testing.T) {
+	n0 := testNode(t, Config{Rank: 0, Ranks: 3})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close() // rank 2 has exited; nobody marked it dead
+	n0.addrs = []string{"", serveOn(t, testNode(t, Config{Rank: 1, Ranks: 3})), ln.Addr().String()}
+	ru := &rollup{peers: newPeerSet(n0)}
+	defer ru.peers.closeAll()
+
+	start := time.Now()
+	snaps := ru.poll(n0)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("poll took %v with one rank down, want one refused dial", elapsed)
+	}
+	if snaps[0] == nil || snaps[1] == nil || snaps[1].Rank != 1 {
+		t.Errorf("live ranks reported down: %v", snaps)
+	}
+	if snaps[2] != nil {
+		t.Errorf("exited rank reported up: %+v", snaps[2])
+	}
+	if n0.isDead(2) {
+		t.Error("a scrape passed a death verdict")
 	}
 }

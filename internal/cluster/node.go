@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -12,7 +11,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/policy"
-	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/uts"
@@ -57,10 +55,11 @@ type Config struct {
 	// connection is closed and redialed.
 	RPCTimeout time.Duration
 	// RPCRetries is how many times an idempotent RPC (GetAvail,
-	// BarrierDone, the deduplicated Stats delivery, PeerDown) is retried
-	// with exponential backoff and jitter before the peer is declared
-	// dead; default 2 (three attempts total). Negative means no retries.
-	// Non-idempotent kinds always get a single attempt.
+	// BarrierDone, the deduplicated Stats delivery) is retried with
+	// exponential backoff and jitter before the peer is declared dead;
+	// default 2 (three attempts total). Negative means no retries.
+	// Non-idempotent kinds always get a single attempt, and so does the
+	// PeerDown report: one best-effort try from inside markDead.
 	RPCRetries int
 	// StatsTimeout bounds rank 0's end-of-run stats gather; default 30s.
 	// Ranks still missing when it expires are reported in
@@ -123,9 +122,9 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("cluster: chunk must be >= 1, got %d", c.Chunk)
 	}
 	// Non-positive timeouts select the defaults: a negative RPCTimeout
-	// would otherwise yield zero backoff (rand.Int63n panics on n <= 0),
-	// an already-expired response deadline, and — via callOnce's
-	// timeout > 0 guard — silently unbounded RPCs.
+	// would otherwise yield zero backoff (rand.Int63n panics on n <= 0)
+	// and deadlines already expired when set. Everything past this point
+	// reads the timeouts as positive.
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 10 * time.Second
 	}
@@ -155,10 +154,6 @@ var errPeerDead = errors.New("peer unresponsive (marked dead)")
 // errKilled is returned throughout a rank the fault injector killed: the
 // in-process stand-in for the process having exited.
 var errKilled = errors.New("cluster: rank killed by fault injection")
-
-// errConnBroken reports a call attempted on a connection already
-// poisoned by a previous deadline miss.
-var errConnBroken = errors.New("cluster: connection broken by earlier rpc failure")
 
 // errRPCFailed wraps a non-idempotent RPC that failed while the peer
 // demonstrably stayed alive (the confirmation probe answered): the
@@ -226,21 +221,8 @@ type node struct {
 	collected []stats.Thread
 	statsCh   chan struct{}
 
-	// Free lists recycling the kindGetChunks hot path: node buffers (the
-	// k-node chunks released by the worker) and the []Chunk response
-	// buffers that carry them through the handoff table. The worker draws
-	// from these on release/steal service; the progress engine returns
-	// both once a served response is encoded. Plain slices under a mutex
-	// rather than sync.Pool: putting a slice header into an interface
-	// would itself allocate, defeating the zero-steady-state goal.
-	freeMu     sync.Mutex
-	freeChunks []stack.Chunk
-	freeBufs   [][]stack.Chunk
-
-	// Outgoing connections, one per peer, created lazily and replaced
-	// after an RPC failure (a failed exchange poisons the gob stream).
-	peersMu sync.Mutex
-	peers   []*peerConn
+	// Outgoing connections of the worker/Run goroutine (peers.go).
+	peers *peerSet
 
 	// lane is this rank's tracer lane (nil when untraced). Recorded into
 	// only from the worker/Run goroutine — obs lanes are single-writer.
@@ -249,7 +231,7 @@ type node struct {
 	// Telemetry plane (nil when Config.MetricsAddr is empty): the live
 	// sampler over the tracer, the /metrics + pprof server, and — rank 0
 	// only — the cluster rollup poller.
-	sampler *obs.Sampler
+	sampler atomic.Pointer[obs.Sampler] // read by the progress engine while startMetrics runs
 	telem   *telemetry.Server
 	roll    *rollup
 
@@ -260,12 +242,17 @@ type node struct {
 	t stats.Thread
 }
 
-// newNode builds a node with every membership/bookkeeping slice sized
-// for cfg.Ranks; used by Run and by tests that drive the progress engine
-// directly.
-func newNode(cfg Config) *node {
+// newNode validates cfg, fills in its defaults and builds a node with
+// every membership/bookkeeping slice sized for cfg.Ranks; used by Run and
+// by tests that drive the progress engine directly.
+func newNode(cfg Config) (*node, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	n := &node{
 		cfg:       cfg,
+		addrs:     make([]string, cfg.Ranks),
 		dead:      make([]atomic.Bool, cfg.Ranks),
 		barIn:     make([]bool, cfg.Ranks),
 		deadSeen:  make([]bool, cfg.Ranks),
@@ -273,6 +260,7 @@ func newNode(cfg Config) *node {
 		statsCh:   make(chan struct{}, 1),
 		faults:    newFaultInjector(cfg.Fault, cfg.Rank),
 	}
+	n.peers = newPeerSet(n)
 	n.reqWord.Store(-1)
 	n.t.ID = cfg.Rank
 	n.lane = cfg.Tracer.Lane(cfg.Rank)
@@ -286,60 +274,13 @@ func newNode(cfg Config) *node {
 		// base; only k (release granularity + 2k threshold) adapts.
 		n.pset = policy.NewSet(&acfg, policy.Base{Chunk: cfg.Chunk}, 1)
 	}
-	return n
-}
-
-// peerConn is one outgoing gob-encoded RPC connection.
-type peerConn struct {
-	mu     sync.Mutex
-	conn   net.Conn
-	enc    *gob.Encoder
-	dec    *gob.Decoder
-	broken atomic.Bool
-}
-
-func newPeerConn(conn net.Conn) *peerConn {
-	return &peerConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
-}
-
-// close poisons the connection. Safe from any goroutine, including while
-// a call is blocked in Read — Close unblocks it.
-func (p *peerConn) close() {
-	p.broken.Store(true)
-	p.conn.Close()
-}
-
-// callOnce performs one lockstep RPC with an absolute deadline on the
-// connection. Gob framing cannot survive a half-finished exchange, so
-// any error — a deadline miss included — poisons the stream: the conn is
-// closed and marked broken, and the owner must redial.
-func (p *peerConn) callOnce(req *request, timeout time.Duration) (*response, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.broken.Load() {
-		return nil, errConnBroken
-	}
-	if timeout > 0 {
-		p.conn.SetDeadline(time.Now().Add(timeout))
-	}
-	if err := p.enc.Encode(req); err != nil {
-		p.close()
-		return nil, fmt.Errorf("cluster: rpc send: %w", err)
-	}
-	var resp response
-	if err := p.dec.Decode(&resp); err != nil {
-		p.close()
-		return nil, fmt.Errorf("cluster: rpc recv: %w", err)
-	}
-	if timeout > 0 {
-		p.conn.SetDeadline(time.Time{})
-	}
-	return &resp, nil
+	return n, nil
 }
 
 // idempotentKind reports whether a request may be retried safely: pure
 // reads (GetAvail, BarrierDone, the Metrics snapshot), the
-// coordinator-deduplicated stats delivery, and failure reports.
+// coordinator-deduplicated stats delivery, and failure reports. May be,
+// not is: PeerDown and Metrics go out once, from reportDead and the rollup.
 func idempotentKind(k reqKind) bool {
 	switch k {
 	case kindGetAvail, kindBarrierDone, kindStats, kindPeerDown, kindMetrics:
@@ -391,16 +332,17 @@ func (n *node) call(r int, req *request) (*response, error) {
 		n.cfg.Rank, r, errPeerDead, attempts, lastErr)
 }
 
-// attempt runs the bounded retry loop for one RPC: a per-attempt
-// deadline via callOnce, exponential backoff with jitter between
-// attempts, and a redial after every failure (a failed exchange poisons
-// the gob stream). Returns the first successful response, or (nil,
-// lastErr) once the attempts are spent.
+// backoff is the pause before the first retry; each later one doubles it.
+func (n *node) backoff() time.Duration {
+	return max(n.cfg.RPCTimeout/16, time.Millisecond)
+}
+
+// attempt runs the bounded retry loop for one RPC: one exchange through
+// the doorway per attempt (RPC deadline, redial after a failure), and
+// exponential backoff with jitter in between. Returns the first successful
+// response, or (nil, lastErr) once the attempts are spent.
 func (n *node) attempt(r int, req *request, attempts int) (*response, error) {
-	backoff := n.cfg.RPCTimeout / 16
-	if backoff < time.Millisecond {
-		backoff = time.Millisecond
-	}
+	backoff := n.backoff()
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
@@ -408,38 +350,11 @@ func (n *node) attempt(r int, req *request, attempts int) (*response, error) {
 			time.Sleep(backoff/2 + time.Duration(rand.Int63n(int64(backoff))))
 			backoff *= 2
 		}
-		if op, d, hooked := n.faults.act(ClientSide, r, req.Kind); hooked {
-			switch op {
-			case FaultDelay:
-				time.Sleep(d)
-			case FaultKill:
-				n.die()
-				return nil, errKilled
-			}
-			pc, err := n.peer(r)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			switch op {
-			case FaultSever:
-				pc.conn.Close() // this attempt fails; the conn is redialed
-			case FaultDrop, FaultBlackHole:
-				blackhole(pc.conn) // bytes vanish; the deadline detects it
-			}
-		}
-		pc, err := n.peer(r)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp, err := pc.callOnce(req, n.cfg.RPCTimeout)
+		resp, err := n.peers.exchange(r, req, n.cfg.RPCTimeout)
 		if err == nil {
 			return resp, nil
 		}
-		lastErr = err
-		n.dropPeer(r, pc)
-		if n.killed.Load() {
+		if lastErr = err; n.killed.Load() {
 			return nil, errKilled
 		}
 	}
@@ -455,19 +370,9 @@ func (n *node) attempt(r int, req *request, attempts int) (*response, error) {
 // stuck in its own retry loop toward a dead third rank, unable to
 // answer steals meanwhile.
 func (n *node) respWait() time.Duration {
-	rpcT := n.cfg.RPCTimeout
-	if rpcT <= 0 {
-		rpcT = 5 * time.Second
-	}
-	attempts := 1 + n.cfg.RPCRetries
-	if attempts < 1 {
-		attempts = 1
-	}
+	rpcT, attempts := n.cfg.RPCTimeout, 1+n.cfg.RPCRetries
 	d := time.Duration(attempts) * 2 * rpcT
-	backoff := rpcT / 16
-	if backoff < time.Millisecond {
-		backoff = time.Millisecond
-	}
+	backoff := n.backoff()
 	for a := 1; a < attempts; a++ {
 		d += backoff + backoff/2 // sleep is backoff/2 + jitter < backoff
 		backoff *= 2
@@ -549,14 +454,7 @@ func (n *node) noteDead(r int) {
 // RPC; a failure here is ignored (the coordinator will learn about r
 // from another survivor, or the stats gather's timeout backstop fires).
 func (n *node) reportDead(r int) {
-	pc, err := n.peer(0)
-	if err != nil {
-		return
-	}
-	req := request{Kind: kindPeerDown, From: n.cfg.Rank, Dead: int32(r)}
-	if _, err := pc.callOnce(&req, n.cfg.RPCTimeout); err != nil {
-		n.dropPeer(0, pc)
-	}
+	n.peers.exchange(0, &request{Kind: kindPeerDown, From: n.cfg.Rank, Dead: int32(r)}, n.cfg.RPCTimeout)
 }
 
 // Run executes this process's part of a distributed search. On rank 0 it
@@ -564,11 +462,11 @@ func (n *node) reportDead(r int) {
 // (partial results annotated with FailedRanks when peers died); on other
 // ranks it returns (nil, nil) after a clean shutdown.
 func Run(cfg Config) (*stats.Run, error) {
-	cfg, err := cfg.withDefaults()
+	n, err := newNode(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return newNode(cfg).run()
+	return n.run()
 }
 
 // run is Run on a built node (tests keep the node to inspect afterwards).
@@ -695,32 +593,6 @@ func (n *node) pokeStats() {
 	}
 }
 
-// listen opens this rank's listener, fault-wrapped when injection is
-// armed.
-func (n *node) listen(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	if n.faults != nil {
-		ln = &faultListener{Listener: ln}
-	}
-	return ln, nil
-}
-
-// dial opens an outgoing connection, fault-wrapped when injection is
-// armed.
-func (n *node) dial(addr string, timeout time.Duration) (net.Conn, error) {
-	conn, err := dialRetry(addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	if n.faults != nil {
-		conn = &faultConn{Conn: conn}
-	}
-	return conn, nil
-}
-
 // advertiseAddr resolves the address this rank registers with the
 // coordinator: the listener's own address by default, otherwise the
 // configured Advertise host with a missing or zero port filled in from
@@ -750,11 +622,10 @@ func advertiseAddr(advertise string, ln net.Listener) (string, error) {
 func (n *node) bootstrap() error {
 	cfg := &n.cfg
 	if cfg.Ranks == 1 {
-		n.addrs = []string{""}
 		return nil
 	}
 	if cfg.Rank == 0 {
-		ln, err := n.listen(cfg.Coord)
+		ln, err := net.Listen("tcp", cfg.Coord)
 		if err != nil {
 			return fmt.Errorf("cluster: coordinator listen: %w", err)
 		}
@@ -769,7 +640,7 @@ func (n *node) bootstrap() error {
 		return n.coordinate(addr0)
 	}
 
-	ln, err := n.listen(cfg.Bind)
+	ln, err := net.Listen("tcp", cfg.Bind)
 	if err != nil {
 		return fmt.Errorf("cluster: rank %d listen on %q: %w", cfg.Rank, cfg.Bind, err)
 	}
@@ -780,31 +651,23 @@ func (n *node) bootstrap() error {
 	if err != nil {
 		return err
 	}
-	conn, err := n.dial(cfg.Coord, cfg.DialTimeout)
+	conn, err := dialRetry(cfg.Coord, cfg.DialTimeout)
 	if err != nil {
 		return fmt.Errorf("cluster: rank %d dial coordinator: %w", cfg.Rank, err)
 	}
-	if op, _, hooked := n.faults.act(ClientSide, 0, kindHello); hooked {
-		switch op {
-		case FaultKill:
-			n.die()
-			return errKilled
-		case FaultSever:
-			conn.Close()
-		case FaultDrop, FaultBlackHole:
-			blackhole(conn)
-		}
+	// The coordinator connection joins the set: the hello is an exchange
+	// like any other, and rank-0 RPCs reuse the connection afterwards.
+	if _, err := n.peers.adopt(0, conn); err != nil {
+		return err
 	}
-	pc := newPeerConn(conn)
-	resp, err := pc.callOnce(&request{Kind: kindHello, From: cfg.Rank, Addr: adv}, cfg.DialTimeout)
+	resp, err := n.peers.exchange(0, &request{Kind: kindHello, From: cfg.Rank, Addr: adv}, cfg.DialTimeout)
+	if err == nil && len(resp.Addrs) != cfg.Ranks {
+		err = fmt.Errorf("address map of %d ranks, want %d", len(resp.Addrs), cfg.Ranks)
+	}
 	if err != nil {
 		return fmt.Errorf("cluster: rank %d hello: %w", cfg.Rank, err)
 	}
 	n.addrs = resp.Addrs
-	n.peersMu.Lock()
-	n.peers = make([]*peerConn, cfg.Ranks)
-	n.peers[0] = pc // reuse the coordinator connection for rank-0 RPCs
-	n.peersMu.Unlock()
 	return nil
 }
 
@@ -815,32 +678,22 @@ func (n *node) bootstrap() error {
 // ranks registered, not a hang.
 func (n *node) coordinate(addr0 string) error {
 	cfg := &n.cfg
-	n.addrs = make([]string, cfg.Ranks)
 	n.addrs[0] = addr0
 
 	deadline := time.Now().Add(cfg.DialTimeout)
-	type deadliner interface{ SetDeadline(time.Time) error }
-	if d, ok := n.ln.(deadliner); ok {
-		d.SetDeadline(deadline)
-	}
+	n.ln.(*net.TCPListener).SetDeadline(deadline)
 
-	type pending struct {
-		conn net.Conn
-		enc  *gob.Encoder
-		dec  *gob.Decoder
-	}
-	waiting := make([]pending, 0, cfg.Ranks-1)
-	for registered := 0; registered < cfg.Ranks-1; {
+	waiting := make([]*peerConn, 0, cfg.Ranks-1)
+	for len(waiting) < cfg.Ranks-1 {
 		conn, err := n.ln.Accept()
 		if err != nil {
 			return fmt.Errorf("cluster: bootstrap: %d of %d ranks registered within %v: %w",
-				registered+1, cfg.Ranks, cfg.DialTimeout, err)
+				len(waiting)+1, cfg.Ranks, cfg.DialTimeout, err)
 		}
 		conn.SetReadDeadline(deadline)
-		dec := gob.NewDecoder(conn)
-		enc := gob.NewEncoder(conn)
+		pc := newPeerConn(conn)
 		var req request
-		if err := dec.Decode(&req); err != nil {
+		if err := pc.dec.Decode(&req); err != nil {
 			conn.Close()
 			return fmt.Errorf("cluster: bad hello: %w", err)
 		}
@@ -850,45 +703,20 @@ func (n *node) coordinate(addr0 string) error {
 			return fmt.Errorf("cluster: invalid hello from rank %d", req.From)
 		}
 		n.addrs[req.From] = req.Addr
-		waiting = append(waiting, pending{conn, enc, dec})
-		registered++
+		waiting = append(waiting, pc)
 	}
-	if d, ok := n.ln.(deadliner); ok {
-		d.SetDeadline(time.Time{})
-	}
-	for _, p := range waiting {
-		p.conn.SetWriteDeadline(time.Now().Add(cfg.RPCTimeout))
-		if err := p.enc.Encode(&response{Addrs: n.addrs}); err != nil {
+	n.ln.(*net.TCPListener).SetDeadline(time.Time{})
+	for _, pc := range waiting {
+		pc.conn.SetWriteDeadline(time.Now().Add(cfg.RPCTimeout))
+		if err := pc.enc.Encode(&response{Addrs: n.addrs}); err != nil {
 			return fmt.Errorf("cluster: address broadcast: %w", err)
 		}
-		p.conn.SetWriteDeadline(time.Time{})
+		pc.conn.SetWriteDeadline(time.Time{})
 		// The hello connection becomes a served peer connection.
-		go n.serveConn(p.conn, p.enc, p.dec)
+		go n.serveConn(pc)
 	}
 	go n.serve() // later direct dials from workers to rank 0's one-sided words
 	return nil
-}
-
-// dialRetry dials until the deadline with growing backoff; the
-// coordinator may come up after the workers when processes are launched
-// together, so early refusals are expected and polite (re-)dial pacing
-// matters more than latency.
-func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
-	deadline := time.Now().Add(timeout)
-	backoff := 5 * time.Millisecond
-	for {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
-			return conn, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, err
-		}
-		time.Sleep(backoff/2 + time.Duration(rand.Int63n(int64(backoff))))
-		if backoff *= 2; backoff > 500*time.Millisecond {
-			backoff = 500 * time.Millisecond
-		}
-	}
 }
 
 // serve accepts inbound one-sided connections for the progress engine.
@@ -902,78 +730,68 @@ func (n *node) serve() {
 			conn.Close()
 			return
 		}
-		go n.serveConn(conn, gob.NewEncoder(conn), gob.NewDecoder(conn))
+		go n.serveConn(newPeerConn(conn))
 	}
 }
 
 // serveConn is the progress engine: it services one-sided operations on
-// this process's shared words without involving the worker thread. The
-// request and reply structs live for the whole connection — reset, never
-// reallocated — and served chunk buffers return to the node's free lists
-// once encoded, so the steady-state request loop allocates nothing.
-// Replies carry a write deadline so a peer that stops draining its socket
-// cannot wedge the engine goroutine forever.
-func (n *node) serveConn(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder) {
-	defer conn.Close()
-	var req request
-	var resp response
-	mute := false
-	// reply sends resp unless an injected fault withholds it: delivered if
-	// it was written to the socket in full, open if the connection serves on.
-	reply := func() (delivered, open bool) {
-		if op, d, hooked := n.faults.act(ServerSide, req.From, req.Kind); hooked {
-			switch op {
-			case FaultDelay:
-				time.Sleep(d)
-			case FaultDrop:
-				return false, true
-			case FaultSever:
-				return false, false
-			case FaultBlackHole:
-				mute = true
-			case FaultKill:
-				n.die()
-				return false, false
-			}
-		}
-		if mute {
-			return false, true
-		}
-		if n.cfg.RPCTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(n.cfg.RPCTimeout))
-		}
-		if err := enc.Encode(&resp); err != nil {
-			return false, false
-		}
-		return true, true
-	}
+// this process's shared words without involving the worker thread.
+func (n *node) serveConn(pc *peerConn) {
+	defer pc.conn.Close()
 	for {
-		req.reset()
-		if err := dec.Decode(&req); err != nil {
+		var req request
+		if err := pc.dec.Decode(&req); err != nil {
 			return
 		}
 		if n.killed.Load() || n.shut.Load() {
 			return
 		}
-		resp.reset()
+		var resp response
 		serving, ok := n.handleRequest(&req, &resp)
 		if !ok {
 			return // protocol error: drop the connection
 		}
-		delivered, open := reply()
+		delivered, open := n.reply(pc, &req, &resp)
 		if serving {
 			// A handoff entry is in service, and is settled here and nowhere
-			// else: delivered, it leaves the ledger and its buffers rejoin the
-			// free lists; if not, it stays, stranded, for the worker.
+			// else: delivered, it leaves the ledger; if not, it stays,
+			// stranded, for the worker.
 			n.handoff.settle(req.Handle, delivered)
-			if delivered {
-				n.recycle(resp.Chunk)
-			}
 		}
 		if !open {
 			return
 		}
 	}
+}
+
+// reply sends resp unless an injected fault withholds it: delivered if it
+// was written to the socket in full, open if the connection serves on. It
+// carries a write deadline so a peer that stops draining its socket cannot
+// wedge the engine goroutine forever.
+func (n *node) reply(pc *peerConn, req *request, resp *response) (delivered, open bool) {
+	if op, d, hooked := n.faults.act(ServerSide, req.From, req.Kind); hooked {
+		switch op {
+		case FaultDelay:
+			time.Sleep(d)
+		case FaultDrop:
+			return false, true
+		case FaultSever:
+			return false, false
+		case FaultBlackHole:
+			pc.mute = true
+		case FaultKill:
+			n.die()
+			return false, false
+		}
+	}
+	if pc.mute {
+		return false, true
+	}
+	pc.conn.SetWriteDeadline(time.Now().Add(n.cfg.RPCTimeout))
+	if err := pc.enc.Encode(resp); err != nil {
+		return false, false
+	}
+	return true, true
 }
 
 // handleRequest services one progress-engine request, writing the reply
@@ -984,6 +802,11 @@ func (n *node) handleRequest(req *request, resp *response) (serving, ok bool) {
 	case kindGetAvail:
 		resp.Avail = n.workAvail.Load()
 	case kindCASRequest:
+		// The word is a rank the worker will answer: any other value would
+		// be called out of range, or sit there for good keeping thieves out.
+		if t := int(req.Thief); t < 0 || t >= n.cfg.Ranks || t == n.cfg.Rank {
+			return false, false
+		}
 		resp.OK = n.reqWord.CompareAndSwap(-1, req.Thief)
 	case kindPutResponse:
 		n.respMu.Lock()
@@ -1061,46 +884,6 @@ func (n *node) barRecheckLocked() {
 	}
 }
 
-// peer returns (dialing if necessary) the outgoing connection to rank r.
-// Post-bootstrap every listener is already up, so redials use a single
-// bounded attempt — connection refused means the rank is gone, and the
-// caller's retry loop provides the pacing.
-func (n *node) peer(r int) (*peerConn, error) {
-	n.peersMu.Lock()
-	defer n.peersMu.Unlock()
-	if n.peers == nil {
-		n.peers = make([]*peerConn, n.cfg.Ranks)
-	}
-	if pc := n.peers[r]; pc != nil && !pc.broken.Load() {
-		return pc, nil
-	}
-	timeout := n.cfg.RPCTimeout
-	if timeout == 0 {
-		timeout = n.cfg.DialTimeout
-	}
-	conn, err := net.DialTimeout("tcp", n.addrs[r], timeout)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: rank %d cannot reach rank %d at %q: %w",
-			n.cfg.Rank, r, n.addrs[r], err)
-	}
-	if n.faults != nil {
-		conn = &faultConn{Conn: conn}
-	}
-	n.peers[r] = newPeerConn(conn)
-	return n.peers[r], nil
-}
-
-// dropPeer forgets a connection that failed an RPC so the next call
-// redials with a fresh gob stream.
-func (n *node) dropPeer(r int, pc *peerConn) {
-	pc.close()
-	n.peersMu.Lock()
-	if r >= 0 && r < len(n.peers) && n.peers[r] == pc {
-		n.peers[r] = nil
-	}
-	n.peersMu.Unlock()
-}
-
 // die makes this rank behave like a killed process: the teardown below,
 // and the worker exits with errKilled at its next poll. Fault-injection
 // only.
@@ -1123,68 +906,5 @@ func (n *node) teardown() {
 	if n.ln != nil {
 		n.ln.Close()
 	}
-	n.peersMu.Lock()
-	for _, p := range n.peers {
-		if p != nil {
-			p.close()
-		}
-	}
-	n.peersMu.Unlock()
-}
-
-// getNodeBuf returns a recycled node buffer, or nil when none is free (the
-// caller's append then allocates one that will join the cycle).
-func (n *node) getNodeBuf() stack.Chunk {
-	n.freeMu.Lock()
-	defer n.freeMu.Unlock()
-	if len(n.freeChunks) == 0 {
-		return nil
-	}
-	c := n.freeChunks[len(n.freeChunks)-1]
-	n.freeChunks = n.freeChunks[:len(n.freeChunks)-1]
-	return c
-}
-
-// putNodeBuf recycles one node buffer whose contents are dead (copied onto
-// a stack or encoded to a thief).
-func (n *node) putNodeBuf(c stack.Chunk) {
-	n.freeMu.Lock()
-	n.freeChunks = append(n.freeChunks, c[:0])
-	n.freeMu.Unlock()
-}
-
-// getChunkBuf returns a recycled response buffer, or nil when none is free.
-func (n *node) getChunkBuf() []stack.Chunk {
-	n.freeMu.Lock()
-	defer n.freeMu.Unlock()
-	if len(n.freeBufs) == 0 {
-		return nil
-	}
-	b := n.freeBufs[len(n.freeBufs)-1]
-	n.freeBufs = n.freeBufs[:len(n.freeBufs)-1]
-	return b
-}
-
-// putChunkBuf recycles a response buffer alone, dropping its references;
-// used when the node buffers it carried went back to the pool instead of
-// the free lists (the take-back path).
-func (n *node) putChunkBuf(buf []stack.Chunk) {
-	for i := range buf {
-		buf[i] = nil
-	}
-	n.freeMu.Lock()
-	n.freeBufs = append(n.freeBufs, buf[:0])
-	n.freeMu.Unlock()
-}
-
-// recycle returns a served response buffer and every node buffer it
-// carries to the free lists; called after the reply has been encoded.
-func (n *node) recycle(buf []stack.Chunk) {
-	n.freeMu.Lock()
-	for i, c := range buf {
-		n.freeChunks = append(n.freeChunks, c[:0])
-		buf[i] = nil
-	}
-	n.freeBufs = append(n.freeBufs, buf[:0])
-	n.freeMu.Unlock()
+	n.peers.closeAll()
 }

@@ -82,11 +82,6 @@ type request struct {
 	Stats *stats.Thread // kindStats
 }
 
-// reset clears a request for reuse. Gob leaves fields absent from a
-// message untouched, so a reused decode target must be zeroed between
-// requests or values leak from one request into the next.
-func (r *request) reset() { *r = request{} }
-
 // response is the wire format of one RPC reply.
 type response struct {
 	OK    bool          // kindCASRequest: claim succeeded; kindBarrierLeave: leave permitted
@@ -98,7 +93,3 @@ type response struct {
 
 	Metrics *MetricsSnapshot // kindMetrics
 }
-
-// reset clears a reply for reuse (and drops chunk/address references so
-// recycled buffers are not pinned past their encode).
-func (r *response) reset() { *r = response{} }

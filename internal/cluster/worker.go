@@ -54,6 +54,11 @@ type clusterWorker struct {
 	k    int
 	me   int
 	pool stack.Pool
+	// free keeps the buffers of reacquired chunks for the next releases: the
+	// worker's alone, so a plain slice. The one recycling this package does
+	// (DESIGN.md §10): without it the ~3400 releases of a 1.7 M-node run
+	// allocate 448 bytes each, and peak RSS reads 4–8 % higher on every run.
+	free []stack.Chunk
 	err  error
 }
 
@@ -101,11 +106,15 @@ func (w *clusterWorker) Work() {
 			}
 			w.n.workAvail.Store(int32(w.pool.Len()))
 			w.Reacquired(c)
-			w.n.putNodeBuf(c) // contents copied; buffer rejoins the cycle
+			w.free = append(w.free, c[:0]) // contents copied onto Local
 			continue
 		}
 		if w.Local.Len() >= 2*w.k {
-			w.pool.Put(w.Local.TakeBottomAppend(w.n.getNodeBuf(), w.k))
+			var buf stack.Chunk
+			if last := len(w.free) - 1; last >= 0 {
+				buf, w.free = w.free[last], w.free[:last]
+			}
+			w.pool.Put(w.Local.TakeBottomAppend(buf, w.k))
 			w.n.workAvail.Store(int32(w.pool.Len()))
 			w.Released(w.pool.Len())
 		}
@@ -133,13 +142,10 @@ func (w *clusterWorker) service() error {
 	if thief < 0 {
 		return nil
 	}
-	if int(thief) == w.me {
-		return fmt.Errorf("cluster: rank %d received a self-steal request", w.me)
-	}
 	var amount int32
 	var handle uint64
 	if w.pool.Len() > 0 {
-		chunks := w.pool.TakeHalfAppend(w.n.getChunkBuf())
+		chunks := w.pool.TakeHalf()
 		w.n.workAvail.Store(int32(w.pool.Len()))
 		amount = int32(len(chunks))
 		handle = w.n.handoff.reserve(chunks, thief)
@@ -169,12 +175,11 @@ func (w *clusterWorker) service() error {
 }
 
 // comeHome puts chunks taken back from the handoff table into the pool,
-// stealable again, and recycles the buffer that carried them.
+// stealable again.
 func (w *clusterWorker) comeHome(chunks []stack.Chunk) {
 	for _, c := range chunks {
 		w.pool.Put(c)
 	}
-	w.n.putChunkBuf(chunks)
 	w.n.workAvail.Store(int32(w.pool.Len()))
 }
 
@@ -315,9 +320,7 @@ func (w *clusterWorker) Steal(v int) bool {
 		// steal outlived the stale-entry bound. The work stays at v.
 		return false
 	}
-	rest := w.Landed(v, got.Chunk)
-	w.n.putNodeBuf(got.Chunk[0]) // contents copied; buffer rejoins the cycle
-	for _, c := range rest {
+	for _, c := range w.Landed(v, got.Chunk) {
 		w.pool.Put(c)
 	}
 	w.n.workAvail.Store(int32(w.pool.Len()))
