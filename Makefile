@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race short bench-smoke gates cluster-stress experiments experiments-full clean lint lint-suppressions fuzz-smoke fingerprints
+.PHONY: all build test race short bench-smoke gates ab cluster-stress experiments experiments-full clean lint lint-suppressions fuzz-smoke fingerprints
 
 all: build test
 
@@ -70,6 +70,17 @@ bench-smoke:
 # worst chunk >= 0.95x the best (T3XXL on the batched engine, ~15 s).
 gates:
 	UTS_GATES=1 $(GO) test -count=1 -v -timeout 10m -run 'Gate$$' ./internal/des/
+
+# Alternating parent/change pairs of the one benchmark command (DESIGN.md
+# §18): `make ab PARENT=<checkout of the parent commit> WORKLOAD=<name>
+# PAIRS=n [TRACE=1] [SECONDS=20] [METRICS='a b']`. Which side runs first
+# flips every pair, seeds 1..n; prints every pair of every metric, the
+# median of the pair ratios and the sign count. No verdict and no ledger of
+# its own: scripts/ab.sh only calls benchmark/run.sh in both checkouts.
+TRACE ?= 0
+SECONDS ?= 20
+ab:
+	@sh scripts/ab.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(TRACE)" "$(SECONDS)" $(METRICS)
 
 # The load under which reserved work falling off the cluster's handoff
 # ledger shows (DESIGN.md §10): one test binary, three copies at once so that

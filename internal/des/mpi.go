@@ -92,14 +92,11 @@ func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps
 		}
 		pe.spawn(sim, pe.rank.Run, finish)
 	}
-	return func() (sources, working int) {
+	return func() (sources int) {
 		for _, pe := range r.pes {
 			// An MPI rank is a work source when it would grant a request.
 			if pe.rank.Grantable() > 0 {
 				sources++
-			}
-			if pe.Local.Len() > 0 {
-				working++
 			}
 		}
 		return

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/pgas"
 	"repro/internal/stats"
 	"repro/internal/uts"
 )
@@ -243,11 +244,11 @@ func TestTracedEventsWellFormed(t *testing.T) {
 			}
 		}
 		for i, e := range events {
-			if i > 0 && e.T() < events[i-1].T() {
+			if i > 0 && e.T < events[i-1].T {
 				t.Fatalf("event %d out of time order", i)
 			}
-			if tr.Virtual() && e.Virt < 0 {
-				t.Fatalf("event %d has no virtual timestamp: %+v", i, e)
+			if e.T < 0 {
+				t.Fatalf("event %d has a negative timestamp: %+v", i, e)
 			}
 			if e.PE < 0 || e.PE >= 8 {
 				t.Fatalf("event %d from unknown PE %d", i, e.PE)
@@ -268,6 +269,38 @@ func TestTracedEventsWellFormed(t *testing.T) {
 					t.Fatalf("virtual=%v: event %d: probe-result from PE %d without its probe-start", tr.Virtual(), i, e.Other)
 				}
 				probing[e.PE] = 0
+			}
+		}
+	}
+}
+
+// TestTraceCountsPinned gives the traced path exact rows, in the shape of
+// TestEngineCountsPinned: how many events a run records and how many of
+// them its rings have overwritten by the end, as literals that hold on any
+// host. On bench-small at 64 PEs one row wraps a 1024-slot ring and one
+// stays inside it; both must read the same under two shards, where each PE
+// still records into its own lane. With obs's 32-byte slot these are also
+// the bytes a trace costs: Events × 32 written, (Events − Dropped) × 32
+// retained.
+func TestTraceCountsPinned(t *testing.T) {
+	const pes, ringSize = 64, 1024
+	type counts struct{ Events, Dropped int64 }
+	for _, row := range []struct {
+		alg  core.Algorithm
+		want counts
+	}{
+		{core.UPCDistMem, counts{Events: 53820, Dropped: 16}},
+		{core.MPIWS, counts{Events: 53756}},
+	} {
+		for _, shards := range []int{0, 2} {
+			cfg := Config{Algorithm: row.alg, PEs: pes, Chunk: 8, Model: &pgas.KittyHawk, Seed: 1,
+				Shards: shards, Tracer: obs.NewVirtual(pes, ringSize)}
+			res, err := Run(&uts.BenchSmall, cfg)
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", row.alg, shards, err)
+			}
+			if got := (counts{res.Obs.Events, res.Obs.Dropped}); got != row.want {
+				t.Errorf("%s shards=%d: %+v, want %+v", row.alg, shards, got, row.want)
 			}
 		}
 	}

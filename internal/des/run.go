@@ -179,8 +179,6 @@ type Sample struct {
 	// WorkSources is the number of PEs with stealable surplus — the
 	// quantity Section 3.3.2's rapid diffusion is designed to grow.
 	WorkSources int
-	// Working is the number of PEs currently holding any work.
-	Working int
 }
 
 // Trace is a time series sampled during a simulated run.
@@ -201,9 +199,9 @@ func (tr *Trace) TimeToSources(n int) time.Duration {
 	return -1
 }
 
-// sampler reports (work sources, PEs holding work) for a protocol's
-// current state; each protocol setup returns one.
-type sampler func() (sources, working int)
+// sampler reports the work sources of a protocol's current state; each
+// protocol setup returns one.
+type sampler func() (sources int)
 
 // Run simulates a complete traversal of sp on cfg.PEs virtual processors
 // and returns the same Result shape as core.Run, with Elapsed set to the
@@ -349,8 +347,7 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 		trace = &Trace{Interval: interval}
 		sim.Spawn(func(p *Proc) {
 			for alive.Load() > 0 {
-				s, w := smp()
-				trace.Samples = append(trace.Samples, Sample{T: p.Now(), WorkSources: s, Working: w})
+				trace.Samples = append(trace.Samples, Sample{T: p.Now(), WorkSources: smp()})
 				p.Advance(interval)
 			}
 		})

@@ -20,10 +20,8 @@ func simStatic(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, f
 	root := uts.Root(sp)
 	kids := uts.Children(sp, st, &root, nil)
 
-	pes := make([]*simStaticPE, cfg.PEs)
 	for i := 0; i < cfg.PEs; i++ {
 		pe := &simStaticPE{simPE: newSimPE(sp, cfg, res, nil, i), cs: cs, batch: cfg.batch()}
-		pes[i] = pe
 		if i == 0 {
 			pe.extraRoot = &root
 		}
@@ -32,14 +30,8 @@ func simStatic(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, f
 		}
 		pe.spawn(sim, pe.run, finish)
 	}
-	return func() (sources, working int) {
-		for _, pe := range pes {
-			if pe.Local.Len() > 0 {
-				working++
-			}
-		}
-		return 0, working
-	}
+	// Nothing is ever stealable: no PE is a work source.
+	return func() int { return 0 }
 }
 
 type simStaticPE struct {

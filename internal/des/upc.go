@@ -133,13 +133,10 @@ func (pe *upcPE) Leave() bool {
 
 // upcSampler is the diffusion sampler of a UPC family's PEs.
 func upcSampler(pes []*upcPE) sampler {
-	return func() (sources, working int) {
+	return func() (sources int) {
 		for _, pe := range pes {
 			if pe.workAvail > 0 {
 				sources++
-			}
-			if pe.Local.Len() > 0 || pe.pool.Len() > 0 {
-				working++
 			}
 		}
 		return

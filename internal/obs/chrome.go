@@ -15,17 +15,19 @@ import (
 //   - one named thread ("PE n") per lane, all in process 0;
 //   - a "X" (complete) slice per Figure-1 state interval, reconstructed
 //     from consecutive KindStateChange events, so each lane reads as a
-//     colored Working/Searching/Stealing/Idle band;
+//     colored Working/Searching/Stealing/Idle band — a lane starts out
+//     working at 0, but one whose ring has wrapped (its oldest retained
+//     event is not its first) gets no slice before its first retained
+//     state change: what it was doing then is no longer known;
 //   - an "i" (instant) mark per protocol event;
 //   - an "s"/"f" (flow) arrow per successful steal, drawn from the
 //     victim's lane at the request timestamp to the thief's lane at the
 //     transfer timestamp — the steal arrows between lanes.
 //
 // Timestamps are microseconds (the trace_event unit) with ns precision
-// kept as fractional digits; virtual tracers export virtual time, real
-// tracers wall time. Field order within each JSON event is fixed (struct
-// order), so output for a given event stream is byte-stable — the golden
-// test depends on this.
+// kept as fractional digits, on the tracer's clock. Field order within
+// each JSON event is fixed (struct order), so output for a given event
+// stream is byte-stable — the golden test depends on this.
 func WriteChromeTrace(w io.Writer, t *Tracer) error {
 	bw := bufio.NewWriter(w)
 	enc := newChromeEncoder(bw)
@@ -38,8 +40,11 @@ func WriteChromeTrace(w io.Writer, t *Tracer) error {
 	events := t.Events()
 
 	// Per-lane reconstruction state: current Figure-1 state and when it
-	// began, plus the pending steal request for flow pairing.
+	// began (unknown: not until the next state change, the lane wrapped),
+	// plus the pending steal request for flow pairing.
 	type laneState struct {
+		seen       bool
+		unknown    bool
 		state      int64
 		since      int64
 		hasSteal   bool
@@ -49,8 +54,8 @@ func WriteChromeTrace(w io.Writer, t *Tracer) error {
 	lanes := make([]laneState, t.PEs())
 	var end int64
 	for _, e := range events {
-		if ts := e.T(); ts > end {
-			end = ts
+		if e.T > end {
+			end = e.T
 		}
 	}
 	flowID := 0
@@ -59,10 +64,13 @@ func WriteChromeTrace(w io.Writer, t *Tracer) error {
 			continue
 		}
 		ls := &lanes[e.PE]
-		ts := e.T()
+		if !ls.seen {
+			ls.seen, ls.unknown = true, e.Seq > 0
+		}
+		ts := e.T
 		switch e.Kind {
 		case KindStateChange:
-			if ts > ls.since {
+			if ts > ls.since && !ls.unknown {
 				enc.emit(chromeEvent{
 					Name: StateName(ls.state), Cat: "state", Ph: "X",
 					Ts: usec(ls.since), Dur: usec(ts - ls.since),
@@ -71,6 +79,7 @@ func WriteChromeTrace(w io.Writer, t *Tracer) error {
 			}
 			ls.state = e.Value
 			ls.since = ts
+			ls.unknown = false
 		case KindStealRequest:
 			ls.hasSteal = true
 			ls.stealTs = ts
@@ -102,7 +111,7 @@ func WriteChromeTrace(w io.Writer, t *Tracer) error {
 	// Close the open state interval of every lane at the trace end.
 	for pe := range lanes {
 		ls := &lanes[pe]
-		if end > ls.since {
+		if end > ls.since && !ls.unknown {
 			enc.emit(chromeEvent{
 				Name: StateName(ls.state), Cat: "state", Ph: "X",
 				Ts: usec(ls.since), Dur: usec(end - ls.since),

@@ -140,3 +140,56 @@ func TestChromeStructure(t *testing.T) {
 		}
 	}
 }
+
+// TestChromeWrappedLaneHasNoInventedState: a lane whose ring wrapped has
+// lost its early state changes, so the exporter must not paint it "working
+// since 0" up to the first one it still holds. The lane here sat idle from
+// 10µs to 100µs; a 4-slot ring retains three probe results and the change
+// back to working.
+func TestChromeWrappedLaneHasNoInventedState(t *testing.T) {
+	tr := NewVirtual(1, 4)
+	l := tr.Lane(0)
+	us := func(n int64) time.Duration { return time.Duration(n) * time.Microsecond }
+	l.RecV(KindStateChange, -1, 3, us(10)) // idle
+	for i := int64(0); i < 6; i++ {
+		l.RecV(KindProbeResult, 0, 0, us(20+10*i))
+	}
+	l.RecV(KindStateChange, -1, 0, us(100)) // working
+
+	type slice struct {
+		Name, Ph string
+		Ts, Dur  float64
+	}
+	export := func() (states []slice, instants int) {
+		var buf bytes.Buffer
+		if err := WriteChromeTrace(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct{ TraceEvents []slice }
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatalf("not valid JSON: %v\n%s", err, buf.Bytes())
+		}
+		for _, e := range doc.TraceEvents {
+			switch e.Ph {
+			case "X":
+				states = append(states, e)
+			case "i":
+				instants++
+			}
+		}
+		return
+	}
+	states, instants := export()
+	if len(states) != 0 {
+		t.Errorf("wrapped lane got state slices for a span it no longer records: %+v", states)
+	}
+	if instants != 3 {
+		t.Errorf("%d instants, want the 3 retained probe results", instants)
+	}
+	// From the first retained state change on, the state is known again.
+	l.RecV(KindTermEnter, -1, 0, us(150))
+	states, _ = export()
+	if want := (slice{"working", "X", 100, 50}); len(states) != 1 || states[0] != want {
+		t.Errorf("state slices = %+v, want exactly %+v", states, want)
+	}
+}

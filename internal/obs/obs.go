@@ -20,10 +20,11 @@
 //     observes a torn event — a slot being overwritten is detected and
 //     dropped rather than returned half-written.
 //
-// Events carry both a wall timestamp (ns since the tracer epoch) and a
-// virtual one (ns of DES time, −1 outside the simulator), so the same
-// exporters serve real goroutine runs and discrete-event runs. On top of
-// the rings sit three consumers: a Chrome trace_event JSON exporter
+// A tracer has one clock, chosen when it is built: New stamps events with
+// wall ns since its epoch, NewVirtual with the ns of DES time each RecV is
+// handed. An event carries that one timestamp, so the same exporters
+// serve real goroutine runs and discrete-event runs. On top of the rings
+// sit three consumers: a Chrome trace_event JSON exporter
 // (WriteChromeTrace — open the file in ui.perfetto.dev), a merged
 // time-ordered text timeline (WriteTimeline), and histogram aggregation
 // (Tracer.Summary) for steal round-trip latency, probe-to-work distance,
@@ -151,20 +152,9 @@ type Event struct {
 	Kind Kind
 	// Value is the kind-specific payload (see the Kind constants).
 	Value int64
-	// Wall is the wall-clock timestamp in ns since the tracer epoch.
-	Wall int64
-	// Virt is the virtual (DES) timestamp in ns, or −1 for real-time
-	// runs.
-	Virt int64
-}
-
-// T returns the timestamp that orders this event: virtual time when the
-// event has one, wall time otherwise.
-func (e Event) T() int64 {
-	if e.Virt >= 0 {
-		return e.Virt
-	}
-	return e.Wall
+	// T is the timestamp in ns on the recording tracer's clock: since the
+	// tracer epoch for New, virtual (DES) time for NewVirtual.
+	T int64
 }
 
 // String renders the event as one timeline line (without the timestamp
@@ -208,7 +198,7 @@ func (e Event) String() string {
 // DefaultRingSize is the per-PE ring capacity (events) used when a
 // non-positive size is requested: large enough to hold the full protocol
 // history of the bench trees, small enough that a 1024-PE tracer stays
-// around 400 MB.
+// around 268 MB (32-byte slots).
 const DefaultRingSize = 1 << 13
 
 // Tracer owns one event lane per PE plus the shared epoch. The zero
@@ -239,16 +229,15 @@ func New(pes, ringSize int) *Tracer {
 	return t
 }
 
-// NewVirtual is New for discrete-event runs: consumers order events by
-// their virtual timestamps, and histograms measure virtual durations.
+// NewVirtual is New for discrete-event runs: events are stamped with the
+// virtual instants RecV is given, and histograms measure virtual durations.
 func NewVirtual(pes, ringSize int) *Tracer {
 	t := New(pes, ringSize)
 	t.virtual = true
 	return t
 }
 
-// Virtual reports whether the tracer orders events by virtual time.
-// Nil-safe.
+// Virtual reports whether the tracer's clock is virtual time. Nil-safe.
 func (t *Tracer) Virtual() bool { return t != nil && t.virtual }
 
 // PEs returns the lane count. Nil-safe.
@@ -272,10 +261,10 @@ func (t *Tracer) Lane(pe int) *Lane {
 func (t *Tracer) wallNow() int64 { return int64(time.Since(t.epoch)) }
 
 // Events returns a merged snapshot of every lane, ordered by timestamp
-// (virtual for virtual tracers, wall otherwise) with (PE, Seq) as the
-// tie-break, so simultaneous DES events appear in a deterministic order.
-// Safe to call while PEs are still recording; see Lane.Snapshot for the
-// consistency guarantee. Nil-safe: a nil tracer has no events.
+// with (PE, Seq) as the tie-break, so simultaneous DES events appear in a
+// deterministic order. Safe to call while PEs are still recording; see
+// Lane.Snapshot for the consistency guarantee. Nil-safe: a nil tracer has
+// no events.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
@@ -286,8 +275,8 @@ func (t *Tracer) Events() []Event {
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := &all[i], &all[j]
-		if a.T() != b.T() {
-			return a.T() < b.T()
+		if a.T != b.T {
+			return a.T < b.T
 		}
 		if a.PE != b.PE {
 			return a.PE < b.PE
@@ -346,8 +335,8 @@ type Hists struct {
 	Dwell [NumStates]Histogram
 }
 
-// Rec records an event with the current wall timestamp and no virtual
-// one — the form the real goroutine implementations use. No-op on a nil
+// Rec records an event at the current wall time — the form the real
+// goroutine implementations use, on a tracer built by New. No-op on a nil
 // lane.
 //
 //uts:noalloc
@@ -355,27 +344,26 @@ func (l *Lane) Rec(k Kind, other int32, value int64) {
 	if l == nil {
 		return
 	}
-	wall := l.t.wallNow()
-	l.rec(k, other, value, wall, -1, wall)
+	l.rec(k, other, value, l.t.wallNow())
 }
 
-// RecV records an event carrying both the given virtual timestamp and
-// the current wall one — the form the discrete-event simulators use.
-// Histogram durations use the virtual clock. No-op on a nil lane.
+// RecV records an event at the given virtual instant and reads no other
+// clock — the form the discrete-event simulators use, on a tracer built
+// by NewVirtual. No-op on a nil lane.
 //
 //uts:noalloc
 func (l *Lane) RecV(k Kind, other int32, value int64, virt time.Duration) {
 	if l == nil {
 		return
 	}
-	l.rec(k, other, value, l.t.wallNow(), int64(virt), int64(virt))
+	l.rec(k, other, value, int64(virt))
 }
 
-// rec feeds the histograms (using clock, the run's authoritative
-// timebase) and appends the event to the ring.
+// rec feeds the histograms and appends the event to the ring, both at
+// clock, the event's instant on the tracer's timebase.
 //
 //uts:noalloc
-func (l *Lane) rec(k Kind, other int32, value, wall, virt, clock int64) {
+func (l *Lane) rec(k Kind, other int32, value, clock int64) {
 	switch k {
 	case KindStateChange:
 		l.hists.Dwell[stateIndex(l.curState)].Observe(clock - l.stateSince)
@@ -399,7 +387,7 @@ func (l *Lane) rec(k Kind, other int32, value, wall, virt, clock int64) {
 		l.searchProbes = 0
 		l.hists.ChunkSize.Observe(value)
 	}
-	l.ring.record(k, l.pe, other, value, wall, virt)
+	l.ring.record(k, l.pe, other, value, clock)
 }
 
 // stateIndex clamps a state code into the dwell array.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestKindNamesComplete(t *testing.T) {
@@ -37,7 +38,7 @@ func TestRingWraparound(t *testing.T) {
 		if e.Seq != wantSeq {
 			t.Errorf("event %d: Seq = %d, want %d", i, e.Seq, wantSeq)
 		}
-		if e.Value != int64(wantSeq) || e.Other != int32(wantSeq) || e.Virt != int64(wantSeq) {
+		if e.Value != int64(wantSeq) || e.Other != int32(wantSeq) || e.T != int64(wantSeq) {
 			t.Errorf("event %d: payload %+v does not match seq %d", i, e, wantSeq)
 		}
 		if e.PE != 0 || e.Kind != KindTermEnter {
@@ -53,7 +54,7 @@ func TestRingWraparound(t *testing.T) {
 
 // TestSnapshotConcurrent exercises the seqlock under the race detector: a
 // reader snapshots continuously while the owner records, and every event
-// that comes back must be internally consistent (Other, Value, and Virt
+// that comes back must be internally consistent (Other, Value, and T
 // all carry the sequence number, so a torn slot would disagree).
 func TestSnapshotConcurrent(t *testing.T) {
 	const total = 50000
@@ -69,7 +70,7 @@ func TestSnapshotConcurrent(t *testing.T) {
 			buf = l.Snapshot(buf[:0])
 			var lastSeq int64 = -1
 			for _, e := range buf {
-				if e.Value != int64(e.Other) || e.Virt != e.Value {
+				if e.Value != int64(e.Other) || e.T != e.Value {
 					t.Errorf("torn event escaped the seqlock: %+v", e)
 					return
 				}
@@ -280,26 +281,73 @@ func TestLanePairing(t *testing.T) {
 	}
 }
 
+// TestEventsMergedOrder: Events orders by (T, PE, Seq) whichever clock T
+// is on. rec takes the instant directly, so the wall tracer's lanes can be
+// given the same instants as the virtual one's.
 func TestEventsMergedOrder(t *testing.T) {
-	tr := NewVirtual(3, 0)
-	tr.Lane(2).RecV(KindTermEnter, -1, 0, 300)
-	tr.Lane(0).RecV(KindTermEnter, -1, 0, 100)
-	tr.Lane(1).RecV(KindTermEnter, -1, 0, 100) // tie with lane 0: PE breaks it
-	tr.Lane(0).RecV(KindTermExit, -1, 0, 200)
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("got %d events", len(evs))
-	}
-	wantPE := []int32{0, 1, 0, 2}
-	for i, e := range evs {
-		if e.PE != wantPE[i] {
-			t.Errorf("position %d: PE %d, want %d", i, e.PE, wantPE[i])
+	for name, tr := range map[string]*Tracer{"wall": New(3, 0), "virtual": NewVirtual(3, 0)} {
+		tr.Lane(2).rec(KindTermEnter, -1, 0, 300)
+		tr.Lane(0).rec(KindTermEnter, -1, 0, 100)
+		tr.Lane(1).rec(KindTermEnter, -1, 0, 100) // tie with lane 0: PE breaks it
+		tr.Lane(0).rec(KindTermExit, -1, 0, 200)
+		tr.Lane(0).rec(KindTermEnter, -1, 0, 200) // tie on the same lane: Seq breaks it
+		tr.Lane(0).rec(KindTermExit, -1, 0, 150)  // recorded last, sorts by T all the same
+		type key struct {
+			t   int64
+			pe  int32
+			seq uint64
+		}
+		want := []key{{100, 0, 0}, {100, 1, 0}, {150, 0, 3}, {200, 0, 1}, {200, 0, 2}, {300, 2, 0}}
+		evs := tr.Events()
+		if len(evs) != len(want) {
+			t.Fatalf("%s: got %d events, want %d", name, len(evs), len(want))
+		}
+		for i, e := range evs {
+			if got := (key{e.T, e.PE, e.Seq}); got != want[i] {
+				t.Errorf("%s: position %d: (T, PE, Seq) = %v, want %v", name, i, got, want[i])
+			}
 		}
 	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].T() < evs[i-1].T() {
-			t.Errorf("events out of time order at %d", i)
+}
+
+// TestSlotFormat pins the ring's record format: four words, 32 bytes, and
+// a header that round-trips every field at its bounds through record →
+// snapshotSince without touching its neighbours.
+func TestSlotFormat(t *testing.T) {
+	if slotWords != 4 || unsafe.Sizeof([slotWords]uint64{}) != 32 {
+		t.Fatalf("slot is %d words / %d bytes, want 4 / 32", slotWords, unsafe.Sizeof([slotWords]uint64{}))
+	}
+	const maxID = 1<<idBits - 2 // the largest lane id whose other+1 still fits
+	var r ring
+	r.init(4)
+	var want []Event
+	for _, pe := range []int32{0, 1<<20 - 1} { // des.MaxPEs is 1<<20
+		for _, other := range []int32{-1, 0, maxID} {
+			for k := Kind(0); k < numKinds; k++ {
+				for _, v := range []int64{math.MinInt64, -1, 0, math.MaxInt64} {
+					want = append(want, Event{Kind: k, PE: pe, Other: other, Value: v, T: ^v})
+				}
+			}
 		}
+	}
+	var got []Event
+	var cursor uint64
+	for i, e := range want {
+		r.record(e.Kind, e.PE, e.Other, e.Value, e.T)
+		var missed uint64
+		got, cursor, missed = r.snapshotSince(cursor, got)
+		if missed != 0 || cursor != uint64(i+1) {
+			t.Fatalf("record %d: cursor %d, missed %d", i, cursor, missed)
+		}
+	}
+	for i, e := range got {
+		want[i].Seq = uint64(i)
+		if e != want[i] {
+			t.Fatalf("event %d round-tripped as %+v, want %+v", i, e, want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read back %d of %d events", len(got), len(want))
 	}
 }
 
@@ -363,39 +411,54 @@ func TestTimelineFormat(t *testing.T) {
 	}
 }
 
+// TestWallClockRecording: a wall lane's T is the wall clock, so it
+// advances across a sleep; a virtual lane's T is exactly the instant RecV
+// was given, whatever the wall clock did meanwhile.
 func TestWallClockRecording(t *testing.T) {
-	tr := New(1, 0)
-	l := tr.Lane(0)
+	tr, vt := New(1, 0), NewVirtual(1, 0)
+	l, vl := tr.Lane(0), vt.Lane(0)
 	l.Rec(KindStealRequest, -1, 0)
+	vl.RecV(KindStealRequest, -1, 0, 700)
 	time.Sleep(time.Millisecond)
 	l.Rec(KindChunkTransfer, -1, 8)
-	evs := tr.Events()
-	if len(evs) != 2 {
-		t.Fatalf("got %d events", len(evs))
+	vl.RecV(KindChunkTransfer, -1, 8, 700)
+	evs, vevs := tr.Events(), vt.Events()
+	if len(evs) != 2 || len(vevs) != 2 {
+		t.Fatalf("got %d and %d events", len(evs), len(vevs))
 	}
-	for _, e := range evs {
-		if e.Virt != -1 {
-			t.Errorf("real-time event has virtual timestamp %d", e.Virt)
-		}
-		if e.T() != e.Wall {
-			t.Errorf("T() should fall back to wall time")
-		}
+	if evs[0].T < 0 || evs[1].T-evs[0].T < int64(time.Millisecond) {
+		t.Errorf("wall clock did not advance across the sleep: %d then %d", evs[0].T, evs[1].T)
 	}
-	if evs[1].Wall <= evs[0].Wall {
-		t.Errorf("wall clock did not advance: %d then %d", evs[0].Wall, evs[1].Wall)
+	if vevs[0].T != 700 || vevs[1].T != 700 {
+		t.Errorf("virtual events at %d and %d, want exactly the 700 RecV was given", vevs[0].T, vevs[1].T)
 	}
 	if n := tr.Summary().StealLatency.Count(); n != 1 {
 		t.Errorf("steal-latency samples = %d, want 1", n)
 	}
+	if h := vt.Summary().StealLatency; h.Count() != 1 || h.Max() != 0 {
+		t.Errorf("virtual steal latency n=%d max=%d, want one sample of 0", h.Count(), h.Max())
+	}
 }
 
 // BenchmarkLaneRec measures the raw cost of recording one event into a
-// lane's ring — the per-protocol-operation price of an enabled tracer.
+// lane's ring — the per-protocol-operation price of an enabled tracer —
+// on each timebase: the wall leg reads the clock, the virtual leg is
+// handed its instant.
 func BenchmarkLaneRec(b *testing.B) {
-	l := New(1, 0).Lane(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Rec(KindProbeResult, 1, int64(i))
-	}
+	b.Run("wall", func(b *testing.B) {
+		l := New(1, 0).Lane(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l.Rec(KindProbeResult, 1, int64(i))
+		}
+	})
+	b.Run("virtual", func(b *testing.B) {
+		l := NewVirtual(1, 0).Lane(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l.RecV(KindProbeResult, 1, int64(i), time.Duration(i))
+		}
+	})
 }

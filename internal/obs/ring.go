@@ -23,32 +23,40 @@ type ring struct {
 	pos atomic.Uint64
 }
 
-// slot layout: [stamp, kind|pe, other, value, wall, virt]
-const slotWords = 6
+// slot layout: [stamp, header, value, t], 32 bytes, two slots to a cache
+// line. The header packs kind (bits 0-7), pe (8-35) and other+1 (36-63,
+// so "no peer", -1, is 0): lane ids are 28 bits wide, des.MaxPEs is 2^20.
+const slotWords = 4
+
+const (
+	idBits     = 28
+	idMask     = 1<<idBits - 1
+	peShift    = 8
+	otherShift = peShift + idBits
+)
 
 func (r *ring) init(size int) {
 	r.size = uint64(size)
 	r.buf = make([]uint64, uint64(size)*slotWords)
 }
 
-// record appends one event. Owner-only. The stamp bracket is a
-// seqlock: the invalidating zero store precedes every payload word,
-// and every payload word precedes the publishing stamp — ordercheck
-// enforces both halves by dominance.
+// record appends one event stamped t, ns in the tracer's timebase.
+// Owner-only. The stamp bracket is a seqlock: the invalidating zero store
+// precedes every payload word, and every payload word precedes the
+// publishing stamp — ordercheck enforces both halves by dominance.
 //
 //uts:noalloc
 //uts:orders invalidate<payload payload<publish
-func (r *ring) record(k Kind, pe, other int32, value, wall, virt int64) {
+func (r *ring) record(k Kind, pe, other int32, value, t int64) {
 	seq := r.pos.Load() // single writer: no contention on the load
 	i := (seq % r.size) * slotWords
 	b := r.buf
-	atomic.StoreUint64(&b[i], 0)                                  //uts:mark invalidate
-	atomic.StoreUint64(&b[i+1], uint64(k)|uint64(uint32(pe))<<32) //uts:mark payload
-	atomic.StoreUint64(&b[i+2], uint64(int64(other)))             //uts:mark payload
-	atomic.StoreUint64(&b[i+3], uint64(value))                    //uts:mark payload
-	atomic.StoreUint64(&b[i+4], uint64(wall))                     //uts:mark payload
-	atomic.StoreUint64(&b[i+5], uint64(virt))                     //uts:mark payload
-	atomic.StoreUint64(&b[i], seq+1)                              //uts:mark publish
+	hdr := uint64(k) | (uint64(pe)&idMask)<<peShift | (uint64(other+1)&idMask)<<otherShift
+	atomic.StoreUint64(&b[i], 0)               //uts:mark invalidate
+	atomic.StoreUint64(&b[i+1], hdr)           //uts:mark payload
+	atomic.StoreUint64(&b[i+2], uint64(value)) //uts:mark payload
+	atomic.StoreUint64(&b[i+3], uint64(t))     //uts:mark payload
+	atomic.StoreUint64(&b[i], seq+1)           //uts:mark publish
 	r.pos.Store(seq + 1)
 }
 
@@ -88,23 +96,20 @@ func (r *ring) snapshotSince(since uint64, dst []Event) ([]Event, uint64, uint64
 			missed++ // the writer lapped this slot before we read it
 			continue
 		}
-		kp := atomic.LoadUint64(&b[i+1])
-		other := int64(atomic.LoadUint64(&b[i+2]))
-		value := int64(atomic.LoadUint64(&b[i+3]))
-		wall := int64(atomic.LoadUint64(&b[i+4]))
-		virt := int64(atomic.LoadUint64(&b[i+5]))
+		hdr := atomic.LoadUint64(&b[i+1])
+		value := int64(atomic.LoadUint64(&b[i+2]))
+		t := int64(atomic.LoadUint64(&b[i+3]))
 		if atomic.LoadUint64(&b[i]) != s+1 {
 			missed++ // overwritten while copying: payload may be torn
 			continue
 		}
 		dst = append(dst, Event{
 			Seq:   s,
-			Kind:  Kind(kp & 0xff),
-			PE:    int32(kp >> 32),
-			Other: int32(other),
+			Kind:  Kind(hdr),
+			PE:    int32(hdr >> peShift & idMask),
+			Other: int32(hdr>>otherShift) - 1,
 			Value: value,
-			Wall:  wall,
-			Virt:  virt,
+			T:     t,
 		})
 	}
 	return dst, hi, missed

@@ -39,7 +39,7 @@ type Sampler struct {
 	lanes    []replay // per-lane event-replay state
 	events   int64    // cumulative events recorded (sum of cursors)
 	missed   int64    // cumulative events overwritten before sampling
-	virtMax  int64    // newest virtual timestamp seen (-1 when none)
+	tMax     int64    // newest timestamp seen
 	kinds    [NumKinds]int64
 	stealCum Histogram
 	chunkCum Histogram
@@ -119,7 +119,6 @@ func NewSampler(t *Tracer) *Sampler {
 		start:   time.Now(),
 		cursors: make([]uint64, t.PEs()),
 		lanes:   make([]replay, t.PEs()),
-		virtMax: -1,
 	}
 	for i := range s.lanes {
 		s.lanes[i].stealT0 = -1
@@ -235,8 +234,8 @@ func (s *Sampler) Sample() LiveStats {
 		StealLatencyCum: s.stealCum,
 		ChunkSize:       s.chunkCum,
 	}
-	if s.virtMax >= 0 {
-		st.Virt = time.Duration(s.virtMax)
+	if st.Virtual {
+		st.Virt = time.Duration(s.tMax)
 	}
 	st.StealLatency = s.stealCum.DeltaFrom(&s.prevSteal)
 	if sec := st.Window.Seconds(); sec > 0 {
@@ -331,9 +330,9 @@ func (s *Sampler) replayLane(r *replay, evs []Event) {
 		if int(e.Kind) < NumKinds {
 			s.kinds[e.Kind]++
 		}
-		t := e.T()
-		if e.Virt > s.virtMax {
-			s.virtMax = e.Virt
+		t := e.T
+		if t > s.tMax {
+			s.tMax = t
 		}
 		if t > r.lastT {
 			s.dwell[stateIndex(r.state)] += t - r.lastT
