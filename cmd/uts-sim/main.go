@@ -77,7 +77,8 @@ func main() {
 			sp.Name, f.Alg, f.PEs, f.Chunk, f.Profile, info.Engine, shardNote, info.Events, wall.Round(time.Millisecond))
 		fmt.Print(res.Summary())
 		if *verbose {
-			fmt.Printf("engine: pops=%d (inline commits=%d) handoffs=%d\n", info.Pops, info.Events-info.Pops, info.Handoffs)
+			fmt.Printf("engine: pops=%d inline=%d counted=%d handoffs=%d\n",
+				info.Pops, info.Events-info.Pops-info.Counted, info.Counted, info.Handoffs)
 			fmt.Print(res.PerThreadTable())
 		}
 		err = f.Finish(os.Stdout, tracer)

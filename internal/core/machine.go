@@ -30,6 +30,14 @@ const (
 	// StepNoPoll marks a boundary that is not a service point: a pending
 	// steal request is not looked at there.
 	StepNoPoll uint8 = 1 << 1
+	// StepSleep, with a quantum d > 0, says that the steps after this one
+	// are polls d apart and that only a delivery to this PE can change what
+	// they see. It is a permission, not a request: an engine may count the
+	// polls nothing can answer instead of running them, and resume the step
+	// at the first poll a delivery can reach, or ignore the flag and call
+	// the step at every poll. The step cannot tell which happened except by
+	// asking how many polls were counted for it.
+	StepSleep uint8 = 1 << 2
 )
 
 // Host is what the machine needs of the PE it drives. A scheduler gets

@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/msg"
 	"repro/internal/uts"
@@ -23,7 +24,7 @@ func runMPIWS(sp *uts.Spec, opt Options, res *Result) error {
 		}
 		w.Start()
 		defer w.Stop()
-		w.rank.Run()
+		w.Drive(w.rank.Start())
 	})
 	return nil
 }
@@ -39,14 +40,18 @@ type mpiWorker struct {
 	poll  int // the fixed poll interval (PE.Poll adapts it)
 }
 
-func (w *mpiWorker) Send(to int, m msg.Message) { w.comm.Send(w.me, to, m) }
-func (w *mpiWorker) Recv() (msg.Message, bool)  { return w.comm.Recv(w.me) }
-func (w *mpiWorker) Wait()                      { runtime.Gosched() }
-func (w *mpiWorker) Stopped() bool              { return w.abort.Load() }
+func (w *mpiWorker) Send(to int, m msg.Message) time.Duration {
+	w.comm.Send(w.me, to, m)
+	return 0
+}
+func (w *mpiWorker) Recv() (msg.Message, bool) { return w.comm.Recv(w.me) }
+func (w *mpiWorker) Sleep() time.Duration      { return 0 }
+func (w *mpiWorker) Stopped() bool             { return w.abort.Load() }
 
 // Work explores nodes, polling the message queue every poll-interval nodes
-// — the cost/latency tradeoff the paper's Section 3.2 highlights.
-func (w *mpiWorker) Work() {
+// — the cost/latency tradeoff the paper's Section 3.2 highlights. On the
+// wall clock the whole exploration is one quantum.
+func (w *mpiWorker) Work() (time.Duration, bool) {
 	poll := w.Poll(w.poll)
 	since, sinceYield := 0, 0
 	for !w.rank.Terminated() && w.Visit() {
@@ -60,13 +65,14 @@ func (w *mpiWorker) Work() {
 			w.NoteCtl(w.Now())
 			poll = w.Poll(w.poll) // may have adapted at the window boundary
 			if w.abort.Load() {
-				return
+				return 0, true
 			}
 			runtime.Gosched()
 		}
 	}
 	w.FlushNodes()
 	w.drain()
+	return 0, true
 }
 
 // drain handles every pending message. Each call counts as one poll for
@@ -80,7 +86,7 @@ func (w *mpiWorker) drain() {
 			break
 		}
 		got++
-		w.rank.Handle(m)
+		w.rank.Handle(&m) // a wall-clock send takes no quantum
 	}
 	if w.Ctl != nil {
 		w.Ctl.NotePoll(got)

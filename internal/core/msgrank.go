@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/stack"
@@ -26,27 +28,38 @@ type MsgHost interface {
 	Rec(k obs.Kind, other int32, value int64)
 	Now() int64
 
-	// Send posts m to rank to and returns once the sender's cost is paid;
-	// the transport fills in From.
-	Send(to int, m msg.Message)
+	// Send posts m to rank to; the transport fills in From. It returns the
+	// quantum the sender's cost takes, which the calling step must return:
+	// the message is on its way at that quantum's end (at once when it is
+	// 0), and a step sends at most once.
+	Send(to int, m msg.Message) time.Duration
 	// Recv takes the oldest message visible to this rank now, if any.
 	Recv() (msg.Message, bool)
-	// Wait lets one beat pass with nothing visible to Recv.
-	Wait()
-	// Work explores until the local stack is empty or the rank has
-	// terminated, passing every message it polls to Handle.
-	Work()
+	// Sleep is the beat of waiting with nothing visible to Recv: the
+	// quantum the rank's step returns with StepSleep.
+	Sleep() time.Duration
+	// Work runs one quantum of exploring, passing every message it polls to
+	// Handle, and reports done once the local stack is empty or the rank
+	// has terminated and its last poll is behind it.
+	Work() (d time.Duration, done bool)
 	// Stopped reports an abandoned run; the rank returns at its next check.
 	Stopped() bool
 }
 
-// MsgRank is one rank's work-or-idle loop and its half of the token ring.
+// MsgRank is one rank's work-or-idle loop and its half of the token ring, as
+// a step function (Start): one action per call, its duration returned
+// instead of slept, the form Machine.search has. The simulator's dispatcher
+// runs it inline; a wall-clock host calls it in a plain loop.
 type MsgRank struct {
 	H     MsgHost
 	PE    *PE // the host's shell
 	Rng   *ProbeOrder
 	Me, N int // this rank, all ranks
 	Chunk int // the fixed steal granularity k (PE.Chunk adapts it)
+
+	phase  uint8 // rankTurn, rankWork or rankIdle
+	waited bool  // idle has slept since a Recv last found a message
+	bcast  int   // rank 0 announcing termination: the next rank to tell, else 0
 
 	// Dijkstra token-ring state.
 	color       msg.Color // this rank's color; black after sending work
@@ -57,9 +70,17 @@ type MsgRank struct {
 	terminated  bool
 }
 
-// Run is the rank's main loop. The PE starts in the Working state, the root
-// on rank 0's stack.
-func (r *MsgRank) Run() {
+// Phases of the rank's step.
+const (
+	rankTurn = iota // between phases: work if there is any, else search
+	rankWork        // inside the host's Work
+	rankIdle        // searching: requests, replies and the token
+)
+
+// Start returns the rank's step function. The PE starts in the Working
+// state, the root on rank 0's stack; the step ends (StepDone) when the rank
+// has seen the run terminate or the host stopped.
+func (r *MsgRank) Start() Stepper {
 	if r.Me == 0 {
 		// Rank 0 owns the initial (conceptually black) token; the first
 		// circulated round is never conclusive.
@@ -67,17 +88,35 @@ func (r *MsgRank) Run() {
 		r.tokenColor = msg.Black
 		r.firstPass = true
 	}
-	for !r.terminated && !r.H.Stopped() {
-		if r.PE.Local.Len() > 0 {
-			r.H.Work()
-		} else {
-			r.idle()
+	return r.step
+}
+
+func (r *MsgRank) step() (time.Duration, uint8) {
+	h := r.H
+	switch r.phase {
+	case rankTurn:
+		if r.terminated || h.Stopped() {
+			return 0, StepDone
 		}
+		if r.PE.Local.Len() > 0 {
+			r.phase = rankWork
+		} else {
+			h.SetState(stats.Searching)
+			r.phase = rankIdle
+		}
+		return 0, 0
+	case rankWork:
+		d, done := h.Work()
+		if done {
+			r.phase = rankTurn
+		}
+		return d, 0
 	}
+	return r.idle()
 }
 
 // Terminated reports that the rank has seen the run end; the host's Work
-// loop stops exploring at it.
+// stops exploring at it.
 func (r *MsgRank) Terminated() bool { return r.terminated }
 
 // Grantable is the surplus rule: a steal request is granted k nodes while
@@ -89,8 +128,9 @@ func (r *MsgRank) Grantable() int {
 	return 0
 }
 
-// Handle processes one message.
-func (r *MsgRank) Handle(m msg.Message) {
+// Handle processes one message and returns the quantum of the reply it
+// sent, 0 if it sent none.
+func (r *MsgRank) Handle(m *msg.Message) time.Duration {
 	h, pe := r.H, r.PE
 	switch m.Tag {
 	case msg.TagStealRequest:
@@ -99,11 +139,10 @@ func (r *MsgRank) Handle(m msg.Message) {
 			r.color = msg.Black // work moved: taint this round
 			pe.T.Releases++
 			pe.Granted(m.From, 1)
-			h.Send(m.From, msg.Message{Tag: msg.TagWork, Chunks: []stack.Chunk{chunk}})
-		} else {
-			pe.Denied(m.From)
-			h.Send(m.From, msg.Message{Tag: msg.TagNoWork})
+			return h.Send(m.From, msg.Message{Tag: msg.TagWork, Chunks: []stack.Chunk{chunk}})
 		}
+		pe.Denied(m.From)
+		return h.Send(m.From, msg.Message{Tag: msg.TagNoWork})
 	case msg.TagWork:
 		r.outstanding = false
 		for _, c := range pe.Landed(m.From, m.Chunks) {
@@ -121,73 +160,92 @@ func (r *MsgRank) Handle(m msg.Message) {
 	case msg.TagTerminate:
 		r.terminated = true
 	}
+	return 0
 }
 
-// idle is the searching/termination state: issue steal requests, answer
-// other ranks' messages, and take part in token circulation. A rank passes
+// idle is one action of the searching/termination state: answer a message,
+// pass the token, issue a steal request, or let a beat pass. A rank passes
 // the token only when passive — stack empty, no outstanding request, and
 // nothing visible in the inbox — which is what makes the white-round
-// conclusion sound.
-func (r *MsgRank) idle() {
+// conclusion sound. The beat is a sleep: while a request is outstanding
+// nothing but a delivery changes what the next call sees. The controller is
+// fed once per completed wait, when a Recv succeeds after it, not once per
+// beat — an engine that steps every poll and one that counts them must close
+// the same adaptation windows.
+func (r *MsgRank) idle() (time.Duration, uint8) {
 	h, pe := r.H, r.PE
-	h.SetState(stats.Searching)
-	defer h.SetState(stats.Working)
-	for pe.Local.Len() == 0 && !r.terminated {
-		if m, ok := h.Recv(); ok {
-			r.Handle(m)
-			continue
-		}
-		if r.N == 1 {
-			r.terminated = true
-			return
-		}
-		if r.haveToken && !r.outstanding {
-			r.passToken()
-			continue
-		}
-		if h.Stopped() {
-			return
-		}
-		if !r.outstanding {
-			v := r.Rng.Victim(r.Me, r.N)
-			pe.T.Probes++
-			pe.StealBegin(h.Now())
-			h.Rec(obs.KindStealRequest, int32(v), 0)
-			h.Send(v, msg.Message{Tag: msg.TagStealRequest})
-			r.outstanding = true
-			continue
-		}
-		h.Wait()
-		pe.NoteCtl(h.Now())
+	switch {
+	case r.bcast > 0:
+		return r.announce(), 0
+	case pe.Local.Len() > 0 || r.terminated:
+		return r.leaveIdle()
 	}
+	if m, ok := h.Recv(); ok {
+		if r.waited {
+			r.waited = false
+			pe.NoteCtl(h.Now())
+		}
+		return r.Handle(&m), 0
+	}
+	switch {
+	case r.N == 1:
+		r.terminated = true
+		return r.leaveIdle()
+	case r.haveToken && !r.outstanding:
+		return r.passToken(), 0
+	case h.Stopped():
+		return r.leaveIdle()
+	case !r.outstanding:
+		v := r.Rng.Victim(r.Me, r.N)
+		pe.T.Probes++
+		pe.StealBegin(h.Now())
+		h.Rec(obs.KindStealRequest, int32(v), 0)
+		r.outstanding = true
+		return h.Send(v, msg.Message{Tag: msg.TagStealRequest}), 0
+	}
+	r.waited = true
+	return h.Sleep(), StepSleep
+}
+
+func (r *MsgRank) leaveIdle() (time.Duration, uint8) {
+	r.H.SetState(stats.Working)
+	r.phase = rankTurn
+	return 0, 0
 }
 
 // passToken applies the Dijkstra rules. Rank 0 judges the completed round
-// and either announces termination or recirculates a white token; other
-// ranks taint the token if they are black and whiten themselves after
+// and either starts announcing termination or recirculates a white token;
+// other ranks taint the token if they are black and whiten themselves after
 // passing.
-func (r *MsgRank) passToken() {
+func (r *MsgRank) passToken() time.Duration {
 	h := r.H
 	r.haveToken = false
 	if r.Me == 0 {
 		if !r.firstPass && r.tokenColor == msg.White && r.color == msg.White {
 			// A full white round with rank 0 white and passive: no work
-			// anywhere. Announce termination to every rank.
-			for j := 1; j < r.N; j++ {
-				h.Send(j, msg.Message{Tag: msg.TagTerminate})
-			}
-			r.terminated = true
-			return
+			// anywhere.
+			r.bcast = 1
+			return r.announce()
 		}
 		r.firstPass = false
 		r.color = msg.White
-		h.Send(1%r.N, msg.Message{Tag: msg.TagToken, Color: msg.White})
-		return
+		return h.Send(1%r.N, msg.Message{Tag: msg.TagToken, Color: msg.White})
 	}
 	c := r.tokenColor
 	if r.color == msg.Black {
 		c = msg.Black
 	}
 	r.color = msg.White
-	h.Send((r.Me+1)%r.N, msg.Message{Tag: msg.TagToken, Color: c})
+	return h.Send((r.Me+1)%r.N, msg.Message{Tag: msg.TagToken, Color: c})
+}
+
+// announce tells the next rank that the run is over: rank 0's broadcast is
+// N−1 sends, one per call, and the rank has terminated with the last.
+func (r *MsgRank) announce() time.Duration {
+	d := r.H.Send(r.bcast, msg.Message{Tag: msg.TagTerminate})
+	if r.bcast++; r.bcast == r.N {
+		r.bcast = 0
+		r.terminated = true
+	}
+	return d
 }

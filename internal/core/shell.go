@@ -305,6 +305,22 @@ func (w *WallPE) Steps(step Stepper) bool {
 	}
 }
 
+// Drive runs to its end a step function that has no service points — the
+// message-passing rank — in a plain loop: whatever a quantum stood for has
+// happened when the step returns, and a beat of waiting (StepSleep) yields
+// the processor.
+func (w *WallPE) Drive(step Stepper) {
+	for {
+		_, fl := step()
+		if fl&StepDone != 0 {
+			return
+		}
+		if fl&StepSleep != 0 {
+			runtime.Gosched()
+		}
+	}
+}
+
 // Stage is how a wall-clock host stages a read it has just executed.
 func (w *WallPE) Stage(v int64) time.Duration {
 	w.staged[w.nstag] = v

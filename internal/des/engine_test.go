@@ -70,6 +70,51 @@ func TestEngineDifferential(t *testing.T) {
 	})
 }
 
+// TestEveryNanosecondHasAState is the tier-1 piece of the lost-time
+// identity: whatever a PE does with virtual time, it books it to one of its
+// Figure-1 states, so the four state times of a PE add up to its own finish
+// instant and the largest sum is the makespan — to the nanosecond, for every
+// algorithm, under every engine. A sleep charged one poll too many or too
+// few, or a quantum returned but not charged, shows here.
+func TestEveryNanosecondHasAState(t *testing.T) {
+	algos := []core.Algorithm{
+		core.Static, core.UPCSharedMem, core.UPCTerm, core.UPCTermRapdif, core.UPCTermRelaxed,
+		core.UPCDistMem, core.UPCDistMemHier, core.MPIWS,
+	}
+	engines := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"batched", func(*Config) {}},
+		{"legacy", func(c *Config) { c.reference = true }},
+		{"shards=2", func(c *Config) { c.Shards = 2 }},
+	}
+	for _, algo := range algos {
+		for _, e := range engines {
+			cfg := Config{Algorithm: algo, PEs: 16, Chunk: 8, Model: &pgas.KittyHawk, Seed: 1, ends: make([]time.Duration, 16)}
+			e.set(&cfg)
+			res, err := Run(&uts.T3Small, cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", algo, e.name, err)
+			}
+			var latest time.Duration
+			for i := range res.Threads {
+				var sum time.Duration
+				for _, d := range res.Threads[i].InState {
+					sum += d
+				}
+				if sum != cfg.ends[i] {
+					t.Errorf("%s/%s: PE %d booked %v to its states and finished at %v", algo, e.name, i, sum, cfg.ends[i])
+				}
+				latest = max(latest, sum)
+			}
+			if latest != res.Elapsed {
+				t.Errorf("%s/%s: the longest PE booked %v, the makespan is %v", algo, e.name, latest, res.Elapsed)
+			}
+		}
+	}
+}
+
 // TestLockRingWraparoundFIFO drives the waiter ring directly through many
 // interleaved enqueue/dequeue cycles so the head index wraps repeatedly and
 // the buffer grows while partially drained; order must stay strictly FIFO.
@@ -213,11 +258,27 @@ func TestEngineThroughputGate(t *testing.T) {
 // rest committed inline) and goroutine switches (Info.Handoffs), on pure
 // dispatch and on two rows of the differential matrix. The counts are exact
 // on any host, so an indirection added to the dispatcher shows here as an
-// integer where a timing would drown it; the values are what the engine
-// reported before the sharded engine came to share its dispatcher.
+// integer where a timing would drown it; the pure-dispatch and upc-distmem
+// values are what the engine reported before the sharded engine came to
+// share its dispatcher. The mpi-ws row was re-baselined once, when an idle
+// rank stopped being an event stream (DESIGN.md §9): its 14,315 events did
+// not move, but 8,408 of them are now polls counted at a wake instead of
+// popped (Pops 12,379 → 3,731), and the rank's whole body is one step
+// function inside the dispatcher, so a PE's goroutine is handed the baton to
+// start and to finish and never in between (Handoffs 2,632 → 32, two for
+// each of 16 PEs).
 func TestEngineCountsPinned(t *testing.T) {
 	if size := unsafe.Sizeof(ev{}); size > 24 {
 		t.Errorf("a queued event is %d bytes, want at most 24", size)
+	}
+	// A Proc is whole cache lines, the first what every boundary reads and
+	// the second the staged slots; everything a staged send or a counted
+	// sleep added lies behind them.
+	var p Proc
+	if size, hot := unsafe.Sizeof(p), unsafe.Offsetof(p.staged); unsafe.Sizeof(uintptr(0)) == 8 &&
+		(size%64 != 0 || hot != 64 || unsafe.Offsetof(p.callRes) != 128) {
+		t.Errorf("a Proc is %d bytes with its staged slots at %d..%d, want whole 64-byte lines and 64..128",
+			size, hot, unsafe.Offsetof(p.callRes))
 	}
 	check := func(name string, got, want Info) {
 		t.Helper()
@@ -230,11 +291,11 @@ func TestEngineCountsPinned(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	check("dispatchWorkload(64, 2000)", Info{Events: sim.events, Pops: sim.pops, Handoffs: sim.handoffs},
+	check("dispatchWorkload(64, 2000)", Info{Events: sim.events, Pops: sim.pops, Counted: sim.counted, Handoffs: sim.handoffs},
 		Info{Events: 128064, Pops: 128064, Handoffs: 128})
 	want := map[string]Info{
 		"upc-distmem/t3-small/seed1": {Engine: EngineBatched, Events: 2976, Pops: 2940, Handoffs: 441},
-		"mpi-ws/t3-small/seed1":      {Engine: EngineBatched, Events: 14315, Pops: 12379, Handoffs: 2632},
+		"mpi-ws/t3-small/seed1":      {Engine: EngineBatched, Events: 14315, Pops: 3731, Counted: 8408, Handoffs: 32},
 	}
 	differentialCases(func(name string, sp *uts.Spec, cfg Config) {
 		if w, ok := want[name]; ok {

@@ -24,8 +24,8 @@ type simMsg struct {
 // opMPIDeliver is the protocol's single remote operation: insert a message
 // into rank dst's inbox. a packs (from, tag, color), b is the send-complete
 // stamp; the arrival stamp is recomputed from the payload size, and
-// visibility is gated on it by recv/hasArrived — the contract RemoteSend
-// requires of delayed effects.
+// visibility is gated on it by Recv — the contract StageSend requires of
+// delayed effects.
 const opMPIDeliver uint8 = 0
 
 func (r *simMPIRun) apply(dst int, op uint8, a, b int64, chunks []stack.Chunk) int64 {
@@ -53,6 +53,7 @@ func (r *simMPIRun) apply(dst int, op uint8, a, b int64, chunks []stack.Chunk) i
 		i--
 	}
 	pe.inbox[i] = m
+	pe.p.Notify(m.arriveAt) // the rank may be asleep, waiting for exactly this
 	return 0
 }
 
@@ -64,13 +65,20 @@ type simMPIRun struct {
 }
 
 // simMPIPE is one simulated MPI rank: the host (core.MsgHost) of the rank
-// in virtual time.
+// in virtual time. The rank's step function is the PE's whole body — one
+// stepped advance from spawn to finish, run inside the dispatcher — and Work
+// is the part of it written here.
 type simMPIPE struct {
 	simPE
 	r     *simMPIRun
 	rank  core.MsgRank
 	inbox []simMsg
-	wait  Stepper // Wait's stepped advance, built once
+
+	// Work's position in its cycle, between calls.
+	ph     uint8
+	atPoll bool // this cycle's iprobe is the in-loop drain at since>=poll
+	poll   int  // the poll interval in effect
+	got    int  // messages the current drain has handled
 }
 
 func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps *policy.Set, finish func(*Proc)) sampler {
@@ -80,17 +88,12 @@ func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps
 	for i := 0; i < cfg.PEs; i++ {
 		pe := &simMPIPE{simPE: newSimPE(sp, cfg, res, ps, i), r: r}
 		pe.rank = core.MsgRank{H: pe, PE: &pe.PE, Rng: pe.rng, Me: i, N: cfg.PEs, Chunk: cfg.Chunk}
-		pe.wait = func() (time.Duration, uint8) {
-			if pe.hasArrived() {
-				return 0, StepDone
-			}
-			return pe.charge(cs.idlePoll), 0
-		}
 		r.pes[i] = pe
 		if i == 0 {
 			pe.Local.Push(uts.Root(sp))
 		}
-		pe.spawn(sim, pe.rank.Run, finish)
+		step := pe.rank.Start()
+		pe.spawn(sim, func() { pe.p.AdvanceStepped(step) }, finish)
 	}
 	return func() (sources int) {
 		for _, pe := range r.pes {
@@ -103,140 +106,124 @@ func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps
 	}
 }
 
-// Send charges the sender the injection overhead and delivers the message
-// after the transfer latency.
-func (pe *simMPIPE) Send(to int, m msg.Message) {
+// Send charges the sender the injection overhead, the quantum it returns,
+// and stages the message: on its way at that quantum's end, delivered after
+// the transfer latency.
+func (pe *simMPIPE) Send(to int, m msg.Message) time.Duration {
 	size := 16 + core.NodeBytes*stack.NodeCount(m.Chunks)
 	adv := pe.charge(pe.r.cs.localRef) // injection overhead
 	a := int64(uint32(pe.me)) | int64(m.Tag)<<32 | int64(m.Color)<<40
 	b := int64(pe.p.Now() + adv)
-	pe.p.RemoteSend(to, adv, pe.r.cs.bulk(size), opMPIDeliver, a, b, m.Chunks)
+	return pe.p.StageSend(to, adv, pe.r.cs.bulk(size), opMPIDeliver, a, b, m.Chunks)
 }
 
-// Recv returns the oldest message that has arrived by now.
+// oldest walks the inbox once: the index of the oldest message that has
+// arrived by now, or −1 and the earliest instant one still in flight will
+// have (Never with none in flight).
+func (pe *simMPIPE) oldest() (i int, due time.Duration) {
+	now := pe.p.Now()
+	due = Never
+	for i := range pe.inbox {
+		at := pe.inbox[i].arriveAt
+		if at <= now {
+			return i, 0
+		}
+		due = min(due, at)
+	}
+	return -1, due
+}
+
+// Recv returns the oldest message that has arrived by now. It is a rank's
+// poll, so the polls the engine counted through a sleep instead of running
+// (CountedPolls) are booked here, at the first one it did run.
 func (pe *simMPIPE) Recv() (msg.Message, bool) {
-	now := pe.p.Now()
-	for i, m := range pe.inbox {
-		if m.arriveAt <= now {
-			pe.inbox = append(pe.inbox[:i], pe.inbox[i+1:]...)
-			return m.Message, true
-		}
+	if k := pe.p.CountedPolls(); k > 0 {
+		pe.charge(time.Duration(k) * pe.r.cs.idlePoll)
 	}
-	return msg.Message{}, false
+	i, _ := pe.oldest()
+	if i < 0 {
+		return msg.Message{}, false
+	}
+	m := pe.inbox[i].Message
+	last := len(pe.inbox) - 1
+	copy(pe.inbox[i:], pe.inbox[i+1:])
+	pe.inbox[last] = simMsg{} // the vacated slot must not pin a stolen chunk
+	pe.inbox = pe.inbox[:last]
+	return m, true
 }
 
-// hasArrived reports whether any inbox message is visible at the current
-// instant, without consuming it — the step-function form of a failed recv.
-func (pe *simMPIPE) hasArrived() bool {
-	now := pe.p.Now()
-	for _, m := range pe.inbox {
-		if m.arriveAt <= now {
-			return true
-		}
-	}
-	return false
+// Sleep is one idle poll, and the promise that the polls after it see
+// nothing before the earliest message in flight arrives or apply brings
+// another.
+func (pe *simMPIPE) Sleep() time.Duration {
+	_, due := pe.oldest()
+	return pe.p.StageSleep(pe.charge(pe.r.cs.idlePoll), due)
 }
 
-// Wait for a response or the token is a stepped advance: one idle-poll
-// quantum per check, committed inline until a message arrival event lands
-// in the window.
-func (pe *simMPIPE) Wait() { pe.p.AdvanceStepped(pe.wait) }
+// Work's phases: the poll interval is read on entry, then each cycle is a
+// quantum of up to poll nodes, a quantum for the MPI_Iprobe check, and the
+// evaluation of what it found.
+const (
+	wEnter = iota
+	wExplore
+	wIprobe
+	wEval
+)
 
-// Work explores nodes as one stepped advance: each cycle is a quantum of
-// up to PollInterval nodes followed by a quantum for the MPI_Iprobe check,
-// all committed inline while no message event intervenes. The advance
-// ends when a message has arrived (handled on the rank's own goroutine,
-// because replies send) or when the stack drains after its trailing probe.
-func (pe *simMPIPE) Work() {
+// Work is one quantum of exploring. A message the iprobe finds is handled
+// here, in the step — its reply is a staged send, the quantum returned — and
+// costs one more iprobe to look for the next; the cycle ends when the stack
+// has drained (or the rank terminated) and the trailing probe found nothing
+// more.
+func (pe *simMPIPE) Work() (time.Duration, bool) {
 	cs := &pe.r.cs
 	rank := &pe.rank
-	poll := pe.Poll(pe.r.cfg.PollInterval)
-	pending := 0
-	const (
-		wExplore = iota
-		wIprobe
-		wEval
-	)
-	ph := wExplore
-	atPoll := false // this cycle's iprobe is the in-loop drain at since>=poll
-	done := false
-	step := func() (time.Duration, uint8) {
-		switch ph {
-		case wExplore:
-			atPoll = false
-			for !rank.Terminated() && pe.Visit() {
-				pending++
-				if pending >= poll {
-					atPoll = true
-					break
-				}
-			}
-			d := time.Duration(pending) * cs.nodeCost
-			pending = 0
-			pe.FlushNodes()
-			pe.NoteCtl(pe.Now())
-			poll = pe.Poll(pe.r.cfg.PollInterval)
-			ph = wIprobe
-			return pe.charge(d), 0
-		case wIprobe:
-			// MPI_Iprobe costs library time on every check.
-			ph = wEval
-			return pe.charge(cs.iprobe), 0
-		default: // wEval
-			if pe.hasArrived() {
-				return 0, StepDone
-			}
-			if pe.Ctl != nil {
-				pe.Ctl.NotePoll(0) // an iprobe that found nothing
-			}
-			if atPoll && pe.Local.Len() > 0 && !rank.Terminated() {
-				ph = wExplore
-				return 0, 0
-			}
-			if atPoll {
-				// The loop exits here; the trailing flush is empty, but its
-				// drain still pays one more iprobe.
-				atPoll = false
-				ph = wIprobe
-				return 0, 0
-			}
-			done = true
-			return 0, StepDone
-		}
-	}
-	for {
-		pe.p.AdvanceStepped(step)
-		if done {
-			return
-		}
-		// A message arrived: consume it and keep draining exactly as the
-		// original loop — one iprobe charge per further check.
-		m, _ := pe.Recv()
-		rank.Handle(m)
-		got := 1
-		for {
-			pe.advance(cs.iprobe)
-			m, ok := pe.Recv()
-			if !ok {
+	switch pe.ph {
+	case wEnter:
+		pe.poll = pe.Poll(pe.r.cfg.PollInterval)
+		pe.ph = wExplore
+		fallthrough
+	case wExplore:
+		pe.atPoll = false
+		pending := 0
+		for !rank.Terminated() && pe.Visit() {
+			pending++
+			if pending >= pe.poll {
+				pe.atPoll = true
 				break
 			}
-			got++
-			rank.Handle(m)
 		}
-		if pe.Ctl != nil {
-			pe.Ctl.NotePoll(got)
-		}
-		if !atPoll {
-			// The drain that saw the message was the trailing one.
-			return
-		}
-		if pe.Local.Len() > 0 && !rank.Terminated() {
-			ph = wExplore
-			continue
-		}
-		// Stack drained (or terminated) at an in-loop poll: run the
-		// trailing drain's iprobe before returning.
-		atPoll = false
-		ph = wIprobe
+		pe.FlushNodes()
+		pe.NoteCtl(pe.Now())
+		pe.poll = pe.Poll(pe.r.cfg.PollInterval)
+		pe.ph = wIprobe
+		return pe.charge(time.Duration(pending) * cs.nodeCost), false
+	case wIprobe:
+		// MPI_Iprobe costs library time on every check.
+		pe.ph = wEval
+		return pe.charge(cs.iprobe), false
 	}
+	// wEval
+	if m, ok := pe.Recv(); ok {
+		pe.got++
+		pe.ph = wIprobe
+		return rank.Handle(&m), false
+	}
+	if pe.Ctl != nil {
+		pe.Ctl.NotePoll(pe.got) // the iprobes of one drain are one poll
+	}
+	pe.got = 0
+	switch {
+	case pe.atPoll && pe.Local.Len() > 0 && !rank.Terminated():
+		pe.ph = wExplore
+	case pe.atPoll:
+		// The loop exits here; the trailing flush is empty, but its drain
+		// still pays one more iprobe.
+		pe.atPoll = false
+		pe.ph = wIprobe
+	default:
+		pe.ph = wEnter
+		return 0, true
+	}
+	return 0, false
 }

@@ -3,7 +3,6 @@ package des
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -16,13 +15,14 @@ import (
 )
 
 // The driver-agreement test of the message-passing rank, in the style of
-// TestMachineDriversAgree: one scripted transport driven through
-// core.MsgRank once on the wall-clock shell (core.WallPE, a beat of waiting
-// is a Gosched) and once on the virtual-time one (simPE inside a Sim, a beat
-// is an advance). The script fixes what the rank decides from — which Recv
-// finds which message, which messages a Work polls — as a function of call
-// counts, never of time, so the two logs of everything the rank did must be
-// equal.
+// TestMachineDriversAgree: one scripted transport under core.MsgRank's step
+// function, driven once by the wall-clock shell (core.WallPE.Drive: a send
+// has happened when the step returns, a beat of waiting is a Gosched) and
+// once by the virtual-time one (a Sim's stepped advance: a send is staged
+// against its quantum's boundary and delivered there, a beat is a sleep of
+// one poll). The script fixes what the rank decides from — which Recv finds
+// which message, which messages a Work polls — as a function of call counts,
+// never of time, so the two logs of everything the rank did must be equal.
 
 // msgScript is the scripted transport and the log of what the rank did.
 type msgScript struct {
@@ -31,7 +31,12 @@ type msgScript struct {
 	inbox  map[int]msg.Message   // the n-th Recv finds this message; any other finds nothing
 	polled map[int][]msg.Message // the messages the n-th Work polls before exploring its stack
 
+	// post is the driver's half of Send: how the message leaves, and the
+	// quantum that takes. Both drivers log its delivery.
+	post func(to int, m msg.Message) time.Duration
+
 	recvs, works int
+	polls        int // messages of the current Work already handled; -1 between Works
 	rank         *core.MsgRank
 	pe           *core.PE
 	log          []string
@@ -41,8 +46,13 @@ const scriptChunk = 2 // k: a request is granted at a stack of 4
 
 func (s *msgScript) logf(format string, a ...any) { s.log = append(s.log, fmt.Sprintf(format, a...)) }
 
-func (s *msgScript) Send(to int, m msg.Message) {
+func (s *msgScript) Send(to int, m msg.Message) time.Duration {
 	s.logf("send %d %v %v nodes=%d", to, m.Tag, m.Color, stack.NodeCount(m.Chunks))
+	return s.post(to, m)
+}
+
+func (s *msgScript) deliver(to int, tag msg.Tag, chunks []stack.Chunk) {
+	s.logf("deliver %d %v nodes=%d", to, tag, stack.NodeCount(chunks))
 }
 
 func (s *msgScript) Recv() (msg.Message, bool) {
@@ -54,28 +64,37 @@ func (s *msgScript) Recv() (msg.Message, bool) {
 	return m, ok
 }
 
-func (s *msgScript) Work() {
-	s.works++
-	s.logf("work depth=%d", s.pe.Local.Len())
-	for _, m := range s.polled[s.works] {
-		s.rank.Handle(m)
+// Work handles one polled message per quantum, then explores the stack.
+func (s *msgScript) Work() (time.Duration, bool) {
+	if s.polls < 0 {
+		s.polls = 0
+		s.works++
+		s.logf("work depth=%d", s.pe.Local.Len())
+	}
+	if polled := s.polled[s.works]; s.polls < len(polled) {
+		s.polls++
+		return s.rank.Handle(&polled[s.polls-1]), false
 	}
 	for s.pe.Local.Len() > 0 {
 		s.pe.Local.Pop()
 	}
+	s.polls = -1
+	return 0, true
 }
 
 func (s *msgScript) Stopped() bool { return false }
 
-// run drives the rank over host h (the script plus one driver's clock and
-// Wait) and returns the log, closed with the counters the rank kept.
-func (s *msgScript) run(h core.MsgHost, pe *core.PE, body func(func())) []string {
+// run has drive run the rank's step function over host h (the script plus
+// one driver's clock, Sleep and post) and returns the log, closed with the
+// counters the rank kept.
+func (s *msgScript) run(h core.MsgHost, pe *core.PE, drive func(core.Stepper)) []string {
 	s.pe = pe
+	s.polls = -1
 	for i := 0; i < s.start; i++ {
 		pe.Local.Push(uts.Node{})
 	}
 	s.rank = &core.MsgRank{H: loggedMsg{h, s}, PE: pe, Rng: core.NewProbeOrder(1, s.me), Me: s.me, N: s.n, Chunk: scriptChunk}
-	body(s.rank.Run)
+	drive(s.rank.Start())
 	t := pe.T
 	s.logf("probes=%d requests=%d releases=%d steals=%d failed=%d", t.Probes, t.Requests, t.Releases, t.Steals, t.FailedSteals)
 	return s.log
@@ -98,23 +117,33 @@ type wallMsgFake struct {
 	*msgScript
 }
 
-func (w *wallMsgFake) Wait() { w.logf("wait"); runtime.Gosched() }
+func (w *wallMsgFake) Sleep() time.Duration { w.logf("wait"); return 0 }
 
 type simMsgFake struct {
 	simPE
 	*msgScript
 }
 
-func (f *simMsgFake) Wait()         { f.logf("wait"); f.advance(250 * time.Nanosecond) }
+// Sleep names its own next poll as due: the script answers by call count, so
+// every poll must be run.
+func (f *simMsgFake) Sleep() time.Duration {
+	f.logf("wait")
+	const poll = 250 * time.Nanosecond
+	return f.p.StageSleep(f.charge(poll), f.p.Now()+poll)
+}
 func (f *simMsgFake) Stopped() bool { return false }
 
 func runWallMsgFake(sc msgScript) []string {
 	var th stats.Thread
 	w := &wallMsgFake{WallPE: core.WallPE{PE: core.NewPE(&uts.BenchTiny, &th, nil, nil)}, msgScript: &sc}
-	return sc.run(w, &w.PE, func(run func()) {
+	sc.post = func(to int, m msg.Message) time.Duration {
+		sc.deliver(to, m.Tag, m.Chunks)
+		return 0
+	}
+	return sc.run(w, &w.PE, func(step core.Stepper) {
 		w.Start()
 		defer w.Stop()
-		run()
+		w.Drive(step)
 	})
 }
 
@@ -122,11 +151,21 @@ func runSimMsgFake(t *testing.T, sc msgScript) []string {
 	res := &core.Result{}
 	res.Threads = make([]stats.Thread, sc.me+1)
 	f := &simMsgFake{simPE: newSimPE(&uts.BenchTiny, Config{Seed: 1}, res, nil, sc.me), msgScript: &sc}
-	return sc.run(f, &f.PE, func(run func()) {
+	sc.post = func(to int, m msg.Message) time.Duration {
+		return f.p.StageSend(to, f.charge(100*time.Nanosecond), time.Microsecond, uint8(m.Tag), 0, 0, m.Chunks)
+	}
+	return sc.run(f, &f.PE, func(step core.Stepper) {
 		sim := New()
-		f.spawn(sim, run, func(*Proc) {})
+		sim.SetRemote(func(dst int, op uint8, _, _ int64, chunks []stack.Chunk) int64 {
+			sc.deliver(dst, msg.Tag(op), chunks)
+			return 0
+		})
+		f.spawn(sim, func() { f.p.AdvanceStepped(step) }, func(*Proc) {})
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
+		}
+		if sim.handoffs > 2 {
+			t.Errorf("%d handoffs: a simulated rank needs its goroutine to start and to finish, never in between", sim.handoffs)
 		}
 	})
 }
@@ -154,7 +193,14 @@ func TestMsgRankDriversAgree(t *testing.T) {
 			// goes out. 3: its denial. 4: the token, back white.
 			msgScript{me: 0, n: 4, inbox: map[int]msg.Message{3: {From: 2, Tag: msg.TagNoWork}, 4: token(3, msg.White)}},
 			[]string{"send 1 token white nodes=0", "recv token from 3",
-				"send 1 terminate white nodes=0", "send 2 terminate white nodes=0", "send 3 terminate white nodes=0"}, ""},
+				"send 1 terminate white nodes=0", "deliver 1 terminate nodes=0",
+				"send 2 terminate white nodes=0", "deliver 2 terminate nodes=0",
+				"send 3 terminate white nodes=0", "deliver 3 terminate nodes=0", "state working"}, ""},
+		{"rank 0's broadcast at N=2 is one send",
+			// First pass, a request, its denial (Recv 3), the token back white.
+			msgScript{me: 0, n: 2, inbox: map[int]msg.Message{3: {From: 1, Tag: msg.TagNoWork}, 4: token(1, msg.White)}},
+			[]string{"send 1 token white nodes=0", "recv token from 1",
+				"send 1 terminate white nodes=0", "deliver 1 terminate nodes=0", "state working"}, "send 0 terminate white nodes=0"},
 		{"rank 0 black when the white token returns: whitens itself and recirculates",
 			// First pass, request, 5 nodes land (Recv 3), the Work over them
 			// grants a request (black); the white token (Recv 4) is then not
@@ -181,6 +227,14 @@ func TestMsgRankDriversAgree(t *testing.T) {
 				polled: map[int][]msg.Message{1: {request(0), request(1)}}},
 			[]string{"send 0 work white nodes=2", "send 1 no-work white nodes=0", "send 2 no-work white nodes=0",
 				"probes=1 requests=3 releases=1 steals=0 failed=0"}, ""},
+		{"a grant is a send that carries its chunk to the thief",
+			// Idle from the start, 5 nodes land (Recv 2); the Work over them
+			// polls a request and grants it.
+			msgScript{me: 1, n: 2,
+				inbox:  map[int]msg.Message{2: work(0, 5), 4: terminate},
+				polled: map[int][]msg.Message{1: {request(0)}}},
+			[]string{"send 0 steal-request white nodes=0", "deliver 0 steal-request nodes=0", "work depth=5",
+				"send 0 work white nodes=2", "deliver 0 work nodes=2", "recv terminate from 0"}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 // order — which is why routing every cross-PE effect through this layer is
 // what makes the sharded schedule bit-identical to the sequential one.
 //
-// The vocabulary is three calls:
+// The vocabulary is four calls:
 //
 //   - RemoteCall: advance d, then execute op against dst's partition at the
 //     completion instant and return its result. Models a lock-protected
@@ -35,6 +35,10 @@ import (
 //     two ops may be staged per quantum (a termination probe reads both the
 //     victim's work counter and the barrier's announcement flag at the same
 //     completion instant).
+//   - StageSend: RemoteSend for a Stepper, which may not advance — the
+//     quantum it is about to return is adv, and op is applied at dst at that
+//     quantum's boundary, the instant and key position RemoteSend's
+//     advance-then-apply gives it. It takes a staged slot.
 //
 // Operations run in the owner's execution context: they may freely mutate
 // the destination PE's state and post interrupts, but must not advance any
@@ -51,6 +55,7 @@ type stagedOp struct {
 	dst  int32
 	op   uint8
 	away bool // sent to dst's shard: res arrives by rendezvous reply (sharded.go)
+	send bool // a StageSend: applied with the proc's stagedChunks
 	a    int64
 	b    int64
 	res  int64
@@ -86,11 +91,30 @@ func (p *Proc) RemoteCall(dst int, d time.Duration, op uint8, a, b int64) int64 
 //uts:noalloc
 func (p *Proc) RemoteSend(dst int, adv, effectDelay time.Duration, op uint8, a, b int64, chunks []stack.Chunk) {
 	if sh := p.d.sh; sh != nil && sh.foreign(dst) {
-		sh.remoteSend(p, dst, adv, effectDelay, op, a, b, chunks)
+		sh.sendEffect(p, dst, adv+effectDelay, effectDelay > 0, op, a, b, chunks)
+		p.Advance(adv)
 		return
 	}
 	p.Advance(adv)
 	p.sim.remote(dst, op, a, b, chunks)
+}
+
+// StageSend is RemoteSend inside a Stepper: it stages op, with its chunks, to
+// be applied against dst's partition at the boundary of the quantum the
+// surrounding Stepper is about to return with duration adv (which StageSend
+// returns for convenience). A foreign dst is sent its message here, at
+// staging time, stamped as RemoteSend stamps it; nothing waits for it. At
+// most one send per quantum.
+//
+//uts:noalloc
+func (p *Proc) StageSend(dst int, adv, effectDelay time.Duration, op uint8, a, b int64, chunks []stack.Chunk) time.Duration {
+	if sh := p.d.sh; sh != nil && sh.foreign(dst) {
+		sh.sendEffect(p, dst, adv+effectDelay, effectDelay > 0, op, a, b, chunks)
+		return adv
+	}
+	p.stage(stagedOp{dst: int32(dst), op: op, send: true, a: a, b: b})
+	p.stagedChunks = chunks
+	return adv
 }
 
 // StageRemote stages op to execute against dst's partition exactly at the
@@ -102,15 +126,20 @@ func (p *Proc) RemoteSend(dst int, adv, effectDelay time.Duration, op uint8, a, 
 //
 //uts:noalloc
 func (p *Proc) StageRemote(dst int, d time.Duration, op uint8, a, b int64) time.Duration {
-	if p.nstag == len(p.staged) {
-		panic("des: more than two remote ops staged in one quantum")
-	}
-	p.staged[p.nstag] = stagedOp{dst: int32(dst), op: op, a: a, b: b}
-	p.nstag++
+	p.stage(stagedOp{dst: int32(dst), op: op, a: a, b: b})
 	if sh := p.d.sh; sh != nil && sh.foreign(dst) {
 		sh.stageRemote(p, d)
 	}
 	return d
+}
+
+//uts:noalloc
+func (p *Proc) stage(st stagedOp) {
+	if int(p.nstag) == len(p.staged) {
+		panic("des: more than two remote ops staged in one quantum")
+	}
+	p.staged[p.nstag] = st
+	p.nstag++
 }
 
 // StagedResult returns the result of the i-th op staged in the quantum
@@ -126,8 +155,15 @@ func (p *Proc) StagedResult(i int) int64 { return p.staged[i].res }
 //
 //uts:noalloc
 func (p *Proc) runStaged() {
-	for i := 0; i < p.nstag; i++ {
-		if st := &p.staged[i]; !st.away {
+	for i := int32(0); i < p.nstag; i++ {
+		st := &p.staged[i]
+		switch {
+		case st.away:
+		case st.send:
+			chunks := p.stagedChunks
+			p.stagedChunks = nil
+			p.sim.remote(int(st.dst), st.op, st.a, st.b, chunks)
+		default:
 			st.res = p.sim.remote(int(st.dst), st.op, st.a, st.b, nil)
 		}
 	}

@@ -73,6 +73,10 @@ type Config struct {
 	// (legacy.go) instead of the batched one. Only this package's tests
 	// can set it: the reference pins the schedule, nobody runs on it.
 	reference bool
+	// ends, when it has room for PEs entries, receives every PE's own finish
+	// instant; a Result carries only the latest, as Elapsed. Set by this
+	// package's tests alone, like reference.
+	ends []time.Duration
 }
 
 // The two engines a run can use, as Info.Engine reports them: batched
@@ -86,9 +90,10 @@ const (
 type Info struct {
 	// Engine is the engine that ran (EngineBatched or EngineSharded).
 	Engine string
-	// Events is the number of simulated-time boundaries executed; it is
-	// identical across engines for the same configuration, so events per
-	// wall second compares pure engine overhead.
+	// Events is the number of simulated-time boundaries the run passed —
+	// popped, committed inline or counted; it is identical across engines
+	// for the same configuration, so events per wall second compares pure
+	// engine overhead.
 	Events uint64
 	// Shards is the effective shard count of a sharded run (after capping
 	// at PEs), at least 2; 0 under the sequential engines.
@@ -98,10 +103,16 @@ type Info struct {
 	// from its decision instant, derived from the clamped cost model.
 	Lookahead time.Duration
 	// Pops is the number of events that came off an event heap or its
-	// parked slot, summed over shards; Events − Pops committed inline.
+	// parked slot, summed over shards; Events − Pops − Counted committed
+	// inline.
 	Pops uint64
+	// Counted is the number of boundaries that were counted without being
+	// dispatched: the polls of a sleeping PE that no delivery could answer
+	// (core.StepSleep). 0 under the legacy engine and under shards, which
+	// step every poll.
+	Counted uint64
 	// Handoffs is the number of baton passes to a PE goroutine — goroutine
-	// switches — summed over shards. Both counts are exact and, on the
+	// switches — summed over shards. All three counts are exact and, on the
 	// batched engine, a function of the configuration alone.
 	Handoffs uint64
 }
@@ -320,7 +331,10 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 	// Completion bookkeeping must be shard-safe: every PE records its own
 	// end time (disjoint writes), and the live count — read by the trace
 	// sampler — is atomic.
-	ends := make([]time.Duration, cfg.PEs)
+	ends := cfg.ends
+	if len(ends) < cfg.PEs {
+		ends = make([]time.Duration, cfg.PEs)
+	}
 	var alive atomic.Int64
 	alive.Store(int64(cfg.PEs))
 	finish := func(p *Proc) {
@@ -356,7 +370,7 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 	if err := sim.Run(); err != nil {
 		return nil, nil, info, err
 	}
-	info.Events, info.Pops, info.Handoffs = sim.events, sim.pops, sim.handoffs
+	info.Events, info.Pops, info.Counted, info.Handoffs = sim.events, sim.pops, sim.counted, sim.handoffs
 	var makespan time.Duration
 	for _, t := range ends {
 		if t > makespan {

@@ -524,18 +524,17 @@ func (sh *shard) remoteCall(p *Proc, dst int, d time.Duration, op uint8, a, b in
 	return p.callRes
 }
 
-// remoteSend is Proc.RemoteSend against a foreign PE: the effect applies in
-// the owner's shard at now+adv+effectDelay. Zero-delay effects keep the
-// sender's (pid, seq) position — they commit at the sender's completion
-// instant exactly as sequentially; delayed effects order before every proc
-// boundary at their arrival stamp (pid −1).
-func (sh *shard) remoteSend(p *Proc, dst int, adv, effectDelay time.Duration, op uint8, a, b int64, chunks []stack.Chunk) {
+// sendEffect is the message of a Proc.RemoteSend or StageSend against a
+// foreign PE: the effect applies in the owner's shard at now+after. A
+// committed effect keeps the sender's (pid, seq) position — it lands at the
+// sender's completion instant exactly as sequentially; a delayed one orders
+// before every proc boundary at its arrival stamp (pid −1).
+func (sh *shard) sendEffect(p *Proc, dst int, after time.Duration, delayed bool, op uint8, a, b int64, chunks []stack.Chunk) {
 	pid := int32(p.id)
-	if effectDelay > 0 {
+	if delayed {
 		pid = -1
 	}
-	sh.send(p, dst, shardMsg{t: sh.now + int64(adv) + int64(effectDelay), pid: pid, kind: msgEffect, op: op, a: a, b: b, chunks: chunks})
-	p.Advance(adv)
+	sh.send(p, dst, shardMsg{t: sh.now + int64(after), pid: pid, kind: msgEffect, op: op, a: a, b: b, chunks: chunks})
 }
 
 // stageRemote is Proc.StageRemote against a foreign PE: the op just staged

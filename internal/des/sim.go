@@ -15,12 +15,17 @@
 // UPC algorithms the Figure-1 loop with its work discovery and termination
 // wait, core.Machine, driven here by the stepped advance and there by
 // core.WallPE.Steps; for mpi-ws the whole rank — message handling, the
-// idle/steal-request loop, the Dijkstra token ring — core.MsgRank, over
-// the inbox of mpi.go here and msg.Comm there (TestMachineDriversAgree and
-// TestMsgRankDriversAgree hold each pair of drivers to one log). What is
-// still mirrored by hand is the UPC work/release/steal bodies — what is
-// charged, locked and stored around those events, core/{sharedmem,distmem}.go
-// against des/{shared,dist}.go — and mpi-ws's poll loop (Work); the
+// idle/steal-request loop, the Dijkstra token ring — core.MsgRank, a step
+// function too: one stepped advance from spawn to finish here, its sends
+// staged against the quantum they cost (StageSend) and its idle polls a
+// sleep the engine may count instead of run (StepSleep), over the inbox of
+// mpi.go; a plain loop over msg.Comm there (core.WallPE.Drive).
+// TestMachineDriversAgree and TestMsgRankDriversAgree hold each pair of
+// drivers to one log. What is still mirrored by hand is the UPC
+// work/release/steal bodies — what is charged, locked and stored around
+// those events, core/{sharedmem,distmem}.go against des/{shared,dist}.go —
+// and what a poll of mpi-ws's Work costs and when the next is due (the
+// message it finds goes to MsgRank.Handle, in the step, on both); the
 // differential suites (exact counts on both sides, golden fingerprints
 // here) keep those honest.
 //
@@ -53,7 +58,10 @@
 // reference this package's tests hold the other two to
 // (TestEngineDifferential) and is reachable from nowhere else. All three
 // execute the same events in the same order — Sim.Events counts
-// identically — they differ only in how cheaply a boundary is reached.
+// identically — they differ only in how cheaply a boundary is reached, or,
+// for the polls of a sleeping PE that no delivery can answer, passed: the
+// batched engine alone counts those at the wake without dispatching them
+// (dispatcher.sleep).
 package des
 
 import (
@@ -62,6 +70,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/stack"
 )
 
 // dispatcher is the event loop of the batched engine, and of every shard of
@@ -85,6 +94,11 @@ type dispatcher struct {
 	// layer that gates what may run against the other shards' horizons
 	// (sharded.go).
 	sh *shard
+
+	// The counted sleep's own counts (sleep, wake), behind what every
+	// boundary reads.
+	counted uint64 // boundaries of a sleep, counted at its wake instead of dispatched
+	moved   uint64 // queued wakes an overtaking delivery moved earlier
 }
 
 // Sim is one simulation instance. Its own dispatcher is the whole batched
@@ -113,12 +127,13 @@ func newLegacy() *Sim { return &Sim{legacy: true} }
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Duration { return time.Duration(s.now) }
 
-// Events returns the number of simulated-time boundaries executed so far:
+// Events returns the number of simulated-time boundaries passed so far:
 // every Advance and every stepped-advance quantum with nonzero duration
-// counts once, whether it was reached through the event queue or committed
-// inline. The count is engine-independent — the batched and legacy engines
-// report the same number for the same run — so events/second measures pure
-// engine overhead.
+// counts once, whether it was reached through the event queue, committed
+// inline, or — a poll of a sleeping PE that nothing could answer — counted at
+// the wake without being dispatched. The count is engine-independent — the
+// batched and legacy engines report the same number for the same run — so
+// events/second measures pure engine overhead.
 func (s *Sim) Events() uint64 { return s.events }
 
 // Intr is a bitmask of typed interrupts posted to a PE. A thief posts
@@ -140,7 +155,15 @@ const (
 	// boundary — used for boundaries where the original protocol had no
 	// service point, keeping the batched schedule bit-identical.
 	StepNoPoll = core.StepNoPoll
+	// StepSleep permits the engine to count the polls that follow instead
+	// of running them (see sleep). The batched dispatcher takes the
+	// permission; the legacy reference and a shard step every poll.
+	StepSleep = core.StepSleep
 )
+
+// Never is the instant that does not come: the due time of a sleep with
+// nothing on its way (StageSleep).
+const Never = time.Duration(maxVT)
 
 // Stepper yields one quantum of a stepped advance: the virtual duration to
 // consume and the flags governing the boundary it creates. Step functions
@@ -158,23 +181,50 @@ const (
 	statusFinished                   // body returned
 )
 
-// Proc is the simulator-side handle of one PE.
+// Proc is the simulator-side handle of one PE. The fields are in the order a
+// boundary touches them: the first cache line is what every pop, park and
+// inline commit reads, the second the staged slots of a quantum that has
+// any, and what only the legacy engine, a shard's rendezvous, a staged send
+// or a counted sleep needs comes after — a fatter Proc whose hot fields
+// straddle a third line shows on the one-sided workloads (DESIGN.md §9).
 type Proc struct {
 	id  int
 	sim *Sim
 	d   *dispatcher // the event loop that owns this PE: the Sim's, or its shard's
 
 	// Batched engine: the single handoff channel (capacity 1, so a PE
-	// popping its own next event can self-deliver), the pending interrupt
-	// mask, and the parked stepped advance, if any.
+	// popping its own next event can self-deliver), the parked stepped
+	// advance, if any, and the pending interrupt mask.
 	ch     chan Intr
-	intr   Intr
 	stepFn Stepper
-	stepFl uint8
 
 	// seq numbers this proc's scheduled resumptions (nextSeq); the
 	// (t, id, seq) key orders the event queue identically under every engine.
 	seq uint64
+
+	intr   Intr
+	stepFl uint8
+
+	// Remote-operation layer: the staged slots of the current quantum
+	// (remote.go) and, under the sharded engine, the rendezvous replies the
+	// proc's boundary still awaits; callRes receives a RemoteCall's
+	// (sharded.go).
+	pendReplies int32
+	nstag       int32
+	staged      [2]stagedOp
+	callRes     int64
+
+	stagedChunks []stack.Chunk // payload of the quantum's StageSend, if it has one
+
+	// A counted sleep (sleep, Notify): polls fall at sleepAt + k·sleepD,
+	// sleepD != 0 while p sleeps, and wakeAt is the poll its wake is queued
+	// at, maxVT while none is. due is what StageSleep named; skipped, the
+	// polls the last wake counted for the step to read (CountedPolls).
+	sleepD  int64
+	sleepAt int64
+	wakeAt  int64
+	due     int64
+	skipped int64
 
 	// Legacy engine: two-channel wake/park handshake.
 	wake   chan struct{}
@@ -182,14 +232,10 @@ type Proc struct {
 	status procStatus
 	delay  int64
 
-	// Remote-operation layer: the staged slots of the current quantum
-	// (remote.go) and, under the sharded engine, the rendezvous replies the
-	// proc's boundary still awaits; callRes receives a RemoteCall's
-	// (sharded.go).
-	staged      [2]stagedOp
-	nstag       int
-	pendReplies int32
-	callRes     int64
+	// Up to four whole cache lines: the allocator's size class for a Proc is
+	// then a multiple of the line, and the layout above is the layout in
+	// memory (TestEngineCountsPinned holds both).
+	_ [24]byte
 }
 
 // ID returns the PE number.
@@ -376,6 +422,9 @@ func (d *dispatcher) admitted(t int64, id int) bool {
 //uts:noalloc
 func (d *dispatcher) contStep(p *Proc) bool {
 	fl := p.stepFl
+	if fl&StepSleep != 0 && p.sleepD != 0 { // the flag alone may be a shard's, which steps
+		d.woke(p)
+	}
 	for {
 		if p.pendReplies > 0 {
 			p.stepFl = fl
@@ -402,6 +451,10 @@ func (d *dispatcher) contStep(p *Proc) bool {
 		var dt time.Duration
 		dt, fl = p.stepFn()
 		if dt > 0 {
+			if fl&StepSleep != 0 && d.sh == nil {
+				d.sleep(p, int64(dt), fl)
+				return false
+			}
 			t := d.now + int64(dt)
 			if !(d.ahead(t, p.id) && d.admitted(t, p.id)) {
 				p.stepFl = fl
@@ -412,6 +465,96 @@ func (d *dispatcher) contStep(p *Proc) bool {
 			d.events++
 		}
 	}
+}
+
+// sleep takes p off the queue: its step returned quantum dt with StepSleep,
+// so its next boundaries are polls at now + k·dt that see nothing until a
+// delivery arrives, and running them would be a heap exchange and a step call
+// each to learn that. The wake is queued at the first poll a delivery can
+// reach — now if the step named one already in flight (StageSleep), else when
+// Notify brings one — under p's ordinary key, so the schedule of every other
+// event, and of the wake itself, is the one stepping every poll produces. A
+// PE that is never notified stays out of the queue and is reported by the
+// drained-queue deadlock check like any blocked one.
+//
+//uts:noalloc
+func (d *dispatcher) sleep(p *Proc, dt int64, fl uint8) {
+	p.stepFl = fl
+	p.sleepAt, p.sleepD, p.wakeAt = d.now, dt, maxVT
+	if p.due != maxVT {
+		d.wake(p, p.due)
+	}
+}
+
+// wake queues sleeping p's wake at its first poll at or after instant at, or
+// moves a later one already queued there: a small message can overtake an
+// earlier bulky one. That is rare enough (DESIGN.md §9 has the count) to find
+// the queued wake by scanning the heap.
+//
+//uts:noalloc
+func (d *dispatcher) wake(p *Proc, at int64) {
+	k := max(1, (at-p.sleepAt+p.sleepD-1)/p.sleepD)
+	t := p.sleepAt + k*p.sleepD
+	switch {
+	case p.wakeAt == maxVT:
+		d.heap.push(ev{t: t, key: p.nextKey(), p: p})
+	case t < p.wakeAt:
+		d.heap.moveEarlier(p, t)
+		d.moved++
+	default:
+		return
+	}
+	p.wakeAt = t
+}
+
+// woke accounts for the sleep p's wake just popped from: the clock stands on
+// poll k, and the k−1 before it are boundaries that passed without being
+// dispatched.
+//
+//uts:noalloc
+func (d *dispatcher) woke(p *Proc) {
+	p.skipped = (d.now-p.sleepAt)/p.sleepD - 1
+	p.sleepD = 0
+	d.events += uint64(p.skipped)
+	d.counted += uint64(p.skipped)
+}
+
+// StageSleep declares the quantum the surrounding Stepper is about to return
+// with StepSleep — the poll period d, which StageSleep returns for
+// convenience — and names due, the earliest instant at which something
+// already on its way becomes visible to the PE's polls (Never: nothing is).
+// Later deliveries reach a sleeping PE through Notify.
+//
+//uts:noalloc
+func (p *Proc) StageSleep(d, due time.Duration) time.Duration {
+	p.due = int64(due)
+	return d
+}
+
+// Notify tells the engine that something delivered to p becomes visible to
+// its polls at instant at, later than now: a delivery takes time, and a poll
+// of p at the current instant may already have been passed over. Every
+// delivery to a PE that may sleep must call it, in p's own execution context
+// (a remote operation's apply is one); it does nothing unless p is in a
+// counted sleep.
+//
+//uts:noalloc
+func (p *Proc) Notify(at time.Duration) {
+	if p.sleepD != 0 {
+		p.d.wake(p, int64(at))
+	}
+}
+
+// CountedPolls returns, once, how many polls the engine counted without
+// calling the step during the sleep that just ended: k−1 when the step
+// resumes at poll k, always 0 under an engine that steps every poll. A step
+// that books time per poll adds this many.
+//
+//uts:noalloc
+func (p *Proc) CountedPolls() int64 {
+	k := p.skipped
+	p.skipped = 0
+	return k
 }
 
 // Advance consumes d of virtual time: the PE resumes once the clock
@@ -467,6 +610,11 @@ func (p *Proc) AdvanceStepped(step Stepper) Intr {
 	for {
 		d, fl := step()
 		if d > 0 {
+			if fl&StepSleep != 0 && q.sh == nil {
+				p.stepFn = step
+				q.sleep(p, int64(d), fl)
+				return p.yield()
+			}
 			t := q.now + int64(d)
 			if !(q.ahead(t, p.id) && q.admitted(t, p.id)) {
 				p.stepFn = step
@@ -623,8 +771,14 @@ func (h *flatHeap) rootAfter(t int64, id int) bool {
 //uts:noalloc
 func (h *flatHeap) push(e ev) {
 	h.a = append(h.a, e) //uts:ok noalloc amortized slice growth; steady-state pushes reuse the backing array
+	h.siftUp(len(h.a)-1, e)
+}
+
+// siftUp places e at or above the hole i, moving larger parents down.
+//
+//uts:noalloc
+func (h *flatHeap) siftUp(i int, e ev) {
 	a := h.a
-	i := len(a) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
 		if !e.less(&a[parent]) {
@@ -634,6 +788,20 @@ func (h *flatHeap) push(e ev) {
 		i = parent
 	}
 	a[i] = e
+}
+
+// moveEarlier is decrease-key by scan: the queued event of p, which must
+// have one, moves to the earlier instant t.
+//
+//uts:noalloc
+func (h *flatHeap) moveEarlier(p *Proc, t int64) {
+	i := 0
+	for h.a[i].p != p {
+		i++
+	}
+	e := h.a[i]
+	e.t = t
+	h.siftUp(i, e)
 }
 
 //uts:noalloc
