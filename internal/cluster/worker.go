@@ -54,11 +54,6 @@ type clusterWorker struct {
 	k    int
 	me   int
 	pool stack.Pool
-	// free keeps the buffers of reacquired chunks for the next releases: the
-	// worker's alone, so a plain slice. The one recycling this package does
-	// (DESIGN.md §10): without it the ~3400 releases of a 1.7 M-node run
-	// allocate 448 bytes each, and peak RSS reads 4–8 % higher on every run.
-	free []stack.Chunk
 	err  error
 }
 
@@ -83,9 +78,10 @@ func (w *clusterWorker) Stopped() bool { return w.err != nil }
 // polling the request word (a local atomic) every node, and leaves the
 // work-available word saying the rank is out of work.
 func (w *clusterWorker) Work() {
+	n := w.n
 	sinceYield := 0
 	for {
-		if sinceYield++; sinceYield >= core.ClusterYieldEvery {
+		if sinceYield++; sinceYield >= core.YieldEvery {
 			sinceYield = 0
 			w.reclaim() // one atomic load while the handoff table is empty
 			w.FlushNodes()
@@ -93,29 +89,26 @@ func (w *clusterWorker) Work() {
 			w.k = w.Chunk(w.k)
 			runtime.Gosched()
 		}
-		if err := w.service(); err != nil {
-			w.fail(err)
-			return
+		if n.reqWord.Load() >= 0 || n.killed.Load() {
+			if err := w.service(); err != nil {
+				w.fail(err)
+				return
+			}
 		}
 		if !w.Visit() {
 			c, ok := w.pool.TakeNewest()
 			if !ok {
 				w.FlushNodes()
-				w.n.workAvail.Store(-1)
+				n.workAvail.Store(-1)
 				return
 			}
-			w.n.workAvail.Store(int32(w.pool.Len()))
+			n.workAvail.Store(int32(w.pool.Len()))
 			w.Reacquired(c)
-			w.free = append(w.free, c[:0]) // contents copied onto Local
 			continue
 		}
 		if w.Local.Len() >= 2*w.k {
-			var buf stack.Chunk
-			if last := len(w.free) - 1; last >= 0 {
-				buf, w.free = w.free[last], w.free[:last]
-			}
-			w.pool.Put(w.Local.TakeBottomAppend(buf, w.k))
-			w.n.workAvail.Store(int32(w.pool.Len()))
+			w.pool.Put(w.Release(w.k))
+			n.workAvail.Store(int32(w.pool.Len()))
 			w.Released(w.pool.Len())
 		}
 	}

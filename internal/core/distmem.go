@@ -67,7 +67,8 @@ func runDistMem(sp *uts.Spec, opt Options, res *Result, hier bool) error {
 
 	eachThread(sp, opt, res, func(me int, pe WallPE) {
 		w := &distWorker{WallPE: pe, run: r, me: me}
-		w.Interrupt = func() bool { return w.stack().request.Load() != noThief || opt.abort.Load() }
+		request := &r.stacks[me].request
+		w.Interrupt = func() bool { return request.Load() != noThief || opt.abort.Load() }
 		if me == 0 {
 			w.Local.Push(uts.Root(sp))
 		}
@@ -96,13 +97,13 @@ func (w *distWorker) Stopped() bool { return w.run.opt.abort.Load() }
 // Work explores nodes until local stack and steal pool are both empty,
 // then tells probing threads so. The owner polls its request word every
 // iteration — a local read whose cost is negligible, which is the whole
-// point of the design.
+// point of the design: one load through a pointer held across the loop.
 func (w *distWorker) Work() {
 	k := w.Chunk(w.run.opt.Chunk)
 	s := w.stack()
 	sinceYield := 0
 	for {
-		if sinceYield++; sinceYield >= yieldEvery {
+		if sinceYield++; sinceYield >= YieldEvery {
 			sinceYield = 0
 			w.FlushNodes()
 			w.NoteCtl(w.Now())
@@ -112,7 +113,9 @@ func (w *distWorker) Work() {
 			}
 			runtime.Gosched()
 		}
-		w.Service()
+		if s.request.Load() != noThief {
+			w.Service()
+		}
 		if !w.Visit() {
 			// Reacquire from the thread's own pool: owner-only, no lock.
 			c, ok := s.pool.TakeNewest()
@@ -126,7 +129,7 @@ func (w *distWorker) Work() {
 			continue
 		}
 		if w.Local.Len() >= 2*k {
-			s.pool.Put(w.Local.TakeBottom(k))
+			s.pool.Put(w.Release(k))
 			s.workAvail.Store(int32(s.pool.Len()))
 			w.Released(s.pool.Len())
 		}
@@ -205,7 +208,7 @@ func (w *distWorker) Steal(v int) bool {
 		return false
 	}
 	// One-sided get of the granted work.
-	r.dom.ChargeBulk(w.me, v, stack.NodeCount(chunks)*NodeBytes)
+	r.dom.ChargeBulk(w.me, v, stack.NodeCount(chunks)*uts.NodeBytes)
 	for _, c := range w.Landed(v, chunks) {
 		me.pool.Put(c)
 	}

@@ -59,7 +59,7 @@ func (w *mpiWorker) Work() (time.Duration, bool) {
 			since = 0
 			w.drain()
 		}
-		if sinceYield++; sinceYield >= yieldEvery {
+		if sinceYield++; sinceYield >= YieldEvery {
 			sinceYield = 0
 			w.FlushNodes()
 			w.NoteCtl(w.Now())

@@ -135,7 +135,7 @@ func (r *MsgRank) Handle(m *msg.Message) time.Duration {
 	switch m.Tag {
 	case msg.TagStealRequest:
 		if k := r.Grantable(); k > 0 {
-			chunk := pe.Local.TakeBottom(k)
+			chunk := pe.Release(k)
 			r.color = msg.Black // work moved: taint this round
 			pe.T.Releases++
 			pe.Granted(m.From, 1)

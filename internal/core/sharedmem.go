@@ -75,6 +75,7 @@ func runShared(sp *uts.Spec, opt Options, res *Result, v SharedVariant) error {
 
 	eachThread(sp, opt, res, func(me int, pe WallPE) {
 		w := &sharedWorker{WallPE: pe, run: r, me: me}
+		w.SharedChunks = v.Relaxed
 		w.Interrupt = opt.abort.Load
 		if me == 0 {
 			w.Local.Push(uts.Root(sp))
@@ -122,7 +123,7 @@ func (w *sharedWorker) Work() {
 	k := w.Chunk(w.run.opt.Chunk)
 	sinceYield := 0
 	for {
-		if sinceYield++; sinceYield >= yieldEvery {
+		if sinceYield++; sinceYield >= YieldEvery {
 			sinceYield = 0
 			w.FlushNodes()
 			w.NoteCtl(w.Now())
@@ -159,7 +160,7 @@ func (w *sharedWorker) release(k int) {
 		return
 	}
 	s := w.stack()
-	chunk := w.Local.TakeBottom(k)
+	chunk := w.Release(k)
 	s.lk.Acquire(w.me)
 	s.pool.Put(chunk)
 	avail := int32(s.pool.Len())
@@ -183,7 +184,7 @@ func (w *sharedWorker) releaseRelaxed(k int) {
 	if s.ring.Full() {
 		return
 	}
-	chunk := w.Local.TakeBottom(k)
+	chunk := w.Release(k) // a fresh buffer every time: PE.SharedChunks
 	rec, ok := s.ring.Publish(chunk)
 	if rec != nil {
 		// Publish resolved a clobbered, never-consumed slot: the chunk
@@ -283,7 +284,7 @@ func (w *sharedWorker) Steal(v int) bool {
 
 	// Transfer outside the critical region: the victim keeps working
 	// while the one-sided get completes.
-	r.dom.ChargeBulk(w.me, v, stack.NodeCount(chunks)*NodeBytes)
+	r.dom.ChargeBulk(w.me, v, stack.NodeCount(chunks)*uts.NodeBytes)
 	if rest := w.Landed(v, chunks); len(rest) > 0 {
 		ms := w.stack()
 		ms.lk.Acquire(w.me)
@@ -322,7 +323,7 @@ func (w *sharedWorker) stealRelaxed(v int) bool {
 	if !ok {
 		return false
 	}
-	r.dom.ChargeBulk(w.me, v, len(c)*NodeBytes)
+	r.dom.ChargeBulk(w.me, v, len(c)*uts.NodeBytes)
 	w.Landed(v, []stack.Chunk{c})
 	if r.variant.StreamTerm {
 		// Back to "working, no surplus" (own stack: still single-writer).

@@ -8,15 +8,11 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pgas"
 	"repro/internal/policy"
+	"repro/internal/rng"
 	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/uts"
 )
-
-// NodeBytes is the nominal wire size of one node descriptor (20-byte RNG
-// state plus height and child count), used for bandwidth charging on every
-// substrate.
-const NodeBytes = 28
 
 // PE is the per-PE shell every scheduler on every substrate embeds: the
 // bookkeeping around the Figure-1 state machine that does not depend on
@@ -31,10 +27,12 @@ const NodeBytes = 28
 // untraced, fixed-knob fast path.
 type PE struct {
 	T     *stats.Thread
-	Local stack.Deque // the owner-only DFS stack
-	Ex    *uts.Expander
+	Local stack.Deque        // the owner-only DFS stack
 	Lane  *obs.Lane          // nil when the run is untraced
 	Ctl   *policy.Controller // nil when the run is not adaptive
+
+	sp *uts.Spec
+	st rng.Stream // sp's, resolved once
 
 	// Virt is the virtual clock trace events are stamped with; nil on the
 	// wall clock. The simulator binds it when the PE's process starts.
@@ -44,30 +42,44 @@ type PE struct {
 	// bodies set it on success, StealEnd reports it to the controller.
 	Stolen int
 
+	// free holds the buffers of the chunks this PE was the last to read —
+	// the ones Reacquired and Landed copied onto Local — for Release to fill
+	// again: a PE that releases and reacquires every other node allocates
+	// nothing for it. A chunk has one owner at a time and changes hands under
+	// whatever orders the protocol's own hand-over (the pool's lock, the
+	// response slot's flag, a message, a virtual instant), so the buffer of a
+	// stolen chunk goes to the thief's list, never back to the victim's.
+	free []stack.Chunk
+
+	// SharedChunks turns the recycling off. The relaxed ring sets it: there
+	// a thief may still be reading a duplicate take of a slice after the
+	// ledger gave the chunk to someone else (its multiplicity, DESIGN.md
+	// §14), so no holder of a chunk knows it is the last reader.
+	SharedChunks bool
+
 	flushed  int64 // T.Nodes already published to the lane's live counter
 	ctlNodes int64 // T.Nodes already reported to the controller
 }
 
 // NewPE builds the shell for one PE of a search of sp.
 func NewPE(sp *uts.Spec, t *stats.Thread, lane *obs.Lane, ctl *policy.Controller) PE {
-	return PE{T: t, Ex: uts.NewExpander(sp), Lane: lane, Ctl: ctl}
+	return PE{T: t, Lane: lane, Ctl: ctl, sp: sp, st: sp.Stream()}
 }
 
-// Visit is the node kernel: pop the newest local node, count it, push its
-// children. It reports false, touching nothing, when the local stack is
-// empty.
+// Visit is the node kernel: pop the newest local node, count it, expand its
+// children in place on the stack (stack.Deque.PopExpand — the sequential
+// loop's one write per child, and its price). It reports false, touching
+// nothing, when the local stack is empty.
 //
 //uts:noalloc
 func (pe *PE) Visit() bool {
-	n, ok := pe.Local.Pop()
+	kids, ok := pe.Local.PopExpand(pe.sp, pe.st)
 	if !ok {
 		return false
 	}
 	pe.T.Nodes++
-	if n.NumKids == 0 {
+	if kids == 0 {
 		pe.T.Leaves++
-	} else {
-		pe.Local.PushAll(pe.Ex.Children(&n))
 	}
 	pe.T.NoteDepth(pe.Local.Len())
 	return true
@@ -142,9 +154,30 @@ func (pe *PE) Rec(k obs.Kind, other int32, value int64) {
 }
 
 // The work-movement events: what every protocol on every substrate books
-// and traces when a chunk changes hands. Charges, locks, work-available
-// stores and buffer recycling are the protocol's and stay at its call
-// sites.
+// and traces when a chunk changes hands, and the chunk buffers themselves.
+// Charges, locks and work-available stores are the protocol's and stay at
+// its call sites.
+
+// Release takes the k oldest local nodes off the stack as a chunk, into a
+// recycled buffer when there is one. The caller makes it stealable and
+// books that (Released, or the grant it rides in).
+//
+//uts:noalloc
+func (pe *PE) Release(k int) stack.Chunk {
+	var buf stack.Chunk
+	if last := len(pe.free) - 1; last >= 0 {
+		buf, pe.free = pe.free[last], pe.free[:last]
+	}
+	return pe.Local.TakeBottomAppend(buf, k)
+}
+
+// recycle keeps the buffer of c, whose nodes the caller has just copied
+// onto Local, for the next Release.
+func (pe *PE) recycle(c stack.Chunk) {
+	if !pe.SharedChunks {
+		pe.free = append(pe.free, c[:0])
+	}
+}
 
 // Released books a chunk made stealable, leaving avail of them.
 //
@@ -162,6 +195,7 @@ func (pe *PE) Reacquired(c stack.Chunk) {
 	pe.T.Reacquires++
 	pe.Rec(obs.KindReacquire, -1, int64(len(c)))
 	pe.Local.PushAll(c)
+	pe.recycle(c)
 }
 
 // Granted books a steal request from thief answered with n chunks.
@@ -193,6 +227,7 @@ func (pe *PE) Landed(v int, chunks []stack.Chunk) []stack.Chunk {
 	pe.Stolen = total
 	pe.Rec(obs.KindChunkTransfer, int32(v), int64(total))
 	pe.Local.PushAll(chunks[0])
+	pe.recycle(chunks[0])
 	return chunks[1:]
 }
 

@@ -122,14 +122,15 @@ func TestShellHotPathAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("NoteCtl: %v allocs/op", n)
 	}
-	// The release/reacquire pair, traced on either clock.
+	// The release/reacquire pair, traced on either clock: the buffer the
+	// reacquire recycles is the one the next release fills.
 	chunk := make(stack.Chunk, 16)
 	for _, virt := range []func() time.Duration{nil, func() time.Duration { return 7 }} {
 		pe.Virt = virt
 		if n := testing.AllocsPerRun(2000, func() {
 			pe.Released(1)
 			pe.Reacquired(chunk)
-			pe.Local.TakeBottomAppend(chunk[:0], len(chunk))
+			chunk = pe.Release(len(chunk))
 		}); n != 0 {
 			t.Errorf("Released+Reacquired (virtual clock: %v): %v allocs/op", virt != nil, n)
 		}
@@ -173,5 +174,41 @@ func TestStackStructsPadded(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(privStack{}); n%cacheLine != 0 {
 		t.Errorf("privStack is %d bytes, not a multiple of %d: adjust its pad", n, cacheLine)
+	}
+}
+
+// ledgerShapes are the benchmark's two tree families (benchmark/workloads.go:
+// root fan-out 2000, binary interior, just subcritical), at the root seed
+// its tree search settles on: ~1.7 M SHA-1 nodes, ~0.3 M ALFG nodes.
+var ledgerShapes = []uts.Spec{
+	{Name: "brg", Kind: uts.Binomial, Seed: 1449485361, B0: 2000, M: 2, Q: 0.4995, RNG: "BRG"},
+	{Name: "alfg", Kind: uts.Binomial, Seed: 1449485361, B0: 2000, M: 2, Q: 0.497, RNG: "ALFG"},
+}
+
+// BenchmarkVisit is the traversal layer's number: ns per node through the
+// shell's node kernel, one PE, no scheduler around it, and beside it
+// (-seq) the sequential loop's on the same tree. Their ratio is what the
+// parallel node kernel costs over the sequential one (DESIGN.md §7).
+func BenchmarkVisit(b *testing.B) {
+	perNode := func(b *testing.B, nodes int64) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
+	}
+	for i := range ledgerShapes {
+		sp := &ledgerShapes[i]
+		b.Run(sp.Name, func(b *testing.B) {
+			var th stats.Thread
+			pe := NewPE(sp, &th, nil, nil)
+			for i := 0; i < b.N; i++ {
+				traverse(&pe, sp, YieldEvery)
+			}
+			perNode(b, th.Nodes)
+		})
+		b.Run(sp.Name+"-seq", func(b *testing.B) {
+			var nodes int64
+			for i := 0; i < b.N; i++ {
+				nodes += uts.SearchSequential(sp).Nodes
+			}
+			perNode(b, nodes)
+		})
 	}
 }

@@ -35,7 +35,7 @@ func runStatic(sp *uts.Spec, opt Options, res *Result) error {
 		}
 		sinceYield := 0
 		for w.Visit() {
-			if sinceYield++; sinceYield >= yieldEvery {
+			if sinceYield++; sinceYield >= YieldEvery {
 				sinceYield = 0
 				w.FlushNodes()
 				if opt.abort.Load() {

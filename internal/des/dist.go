@@ -105,7 +105,7 @@ func (pe *simDistPE) Work() {
 	step := func() (time.Duration, uint8) {
 		if releasing {
 			releasing = false
-			pe.pool.Put(pe.Local.TakeBottom(k))
+			pe.pool.Put(pe.Release(k))
 			pe.workAvail = pe.pool.Len()
 			pe.Released(pe.workAvail)
 		}
@@ -235,7 +235,7 @@ func (pe *simDistPE) Steal(v int) bool {
 	if len(chunks) == 0 {
 		return false
 	}
-	pe.advance(r.between(pe.me, v).bulk(stack.NodeCount(chunks) * core.NodeBytes)) // one-sided get
+	pe.advance(r.between(pe.me, v).bulk(stack.NodeCount(chunks) * uts.NodeBytes)) // one-sided get
 	for _, c := range pe.Landed(v, chunks) {
 		pe.pool.Put(c)
 	}

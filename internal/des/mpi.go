@@ -30,7 +30,7 @@ const opMPIDeliver uint8 = 0
 
 func (r *simMPIRun) apply(dst int, op uint8, a, b int64, chunks []stack.Chunk) int64 {
 	pe := r.pes[dst]
-	size := 16 + core.NodeBytes*stack.NodeCount(chunks)
+	size := 16 + uts.NodeBytes*stack.NodeCount(chunks)
 	m := simMsg{
 		Message: msg.Message{
 			From:   int(a & 0xffffffff),
@@ -110,7 +110,7 @@ func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps
 // and stages the message: on its way at that quantum's end, delivered after
 // the transfer latency.
 func (pe *simMPIPE) Send(to int, m msg.Message) time.Duration {
-	size := 16 + core.NodeBytes*stack.NodeCount(m.Chunks)
+	size := 16 + uts.NodeBytes*stack.NodeCount(m.Chunks)
 	adv := pe.charge(pe.r.cs.localRef) // injection overhead
 	a := int64(uint32(pe.me)) | int64(m.Tag)<<32 | int64(m.Color)<<40
 	b := int64(pe.p.Now() + adv)

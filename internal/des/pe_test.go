@@ -1,6 +1,7 @@
 package des
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -27,5 +28,32 @@ func TestNegativePollAndNodeSizeRejected(t *testing.T) {
 		if _, cerr := core.Run(&uts.BenchTiny, copt); cerr == nil {
 			t.Errorf("core accepts what des rejects: %+v", copt)
 		}
+	}
+}
+
+// TestAllocationsPerRun is core's test of the same name on the virtual
+// clock: a simulated PE releases through the same shell, so a run at k = 1
+// allocates for its set-up, its events' growth and a buffer per pooled
+// chunk, not once a release (nodes/2 ≈ 31,800 on this tree).
+func TestAllocationsPerRun(t *testing.T) {
+	const bound = 6000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(&uts.BenchSmall, Config{Algorithm: core.UPCDistMem, PEs: 8, Chunk: 1, Seed: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var releases int64
+	for i := range res.Threads {
+		releases += res.Threads[i].Releases
+	}
+	if releases < 5*bound {
+		t.Fatalf("only %d releases: the run no longer releases at every other node", releases)
+	}
+	if n := after.Mallocs - before.Mallocs; n > bound {
+		t.Errorf("%d allocations in a run of %d releases, want at most %d", n, releases, bound)
+	} else {
+		t.Logf("%d allocations, %d releases, %d nodes", n, releases, res.Nodes())
 	}
 }

@@ -146,7 +146,7 @@ func (pe *simSharedPE) Work() {
 // algorithm, resets the cancelable barrier.
 func (pe *simSharedPE) releaseChunk(k int) {
 	cs := &pe.r.cs
-	chunk := pe.Local.TakeBottom(k)
+	chunk := pe.Release(k)
 	if pe.r.mode.Relaxed {
 		// Fence-free publish: one local store into the ring slot, no lock
 		// round trip at all — the owner-path saving the variant exists for.
@@ -225,7 +225,7 @@ func (pe *simSharedPE) Steal(v int) bool {
 		return false
 	}
 
-	pe.advance(cs.bulk(stack.NodeCount(chunks) * core.NodeBytes))
+	pe.advance(cs.bulk(stack.NodeCount(chunks) * uts.NodeBytes))
 	if rest := pe.Landed(v, chunks); len(rest) > 0 {
 		pe.acquire(&pe.lock, cs.localRef)
 		for _, c := range rest {
@@ -255,7 +255,7 @@ func (pe *simSharedPE) stealRelaxed(v int) bool {
 	if !ok {
 		return false
 	}
-	pe.advance(cs.bulk(len(c) * core.NodeBytes))
+	pe.advance(cs.bulk(len(c) * uts.NodeBytes))
 	pe.Landed(v, []stack.Chunk{c})
 	if r.mode.StreamTerm {
 		pe.workAvail = 0

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/pgas"
 	"repro/internal/stack"
+	"repro/internal/uts"
 )
 
 // Tag discriminates message kinds for the work-stealing protocol.
@@ -79,13 +80,9 @@ type Message struct {
 }
 
 // size estimates the wire size in bytes for bandwidth charging: a small
-// fixed header plus 24 bytes per node.
+// fixed header plus uts.NodeBytes per node.
 func (m *Message) size() int {
-	n := 16
-	for _, c := range m.Chunks {
-		n += 24 * len(c)
-	}
-	return n
+	return 16 + uts.NodeBytes*stack.NodeCount(m.Chunks)
 }
 
 // Comm connects a fixed set of ranks.

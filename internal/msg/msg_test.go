@@ -121,8 +121,8 @@ func TestTagAndColorStrings(t *testing.T) {
 
 func TestMessageSizeCharging(t *testing.T) {
 	m := Message{Chunks: []stack.Chunk{make([]uts.Node, 10)}}
-	if m.size() != 16+240 {
-		t.Errorf("size = %d, want 256", m.size())
+	if want := 16 + 10*uts.NodeBytes; m.size() != want {
+		t.Errorf("size = %d, want %d: the header plus one wire size per node, the one core and des charge", m.size(), want)
 	}
 }
 

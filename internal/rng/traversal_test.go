@@ -3,7 +3,9 @@ package rng_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/stats"
 	"repro/internal/uts"
 )
 
@@ -60,7 +62,10 @@ func TestCountsIdenticalUnderBothKernels(t *testing.T) {
 
 // TestChildrenAllocatesNothing holds a node expansion into a stack with
 // room to zero allocations under both kernels, at granularity 1 and 3, and
-// the same for the ALFG arm (which the kernel switch does not reach).
+// the same for the ALFG arm (which the kernel switch does not reach) — and
+// the same for the node kernel every scheduler runs, core.PE.Visit, which
+// expands in place on its own stack: zero once a first traversal has grown
+// it.
 func TestChildrenAllocatesNothing(t *testing.T) {
 	g3, alfg, alfg3 := uts.BenchTiny, uts.BenchTiny, uts.BenchTiny
 	g3.Granularity = 3
@@ -80,6 +85,18 @@ func TestChildrenAllocatesNothing(t *testing.T) {
 				stack = uts.Children(sp, st, &stack[0], stack)
 			}); n != 0 {
 				t.Errorf("%s, %s: Children allocates %v times per run, want 0", sp.Name, rng.KernelName(), n)
+			}
+			var th stats.Thread
+			pe := core.NewPE(sp, &th, nil, nil)
+			visit := func() {
+				if !pe.Visit() {
+					pe.Local.Push(root)
+				}
+			}
+			for visit(); pe.Local.Len() > 0; visit() {
+			}
+			if n := testing.AllocsPerRun(2000, visit); n != 0 {
+				t.Errorf("%s, %s: PE.Visit allocates %v times per node, want 0", sp.Name, rng.KernelName(), n)
 			}
 			restore()
 		}

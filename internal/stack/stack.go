@@ -14,7 +14,10 @@
 // modes share one implementation.
 package stack
 
-import "repro/internal/uts"
+import (
+	"repro/internal/rng"
+	"repro/internal/uts"
+)
 
 // Deque is a DFS node stack with O(1) amortized removal from the bottom.
 // The owner pushes and pops at the top while exploring; releases take from
@@ -46,6 +49,35 @@ func (d *Deque) Pop() (uts.Node, bool) {
 		d.reset()
 	}
 	return n, true
+}
+
+// PopExpand is the node kernel of a depth-first traversal of sp: it pops
+// the top node and has uts.Children write that node's children, index
+// 0..k−1, straight onto the stack, so a child is written once, where the
+// next PopExpand reads it. It returns k and reports false, touching
+// nothing, on an empty stack. (Not the popped node: 28 bytes returned by
+// value are copied four times on the way to the caller, each copy reading
+// behind the narrower stores of the last — 17 % of a traversal, DESIGN.md
+// §7.) The stack ends with the contents Pop followed by
+// PushAll(children) would leave, whatever its capacity: a pop that empties
+// it resets it first, which drops the dead prefix and an oversized backing
+// array before the children land.
+//
+//uts:noalloc
+func (d *Deque) PopExpand(sp *uts.Spec, st rng.Stream) (kids int, ok bool) {
+	top := len(d.buf) - 1
+	if top < d.base {
+		return 0, false
+	}
+	n := d.buf[top] // a copy: child 0 lands in this slot
+	d.buf = d.buf[:top]
+	if top == d.base {
+		d.reset()
+	}
+	if n.NumKids != 0 {
+		d.buf = uts.Children(sp, st, &n, d.buf)
+	}
+	return int(n.NumKids), true
 }
 
 // TakeBottom removes the k oldest nodes and returns them in a fresh slice,

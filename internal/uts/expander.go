@@ -2,14 +2,15 @@ package uts
 
 import "repro/internal/rng"
 
-// Expander is a per-traversal child generator: it resolves the spec's
-// stream once and owns a capacity-managed scratch buffer that Children
-// calls reuse, so a worker's steady-state exploration loop performs zero
-// heap allocations. Every traversal loop in this repository — the
-// sequential oracle, the real-concurrency workers in internal/core, and
-// the simulator PEs in internal/des — expands nodes through an Expander,
-// which keeps the Figure 3 comparison apples-to-apples: all
-// implementations pay exactly the same per-node generation cost.
+// Expander is a per-traversal child generator for callers that want a
+// node's children as a detached slice: it resolves the spec's stream once
+// and owns a capacity-managed scratch buffer that Children calls reuse, so
+// a steady-state loop over it performs zero heap allocations. The
+// traversal loops of this repository do not go through it — the sequential
+// oracle and the schedulers' node kernel (stack.Deque.PopExpand) have
+// Children append straight onto their own DFS stack, one write per child —
+// and pay exactly the same per-node generation cost, which keeps the
+// Figure 3 comparison apples-to-apples.
 //
 // An Expander is owned by a single goroutine; create one per worker.
 type Expander struct {

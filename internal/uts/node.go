@@ -10,7 +10,7 @@ import (
 // spec determine the node's children completely, so traversals keep nodes
 // only while they sit on a depth-first stack — exactly the property that
 // makes UTS cheap to steal (a stolen chunk is just an array of Node values,
-// 24 bytes each).
+// NodeBytes each).
 type Node struct {
 	State  rng.State
 	Height int32 // depth below the root; the root has height 0
@@ -18,6 +18,11 @@ type Node struct {
 	// generated. −1 means "not yet computed".
 	NumKids int32
 }
+
+// NodeBytes is the size of one Node — the 20-byte RNG state, the height and
+// the child count — in memory and, nominally, on the wire: the figure every
+// substrate charges bandwidth by.
+const NodeBytes = 28
 
 // Root returns the root node of the tree described by sp.
 func Root(sp *Spec) Node {

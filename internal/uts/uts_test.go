@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -85,6 +86,14 @@ func TestBalancedExactStructure(t *testing.T) {
 		if int(c.MaxDepth) != tc.d {
 			t.Errorf("balanced(%d,%d): depth=%d want %d", tc.b, tc.d, c.MaxDepth, tc.d)
 		}
+	}
+}
+
+// TestNodeBytesIsTheNodesSize: the wire size every substrate charges
+// bandwidth by is the size of the type it names.
+func TestNodeBytesIsTheNodesSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != NodeBytes {
+		t.Errorf("unsafe.Sizeof(Node{}) = %d, NodeBytes = %d", got, NodeBytes)
 	}
 }
 
