@@ -76,11 +76,13 @@ gates:
 # PAIRS=n [TRACE=1] [SECONDS=20] [METRICS='a b']`. Which side runs first
 # flips every pair, seeds 1..n; prints every pair of every metric, the
 # median of the pair ratios and the sign count. No verdict and no ledger of
-# its own: scripts/ab.sh only calls benchmark/run.sh in both checkouts.
+# its own: scripts/ab.sh only calls benchmark/run.sh in both checkouts, and
+# keeps what it printed in results/ab/PR<n>-<workload>.txt (n from CHANGES.md,
+# or PR=n) for the CHANGES entry to point at.
 TRACE ?= 0
 SECONDS ?= 20
 ab:
-	@sh scripts/ab.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(TRACE)" "$(SECONDS)" $(METRICS)
+	@PR="$(PR)" sh scripts/ab.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(TRACE)" "$(SECONDS)" $(METRICS)
 
 # The load under which reserved work falling off the cluster's handoff
 # ledger shows (DESIGN.md §10): one test binary, three copies at once so that

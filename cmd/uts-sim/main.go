@@ -79,6 +79,8 @@ func main() {
 		if *verbose {
 			fmt.Printf("engine: pops=%d inline=%d counted=%d handoffs=%d\n",
 				info.Pops, info.Events-info.Pops-info.Counted, info.Counted, info.Handoffs)
+			fmt.Printf("wakes: word=%d end=%d post=%d moved=%d\n",
+				info.Wakes.Word, info.Wakes.End, info.Wakes.Post, info.Wakes.Moved)
 			fmt.Print(res.PerThreadTable())
 		}
 		err = f.Finish(os.Stdout, tracer)

@@ -469,6 +469,18 @@ func (w *ProbeWalk) Victim() int {
 	return w.cur
 }
 
+// Rest returns the victims still to come, the current one first, when the
+// walk holds its order as a table: a host that sleeps through probes
+// (Host.Doze) reads ahead in it. The slice is the walk's own and stands
+// until the cycle ends. A strided walk, whose order exists only as
+// arithmetic, returns nil.
+func (w *ProbeWalk) Rest() []int {
+	if w.perm == nil {
+		return nil
+	}
+	return w.perm[w.idx:]
+}
+
 // Exhausted reports whether every victim of the cycle has been consumed.
 func (w *ProbeWalk) Exhausted() bool {
 	if w.perm != nil {
@@ -483,6 +495,11 @@ func (w *ProbeWalk) Advance() {
 		w.idx++
 		return
 	}
+	w.stride()
+}
+
+// stride is Advance on the strided path.
+func (w *ProbeWalk) stride() {
 	for {
 		if w.phase == 0 {
 			bl := w.end - w.base

@@ -31,12 +31,15 @@ const (
 	// steal request is not looked at there.
 	StepNoPoll uint8 = 1 << 1
 	// StepSleep, with a quantum d > 0, says that the steps after this one
-	// are polls d apart and that only a delivery to this PE can change what
-	// they see. It is a permission, not a request: an engine may count the
-	// polls nothing can answer instead of running them, and resume the step
-	// at the first poll a delivery can reach, or ignore the flag and call
-	// the step at every poll. The step cannot tell which happened except by
-	// asking how many polls were counted for it.
+	// are polls d apart and that what they see changes only through events
+	// the host hears of: a delivery to this PE (the message-passing rank's
+	// idle polls), a write of a word the poll will read or a claimed request
+	// word (a searching PE's probes, Host.Doze). It is a permission, not a
+	// request: an engine may count the polls nothing can answer instead of
+	// running them, and resume the step at the first poll such an event can
+	// reach, or ignore the flag and call the step at every poll. The step
+	// cannot tell which happened except by asking how many polls were
+	// counted for it.
 	StepSleep uint8 = 1 << 2
 )
 
@@ -70,6 +73,24 @@ type Host interface {
 	StageAnnounced(d time.Duration) time.Duration
 	// Staged is the i-th read, in staging order, of the last quantum.
 	Staged(i int) int64
+	// Doze is asked at a service point of a probe cycle, with nothing
+	// pending, before the read of w's current victim is staged. A host
+	// returns 0 and the probe is staged and stepped (StageAvail, Staged). One
+	// that knows every write of the words the walk will read, and when each
+	// of its own reads falls, may instead return the probe period d > 0: the
+	// quantum goes back with StepSleep, and the step resumes — through
+	// Probed — at the first read that cannot be counted: of a word that was
+	// positive at some instant of the sleep, the last of the cycle (or of a
+	// run of equally priced victims), or the one a steal request posted in
+	// the meantime waits behind.
+	Doze(w *ProbeWalk) time.Duration
+	// Probed completes the probe whose quantum just ended and returns the
+	// word it read. Without a sleep that is Staged(0) and false. After one
+	// it first books every counted probe as if it had run — the PE's probe
+	// count, state time and trace records at their own instants, w advanced
+	// past each — reports whether any of them saw a worker (a word ≥ 0), and
+	// leaves w on the victim of the read it woke for.
+	Probed(w *ProbeWalk) (wa int64, sawWorker bool)
 
 	// Protocol family. Work explores until the PE holds no work and its
 	// work-available word says so; Service answers a pending steal
@@ -197,12 +218,16 @@ func (m *Machine) search() bool {
 			victim = walk.Victim()
 			h.Rec(obs.KindProbeStart, int32(victim), 0)
 			ph = phEval
+			if d := h.Doze(&walk); d > 0 {
+				return d, StepNoPoll | StepSleep
+			}
 			return h.StageAvail(victim), StepNoPoll
 		default: // phEval
+			wa, saw := h.Probed(&walk)
+			victim = walk.Victim() // past the probes a sleeping host counted
 			pe.T.Probes++
-			wa := h.Staged(0)
 			h.Rec(obs.KindProbeResult, int32(victim), wa)
-			if wa >= 0 {
+			if saw || wa >= 0 {
 				sawWorker = true
 			}
 			if wa > 0 || !next() {

@@ -374,6 +374,11 @@ func (w *WallPE) StageFlag(set bool) time.Duration {
 // Staged returns the i-th read staged by the last quantum.
 func (w *WallPE) Staged(i int) int64 { return w.staged[i] }
 
+// Doze and Probed: on the wall clock a probe is a load that has happened
+// when it is staged; there is nothing to sleep through.
+func (w *WallPE) Doze(*ProbeWalk) time.Duration   { return 0 }
+func (w *WallPE) Probed(*ProbeWalk) (int64, bool) { return w.staged[0], false }
+
 // Settle: only a host that hands work out through a table (the cluster)
 // has work that comes home by itself.
 func (w *WallPE) Settle(bool) bool { return false }

@@ -40,6 +40,7 @@ func (r *simDistRun) apply(dst int, op uint8, a, b int64, chunks []stack.Chunk) 
 		}
 		vs.request = int(a)
 		vs.p.Post(IntrSteal)
+		vs.wakeForRequest(int(a))
 		return 1
 	case opDistDeliver:
 		tp := r.pes[dst]
@@ -64,8 +65,8 @@ type simDistPE struct {
 	respReady bool
 }
 
-func simDistMem(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps *policy.Set, finish func(*Proc)) sampler {
-	r := &simDistRun{upcRun: upcRun{cfg: cfg, cs: cs, upc: make([]*upcPE, cfg.PEs)}}
+func simDistMem(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps *policy.Set, wakes *Wakes, finish func(*Proc)) sampler {
+	r := &simDistRun{upcRun: newUPCRun(cfg, cs, wakes)}
 	if cfg.NodeSize >= 2 && cfg.Intra != nil {
 		r.nodeSize = cfg.NodeSize
 		r.intra = newCosts(cfg.Intra)
@@ -106,8 +107,8 @@ func (pe *simDistPE) Work() {
 		if releasing {
 			releasing = false
 			pe.pool.Put(pe.Release(k))
-			pe.workAvail = pe.pool.Len()
-			pe.Released(pe.workAvail)
+			pe.setAvail(pe.me, pe.pool.Len())
+			pe.Released(pe.avail())
 		}
 		if drained {
 			drained = false
@@ -116,7 +117,7 @@ func (pe *simDistPE) Work() {
 				done = true
 				return 0, StepDone
 			}
-			pe.workAvail = pe.pool.Len()
+			pe.setAvail(pe.me, pe.pool.Len())
 			pe.Reacquired(c)
 		}
 		for {
@@ -152,7 +153,7 @@ func (pe *simDistPE) Work() {
 			pe.Service()
 		}
 	}
-	pe.workAvail = -1
+	pe.setAvail(pe.me, -1)
 }
 
 // Service answers a pending request: half the pool (rapid diffusion) or a
@@ -168,7 +169,7 @@ func (pe *simDistPE) Service() {
 	var chunks []stack.Chunk
 	if pe.pool.Len() > 0 {
 		chunks = pe.pool.TakeHalf()
-		pe.workAvail = pe.pool.Len()
+		pe.setAvail(pe.me, pe.pool.Len())
 	}
 	d := 2 * pe.r.between(pe.me, thief).remoteRef // amount + address writes
 	pe.T.AddState(pe.state, d)
@@ -239,6 +240,6 @@ func (pe *simDistPE) Steal(v int) bool {
 	for _, c := range pe.Landed(v, chunks) {
 		pe.pool.Put(c)
 	}
-	pe.workAvail = pe.pool.Len()
+	pe.setAvail(pe.me, pe.pool.Len())
 	return true
 }

@@ -19,7 +19,7 @@ import (
 // configuration the engine differentials cover.
 func differentialCases(fn func(name string, sp *uts.Spec, cfg Config)) {
 	algos := []core.Algorithm{
-		core.Static, core.UPCSharedMem, core.UPCTerm, core.UPCTermRapdif,
+		core.Static, core.UPCSharedMem, core.UPCTerm, core.UPCTermRapdif, core.UPCTermRelaxed,
 		core.UPCDistMem, core.UPCDistMemHier, core.MPIWS,
 	}
 	for _, algo := range algos {
@@ -30,7 +30,19 @@ func differentialCases(fn func(name string, sp *uts.Spec, cfg Config)) {
 			}
 		}
 	}
+	// A two-level machine: nodes of four PEs, same-node references at the
+	// Altix price. The hierarchical walk then probes at two periods
+	// within a cycle, the flat one at both in random order.
+	for _, algo := range []core.Algorithm{core.UPCDistMem, core.UPCDistMemHier} {
+		fn(fmt.Sprintf("%s/t3-small/nodes-of-4", algo), &uts.T3Small,
+			Config{Algorithm: algo, PEs: 16, Chunk: 8, Model: &pgas.KittyHawk, Seed: 1, NodeSize: 4, Intra: &pgas.Altix})
+	}
 }
+
+// onesidedTree is the ALFG binomial tree of the benchmark's sim_* workloads
+// (tree seed 2007's first candidate): 312,139 nodes.
+var onesidedTree = uts.Spec{Name: "ALFG-b2000-r1449485361", Kind: uts.Binomial, Seed: 1449485361,
+	B0: 2000, M: 2, Q: 0.5 * (1 - 6e-3), RNG: "ALFG"}
 
 // runSame runs cfg on the engine it selects and requires the batched
 // engine's result (bres, binfo) bit for bit: same makespan, same event
@@ -266,7 +278,14 @@ func TestEngineThroughputGate(t *testing.T) {
 // popped (Pops 12,379 → 3,731), and the rank's whole body is one step
 // function inside the dispatcher, so a PE's goroutine is handed the baton to
 // start and to finish and never in between (Handoffs 2,632 → 32, two for
-// each of 16 PEs).
+// each of 16 PEs). The upc-distmem row was re-baselined once too, when a
+// searching PE stopped dispatching the probes no write can reach (DESIGN.md
+// §9, "A probe is a read of a word with a history"): its 2,976 events and
+// 441 handoffs did not move, 995 of the events are now probes counted at one
+// of 144 wakes (Pops 2,940 → 1,909; 36 were and are inline). The 256-PE row
+// is the benchmark's sim_onesided configuration, where a cycle is 255 probes
+// and a sleep can span all of one: 399,666 events as ever, 282,957 of them
+// counted at 8,300 wakes.
 func TestEngineCountsPinned(t *testing.T) {
 	if size := unsafe.Sizeof(ev{}); size > 24 {
 		t.Errorf("a queued event is %d bytes, want at most 24", size)
@@ -294,9 +313,16 @@ func TestEngineCountsPinned(t *testing.T) {
 	check("dispatchWorkload(64, 2000)", Info{Events: sim.events, Pops: sim.pops, Counted: sim.counted, Handoffs: sim.handoffs},
 		Info{Events: 128064, Pops: 128064, Handoffs: 128})
 	want := map[string]Info{
-		"upc-distmem/t3-small/seed1": {Engine: EngineBatched, Events: 2976, Pops: 2940, Handoffs: 441},
-		"mpi-ws/t3-small/seed1":      {Engine: EngineBatched, Events: 14315, Pops: 3731, Counted: 8408, Handoffs: 32},
+		"upc-distmem/t3-small/seed1": {Engine: EngineBatched, Events: 2976, Pops: 1909, Counted: 995, Handoffs: 441,
+			Wakes: Wakes{Word: 86, End: 56, Post: 2, Moved: 45}},
+		"mpi-ws/t3-small/seed1": {Engine: EngineBatched, Events: 14315, Pops: 3731, Counted: 8408, Handoffs: 32},
 	}
+	_, info, err := RunInfo(&onesidedTree, Config{Algorithm: core.UPCDistMem, PEs: 256, Chunk: 16, Model: &pgas.KittyHawk, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("upc-distmem/sim_onesided", info, Info{Engine: EngineBatched, Events: 399666, Pops: 116535, Counted: 282957, Handoffs: 13312,
+		Wakes: Wakes{Word: 7296, End: 960, Post: 44, Moved: 6681}})
 	differentialCases(func(name string, sp *uts.Spec, cfg Config) {
 		if w, ok := want[name]; ok {
 			_, info, err := RunInfo(sp, cfg)

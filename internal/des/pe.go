@@ -87,6 +87,10 @@ func (pe *simPE) EndSteal(ok bool, back stats.State) {
 func (pe *simPE) Steps(step core.Stepper) bool { return pe.p.AdvanceStepped(step) != 0 }
 func (pe *simPE) Staged(i int) int64           { return pe.p.StagedResult(i) }
 
+// Doze and Probed: a shell without words of its own steps every probe.
+func (pe *simPE) Doze(*core.ProbeWalk) time.Duration   { return 0 }
+func (pe *simPE) Probed(*core.ProbeWalk) (int64, bool) { return pe.p.StagedResult(0), false }
+
 // Settle and Stopped: a simulated PE hands out no work that could come
 // back unfetched, and a simulation is never abandoned midway.
 func (pe *simPE) Settle(bool) bool { return false }

@@ -107,14 +107,19 @@ type Info struct {
 	// inline.
 	Pops uint64
 	// Counted is the number of boundaries that were counted without being
-	// dispatched: the polls of a sleeping PE that no delivery could answer
-	// (core.StepSleep). 0 under the legacy engine and under shards, which
-	// step every poll.
+	// dispatched: the polls of a sleeping PE that nothing could answer — an
+	// idle mpi-ws rank's, a searching UPC PE's probes of words no write
+	// reached (core.StepSleep). 0 under the legacy engine and under shards,
+	// which step every poll.
 	Counted uint64
 	// Handoffs is the number of baton passes to a PE goroutine — goroutine
 	// switches — summed over shards. All three counts are exact and, on the
 	// batched engine, a function of the configuration alone.
 	Handoffs uint64
+	// Wakes is what ended the counted sleeps of searching PEs and how many
+	// queued wakes moved earlier; exact like the three above, zero where
+	// every poll is stepped.
+	Wakes Wakes
 }
 
 func (c Config) withDefaults() Config {
@@ -347,9 +352,9 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 	case core.Static:
 		smp = simStatic(sim, sp, cfg, cs, res, finish)
 	case core.UPCSharedMem, core.UPCTerm, core.UPCTermRapdif, core.UPCTermRelaxed:
-		smp = simShared(sim, sp, cfg, cs, res, core.SharedVariants[cfg.Algorithm], pset, finish)
+		smp = simShared(sim, sp, cfg, cs, res, core.SharedVariants[cfg.Algorithm], pset, &info.Wakes, finish)
 	case core.UPCDistMem, core.UPCDistMemHier:
-		smp = simDistMem(sim, sp, cfg, cs, res, pset, finish)
+		smp = simDistMem(sim, sp, cfg, cs, res, pset, &info.Wakes, finish)
 	case core.MPIWS:
 		smp = simMPIWS(sim, sp, cfg, cs, res, pset, finish)
 	default:
@@ -371,6 +376,7 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 		return nil, nil, info, err
 	}
 	info.Events, info.Pops, info.Counted, info.Handoffs = sim.events, sim.pops, sim.counted, sim.handoffs
+	info.Wakes.Moved = sim.moved
 	var makespan time.Duration
 	for _, t := range ends {
 		if t > makespan {

@@ -46,8 +46,9 @@ type simSharedPE struct {
 }
 
 // simShared sets up the PEs for upc-sharedmem / upc-term / upc-term-rapdif.
-func simShared(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, mode core.SharedVariant, ps *policy.Set, finish func(*Proc)) sampler {
-	r := &simSharedRun{upcRun: upcRun{cfg: cfg, cs: cs, upc: make([]*upcPE, cfg.PEs), freeAnnounce: true}, mode: mode}
+func simShared(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, mode core.SharedVariant, ps *policy.Set, wakes *Wakes, finish func(*Proc)) sampler {
+	r := &simSharedRun{upcRun: newUPCRun(cfg, cs, wakes), mode: mode}
+	r.freeAnnounce = true
 	sim.SetRemote(r.apply)
 	r.pes = make([]*simSharedPE, cfg.PEs)
 	for i := 0; i < cfg.PEs; i++ {
@@ -133,7 +134,7 @@ func (pe *simSharedPE) Work() {
 		}
 		if !pe.reacquire() {
 			if pe.r.mode.StreamTerm {
-				pe.workAvail = -1
+				pe.setAvail(pe.me, -1)
 			}
 			return
 		}
@@ -152,16 +153,16 @@ func (pe *simSharedPE) releaseChunk(k int) {
 		// round trip at all — the owner-path saving the variant exists for.
 		pe.advance(cs.localRef)
 		pe.pool.Put(chunk)
-		pe.workAvail = pe.pool.Len()
-		pe.Released(pe.workAvail)
+		pe.setAvail(pe.me, pe.pool.Len())
+		pe.Released(pe.avail())
 		return
 	}
 	pe.acquire(&pe.lock, cs.localRef)
 	pe.advance(cs.localRef) // in-lock pointer updates, local affinity
 	pe.pool.Put(chunk)
-	pe.workAvail = pe.pool.Len()
+	pe.setAvail(pe.me, pe.pool.Len())
 	pe.release(&pe.lock, cs.localRef)
-	pe.Released(pe.workAvail)
+	pe.Released(pe.avail())
 	if !pe.r.mode.StreamTerm {
 		pe.cbCancelOp()
 	}
@@ -177,7 +178,7 @@ func (pe *simSharedPE) reacquire() bool {
 		if !ok {
 			return false
 		}
-		pe.workAvail = pe.pool.Len()
+		pe.setAvail(pe.me, pe.pool.Len())
 		pe.Reacquired(c)
 		return true
 	}
@@ -185,7 +186,7 @@ func (pe *simSharedPE) reacquire() bool {
 	pe.advance(cs.localRef) // in-lock pointer updates, local affinity
 	c, ok := pe.pool.TakeNewest()
 	if ok {
-		pe.workAvail = pe.pool.Len()
+		pe.setAvail(pe.me, pe.pool.Len())
 	}
 	pe.release(&pe.lock, cs.localRef)
 	if !ok {
@@ -218,7 +219,7 @@ func (pe *simSharedPE) Steal(v int) bool {
 		chunks = append(chunks, c)
 	}
 	if len(chunks) > 0 {
-		vs.workAvail = vs.pool.Len()
+		vs.setAvail(pe.me, vs.pool.Len())
 	}
 	pe.release(&vs.lock, cs.lockRTT)
 	if len(chunks) == 0 {
@@ -231,10 +232,10 @@ func (pe *simSharedPE) Steal(v int) bool {
 		for _, c := range rest {
 			pe.pool.Put(c)
 		}
-		pe.workAvail = pe.pool.Len()
+		pe.setAvail(pe.me, pe.pool.Len())
 		pe.release(&pe.lock, cs.localRef)
 	} else if r.mode.StreamTerm {
-		pe.workAvail = 0
+		pe.setAvail(pe.me, 0)
 	}
 	return true
 }
@@ -258,7 +259,7 @@ func (pe *simSharedPE) stealRelaxed(v int) bool {
 	pe.advance(cs.bulk(len(c) * uts.NodeBytes))
 	pe.Landed(v, []stack.Chunk{c})
 	if r.mode.StreamTerm {
-		pe.workAvail = 0
+		pe.setAvail(pe.me, 0)
 	}
 	return true
 }

@@ -19,7 +19,9 @@
 // function too: one stepped advance from spawn to finish here, its sends
 // staged against the quantum they cost (StageSend) and its idle polls a
 // sleep the engine may count instead of run (StepSleep), over the inbox of
-// mpi.go; a plain loop over msg.Comm there (core.WallPE.Drive).
+// mpi.go; a plain loop over msg.Comm there (core.WallPE.Drive). A searching
+// UPC PE sleeps the same way through the probes of its cycle that read words
+// no write has reached (upcPE.Doze, over the histories of doze.go).
 // TestMachineDriversAgree and TestMsgRankDriversAgree hold each pair of
 // drivers to one log. What is still mirrored by hand is the UPC
 // work/release/steal bodies — what is charged, locked and stored around
@@ -59,9 +61,10 @@
 // (TestEngineDifferential) and is reachable from nowhere else. All three
 // execute the same events in the same order — Sim.Events counts
 // identically — they differ only in how cheaply a boundary is reached, or,
-// for the polls of a sleeping PE that no delivery can answer, passed: the
-// batched engine alone counts those at the wake without dispatching them
-// (dispatcher.sleep).
+// for the polls of a sleeping PE that nothing can answer — no message has
+// arrived, no word it will read has changed, no request word was claimed —
+// passed: the batched engine alone counts those at the wake without
+// dispatching them (dispatcher.sleep).
 package des
 
 import (
@@ -98,7 +101,7 @@ type dispatcher struct {
 	// The counted sleep's own counts (sleep, wake), behind what every
 	// boundary reads.
 	counted uint64 // boundaries of a sleep, counted at its wake instead of dispatched
-	moved   uint64 // queued wakes an overtaking delivery moved earlier
+	moved   uint64 // queued wakes a later event moved earlier (an overtaking message, a word turning positive, a claim)
 }
 
 // Sim is one simulation instance. Its own dispatcher is the whole batched
@@ -468,14 +471,16 @@ func (d *dispatcher) contStep(p *Proc) bool {
 }
 
 // sleep takes p off the queue: its step returned quantum dt with StepSleep,
-// so its next boundaries are polls at now + k·dt that see nothing until a
-// delivery arrives, and running them would be a heap exchange and a step call
-// each to learn that. The wake is queued at the first poll a delivery can
-// reach — now if the step named one already in flight (StageSleep), else when
-// Notify brings one — under p's ordinary key, so the schedule of every other
-// event, and of the wake itself, is the one stepping every poll produces. A
-// PE that is never notified stays out of the queue and is reported by the
-// drained-queue deadlock check like any blocked one.
+// so its next boundaries are polls at now + k·dt that see nothing until
+// something the host hears of happens — a message arrives, a word the poll
+// reads is written, a request word is claimed — and running them would be a
+// heap exchange and a step call each to learn that. The wake is queued at the
+// first poll such an event can reach — now if the step named one already
+// known (StageSleep), else when Notify brings one — under p's ordinary key,
+// so the schedule of every other event, and of the wake itself, is the one
+// stepping every poll produces. A PE that is never notified stays out of the
+// queue and is reported by the drained-queue deadlock check like any blocked
+// one.
 //
 //uts:noalloc
 func (d *dispatcher) sleep(p *Proc, dt int64, fl uint8) {
@@ -487,12 +492,16 @@ func (d *dispatcher) sleep(p *Proc, dt int64, fl uint8) {
 }
 
 // wake queues sleeping p's wake at its first poll at or after instant at, or
-// moves a later one already queued there: a small message can overtake an
-// earlier bulky one. That is rare enough (DESIGN.md §9 has the count) to find
-// the queued wake by scanning the heap.
+// moves a later one already queued there, and reports whether it did: a small message can overtake an
+// earlier bulky one, and a searching PE's wake at its cycle's end is pulled in
+// by every word that turns positive on its way. The queued wake is found by
+// scanning the heap — a few times a run for messages, for most wakes of a
+// searcher, where the scan is ≈1 % of the run at 256 PEs and ≈3.5 % at 1024
+// (DESIGN.md §9 has the counts) against a position index every sift of every
+// run would have to keep.
 //
 //uts:noalloc
-func (d *dispatcher) wake(p *Proc, at int64) {
+func (d *dispatcher) wake(p *Proc, at int64) bool {
 	k := max(1, (at-p.sleepAt+p.sleepD-1)/p.sleepD)
 	t := p.sleepAt + k*p.sleepD
 	switch {
@@ -502,9 +511,10 @@ func (d *dispatcher) wake(p *Proc, at int64) {
 		d.heap.moveEarlier(p, t)
 		d.moved++
 	default:
-		return
+		return false
 	}
 	p.wakeAt = t
+	return true
 }
 
 // woke accounts for the sleep p's wake just popped from: the clock stands on
@@ -522,8 +532,9 @@ func (d *dispatcher) woke(p *Proc) {
 // StageSleep declares the quantum the surrounding Stepper is about to return
 // with StepSleep — the poll period d, which StageSleep returns for
 // convenience — and names due, the earliest instant at which something
-// already on its way becomes visible to the PE's polls (Never: nothing is).
-// Later deliveries reach a sleeping PE through Notify.
+// already on its way becomes visible to the PE's polls (Never: nothing is) —
+// a message in flight, or the poll a searching PE has to run whatever happens.
+// Later events reach a sleeping PE through Notify.
 //
 //uts:noalloc
 func (p *Proc) StageSleep(d, due time.Duration) time.Duration {
@@ -531,19 +542,29 @@ func (p *Proc) StageSleep(d, due time.Duration) time.Duration {
 	return d
 }
 
-// Notify tells the engine that something delivered to p becomes visible to
-// its polls at instant at, later than now: a delivery takes time, and a poll
-// of p at the current instant may already have been passed over. Every
-// delivery to a PE that may sleep must call it, in p's own execution context
-// (a remote operation's apply is one); it does nothing unless p is in a
-// counted sleep.
+// Notify tells the engine that something that happened to p becomes visible
+// to its polls at instant at and not before: a message that takes until then
+// to arrive, a word p reads at that poll, a claim of its request word. A poll
+// of p at the current instant may already have been passed over — whether it
+// has is a matter of proc ids the caller knows and the engine does not — so
+// at is later than now, or now for a caller that has checked. Every such
+// event for a PE that may sleep must call it, in p's own execution context (a
+// remote operation's apply is one); it does nothing unless p is in a counted
+// sleep, and reports whether p's wake is now queued for this event — false if
+// it was due at that poll or an earlier one already.
 //
 //uts:noalloc
-func (p *Proc) Notify(at time.Duration) {
-	if p.sleepD != 0 {
-		p.d.wake(p, int64(at))
-	}
+func (p *Proc) Notify(at time.Duration) bool {
+	return p.sleepD != 0 && p.d.wake(p, int64(at))
 }
+
+// Counts reports whether the engine that owns p takes StepSleep's permission.
+// A host whose sleep needs bookkeeping of its own — a registry of sleepers
+// that writers walk — asks before it keeps any: under the legacy reference
+// and under shards every poll is stepped and the bookkeeping would be waste.
+//
+//uts:noalloc
+func (p *Proc) Counts() bool { return p.d.sh == nil && !p.sim.legacy }
 
 // CountedPolls returns, once, how many polls the engine counted without
 // calling the step during the sleep that just ended: k−1 when the step
@@ -791,13 +812,14 @@ func (h *flatHeap) siftUp(i int, e ev) {
 }
 
 // moveEarlier is decrease-key by scan: the queued event of p, which must
-// have one, moves to the earlier instant t.
+// have one, moves to the earlier instant t. The scan starts at the leaves: a
+// wake that has to move was queued far ahead.
 //
 //uts:noalloc
 func (h *flatHeap) moveEarlier(p *Proc, t int64) {
-	i := 0
+	i := len(h.a) - 1
 	for h.a[i].p != p {
-		i++
+		i--
 	}
 	e := h.a[i]
 	e.t = t

@@ -30,16 +30,43 @@ type upcRun struct {
 	// a zero-length advance — the shared-memory family's accounting, pinned
 	// by the golden fingerprints.
 	freeAnnounce bool
+
+	// words[i] is PE i's work-available word — what thieves probe — as its
+	// latest store left it, side by side because a searcher reads them all;
+	// dozing is the searching PEs in a counted sleep, the ones a word that
+	// turns positive has to reach; wakes counts what ended those sleeps
+	// (doze.go).
+	words  []availWrite
+	dozing []*upcPE
+	wakes  *Wakes
+}
+
+// newUPCRun is the run state of cfg.PEs PEs, every word at 0: working,
+// without surplus.
+func newUPCRun(cfg Config, cs costs, wakes *Wakes) upcRun {
+	u := upcRun{cfg: cfg, cs: cs, upc: make([]*upcPE, cfg.PEs), words: make([]availWrite, cfg.PEs), wakes: wakes}
+	for i := range u.words {
+		u.words[i].t = -1 // before every read
+	}
+	return u
 }
 
 // upcPE is one PE of a UPC family: the shell, the pool of stealable chunks
 // and the counter thieves probe for it.
 type upcPE struct {
 	simPE
-	u         *upcRun
-	pool      stack.Pool
-	workAvail int
+	u    *upcRun
+	pool stack.Pool
+
+	// hist is what the PE's word (upcRun.words, stored through setAvail
+	// alone) held before, doze the PE's own sleep over the words of others
+	// (doze.go).
+	hist []availWrite
+	doze
 }
+
+// avail is the PE's work-available word as it stands.
+func (pe *upcPE) avail() int { return int(pe.u.words[pe.me].v) }
 
 // Remote operations common to the UPC families (see remote.go); a
 // family's own start at opUPCEnd.
@@ -64,7 +91,7 @@ const (
 func (u *upcRun) apply(dst int, op uint8, _, _ int64, _ []stack.Chunk) int64 {
 	switch op {
 	case opReadAvail:
-		return int64(u.upc[dst].workAvail)
+		return int64(u.words[dst].v)
 	case opReadAnnounced:
 		if u.sbAnnounced {
 			return 1
@@ -135,7 +162,7 @@ func (pe *upcPE) Leave() bool {
 func upcSampler(pes []*upcPE) sampler {
 	return func() (sources int) {
 		for _, pe := range pes {
-			if pe.workAvail > 0 {
+			if pe.avail() > 0 {
 				sources++
 			}
 		}

@@ -12,9 +12,12 @@
 # untraced, the workload's own <layer>.trace_overhead_pct traced), then per
 # metric the median of the pair ratios change/parent and how many pairs
 # read higher, lower and equal. It judges nothing — which direction is
-# better, and by how much, is BENCHMARK.json's to say — and records
-# nothing: each run's full output stays under .bench_build/ab/ until the
-# next `make ab` of the same workload and mode overwrites it.
+# better, and by how much, is BENCHMARK.json's to say. What it prints it also
+# writes to results/ab/PR<n>-WORKLOAD[-trace].txt, the file a CHANGES.md entry
+# points at instead of pasting the pairs; n is one past the last "- PR n:"
+# entry of CHANGES.md, or $PR. Each run's full output stays under
+# .bench_build/ab/ until the next `make ab` of the same workload and mode
+# overwrites it.
 set -eu
 
 usage() {
@@ -40,9 +43,12 @@ if [ -z "$metrics" ]; then
 fi
 
 out="$here/.bench_build/ab"
-mkdir -p "$out"
+mkdir -p "$out" "$here/results/ab"
 stem="$out/$workload.trace$trace"
 : >"$stem.pairs"
+pr=${PR:-$(($(sed -n 's/^- PR \([0-9]*\):.*/\1/p' "$here/CHANGES.md" | tail -n 1) + 1))}
+record="$here/results/ab/PR$pr-$workload.txt"
+[ "$trace" = 0 ] || record="${record%.txt}-trace.txt"
 
 # run SIDE DIR SEED: one benchmark run, full output kept in $stem.SIDE.SEED.
 run() {
@@ -60,6 +66,7 @@ failed() {
 	sed -n 's/^{"attempted":\([0-9]*\),.*"failed":\([0-9]*\),.*/\2\/\1/p' "$1"
 }
 
+{
 echo "ab: $workload trace=$trace seconds=$seconds pairs=$pairs parent=$parent change=$here"
 printf '%-28s %4s %14s %14s %9s\n' metric seed parent change ratio
 seed=1
@@ -94,3 +101,4 @@ for m in $metrics; do
 	awk -v m="$m" '$1 == m { if ($4 + 0 > $3 + 0) hi++; else if ($4 + 0 < $3 + 0) lo++; else eq++ }
 		END { printf " change higher in %d, lower in %d, equal in %d\n", hi, lo, eq }' "$stem.pairs"
 done
+} | tee "$record"
