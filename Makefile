@@ -36,9 +36,9 @@ lint: bin/uts-vet
 
 # Seeded-corpus fuzz smoke: the -fault mini-language parser, arbitrary
 # bytes on a served cluster connection (no panic, no wedged engine, request
-# word and handoff ledger intact), both spawn kernels against crypto/sha1
-# (the SHA-NI leg self-skips without it), and the ALFG spawns against the
-# register loop that defines them.
+# word and handoff ledger intact), the three spawn kernels against crypto/sha1
+# (the SHA-NI and AVX-512 legs self-skip without the CPU), and the ALFG
+# spawns against the register loop that defines them.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime=10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzServeConn -fuzztime=10s ./internal/cluster/

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/cliflags"
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/uts"
 )
 
@@ -84,6 +85,7 @@ func main() {
 		fmt.Print(res.Summary())
 		if *verbose {
 			fmt.Print(res.PerThreadTable())
+			fmt.Printf("# BRG spawn kernel: %s\n", rng.KernelName()) // a rate is a statement about it
 		}
 		err = f.Finish(os.Stdout, tracer)
 	}

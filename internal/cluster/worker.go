@@ -81,7 +81,7 @@ func (w *clusterWorker) Work() {
 	n := w.n
 	sinceYield := 0
 	for {
-		if sinceYield++; sinceYield >= core.YieldEvery {
+		if sinceYield >= core.YieldEvery {
 			sinceYield = 0
 			w.reclaim() // one atomic load while the handoff table is empty
 			w.FlushNodes()
@@ -95,7 +95,8 @@ func (w *clusterWorker) Work() {
 				return
 			}
 		}
-		if !w.Visit() {
+		visited := w.Visit(core.YieldEvery - sinceYield)
+		if visited == 0 {
 			c, ok := w.pool.TakeNewest()
 			if !ok {
 				w.FlushNodes()
@@ -106,6 +107,7 @@ func (w *clusterWorker) Work() {
 			w.Reacquired(c)
 			continue
 		}
+		sinceYield += visited
 		if w.Local.Len() >= 2*w.k {
 			w.pool.Put(w.Release(w.k))
 			n.workAvail.Store(int32(w.pool.Len()))

@@ -262,18 +262,20 @@ func RunCtx(ctx context.Context, sp *uts.Spec, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// YieldEvery is the number of nodes a wall-clock worker — a thread of this
-// package or the cluster's rank worker — explores between cooperative
-// scheduler yields, the one cadence at which it also flushes its live node
-// count, feeds its controller, checks for an abandoned run and, on the
-// cluster, sweeps its handoff table. In the paper every UPC thread owns a
-// dedicated processor; when goroutine-threads outnumber cores, a working
-// thread that never yields would starve searching threads and serialize the
-// whole run. 256 nodes are about 13 µs of SHA-1 work: with threads ≤ cores
-// the yield finds an empty run queue and costs the 1/256th of a node that
-// is left of it; with more threads than cores each of them waits at most
-// (threads/cores − 1) × 13 µs for its turn — a time slice a thousand times
-// shorter than the OS's, and still shorter than one steal round trip.
+// YieldEvery is the number of nodes — counted in nodes, however many a
+// Visit takes — a wall-clock worker, a thread of this package or the
+// cluster's rank worker, explores between cooperative scheduler yields, the
+// one cadence at which it also flushes its live node count, feeds its
+// controller, checks for an abandoned run and, on the cluster, sweeps its
+// handoff table. In the paper every UPC thread owns a dedicated processor;
+// when goroutine-threads outnumber cores, a working thread that never yields
+// would starve searching threads and serialize the whole run. 256 nodes are
+// about 13 µs of SHA-1 work (5 µs where the sixteen-lane kernel runs): with
+// threads ≤ cores the yield finds an empty run queue and costs the 1/256th
+// of a node that is left of it; with more threads than cores each of them
+// waits at most (threads/cores − 1) × 13 µs for its turn — a time slice a
+// thousand times shorter than the OS's, and still shorter than one steal
+// round trip.
 const YieldEvery = 256
 
 // ProbeOrder is a small per-thread xorshift64* generator for pseudo-random

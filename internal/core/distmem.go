@@ -103,7 +103,7 @@ func (w *distWorker) Work() {
 	s := w.stack()
 	sinceYield := 0
 	for {
-		if sinceYield++; sinceYield >= YieldEvery {
+		if sinceYield >= YieldEvery {
 			sinceYield = 0
 			w.FlushNodes()
 			w.NoteCtl(w.Now())
@@ -116,7 +116,8 @@ func (w *distWorker) Work() {
 		if s.request.Load() != noThief {
 			w.Service()
 		}
-		if !w.Visit() {
+		n := w.Visit(YieldEvery - sinceYield)
+		if n == 0 {
 			// Reacquire from the thread's own pool: owner-only, no lock.
 			c, ok := s.pool.TakeNewest()
 			if !ok {
@@ -128,6 +129,7 @@ func (w *distWorker) Work() {
 			w.Reacquired(c)
 			continue
 		}
+		sinceYield += n
 		if w.Local.Len() >= 2*k {
 			s.pool.Put(w.Release(k))
 			s.workAvail.Store(int32(s.pool.Len()))

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/rng"
 	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/uts"
@@ -34,11 +35,13 @@ type refPE struct {
 	ex    *uts.Expander
 }
 
-func (r *refPE) visit() bool {
+// visit notes the node it pops in seen.
+func (r *refPE) visit(seen map[visitKey]bool) bool {
 	n, ok := r.Local.Pop()
 	if !ok {
 		return false
 	}
+	seen[visitKey{n.State, n.Height}] = true
 	r.T.Nodes++
 	if n.NumKids == 0 {
 		r.T.Leaves++
@@ -49,12 +52,22 @@ func (r *refPE) visit() bool {
 	return true
 }
 
+// visitKey is what identifies a node of a tree: no two nodes share a state.
+type visitKey struct {
+	State  rng.State
+	Height int32
+}
+
 // TestVisitDifferential drives a PE and the reference through one seeded
-// sequence of visits, releases and reacquires: the same counters and depth
+// sequence of visits, releases and reacquires. One node a visit — strict
+// depth-first order, what the simulator runs: the same counters and depth
 // after every step, the same nodes in every released chunk, and at the end
-// the sequential traversal's counts.
+// the sequential traversal's counts. Then the same sequence with room for a
+// frontier in every visit, what a wall-clock worker gives it (the frontier
+// leg below).
 func TestVisitDifferential(t *testing.T) {
 	for _, sp := range kernelSpecs() {
+		tree := map[visitKey]bool{} // every node the strict order visits
 		for seed := int64(1); seed <= 3; seed++ {
 			rnd := rand.New(rand.NewSource(seed))
 			var th stats.Thread
@@ -81,7 +94,7 @@ func TestVisitDifferential(t *testing.T) {
 					pe.Reacquired(g)
 					ref.Local.PushAll(w)
 				default:
-					if pe.Visit() != ref.visit() {
+					if (pe.Visit(1) == 1) != ref.visit(tree) {
 						t.Fatalf("%s seed %d step %d: Visit and the reference disagree on an empty stack", sp.Name, seed, step)
 					}
 				}
@@ -95,7 +108,77 @@ func TestVisitDifferential(t *testing.T) {
 			if c := uts.SearchSequential(sp); th.Nodes != c.Nodes || th.Leaves != c.Leaves {
 				t.Errorf("%s seed %d: %d nodes / %d leaves, sequential %d / %d", sp.Name, seed, th.Nodes, th.Leaves, c.Nodes, c.Leaves)
 			}
+			visitFrontiers(t, sp, seed, tree)
 		}
+	}
+}
+
+// visitFrontiers is the frontier leg of TestVisitDifferential. The only
+// freedom a visit has is how many of the top nodes it takes, and it reports
+// that; so a model stack follows the PE — the top n nodes visited, their
+// children in their place, the lowest's first — and every released chunk
+// must be the model's oldest nodes. On top of that: no node is visited
+// twice, a released chunk holds only unvisited nodes (so nothing was popped
+// from under the live ones), the visited set is the strict order's, and the
+// end counts are the sequential traversal's.
+func visitFrontiers(t *testing.T, sp *uts.Spec, seed int64, tree map[visitKey]bool) {
+	rnd := rand.New(rand.NewSource(seed))
+	var th stats.Thread
+	pe := NewPE(sp, &th, nil, nil)
+	ex := uts.NewExpander(sp)
+	pe.Local.Push(uts.Root(sp))
+	model := []uts.Node{uts.Root(sp)}
+	visited := map[visitKey]bool{}
+	var pool stack.Pool
+	widest := 0
+	for step := 0; pe.Local.Len() > 0 || pool.Len() > 0; step++ {
+		switch op := rnd.Intn(8); {
+		case op == 0 && pe.Local.Len() >= 2:
+			k := 1 + rnd.Intn(pe.Local.Len()-1)
+			c := pe.Release(k)
+			for i := range c {
+				if c[i] != model[i] {
+					t.Fatalf("%s seed %d step %d: released node %d of %d is not the model's", sp.Name, seed, step, i, k)
+				}
+				if visited[visitKey{c[i].State, c[i].Height}] {
+					t.Fatalf("%s seed %d step %d: a released chunk holds a visited node", sp.Name, seed, step)
+				}
+			}
+			model = model[k:]
+			pool.Put(append(stack.Chunk(nil), c...)) // the PE recycles c's buffer
+		case op == 1 && pool.Len() > 0 || pe.Local.Len() == 0:
+			c, _ := pool.TakeNewest()
+			model = append(model, c...)
+			pe.Reacquired(c)
+		default:
+			most := 1 + rnd.Intn(uts.FrontierScan+8)
+			n := pe.Visit(most)
+			if n < 1 || n > most || n > len(model) {
+				t.Fatalf("%s seed %d step %d: visited %d of %d nodes, given %d", sp.Name, seed, step, n, len(model), most)
+			}
+			widest = max(widest, n)
+			popped := append([]uts.Node(nil), model[len(model)-n:]...)
+			model = model[:len(model)-n]
+			for i := range popped {
+				key := visitKey{popped[i].State, popped[i].Height}
+				if visited[key] || !tree[key] {
+					t.Fatalf("%s seed %d step %d: visited a node twice, or one the strict order never visits", sp.Name, seed, step)
+				}
+				visited[key] = true
+				model = append(model, ex.Children(&popped[i])...)
+			}
+		}
+		if pe.Local.Len() != len(model) || th.Nodes != int64(len(visited)) {
+			t.Fatalf("%s seed %d step %d: depth %d, %d nodes counted; the model holds %d, %d visited", sp.Name, seed, step,
+				pe.Local.Len(), th.Nodes, len(model), len(visited))
+		}
+	}
+	if c := uts.SearchSequential(sp); th.Nodes != c.Nodes || th.Leaves != c.Leaves || len(visited) != len(tree) {
+		t.Errorf("%s seed %d: %d nodes / %d leaves by frontiers, sequential %d / %d, strict order %d", sp.Name, seed,
+			th.Nodes, th.Leaves, c.Nodes, c.Leaves, len(tree))
+	}
+	if _, brg := sp.Stream().(rng.BRG); brg && sp.Granularity <= 1 && rng.Lanes() == rng.MaxLanes && widest < 2 {
+		t.Errorf("%s seed %d: no visit took more than one node on a CPU with the sixteen-lane kernel", sp.Name, seed)
 	}
 }
 
@@ -163,7 +246,7 @@ func TestReleaseRecycling(t *testing.T) {
 				}
 				pool[i].Put(pe[i].Release(k))
 			case pe[i].Local.Len() > 0:
-				pe[i].Visit()
+				pe[i].Visit(1 + rnd.Intn(uts.FrontierScan))
 			case pool[i].Len() > 0:
 				c, _ := pool[i].TakeNewest()
 				pe[i].Reacquired(c)

@@ -29,13 +29,20 @@ func runMPIWS(sp *uts.Spec, opt Options, res *Result) error {
 	return nil
 }
 
+// transport is what a rank needs of msg.Comm; the scripted rank test puts a
+// counting one in its place.
+type transport interface {
+	Send(from, to int, m msg.Message)
+	Recv(me int) (msg.Message, bool)
+}
+
 // mpiWorker is one rank's execution state: MsgRank's host on the wall
 // clock.
 type mpiWorker struct {
 	WallPE
 	rank  MsgRank
 	abort *atomic.Bool
-	comm  *msg.Comm
+	comm  transport
 	me    int
 	poll  int // the fixed poll interval (PE.Poll adapts it)
 }
@@ -54,12 +61,18 @@ func (w *mpiWorker) Stopped() bool             { return w.abort.Load() }
 func (w *mpiWorker) Work() (time.Duration, bool) {
 	poll := w.Poll(w.poll)
 	since, sinceYield := 0, 0
-	for !w.rank.Terminated() && w.Visit() {
-		if since++; since >= poll {
+	for !w.rank.Terminated() {
+		// What is left of the interval is the most the visit may take: the
+		// paper's tuning parameter counts nodes, however many a call visits.
+		n := w.Visit(poll - since)
+		if n == 0 {
+			break
+		}
+		if since += n; since >= poll {
 			since = 0
 			w.drain()
 		}
-		if sinceYield++; sinceYield >= YieldEvery {
+		if sinceYield += n; sinceYield >= YieldEvery {
 			sinceYield = 0
 			w.FlushNodes()
 			w.NoteCtl(w.Now())

@@ -123,7 +123,7 @@ func (w *sharedWorker) Work() {
 	k := w.Chunk(w.run.opt.Chunk)
 	sinceYield := 0
 	for {
-		if sinceYield++; sinceYield >= YieldEvery {
+		if sinceYield >= YieldEvery {
 			sinceYield = 0
 			w.FlushNodes()
 			w.NoteCtl(w.Now())
@@ -133,7 +133,8 @@ func (w *sharedWorker) Work() {
 			}
 			runtime.Gosched()
 		}
-		if !w.Visit() {
+		n := w.Visit(YieldEvery - sinceYield)
+		if n == 0 {
 			if !w.reacquire() {
 				w.FlushNodes()
 				if w.run.variant.StreamTerm {
@@ -143,6 +144,7 @@ func (w *sharedWorker) Work() {
 			}
 			continue
 		}
+		sinceYield += n
 		// Release surplus once the local region has a comfortable depth
 		// (at least 2k, per Section 3.1).
 		if w.Local.Len() >= 2*k {

@@ -66,23 +66,27 @@ func NewPE(sp *uts.Spec, t *stats.Thread, lane *obs.Lane, ctl *policy.Controller
 	return PE{T: t, Lane: lane, Ctl: ctl, sp: sp, st: sp.Stream()}
 }
 
-// Visit is the node kernel: pop the newest local node, count it, expand its
-// children in place on the stack (stack.Deque.PopExpand — the sequential
-// loop's one write per child, and its price). It reports false, touching
-// nothing, when the local stack is empty.
+// Visit is the node kernel: visit at most most nodes from the top of the
+// local stack, count them, and leave their children in their place on the
+// stack (stack.Deque.PopExpand — the sequential loop's one write per child,
+// and its price). It returns how many it visited, 0 and nothing touched when
+// the local stack is empty. most is the order: 1 is strict depth-first, one
+// node a call, which is what a virtual-time schedule is defined over and all
+// the simulator ever passes; a wall-clock worker passes how many nodes it
+// may explore before its next poll or yield, and where the CPU has the
+// sixteen-lane spawn kernel gets a frontier of the top nodes visited in one
+// call.
 //
 //uts:noalloc
-func (pe *PE) Visit() bool {
-	kids, ok := pe.Local.PopExpand(pe.sp, pe.st)
-	if !ok {
-		return false
+func (pe *PE) Visit(most int) int {
+	nodes, leaves := pe.Local.PopExpand(pe.sp, pe.st, most)
+	if nodes == 0 {
+		return 0
 	}
-	pe.T.Nodes++
-	if kids == 0 {
-		pe.T.Leaves++
-	}
+	pe.T.Nodes += int64(nodes)
+	pe.T.Leaves += int64(leaves)
 	pe.T.NoteDepth(pe.Local.Len())
-	return true
+	return nodes
 }
 
 // FlushNodes publishes node progress to the lane's live counter — one

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
 
+	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/pgas"
 	"repro/internal/policy"
@@ -13,12 +15,24 @@ import (
 	"repro/internal/uts"
 )
 
-// traverse drives a shell through a whole tree the way every work loop
-// does, flushing every flushEvery nodes, and returns the node count.
-func traverse(pe *PE, sp *uts.Spec, flushEvery int) int64 {
+// traverse drives a shell through a whole tree the way a wall-clock work
+// loop does — a visit may take what is left until the next flush — flushing
+// every flushEvery nodes, and returns the node count. strict holds every
+// visit to one node, the simulator's order.
+func traverse(pe *PE, sp *uts.Spec, flushEvery int, strict bool) int64 {
 	pe.Local.Push(uts.Root(sp))
-	for i := 1; pe.Visit(); i++ {
-		if i%flushEvery == 0 {
+	since := 0
+	for {
+		most := flushEvery - since
+		if strict {
+			most = 1
+		}
+		n := pe.Visit(most)
+		if n == 0 {
+			break
+		}
+		if since += n; since >= flushEvery {
+			since = 0
 			pe.FlushNodes()
 		}
 	}
@@ -38,7 +52,7 @@ func TestShellNilHooksAreNoOps(t *testing.T) {
 	pe.StealBegin(2)
 	pe.Stolen = 9
 	pe.StealEnd(true, 3)
-	traverse(&pe, sp, 64)
+	traverse(&pe, sp, 64, false)
 	pe.NoteCtl(4)
 	if th.Nodes != want.Nodes || th.Leaves != want.Leaves {
 		t.Errorf("shell traversal counted %d nodes / %d leaves, sequential %d / %d", th.Nodes, th.Leaves, want.Nodes, want.Leaves)
@@ -49,7 +63,7 @@ func TestShellNilHooksAreNoOps(t *testing.T) {
 	if got := pe.Chunk(16); got != 16 {
 		t.Errorf("Chunk(16) = %d without a controller", got)
 	}
-	if pe.Visit() {
+	if pe.Visit(1) != 0 || pe.Visit(YieldEvery) != 0 {
 		t.Error("Visit reported a node on an empty stack")
 	}
 	if th.Nodes != want.Nodes {
@@ -71,7 +85,7 @@ func TestShellFlushPublishesEachNodeOnce(t *testing.T) {
 		lane := obs.New(1, 0).Lane(0)
 		var th stats.Thread
 		pe := NewPE(sp, &th, lane, nil)
-		n := traverse(&pe, sp, every)
+		n := traverse(&pe, sp, every, every == 7)
 		if got := lane.LiveNodes(); got != n {
 			t.Errorf("flush every %d: lane counted %d nodes, thread %d", every, got, n)
 		}
@@ -101,14 +115,16 @@ func TestShellHotPathAllocatesNothing(t *testing.T) {
 	set := policy.NewSet(&policy.Config{Window: time.Hour}, policy.Base{Chunk: 16}, 2)
 	var th stats.Thread
 	pe := NewPE(sp, &th, lane, set.Controller(1))
-	traverse(&pe, sp, 64) // grow the stack and scratch buffers once
+	traverse(&pe, sp, 64, false) // grow the stack once
 	root := uts.Root(sp)
-	if n := testing.AllocsPerRun(2000, func() {
-		if !pe.Visit() {
-			pe.Local.Push(root)
+	for _, most := range []int{1, YieldEvery} {
+		if n := testing.AllocsPerRun(2000, func() {
+			if pe.Visit(most) == 0 {
+				pe.Local.Push(root)
+			}
+		}); n != 0 {
+			t.Errorf("Visit(%d): %v allocs/op", most, n)
 		}
-	}); n != 0 {
-		t.Errorf("Visit: %v allocs/op", n)
 	}
 	if n := testing.AllocsPerRun(2000, func() {
 		pe.T.Nodes++
@@ -186,8 +202,10 @@ var ledgerShapes = []uts.Spec{
 }
 
 // BenchmarkVisit is the traversal layer's number: ns per node through the
-// shell's node kernel, one PE, no scheduler around it, and beside it
-// (-seq) the sequential loop's on the same tree. Their ratio is what the
+// shell's node kernel, one PE, no scheduler around it — with a yield
+// interval's room a visit, what a wall-clock worker gives it, and (-strict)
+// one node a visit, what the simulator gives it — and beside it (-seq) the
+// sequential loop's on the same tree. The first over the last is what the
 // parallel node kernel costs over the sequential one (DESIGN.md §7).
 func BenchmarkVisit(b *testing.B) {
 	perNode := func(b *testing.B, nodes int64) {
@@ -195,14 +213,20 @@ func BenchmarkVisit(b *testing.B) {
 	}
 	for i := range ledgerShapes {
 		sp := &ledgerShapes[i]
-		b.Run(sp.Name, func(b *testing.B) {
-			var th stats.Thread
-			pe := NewPE(sp, &th, nil, nil)
-			for i := 0; i < b.N; i++ {
-				traverse(&pe, sp, YieldEvery)
+		for _, strict := range []bool{false, true} {
+			name := sp.Name
+			if strict {
+				name += "-strict"
 			}
-			perNode(b, th.Nodes)
-		})
+			b.Run(name, func(b *testing.B) {
+				var th stats.Thread
+				pe := NewPE(sp, &th, nil, nil)
+				for i := 0; i < b.N; i++ {
+					traverse(&pe, sp, YieldEvery, strict)
+				}
+				perNode(b, th.Nodes)
+			})
+		}
 		b.Run(sp.Name+"-seq", func(b *testing.B) {
 			var nodes int64
 			for i := 0; i < b.N; i++ {
@@ -210,5 +234,62 @@ func BenchmarkVisit(b *testing.B) {
 			}
 			perNode(b, nodes)
 		})
+	}
+}
+
+// pollCounter is a rank's transport that notes, at every Recv, how many
+// nodes the rank has explored since the last one and how far its live
+// counter — flushed at every yield — lags behind.
+type pollCounter struct {
+	*msg.Comm
+	w               *mpiWorker
+	atLastRecv      int64
+	recvs           int
+	maxPoll, maxLag int64
+}
+
+func (c *pollCounter) Recv(me int) (msg.Message, bool) {
+	nodes := c.w.T.Nodes
+	c.recvs++
+	c.maxPoll = max(c.maxPoll, nodes-c.atLastRecv)
+	c.maxLag = max(c.maxLag, nodes-c.w.Lane.LiveNodes())
+	c.atLastRecv = nodes
+	return c.Comm.Recv(me)
+}
+
+// TestWallClockCadencesCountNodes: a visit may take many nodes, and the two
+// cadences of a wall-clock worker are defined in nodes — mpi-ws polls its
+// queue every PollInterval of them (the paper's tuning parameter), every
+// worker yields, flushes and checks for an abandoned run every YieldEvery.
+// A lone mpi-ws rank runs a whole tree over a counting transport: never more
+// than the interval between two Recv calls, never more than YieldEvery plus
+// one frontier unflushed.
+func TestWallClockCadencesCountNodes(t *testing.T) {
+	sp := &uts.BenchSmall
+	for _, poll := range []int{1, 8, 100} {
+		comm, err := msg.NewComm(1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var th stats.Thread
+		var abort atomic.Bool
+		count := &pollCounter{Comm: comm}
+		w := &mpiWorker{WallPE: WallPE{PE: NewPE(sp, &th, obs.New(1, 0).Lane(0), nil)}, abort: &abort, comm: count, poll: poll}
+		count.w = w
+		w.rank = MsgRank{H: w, PE: &w.PE, Rng: NewProbeOrder(1, 0), N: 1, Chunk: 16}
+		w.Local.Push(uts.Root(sp))
+		w.Start()
+		w.Drive(w.rank.Start())
+		w.Stop()
+		if want := uts.SearchSequential(sp); th.Nodes != want.Nodes || th.Leaves != want.Leaves {
+			t.Fatalf("poll %d: %d nodes / %d leaves, sequential %d / %d", poll, th.Nodes, th.Leaves, want.Nodes, want.Leaves)
+		}
+		if count.maxPoll > int64(poll) || int64(count.recvs) < th.Nodes/int64(poll) {
+			t.Errorf("poll interval %d: %d nodes between two polls at most, %d polls over %d nodes", poll, count.maxPoll, count.recvs, th.Nodes)
+		}
+		if count.maxLag > YieldEvery+uts.FrontierScan || count.maxLag < min(int64(poll), YieldEvery)/2 {
+			t.Errorf("poll interval %d: %d nodes unflushed at most, want at most YieldEvery %d + one frontier %d (and a yield cadence at all)",
+				poll, count.maxLag, YieldEvery, uts.FrontierScan)
+		}
 	}
 }

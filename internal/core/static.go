@@ -34,8 +34,12 @@ func runStatic(sp *uts.Spec, opt Options, res *Result) error {
 			w.Local.Push(kids[i])
 		}
 		sinceYield := 0
-		for w.Visit() {
-			if sinceYield++; sinceYield >= YieldEvery {
+		for {
+			n := w.Visit(YieldEvery - sinceYield)
+			if n == 0 {
+				break
+			}
+			if sinceYield += n; sinceYield >= YieldEvery {
 				sinceYield = 0
 				w.FlushNodes()
 				if opt.abort.Load() {

@@ -121,7 +121,7 @@ func (pe *simDistPE) Work() {
 			pe.Reacquired(c)
 		}
 		for {
-			if !pe.Visit() {
+			if pe.Visit(1) == 0 {
 				drained = true
 				d := time.Duration(pending) * cs.nodeCost
 				pending = 0

@@ -186,7 +186,7 @@ func (pe *simMPIPE) Work() (time.Duration, bool) {
 	case wExplore:
 		pe.atPoll = false
 		pending := 0
-		for !rank.Terminated() && pe.Visit() {
+		for !rank.Terminated() && pe.Visit(1) == 1 {
 			pending++
 			if pending >= pe.poll {
 				pe.atPoll = true

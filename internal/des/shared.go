@@ -97,7 +97,7 @@ func (pe *simSharedPE) Work() {
 	thresholdHit := false
 	step := func() (time.Duration, uint8) {
 		for {
-			if !pe.Visit() {
+			if pe.Visit(1) == 0 {
 				d := time.Duration(pending) * cs.nodeCost
 				pending = 0
 				pe.FlushNodes()

@@ -55,7 +55,7 @@ func (pe *simStaticPE) run() {
 	pending := 0
 	pe.p.AdvanceStepped(func() (time.Duration, uint8) {
 		for {
-			if !pe.Visit() {
+			if pe.Visit(1) == 0 {
 				d := time.Duration(pending) * pe.cs.nodeCost
 				pending = 0
 				pe.FlushNodes()

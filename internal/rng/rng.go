@@ -14,8 +14,9 @@
 //     extreme, position-independent imbalance. The hash is crypto/sha1's
 //     function; spawns compute it with a kernel specialized to the fixed
 //     24-byte message — SHA-NI, two sibling lanes per call, where the CPU
-//     has it, unrolled Go elsewhere (KernelName says which) — and the
-//     tests pin both to crypto/sha1.
+//     has it, unrolled Go elsewhere, and sixteen lanes of AVX-512 for the
+//     spawns a traversal can batch (KernelName says which) — and the
+//     tests pin all three to crypto/sha1.
 //   - ALFG: an additive lagged-Fibonacci generator, no SHA-1 involved;
 //     what the simulator's large runs and the benchmark's sim_* trees use.
 //     A child's value is the word x[50] of x[n] = x[n−17] + x[n−6] over a

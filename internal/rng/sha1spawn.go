@@ -3,6 +3,7 @@ package rng
 import (
 	"encoding/binary"
 	"math/bits"
+	"unsafe"
 )
 
 // This file is the portable spawn kernel: SHA-1 specialized for the one
@@ -24,9 +25,12 @@ import (
 //
 // On amd64 CPUs with the SHA extensions the same Spawner methods run the
 // two-lane kernel of sha1spawn_amd64.s instead (useNI, decided once from
-// CPUID — there is no knob); this Go kernel is then the fallback for every
-// other machine and the second oracle of the differential tests, which pin
-// both kernels bit-for-bit to crypto/sha1 (refSpawn in sha1spawn_test.go).
+// CPUID — there is no knob), and where there is AVX-512 the spawns that
+// come sixteen at a time run the multi-buffer kernel of
+// sha1spawn16_amd64.s (use16, decided the same way); this Go kernel is then
+// the fallback for every other machine and the third oracle of the
+// differential tests, which pin all three kernels bit-for-bit to
+// crypto/sha1 (refSpawn in sha1spawn_test.go).
 
 // SHA-1 initial chaining value and the round constant of rounds 0..19
 // (FIPS 180-1 §7); the later round constants appear literally below.
@@ -40,14 +44,51 @@ const (
 	sha1K0 = 0x5a827999
 )
 
-// KernelName reports which spawn kernel this process runs: "sha-ni x2"
-// (SHA extensions, two sibling lanes per call) or "go-unrolled". A
-// sequential rate means nothing without it.
+// KernelName reports which spawn kernels this process runs: "sha-ni x2"
+// (SHA extensions, two sibling lanes per call) or "go-unrolled", behind
+// "avx512 x16 + " where spawns that come sixteen at a time have the
+// AVX-512 kernel. A sequential rate means nothing without it.
 func KernelName() string {
+	name := "go-unrolled"
 	if useNI {
-		return "sha-ni x2"
+		name = "sha-ni x2"
 	}
-	return "go-unrolled"
+	if use16 {
+		name = "avx512 x16 + " + name
+	}
+	return name
+}
+
+// MaxLanes is the width of the widest kernel, and MinLanes the fewest
+// spawns worth one call of it: a sixteen-lane call costs ≈170 ns whatever
+// it carries, a SHA-NI pair ≈62 ns, so from six lanes up the wide call is
+// the cheaper (DESIGN.md §7 has the measurement).
+const (
+	MaxLanes = 16
+	MinLanes = 6
+)
+
+// Lanes reports how many spawns one kernel call of this process computes
+// side by side: MaxLanes where the CPU has AVX-512 (SpawnLanes), else the 2
+// of SpawnPair. A traversal that can pick its order fills them.
+func Lanes() int {
+	if use16 {
+		return MaxLanes
+	}
+	return 2
+}
+
+// SpawnLanes is the sixteen-lane kernel with a lane being any (parent
+// state, child index) pair: for every j < n it writes child idx[j] of the
+// state at byte offset off[j] from src to the 20 bytes at dst + j*stride.
+// All parents are read before anything is stored, so destinations may
+// overlap the parents; lanes from n up are neither read nor written. It is
+// for callers that hold their states inside larger records (uts.Node) and
+// may be called only where Lanes reports MaxLanes, with 1 <= n <= MaxLanes.
+//
+//uts:noalloc
+func SpawnLanes(dst *State, stride uintptr, src *State, off, idx *[MaxLanes]uint32, n int) {
+	spawn16(dst, stride, src, off, idx, n)
 }
 
 // Spawner holds what the spawn kernel keeps per parent: a copy of the
@@ -109,12 +150,40 @@ func (z *Spawner) SpawnPair(dst0, dst1 *State, i int) {
 	z.SpawnInto(dst1, i+1)
 }
 
+// SpawnWide writes children base, base+1, … of the Reset parent to dst,
+// dst+stride, …, sixteen to a kernel call for as long as at least MinLanes
+// of the n remain, and returns how many it wrote: a multiple of sixteen or
+// n where the CPU has the kernel, 0 where it has not. The caller spawns the
+// rest in pairs.
+//
+//uts:noalloc
+func (z *Spawner) SpawnWide(dst *State, stride uintptr, n, base int) int {
+	if !use16 {
+		return 0
+	}
+	var off, idx [MaxLanes]uint32 // off stays zero: every lane's parent is z.parent
+	done := 0
+	for n-done >= MinLanes {
+		for l := range idx {
+			idx[l] = uint32(base + done + l)
+		}
+		lanes := min(n-done, MaxLanes)
+		spawn16((*State)(unsafe.Add(unsafe.Pointer(dst), uintptr(done)*stride)), stride, &z.parent, &off, &idx, lanes)
+		done += lanes
+	}
+	return done
+}
+
 // SpawnMany fills dst[j] with the state of child base+j of the Reset
-// parent: pairs, then the odd one out.
+// parent: sixteen at a time where the CPU can, then pairs, then the odd
+// one out.
 //
 //uts:noalloc
 func (z *Spawner) SpawnMany(dst []State, base int) {
 	j := 0
+	if len(dst) >= MinLanes {
+		j = z.SpawnWide(&dst[0], StateSize, len(dst), base)
+	}
 	for ; j+1 < len(dst); j += 2 {
 		z.SpawnPair(&dst[j], &dst[j+1], base+j)
 	}

@@ -3,6 +3,7 @@ package rng
 import (
 	"crypto/sha1"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -23,19 +24,15 @@ func refSpawn(s *State, i int) State {
 }
 
 // eachKernel runs check once per spawn kernel by setting the dispatch
-// variable for the duration of a subtest. The SHA-NI leg is skipped, with
-// the reason logged, where the CPU does not have it.
+// variables for the duration of a subtest. The SHA-NI and AVX-512 legs are
+// skipped, with the reason logged, where the CPU does not have them.
 func eachKernel(t *testing.T, check func(t *testing.T)) {
-	for _, ni := range []bool{true, false} {
-		name := "go-unrolled"
-		if ni {
-			name = "sha-ni"
-		}
-		t.Run(name, func(t *testing.T) {
-			if ni && !niAvailable {
-				t.Skip("CPUID reports no SHA/SSSE3/SSE4.1: the SHA-NI kernel cannot run on this host")
+	for _, k := range Kernels {
+		t.Run(k.String(), func(t *testing.T) {
+			if !k.Available() {
+				t.Skipf("CPUID reports no %v: that kernel cannot run on this host", k)
 			}
-			defer ForceKernel(ni)()
+			defer ForceKernel(k)()
 			check(t)
 		})
 	}
@@ -43,11 +40,12 @@ func eachKernel(t *testing.T, check func(t *testing.T)) {
 
 // checkSpawnKernels asserts every entry point of the active kernel against
 // refSpawn for one (parent, index) input: one lane, the pair, SpawnMany of
-// odd and even length, and the legal aliasings (dst == parent for all
-// three, dst0 == dst1 for the pair).
+// odd and even length on both sides of MinLanes and of sixteen, the legal
+// aliasings (dst == parent for all three, dst0 == dst1 for the pair), and
+// under the sixteen-lane kernel every lane count of it.
 func checkSpawnKernels(t *testing.T, s State, i int) {
 	t.Helper()
-	var want [5]State
+	var want [33]State
 	for j := range want {
 		want[j] = refSpawn(&s, i+j)
 	}
@@ -70,7 +68,7 @@ func checkSpawnKernels(t *testing.T, s State, i int) {
 	if got != want[1] {
 		t.Fatalf("SpawnPair(%x, %d) into one destination = %x, want child i+1 %x", s, i, got, want[1])
 	}
-	for _, n := range []int{4, 5} {
+	for _, n := range []int{4, 5, MinLanes, MaxLanes - 1, MaxLanes, MaxLanes + 1, 33} {
 		many := make([]State, n)
 		BRG{}.SpawnMany(many, &s, i)
 		for j := range many {
@@ -92,7 +90,10 @@ func checkSpawnKernels(t *testing.T, s State, i int) {
 	if many != [3]State{want[0], want[1], want[2]} {
 		t.Fatalf("SpawnMany(dst, &dst[0], %d) = %x, want %x", i, many, want[:3])
 	}
-	if niAvailable && useNI {
+	if use16 {
+		checkSpawnLanes(t, s, uint32(i))
+	}
+	if useNI {
 		alias, got1 = s, State{}
 		spawnPairNI(&alias, &got1, &alias, uint32(i))
 		if alias != want[0] || got1 != want[1] {
@@ -106,7 +107,86 @@ func checkSpawnKernels(t *testing.T, s State, i int) {
 	}
 }
 
-// FuzzSpawnKernels is the differential fuzz target of both kernels (make
+// checkSpawnLanes holds SpawnLanes to refSpawn at every lane count, with
+// lanes that mix four parents (s, two of its descendants, its complement)
+// and indices on both sides of i, through records of 20 and of 28 bytes.
+func checkSpawnLanes(t *testing.T, s State, i uint32) {
+	t.Helper()
+	parents := [4]State{s, refSpawn(&s, 1), refSpawn(&s, int(i)), s}
+	for b := range parents[3] {
+		parents[3][b] ^= 0xff
+	}
+	var off, idx [MaxLanes]uint32
+	for j := range off {
+		off[j] = uint32(j*7%len(parents)) * StateSize
+		idx[j] = i + uint32(j/2) - 3 // wraps through 0 and 2^32-1 at the boundary seeds
+	}
+	for _, stride := range []uintptr{StateSize, 28} {
+		for n := 1; n <= MaxLanes; n++ {
+			var dst [MaxLanes * 28]byte
+			SpawnLanes((*State)(dst[:]), stride, &parents[0], &off, &idx, n)
+			for j := 0; j < n; j++ {
+				got := State(dst[uintptr(j)*stride:])
+				if want := refSpawn(&parents[off[j]/StateSize], int(idx[j])); got != want {
+					t.Fatalf("SpawnLanes n=%d stride=%d lane %d (parent %d, index %d) = %x, want %x",
+						n, stride, j, off[j]/StateSize, idx[j], got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSpawnLanesInPlace is the layout the traversal uses: parents are
+// records on a stack, the children land from the lowest parent's slot up
+// and so on top of parents other lanes still have to read — and, with a
+// record wider than a state, between the states nothing is written.
+func TestSpawnLanesInPlace(t *testing.T) {
+	if !AVX512.Available() {
+		t.Skip("CPUID reports no avx512: the sixteen-lane kernel cannot run on this host")
+	}
+	const rec = 28
+	r := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 200; trial++ {
+		// np parents in the first np records, kids[p] children each, n lanes.
+		np := 1 + r.Intn(MaxLanes)
+		var buf, before [(MaxLanes + 1) * rec]byte
+		r.Read(buf[:])
+		before = buf
+		var off, idx [MaxLanes]uint32
+		var want [MaxLanes]State
+		n := 0
+		for p := 0; p < np && n < MaxLanes; p++ {
+			parent := State(before[p*rec:])
+			for c := 0; c < 1+r.Intn(3) && n < MaxLanes; c++ {
+				off[n], idx[n] = uint32(p*rec), uint32(c)
+				if r.Intn(8) == 0 {
+					idx[n] = 1<<32 - 1 - uint32(c)
+				}
+				want[n] = refSpawn(&parent, int(idx[n]))
+				n++
+			}
+		}
+		for j := n; j < MaxLanes; j++ { // what a masked lane must not follow
+			off[j], idx[j] = 1<<31-64, 0xdeadbeef
+		}
+		SpawnLanes((*State)(buf[:]), rec, (*State)(buf[:]), &off, &idx, n)
+		for j := 0; j < MaxLanes+1; j++ {
+			slot := buf[j*rec : (j+1)*rec]
+			if j < n && State(slot) != want[j] {
+				t.Fatalf("trial %d: %d parents, %d lanes: lane %d = %x, want %x", trial, np, n, j, slot[:StateSize], want[j])
+			}
+			keep := before[j*rec : (j+1)*rec]
+			if j < n {
+				slot, keep = slot[StateSize:], keep[StateSize:]
+			}
+			if string(slot) != string(keep) {
+				t.Fatalf("trial %d: %d lanes: record %d written outside a live lane's 20 bytes", trial, n, j)
+			}
+		}
+	}
+}
+
+// FuzzSpawnKernels is the differential fuzz target of all three kernels (make
 // fuzz-smoke). The seeded corpus is the states and indices where a
 // padding, carry or byte-order slip would hide from random inputs.
 func FuzzSpawnKernels(f *testing.F) {
@@ -180,15 +260,21 @@ func TestSpawnIntoMatchesSpawn(t *testing.T) {
 }
 
 // TestSpawnManyMatchesSpawn cross-checks the batched kernel against the
-// reference for every batch width up to MaxChildren, at both base 0 and a
-// granularity-style nonzero base.
+// reference for every batch width up to MaxChildren and for the root
+// fan-out of the full-scale trees, at both base 0 and a granularity-style
+// nonzero base.
 func TestSpawnManyMatchesSpawn(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		r := rand.New(rand.NewSource(13))
 		var s State
 		r.Read(s[:])
-		dst := make([]State, maxChildren)
+		const rootFan = 2000 // B0 of the full-scale trees: 125 sixteen-lane calls
+		dst := make([]State, rootFan)
+		widths := []int{rootFan}
 		for k := 1; k <= maxChildren; k++ {
+			widths = append(widths, k)
+		}
+		for _, k := range widths {
 			for _, base := range []int{0, 7 * k, 1 << 20} {
 				batch := dst[:k]
 				BRG{}.SpawnMany(batch, &s, base)
@@ -233,11 +319,11 @@ func TestSpawnerReuse(t *testing.T) {
 }
 
 // TestSpawnAllocatesNothing holds the Spawner entry points to zero heap
-// allocations under both kernels.
+// allocations under every kernel.
 func TestSpawnAllocatesNothing(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		s := BRG{}.Init(1)
-		var kids [3]State
+		var kids [MaxLanes + 3]State
 		if n := testing.AllocsPerRun(1000, func() {
 			var z Spawner
 			z.Reset(&s)
@@ -250,29 +336,36 @@ func TestSpawnAllocatesNothing(t *testing.T) {
 	})
 }
 
-// TestKernelName pins the two names the CLIs print.
+// TestKernelName pins the names the CLIs print.
 func TestKernelName(t *testing.T) {
-	want := map[bool]string{true: "sha-ni x2", false: "go-unrolled"}
+	narrow := map[bool]string{true: "sha-ni x2", false: "go-unrolled"}
 	eachKernel(t, func(t *testing.T) {
-		if got := KernelName(); got != want[useNI] {
-			t.Errorf("KernelName() = %q with useNI=%v, want %q", got, useNI, want[useNI])
+		want := narrow[useNI]
+		if use16 {
+			want = "avx512 x16 + " + want
+		}
+		if got := KernelName(); got != want {
+			t.Errorf("KernelName() = %q with useNI=%v use16=%v, want %q", got, useNI, use16, want)
 		}
 	})
 }
 
 // BenchmarkSpawn measures the spawn entry points under each kernel.
 // "one" is the one-shot value form, "into" removes the return copy, "pair"
-// is one binary expansion, "many" a full MaxChildren batch; "crypto-sha1"
+// is one binary expansion, "many" a full MaxChildren batch (the one entry
+// point the avx512 leg does not share with the narrow kernel under it);
+// "lanes16" and "lanes6" are SpawnLanes full and at its break-even;
+// "crypto-sha1"
 // is the stdlib on the same message, the reference the kernels are pinned
 // to. All report ns per spawned child.
 func BenchmarkSpawn(b *testing.B) {
 	s := BRG{}.Init(0)
-	for _, ni := range []bool{true, false} {
-		if ni && !niAvailable {
+	for _, k := range Kernels {
+		if !k.Available() {
 			continue
 		}
-		restore := ForceKernel(ni)
-		name := KernelName()
+		restore := ForceKernel(k)
+		name := k.String()
 		b.Run(name+"/one", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -303,6 +396,23 @@ func BenchmarkSpawn(b *testing.B) {
 				s = dst[i/maxChildren%maxChildren]
 			}
 		})
+		if k == AVX512 {
+			// Sixteen parents' pairs of children in place, the traversal's
+			// call; and the same call six lanes full, where it breaks even
+			// with three SpawnPairs.
+			for _, lanes := range []int{MaxLanes, MinLanes} {
+				b.Run(fmt.Sprintf("%s/lanes%d", name, lanes), func(b *testing.B) {
+					var rec [MaxLanes][28]byte
+					var off, idx [MaxLanes]uint32
+					for j := range off {
+						off[j], idx[j] = uint32(j/2*28), uint32(j&1)
+					}
+					for i := 0; i < b.N; i += lanes {
+						SpawnLanes((*State)(rec[0][:]), 28, (*State)(rec[0][:]), &off, &idx, lanes)
+					}
+				})
+			}
+		}
 		restore()
 	}
 	b.Run("crypto-sha1", func(b *testing.B) {

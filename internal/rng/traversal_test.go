@@ -37,46 +37,51 @@ func kernelTrees(short bool) []*uts.Spec {
 	return append(specs, &g2, &g3, &geo3, &wide)
 }
 
-// TestCountsIdenticalUnderBothKernels requires the same tree — nodes,
-// leaves, depth — from the sequential traversal whichever kernel spawns it.
-func TestCountsIdenticalUnderBothKernels(t *testing.T) {
-	if !rng.NIAvailable() {
-		t.Skip("CPUID reports no SHA/SSSE3/SSE4.1: only the portable kernel can run on this host")
-	}
+// TestCountsIdenticalUnderEveryKernel requires the same tree — nodes,
+// leaves, depth — from the sequential traversal whichever kernels spawn it,
+// and so whichever order they let it take: strict depth-first under the
+// narrow two, frontiers under the sixteen-lane one.
+func TestCountsIdenticalUnderEveryKernel(t *testing.T) {
 	for _, sp := range kernelTrees(testing.Short()) {
-		search := func(ni bool) uts.Count {
-			defer rng.ForceKernel(ni)()
+		var portable uts.Count
+		for _, k := range rng.Kernels {
+			if !k.Available() {
+				t.Logf("CPUID reports no %v: that kernel cannot run on this host", k)
+				continue
+			}
+			restore := rng.ForceKernel(k)
 			c := uts.SearchSequential(sp)
+			restore()
 			c.Elapsed = 0
-			return c
+			if k == rng.GoUnrolled {
+				portable = c
+			} else if c != portable {
+				t.Errorf("%s: %v %+v, go-unrolled %+v", sp.Name, k, c, portable)
+			}
 		}
-		ni, portable := search(true), search(false)
-		if ni != portable {
-			t.Errorf("%s: sha-ni %+v, go-unrolled %+v", sp.Name, ni, portable)
-		}
-		if ni.Nodes < 2 {
-			t.Errorf("%s: degenerate tree, %d nodes", sp.Name, ni.Nodes)
+		if portable.Nodes < 2 {
+			t.Errorf("%s: degenerate tree, %d nodes", sp.Name, portable.Nodes)
 		}
 	}
 }
 
 // TestChildrenAllocatesNothing holds a node expansion into a stack with
-// room to zero allocations under both kernels, at granularity 1 and 3, and
+// room to zero allocations under every kernel, at granularity 1 and 3, and
 // the same for the ALFG arm (which the kernel switch does not reach) — and
 // the same for the node kernel every scheduler runs, core.PE.Visit, which
-// expands in place on its own stack: zero once a first traversal has grown
-// it.
+// expands in place on its own stack, a frontier at a time where the kernel
+// is wide: zero once a first traversal has grown it.
 func TestChildrenAllocatesNothing(t *testing.T) {
 	g3, alfg, alfg3 := uts.BenchTiny, uts.BenchTiny, uts.BenchTiny
 	g3.Granularity = 3
 	alfg.Name, alfg.RNG = "bench-tiny+alfg", "ALFG"
 	alfg3.Name, alfg3.RNG, alfg3.Granularity = "bench-tiny+alfg-g3", "ALFG", 3
 	for _, sp := range []*uts.Spec{&uts.BenchTiny, &g3, &alfg, &alfg3} {
-		for _, ni := range []bool{true, false} {
-			if ni && !rng.NIAvailable() {
+		for _, k := range rng.Kernels {
+			if !k.Available() {
 				continue
 			}
-			restore := rng.ForceKernel(ni)
+			restore := rng.ForceKernel(k)
 			st := sp.Stream()
 			root := uts.Root(sp)
 			stack := make([]uts.Node, 0, 4*uts.MaxChildren)
@@ -89,14 +94,14 @@ func TestChildrenAllocatesNothing(t *testing.T) {
 			var th stats.Thread
 			pe := core.NewPE(sp, &th, nil, nil)
 			visit := func() {
-				if !pe.Visit() {
+				if pe.Visit(core.YieldEvery) == 0 {
 					pe.Local.Push(root)
 				}
 			}
 			for visit(); pe.Local.Len() > 0; visit() {
 			}
 			if n := testing.AllocsPerRun(2000, visit); n != 0 {
-				t.Errorf("%s, %s: PE.Visit allocates %v times per node, want 0", sp.Name, rng.KernelName(), n)
+				t.Errorf("%s, %s: PE.Visit allocates %v times per call, want 0", sp.Name, rng.KernelName(), n)
 			}
 			restore()
 		}
@@ -104,15 +109,15 @@ func TestChildrenAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkSequentialByKernel is the sequential traversal rate under each
-// kernel — the only place the portable kernel's rate can be read on a host
-// that has SHA-NI.
+// kernel — the only place the narrower kernels' rates can be read on a host
+// that has a wider one.
 func BenchmarkSequentialByKernel(b *testing.B) {
-	for _, ni := range []bool{true, false} {
-		if ni && !rng.NIAvailable() {
+	for _, k := range rng.Kernels {
+		if !k.Available() {
 			continue
 		}
-		restore := rng.ForceKernel(ni)
-		b.Run(rng.KernelName(), func(b *testing.B) {
+		restore := rng.ForceKernel(k)
+		b.Run(k.String(), func(b *testing.B) {
 			var nodes int64
 			for i := 0; i < b.N; i++ {
 				nodes += uts.SearchSequential(&uts.BenchSmall).Nodes

@@ -4,13 +4,16 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/uts"
 )
 
 // The in-place node kernel (Deque.PopExpand) against the composition it
 // replaced in the shell: Pop, Expander.Children into a scratch slice,
-// PushAll. Two deques are driven through one sequence of operations and
-// must hold the same nodes, bottom to top, after every one.
+// PushAll. At one node a call — strict depth-first order — two deques are
+// driven through one sequence of operations and must hold the same nodes,
+// bottom to top, after every one; with room for a frontier the visited nodes
+// and what replaces them are checked call by call (TestPopExpandFrontier).
 
 // kernelSpecs covers both built-in stream families at granularity 1 (the
 // pair walk) and 3 (pairs straddle children), a geometric tree (odd child
@@ -25,13 +28,16 @@ func kernelSpecs() []*uts.Spec {
 }
 
 // refVisit is the old node kernel on d.
-func refVisit(d *Deque, ex *uts.Expander) (kids int, ok bool) {
+func refVisit(d *Deque, ex *uts.Expander) (nodes, leaves int) {
 	n, ok := d.Pop()
 	if !ok {
-		return 0, false
+		return 0, 0
 	}
 	d.PushAll(ex.Children(&n))
-	return int(n.NumKids), true
+	if n.NumKids == 0 {
+		return 1, 1
+	}
+	return 1, 0
 }
 
 func live(d *Deque) []uts.Node { return d.buf[d.base:] }
@@ -73,12 +79,12 @@ func visitBoth(t *testing.T, got, want *Deque, sp *uts.Spec, ex *uts.Expander, s
 			seen.droppedBig++
 		}
 	}
-	gk, gok := got.PopExpand(sp, ex.Spec().Stream())
-	wk, wok := refVisit(want, ex)
-	if gk != wk || gok != wok {
-		t.Fatalf("PopExpand = (%d, %v), Pop+Children+PushAll = (%d, %v)", gk, gok, wk, wok)
+	gn, gl := got.PopExpand(sp, ex.Spec().Stream(), 1)
+	wn, wl := refVisit(want, ex)
+	if gn != wn || gl != wl {
+		t.Fatalf("PopExpand = (%d, %d), Pop+Children+PushAll = (%d, %d)", gn, gl, wn, wl)
 	}
-	return gok
+	return gn == 1
 }
 
 // TestPopExpandDifferential: seeded random sequences of visit, TakeBottom(k)
@@ -220,31 +226,107 @@ func TestPopExpandCorners(t *testing.T) {
 
 	t.Run("an empty stack is left alone", func(t *testing.T) {
 		var got Deque
-		if k, ok := got.PopExpand(sp, sp.Stream()); ok || k != 0 || got.buf != nil {
-			t.Errorf("PopExpand on an empty deque = (%d, %v), buf %v", k, ok, got.buf)
+		for _, most := range []int{1, uts.FrontierScan} {
+			if n, l := got.PopExpand(sp, sp.Stream(), most); n != 0 || l != 0 || got.buf != nil {
+				t.Errorf("PopExpand(most %d) on an empty deque = (%d, %d), buf %v", most, n, l, got.buf)
+			}
 		}
 	})
 }
 
-// TestPopExpandAllocatesNothing: in steady state — the backing array grown
-// once — a visit allocates nothing, whatever the family.
-func TestPopExpandAllocatesNothing(t *testing.T) {
+// TestPopExpandFrontier: given room for more than one node a call the
+// kernel may visit a frontier of the top nodes — the same tree in another
+// order. Through seeded visits of every width, releases and reacquires: a
+// call visits at most what it was given and never more than the live nodes,
+// no node twice; the nodes under the visited ones stay where they were
+// (nothing is popped below base, nothing below the frontier moves); the
+// visited nodes' children replace them, the lowest's first and the old
+// top's on top; a call takes the last live node only alone, and then the
+// deque has been reset under its children; and every node of the tree is
+// visited by the end. On a CPU without the sixteen-lane kernel every call
+// visits one node and this is the strict order's test again.
+func TestPopExpandFrontier(t *testing.T) {
+	widest := 0
 	for _, sp := range kernelSpecs() {
-		st := sp.Stream()
-		root := uts.Root(sp)
-		var d Deque
-		d.Push(root)
-		for {
-			if _, ok := d.PopExpand(sp, st); !ok {
-				break
+		for seed := int64(1); seed <= 2; seed++ {
+			rnd := rand.New(rand.NewSource(seed))
+			ex := uts.NewExpander(sp)
+			st := sp.Stream()
+			var d Deque
+			d.Push(ex.Root())
+			var held []Chunk
+			visited := map[uts.Node]bool{}
+			var leaves int64
+			for step := 0; d.Len() > 0 || len(held) > 0; step++ {
+				switch op := rnd.Intn(16); {
+				case op == 0 && d.Len() > 1:
+					held = append(held, d.TakeBottom(1+rnd.Intn(d.Len()-1)))
+				case op == 1 && len(held) > 0 || d.Len() == 0:
+					i := rnd.Intn(len(held))
+					d.PushAll(held[i])
+					held = append(held[:i], held[i+1:]...)
+				default:
+					most := 1 + rnd.Intn(uts.FrontierScan+8)
+					before := append([]uts.Node(nil), live(&d)...)
+					nodes, nleaves := d.PopExpand(sp, st, most)
+					if nodes < 1 || nodes > most || nodes > len(before) {
+						t.Fatalf("%s seed %d step %d: visited %d of %d live nodes, given %d", sp.Name, seed, step, nodes, len(before), most)
+					}
+					widest = max(widest, nodes)
+					kept, popped := before[:len(before)-nodes], before[len(before)-nodes:]
+					if len(kept) == 0 && (nodes > 1 || d.base != 0 || cap(d.buf) > 1<<16) {
+						t.Fatalf("%s seed %d step %d: the last live node went with %d others, base %d, cap %d: not the emptying pop's reset",
+							sp.Name, seed, step, nodes-1, d.base, cap(d.buf))
+					}
+					want := append([]uts.Node(nil), kept...)
+					for i := range popped {
+						if visited[popped[i]] {
+							t.Fatalf("%s seed %d step %d: a node visited twice", sp.Name, seed, step)
+						}
+						visited[popped[i]] = true
+						if popped[i].NumKids == 0 {
+							nleaves--
+							leaves++
+						}
+						want = append(want, ex.Children(&popped[i])...)
+					}
+					if nleaves != 0 || !sameNodes(live(&d), want) {
+						t.Fatalf("%s seed %d step %d: after visiting %d nodes the stack is not the kept nodes and the visited ones' children in order (leaf count off by %d)",
+							sp.Name, seed, step, nodes, nleaves)
+					}
+				}
+			}
+			if c := uts.SearchSequential(sp); int64(len(visited)) != c.Nodes || leaves != c.Leaves {
+				t.Errorf("%s seed %d: visited %d nodes / %d leaves, the tree has %d / %d", sp.Name, seed, len(visited), leaves, c.Nodes, c.Leaves)
 			}
 		}
-		if n := testing.AllocsPerRun(2000, func() {
-			if _, ok := d.PopExpand(sp, st); !ok {
-				d.Push(root)
+	}
+	if rng.Lanes() == rng.MaxLanes && widest < 2 {
+		t.Errorf("the widest visit took %d node on a CPU with the sixteen-lane kernel: no frontier was exercised", widest)
+	}
+}
+
+// TestPopExpandAllocatesNothing: in steady state — the backing array grown
+// once — a visit allocates nothing, whatever the family and the order.
+func TestPopExpandAllocatesNothing(t *testing.T) {
+	for _, sp := range kernelSpecs() {
+		for _, most := range []int{1, uts.FrontierScan} {
+			st := sp.Stream()
+			root := uts.Root(sp)
+			var d Deque
+			d.Push(root)
+			for {
+				if n, _ := d.PopExpand(sp, st, most); n == 0 {
+					break
+				}
 			}
-		}); n != 0 {
-			t.Errorf("%s: PopExpand allocates %v times per node", sp.Name, n)
+			if n := testing.AllocsPerRun(2000, func() {
+				if n, _ := d.PopExpand(sp, st, most); n == 0 {
+					d.Push(root)
+				}
+			}); n != 0 {
+				t.Errorf("%s, most %d: PopExpand allocates %v times per call", sp.Name, most, n)
+			}
 		}
 	}
 }

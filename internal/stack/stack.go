@@ -51,33 +51,44 @@ func (d *Deque) Pop() (uts.Node, bool) {
 	return n, true
 }
 
-// PopExpand is the node kernel of a depth-first traversal of sp: it pops
-// the top node and has uts.Children write that node's children, index
-// 0..k−1, straight onto the stack, so a child is written once, where the
-// next PopExpand reads it. It returns k and reports false, touching
-// nothing, on an empty stack. (Not the popped node: 28 bytes returned by
-// value are copied four times on the way to the caller, each copy reading
+// PopExpand is the node kernel of a depth-first traversal of sp on this
+// stack: it visits at most most nodes from the top and leaves their children
+// in their place, written once, where the next PopExpand reads them. It
+// returns how many nodes it visited and how many of them were leaves; 0 and
+// nothing touched on an empty stack. (Not the popped nodes: 28 bytes returned
+// by value are copied four times on the way to the caller, each copy reading
 // behind the narrower stores of the last — 17 % of a traversal, DESIGN.md
-// §7.) The stack ends with the contents Pop followed by
-// PushAll(children) would leave, whatever its capacity: a pop that empties
-// it resets it first, which drops the dead prefix and an oversized backing
+// §7.)
+//
+// With most = 1 it pops the top node and has uts.Children write that node's
+// children, index 0..k−1, straight onto the stack, which ends with the
+// contents Pop followed by PushAll(children) would leave, whatever its
+// capacity. With room for more, uts.Expand may visit a frontier of the top
+// nodes instead — the same nodes in another order — but the bottom-most
+// live node is only ever popped here, alone: the pop that empties the stack
+// resets it first, which drops the dead prefix and an oversized backing
 // array before the children land.
 //
 //uts:noalloc
-func (d *Deque) PopExpand(sp *uts.Spec, st rng.Stream) (kids int, ok bool) {
+func (d *Deque) PopExpand(sp *uts.Spec, st rng.Stream, most int) (nodes, leaves int) {
 	top := len(d.buf) - 1
+	if most > 1 && top > d.base {
+		d.buf, nodes, leaves, _ = uts.Expand(sp, st, d.buf, d.base+1, most)
+		return nodes, leaves
+	}
 	if top < d.base {
-		return 0, false
+		return 0, 0
 	}
 	n := d.buf[top] // a copy: child 0 lands in this slot
 	d.buf = d.buf[:top]
 	if top == d.base {
 		d.reset()
 	}
-	if n.NumKids != 0 {
-		d.buf = uts.Children(sp, st, &n, d.buf)
+	if n.NumKids == 0 {
+		return 1, 1
 	}
-	return int(n.NumKids), true
+	d.buf = uts.Children(sp, st, &n, d.buf)
+	return 1, 0
 }
 
 // TakeBottom removes the k oldest nodes and returns them in a fresh slice,

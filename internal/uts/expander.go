@@ -7,10 +7,10 @@ import "repro/internal/rng"
 // and owns a capacity-managed scratch buffer that Children calls reuse, so
 // a steady-state loop over it performs zero heap allocations. The
 // traversal loops of this repository do not go through it — the sequential
-// oracle and the schedulers' node kernel (stack.Deque.PopExpand) have
-// Children append straight onto their own DFS stack, one write per child —
-// and pay exactly the same per-node generation cost, which keeps the
-// Figure 3 comparison apples-to-apples.
+// oracle and the schedulers' node kernel (stack.Deque.PopExpand) both run
+// Expand, which writes children straight onto their own DFS stack, one
+// write per child — and pay exactly the same per-node generation cost,
+// which keeps the Figure 3 comparison apples-to-apples.
 //
 // An Expander is owned by a single goroutine; create one per worker.
 type Expander struct {

@@ -81,8 +81,13 @@ func Children(sp *Spec, st rng.Stream, n *Node, dst []Node) []Node {
 		z.Reset(&n.State)
 		if g == 1 {
 			// The common case, kept apart from the general walk below for
-			// its two idx/g divisions per pair (≈2 % of a traversal).
+			// its two idx/g divisions per pair (≈2 % of a traversal). A
+			// fan-out that fills lanes by itself — the root's B0 — goes
+			// sixteen to a call where the CPU can.
 			i := 0
+			if k >= rng.MinLanes {
+				i = z.SpawnWide(&kids[0].State, nodeStride, k, 0)
+			}
 			for ; i+1 < k; i += 2 {
 				z.SpawnPair(&kids[i].State, &kids[i+1].State, i)
 			}

@@ -28,7 +28,9 @@ func (c Count) Rate() float64 {
 // SearchSequential explores the whole tree depth-first on the calling
 // goroutine and returns the exact node count. It is the correctness oracle
 // and the denominator of every speedup number in this repository (the
-// paper's Section 4.1 sequential baseline).
+// paper's Section 4.1 sequential baseline), so it runs the node kernel the
+// wall-clock schedulers run, Expand with room to fill the spawn kernel's
+// lanes: a baseline left on the narrow kernel would flatter every speedup.
 func SearchSequential(sp *Spec) Count {
 	c, _ := SearchSequentialCtx(context.Background(), sp)
 	return c
@@ -68,18 +70,13 @@ func SearchSequentialCtx(ctx context.Context, sp *Spec) (Count, error) {
 	stack = append(stack, Root(sp))
 	sincePoll := 0
 	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		c.Nodes++
-		if n.Height > c.MaxDepth {
-			c.MaxDepth = n.Height
-		}
-		if n.NumKids == 0 {
-			c.Leaves++
-		} else {
-			stack = Children(sp, st, &n, stack)
-		}
-		if sincePoll++; sincePoll >= pollEvery {
+		var nodes, leaves int
+		var deepest int32
+		stack, nodes, leaves, deepest = Expand(sp, st, stack, 0, pollEvery-sincePoll)
+		c.Nodes += int64(nodes)
+		c.Leaves += int64(leaves)
+		c.MaxDepth = max(c.MaxDepth, deepest)
+		if sincePoll += nodes; sincePoll >= pollEvery {
 			sincePoll = 0
 			if err := ctx.Err(); err != nil {
 				c.Elapsed = time.Since(start)
@@ -108,12 +105,9 @@ func RootShares(sp *Spec) (shares []int64, total int64) {
 		var n int64
 		stack = append(stack[:0], kid)
 		for len(stack) > 0 {
-			nd := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			n++
-			if nd.NumKids != 0 {
-				stack = Children(sp, st, &nd, stack)
-			}
+			var nodes int
+			stack, nodes, _, _ = Expand(sp, st, stack, 0, FrontierScan)
+			n += int64(nodes)
 		}
 		shares = append(shares, n)
 		total += n
