@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race short bench-smoke gates ab cluster-stress experiments experiments-full clean lint lint-suppressions fuzz-smoke fingerprints
+.PHONY: all build test race short bench-smoke gates ab cluster-stress experiments experiments-full clean lint lint-suppressions shape fuzz-smoke fingerprints
 
 all: build test
 
@@ -20,7 +20,8 @@ bin/uts-vet: $(UTS_VET_SRCS)
 # go vet so test files are covered too, then the stale-suppression
 # audit, then staticcheck and govulncheck when the binaries are
 # installed (the CI lint job installs them; offline dev boxes may not).
-lint: bin/uts-vet
+# Before any of it, the structural rules (shape).
+lint: shape bin/uts-vet
 	$(GO) vet -vettool=bin/uts-vet ./...
 	./bin/uts-vet -unused-suppressions ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -33,6 +34,11 @@ lint: bin/uts-vet
 	else \
 		echo "lint: govulncheck not installed; skipping (CI runs it)"; \
 	fi
+
+# The structural rules — what exists once, and the greps that fail when a
+# second one grows back (scripts/shape.sh, one shell function per rule).
+shape:
+	@bash scripts/shape.sh
 
 # Seeded-corpus fuzz smoke: the -fault mini-language parser, arbitrary
 # bytes on a served cluster connection (no panic, no wedged engine, request

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/uts"
@@ -327,7 +328,7 @@ func TestFaultServiceWithdrawsOnDeadThief(t *testing.T) {
 		RPCTimeout: 100 * time.Millisecond, RPCRetries: -1,
 	})
 	n.addrs = []string{"", silentPeer(t)} // the thief accepts and stays silent
-	w := &clusterWorker{n: n, k: n.cfg.Chunk, me: 0}
+	w := &clusterWorker{n: n, me: 0}
 
 	work := make(stack.Chunk, 4)
 	for i := 0; i < 3; i++ {
@@ -359,7 +360,7 @@ func TestFaultServiceWithdrawsOnDeadThief(t *testing.T) {
 func reclaimNode(t *testing.T, thief int32) (*node, *clusterWorker, uint64) {
 	t.Helper()
 	n := testNode(t, Config{Rank: 0, Ranks: 3, Chunk: 4})
-	w := &clusterWorker{n: n, k: n.cfg.Chunk, me: 0}
+	w := &clusterWorker{n: n, me: 0}
 	h := n.handoff.reserve([]stack.Chunk{make(stack.Chunk, 4)}, thief)
 	return n, w, h
 }
@@ -406,6 +407,34 @@ func TestHandoffReclaimDeadThief(t *testing.T) {
 	}
 	if wa := n.workAvail.Load(); wa != 1 {
 		t.Errorf("workAvail = %d after reclaim, want 1 (reclaimed work must be stealable)", wa)
+	}
+}
+
+// TestWallClockCadencesClusterYield: the rank's own share of the yield edge
+// of core.WallPE.Working — sweep the handoff table, then look at the kill
+// flag, once per yield interval. A reservation stranded at a dead thief comes
+// home during Work and is explored with the rest; a killed rank leaves Work
+// within one interval, the sweep done first.
+func TestWallClockCadencesClusterYield(t *testing.T) {
+	for _, killed := range []bool{false, true} {
+		n, w, _ := reclaimNode(t, 2) // four nodes, leaves all, reserved for rank 2
+		n.markDead(2)
+		n.killed.Store(killed)
+		w.WallPE = core.WallPE{PE: core.NewPE(n.cfg.Spec, &n.t, nil, nil)}
+		w.Local.Push(uts.Root(n.cfg.Spec))
+		w.Work()
+		if n.handoff.Pending() != 0 {
+			t.Errorf("killed %v: the reservation was never swept", killed)
+		}
+		if !killed {
+			if want := uts.SearchSequential(n.cfg.Spec).Nodes + 4; w.err != nil || n.t.Nodes != want || w.pool.Len() != 0 {
+				t.Errorf("Work ended with %d nodes (want %d), %d chunks pooled, error %v", n.t.Nodes, want, w.pool.Len(), w.err)
+			}
+			continue
+		}
+		if !errors.Is(w.err, errKilled) || n.t.Nodes > core.YieldEvery+uts.FrontierScan {
+			t.Errorf("a killed rank left Work after %d nodes with error %v; want one yield interval at most and errKilled", n.t.Nodes, w.err)
+		}
 	}
 }
 

@@ -19,7 +19,6 @@ func (n *node) runWorker() error {
 		// This rank is one PE, so it owns the set's single controller.
 		WallPE: core.WallPE{PE: core.NewPE(n.cfg.Spec, &n.t, n.cfg.Tracer.Lane(n.cfg.Rank), n.pset.Controller(0))},
 		n:      n,
-		k:      n.cfg.Chunk,
 		me:     n.cfg.Rank,
 	}
 	w.Interrupt = func() bool {
@@ -41,17 +40,14 @@ func (n *node) runWorker() error {
 	return w.err
 }
 
-// clusterWorker is the per-process worker thread state, the machine's
-// Host (core.Host) over TCP. k is refreshed from the controller at the
-// yield cadence, never mid-release. The fault paths reach the machine
-// through the hooks every host has: a dead rank answers a probe "not a
-// worker", reserved work no thief fetched comes home through Settle, and
-// an error the run cannot survive (this rank killed, the coordinator
-// unreachable) is kept in err, which is what Stopped reports.
+// clusterWorker is the rank's worker thread, the machine's Host (core.Host)
+// over TCP. The fault paths reach the machine through the hooks every host
+// has: a dead rank answers a probe "not a worker", reserved work no thief
+// fetched comes home through Settle, and an error the run cannot survive
+// (this rank killed, the coordinator unreachable) is err, what Stopped reports.
 type clusterWorker struct {
 	core.WallPE
 	n    *node
-	k    int
 	me   int
 	pool stack.Pool
 	err  error
@@ -74,44 +70,32 @@ func (w *clusterWorker) failUnlessPeer(err error) {
 
 func (w *clusterWorker) Stopped() bool { return w.err != nil }
 
-// Work explores nodes until the local stack and the steal pool drain,
-// polling the request word (a local atomic) every node, and leaves the
-// work-available word saying the rank is out of work.
+// Work explores nodes until the local stack and the steal pool drain and
+// leaves the work-available word saying the rank is out of work. The kill
+// flag only ever ends a run, so it is read once a yield interval, not per visit.
 func (w *clusterWorker) Work() {
-	n := w.n
-	sinceYield := 0
 	for {
-		if sinceYield >= core.YieldEvery {
-			sinceYield = 0
+		switch w.Working(w.n.cfg.Chunk, &w.n.reqWord) {
+		case core.Yielded:
 			w.reclaim() // one atomic load while the handoff table is empty
-			w.FlushNodes()
-			w.NoteCtl(w.Now())
-			w.k = w.Chunk(w.k)
-			runtime.Gosched()
-		}
-		if n.reqWord.Load() >= 0 || n.killed.Load() {
-			if err := w.service(); err != nil {
-				w.fail(err)
+			fallthrough // service looks at the kill flag before the request word
+		case core.Pending:
+			if w.Service(); w.err != nil {
 				return
 			}
-		}
-		visited := w.Visit(core.YieldEvery - sinceYield)
-		if visited == 0 {
+		case core.Surplus:
+			w.pool.Put(w.Release(w.K()))
+			w.n.workAvail.Store(int32(w.pool.Len()))
+			w.Released(w.pool.Len())
+		case core.Drained:
 			c, ok := w.pool.TakeNewest()
 			if !ok {
 				w.FlushNodes()
-				n.workAvail.Store(-1)
+				w.n.workAvail.Store(-1)
 				return
 			}
-			n.workAvail.Store(int32(w.pool.Len()))
+			w.n.workAvail.Store(int32(w.pool.Len()))
 			w.Reacquired(c)
-			continue
-		}
-		sinceYield += visited
-		if w.Local.Len() >= 2*w.k {
-			w.pool.Put(w.Release(w.k))
-			n.workAvail.Store(int32(w.pool.Len()))
-			w.Released(w.pool.Len())
 		}
 	}
 }
@@ -283,8 +267,7 @@ func (w *clusterWorker) Steal(v int) bool {
 			amount, handle = a, h
 			break
 		}
-		if err := w.service(); err != nil {
-			w.fail(err)
+		if w.Service(); w.err != nil {
 			return false
 		}
 		if spins++; spins&0xff == 0 && time.Now().After(respDeadline) {

@@ -264,10 +264,8 @@ func RunCtx(ctx context.Context, sp *uts.Spec, opt Options) (*Result, error) {
 
 // YieldEvery is the number of nodes — counted in nodes, however many a
 // Visit takes — a wall-clock worker, a thread of this package or the
-// cluster's rank worker, explores between cooperative scheduler yields, the
-// one cadence at which it also flushes its live node count, feeds its
-// controller, checks for an abandoned run and, on the cluster, sweeps its
-// handoff table. In the paper every UPC thread owns a dedicated processor;
+// cluster's rank worker, explores between two cooperative scheduler yields
+// (WallPE.yield). In the paper every UPC thread owns a dedicated processor;
 // when goroutine-threads outnumber cores, a working thread that never yields
 // would starve searching threads and serialize the whole run. 256 nodes are
 // about 13 µs of SHA-1 work (5 µs where the sixteen-lane kernel runs): with

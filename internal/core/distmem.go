@@ -95,29 +95,19 @@ func (w *distWorker) stack() *privStack { return w.run.stacks[w.me] }
 func (w *distWorker) Stopped() bool { return w.run.opt.abort.Load() }
 
 // Work explores nodes until local stack and steal pool are both empty,
-// then tells probing threads so. The owner polls its request word every
-// iteration — a local read whose cost is negligible, which is the whole
-// point of the design: one load through a pointer held across the loop.
+// then tells probing threads so. Working polls the request word before every
+// visit — a local read whose cost is negligible, the point of the design.
 func (w *distWorker) Work() {
-	k := w.Chunk(w.run.opt.Chunk)
 	s := w.stack()
-	sinceYield := 0
 	for {
-		if sinceYield >= YieldEvery {
-			sinceYield = 0
-			w.FlushNodes()
-			w.NoteCtl(w.Now())
-			k = w.Chunk(w.run.opt.Chunk) // may have adapted at the window boundary
-			if w.run.opt.abort.Load() {
-				return
-			}
-			runtime.Gosched()
-		}
-		if s.request.Load() != noThief {
+		switch w.Working(w.run.opt.Chunk, &s.request) {
+		case Pending:
 			w.Service()
-		}
-		n := w.Visit(YieldEvery - sinceYield)
-		if n == 0 {
+		case Surplus:
+			s.pool.Put(w.Release(w.K()))
+			s.workAvail.Store(int32(s.pool.Len()))
+			w.Released(s.pool.Len())
+		case Drained:
 			// Reacquire from the thread's own pool: owner-only, no lock.
 			c, ok := s.pool.TakeNewest()
 			if !ok {
@@ -127,13 +117,10 @@ func (w *distWorker) Work() {
 			}
 			s.workAvail.Store(int32(s.pool.Len()))
 			w.Reacquired(c)
-			continue
-		}
-		sinceYield += n
-		if w.Local.Len() >= 2*k {
-			s.pool.Put(w.Release(k))
-			s.workAvail.Store(int32(s.pool.Len()))
-			w.Released(s.pool.Len())
+		case Yielded:
+			if w.run.opt.abort.Load() {
+				return
+			}
 		}
 	}
 }

@@ -80,7 +80,7 @@ func TestVisitDifferential(t *testing.T) {
 				switch op := rnd.Intn(8); {
 				case op == 0 && pe.Local.Len() >= 2:
 					k := 1 + rnd.Intn(pe.Local.Len()-1)
-					g, w := pe.Release(k), ref.Local.TakeBottom(k)
+					g, w := pe.Release(k), ref.Local.TakeBottomAppend(nil, k)
 					for i := range w {
 						if g[i] != w[i] {
 							t.Fatalf("%s seed %d step %d: released node %d of %d differs", sp.Name, seed, step, i, k)

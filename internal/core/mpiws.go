@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -59,28 +58,22 @@ func (w *mpiWorker) Stopped() bool             { return w.abort.Load() }
 // — the cost/latency tradeoff the paper's Section 3.2 highlights. On the
 // wall clock the whole exploration is one quantum.
 func (w *mpiWorker) Work() (time.Duration, bool) {
-	poll := w.Poll(w.poll)
-	since, sinceYield := 0, 0
+	poll, since := w.Poll(w.poll), 0
 	for !w.rank.Terminated() {
 		// What is left of the interval is the most the visit may take: the
 		// paper's tuning parameter counts nodes, however many a call visits.
-		n := w.Visit(poll - since)
-		if n == 0 {
+		n, yielded := w.Explore(poll - since)
+		if yielded {
+			if w.abort.Load() {
+				return 0, true
+			}
+			poll = w.Poll(w.poll) // may have adapted at the window boundary
+		} else if n == 0 {
 			break
 		}
 		if since += n; since >= poll {
 			since = 0
 			w.drain()
-		}
-		if sinceYield += n; sinceYield >= YieldEvery {
-			sinceYield = 0
-			w.FlushNodes()
-			w.NoteCtl(w.Now())
-			poll = w.Poll(w.poll) // may have adapted at the window boundary
-			if w.abort.Load() {
-				return 0, true
-			}
-			runtime.Gosched()
 		}
 	}
 	w.FlushNodes()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -120,21 +119,11 @@ func (w *sharedWorker) Service() {}
 // shared region are empty ("Working" in Figure 1), then — under
 // streamlined termination — tells probing threads so.
 func (w *sharedWorker) Work() {
-	k := w.Chunk(w.run.opt.Chunk)
-	sinceYield := 0
 	for {
-		if sinceYield >= YieldEvery {
-			sinceYield = 0
-			w.FlushNodes()
-			w.NoteCtl(w.Now())
-			k = w.Chunk(w.run.opt.Chunk) // may have adapted at the window boundary
-			if w.run.opt.abort.Load() {
-				return
-			}
-			runtime.Gosched()
-		}
-		n := w.Visit(YieldEvery - sinceYield)
-		if n == 0 {
+		switch w.Working(w.run.opt.Chunk, nil) {
+		case Surplus:
+			w.release(w.K())
+		case Drained:
 			if !w.reacquire() {
 				w.FlushNodes()
 				if w.run.variant.StreamTerm {
@@ -142,13 +131,10 @@ func (w *sharedWorker) Work() {
 				}
 				return
 			}
-			continue
-		}
-		sinceYield += n
-		// Release surplus once the local region has a comfortable depth
-		// (at least 2k, per Section 3.1).
-		if w.Local.Len() >= 2*k {
-			w.release(k)
+		case Yielded:
+			if w.run.opt.abort.Load() {
+				return
+			}
 		}
 	}
 }

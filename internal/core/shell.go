@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -261,7 +262,10 @@ type WallPE struct {
 	// header): the workers that embed this can be allocated next to each
 	// other, and without it the fields one reads per node at its tail share
 	// a line with the ones its neighbour writes per node (DESIGN.md §18).
-	_ [cacheLine]byte
+	// The work loop's two words end it, so that the workers keep their sizes,
+	// whole lines (TestStackStructsPadded).
+	_             [cacheLine - 16]byte
+	sinceYield, k int // nodes explored since the last yield; the k in effect (K)
 
 	PE
 
@@ -322,6 +326,68 @@ func (w *WallPE) EndSteal(ok bool, back stats.State) {
 	w.StealEnd(ok, w.Now())
 	w.SetState(back)
 }
+
+// yield ends a yield interval — flush, controller, Gosched: the one place that order is written.
+func (w *WallPE) yield() {
+	w.sinceYield = 0
+	w.FlushNodes()
+	w.NoteCtl(w.Now())
+	runtime.Gosched()
+}
+
+// Explore is Visit on the yield cadence, the work loop of a scheduler that
+// releases nothing (mpi-ws, static): at most most nodes and no more than are
+// left of the interval (0, false: an empty stack), or a yield, and says so.
+func (w *WallPE) Explore(most int) (n int, yielded bool) {
+	if w.sinceYield >= YieldEvery {
+		w.yield()
+		return 0, true
+	}
+	n = w.Visit(min(most, YieldEvery-w.sinceYield))
+	w.sinceYield += n
+	return n, false
+}
+
+// Edge is where Working stopped exploring.
+type Edge int
+
+const (
+	Drained Edge = iota // the local stack is empty: reacquire, or be out of work
+	Surplus             // Local.Len() >= 2*K(): release K() — the same K — nodes (Section 3.1)
+	Pending             // request holds a thief: answer it
+	Yielded             // a yield interval just ended: look at the abort flag
+)
+
+// Working is Figure 1's Working state of every UPC algorithm on the wall
+// clock, up to its next edge. request (−1 or a thief; nil for the
+// shared-memory family, whose thieves help themselves) is read before every
+// visit; fixedK is K without a controller. It returns at an edge instead of
+// calling a hook, so no call on the per-node path is dynamic (DESIGN.md §17).
+func (w *WallPE) Working(fixedK int, request *atomic.Int32) Edge {
+	if w.k == 0 {
+		w.k = w.Chunk(fixedK)
+	}
+	for {
+		if w.sinceYield >= YieldEvery {
+			w.yield()
+			w.k = w.Chunk(fixedK) // may have adapted at the window boundary
+			return Yielded
+		}
+		if request != nil && request.Load() >= 0 {
+			return Pending
+		}
+		n := w.Visit(YieldEvery - w.sinceYield)
+		if n == 0 {
+			return Drained
+		}
+		if w.sinceYield += n; w.Local.Len() >= 2*w.k {
+			return Surplus
+		}
+	}
+}
+
+// K is the release granularity in effect; it changes only across a yield.
+func (w *WallPE) K() int { return w.k }
 
 // Steps is the machine's engine on the wall clock, the synchronous
 // counterpart of the simulator's stepped advance: quanta run back to back

@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pgas"
 	"repro/internal/policy"
+	"repro/internal/rng"
 	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/uts"
@@ -185,6 +186,17 @@ func TestStackStructsPadded(t *testing.T) {
 	if off := unsafe.Offsetof(WallPE{}.PE); off < cacheLine {
 		t.Errorf("WallPE.PE starts at byte %d, less than a cache line (%d) into the worker", off, cacheLine)
 	}
+	// Go's allocator starts an object whose size class is a multiple of the
+	// line on a line (256, 320, 384 bytes) and every other one of the classes
+	// between (288, 416) in the middle of one. Workers 16 bytes larger than
+	// these read real_coarse 2 % lower in 9 of 10 pairs (272-byte distWorker)
+	// or, padded on to 320, real_fine's cpu_s_per_mnode 2.7 % higher in 10 of
+	// 10: the work loop's two words live in the leading pad.
+	for i, n := range []uintptr{unsafe.Sizeof(distWorker{}), unsafe.Sizeof(sharedWorker{}), unsafe.Sizeof(mpiWorker{})} {
+		if n%cacheLine != 0 {
+			t.Errorf("worker %d (dist, shared, mpi) is %d bytes, not a multiple of %d: WallPE has grown", i, n, cacheLine)
+		}
+	}
 	if n := unsafe.Sizeof(sharedStack{}); n%cacheLine != 0 {
 		t.Errorf("sharedStack is %d bytes, not a multiple of %d: adjust its pad", n, cacheLine)
 	}
@@ -257,15 +269,140 @@ func (c *pollCounter) Recv(me int) (msg.Message, bool) {
 	return c.Comm.Recv(me)
 }
 
-// TestWallClockCadencesCountNodes: a visit may take many nodes, and the two
-// cadences of a wall-clock worker are defined in nodes — mpi-ws polls its
-// queue every PollInterval of them (the paper's tuning parameter), every
-// worker yields, flushes and checks for an abandoned run every YieldEvery.
-// A lone mpi-ws rank runs a whole tree over a counting transport: never more
-// than the interval between two Recv calls, never more than YieldEvery plus
-// one frontier unflushed.
+// askingStream is BRG with a thief in it: every 50th spawn stores one into
+// word if the word is clear, and notes the node count at that moment — a
+// request that arrives in the middle of a visit.
+type askingStream struct {
+	rng.BRG
+	word   *atomic.Int32
+	nodes  *int64
+	spawns *int
+	asked  *int64
+}
+
+func (a askingStream) Spawn(s *rng.State, i int) rng.State {
+	if *a.spawns++; *a.spawns%50 == 0 && a.word.Load() < 0 {
+		*a.asked = *a.nodes
+		a.word.Store(1)
+	}
+	return a.BRG.Spawn(s, i)
+}
+
+// workingLeg runs a whole tree through WallPE.Working as a scripted UPC
+// family — a pool, a release granularity (fixedK, or ctl's), and with
+// thieves a request word — and holds every edge to the state it was
+// returned in. A thief is stored into the word at every third edge and, with
+// midVisit, by the stream in the middle of a visit.
+func workingLeg(t *testing.T, sp *uts.Spec, fixedK int, ctl *policy.Controller, thieves, midVisit bool) {
+	lane := obs.New(1, 0).Lane(0)
+	var th stats.Thread
+	w := WallPE{PE: NewPE(sp, &th, lane, ctl)}
+	var word *atomic.Int32 // nil: the shared-memory family
+	if thieves {
+		word = new(atomic.Int32)
+		word.Store(noThief)
+	}
+	spawns, asked := 0, int64(0) // asked: th.Nodes when the waiting thief was stored
+	late := int64(0)             // the most nodes a visit can count after its thief was stored
+	if midVisit {
+		w.st = askingStream{word: word, nodes: &th.Nodes, spawns: &spawns, asked: &asked}
+		late = 1 // a stream other than BRG is visited a node at a time
+	}
+	w.Local.Push(uts.Root(sp))
+	var pool stack.Pool
+	var atYield int64
+	yields, pendings, kChanges, lastK := 0, 0, 0, 0
+	for edges := 1; ; edges++ {
+		before, waiting := th.Nodes, thieves && word.Load() >= 0
+		e := w.Working(fixedK, word)
+		visited, depth, k := th.Nodes-before, w.Local.Len(), w.K()
+		if lag := th.Nodes - lane.LiveNodes(); lag > YieldEvery+uts.FrontierScan {
+			t.Fatalf("edge %d: the live counter is %d nodes behind", edges, lag)
+		}
+		if lastK == 0 {
+			lastK = k
+		}
+		if visited > 0 && (e == Surplus) != (depth >= 2*lastK) { // a yield's new k has judged no visit yet
+			t.Fatalf("edge %d is %d (Surplus is %d) after a visit that left %d nodes, k = %d", edges, e, Surplus, depth, lastK)
+		}
+		if k != lastK {
+			if kChanges++; e != Yielded {
+				t.Fatalf("edge %d: K went %d -> %d across edge %d, not a yield", edges, lastK, k, e)
+			}
+		}
+		if lastK = k; ctl == nil && k != fixedK || ctl != nil && e == Yielded && k != ctl.Chunk() {
+			t.Fatalf("edge %d: K() = %d", edges, k)
+		}
+		// A thief waiting when the call began is reported before any visit (a
+		// yield that is due comes first); one that arrived during a visit
+		// has seen that visit end, no more.
+		if waiting && (e != Pending && e != Yielded || visited != 0) || thieves && word.Load() >= 0 && th.Nodes-asked > late {
+			t.Fatalf("edge %d is %d (Pending is %d), %d nodes into the call, with a thief stored %d nodes ago (before the call: %v)",
+				edges, e, Pending, visited, th.Nodes-asked, waiting)
+		}
+		switch e {
+		case Pending:
+			if !thieves || word.Load() < 0 {
+				t.Fatalf("edge %d: Pending and nobody asked", edges)
+			}
+			pendings++
+			word.Store(noThief)
+		case Surplus:
+			pool.Put(w.Release(k))
+			w.Released(pool.Len())
+		case Drained:
+			if depth != 0 {
+				t.Fatalf("edge %d: Drained with %d nodes on the stack", edges, depth)
+			}
+			c, ok := pool.TakeNewest()
+			if !ok {
+				w.FlushNodes()
+				if want := uts.SearchSequential(sp); th.Nodes != want.Nodes || th.Leaves != want.Leaves {
+					t.Errorf("%d nodes / %d leaves, sequential %d / %d", th.Nodes, th.Leaves, want.Nodes, want.Leaves)
+				}
+				if int64(yields) < th.Nodes/(YieldEvery+uts.FrontierScan) || thieves && pendings < edges/4 || ctl != nil && kChanges == 0 {
+					t.Errorf("%d yields, %d Pending edges, %d changes of K over %d nodes and %d edges: the script checked nothing",
+						yields, pendings, kChanges, th.Nodes, edges)
+				}
+				return
+			}
+			w.Reacquired(c)
+		case Yielded:
+			if since := th.Nodes - atYield; since < YieldEvery || since > YieldEvery+uts.FrontierScan || lane.LiveNodes() != th.Nodes {
+				t.Fatalf("edge %d: a yield %d nodes after the last, %d of %d flushed", edges, since, lane.LiveNodes(), th.Nodes)
+			}
+			atYield = th.Nodes
+			yields++
+		}
+		if thieves && edges%3 == 0 && word.Load() < 0 {
+			asked = th.Nodes
+			word.Store(2)
+		}
+	}
+}
+
+// TestWallClockCadencesCountNodes: a visit may take many nodes, and the
+// cadences of a wall-clock worker are defined in nodes — every worker yields,
+// flushes and checks for an abandoned run every YieldEvery (WallPE.Explore), a
+// UPC worker looks at its request word before every visit and releases at 2k
+// (WallPE.Working, the Working loop of distmem, sharedmem and the cluster),
+// mpi-ws polls its queue every PollInterval (the paper's tuning parameter).
+// The UPC legs script a family around Working, see workingLeg. Then a lone
+// mpi-ws rank runs a whole tree over a counting transport: never more than
+// the interval between two Recv calls, never more than YieldEvery plus one
+// frontier unflushed.
 func TestWallClockCadencesCountNodes(t *testing.T) {
 	sp := &uts.BenchSmall
+	for _, k := range []int{1, 16} {
+		workingLeg(t, sp, k, nil, false, false)
+		workingLeg(t, sp, k, nil, true, false)
+		workingLeg(t, sp, k, nil, true, true)
+	}
+	// A controller whose every window closes at the next yield, started
+	// from a k no stack of this tree reaches twice: it adapts by itself.
+	set := policy.NewSet(&policy.Config{Window: 1}, policy.Base{Chunk: 64}, 1)
+	workingLeg(t, sp, 3, set.Controller(0), false, false)
+
 	for _, poll := range []int{1, 8, 100} {
 		comm, err := msg.NewComm(1, nil)
 		if err != nil {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"runtime"
+	"math"
 
 	"repro/internal/stats"
 	"repro/internal/uts"
@@ -33,19 +33,10 @@ func runStatic(sp *uts.Spec, opt Options, res *Result) error {
 		for i := me; i < len(kids); i += opt.Threads {
 			w.Local.Push(kids[i])
 		}
-		sinceYield := 0
 		for {
-			n := w.Visit(YieldEvery - sinceYield)
-			if n == 0 {
+			n, yielded := w.Explore(math.MaxInt) // no budget but the yield interval's
+			if yielded && opt.abort.Load() || !yielded && n == 0 {
 				break
-			}
-			if sinceYield += n; sinceYield >= YieldEvery {
-				sinceYield = 0
-				w.FlushNodes()
-				if opt.abort.Load() {
-					break
-				}
-				runtime.Gosched()
 			}
 		}
 		w.FlushNodes()

@@ -110,7 +110,7 @@ func TestPopExpandDifferential(t *testing.T) {
 					if k == got.Len() && k > 1 {
 						k--
 					}
-					held = append(held, [2]Chunk{got.TakeBottom(k), want.TakeBottom(k)})
+					held = append(held, [2]Chunk{got.TakeBottomAppend(nil, k), want.TakeBottomAppend(nil, k)})
 				case op == 1 && len(held) > 0 || got.Len() == 0:
 					i := rnd.Intn(len(held))
 					c := held[i]
@@ -162,7 +162,7 @@ func TestPopExpandCorners(t *testing.T) {
 		for _, d := range []*Deque{&got, &want} {
 			d.Push(interior)
 			d.Push(interior)
-			d.TakeBottom(1)
+			d.TakeBottomAppend(nil, 1)
 		}
 		if got.base != 1 || got.Len() != 1 {
 			t.Fatalf("base %d, Len %d: the set-up no longer leaves one node over a dead prefix", got.base, got.Len())
@@ -183,7 +183,7 @@ func TestPopExpandCorners(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				d.Push(interior)
 			}
-			d.TakeBottom(1)
+			d.TakeBottomAppend(nil, 1)
 		}
 		before := seen.grewWithPrefix
 		visitBoth(t, &got, &want, sp, ex, &seen)
@@ -207,8 +207,8 @@ func TestPopExpandCorners(t *testing.T) {
 		big[len(big)-1] = interior
 		got.PushAll(big)
 		want.PushAll(big)
-		got.TakeBottom(len(big) - 1) // compacts: one node, base 0, the big array kept
-		want.TakeBottom(len(big) - 1)
+		got.TakeBottomAppend(nil, len(big)-1) // compacts: one node, base 0, the big array kept
+		want.TakeBottomAppend(nil, len(big)-1)
 		if cap(got.buf) <= 1<<16 || got.Len() != 1 {
 			t.Fatalf("cap %d, Len %d: the set-up no longer holds one node in a big array", cap(got.buf), got.Len())
 		}
@@ -260,7 +260,7 @@ func TestPopExpandFrontier(t *testing.T) {
 			for step := 0; d.Len() > 0 || len(held) > 0; step++ {
 				switch op := rnd.Intn(16); {
 				case op == 0 && d.Len() > 1:
-					held = append(held, d.TakeBottom(1+rnd.Intn(d.Len()-1)))
+					held = append(held, d.TakeBottomAppend(nil, 1+rnd.Intn(d.Len()-1)))
 				case op == 1 && len(held) > 0 || d.Len() == 0:
 					i := rnd.Intn(len(held))
 					d.PushAll(held[i])

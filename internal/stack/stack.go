@@ -91,17 +91,12 @@ func (d *Deque) PopExpand(sp *uts.Spec, st rng.Stream, most int) (nodes, leaves 
 	return 1, 0
 }
 
-// TakeBottom removes the k oldest nodes and returns them in a fresh slice,
-// oldest first. It panics if k exceeds Len; callers check Len first.
-func (d *Deque) TakeBottom(k int) []uts.Node {
-	return d.TakeBottomAppend(make([]uts.Node, 0, k), k)
-}
-
-// TakeBottomAppend is TakeBottom appending into dst, so callers holding a
-// recycled buffer avoid the per-release allocation.
+// TakeBottomAppend removes the k oldest nodes and appends them to dst,
+// oldest first, so callers holding a recycled buffer avoid the per-release
+// allocation. It panics if k exceeds Len; callers check Len first.
 func (d *Deque) TakeBottomAppend(dst []uts.Node, k int) []uts.Node {
 	if k > d.Len() {
-		panic("stack: TakeBottom beyond length")
+		panic("stack: TakeBottomAppend beyond length")
 	}
 	dst = append(dst, d.buf[d.base:d.base+k]...)
 	d.base += k
@@ -112,7 +107,7 @@ func (d *Deque) TakeBottomAppend(dst []uts.Node, k int) []uts.Node {
 		// long-lived deque that releases steadily without ever draining
 		// keeps its footprint proportional to Len. The copy moves fewer
 		// elements than were removed since the last compaction, so the
-		// amortized cost per TakeBottom stays O(k).
+		// amortized cost per take stays O(k).
 		n := copy(d.buf, d.buf[d.base:])
 		d.buf = d.buf[:n]
 		d.base = 0

@@ -34,7 +34,7 @@ func TestDequeTakeBottomOrder(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		d.Push(mk(i))
 	}
-	got := d.TakeBottom(4)
+	got := d.TakeBottomAppend(nil, 4)
 	for i, n := range got {
 		if int(n.Height) != i {
 			t.Fatalf("TakeBottom[%d] = %d, want %d (oldest-first)", i, n.Height, i)
@@ -58,7 +58,7 @@ func TestDequeTakeBottomPanicsBeyondLen(t *testing.T) {
 			t.Error("TakeBottom(2) on len-1 deque should panic")
 		}
 	}()
-	d.TakeBottom(2)
+	d.TakeBottomAppend(nil, 2)
 }
 
 func TestDequePushAll(t *testing.T) {
@@ -82,7 +82,7 @@ func TestDequeCompaction(t *testing.T) {
 			next++
 		}
 		if d.Len() >= 6 {
-			got := d.TakeBottom(3)
+			got := d.TakeBottomAppend(nil, 3)
 			for i, n := range got {
 				if int(n.Height) != taken+i {
 					t.Fatalf("round %d: TakeBottom[%d] = %d, want %d", round, i, n.Height, taken+i)
@@ -139,7 +139,7 @@ func TestDequeModel(t *testing.T) {
 				if k == 0 || k > d.Len() {
 					continue
 				}
-				got := d.TakeBottom(k)
+				got := d.TakeBottomAppend(nil, k)
 				for i := 0; i < k; i++ {
 					if got[i] != model[i] {
 						return false
@@ -273,7 +273,7 @@ func BenchmarkDequePushPop(b *testing.B) {
 			d.Pop()
 		}
 		if d.Len() > 1024 {
-			d.TakeBottom(512)
+			d.TakeBottomAppend(nil, 512)
 		}
 	}
 }
@@ -323,7 +323,7 @@ func TestDequeBoundedFootprint(t *testing.T) {
 			d.Push(mk(next))
 			next++
 		}
-		d.TakeBottom(4)
+		d.TakeBottomAppend(nil, 4)
 		if c := cap(d.buf); c > 16*64 {
 			t.Fatalf("step %d: cap(buf) = %d for Len = %d; dead prefix not compacted", step, c, d.Len())
 		}

@@ -1,0 +1,124 @@
+#!/bin/bash
+# make shape: the structural rules of this repository, one function each —
+# the things that exist once, and the greps that fail when a second one
+# grows back. `make lint` runs them, CI runs `make shape`. Every rule runs
+# even after one has failed; a failure names the rule and the DESIGN.md
+# section that gives its reason.
+cd "$(dirname "$0")/.." || exit 2
+
+# One benchmark system: fails if the second one grows back. ISSUE.md is the
+# per-PR task text; `if`, because bash -e does not stop on a negated command.
+one_benchmark_system() {
+	if git grep -nE '[A-Z]+_BENCH_GATE' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then exit 1; fi
+	test ! -e bench_test.go
+	if go list ./... | grep -qx repro; then exit 1; fi
+}
+
+# One dispatcher: fails if the sharded engine's private event loop grows
+# back: a shard is internal/des's one dispatcher plus the cross-shard layer.
+one_dispatcher() {
+	if git grep -nE 'shHeap|sevLess|shardAdvance|shardContStep|runStagedSharded' -- internal/des; then exit 1; fi
+}
+
+# One doorway: fails if internal/cluster grows a second way to reach a peer:
+# gob is set up in one constructor (an encoder and a decoder: two lines at
+# most), callOnce has one caller (peerSet.exchange), and the only dials are
+# bootstrap's retrying one and the set's single attempt.
+one_doorway() {
+	src=$(ls internal/cluster/*.go | grep -v _test.go)
+	test "$(cat $src | grep -c 'gob\.New')" -le 2
+	test "$(cat $src | grep -c '\.callOnce(')" -le 1
+	test "$(cat $src | grep -cE 'net\.Dial(Timeout)?\(')" -le 2
+	test "$(cat internal/cluster/peers.go | grep -cE 'net\.Dial(Timeout)?\(')" -eq 2
+}
+
+# One clock: fails if an obs event grows a second timestamp back: the ring
+# slot is four words, ring.record makes six synchronizing stores (stamp,
+# three payload words, stamp, pos), the wall clock is read in one place
+# (Lane.Rec; RecV is handed its instant), and Event has no Wall/Virt pair and
+# no T() to pick between them.
+one_clock() {
+	src=$(ls internal/obs/*.go | grep -v _test.go)
+	grep -q 'slotWords = 4$' internal/obs/ring.go
+	test "$(cat $src | grep -c '\.wallNow(')" -eq 1
+	test "$(sed -n '/^func (l \*Lane) Rec(/,/^}/p' internal/obs/obs.go | grep -c '\.wallNow(')" -eq 1
+	test "$(sed -n '/^func (r \*ring) record(/,/^}/p' internal/obs/ring.go | grep -cE 'atomic\.StoreUint64\(|\.Store\(')" -eq 6
+	if sed -n '/^type Event struct/,/^}/p' internal/obs/obs.go | grep -wE 'Wall|Virt'; then exit 1; fi
+	if cat $src | grep -nE 'func \(e \*?Event\) T\(\)'; then exit 1; fi
+}
+
+# One rank loop: fails if the message-passing rank grows a blocking loop
+# back: its idle/handle/token logic is one step function (core.MsgRank) that
+# both hosts drive, MsgHost has no Wait, and between spawn and finish a
+# simulated rank never leaves the dispatcher — des/mpi.go advances nothing
+# itself, every quantum is returned from the step. The smoke is exact on any
+# host: an idle rank's unanswerable polls are counted, not run, so a 64-PE
+# run hands the baton to a goroutine twice per PE (128) where the blocking
+# loop needed 71,066 handoffs.
+one_rank_loop() {
+	if sed -n '/^type MsgHost interface/,/^}/p' internal/core/msgrank.go | grep -n 'Wait()'; then exit 1; fi
+	if grep -n 'h\.Wait(' internal/core/msgrank.go; then exit 1; fi
+	if grep -nE 'pe\.wait|\.Advance\(|\.advance\(|RemoteSend\(' internal/des/mpi.go; then exit 1; fi
+	go build -o bin/uts-sim ./cmd/uts-sim
+	out=$(bin/uts-sim -alg mpi-ws -tree bench-small -pes 64 -verbose)
+	echo "$out" | grep -q ' events=305696 '
+	h=$(echo "$out" | sed -n 's/^engine: .* handoffs=\([0-9]*\)$/\1/p')
+	test -n "$h"
+	test "$h" -lt 7100
+}
+
+# One node kernel: fails if a scheduler grows its own node kernel or its own
+# chunk buffers back: children are expanded in place on the DFS stack
+# (core.PE.Visit over stack.Deque.PopExpand), never into a scratch slice that
+# PushAll copies; the k oldest nodes leave the stack in one place
+# (core.PE.Release, which owns the recycled buffers); the wall-clock workers
+# share one yield cadence (core.YieldEvery). The frontier order has two doors
+# — core.PE.Visit (through PopExpand) and uts's own sequential loops — and
+# the simulator, whose virtual-time schedule is defined per node, only ever
+# asks for 1.
+one_node_kernel() {
+	src=$(git ls-files 'internal/**/*.go' | grep -v _test.go)
+	if grep -n 'uts\.Expand(' $(echo "$src" | grep -v '^internal/stack/stack.go$'); then exit 1; fi
+	if grep -n '\.PopExpand(' $(echo "$src" | grep -v '^internal/core/shell.go$'); then exit 1; fi
+	if grep -n 'SpawnLanes(' $(echo "$src" | grep -vE '^internal/(rng/sha1spawn|uts/expand)\.go$'); then exit 1; fi
+	if grep -n '\.Visit(' $(echo "$src" | grep '^internal/des/') | grep -v '\.Visit(1)'; then exit 1; fi
+	if grep -nE 'PushAll\(.*\.Children\(' $src; then exit 1; fi
+	if grep -n 'Local\.TakeBottom' $(echo "$src" | grep -v '^internal/core/shell.go$'); then exit 1; fi
+	if grep -n 'ClusterYieldEvery' $src; then exit 1; fi
+	if sed -n '/^type clusterWorker struct/,/^}/p' internal/cluster/worker.go | grep -nwE '^\s*free'; then exit 1; fi
+}
+
+# One work loop: fails if a wall-clock worker grows its own yield cadence or
+# its own Working loop back: the interval, its counter and the flush ->
+# controller -> Gosched order are core.WallPE's (Explore, Working, yield in
+# core/shell.go; the constant in core/core.go), and the Work of a UPC family
+# is a switch over Working's edges that neither yields nor counts.
+one_work_loop() {
+	src=$(git ls-files 'internal/core/*.go' 'internal/cluster/*.go' | grep -v _test.go)
+	if grep -n 'YieldEvery' $(echo "$src" | grep -vE '^internal/core/(core|shell)\.go$'); then exit 1; fi
+	for f in internal/core/distmem.go internal/core/sharedmem.go internal/cluster/worker.go; do
+		body=$(sed -n '/^func (w \*[a-zA-Z]*) Work() {/,/^}/p' $f)
+		echo "$body" | grep -q 'w\.Working('
+		if echo "$body" | grep -nE 'Gosched|sinceYield'; then echo "in $f"; exit 1; fi
+	done
+}
+
+failed=0
+# rule NAME SECTIONS FUNCTION: the function runs in a subshell under -e, as
+# each did as a CI step, so its first failing line fails the rule.
+rule() {
+	(set -e; "$3")
+	if [ $? -ne 0 ]; then
+		echo "shape: FAIL $1 — the lines above, if any, are the offenders; the reason is in DESIGN.md $2" >&2
+		failed=1
+	fi
+}
+rule "One benchmark system" "§18" one_benchmark_system
+rule "One dispatcher" "§9, §12" one_dispatcher
+rule "One doorway" "§10" one_doorway
+rule "One clock" "§8" one_clock
+rule "One rank loop" "§9, §17" one_rank_loop
+rule "One node kernel" "§7, §17" one_node_kernel
+rule "One work loop" "§17" one_work_loop
+[ $failed -eq 0 ] && echo "shape: 7 rules hold"
+exit $failed
