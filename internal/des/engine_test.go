@@ -214,7 +214,7 @@ var engines = []engineLeg{{EngineBatched, false, New}, {"legacy", true, newLegac
 
 // dispatchWorkload is pure dispatch: pes PEs each burn quanta interleaved
 // 1-4ns stepped quanta with no tree or protocol work, so every cost is heap
-// exchange, quantum accounting, and (legacy) a goroutine round trip per event.
+// exchange, quantum accounting, and (legacy) a coroutine round trip per event.
 func dispatchWorkload(sim *Sim, pes, quanta int) {
 	for i := 0; i < pes; i++ {
 		sim.Spawn(func(p *Proc) {
@@ -232,9 +232,9 @@ func dispatchWorkload(sim *Sim, pes, quanta int) {
 
 // TestEngineThroughputGate is the regression gate for the batched engine:
 // the pure-dispatch workload must sustain at least 4x the event rate of
-// the legacy reference. The measured ratio is ~10x; the 4x floor leaves
+// the legacy reference. The measured ratio is 7.6–10.6x; the 4x floor leaves
 // headroom for noisy CI runners while still catching any change that
-// reintroduces per-event goroutine switches or per-event allocation.
+// reintroduces per-event coroutine switches or per-event allocation.
 func TestEngineThroughputGate(t *testing.T) {
 	gate(t)
 	run := func(newSim func() *Sim) float64 {
@@ -267,7 +267,7 @@ func TestEngineThroughputGate(t *testing.T) {
 
 // TestEngineCountsPinned pins how the batched engine reaches its boundaries,
 // not just how many: events that went through the queue (Info.Pops; the
-// rest committed inline) and goroutine switches (Info.Handoffs), on pure
+// rest committed inline) and coroutine resumptions (Info.Handoffs), on pure
 // dispatch and on two rows of the differential matrix. The counts are exact
 // on any host, so an indirection added to the dispatcher shows here as an
 // integer where a timing would drown it; the pure-dispatch and upc-distmem
@@ -276,9 +276,9 @@ func TestEngineThroughputGate(t *testing.T) {
 // rank stopped being an event stream (DESIGN.md §9): its 14,315 events did
 // not move, but 8,408 of them are now polls counted at a wake instead of
 // popped (Pops 12,379 → 3,731), and the rank's whole body is one step
-// function inside the dispatcher, so a PE's goroutine is handed the baton to
-// start and to finish and never in between (Handoffs 2,632 → 32, two for
-// each of 16 PEs). The upc-distmem row was re-baselined once too, when a
+// function inside the dispatcher, so a PE is resumed to start and to finish
+// and never in between (Handoffs 2,632 → 32, two for each of 16 PEs). When a
+// PE became a coroutine rather than a goroutine, no count moved. The upc-distmem row was re-baselined once too, when a
 // searching PE stopped dispatching the probes no write can reach (DESIGN.md
 // §9, "A probe is a read of a word with a history"): its 2,976 events and
 // 441 handoffs did not move, 995 of the events are now probes counted at one
@@ -363,7 +363,7 @@ func BenchmarkSimDispatch(b *testing.B) {
 
 // benchSim simulates cfg b.N times. Every engine executes the identical
 // event sequence (the differentials prove it), so events/s isolates engine
-// overhead: heap handling, goroutine handoffs, allocation, shard sync.
+// overhead: heap handling, coroutine resumptions, allocation, shard sync.
 func benchSim(b *testing.B, sp *uts.Spec, cfg Config) {
 	b.ReportAllocs()
 	var events uint64

@@ -5,16 +5,19 @@ import (
 	"fmt"
 )
 
-// This file is the legacy reference engine: the original event loop that
-// wakes and parks each PE through a pair of unbuffered channels and keeps
-// the event queue in a boxed container/heap. It is retained verbatim (plus
-// the Events counter and the stepped-advance emulation) so the batched
+// This file is the legacy reference engine: the original event loop, which
+// resumes a PE once for every event and keeps the event queue in a boxed
+// container/heap — no inline commit, no parked slot, no counted sleep. The
+// PE tells it what it asked for through the value its coroutine yields: a
+// delay to be rescheduled after, or blocked. It exists so the batched
 // engine's schedule can be proven bit-identical against it — see the
 // differential tests in engine_test.go, which select it through newLegacy
 // and Config.reference. Nothing outside this package's tests can.
 
-// runLegacy is the legacy central loop: two channel rendezvous and one
-// goroutine switch per event.
+// blocked is the value a PE yields to wait for a Wake (Block).
+const blocked = -1
+
+// runLegacy is the legacy central loop: one coroutine resumption per event.
 func (s *Sim) runLegacy() error {
 	for s.lheap.Len() > 0 {
 		e := heap.Pop(&s.lheap).(ev)
@@ -23,15 +26,11 @@ func (s *Sim) runLegacy() error {
 		}
 		s.now = e.t
 		s.events++
-		e.p.wake <- struct{}{}
-		<-e.p.park
-		switch e.p.status {
-		case statusRunnable:
-			s.schedule(e.p, s.now+e.p.delay)
-		case statusBlocked:
-			// Another PE must Wake it later.
-		case statusFinished:
+		switch d, ok := e.p.next(); {
+		case !ok:
 			s.finished++
+		case d != blocked: // a blocked PE waits for another to Wake it
+			s.schedule(e.p, s.now+d)
 		}
 	}
 	if s.finished != s.nprocs {
@@ -39,22 +38,6 @@ func (s *Sim) runLegacy() error {
 			s.nprocs-s.finished, s.nprocs, s.Now())
 	}
 	return nil
-}
-
-// legacyAdvance is the original Advance: park, let the loop reschedule us
-// at now+d, resume when the event fires.
-func (p *Proc) legacyAdvance(d int64) {
-	p.status = statusRunnable
-	p.delay = d
-	p.park <- struct{}{}
-	<-p.wake
-}
-
-// legacyBlock is the original Block.
-func (p *Proc) legacyBlock() {
-	p.status = statusBlocked
-	p.park <- struct{}{}
-	<-p.wake
 }
 
 // legacyAdvanceStepped emulates the stepped-advance contract with one full
@@ -65,7 +48,7 @@ func (p *Proc) legacyAdvanceStepped(step Stepper) Intr {
 	for {
 		d, fl := step()
 		if d > 0 {
-			p.legacyAdvance(int64(d))
+			p.back(int64(d))
 		}
 		if p.nstag > 0 {
 			p.runStaged()

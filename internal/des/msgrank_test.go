@@ -165,7 +165,7 @@ func runSimMsgFake(t *testing.T, sc msgScript) []string {
 			t.Fatal(err)
 		}
 		if sim.handoffs > 2 {
-			t.Errorf("%d handoffs: a simulated rank needs its goroutine to start and to finish, never in between", sim.handoffs)
+			t.Errorf("%d resumptions: a simulated rank leaves the dispatcher to start and to finish, never in between", sim.handoffs)
 		}
 	})
 }

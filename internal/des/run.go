@@ -112,9 +112,9 @@ type Info struct {
 	// reached (core.StepSleep). 0 under the legacy engine and under shards,
 	// which step every poll.
 	Counted uint64
-	// Handoffs is the number of baton passes to a PE goroutine — goroutine
-	// switches — summed over shards. All three counts are exact and, on the
-	// batched engine, a function of the configuration alone.
+	// Handoffs is the number of times a PE's coroutine was resumed, summed
+	// over shards. All three counts are exact and, on the batched engine, a
+	// function of the configuration alone.
 	Handoffs uint64
 	// Wakes is what ended the counted sleeps of searching PEs and how many
 	// queued wakes moved earlier; exact like the three above, zero where

@@ -13,17 +13,17 @@ import (
 // execution of the exact sequential schedule.
 //
 // The simulated PEs are partitioned into S shards of contiguous IDs. Each
-// shard is one dispatcher (sim.go) — the batched engine's own clock, heap of
-// proc resumptions, parked slot and baton, so Advance, AdvanceStepped,
-// Block/Wake and the inline fast path are the same code under both engines —
-// plus what this file adds, all of it cross-shard: inboxes, horizon
-// promises, the queue of remote operations, rendezvous stalls, sleep/kick
-// and the deadlock check. Every interaction between shards goes through the
-// remote-operation layer (remote.go): operations become messages carrying
-// the virtual instant and the initiating proc's (id, seq) position,
-// delivered through per-shard-pair inboxes into the owner's operation queue,
-// and the owner's gate (ready) interleaves them with its proc events in
-// global (t, pid, seq) key order.
+// shard is one dispatcher (sim.go) on a goroutine of its own — the batched
+// engine's clock, heap of proc resumptions and parked slot, so Advance,
+// AdvanceStepped, Block/Wake and the inline fast path are the same code
+// under both engines — plus what this file adds, all of it cross-shard:
+// inboxes, horizon promises, the queue of remote operations, rendezvous
+// stalls, sleep/kick and the deadlock check. Every interaction between
+// shards goes through the remote-operation layer (remote.go): operations
+// become messages carrying the virtual instant and the initiating proc's
+// (id, seq) position, delivered through per-shard-pair inboxes into the
+// owner's operation queue, and the owner's gate (ready) interleaves them
+// with its proc events in global (t, pid, seq) key order.
 //
 // # Conservative synchronization
 //
@@ -170,8 +170,8 @@ type shard struct {
 	// promise we read, so they were drained when safeT was refreshed).
 	safeT int64
 
-	// promise is this shard's published horizon (single writer: the baton
-	// holder). pub mirrors it locally; lastNowPub throttles fast-path
+	// promise is this shard's published horizon (single writer: the shard's
+	// goroutine). pub mirrors it locally; lastNowPub throttles fast-path
 	// republishing to once per lookahead of virtual time.
 	promise    atomic.Int64
 	pub        int64
@@ -186,7 +186,6 @@ type shard struct {
 	in       []shInbox // indexed by sending shard
 	kick     chan struct{}
 	sleeping atomic.Int32
-	exited   bool // dispatch loop has exited (wg accounting)
 }
 
 // shardEngine coordinates the S shards of one simulation.
@@ -263,9 +262,9 @@ func (eng *shardEngine) assign() {
 	}
 }
 
-// run executes the simulation: one dispatcher goroutine bootstraps each
-// shard's baton, and the engine waits for every shard's dispatch loop to
-// exit (global completion, or a deadlock report).
+// run executes the simulation: one goroutine runs each shard's dispatch
+// loop, and the engine waits for every loop to exit (global completion, or
+// a deadlock report).
 func (eng *shardEngine) run() error {
 	s := eng.sim
 	if eng.nshards = min(eng.nshards, len(eng.procs)); eng.nshards <= 1 {
@@ -274,13 +273,16 @@ func (eng *shardEngine) run() error {
 		for _, p := range eng.procs {
 			s.schedule(p, 0)
 		}
-		return s.runBatched()
+		return s.dispatch()
 	}
 	eng.done = make(chan struct{})
 	eng.assign()
 	eng.wg.Add(len(eng.shards))
 	for _, sh := range eng.shards {
-		go sh.dispatch()
+		go func() {
+			sh.dispatch()
+			eng.wg.Done()
+		}()
 	}
 	eng.wg.Wait()
 	for _, sh := range eng.shards {
@@ -554,8 +556,7 @@ func (sh *shard) stageRemote(p *Proc, d time.Duration) {
 // stamped below safeT is already here: nothing that orders before p can
 // still arrive, so while p waits the shard only drains replies, and at most
 // one proc is ever held. A proc stalled inside a stepped advance (stepFn
-// set) resumes in dispatcher context, any other by a baton pass to its
-// goroutine.
+// set) continues in dispatcher context, any other is resumed.
 func (sh *shard) stall(p *Proc) { sh.held = p }
 
 // turn is what a shard's gate found to do next.
@@ -599,15 +600,8 @@ func (sh *shard) pick() turn {
 // whatever precedes the dispatcher's earliest proc event — arrived remote
 // operations, stalled procs whose replies are in — and sleeps while nothing
 // may run, until that event is safe to execute (true). It returns false
-// when the baton has left with a resumed proc, or the run is over; the
-// goroutine that observes global completion (or failure) does the shard's
-// final exit accounting.
+// once the run is over (global completion, or failure).
 func (sh *shard) ready() bool {
-	if sh.finished == sh.nprocs {
-		// The last proc's exit brought dispatch here, and no later pass
-		// does: without procs no event is left to return true for.
-		sh.eng.shardDone()
-	}
 	for {
 		sh.drain()
 		what := sh.pick()
@@ -618,10 +612,6 @@ func (sh *shard) ready() bool {
 			if what = sh.pick(); what == turnWait {
 				if sh.sleep() {
 					continue
-				}
-				if !sh.exited {
-					sh.exited = true
-					sh.eng.wg.Done()
 				}
 				return false
 			}
@@ -639,12 +629,9 @@ func (sh *shard) ready() bool {
 			hp := sh.held
 			sh.held = nil
 			if hp.stepFn == nil {
-				sh.handoffs++
-				hp.ch <- 0
-				return false
-			}
-			if sh.contStep(hp) {
-				return false
+				sh.run(hp, 0)
+			} else {
+				sh.contStep(hp)
 			}
 		}
 	}

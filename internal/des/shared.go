@@ -84,7 +84,7 @@ func (pe *simSharedPE) Service() {}
 // Work explores nodes as one stepped advance: each quantum is a batch of
 // node work, ending the advance at the 2k release threshold and when the
 // local region drains — the lock-protected release/reacquire manipulations
-// run on the PE's own goroutine between advances, at the same virtual
+// run in the PE's own coroutine between advances, at the same virtual
 // instants as the original per-batch loop. Thieves of this family take
 // from the pool under the victim's lock rather than posting requests, so
 // no boundary ever needs an interrupt check. Under streamlined termination

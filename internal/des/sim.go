@@ -35,29 +35,29 @@
 // simulation is an exact function of (tree spec, algorithm, machine
 // profile, seed): every figure regenerated from it is bit-reproducible.
 //
-// The simulator is process-oriented: each PE is a goroutine whose
-// execution is interleaved one-at-a-time by the event loop. A PE calls
-// Proc.Advance to consume virtual time, Proc.Block/Proc.Wake for
+// The simulator is process-oriented: each PE is a coroutine (coro.go) that
+// the event loop resumes, one at a time, on the goroutine running it. A PE
+// calls Proc.Advance to consume virtual time, Proc.Block/Proc.Wake for
 // sleep/wakeup (used by lock queues), and otherwise manipulates shared
 // simulation state freely — exactly one PE runs at any instant, so there
-// are no data races by construction.
+// are no data races by construction. A panic in a PE surfaces from Run —
+// except under shards, where it ends the process from the shard's goroutine.
 //
 // # Engines
 //
 // Three engines implement that contract. The batched engine (the default,
-// New) is one dispatcher: control moves from the event queue to a PE and
-// back through a single buffered channel send, the event queue is a flat
-// 4-ary indexed min-heap of value-typed entries, an Advance whose deadline
-// precedes every queued event commits inline without touching the heap or
-// parking the goroutine, and protocol loops expressed as step functions
-// (AdvanceStepped) run entirely inside the dispatcher with zero goroutine
-// switches. The sharded engine (NewSharded, sharded.go) is S of the same
-// dispatcher, one per block of PEs, plus the layer that is genuinely
-// cross-shard: conservative lookahead between them, and every cross-PE
-// effect a remote operation (remote.go). Those are the two a run can use.
-// The legacy engine (legacy.go) keeps the original two-channel wake/park
-// handshake and boxed container/heap queue; it is the bit-identical
-// reference this package's tests hold the other two to
+// New) is one dispatcher: a loop that pops an event and resumes its PE,
+// the event queue a flat 4-ary indexed min-heap of value-typed entries. An
+// Advance whose deadline precedes every queued event commits inline without
+// touching the heap or leaving the PE, and protocol loops expressed as step
+// functions (AdvanceStepped) run entirely inside the loop with zero
+// coroutine switches. The sharded engine (NewSharded, sharded.go) is S of
+// the same dispatcher, one per block of PEs, each on a goroutine of its own,
+// plus the layer that is genuinely cross-shard: conservative lookahead
+// between them, and every cross-PE effect a remote operation (remote.go).
+// Those are the two a run can use. The legacy engine (legacy.go) resumes
+// the PE once per event and keeps a boxed container/heap queue; it is the
+// bit-identical reference this package's tests hold the other two to
 // (TestEngineDifferential) and is reachable from nowhere else. All three
 // execute the same events in the same order — Sim.Events counts
 // identically — they differ only in how cheaply a boundary is reached, or,
@@ -77,9 +77,8 @@ import (
 )
 
 // dispatcher is the event loop of the batched engine, and of every shard of
-// the sharded one: a clock, the queue of proc resumptions with its parked
-// slot, and the baton — exactly one goroutine executes a dispatcher's code
-// at any moment, the loop or the PE it last handed control to.
+// the sharded one: a clock and the queue of proc resumptions with its parked
+// slot. One goroutine runs the loop; a PE it resumes runs while it waits.
 type dispatcher struct {
 	heap     flatHeap
 	pend     ev    // parked event awaiting the dispatcher, if hasPend
@@ -89,9 +88,7 @@ type dispatcher struct {
 	finished int
 	events   uint64
 	pops     uint64 // events that came off the heap or the parked slot
-	handoffs uint64 // baton passes to a PE goroutine
-
-	doneCh chan error // where a dispatcher without peers reports its drained queue
+	handoffs uint64 // resumptions of a PE coroutine
 
 	// sh is the shard this dispatcher drives, nil when it has no peers: the
 	// layer that gates what may run against the other shards' horizons
@@ -122,8 +119,8 @@ type Sim struct {
 func New() *Sim { return &Sim{} }
 
 // newLegacy creates an empty simulation using the legacy reference engine:
-// the original two-channel wake/park handshake with a boxed container/heap
-// event queue. It executes the exact same schedule as the batched engine
+// one coroutine resumption per event and a boxed container/heap event
+// queue. It executes the exact same schedule as the batched engine
 // and exists so this package's tests can compare against it.
 func newLegacy() *Sim { return &Sim{legacy: true} }
 
@@ -172,33 +169,23 @@ const Never = time.Duration(maxVT)
 // consume and the flags governing the boundary it creates. Step functions
 // may freely read and write simulation state (exactly one PE runs at any
 // instant) but must not call Advance, Block, or lock operations — they
-// execute in dispatcher context, possibly on another PE's goroutine.
+// execute in dispatcher context, outside the PE's coroutine.
 type Stepper = core.Stepper
-
-// procStatus is what a parked PE asked for (legacy engine).
-type procStatus int
-
-const (
-	statusRunnable procStatus = iota // wants to run again after a delay
-	statusBlocked                    // waits for an explicit Wake
-	statusFinished                   // body returned
-)
 
 // Proc is the simulator-side handle of one PE. The fields are in the order a
 // boundary touches them: the first cache line is what every pop, park and
 // inline commit reads, the second the staged slots of a quantum that has
-// any, and what only the legacy engine, a shard's rendezvous, a staged send
-// or a counted sleep needs comes after — a fatter Proc whose hot fields
-// straddle a third line shows on the one-sided workloads (DESIGN.md §9).
+// any, and what only a resumption, a shard's rendezvous, a staged send or a
+// counted sleep needs comes after — a fatter Proc whose hot fields straddle
+// a third line shows on the one-sided workloads (DESIGN.md §9).
 type Proc struct {
 	id  int
 	sim *Sim
 	d   *dispatcher // the event loop that owns this PE: the Sim's, or its shard's
 
-	// Batched engine: the single handoff channel (capacity 1, so a PE
-	// popping its own next event can self-deliver), the parked stepped
-	// advance, if any, and the pending interrupt mask.
-	ch     chan Intr
+	// The PE's coroutine (start), the parked stepped advance, if any, and
+	// the pending interrupt mask.
+	next   func() (int64, bool)
 	stepFn Stepper
 
 	// seq numbers this proc's scheduled resumptions (nextSeq); the
@@ -229,16 +216,15 @@ type Proc struct {
 	due     int64
 	skipped int64
 
-	// Legacy engine: two-channel wake/park handshake.
-	wake   chan struct{}
-	park   chan struct{}
-	status procStatus
-	delay  int64
+	// The coroutine's way back to the dispatcher, and the interrupt mask
+	// that ended a stepped advance, handed over at the resumption (run).
+	back    func(int64) bool
+	resumed Intr
 
 	// Up to four whole cache lines: the allocator's size class for a Proc is
 	// then a multiple of the line, and the layout above is the layout in
 	// memory (TestEngineCountsPinned holds both).
-	_ [24]byte
+	_ [44]byte
 }
 
 // ID returns the PE number.
@@ -265,25 +251,7 @@ func (s *Sim) Spawn(body func(p *Proc)) *Proc {
 	}
 	p := &Proc{id: s.nprocs, sim: s, d: &s.dispatcher}
 	s.nprocs++
-	if s.legacy {
-		p.wake = make(chan struct{})
-		p.park = make(chan struct{})
-		go func() {
-			<-p.wake
-			body(p)
-			p.status = statusFinished
-			p.park <- struct{}{}
-		}()
-	} else {
-		p.ch = make(chan Intr, 1)
-		go func() {
-			<-p.ch
-			body(p)
-			d := p.d // a sharded Run has moved p to its shard's dispatcher
-			d.finished++
-			d.dispatch()
-		}()
-	}
+	p.start(body)
 	if s.eng != nil {
 		// Scheduled by Run, once the PE count fixes the shard blocks.
 		s.eng.procs = append(s.eng.procs, p)
@@ -344,54 +312,50 @@ func (s *Sim) Run() error {
 	if s.legacy {
 		return s.runLegacy()
 	}
-	return s.runBatched()
+	return s.dispatch()
 }
 
-// runBatched runs the Sim's own dispatcher until its queue drains.
-func (s *Sim) runBatched() error {
-	s.doneCh = make(chan error, 1)
-	s.dispatch()
-	return <-s.doneCh
-}
-
-// dispatch pops events until control is handed to a PE goroutine or the
-// queue drains. Exactly one goroutine executes a dispatcher's code at any
-// moment: either the one that started it or the PE that just yielded; every
-// transfer of control is one buffered-channel send, which is also the
-// happens-before edge that makes lock-free sharing of all simulation state
-// sound. A shard's dispatcher first asks its gate whether the minimal event
-// may run yet; the gate returns false once the baton has left by its hand
-// or the run is over.
+// dispatch pops events and resumes their PEs until the queue drains, and
+// reports a drained queue with PEs still blocked as a deadlock. A shard's
+// dispatcher first asks its gate whether the minimal event may run yet; the
+// gate returns false once the run is over.
 //
 //uts:noalloc
-func (d *dispatcher) dispatch() {
-	for {
-		if d.sh != nil && !d.sh.ready() {
-			return
-		}
+func (d *dispatcher) dispatch() error {
+	for d.sh == nil || d.sh.ready() {
 		e, ok := d.next()
 		if !ok {
-			var err error
 			if d.finished != d.nprocs {
 				//uts:ok noalloc deadlock teardown: the simulation is over once this error is built
-				err = fmt.Errorf("des: deadlock: %d of %d PEs still blocked at t=%v", d.nprocs-d.finished, d.nprocs, time.Duration(d.now))
+				return fmt.Errorf("des: deadlock: %d of %d PEs still blocked at t=%v", d.nprocs-d.finished, d.nprocs, time.Duration(d.now))
 			}
-			d.doneCh <- err
-			return
+			return nil
 		}
 		d.now = e.t
 		d.events++
 		d.pops++
-		p := e.p
-		if p.stepFn != nil {
-			if d.contStep(p) {
-				return
-			}
-			continue
+		if p := e.p; p.stepFn != nil {
+			d.contStep(p)
+		} else {
+			d.run(p, 0)
 		}
-		d.handoffs++
-		p.ch <- 0
-		return
+	}
+	return nil
+}
+
+// run resumes p's coroutine until it yields back or its body returns,
+// handing it m, the interrupt mask that ended its stepped advance (0 for
+// anything else). A shard reports its last PE's finish to the engine.
+//
+//uts:noalloc
+func (d *dispatcher) run(p *Proc, m Intr) {
+	d.handoffs++
+	p.resumed = m
+	if _, ok := p.next(); !ok {
+		d.finished++
+		if d.sh != nil && d.finished == d.nprocs {
+			d.sh.eng.shardDone()
+		}
 	}
 }
 
@@ -414,16 +378,15 @@ func (d *dispatcher) admitted(t int64, id int) bool {
 	return d.sh == nil || d.sh.admits(t, id)
 }
 
-// contStep resumes a parked stepped advance at its boundary, in dispatcher
+// contStep continues a parked stepped advance at its boundary, in dispatcher
 // context. It applies the boundary's flags, then keeps stepping inline —
-// committing quanta that precede every queued event without any heap or
-// channel traffic — until the advance ends (control is handed to the PE's
-// goroutine; returns true), a quantum collides with the queue and is
-// rescheduled, or the boundary must first wait for rendezvous replies
-// (both return false: the dispatcher keeps going).
+// committing quanta that precede every queued event without any heap
+// traffic or coroutine switch — until the advance ends (the PE is resumed
+// with what ended it), a quantum collides with the queue and is
+// rescheduled, or the boundary must first wait for rendezvous replies.
 //
 //uts:noalloc
-func (d *dispatcher) contStep(p *Proc) bool {
+func (d *dispatcher) contStep(p *Proc) {
 	fl := p.stepFl
 	if fl&StepSleep != 0 && p.sleepD != 0 { // the flag alone may be a shard's, which steps
 		d.woke(p)
@@ -432,37 +395,35 @@ func (d *dispatcher) contStep(p *Proc) bool {
 		if p.pendReplies > 0 {
 			p.stepFl = fl
 			d.sh.stall(p)
-			return false
+			return
 		}
 		if p.nstag > 0 {
 			p.runStaged()
 		}
 		if fl&StepDone != 0 {
 			p.stepFn = nil
-			d.handoffs++
-			p.ch <- 0
-			return true
+			d.run(p, 0)
+			return
 		}
 		if fl&StepNoPoll == 0 && p.intr != 0 {
 			m := p.intr
 			p.intr = 0
 			p.stepFn = nil
-			d.handoffs++
-			p.ch <- m
-			return true
+			d.run(p, m)
+			return
 		}
 		var dt time.Duration
 		dt, fl = p.stepFn()
 		if dt > 0 {
 			if fl&StepSleep != 0 && d.sh == nil {
 				d.sleep(p, int64(dt), fl)
-				return false
+				return
 			}
 			t := d.now + int64(dt)
 			if !(d.ahead(t, p.id) && d.admitted(t, p.id)) {
 				p.stepFl = fl
 				d.park(p, t)
-				return false
+				return
 			}
 			d.now = t
 			d.events++
@@ -581,7 +542,7 @@ func (p *Proc) CountedPolls() int64 {
 // Advance consumes d of virtual time: the PE resumes once the clock
 // reaches now+d. When the deadline's (t, id, seq) key strictly precedes
 // every queued event the clock commits inline — no heap traffic, no
-// goroutine switch. Otherwise the smaller-keyed queued event must run
+// coroutine switch. Otherwise the smaller-keyed queued event must run
 // first, exactly as if this PE had parked and been popped in key order,
 // so skipping the queue preserves the schedule. Negative delays are
 // treated as zero.
@@ -592,7 +553,7 @@ func (p *Proc) Advance(d time.Duration) {
 		d = 0
 	}
 	if p.sim.legacy {
-		p.legacyAdvance(int64(d))
+		p.back(int64(d)) // the reference reschedules p at now+d
 		return
 	}
 	q := p.d
@@ -618,7 +579,7 @@ func (p *Proc) Advance(d time.Duration) {
 // that explore before polling. Quanta run inline while their boundary
 // precedes every queued event; otherwise the PE parks and the dispatcher
 // continues the same step sequence in place, so a whole batch of node
-// work, probes, or idle polls costs zero goroutine switches. A boundary
+// work, probes, or idle polls costs zero coroutine switches. A boundary
 // whose staged operations went to another shard parks the same way, held
 // until their replies are in.
 //
@@ -666,24 +627,20 @@ func (p *Proc) AdvanceStepped(step Stepper) Intr {
 	}
 }
 
-// yield hands control to the dispatcher and blocks until an event (or a
-// finished stepped advance) hands it back, delivering the interrupt mask
-// that ended a stepped advance, or 0.
+// yield suspends p's coroutine until the dispatcher resumes it at an event
+// (or at the end of a stepped advance it continued), and returns the
+// interrupt mask that ended that advance, or 0.
 //
 //uts:noalloc
 func (p *Proc) yield() Intr {
-	p.d.dispatch()
-	return <-p.ch
+	p.back(0)
+	return p.resumed
 }
 
-// Block parks the PE until another PE calls Wake on it.
-func (p *Proc) Block() {
-	if p.sim.legacy {
-		p.legacyBlock()
-		return
-	}
-	p.yield()
-}
+// Block parks the PE until another PE calls Wake on it. Only the legacy
+// reference reads the value yielded: the batched engine queues nothing for
+// a PE that did not queue itself.
+func (p *Proc) Block() { p.back(blocked) }
 
 // Wake schedules a blocked PE q to resume at the current virtual time plus
 // d. Calling Wake on a PE that is not blocked corrupts the schedule; the

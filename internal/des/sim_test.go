@@ -177,6 +177,39 @@ func TestNegativeAdvanceClamped(t *testing.T) {
 	}
 }
 
+// TestPanicReachesRun: a panic in a PE — its body, or a step function,
+// which the batched engine calls from its dispatcher once the advance has
+// parked — surfaces from Run on the caller's goroutine, where it can be
+// recovered.
+func TestPanicReachesRun(t *testing.T) {
+	for _, e := range engines {
+		for _, where := range []string{"body", "step"} {
+			s := e.new()
+			s.Spawn(func(p *Proc) { p.Advance(10 * time.Nanosecond) })
+			s.Spawn(func(p *Proc) {
+				if where == "body" {
+					p.Advance(5 * time.Nanosecond)
+					panic("boom-body")
+				}
+				n := 0
+				p.AdvanceStepped(func() (time.Duration, uint8) {
+					if n++; n == 20 {
+						panic("boom-step")
+					}
+					return time.Nanosecond, 0
+				})
+			})
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				return s.Run()
+			}()
+			if got != "boom-"+where {
+				t.Errorf("%s/%s: Run ended with %v, want the panic boom-%s", e.name, where, got, where)
+			}
+		}
+	}
+}
+
 func TestReleaseUnheldPanics(t *testing.T) {
 	s := New()
 	s.Spawn(func(p *Proc) {

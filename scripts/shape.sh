@@ -53,8 +53,8 @@ one_clock() {
 # simulated rank never leaves the dispatcher — des/mpi.go advances nothing
 # itself, every quantum is returned from the step. The smoke is exact on any
 # host: an idle rank's unanswerable polls are counted, not run, so a 64-PE
-# run hands the baton to a goroutine twice per PE (128) where the blocking
-# loop needed 71,066 handoffs.
+# run resumes each PE twice (128 handoffs) where the blocking loop needed
+# 71,066.
 one_rank_loop() {
 	if sed -n '/^type MsgHost interface/,/^}/p' internal/core/msgrank.go | grep -n 'Wait()'; then exit 1; fi
 	if grep -n 'h\.Wait(' internal/core/msgrank.go; then exit 1; fi
@@ -103,6 +103,23 @@ one_work_loop() {
 	done
 }
 
+# One baton: fails if a simulated PE grows a goroutine and channels of its
+# own back: a PE is a coroutine its dispatcher resumes (the package's one
+# iter.Pull, des/coro.go), the dispatcher a loop on one goroutine — Run's,
+# or a shard's, started by the package's only go statement — and neither
+# the batched engine nor the legacy reference holds a channel.
+one_baton() {
+	src=$(ls internal/des/*.go | grep -v _test.go)
+	if grep -nw chan internal/des/sim.go internal/des/legacy.go; then exit 1; fi
+	test "$(cat $src | grep -c 'iter\.Pull(')" -eq 1
+	gos=$(grep -nE '^\s*go ' $src)
+	if [ "$(echo "$gos" | grep -c .)" -ne 1 ] || ! echo "$gos" | grep -q '^internal/des/sharded\.go:'; then
+		echo "$gos"
+		exit 1
+	fi
+	if sed -n '/^type Proc struct/,/^}/p' internal/des/sim.go | grep -nwE '^\s*status'; then exit 1; fi
+}
+
 failed=0
 # rule NAME SECTIONS FUNCTION: the function runs in a subshell under -e, as
 # each did as a CI step, so its first failing line fails the rule.
@@ -120,5 +137,6 @@ rule "One clock" "§8" one_clock
 rule "One rank loop" "§9, §17" one_rank_loop
 rule "One node kernel" "§7, §17" one_node_kernel
 rule "One work loop" "§17" one_work_loop
-[ $failed -eq 0 ] && echo "shape: 7 rules hold"
+rule "One baton" "§9, §12" one_baton
+[ $failed -eq 0 ] && echo "shape: 8 rules hold"
 exit $failed
