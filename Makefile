@@ -71,9 +71,10 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
 # The opt-in gates behind the one switch UTS_GATES=1 (DESIGN.md §18):
-# batched engine >= 4x the legacy reference, attached sampler <= 2% (both
-# wall-clock; the sampler's is 1000 paired runs, ~30 s), adaptive from the
-# worst chunk >= 0.95x the best (T3XXL on the batched engine, ~15 s).
+# batched engine >= 4x the legacy reference (wall-clock), a record with a
+# live sampler attached allocates nothing (a count: no spare core needed),
+# adaptive from the worst chunk >= 0.95x the best (T3XXL on the batched
+# engine, ~15 s).
 gates:
 	UTS_GATES=1 $(GO) test -count=1 -v -timeout 10m -run 'Gate$$' ./internal/des/
 

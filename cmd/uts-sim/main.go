@@ -77,8 +77,12 @@ func main() {
 			sp.Name, f.Alg, f.PEs, f.Chunk, f.Profile, info.Engine, shardNote, info.Events, wall.Round(time.Millisecond))
 		fmt.Print(res.Summary())
 		if *verbose {
-			fmt.Printf("engine: pops=%d inline=%d counted=%d handoffs=%d\n",
-				info.Pops, info.Events-info.Pops-info.Counted, info.Counted, info.Handoffs)
+			lookahead := "" // the shards' horizon, or the window of a batched mpi-ws run
+			if info.Lookahead > 0 {
+				lookahead = fmt.Sprintf(" lookahead=%v", info.Lookahead)
+			}
+			fmt.Printf("engine: pops=%d inline=%d counted=%d handoffs=%d%s\n",
+				info.Pops, info.Events-info.Pops-info.Counted, info.Counted, info.Handoffs, lookahead)
 			fmt.Printf("wakes: word=%d end=%d post=%d moved=%d\n",
 				info.Wakes.Word, info.Wakes.End, info.Wakes.Post, info.Wakes.Moved)
 			fmt.Print(res.PerThreadTable())

@@ -33,8 +33,9 @@ type MsgHost interface {
 	// the message is on its way at that quantum's end (at once when it is
 	// 0), and a step sends at most once.
 	Send(to int, m msg.Message) time.Duration
-	// Recv takes the oldest message visible to this rank now, if any.
-	Recv() (msg.Message, bool)
+	// Recv takes the oldest message visible to this rank now: a message the
+	// host keeps until its next Recv, nil with none.
+	Recv() *msg.Message
 	// Sleep is the beat of waiting with nothing visible to Recv: the
 	// quantum the rank's step returns with StepSleep.
 	Sleep() time.Duration
@@ -180,12 +181,12 @@ func (r *MsgRank) idle() (time.Duration, uint8) {
 	case pe.Local.Len() > 0 || r.terminated:
 		return r.leaveIdle()
 	}
-	if m, ok := h.Recv(); ok {
+	if m := h.Recv(); m != nil {
 		if r.waited {
 			r.waited = false
 			pe.NoteCtl(h.Now())
 		}
-		return r.Handle(&m), 0
+		return r.Handle(m), 0
 	}
 	switch {
 	case r.N == 1:

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"reflect"
@@ -10,7 +11,9 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/pgas"
+	"repro/internal/policy"
 	"repro/internal/stats"
 	"repro/internal/uts"
 )
@@ -67,8 +70,47 @@ func runSame(t *testing.T, engine string, sp *uts.Spec, cfg Config, bres *core.R
 	return info
 }
 
+// windowCases calls fn for the mpi-ws rows the engine differential adds to
+// the matrix: the configurations where dispatching a window as a bag
+// (DESIGN.md §9, "A window is a bag") could go wrong, each with the window
+// the batched run must report.
+func windowCases(fn func(name string, sp *uts.Spec, cfg Config, window time.Duration)) {
+	// A window of 3 ns and a microsecond a KB: a quantum spans hundreds of
+	// windows, so most events wait in the far heap, and the wake a bulky
+	// message queued there moves out of it when a small one overtakes.
+	fewNS := pgas.Model{Name: "few-ns", LocalRef: time.Nanosecond, RemoteRef: 3 * time.Nanosecond,
+		PerKB: time.Microsecond, LockRTT: 30 * time.Nanosecond, NodeCost: 418 * time.Nanosecond}
+	rows := []struct {
+		name   string
+		set    func(*Config)
+		window time.Duration
+	}{
+		// Per-rank controllers fed with virtual stamps.
+		{"adapt", func(c *Config) { c.Adapt = &policy.Config{} }, 4 * time.Microsecond},
+		{"poll1", func(c *Config) { c.PollInterval = 1 }, 4 * time.Microsecond},
+		{"poll32", func(c *Config) { c.PollInterval = 32 }, 4 * time.Microsecond},
+		{"topsail", func(c *Config) { c.Model = &pgas.Topsail }, 5 * time.Microsecond},
+		{"altix", func(c *Config) { c.Model = &pgas.Altix }, 600 * time.Nanosecond},
+		{"few-ns", func(c *Config) { c.Model = &fewNS }, 3 * time.Nanosecond},
+		// mpi-ws charges one cost model, Model, to every message; a node of
+		// four with an Intra model only narrows the window to the lookahead
+		// the shards would use, Intra's remote reference.
+		{"nodes-of-4", func(c *Config) { c.NodeSize, c.Intra = 4, &pgas.Altix }, 600 * time.Nanosecond},
+		{"64pes", func(c *Config) { c.PEs = 64 }, 4 * time.Microsecond},
+		{"256pes", func(c *Config) { c.PEs = 256 }, 4 * time.Microsecond},
+	}
+	for _, r := range rows {
+		cfg := Config{Algorithm: core.MPIWS, PEs: 16, Chunk: 8, Model: &pgas.KittyHawk, Seed: 1}
+		r.set(&cfg)
+		fn("mpi-ws/t3-small/window/"+r.name, &uts.T3Small, cfg, r.window)
+	}
+}
+
 // TestEngineDifferential proves the batched engine bit-identical to the
-// legacy reference for every algorithm × tree × seed.
+// legacy reference for every algorithm × tree × seed, and for the mpi-ws
+// configurations where its windows could be wrong — a traced one included,
+// whose merged event stream and Chrome JSON must be the reference's byte for
+// byte.
 func TestEngineDifferential(t *testing.T) {
 	differentialCases(func(name string, sp *uts.Spec, cfg Config) {
 		t.Run(name, func(t *testing.T) {
@@ -79,6 +121,48 @@ func TestEngineDifferential(t *testing.T) {
 			cfg.reference = true
 			runSame(t, "legacy", sp, cfg, bres, binfo)
 		})
+	})
+	windowCases(func(name string, sp *uts.Spec, cfg Config, window time.Duration) {
+		t.Run(name, func(t *testing.T) {
+			bres, binfo, err := RunInfo(sp, cfg)
+			if err != nil {
+				t.Fatalf("batched: %v", err)
+			}
+			if binfo.Lookahead != window {
+				t.Errorf("dispatched in windows of %v, want %v", binfo.Lookahead, window)
+			}
+			cfg.reference = true
+			runSame(t, "legacy", sp, cfg, bres, binfo)
+		})
+	})
+	t.Run("mpi-ws/t3-small/window/traced", func(t *testing.T) {
+		cfg := Config{Algorithm: core.MPIWS, PEs: 16, Chunk: 8, Model: &pgas.KittyHawk, Seed: 1}
+		trace := func(reference bool) (*core.Result, Info, []obs.Event, []byte) {
+			cfg.reference, cfg.Tracer = reference, obs.NewVirtual(cfg.PEs, 0)
+			res, info, err := RunInfo(&uts.T3Small, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var chrome bytes.Buffer
+			if err := obs.WriteChromeTrace(&chrome, cfg.Tracer); err != nil {
+				t.Fatal(err)
+			}
+			return res, info, cfg.Tracer.Events(), chrome.Bytes()
+		}
+		bres, binfo, bevents, bchrome := trace(false)
+		lres, _, levents, lchrome := trace(true)
+		if binfo.Lookahead == 0 {
+			t.Error("a traced mpi-ws run was not windowed")
+		}
+		if len(bevents) == 0 || !reflect.DeepEqual(bevents, levents) {
+			t.Errorf("merged trace diverged: batched %d events, legacy %d", len(bevents), len(levents))
+		}
+		if !bytes.Equal(bchrome, lchrome) {
+			t.Errorf("Chrome JSON diverged: batched %d bytes, legacy %d", len(bchrome), len(lchrome))
+		}
+		if lres.Elapsed != bres.Elapsed || !reflect.DeepEqual(lres.Threads, bres.Threads) {
+			t.Error("traced run diverged from the reference")
+		}
 	})
 }
 
@@ -277,8 +361,18 @@ func TestEngineThroughputGate(t *testing.T) {
 // not move, but 8,408 of them are now polls counted at a wake instead of
 // popped (Pops 12,379 → 3,731), and the rank's whole body is one step
 // function inside the dispatcher, so a PE is resumed to start and to finish
-// and never in between (Handoffs 2,632 → 32, two for each of 16 PEs). When a
-// PE became a coroutine rather than a goroutine, no count moved. The upc-distmem row was re-baselined once too, when a
+// and never in between (Handoffs 2,632 → 32, two for each of 16 PEs). It was
+// re-baselined a second time when a message run came to be dispatched one
+// lookahead-wide window at a time (DESIGN.md §9, "A window is a bag"): events,
+// counted polls and handoffs did not move, but a rank's boundary inside the
+// current window commits inline instead of parking behind a root a few ns
+// later (Pops 3,731 → 2,641), and a rank that slept before an earlier-landing
+// message of the same window was delivered has its wake moved (Moved 0 →
+// 168); Lookahead reports the window. The mpi-ws/sim_msgpoll row is the
+// benchmark's configuration under the same rule: 3,131,451 events, 1,998,722
+// counted and 512 handoffs as before the windows, Pops 837,898 → 532,857 and
+// Moved 4 → 46,446. When a PE became a coroutine rather than a goroutine, no
+// count moved. The upc-distmem row was re-baselined once too, when a
 // searching PE stopped dispatching the probes no write can reach (DESIGN.md
 // §9, "A probe is a read of a word with a history"): its 2,976 events and
 // 441 handoffs did not move, 995 of the events are now probes counted at one
@@ -315,7 +409,8 @@ func TestEngineCountsPinned(t *testing.T) {
 	want := map[string]Info{
 		"upc-distmem/t3-small/seed1": {Engine: EngineBatched, Events: 2976, Pops: 1909, Counted: 995, Handoffs: 441,
 			Wakes: Wakes{Word: 86, End: 56, Post: 2, Moved: 45}},
-		"mpi-ws/t3-small/seed1": {Engine: EngineBatched, Events: 14315, Pops: 3731, Counted: 8408, Handoffs: 32},
+		"mpi-ws/t3-small/seed1": {Engine: EngineBatched, Events: 14315, Lookahead: 4 * time.Microsecond,
+			Pops: 2641, Counted: 8408, Handoffs: 32, Wakes: Wakes{Moved: 168}},
 	}
 	_, info, err := RunInfo(&onesidedTree, Config{Algorithm: core.UPCDistMem, PEs: 256, Chunk: 16, Model: &pgas.KittyHawk, Seed: 1})
 	if err != nil {
@@ -323,6 +418,12 @@ func TestEngineCountsPinned(t *testing.T) {
 	}
 	check("upc-distmem/sim_onesided", info, Info{Engine: EngineBatched, Events: 399666, Pops: 116535, Counted: 282957, Handoffs: 13312,
 		Wakes: Wakes{Word: 7296, End: 960, Post: 44, Moved: 6681}})
+	_, info, err = RunInfo(&onesidedTree, Config{Algorithm: core.MPIWS, PEs: 256, Chunk: 16, Model: &pgas.KittyHawk, PollInterval: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("mpi-ws/sim_msgpoll", info, Info{Engine: EngineBatched, Events: 3131451, Lookahead: 4 * time.Microsecond,
+		Pops: 532857, Counted: 1998722, Handoffs: 512, Wakes: Wakes{Moved: 46446}})
 	differentialCases(func(name string, sp *uts.Spec, cfg Config) {
 		if w, ok := want[name]; ok {
 			_, info, err := RunInfo(sp, cfg)

@@ -41,10 +41,10 @@ func (r *simMPIRun) apply(dst int, op uint8, a, b int64, chunks []stack.Chunk) i
 		sentAt:   time.Duration(b),
 		arriveAt: time.Duration(b) + r.cs.bulk(size),
 	}
-	// Sorted insert by (sentAt, From). Under the sequential engines sends
-	// apply in exactly that order, so this is an append; under the sharded
-	// engine a small message can be delivered before an earlier-sent bulky
-	// one, and the insert restores send order.
+	// Sorted insert by (sentAt, From). Where sends apply in key order it is
+	// an append; a windowed run applies the sends of one window in any order,
+	// and under the sharded engine a small message can be delivered before
+	// an earlier-sent bulky one — the insert restores send order.
 	i := len(pe.inbox)
 	pe.inbox = append(pe.inbox, simMsg{})
 	for i > 0 && (pe.inbox[i-1].sentAt > m.sentAt ||
@@ -73,6 +73,7 @@ type simMPIPE struct {
 	r     *simMPIRun
 	rank  core.MsgRank
 	inbox []simMsg
+	rx    msg.Message // what the last Recv took
 
 	// Work's position in its cycle, between calls.
 	ph     uint8
@@ -133,23 +134,23 @@ func (pe *simMPIPE) oldest() (i int, due time.Duration) {
 	return -1, due
 }
 
-// Recv returns the oldest message that has arrived by now. It is a rank's
+// Recv takes the oldest message that has arrived by now. It is a rank's
 // poll, so the polls the engine counted through a sleep instead of running
 // (CountedPolls) are booked here, at the first one it did run.
-func (pe *simMPIPE) Recv() (msg.Message, bool) {
+func (pe *simMPIPE) Recv() *msg.Message {
 	if k := pe.p.CountedPolls(); k > 0 {
 		pe.charge(time.Duration(k) * pe.r.cs.idlePoll)
 	}
 	i, _ := pe.oldest()
 	if i < 0 {
-		return msg.Message{}, false
+		return nil
 	}
-	m := pe.inbox[i].Message
+	pe.rx = pe.inbox[i].Message
 	last := len(pe.inbox) - 1
 	copy(pe.inbox[i:], pe.inbox[i+1:])
 	pe.inbox[last] = simMsg{} // the vacated slot must not pin a stolen chunk
 	pe.inbox = pe.inbox[:last]
-	return m, true
+	return &pe.rx
 }
 
 // Sleep is one idle poll, and the promise that the polls after it see
@@ -204,10 +205,10 @@ func (pe *simMPIPE) Work() (time.Duration, bool) {
 		return pe.charge(cs.iprobe), false
 	}
 	// wEval
-	if m, ok := pe.Recv(); ok {
+	if m := pe.Recv(); m != nil {
 		pe.got++
 		pe.ph = wIprobe
-		return rank.Handle(&m), false
+		return rank.Handle(m), false
 	}
 	if pe.Ctl != nil {
 		pe.Ctl.NotePoll(pe.got) // the iprobes of one drain are one poll

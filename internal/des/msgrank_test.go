@@ -55,13 +55,14 @@ func (s *msgScript) deliver(to int, tag msg.Tag, chunks []stack.Chunk) {
 	s.logf("deliver %d %v nodes=%d", to, tag, stack.NodeCount(chunks))
 }
 
-func (s *msgScript) Recv() (msg.Message, bool) {
+func (s *msgScript) Recv() *msg.Message {
 	s.recvs++
 	m, ok := s.inbox[s.recvs]
-	if ok {
-		s.logf("recv %v from %d", m.Tag, m.From)
+	if !ok {
+		return nil
 	}
-	return m, ok
+	s.logf("recv %v from %d", m.Tag, m.From)
+	return &m
 }
 
 // Work handles one polled message per quantum, then explores the stack.

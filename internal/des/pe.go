@@ -32,16 +32,17 @@ func newSimPE(sp *uts.Spec, cfg Config, res *core.Result, ps *policy.Set, i int)
 	}
 }
 
-// spawn registers the PE's process with the simulation: body runs on it
-// with pe.p bound, from the Working state, and finish records its end.
+// spawn registers the PE's process with the simulation and binds pe.p at
+// once — in a windowed run another PE can deliver to this one before its
+// body has started — then body runs on it from the Working state, and
+// finish records its end.
 func (pe *simPE) spawn(sim *Sim, body func(), finish func(*Proc)) {
-	sim.Spawn(func(p *Proc) {
-		pe.p = p
-		pe.Virt = p.Now
+	pe.p = sim.Spawn(func(p *Proc) {
 		pe.Rec(obs.KindStateChange, -1, int64(stats.Working))
 		body()
 		finish(p)
 	})
+	pe.Virt = pe.p.Now
 }
 
 // Now is the virtual timestamp controller feedback is stamped with.

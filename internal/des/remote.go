@@ -104,10 +104,14 @@ func (p *Proc) RemoteSend(dst int, adv, effectDelay time.Duration, op uint8, a, 
 // surrounding Stepper is about to return with duration adv (which StageSend
 // returns for convenience). A foreign dst is sent its message here, at
 // staging time, stamped as RemoteSend stamps it; nothing waits for it. At
-// most one send per quantum.
+// most one send per quantum. In a windowed run the effect must lag by at
+// least the window: no message lands in the window it was sent in.
 //
 //uts:noalloc
 func (p *Proc) StageSend(dst int, adv, effectDelay time.Duration, op uint8, a, b int64, chunks []stack.Chunk) time.Duration {
+	if int64(effectDelay) < p.d.window() {
+		panic("des: a message that lands inside the window it was sent in — the run cannot be windowed")
+	}
 	if sh := p.d.sh; sh != nil && sh.foreign(dst) {
 		sh.sendEffect(p, dst, adv+effectDelay, effectDelay > 0, op, a, b, chunks)
 		return adv

@@ -100,11 +100,13 @@ type Info struct {
 	Shards int
 	// Lookahead is the conservative-synchronization window of a sharded
 	// run: the minimum virtual latency separating any cross-PE operation
-	// from its decision instant, derived from the clamped cost model.
+	// from its decision instant, derived from the clamped cost model. A
+	// batched mpi-ws run reports the same number: the width of the windows
+	// it was dispatched in. 0 otherwise.
 	Lookahead time.Duration
-	// Pops is the number of events that came off an event heap or its
-	// parked slot, summed over shards; Events − Pops − Counted committed
-	// inline.
+	// Pops is the number of events that came off an event heap, its parked
+	// slot or a windowed run's calendar, summed over shards; Events − Pops −
+	// Counted committed inline.
 	Pops uint64
 	// Counted is the number of boundaries that were counted without being
 	// dispatched: the polls of a sleeping PE that nothing could answer — an
@@ -271,6 +273,13 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 		return nil, nil, info, fmt.Errorf("des: negative node size %d", cfg.NodeSize)
 	}
 	cs := newCosts(cfg.Model)
+	// The lookahead: no PE's effect on another lands sooner than the clamped
+	// remote reference of every model in play. It is the shards' horizon and
+	// the window of a windowed run, one number.
+	la := cs.remoteRef
+	if cfg.NodeSize >= 2 && cfg.Intra != nil {
+		la = min(la, newCosts(cfg.Intra).remoteRef)
+	}
 	sim := New()
 	info.Engine = EngineBatched
 	if cfg.reference {
@@ -291,19 +300,23 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 		if cfg.Model.MinRemoteHop() <= 0 {
 			return nil, nil, info, fmt.Errorf("des: model %q has no minimum remote-hop cost; a zero-latency machine cannot run sharded (use shards <= 1)", cfg.Model.Name)
 		}
-		la := cs.remoteRef
-		if cfg.NodeSize >= 2 && cfg.Intra != nil {
-			if cfg.Intra.MinRemoteHop() <= 0 {
-				return nil, nil, info, fmt.Errorf("des: intra-node model %q has no minimum remote-hop cost; a zero-latency machine cannot run sharded (use shards <= 1)", cfg.Intra.Name)
-			}
-			if ila := newCosts(cfg.Intra).remoteRef; ila < la {
-				la = ila
-			}
+		if cfg.NodeSize >= 2 && cfg.Intra != nil && cfg.Intra.MinRemoteHop() <= 0 {
+			return nil, nil, info, fmt.Errorf("des: intra-node model %q has no minimum remote-hop cost; a zero-latency machine cannot run sharded (use shards <= 1)", cfg.Intra.Name)
 		}
 		info.Engine = EngineSharded
 		info.Shards = shards
 		info.Lookahead = la
 		sim = NewSharded(shards, la)
+	}
+	// mpi-ws on the batched engine is dispatched one lookahead-wide window at
+	// a time: every cross-PE effect is a message, a message takes at least
+	// the lookahead to land (bulk adds no negative bandwidth term), and —
+	// without a trace sampler, which reads every rank at instants of its own
+	// — nothing else looks across PEs, so what the PEs do inside one window
+	// commutes (DESIGN.md §9, "A window is a bag").
+	if info.Engine == EngineBatched && cfg.Algorithm == core.MPIWS && cs.perKB >= 0 && interval == 0 {
+		sim.windowed(la)
+		info.Lookahead = la
 	}
 
 	res := &core.Result{Spec: sp, Algorithm: cfg.Algorithm, Chunk: cfg.Chunk}

@@ -51,7 +51,11 @@
 // Advance whose deadline precedes every queued event commits inline without
 // touching the heap or leaving the PE, and protocol loops expressed as step
 // functions (AdvanceStepped) run entirely inside the loop with zero
-// coroutine switches. The sharded engine (NewSharded, sharded.go) is S of
+// coroutine switches. A run whose PEs reach each other only through messages
+// that take at least a lookahead to land — mpi-ws — is dispatched one
+// lookahead-wide window at a time, the window's events a bag (calendar):
+// nothing done inside a window is seen across PEs before it ends, so their
+// order inside it is free. The sharded engine (NewSharded, sharded.go) is S of
 // the same dispatcher, one per block of PEs, each on a goroutine of its own,
 // plus the layer that is genuinely cross-shard: conservative lookahead
 // between them, and every cross-PE effect a remote operation (remote.go).
@@ -87,7 +91,7 @@ type dispatcher struct {
 	nprocs   int
 	finished int
 	events   uint64
-	pops     uint64 // events that came off the heap or the parked slot
+	pops     uint64 // events that came off the heap, the parked slot or the calendar
 	handoffs uint64 // resumptions of a PE coroutine
 
 	// sh is the shard this dispatcher drives, nil when it has no peers: the
@@ -99,6 +103,10 @@ type dispatcher struct {
 	// boundary reads.
 	counted uint64 // boundaries of a sleep, counted at its wake instead of dispatched
 	moved   uint64 // queued wakes a later event moved earlier (an overtaking message, a word turning positive, a claim)
+
+	// cal holds the queued events of a windowed run (Sim.windowed), nil in
+	// any other: the heap then holds only the sentinel at the window's end.
+	cal *calendar
 }
 
 // Sim is one simulation instance. Its own dispatcher is the whole batched
@@ -221,10 +229,16 @@ type Proc struct {
 	back    func(int64) bool
 	resumed Intr
 
+	// While the proc's queued event waits in a windowed run's calendar
+	// bucket, its instant and its neighbours there: a bucket is a list
+	// through the procs it holds (calendar).
+	qt           int64
+	qnext, qprev *Proc
+
 	// Up to four whole cache lines: the allocator's size class for a Proc is
 	// then a multiple of the line, and the layout above is the layout in
 	// memory (TestEngineCountsPinned holds both).
-	_ [44]byte
+	_ [16]byte
 }
 
 // ID returns the PE number.
@@ -267,8 +281,19 @@ func (s *Sim) schedule(p *Proc, t int64) {
 	if s.legacy {
 		s.lheap.push(e)
 	} else {
-		p.d.heap.push(e)
+		p.d.push(e)
 	}
+}
+
+// push queues e: on the heap, or in a windowed run's calendar.
+//
+//uts:noalloc
+func (d *dispatcher) push(e ev) {
+	if d.cal != nil {
+		d.cal.push(e)
+		return
+	}
+	d.heap.push(e)
 }
 
 // park records p's resume event without pushing it: every park site hands
@@ -312,7 +337,19 @@ func (s *Sim) Run() error {
 	if s.legacy {
 		return s.runLegacy()
 	}
+	if s.cal != nil {
+		return s.dispatchWindows()
+	}
 	return s.dispatch()
+}
+
+// drained is the end of a run whose queue has drained: a deadlock if PEs are
+// still blocked.
+func (d *dispatcher) drained() error {
+	if d.finished != d.nprocs {
+		return fmt.Errorf("des: deadlock: %d of %d PEs still blocked at t=%v", d.nprocs-d.finished, d.nprocs, time.Duration(d.now))
+	}
+	return nil
 }
 
 // dispatch pops events and resumes their PEs until the queue drains, and
@@ -325,11 +362,7 @@ func (d *dispatcher) dispatch() error {
 	for d.sh == nil || d.sh.ready() {
 		e, ok := d.next()
 		if !ok {
-			if d.finished != d.nprocs {
-				//uts:ok noalloc deadlock teardown: the simulation is over once this error is built
-				return fmt.Errorf("des: deadlock: %d of %d PEs still blocked at t=%v", d.nprocs-d.finished, d.nprocs, time.Duration(d.now))
-			}
-			return nil
+			return d.drained()
 		}
 		d.now = e.t
 		d.events++
@@ -341,6 +374,36 @@ func (d *dispatcher) dispatch() error {
 		}
 	}
 	return nil
+}
+
+// dispatchWindows is dispatch for a windowed run: the events of the current
+// window come out of the calendar's bag in any order, and before each runs
+// the sentinel root moves to the end of the window it belongs to, so that
+// ahead — unchanged — commits every boundary inside that window inline and
+// parks every one past it. A parked event goes to the calendar.
+//
+//uts:noalloc
+func (d *dispatcher) dispatchWindows() error {
+	c := d.cal
+	for {
+		if d.hasPend {
+			d.hasPend = false
+			c.push(d.pend)
+		}
+		e, ok := c.pop()
+		if !ok {
+			return d.drained()
+		}
+		d.heap.a[0].t = c.end
+		d.now = e.t
+		d.events++
+		d.pops++
+		if p := e.p; p.stepFn != nil {
+			d.contStep(p)
+		} else {
+			d.run(p, 0)
+		}
+	}
 }
 
 // run resumes p's coroutine until it yields back or its body returns,
@@ -467,9 +530,13 @@ func (d *dispatcher) wake(p *Proc, at int64) bool {
 	t := p.sleepAt + k*p.sleepD
 	switch {
 	case p.wakeAt == maxVT:
-		d.heap.push(ev{t: t, key: p.nextKey(), p: p})
+		d.push(ev{t: t, key: p.nextKey(), p: p})
 	case t < p.wakeAt:
-		d.heap.moveEarlier(p, t)
+		if d.cal != nil {
+			d.cal.moveEarlier(p, p.wakeAt, t)
+		} else {
+			d.heap.moveEarlier(p, t)
+		}
 		d.moved++
 	default:
 		return false
@@ -855,6 +922,131 @@ func (h *flatHeap) siftDown(i int) {
 		i = m
 	}
 	a[i] = e
+}
+
+// calendar is the event queue of a windowed run (Sim.windowed). Window k is
+// the span [k·w, (k+1)·w); the ring holds the events of windows cur …
+// cur+calSlots−1, window k's at slot k mod calSlots, each slot a bag that
+// pops last-in first-out; far holds the events of later windows, in key
+// order, and hands them to the ring as cur comes within calSlots of them.
+// Nothing one PE does inside a window reaches another before the window
+// ends, so the order within a bag is free (DESIGN.md §9, "A window is a
+// bag"); it is deterministic all the same, a function of the pushes alone.
+// A proc has at most one queued event, so a bag needs no storage of its
+// own: it is a list through its procs (Proc.qt, qnext, qprev). A slice per
+// slot would grow to one event per PE and cost sim_msgpoll ≈ 0.3 MiB of
+// peak RSS.
+type calendar struct {
+	w   int64 // window width, ns
+	cur int64 // the current window
+	end int64 // its end, (cur+1)·w: the instant of the heap's sentinel
+	n   int   // events in the ring
+
+	ring [calSlots]*Proc
+	far  flatHeap
+}
+
+// calSlots is the ring's span in windows, a power of two: at the
+// benchmark's grain every event of mpi-ws falls within four windows of the
+// current one; the far heap is for longer quanta and for windows of a few ns.
+const calSlots = 8
+
+// windowed makes s a windowed run: it is dispatched one window of width w at
+// a time (dispatchWindows), its events queued in a calendar, not the heap.
+// It is run.go's to choose, before the first Spawn, and only for a run in
+// which every effect of one PE on another is a message that takes at least w
+// to land (StageSend holds it to that) and nothing observes the PEs at
+// instants of its own.
+func (s *Sim) windowed(w time.Duration) {
+	if s.nprocs != 0 || w <= 0 {
+		panic("des: a run is windowed before its first Spawn, by a positive width")
+	}
+	s.cal = &calendar{w: int64(w), end: int64(w)}
+	s.heap.push(ev{t: int64(w)}) // the sentinel: ahead(t, id) reads t < end
+}
+
+// window is the width of a windowed run's windows, 0 in any other run.
+//
+//uts:noalloc
+func (d *dispatcher) window() int64 {
+	if d.cal == nil {
+		return 0
+	}
+	return d.cal.w
+}
+
+//uts:noalloc
+func (c *calendar) push(e ev) {
+	k := e.t / c.w
+	if k < c.cur {
+		panic("des: an event queued before the window being dispatched")
+	}
+	if k-c.cur >= calSlots {
+		c.far.push(e)
+		return
+	}
+	p, b := e.p, &c.ring[k&(calSlots-1)]
+	p.qt, p.qnext, p.qprev = e.t, *b, nil
+	if p.qnext != nil {
+		p.qnext.qprev = p
+	}
+	*b = p
+	c.n++
+}
+
+// pop takes an event of the current window, moving on to the next window
+// that has one when the current is empty.
+//
+//uts:noalloc
+func (c *calendar) pop() (ev, bool) {
+	for {
+		b := &c.ring[c.cur&(calSlots-1)]
+		if p := *b; p != nil {
+			if *b = p.qnext; p.qnext != nil {
+				p.qnext.qprev = nil
+			}
+			c.n--
+			return ev{t: p.qt, p: p}, true
+		}
+		switch {
+		case c.n > 0:
+			c.cur++
+		case c.far.empty():
+			return ev{}, false
+		default: // an empty ring: on to the far heap's first window
+			c.cur = c.far.a[0].t / c.w
+		}
+		c.end = (c.cur + 1) * c.w
+		for lim := (c.cur + calSlots) * c.w; !c.far.empty() && c.far.a[0].t < lim; {
+			e, _ := c.far.pop()
+			c.push(e)
+		}
+	}
+}
+
+// moveEarlier moves p's queued event from instant from to the earlier to:
+// unlinked from its bucket, or, from the far heap, by flatHeap's scan.
+//
+//uts:noalloc
+func (c *calendar) moveEarlier(p *Proc, from, to int64) {
+	if lim := (c.cur + calSlots) * c.w; from >= lim {
+		c.far.moveEarlier(p, to)
+		if to < lim {
+			e, _ := c.far.pop() // p's: it precedes every event left in the far heap
+			c.push(e)
+		}
+		return
+	}
+	if p.qprev != nil {
+		p.qprev.qnext = p.qnext
+	} else {
+		c.ring[(from/c.w)&(calSlots-1)] = p.qnext
+	}
+	if p.qnext != nil {
+		p.qnext.qprev = p.qprev
+	}
+	c.n--
+	c.push(ev{t: to, p: p})
 }
 
 // Lock is a virtual-time mutex with FIFO queueing. Contention behaves as

@@ -62,7 +62,7 @@ one_rank_loop() {
 	go build -o bin/uts-sim ./cmd/uts-sim
 	out=$(bin/uts-sim -alg mpi-ws -tree bench-small -pes 64 -verbose)
 	echo "$out" | grep -q ' events=305696 '
-	h=$(echo "$out" | sed -n 's/^engine: .* handoffs=\([0-9]*\)$/\1/p')
+	h=$(echo "$out" | sed -n 's/^engine: .* handoffs=\([0-9]*\).*$/\1/p')
 	test -n "$h"
 	test "$h" -lt 7100
 }
@@ -120,6 +120,22 @@ one_baton() {
 	if sed -n '/^type Proc struct/,/^}/p' internal/des/sim.go | grep -nwE '^\s*status'; then exit 1; fi
 }
 
+# One window: fails if a second place decides to dispatch a run in windows,
+# if the calendar leaks out of the file that owns the queue, or if the
+# inline-commit test grows a term: the window is chosen once, in des/run.go
+# (it is the shards' lookahead); the calendar and the sentinel root that
+# stands for its window live in des/sim.go; and dispatcher.ahead, on every
+# boundary of every run, is the heap test alone — a window term there read
+# sim_onesided ≈1.5 % slower.
+one_window() {
+	src=$(ls internal/des/*.go | grep -v _test.go)
+	test "$(cat $src | grep -c '\.windowed(')" -eq 1
+	grep -q '\.windowed(' internal/des/run.go
+	if grep -nwE 'calendar|cal' $(echo "$src" | grep -v '^internal/des/sim\.go$') | grep -vE '^[^:]+:[0-9]+:\s*//'; then exit 1; fi
+	body=$(sed -n '/^func (d \*dispatcher) ahead(/,/^}/p' internal/des/sim.go | sed '1d;$d' | tr -d '\t')
+	test "$body" = 'return d.heap.empty() || d.heap.rootAfter(t, id)'
+}
+
 failed=0
 # rule NAME SECTIONS FUNCTION: the function runs in a subshell under -e, as
 # each did as a CI step, so its first failing line fails the rule.
@@ -138,5 +154,6 @@ rule "One rank loop" "§9, §17" one_rank_loop
 rule "One node kernel" "§7, §17" one_node_kernel
 rule "One work loop" "§17" one_work_loop
 rule "One baton" "§9, §12" one_baton
-[ $failed -eq 0 ] && echo "shape: 8 rules hold"
+rule "One window" "§9" one_window
+[ $failed -eq 0 ] && echo "shape: 9 rules hold"
 exit $failed
