@@ -31,8 +31,7 @@ func main() {
 		Chunk:      16,
 		AdaptUsage: "adapt chunk/steal-half/poll per PE at runtime from steal feedback (virtual-time windows; deterministic)",
 		Poll:       true, Seed: true,
-		ShardsUsage: "parallel dispatcher shards (0 = one per available core; 1 = sequential engine); results are identical at any count",
-		Trace:       true, Virtual: true,
+		Trace: true, Virtual: true,
 		RingUsage: "per-PE trace ring capacity in events (0 = default)",
 		LiveUsage: "print a live progress line (rates, virtual time, steal p95) to stderr every interval (e.g. 1s; 0 = off)",
 	})
@@ -52,7 +51,6 @@ func main() {
 		Model:        model,
 		PollInterval: f.Poll,
 		Seed:         f.Seed,
-		Shards:       f.Shards,
 		Adapt:        f.AdaptConfig(),
 		Tracer:       tracer,
 	}
@@ -69,15 +67,11 @@ func main() {
 		close(stopBeat)
 	}
 	if err == nil {
-		shardNote := ""
-		if info.Shards > 0 {
-			shardNote = fmt.Sprintf(" shards=%d lookahead=%v", info.Shards, info.Lookahead)
-		}
-		fmt.Printf("tree=%s alg=%s pes=%d chunk=%d profile=%s engine=%s%s events=%d wall=%v\n",
-			sp.Name, f.Alg, f.PEs, f.Chunk, f.Profile, info.Engine, shardNote, info.Events, wall.Round(time.Millisecond))
+		fmt.Printf("tree=%s alg=%s pes=%d chunk=%d profile=%s engine=%s events=%d wall=%v\n",
+			sp.Name, f.Alg, f.PEs, f.Chunk, f.Profile, info.Engine, info.Events, wall.Round(time.Millisecond))
 		fmt.Print(res.Summary())
 		if *verbose {
-			lookahead := "" // the shards' horizon, or the window of a batched mpi-ws run
+			lookahead := "" // the window of a windowed (mpi-ws) run
 			if info.Lookahead > 0 {
 				lookahead = fmt.Sprintf(" lookahead=%v", info.Lookahead)
 			}

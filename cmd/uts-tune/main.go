@@ -25,8 +25,7 @@ func main() {
 		Profile: "kittyhawk", ProfileUsage: "machine profile",
 		AlgUsage: "algorithm to tune", Algs: cliflags.Simulatable(),
 		Width: "pes", PEs: 64, WidthUsage: "simulated processing elements",
-		ShardsUsage: "parallel dispatcher shards per sweep point (0 = one per available core; 1 = sequential engine)",
-		AdaptUsage:  "after the sweep, run the closed-loop controller from the worst candidate and compare it against the best fixed chunk",
+		AdaptUsage: "after the sweep, run the closed-loop controller from the worst candidate and compare it against the best fixed chunk",
 	})
 	flag.Parse()
 
@@ -35,9 +34,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	cfg := des.Config{
-		Algorithm: core.Algorithm(f.Alg), PEs: f.PEs, Model: model, Shards: f.Shards,
-	}
+	cfg := des.Config{Algorithm: core.Algorithm(f.Alg), PEs: f.PEs, Model: model}
 	best, results, err := des.TuneChunk(sp, cfg, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -1,5 +1,5 @@
 // Package cliflags is the one definition of the flags the UTS commands
-// share — the tree, machine-profile, scheduler, shard and trace/live
+// share — the tree, machine-profile, scheduler and trace/live
 // groups of uts, uts-sim, uts-dist, uts-tune and uts-trace — and of what
 // they resolve to. A command passes its own defaults and wording in a
 // Defaults value; flag names, validation, the tracer/sampler set-up and
@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -48,8 +47,6 @@ type Defaults struct {
 	AdaptUsage string // usage of -adapt
 	Poll, Seed bool   // register -poll, -seed
 
-	ShardsUsage string // usage of -shards
-
 	Trace         bool   // register -trace, -timeline, -hist
 	TraceUsage    string // "" = the shared wording, likewise the next two
 	TimelineUsage string
@@ -67,10 +64,6 @@ type Flags struct {
 	PEs, Chunk, Poll   int
 	Seed               int64
 	Adapt              bool
-
-	// Shards is des.Config's field of the same name; after Resolve it is
-	// the effective count (0 = sequential engine).
-	Shards int
 
 	TraceOut       string
 	Timeline, Hist bool
@@ -109,9 +102,6 @@ func Register(fs *flag.FlagSet, d Defaults) *Flags {
 	}
 	if d.Seed {
 		fs.Int64Var(&f.Seed, "seed", 0, "probe-order seed")
-	}
-	if d.ShardsUsage != "" {
-		fs.IntVar(&f.Shards, "shards", 1, d.ShardsUsage)
 	}
 	if d.Trace {
 		fs.StringVar(&f.TraceOut, "trace", "", cmp.Or(d.TraceUsage, "write a Chrome trace_event JSON file (open in ui.perfetto.dev)"))
@@ -156,12 +146,6 @@ func (f *Flags) Resolve() (*uts.Spec, *pgas.Model, *obs.Tracer, error) {
 	if err := f.validate(); err != nil {
 		return nil, nil, nil, err
 	}
-	if f.d.ShardsUsage != "" && f.Shards == 0 {
-		f.Shards = runtime.GOMAXPROCS(0)
-	}
-	if f.Shards == 1 {
-		f.Shards = 0
-	}
 	var tracer *obs.Tracer
 	if f.TraceOut != "" || f.Timeline || f.Hist || f.Live > 0 {
 		if f.d.Virtual {
@@ -201,9 +185,6 @@ func (f *Flags) validate() error {
 	}
 	if d.ProfileUsage != "" && pgas.Profiles[f.Profile] == nil {
 		return fmt.Errorf("unknown profile %q", f.Profile)
-	}
-	if f.Shards < 0 {
-		return fmt.Errorf("-shards %d out of range (want 0 for auto or a positive count)", f.Shards)
 	}
 	if d.Chart {
 		if err := atLeast1("buckets", f.Buckets); err != nil {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -27,12 +26,12 @@ var (
 		Tree: "bench-medium", Profile: "kittyhawk", ProfileUsage: "p",
 		AlgUsage: "a", Algs: Simulatable(),
 		Width: "pes", PEs: 64, MaxPEs: 1 << 20, WidthUsage: "w", Chunk: 16, AdaptUsage: "a", Poll: true, Seed: true,
-		ShardsUsage: "s", Trace: true, Virtual: true, RingUsage: "r", LiveUsage: "l",
+		Trace: true, Virtual: true, RingUsage: "r", LiveUsage: "l",
 	}
 	tuneCLI = Defaults{
 		Tree: "bench-medium", Profile: "kittyhawk", ProfileUsage: "p",
 		AlgUsage: "a", Algs: Simulatable(),
-		Width: "pes", PEs: 64, WidthUsage: "w", ShardsUsage: "s", AdaptUsage: "a",
+		Width: "pes", PEs: 64, WidthUsage: "w", AdaptUsage: "a",
 	}
 	traceCLI = Defaults{
 		Tree: "bench-medium", Profile: "kittyhawk", ProfileUsage: "p",
@@ -77,7 +76,6 @@ func TestResolveRejectsBadInput(t *testing.T) {
 		{"uts-dist -ranks 0 -trace", distCLI, []string{"-ranks", "0", "-trace", "x.json"}, "-ranks 0: need at least 1"},
 		{"uts-sim -pes beyond the bound", simCLI, []string{"-pes", "2000000", "-hist"}, "-pes 2000000 out of range [1, 1048576]"},
 		{"uts-sim -pes 0", simCLI, []string{"-pes", "0"}, "-pes 0 out of range [1, 1048576]"},
-		{"negative shards", tuneCLI, []string{"-shards", "-1"}, "-shards -1 out of range"},
 		{"uts -chunk -3", utsCLI, []string{"-chunk", "-3"}, "-chunk -3: need at least 1"},
 		{"uts-sim -poll -1", simCLI, []string{"-poll", "-1"}, "-poll -1: need at least 1"},
 		{"uts-trace -chunk 0", traceCLI, []string{"-chunk", "0"}, "-chunk 0: need at least 1"},
@@ -112,14 +110,14 @@ func TestResolveDefaults(t *testing.T) {
 		if tracer != nil {
 			t.Errorf("%s: a tracer without any trace flag", name)
 		}
-		if f.Shards != 0 || f.AdaptConfig() != nil || f.StartLive(nil, io.Discard) != nil {
-			t.Errorf("%s: defaults are not the plain sequential fixed-knob run: shards=%d", name, f.Shards)
+		if f.AdaptConfig() != nil || f.StartLive(nil, io.Discard) != nil {
+			t.Errorf("%s: defaults are not the plain fixed-knob run", name)
 		}
 	}
 }
 
 func TestResolveTracerAndKnobs(t *testing.T) {
-	f := parse(t, simCLI, "-pes", "12", "-hist", "-ring", "256", "-adapt", "-shards", "4")
+	f := parse(t, simCLI, "-pes", "12", "-hist", "-ring", "256", "-adapt")
 	_, _, tracer, err := f.Resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -127,8 +125,8 @@ func TestResolveTracerAndKnobs(t *testing.T) {
 	if tracer.PEs() != 12 || !tracer.Virtual() {
 		t.Errorf("uts-sim tracer: %d lanes, virtual=%v; want 12 virtual lanes", tracer.PEs(), tracer.Virtual())
 	}
-	if f.Shards != 4 || f.AdaptConfig() == nil {
-		t.Errorf("shards=%d adapt=%v, want 4 and a config", f.Shards, f.AdaptConfig())
+	if f.AdaptConfig() == nil {
+		t.Error("-adapt resolved to no config")
 	}
 
 	f = parse(t, utsCLI, "-threads", "3", "-live", "1s")
@@ -138,19 +136,6 @@ func TestResolveTracerAndKnobs(t *testing.T) {
 	}
 	if tracer.PEs() != 3 || tracer.Virtual() {
 		t.Errorf("uts tracer: %d lanes, virtual=%v; want 3 wall-clock lanes", tracer.PEs(), tracer.Virtual())
-	}
-
-	// -shards 0 means one per core, and one shard is the sequential engine.
-	f = parse(t, tuneCLI, "-shards", "0")
-	if _, _, _, err := f.Resolve(); err != nil {
-		t.Fatal(err)
-	}
-	want := runtime.GOMAXPROCS(0)
-	if want == 1 {
-		want = 0
-	}
-	if f.Shards != want {
-		t.Errorf("-shards 0 resolved to %d, want %d", f.Shards, want)
 	}
 
 	// A cleared tree (uts -t, uts-seq without -tree) resolves to no spec.

@@ -397,7 +397,10 @@ func (r *ProbeOrder) shuffle(s []int) {
 // coprime-strided traversal of the ID space with O(1) state per walker:
 // with P simulated PEs each caching an O(P) cycle, the permutations cost
 // O(P²) memory in one simulator process — ≈137 GB at 131072 PEs, which
-// OOM-killed exactly the runs the sharded engine exists to make possible.
+// OOM-killed the first 131072-PE work-stealing run at ~130 GB. The strided
+// walk runs it in 0.86 GB (EXPERIMENTS.md D3). Completion at that scale is
+// still bounded by the algorithm itself: exhaustion means every idle PE
+// walks all P−1 victims, an O(P²) event bill no engine can waive.
 const probeWalkCacheMax = 4096
 
 // ProbeWalk is a lazily generated probe cycle: each of the n−1 victims

@@ -127,8 +127,9 @@ func TestAdaptOffByteIdentical(t *testing.T) {
 }
 
 // TestAdaptiveDeterministic demands bit-identical adaptive runs across
-// engines and shard counts: the controllers consume only virtual-time
-// feedback, so the sharded dispatch must not change a single decision.
+// engines: the controllers consume only virtual-time feedback, so the legacy
+// reference, which resumes a PE at every event and counts no poll, must take
+// every decision the batched engine takes.
 func TestAdaptiveDeterministic(t *testing.T) {
 	cases := []struct {
 		name string
@@ -150,21 +151,19 @@ func TestAdaptiveDeterministic(t *testing.T) {
 			if ref.Policy == nil {
 				t.Fatal("adaptive run returned no policy summary")
 			}
-			for _, shards := range []int{1, 4} {
-				cfg := tc.cfg
-				cfg.Shards = shards
-				res, info, err := RunInfo(&uts.T3Small, cfg)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
-				}
-				if got, want := fp(res, info), fp(ref, refInfo); got != want {
-					t.Errorf("shards=%d diverged from sequential:\ngot  %+v\nwant %+v", shards, got, want)
-				}
-				if got, want := *res.Policy, *ref.Policy; got.Windows != want.Windows ||
-					got.Changes != want.Changes || got.ChunkFinalMean != want.ChunkFinalMean ||
-					got.ChunkLo != want.ChunkLo || got.ChunkHi != want.ChunkHi {
-					t.Errorf("shards=%d policy summary diverged:\ngot  %+v\nwant %+v", shards, got, want)
-				}
+			cfg := tc.cfg
+			cfg.reference = true
+			res, info, err := RunInfo(&uts.T3Small, cfg)
+			if err != nil {
+				t.Fatalf("legacy: %v", err)
+			}
+			if got, want := fp(res, info), fp(ref, refInfo); got != want {
+				t.Errorf("legacy diverged from batched:\ngot  %+v\nwant %+v", got, want)
+			}
+			if got, want := *res.Policy, *ref.Policy; got.Windows != want.Windows ||
+				got.Changes != want.Changes || got.ChunkFinalMean != want.ChunkFinalMean ||
+				got.ChunkLo != want.ChunkLo || got.ChunkHi != want.ChunkHi {
+				t.Errorf("legacy policy summary diverged:\ngot  %+v\nwant %+v", got, want)
 			}
 		})
 	}

@@ -173,7 +173,7 @@ func (pe *simDistPE) Service() {
 	}
 	d := 2 * pe.r.between(pe.me, thief).remoteRef // amount + address writes
 	pe.T.AddState(pe.state, d)
-	pe.p.RemoteSend(thief, d, 0, opDistDeliver, 0, 0, chunks)
+	pe.p.RemoteSend(thief, d, opDistDeliver, 0, 0, chunks)
 	pe.request = -1
 	if len(chunks) > 0 {
 		pe.Granted(thief, len(chunks))

@@ -3,6 +3,7 @@ package des
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"reflect"
 	"slices"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pgas"
 	"repro/internal/policy"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/uts"
 )
@@ -93,8 +95,8 @@ func windowCases(fn func(name string, sp *uts.Spec, cfg Config, window time.Dura
 		{"altix", func(c *Config) { c.Model = &pgas.Altix }, 600 * time.Nanosecond},
 		{"few-ns", func(c *Config) { c.Model = &fewNS }, 3 * time.Nanosecond},
 		// mpi-ws charges one cost model, Model, to every message; a node of
-		// four with an Intra model only narrows the window to the lookahead
-		// the shards would use, Intra's remote reference.
+		// four with an Intra model only narrows the window to Intra's remote
+		// reference.
 		{"nodes-of-4", func(c *Config) { c.NodeSize, c.Intra = 4, &pgas.Altix }, 600 * time.Nanosecond},
 		{"64pes", func(c *Config) { c.PEs = 64 }, 4 * time.Microsecond},
 		{"256pes", func(c *Config) { c.PEs = 256 }, 4 * time.Microsecond},
@@ -166,6 +168,224 @@ func TestEngineDifferential(t *testing.T) {
 	})
 }
 
+// rawRun is everything a seeded raw workload leaves behind; all of it must
+// come out bit-identical under every engine.
+type rawRun struct {
+	state  []int64   // per-PE counter partition, mutated through remote ops
+	shared []int64   // per-PE-pair word, mutated under the pair's lock
+	mail   [][]int64 // per-PE mailbox of delayed sends: (arrival stamp, value) pairs
+	logs   [][]int64 // per-PE record of everything the PE observed
+}
+
+// buildRawWorkload spawns n PEs on s, each running rounds actions drawn from
+// a stream seeded by (seed, PE): plain and stepped advances (NoPoll
+// boundaries, ended early by interrupts other PEs post), remote calls,
+// immediate and delayed sends, two boundary reads staged in one quantum, and
+// lock sections shared with the neighbour PE. Durations come from a handful
+// of values so that boundaries of different PEs keep falling on one instant.
+func buildRawWorkload(s *Sim, seed int64, n, rounds int) *rawRun {
+	const (
+		opAdd = iota
+		opRead
+		opMax
+		opPost
+		opMail
+	)
+	r := &rawRun{state: make([]int64, n), shared: make([]int64, n),
+		mail: make([][]int64, n), logs: make([][]int64, n)}
+	procs := make([]*Proc, n)
+	locks := make([]Lock, n)
+	s.SetRemote(func(dst int, op uint8, a, b int64, _ []stack.Chunk) int64 {
+		old := r.state[dst]
+		switch op {
+		case opAdd:
+			r.state[dst] += a
+		case opMax:
+			r.state[dst] = max(old, a)
+		case opPost:
+			procs[dst].Post(Intr(1) << (a & 3))
+		case opMail: // sorted insert: order of application must not show
+			m := r.mail[dst]
+			i := 0
+			for i < len(m) && (m[i] < a || (m[i] == a && m[i+1] < b)) {
+				i += 2
+			}
+			r.mail[dst] = slices.Insert(m, i, a, b)
+		}
+		return old
+	})
+	const hop = 100 * time.Nanosecond
+	durs := []time.Duration{0, 1, 2, 3, hop / 2, hop}
+	hops := []time.Duration{hop, hop + 1, 2 * hop}
+	for i := 0; i < n; i++ {
+		rng := rand.New(rand.NewSource(seed<<8 + int64(i)))
+		procs[i] = s.Spawn(func(p *Proc) {
+			log := func(v ...int64) { r.logs[i] = append(r.logs[i], v...) }
+			pick := func(ds []time.Duration) time.Duration { return ds[rng.Intn(len(ds))] }
+			for k := 0; k < rounds; k++ {
+				dst, val := rng.Intn(n), int64(i<<20|k)
+				switch rng.Intn(8) {
+				case 0:
+					p.Advance(pick(durs))
+				case 1: // stepped advance; a posted interrupt may end it early
+					quanta := make([]time.Duration, 1+rng.Intn(6))
+					flags := make([]uint8, len(quanta))
+					for j := range quanta {
+						quanta[j] = pick(durs)
+						flags[j] = uint8(rng.Intn(2)) * StepNoPoll
+					}
+					j := 0
+					m := p.AdvanceStepped(func() (time.Duration, uint8) {
+						if j == len(quanta) {
+							return 0, StepDone
+						}
+						j++
+						return quanta[j-1], flags[j-1]
+					})
+					log(int64(m), int64(j))
+				case 2:
+					log(p.RemoteCall(dst, pick(hops), uint8(rng.Intn(4)), val, 0))
+				case 3:
+					p.RemoteSend(dst, pick(hops), uint8([]int{opAdd, opMax, opPost}[rng.Intn(3)]), val, 0, nil)
+				case 4: // delayed send, visible to dst from its stamp on
+					adv, delay := pick(durs), pick(hops)
+					p.RemoteSend(dst, adv, opMail, int64(p.Now()+adv+delay), val, nil)
+				case 5: // two ops staged on one boundary, then one more quantum
+					dst2, d, fl := rng.Intn(n), pick(hops), uint8(rng.Intn(2))*StepNoPoll
+					op2, tail := uint8(rng.Intn(3)), pick(durs)
+					j := 0
+					m := p.AdvanceStepped(func() (time.Duration, uint8) {
+						j++
+						switch j {
+						case 1:
+							p.StageRemote(dst, d, opRead, 0, 0)
+							return p.StageRemote(dst2, d, op2, val, 0), fl
+						case 2:
+							log(p.StagedResult(0), p.StagedResult(1))
+							return tail, 0
+						}
+						return 0, StepDone
+					})
+					log(int64(m), int64(j))
+				case 6: // lock section with the neighbour PE
+					if i^1 >= n {
+						break
+					}
+					l, w := &locks[i&^1], &r.shared[i&^1]
+					p.Acquire(l, pick(hops))
+					v := *w
+					p.Advance(pick(durs))
+					*w = v*3 + int64(i)
+					p.Release(l, pick(durs))
+					log(v)
+				case 7: // receive what has arrived
+					m := r.mail[i]
+					got := 0
+					for got < len(m) && m[got] <= int64(p.Now()) {
+						got += 2
+					}
+					log(m[:got]...)
+					r.mail[i] = m[got:]
+					r.state[i]++
+				}
+				log(int64(p.Now()))
+			}
+		})
+	}
+	return r
+}
+
+// TestEngineDifferentialRaw is the engine differential without a protocol on
+// top: seeded raw workloads under the batched engine and under the legacy
+// reference must leave bit-identical state, per-PE logs, event counts and
+// makespans. A failure names its seed.
+func TestEngineDifferentialRaw(t *testing.T) {
+	const n, rounds, seeds = 16, 60, 20
+	for seed := int64(0); seed < seeds; seed++ {
+		var runs [2]*rawRun
+		var sims [2]*Sim
+		for i, e := range engines {
+			sims[i] = e.new()
+			runs[i] = buildRawWorkload(sims[i], seed, n, rounds)
+			if err := sims[i].Run(); err != nil {
+				t.Fatalf("seed %d %s: %v", seed, e.name, err)
+			}
+		}
+		b, l := sims[0], sims[1]
+		if !reflect.DeepEqual(runs[0], runs[1]) {
+			t.Errorf("seed %d: state or per-PE logs diverged:\nbatched %+v\nlegacy  %+v", seed, runs[0], runs[1])
+		}
+		if b.Events() != l.Events() || b.Now() != l.Now() {
+			t.Errorf("seed %d: batched %d events to %v, legacy %d to %v", seed, b.Events(), b.Now(), l.Events(), l.Now())
+		}
+	}
+}
+
+// TestShardedDifferential holds Config.Shards to what it is: a field that
+// selects nothing. At every value the run is the batched engine's — the same
+// Info, makespan and per-thread counters as the run with Shards 0 — over the
+// whole differential matrix.
+func TestShardedDifferential(t *testing.T) {
+	differentialCases(func(name string, sp *uts.Spec, cfg Config) {
+		bres, binfo, err := RunInfo(sp, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, shards := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				cfg.Shards = shards
+				if info := runSame(t, "shards", sp, cfg, bres, binfo); info != binfo {
+					t.Errorf("%+v, want the Shards 0 run's %+v", info, binfo)
+				}
+			})
+		}
+	})
+}
+
+// TestShardedValidation covers the configuration ladder around
+// Config.Shards: a negative count is an error, and every other — more shards
+// than PEs, a zero-latency model, the lock-coupled shared-memory family, a
+// windowed run, a diffusion-traced run — is the batched engine's run at
+// Shards 0.
+func TestShardedValidation(t *testing.T) {
+	base := Config{Algorithm: core.UPCDistMem, PEs: 4, Model: &pgas.KittyHawk}
+	neg := base
+	neg.Shards = -1
+	if _, _, err := RunInfo(&uts.BenchTiny, neg); err == nil {
+		t.Error("negative shard count accepted")
+	}
+	for _, c := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"more shards than PEs", func(c *Config) { c.Shards = 64 }},
+		{"zero-latency model", func(c *Config) { c.Shards, c.Model = 2, &pgas.SharedMemory }},
+		{"upc-term", func(c *Config) { c.Shards, c.Algorithm = 4, core.UPCTerm }},
+		{"mpi-ws", func(c *Config) { c.Shards, c.Algorithm = 2, core.MPIWS }},
+	} {
+		cfg := base
+		c.set(&cfg)
+		_, info, err := RunInfo(&uts.BenchTiny, cfg)
+		cfg.Shards = 0
+		_, want, werr := RunInfo(&uts.BenchTiny, cfg)
+		if err != nil || werr != nil {
+			t.Errorf("%s: %v / %v", c.name, err, werr)
+		} else if info != want || info.Engine != EngineBatched {
+			t.Errorf("%s: ran %+v, want the batched engine's %+v", c.name, info, want)
+		}
+	}
+	tr := base
+	tr.Shards = 2
+	_, got, err := RunTraced(&uts.BenchTiny, tr, time.Millisecond)
+	if err != nil {
+		t.Fatalf("traced run at two shards: %v", err)
+	}
+	tr.Shards = 0
+	if _, want, _ := RunTraced(&uts.BenchTiny, tr, time.Millisecond); !reflect.DeepEqual(got, want) {
+		t.Errorf("traced run at two shards sampled %+v, at none %+v", got, want)
+	}
+}
+
 // TestEveryNanosecondHasAState is the tier-1 piece of the lost-time
 // identity: whatever a PE does with virtual time, it books it to one of its
 // Figure-1 states, so the four state times of a PE add up to its own finish
@@ -183,7 +403,6 @@ func TestEveryNanosecondHasAState(t *testing.T) {
 	}{
 		{"batched", func(*Config) {}},
 		{"legacy", func(c *Config) { c.reference = true }},
-		{"shards=2", func(c *Config) { c.Shards = 2 }},
 	}
 	for _, algo := range algos {
 		for _, e := range engines {
@@ -389,9 +608,9 @@ func TestEngineCountsPinned(t *testing.T) {
 	// sleep added lies behind them.
 	var p Proc
 	if size, hot := unsafe.Sizeof(p), unsafe.Offsetof(p.staged); unsafe.Sizeof(uintptr(0)) == 8 &&
-		(size%64 != 0 || hot != 64 || unsafe.Offsetof(p.callRes) != 128) {
+		(size%64 != 0 || hot != 64 || unsafe.Offsetof(p.stagedChunks) != 128) {
 		t.Errorf("a Proc is %d bytes with its staged slots at %d..%d, want whole 64-byte lines and 64..128",
-			size, hot, unsafe.Offsetof(p.callRes))
+			size, hot, unsafe.Offsetof(p.stagedChunks))
 	}
 	check := func(name string, got, want Info) {
 		t.Helper()
@@ -412,18 +631,36 @@ func TestEngineCountsPinned(t *testing.T) {
 		"mpi-ws/t3-small/seed1": {Engine: EngineBatched, Events: 14315, Lookahead: 4 * time.Microsecond,
 			Pops: 2641, Counted: 8408, Handoffs: 32, Wakes: Wakes{Moved: 168}},
 	}
-	_, info, err := RunInfo(&onesidedTree, Config{Algorithm: core.UPCDistMem, PEs: 256, Chunk: 16, Model: &pgas.KittyHawk, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	// The benchmark's two configurations, each with the identity row the
+	// benchmark takes beside it (des.sharded2_*): at Shards 2 the run is the
+	// batched engine's, the same counts and a result equal to Shards 0's.
+	for _, row := range []struct {
+		name string
+		cfg  Config
+		want Info
+	}{
+		{"upc-distmem/sim_onesided", Config{Algorithm: core.UPCDistMem, PEs: 256, Chunk: 16, Model: &pgas.KittyHawk, Seed: 1},
+			Info{Engine: EngineBatched, Events: 399666, Pops: 116535, Counted: 282957, Handoffs: 13312,
+				Wakes: Wakes{Word: 7296, End: 960, Post: 44, Moved: 6681}}},
+		{"mpi-ws/sim_msgpoll", Config{Algorithm: core.MPIWS, PEs: 256, Chunk: 16, Model: &pgas.KittyHawk, PollInterval: 8, Seed: 1},
+			Info{Engine: EngineBatched, Events: 3131451, Lookahead: 4 * time.Microsecond,
+				Pops: 532857, Counted: 1998722, Handoffs: 512, Wakes: Wakes{Moved: 46446}}},
+	} {
+		res, info, err := RunInfo(&onesidedTree, row.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(row.name, info, row.want)
+		row.cfg.Shards = 2
+		res2, info, err := RunInfo(&onesidedTree, row.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(row.name+" shards=2", info, row.want)
+		if res2.Elapsed != res.Elapsed || !reflect.DeepEqual(res2.Threads, res.Threads) {
+			t.Errorf("%s shards=2: the result differs from the Shards 0 run's", row.name)
+		}
 	}
-	check("upc-distmem/sim_onesided", info, Info{Engine: EngineBatched, Events: 399666, Pops: 116535, Counted: 282957, Handoffs: 13312,
-		Wakes: Wakes{Word: 7296, End: 960, Post: 44, Moved: 6681}})
-	_, info, err = RunInfo(&onesidedTree, Config{Algorithm: core.MPIWS, PEs: 256, Chunk: 16, Model: &pgas.KittyHawk, PollInterval: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("mpi-ws/sim_msgpoll", info, Info{Engine: EngineBatched, Events: 3131451, Lookahead: 4 * time.Microsecond,
-		Pops: 532857, Counted: 1998722, Handoffs: 512, Wakes: Wakes{Moved: 46446}})
 	differentialCases(func(name string, sp *uts.Spec, cfg Config) {
 		if w, ok := want[name]; ok {
 			_, info, err := RunInfo(sp, cfg)
@@ -441,15 +678,9 @@ func TestEngineCountsPinned(t *testing.T) {
 
 // BenchmarkSimDispatch is the pure engine microbenchmark, the number the
 // batched rewrite targets; BenchmarkSimEngine shows the same ratio diluted
-// by the simulation's real node-expansion work. The sharded legs run the
-// same dispatcher: one shard has no peers, so that leg is the batched engine
-// reached through NewSharded and the two agree; two shards put the
-// dispatcher behind a shard's gate, where they only trade horizon promises
-// (the workload has no remote operation).
+// by the simulation's real node-expansion work.
 func BenchmarkSimDispatch(b *testing.B) {
-	for _, e := range append(slices.Clip(engines),
-		engineLeg{name: "sharded-1", new: func() *Sim { return NewSharded(1, 0) }},
-		engineLeg{name: "sharded-2", new: func() *Sim { return NewSharded(2, 4*time.Microsecond) }}) {
+	for _, e := range engines {
 		b.Run(e.name, func(b *testing.B) {
 			b.ReportAllocs()
 			sim := e.new()
@@ -464,7 +695,7 @@ func BenchmarkSimDispatch(b *testing.B) {
 
 // benchSim simulates cfg b.N times. Every engine executes the identical
 // event sequence (the differentials prove it), so events/s isolates engine
-// overhead: heap handling, coroutine resumptions, allocation, shard sync.
+// overhead: heap handling, coroutine resumptions, allocation.
 func benchSim(b *testing.B, sp *uts.Spec, cfg Config) {
 	b.ReportAllocs()
 	var events uint64

@@ -12,9 +12,9 @@ import (
 
 // simMsg is one in-flight message: visible to the receiver once virtual
 // time reaches arriveAt. The inbox is kept sorted by (sentAt, From) — the
-// order in which a sequential engine executes the sends — so the sharded
-// engine, whose deliveries apply at the arrival instant rather than the
-// send instant, reconstructs exactly the sequential receive order.
+// order in which the event queue executes the sends — so a windowed run,
+// which applies the sends of one window in any order, reconstructs exactly
+// the receive order of one that does not.
 type simMsg struct {
 	msg.Message
 	arriveAt time.Duration
@@ -42,9 +42,8 @@ func (r *simMPIRun) apply(dst int, op uint8, a, b int64, chunks []stack.Chunk) i
 		arriveAt: time.Duration(b) + r.cs.bulk(size),
 	}
 	// Sorted insert by (sentAt, From). Where sends apply in key order it is
-	// an append; a windowed run applies the sends of one window in any order,
-	// and under the sharded engine a small message can be delivered before
-	// an earlier-sent bulky one — the insert restores send order.
+	// an append; a windowed run applies the sends of one window in any order
+	// — the insert restores send order.
 	i := len(pe.inbox)
 	pe.inbox = append(pe.inbox, simMsg{})
 	for i > 0 && (pe.inbox[i-1].sentAt > m.sentAt ||

@@ -252,10 +252,10 @@ func TestTracedEventsWellFormed(t *testing.T) {
 // TestEngineCountsPinned: how many events a run records and how many of
 // them its rings have overwritten by the end, as literals that hold on any
 // host. On bench-small at 64 PEs one row wraps a 1024-slot ring and one
-// stays inside it; both must read the same under two shards, where each PE
-// still records into its own lane. With obs's 32-byte slot these are also
-// the bytes a trace costs: Events × 32 written, (Events − Dropped) × 32
-// retained.
+// stays inside it; both must read the same under the legacy reference, which
+// steps every probe and poll the batched engine counts and records each
+// where it falls. With obs's 32-byte slot these are also the bytes a trace
+// costs: Events × 32 written, (Events − Dropped) × 32 retained.
 func TestTraceCountsPinned(t *testing.T) {
 	const pes, ringSize = 64, 1024
 	type counts struct{ Events, Dropped int64 }
@@ -266,15 +266,15 @@ func TestTraceCountsPinned(t *testing.T) {
 		{core.UPCDistMem, counts{Events: 53820, Dropped: 16}},
 		{core.MPIWS, counts{Events: 53756}},
 	} {
-		for _, shards := range []int{0, 2} {
+		for _, e := range engines {
 			cfg := Config{Algorithm: row.alg, PEs: pes, Chunk: 8, Model: &pgas.KittyHawk, Seed: 1,
-				Shards: shards, Tracer: obs.NewVirtual(pes, ringSize)}
+				reference: e.reference, Tracer: obs.NewVirtual(pes, ringSize)}
 			res, err := Run(&uts.BenchSmall, cfg)
 			if err != nil {
-				t.Fatalf("%s shards=%d: %v", row.alg, shards, err)
+				t.Fatalf("%s %s: %v", row.alg, e.name, err)
 			}
 			if got := (counts{res.Obs.Events, res.Obs.Dropped}); got != row.want {
-				t.Errorf("%s shards=%d: %+v, want %+v", row.alg, shards, got, row.want)
+				t.Errorf("%s %s: %+v, want %+v", row.alg, e.name, got, row.want)
 			}
 		}
 	}

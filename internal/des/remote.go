@@ -7,15 +7,12 @@ import (
 )
 
 // This file is the remote-operation layer: the single doorway through which
-// one simulated PE touches state owned by another. While both PEs share a
-// dispatcher — always, under the sequential engines — the doorway is a plain
-// function call: exactly one of its PEs runs at any instant, so applying an
-// operation inline at the caller's clock is the definition of correct. When
-// the sharded engine (sharded.go) has put dst on another shard, the same
-// calls become messages stamped with the virtual instant and the caller's
-// (proc, seq) position, and the owning shard applies them in global key
-// order — which is why routing every cross-PE effect through this layer is
-// what makes the sharded schedule bit-identical to the sequential one.
+// one simulated PE touches state owned by another. Exactly one PE runs at
+// any instant, so the doorway is a plain function call: applying an
+// operation inline at the caller's clock, at the caller's position in the
+// schedule, is the definition of correct. Routing every cross-PE effect
+// through it keeps one interpreter per protocol (Sim.SetRemote) the owner of
+// all cross-partition mutation.
 //
 // The vocabulary is four calls:
 //
@@ -24,10 +21,7 @@ import (
 //     read-modify-write (claiming a victim's request word).
 //   - RemoteSend: advance adv, then apply op at dst. Models one-sided
 //     writes whose effect is committed at the completion instant (a steal
-//     response) or — with effectDelay > 0 — a payload that becomes visible
-//     to the receiver only later (an MPI message in flight). Delayed ops
-//     must gate observable visibility on a stamp carried in their payload;
-//     the layer itself applies them eagerly under sequential engines.
+//     response).
 //   - StageRemote: stage op to execute against dst exactly at the boundary
 //     of the quantum the surrounding Stepper is about to return — the
 //     completion instant of an in-flight one-sided read. The result is
@@ -38,7 +32,10 @@ import (
 //   - StageSend: RemoteSend for a Stepper, which may not advance — the
 //     quantum it is about to return is adv, and op is applied at dst at that
 //     quantum's boundary, the instant and key position RemoteSend's
-//     advance-then-apply gives it. It takes a staged slot.
+//     advance-then-apply gives it. It takes a staged slot. Its payload may
+//     declare that it becomes visible to the receiver only effectDelay
+//     later (an MPI message in flight); such an op must gate visibility on a
+//     stamp carried in its payload, since the layer applies it at once.
 //
 // Operations run in the owner's execution context: they may freely mutate
 // the destination PE's state and post interrupts, but must not advance any
@@ -54,7 +51,6 @@ type RemoteApply func(dst int, op uint8, a, b int64, chunks []stack.Chunk) int64
 type stagedOp struct {
 	dst  int32
 	op   uint8
-	away bool // sent to dst's shard: res arrives by rendezvous reply (sharded.go)
 	send bool // a StageSend: applied with the proc's stagedChunks
 	a    int64
 	b    int64
@@ -73,28 +69,15 @@ func (s *Sim) SetRemote(fn RemoteApply) { s.remote = fn }
 //
 //uts:noalloc
 func (p *Proc) RemoteCall(dst int, d time.Duration, op uint8, a, b int64) int64 {
-	if sh := p.d.sh; sh != nil && sh.foreign(dst) {
-		return sh.remoteCall(p, dst, d, op, a, b)
-	}
 	p.Advance(d)
 	return p.sim.remote(dst, op, a, b, nil)
 }
 
 // RemoteSend advances adv of virtual time, then applies op against dst's
-// partition: a fire-and-forget committed effect. effectDelay > 0 declares
-// that the operation's observable effect lags its application by that long
-// (an in-flight message); such ops must gate visibility on a stamp carried
-// in their payload, because the sequential engines apply them at the
-// completion instant of adv while the sharded engine applies them at
-// now+adv+effectDelay.
+// partition: a fire-and-forget committed effect.
 //
 //uts:noalloc
-func (p *Proc) RemoteSend(dst int, adv, effectDelay time.Duration, op uint8, a, b int64, chunks []stack.Chunk) {
-	if sh := p.d.sh; sh != nil && sh.foreign(dst) {
-		sh.sendEffect(p, dst, adv+effectDelay, effectDelay > 0, op, a, b, chunks)
-		p.Advance(adv)
-		return
-	}
+func (p *Proc) RemoteSend(dst int, adv time.Duration, op uint8, a, b int64, chunks []stack.Chunk) {
 	p.Advance(adv)
 	p.sim.remote(dst, op, a, b, chunks)
 }
@@ -102,19 +85,15 @@ func (p *Proc) RemoteSend(dst int, adv, effectDelay time.Duration, op uint8, a, 
 // StageSend is RemoteSend inside a Stepper: it stages op, with its chunks, to
 // be applied against dst's partition at the boundary of the quantum the
 // surrounding Stepper is about to return with duration adv (which StageSend
-// returns for convenience). A foreign dst is sent its message here, at
-// staging time, stamped as RemoteSend stamps it; nothing waits for it. At
-// most one send per quantum. In a windowed run the effect must lag by at
-// least the window: no message lands in the window it was sent in.
+// returns for convenience). effectDelay is how long after that the effect
+// becomes visible to dst. At most one send per quantum. In a windowed run
+// the effect must lag by at least the window: no message lands in the
+// window it was sent in.
 //
 //uts:noalloc
 func (p *Proc) StageSend(dst int, adv, effectDelay time.Duration, op uint8, a, b int64, chunks []stack.Chunk) time.Duration {
-	if int64(effectDelay) < p.d.window() {
+	if int64(effectDelay) < p.sim.window() {
 		panic("des: a message that lands inside the window it was sent in — the run cannot be windowed")
-	}
-	if sh := p.d.sh; sh != nil && sh.foreign(dst) {
-		sh.sendEffect(p, dst, adv+effectDelay, effectDelay > 0, op, a, b, chunks)
-		return adv
 	}
 	p.stage(stagedOp{dst: int32(dst), op: op, send: true, a: a, b: b})
 	p.stagedChunks = chunks
@@ -131,9 +110,6 @@ func (p *Proc) StageSend(dst int, adv, effectDelay time.Duration, op uint8, a, b
 //uts:noalloc
 func (p *Proc) StageRemote(dst int, d time.Duration, op uint8, a, b int64) time.Duration {
 	p.stage(stagedOp{dst: int32(dst), op: op, a: a, b: b})
-	if sh := p.d.sh; sh != nil && sh.foreign(dst) {
-		sh.stageRemote(p, d)
-	}
 	return d
 }
 
@@ -154,20 +130,17 @@ func (p *Proc) StagedResult(i int) int64 { return p.staged[i].res }
 
 // runStaged resolves the staged ops of a quantum that just reached its
 // boundary, in staging order: each executes here, at the proc's own position
-// in the schedule, unless it went to another shard — then its reply has
-// already filled the slot.
+// in the schedule.
 //
 //uts:noalloc
 func (p *Proc) runStaged() {
 	for i := int32(0); i < p.nstag; i++ {
 		st := &p.staged[i]
-		switch {
-		case st.away:
-		case st.send:
+		if st.send {
 			chunks := p.stagedChunks
 			p.stagedChunks = nil
 			p.sim.remote(int(st.dst), st.op, st.a, st.b, chunks)
-		default:
+		} else {
 			st.res = p.sim.remote(int(st.dst), st.op, st.a, st.b, nil)
 		}
 	}

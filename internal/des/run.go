@@ -2,7 +2,6 @@ package des
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -48,25 +47,17 @@ type Config struct {
 	// controller (internal/policy) that adapts the chunk size, the
 	// steal-half selection, and the mpi-ws poll interval from windowed
 	// steal feedback. Windows are measured in virtual time, so adaptive
-	// runs stay deterministic across engines and shard counts. A zero
+	// runs stay deterministic across engines. A zero
 	// Adapt.Window derives a window from the machine model: 16 remote
 	// references or 64 node expansions, whichever is longer. Nil keeps
 	// every knob fixed and the simulation byte-identical to earlier
 	// releases.
 	Adapt *policy.Config
-	// Shards, when > 1, runs the simulation on the sharded engine: the
-	// simulated PEs are partitioned into that many contiguous-ID shards,
-	// each dispatched by its own goroutine (so a real core), synchronized
-	// conservatively with the machine model's minimum remote-hop cost as
-	// lookahead. Results are bit-identical to the sequential engines for
-	// any shard count; Shards is a parallelism knob, not a semantic one.
-	// It is capped at PEs, and the shared-memory family (upc-sharedmem,
-	// upc-term, upc-term-rapdif, upc-term-relaxed), which synchronizes
-	// through zero-latency lock handoffs, cannot be divided. One effective
-	// shard — asked for, or left by the cap or the family rule — is the
-	// sequential batched engine, as is zero; only more than one requires
-	// a model (and, with NodeSize >= 2, an Intra model) whose MinRemoteHop
-	// is positive.
+	// Shards selects nothing: at any value the run is the batched engine's
+	// on the calling goroutine, bit-identical to the run with Shards 0. It
+	// stays because callers set it — the benchmark's identity row runs each
+	// sim_* workload at Shards 2 — and a negative value is still an error
+	// (DESIGN.md §12).
 	Shards int
 
 	// reference runs the simulation on the legacy reference engine
@@ -79,44 +70,36 @@ type Config struct {
 	ends []time.Duration
 }
 
-// The two engines a run can use, as Info.Engine reports them: batched
-// unless more than one shard is in play.
-const (
-	EngineBatched = "batched"
-	EngineSharded = "sharded"
-)
+// EngineBatched is the engine every run uses, as Info.Engine reports it.
+const EngineBatched = "batched"
 
 // Info reports engine-level facts about a completed simulation.
 type Info struct {
-	// Engine is the engine that ran (EngineBatched or EngineSharded).
+	// Engine is the engine that ran: EngineBatched.
 	Engine string
 	// Events is the number of simulated-time boundaries the run passed —
 	// popped, committed inline or counted; it is identical across engines
 	// for the same configuration, so events per wall second compares pure
 	// engine overhead.
 	Events uint64
-	// Shards is the effective shard count of a sharded run (after capping
-	// at PEs), at least 2; 0 under the sequential engines.
-	Shards int
-	// Lookahead is the conservative-synchronization window of a sharded
-	// run: the minimum virtual latency separating any cross-PE operation
-	// from its decision instant, derived from the clamped cost model. A
-	// batched mpi-ws run reports the same number: the width of the windows
-	// it was dispatched in. 0 otherwise.
+	// Lookahead is the width of the windows a windowed (mpi-ws) run was
+	// dispatched in: the minimum virtual latency separating any cross-PE
+	// effect from its decision instant, derived from the clamped cost
+	// model. 0 for a run dispatched event by event.
 	Lookahead time.Duration
-	// Pops is the number of events that came off an event heap, its parked
-	// slot or a windowed run's calendar, summed over shards; Events − Pops −
-	// Counted committed inline.
+	// Pops is the number of events that came off the event heap, its parked
+	// slot or a windowed run's calendar; Events − Pops − Counted committed
+	// inline.
 	Pops uint64
 	// Counted is the number of boundaries that were counted without being
 	// dispatched: the polls of a sleeping PE that nothing could answer — an
 	// idle mpi-ws rank's, a searching UPC PE's probes of words no write
-	// reached (core.StepSleep). 0 under the legacy engine and under shards,
-	// which step every poll.
+	// reached (core.StepSleep). 0 under the legacy engine, which steps
+	// every poll.
 	Counted uint64
-	// Handoffs is the number of times a PE's coroutine was resumed, summed
-	// over shards. All three counts are exact and, on the batched engine, a
-	// function of the configuration alone.
+	// Handoffs is the number of times a PE's coroutine was resumed. All
+	// three counts are exact and, on the batched engine, a function of the
+	// configuration alone.
 	Handoffs uint64
 	// Wakes is what ended the counted sleeps of searching PEs and how many
 	// queued wakes moved earlier; exact like the three above, zero where
@@ -272,49 +255,28 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 	if cfg.NodeSize < 0 {
 		return nil, nil, info, fmt.Errorf("des: negative node size %d", cfg.NodeSize)
 	}
-	cs := newCosts(cfg.Model)
-	// The lookahead: no PE's effect on another lands sooner than the clamped
-	// remote reference of every model in play. It is the shards' horizon and
-	// the window of a windowed run, one number.
-	la := cs.remoteRef
-	if cfg.NodeSize >= 2 && cfg.Intra != nil {
-		la = min(la, newCosts(cfg.Intra).remoteRef)
+	if cfg.Shards < 0 {
+		return nil, nil, info, fmt.Errorf("des: need shards >= 0, got %d", cfg.Shards)
 	}
+	cs := newCosts(cfg.Model)
 	sim := New()
 	info.Engine = EngineBatched
 	if cfg.reference {
 		sim = newLegacy()
 		info.Engine = "legacy"
 	}
-	if cfg.Shards < 0 {
-		return nil, nil, info, fmt.Errorf("des: need shards >= 0, got %d", cfg.Shards)
-	}
-	// The shared-memory family synchronizes through zero-latency lock
-	// handoffs (Block/Wake), which carry no lookahead: it is never divided.
-	// One shard, there or after the cap at PEs, is the batched engine above.
-	_, lockCoupled := core.SharedVariants[cfg.Algorithm]
-	if shards := min(cfg.Shards, cfg.PEs); shards > 1 && !lockCoupled {
-		if interval > 0 {
-			return nil, nil, info, fmt.Errorf("des: traced runs sample global protocol state and need a single shard, got %d", shards)
-		}
-		if cfg.Model.MinRemoteHop() <= 0 {
-			return nil, nil, info, fmt.Errorf("des: model %q has no minimum remote-hop cost; a zero-latency machine cannot run sharded (use shards <= 1)", cfg.Model.Name)
-		}
-		if cfg.NodeSize >= 2 && cfg.Intra != nil && cfg.Intra.MinRemoteHop() <= 0 {
-			return nil, nil, info, fmt.Errorf("des: intra-node model %q has no minimum remote-hop cost; a zero-latency machine cannot run sharded (use shards <= 1)", cfg.Intra.Name)
-		}
-		info.Engine = EngineSharded
-		info.Shards = shards
-		info.Lookahead = la
-		sim = NewSharded(shards, la)
-	}
 	// mpi-ws on the batched engine is dispatched one lookahead-wide window at
 	// a time: every cross-PE effect is a message, a message takes at least
-	// the lookahead to land (bulk adds no negative bandwidth term), and —
-	// without a trace sampler, which reads every rank at instants of its own
-	// — nothing else looks across PEs, so what the PEs do inside one window
-	// commutes (DESIGN.md §9, "A window is a bag").
-	if info.Engine == EngineBatched && cfg.Algorithm == core.MPIWS && cs.perKB >= 0 && interval == 0 {
+	// the lookahead — the clamped remote reference of every model in play —
+	// to land (bulk adds no negative bandwidth term), and — without a trace
+	// sampler, which reads every rank at instants of its own — nothing else
+	// looks across PEs, so what the PEs do inside one window commutes
+	// (DESIGN.md §9, "A window is a bag").
+	if !cfg.reference && cfg.Algorithm == core.MPIWS && cs.perKB >= 0 && interval == 0 {
+		la := cs.remoteRef
+		if cfg.NodeSize >= 2 && cfg.Intra != nil {
+			la = min(la, newCosts(cfg.Intra).remoteRef)
+		}
 		sim.windowed(la)
 		info.Lookahead = la
 	}
@@ -346,18 +308,16 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 			core.PolicyBase(cfg.Algorithm, cfg.Chunk, cfg.PollInterval, cfg.NodeSize, cfg.Model, cfg.Intra), cfg.PEs)
 	}
 
-	// Completion bookkeeping must be shard-safe: every PE records its own
-	// end time (disjoint writes), and the live count — read by the trace
-	// sampler — is atomic.
+	// Completion bookkeeping: every PE records its own end time, and the
+	// trace sampler reads how many are still alive.
 	ends := cfg.ends
 	if len(ends) < cfg.PEs {
 		ends = make([]time.Duration, cfg.PEs)
 	}
-	var alive atomic.Int64
-	alive.Store(int64(cfg.PEs))
+	alive := cfg.PEs
 	finish := func(p *Proc) {
 		ends[p.ID()] = p.Now()
-		alive.Add(-1)
+		alive--
 	}
 
 	var smp sampler
@@ -378,7 +338,7 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 	if interval > 0 {
 		trace = &Trace{Interval: interval}
 		sim.Spawn(func(p *Proc) {
-			for alive.Load() > 0 {
+			for alive > 0 {
 				trace.Samples = append(trace.Samples, Sample{T: p.Now(), WorkSources: smp()})
 				p.Advance(interval)
 			}

@@ -13,8 +13,8 @@ import (
 // family. All fields are mutated only by the PE currently scheduled by the
 // event loop, so no synchronization is needed. Beyond the common remote
 // operations (upc.go) a PE of this family touches another's state
-// directly, under that PE's virtual lock, which is legal because the
-// family always runs as one shard.
+// directly, under that PE's virtual lock: exactly one PE runs at any
+// instant.
 type simSharedRun struct {
 	upcRun
 	mode core.SharedVariant

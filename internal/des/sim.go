@@ -40,13 +40,12 @@
 // calls Proc.Advance to consume virtual time, Proc.Block/Proc.Wake for
 // sleep/wakeup (used by lock queues), and otherwise manipulates shared
 // simulation state freely — exactly one PE runs at any instant, so there
-// are no data races by construction. A panic in a PE surfaces from Run —
-// except under shards, where it ends the process from the shard's goroutine.
+// are no data races by construction. A panic in a PE surfaces from Run.
 //
 // # Engines
 //
-// Three engines implement that contract. The batched engine (the default,
-// New) is one dispatcher: a loop that pops an event and resumes its PE,
+// Two engines implement that contract. The batched engine (New, the one a
+// run uses) is one dispatcher: a loop that pops an event and resumes its PE,
 // the event queue a flat 4-ary indexed min-heap of value-typed entries. An
 // Advance whose deadline precedes every queued event commits inline without
 // touching the heap or leaving the PE, and protocol loops expressed as step
@@ -55,20 +54,16 @@
 // that take at least a lookahead to land — mpi-ws — is dispatched one
 // lookahead-wide window at a time, the window's events a bag (calendar):
 // nothing done inside a window is seen across PEs before it ends, so their
-// order inside it is free. The sharded engine (NewSharded, sharded.go) is S of
-// the same dispatcher, one per block of PEs, each on a goroutine of its own,
-// plus the layer that is genuinely cross-shard: conservative lookahead
-// between them, and every cross-PE effect a remote operation (remote.go).
-// Those are the two a run can use. The legacy engine (legacy.go) resumes
-// the PE once per event and keeps a boxed container/heap queue; it is the
-// bit-identical reference this package's tests hold the other two to
-// (TestEngineDifferential) and is reachable from nowhere else. All three
-// execute the same events in the same order — Sim.Events counts
-// identically — they differ only in how cheaply a boundary is reached, or,
-// for the polls of a sleeping PE that nothing can answer — no message has
-// arrived, no word it will read has changed, no request word was claimed —
-// passed: the batched engine alone counts those at the wake without
-// dispatching them (dispatcher.sleep).
+// order inside it is free. The legacy engine (legacy.go) resumes the PE once
+// per event and keeps a boxed container/heap queue; it is the bit-identical
+// reference this package's tests hold the batched one to
+// (TestEngineDifferential) and is reachable from nowhere else. Both execute
+// the same events in the same order — Sim.Events counts identically — they
+// differ only in how cheaply a boundary is reached, or, for the polls of a
+// sleeping PE that nothing can answer — no message has arrived, no word it
+// will read has changed, no request word was claimed — passed: the batched
+// engine alone counts those at the wake without dispatching them
+// (dispatcher.sleep).
 package des
 
 import (
@@ -80,9 +75,9 @@ import (
 	"repro/internal/stack"
 )
 
-// dispatcher is the event loop of the batched engine, and of every shard of
-// the sharded one: a clock and the queue of proc resumptions with its parked
-// slot. One goroutine runs the loop; a PE it resumes runs while it waits.
+// dispatcher is the event loop of the batched engine: a clock and the queue
+// of proc resumptions with its parked slot. The goroutine that calls Run runs
+// the loop; a PE it resumes runs while it waits.
 type dispatcher struct {
 	heap     flatHeap
 	pend     ev    // parked event awaiting the dispatcher, if hasPend
@@ -93,11 +88,6 @@ type dispatcher struct {
 	events   uint64
 	pops     uint64 // events that came off the heap, the parked slot or the calendar
 	handoffs uint64 // resumptions of a PE coroutine
-
-	// sh is the shard this dispatcher drives, nil when it has no peers: the
-	// layer that gates what may run against the other shards' horizons
-	// (sharded.go).
-	sh *shard
 
 	// The counted sleep's own counts (sleep, wake), behind what every
 	// boundary reads.
@@ -110,8 +100,7 @@ type dispatcher struct {
 }
 
 // Sim is one simulation instance. Its own dispatcher is the whole batched
-// engine; the legacy reference borrows that dispatcher's clock and counters,
-// and a sharded run leaves its totals there.
+// engine; the legacy reference borrows that dispatcher's clock and counters.
 type Sim struct {
 	dispatcher
 
@@ -119,8 +108,6 @@ type Sim struct {
 
 	legacy bool
 	lheap  evHeap // legacy engine's boxed queue (legacy.go)
-
-	eng *shardEngine // sharded engine, nil under the sequential ones (sharded.go)
 }
 
 // New creates an empty simulation using the batched engine.
@@ -165,9 +152,11 @@ const (
 	StepNoPoll = core.StepNoPoll
 	// StepSleep permits the engine to count the polls that follow instead
 	// of running them (see sleep). The batched dispatcher takes the
-	// permission; the legacy reference and a shard step every poll.
+	// permission; the legacy reference steps every poll.
 	StepSleep = core.StepSleep
 )
+
+const maxVT = int64(^uint64(0) >> 1) // +infinity for virtual time
 
 // Never is the instant that does not come: the due time of a sleep with
 // nothing on its way (StageSleep).
@@ -183,17 +172,17 @@ type Stepper = core.Stepper
 // Proc is the simulator-side handle of one PE. The fields are in the order a
 // boundary touches them: the first cache line is what every pop, park and
 // inline commit reads, the second the staged slots of a quantum that has
-// any, and what only a resumption, a shard's rendezvous, a staged send or a
-// counted sleep needs comes after — a fatter Proc whose hot fields straddle
-// a third line shows on the one-sided workloads (DESIGN.md §9).
+// any, and what only a resumption, a staged send or a counted sleep needs
+// comes after — a fatter Proc whose hot fields straddle a third line shows
+// on the one-sided workloads (DESIGN.md §9).
 type Proc struct {
 	id  int
 	sim *Sim
-	d   *dispatcher // the event loop that owns this PE: the Sim's, or its shard's
 
-	// The PE's coroutine (start), the parked stepped advance, if any, and
-	// the pending interrupt mask.
+	// The PE's coroutine (start) and its way back to the dispatcher, the
+	// parked stepped advance, if any, and the pending interrupt mask.
 	next   func() (int64, bool)
+	back   func(int64) bool
 	stepFn Stepper
 
 	// seq numbers this proc's scheduled resumptions (nextSeq); the
@@ -204,13 +193,9 @@ type Proc struct {
 	stepFl uint8
 
 	// Remote-operation layer: the staged slots of the current quantum
-	// (remote.go) and, under the sharded engine, the rendezvous replies the
-	// proc's boundary still awaits; callRes receives a RemoteCall's
-	// (sharded.go).
-	pendReplies int32
-	nstag       int32
-	staged      [2]stagedOp
-	callRes     int64
+	// (remote.go).
+	nstag  int32
+	staged [2]stagedOp
 
 	stagedChunks []stack.Chunk // payload of the quantum's StageSend, if it has one
 
@@ -224,9 +209,8 @@ type Proc struct {
 	due     int64
 	skipped int64
 
-	// The coroutine's way back to the dispatcher, and the interrupt mask
-	// that ended a stepped advance, handed over at the resumption (run).
-	back    func(int64) bool
+	// The interrupt mask that ended a stepped advance, handed over at the
+	// resumption (run).
 	resumed Intr
 
 	// While the proc's queued event waits in a windowed run's calendar
@@ -238,15 +222,14 @@ type Proc struct {
 	// Up to four whole cache lines: the allocator's size class for a Proc is
 	// then a multiple of the line, and the layout above is the layout in
 	// memory (TestEngineCountsPinned holds both).
-	_ [16]byte
+	_ [32]byte
 }
 
 // ID returns the PE number.
 func (p *Proc) ID() int { return p.id }
 
-// Now returns the current virtual time (valid only while running): the
-// clock of the dispatcher that owns the PE.
-func (p *Proc) Now() time.Duration { return time.Duration(p.d.now) }
+// Now returns the current virtual time (valid only while running).
+func (p *Proc) Now() time.Duration { return time.Duration(p.sim.now) }
 
 // Post sets interrupt bits on p. The poster is another PE (or the
 // simulation setup); p observes the mask at its next polling boundary.
@@ -263,14 +246,9 @@ func (s *Sim) Spawn(body func(p *Proc)) *Proc {
 	if s.nprocs >= MaxPEs {
 		panic(fmt.Sprintf("des: Spawn of PE %d: the event key holds %d PE ids", s.nprocs, MaxPEs))
 	}
-	p := &Proc{id: s.nprocs, sim: s, d: &s.dispatcher}
+	p := &Proc{id: s.nprocs, sim: s}
 	s.nprocs++
 	p.start(body)
-	if s.eng != nil {
-		// Scheduled by Run, once the PE count fixes the shard blocks.
-		s.eng.procs = append(s.eng.procs, p)
-		return p
-	}
 	s.schedule(p, 0)
 	return p
 }
@@ -281,7 +259,7 @@ func (s *Sim) schedule(p *Proc, t int64) {
 	if s.legacy {
 		s.lheap.push(e)
 	} else {
-		p.d.push(e)
+		s.push(e)
 	}
 }
 
@@ -311,9 +289,8 @@ func (d *dispatcher) park(p *Proc, t int64) {
 // next yields the minimal pending event: the parked event fused against the
 // heap root, or a plain pop. A parked event never precedes the root — the
 // park condition required the root's key to order at or before the parked
-// event's, and a shard's gate, which also parks what it holds back, restores
-// that order before it lets the event through (shard.front) — so the slot
-// always goes through exchange when the heap is nonempty.
+// event's — so the slot always goes through exchange when the heap is
+// nonempty.
 //
 //uts:noalloc
 func (d *dispatcher) next() (ev, bool) {
@@ -331,9 +308,6 @@ func (d *dispatcher) next() (ev, bool) {
 // returns an error if the event queue drains while PEs are still blocked —
 // a protocol deadlock, which the test suite treats as a hard failure.
 func (s *Sim) Run() error {
-	if s.eng != nil {
-		return s.eng.run()
-	}
 	if s.legacy {
 		return s.runLegacy()
 	}
@@ -353,13 +327,11 @@ func (d *dispatcher) drained() error {
 }
 
 // dispatch pops events and resumes their PEs until the queue drains, and
-// reports a drained queue with PEs still blocked as a deadlock. A shard's
-// dispatcher first asks its gate whether the minimal event may run yet; the
-// gate returns false once the run is over.
+// reports a drained queue with PEs still blocked as a deadlock.
 //
 //uts:noalloc
 func (d *dispatcher) dispatch() error {
-	for d.sh == nil || d.sh.ready() {
+	for {
 		e, ok := d.next()
 		if !ok {
 			return d.drained()
@@ -373,7 +345,6 @@ func (d *dispatcher) dispatch() error {
 			d.run(p, 0)
 		}
 	}
-	return nil
 }
 
 // dispatchWindows is dispatch for a windowed run: the events of the current
@@ -408,7 +379,7 @@ func (d *dispatcher) dispatchWindows() error {
 
 // run resumes p's coroutine until it yields back or its body returns,
 // handing it m, the interrupt mask that ended its stepped advance (0 for
-// anything else). A shard reports its last PE's finish to the engine.
+// anything else).
 //
 //uts:noalloc
 func (d *dispatcher) run(p *Proc, m Intr) {
@@ -416,29 +387,15 @@ func (d *dispatcher) run(p *Proc, m Intr) {
 	p.resumed = m
 	if _, ok := p.next(); !ok {
 		d.finished++
-		if d.sh != nil && d.finished == d.nprocs {
-			d.sh.eng.shardDone()
-		}
 	}
 }
 
-// The inline-commit test, d.ahead(t, id) && d.admitted(t, id): a boundary of
-// proc id at time t may be taken without the queue when it orders before
-// every queued event and — only when the dispatcher has peers — its shard
-// admits it (sharded.go). It is one predicate spelled in two halves so that
-// both inline into the three boundary sites: as one function, the shard's
-// call in its body kept the whole test out of line, and the batched engine
-// paid a call at every boundary although 99 % of a protocol run's
-// boundaries fail the first half (DESIGN.md §9 has the measurement).
+// ahead is the inline-commit test: a boundary of proc id at time t may be
+// taken without the queue when it orders before every queued event.
 //
 //uts:noalloc
 func (d *dispatcher) ahead(t int64, id int) bool {
 	return d.heap.empty() || d.heap.rootAfter(t, id)
-}
-
-//uts:noalloc
-func (d *dispatcher) admitted(t int64, id int) bool {
-	return d.sh == nil || d.sh.admits(t, id)
 }
 
 // contStep continues a parked stepped advance at its boundary, in dispatcher
@@ -446,20 +403,15 @@ func (d *dispatcher) admitted(t int64, id int) bool {
 // committing quanta that precede every queued event without any heap
 // traffic or coroutine switch — until the advance ends (the PE is resumed
 // with what ended it), a quantum collides with the queue and is
-// rescheduled, or the boundary must first wait for rendezvous replies.
+// rescheduled, or it sleeps.
 //
 //uts:noalloc
 func (d *dispatcher) contStep(p *Proc) {
 	fl := p.stepFl
-	if fl&StepSleep != 0 && p.sleepD != 0 { // the flag alone may be a shard's, which steps
+	if fl&StepSleep != 0 {
 		d.woke(p)
 	}
 	for {
-		if p.pendReplies > 0 {
-			p.stepFl = fl
-			d.sh.stall(p)
-			return
-		}
 		if p.nstag > 0 {
 			p.runStaged()
 		}
@@ -478,12 +430,12 @@ func (d *dispatcher) contStep(p *Proc) {
 		var dt time.Duration
 		dt, fl = p.stepFn()
 		if dt > 0 {
-			if fl&StepSleep != 0 && d.sh == nil {
+			if fl&StepSleep != 0 {
 				d.sleep(p, int64(dt), fl)
 				return
 			}
 			t := d.now + int64(dt)
-			if !(d.ahead(t, p.id) && d.admitted(t, p.id)) {
+			if !d.ahead(t, p.id) {
 				p.stepFl = fl
 				d.park(p, t)
 				return
@@ -583,16 +535,16 @@ func (p *Proc) StageSleep(d, due time.Duration) time.Duration {
 //
 //uts:noalloc
 func (p *Proc) Notify(at time.Duration) bool {
-	return p.sleepD != 0 && p.d.wake(p, int64(at))
+	return p.sleepD != 0 && p.sim.wake(p, int64(at))
 }
 
 // Counts reports whether the engine that owns p takes StepSleep's permission.
 // A host whose sleep needs bookkeeping of its own — a registry of sleepers
 // that writers walk — asks before it keeps any: under the legacy reference
-// and under shards every poll is stepped and the bookkeeping would be waste.
+// every poll is stepped and the bookkeeping would be waste.
 //
 //uts:noalloc
-func (p *Proc) Counts() bool { return p.d.sh == nil && !p.sim.legacy }
+func (p *Proc) Counts() bool { return !p.sim.legacy }
 
 // CountedPolls returns, once, how many polls the engine counted without
 // calling the step during the sleep that just ended: k−1 when the step
@@ -623,9 +575,9 @@ func (p *Proc) Advance(d time.Duration) {
 		p.back(int64(d)) // the reference reschedules p at now+d
 		return
 	}
-	q := p.d
+	q := &p.sim.dispatcher
 	t := q.now + int64(d)
-	if q.ahead(t, p.id) && q.admitted(t, p.id) {
+	if q.ahead(t, p.id) {
 		q.now = t
 		q.events++
 		return
@@ -646,26 +598,24 @@ func (p *Proc) Advance(d time.Duration) {
 // that explore before polling. Quanta run inline while their boundary
 // precedes every queued event; otherwise the PE parks and the dispatcher
 // continues the same step sequence in place, so a whole batch of node
-// work, probes, or idle polls costs zero coroutine switches. A boundary
-// whose staged operations went to another shard parks the same way, held
-// until their replies are in.
+// work, probes, or idle polls costs zero coroutine switches.
 //
 //uts:noalloc
 func (p *Proc) AdvanceStepped(step Stepper) Intr {
 	if p.sim.legacy {
 		return p.legacyAdvanceStepped(step)
 	}
-	q := p.d
+	q := &p.sim.dispatcher
 	for {
 		d, fl := step()
 		if d > 0 {
-			if fl&StepSleep != 0 && q.sh == nil {
+			if fl&StepSleep != 0 {
 				p.stepFn = step
 				q.sleep(p, int64(d), fl)
 				return p.yield()
 			}
 			t := q.now + int64(d)
-			if !(q.ahead(t, p.id) && q.admitted(t, p.id)) {
+			if !q.ahead(t, p.id) {
 				p.stepFn = step
 				p.stepFl = fl
 				q.park(p, t)
@@ -673,12 +623,6 @@ func (p *Proc) AdvanceStepped(step Stepper) Intr {
 			}
 			q.now = t
 			q.events++
-		}
-		if p.pendReplies > 0 {
-			p.stepFn = step
-			p.stepFl = fl
-			q.sh.stall(p)
-			return p.yield()
 		}
 		if p.nstag > 0 {
 			p.runStaged()
@@ -711,25 +655,16 @@ func (p *Proc) Block() { p.back(blocked) }
 
 // Wake schedules a blocked PE q to resume at the current virtual time plus
 // d. Calling Wake on a PE that is not blocked corrupts the schedule; the
-// lock discipline in this package is the only caller. Waker and woken must
-// share a dispatcher: Block/Wake handoffs carry no lookahead, so the run
-// configuration must keep lock-coupled PEs on one (run.go never shards the
-// shared-memory family).
+// lock discipline in this package is the only caller.
 func (p *Proc) Wake(q *Proc, d time.Duration) {
-	if q.d != p.d {
-		panic("des: cross-shard Wake — zero-lookahead handoffs must stay within one shard")
-	}
-	p.sim.schedule(q, p.d.now+int64(d))
+	p.sim.schedule(q, p.sim.now+int64(d))
 }
 
 // ev is one scheduled resumption, ordered by the key (t, proc ID, per-proc
-// seq). The key is *shard-computable*: no component depends on a global
-// counter, so the sharded engine can merge events arriving from concurrent
-// shards into exactly the order a sequential engine would have executed
-// them — the foundation of the sharded/batched bit-identity proof (see
-// DESIGN.md §12). Within one proc the seq keeps its resumptions FIFO;
-// across procs a time tie resolves by proc ID, which is deterministic
-// under every engine.
+// seq). No component depends on a global counter or on when the event was
+// queued: within one proc the seq keeps its resumptions FIFO, and across
+// procs a time tie resolves by proc ID, which is deterministic under every
+// engine.
 //
 // The tie-break travels as one word, key = id<<seqBits | seq, so the order
 // is that of the 128-bit unsigned number (t, key) — virtual time is never

@@ -86,8 +86,7 @@ const (
 )
 
 // apply interprets the common remote operations, in the destination PE's
-// execution context — under the sharded engine the shard owning dst (PE
-// 0's for the barrier state) — and never advances time.
+// execution context (PE 0's for the barrier state), and never advances time.
 func (u *upcRun) apply(dst int, op uint8, _, _ int64, _ []stack.Chunk) int64 {
 	switch op {
 	case opReadAvail:
@@ -146,7 +145,7 @@ func (pe *upcPE) Enter() bool {
 		u.sbAnnounced = true // the lone PE is PE 0: its own partition
 		return true
 	}
-	pe.p.RemoteSend(0, pe.charge(ad), 0, opSbAnnounce, 0, 0, nil)
+	pe.p.RemoteSend(0, pe.charge(ad), opSbAnnounce, 0, 0, nil)
 	return true
 }
 

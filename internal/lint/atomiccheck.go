@@ -11,9 +11,8 @@ import (
 // CompareAndSwap taking the field's address, or the field having a
 // typed atomic.* type — every access to that word must be atomic on
 // every path. One plain read racing one atomic store is exactly the
-// bug class the fence-free ring (internal/stack/relaxed.go), the
-// sharded-DES promise words, and the obs seqlock rings hand-roll
-// around, and it is invisible to the type checker and to any race-run
+// bug class the fence-free ring (internal/stack/relaxed.go) and the
+// obs seqlock rings hand-roll around, and it is invisible to the type checker and to any race-run
 // that happens not to schedule the interleaving.
 //
 // The analyzer classifies each implicated field into one of four

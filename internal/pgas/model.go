@@ -55,10 +55,9 @@ func (m *Model) BulkCost(n int) time.Duration {
 
 // MinRemoteHop returns the minimum nonzero cost of any cross-PE operation
 // under this model: the cheapest latency a remote reference, bulk transfer,
-// or lock round trip can incur. It is the conservative lookahead of the
-// sharded DES engine — no PE can affect another PE's partition in less
-// virtual time than this — so a zero return means the model admits
-// instantaneous remote effects and cannot be sharded. Every remote
+// or lock round trip can incur. It is a conservative lookahead — no PE can
+// affect another PE's partition in less virtual time than this — so a zero
+// return means the model admits instantaneous remote effects. Every remote
 // operation charges at least RemoteRef (BulkCost adds bandwidth on top,
 // and the simulator clamps LockRTT up to RemoteRef), so the minimum hop
 // is RemoteRef when it is nonzero, falling back to LockRTT for models

@@ -201,9 +201,9 @@ func TestTopologyChargesIntraModel(t *testing.T) {
 }
 
 // TestMinRemoteHop covers every built-in profile plus the fallback and
-// zero cases: the minimum hop is the sharded simulator's lookahead, so a
-// profile must report zero exactly when it admits instantaneous remote
-// effects (the SharedMemory profile, which sharded mode rejects).
+// zero cases: the minimum hop is a conservative lookahead, so a profile
+// must report zero exactly when it admits instantaneous remote effects (the
+// SharedMemory profile).
 func TestMinRemoteHop(t *testing.T) {
 	for name, m := range Profiles {
 		hop := m.MinRemoteHop()

@@ -14,12 +14,6 @@ one_benchmark_system() {
 	if go list ./... | grep -qx repro; then exit 1; fi
 }
 
-# One dispatcher: fails if the sharded engine's private event loop grows
-# back: a shard is internal/des's one dispatcher plus the cross-shard layer.
-one_dispatcher() {
-	if git grep -nE 'shHeap|sevLess|shardAdvance|shardContStep|runStagedSharded' -- internal/des; then exit 1; fi
-}
-
 # One doorway: fails if internal/cluster grows a second way to reach a peer:
 # gob is set up in one constructor (an encoder and a decoder: two lines at
 # most), callOnce has one caller (peerSet.exchange), and the only dials are
@@ -104,26 +98,21 @@ one_work_loop() {
 }
 
 # One baton: fails if a simulated PE grows a goroutine and channels of its
-# own back: a PE is a coroutine its dispatcher resumes (the package's one
-# iter.Pull, des/coro.go), the dispatcher a loop on one goroutine — Run's,
-# or a shard's, started by the package's only go statement — and neither
-# the batched engine nor the legacy reference holds a channel.
+# own back, or the simulator a second thread: a PE is a coroutine its
+# dispatcher resumes (the package's one iter.Pull, des/coro.go), the
+# dispatcher a loop on the goroutine that calls Run, and nothing else in the
+# package starts a goroutine, holds a channel or imports sync.
 one_baton() {
 	src=$(ls internal/des/*.go | grep -v _test.go)
-	if grep -nw chan internal/des/sim.go internal/des/legacy.go; then exit 1; fi
 	test "$(cat $src | grep -c 'iter\.Pull(')" -eq 1
-	gos=$(grep -nE '^\s*go ' $src)
-	if [ "$(echo "$gos" | grep -c .)" -ne 1 ] || ! echo "$gos" | grep -q '^internal/des/sharded\.go:'; then
-		echo "$gos"
-		exit 1
-	fi
+	if grep -nE '^\s*go |\bchan\b|"sync(/atomic)?"' $src; then exit 1; fi
 	if sed -n '/^type Proc struct/,/^}/p' internal/des/sim.go | grep -nwE '^\s*status'; then exit 1; fi
 }
 
 # One window: fails if a second place decides to dispatch a run in windows,
 # if the calendar leaks out of the file that owns the queue, or if the
 # inline-commit test grows a term: the window is chosen once, in des/run.go
-# (it is the shards' lookahead); the calendar and the sentinel root that
+# (the clamped remote reference); the calendar and the sentinel root that
 # stands for its window live in des/sim.go; and dispatcher.ahead, on every
 # boundary of every run, is the heap test alone — a window term there read
 # sim_onesided ≈1.5 % slower.
@@ -147,13 +136,12 @@ rule() {
 	fi
 }
 rule "One benchmark system" "§18" one_benchmark_system
-rule "One dispatcher" "§9, §12" one_dispatcher
 rule "One doorway" "§10" one_doorway
 rule "One clock" "§8" one_clock
 rule "One rank loop" "§9, §17" one_rank_loop
 rule "One node kernel" "§7, §17" one_node_kernel
 rule "One work loop" "§17" one_work_loop
-rule "One baton" "§9, §12" one_baton
+rule "One baton" "§9" one_baton
 rule "One window" "§9" one_window
-[ $failed -eq 0 ] && echo "shape: 9 rules hold"
+[ $failed -eq 0 ] && echo "shape: 8 rules hold"
 exit $failed
