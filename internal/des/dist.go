@@ -16,41 +16,6 @@ type simDistRun struct {
 	pes []*simDistPE
 }
 
-// Remote operations of the distributed-memory protocol beyond the common
-// ones (upc.go). Every cross-PE effect — probing a victim's work counter,
-// claiming its request word, delivering a steal response, entering or
-// leaving the termination barrier — goes through one of these, so the
-// owner of the touched state applies it in global key order under every
-// engine.
-const (
-	// opDistClaim claims dst's request word for thief a; returns 1 on
-	// success, 0 if another thief holds it.
-	opDistClaim = opUPCEnd + iota
-	// opDistDeliver writes a steal response (the chunks, possibly none)
-	// into thief dst's response slot.
-	opDistDeliver
-)
-
-func (r *simDistRun) apply(dst int, op uint8, a, b int64, chunks []stack.Chunk) int64 {
-	switch op {
-	case opDistClaim:
-		vs := r.pes[dst]
-		if vs.request != -1 {
-			return 0
-		}
-		vs.request = int(a)
-		vs.p.Post(IntrSteal)
-		vs.wakeForRequest(int(a))
-		return 1
-	case opDistDeliver:
-		tp := r.pes[dst]
-		tp.resp = chunks
-		tp.respReady = true
-		return 0
-	}
-	return r.upcRun.apply(dst, op, a, b, chunks)
-}
-
 // simDistPE is one simulated PE: owner-only stack and pool, a request
 // word claimed by thieves, and an incoming response slot. It is the
 // machine's Host (core.Host) for the distributed-memory protocol in
@@ -71,7 +36,6 @@ func simDistMem(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, 
 		r.nodeSize = cfg.NodeSize
 		r.intra = newCosts(cfg.Intra)
 	}
-	sim.SetRemote(r.apply)
 	r.pes = make([]*simDistPE, cfg.PEs)
 	for i := 0; i < cfg.PEs; i++ {
 		pe := &simDistPE{upcPE: upcPE{simPE: newSimPE(sp, cfg, res, ps, i), u: &r.upcRun}, r: r, request: -1}
@@ -81,7 +45,7 @@ func simDistMem(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, 
 		}
 		m := &core.Machine{H: pe, PE: &pe.PE, Rng: pe.rng, Me: i, N: cfg.PEs,
 			Stream: true, Hier: cfg.Algorithm == core.UPCDistMemHier, NodeSize: r.nodeSize}
-		pe.spawn(sim, m.Run, finish)
+		pe.spawn(sim, m.Run, pe.read, finish)
 	}
 	return upcSampler(r.upc)
 }
@@ -171,9 +135,9 @@ func (pe *simDistPE) Service() {
 		chunks = pe.pool.TakeHalf()
 		pe.setAvail(pe.me, pe.pool.Len())
 	}
-	d := 2 * pe.r.between(pe.me, thief).remoteRef // amount + address writes
-	pe.T.AddState(pe.state, d)
-	pe.p.RemoteSend(thief, d, opDistDeliver, 0, 0, chunks)
+	pe.advance(2 * pe.r.between(pe.me, thief).remoteRef) // amount + address writes
+	tp := pe.r.pes[thief]
+	tp.resp, tp.respReady = chunks, true
 	pe.request = -1
 	if len(chunks) > 0 {
 		pe.Granted(thief, len(chunks))
@@ -192,11 +156,14 @@ func (pe *simDistPE) Steal(v int) bool {
 	r := pe.r
 	cs := &r.cs
 
-	d := r.between(pe.me, v).lockRTT // lock-protected request-word write
-	pe.T.AddState(pe.state, d)
-	if pe.p.RemoteCall(v, d, opDistClaim, int64(pe.me), 0) == 0 {
+	pe.advance(r.between(pe.me, v).lockRTT) // lock-protected request-word write
+	vs := r.pes[v]
+	if vs.request != -1 {
 		return false
 	}
+	vs.request = pe.me
+	vs.p.Post(IntrSteal)
+	vs.wakeForRequest(pe.me)
 
 	// The response wait is a stepped advance: each quantum is one respPoll,
 	// each boundary is the original loop-top respReady check, and a steal

@@ -199,7 +199,7 @@ func (pe *upcPE) Doze(w *core.ProbeWalk) time.Duration {
 // rule's whole point — whose value and records come out of the histories.
 func (pe *upcPE) Probed(w *core.ProbeWalk) (int64, bool) {
 	if pe.ahead == nil {
-		return pe.p.StagedResult(0), false
+		return pe.reads[0], false
 	}
 	u := pe.u
 	ahead := pe.ahead

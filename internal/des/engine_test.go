@@ -15,7 +15,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pgas"
 	"repro/internal/policy"
-	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/uts"
 )
@@ -180,9 +179,9 @@ type rawRun struct {
 // buildRawWorkload spawns n PEs on s, each running rounds actions drawn from
 // a stream seeded by (seed, PE): plain and stepped advances (NoPoll
 // boundaries, ended early by interrupts other PEs post), remote calls,
-// immediate and delayed sends, two boundary reads staged in one quantum, and
-// lock sections shared with the neighbour PE. Durations come from a handful
-// of values so that boundaries of different PEs keep falling on one instant.
+// immediate and delayed sends, two effects staged on one boundary, and lock
+// sections shared with the neighbour PE. Durations come from a handful of
+// values so that boundaries of different PEs keep falling on one instant.
 func buildRawWorkload(s *Sim, seed int64, n, rounds int) *rawRun {
 	const (
 		opAdd = iota
@@ -195,7 +194,9 @@ func buildRawWorkload(s *Sim, seed int64, n, rounds int) *rawRun {
 		mail: make([][]int64, n), logs: make([][]int64, n)}
 	procs := make([]*Proc, n)
 	locks := make([]Lock, n)
-	s.SetRemote(func(dst int, op uint8, a, b int64, _ []stack.Chunk) int64 {
+	// apply is the one remote operation of the workload: op against dst's
+	// partition, returning what it held before.
+	apply := func(dst int, op uint8, a, b int64) int64 {
 		old := r.state[dst]
 		switch op {
 		case opAdd:
@@ -213,7 +214,14 @@ func buildRawWorkload(s *Sim, seed int64, n, rounds int) *rawRun {
 			r.mail[dst] = slices.Insert(m, i, a, b)
 		}
 		return old
-	})
+	}
+	// staged[i] is what PE i's boundary effect applies, and what it read.
+	type rawOp struct {
+		dst    int
+		op     uint8
+		a, res int64
+	}
+	staged := make([][2]rawOp, n)
 	const hop = 100 * time.Nanosecond
 	durs := []time.Duration{0, 1, 2, 3, hop / 2, hop}
 	hops := []time.Duration{hop, hop + 1, 2 * hop}
@@ -243,14 +251,17 @@ func buildRawWorkload(s *Sim, seed int64, n, rounds int) *rawRun {
 						return quanta[j-1], flags[j-1]
 					})
 					log(int64(m), int64(j))
-				case 2:
-					log(p.RemoteCall(dst, pick(hops), uint8(rng.Intn(4)), val, 0))
+				case 2: // remote call: the operation at the completion instant
+					p.Advance(pick(hops))
+					log(apply(dst, uint8(rng.Intn(4)), val, 0))
 				case 3:
-					p.RemoteSend(dst, pick(hops), uint8([]int{opAdd, opMax, opPost}[rng.Intn(3)]), val, 0, nil)
+					p.Advance(pick(hops))
+					apply(dst, uint8([]int{opAdd, opMax, opPost}[rng.Intn(3)]), val, 0)
 				case 4: // delayed send, visible to dst from its stamp on
 					adv, delay := pick(durs), pick(hops)
-					p.RemoteSend(dst, adv, opMail, int64(p.Now()+adv+delay), val, nil)
-				case 5: // two ops staged on one boundary, then one more quantum
+					p.Advance(adv)
+					apply(dst, opMail, int64(p.Now()+delay), val)
+				case 5: // two effects staged on one boundary, then one more quantum
 					dst2, d, fl := rng.Intn(n), pick(hops), uint8(rng.Intn(2))*StepNoPoll
 					op2, tail := uint8(rng.Intn(3)), pick(durs)
 					j := 0
@@ -258,10 +269,10 @@ func buildRawWorkload(s *Sim, seed int64, n, rounds int) *rawRun {
 						j++
 						switch j {
 						case 1:
-							p.StageRemote(dst, d, opRead, 0, 0)
-							return p.StageRemote(dst2, d, op2, val, 0), fl
+							staged[i] = [2]rawOp{{dst: dst, op: opRead}, {dst: dst2, op: op2, a: val}}
+							return p.Stage(d, 0), fl
 						case 2:
-							log(p.StagedResult(0), p.StagedResult(1))
+							log(staged[i][0].res, staged[i][1].res)
 							return tail, 0
 						}
 						return 0, StepDone
@@ -291,6 +302,12 @@ func buildRawWorkload(s *Sim, seed int64, n, rounds int) *rawRun {
 				log(int64(p.Now()))
 			}
 		})
+		procs[i].effect = func() {
+			for k := range staged[i] {
+				o := &staged[i][k]
+				o.res = apply(o.dst, o.op, o.a, 0)
+			}
+		}
 	}
 	return r
 }
@@ -603,14 +620,13 @@ func TestEngineCountsPinned(t *testing.T) {
 	if size := unsafe.Sizeof(ev{}); size > 24 {
 		t.Errorf("a queued event is %d bytes, want at most 24", size)
 	}
-	// A Proc is whole cache lines, the first what every boundary reads and
-	// the second the staged slots; everything a staged send or a counted
-	// sleep added lies behind them.
+	// A Proc is whole cache lines, the first what every boundary reads — the
+	// staged flag and the effect it runs included; everything a resumption or
+	// a counted sleep needs lies behind it.
 	var p Proc
-	if size, hot := unsafe.Sizeof(p), unsafe.Offsetof(p.staged); unsafe.Sizeof(uintptr(0)) == 8 &&
-		(size%64 != 0 || hot != 64 || unsafe.Offsetof(p.stagedChunks) != 128) {
-		t.Errorf("a Proc is %d bytes with its staged slots at %d..%d, want whole 64-byte lines and 64..128",
-			size, hot, unsafe.Offsetof(p.stagedChunks))
+	if size, hot := unsafe.Sizeof(p), unsafe.Offsetof(p.effect)+unsafe.Sizeof(p.effect); unsafe.Sizeof(uintptr(0)) == 8 &&
+		(size%64 != 0 || hot != 64) {
+		t.Errorf("a Proc is %d bytes with its boundary fields in 0..%d, want whole 64-byte lines and 0..64", size, hot)
 	}
 	check := func(name string, got, want Info) {
 		t.Helper()

@@ -33,11 +33,7 @@ func (s *Sim) runLegacy() error {
 			s.schedule(e.p, s.now+d)
 		}
 	}
-	if s.finished != s.nprocs {
-		return fmt.Errorf("des: deadlock: %d of %d PEs still blocked at t=%v",
-			s.nprocs-s.finished, s.nprocs, s.Now())
-	}
-	return nil
+	return s.drained()
 }
 
 // legacyAdvanceStepped emulates the stepped-advance contract with one full
@@ -50,8 +46,9 @@ func (p *Proc) legacyAdvanceStepped(step Stepper) Intr {
 		if d > 0 {
 			p.back(int64(d))
 		}
-		if p.nstag > 0 {
-			p.runStaged()
+		if p.staged {
+			p.staged = false
+			p.effect()
 		}
 		if fl&StepDone != 0 {
 			return 0

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/uts"
 )
@@ -129,24 +128,39 @@ func (w *wallFake) StageAnnounced(time.Duration) time.Duration {
 	return w.Stage(w.readAnnounced())
 }
 
-// simFake is the scripted host on the virtual-time driver: reads are
-// staged remote operations, a request is a posted interrupt.
+// simFake is the scripted host on the virtual-time driver: reads are staged
+// against their quantum and run by its boundary effect, a request is a
+// posted interrupt.
 type simFake struct {
 	simPE
 	*script
+	stage []func() int64 // the reads the current quantum staged
+	reads []int64        // what they read at its boundary
 }
 
 func (f *simFake) Settle(e bool) bool { return f.script.Settle(e) }
 func (f *simFake) Stopped() bool      { return false }
 func (f *simFake) StageAvail(v int) time.Duration {
-	return f.charge(f.p.StageRemote(v, 10*time.Nanosecond, 0, 0, 0))
+	f.stage = append(f.stage, func() int64 { return f.readAvail(v) })
+	return f.charge(f.p.Stage(10*time.Nanosecond, 0))
 }
 func (f *simFake) StageAnnounced(d time.Duration) time.Duration {
 	if d == 0 {
 		d = f.charge(5 * time.Nanosecond)
 	}
-	return f.p.StageRemote(0, d, 1, 0, 0)
+	f.stage = append(f.stage, f.readAnnounced)
+	return f.p.Stage(d, 0)
 }
+func (f *simFake) read() {
+	f.reads = f.reads[:0]
+	for _, r := range f.stage {
+		f.reads = append(f.reads, r())
+	}
+	f.stage = f.stage[:0]
+}
+func (f *simFake) Staged(i int) int64                   { return f.reads[i] }
+func (f *simFake) Doze(*core.ProbeWalk) time.Duration   { return 0 }
+func (f *simFake) Probed(*core.ProbeWalk) (int64, bool) { return f.reads[0], false }
 
 const (
 	fakeMe  = 1
@@ -171,14 +185,8 @@ func runSimFake(t *testing.T, sc script) []string {
 	f := &simFake{simPE: newSimPE(&uts.BenchTiny, Config{Seed: 1}, res, nil, fakeMe), script: &sc}
 	sc.post = func() { f.p.Post(IntrSteal) }
 	sim := New()
-	sim.SetRemote(func(dst int, op uint8, a, b int64, _ []stack.Chunk) int64 {
-		if op == 0 {
-			return sc.readAvail(dst)
-		}
-		return sc.readAnnounced()
-	})
 	m := core.Machine{H: logged{f, &sc}, PE: &f.PE, Rng: f.rng, Me: fakeMe, N: fakePEs, Stream: true}
-	f.spawn(sim, m.Run, func(*Proc) {})
+	f.spawn(sim, m.Run, f.read, func(*Proc) {})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -21,41 +21,6 @@ type simMsg struct {
 	sentAt   time.Duration
 }
 
-// opMPIDeliver is the protocol's single remote operation: insert a message
-// into rank dst's inbox. a packs (from, tag, color), b is the send-complete
-// stamp; the arrival stamp is recomputed from the payload size, and
-// visibility is gated on it by Recv — the contract StageSend requires of
-// delayed effects.
-const opMPIDeliver uint8 = 0
-
-func (r *simMPIRun) apply(dst int, op uint8, a, b int64, chunks []stack.Chunk) int64 {
-	pe := r.pes[dst]
-	size := 16 + uts.NodeBytes*stack.NodeCount(chunks)
-	m := simMsg{
-		Message: msg.Message{
-			From:   int(a & 0xffffffff),
-			Tag:    msg.Tag((a >> 32) & 0xff),
-			Chunks: chunks,
-			Color:  msg.Color((a >> 40) & 0xff),
-		},
-		sentAt:   time.Duration(b),
-		arriveAt: time.Duration(b) + r.cs.bulk(size),
-	}
-	// Sorted insert by (sentAt, From). Where sends apply in key order it is
-	// an append; a windowed run applies the sends of one window in any order
-	// — the insert restores send order.
-	i := len(pe.inbox)
-	pe.inbox = append(pe.inbox, simMsg{})
-	for i > 0 && (pe.inbox[i-1].sentAt > m.sentAt ||
-		(pe.inbox[i-1].sentAt == m.sentAt && pe.inbox[i-1].From > m.From)) {
-		pe.inbox[i] = pe.inbox[i-1]
-		i--
-	}
-	pe.inbox[i] = m
-	pe.p.Notify(m.arriveAt) // the rank may be asleep, waiting for exactly this
-	return 0
-}
-
 // simMPIRun is the run state of the simulated mpi-ws baseline.
 type simMPIRun struct {
 	cfg Config
@@ -74,6 +39,10 @@ type simMPIPE struct {
 	inbox []simMsg
 	rx    msg.Message // what the last Recv took
 
+	// The message Send staged against the current quantum, and its rank.
+	out simMsg
+	to  int
+
 	// Work's position in its cycle, between calls.
 	ph     uint8
 	atPoll bool // this cycle's iprobe is the in-loop drain at since>=poll
@@ -83,7 +52,6 @@ type simMPIPE struct {
 
 func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps *policy.Set, finish func(*Proc)) sampler {
 	r := &simMPIRun{cfg: cfg, cs: cs}
-	sim.SetRemote(r.apply)
 	r.pes = make([]*simMPIPE, cfg.PEs)
 	for i := 0; i < cfg.PEs; i++ {
 		pe := &simMPIPE{simPE: newSimPE(sp, cfg, res, ps, i), r: r}
@@ -93,7 +61,7 @@ func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps
 			pe.Local.Push(uts.Root(sp))
 		}
 		step := pe.rank.Start()
-		pe.spawn(sim, func() { pe.p.AdvanceStepped(step) }, finish)
+		pe.spawn(sim, func() { pe.p.AdvanceStepped(step) }, pe.deliver, finish)
 	}
 	return func() (sources int) {
 		for _, pe := range r.pes {
@@ -110,11 +78,30 @@ func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps
 // and stages the message: on its way at that quantum's end, delivered after
 // the transfer latency.
 func (pe *simMPIPE) Send(to int, m msg.Message) time.Duration {
-	size := 16 + uts.NodeBytes*stack.NodeCount(m.Chunks)
 	adv := pe.charge(pe.r.cs.localRef) // injection overhead
-	a := int64(uint32(pe.me)) | int64(m.Tag)<<32 | int64(m.Color)<<40
-	b := int64(pe.p.Now() + adv)
-	return pe.p.StageSend(to, adv, pe.r.cs.bulk(size), opMPIDeliver, a, b, m.Chunks)
+	lat := pe.r.cs.bulk(16 + uts.NodeBytes*stack.NodeCount(m.Chunks))
+	m.From = pe.me
+	sent := pe.p.Now() + adv
+	pe.out, pe.to = simMsg{Message: m, sentAt: sent, arriveAt: sent + lat}, to
+	return pe.p.Stage(adv, lat)
+}
+
+// deliver is the rank's boundary effect: the message Send staged enters the
+// receiver's inbox, sorted by (sentAt, From). Where sends apply in key order
+// that is an append; a windowed run applies the sends of one window in any
+// order — the insert restores send order. Recv and Sleep gate on arriveAt.
+func (pe *simMPIPE) deliver() {
+	m, dst := pe.out, pe.r.pes[pe.to]
+	pe.out = simMsg{} // the sender must not pin a stolen chunk
+	i := len(dst.inbox)
+	dst.inbox = append(dst.inbox, simMsg{})
+	for i > 0 && (dst.inbox[i-1].sentAt > m.sentAt ||
+		(dst.inbox[i-1].sentAt == m.sentAt && dst.inbox[i-1].From > m.From)) {
+		dst.inbox[i] = dst.inbox[i-1]
+		i--
+	}
+	dst.inbox[i] = m
+	dst.p.Notify(m.arriveAt) // the rank may be asleep, waiting for exactly this
 }
 
 // oldest walks the inbox once: the index of the oldest message that has
@@ -153,7 +140,7 @@ func (pe *simMPIPE) Recv() *msg.Message {
 }
 
 // Sleep is one idle poll, and the promise that the polls after it see
-// nothing before the earliest message in flight arrives or apply brings
+// nothing before the earliest message in flight arrives or a delivery brings
 // another.
 func (pe *simMPIPE) Sleep() time.Duration {
 	_, due := pe.oldest()

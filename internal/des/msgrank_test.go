@@ -123,6 +123,8 @@ func (w *wallMsgFake) Sleep() time.Duration { w.logf("wait"); return 0 }
 type simMsgFake struct {
 	simPE
 	*msgScript
+	to  int         // where the current quantum's staged send goes
+	out msg.Message // and what it carries
 }
 
 // Sleep names its own next poll as due: the script answers by call count, so
@@ -153,15 +155,12 @@ func runSimMsgFake(t *testing.T, sc msgScript) []string {
 	res.Threads = make([]stats.Thread, sc.me+1)
 	f := &simMsgFake{simPE: newSimPE(&uts.BenchTiny, Config{Seed: 1}, res, nil, sc.me), msgScript: &sc}
 	sc.post = func(to int, m msg.Message) time.Duration {
-		return f.p.StageSend(to, f.charge(100*time.Nanosecond), time.Microsecond, uint8(m.Tag), 0, 0, m.Chunks)
+		f.to, f.out = to, m
+		return f.p.Stage(f.charge(100*time.Nanosecond), time.Microsecond)
 	}
 	return sc.run(f, &f.PE, func(step core.Stepper) {
 		sim := New()
-		sim.SetRemote(func(dst int, op uint8, _, _ int64, chunks []stack.Chunk) int64 {
-			sc.deliver(dst, msg.Tag(op), chunks)
-			return 0
-		})
-		f.spawn(sim, func() { f.p.AdvanceStepped(step) }, func(*Proc) {})
+		f.spawn(sim, func() { f.p.AdvanceStepped(step) }, func() { sc.deliver(f.to, f.out.Tag, f.out.Chunks) }, func(*Proc) {})
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -34,14 +34,16 @@ func newSimPE(sp *uts.Spec, cfg Config, res *core.Result, ps *policy.Set, i int)
 
 // spawn registers the PE's process with the simulation and binds pe.p at
 // once — in a windowed run another PE can deliver to this one before its
-// body has started — then body runs on it from the Working state, and
-// finish records its end.
-func (pe *simPE) spawn(sim *Sim, body func(), finish func(*Proc)) {
+// body has started — and with it effect, what the host does at the boundary
+// of a quantum it staged (Proc.Stage); then body runs on it from the Working
+// state, and finish records its end.
+func (pe *simPE) spawn(sim *Sim, body, effect func(), finish func(*Proc)) {
 	pe.p = sim.Spawn(func(p *Proc) {
 		pe.Rec(obs.KindStateChange, -1, int64(stats.Working))
 		body()
 		finish(p)
 	})
+	pe.p.effect = effect
 	pe.Virt = pe.p.Now
 }
 
@@ -55,8 +57,7 @@ func (pe *simPE) advance(d time.Duration) {
 }
 
 // charge books d of virtual time against the PE's current state without
-// advancing the clock — used by step functions, where the engine advances,
-// and ahead of remote operations that carry their own delay.
+// advancing the clock — used by step functions, where the engine advances.
 func (pe *simPE) charge(d time.Duration) time.Duration {
 	pe.T.AddState(pe.state, d)
 	return d
@@ -81,16 +82,10 @@ func (pe *simPE) EndSteal(ok bool, back stats.State) {
 	pe.SetState(back)
 }
 
-// Steps and Staged: the engine third of the machine's Host (core.Host) in
-// virtual time is the stepped advance itself. A service point is a quantum
-// boundary at which the dispatcher finds a posted interrupt; a staged read
-// executes in its owner's context at the boundary it was staged against.
+// Steps: the engine third of the machine's Host (core.Host) in virtual time
+// is the stepped advance itself. A service point is a quantum boundary at
+// which the dispatcher finds a posted interrupt.
 func (pe *simPE) Steps(step core.Stepper) bool { return pe.p.AdvanceStepped(step) != 0 }
-func (pe *simPE) Staged(i int) int64           { return pe.p.StagedResult(i) }
-
-// Doze and Probed: a shell without words of its own steps every probe.
-func (pe *simPE) Doze(*core.ProbeWalk) time.Duration   { return 0 }
-func (pe *simPE) Probed(*core.ProbeWalk) (int64, bool) { return pe.p.StagedResult(0), false }
 
 // Settle and Stopped: a simulated PE hands out no work that could come
 // back unfetched, and a simulation is never abandoned midway.

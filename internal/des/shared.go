@@ -11,10 +11,9 @@ import (
 
 // simSharedRun is the per-run shared state of the simulated shared-memory
 // family. All fields are mutated only by the PE currently scheduled by the
-// event loop, so no synchronization is needed. Beyond the common remote
-// operations (upc.go) a PE of this family touches another's state
-// directly, under that PE's virtual lock: exactly one PE runs at any
-// instant.
+// event loop, so no synchronization is needed. Beyond the probe and the
+// barrier of upc.go a PE of this family touches another's state directly,
+// under that PE's virtual lock: exactly one PE runs at any instant.
 type simSharedRun struct {
 	upcRun
 	mode core.SharedVariant
@@ -49,7 +48,6 @@ type simSharedPE struct {
 func simShared(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, mode core.SharedVariant, ps *policy.Set, wakes *Wakes, finish func(*Proc)) sampler {
 	r := &simSharedRun{upcRun: newUPCRun(cfg, cs, wakes), mode: mode}
 	r.freeAnnounce = true
-	sim.SetRemote(r.apply)
 	r.pes = make([]*simSharedPE, cfg.PEs)
 	for i := 0; i < cfg.PEs; i++ {
 		pe := &simSharedPE{upcPE: upcPE{simPE: newSimPE(sp, cfg, res, ps, i), u: &r.upcRun}, r: r}
@@ -58,7 +56,7 @@ func simShared(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, m
 			pe.Local.Push(uts.Root(sp))
 		}
 		m := &core.Machine{H: pe, PE: &pe.PE, Rng: pe.rng, Me: i, N: cfg.PEs, Stream: mode.StreamTerm}
-		pe.spawn(sim, m.Run, finish)
+		pe.spawn(sim, m.Run, pe.read, finish)
 	}
 	return upcSampler(r.upc)
 }

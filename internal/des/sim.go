@@ -17,7 +17,7 @@
 // core.WallPE.Steps; for mpi-ws the whole rank — message handling, the
 // idle/steal-request loop, the Dijkstra token ring — core.MsgRank, a step
 // function too: one stepped advance from spawn to finish here, its sends
-// staged against the quantum they cost (StageSend) and its idle polls a
+// staged against the quantum they cost (Proc.Stage) and its idle polls a
 // sleep the engine may count instead of run (StepSleep), over the inbox of
 // mpi.go; a plain loop over msg.Comm there (core.WallPE.Drive). A searching
 // UPC PE sleeps the same way through the probes of its cycle that read words
@@ -45,7 +45,7 @@
 // # Engines
 //
 // Two engines implement that contract. The batched engine (New, the one a
-// run uses) is one dispatcher: a loop that pops an event and resumes its PE,
+// run uses) is the Sim itself: a loop that pops an event and resumes its PE,
 // the event queue a flat 4-ary indexed min-heap of value-typed entries. An
 // Advance whose deadline precedes every queued event commits inline without
 // touching the heap or leaving the PE, and protocol loops expressed as step
@@ -63,7 +63,7 @@
 // sleeping PE that nothing can answer — no message has arrived, no word it
 // will read has changed, no request word was claimed — passed: the batched
 // engine alone counts those at the wake without dispatching them
-// (dispatcher.sleep).
+// (Sim.sleep).
 package des
 
 import (
@@ -72,13 +72,13 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/stack"
 )
 
-// dispatcher is the event loop of the batched engine: a clock and the queue
-// of proc resumptions with its parked slot. The goroutine that calls Run runs
-// the loop; a PE it resumes runs while it waits.
-type dispatcher struct {
+// Sim is one simulation instance. It is the event loop of the batched
+// engine — a clock and the queue of proc resumptions with its parked slot —
+// which the goroutine that calls Run runs; a PE it resumes runs while it
+// waits. The legacy reference borrows its clock and counters.
+type Sim struct {
 	heap     flatHeap
 	pend     ev    // parked event awaiting the dispatcher, if hasPend
 	hasPend  bool  // see park: fuses the park-then-dispatch heap traffic
@@ -97,14 +97,6 @@ type dispatcher struct {
 	// cal holds the queued events of a windowed run (Sim.windowed), nil in
 	// any other: the heap then holds only the sentinel at the window's end.
 	cal *calendar
-}
-
-// Sim is one simulation instance. Its own dispatcher is the whole batched
-// engine; the legacy reference borrows that dispatcher's clock and counters.
-type Sim struct {
-	dispatcher
-
-	remote RemoteApply // remote-operation interpreter (remote.go)
 
 	legacy bool
 	lheap  evHeap // legacy engine's boxed queue (legacy.go)
@@ -170,11 +162,10 @@ const Never = time.Duration(maxVT)
 type Stepper = core.Stepper
 
 // Proc is the simulator-side handle of one PE. The fields are in the order a
-// boundary touches them: the first cache line is what every pop, park and
-// inline commit reads, the second the staged slots of a quantum that has
-// any, and what only a resumption, a staged send or a counted sleep needs
-// comes after — a fatter Proc whose hot fields straddle a third line shows
-// on the one-sided workloads (DESIGN.md §9).
+// boundary touches them: the first cache line is what every pop, park, inline
+// commit and staged boundary reads, and what only a resumption or a counted
+// sleep needs comes after — a Proc whose hot fields straddle a second line
+// shows on the one-sided workloads (DESIGN.md §9).
 type Proc struct {
 	id  int
 	sim *Sim
@@ -192,12 +183,10 @@ type Proc struct {
 	intr   Intr
 	stepFl uint8
 
-	// Remote-operation layer: the staged slots of the current quantum
-	// (remote.go).
-	nstag  int32
-	staged [2]stagedOp
-
-	stagedChunks []stack.Chunk // payload of the quantum's StageSend, if it has one
+	// staged says the current quantum ends in effect, the host's boundary
+	// effect, bound once at spawn (Stage).
+	staged bool
+	effect func()
 
 	// A counted sleep (sleep, Notify): polls fall at sleepAt + k·sleepD,
 	// sleepD != 0 while p sleeps, and wakeAt is the poll its wake is queued
@@ -219,10 +208,10 @@ type Proc struct {
 	qt           int64
 	qnext, qprev *Proc
 
-	// Up to four whole cache lines: the allocator's size class for a Proc is
+	// Up to three whole cache lines: the allocator's size class for a Proc is
 	// then a multiple of the line, and the layout above is the layout in
 	// memory (TestEngineCountsPinned holds both).
-	_ [32]byte
+	_ [56]byte
 }
 
 // ID returns the PE number.
@@ -266,12 +255,12 @@ func (s *Sim) schedule(p *Proc, t int64) {
 // push queues e: on the heap, or in a windowed run's calendar.
 //
 //uts:noalloc
-func (d *dispatcher) push(e ev) {
-	if d.cal != nil {
-		d.cal.push(e)
+func (s *Sim) push(e ev) {
+	if s.cal != nil {
+		s.cal.push(e)
 		return
 	}
-	d.heap.push(e)
+	s.heap.push(e)
 }
 
 // park records p's resume event without pushing it: every park site hands
@@ -281,9 +270,9 @@ func (d *dispatcher) push(e ev) {
 // schedule would have drawn it, so tie-breaks are unchanged.
 //
 //uts:noalloc
-func (d *dispatcher) park(p *Proc, t int64) {
-	d.pend = ev{t: t, key: p.nextKey(), p: p}
-	d.hasPend = true
+func (s *Sim) park(p *Proc, t int64) {
+	s.pend = ev{t: t, key: p.nextKey(), p: p}
+	s.hasPend = true
 }
 
 // next yields the minimal pending event: the parked event fused against the
@@ -293,15 +282,15 @@ func (d *dispatcher) park(p *Proc, t int64) {
 // nonempty.
 //
 //uts:noalloc
-func (d *dispatcher) next() (ev, bool) {
-	if d.hasPend {
-		d.hasPend = false
-		if d.heap.empty() {
-			return d.pend, true
+func (s *Sim) next() (ev, bool) {
+	if s.hasPend {
+		s.hasPend = false
+		if s.heap.empty() {
+			return s.pend, true
 		}
-		return d.heap.exchange(d.pend), true
+		return s.heap.exchange(s.pend), true
 	}
-	return d.heap.pop()
+	return s.heap.pop()
 }
 
 // Run executes the simulation until every spawned PE has finished. It
@@ -319,9 +308,9 @@ func (s *Sim) Run() error {
 
 // drained is the end of a run whose queue has drained: a deadlock if PEs are
 // still blocked.
-func (d *dispatcher) drained() error {
-	if d.finished != d.nprocs {
-		return fmt.Errorf("des: deadlock: %d of %d PEs still blocked at t=%v", d.nprocs-d.finished, d.nprocs, time.Duration(d.now))
+func (s *Sim) drained() error {
+	if s.finished != s.nprocs {
+		return fmt.Errorf("des: deadlock: %d of %d PEs still blocked at t=%v", s.nprocs-s.finished, s.nprocs, time.Duration(s.now))
 	}
 	return nil
 }
@@ -330,19 +319,19 @@ func (d *dispatcher) drained() error {
 // reports a drained queue with PEs still blocked as a deadlock.
 //
 //uts:noalloc
-func (d *dispatcher) dispatch() error {
+func (s *Sim) dispatch() error {
 	for {
-		e, ok := d.next()
+		e, ok := s.next()
 		if !ok {
-			return d.drained()
+			return s.drained()
 		}
-		d.now = e.t
-		d.events++
-		d.pops++
+		s.now = e.t
+		s.events++
+		s.pops++
 		if p := e.p; p.stepFn != nil {
-			d.contStep(p)
+			s.contStep(p)
 		} else {
-			d.run(p, 0)
+			s.run(p, 0)
 		}
 	}
 }
@@ -354,25 +343,25 @@ func (d *dispatcher) dispatch() error {
 // parks every one past it. A parked event goes to the calendar.
 //
 //uts:noalloc
-func (d *dispatcher) dispatchWindows() error {
-	c := d.cal
+func (s *Sim) dispatchWindows() error {
+	c := s.cal
 	for {
-		if d.hasPend {
-			d.hasPend = false
-			c.push(d.pend)
+		if s.hasPend {
+			s.hasPend = false
+			c.push(s.pend)
 		}
 		e, ok := c.pop()
 		if !ok {
-			return d.drained()
+			return s.drained()
 		}
-		d.heap.a[0].t = c.end
-		d.now = e.t
-		d.events++
-		d.pops++
+		s.heap.a[0].t = c.end
+		s.now = e.t
+		s.events++
+		s.pops++
 		if p := e.p; p.stepFn != nil {
-			d.contStep(p)
+			s.contStep(p)
 		} else {
-			d.run(p, 0)
+			s.run(p, 0)
 		}
 	}
 }
@@ -382,11 +371,11 @@ func (d *dispatcher) dispatchWindows() error {
 // anything else).
 //
 //uts:noalloc
-func (d *dispatcher) run(p *Proc, m Intr) {
-	d.handoffs++
+func (s *Sim) run(p *Proc, m Intr) {
+	s.handoffs++
 	p.resumed = m
 	if _, ok := p.next(); !ok {
-		d.finished++
+		s.finished++
 	}
 }
 
@@ -394,8 +383,8 @@ func (d *dispatcher) run(p *Proc, m Intr) {
 // taken without the queue when it orders before every queued event.
 //
 //uts:noalloc
-func (d *dispatcher) ahead(t int64, id int) bool {
-	return d.heap.empty() || d.heap.rootAfter(t, id)
+func (s *Sim) ahead(t int64, id int) bool {
+	return s.heap.empty() || s.heap.rootAfter(t, id)
 }
 
 // contStep continues a parked stepped advance at its boundary, in dispatcher
@@ -406,42 +395,43 @@ func (d *dispatcher) ahead(t int64, id int) bool {
 // rescheduled, or it sleeps.
 //
 //uts:noalloc
-func (d *dispatcher) contStep(p *Proc) {
+func (s *Sim) contStep(p *Proc) {
 	fl := p.stepFl
 	if fl&StepSleep != 0 {
-		d.woke(p)
+		s.woke(p)
 	}
 	for {
-		if p.nstag > 0 {
-			p.runStaged()
+		if p.staged {
+			p.staged = false
+			p.effect()
 		}
 		if fl&StepDone != 0 {
 			p.stepFn = nil
-			d.run(p, 0)
+			s.run(p, 0)
 			return
 		}
 		if fl&StepNoPoll == 0 && p.intr != 0 {
 			m := p.intr
 			p.intr = 0
 			p.stepFn = nil
-			d.run(p, m)
+			s.run(p, m)
 			return
 		}
 		var dt time.Duration
 		dt, fl = p.stepFn()
 		if dt > 0 {
 			if fl&StepSleep != 0 {
-				d.sleep(p, int64(dt), fl)
+				s.sleep(p, int64(dt), fl)
 				return
 			}
-			t := d.now + int64(dt)
-			if !d.ahead(t, p.id) {
+			t := s.now + int64(dt)
+			if !s.ahead(t, p.id) {
 				p.stepFl = fl
-				d.park(p, t)
+				s.park(p, t)
 				return
 			}
-			d.now = t
-			d.events++
+			s.now = t
+			s.events++
 		}
 	}
 }
@@ -459,11 +449,11 @@ func (d *dispatcher) contStep(p *Proc) {
 // one.
 //
 //uts:noalloc
-func (d *dispatcher) sleep(p *Proc, dt int64, fl uint8) {
+func (s *Sim) sleep(p *Proc, dt int64, fl uint8) {
 	p.stepFl = fl
-	p.sleepAt, p.sleepD, p.wakeAt = d.now, dt, maxVT
+	p.sleepAt, p.sleepD, p.wakeAt = s.now, dt, maxVT
 	if p.due != maxVT {
-		d.wake(p, p.due)
+		s.wake(p, p.due)
 	}
 }
 
@@ -477,19 +467,19 @@ func (d *dispatcher) sleep(p *Proc, dt int64, fl uint8) {
 // run would have to keep.
 //
 //uts:noalloc
-func (d *dispatcher) wake(p *Proc, at int64) bool {
+func (s *Sim) wake(p *Proc, at int64) bool {
 	k := max(1, (at-p.sleepAt+p.sleepD-1)/p.sleepD)
 	t := p.sleepAt + k*p.sleepD
 	switch {
 	case p.wakeAt == maxVT:
-		d.push(ev{t: t, key: p.nextKey(), p: p})
+		s.push(ev{t: t, key: p.nextKey(), p: p})
 	case t < p.wakeAt:
-		if d.cal != nil {
-			d.cal.moveEarlier(p, p.wakeAt, t)
+		if s.cal != nil {
+			s.cal.moveEarlier(p, p.wakeAt, t)
 		} else {
-			d.heap.moveEarlier(p, t)
+			s.heap.moveEarlier(p, t)
 		}
-		d.moved++
+		s.moved++
 	default:
 		return false
 	}
@@ -502,11 +492,28 @@ func (d *dispatcher) wake(p *Proc, at int64) bool {
 // dispatched.
 //
 //uts:noalloc
-func (d *dispatcher) woke(p *Proc) {
-	p.skipped = (d.now-p.sleepAt)/p.sleepD - 1
+func (s *Sim) woke(p *Proc) {
+	p.skipped = (s.now-p.sleepAt)/p.sleepD - 1
 	p.sleepD = 0
-	d.events += uint64(p.skipped)
-	d.counted += uint64(p.skipped)
+	s.events += uint64(p.skipped)
+	s.counted += uint64(p.skipped)
+}
+
+// Stage declares that the quantum the surrounding Stepper is about to return
+// — d, which Stage returns for convenience — ends in p's boundary effect: the
+// function its host bound at spawn runs at that quantum's boundary, in p's own
+// event, after every smaller-keyed event at that instant. That is where a
+// one-sided read of another PE's state completes, or a message leaves. lag is
+// how long after the boundary the effect becomes visible to another PE; in a
+// windowed run no message lands inside the window it was sent in.
+//
+//uts:noalloc
+func (p *Proc) Stage(d, lag time.Duration) time.Duration {
+	if int64(lag) < p.sim.window() {
+		panic("des: a message that lands inside the window it was sent in — the run cannot be windowed")
+	}
+	p.staged = true
+	return d
 }
 
 // StageSleep declares the quantum the surrounding Stepper is about to return
@@ -529,7 +536,7 @@ func (p *Proc) StageSleep(d, due time.Duration) time.Duration {
 // has is a matter of proc ids the caller knows and the engine does not — so
 // at is later than now, or now for a caller that has checked. Every such
 // event for a PE that may sleep must call it, in p's own execution context (a
-// remote operation's apply is one); it does nothing unless p is in a counted
+// boundary effect is one); it does nothing unless p is in a counted
 // sleep, and reports whether p's wake is now queued for this event — false if
 // it was due at that poll or an earlier one already.
 //
@@ -575,14 +582,14 @@ func (p *Proc) Advance(d time.Duration) {
 		p.back(int64(d)) // the reference reschedules p at now+d
 		return
 	}
-	q := &p.sim.dispatcher
-	t := q.now + int64(d)
-	if q.ahead(t, p.id) {
-		q.now = t
-		q.events++
+	s := p.sim
+	t := s.now + int64(d)
+	if s.ahead(t, p.id) {
+		s.now = t
+		s.events++
 		return
 	}
-	q.park(p, t)
+	s.park(p, t)
 	p.yield()
 }
 
@@ -605,27 +612,28 @@ func (p *Proc) AdvanceStepped(step Stepper) Intr {
 	if p.sim.legacy {
 		return p.legacyAdvanceStepped(step)
 	}
-	q := &p.sim.dispatcher
+	s := p.sim
 	for {
 		d, fl := step()
 		if d > 0 {
 			if fl&StepSleep != 0 {
 				p.stepFn = step
-				q.sleep(p, int64(d), fl)
+				s.sleep(p, int64(d), fl)
 				return p.yield()
 			}
-			t := q.now + int64(d)
-			if !q.ahead(t, p.id) {
+			t := s.now + int64(d)
+			if !s.ahead(t, p.id) {
 				p.stepFn = step
 				p.stepFl = fl
-				q.park(p, t)
+				s.park(p, t)
 				return p.yield()
 			}
-			q.now = t
-			q.events++
+			s.now = t
+			s.events++
 		}
-		if p.nstag > 0 {
-			p.runStaged()
+		if p.staged {
+			p.staged = false
+			p.effect()
 		}
 		if fl&StepDone != 0 {
 			return 0
@@ -890,7 +898,7 @@ const calSlots = 8
 // a time (dispatchWindows), its events queued in a calendar, not the heap.
 // It is run.go's to choose, before the first Spawn, and only for a run in
 // which every effect of one PE on another is a message that takes at least w
-// to land (StageSend holds it to that) and nothing observes the PEs at
+// to land (Stage holds it to that) and nothing observes the PEs at
 // instants of its own.
 func (s *Sim) windowed(w time.Duration) {
 	if s.nprocs != 0 || w <= 0 {
@@ -903,11 +911,11 @@ func (s *Sim) windowed(w time.Duration) {
 // window is the width of a windowed run's windows, 0 in any other run.
 //
 //uts:noalloc
-func (d *dispatcher) window() int64 {
-	if d.cal == nil {
+func (s *Sim) window() int64 {
+	if s.cal == nil {
 		return 0
 	}
-	return d.cal.w
+	return s.cal.w
 }
 
 //uts:noalloc

@@ -263,7 +263,6 @@ func runDozeWorld(t *testing.T, sim *Sim, w dozeWorld) dozeRun {
 	if w.nodeSize > 1 {
 		u.nodeSize, u.intra = w.nodeSize, newCosts(&pgas.Altix)
 	}
-	sim.SetRemote(u.apply)
 	hosts := make([]*dozeHost, w.pes)
 	for i := range hosts {
 		hosts[i] = &dozeHost{upcPE: upcPE{simPE: newSimPE(&uts.BenchTiny, cfg, res, nil, i), u: u}, run: &run}
@@ -275,7 +274,7 @@ func runDozeWorld(t *testing.T, sim *Sim, w dozeWorld) dozeRun {
 			h.spawn(sim, func() {
 				h.setAvail(h.me, -1)
 				m.Run()
-			}, func(*Proc) {})
+			}, h.read, func(*Proc) {})
 			continue
 		}
 		h.spawn(sim, func() {
@@ -288,7 +287,7 @@ func runDozeWorld(t *testing.T, sim *Sim, w dozeWorld) dozeRun {
 					h.setAvail(h.me, op.v)
 				}
 			}
-		}, func(*Proc) {})
+		}, nil, func(*Proc) {})
 	}
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ func simStatic(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, f
 		for j := i; j < len(kids); j += cfg.PEs {
 			pe.Local.Push(kids[j])
 		}
-		pe.spawn(sim, pe.run, finish)
+		pe.spawn(sim, pe.run, nil, finish)
 	}
 	// Nothing is ever stealable: no PE is a work source.
 	return func() int { return 0 }

@@ -63,50 +63,16 @@ type upcPE struct {
 	// (doze.go).
 	hist []availWrite
 	doze
+
+	// The reads staged against the current quantum — victim's word (probe)
+	// and the announcement flag (flag) — and what they read (read).
+	victim      int
+	probe, flag bool
+	reads       [2]int64
 }
 
 // avail is the PE's work-available word as it stands.
 func (pe *upcPE) avail() int { return int(pe.u.words[pe.me].v) }
-
-// Remote operations common to the UPC families (see remote.go); a
-// family's own start at opUPCEnd.
-const (
-	// opReadAvail reads dst's stealable-work counter (a probe).
-	opReadAvail uint8 = iota
-	// opReadAnnounced reads the termination-announcement flag.
-	opReadAnnounced
-	// opSbEnter increments the barrier count; returns 1 when this arrival
-	// completed the barrier.
-	opSbEnter
-	// opSbLeave decrements the barrier count.
-	opSbLeave
-	// opSbAnnounce sets the termination-announcement flag.
-	opSbAnnounce
-	opUPCEnd
-)
-
-// apply interprets the common remote operations, in the destination PE's
-// execution context (PE 0's for the barrier state), and never advances time.
-func (u *upcRun) apply(dst int, op uint8, _, _ int64, _ []stack.Chunk) int64 {
-	switch op {
-	case opReadAvail:
-		return int64(u.words[dst].v)
-	case opReadAnnounced:
-		if u.sbAnnounced {
-			return 1
-		}
-	case opSbEnter:
-		u.sbCount++
-		if u.sbCount == len(u.upc) {
-			return 1
-		}
-	case opSbLeave:
-		u.sbCount--
-	case opSbAnnounce:
-		u.sbAnnounced = true
-	}
-	return 0
-}
 
 // between returns the costs of a reference from PE a to PE b's partition:
 // the intra-node ones when both share a cluster node.
@@ -119,7 +85,8 @@ func (u *upcRun) between(a, b int) *costs {
 
 // StageAvail stages a probe of v's work counter: one one-sided reference.
 func (pe *upcPE) StageAvail(v int) time.Duration {
-	return pe.charge(pe.p.StageRemote(v, pe.u.between(pe.me, v).remoteRef, opReadAvail, 0, 0))
+	pe.victim, pe.probe = v, true
+	return pe.charge(pe.p.Stage(pe.u.between(pe.me, v).remoteRef, 0))
 }
 
 // StageAnnounced stages a read of the announcement flag: a remote
@@ -129,23 +96,42 @@ func (pe *upcPE) StageAnnounced(d time.Duration) time.Duration {
 	if d == 0 {
 		d = pe.charge(pe.u.cs.remoteRef)
 	}
-	return pe.p.StageRemote(0, d, opReadAnnounced, 0, 0)
+	pe.flag = true
+	return pe.p.Stage(d, 0)
 }
+
+// read is the boundary effect of a UPC PE: the reads staged against the
+// quantum, in staging order — the probe's first — at its completion instant.
+func (pe *upcPE) read() {
+	i := 0
+	if pe.probe {
+		pe.reads[0], pe.probe, i = int64(pe.u.words[pe.victim].v), false, 1
+	}
+	if pe.flag {
+		pe.reads[i], pe.flag = 0, false
+		if pe.u.sbAnnounced {
+			pe.reads[i] = 1
+		}
+	}
+}
+
+// Staged is the i-th read of the quantum whose boundary was last reached.
+func (pe *upcPE) Staged(i int) int64 { return pe.reads[i] }
 
 // Enter mirrors term.StreamBarrier.Enter: one remote reference to the
 // count, and the last arrival announces termination, paying one remote
 // reference per level of the announcement tree.
 func (pe *upcPE) Enter() bool {
 	u := pe.u
-	if pe.p.RemoteCall(0, pe.charge(u.cs.remoteRef), opSbEnter, 0, 0) == 0 {
+	pe.advance(u.cs.remoteRef)
+	if u.sbCount++; u.sbCount != len(u.upc) {
 		return false
 	}
 	ad := time.Duration(term.AnnounceLevels(len(u.upc))) * u.cs.remoteRef
-	if ad == 0 && u.freeAnnounce {
-		u.sbAnnounced = true // the lone PE is PE 0: its own partition
-		return true
+	if ad > 0 || !u.freeAnnounce {
+		pe.advance(ad)
 	}
-	pe.p.RemoteSend(0, pe.charge(ad), opSbAnnounce, 0, 0, nil)
+	u.sbAnnounced = true
 	return true
 }
 
@@ -153,7 +139,8 @@ func (pe *upcPE) Enter() bool {
 // seen the flag still clear at the completion instant of the probe that
 // found work, and the barrier cannot fill while the PE probed holds it.
 func (pe *upcPE) Leave() bool {
-	pe.p.RemoteCall(0, pe.charge(pe.u.cs.remoteRef), opSbLeave, 0, 0)
+	pe.advance(pe.u.cs.remoteRef)
+	pe.u.sbCount--
 	return true
 }
 

@@ -52,7 +52,7 @@ one_clock() {
 one_rank_loop() {
 	if sed -n '/^type MsgHost interface/,/^}/p' internal/core/msgrank.go | grep -n 'Wait()'; then exit 1; fi
 	if grep -n 'h\.Wait(' internal/core/msgrank.go; then exit 1; fi
-	if grep -nE 'pe\.wait|\.Advance\(|\.advance\(|RemoteSend\(' internal/des/mpi.go; then exit 1; fi
+	if grep -nE 'pe\.wait|\.Advance\(|\.advance\(' internal/des/mpi.go; then exit 1; fi
 	go build -o bin/uts-sim ./cmd/uts-sim
 	out=$(bin/uts-sim -alg mpi-ws -tree bench-small -pes 64 -verbose)
 	echo "$out" | grep -q ' events=305696 '
@@ -113,7 +113,7 @@ one_baton() {
 # if the calendar leaks out of the file that owns the queue, or if the
 # inline-commit test grows a term: the window is chosen once, in des/run.go
 # (the clamped remote reference); the calendar and the sentinel root that
-# stands for its window live in des/sim.go; and dispatcher.ahead, on every
+# stands for its window live in des/sim.go; and Sim.ahead, on every
 # boundary of every run, is the heap test alone — a window term there read
 # sim_onesided ≈1.5 % slower.
 one_window() {
@@ -121,8 +121,20 @@ one_window() {
 	test "$(cat $src | grep -c '\.windowed(')" -eq 1
 	grep -q '\.windowed(' internal/des/run.go
 	if grep -nwE 'calendar|cal' $(echo "$src" | grep -v '^internal/des/sim\.go$') | grep -vE '^[^:]+:[0-9]+:\s*//'; then exit 1; fi
-	body=$(sed -n '/^func (d \*dispatcher) ahead(/,/^}/p' internal/des/sim.go | sed '1d;$d' | tr -d '\t')
-	test "$body" = 'return d.heap.empty() || d.heap.rootAfter(t, id)'
+	body=$(sed -n '/^func (s \*Sim) ahead(/,/^}/p' internal/des/sim.go | sed '1d;$d' | tr -d '\t')
+	test "$body" = 'return s.heap.empty() || s.heap.rootAfter(t, id)'
+}
+
+# No interpreter: fails if the simulator grows an op-code interpreter back. A
+# cross-PE effect in virtual time is a typed call at its place in the
+# schedule — a method after the advance it completes, or the host's boundary
+# effect behind Proc.Stage — never an op code and packed words that a
+# per-protocol switch decodes: no RemoteApply or SetRemote declared, no
+# apply(dst int, op uint8, ...) in non-test internal/des.
+no_interpreter() {
+	src=$(ls internal/des/*.go | grep -v _test.go)
+	if grep -nwE 'RemoteApply|SetRemote' $src; then exit 1; fi
+	if grep -nE 'apply\(dst int, op uint8' $src; then exit 1; fi
 }
 
 failed=0
@@ -143,5 +155,6 @@ rule "One node kernel" "§7, §17" one_node_kernel
 rule "One work loop" "§17" one_work_loop
 rule "One baton" "§9" one_baton
 rule "One window" "§9" one_window
-[ $failed -eq 0 ] && echo "shape: 8 rules hold"
+rule "No interpreter" "§9" no_interpreter
+[ $failed -eq 0 ] && echo "shape: 9 rules hold"
 exit $failed
