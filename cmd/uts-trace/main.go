@@ -1,7 +1,7 @@
 // Command uts-trace visualizes the rapid-diffusion mechanism of Section
-// 3.3.2: it runs a simulated search while sampling the number of "work
-// sources" (PEs with stealable surplus) over virtual time, then prints the
-// curve as a text chart. Comparing -alg upc-term (steal-one) against
+// 3.3.2: it runs a simulated search, recording the number of "work sources"
+// (PEs with stealable surplus) wherever it changes in virtual time, then
+// prints the curve as a text chart. Comparing -alg upc-term (steal-one) against
 // upc-term-rapdif or upc-distmem (steal-half) shows work sources
 // multiplying far faster under steal-half — the effect the paper relies on
 // to cut victim-discovery costs.
@@ -42,20 +42,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	// First a quick untraced run to size the sampling interval so the
-	// chart covers the whole makespan at the requested resolution.
-	cfg := des.Config{Algorithm: core.Algorithm(f.Alg), PEs: f.PEs, Chunk: f.Chunk, Model: model}
-	pre, err := des.Run(sp, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	interval := pre.Elapsed / time.Duration(f.Buckets*4)
-	if interval <= 0 {
-		interval = time.Microsecond
-	}
-	cfg.Tracer = tracer
-	res, trace, err := des.RunTraced(sp, cfg, interval)
+	res, trace, err := des.RunTraced(sp, des.Config{Algorithm: core.Algorithm(f.Alg), PEs: f.PEs, Chunk: f.Chunk, Model: model, Tracer: tracer})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -66,22 +53,16 @@ func main() {
 	fmt.Printf("makespan %v, rate %.1fM nodes/s, efficiency %.1f%%\n\n",
 		res.Elapsed.Round(time.Microsecond), res.Rate()/1e6, 100*res.Efficiency())
 
-	// Bucket the samples and draw one bar per bucket (peak value in the
-	// bucket, scaled to the PE count).
-	samples := trace.Samples
-	if len(samples) == 0 {
-		fmt.Println("(no samples)")
-		return
-	}
-	span := samples[len(samples)-1].T
-	if span <= 0 {
-		span = interval
-	}
+	// Split the makespan into buckets and draw one bar per bucket (the peak
+	// count in it, scaled to the PE count).
+	span := max(res.Elapsed, 1)
 	peaks := make([]int, f.Buckets)
-	for _, s := range samples {
-		b := int(int64(s.T) * int64(f.Buckets) / (int64(span) + 1))
-		if s.WorkSources > peaks[b] {
-			peaks[b] = s.WorkSources
+	now, i := 0, 0 // the count at the bucket's start, the next change
+	for b := range peaks {
+		peaks[b] = now
+		for end := span * time.Duration(b+1) / time.Duration(f.Buckets); i < len(trace.Changes) && trace.Changes[i].T < end; i++ {
+			now = trace.Changes[i].WorkSources
+			peaks[b] = max(peaks[b], now)
 		}
 	}
 	for b, v := range peaks {

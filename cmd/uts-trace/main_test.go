@@ -8,9 +8,9 @@ import (
 )
 
 // Below four PEs the threshold is one work source, not the zero that P/4
-// truncates to and every run "reaches" at its first sample.
+// truncates to and every run "reaches" from the start.
 func TestDiffusionLineSmallP(t *testing.T) {
-	tr := &des.Trace{Samples: []des.Sample{{T: 0}, {T: 3 * time.Microsecond, WorkSources: 1}}}
+	tr := &des.Trace{Changes: []des.Sample{{T: 3 * time.Microsecond, WorkSources: 1}, {T: 5 * time.Microsecond}}}
 	for pes, want := range map[int]string{
 		1: "reached 1 work sources (P/4) at 3µs",
 		3: "reached 1 work sources (P/4) at 3µs",

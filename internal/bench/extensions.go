@@ -60,7 +60,6 @@ func A4Hierarchical(sc Scale) (*Table, error) {
 func D1Diffusion(sc Scale) (*Table, error) {
 	tree := pick(sc, &uts.BenchTiny, &uts.BenchMedium, &uts.BenchLarge)
 	pes := pick(sc, 8, 64, 256)
-	interval := pick(sc, 20*time.Microsecond, 50*time.Microsecond, 100*time.Microsecond)
 	t := &Table{
 		ID:      "D1",
 		Title:   fmt.Sprintf("Diffusion of work sources over time, %d PEs, %s, kittyhawk profile", pes, tree.Name),
@@ -78,15 +77,13 @@ func D1Diffusion(sc Scale) (*Table, error) {
 		}[alg]
 		res, trace, err := des.RunTraced(tree, des.Config{
 			Algorithm: alg, PEs: pes, Chunk: 8, Model: &pgas.KittyHawk,
-		}, interval)
+		})
 		if err != nil {
 			return nil, err
 		}
 		peak := 0
-		for _, s := range trace.Samples {
-			if s.WorkSources > peak {
-				peak = s.WorkSources
-			}
+		for _, s := range trace.Changes {
+			peak = max(peak, s.WorkSources)
 		}
 		fmtT := func(d time.Duration) string {
 			if d < 0 {

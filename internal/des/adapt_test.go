@@ -302,7 +302,7 @@ func TestAdaptiveSummaryRendered(t *testing.T) {
 	}
 }
 
-// TestMPIWSSamplerFollowsAdaptedChunk: the diffusion sampler counts a rank
+// TestMPIWSSamplerFollowsAdaptedChunk: the diffusion record counts a rank
 // as a work source by the rule a steal request is granted by (the adapted
 // 2k, core.MsgRank.Grantable), so a traced adaptive run started from a k
 // too large to ever be reached cannot report successful steals from zero
@@ -310,13 +310,13 @@ func TestAdaptiveSummaryRendered(t *testing.T) {
 func TestMPIWSSamplerFollowsAdaptedChunk(t *testing.T) {
 	cfg := Config{Algorithm: core.MPIWS, PEs: 16, Chunk: 128, PollInterval: 8,
 		Model: &pgas.KittyHawk, Seed: 51, Adapt: &policy.Config{}}
-	res, tr, err := RunTraced(&uts.T3Small, cfg, time.Microsecond)
+	res, tr, err := RunTraced(&uts.T3Small, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	steals := res.Sum(func(t *stats.Thread) int64 { return t.Steals })
 	peak := 0
-	for _, s := range tr.Samples {
+	for _, s := range tr.Changes {
 		if s.WorkSources > peak {
 			peak = s.WorkSources
 		}
@@ -325,6 +325,6 @@ func TestMPIWSSamplerFollowsAdaptedChunk(t *testing.T) {
 		t.Fatalf("the configuration no longer exercises the rule: no steals (policy: %s)", res.Policy)
 	}
 	if peak == 0 {
-		t.Errorf("%d steals succeeded but the sampler never saw a work source", steals)
+		t.Errorf("%d steals succeeded but no work source was recorded", steals)
 	}
 }

@@ -1,6 +1,8 @@
 package des
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 	"time"
@@ -238,32 +240,96 @@ func TestSimulatedHierWithoutTopologyMatchesFlat(t *testing.T) {
 func TestRunTraced(t *testing.T) {
 	res, tr, err := RunTraced(&uts.BenchTiny, Config{
 		Algorithm: core.UPCTermRapdif, PEs: 8, Chunk: 4,
-	}, 10*time.Microsecond)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkCounts(t, &uts.BenchTiny, res)
-	if len(tr.Samples) == 0 {
-		t.Fatal("no samples collected")
+	if len(tr.Changes) == 0 {
+		t.Fatal("no change recorded")
 	}
-	// Samples are time-ordered and cover the run.
-	for i := 1; i < len(tr.Samples); i++ {
-		if tr.Samples[i].T < tr.Samples[i-1].T {
-			t.Fatal("samples out of order")
+	// Changes are strictly time-ordered, and the log ends within the run with
+	// no source left.
+	for i := 1; i < len(tr.Changes); i++ {
+		if c, prev := tr.Changes[i], tr.Changes[i-1]; c.T <= prev.T {
+			t.Fatalf("change %d %+v after %+v", i, c, prev)
 		}
 	}
-	if last := tr.Samples[len(tr.Samples)-1].T; last < res.Elapsed-tr.Interval {
-		t.Errorf("sampling stopped at %v, before makespan %v", last, res.Elapsed)
+	if last := tr.Changes[len(tr.Changes)-1]; last.T > res.Elapsed || last.WorkSources != 0 {
+		t.Errorf("the log ends at %+v, makespan %v", last, res.Elapsed)
 	}
-	// Work sources must have been observed at some point on an 8-PE run.
 	if tr.TimeToSources(1) < 0 {
 		t.Error("never observed a single work source")
 	}
 	if tr.TimeToSources(1000) != -1 {
 		t.Error("TimeToSources(1000) should be 'never'")
 	}
-	if _, _, err := RunTraced(&uts.BenchTiny, Config{}, 0); err == nil {
-		t.Error("zero trace interval accepted")
+}
+
+// TestTraceMatchesSampled: the record at every multiple of 10µs short of the
+// makespan is what a sampler proc that woke there saw — the digests below
+// are of such a sampler's series, a proc of its own with the highest id, so
+// that it read the state after every PE event at its instant. Exact, the
+// first instant of P/4 sources is no later and the peak no lower than
+// sampled. Recording changes nothing else: the traced run is the untraced
+// one, windowed for mpi-ws, event for event.
+func TestTraceMatchesSampled(t *testing.T) {
+	const every = 10 * time.Microsecond
+	for _, c := range []struct {
+		sp      *uts.Spec
+		alg     core.Algorithm
+		n       int
+		digest  uint64
+		quarter time.Duration
+		peak    int
+	}{
+		{&uts.BenchTiny, core.Static, 68, 0x6da21a497a9d66a5, -1, 0},
+		{&uts.BenchTiny, core.UPCSharedMem, 258, 0x97044a3d0025676b, 120 * time.Microsecond, 10},
+		{&uts.BenchTiny, core.UPCTerm, 126, 0xf1fca00def252bdb, 190 * time.Microsecond, 5},
+		{&uts.BenchTiny, core.UPCTermRapdif, 94, 0x370493b07d4bac35, 120 * time.Microsecond, 6},
+		{&uts.BenchTiny, core.UPCTermRelaxed, 54, 0xad06e41a5a74ef4d, 80 * time.Microsecond, 6},
+		{&uts.BenchTiny, core.UPCDistMem, 74, 0xe47b46502bad8c34, 90 * time.Microsecond, 7},
+		{&uts.BenchTiny, core.UPCDistMemHier, 74, 0xe47b46502bad8c34, 90 * time.Microsecond, 7},
+		{&uts.BenchTiny, core.MPIWS, 91, 0x3d7ba0c992aab43f, 150 * time.Microsecond, 5},
+		{&uts.T3Small, core.Static, 112, 0x661188b5b75cc525, -1, 0},
+		{&uts.T3Small, core.UPCSharedMem, 560, 0x44880467949f825e, 130 * time.Microsecond, 13},
+		{&uts.T3Small, core.UPCTerm, 160, 0xdabf7d993da00b94, 340 * time.Microsecond, 8},
+		{&uts.T3Small, core.UPCTermRapdif, 98, 0x48213d4fa33a18ef, 120 * time.Microsecond, 8},
+		{&uts.T3Small, core.UPCTermRelaxed, 75, 0xc3e088af4e08aea7, 30 * time.Microsecond, 7},
+		{&uts.T3Small, core.UPCDistMem, 69, 0x7b5fa2cc92215df, 90 * time.Microsecond, 9},
+		{&uts.T3Small, core.UPCDistMemHier, 69, 0x7b5fa2cc92215df, 90 * time.Microsecond, 9},
+		{&uts.T3Small, core.MPIWS, 115, 0x92c7dccbd1493a3e, 270 * time.Microsecond, 8},
+	} {
+		cfg := Config{Algorithm: c.alg, PEs: 16, Chunk: 2}
+		var log sourceLog
+		res, info, err := run(c.sp, cfg, &log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := c.sp.Name + "/" + string(c.alg)
+		bare, want, _ := run(c.sp, cfg, nil)
+		if info != want || res.Elapsed != bare.Elapsed || (c.alg == core.MPIWS) != (info.Lookahead > 0) {
+			t.Errorf("%s: traced %+v in %v, untraced %+v in %v", name, info, res.Elapsed, want, bare.Elapsed)
+		}
+		tr := log.trace()
+		h, n, i, now := fnv.New64a(), 0, 0, 0
+		for at := time.Duration(0); at < res.Elapsed; at += every {
+			for ; i < len(tr.Changes) && tr.Changes[i].T <= at; i++ {
+				now = tr.Changes[i].WorkSources
+			}
+			fmt.Fprintf(h, "%d,", now)
+			n++
+		}
+		if n != c.n || h.Sum64() != c.digest {
+			t.Errorf("%s: %d samples digest %#x, want %d %#x", name, n, h.Sum64(), c.n, c.digest)
+		}
+		peak := 0
+		for _, s := range tr.Changes {
+			peak = max(peak, s.WorkSources)
+		}
+		if q := tr.TimeToSources(4); peak < c.peak || c.quarter >= 0 && (q < 0 || q > c.quarter) {
+			t.Errorf("%s: P/4 at %v, peak %d; sampled %v, %d", name, q, peak, c.quarter, c.peak)
+		}
 	}
 }
 

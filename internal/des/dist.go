@@ -30,8 +30,8 @@ type simDistPE struct {
 	respReady bool
 }
 
-func simDistMem(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps *policy.Set, wakes *Wakes, finish func(*Proc)) sampler {
-	r := &simDistRun{upcRun: newUPCRun(cfg, cs, wakes)}
+func simDistMem(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps *policy.Set, wakes *Wakes, log *sourceLog, finish func(*Proc)) {
+	r := &simDistRun{upcRun: newUPCRun(cfg, cs, wakes, log)}
 	if cfg.NodeSize >= 2 && cfg.Intra != nil {
 		r.nodeSize = cfg.NodeSize
 		r.intra = newCosts(cfg.Intra)
@@ -47,7 +47,6 @@ func simDistMem(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, 
 			Stream: true, Hier: cfg.Algorithm == core.UPCDistMemHier, NodeSize: r.nodeSize}
 		pe.spawn(sim, m.Run, pe.read, finish)
 	}
-	return upcSampler(r.upc)
 }
 
 // Work explores nodes batch-wise as one stepped advance: each quantum is a

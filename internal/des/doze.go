@@ -62,7 +62,10 @@ type Wakes struct {
 // setAvail is the one store of a work-available word, pe's, made by PE by at
 // by's current instant: the owner everywhere but in the locked steal of the
 // shared-memory family, where a thief corrects its victim's count. A word
-// that turns positive is what a dozing searcher may not sleep past.
+// that turns positive is what a dozing searcher may not sleep past, and what
+// a traced run logs, with its way back to 0 or −1: the PE is a work source.
+//
+//uts:noalloc
 func (pe *upcPE) setAvail(by, v int) {
 	u := pe.u
 	w := &u.words[pe.me]
@@ -71,6 +74,9 @@ func (pe *upcPE) setAvail(by, v int) {
 		return
 	}
 	p := u.upc[by].p
+	if u.log != nil && (was > 0) != (v > 0) {
+		u.log.add(p.Now(), v > 0)
+	}
 	if !p.Counts() {
 		w.v = int32(v) // every read is run when it falls due
 		return
@@ -79,7 +85,7 @@ func (pe *upcPE) setAvail(by, v int) {
 	if len(pe.hist) == cap(pe.hist) {
 		pe.hist = pe.hist[:copy(pe.hist, pe.hist[pe.deadWrites(now):])]
 	}
-	pe.hist = append(pe.hist, *w)
+	pe.hist = append(pe.hist, *w) //uts:ok noalloc amortized growth; the compaction above reuses the backing array in steady state
 	*w = availWrite{t: now, by: int32(by), v: int32(v)}
 	if was > 0 || v <= 0 {
 		return

@@ -393,13 +393,13 @@ func TestShardedValidation(t *testing.T) {
 	}
 	tr := base
 	tr.Shards = 2
-	_, got, err := RunTraced(&uts.BenchTiny, tr, time.Millisecond)
+	_, got, err := RunTraced(&uts.BenchTiny, tr)
 	if err != nil {
 		t.Fatalf("traced run at two shards: %v", err)
 	}
 	tr.Shards = 0
-	if _, want, _ := RunTraced(&uts.BenchTiny, tr, time.Millisecond); !reflect.DeepEqual(got, want) {
-		t.Errorf("traced run at two shards sampled %+v, at none %+v", got, want)
+	if _, want, _ := RunTraced(&uts.BenchTiny, tr); !reflect.DeepEqual(got, want) {
+		t.Errorf("traced run at two shards recorded %+v, at none %+v", got, want)
 	}
 }
 

@@ -50,7 +50,7 @@ type simMPIPE struct {
 	got    int  // messages the current drain has handled
 }
 
-func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps *policy.Set, finish func(*Proc)) sampler {
+func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps *policy.Set, log *sourceLog, finish func(*Proc)) {
 	r := &simMPIRun{cfg: cfg, cs: cs}
 	r.pes = make([]*simMPIPE, cfg.PEs)
 	for i := 0; i < cfg.PEs; i++ {
@@ -61,16 +61,21 @@ func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps
 			pe.Local.Push(uts.Root(sp))
 		}
 		step := pe.rank.Start()
-		pe.spawn(sim, func() { pe.p.AdvanceStepped(step) }, pe.deliver, finish)
-	}
-	return func() (sources int) {
-		for _, pe := range r.pes {
-			// An MPI rank is a work source when it would grant a request.
-			if pe.rank.Grantable() > 0 {
-				sources++
+		if log != nil {
+			// A rank is a work source while it would grant a request, and its
+			// stack changes inside its step alone: a traced run logs the steps
+			// after which that flips, at their instants.
+			inner, was := step, false
+			step = func() (time.Duration, uint8) {
+				d, fl := inner()
+				if is := pe.rank.Grantable() > 0; is != was {
+					was = is
+					log.add(pe.p.Now(), is)
+				}
+				return d, fl
 			}
 		}
-		return
+		pe.spawn(sim, func() { pe.p.AdvanceStepped(step) }, pe.deliver, finish)
 	}
 }
 

@@ -1,7 +1,9 @@
 package des
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -176,23 +178,22 @@ func (c *costs) bulk(n int) time.Duration {
 
 // Sample is one point of a diffusion trace.
 type Sample struct {
-	T time.Duration // virtual time of the sample
-	// WorkSources is the number of PEs with stealable surplus — the
-	// quantity Section 3.3.2's rapid diffusion is designed to grow.
+	T time.Duration // virtual instant of the change
+	// WorkSources is the number of PEs with stealable surplus from T on —
+	// the quantity Section 3.3.2's rapid diffusion is designed to grow.
 	WorkSources int
 }
 
-// Trace is a time series sampled during a simulated run.
-type Trace struct {
-	Interval time.Duration
-	Samples  []Sample
-}
+// Trace is the work-source count of a simulated run, recorded where it
+// changed: one Sample per instant at which a PE became a work source or ceased
+// to be one, in time order. The count is 0 before the first.
+type Trace struct{ Changes []Sample }
 
-// TimeToSources returns the first sample time at which the number of work
-// sources reached n, or -1 if it never did. This is the diffusion speed
+// TimeToSources returns the first instant at which the number of work
+// sources reached n ≥ 1, or -1 if it never did. This is the diffusion speed
 // metric used by the D1 experiment.
 func (tr *Trace) TimeToSources(n int) time.Duration {
-	for _, s := range tr.Samples {
+	for _, s := range tr.Changes {
 		if s.WorkSources >= n {
 			return s.T
 		}
@@ -200,63 +201,89 @@ func (tr *Trace) TimeToSources(n int) time.Duration {
 	return -1
 }
 
-// sampler reports the work sources of a protocol's current state; each
-// protocol setup returns one.
-type sampler func() (sources int)
+// sourceLog is a traced run's record of the PEs becoming work sources or
+// ceasing to be ones, in the order they ran — not time order in a windowed run.
+type sourceLog []flip
+
+// flip is a PE becoming a work source (d = +1) or ceasing to be one (−1).
+type flip struct {
+	t time.Duration
+	d int
+}
+
+func (l *sourceLog) add(t time.Duration, source bool) {
+	d := -1
+	if source {
+		d = 1
+	}
+	*l = append(*l, flip{t, d})
+}
+
+// trace sorts the log by instant and folds each instant into one Sample, the
+// count after its last flip: the order of the flips within it cannot matter.
+func (l sourceLog) trace() *Trace {
+	slices.SortFunc(l, func(a, b flip) int { return cmp.Compare(a.t, b.t) })
+	tr, n := &Trace{}, 0
+	for i, f := range l {
+		n += f.d
+		if i+1 == len(l) || l[i+1].t != f.t {
+			tr.Changes = append(tr.Changes, Sample{T: f.t, WorkSources: n})
+		}
+	}
+	return tr
+}
 
 // Run simulates a complete traversal of sp on cfg.PEs virtual processors
 // and returns the same Result shape as core.Run, with Elapsed set to the
 // virtual makespan and SeqRate to the model's sequential rate (1/NodeCost),
 // so Speedup and Efficiency read exactly as in the paper.
 func Run(sp *uts.Spec, cfg Config) (*core.Result, error) {
-	res, _, _, err := run(sp, cfg, 0)
+	res, _, err := run(sp, cfg, nil)
 	return res, err
 }
 
 // RunInfo is Run plus engine-level facts (which engine ran, how many
 // events it executed) for benchmarks and regression gates.
 func RunInfo(sp *uts.Spec, cfg Config) (*core.Result, Info, error) {
-	res, _, info, err := run(sp, cfg, 0)
-	return res, info, err
+	return run(sp, cfg, nil)
 }
 
-// RunTraced is Run plus a diffusion trace sampled every interval of
-// virtual time.
-func RunTraced(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace, error) {
-	if interval <= 0 {
-		return nil, nil, fmt.Errorf("des: trace interval must be positive, got %v", interval)
+// RunTraced is Run plus a diffusion trace. Recording costs no virtual time:
+// the run is the untraced one, event for event.
+func RunTraced(sp *uts.Spec, cfg Config) (*core.Result, *Trace, error) {
+	var log sourceLog
+	res, _, err := run(sp, cfg, &log)
+	if err != nil {
+		return nil, nil, err
 	}
-	res, trace, _, err := run(sp, cfg, interval)
-	return res, trace, err
+	return res, log.trace(), nil
 }
 
-func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace, Info, error) {
+// run is the simulation behind the three entry points; log, when non-nil,
+// receives the diffusion record of RunTraced.
+func run(sp *uts.Spec, cfg Config, log *sourceLog) (*core.Result, Info, error) {
 	var info Info
 	if err := sp.Validate(); err != nil {
-		return nil, nil, info, err
+		return nil, info, err
 	}
 	cfg = cfg.withDefaults()
 	if cfg.PEs < 1 {
-		return nil, nil, info, fmt.Errorf("des: need at least one PE, got %d", cfg.PEs)
+		return nil, info, fmt.Errorf("des: need at least one PE, got %d", cfg.PEs)
 	}
-	procs := cfg.PEs
-	if interval > 0 {
-		procs++ // the trace sampler is a proc of its own
-	}
-	if procs > MaxPEs {
-		return nil, nil, info, fmt.Errorf("des: %d simulated procs, the event key orders at most %d", procs, MaxPEs)
+	if cfg.PEs > MaxPEs {
+		return nil, info, fmt.Errorf("des: %d simulated PEs, the event key orders at most %d", cfg.PEs, MaxPEs)
 	}
 	if cfg.Chunk < 1 {
-		return nil, nil, info, fmt.Errorf("des: need chunk >= 1, got %d", cfg.Chunk)
+		return nil, info, fmt.Errorf("des: need chunk >= 1, got %d", cfg.Chunk)
 	}
 	if cfg.PollInterval < 0 {
-		return nil, nil, info, fmt.Errorf("des: negative poll interval %d", cfg.PollInterval)
+		return nil, info, fmt.Errorf("des: negative poll interval %d", cfg.PollInterval)
 	}
 	if cfg.NodeSize < 0 {
-		return nil, nil, info, fmt.Errorf("des: negative node size %d", cfg.NodeSize)
+		return nil, info, fmt.Errorf("des: negative node size %d", cfg.NodeSize)
 	}
 	if cfg.Shards < 0 {
-		return nil, nil, info, fmt.Errorf("des: need shards >= 0, got %d", cfg.Shards)
+		return nil, info, fmt.Errorf("des: need shards >= 0, got %d", cfg.Shards)
 	}
 	cs := newCosts(cfg.Model)
 	sim := New()
@@ -268,11 +295,10 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 	// mpi-ws on the batched engine is dispatched one lookahead-wide window at
 	// a time: every cross-PE effect is a message, a message takes at least
 	// the lookahead — the clamped remote reference of every model in play —
-	// to land (bulk adds no negative bandwidth term), and — without a trace
-	// sampler, which reads every rank at instants of its own — nothing else
-	// looks across PEs, so what the PEs do inside one window commutes
-	// (DESIGN.md §9, "A window is a bag").
-	if !cfg.reference && cfg.Algorithm == core.MPIWS && cs.perKB >= 0 && interval == 0 {
+	// to land (bulk adds no negative bandwidth term), and nothing else looks
+	// across PEs, so what the PEs do inside one window commutes (DESIGN.md §9,
+	// "A window is a bag").
+	if !cfg.reference && cfg.Algorithm == core.MPIWS && cs.perKB >= 0 {
 		la := cs.remoteRef
 		if cfg.NodeSize >= 2 && cfg.Intra != nil {
 			la = min(la, newCosts(cfg.Intra).remoteRef)
@@ -308,56 +334,33 @@ func run(sp *uts.Spec, cfg Config, interval time.Duration) (*core.Result, *Trace
 			core.PolicyBase(cfg.Algorithm, cfg.Chunk, cfg.PollInterval, cfg.NodeSize, cfg.Model, cfg.Intra), cfg.PEs)
 	}
 
-	// Completion bookkeeping: every PE records its own end time, and the
-	// trace sampler reads how many are still alive.
+	// Completion bookkeeping: every PE records its own end time.
 	ends := cfg.ends
 	if len(ends) < cfg.PEs {
 		ends = make([]time.Duration, cfg.PEs)
 	}
-	alive := cfg.PEs
-	finish := func(p *Proc) {
-		ends[p.ID()] = p.Now()
-		alive--
-	}
+	finish := func(p *Proc) { ends[p.ID()] = p.Now() }
 
-	var smp sampler
 	switch cfg.Algorithm {
 	case core.Static:
-		smp = simStatic(sim, sp, cfg, cs, res, finish)
+		simStatic(sim, sp, cfg, cs, res, finish)
 	case core.UPCSharedMem, core.UPCTerm, core.UPCTermRapdif, core.UPCTermRelaxed:
-		smp = simShared(sim, sp, cfg, cs, res, core.SharedVariants[cfg.Algorithm], pset, &info.Wakes, finish)
+		simShared(sim, sp, cfg, cs, res, core.SharedVariants[cfg.Algorithm], pset, &info.Wakes, log, finish)
 	case core.UPCDistMem, core.UPCDistMemHier:
-		smp = simDistMem(sim, sp, cfg, cs, res, pset, &info.Wakes, finish)
+		simDistMem(sim, sp, cfg, cs, res, pset, &info.Wakes, log, finish)
 	case core.MPIWS:
-		smp = simMPIWS(sim, sp, cfg, cs, res, pset, finish)
+		simMPIWS(sim, sp, cfg, cs, res, pset, log, finish)
 	default:
-		return nil, nil, info, fmt.Errorf("des: cannot simulate algorithm %q", cfg.Algorithm)
-	}
-
-	var trace *Trace
-	if interval > 0 {
-		trace = &Trace{Interval: interval}
-		sim.Spawn(func(p *Proc) {
-			for alive > 0 {
-				trace.Samples = append(trace.Samples, Sample{T: p.Now(), WorkSources: smp()})
-				p.Advance(interval)
-			}
-		})
+		return nil, info, fmt.Errorf("des: cannot simulate algorithm %q", cfg.Algorithm)
 	}
 
 	if err := sim.Run(); err != nil {
-		return nil, nil, info, err
+		return nil, info, err
 	}
 	info.Events, info.Pops, info.Counted, info.Handoffs = sim.events, sim.pops, sim.counted, sim.handoffs
 	info.Wakes.Moved = sim.moved
-	var makespan time.Duration
-	for _, t := range ends {
-		if t > makespan {
-			makespan = t
-		}
-	}
-	res.Elapsed = makespan
+	res.Elapsed = slices.Max(ends[:cfg.PEs])
 	res.Obs = cfg.Tracer.Summary()
 	res.Policy = pset.Summary()
-	return res, trace, info, nil
+	return res, info, nil
 }

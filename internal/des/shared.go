@@ -45,8 +45,8 @@ type simSharedPE struct {
 }
 
 // simShared sets up the PEs for upc-sharedmem / upc-term / upc-term-rapdif.
-func simShared(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, mode core.SharedVariant, ps *policy.Set, wakes *Wakes, finish func(*Proc)) sampler {
-	r := &simSharedRun{upcRun: newUPCRun(cfg, cs, wakes), mode: mode}
+func simShared(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, mode core.SharedVariant, ps *policy.Set, wakes *Wakes, log *sourceLog, finish func(*Proc)) {
+	r := &simSharedRun{upcRun: newUPCRun(cfg, cs, wakes, log), mode: mode}
 	r.freeAnnounce = true
 	r.pes = make([]*simSharedPE, cfg.PEs)
 	for i := 0; i < cfg.PEs; i++ {
@@ -58,7 +58,6 @@ func simShared(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, m
 		m := &core.Machine{H: pe, PE: &pe.PE, Rng: pe.rng, Me: i, N: cfg.PEs, Stream: mode.StreamTerm}
 		pe.spawn(sim, m.Run, pe.read, finish)
 	}
-	return upcSampler(r.upc)
 }
 
 // acquire/release wrap the virtual lock with affinity-dependent costs and

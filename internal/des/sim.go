@@ -692,8 +692,8 @@ const (
 	seqMax  = 1<<seqBits - 1
 
 	// MaxPEs is the largest number of procs one simulation can order: PE ids
-	// are a field of the event key. Config.PEs above it is an error (a traced
-	// run's sampler takes one id too), a Spawn past it panics.
+	// are a field of the event key. Config.PEs above it is an error, a Spawn
+	// past it panics.
 	MaxPEs = 1 << idBits
 )
 

@@ -258,7 +258,7 @@ func runDozeWorld(t *testing.T, sim *Sim, w dozeWorld) dozeRun {
 	res := &core.Result{}
 	res.Threads = make([]stats.Thread, w.pes)
 	cfg.PEs = w.pes
-	ur := newUPCRun(cfg, newCosts(&pgas.KittyHawk), &run.wakes)
+	ur := newUPCRun(cfg, newCosts(&pgas.KittyHawk), &run.wakes, nil)
 	u := &ur
 	if w.nodeSize > 1 {
 		u.nodeSize, u.intra = w.nodeSize, newCosts(&pgas.Altix)
@@ -450,7 +450,7 @@ func TestProbeSleepRandomWorlds(t *testing.T) {
 // the history sheds what no read can ask for without losing that.
 func TestAvailHistory(t *testing.T) {
 	sim := New()
-	ur := newUPCRun(Config{PEs: 4}, newCosts(&pgas.KittyHawk), &Wakes{})
+	ur := newUPCRun(Config{PEs: 4}, newCosts(&pgas.KittyHawk), &Wakes{}, nil)
 	u := &ur
 	for i := range u.upc {
 		u.upc[i] = &upcPE{simPE: simPE{me: i}, u: u}

@@ -14,8 +14,8 @@ import (
 // completion in isolation. Its makespan is the largest share — on critical
 // binomial trees, essentially the whole tree on one PE — which is the
 // quantitative form of the paper's premise that UTS cannot be statically
-// partitioned.
-func simStatic(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, finish func(*Proc)) sampler {
+// partitioned. Nothing is ever stealable, so a trace records no work source.
+func simStatic(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, finish func(*Proc)) {
 	st := sp.Stream()
 	root := uts.Root(sp)
 	kids := uts.Children(sp, st, &root, nil)
@@ -30,8 +30,6 @@ func simStatic(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, f
 		}
 		pe.spawn(sim, pe.run, nil, finish)
 	}
-	// Nothing is ever stealable: no PE is a work source.
-	return func() int { return 0 }
 }
 
 type simStaticPE struct {

@@ -35,16 +35,18 @@ type upcRun struct {
 	// latest store left it, side by side because a searcher reads them all;
 	// dozing is the searching PEs in a counted sleep, the ones a word that
 	// turns positive has to reach; wakes counts what ended those sleeps
-	// (doze.go).
+	// (doze.go); log, in a traced run, records each word turning positive
+	// or ceasing to be.
 	words  []availWrite
 	dozing []*upcPE
 	wakes  *Wakes
+	log    *sourceLog
 }
 
 // newUPCRun is the run state of cfg.PEs PEs, every word at 0: working,
 // without surplus.
-func newUPCRun(cfg Config, cs costs, wakes *Wakes) upcRun {
-	u := upcRun{cfg: cfg, cs: cs, upc: make([]*upcPE, cfg.PEs), words: make([]availWrite, cfg.PEs), wakes: wakes}
+func newUPCRun(cfg Config, cs costs, wakes *Wakes, log *sourceLog) upcRun {
+	u := upcRun{cfg: cfg, cs: cs, upc: make([]*upcPE, cfg.PEs), words: make([]availWrite, cfg.PEs), wakes: wakes, log: log}
 	for i := range u.words {
 		u.words[i].t = -1 // before every read
 	}
@@ -142,16 +144,4 @@ func (pe *upcPE) Leave() bool {
 	pe.advance(pe.u.cs.remoteRef)
 	pe.u.sbCount--
 	return true
-}
-
-// upcSampler is the diffusion sampler of a UPC family's PEs.
-func upcSampler(pes []*upcPE) sampler {
-	return func() (sources int) {
-		for _, pe := range pes {
-			if pe.avail() > 0 {
-				sources++
-			}
-		}
-		return
-	}
 }

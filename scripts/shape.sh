@@ -137,6 +137,17 @@ no_interpreter() {
 	if grep -nE 'apply\(dst int, op uint8' $src; then exit 1; fi
 }
 
+# One record: fails if the diffusion trace grows a sampler back: a traced run
+# records each PE's work-source status where it changes (upcPE.setAvail, the
+# mpi-ws rank's step), so the only proc a run spawns is a PE (simPE.spawn) —
+# des/run.go spawns none — and no sampler type is declared in internal/des.
+one_record() {
+	if grep -n '\.Spawn(' internal/des/run.go; then exit 1; fi
+	test "$(cat $(ls internal/des/*.go | grep -v _test.go) | grep -c '\.Spawn(')" -eq 1
+	grep -q 'pe.p = sim.Spawn(' internal/des/pe.go
+	if grep -nE '^type sampler\b' internal/des/*.go; then exit 1; fi
+}
+
 failed=0
 # rule NAME SECTIONS FUNCTION: the function runs in a subshell under -e, as
 # each did as a CI step, so its first failing line fails the rule.
@@ -156,5 +167,6 @@ rule "One work loop" "§17" one_work_loop
 rule "One baton" "§9" one_baton
 rule "One window" "§9" one_window
 rule "No interpreter" "§9" no_interpreter
-[ $failed -eq 0 ] && echo "shape: 9 rules hold"
+rule "One record" "§9" one_record
+[ $failed -eq 0 ] && echo "shape: 10 rules hold"
 exit $failed
