@@ -31,6 +31,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/uts"
 )
 
@@ -65,8 +66,8 @@ func (o *options) config(rank int, tracer *obs.Tracer) cluster.Config {
 		Spec: o.sp, Chunk: o.Chunk, Seed: o.Seed,
 		RPCTimeout: o.rpcTimeout, RPCRetries: o.rpcRetries,
 		StatsTimeout: o.statsTimeout, Fault: o.fault,
-		MetricsAddr: o.metricsAddr, MetricsLinger: o.metricsLing,
-		Adapt: o.AdaptConfig(), Tracer: tracer,
+		MetricsLinger: o.metricsLing,
+		Adapt:         o.AdaptConfig(), Tracer: tracer,
 	}
 }
 
@@ -119,8 +120,13 @@ func run() int {
 	}
 
 	cfg := o.config(*rank, tracer)
-	announceMetrics(&cfg, *rank)
+	srv, err := o.serveMetrics(&cfg, *rank)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
 	res, err := cluster.Run(cfg)
+	srv.Close()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -146,20 +152,21 @@ func (o *options) report(res *stats.Run, tracer *obs.Tracer, how string) int {
 	return 0
 }
 
-// announceMetrics arranges for the rank to print its bound metrics
-// address once the endpoint is up — essential with port 0, where the
-// scraper can't know the port in advance.
-func announceMetrics(cfg *cluster.Config, rank int) {
-	if cfg.MetricsAddr == "" {
-		return
+// serveMetrics binds -metrics-addr before the rank runs, hands the run a
+// registry to fill and prints the bound address — essential with port 0,
+// where the scraper can't know the port in advance. No -metrics-addr, no
+// registry and no server (nil, which Close accepts).
+func (o *options) serveMetrics(cfg *cluster.Config, rank int) (*server, error) {
+	if o.metricsAddr == "" {
+		return nil, nil
 	}
-	ready := make(chan string, 1)
-	cfg.MetricsReady = ready
-	go func() {
-		if addr, ok := <-ready; ok {
-			fmt.Fprintf(os.Stderr, "rank %d metrics: http://%s/metrics\n", rank, addr)
-		}
-	}()
+	cfg.Metrics = telemetry.NewRegistry()
+	srv, err := newServer(o.metricsAddr, cfg.Metrics)
+	if err != nil {
+		return nil, fmt.Errorf("uts-dist: rank %d metrics listen on %q: %w", rank, o.metricsAddr, err)
+	}
+	fmt.Fprintf(os.Stderr, "rank %d metrics: http://%s/metrics\n", rank, srv.Addr())
+	return srv, nil
 }
 
 // rankTracePath places rank 0's trace at the requested path and every
@@ -225,6 +232,13 @@ func launchLocal(o *options, tracer *obs.Tracer) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
+	cfg := o.config(0, tracer)
+	cfg.Bind, cfg.Advertise = "", "" // children share this host; let each rank pick its own port
+	srv, err := o.serveMetrics(&cfg, 0)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
 	children := make([]*exec.Cmd, 0, o.PEs-1)
 	for r := 1; r < o.PEs; r++ {
 		cmd := exec.Command(self, o.childArgs(r)...)
@@ -232,15 +246,14 @@ func launchLocal(o *options, tracer *obs.Tracer) int {
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			fmt.Fprintf(os.Stderr, "spawn rank %d: %v\n", r, err)
+			srv.Close()
 			return 1
 		}
 		children = append(children, cmd)
 	}
 
-	cfg := o.config(0, tracer)
-	cfg.Bind, cfg.Advertise = "", "" // children share this host; let each rank pick its own port
-	announceMetrics(&cfg, 0)
 	res, err := cluster.Run(cfg)
+	srv.Close()
 	status := 0
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

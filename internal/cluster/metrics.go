@@ -80,16 +80,16 @@ func (n *node) deadCount() int64 {
 	return c
 }
 
-// startMetrics brings up this rank's telemetry plane: a sampler over the
-// tracer (created here when the run is otherwise untraced — sampling
-// requires lanes to read), the uts_*/go_* registry, the /metrics +
-// /debug/pprof HTTP server, and — on rank 0 — the cluster rollup
-// appender. Called after bootstrap (the rollup needs the address map);
-// no-op when Config.MetricsAddr is empty.
-func (n *node) startMetrics() error {
+// startMetrics brings up this rank's telemetry plane in Config.Metrics: a
+// sampler over the tracer (created here when the run is otherwise
+// untraced — sampling requires lanes to read), the uts_*/go_* families,
+// and — on rank 0 — the cluster rollup appender. Called after bootstrap
+// (the rollup needs the address map); no-op when Config.Metrics is nil.
+func (n *node) startMetrics() {
 	cfg := &n.cfg
-	if cfg.MetricsAddr == "" {
-		return nil
+	reg := cfg.Metrics
+	if reg == nil {
+		return
 	}
 	if cfg.Tracer == nil {
 		// Observation-only: the tracer's record path is lock-free and
@@ -101,7 +101,6 @@ func (n *node) startMetrics() error {
 	sampler := obs.NewSampler(cfg.Tracer)
 	n.sampler.Store(sampler)
 
-	reg := telemetry.NewRegistry()
 	reg.GaugeFunc("uts_rank", "This process's rank.", nil,
 		func() float64 { return float64(cfg.Rank) })
 	reg.GaugeFunc("uts_cluster_ranks", "Configured cluster size.", nil,
@@ -121,36 +120,28 @@ func (n *node) startMetrics() error {
 	telemetry.RegisterPolicy(reg, n.pset)
 	telemetry.RegisterRuntime(reg)
 
-	srv, err := telemetry.NewServer(cfg.MetricsAddr, reg)
-	if err != nil {
-		return fmt.Errorf("cluster: rank %d metrics listen on %q: %w", cfg.Rank, cfg.MetricsAddr, err)
-	}
-	n.telem = srv
 	if cfg.Rank == 0 {
 		n.roll = &rollup{peers: newPeerSet(n)}
-		srv.OnScrape(n.writeRollup)
+		reg.OnScrape(n.writeRollup)
 	}
 	sampler.Start(time.Second)
-	if cfg.MetricsReady != nil {
-		cfg.MetricsReady <- srv.Addr()
-	}
-	return nil
 }
 
-// stopMetrics lingers (so an external scraper can observe the finished
-// run), then tears the telemetry plane down. The progress engine keeps
-// serving kindMetrics during the linger — n.close has not run yet — so
-// rank 0's rollup stays complete while every rank lingers the same
-// window.
+// stopMetrics lingers (so a scraper of the registry can observe the
+// finished run), then stops the sampler and closes the rollup's
+// connections. The progress engine keeps serving kindMetrics during the
+// linger — n.close has not run yet — so rank 0's rollup stays complete
+// while every rank lingers the same window. The registry stays readable
+// after Run returns: the families read the last fold, and rank 0's rollup
+// reports every other rank down.
 func (n *node) stopMetrics() {
-	if n.telem == nil {
+	if n.cfg.Metrics == nil {
 		return
 	}
 	if n.cfg.MetricsLinger > 0 {
 		time.Sleep(n.cfg.MetricsLinger)
 	}
 	n.sampler.Load().Stop()
-	n.telem.Close()
 	if n.roll != nil {
 		n.roll.peers.closeAll()
 	}
@@ -158,7 +149,8 @@ func (n *node) stopMetrics() {
 
 // rollup is rank 0's cluster-wide metrics poller. It keeps its own
 // connection set — never the worker's — because a set serves one caller at
-// a time and the rollup runs on HTTP handler goroutines (mu makes them one).
+// a time and the rollup runs on whatever goroutines read the registry (an
+// HTTP handler's, in uts-dist; mu makes them one).
 // Polls are single attempt with no retry and no death verdict: telemetry
 // must observe the failure detector, not feed it, so an unreachable rank
 // merely reports as down on this scrape.
@@ -237,9 +229,9 @@ var rollupFamilies = []rollupFamily{
 		func(m *MetricsSnapshot) float64 { return float64(m.StealP95Ns) / 1e9 }, false},
 }
 
-// writeRollup appends the cluster-wide rollup to rank 0's /metrics
-// exposition: an up gauge and the per-rank families (rank label), then
-// the cluster aggregates over the reachable ranks.
+// writeRollup appends the cluster-wide rollup to rank 0's exposition: an
+// up gauge and the per-rank families (rank label), then the cluster
+// aggregates over the reachable ranks.
 func (n *node) writeRollup(w io.Writer) {
 	snaps := n.roll.poll(n)
 
@@ -260,7 +252,7 @@ func (n *node) writeRollup(w io.Writer) {
 			if m == nil {
 				continue
 			}
-			fmt.Fprintf(w, "%s{rank=\"%d\"} %g\n", f.name, r, f.value(m))
+			fmt.Fprintf(w, "%s{rank=\"%d\"} %s\n", f.name, r, telemetry.FormatValue(f.value(m)))
 		}
 	}
 
@@ -276,6 +268,6 @@ func (n *node) writeRollup(w io.Writer) {
 			}
 		}
 		name := "uts_cluster" + f.name[len("uts_rank"):]
-		fmt.Fprintf(w, "# HELP %s Cluster-wide sum over reachable ranks.\n# TYPE %s %s\n%s %g\n", name, name, f.typ, name, total)
+		fmt.Fprintf(w, "# HELP %s Cluster-wide sum over reachable ranks.\n# TYPE %s %s\n%s %s\n", name, name, f.typ, name, telemetry.FormatValue(total))
 	}
 }

@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"net"
-	"net/http"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -13,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/uts"
 )
 
@@ -22,22 +21,16 @@ var expositionLine = regexp.MustCompile(
 	`^(# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .+` +
 		`|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})? (-?[0-9]*\.?[0-9]+([eE][+-]?[0-9]+)?|\+Inf|-Inf|NaN))$`)
 
-// scrapeMetrics GETs one exposition and validates every line's syntax.
-func scrapeMetrics(t *testing.T, addr string) string {
+// scrapeMetrics renders one exposition of reg and validates every line's
+// syntax. It is empty until the rank has registered its families.
+func scrapeMetrics(t *testing.T, reg *telemetry.Registry) string {
 	t.Helper()
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatalf("scrape: %v", err)
+	var b strings.Builder
+	reg.WriteText(&b)
+	body := b.String()
+	if body == "" {
+		return body
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Errorf("Content-Type = %q, want text exposition 0.0.4", ct)
-	}
-	buf, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("scrape read: %v", err)
-	}
-	body := string(buf)
 	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
 		if !expositionLine.MatchString(line) {
 			t.Errorf("invalid exposition line: %q", line)
@@ -60,11 +53,11 @@ func sampleValue(body, series string) (float64, bool) {
 	return 0, false
 }
 
-// TestMetricsRollup brings up a 3-rank in-process cluster with the
-// telemetry plane enabled on every rank and scrapes rank 0 during the
-// linger window: the exposition must be syntactically valid and the
-// rollup must show every rank up, the per-rank families populated, and
-// the cluster-wide node sum equal to the tree's exact size.
+// TestMetricsRollup brings up a 3-rank in-process cluster with a registry
+// on every rank and reads rank 0's during the linger window: the
+// exposition must be syntactically valid and the rollup must show every
+// rank up, the per-rank families populated, and the cluster-wide node sum
+// equal to the tree's exact size.
 func TestMetricsRollup(t *testing.T) {
 	const n = 3
 	old := runtime.GOMAXPROCS(n + 1)
@@ -73,7 +66,10 @@ func TestMetricsRollup(t *testing.T) {
 	const linger = 4 * time.Second
 
 	ready := make(chan string, 1)
-	mready := make(chan string, 1)
+	regs := make([]*telemetry.Registry, n)
+	for r := range regs {
+		regs[r] = telemetry.NewRegistry()
+	}
 	errs := make(chan error, n)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -82,7 +78,7 @@ func TestMetricsRollup(t *testing.T) {
 		if _, err := Run(Config{
 			Rank: 0, Ranks: n, Coord: "127.0.0.1:0", CoordReady: ready,
 			Spec: sp, Chunk: 4, Seed: 0,
-			MetricsAddr: "127.0.0.1:0", MetricsReady: mready, MetricsLinger: linger,
+			Metrics: regs[0], MetricsLinger: linger,
 		}); err != nil {
 			errs <- err
 		}
@@ -102,26 +98,20 @@ func TestMetricsRollup(t *testing.T) {
 			if _, err := Run(Config{
 				Rank: r, Ranks: n, Coord: coord,
 				Spec: sp, Chunk: 4, Seed: 0,
-				MetricsAddr: "127.0.0.1:0", MetricsLinger: linger,
+				Metrics: regs[r], MetricsLinger: linger,
 			}); err != nil {
 				errs <- err
 			}
 		}(r)
 	}
-	var addr string
-	select {
-	case addr = <-mready:
-	case <-time.After(10 * time.Second):
-		t.Fatal("rank 0 metrics endpoint never came up")
-	}
-
-	// The samplers fold once a second and the rollup caches for a second,
-	// so poll until the cluster-wide totals converge on the finished run.
+	// The families appear once rank 0 is past bootstrap, the samplers fold
+	// once a second and the rollup caches for a second, so poll until the
+	// cluster-wide totals converge on the finished run.
 	wantNodes := float64(3337)
-	deadline := time.Now().Add(linger)
+	deadline := time.Now().Add(10*time.Second + linger)
 	var body string
 	for {
-		body = scrapeMetrics(t, addr)
+		body = scrapeMetrics(t, regs[0])
 		nodes, _ := sampleValue(body, "uts_cluster_nodes_total")
 		up, _ := sampleValue(body, "uts_cluster_ranks_up")
 		if nodes == wantNodes && up == n {

@@ -84,21 +84,22 @@ type Config struct {
 	// numbering matches rank numbering). Traces are per-process: each
 	// rank writes its own file; there is no cross-rank event merge.
 	Tracer *obs.Tracer
-	// MetricsAddr, when non-empty, serves this rank's live telemetry on
-	// it: /metrics (Prometheus text exposition) and /debug/pprof. Port 0
-	// picks a free port (see MetricsReady). Rank 0 additionally appends
-	// the cluster-wide rollup — per-rank and aggregated scheduler metrics
-	// plus fault-tolerance gauges — polled over the kindMetrics RPC with
-	// dead ranks skipped. A run with metrics on is bit-identical to one
-	// with metrics off: the plane only reads.
-	MetricsAddr string
-	// MetricsReady, if non-nil, receives the telemetry server's actual
-	// listen address once it is serving (the port-0 analogue of
-	// CoordReady).
-	MetricsReady chan<- string
-	// MetricsLinger keeps the telemetry endpoint (and this rank's
-	// progress engine) alive that long after the run completes, so an
-	// external scraper can observe the finished state; default 0.
+	// Metrics, when non-nil, is the registry this rank's live telemetry
+	// goes into: after bootstrap Run registers the rank's uts_*/go_*
+	// families there and starts a sampler over the tracer (arming one if
+	// Tracer is nil), and on rank 0 it adds the cluster-wide rollup —
+	// per-rank and aggregated scheduler metrics plus fault-tolerance
+	// gauges, polled over the kindMetrics RPC with dead ranks skipped —
+	// as an OnScrape appender. A registry serves one Run. Run serves
+	// nothing: exposing the registry (cmd/uts-dist's /metrics) is the
+	// caller's, so the transport does not link net/http. A run with
+	// metrics on is bit-identical to one with metrics off: the plane only
+	// reads. Nil is off and costs nothing.
+	Metrics *telemetry.Registry
+	// MetricsLinger keeps Run (and this rank's progress engine, which
+	// answers rank 0's rollup polls) alive that long after the search
+	// completes when Metrics is set, so a scraper of the registry can
+	// observe the finished state; default 0.
 	MetricsLinger time.Duration
 }
 
@@ -228,11 +229,9 @@ type node struct {
 	// only from the worker/Run goroutine — obs lanes are single-writer.
 	lane *obs.Lane
 
-	// Telemetry plane (nil when Config.MetricsAddr is empty): the live
-	// sampler over the tracer, the /metrics + pprof server, and — rank 0
-	// only — the cluster rollup poller.
+	// Telemetry plane (nil when Config.Metrics is nil): the live sampler
+	// over the tracer and — rank 0 only — the cluster rollup poller.
 	sampler atomic.Pointer[obs.Sampler] // read by the progress engine while startMetrics runs
-	telem   *telemetry.Server
 	roll    *rollup
 
 	// pset holds this rank's adaptive controller (one entry — a process
@@ -482,9 +481,7 @@ func (n *node) run() (*stats.Run, error) {
 	// address map) and lingers past the run before teardown, so every
 	// rank's progress engine is still answering kindMetrics while an
 	// external scraper reads the finished state.
-	if err := n.startMetrics(); err != nil {
-		return nil, err
-	}
+	n.startMetrics()
 	defer n.stopMetrics()
 
 	start := time.Now()

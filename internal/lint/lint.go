@@ -1,4 +1,4 @@
-// Package lint is the repo's custom static-analysis suite: five
+// Package lint is the repo's custom static-analysis suite: eight
 // analyzers that machine-check the invariants the paper's results stand
 // on and that the Go type system cannot see.
 //
@@ -20,6 +20,16 @@
 //   - obscheck: obs events are recorded with declared Kind* constants,
 //     and the obs package's recording API stays nil-receiver-safe (a
 //     nil tracer is the documented "tracing off" representation).
+//   - atomiccheck: a field accessed through sync/atomic anywhere is
+//     accessed atomically on every path (//uts:plain escapes provably
+//     single-threaded regions).
+//   - ordercheck: //uts:orders a<b publish-order invariants (the relaxed
+//     ring's ledger before its slot, the obs seqlock's invalidate before
+//     payload before publish) hold by dominance on every path.
+//   - hookcheck: every call through an optional hook — a *Controller
+//     method or an On*/on* func-typed field — is dominated by a nil
+//     check of the hook, so a run with the policy or telemetry off
+//     cannot panic.
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
 // API shape (Analyzer, Pass, Reportf, analysistest-style golden files)

@@ -1,8 +1,10 @@
 // Package telemetry is the repo's stdlib-only metrics plane: a small
 // Prometheus-compatible registry (counters, gauges, summaries, all
-// pull-based), a text-exposition /metrics handler, /debug/pprof wiring,
-// Go runtime gauges, and a bridge that projects an obs.Sampler's live
-// scheduler statistics into metric families.
+// pull-based) that renders the text exposition, Go runtime gauges, and a
+// bridge that projects an obs.Sampler's live scheduler statistics into
+// metric families. It serves nothing: the one binary that exposes a
+// registry over HTTP (cmd/uts-dist) owns the server, so a binary that
+// links this package does not link net/http.
 //
 // It deliberately implements only the slice of the Prometheus text
 // exposition format (version 0.0.4) this project needs — # HELP / # TYPE
@@ -15,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,6 +55,7 @@ type Registry struct {
 	mu       sync.Mutex
 	families []*family
 	byName   map[string]*family
+	extra    []func(io.Writer)
 }
 
 // family is one metric name: HELP/TYPE header plus its labeled series.
@@ -78,7 +80,7 @@ func NewRegistry() *Registry {
 // time — the shape used to project the Sampler's monotone tallies.
 func (r *Registry) CounterFunc(name, help string, labels []Label, fn func() float64) {
 	r.register(name, help, "counter", labels, func(w io.Writer, n, l string) {
-		fmt.Fprintf(w, "%s%s %s\n", n, l, formatFloat(fn()))
+		fmt.Fprintf(w, "%s%s %s\n", n, l, FormatValue(fn()))
 	})
 }
 
@@ -86,7 +88,7 @@ func (r *Registry) CounterFunc(name, help string, labels []Label, fn func() floa
 // time.
 func (r *Registry) GaugeFunc(name, help string, labels []Label, fn func() float64) {
 	r.register(name, help, "gauge", labels, func(w io.Writer, n, l string) {
-		fmt.Fprintf(w, "%s%s %s\n", n, l, formatFloat(fn()))
+		fmt.Fprintf(w, "%s%s %s\n", n, l, FormatValue(fn()))
 	})
 }
 
@@ -96,9 +98,9 @@ func (r *Registry) SummaryFunc(name, help string, labels []Label, fn func() Summ
 	r.register(name, help, "summary", labels, func(w io.Writer, n, l string) {
 		s := fn()
 		for _, q := range s.Quantiles {
-			fmt.Fprintf(w, "%s%s %s\n", n, mergeLabels(l, Label{"quantile", trimFloat(q.Q)}), formatFloat(q.V))
+			fmt.Fprintf(w, "%s%s %s\n", n, mergeLabels(l, Label{"quantile", trimFloat(q.Q)}), FormatValue(q.V))
 		}
-		fmt.Fprintf(w, "%s_sum%s %s\n", n, l, formatFloat(s.Sum))
+		fmt.Fprintf(w, "%s_sum%s %s\n", n, l, FormatValue(s.Sum))
 		fmt.Fprintf(w, "%s_count%s %d\n", n, l, s.Count)
 	})
 }
@@ -134,12 +136,23 @@ func (r *Registry) register(name, help, typ string, labels []Label, collect func
 	f.series = append(f.series, s)
 }
 
+// OnScrape adds fn to the appenders WriteText runs after the families, in
+// the order they were added — rank 0 of a cluster appends the per-rank
+// rollup here. An appender must emit valid exposition text for families
+// not already in the registry.
+func (r *Registry) OnScrape(fn func(io.Writer)) {
+	r.mu.Lock()
+	r.extra = append(r.extra, fn)
+	r.mu.Unlock()
+}
+
 // WriteText renders every family in registration order in the Prometheus
-// text exposition format (0.0.4).
+// text exposition format (0.0.4), then the OnScrape appenders.
 func (r *Registry) WriteText(w io.Writer) {
 	r.mu.Lock()
 	fams := make([]*family, len(r.families))
 	copy(fams, r.families)
+	extra := r.extra
 	r.mu.Unlock()
 	for _, f := range fams {
 		if f.help != "" {
@@ -150,13 +163,9 @@ func (r *Registry) WriteText(w io.Writer) {
 			s.collect(w, f.name, s.labels)
 		}
 	}
-}
-
-// ServeHTTP serves the exposition as text/plain; version=0.0.4 — mount
-// this (or a Server) at /metrics.
-func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	r.WriteText(w)
+	for _, fn := range extra {
+		fn(w)
+	}
 }
 
 // validMetricName reports whether name matches [a-zA-Z_:][a-zA-Z0-9_:]*.
@@ -233,9 +242,11 @@ func escapeHelp(v string) string {
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
-// formatFloat renders a sample value: integers without an exponent, NaN
-// and infinities in the exposition spellings.
-func formatFloat(v float64) string {
+// FormatValue renders a sample value: integers below 2^53 in magnitude in
+// plain decimal (1697661, not 1.697661e+06), NaN and infinities in the
+// exposition spellings, anything else in the shortest form that reads
+// back exactly.
+func FormatValue(v float64) string {
 	switch {
 	case math.IsNaN(v):
 		return "NaN"
@@ -243,6 +254,8 @@ func formatFloat(v float64) string {
 		return "+Inf"
 	case math.IsInf(v, -1):
 		return "-Inf"
+	case v == math.Trunc(v) && math.Abs(v) < 1<<53:
+		return strconv.FormatFloat(v, 'f', -1, 64)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"io"
 	"math"
-	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -64,9 +63,17 @@ func TestSpecialFloatValues(t *testing.T) {
 	reg.GaugeFunc("nan", "", nil, func() float64 { return math.NaN() })
 	reg.GaugeFunc("pinf", "", nil, func() float64 { return math.Inf(1) })
 	reg.GaugeFunc("ninf", "", nil, func() float64 { return math.Inf(-1) })
+	// Integers print without an exponent: 'g' switches to one at 1e6.
+	reg.GaugeFunc("mega", "", nil, func() float64 { return 1e6 })
+	reg.CounterFunc("nodes_total", "", nil, func() float64 { return 1697661 })
+	reg.GaugeFunc("neg", "", nil, func() float64 { return -1e6 })
+	reg.GaugeFunc("frac", "", nil, func() float64 { return 2.5e-7 })
 	var b strings.Builder
 	reg.WriteText(&b)
-	for _, want := range []string{"nan NaN\n", "pinf +Inf\n", "ninf -Inf\n"} {
+	for _, want := range []string{
+		"nan NaN\n", "pinf +Inf\n", "ninf -Inf\n",
+		"mega 1000000\n", "nodes_total 1697661\n", "neg -1000000\n", "frac 2.5e-07\n",
+	} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("exposition missing %q:\n%s", want, b.String())
 		}
@@ -123,51 +130,22 @@ func TestValidNames(t *testing.T) {
 	}
 }
 
-// TestServerScrape binds port 0, scrapes /metrics over real HTTP, and
-// checks the exposition plus the pprof index and OnScrape appenders.
-func TestServerScrape(t *testing.T) {
+// TestOnScrape: appenders render after every family, in the order they
+// were added, on every WriteText.
+func TestOnScrape(t *testing.T) {
 	reg := NewRegistry()
-	reg.CounterFunc("scraped_total", "Scrapes observed.", nil, func() float64 { return 5 })
-	RegisterRuntime(reg)
-	srv, err := NewServer("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	srv.OnScrape(func(w io.Writer) {
-		io.WriteString(w, "# TYPE extra_gauge gauge\nextra_gauge 1\n")
-	})
-
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatal(err)
+	reg.OnScrape(func(w io.Writer) { io.WriteString(w, "# TYPE first gauge\nfirst 1\n") })
+	reg.GaugeFunc("registered", "", nil, func() float64 { return 7 })
+	reg.OnScrape(func(w io.Writer) { io.WriteString(w, "# TYPE second gauge\nsecond 2\n") })
+	want := "# TYPE registered gauge\nregistered 7\n" +
+		"# TYPE first gauge\nfirst 1\n" +
+		"# TYPE second gauge\nsecond 2\n"
+	for i := 0; i < 2; i++ {
+		var b strings.Builder
+		reg.WriteText(&b)
+		if b.String() != want {
+			t.Fatalf("scrape %d:\n%q\nwant:\n%q", i, b.String(), want)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %s", path, resp.Status)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-
-	body := get("/metrics")
-	for _, want := range []string{
-		"scraped_total 5\n",
-		"# TYPE go_goroutines gauge\n",
-		"go_memstats_heap_alloc_bytes",
-		"extra_gauge 1\n",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-	if !strings.Contains(get("/debug/pprof/"), "profile") {
-		t.Error("pprof index not served")
 	}
 }
 

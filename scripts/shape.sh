@@ -148,6 +148,18 @@ one_record() {
 	if grep -nE '^type sampler\b' internal/des/*.go; then exit 1; fi
 }
 
+# No HTTP below the command line: fails if a package other than cmd/uts-dist,
+# or the benchmark, links net/http, its pprof handlers or crypto/tls — the
+# transport takes a metrics registry and uts-dist, the one binary that
+# serves it, owns the server. Linked, that set cost every binary 2.8–3.6 MiB
+# of peak RSS whether or not it served. Only uts-dist imports "net/http...".
+no_http_below_cmd() {
+	http='net/http|net/http/pprof|crypto/tls'
+	if go list -deps $(go list ./... | grep -vx repro/cmd/uts-dist) | grep -xE "$http"; then exit 1; fi
+	if go list -C benchmark -deps . | grep -xE "$http"; then exit 1; fi
+	if git grep --untracked -n '"net/http' -- '*.go' ':!cmd/uts-dist/'; then exit 1; fi
+}
+
 failed=0
 # rule NAME SECTIONS FUNCTION: the function runs in a subshell under -e, as
 # each did as a CI step, so its first failing line fails the rule.
@@ -168,5 +180,6 @@ rule "One baton" "§9" one_baton
 rule "One window" "§9" one_window
 rule "No interpreter" "§9" no_interpreter
 rule "One record" "§9" one_record
-[ $failed -eq 0 ] && echo "shape: 10 rules hold"
+rule "No HTTP below the command line" "§13" no_http_below_cmd
+[ $failed -eq 0 ] && echo "shape: 11 rules hold"
 exit $failed
