@@ -254,7 +254,7 @@ func TestCoordinatorRejectsBadHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := newPeerConn(conn).enc.Encode(&request{Kind: kindHello, From: 99, Addr: "127.0.0.1:1"}); err != nil {
+	if err := newPeerConn(conn).send(&request{Kind: kindHello, From: 99, Addr: "127.0.0.1:1"}); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -2,11 +2,11 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -130,17 +130,13 @@ func TestRenderFaultRuleInverse(t *testing.T) {
 	}
 }
 
-// gobStream encodes reqs as one client would put them on a connection.
-func gobStream(t testing.TB, reqs ...request) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
+// frameStream frames reqs as one client would put them on a connection.
+func frameStream(reqs ...request) []byte {
+	var b []byte
 	for i := range reqs {
-		if err := enc.Encode(&reqs[i]); err != nil {
-			t.Fatal(err)
-		}
+		b = appendFrame(b, &reqs[i])
 	}
-	return buf.Bytes()
+	return b
 }
 
 // FuzzServeConn writes arbitrary bytes to a served connection of a rank
@@ -171,15 +167,16 @@ func FuzzServeConn(f *testing.F) {
 		{Kind: kindMetrics, From: 2},
 	}
 	for _, req := range valid {
-		stream := gobStream(f, req)
+		stream := frameStream(req)
 		for _, cut := range []int{len(stream), len(stream) - 1, len(stream) / 2, len(stream) / 4, 1} {
 			f.Add(stream[:cut])
 		}
 	}
-	f.Add(gobStream(f, valid[1:]...)) // one connection, every kind in turn
-	f.Add(gobStream(f, request{Kind: reqKind(200), From: 2}))
-	f.Add(gobStream(f, request{Kind: kindCASRequest, From: 2, Thief: 99}))
-	f.Add(gobStream(f, request{Kind: kindCASRequest, From: 2, Thief: -5}))
+	f.Add(frameStream(valid[1:]...)) // one connection, every kind in turn
+	f.Add(frameStream(request{Kind: reqKind(200), From: 2}))
+	f.Add(frameStream(request{Kind: kindCASRequest, From: 2, Thief: 99}))
+	f.Add(frameStream(request{Kind: kindCASRequest, From: 2, Thief: -5}))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, byte(kindGetAvail)}) // a length past the cap
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -192,13 +189,13 @@ func FuzzServeConn(f *testing.F) {
 			close(done)
 		}()
 		// net.Pipe is unbuffered: the engine's replies must be read while the
-		// request bytes are written, and they are a gob stream of responses.
+		// request bytes are written, and they are frames of responses.
 		delivered := make(chan int, 1)
 		go func() {
 			got := 0
-			for dec := gob.NewDecoder(client); ; {
+			for pc := newPeerConn(client); ; {
 				var resp response
-				if err := dec.Decode(&resp); err != nil {
+				if err := pc.recv(&resp); err != nil {
 					io.Copy(io.Discard, client)
 					delivered <- got
 					return
@@ -220,6 +217,97 @@ func FuzzServeConn(f *testing.F) {
 		}
 		if pending, got := n.handoff.Pending(), <-delivered; pending+got != 1 {
 			t.Errorf("%d entries pending and %d chunks delivered, want the one reserved chunk in exactly one place", pending, got)
+		}
+	})
+}
+
+// replayConn is a connection whose peer sent data and takes whatever is
+// written back; Close is recorded.
+type replayConn struct {
+	net.Conn
+	r      *bytes.Reader
+	closed bool
+}
+
+func (c *replayConn) Read(b []byte) (int, error)      { return c.r.Read(b) }
+func (c *replayConn) Write(b []byte) (int, error)     { return len(b), nil }
+func (c *replayConn) Close() error                    { c.closed = true; return nil }
+func (c *replayConn) SetDeadline(time.Time) error     { return nil }
+func (c *replayConn) SetReadDeadline(time.Time) error { return nil }
+
+// FuzzFrame decodes arbitrary bytes as a stream of frames, both as the
+// requests a progress engine reads and as the replies a client does.
+// Invariants:
+//
+//   - nothing panics;
+//   - nothing is allocated past what arrived: at most 16 bytes a byte of
+//     input (a list entry's header per 4-byte count) plus the read-ahead,
+//     whatever length a prefix claims (maxFrame is 16 MiB; a prefix alone
+//     must not cost it);
+//   - a frame that decodes is canonical: encoded again it is the bytes that
+//     were read;
+//   - every error ends the connection: an exchange whose reply does not
+//     decode closes it and drops it from the set, one that does keeps it.
+func FuzzFrame(f *testing.F) {
+	th := stats.Thread{ID: 1, Nodes: 5}
+	th.InState[stats.Idle] = time.Millisecond
+	f.Add(frameStream(request{Kind: kindHello, From: 1, Addr: "h:1"},
+		request{Kind: kindStats, From: 1, Stats: &th}, request{Kind: kindPutResponse, Amount: 2, Handle: 7}))
+	f.Add(appendFrame(nil, &response{Kind: kindGetChunks, Chunk: []stack.Chunk{make(stack.Chunk, 2), make(stack.Chunk, 1)}}))
+	f.Add(appendFrame(nil, &response{Kind: kindHello, Addrs: []string{"a:1", "b:2"}}))
+	f.Add(appendFrame(nil, &response{Kind: kindMetrics, Metrics: &MetricsSnapshot{Rank: 1, NodesPerSec: 2.5}}))
+	f.Add(appendFrame(nil, &response{Kind: kindCASRequest, OK: true}))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x00, byte(kindGetChunks)}) // 16 MiB claimed, nothing behind it
+	f.Add([]byte{9, 0, 0, 0, byte(kindGetChunks), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	f.Add([]byte{2, 0, 0, 0, byte(kindCASRequest), 2})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Up to 64 frames each way; the stream's first error ends it.
+		reqs, resps := make([]request, 64), make([]response, 64)
+		served, client := newPeerConn(&replayConn{r: bytes.NewReader(data)}), newPeerConn(&replayConn{r: bytes.NewReader(data)})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range reqs {
+			if served.recv(&reqs[i]) != nil {
+				reqs = reqs[:i]
+				break
+			}
+		}
+		for i := range resps {
+			if client.recv(&resps[i]) != nil {
+				resps = resps[:i]
+				break
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(16*len(data)+4*minRead+64<<10); got > bound {
+			t.Errorf("decoding %d bytes allocated %d, want at most %d", len(data), got, bound)
+		}
+
+		var again []byte
+		for i := range reqs {
+			again = appendFrame(again, &reqs[i])
+		}
+		if !bytes.HasPrefix(data, again) {
+			t.Errorf("%d requests decoded from %x encode as %x", len(reqs), data, again)
+		}
+		again = again[:0]
+		for i := range resps {
+			again = appendFrame(again, &resps[i])
+		}
+		if !bytes.HasPrefix(data, again) {
+			t.Errorf("%d replies decoded from %x encode as %x", len(resps), data, again)
+		}
+
+		if len(data) == 0 {
+			return
+		}
+		ps := newPeerSet(testNode(t, Config{Rank: 0, Ranks: 2}))
+		conn := &replayConn{r: bytes.NewReader(data)}
+		ps.adopt(1, conn)
+		_, err := ps.exchange(1, &request{Kind: reqKind(data[len(data)-1] % byte(lastKind+1)), Stats: &th}, time.Second)
+		if dropped := ps.conns[1] == nil; conn.closed != (err != nil) || dropped != (err != nil) {
+			t.Errorf("exchange error %v: connection closed %v, dropped from the set %v", err, conn.closed, dropped)
 		}
 	})
 }

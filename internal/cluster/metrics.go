@@ -14,8 +14,8 @@ import (
 // progress engine over the kindMetrics RPC. Everything in it is read
 // from the sampler's last fold or from lock-free/mutex-protected node
 // state, so serving it never touches the worker thread — it is as
-// one-sided as a GetAvail. Gob-encoded on the wire; fields are flat so
-// the reply stays one small frame.
+// one-sided as a GetAvail. On the wire it is every field in turn, 8 bytes
+// each (putMetrics): a field added here needs its entry there.
 type MetricsSnapshot struct {
 	Rank          int
 	UptimeSeconds float64

@@ -51,7 +51,7 @@ type Config struct {
 	// DialTimeout bounds bootstrap connection attempts; default 10s.
 	DialTimeout time.Duration
 	// RPCTimeout bounds every peer RPC (SetDeadline on the connection);
-	// default 5s. A deadline miss poisons the gob stream, so the
+	// default 5s. A deadline miss poisons the stream, so the
 	// connection is closed and redialed.
 	RPCTimeout time.Duration
 	// RPCRetries is how many times an idempotent RPC (GetAvail,
@@ -690,7 +690,7 @@ func (n *node) coordinate(addr0 string) error {
 		conn.SetReadDeadline(deadline)
 		pc := newPeerConn(conn)
 		var req request
-		if err := pc.dec.Decode(&req); err != nil {
+		if err := pc.recv(&req); err != nil {
 			conn.Close()
 			return fmt.Errorf("cluster: bad hello: %w", err)
 		}
@@ -705,7 +705,7 @@ func (n *node) coordinate(addr0 string) error {
 	n.ln.(*net.TCPListener).SetDeadline(time.Time{})
 	for _, pc := range waiting {
 		pc.conn.SetWriteDeadline(time.Now().Add(cfg.RPCTimeout))
-		if err := pc.enc.Encode(&response{Addrs: n.addrs}); err != nil {
+		if err := pc.send(&response{Kind: kindHello, Addrs: n.addrs}); err != nil {
 			return fmt.Errorf("cluster: address broadcast: %w", err)
 		}
 		pc.conn.SetWriteDeadline(time.Time{})
@@ -735,15 +735,17 @@ func (n *node) serve() {
 // this process's shared words without involving the worker thread.
 func (n *node) serveConn(pc *peerConn) {
 	defer pc.conn.Close()
+	var req request
+	var resp response
 	for {
-		var req request
-		if err := pc.dec.Decode(&req); err != nil {
+		req = request{}
+		if err := pc.recv(&req); err != nil {
 			return
 		}
 		if n.killed.Load() || n.shut.Load() {
 			return
 		}
-		var resp response
+		resp = response{Kind: req.Kind}
 		serving, ok := n.handleRequest(&req, &resp)
 		if !ok {
 			return // protocol error: drop the connection
@@ -785,7 +787,7 @@ func (n *node) reply(pc *peerConn, req *request, resp *response) (delivered, ope
 		return false, true
 	}
 	pc.conn.SetWriteDeadline(time.Now().Add(n.cfg.RPCTimeout))
-	if err := pc.enc.Encode(resp); err != nil {
+	if err := pc.send(resp); err != nil {
 		return false, false
 	}
 	return true, true

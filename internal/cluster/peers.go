@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,43 +9,13 @@ import (
 	"time"
 )
 
-// peerConn is one gob-framed connection, seen from either end. It is the
-// only place encoding/gob is named: the codec has one home.
-type peerConn struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	mute bool // serving end: an injected black hole withholds every later reply
-}
-
-func newPeerConn(conn net.Conn) *peerConn {
-	return &peerConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
-}
-
-// callOnce performs one lockstep RPC under an absolute deadline. Gob
-// framing cannot survive a half-finished exchange, so any error — a
-// deadline miss included — poisons the stream: the caller drops the
-// connection.
-func (p *peerConn) callOnce(req *request, timeout time.Duration) (*response, error) {
-	p.conn.SetDeadline(time.Now().Add(timeout))
-	if err := p.enc.Encode(req); err != nil {
-		return nil, fmt.Errorf("cluster: rpc send: %w", err)
-	}
-	var resp response
-	if err := p.dec.Decode(&resp); err != nil {
-		return nil, fmt.Errorf("cluster: rpc recv: %w", err)
-	}
-	p.conn.SetDeadline(time.Time{})
-	return &resp, nil
-}
-
 // errSetClosed answers an exchange on a connection set already closed.
 var errSetClosed = errors.New("cluster: connections closed")
 
 // peerSet is the one client doorway to the other ranks: a connection per
 // rank, dialed on first use and reused; one lockstep exchange under a
 // deadline, with the client-side fault hook in front of it; the connection
-// dropped on any error, so the next exchange redials a fresh gob stream;
+// dropped on any error, so the next exchange redials a fresh stream;
 // everything closed, for good, at teardown. The worker and rank 0's metrics
 // rollup hold an instance each — a scrape never queues behind a steal — and
 // an instance serves one caller at a time; only closeAll may come from
@@ -75,7 +44,7 @@ func (ps *peerSet) exchange(r int, req *request, timeout time.Duration) (*respon
 			return resp, nil
 		}
 	}
-	// A failed exchange poisons the gob stream: the next one redials.
+	// A failed exchange poisons the stream: the next one redials.
 	pc.conn.Close()
 	ps.mu.Lock()
 	if ps.conns[r] == pc {

@@ -23,6 +23,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -329,7 +330,7 @@ func (r *ProbeOrder) Victim(me, n int) int {
 // is valid until the next Cycle/CycleHier call.
 func (r *ProbeOrder) Cycle(me, n int) []int {
 	if !r.cached(me, n, 1) {
-		r.perm = r.perm[:0]
+		r.perm = slices.Grow(r.perm[:0], n-1)
 		for i := 0; i < n; i++ {
 			if i != me {
 				r.perm = append(r.perm, i)
@@ -351,7 +352,7 @@ func (r *ProbeOrder) CycleHier(me, n, nodeSize int) []int {
 		return r.Cycle(me, n)
 	}
 	if !r.cached(me, n, nodeSize) {
-		r.perm = r.perm[:0]
+		r.perm = slices.Grow(r.perm[:0], n-1)
 		node := me / nodeSize
 		for i := node * nodeSize; i < (node+1)*nodeSize && i < n; i++ {
 			if i != me {

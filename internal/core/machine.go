@@ -128,11 +128,29 @@ type Machine struct {
 	// Hier and NodeSize select the victim tier (PE.VictimTier).
 	Hier     bool
 	NodeSize int
+
+	ep episode
+}
+
+// episode is the state of one search or termination wait, kept in the
+// Machine so that an episode allocates nothing: its steps are bound once a
+// run, and the walk they share with Host.Doze/Probed is this one.
+type episode struct {
+	searchStep, waitStep Stepper
+
+	walk      ProbeWalk
+	ph        int
+	victim    int
+	sawWorker bool // the search: this cycle saw a PE at work
+	over      bool // the search ended with no victim to try
+	found     bool // ... because work came home by itself
+	announced bool // the wait: termination was announced
 }
 
 // Run is the Figure-1 state machine. The PE starts in the Working state.
 func (m *Machine) Run() {
 	h := m.H
+	m.ep.searchStep, m.ep.waitStep = m.searchQuantum, m.waitQuantum
 	for {
 		h.Work()
 		h.SetState(stats.Searching)
@@ -174,85 +192,95 @@ const (
 // PEs, stealing wherever a probe finds surplus. It reports true with work
 // on the local stack, false when termination detection is next.
 func (m *Machine) search() bool {
-	h, pe := m.H, m.PE
+	h, e := m.H, &m.ep
 	if m.N == 1 {
 		return false
 	}
-	var walk ProbeWalk
-	sawWorker := false
-	over := false  // the search ended with no victim to try
-	found := false // ... because work came home by itself
-	newWalk := func() bool {
-		if h.Settle(false) {
-			over, found = true, true
-			return false
-		}
-		walk = m.Rng.WalkHier(m.Me, m.N, pe.VictimTier(m.Hier, m.NodeSize))
-		sawWorker = false
-		return true
+	e.over, e.found = false, false
+	if !m.newWalk() {
+		return e.found
 	}
-	// next moves to the next victim, through a fresh cycle if this one is
-	// spent and said that work is still out there. False: search over.
-	next := func() bool {
-		walk.Advance()
-		if !walk.Exhausted() {
-			return true
-		}
-		if !m.Stream || !sawWorker {
-			over = true
-			return false
-		}
-		return newWalk()
-	}
-	if !newWalk() {
-		return found
-	}
-	ph := phPoll
-	victim := -1
-	step := func() (time.Duration, uint8) {
-		switch ph {
-		case phPoll:
-			ph = phProbe
-			return 0, 0
-		case phProbe:
-			victim = walk.Victim()
-			h.Rec(obs.KindProbeStart, int32(victim), 0)
-			ph = phEval
-			if d := h.Doze(&walk); d > 0 {
-				return d, StepNoPoll | StepSleep
-			}
-			return h.StageAvail(victim), StepNoPoll
-		default: // phEval
-			wa, saw := h.Probed(&walk)
-			victim = walk.Victim() // past the probes a sleeping host counted
-			pe.T.Probes++
-			h.Rec(obs.KindProbeResult, int32(victim), wa)
-			if saw || wa >= 0 {
-				sawWorker = true
-			}
-			if wa > 0 || !next() {
-				return 0, StepDone
-			}
-			ph = phProbe
-			return 0, 0 // service point before the next probe
-		}
-	}
+	e.ph, e.victim = phPoll, -1
 	for {
-		if !m.steps(step) {
+		if !m.steps(e.searchStep) {
 			return false
 		}
-		if over {
-			return found
+		if e.over {
+			return e.found
 		}
-		ok := m.steal(victim, stats.Searching)
-		pe.NoteCtl(h.Now())
+		ok := m.steal(e.victim, stats.Searching)
+		m.PE.NoteCtl(h.Now())
 		if ok {
 			return true
 		}
-		if !next() {
-			return found
+		if !m.next() {
+			return e.found
 		}
-		ph = phPoll
+		e.ph = phPoll
+	}
+}
+
+// newWalk starts a probe cycle, unless work came home by itself first.
+//
+//uts:noalloc
+func (m *Machine) newWalk() bool {
+	e := &m.ep
+	if m.H.Settle(false) {
+		e.over, e.found = true, true
+		return false
+	}
+	e.walk = m.Rng.WalkHier(m.Me, m.N, m.PE.VictimTier(m.Hier, m.NodeSize))
+	e.sawWorker = false
+	return true
+}
+
+// next moves to the next victim, through a fresh cycle if this one is
+// spent and said that work is still out there. False: search over.
+//
+//uts:noalloc
+func (m *Machine) next() bool {
+	e := &m.ep
+	e.walk.Advance()
+	if !e.walk.Exhausted() {
+		return true
+	}
+	if !m.Stream || !e.sawWorker {
+		e.over = true
+		return false
+	}
+	return m.newWalk()
+}
+
+// searchQuantum is the search's step.
+//
+//uts:noalloc
+func (m *Machine) searchQuantum() (time.Duration, uint8) {
+	h, e := m.H, &m.ep
+	switch e.ph {
+	case phPoll:
+		e.ph = phProbe
+		return 0, 0
+	case phProbe:
+		e.victim = e.walk.Victim()
+		h.Rec(obs.KindProbeStart, int32(e.victim), 0)
+		e.ph = phEval
+		if d := h.Doze(&e.walk); d > 0 {
+			return d, StepNoPoll | StepSleep
+		}
+		return h.StageAvail(e.victim), StepNoPoll
+	default: // phEval
+		wa, saw := h.Probed(&e.walk)
+		e.victim = e.walk.Victim() // past the probes a sleeping host counted
+		m.PE.T.Probes++
+		h.Rec(obs.KindProbeResult, int32(e.victim), wa)
+		if saw || wa >= 0 {
+			e.sawWorker = true
+		}
+		if wa > 0 || !m.next() {
+			return 0, StepDone
+		}
+		e.ph = phProbe
+		return 0, 0 // service point before the next probe
 	}
 }
 
@@ -289,54 +317,57 @@ func (m *Machine) steal(v int, back stats.State) bool {
 // not to overwhelm the remaining workers; it leaves before any steal, and
 // not at all if the announcement is there when the probe's answer is.
 func (m *Machine) terminate() bool {
-	h, pe := m.H, m.PE
+	h, e := m.H, &m.ep
 	if h.Enter() {
 		return true
 	}
 	if !m.Stream {
 		return false
 	}
-	ph := phPoll
-	victim := -1
-	announced := false
-	step := func() (time.Duration, uint8) {
-		switch ph {
-		case phPoll:
-			ph = phAnn
-			return 0, 0
-		case phAnn:
-			ph = phProbe
-			return h.StageAnnounced(0), StepNoPoll
-		case phProbe:
-			if h.Staged(0) != 0 {
-				announced = true
-				return 0, StepDone
-			}
-			victim = m.Rng.Victim(m.Me, m.N)
-			h.Rec(obs.KindProbeStart, int32(victim), 0)
-			ph = phEval
-			return h.StageAnnounced(h.StageAvail(victim)), StepNoPoll
-		default: // phEval
-			pe.T.Probes++
-			wa := h.Staged(0)
-			h.Rec(obs.KindProbeResult, int32(victim), wa)
-			ph = phPoll
-			if wa > 0 {
-				announced = h.Staged(1) != 0
-				return 0, StepDone
-			}
-			return 0, 0
-		}
-	}
+	e.ph, e.victim, e.announced = phPoll, -1, false
 	for {
-		if !m.steps(step) || announced || !h.Leave() {
+		if !m.steps(e.waitStep) || e.announced || !h.Leave() {
 			return true
 		}
-		if m.steal(victim, stats.Idle) {
+		if m.steal(e.victim, stats.Idle) {
 			return false
 		}
 		if h.Enter() {
 			return true
 		}
+	}
+}
+
+// waitQuantum is the termination wait's step.
+//
+//uts:noalloc
+func (m *Machine) waitQuantum() (time.Duration, uint8) {
+	h, e := m.H, &m.ep
+	switch e.ph {
+	case phPoll:
+		e.ph = phAnn
+		return 0, 0
+	case phAnn:
+		e.ph = phProbe
+		return h.StageAnnounced(0), StepNoPoll
+	case phProbe:
+		if h.Staged(0) != 0 {
+			e.announced = true
+			return 0, StepDone
+		}
+		e.victim = m.Rng.Victim(m.Me, m.N)
+		h.Rec(obs.KindProbeStart, int32(e.victim), 0)
+		e.ph = phEval
+		return h.StageAnnounced(h.StageAvail(e.victim)), StepNoPoll
+	default: // phEval
+		m.PE.T.Probes++
+		wa := h.Staged(0)
+		h.Rec(obs.KindProbeResult, int32(e.victim), wa)
+		e.ph = phPoll
+		if wa > 0 {
+			e.announced = h.Staged(1) != 0
+			return 0, StepDone
+		}
+		return 0, 0
 	}
 }

@@ -154,8 +154,14 @@ func NodeCount(chunks []Chunk) int {
 	return n
 }
 
-// Put appends a chunk at the newest end.
-func (p *Pool) Put(c Chunk) { p.chunks = append(p.chunks, c) }
+// Put appends a chunk at the newest end. A full slice behind a dead prefix
+// is compacted in place rather than regrown, dead slots and all.
+func (p *Pool) Put(c Chunk) {
+	if p.head > 0 && len(p.chunks) == cap(p.chunks) {
+		p.compact()
+	}
+	p.chunks = append(p.chunks, c)
+}
 
 // TakeOldest removes and returns the oldest chunk, reporting false if the
 // pool is empty.
@@ -217,8 +223,14 @@ func (p *Pool) maybeReset() {
 		p.chunks = p.chunks[:0]
 		p.head = 0
 	} else if p.head > 256 && p.head > len(p.chunks)/2 {
-		n := copy(p.chunks, p.chunks[p.head:])
-		p.chunks = p.chunks[:n]
-		p.head = 0
+		p.compact()
 	}
+}
+
+// compact moves the live chunks to the front of the slice.
+func (p *Pool) compact() {
+	n := copy(p.chunks, p.chunks[p.head:])
+	clear(p.chunks[n:]) // release for GC
+	p.chunks = p.chunks[:n]
+	p.head = 0
 }

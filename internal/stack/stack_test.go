@@ -387,3 +387,28 @@ func TestPoolTakeHalfAppendReusesBuffer(t *testing.T) {
 		t.Fatalf("empty pool returned %d chunks, want dst unchanged", len(got))
 	}
 }
+
+// TestPoolPutCompactsDeadPrefix: a full slice behind a dead prefix is
+// compacted in place, not regrown with its dead slots, and keeps the order.
+func TestPoolPutCompactsDeadPrefix(t *testing.T) {
+	chunks := []Chunk{{mk(0)}, {mk(1)}, {mk(2)}, {mk(3)}}
+	backing := make([]Chunk, len(chunks))
+	var p Pool
+	put := func() {
+		copy(backing, chunks)
+		backing[0] = nil // taken: one dead slot in a full slice
+		p.chunks, p.head = backing, 1
+		p.Put(backing[3])
+	}
+	if n := testing.AllocsPerRun(10, put); n != 0 {
+		t.Errorf("Put behind a dead prefix allocated %v times, want 0", n)
+	}
+	if cap(p.chunks) != len(backing) || &p.chunks[:1][0] != &backing[0] {
+		t.Errorf("cap = %d, want the slice of %d kept", cap(p.chunks), len(backing))
+	}
+	for _, want := range []int32{1, 2, 3, 3} {
+		if got, _ := p.TakeOldest(); got[0].Height != want {
+			t.Fatalf("oldest chunk is %d, want %d", got[0].Height, want)
+		}
+	}
+}

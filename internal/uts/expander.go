@@ -6,11 +6,14 @@ import "repro/internal/rng"
 // node's children as a detached slice: it resolves the spec's stream once
 // and owns a capacity-managed scratch buffer that Children calls reuse, so
 // a steady-state loop over it performs zero heap allocations. The
-// traversal loops of this repository do not go through it — the sequential
+// traversal loops of this repository do not go through it: the sequential
 // oracle and the schedulers' node kernel (stack.Deque.PopExpand) both run
-// Expand, which writes children straight onto their own DFS stack, one
-// write per child — and pay exactly the same per-node generation cost,
-// which keeps the Figure 3 comparison apples-to-apples.
+// Expand, which writes children straight onto their own DFS stack and,
+// under the 16-lane BRG kernel, spawns a frontier of nodes per call, which
+// keeps the Figure 3 comparison apples-to-apples. Children is one node at a
+// time on the strict pair kernel, so a loop over it pays 3–4× the traversal
+// loops' cost a node on an AVX-512 host (194–208 ms against 47–63 ms on a
+// 1,697,661-node tree); it stays for callers that want detached slices.
 //
 // An Expander is owned by a single goroutine; create one per worker.
 type Expander struct {
