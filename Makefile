@@ -43,7 +43,8 @@ shape:
 # Seeded-corpus fuzz smoke: the -fault mini-language parser, arbitrary
 # bytes on a served cluster connection (no panic, no wedged engine, request
 # word and handoff ledger intact) and through the frame decoder alone (no
-# panic, allocation bounded by the input, canonical frames), the three
+# panic, allocation bounded by the input, canonical frames), the address
+# parser (no panic, what parses reads back from its String), the three
 # spawn kernels against crypto/sha1 (the SHA-NI and AVX-512 legs self-skip
 # without the CPU), and the ALFG spawns against the register loop that
 # defines them.
@@ -51,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime=10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzServeConn -fuzztime=10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzFrame -fuzztime=10s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzParseAddr -fuzztime=10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzSpawnKernels -fuzztime=10s ./internal/rng/
 	$(GO) test -run '^$$' -fuzz FuzzALFGKernels -fuzztime=10s ./internal/rng/
 

@@ -105,6 +105,10 @@ func run() int {
 		return 2
 	}
 	o.sp = sp
+	if err := o.resolveHosts(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
 	if o.faultSpec != "" {
 		plan, err := cluster.ParseFaultSpec(o.faultSpec)
 		if err != nil {

@@ -105,14 +105,14 @@ func testNode(t *testing.T, cfg Config) *node {
 // when the test ends, and returns the address.
 func serveOn(t *testing.T, n *node) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := listenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	n.ln = ln
 	go n.serve()
 	t.Cleanup(n.close)
-	return ln.Addr().String()
+	return ln.Addr()
 }
 
 // silentPeer is a peer that accepts connections and never answers — a
@@ -226,7 +226,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestDialRetryTimesOut(t *testing.T) {
 	start := time.Now()
-	_, err := dialRetry("127.0.0.1:1", 100*time.Millisecond) // port 1: nothing listens
+	_, err := testNode(t, Config{Ranks: 1}).dialRetry("127.0.0.1:1", 100*time.Millisecond) // port 1: nothing listens
 	if err == nil {
 		t.Fatal("dial to dead port succeeded")
 	}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -279,7 +278,7 @@ func (f *faultInjector) act(side FaultSide, peer int, kind reqKind) (FaultOp, ti
 // but deliver nothing, which is what forces the peer into its deadline
 // path instead of a tidy connection-reset error.
 type faultConn struct {
-	net.Conn
+	stream
 	swallow atomic.Bool
 }
 
@@ -288,12 +287,12 @@ func (c *faultConn) Write(b []byte) (int, error) {
 	if c.swallow.Load() {
 		return len(b), nil
 	}
-	return c.Conn.Write(b)
+	return c.stream.Write(b)
 }
 
 // blackhole mutes conn, if it is fault-wrapped (an outgoing connection of
 // a rank with rules armed always is).
-func blackhole(conn net.Conn) {
+func blackhole(conn stream) {
 	if fc, ok := conn.(*faultConn); ok {
 		fc.swallow.Store(true)
 	}

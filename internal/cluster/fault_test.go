@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"errors"
-	"net"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -773,20 +773,21 @@ func TestFaultRuleGating(t *testing.T) {
 }
 
 func TestAdvertiseAddr(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := listenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	_, port, err := net.SplitHostPort(ln.Addr().String())
+	la, err := parseAddr(ln.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
+	port := strconv.Itoa(int(la.port))
 
 	for _, tc := range []struct {
 		advertise, want string
 	}{
-		{"", ln.Addr().String()},
+		{"", ln.Addr()},
 		{"10.0.0.2", "10.0.0.2:" + port},
 		{"10.0.0.2:7800", "10.0.0.2:7800"},
 		{"10.0.0.2:0", "10.0.0.2:" + port},

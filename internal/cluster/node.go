@@ -4,7 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
+	"net/netip"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,8 +24,10 @@ type Config struct {
 	// Ranks is the total number of processes.
 	Ranks int
 	// Coord is the coordinator's listen address. Rank 0 listens on it
-	// ("host:port", port may be 0 when CoordReady is used); other ranks
-	// dial it.
+	// ("ip:port", port may be 0 when CoordReady is used); other ranks
+	// dial it. Coord, Bind and Advertise are IP literals ("10.0.0.1:7777",
+	// "[::1]:0"; an empty host is the wildcard): the transport resolves no
+	// names, cmd/uts-dist does before it builds a Config.
 	Coord string
 	// CoordReady, if non-nil, receives rank 0's actual listen address once
 	// it is accepting connections. Used by in-process launches and tests
@@ -46,7 +49,8 @@ type Config struct {
 	Spec *uts.Spec
 	// Chunk is the steal granularity k; default 16.
 	Chunk int
-	// Seed randomizes probe orders.
+	// Seed randomizes probe orders and, with Rank, the jitter of the retry
+	// and redial backoff.
 	Seed int64
 	// DialTimeout bounds bootstrap connection attempts; default 10s.
 	DialTimeout time.Duration
@@ -166,8 +170,15 @@ var errRPCFailed = errors.New("rpc failed (peer alive)")
 // node is one process's runtime state.
 type node struct {
 	cfg   Config
-	ln    net.Listener
+	ln    listener
 	addrs []string // rank → address
+
+	// tr is how this rank listens and dials: sockets, unless a test
+	// installs another transport before run.
+	tr transport
+	// rng draws the retry and redial backoff jitter, seeded from Seed and
+	// Rank. Used from the worker/Run goroutine only.
+	rng *rand.Rand
 
 	// Shared words served one-sidedly by the progress engine.
 	workAvail atomic.Int32
@@ -258,6 +269,8 @@ func newNode(cfg Config) (*node, error) {
 		statsFrom: make([]bool, cfg.Ranks),
 		statsCh:   make(chan struct{}, 1),
 		faults:    newFaultInjector(cfg.Fault, cfg.Rank),
+		tr:        sockets,
+		rng:       rand.New(rand.NewSource(cfg.Seed*1000003 - int64(cfg.Rank) - 1)),
 	}
 	n.peers = newPeerSet(n)
 	n.reqWord.Store(-1)
@@ -346,7 +359,7 @@ func (n *node) attempt(r int, req *request, attempts int) (*response, error) {
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			n.lane.Rec(obs.KindRPCRetry, int32(r), int64(a))
-			time.Sleep(backoff/2 + time.Duration(rand.Int63n(int64(backoff))))
+			time.Sleep(n.jitter(backoff))
 			backoff *= 2
 		}
 		resp, err := n.peers.exchange(r, req, n.cfg.RPCTimeout)
@@ -358,6 +371,11 @@ func (n *node) attempt(r int, req *request, attempts int) (*response, error) {
 		}
 	}
 	return nil, lastErr
+}
+
+// jitter is a pause drawn from [backoff/2, 3·backoff/2).
+func (n *node) jitter(backoff time.Duration) time.Duration {
+	return backoff/2 + time.Duration(n.rng.Int63n(int64(backoff)))
 }
 
 // respWait bounds a thief's wait for a victim's steal response: the
@@ -592,26 +610,30 @@ func (n *node) pokeStats() {
 
 // advertiseAddr resolves the address this rank registers with the
 // coordinator: the listener's own address by default, otherwise the
-// configured Advertise host with a missing or zero port filled in from
-// the actual listener (so "-bind 0.0.0.0:0 -advertise 10.0.0.2" works).
-func advertiseAddr(advertise string, ln net.Listener) (string, error) {
-	actual := ln.Addr().String()
+// configured Advertise IP with a missing or zero port filled in from the
+// actual listener (so "-bind 0.0.0.0:0 -advertise 10.0.0.2" works).
+func advertiseAddr(advertise string, ln listener) (string, error) {
+	actual := ln.Addr()
 	if advertise == "" {
 		return actual, nil
 	}
-	_, lport, err := net.SplitHostPort(actual)
+	la, err := parseAddr(actual)
 	if err != nil {
 		return "", fmt.Errorf("cluster: listener address %q: %w", actual, err)
 	}
-	host, port, err := net.SplitHostPort(advertise)
+	a, err := parseAddr(advertise)
 	if err != nil {
-		// Bare host with no port: take the listener's.
-		return net.JoinHostPort(advertise, lport), nil
+		// A bare IP with no port: take the listener's.
+		ip, ierr := netip.ParseAddr(strings.Trim(advertise, "[]"))
+		if ierr != nil || ip.Zone() != "" {
+			return "", fmt.Errorf("cluster: advertise address %q is not an IP literal, with or without a port", advertise)
+		}
+		a = tcpAddr{ip: ip}
 	}
-	if port == "" || port == "0" {
-		port = lport
+	if a.port == 0 {
+		a.port = la.port
 	}
-	return net.JoinHostPort(host, port), nil
+	return a.String(), nil
 }
 
 // bootstrap brings up the listener, exchanges the address map through the
@@ -622,7 +644,7 @@ func (n *node) bootstrap() error {
 		return nil
 	}
 	if cfg.Rank == 0 {
-		ln, err := net.Listen("tcp", cfg.Coord)
+		ln, err := n.tr.listen(cfg.Coord)
 		if err != nil {
 			return fmt.Errorf("cluster: coordinator listen: %w", err)
 		}
@@ -632,12 +654,12 @@ func (n *node) bootstrap() error {
 			return err
 		}
 		if cfg.CoordReady != nil {
-			cfg.CoordReady <- ln.Addr().String()
+			cfg.CoordReady <- ln.Addr()
 		}
 		return n.coordinate(addr0)
 	}
 
-	ln, err := net.Listen("tcp", cfg.Bind)
+	ln, err := n.tr.listen(cfg.Bind)
 	if err != nil {
 		return fmt.Errorf("cluster: rank %d listen on %q: %w", cfg.Rank, cfg.Bind, err)
 	}
@@ -648,7 +670,7 @@ func (n *node) bootstrap() error {
 	if err != nil {
 		return err
 	}
-	conn, err := dialRetry(cfg.Coord, cfg.DialTimeout)
+	conn, err := n.dialRetry(cfg.Coord, cfg.DialTimeout)
 	if err != nil {
 		return fmt.Errorf("cluster: rank %d dial coordinator: %w", cfg.Rank, err)
 	}
@@ -678,7 +700,7 @@ func (n *node) coordinate(addr0 string) error {
 	n.addrs[0] = addr0
 
 	deadline := time.Now().Add(cfg.DialTimeout)
-	n.ln.(*net.TCPListener).SetDeadline(deadline)
+	n.ln.SetDeadline(deadline)
 
 	waiting := make([]*peerConn, 0, cfg.Ranks-1)
 	for len(waiting) < cfg.Ranks-1 {
@@ -702,7 +724,7 @@ func (n *node) coordinate(addr0 string) error {
 		n.addrs[req.From] = req.Addr
 		waiting = append(waiting, pc)
 	}
-	n.ln.(*net.TCPListener).SetDeadline(time.Time{})
+	n.ln.SetDeadline(time.Time{})
 	for _, pc := range waiting {
 		pc.conn.SetWriteDeadline(time.Now().Add(cfg.RPCTimeout))
 		if err := pc.send(&response{Kind: kindHello, Addrs: n.addrs}); err != nil {

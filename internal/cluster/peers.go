@@ -3,8 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"net"
 	"sync"
 	"time"
 )
@@ -67,7 +65,7 @@ func (ps *peerSet) conn(r int) (*peerConn, error) {
 	if closed {
 		return nil, errSetClosed
 	}
-	conn, err := net.DialTimeout("tcp", ps.n.addrs[r], ps.n.cfg.RPCTimeout)
+	conn, err := ps.n.tr.dial(ps.n.addrs[r], ps.n.cfg.RPCTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: rank %d cannot reach rank %d at %q: %w",
 			ps.n.cfg.Rank, r, ps.n.addrs[r], err)
@@ -77,9 +75,9 @@ func (ps *peerSet) conn(r int) (*peerConn, error) {
 
 // adopt makes conn the connection to rank r, fault-wrapped when injection
 // is armed. A closed set closes it instead.
-func (ps *peerSet) adopt(r int, conn net.Conn) (*peerConn, error) {
+func (ps *peerSet) adopt(r int, conn stream) (*peerConn, error) {
 	if ps.n.faults != nil {
-		conn = &faultConn{Conn: conn}
+		conn = &faultConn{stream: conn}
 	}
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
@@ -108,7 +106,7 @@ func (ps *peerSet) closeAll() {
 
 // clientFault applies the client-side rule armed for an exchange of kind
 // with peer, about to go out on conn. Only a kill is an error.
-func (n *node) clientFault(conn net.Conn, peer int, kind reqKind) error {
+func (n *node) clientFault(conn stream, peer int, kind reqKind) error {
 	op, d, hooked := n.faults.act(ClientSide, peer, kind)
 	if !hooked {
 		return nil
@@ -131,18 +129,18 @@ func (n *node) clientFault(conn net.Conn, peer int, kind reqKind) error {
 // The coordinator may come up after the workers when processes are
 // launched together, so early refusals are expected and polite (re-)dial
 // pacing matters more than latency.
-func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
+func (n *node) dialRetry(addr string, timeout time.Duration) (stream, error) {
 	deadline := time.Now().Add(timeout)
 	backoff := 5 * time.Millisecond
 	for {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		conn, err := n.tr.dial(addr, time.Second)
 		if err == nil {
 			return conn, nil
 		}
 		if time.Now().After(deadline) {
 			return nil, err
 		}
-		time.Sleep(backoff/2 + time.Duration(rand.Int63n(int64(backoff))))
+		time.Sleep(n.jitter(backoff))
 		if backoff *= 2; backoff > 500*time.Millisecond {
 			backoff = 500 * time.Millisecond
 		}

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"slices"
 	"time"
 
@@ -144,13 +143,13 @@ var (
 // are its one pair. A half-read or half-written frame leaves the stream
 // unreadable, so any error ends the connection.
 type peerConn struct {
-	conn       net.Conn
+	conn       stream
 	wbuf, rbuf []byte // the last frame sent and the last body read, reused
 	hdr        [4]byte
 	mute       bool // serving end: an injected black hole withholds every later reply
 }
 
-func newPeerConn(conn net.Conn) *peerConn { return &peerConn{conn: conn} }
+func newPeerConn(conn stream) *peerConn { return &peerConn{conn: conn} }
 
 // message is a request or a response: what a frame is decoded into.
 type message interface {

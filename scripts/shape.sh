@@ -18,13 +18,15 @@ one_benchmark_system() {
 # the frame is encoded and decoded in one file (proto.go: the only reads and
 # writes of bytes in a byte order, the only io.ReadFull), callOnce has one
 # caller (peerSet.exchange), and the only dials are bootstrap's retrying one
-# and the set's single attempt.
+# and the set's single attempt, both through the node's transport (n.tr.dial;
+# the sockets behind it are sock*.go's).
 one_doorway() {
 	src=$(ls internal/cluster/*.go | grep -v _test.go)
 	if grep -nE '"encoding/binary"|binary\.|io\.ReadFull\(' $(echo "$src" | grep -vx internal/cluster/proto.go); then exit 1; fi
 	test "$(cat $src | grep -c '\.callOnce(')" -le 1
-	test "$(cat $src | grep -cE 'net\.Dial(Timeout)?\(')" -le 2
-	test "$(cat internal/cluster/peers.go | grep -cE 'net\.Dial(Timeout)?\(')" -eq 2
+	test "$(cat $src | grep -c '\.tr\.dial(')" -eq 2
+	test "$(cat internal/cluster/peers.go | grep -c '\.tr\.dial(')" -eq 2
+	if grep -nE 'dialTCP\(|net\.Dial' $(echo "$src" | grep -vE '^internal/cluster/sock(_[a-z]+)?\.go$'); then exit 1; fi
 }
 
 # One clock: fails if an obs event grows a second timestamp back: the ring
@@ -169,6 +171,18 @@ no_reflective_codec() {
 	if git grep --untracked -n '"encoding/gob"' -- '*.go' ':!*_test.go'; then exit 1; fi
 }
 
+# No net below the command line: fails if package net, or the runtime/cgo
+# its resolver brings, comes back into a binary other than uts-dist. The
+# cluster speaks TCP on raw sockets through the runtime poller
+# (cluster/sock_linux.go), takes IP literals, and leaves names to uts-dist;
+# linked, net made every binary dynamic against libc and cost each workload
+# 1.6–2.2 MiB of peak RSS. Only uts-dist and the !linux socket twin import it.
+no_net_below_cmd() {
+	if go list -deps $(go list ./... | grep -vx repro/cmd/uts-dist) | grep -xE 'net|runtime/cgo'; then exit 1; fi
+	if go list -C benchmark -deps . | grep -xE 'net|runtime/cgo'; then exit 1; fi
+	if git grep --untracked -nF '"net"' -- '*.go' ':!*_test.go' ':!cmd/uts-dist/' ':!internal/cluster/sock_other.go'; then exit 1; fi
+}
+
 failed=0
 # rule NAME SECTIONS FUNCTION: the function runs in a subshell under -e, as
 # each did as a CI step, so its first failing line fails the rule.
@@ -191,5 +205,6 @@ rule "No interpreter" "§9" no_interpreter
 rule "One record" "§9" one_record
 rule "No HTTP below the command line" "§13" no_http_below_cmd
 rule "No reflective codec" "§10" no_reflective_codec
-[ $failed -eq 0 ] && echo "shape: 12 rules hold"
+rule "No net below the command line" "§10, §13" no_net_below_cmd
+[ $failed -eq 0 ] && echo "shape: 13 rules hold"
 exit $failed
