@@ -14,9 +14,9 @@ UTS_VET_SRCS := $(wildcard cmd/uts-vet/*.go) $(wildcard internal/lint/*.go)
 bin/uts-vet: $(UTS_VET_SRCS)
 	$(GO) build -o $@ ./cmd/uts-vet
 
-# Static analysis: the custom uts-vet analyzer suite (chargecheck,
-# detcheck, noalloc, retrycheck, obscheck, atomiccheck, ordercheck,
-# hookcheck — see internal/lint and DESIGN.md §11, §16) runs through
+# Static analysis: the custom uts-vet analyzer suite, seven analyzers
+# (chargecheck, detcheck, noalloc, lockcheck, obscheck, atomiccheck,
+# ordercheck — see internal/lint and DESIGN.md §11, §16) runs through
 # go vet so test files are covered too, then the stale-suppression
 # audit, then staticcheck and govulncheck when the binaries are
 # installed (the CI lint job installs them; offline dev boxes may not).

@@ -1,6 +1,6 @@
-// Command uts-vet runs the repo's custom analyzer suite (internal/lint):
-// chargecheck, detcheck, noalloc, retrycheck, obscheck, atomiccheck,
-// ordercheck, hookcheck — the invariants the paper's numbers stand on,
+// Command uts-vet runs the repo's custom analyzer suite (internal/lint),
+// seven analyzers: chargecheck, detcheck, noalloc, lockcheck, obscheck,
+// atomiccheck, ordercheck — the invariants the paper's numbers stand on,
 // which the Go type system cannot express.
 //
 // Three modes:
@@ -44,7 +44,7 @@ import (
 
 // version feeds go vet's build cache via -V=full: bump it whenever the
 // analyzer suite changes behavior, or cached vet results go stale.
-const version = "uts-vet version 1.1.0"
+const version = "uts-vet version 1.2.0"
 
 func main() {
 	args := os.Args[1:]

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/uts"
@@ -569,6 +570,40 @@ func TestRespWaitCoversRetryBudget(t *testing.T) {
 	budget := time.Duration(1+n.cfg.RPCRetries) * 2 * n.cfg.RPCTimeout
 	if got := n.respWait(); got <= budget {
 		t.Errorf("respWait = %v, want > %v (the full retry budget)", got, budget)
+	}
+}
+
+// TestRetryBudgetIsTheKinds: the request's kind sets its retry budget. With
+// every reply dropped, a GetAvail (a read) is tried 1+RPCRetries times and a
+// CASRequest (a claim) once, read off the client lane's retry events.
+func TestRetryBudgetIsTheKinds(t *testing.T) {
+	drop := &FaultPlan{Rules: []FaultRule{{Rank: 1, Peer: -1, Side: ServerSide, Kind: KindAny, Op: FaultDrop}}}
+	srv := testNode(t, Config{Rank: 1, Ranks: 2, Fault: drop})
+	tr := obs.New(2, 0)
+	cli := testNode(t, Config{Rank: 0, Ranks: 2, Tracer: tr, RPCTimeout: 50 * time.Millisecond, RPCRetries: 3})
+	cli.addrs = []string{"", serveOn(t, srv)}
+	defer cli.peers.closeAll()
+
+	retries := func() int {
+		k := 0
+		for _, ev := range tr.Lane(0).Snapshot(nil) {
+			if ev.Kind == obs.KindRPCRetry {
+				k++
+			}
+		}
+		return k
+	}
+	for _, tc := range []struct {
+		kind reqKind
+		want int
+	}{{kindGetAvail, 1 + cli.cfg.RPCRetries}, {kindCASRequest, 1}} {
+		before := retries()
+		if resp, err := cli.attempt(1, &request{Kind: tc.kind, From: 0, Thief: 0}); err == nil {
+			t.Fatalf("kind %d answered (%+v) with every reply dropped", tc.kind, resp)
+		}
+		if tries := 1 + retries() - before; tries != tc.want {
+			t.Errorf("kind %d tried %d times, want %d", tc.kind, tries, tc.want)
+		}
 	}
 }
 

@@ -318,11 +318,7 @@ func (n *node) call(r int, req *request) (*response, error) {
 	if n.isDead(r) {
 		return nil, fmt.Errorf("cluster: rank %d: %w", r, errPeerDead)
 	}
-	attempts := 1
-	if idempotentKind(req.Kind) {
-		attempts += n.cfg.RPCRetries
-	}
-	resp, lastErr := n.attempt(r, req, attempts)
+	resp, lastErr := n.attempt(r, req)
 	if resp != nil {
 		return resp, nil
 	}
@@ -331,7 +327,7 @@ func (n *node) call(r int, req *request) (*response, error) {
 	}
 	if !idempotentKind(req.Kind) {
 		probe := request{Kind: kindGetAvail, From: n.cfg.Rank}
-		if pr, _ := n.attempt(r, &probe, 1+n.cfg.RPCRetries); pr != nil {
+		if pr, _ := n.attempt(r, &probe); pr != nil {
 			return nil, fmt.Errorf("cluster: rank %d: rpc kind %d to rank %d %w: %v",
 				n.cfg.Rank, req.Kind, r, errRPCFailed, lastErr)
 		}
@@ -341,7 +337,17 @@ func (n *node) call(r int, req *request) (*response, error) {
 	}
 	n.markDead(r)
 	return nil, fmt.Errorf("cluster: rank %d: rank %d %w after %d attempt(s): %v",
-		n.cfg.Rank, r, errPeerDead, attempts, lastErr)
+		n.cfg.Rank, r, errPeerDead, n.budget(req.Kind), lastErr)
+}
+
+// budget is how many times a request of kind k is tried: 1+RPCRetries for
+// an idempotent kind, once for any other — retrying a mutation could apply
+// it twice.
+func (n *node) budget(k reqKind) int {
+	if idempotentKind(k) {
+		return 1 + n.cfg.RPCRetries
+	}
+	return 1
 }
 
 // backoff is the pause before the first retry; each later one doubles it.
@@ -351,12 +357,13 @@ func (n *node) backoff() time.Duration {
 
 // attempt runs the bounded retry loop for one RPC: one exchange through
 // the doorway per attempt (RPC deadline, redial after a failure), and
-// exponential backoff with jitter in between. Returns the first successful
-// response, or (nil, lastErr) once the attempts are spent.
-func (n *node) attempt(r int, req *request, attempts int) (*response, error) {
+// exponential backoff with jitter in between, up to the kind's budget.
+// Returns the first successful response, or (nil, lastErr) once the
+// attempts are spent.
+func (n *node) attempt(r int, req *request) (*response, error) {
 	backoff := n.backoff()
 	var lastErr error
-	for a := 0; a < attempts; a++ {
+	for a, attempts := 0, n.budget(req.Kind); a < attempts; a++ {
 		if a > 0 {
 			n.lane.Rec(obs.KindRPCRetry, int32(r), int64(a))
 			time.Sleep(n.jitter(backoff))

@@ -43,7 +43,7 @@ type mpiWorker struct {
 	abort *atomic.Bool
 	comm  transport
 	me    int
-	poll  int         // the fixed poll interval (PE.Poll adapts it)
+	poll  int         // the fixed poll interval (PE.Ctl.Poll adapts it)
 	rx    msg.Message // what the last Recv took
 	_     [16]byte    // whole cache lines (TestStackStructsPadded)
 }
@@ -68,7 +68,7 @@ func (w *mpiWorker) Recv() *msg.Message {
 // — the cost/latency tradeoff the paper's Section 3.2 highlights. On the
 // wall clock the whole exploration is one quantum.
 func (w *mpiWorker) Work() (time.Duration, bool) {
-	poll, since := w.Poll(w.poll), 0
+	poll, since := w.Ctl.Poll(w.poll), 0
 	for !w.rank.Terminated() {
 		// What is left of the interval is the most the visit may take: the
 		// paper's tuning parameter counts nodes, however many a call visits.
@@ -77,7 +77,7 @@ func (w *mpiWorker) Work() (time.Duration, bool) {
 			if w.abort.Load() {
 				return 0, true
 			}
-			poll = w.Poll(w.poll) // may have adapted at the window boundary
+			poll = w.Ctl.Poll(w.poll) // may have adapted at the window boundary
 		} else if n == 0 {
 			break
 		}
@@ -100,7 +100,5 @@ func (w *mpiWorker) drain() {
 		got++
 		w.rank.Handle(m) // a wall-clock send takes no quantum
 	}
-	if w.Ctl != nil {
-		w.Ctl.NotePoll(got)
-	}
+	w.Ctl.NotePoll(got)
 }

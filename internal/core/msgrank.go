@@ -56,7 +56,7 @@ type MsgRank struct {
 	PE    *PE // the host's shell
 	Rng   *ProbeOrder
 	Me, N int // this rank, all ranks
-	Chunk int // the fixed steal granularity k (PE.Chunk adapts it)
+	Chunk int // the fixed steal granularity k (PE.Ctl.Chunk adapts it)
 
 	phase  uint8 // rankTurn, rankWork or rankIdle
 	waited bool  // idle has slept since a Recv last found a message
@@ -123,7 +123,7 @@ func (r *MsgRank) Terminated() bool { return r.terminated }
 // Grantable is the surplus rule: a steal request is granted k nodes while
 // the stack holds at least 2k. It returns that k, or 0 for a denial.
 func (r *MsgRank) Grantable() int {
-	if k := r.PE.Chunk(r.Chunk); r.PE.Local.Len() >= 2*k {
+	if k := r.PE.Ctl.Chunk(r.Chunk); r.PE.Local.Len() >= 2*k {
 		return k
 	}
 	return 0

@@ -251,10 +251,7 @@ func (w *sharedWorker) Steal(v int) bool {
 	}
 	r := w.run
 	vs := r.stacks[v]
-	half := r.variant.StealHalf
-	if w.Ctl != nil {
-		half = w.Ctl.StealHalf()
-	}
+	half := w.Ctl.StealHalf(r.variant.StealHalf)
 	vs.lk.Acquire(w.me)
 	var chunks []stack.Chunk
 	if half {

@@ -25,7 +25,8 @@ import (
 // feeds a decision is the caller's, so virtual-time runs stay
 // deterministic; only trace events are stamped here (Rec). A nil Lane and
 // a nil Ctl make every method a no-op beyond the counters, which is the
-// untraced, fixed-knob fast path.
+// untraced, fixed-knob fast path: both are nil-safe, so no call here
+// guards them.
 type PE struct {
 	T     *stats.Thread
 	Local stack.Deque        // the owner-only DFS stack
@@ -109,28 +110,8 @@ func (pe *PE) FlushNodes() {
 //
 //uts:noalloc
 func (pe *PE) NoteCtl(now int64) {
-	if pe.Ctl == nil {
-		return
-	}
 	pe.Ctl.NoteNodes(int(pe.T.Nodes-pe.ctlNodes), pe.Local.Len(), now)
 	pe.ctlNodes = pe.T.Nodes
-}
-
-// Chunk returns the release granularity in effect: the adapted value under
-// a controller, fixed otherwise.
-func (pe *PE) Chunk(fixed int) int {
-	if pe.Ctl != nil {
-		return pe.Ctl.Chunk()
-	}
-	return fixed
-}
-
-// Poll returns the mpi-ws poll interval in effect, like Chunk.
-func (pe *PE) Poll(fixed int) int {
-	if pe.Ctl != nil {
-		return pe.Ctl.Poll()
-	}
-	return fixed
 }
 
 // VictimTier returns the node width a probe cycle should group same-node
@@ -138,7 +119,7 @@ func (pe *PE) Poll(fixed int) int {
 // width under the hierarchical algorithm, or when the controller found
 // intra-node steals cheap enough to prefer; else 1, a flat cycle.
 func (pe *PE) VictimTier(hier bool, nodeSize int) int {
-	if nodeSize > 1 && (hier || pe.Ctl != nil && pe.Ctl.NodeSize() > 1) {
+	if nodeSize > 1 && (hier || pe.Ctl.NodeSize() > 1) {
 		return nodeSize
 	}
 	return 1
@@ -215,7 +196,7 @@ func (pe *PE) Granted(thief, n int) {
 // toward a smaller k.
 func (pe *PE) Denied(thief int) {
 	pe.T.Requests++
-	if pe.Ctl != nil && pe.Local.Len() > 0 {
+	if pe.Local.Len() > 0 {
 		pe.Ctl.NoteDenied()
 	}
 	pe.Rec(obs.KindStealDeny, int32(thief), 0)
@@ -238,9 +219,6 @@ func (pe *PE) Landed(v int, chunks []stack.Chunk) []stack.Chunk {
 
 // StealBegin opens the controller's steal-latency window at now.
 func (pe *PE) StealBegin(now int64) {
-	if pe.Ctl == nil {
-		return
-	}
 	pe.Stolen = 0
 	pe.Ctl.StealBegin(now)
 }
@@ -248,9 +226,6 @@ func (pe *PE) StealBegin(now int64) {
 // StealEnd closes the window at now with the attempt's outcome and the
 // Stolen node count.
 func (pe *PE) StealEnd(ok bool, now int64) {
-	if pe.Ctl == nil {
-		return
-	}
 	pe.Ctl.StealEnd(ok, pe.Stolen, now)
 }
 
@@ -365,12 +340,12 @@ const (
 // calling a hook, so no call on the per-node path is dynamic (DESIGN.md §17).
 func (w *WallPE) Working(fixedK int, request *atomic.Int32) Edge {
 	if w.k == 0 {
-		w.k = w.Chunk(fixedK)
+		w.k = w.Ctl.Chunk(fixedK)
 	}
 	for {
 		if w.sinceYield >= YieldEvery {
 			w.yield()
-			w.k = w.Chunk(fixedK) // may have adapted at the window boundary
+			w.k = w.Ctl.Chunk(fixedK) // may have adapted at the window boundary
 			return Yielded
 		}
 		if request != nil && request.Load() >= 0 {

@@ -61,7 +61,7 @@ func TestShellNilHooksAreNoOps(t *testing.T) {
 	if th.MaxStackDepth == 0 {
 		t.Error("Visit never noted a stack depth")
 	}
-	if got := pe.Chunk(16); got != 16 {
+	if got := pe.Ctl.Chunk(16); got != 16 {
 		t.Errorf("Chunk(16) = %d without a controller", got)
 	}
 	if pe.Visit(1) != 0 || pe.Visit(YieldEvery) != 0 {
@@ -102,7 +102,7 @@ func TestShellChunkFollowsController(t *testing.T) {
 	set := policy.NewSet(&policy.Config{}, policy.Base{Chunk: 5}, 1)
 	var th stats.Thread
 	pe := NewPE(&uts.BenchTiny, &th, nil, set.Controller(0))
-	if got := pe.Chunk(16); got != 5 {
+	if got := pe.Ctl.Chunk(16); got != 5 {
 		t.Errorf("Chunk(16) = %d under a controller based at 5", got)
 	}
 }
@@ -330,7 +330,7 @@ func workingLeg(t *testing.T, sp *uts.Spec, fixedK int, ctl *policy.Controller, 
 				t.Fatalf("edge %d: K went %d -> %d across edge %d, not a yield", edges, lastK, k, e)
 			}
 		}
-		if lastK = k; ctl == nil && k != fixedK || ctl != nil && e == Yielded && k != ctl.Chunk() {
+		if lastK = k; ctl == nil && k != fixedK || ctl != nil && e == Yielded && k != ctl.Chunk(fixedK) {
 			t.Fatalf("edge %d: K() = %d", edges, k)
 		}
 		// A thief waiting when the call began is reported before any visit (a

@@ -60,7 +60,7 @@ func simDistMem(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, 
 // returns out of work, its counter saying so.
 func (pe *simDistPE) Work() {
 	cs := &pe.r.cs
-	k := pe.Chunk(pe.r.cfg.Chunk)
+	k := pe.Ctl.Chunk(pe.r.cfg.Chunk)
 	batch := pe.r.cfg.batch()
 	pending := 0
 	releasing := false
@@ -106,7 +106,7 @@ func (pe *simDistPE) Work() {
 				// no release pending, so the 2k threshold and the released
 				// chunk never straddle a chunk-size change.
 				pe.NoteCtl(pe.Now())
-				k = pe.Chunk(pe.r.cfg.Chunk)
+				k = pe.Ctl.Chunk(pe.r.cfg.Chunk)
 				return pe.charge(d), 0
 			}
 		}

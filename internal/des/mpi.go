@@ -172,7 +172,7 @@ func (pe *simMPIPE) Work() (time.Duration, bool) {
 	rank := &pe.rank
 	switch pe.ph {
 	case wEnter:
-		pe.poll = pe.Poll(pe.r.cfg.PollInterval)
+		pe.poll = pe.Ctl.Poll(pe.r.cfg.PollInterval)
 		pe.ph = wExplore
 		fallthrough
 	case wExplore:
@@ -187,7 +187,7 @@ func (pe *simMPIPE) Work() (time.Duration, bool) {
 		}
 		pe.FlushNodes()
 		pe.NoteCtl(pe.Now())
-		pe.poll = pe.Poll(pe.r.cfg.PollInterval)
+		pe.poll = pe.Ctl.Poll(pe.r.cfg.PollInterval)
 		pe.ph = wIprobe
 		return pe.charge(time.Duration(pending) * cs.nodeCost), false
 	case wIprobe:
@@ -201,9 +201,7 @@ func (pe *simMPIPE) Work() (time.Duration, bool) {
 		pe.ph = wIprobe
 		return rank.Handle(m), false
 	}
-	if pe.Ctl != nil {
-		pe.Ctl.NotePoll(pe.got) // the iprobes of one drain are one poll
-	}
+	pe.Ctl.NotePoll(pe.got) // the iprobes of one drain are one poll
 	pe.got = 0
 	switch {
 	case pe.atPoll && pe.Local.Len() > 0 && !rank.Terminated():

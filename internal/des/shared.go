@@ -88,7 +88,7 @@ func (pe *simSharedPE) Service() {}
 // the PE returns with its counter saying it is out of work.
 func (pe *simSharedPE) Work() {
 	cs := &pe.r.cs
-	k := pe.Chunk(pe.r.cfg.Chunk)
+	k := pe.Ctl.Chunk(pe.r.cfg.Chunk)
 	batch := pe.r.cfg.batch()
 	pending := 0
 	thresholdHit := false
@@ -115,7 +115,7 @@ func (pe *simSharedPE) Work() {
 				pending = 0
 				pe.FlushNodes()
 				pe.NoteCtl(pe.Now())
-				k = pe.Chunk(pe.r.cfg.Chunk)
+				k = pe.Ctl.Chunk(pe.r.cfg.Chunk)
 				return pe.charge(d), 0
 			}
 		}
@@ -123,7 +123,7 @@ func (pe *simSharedPE) Work() {
 	for {
 		pe.p.AdvanceStepped(step)
 		pe.NoteCtl(pe.Now())
-		k = pe.Chunk(pe.r.cfg.Chunk)
+		k = pe.Ctl.Chunk(pe.r.cfg.Chunk)
 		if thresholdHit {
 			thresholdHit = false
 			pe.releaseChunk(k)
@@ -205,10 +205,7 @@ func (pe *simSharedPE) Steal(v int) bool {
 	// while holding the lock — this is the hold period during which the
 	// paper observes working threads being delayed by thieves.
 	pe.advance(2 * cs.remoteRef)
-	half := r.mode.StealHalf
-	if pe.Ctl != nil {
-		half = pe.Ctl.StealHalf()
-	}
+	half := pe.Ctl.StealHalf(r.mode.StealHalf)
 	var chunks []stack.Chunk
 	if half {
 		chunks = vs.pool.TakeHalf()

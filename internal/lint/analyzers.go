@@ -6,20 +6,9 @@ func All() []*Analyzer {
 		Chargecheck,
 		Detcheck,
 		Noalloc,
-		Retrycheck,
+		Lockcheck,
 		Obscheck,
 		Atomiccheck,
 		Ordercheck,
-		Hookcheck,
 	}
-}
-
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }

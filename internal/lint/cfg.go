@@ -3,18 +3,17 @@ package lint
 // Intraprocedural control-flow layer: basic blocks over go/ast, a
 // dominator tree, and a small forward-lattice dataflow solver. This is
 // the flow-sensitive backbone the memory-ordering analyzers stand on —
-// atomiccheck, ordercheck and hookcheck prove their disciplines on
-// every path, not just the paths a stress test happens to schedule, and
-// retrycheck's lock-pairing rule runs a lock-held lattice over the same
-// graph instead of the old lexical-region heuristic.
+// atomiccheck and ordercheck prove their disciplines on every path, not
+// just the paths a stress test happens to schedule, and lockcheck runs a
+// lock-held lattice over the same graph instead of the old
+// lexical-region heuristic.
 //
 // The construction is standard: one block per maximal straight-line
 // statement run, explicit condition nodes (an if/for condition and each
 // boolean switch-case expression is a node of the block that evaluates
-// it), labeled edges carrying the condition and the branch outcome so
-// guard-sensitive analyses (nil checks, idempotence guards) can refine
-// facts along an edge. Returns, panics, and fall-through all flow into
-// one synthetic exit block; `for {}` loops have no edge to it, so code
+// it), and edges that say only where control goes and, into the exit,
+// how it leaves. Returns, panics, and fall-through all flow into one
+// synthetic exit block; `for {}` loops have no edge to it, so code
 // holding a lock forever is not an unreleased-lock finding. Nested
 // function literals are NOT traversed — each gets its own CFG; a
 // statement's expression tree (which may syntactically contain a
@@ -51,7 +50,7 @@ type stmtPos struct {
 }
 
 // A Block is one basic block: statements and condition expressions in
-// execution order, with labeled edges to and from its neighbours.
+// execution order, with edges to and from its neighbours.
 type Block struct {
 	Index int
 	Nodes []ast.Node
@@ -76,13 +75,10 @@ const (
 	ExitFall
 )
 
-// An Edge connects two blocks. When the transfer is conditional, Cond
-// holds the controlling expression and Branch its outcome along this
-// edge — the hook a guard-sensitive analysis refines its facts on.
+// An Edge connects two blocks; Kind says how an edge into the exit
+// leaves the function.
 type Edge struct {
 	From, To *Block
-	Cond     ast.Expr
-	Branch   bool
 	Kind     ExitKind
 }
 
@@ -99,7 +95,7 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 	}
 	for _, g := range b.gotos {
 		if target, ok := b.labels[g.label]; ok {
-			b.edge(g.from, target, nil, false)
+			b.edge(g.from, target)
 		}
 	}
 	b.c.computeOrder()
@@ -202,11 +198,7 @@ func (b *cfgBuilder) add(n ast.Node) {
 	blk.Nodes = append(blk.Nodes, n)
 }
 
-func (b *cfgBuilder) edge(from, to *Block, cond ast.Expr, branch bool) {
-	e := &Edge{From: from, To: to, Cond: cond, Branch: branch}
-	from.Succs = append(from.Succs, e)
-	to.Preds = append(to.Preds, e)
-}
+func (b *cfgBuilder) edge(from, to *Block) { b.edgeKind(from, to, ExitNone) }
 
 func (b *cfgBuilder) edgeKind(from, to *Block, kind ExitKind) {
 	e := &Edge{From: from, To: to, Kind: kind}
@@ -243,7 +235,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.buildSelect(s)
 	case *ast.LabeledStmt:
 		lb := b.newBlock()
-		b.edge(b.block(), lb, nil, false)
+		b.edge(b.block(), lb)
 		b.cur = lb
 		if b.labels == nil {
 			b.labels = make(map[string]*Block)
@@ -280,7 +272,7 @@ func (b *cfgBuilder) buildIf(s *ast.IfStmt) {
 	b.add(s.Cond)
 	cond := b.cur
 	then := b.newBlock()
-	b.edge(cond, then, s.Cond, true)
+	b.edge(cond, then)
 	b.cur = then
 	b.stmt(s.Body)
 	thenEnd := b.cur
@@ -288,20 +280,20 @@ func (b *cfgBuilder) buildIf(s *ast.IfStmt) {
 	hasElse := s.Else != nil
 	if hasElse {
 		els := b.newBlock()
-		b.edge(cond, els, s.Cond, false)
+		b.edge(cond, els)
 		b.cur = els
 		b.stmt(s.Else)
 		elseEnd = b.cur
 	}
 	join := b.newBlock()
 	if !hasElse {
-		b.edge(cond, join, s.Cond, false)
+		b.edge(cond, join)
 	}
 	if thenEnd != nil {
-		b.edge(thenEnd, join, nil, false)
+		b.edge(thenEnd, join)
 	}
 	if elseEnd != nil {
-		b.edge(elseEnd, join, nil, false)
+		b.edge(elseEnd, join)
 	}
 	b.cur = join
 }
@@ -312,7 +304,7 @@ func (b *cfgBuilder) buildFor(s *ast.ForStmt) {
 		b.add(s.Init)
 	}
 	head := b.newBlock()
-	b.edge(b.block(), head, nil, false)
+	b.edge(b.block(), head)
 	b.cur = head
 	if s.Cond != nil {
 		b.add(s.Cond)
@@ -320,11 +312,9 @@ func (b *cfgBuilder) buildFor(s *ast.ForStmt) {
 	condEnd := b.cur // == head unless cond spawned blocks (it cannot)
 	body := b.newBlock()
 	after := b.newBlock()
+	b.edge(condEnd, body)
 	if s.Cond != nil {
-		b.edge(condEnd, body, s.Cond, true)
-		b.edge(condEnd, after, s.Cond, false)
-	} else {
-		b.edge(condEnd, body, nil, false)
+		b.edge(condEnd, after)
 	}
 	cont := head
 	var post *Block
@@ -336,13 +326,13 @@ func (b *cfgBuilder) buildFor(s *ast.ForStmt) {
 	b.cur = body
 	b.stmt(s.Body)
 	if b.cur != nil {
-		b.edge(b.cur, cont, nil, false)
+		b.edge(b.cur, cont)
 	}
 	b.scopes = b.scopes[:len(b.scopes)-1]
 	if post != nil {
 		b.cur = post
 		b.add(s.Post)
-		b.edge(post, head, nil, false)
+		b.edge(post, head)
 	}
 	b.cur = after
 }
@@ -350,26 +340,26 @@ func (b *cfgBuilder) buildFor(s *ast.ForStmt) {
 func (b *cfgBuilder) buildRange(s *ast.RangeStmt) {
 	label := b.takeLabel()
 	head := b.newBlock()
-	b.edge(b.block(), head, nil, false)
+	b.edge(b.block(), head)
 	b.cur = head
 	b.add(s) // the per-iteration key/value binding and the range read
 	body := b.newBlock()
 	after := b.newBlock()
-	b.edge(head, body, nil, false)
-	b.edge(head, after, nil, false)
+	b.edge(head, body)
+	b.edge(head, after)
 	b.scopes = append(b.scopes, loopScope{label: label, brk: after, cont: head, isLoop: true})
 	b.cur = body
 	b.stmt(s.Body)
 	if b.cur != nil {
-		b.edge(b.cur, head, nil, false)
+		b.edge(b.cur, head)
 	}
 	b.scopes = b.scopes[:len(b.scopes)-1]
 	b.cur = after
 }
 
 // buildSwitch handles expression and type switches. Boolean switches
-// (no tag) are lowered into a test chain so each case body's entry edge
-// carries its own condition — the form the nil-guard analyses consume.
+// (no tag) are lowered into a test chain, each case's condition a node of
+// its own test block, evaluated in source order.
 func (b *cfgBuilder) buildSwitch(init ast.Stmt, tag ast.Expr, assign ast.Stmt, body *ast.BlockStmt, sw ast.Stmt) {
 	label := b.takeLabel()
 	if init != nil {
@@ -404,21 +394,20 @@ func (b *cfgBuilder) buildSwitch(init ast.Stmt, tag ast.Expr, assign ast.Stmt, b
 		if i == defaultIdx {
 			continue
 		}
-		var cond ast.Expr
 		if tag == nil && len(cc.List) == 1 {
-			cond = cc.List[0]
+			cond := cc.List[0]
 			b.c.pos[cond] = stmtPos{test, len(test.Nodes)}
 			test.Nodes = append(test.Nodes, cond)
 		}
-		b.edge(test, bodies[i], cond, true)
+		b.edge(test, bodies[i])
 		next := b.newBlock()
-		b.edge(test, next, cond, false)
+		b.edge(test, next)
 		test = next
 	}
 	if defaultIdx >= 0 {
-		b.edge(test, bodies[defaultIdx], nil, false)
+		b.edge(test, bodies[defaultIdx])
 	} else {
-		b.edge(test, after, nil, false)
+		b.edge(test, after)
 	}
 
 	b.scopes = append(b.scopes, loopScope{label: label, brk: after})
@@ -433,7 +422,7 @@ func (b *cfgBuilder) buildSwitch(init ast.Stmt, tag ast.Expr, assign ast.Stmt, b
 			b.stmt(st)
 		}
 		if b.cur != nil {
-			b.edge(b.cur, after, nil, false)
+			b.edge(b.cur, after)
 		}
 		b.fallTargets = b.fallTargets[:len(b.fallTargets)-1]
 	}
@@ -454,7 +443,7 @@ func (b *cfgBuilder) buildSelect(s *ast.SelectStmt) {
 		}
 		any = true
 		blk := b.newBlock()
-		b.edge(head, blk, nil, false)
+		b.edge(head, blk)
 		b.cur = blk
 		if cc.Comm != nil {
 			b.add(cc.Comm)
@@ -463,7 +452,7 @@ func (b *cfgBuilder) buildSelect(s *ast.SelectStmt) {
 			b.stmt(st)
 		}
 		if b.cur != nil {
-			b.edge(b.cur, after, nil, false)
+			b.edge(b.cur, after)
 		}
 	}
 	b.scopes = b.scopes[:len(b.scopes)-1]
@@ -486,7 +475,7 @@ func (b *cfgBuilder) buildBranch(s *ast.BranchStmt) {
 		for i := len(b.scopes) - 1; i >= 0; i-- {
 			sc := b.scopes[i]
 			if sc.brk != nil && (label == "" || sc.label == label) {
-				b.edge(b.block(), sc.brk, nil, false)
+				b.edge(b.block(), sc.brk)
 				b.cur = nil
 				return
 			}
@@ -495,7 +484,7 @@ func (b *cfgBuilder) buildBranch(s *ast.BranchStmt) {
 		for i := len(b.scopes) - 1; i >= 0; i-- {
 			sc := b.scopes[i]
 			if sc.isLoop && sc.cont != nil && (label == "" || sc.label == label) {
-				b.edge(b.block(), sc.cont, nil, false)
+				b.edge(b.block(), sc.cont)
 				b.cur = nil
 				return
 			}
@@ -506,7 +495,7 @@ func (b *cfgBuilder) buildBranch(s *ast.BranchStmt) {
 		return
 	case token.FALLTHROUGH:
 		if n := len(b.fallTargets); n > 0 && b.fallTargets[n-1] != nil {
-			b.edge(b.block(), b.fallTargets[n-1], nil, false)
+			b.edge(b.block(), b.fallTargets[n-1])
 		}
 		b.cur = nil
 		return
@@ -581,15 +570,12 @@ func (c *CFG) computeDominators() {
 
 // A FlowAnalysis is one forward dataflow problem over a CFG. Facts are
 // analysis-defined values; nil is reserved by the solver for "not yet
-// computed" and is never passed to Transfer, FlowEdge, Meet, or Equal.
+// computed" and is never passed to Transfer, Meet, or Equal.
 type FlowAnalysis interface {
 	// Boundary is the fact at the function entry.
 	Boundary() any
 	// Transfer flows a fact through a block's statements.
 	Transfer(b *Block, in any) any
-	// FlowEdge refines a block's out-fact along one outgoing edge —
-	// where condition outcomes (Edge.Cond/Branch) sharpen the fact.
-	FlowEdge(e *Edge, out any) any
 	// Meet combines the facts arriving over two edges.
 	Meet(a, b any) any
 	// Equal reports whether two facts are the same (fixpoint test).
@@ -617,11 +603,10 @@ func (c *CFG) Solve(fa FlowAnalysis) map[*Block]any {
 				if !ok || po == nil {
 					continue
 				}
-				f := fa.FlowEdge(e, po)
 				if acc == nil {
-					acc = f
+					acc = po
 				} else {
-					acc = fa.Meet(acc, f)
+					acc = fa.Meet(acc, po)
 				}
 			}
 			if acc == nil {

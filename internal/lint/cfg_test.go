@@ -103,24 +103,6 @@ func f(x int) int {
 	if c.NodeDominates(then, ret) || c.NodeDominates(els, ret) {
 		t.Error("neither arm alone dominates the join")
 	}
-	// The condition's block carries true and false edges naming it.
-	cb, _, ok := c.PosOf(cond)
-	if !ok {
-		t.Fatal("condition not recorded")
-	}
-	var seenTrue, seenFalse bool
-	for _, e := range cb.Succs {
-		if e.Cond == cond {
-			if e.Branch {
-				seenTrue = true
-			} else {
-				seenFalse = true
-			}
-		}
-	}
-	if !seenTrue || !seenFalse {
-		t.Error("condition block must have labeled true and false edges")
-	}
 }
 
 func TestCFGEarlyReturnGuard(t *testing.T) {
@@ -135,12 +117,6 @@ func f(p *int) int {
 	deref := stmtOnLine(t, c, fset, 6)
 	if !c.NodeDominates(cond, deref) {
 		t.Error("guard condition must dominate the code after the early return")
-	}
-	// The block holding the dereference is entered only over the guard's
-	// false edge.
-	db, _, _ := c.PosOf(deref)
-	if len(db.Preds) != 1 || db.Preds[0].Cond != cond || db.Preds[0].Branch {
-		t.Error("post-guard block must be entered only via the guard's false edge")
 	}
 }
 
@@ -213,10 +189,6 @@ func f(p *int, q *int) int {
 	db, _, _ := c.PosOf(deref)
 	if len(db.Preds) != 1 {
 		t.Fatalf("case body has %d preds, want 1", len(db.Preds))
-	}
-	e := db.Preds[0]
-	if e.Cond == nil || !e.Branch {
-		t.Error("boolean switch case body must be entered over its condition's true edge")
 	}
 	// The second case's test is guarded by the first being false: the
 	// second condition node must be dominated by the first.
@@ -324,7 +296,6 @@ func (m *mustExec) Transfer(b *Block, in any) any {
 	}
 	return out
 }
-func (m *mustExec) FlowEdge(e *Edge, out any) any { return out }
 func (m *mustExec) Meet(a, b any) any {
 	am, bm := a.(map[int]bool), b.(map[int]bool)
 	out := map[int]bool{}

@@ -1,4 +1,4 @@
-// Package lint is the repo's custom static-analysis suite: eight
+// Package lint is the repo's custom static-analysis suite: seven
 // analyzers that machine-check the invariants the paper's results stand
 // on and that the Go type system cannot see.
 //
@@ -14,22 +14,17 @@
 //   - noalloc: functions annotated //uts:noalloc (spawn kernel, DES
 //     dispatch, obs record path, msg ring ops) are checked for
 //     constructs that heap-allocate or box.
-//   - retrycheck: in internal/cluster only RPC kinds declared in
-//     idempotentKind may flow into the multi-attempt retry path, and
-//     every Lock/Acquire is released on every exit path.
+//   - lockcheck: in internal/cluster, core and msg every Lock/Acquire is
+//     released on every exit path.
 //   - obscheck: obs events are recorded with declared Kind* constants,
-//     and the obs package's recording API stays nil-receiver-safe (a
-//     nil tracer is the documented "tracing off" representation).
+//     and the obs and policy hooks stay nil-receiver-safe (a nil tracer,
+//     sampler or controller is the documented "off" representation).
 //   - atomiccheck: a field accessed through sync/atomic anywhere is
 //     accessed atomically on every path (//uts:plain escapes provably
 //     single-threaded regions).
 //   - ordercheck: //uts:orders a<b publish-order invariants (the relaxed
 //     ring's ledger before its slot, the obs seqlock's invalidate before
 //     payload before publish) hold by dominance on every path.
-//   - hookcheck: every call through an optional hook — a *Controller
-//     method or an On*/on* func-typed field — is dominated by a nil
-//     check of the hook, so a run with the policy or telemetry off
-//     cannot panic.
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
 // API shape (Analyzer, Pass, Reportf, analysistest-style golden files)
@@ -451,7 +446,7 @@ func stmtList(n ast.Node) []ast.Stmt {
 
 // pathTo returns the chain of AST nodes from the function body down to
 // the node at pos (inclusive), or nil. It is the backbone of the
-// lexical-dominance approximation shared by chargecheck and retrycheck.
+// lexical-dominance approximation chargecheck uses.
 func pathTo(root ast.Node, target ast.Node) []ast.Node {
 	var path []ast.Node
 	var found bool

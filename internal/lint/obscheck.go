@@ -3,35 +3,35 @@ package lint
 import (
 	"go/ast"
 	"go/constant"
-	"go/types"
 	"strings"
 )
 
-// Obscheck keeps the observability layer honest about its two core
-// contracts:
+// Obscheck keeps the observability layer and the policy hooks honest
+// about their two core contracts:
 //
 //  1. Event vocabulary: every Lane.Rec / Lane.RecV call names its event
 //     with a declared Kind* constant (or forwards a value already typed
 //     Kind). Raw integer literals or arithmetic would silently fall out
 //     of the exporters' taxonomy (timeline names, Chrome trace lanes,
 //     histogram routing).
-//  2. Nil-tracer guards: a nil *Tracer/*Lane is the documented
-//     "tracing off" representation — every scheduler holds a possibly
-//     nil lane and records unconditionally — so every exported method
-//     with a *Tracer or *Lane receiver in the obs package must begin by
-//     checking its receiver against nil. A missing guard is a latent
-//     panic on every untraced run.
-//  3. Name completeness: the kindNames table must carry a non-empty
-//     entry for every declared Kind. The array type [numKinds]string
-//     makes an over-long table a compile error, but a *missing* tail
-//     entry just zero-fills — Kind.String then falls back to "Kind(n)"
-//     and every exporter keyed on the name (timeline, Chrome lanes,
-//     /metrics kind labels) silently forks its vocabulary.
+//  2. Off is nil: a nil *Tracer, *Lane or *Sampler is tracing off, a nil
+//     *Controller or *Set is a fixed-knob run, and every caller holds a
+//     possibly nil one and calls it unguarded — so every exported method
+//     with one of those pointer receivers, in the obs and policy
+//     packages, must begin by checking its receiver against nil. A
+//     missing guard is a latent panic on every run with the feature off.
 var Obscheck = &Analyzer{
 	Name: "obscheck",
-	Doc:  "obs events use declared Kind* constants; obs recording methods keep their nil-receiver guards",
+	Doc:  "obs events use declared Kind* constants; obs and policy hooks keep their nil-receiver guards",
 	Run:  runObscheck,
 }
+
+// nilIsOff names the types whose nil pointer is a feature turned off, and
+// the packages that declare them.
+var (
+	nilIsOff     = map[string]bool{"Tracer": true, "Lane": true, "Sampler": true, "Controller": true, "Set": true}
+	nilIsOffPkgs = map[string]bool{"obs": true, "policy": true}
+)
 
 func runObscheck(pass *Pass) error {
 	// Rule 1: event kinds at every Rec/RecV call site, repo-wide.
@@ -50,11 +50,10 @@ func runObscheck(pass *Pass) error {
 		return true
 	})
 
-	// Rule 2: nil-receiver guards, only inside the obs package itself.
-	if pass.Pkg == nil || pass.Pkg.Name() != "obs" {
+	// Rule 2: nil-receiver guards, only inside the packages that own them.
+	if pass.Pkg == nil || !nilIsOffPkgs[pass.Pkg.Name()] {
 		return nil
 	}
-	checkKindNames(pass)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -62,7 +61,7 @@ func runObscheck(pass *Pass) error {
 				continue
 			}
 			recvName := namedTypeName(pass.TypeOf(fd.Recv.List[0].Type))
-			if recvName != "Lane" && recvName != "Tracer" {
+			if !nilIsOff[recvName] {
 				continue
 			}
 			if _, isPtr := fd.Recv.List[0].Type.(*ast.StarExpr); !isPtr {
@@ -70,61 +69,11 @@ func runObscheck(pass *Pass) error {
 			}
 			r := recvIdent(fd)
 			if r == nil || len(fd.Body.List) == 0 || !firstStmtNilChecks(pass, fd.Body.List[0], r.Name) {
-				pass.Reportf(fd.Pos(), "exported method (*%s).%s must begin with a nil-receiver check: a nil tracer/lane is the documented tracing-off value and every call site relies on it", recvName, fd.Name.Name)
+				pass.Reportf(fd.Pos(), "exported method (*%s).%s must begin with a nil-receiver check: nil is the documented off value and every call site relies on it", recvName, fd.Name.Name)
 			}
 		}
 	}
 	return nil
-}
-
-// checkKindNames enforces rule 3: each index of the kindNames array
-// literal holds a non-empty string.
-func checkKindNames(pass *Pass) {
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			vs, ok := n.(*ast.ValueSpec)
-			if !ok {
-				return true
-			}
-			for i, name := range vs.Names {
-				if name.Name != "kindNames" || i >= len(vs.Values) {
-					continue
-				}
-				lit, ok := vs.Values[i].(*ast.CompositeLit)
-				if !ok {
-					continue
-				}
-				arr, ok := pass.TypeOf(lit).Underlying().(*types.Array)
-				if !ok {
-					continue
-				}
-				names := make([]bool, arr.Len())
-				idx := 0
-				for _, el := range lit.Elts {
-					if kv, ok := el.(*ast.KeyValueExpr); ok {
-						if tv, ok := pass.Info.Types[kv.Key]; ok && tv.Value != nil {
-							if v, exact := constant.Int64Val(tv.Value); exact {
-								idx = int(v)
-							}
-						}
-						el = kv.Value
-					}
-					if idx >= 0 && idx < len(names) {
-						tv, ok := pass.Info.Types[el]
-						names[idx] = ok && tv.Value != nil && constant.StringVal(tv.Value) != ""
-					}
-					idx++
-				}
-				for k, named := range names {
-					if !named {
-						pass.Reportf(lit.Pos(), "kindNames entry %d is missing or empty: Kind.String falls back to \"Kind(%d)\" and the timeline/Chrome/metrics vocabulary silently forks", k, k)
-						break
-					}
-				}
-			}
-			return true
-		})
-	}
 }
 
 // isDeclaredKind reports whether e is an acceptable event-kind

@@ -1,7 +1,7 @@
 // Package obs is the obscheck golden corpus: a miniature of the
 // tracing layer's Lane/Tracer API with the Kind vocabulary, the
-// nil-receiver contract, one violation of each rule, and a justified
-// suppression.
+// nil-receiver contract (which a policy Controller shares), one violation
+// of each rule, and a justified suppression.
 package obs
 
 type Kind uint8
@@ -14,12 +14,6 @@ const (
 // rawKind is deliberately mis-named: a declared constant whose name
 // does not start with Kind falls outside the exporters' taxonomy.
 const rawKind Kind = 7
-
-const numKinds = 3
-
-// kindNames is one entry short: index 2 zero-fills to "", so Kind(2)
-// would stringify to the fallback form and fork the exporters' names.
-var kindNames = [numKinds]string{"spawn", "steal"} // want "kindNames entry 2 is missing or empty"
 
 type Lane struct {
 	n int
@@ -51,9 +45,27 @@ func (t *Tracer) Enabled() bool {
 	return t != nil && len(t.lanes) > 0
 }
 
+// Controller is nil on a fixed-knob run, like a nil Lane.
+type Controller struct {
+	k int
+}
+
+// Chunk answers with the fixed value when off.
+func (c *Controller) Chunk(fixed int) int {
+	if c == nil {
+		return fixed
+	}
+	return c.k
+}
+
+// NoteDenied forgets the guard.
+func (c *Controller) NoteDenied() { // want "must begin with a nil-receiver check"
+	c.k--
+}
+
 func use(l *Lane, k Kind) {
 	l.Rec(KindSpawn, 1)
-	l.Rec(k, 2) // forwarding a Kind-typed value is fine
+	l.Rec(k, 2)       // forwarding a Kind-typed value is fine
 	l.Rec(rawKind, 3) // want "not a declared Kind"
 	l.RecV(KindSteal, 1, 9)
 }

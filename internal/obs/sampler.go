@@ -55,7 +55,7 @@ type Sampler struct {
 
 	last LiveStats
 
-	onSample func(LiveStats)
+	onSample func(LiveStats) // never nil: a no-op until OnSample sets one
 	stopCh   chan struct{}
 	doneCh   chan struct{}
 }
@@ -115,10 +115,11 @@ func NewSampler(t *Tracer) *Sampler {
 		return nil
 	}
 	s := &Sampler{
-		t:       t,
-		start:   time.Now(),
-		cursors: make([]uint64, t.PEs()),
-		lanes:   make([]replay, t.PEs()),
+		t:        t,
+		start:    time.Now(),
+		cursors:  make([]uint64, t.PEs()),
+		lanes:    make([]replay, t.PEs()),
+		onSample: func(LiveStats) {},
 	}
 	for i := range s.lanes {
 		s.lanes[i].stealT0 = -1
@@ -129,9 +130,10 @@ func NewSampler(t *Tracer) *Sampler {
 
 // OnSample registers fn to run after every periodic (and final) sample,
 // called from the sampler goroutine with the fresh stats — the hook the
-// CLI -live progress lines hang off. Register before Start. Nil-safe.
+// CLI -live progress lines hang off. Register before Start. Nil-safe; a
+// nil fn keeps the no-op.
 func (s *Sampler) OnSample(fn func(LiveStats)) {
-	if s == nil {
+	if s == nil || fn == nil {
 		return
 	}
 	s.mu.Lock()
@@ -186,9 +188,7 @@ func (s *Sampler) sampleAndNotify() {
 	s.mu.Lock()
 	fn := s.onSample
 	s.mu.Unlock()
-	if fn != nil {
-		fn(st)
-	}
+	fn(st)
 }
 
 // Sample folds every lane's new events into the cumulative state, closes

@@ -258,6 +258,10 @@ func TestSamplerNilAndLifecycle(t *testing.T) {
 	tr.Lane(0).RecV(KindTermEnter, -1, 0, 0)
 	time.Sleep(20 * time.Millisecond)
 	live.Stop()
+	// With no hook, or a nil one, Stop's final sample runs the no-op.
+	quiet := NewSampler(tr)
+	quiet.OnSample(nil)
+	quiet.Stop()
 	mu.Lock()
 	defer mu.Unlock()
 	if calls < 2 {

@@ -3,17 +3,22 @@
 // (Section 4.2.1's manually-swept granularity), steal-half vs steal-k
 // selection, and the mpi-ws poll interval — plus a hierarchical
 // victim-selection tier driven by the latency model rather than by the
-// operator. Controllers consume windowed feedback (steal latency
-// quantiles via obs.Histogram.DeltaFrom, failed-steal rate, delivered
-// chunk sizes, poll hit rate) and adjust their PE's knobs between
-// windows, so a deployment started from a bad static configuration walks
-// itself onto the Figure-4 plateau instead of needing a uts-tune re-sweep.
+// operator. Controllers consume windowed feedback (the time spent inside
+// steal attempts, failed-steal rate, delivered chunk sizes, poll hit rate)
+// and adjust their PE's knobs between windows, so a deployment started
+// from a bad static configuration walks itself onto the Figure-4 plateau
+// instead of needing a uts-tune re-sweep.
 //
 // The package is deliberately clockless: every observation carries a
 // caller-supplied timestamp in nanoseconds, which is wall time under the
 // real schedulers and virtual time under the DES. That keeps the DES
 // variant deterministic (and detcheck-clean) and makes adaptive sweeps
 // meaningful at 100K+ simulated PEs.
+//
+// Off is nil: a nil *Controller is a run without adaptation. Its knob
+// reads return the fixed value the caller passes, NodeSize is 1 and every
+// Note*/Steal* call does nothing, so a scheduler calls its controller
+// unguarded.
 //
 // Concurrency contract: a Controller is owned by its PE — all Note*/knob
 // methods are owner-only, unsynchronized, and allocation-free on the hot
@@ -25,8 +30,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Config enables adaptation. The zero value means "adapt with defaults
@@ -72,8 +75,8 @@ const (
 	// the signature of work withheld by a too-large k.
 	failHi = 0.5
 	// shareHi / shareExtreme bound the fraction of the window this PE
-	// spent inside steal attempts (the windowed latency histogram's sum
-	// over the window length). Above shareHi the chunk grows additively;
+	// spent inside steal attempts (its steal nanoseconds over the window
+	// length). Above shareHi the chunk grows additively;
 	// above shareExtreme it doubles (slow-start region, the far left of
 	// Figure 4 where steal traffic swamps useful work). Share is the
 	// right increase signal because it self-quenches: once chunks are
@@ -103,7 +106,8 @@ type Sample struct {
 }
 
 // Controller adapts one PE's knobs. All methods are owner-only; the
-// zero-value Controller is not usable — obtain one from a Set.
+// zero-value Controller is not usable — obtain one from a Set. A nil
+// Controller is the fixed-knob run (see the package doc).
 type Controller struct {
 	cfg  Config
 	base Base
@@ -141,8 +145,7 @@ type Controller struct {
 
 	inSteal bool
 	stealT0 int64
-	latCum  obs.Histogram // cumulative steal-attempt latency
-	latPrev obs.Histogram // snapshot at last window close
+	stealNS int64 // time inside steal attempts since obsStart
 
 	// Cross-thread mirrors for telemetry, refreshed on window close.
 	aChunk   atomic.Int64
@@ -182,33 +185,60 @@ func (c *Controller) init(cfg Config, base Base, track bool) {
 	}
 }
 
-// Chunk returns the adapted chunk size (owner-only read).
+// Chunk returns the adapted chunk size (owner-only read), fixed on a nil
+// Controller.
 //
 //uts:noalloc
-func (c *Controller) Chunk() int { return c.k }
+func (c *Controller) Chunk(fixed int) int {
+	if c == nil {
+		return fixed
+	}
+	return c.k
+}
 
-// StealHalf returns the adapted steal-half/steal-k selection.
+// StealHalf returns the adapted steal-half/steal-k selection, fixed on a
+// nil Controller.
 //
 //uts:noalloc
-func (c *Controller) StealHalf() bool { return c.half }
+func (c *Controller) StealHalf(fixed bool) bool {
+	if c == nil {
+		return fixed
+	}
+	return c.half
+}
 
-// Poll returns the adapted mpi-ws poll interval.
+// Poll returns the adapted mpi-ws poll interval, fixed on a nil
+// Controller.
 //
 //uts:noalloc
-func (c *Controller) Poll() int { return c.poll }
+func (c *Controller) Poll(fixed int) int {
+	if c == nil {
+		return fixed
+	}
+	return c.poll
+}
 
 // NodeSize returns the victim-walk tier: the configured node width when
-// the latency model favors intra-node steals, 1 (flat) otherwise. Fixed
-// for the run — topology does not drift — so no window logic touches it.
+// the latency model favors intra-node steals, 1 (flat) otherwise and on a
+// nil Controller. Fixed for the run — topology does not drift — so no
+// window logic touches it.
 //
 //uts:noalloc
-func (c *Controller) NodeSize() int { return c.nodeSize }
+func (c *Controller) NodeSize() int {
+	if c == nil {
+		return 1
+	}
+	return c.nodeSize
+}
 
 // StealBegin marks the start of a steal attempt. One attempt may be in
 // flight per PE (true of every scheduler here).
 //
 //uts:noalloc
 func (c *Controller) StealBegin(nowNS int64) {
+	if c == nil {
+		return
+	}
 	c.open(nowNS)
 	c.inSteal = true
 	c.stealT0 = nowNS
@@ -219,7 +249,7 @@ func (c *Controller) StealBegin(nowNS int64) {
 //
 //uts:noalloc
 func (c *Controller) StealEnd(ok bool, nodes int, nowNS int64) {
-	if !c.inSteal {
+	if c == nil || !c.inSteal {
 		return
 	}
 	c.inSteal = false
@@ -228,7 +258,7 @@ func (c *Controller) StealEnd(ok bool, nodes int, nowNS int64) {
 		c.okSteals++
 		c.stolen += int64(nodes)
 	}
-	c.latCum.Observe(nowNS - c.stealT0)
+	c.stealNS += max(0, nowNS-c.stealT0)
 }
 
 // NoteNodes reports n nodes explored since the last call, the current
@@ -241,6 +271,9 @@ func (c *Controller) StealEnd(ok bool, nodes int, nowNS int64) {
 //
 //uts:noalloc
 func (c *Controller) NoteNodes(n, depth int, nowNS int64) {
+	if c == nil {
+		return
+	}
 	c.open(nowNS)
 	c.nodes += int64(n)
 	if depth > c.depthMax {
@@ -256,6 +289,9 @@ func (c *Controller) NoteNodes(n, depth int, nowNS int64) {
 //
 //uts:noalloc
 func (c *Controller) NotePoll(msgs int) {
+	if c == nil {
+		return
+	}
 	c.polls++
 	c.msgs += int64(msgs)
 }
@@ -265,7 +301,12 @@ func (c *Controller) NotePoll(msgs int) {
 // its own k is withholding work from live demand.
 //
 //uts:noalloc
-func (c *Controller) NoteDenied() { c.denied++ }
+func (c *Controller) NoteDenied() {
+	if c == nil {
+		return
+	}
+	c.denied++
+}
 
 //uts:noalloc
 func (c *Controller) open(nowNS int64) {
@@ -345,7 +386,7 @@ func (c *Controller) resetSteal(nowNS int64) {
 	c.attempts, c.okSteals, c.stolen = 0, 0, 0
 	c.nodes, c.denied = 0, 0
 	c.depthMax = 0
-	c.latPrev = c.latCum
+	c.stealNS = 0
 }
 
 //uts:noalloc
@@ -360,19 +401,16 @@ func (c *Controller) adapt(nowNS int64, stealEv, pollEv bool) {
 	prevK, prevHalf, prevPoll := c.k, c.half, c.poll
 
 	if stealEv {
-		win := c.latCum.DeltaFrom(&c.latPrev)
 		var failFrac float64
 		if c.attempts > 0 {
 			failFrac = float64(c.attempts-c.okSteals) / float64(c.attempts)
 		}
 
 		// Steal-overhead share: the fraction of this window the PE spent
-		// inside steal attempts. DeltaFrom's clamped sum (the satellite
-		// bugfix) is what makes this number trustworthy on a windowed
-		// snapshot.
+		// inside steal attempts.
 		var share float64
 		if elapsed := nowNS - c.obsStart; elapsed > 0 {
-			share = float64(win.Sum()) / float64(elapsed)
+			share = float64(c.stealNS) / float64(elapsed)
 		}
 
 		switch {
@@ -446,9 +484,9 @@ func boolInt(b bool) int64 {
 }
 
 // Set is the per-run collection of controllers, one per PE. A nil *Set
-// is the disabled state: Controller(i) returns nil and every scheduler
-// hot path guards with a single nil check, keeping controller-off runs
-// byte-identical to a build without this package.
+// is the disabled state: Controller(i) returns nil, the Controller that
+// answers with the fixed knobs, keeping controller-off runs byte-identical
+// to a build without this package.
 type Set struct {
 	cfg  Config
 	base Base
@@ -503,12 +541,10 @@ type Snapshot struct {
 
 // Snap aggregates the atomic knob mirrors. Nil-safe.
 func (s *Set) Snap() Snapshot {
-	var sn Snapshot
 	if s == nil || len(s.ctls) == 0 {
-		return sn
+		return Snapshot{}
 	}
-	sn.PEs = len(s.ctls)
-	sn.ChunkMin, sn.PollMin = int64(1)<<62, int64(1)<<62
+	sn := Snapshot{PEs: len(s.ctls), ChunkMin: int64(1) << 62, PollMin: int64(1) << 62}
 	var kSum int64
 	for _, c := range s.ctls {
 		k, p := c.aChunk.Load(), c.aPoll.Load()

@@ -58,9 +58,9 @@ func TestNewSetNil(t *testing.T) {
 
 func TestBaseKnobs(t *testing.T) {
 	_, c := newCtl(t, Config{}, Base{Chunk: 16, Poll: 8, StealHalf: true})
-	if c.Chunk() != 16 || c.Poll() != 8 || !c.StealHalf() || c.NodeSize() != 1 {
+	if c.Chunk(0) != 16 || c.Poll(0) != 8 || !c.StealHalf(false) || c.NodeSize() != 1 {
 		t.Errorf("base knobs not adopted: k=%d poll=%d half=%v tier=%d",
-			c.Chunk(), c.Poll(), c.StealHalf(), c.NodeSize())
+			c.Chunk(0), c.Poll(0), c.StealHalf(false), c.NodeSize())
 	}
 }
 
@@ -84,10 +84,10 @@ func TestFailHeavyHalves(t *testing.T) {
 		fail(c, i*20, 10)
 	}
 	c.NoteNodes(10, 0, win)
-	if c.Chunk() != 8 {
-		t.Errorf("all-fail window: chunk = %d, want 8", c.Chunk())
+	if c.Chunk(0) != 8 {
+		t.Errorf("all-fail window: chunk = %d, want 8", c.Chunk(0))
 	}
-	if !c.StealHalf() {
+	if !c.StealHalf(false) {
 		t.Error("all-fail window must turn steal-half on")
 	}
 }
@@ -101,8 +101,8 @@ func TestShareDoubles(t *testing.T) {
 		ok(c, i*220, 200, 5)
 	}
 	c.NoteNodes(10, 0, win)
-	if c.Chunk() != 32 {
-		t.Errorf("share>0.5 window: chunk = %d, want 32", c.Chunk())
+	if c.Chunk(0) != 32 {
+		t.Errorf("share>0.5 window: chunk = %d, want 32", c.Chunk(0))
 	}
 }
 
@@ -114,8 +114,38 @@ func TestShareAdditive(t *testing.T) {
 		ok(c, i*100, 50, 5)
 	}
 	c.NoteNodes(10, 0, win)
-	if c.Chunk() != 20 {
-		t.Errorf("moderate-share window: chunk = %d, want 16+4", c.Chunk())
+	if c.Chunk(0) != 20 {
+		t.Errorf("moderate-share window: chunk = %d, want 16+4", c.Chunk(0))
+	}
+}
+
+// TestShareIsExact: the share is the exact time spent stealing. Four steals
+// of 39, 39, 39 and 37 ns spend 154 of a 1000-ns window, just over shareHi,
+// so the chunk grows; a sum clamped to the latency buckets' floors (36 ns
+// a steal here) would have read 148 and held it.
+func TestShareIsExact(t *testing.T) {
+	_, c := newCtl(t, Config{}, Base{Chunk: 16})
+	for i, lat := range []int64{39, 39, 39, 37} {
+		ok(c, int64(i)*100, lat, 5)
+	}
+	c.NoteNodes(10, 0, win)
+	if c.Chunk(0) != 20 {
+		t.Errorf("share 0.154 window: chunk = %d, want 16+4", c.Chunk(0))
+	}
+}
+
+// TestNilControllerIsFixedKnobs: a nil Controller is the fixed-knob run —
+// every knob read returns the caller's value and every report is a no-op.
+func TestNilControllerIsFixedKnobs(t *testing.T) {
+	var c *Controller
+	c.NoteNodes(10, 4, win)
+	c.NotePoll(3)
+	c.NoteDenied()
+	c.StealBegin(0)
+	c.StealEnd(true, 5, win)
+	if c.Chunk(7) != 7 || c.Poll(9) != 9 || !c.StealHalf(true) || c.StealHalf(false) || c.NodeSize() != 1 {
+		t.Errorf("nil controller: Chunk(7)=%d Poll(9)=%d StealHalf(true)=%v StealHalf(false)=%v NodeSize=%d, want 7 9 true false 1",
+			c.Chunk(7), c.Poll(9), c.StealHalf(true), c.StealHalf(false), c.NodeSize())
 	}
 }
 
@@ -127,8 +157,8 @@ func TestCalmHolds(t *testing.T) {
 		ok(c, i*10, 1, 5)
 	}
 	c.NoteNodes(10, 0, win)
-	if c.Chunk() != 16 {
-		t.Errorf("calm window: chunk = %d, want 16", c.Chunk())
+	if c.Chunk(0) != 16 {
+		t.Errorf("calm window: chunk = %d, want 16", c.Chunk(0))
 	}
 	sum := s.Summary()
 	if sum.Windows != 1 || sum.Changes != 0 {
@@ -145,7 +175,7 @@ func TestStealHalfHysteresis(t *testing.T) {
 		fail(c, i*20, 1)
 	}
 	c.NoteNodes(10, 0, win)
-	if !c.StealHalf() {
+	if !c.StealHalf(false) {
 		t.Fatal("scarcity must turn steal-half on")
 	}
 	// Middling window: 2 of 4 fail (0.2 < 0.5 < 0.6) — no change.
@@ -155,7 +185,7 @@ func TestStealHalfHysteresis(t *testing.T) {
 	ok(c, at+50, 1, 5)
 	ok(c, at+70, 1, 5)
 	c.NoteNodes(10, 0, 2*win)
-	if !c.StealHalf() {
+	if !c.StealHalf(false) {
 		t.Error("hysteresis: steal-half must hold through a middling window")
 	}
 	// Calm window: all succeed — revert to base (steal-k).
@@ -164,7 +194,7 @@ func TestStealHalfHysteresis(t *testing.T) {
 		ok(c, at+i*20, 1, 5)
 	}
 	c.NoteNodes(10, 0, 3*win)
-	if c.StealHalf() {
+	if c.StealHalf(false) {
 		t.Error("calm window must revert steal-half to the base selection")
 	}
 }
@@ -178,15 +208,15 @@ func TestPollAdapts(t *testing.T) {
 		c.NotePoll(0)
 	}
 	c.NoteNodes(1, 0, win)
-	if c.Poll() != 16 {
-		t.Errorf("all-miss window: poll = %d, want 16", c.Poll())
+	if c.Poll(0) != 16 {
+		t.Errorf("all-miss window: poll = %d, want 16", c.Poll(0))
 	}
 	for i := 0; i < 4; i++ {
 		c.NotePoll(1)
 	}
 	c.NoteNodes(1, 0, 2*win)
-	if c.Poll() != 8 {
-		t.Errorf("all-hit window: poll = %d, want 8", c.Poll())
+	if c.Poll(0) != 8 {
+		t.Errorf("all-hit window: poll = %d, want 8", c.Poll(0))
 	}
 }
 
@@ -197,15 +227,15 @@ func TestEvidenceExtends(t *testing.T) {
 	fail(c, 0, 10)
 	fail(c, 50, 10)
 	c.NoteNodes(10, 0, win)
-	if c.Chunk() != 16 || s.Summary().Windows != 0 {
+	if c.Chunk(0) != 16 || s.Summary().Windows != 0 {
 		t.Fatalf("2 attempts must extend, not act: k=%d windows=%d",
-			c.Chunk(), s.Summary().Windows)
+			c.Chunk(0), s.Summary().Windows)
 	}
 	fail(c, win+10, 10)
 	fail(c, win+50, 10)
 	c.NoteNodes(10, 0, 2*win)
-	if c.Chunk() != 8 {
-		t.Errorf("accumulated evidence (4 fails over 2 windows) must halve: k=%d", c.Chunk())
+	if c.Chunk(0) != 8 {
+		t.Errorf("accumulated evidence (4 fails over 2 windows) must halve: k=%d", c.Chunk(0))
 	}
 }
 
@@ -224,8 +254,8 @@ func TestStaleDiscard(t *testing.T) {
 	// more attempt must not reach the 4-attempt gate.
 	fail(c, staleWindows*win+10, 10)
 	c.NoteNodes(1, 0, (staleWindows+1)*win)
-	if c.Chunk() != 16 {
-		t.Errorf("stale evidence acted: k=%d, want 16", c.Chunk())
+	if c.Chunk(0) != 16 {
+		t.Errorf("stale evidence acted: k=%d, want 16", c.Chunk(0))
 	}
 }
 
@@ -238,8 +268,8 @@ func TestDeniedHalves(t *testing.T) {
 		c.NoteDenied()
 	}
 	c.NoteNodes(10, 0, win)
-	if c.Chunk() != 8 {
-		t.Errorf("denied-heavy window: chunk = %d, want 8", c.Chunk())
+	if c.Chunk(0) != 8 {
+		t.Errorf("denied-heavy window: chunk = %d, want 8", c.Chunk(0))
 	}
 }
 
@@ -251,8 +281,8 @@ func TestStarvationEscape(t *testing.T) {
 	s, c := newCtl(t, Config{}, Base{Chunk: 64})
 	c.NoteNodes(0, 0, 0) // open the window at t=0
 	c.NoteNodes(100, 10, win)
-	if c.Chunk() != 2 {
-		t.Errorf("starved window: chunk = %d, want depthMax/4 = 2", c.Chunk())
+	if c.Chunk(0) != 2 {
+		t.Errorf("starved window: chunk = %d, want depthMax/4 = 2", c.Chunk(0))
 	}
 	sum := s.Summary()
 	if sum.Windows != 1 || sum.Changes != 1 {
@@ -262,8 +292,8 @@ func TestStarvationEscape(t *testing.T) {
 	_, c = newCtl(t, Config{}, Base{Chunk: 8})
 	c.NoteNodes(0, 0, 0)
 	c.NoteNodes(100, 40, win)
-	if c.Chunk() != 8 {
-		t.Errorf("deep-stack window must hold: chunk = %d, want 8", c.Chunk())
+	if c.Chunk(0) != 8 {
+		t.Errorf("deep-stack window must hold: chunk = %d, want 8", c.Chunk(0))
 	}
 }
 
@@ -282,14 +312,14 @@ func TestBoundsClamp(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		window(func(at int64) { ok(c, at, 200, 5) })
 	}
-	if c.Chunk() != 128 {
-		t.Fatalf("doubling must stop at max(128, 8·base): k=%d, want 128", c.Chunk())
+	if c.Chunk(0) != 128 {
+		t.Fatalf("doubling must stop at max(128, 8·base): k=%d, want 128", c.Chunk(0))
 	}
 	for w := 0; w < 10; w++ {
 		window(func(at int64) { fail(c, at, 10) })
 	}
-	if c.Chunk() != 1 {
-		t.Errorf("halving must stop at 1: k=%d", c.Chunk())
+	if c.Chunk(0) != 1 {
+		t.Errorf("halving must stop at 1: k=%d", c.Chunk(0))
 	}
 }
 
@@ -326,7 +356,7 @@ func TestStealEndUnpaired(t *testing.T) {
 	_, c := newCtl(t, Config{}, Base{Chunk: 16})
 	c.StealEnd(true, 100, 50)
 	c.NoteNodes(10, 0, win)
-	if c.Chunk() != 16 {
-		t.Errorf("unpaired StealEnd changed the chunk: k=%d", c.Chunk())
+	if c.Chunk(0) != 16 {
+		t.Errorf("unpaired StealEnd changed the chunk: k=%d", c.Chunk(0))
 	}
 }

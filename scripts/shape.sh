@@ -183,6 +183,20 @@ no_net_below_cmd() {
 	if git grep --untracked -nF '"net"' -- '*.go' ':!*_test.go' ':!cmd/uts-dist/' ':!internal/cluster/sock_other.go'; then exit 1; fi
 }
 
+# Off is nil: fails if a call site grows a nil check of the controller back
+# or the cluster's retry budget leaves the request kind. A nil
+# *policy.Controller answers with the fixed knobs, so core and des call it
+# unguarded; the one Ctl test left, WallPE.Now's, decides whether to read
+# the clock. attempt takes the peer and the request: the kind sets how often
+# it is tried.
+off_is_nil() {
+	src=$(ls internal/core/*.go internal/des/*.go | grep -v _test.go)
+	test "$(cat $src | grep -cE 'Ctl [!=]= nil')" -eq 1
+	sed -n '/^func (w \*WallPE) Now(/,/^}/p' internal/core/shell.go | grep -q 'w\.Ctl == nil'
+	grep -q '^func (n \*node) attempt(r int, req \*request) ' internal/cluster/node.go
+	if grep -nE '\.attempt\([^,()]*,[^,()]*,' $(ls internal/cluster/*.go | grep -v _test.go); then exit 1; fi
+}
+
 failed=0
 # rule NAME SECTIONS FUNCTION: the function runs in a subshell under -e, as
 # each did as a CI step, so its first failing line fails the rule.
@@ -206,5 +220,6 @@ rule "One record" "§9" one_record
 rule "No HTTP below the command line" "§13" no_http_below_cmd
 rule "No reflective codec" "§10" no_reflective_codec
 rule "No net below the command line" "§10, §13" no_net_below_cmd
-[ $failed -eq 0 ] && echo "shape: 13 rules hold"
+rule "Off is nil" "§15" off_is_nil
+[ $failed -eq 0 ] && echo "shape: 14 rules hold"
 exit $failed
