@@ -3,14 +3,12 @@
 // atomiccheck, ordercheck — the invariants the paper's numbers stand on,
 // which the Go type system cannot express.
 //
-// Three modes:
+// Two modes:
 //
-//	uts-vet [packages]          standalone: load, check, report
+//	go vet -vettool=$(which uts-vet) ./...   check, as a go vet tool
 //	uts-vet -unused-suppressions [packages]   audit stale //uts:ok / //uts:plain
-//	go vet -vettool=$(which uts-vet) ./...   as a go vet tool
 //
-// Standalone mode defaults to ./... relative to the current directory
-// and exits 1 when any finding survives its //uts:ok suppressions.
+// Anything else prints this usage and exits 2.
 //
 // The -unused-suppressions audit re-runs every analyzer with
 // suppression filtering disabled and reports each //uts:ok or
@@ -44,7 +42,12 @@ import (
 
 // version feeds go vet's build cache via -V=full: bump it whenever the
 // analyzer suite changes behavior, or cached vet results go stale.
-const version = "uts-vet version 1.2.0"
+const version = "uts-vet version 1.2.1"
+
+// usage is what any other invocation prints.
+const usage = `usage:
+	go vet -vettool=$(which uts-vet) [packages]
+	uts-vet -unused-suppressions [packages]`
 
 func main() {
 	args := os.Args[1:]
@@ -62,43 +65,9 @@ func main() {
 	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
 		os.Exit(unitcheck(args[0]))
 	default:
-		os.Exit(standalone(args))
+		fmt.Fprintln(os.Stderr, usage)
+		os.Exit(2)
 	}
-}
-
-// standalone loads the requested packages (default ./...) with the go
-// command and runs every applicable analyzer.
-func standalone(patterns []string) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := lint.Load(".", patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	findings := 0
-	for _, pkg := range pkgs {
-		for _, a := range lint.All() {
-			if !a.AppliesTo(pkg.PkgPath) {
-				continue
-			}
-			diags, err := lint.Run(a, pkg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			for _, d := range diags {
-				fmt.Println(d)
-				findings++
-			}
-		}
-	}
-	if findings > 0 {
-		fmt.Fprintf(os.Stderr, "uts-vet: %d finding(s)\n", findings)
-		return 1
-	}
-	return 0
 }
 
 // auditSuppressions loads the requested packages (default ./...) and

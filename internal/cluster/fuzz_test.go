@@ -255,7 +255,7 @@ func FuzzFrame(f *testing.F) {
 		request{Kind: kindStats, From: 1, Stats: &th}, request{Kind: kindPutResponse, Amount: 2, Handle: 7}))
 	f.Add(appendFrame(nil, &response{Kind: kindGetChunks, Chunk: []stack.Chunk{make(stack.Chunk, 2), make(stack.Chunk, 1)}}))
 	f.Add(appendFrame(nil, &response{Kind: kindHello, Addrs: []string{"a:1", "b:2"}}))
-	f.Add(appendFrame(nil, &response{Kind: kindMetrics, Metrics: &MetricsSnapshot{Rank: 1, NodesPerSec: 2.5}}))
+	f.Add(appendFrame(nil, &response{Kind: kindMetrics, Metrics: []float64{1, 2.5}}))
 	f.Add(appendFrame(nil, &response{Kind: kindCASRequest, OK: true}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x00, byte(kindGetChunks)}) // 16 MiB claimed, nothing behind it
 	f.Add([]byte{9, 0, 0, 0, byte(kindGetChunks), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})

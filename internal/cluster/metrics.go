@@ -10,63 +10,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// MetricsSnapshot is one rank's live telemetry view, served by the
-// progress engine over the kindMetrics RPC. Everything in it is read
-// from the sampler's last fold or from lock-free/mutex-protected node
-// state, so serving it never touches the worker thread — it is as
-// one-sided as a GetAvail. On the wire it is every field in turn, 8 bytes
-// each (putMetrics): a field added here needs its entry there.
-type MetricsSnapshot struct {
-	Rank          int
-	UptimeSeconds float64
-
-	// Scheduler progress (cumulative).
-	Nodes, Events, Missed                              int64
-	Steals, FailedSteals, Probes, Releases, Reacquires int64
-
-	// Windowed rates and steal-latency quantiles (ns) from the sampler's
-	// last window; StealCount is the cumulative round-trip count.
-	NodesPerSec, EventsPerSec, StealsPerSec float64
-	StealP50Ns, StealP95Ns, StealP99Ns      int64
-	StealCount                              int64
-
-	// Fault-tolerance state: peers this rank has declared dead, ranks the
-	// coordinator suspects (rank 0 only), RPC retry events recorded, and
-	// handoff-table entries awaiting a thief's fetch.
-	DeadPeers, SuspectedRanks, RPCRetries, HandoffPending int64
-}
-
-// metricsSnapshot builds this rank's snapshot. Safe from any goroutine
-// (the progress engine serves it concurrently with the worker).
-func (n *node) metricsSnapshot() *MetricsSnapshot {
+// rollupRow is this rank's row of rank 0's rollup: every family's value,
+// in table order. Everything in it is read from the sampler's last fold or
+// from lock-free/mutex-protected node state, so serving it never touches
+// the worker thread — it is as one-sided as a GetAvail. Safe from any
+// goroutine (the progress engine serves it concurrently with the worker).
+func (n *node) rollupRow() []float64 {
 	st := n.sampler.Load().Stats() // nil-safe: zero stats when telemetry is off (or not up yet)
-	m := &MetricsSnapshot{
-		Rank:          n.cfg.Rank,
-		UptimeSeconds: st.Elapsed.Seconds(),
-		Nodes:         st.Nodes,
-		Events:        st.Events,
-		Missed:        st.Missed,
-		Steals:        st.Steals,
-		FailedSteals:  st.FailedSteals,
-		Probes:        st.Probes,
-		Releases:      st.Releases,
-		Reacquires:    st.Reacquires,
-		NodesPerSec:   st.NodesPerSec,
-		EventsPerSec:  st.EventsPerSec,
-		StealsPerSec:  st.StealsPerSec,
-		StealP50Ns:    st.StealLatency.Quantile(0.50),
-		StealP95Ns:    st.StealLatency.Quantile(0.95),
-		StealP99Ns:    st.StealLatency.Quantile(0.99),
-		StealCount:    st.StealLatencyCum.Count(),
-
-		RPCRetries:     st.Kinds[obs.KindRPCRetry],
-		DeadPeers:      n.deadCount(),
-		HandoffPending: int64(n.handoff.Pending()),
+	row := make([]float64, len(rollupFamilies))
+	for i, f := range rollupFamilies {
+		row[i] = f.value(n, &st)
 	}
-	if n.cfg.Rank == 0 {
-		m.SuspectedRanks = int64(len(n.suspectedRanks()))
-	}
-	return m
+	return row
 }
 
 // deadCount is how many peers this rank has locally declared dead.
@@ -158,113 +113,115 @@ type rollup struct {
 	mu    sync.Mutex
 	peers *peerSet
 	last  time.Time
-	cache []*MetricsSnapshot
+	cache [][]float64
 }
 
 // minPollGap bounds how often a scrape storm can re-poll the cluster.
 const minPollGap = time.Second
 
-// poll returns a per-rank snapshot slice (nil entries = unreachable),
-// cached for minPollGap between scrapes.
-func (ru *rollup) poll(n *node) []*MetricsSnapshot {
+// poll returns a per-rank row slice (nil entries = down), cached for
+// minPollGap between scrapes.
+func (ru *rollup) poll(n *node) [][]float64 {
 	ru.mu.Lock()
 	defer ru.mu.Unlock()
 	if ru.cache != nil && time.Since(ru.last) < minPollGap {
 		return ru.cache
 	}
-	snaps := make([]*MetricsSnapshot, n.cfg.Ranks)
+	rows := make([][]float64, n.cfg.Ranks)
 	for r := 0; r < n.cfg.Ranks; r++ {
 		switch {
 		case r == n.cfg.Rank:
-			snaps[r] = n.metricsSnapshot()
+			rows[r] = n.rollupRow()
 		case n.isDead(r):
 			// Skipped like probe cycles: no traffic toward a declared-dead
 			// rank, it just reports down.
 		default:
-			snaps[r] = ru.pollRank(n, r)
+			rows[r] = ru.pollRank(n, r)
 		}
 	}
-	ru.cache = snaps
+	ru.cache = rows
 	ru.last = time.Now()
-	return snaps
+	return rows
 }
 
-// pollRank fetches one rank's snapshot; nil when the exchange failed.
-func (ru *rollup) pollRank(n *node, r int) *MetricsSnapshot {
+// pollRank fetches one rank's row; nil when the exchange failed or the row
+// does not hold one value per family (it came off the wire).
+func (ru *rollup) pollRank(n *node, r int) []float64 {
 	resp, err := ru.peers.exchange(r, &request{Kind: kindMetrics, From: n.cfg.Rank}, n.cfg.RPCTimeout)
-	if err != nil {
+	if err != nil || len(resp.Metrics) != len(rollupFamilies) {
 		return nil
 	}
 	return resp.Metrics
 }
 
-// rollupFamily describes one exposition family of the rollup: its
-// per-rank value plus how the cluster-level aggregate combines ranks
+// rollupFamily describes one exposition family of the rollup: how a rank
+// reads its value plus how the cluster-level aggregate combines ranks
 // (sum for tallies, nothing for rates — those don't aggregate across
-// asynchronous windows).
+// asynchronous windows). A family is one entry here: the row a rank
+// serves over kindMetrics is these values in this order.
 type rollupFamily struct {
 	name, help, typ string
-	value           func(*MetricsSnapshot) float64
+	value           func(*node, *obs.LiveStats) float64
 	sum             bool
 }
 
 var rollupFamilies = []rollupFamily{
 	{"uts_rank_nodes_total", "Tree nodes expanded, per rank.", "counter",
-		func(m *MetricsSnapshot) float64 { return float64(m.Nodes) }, true},
+		func(_ *node, st *obs.LiveStats) float64 { return float64(st.Nodes) }, true},
 	{"uts_rank_events_total", "Protocol events recorded, per rank.", "counter",
-		func(m *MetricsSnapshot) float64 { return float64(m.Events) }, true},
+		func(_ *node, st *obs.LiveStats) float64 { return float64(st.Events) }, true},
 	{"uts_rank_steals_total", "Successful steals, per rank.", "counter",
-		func(m *MetricsSnapshot) float64 { return float64(m.Steals) }, true},
+		func(_ *node, st *obs.LiveStats) float64 { return float64(st.Steals) }, true},
 	{"uts_rank_steal_failures_total", "Failed steal attempts, per rank.", "counter",
-		func(m *MetricsSnapshot) float64 { return float64(m.FailedSteals) }, true},
+		func(_ *node, st *obs.LiveStats) float64 { return float64(st.FailedSteals) }, true},
 	{"uts_rank_rpc_retries_total", "RPC retry events, per rank.", "counter",
-		func(m *MetricsSnapshot) float64 { return float64(m.RPCRetries) }, true},
+		func(_ *node, st *obs.LiveStats) float64 { return float64(st.Kinds[obs.KindRPCRetry]) }, true},
 	{"uts_rank_dead_peers", "Peers each rank has declared dead.", "gauge",
-		func(m *MetricsSnapshot) float64 { return float64(m.DeadPeers) }, true},
+		func(n *node, _ *obs.LiveStats) float64 { return float64(n.deadCount()) }, true},
 	{"uts_rank_handoff_pending", "Pending handoff reservations, per rank.", "gauge",
-		func(m *MetricsSnapshot) float64 { return float64(m.HandoffPending) }, true},
+		func(n *node, _ *obs.LiveStats) float64 { return float64(n.handoff.Pending()) }, true},
 	{"uts_rank_nodes_per_second", "Windowed node expansion rate, per rank.", "gauge",
-		func(m *MetricsSnapshot) float64 { return m.NodesPerSec }, false},
+		func(_ *node, st *obs.LiveStats) float64 { return st.NodesPerSec }, false},
 	{"uts_rank_steal_latency_p95_seconds", "Windowed steal-latency p95, per rank.", "gauge",
-		func(m *MetricsSnapshot) float64 { return float64(m.StealP95Ns) / 1e9 }, false},
+		func(_ *node, st *obs.LiveStats) float64 { return float64(st.StealLatency.Quantile(0.95)) / 1e9 }, false},
 }
 
 // writeRollup appends the cluster-wide rollup to rank 0's exposition: an
 // up gauge and the per-rank families (rank label), then the cluster
 // aggregates over the reachable ranks.
 func (n *node) writeRollup(w io.Writer) {
-	snaps := n.roll.poll(n)
+	rows := n.roll.poll(n)
 
 	fmt.Fprintf(w, "# HELP uts_rank_up Whether the rank answered the last rollup poll.\n# TYPE uts_rank_up gauge\n")
 	up := 0
-	for r, m := range snaps {
+	for r, row := range rows {
 		v := 0
-		if m != nil {
+		if row != nil {
 			v = 1
 			up++
 		}
 		fmt.Fprintf(w, "uts_rank_up{rank=\"%d\"} %d\n", r, v)
 	}
 
-	for _, f := range rollupFamilies {
+	for i, f := range rollupFamilies {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
-		for r, m := range snaps {
-			if m == nil {
+		for r, row := range rows {
+			if row == nil {
 				continue
 			}
-			fmt.Fprintf(w, "%s{rank=\"%d\"} %s\n", f.name, r, telemetry.FormatValue(f.value(m)))
+			fmt.Fprintf(w, "%s{rank=\"%d\"} %s\n", f.name, r, telemetry.FormatValue(row[i]))
 		}
 	}
 
 	fmt.Fprintf(w, "# HELP uts_cluster_ranks_up Ranks that answered the last rollup poll.\n# TYPE uts_cluster_ranks_up gauge\nuts_cluster_ranks_up %d\n", up)
-	for _, f := range rollupFamilies {
+	for i, f := range rollupFamilies {
 		if !f.sum {
 			continue
 		}
 		var total float64
-		for _, m := range snaps {
-			if m != nil {
-				total += f.value(m)
+		for _, row := range rows {
+			if row != nil {
+				total += row[i]
 			}
 		}
 		name := "uts_cluster" + f.name[len("uts_rank"):]

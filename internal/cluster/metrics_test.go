@@ -179,17 +179,68 @@ func TestRollupPollDownRank(t *testing.T) {
 	defer ru.peers.closeAll()
 
 	start := time.Now()
-	snaps := ru.poll(n0)
+	rows := ru.poll(n0)
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("poll took %v with one rank down, want one refused dial", elapsed)
 	}
-	if snaps[0] == nil || snaps[1] == nil || snaps[1].Rank != 1 {
-		t.Errorf("live ranks reported down: %v", snaps)
+	if len(rows[0]) != len(rollupFamilies) || len(rows[1]) != len(rollupFamilies) {
+		t.Errorf("live ranks reported down: %v", rows)
 	}
-	if snaps[2] != nil {
-		t.Errorf("exited rank reported up: %+v", snaps[2])
+	if rows[2] != nil {
+		t.Errorf("exited rank reported up: %v", rows[2])
 	}
 	if n0.isDead(2) {
+		t.Error("a scrape passed a death verdict")
+	}
+}
+
+// TestRollupRowLength: a row arrives off the wire, so one that is not one
+// value a family — a peer built with another table — reads as that rank
+// down on this scrape, not as values under the wrong names. It passes no
+// death verdict either.
+func TestRollupRowLength(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				pc := newPeerConn(conn)
+				var req request
+				for pc.recv(&req) == nil {
+					if pc.send(&response{Kind: req.Kind, Metrics: make([]float64, len(rollupFamilies)+1)}) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	n0 := testNode(t, Config{Rank: 0, Ranks: 2})
+	n0.addrs = []string{"", ln.Addr().String()}
+	n0.roll = &rollup{peers: newPeerSet(n0)}
+	defer n0.roll.peers.closeAll()
+
+	var b strings.Builder
+	n0.writeRollup(&b)
+	body := b.String()
+	for series, want := range map[string]float64{
+		`uts_rank_up{rank="0"}`: 1, `uts_rank_up{rank="1"}`: 0, "uts_cluster_ranks_up": 1,
+	} {
+		if v, ok := sampleValue(body, series); !ok || v != want {
+			t.Errorf("%s = %v (present=%v), want %v", series, v, ok, want)
+		}
+	}
+	if strings.Contains(body, `uts_rank_nodes_total{rank="1"}`) {
+		t.Error("a row of the wrong length was reported")
+	}
+	if n0.isDead(1) {
 		t.Error("a scrape passed a death verdict")
 	}
 }

@@ -290,7 +290,7 @@ func newNode(cfg Config) (*node, error) {
 }
 
 // idempotentKind reports whether a request may be retried safely: pure
-// reads (GetAvail, BarrierDone, the Metrics snapshot), the
+// reads (GetAvail, BarrierDone, the Metrics row), the
 // coordinator-deduplicated stats delivery, and failure reports. May be,
 // not is: PeerDown and Metrics go out once, from reportDead and the rollup.
 func idempotentKind(k reqKind) bool {
@@ -542,8 +542,8 @@ func (n *node) run() (*stats.Run, error) {
 	n.statsMu.Unlock()
 	run.Obs = n.cfg.Tracer.Summary() // n.cfg: startMetrics may have armed the tracer
 	// Each rank adapts off local evidence only, so the report covers rank
-	// 0's own controller (remote knob trajectories stay at their ranks,
-	// observable via each rank's uts_policy_* gauges).
+	// 0's own controller (remote knobs stay at their ranks, observable
+	// via each rank's uts_policy_* gauges).
 	run.Policy = n.pset.Summary()
 	return run, nil
 }
@@ -868,7 +868,7 @@ func (n *node) handleRequest(req *request, resp *response) (serving, ok bool) {
 			n.noteDead(r)
 		}
 	case kindMetrics:
-		resp.Metrics = n.metricsSnapshot()
+		resp.Metrics = n.rollupRow()
 	default:
 		return false, false
 	}

@@ -70,10 +70,10 @@ const (
 	// the termination barrier and the stats gather can complete over the
 	// surviving membership. Idempotent: repeats are harmless.
 	kindPeerDown
-	// kindMetrics reads a rank's live telemetry snapshot (one-sided; the
-	// progress engine answers from the sampler's last fold plus a few
-	// atomics). Pure read, so idempotent; rank 0's rollup poller issues it
-	// on /metrics scrapes, skipping dead ranks like probe cycles do.
+	// kindMetrics reads a rank's rollup row (one-sided; the progress
+	// engine answers from the sampler's last fold plus a few atomics).
+	// Pure read, so idempotent; rank 0's rollup poller issues it on
+	// /metrics scrapes, skipping dead ranks like probe cycles do.
 	kindMetrics
 )
 
@@ -105,7 +105,7 @@ type response struct {
 	Addrs []string      // kindHello: rank → listen address map
 	Chunk []stack.Chunk // kindGetChunks
 
-	Metrics *MetricsSnapshot // kindMetrics
+	Metrics []float64 // kindMetrics: the rank's rollup row
 }
 
 // The wire. Every message, either way, is one frame:
@@ -118,9 +118,9 @@ type response struct {
 // A string is its length (uint32) and its bytes; a list is its length,
 // then its entries; a node is uts.NodeBytes — the 20-byte state, height and
 // child count — so a GetChunks reply is the header, the chunk count and,
-// per chunk, its node count and 28 bytes a node. A stats.Thread and a
-// MetricsSnapshot go field by field, every exported one
-// (TestFrameRoundTrip fails on one left out).
+// per chunk, its node count and 28 bytes a node. A stats.Thread goes field
+// by field, every exported one (TestFrameRoundTrip fails on one left out);
+// a rollup row is a list of float64s.
 const (
 	// maxFrame caps a frame's length: a length above it, like any frame
 	// that does not decode exactly, ends the connection before anything is
@@ -300,7 +300,10 @@ func (s *response) put(b []byte) []byte {
 			}
 		}
 	case kindMetrics:
-		b = putMetrics(b, s.Metrics)
+		b = le.AppendUint32(b, uint32(len(s.Metrics)))
+		for _, v := range s.Metrics {
+			b = le.AppendUint64(b, math.Float64bits(v))
+		}
 	}
 	return b
 }
@@ -336,7 +339,12 @@ func (s *response) get(r *reader) {
 			s.Chunk[i] = c
 		}
 	case kindMetrics:
-		s.Metrics = getMetrics(r)
+		if n := r.count(8); n > 0 {
+			s.Metrics = make([]float64, n)
+		}
+		for i := range s.Metrics {
+			s.Metrics[i] = r.f64()
+		}
 	default:
 		if s.Kind > lastKind {
 			r.bad = true
@@ -367,33 +375,6 @@ func getThread(r *reader) *stats.Thread {
 		t.InState[i] = time.Duration(r.i64())
 	}
 	return t
-}
-
-// putMetrics writes every field of m.
-func putMetrics(b []byte, m *MetricsSnapshot) []byte {
-	for _, v := range [...]int64{int64(m.Rank), m.Nodes, m.Events, m.Missed, m.Steals,
-		m.FailedSteals, m.Probes, m.Releases, m.Reacquires, m.StealP50Ns, m.StealP95Ns,
-		m.StealP99Ns, m.StealCount, m.DeadPeers, m.SuspectedRanks, m.RPCRetries, m.HandoffPending} {
-		b = le.AppendUint64(b, uint64(v))
-	}
-	for _, f := range [...]float64{m.UptimeSeconds, m.NodesPerSec, m.EventsPerSec, m.StealsPerSec} {
-		b = le.AppendUint64(b, math.Float64bits(f))
-	}
-	return b
-}
-
-// getMetrics reads what putMetrics wrote.
-func getMetrics(r *reader) *MetricsSnapshot {
-	m := &MetricsSnapshot{Rank: int(r.i64()), Nodes: r.i64(), Events: r.i64(), Missed: r.i64(),
-		Steals: r.i64(), FailedSteals: r.i64(), Probes: r.i64(), Releases: r.i64(),
-		Reacquires: r.i64(), StealP50Ns: r.i64(), StealP95Ns: r.i64(), StealP99Ns: r.i64(),
-		StealCount: r.i64(), DeadPeers: r.i64(), SuspectedRanks: r.i64(), RPCRetries: r.i64(),
-		HandoffPending: r.i64()}
-	m.UptimeSeconds = r.f64()
-	m.NodesPerSec = r.f64()
-	m.EventsPerSec = r.f64()
-	m.StealsPerSec = r.f64()
-	return m
 }
 
 func putString(b []byte, s string) []byte {

@@ -54,15 +54,13 @@ func decodeFrame(t *testing.T, data []byte, m message) {
 }
 
 // TestFrameRoundTrip encodes a request and a reply of every kind and
-// decodes them back equal. The stats.Thread and the MetricsSnapshot have
-// every exported field set: gob carried a new field by itself, the frame
-// carries only what putThread and putMetrics write, so a field added
-// without its frame entry comes back zero and fails here.
+// decodes them back equal. The stats.Thread has every exported field set:
+// gob carried a new field by itself, the frame carries only what putThread
+// writes, so a field added without its frame entry comes back zero and
+// fails here.
 func TestFrameRoundTrip(t *testing.T) {
 	var th stats.Thread
 	fillExported(t, &th)
-	var ms MetricsSnapshot
-	fillExported(t, &ms)
 	node := func(h int32) uts.Node {
 		n := uts.Node{Height: h, NumKids: -h - 1}
 		for i := range n.State {
@@ -96,7 +94,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Kind: kindBarrierDone, Done: true},
 		{Kind: kindStats},
 		{Kind: kindPeerDown},
-		{Kind: kindMetrics, Metrics: &ms},
+		{Kind: kindMetrics, Metrics: []float64{3337, 0.25, -1, 1e9}},
 	}
 	if len(reqs) != int(lastKind)+1 || len(resps) != len(reqs) {
 		t.Fatalf("%d requests and %d replies for %d kinds", len(reqs), len(resps), lastKind+1)
@@ -162,7 +160,7 @@ func TestFrameBytes(t *testing.T) {
 		{request{Kind: kindBarrierEnter, From: 1}, 9, 6},
 		{request{Kind: kindBarrierLeave, From: 1}, 9, 6},
 		{request{Kind: kindBarrierDone, From: 1}, 9, 6},
-		{request{Kind: kindMetrics, From: 1}, 9, 5 + 21*8},
+		{request{Kind: kindMetrics, From: 1}, 9, 5 + 4 + 9*8},
 		{request{Kind: kindStats, From: 1, Stats: &th}, 9 + 17*8, 5},
 		{request{Kind: kindPeerDown, From: 1, Dead: 1}, 13, 5},
 	} {

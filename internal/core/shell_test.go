@@ -112,7 +112,7 @@ func TestShellChunkFollowsController(t *testing.T) {
 func TestShellHotPathAllocatesNothing(t *testing.T) {
 	sp := &uts.BenchTiny
 	lane := obs.New(1, 0).Lane(0)
-	// Controller 1 keeps no trajectory; an hour-long window never closes.
+	// An hour-long window never closes.
 	set := policy.NewSet(&policy.Config{Window: time.Hour}, policy.Base{Chunk: 16}, 2)
 	var th stats.Thread
 	pe := NewPE(sp, &th, lane, set.Controller(1))

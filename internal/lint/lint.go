@@ -67,7 +67,7 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in //uts:ok
 	// suppression comments.
 	Name string
-	// Doc is the one-line description shown by uts-vet -help.
+	// Doc is the analyzer's one-line description.
 	Doc string
 	// Paths restricts which packages the multichecker applies the
 	// analyzer to: a package is analyzed when its import path contains

@@ -82,72 +82,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 }
 
-// DeltaFrom returns the windowed difference h − prev, where prev is an
-// earlier snapshot of the same monotonically-growing histogram: the
-// observations recorded after prev was taken. Bucket counts, n, and sum
-// subtract with a clamp at zero, so a prev that is not actually a prefix
-// of h (or a torn copy) can never produce negative counts. The window's
-// min/max are reconstructed from its own occupied buckets (bucket lower
-// bounds, clamped into h's observed range), since the exact extremes of
-// only-the-new observations are not recoverable from two cumulative
-// snapshots.
-func (h *Histogram) DeltaFrom(prev *Histogram) Histogram {
-	var d Histogram
-	if prev == nil {
-		d = *h
-		return d
-	}
-	for i := range h.buckets {
-		if c := h.buckets[i] - prev.buckets[i]; c > 0 {
-			d.buckets[i] += c
-			d.n += c
-		}
-	}
-	if d.n == 0 {
-		return d
-	}
-	if s := h.sum - prev.sum; s > 0 {
-		d.sum = s
-	}
-	for i := range d.buckets {
-		if d.buckets[i] > 0 {
-			d.min = bucketLow(i)
-			break
-		}
-	}
-	for i := len(d.buckets) - 1; i >= 0; i-- {
-		if d.buckets[i] > 0 {
-			d.max = bucketLow(i)
-			break
-		}
-	}
-	if d.min < h.min {
-		d.min = h.min
-	}
-	if d.max > h.max {
-		d.max = h.max
-	}
-	if d.max < d.min {
-		d.max = d.min
-	}
-	// The sum subtracts wholesale while bucket counts clamp per-bucket, so
-	// a torn/non-prefix prev can leave d.sum inconsistent with the window's
-	// own extremes (Mean() above max or below min). Clamp it into
-	// [n·min, n·max]; the upper product is overflow-checked because max can
-	// be near 2^63 while the counts stay small.
-	if d.min > 0 && d.n <= math.MaxInt64/d.min {
-		if lo := d.n * d.min; d.sum < lo {
-			d.sum = lo
-		}
-	}
-	if d.max <= 0 || d.n <= math.MaxInt64/d.max {
-		if hi := d.n * d.max; d.sum > hi {
-			d.sum = hi
-		}
-	}
-	return d
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.n }
 

@@ -41,17 +41,19 @@ type Sampler struct {
 	missed   int64    // cumulative events overwritten before sampling
 	tMax     int64    // newest timestamp seen
 	kinds    [NumKinds]int64
-	stealCum Histogram
 	chunkCum Histogram
-	dwell    [NumStates]int64 // cumulative ns per state
+	stealCum Histogram // every round trip of the windows already closed
 
-	// Previous-window snapshots for delta computation.
+	// The open window: what replayLane measured since the last Sample,
+	// handed out as is and then zeroed.
+	stealWin Histogram
+	dwellWin [NumStates]int64 // ns per state
+
+	// The counters at the last Sample, for the windowed rates.
 	prevWall   time.Time
 	prevEvents int64
 	prevNodes  int64
-	prevKinds  [NumKinds]int64
-	prevSteal  Histogram
-	prevDwell  [NumStates]int64
+	prevSteals int64
 
 	last LiveStats
 
@@ -226,43 +228,39 @@ func (s *Sampler) Sample() LiveStats {
 		Nodes:   nodes,
 		Kinds:   s.kinds,
 
-		Steals:          s.kinds[KindChunkTransfer],
-		Probes:          s.kinds[KindProbeResult],
-		FailedSteals:    s.kinds[KindStealFail],
-		Releases:        s.kinds[KindRelease],
-		Reacquires:      s.kinds[KindReacquire],
-		StealLatencyCum: s.stealCum,
-		ChunkSize:       s.chunkCum,
+		Steals:       s.kinds[KindChunkTransfer],
+		Probes:       s.kinds[KindProbeResult],
+		FailedSteals: s.kinds[KindStealFail],
+		Releases:     s.kinds[KindRelease],
+		Reacquires:   s.kinds[KindReacquire],
+		StealLatency: s.stealWin,
+		ChunkSize:    s.chunkCum,
 	}
 	if st.Virtual {
 		st.Virt = time.Duration(s.tMax)
 	}
-	st.StealLatency = s.stealCum.DeltaFrom(&s.prevSteal)
+	s.stealCum.Merge(&s.stealWin)
+	st.StealLatencyCum = s.stealCum
 	if sec := st.Window.Seconds(); sec > 0 {
 		st.EventsPerSec = float64(st.Events-s.prevEvents) / sec
 		st.NodesPerSec = float64(st.Nodes-s.prevNodes) / sec
-		st.StealsPerSec = float64(st.Steals-s.prevKinds[KindChunkTransfer]) / sec
+		st.StealsPerSec = float64(st.Steals-s.prevSteals) / sec
 	}
 	var dwellTotal int64
-	var win [NumStates]int64
-	for i := range win {
-		if d := s.dwell[i] - s.prevDwell[i]; d > 0 {
-			win[i] = d
-			dwellTotal += d
-		}
+	for _, d := range s.dwellWin {
+		dwellTotal += d
 	}
 	if dwellTotal > 0 {
-		for i := range win {
-			st.DwellFrac[i] = float64(win[i]) / float64(dwellTotal)
+		for i, d := range s.dwellWin {
+			st.DwellFrac[i] = float64(d) / float64(dwellTotal)
 		}
 	}
 
+	s.stealWin, s.dwellWin = Histogram{}, [NumStates]int64{}
 	s.prevWall = now
 	s.prevEvents = st.Events
 	s.prevNodes = st.Nodes
-	s.prevKinds = s.kinds
-	s.prevSteal = s.stealCum
-	s.prevDwell = s.dwell
+	s.prevSteals = st.Steals
 	s.last = st
 	return st
 }
@@ -322,8 +320,9 @@ func quantity(v float64) string {
 
 // replayLane feeds one lane's new events through the read-side mirror of
 // Lane.rec: steal round trips pair KindStealRequest with the next
-// outcome, dwell charges every inter-event interval to the state in
-// effect, and per-kind tallies grow monotonically.
+// outcome and go into the open window's histogram, dwell charges every
+// inter-event interval to the state in effect in the open window, and
+// per-kind tallies grow monotonically.
 func (s *Sampler) replayLane(r *replay, evs []Event) {
 	for i := range evs {
 		e := &evs[i]
@@ -335,7 +334,7 @@ func (s *Sampler) replayLane(r *replay, evs []Event) {
 			s.tMax = t
 		}
 		if t > r.lastT {
-			s.dwell[stateIndex(r.state)] += t - r.lastT
+			s.dwellWin[stateIndex(r.state)] += t - r.lastT
 			r.lastT = t
 		}
 		switch e.Kind {
@@ -345,12 +344,12 @@ func (s *Sampler) replayLane(r *replay, evs []Event) {
 			r.stealT0 = t
 		case KindStealFail:
 			if r.stealT0 >= 0 {
-				s.stealCum.Observe(t - r.stealT0)
+				s.stealWin.Observe(t - r.stealT0)
 				r.stealT0 = -1
 			}
 		case KindChunkTransfer:
 			if r.stealT0 >= 0 {
-				s.stealCum.Observe(t - r.stealT0)
+				s.stealWin.Observe(t - r.stealT0)
 				r.stealT0 = -1
 			}
 			s.chunkCum.Observe(e.Value)

@@ -269,131 +269,30 @@ func TestSamplerNilAndLifecycle(t *testing.T) {
 	}
 }
 
-func TestHistogramDeltaFrom(t *testing.T) {
-	var cum, prev Histogram
-	// Delta against a nil/empty prev is the histogram itself.
-	cum.Observe(10)
-	cum.Observe(500)
-	d := cum.DeltaFrom(nil)
-	if d.Count() != 2 || d.Sum() != 510 || d.Min() != 10 || d.Max() != 500 {
-		t.Fatalf("delta from nil: %+v", d)
-	}
-	d = cum.DeltaFrom(&prev)
-	if d.Count() != 2 || d.Sum() != 510 {
-		t.Fatalf("delta from empty: count=%d sum=%d", d.Count(), d.Sum())
-	}
+// TestSamplerWindowIsExact: a window's steal latencies are the round
+// trips measured in it, not the difference of two cumulative histograms
+// (which reads every value as its bucket's floor: 1,000 ns as 960). A
+// 10 ns round trip closes the first window; a lone 1,000 ns one is the
+// second window's min, max, sum and p95, and the cumulative view holds
+// both.
+func TestSamplerWindowIsExact(t *testing.T) {
+	tr := NewVirtual(1, 0)
+	s := NewSampler(tr)
+	l := tr.Lane(0)
+	l.RecV(KindStealRequest, 0, 0, 0)
+	l.RecV(KindStealFail, 0, 0, 10)
+	s.Sample()
+	l.RecV(KindStealRequest, 0, 0, 100)
+	l.RecV(KindChunkTransfer, 0, 1, 1100)
 
-	// A proper window: only the new observations.
-	prev = cum
-	cum.Observe(1000)
-	cum.Observe(7)
-	d = cum.DeltaFrom(&prev)
-	if d.Count() != 2 || d.Sum() != 1007 {
-		t.Fatalf("windowed delta: count=%d sum=%d, want 2, 1007", d.Count(), d.Sum())
+	st := s.Sample()
+	w := &st.StealLatency
+	if w.Count() != 1 || w.Min() != 1000 || w.Max() != 1000 || w.Sum() != 1000 || w.Quantile(0.95) != 1000 {
+		t.Errorf("window: n=%d min=%d max=%d sum=%d p95=%d, want 1 and 1000 each",
+			w.Count(), w.Min(), w.Max(), w.Sum(), w.Quantile(0.95))
 	}
-	if d.Min() != 7 || d.Max() > cum.Max() || d.Max() < 1000*15/16 {
-		t.Fatalf("windowed extremes [%d,%d] implausible for {7,1000}", d.Min(), d.Max())
-	}
-	if q := d.Quantile(0.5); q < d.Min() || q > d.Max() {
-		t.Fatalf("windowed quantile %d outside [%d,%d]", q, d.Min(), d.Max())
-	}
-
-	// An empty window never goes negative.
-	prev = cum
-	d = cum.DeltaFrom(&prev)
-	if d.Count() != 0 || d.Sum() != 0 || d.Min() != 0 || d.Max() != 0 {
-		t.Fatalf("empty window not empty: %+v", d)
-	}
-
-	// A torn prev (not a prefix: some buckets ahead of cum) clamps to
-	// zero rather than underflowing.
-	var ahead Histogram
-	for i := 0; i < 10; i++ {
-		ahead.Observe(3)
-	}
-	d = cum.DeltaFrom(&ahead)
-	if d.Count() < 0 || d.Sum() < 0 {
-		t.Fatalf("torn prev produced negative delta: %+v", d)
-	}
-	for _, c := range d.buckets {
-		if c < 0 {
-			t.Fatal("negative bucket count in delta")
-		}
-	}
-}
-
-// TestHistogramDeltaFromSumClamp pins the windowed-sum consistency fix: a
-// torn/non-prefix prev clamps bucket counts per bucket but used to subtract
-// sum wholesale, so the window's Mean() could exceed its own max (or fall
-// below its min). The sum must now land in [n·min, n·max].
-func TestHistogramDeltaFromSumClamp(t *testing.T) {
-	// Mean > max: a torn prev whose bucket array includes a large
-	// observation its sum missed. The per-bucket clamp removes the large
-	// bucket from the window, but the wholesale sum difference keeps its
-	// weight — pre-fix the window was {3} with sum 2^40+3.
-	var h Histogram
-	h.Observe(1 << 40)
-	prev := h
-	prev.sum = 0 // torn copy: buckets seen, sum not yet
-	h.Observe(3)
-	d := h.DeltaFrom(&prev)
-	if d.Count() != 1 || d.Max() != 3 {
-		t.Fatalf("window should be the single small observation, got %+v", d)
-	}
-	if m := d.Mean(); m > float64(d.Max()) {
-		t.Errorf("windowed Mean %g exceeds windowed max %d", m, d.Max())
-	}
-	if m := d.Mean(); m < float64(d.Min()) {
-		t.Errorf("windowed Mean %g below windowed min %d", m, d.Min())
-	}
-
-	// Mean < min: prev's sum is ahead of h's, so the wholesale difference
-	// clamps to 0 while the window still holds large observations.
-	var h2, prev2 Histogram
-	for i := 0; i < 8; i++ {
-		prev2.Observe(1 << 30)
-	}
-	for i := 0; i < 8; i++ {
-		h2.Observe(1 << 20) // different buckets, smaller sum
-	}
-	h2.Observe(1 << 21)
-	d = h2.DeltaFrom(&prev2)
-	if d.Count() <= 0 {
-		t.Fatalf("expected a non-empty window, got %+v", d)
-	}
-	if m := d.Mean(); m < float64(d.Min()) || m > float64(d.Max()) {
-		t.Errorf("windowed Mean %g outside [%d,%d]", m, d.Min(), d.Max())
-	}
-
-	// Property sweep: random torn prevs; the invariant n·min ≤ sum ≤ n·max
-	// must hold for every window.
-	rng := uint64(0x9e3779b97f4a7c15)
-	next := func() uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng
-	}
-	for trial := 0; trial < 200; trial++ {
-		var a, b Histogram
-		for i := 0; i < int(next()%20); i++ {
-			a.Observe(int64(next() % (1 << (next() % 40))))
-		}
-		for i := 0; i < int(next()%20); i++ {
-			b.Observe(int64(next() % (1 << (next() % 40))))
-		}
-		d := a.DeltaFrom(&b)
-		if d.Count() == 0 {
-			if d.Sum() != 0 {
-				t.Fatalf("trial %d: empty window with sum %d", trial, d.Sum())
-			}
-			continue
-		}
-		if d.Sum() < d.Count()*d.Min() || d.Sum() > d.Count()*d.Max() {
-			t.Fatalf("trial %d: sum %d outside [%d,%d] (n=%d min=%d max=%d)",
-				trial, d.Sum(), d.Count()*d.Min(), d.Count()*d.Max(),
-				d.Count(), d.Min(), d.Max())
-		}
+	if c := &st.StealLatencyCum; c.Count() != 2 || c.Sum() != 1010 {
+		t.Errorf("cumulative: n=%d sum=%d, want 2 and 1010", c.Count(), c.Sum())
 	}
 }
 

@@ -92,18 +92,7 @@ const (
 	// poll interval doubles (polling too often), above pollHi it halves.
 	pollLo = 0.02
 	pollHi = 0.2
-	// trajCap bounds the recorded knob trajectory per tracked PE.
-	trajCap = 128
 )
-
-// Sample is one point of a knob trajectory: the knob values holding from
-// AtNS onward.
-type Sample struct {
-	AtNS      int64
-	Chunk     int
-	Poll      int
-	StealHalf bool
-}
 
 // Controller adapts one PE's knobs. All methods are owner-only; the
 // zero-value Controller is not usable — obtain one from a Set. A nil
@@ -156,10 +145,9 @@ type Controller struct {
 	windows  int64
 	changes  int64
 	kLo, kHi int
-	traj     []Sample // nil unless this controller tracks a trajectory
 }
 
-func (c *Controller) init(cfg Config, base Base, track bool) {
+func (c *Controller) init(cfg Config, base Base) {
 	c.cfg = cfg
 	c.base = base
 	c.kMin, c.kMax = 1, max(128, 8*base.Chunk)
@@ -179,10 +167,6 @@ func (c *Controller) init(cfg Config, base Base, track bool) {
 	c.aChunk.Store(int64(c.k))
 	c.aPoll.Store(int64(c.poll))
 	c.aHalf.Store(boolInt(c.half))
-	if track {
-		c.traj = make([]Sample, 0, trajCap)
-		c.traj = append(c.traj, Sample{AtNS: 0, Chunk: c.k, Poll: c.poll, StealHalf: c.half})
-	}
 }
 
 // Chunk returns the adapted chunk size (owner-only read), fixed on a nil
@@ -339,11 +323,6 @@ func (c *Controller) closeWindow(nowNS int64) {
 		}
 		if c.k != prevK {
 			c.changes++
-			if c.traj != nil && len(c.traj) < trajCap {
-				c.traj = append(c.traj, Sample{
-					AtNS: nowNS, Chunk: c.k, Poll: c.poll, StealHalf: c.half,
-				})
-			}
 		}
 		c.aChunk.Store(int64(c.k))
 		c.aWindows.Store(c.windows)
@@ -454,11 +433,6 @@ func (c *Controller) adapt(nowNS int64, stealEv, pollEv bool) {
 	}
 	if c.k != prevK || c.half != prevHalf || c.poll != prevPoll {
 		c.changes++
-		if c.traj != nil && len(c.traj) < trajCap {
-			c.traj = append(c.traj, Sample{
-				AtNS: nowNS, Chunk: c.k, Poll: c.poll, StealHalf: c.half,
-			})
-		}
 	}
 	c.aChunk.Store(int64(c.k))
 	c.aPoll.Store(int64(c.poll))
@@ -494,8 +468,7 @@ type Set struct {
 }
 
 // NewSet builds n controllers from cfg and base. A nil cfg returns a nil
-// Set (adaptation disabled). PE 0's controller records a knob trajectory
-// for stats.Run; the rest carry counters only.
+// Set (adaptation disabled).
 func NewSet(cfg *Config, base Base, n int) *Set {
 	if cfg == nil || n <= 0 {
 		return nil
@@ -503,7 +476,7 @@ func NewSet(cfg *Config, base Base, n int) *Set {
 	s := &Set{cfg: *cfg, base: base, ctls: make([]*Controller, n)}
 	for i := range s.ctls {
 		c := &Controller{}
-		c.init(*cfg, base, i == 0)
+		c.init(*cfg, base)
 		s.ctls[i] = c
 	}
 	return s
@@ -604,7 +577,6 @@ func (s *Set) Summary() *Summary {
 	sum.ChunkFinalMin, sum.ChunkFinalMax = lo, hi
 	sum.ChunkFinalMean = float64(kSum) / float64(len(s.ctls))
 	sum.PollFinal = s.ctls[0].poll
-	sum.Trajectory = s.ctls[0].traj
 	return sum
 }
 
@@ -625,8 +597,6 @@ type Summary struct {
 	StealHalfOn int // PEs that ended on steal-half
 	PollFinal   int // PE 0's final poll interval (mpi-ws)
 	HierTier    int // victim-walk tier in effect (1 = flat)
-
-	Trajectory []Sample // PE 0's knob changes, capped
 }
 
 // String renders the one-line form used by stats.Run.Summary().

@@ -337,9 +337,6 @@ func TestSummaryAndSnap(t *testing.T) {
 		sum.ChunkFinalMax != 8 || sum.ChunkLo != 8 || sum.ChunkHi != 16 {
 		t.Errorf("summary fields wrong: %+v", sum)
 	}
-	if len(sum.Trajectory) < 2 {
-		t.Errorf("PE 0 must record a trajectory, got %d samples", len(sum.Trajectory))
-	}
 	if !strings.Contains(sum.String(), "adaptive: chunk 16 -> 8.0") {
 		t.Errorf("summary line wrong: %q", sum.String())
 	}

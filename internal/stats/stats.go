@@ -152,7 +152,7 @@ type Run struct {
 	Obs *obs.Summary
 
 	// Policy holds the closed-loop controller report (adapted chunk
-	// range, steal-half selection, knob trajectory) when the run was
+	// range, steal-half selection, windows and changes) when the run was
 	// adaptive; nil otherwise. Like Obs, Summary only renders it when
 	// present, so controller-off output is byte-identical to pre-policy
 	// releases.

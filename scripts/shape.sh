@@ -197,6 +197,19 @@ off_is_nil() {
 	if grep -nE '\.attempt\([^,()]*,[^,()]*,' $(ls internal/cluster/*.go | grep -v _test.go); then exit 1; fi
 }
 
+# The live plane reads once: fails if the sampler's window goes back to
+# a difference of two cumulative histograms (Histogram.DeltaFrom read
+# every value as its bucket's floor: 1,000 ns as 960), a rank's rollup row
+# back to a struct written in four places (MetricsSnapshot), or the
+# controllers' record back to a capped slice of PE 0's knobs (Trajectory).
+# A rollup family is one rollupFamilies entry; what a controller decided
+# belongs in the trace.
+live_plane_reads_once() {
+	if grep -nE '^func .*\bDeltaFrom\(' $(ls internal/obs/*.go | grep -v _test.go); then exit 1; fi
+	if grep -nE '^(type)?\s*MetricsSnapshot\s' $(ls internal/cluster/*.go | grep -v _test.go); then exit 1; fi
+	if grep -nE '^\s*(type\s+)?Trajectory\b|^func .*\bTrajectory\(' $(ls internal/policy/*.go | grep -v _test.go); then exit 1; fi
+}
+
 failed=0
 # rule NAME SECTIONS FUNCTION: the function runs in a subshell under -e, as
 # each did as a CI step, so its first failing line fails the rule.
@@ -221,5 +234,6 @@ rule "No HTTP below the command line" "§13" no_http_below_cmd
 rule "No reflective codec" "§10" no_reflective_codec
 rule "No net below the command line" "§10, §13" no_net_below_cmd
 rule "Off is nil" "§15" off_is_nil
-[ $failed -eq 0 ] && echo "shape: 14 rules hold"
+rule "The live plane reads once" "§13" live_plane_reads_once
+[ $failed -eq 0 ] && echo "shape: 15 rules hold"
 exit $failed
