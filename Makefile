@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race short bench-smoke gates ab cluster-stress experiments experiments-full clean lint lint-suppressions shape fuzz-smoke fingerprints
+.PHONY: all build test race short bench-smoke gates ab cluster-stress experiments experiments-full clean lint shape fuzz-smoke fingerprints
 
 all: build test
 
@@ -17,13 +17,13 @@ bin/uts-vet: $(UTS_VET_SRCS)
 # Static analysis: the custom uts-vet analyzer suite, seven analyzers
 # (chargecheck, detcheck, noalloc, lockcheck, obscheck, atomiccheck,
 # ordercheck — see internal/lint and DESIGN.md §11, §16) runs through
-# go vet so test files are covered too, then the stale-suppression
-# audit, then staticcheck and govulncheck when the binaries are
-# installed (the CI lint job installs them; offline dev boxes may not).
-# Before any of it, the structural rules (shape).
+# go vet, the one driver: every file, test files too, and every
+# suppression that has no reason or silences nothing. Then staticcheck
+# and govulncheck when the binaries are installed (the CI lint job
+# installs them; offline dev boxes may not). Before any of it, the
+# structural rules (shape).
 lint: shape bin/uts-vet
 	$(GO) vet -vettool=bin/uts-vet ./...
-	./bin/uts-vet -unused-suppressions ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -79,9 +79,9 @@ bench-smoke:
 # batched engine >= 4x the legacy reference (wall-clock), a record with a
 # live sampler attached allocates nothing (a count: no spare core needed),
 # adaptive from the worst chunk >= 0.95x the best (T3XXL on the batched
-# engine, ~15 s).
+# engine, ~15 s), and UTS's published T3L counts from UTS's root (~6 s).
 gates:
-	UTS_GATES=1 $(GO) test -count=1 -v -timeout 10m -run 'Gate$$' ./internal/des/
+	UTS_GATES=1 $(GO) test -count=1 -v -timeout 10m -run 'Gate$$|^TestUTSPublishedCounts$$' ./internal/des/ ./internal/uts/
 
 # Alternating parent/change pairs of the one benchmark command (DESIGN.md
 # §18): `make ab PARENT=<checkout of the parent commit> WORKLOAD=<name>

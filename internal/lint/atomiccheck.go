@@ -37,8 +37,8 @@ import (
 //
 // Provably single-threaded regions (constructors before the object is
 // published, test setup that owns the world, owner-side reset paths)
-// are annotated //uts:plain <reason>; the reason is mandatory and the
-// driver's -unused-suppressions audit keeps the annotations honest.
+// are annotated //uts:plain <reason>; the reason is mandatory, and Check
+// reports an annotation that silences nothing.
 var Atomiccheck = &Analyzer{
 	Name: "atomiccheck",
 	Doc:  "fields accessed through sync/atomic must be accessed atomically on every path (//uts:plain <reason> escapes single-threaded regions)",

@@ -48,9 +48,9 @@
 //	//uts:plain <reason>
 //
 // for provably single-threaded init/reset regions; it follows the same
-// line-coverage and mandatory-reason rules. The uts-vet driver's
-// -unused-suppressions mode audits both forms against the raw findings
-// and reports comments that no longer silence anything.
+// line-coverage and mandatory-reason rules. Check, which the uts-vet
+// driver runs on every package go vet hands it, also reports a comment
+// of either form that names an unknown analyzer or silences nothing.
 package lint
 
 import (
@@ -130,30 +130,86 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 }
 
 // Run executes one analyzer over one package and returns its findings
-// with //uts:ok suppressions applied, sorted by position. Malformed
-// suppression comments (no justification) are reported as findings of
-// the analyzer they tried to silence.
+// with //uts:ok suppressions applied, sorted by position. A suppression
+// of this analyzer that carries no justification is itself reported and
+// silences nothing. Run audits no other suppression: it is what the
+// golden corpora check one analyzer at a time.
 func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	pass := &Pass{
-		Analyzer: a,
-		Fset:     pkg.Fset,
-		Files:    pkg.Files,
-		Pkg:      pkg.Types,
-		Info:     pkg.Info,
+	return check(pkg, []*Analyzer{a}, false)
+}
+
+// Check runs every analyzer that applies to the package once and returns,
+// sorted by position, the findings no suppression silences and every
+// suppression that has no reason, names an unknown analyzer, or silences
+// nothing — what uts-vet reports for each package go vet hands it.
+func Check(pkg *Package) ([]Diagnostic, error) {
+	var as []*Analyzer
+	for _, a := range All() {
+		if a.AppliesTo(pkg.PkgPath) {
+			as = append(as, a)
+		}
 	}
-	if err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)
+	return check(pkg, as, true)
+}
+
+// check runs the analyzers over the package and applies the suppressions
+// to their findings. Without audit it looks only at the suppressions of the
+// analyzers it ran; with audit it also reports each suppression that names
+// an unknown analyzer or silences nothing (as one whose analyzer did not
+// run does).
+func check(pkg *Package, as []*Analyzer, audit bool) ([]Diagnostic, error) {
+	var raw []Diagnostic
+	ran := make(map[string]bool)
+	for _, a := range as {
+		pass := &Pass{
+			Analyzer: a,
+			Fset:     pkg.Fset,
+			Files:    pkg.Files,
+			Pkg:      pkg.Types,
+			Info:     pkg.Info,
+		}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)
+		}
+		raw = append(raw, pass.diags...)
+		ran[a.Name] = true
 	}
-	sup, bad := suppressions(pkg.Fset, pkg.Files, a.Name)
+	known := make(map[string]bool)
+	for _, a := range All() {
+		known[a.Name] = true
+	}
+	silenced := make([]bool, len(raw))
 	var out []Diagnostic
-	for _, d := range pass.diags {
-		if sup[lineKey{d.Pos.Filename, d.Pos.Line}] {
+	for _, s := range suppressions(pkg.Fset, pkg.Files) {
+		report := func(msg string) {
+			out = append(out, Diagnostic{Analyzer: s.analyzer, Pos: s.pos, Message: msg})
+		}
+		switch {
+		case !audit && !ran[s.analyzer]:
+			continue
+		case !known[s.analyzer]:
+			report(fmt.Sprintf("suppression names unknown analyzer %q: %s", s.analyzer, s.comment))
+			continue
+		case !s.justified:
+			report(s.badMessage())
 			continue
 		}
-		out = append(out, d)
+		live := false
+		for i, d := range raw {
+			if d.Analyzer == s.analyzer && s.covers(d.Pos) {
+				silenced[i], live = true, true
+			}
+		}
+		if !live && audit {
+			report(fmt.Sprintf("stale suppression: %s silences no %s finding", s.comment, s.analyzer))
+		}
 	}
-	out = append(out, bad...)
-	sort.Slice(out, func(i, j int) bool {
+	for i, d := range raw {
+		if !silenced[i] {
+			out = append(out, d)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
 		if a.Filename != b.Filename {
 			return a.Filename < b.Filename
@@ -171,117 +227,55 @@ type lineKey struct {
 	line int
 }
 
-// A Suppression is one //uts:ok or //uts:plain comment: the analyzer it
-// silences, the lines it covers (its own and the one below), and
-// whether it carries the mandatory justification. The driver's
-// -unused-suppressions audit diffs these against Unsuppressed findings.
-type Suppression struct {
-	Analyzer  string
-	Pos       token.Position
-	Lines     []int // line numbers covered, in Pos.Filename
-	Justified bool
-	Comment   string
+// A suppression is one //uts:ok or //uts:plain comment: the analyzer it
+// silences, where it stands (it covers its own line and the one below),
+// and whether it carries the mandatory justification.
+type suppression struct {
+	analyzer  string
+	pos       token.Position
+	justified bool
+	comment   string
 }
 
-// Covers reports whether the suppression's lines include the position.
-func (s Suppression) Covers(pos token.Position) bool {
-	if pos.Filename != s.Pos.Filename {
-		return false
-	}
-	for _, l := range s.Lines {
-		if l == pos.Line {
-			return true
-		}
-	}
-	return false
+// covers reports whether the suppression silences a finding at pos.
+func (s suppression) covers(pos token.Position) bool {
+	return pos.Filename == s.pos.Filename && (pos.Line == s.pos.Line || pos.Line == s.pos.Line+1)
 }
 
 // badMessage is the finding text for a suppression missing its reason.
-func (s Suppression) badMessage() string {
-	if strings.HasPrefix(s.Comment, "//uts:plain") {
+func (s suppression) badMessage() string {
+	if strings.HasPrefix(s.comment, "//uts:plain") {
 		return "//uts:plain needs a justification: //uts:plain <reason>"
 	}
-	return "//uts:ok " + s.Analyzer + " needs a justification: //uts:ok " + s.Analyzer + " <reason>"
+	return "//uts:ok " + s.analyzer + " needs a justification: //uts:ok " + s.analyzer + " <reason>"
 }
 
-// Suppressions lists every suppression comment in the files:
+// suppressions lists every suppression comment in the files:
 // //uts:ok <analyzer> <reason> for any analyzer, and
 // //uts:plain <reason>, which is atomiccheck's single-threaded-region
-// escape hatch.
-func Suppressions(fset *token.FileSet, files []*ast.File) []Suppression {
-	var out []Suppression
+// escape hatch. An //uts:ok that names no analyzer is inert.
+func suppressions(fset *token.FileSet, files []*ast.File) []suppression {
+	var out []suppression
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				pos := fset.Position(c.Pos())
-				var s Suppression
+				s := suppression{pos: fset.Position(c.Pos()), comment: c.Text}
 				if text, ok := strings.CutPrefix(c.Text, "//uts:ok"); ok {
 					fields := strings.Fields(text)
 					if len(fields) == 0 {
-						continue // no analyzer named: inert, matches nothing
+						continue
 					}
-					s = Suppression{
-						Analyzer:  fields[0],
-						Pos:       pos,
-						Justified: len(fields) >= 2,
-						Comment:   c.Text,
-					}
+					s.analyzer, s.justified = fields[0], len(fields) >= 2
 				} else if text, ok := strings.CutPrefix(c.Text, "//uts:plain"); ok {
-					s = Suppression{
-						Analyzer:  "atomiccheck",
-						Pos:       pos,
-						Justified: len(strings.Fields(text)) >= 1,
-						Comment:   c.Text,
-					}
+					s.analyzer, s.justified = "atomiccheck", len(strings.Fields(text)) >= 1
 				} else {
 					continue
 				}
-				s.Lines = []int{pos.Line, pos.Line + 1}
 				out = append(out, s)
 			}
 		}
 	}
 	return out
-}
-
-// suppressions collects the lines silenced for analyzer name, and
-// reports malformed suppression comments (missing justification) as
-// diagnostics. A comment suppresses its own line and, when it is the
-// whole line (a comment-only line), the line below it.
-func suppressions(fset *token.FileSet, files []*ast.File, name string) (map[lineKey]bool, []Diagnostic) {
-	sup := make(map[lineKey]bool)
-	var bad []Diagnostic
-	for _, s := range Suppressions(fset, files) {
-		if s.Analyzer != name {
-			continue
-		}
-		if !s.Justified {
-			bad = append(bad, Diagnostic{Analyzer: name, Pos: s.Pos, Message: s.badMessage()})
-			continue
-		}
-		for _, l := range s.Lines {
-			sup[lineKey{s.Pos.Filename, l}] = true
-		}
-	}
-	return sup, bad
-}
-
-// Unsuppressed runs the analyzer over the package and returns the raw
-// findings with no suppression filtering and no malformed-comment
-// diagnostics added — the comparison side of the driver's
-// -unused-suppressions audit.
-func Unsuppressed(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	pass := &Pass{
-		Analyzer: a,
-		Fset:     pkg.Fset,
-		Files:    pkg.Files,
-		Pkg:      pkg.Types,
-		Info:     pkg.Info,
-	}
-	if err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)
-	}
-	return pass.diags, nil
 }
 
 // Inspect walks every file of the pass in depth-first order, calling f

@@ -26,91 +26,19 @@ type Package struct {
 	Info    *types.Info
 }
 
-// listPkg is the subset of `go list -json` output the loader consumes.
+// listPkg is the subset of `go list -json` output stdExports consumes.
 type listPkg struct {
 	ImportPath string
-	Dir        string
-	Standard   bool
 	Export     string
-	GoFiles    []string
-	Module     *struct{ Path string }
-	Error      *struct{ Err string }
 }
 
-// Load lists patterns with the go command (building export data as a
-// side effect), then parses and type-checks every non-standard matched
-// package. Imports — including intra-module ones — are satisfied from
-// the compiler's export data, so packages can be checked independently
-// and no source outside the matched set is parsed.
-//
-// This is the stdlib-only equivalent of golang.org/x/tools/go/packages
-// LoadSyntax: the toolchain image carries no third-party modules, so
-// the x/tools loader (and the analysis framework it feeds) cannot be
-// vendored in.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	args := append([]string{"list", "-json", "-deps", "-export", "--"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("lint: go list failed: %v\n%s", err, stderr.String())
-	}
-
-	exports := make(map[string]string)
-	var targets []*listPkg
-	seen := make(map[string]bool)
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPkg
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("lint: decoding go list output: %v", err)
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("lint: go list: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if p.Standard || seen[p.ImportPath] || len(p.GoFiles) == 0 {
-			continue
-		}
-		seen[p.ImportPath] = true
-		pc := p
-		targets = append(targets, &pc)
-	}
-
+// LoadFiles parses and type-checks one package from explicit files (a
+// relative name is taken from dir). Every import is read as compiler
+// ("gc") export data from the file lookup opens, so a package is checked
+// on its own and no source outside goFiles is parsed: the way uts-vet
+// loads the one package go vet hands it.
+func LoadFiles(pkgPath, dir string, goFiles []string, lookup func(path string) (io.ReadCloser, error)) (*Package, error) {
 	fset := token.NewFileSet()
-	imp := NewExportImporter(fset, func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("lint: no export data for %q", path)
-		}
-		return os.Open(f)
-	})
-
-	var pkgs []*Package
-	for _, t := range targets {
-		pkg, err := checkPackage(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
-// NewExportImporter returns a types.Importer that resolves every import
-// through lookup, reading compiler ("gc") export data.
-func NewExportImporter(fset *token.FileSet, lookup func(path string) (io.ReadCloser, error)) types.Importer {
-	return importer.ForCompiler(fset, "gc", lookup)
-}
-
-// checkPackage parses and type-checks one package from explicit files.
-func checkPackage(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goFiles []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range goFiles {
 		fn := name
@@ -133,7 +61,7 @@ func checkPackage(fset *token.FileSet, imp types.Importer, pkgPath, dir string, 
 	}
 	var typeErrs []error
 	conf := types.Config{
-		Importer: imp,
+		Importer: importer.ForCompiler(fset, "gc", lookup),
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	tpkg, err := conf.Check(pkgPath, fset, files, info)
@@ -175,15 +103,13 @@ func LoadDir(dir string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	imp := NewExportImporter(fset, func(path string) (io.ReadCloser, error) {
+	return LoadFiles(filepath.Base(dir), dir, goFiles, func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("lint: testdata may only import the standard library; no export data for %q", path)
 		}
 		return os.Open(f)
 	})
-	return checkPackage(fset, imp, filepath.Base(dir), dir, goFiles)
 }
 
 // stdExports returns export-data paths for the standard library,

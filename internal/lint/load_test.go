@@ -7,32 +7,6 @@ import (
 	"testing"
 )
 
-// TestLoadModulePackages exercises the export-data loader over real
-// module packages, including one (core) that imports several others.
-func TestLoadModulePackages(t *testing.T) {
-	pkgs, err := Load("../..", "./internal/pgas", "./internal/core")
-	if err != nil {
-		t.Fatal(err)
-	}
-	byPath := map[string]*Package{}
-	for _, p := range pkgs {
-		byPath[p.PkgPath] = p
-	}
-	for _, want := range []string{"repro/internal/pgas", "repro/internal/core"} {
-		p, ok := byPath[want]
-		if !ok {
-			t.Fatalf("Load returned no package %s (got %d packages)", want, len(pkgs))
-		}
-		if p.Types == nil || p.Info == nil || len(p.Files) == 0 {
-			t.Fatalf("%s loaded without types or files", want)
-		}
-	}
-	core := byPath["repro/internal/core"]
-	if core.Types.Scope().Lookup("Options") == nil {
-		t.Fatal("core.Options not found in type-checked scope")
-	}
-}
-
 // writeTree lays out a file tree under a fresh temp dir.
 func writeTree(t *testing.T, files map[string]string) string {
 	t.Helper()
@@ -61,34 +35,6 @@ func wantErr(t *testing.T, err error, subs ...string) {
 			t.Errorf("error %q does not mention %q", err, sub)
 		}
 	}
-}
-
-// TestLoadGoListFailure: a pattern the go command cannot resolve must
-// surface go list's own stderr, not a bare exit status.
-func TestLoadGoListFailure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns the go command; skipped in -short")
-	}
-	dir := writeTree(t, map[string]string{
-		"go.mod": "module tmp\n\ngo 1.22\n",
-	})
-	_, err := Load(dir, "./nosuchdir/...")
-	wantErr(t, err, "lint: go list failed")
-}
-
-// TestLoadCompileErrorPackage: a package that does not type-check has
-// no export data; the loader must name the failure instead of panicking
-// or silently skipping the package.
-func TestLoadCompileErrorPackage(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns the go command; skipped in -short")
-	}
-	dir := writeTree(t, map[string]string{
-		"go.mod":  "module tmp\n\ngo 1.22\n",
-		"main.go": "package main\n\nfunc main() { undefinedIdent() }\n",
-	})
-	_, err := Load(dir, "./...")
-	wantErr(t, err, "lint:", "undefinedIdent")
 }
 
 // TestLoadDirParseError: a syntactically invalid file fails with the

@@ -184,27 +184,20 @@ func (c *chromeEncoder) emit(e chromeEvent) {
 	c.n++
 }
 
-// instant emits an "i" mark for e, carrying its peer and value as args.
+// instant emits an "i" mark for e, carrying its peer and value as args
+// where its kind's row says they mean something.
 func (c *chromeEncoder) instant(e Event, ts int64) {
 	ev := chromeEvent{
 		Name: e.Kind.String(), Cat: "protocol", Ph: "i",
 		Ts: usec(ts), Pid: 0, Tid: int(e.PE), S: "t",
 	}
 	args := map[string]interface{}{}
-	if e.Other >= 0 {
+	r := e.Kind.row()
+	if r.peer != "" && e.Other >= 0 {
 		args["other"] = int(e.Other)
 	}
-	switch e.Kind {
-	case KindProbeResult:
-		args["avail"] = e.Value
-	case KindStealGrant:
-		args["chunks"] = e.Value
-	case KindChunkTransfer:
-		args["nodes"] = e.Value
-	case KindRelease:
-		args["avail"] = e.Value
-	case KindReacquire:
-		args["nodes"] = e.Value
+	if r.value != "" {
+		args[r.value] = e.Value
 	}
 	if len(args) > 0 {
 		ev.Args = args

@@ -105,22 +105,44 @@ const (
 // (Sampler counters, /metrics families) are indexed by Kind below it.
 const NumKinds = int(numKinds)
 
-var kindNames = [numKinds]string{
-	"state-change", "probe-start", "probe-result",
-	"steal-request", "steal-grant", "steal-deny", "steal-fail",
-	"chunk-transfer", "release", "reacquire",
-	"term-enter", "term-exit",
-	"rpc-retry", "peer-dead", "handoff-reclaim", "duplicate-take",
+// A kindRow spells what one kind's Other and Value mean, once, for both
+// exporters: the kind's name; peer, what stands before Other in the
+// timeline ("→ PE" toward it, "← PE" from it, "PE", or "" when Other means
+// nothing), which also puts Other in Chrome's args; and value, Value's label
+// in the timeline and its key in Chrome's args ("" when Value means
+// nothing). KindStateChange's Value is a state code, spelt by StateName.
+type kindRow struct{ name, peer, value string }
+
+var kindRows = [numKinds]kindRow{
+	KindStateChange:    {"state-change", "", ""},
+	KindProbeStart:     {"probe-start", "→ PE", ""},
+	KindProbeResult:    {"probe-result", "← PE", "avail"},
+	KindStealRequest:   {"steal-request", "→ PE", ""},
+	KindStealGrant:     {"steal-grant", "→ PE", "chunks"},
+	KindStealDeny:      {"steal-deny", "→ PE", ""},
+	KindStealFail:      {"steal-fail", "← PE", ""},
+	KindChunkTransfer:  {"chunk-transfer", "← PE", "nodes"},
+	KindRelease:        {"release", "", "avail"},
+	KindReacquire:      {"reacquire", "", "nodes"},
+	KindTermEnter:      {"term-enter", "", ""},
+	KindTermExit:       {"term-exit", "", ""},
+	KindRPCRetry:       {"rpc-retry", "→ PE", "attempt"},
+	KindPeerDead:       {"peer-dead", "PE", ""},
+	KindHandoffReclaim: {"handoff-reclaim", "← PE", "chunks"},
+	KindDuplicateTake:  {"duplicate-take", "← PE", "chunks"},
+}
+
+// row returns the kind's row; an undeclared kind has a name and no fields.
+func (k Kind) row() kindRow {
+	if int(k) < len(kindRows) {
+		return kindRows[k]
+	}
+	return kindRow{name: fmt.Sprintf("Kind(%d)", int(k))}
 }
 
 // String names the kind in the hyphenated vocabulary used by the
 // timeline and Chrome exporters.
-func (k Kind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
+func (k Kind) String() string { return k.row().name }
 
 // NumStates is the number of Figure-1 states (mirrors internal/stats,
 // which this package must not import: Working, Searching, Stealing,
@@ -158,41 +180,20 @@ type Event struct {
 }
 
 // String renders the event as one timeline line (without the timestamp
-// column, which the timeline writer owns).
+// column, which the timeline writer owns), as its kind's row spells it.
 func (e Event) String() string {
-	switch e.Kind {
-	case KindStateChange:
-		return fmt.Sprintf("state-change → %s", StateName(e.Value))
-	case KindProbeStart:
-		return fmt.Sprintf("probe-start → PE %d", e.Other)
-	case KindProbeResult:
-		return fmt.Sprintf("probe-result ← PE %d avail=%d", e.Other, e.Value)
-	case KindStealRequest:
-		return fmt.Sprintf("steal-request → PE %d", e.Other)
-	case KindStealGrant:
-		return fmt.Sprintf("steal-grant → PE %d chunks=%d", e.Other, e.Value)
-	case KindStealDeny:
-		return fmt.Sprintf("steal-deny → PE %d", e.Other)
-	case KindStealFail:
-		return fmt.Sprintf("steal-fail ← PE %d", e.Other)
-	case KindChunkTransfer:
-		return fmt.Sprintf("chunk-transfer ← PE %d nodes=%d", e.Other, e.Value)
-	case KindRelease:
-		return fmt.Sprintf("release avail=%d", e.Value)
-	case KindReacquire:
-		return fmt.Sprintf("reacquire nodes=%d", e.Value)
-	case KindTermEnter:
-		return "term-enter"
-	case KindTermExit:
-		return "term-exit"
-	case KindRPCRetry:
-		return fmt.Sprintf("rpc-retry → PE %d attempt=%d", e.Other, e.Value)
-	case KindPeerDead:
-		return fmt.Sprintf("peer-dead PE %d", e.Other)
-	case KindHandoffReclaim:
-		return fmt.Sprintf("handoff-reclaim ← PE %d chunks=%d", e.Other, e.Value)
+	r := e.Kind.row()
+	if e.Kind == KindStateChange {
+		return r.name + " → " + StateName(e.Value)
 	}
-	return e.Kind.String()
+	line := r.name
+	if r.peer != "" {
+		line += fmt.Sprintf(" %s %d", r.peer, e.Other)
+	}
+	if r.value != "" {
+		line += fmt.Sprintf(" %s=%d", r.value, e.Value)
+	}
+	return line
 }
 
 // DefaultRingSize is the per-PE ring capacity (events) used when a

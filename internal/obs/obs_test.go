@@ -12,12 +12,58 @@ import (
 )
 
 // TestKindNamesComplete: every declared Kind has a name of its own. A
-// missing tail entry of kindNames zero-fills to "", which would fork the
+// missing tail entry of kindRows zero-fills to "", which would fork the
 // timeline, Chrome and metrics vocabularies.
 func TestKindNamesComplete(t *testing.T) {
 	for k := Kind(0); k < numKinds; k++ {
 		if name := k.String(); name == "" || strings.HasPrefix(name, "Kind(") {
 			t.Errorf("kind %d has no name", k)
+		}
+	}
+}
+
+// TestKindRowsSpellOtherAndValue: an event of every kind with Other = 3 and
+// Value = 5 reads the same in the timeline and in Chrome's args — each
+// shows the peer and the value exactly where the kind's row gives them a
+// meaning.
+func TestKindRowsSpellOtherAndValue(t *testing.T) {
+	want := [numKinds]struct {
+		line string
+		args string // Chrome's args as JSON; state changes are spans, not marks
+	}{
+		KindStateChange:    {"state-change → state(5)", ""},
+		KindProbeStart:     {"probe-start → PE 3", `{"other":3}`},
+		KindProbeResult:    {"probe-result ← PE 3 avail=5", `{"avail":5,"other":3}`},
+		KindStealRequest:   {"steal-request → PE 3", `{"other":3}`},
+		KindStealGrant:     {"steal-grant → PE 3 chunks=5", `{"chunks":5,"other":3}`},
+		KindStealDeny:      {"steal-deny → PE 3", `{"other":3}`},
+		KindStealFail:      {"steal-fail ← PE 3", `{"other":3}`},
+		KindChunkTransfer:  {"chunk-transfer ← PE 3 nodes=5", `{"nodes":5,"other":3}`},
+		KindRelease:        {"release avail=5", `{"avail":5}`},
+		KindReacquire:      {"reacquire nodes=5", `{"nodes":5}`},
+		KindTermEnter:      {"term-enter", ""},
+		KindTermExit:       {"term-exit", ""},
+		KindRPCRetry:       {"rpc-retry → PE 3 attempt=5", `{"attempt":5,"other":3}`},
+		KindPeerDead:       {"peer-dead PE 3", `{"other":3}`},
+		KindHandoffReclaim: {"handoff-reclaim ← PE 3 chunks=5", `{"chunks":5,"other":3}`},
+		KindDuplicateTake:  {"duplicate-take ← PE 3 chunks=5", `{"chunks":5,"other":3}`},
+	}
+	for k := Kind(0); k < numKinds; k++ {
+		e := Event{Kind: k, Other: 3, Value: 5}
+		if got := e.String(); got != want[k].line {
+			t.Errorf("%v: timeline %q, want %q", k, got, want[k].line)
+		}
+		if k == KindStateChange {
+			continue
+		}
+		var buf bytes.Buffer
+		newChromeEncoder(&buf).instant(e, 0)
+		var ev struct{ Args json.RawMessage }
+		if err := json.Unmarshal(bytes.TrimPrefix(buf.Bytes(), []byte("{\"traceEvents\":[\n")), &ev); err != nil {
+			t.Fatalf("%v: %v in %s", k, err, buf.Bytes())
+		}
+		if got := string(ev.Args); got != want[k].args {
+			t.Errorf("%v: Chrome args %s, want %s", k, got, want[k].args)
 		}
 	}
 }

@@ -19,7 +19,11 @@ import (
 // BRG is safe for concurrent use; it holds no state.
 type BRG struct{}
 
-// Init returns the root state: SHA-1 of the 4-byte big-endian seed.
+// Init returns the root state: SHA-1 of the 4-byte big-endian seed. This is
+// the one documented divergence from UTS, whose root is the SHA-1 of sixteen
+// zero bytes followed by the seed; every tree here is defined by this root.
+// TestUTSPublishedCounts (internal/uts) builds UTS's root itself and checks
+// the published counts from it.
 func (BRG) Init(seed int32) State {
 	var buf [4]byte
 	binary.BigEndian.PutUint32(buf[:], uint32(seed))

@@ -32,20 +32,8 @@ const (
 	numStates
 )
 
-// String names the state.
-func (s State) String() string {
-	switch s {
-	case Working:
-		return "working"
-	case Searching:
-		return "searching"
-	case Stealing:
-		return "stealing"
-	case Idle:
-		return "idle"
-	}
-	return fmt.Sprintf("State(%d)", int(s))
-}
+// String names the state, as the trace does.
+func (s State) String() string { return obs.StateName(int64(s)) }
 
 // States lists the states in declaration order, for reports.
 var States = []State{Working, Searching, Stealing, Idle}

@@ -53,11 +53,10 @@ func RegisterSampler(reg *Registry, s *obs.Sampler) {
 	reg.GaugeFunc("uts_virtual_time_seconds", "Newest virtual (DES) timestamp observed; 0 for real-time runs.", nil,
 		stat(func(st obs.LiveStats) float64 { return st.Virt.Seconds() }))
 
-	states := []string{"working", "searching", "stealing", "idle"}
-	for i, name := range states {
+	for i := 0; i < obs.NumStates; i++ {
 		idx := i
 		reg.GaugeFunc("uts_state_dwell_fraction", "Fraction of observed PE time in each Figure-1 state over the last window.",
-			[]Label{{"state", name}},
+			[]Label{{"state", obs.StateName(int64(i))}},
 			stat(func(st obs.LiveStats) float64 { return st.DwellFrac[idx] }))
 	}
 

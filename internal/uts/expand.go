@@ -110,7 +110,7 @@ func expandFrontier(sp *Spec, stack []Node, floor, most int) (out []Node, nodes,
 		// No child is a root, so a child count is the one comparison of
 		// binomialCount, its threshold computed once for the sixteen — and
 		// taken as a sign bit, not a branch: the draw is a coin toss again.
-		below, m := int64(int32(sp.Q*float64(rng.RandMax))), int32(sp.M)
+		below, m := sp.binomialBelow(), int32(sp.M)
 		for j := range kids {
 			c := &kids[j]
 			c.Height = height[j]

@@ -209,11 +209,20 @@ func childCount(sp *Spec, height, r int32) int {
 // binomialCount draws M with probability Q, else 0, by comparing the node's
 // 31-bit random value against Q scaled to the RNG range.
 func binomialCount(sp *Spec, r int32) int {
-	if r < int32(sp.Q*float64(rng.RandMax)) {
+	if float64(r) < sp.binomialCut() {
 		return sp.M
 	}
 	return 0
 }
+
+// binomialCut is the binomial draw's threshold, Q·2³¹: a node below the
+// root has M children when its draw r has float64(r) < binomialCut, which
+// is UTS's r/2³¹ < Q.
+func (sp *Spec) binomialCut() float64 { return sp.Q * rng.RandMax }
+
+// binomialBelow is binomialCut as a bound on an integer draw: r < below
+// exactly when float64(r) < binomialCut.
+func (sp *Spec) binomialBelow() int64 { return int64(math.Ceil(sp.binomialCut())) }
 
 // geometricCount draws from a geometric distribution with mean geoBranch(d):
 // with p = 1/(1+b), the count floor(log(u)/log(1−p)) has mean b. Depths at

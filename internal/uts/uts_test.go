@@ -2,7 +2,10 @@ package uts
 
 import (
 	"context"
+	"crypto/sha1"
+	"encoding/binary"
 	"math"
+	"os"
 	"testing"
 	"testing/quick"
 	"time"
@@ -61,6 +64,48 @@ func TestPinnedCountsLarge(t *testing.T) {
 			t.Errorf("%s: got (nodes=%d leaves=%d depth=%d), want (%d, %d, %d)",
 				name, c.Nodes, c.Leaves, c.MaxDepth, want.nodes, want.leaves, want.maxDepth)
 		}
+	}
+}
+
+// TestUTSPublishedCounts walks two of the trees UTS publishes counts for
+// from UTS's own root — the SHA-1 of sixteen zero bytes followed by the
+// 4-byte big-endian seed, where rng.BRG.Init hashes the seed alone — with
+// this package's Expand, so spawn, Rand and the binomial draw are checked
+// against the published figures. T3L (111M nodes) runs behind UTS_GATES=1.
+func TestUTSPublishedCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		sp            Spec // UTS -t 0 -b 2000 -q Q -m M -r Seed
+		nodes, leaves int64
+		depth         int32
+		gated         bool
+	}{
+		{"T3", Spec{Kind: Binomial, B0: 2000, Q: 0.124875, M: 8, Seed: 42}, 4112897, 3599034, 1572, false},
+		{"T3L", Spec{Kind: Binomial, B0: 2000, Q: 0.200014, M: 5, Seed: 7}, 111345631, 89076904, 17844, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.gated && os.Getenv("UTS_GATES") != "1" {
+				t.Skip("set UTS_GATES=1 to walk this tree")
+			}
+			sp, st := &tc.sp, tc.sp.Stream()
+			var msg [20]byte
+			binary.BigEndian.PutUint32(msg[16:], uint32(sp.Seed))
+			root := Node{State: rng.State(sha1.Sum(msg[:]))}
+			root.NumKids = int32(numChildren(sp, st, &root))
+			var c Count
+			for stack := []Node{root}; len(stack) > 0; {
+				var nodes, leaves int
+				var deepest int32
+				stack, nodes, leaves, deepest = Expand(sp, st, stack, 0, FrontierScan)
+				c.Nodes += int64(nodes)
+				c.Leaves += int64(leaves)
+				c.MaxDepth = max(c.MaxDepth, deepest)
+			}
+			if c.Nodes != tc.nodes || c.Leaves != tc.leaves || c.MaxDepth != tc.depth {
+				t.Errorf("%d nodes / %d leaves / depth %d, UTS publishes %d / %d / %d",
+					c.Nodes, c.Leaves, c.MaxDepth, tc.nodes, tc.leaves, tc.depth)
+			}
+		})
 	}
 }
 
@@ -268,6 +313,24 @@ func TestBinomialKidsZeroOrM(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBinomialThresholdIsUTS: UTS gives a node M children when r/2³¹ < Q.
+// At Q = 0.124875, Q·2³¹ = 268,167,020.544, so the draw 268,167,020 has M
+// children and the next draw none — on the strict path and under the
+// frontier's integer bound alike.
+func TestBinomialThresholdIsUTS(t *testing.T) {
+	sp := &Spec{Kind: Binomial, B0: 2000, Q: 0.124875, M: 8}
+	const r = 268167020
+	if got := binomialCount(sp, r); got != sp.M {
+		t.Errorf("binomialCount(%d) = %d, want M = %d", r, got, sp.M)
+	}
+	if got := binomialCount(sp, r+1); got != 0 {
+		t.Errorf("binomialCount(%d) = %d, want 0", r+1, got)
+	}
+	if got := sp.binomialBelow(); got != r+1 {
+		t.Errorf("frontier bound %d, want %d", got, r+1)
 	}
 }
 

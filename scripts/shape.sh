@@ -210,6 +210,19 @@ live_plane_reads_once() {
 	if grep -nE '^\s*(type\s+)?Trajectory\b|^func .*\bTrajectory\(' $(ls internal/policy/*.go | grep -v _test.go); then exit 1; fi
 }
 
+# One lint driver: fails if a second way to run the analyzers grows back.
+# go vet -vettool hands uts-vet every package with its _test.go files, and
+# lint.Check reports each unsilenced finding and each suppression that has
+# no reason, names an unknown analyzer or silences nothing in that one pass:
+# no audit mode, no loader of lint's own (Load), no second parse and
+# type-check in the driver, and tier-1's TestRepoClean runs the same go vet.
+one_lint_driver() {
+	if git grep -n 'unused-suppressions' -- Makefile .github cmd internal; then exit 1; fi
+	if grep -nE '^func Load\(' internal/lint/*.go; then exit 1; fi
+	if grep -nE 'parser\.ParseFile|types\.Config' cmd/uts-vet/*.go; then exit 1; fi
+	sed -n '/^func TestRepoClean(/,/^}/p' internal/lint/lint_test.go | grep -q '"vet", "-vettool='
+}
+
 failed=0
 # rule NAME SECTIONS FUNCTION: the function runs in a subshell under -e, as
 # each did as a CI step, so its first failing line fails the rule.
@@ -235,5 +248,6 @@ rule "No reflective codec" "§10" no_reflective_codec
 rule "No net below the command line" "§10, §13" no_net_below_cmd
 rule "Off is nil" "§15" off_is_nil
 rule "The live plane reads once" "§13" live_plane_reads_once
-[ $failed -eq 0 ] && echo "shape: 15 rules hold"
+rule "One lint driver" "§11" one_lint_driver
+[ $failed -eq 0 ] && echo "shape: 16 rules hold"
 exit $failed
