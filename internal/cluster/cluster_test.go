@@ -200,8 +200,8 @@ func TestEightRanksRepeated(t *testing.T) {
 
 func TestGeometricTreeCluster(t *testing.T) {
 	run := launch(t, 3, &uts.GeoLinear, 8, 0)
-	if run.Nodes() != 9332 {
-		t.Errorf("nodes = %d, want 9332", run.Nodes())
+	if run.Nodes() != 1132 {
+		t.Errorf("nodes = %d, want 1132", run.Nodes())
 	}
 }
 

@@ -23,7 +23,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -288,10 +287,10 @@ type ProbeOrder struct {
 	s uint64
 
 	// Cached probe cycle. perm holds the n−1 victims (for CycleHier, the
-	// first intra entries are the same-node ones); it is rebuilt only when
-	// me/n/nodeSize change, which for a worker is never after the first
-	// call.
-	perm            []int
+	// first intra entries are the same-node ones), two bytes each; it is
+	// rebuilt only when me/n/nodeSize change, which for a worker is never
+	// after the first call.
+	perm            []uint16
 	built           bool
 	me, n, nodeSize int
 	intra           int
@@ -327,13 +326,15 @@ func (r *ProbeOrder) Victim(me, n int) int {
 // reused: the identity portion is built on the first call and subsequent
 // calls only re-shuffle it (a Fisher–Yates pass from any permutation is
 // still uniform), so repeated failed cycles cost no rebuilding. The slice
-// is valid until the next Cycle/CycleHier call.
-func (r *ProbeOrder) Cycle(me, n int) []int {
+// is valid until the next Cycle/CycleHier call. Thread ids are stored in
+// two bytes, so n may not exceed 1<<16: a probe walk builds a table only up
+// to probeWalkCacheMax.
+func (r *ProbeOrder) Cycle(me, n int) []uint16 {
 	if !r.cached(me, n, 1) {
-		r.perm = slices.Grow(r.perm[:0], n-1)
+		r.build(n)
 		for i := 0; i < n; i++ {
 			if i != me {
-				r.perm = append(r.perm, i)
+				r.perm = append(r.perm, uint16(i))
 			}
 		}
 		r.remember(me, n, 1, len(r.perm))
@@ -347,22 +348,22 @@ func (r *ProbeOrder) Cycle(me, n int) []int {
 // then all off-node threads in random order. With nodeSize <= 1 it reduces
 // to Cycle. Like Cycle it builds the victim list once and re-shuffles the
 // two locality segments on reuse.
-func (r *ProbeOrder) CycleHier(me, n, nodeSize int) []int {
+func (r *ProbeOrder) CycleHier(me, n, nodeSize int) []uint16 {
 	if nodeSize <= 1 {
 		return r.Cycle(me, n)
 	}
 	if !r.cached(me, n, nodeSize) {
-		r.perm = slices.Grow(r.perm[:0], n-1)
+		r.build(n)
 		node := me / nodeSize
 		for i := node * nodeSize; i < (node+1)*nodeSize && i < n; i++ {
 			if i != me {
-				r.perm = append(r.perm, i)
+				r.perm = append(r.perm, uint16(i))
 			}
 		}
 		intra := len(r.perm)
 		for i := 0; i < n; i++ {
 			if i/nodeSize != node {
-				r.perm = append(r.perm, i)
+				r.perm = append(r.perm, uint16(i))
 			}
 		}
 		r.remember(me, n, nodeSize, intra)
@@ -370,6 +371,18 @@ func (r *ProbeOrder) CycleHier(me, n, nodeSize int) []int {
 	r.shuffle(r.perm[:r.intra])
 	r.shuffle(r.perm[r.intra:])
 	return r.perm
+}
+
+// build empties the cached permutation for a cycle over n threads, with
+// room for its n−1 victims.
+func (r *ProbeOrder) build(n int) {
+	if n > 1<<16 {
+		panic(fmt.Sprintf("core: a probe cycle over %d threads: a table holds 16-bit ids", n))
+	}
+	if cap(r.perm) < n-1 {
+		r.perm = make([]uint16, 0, n-1)
+	}
+	r.perm = r.perm[:0]
 }
 
 // cached reports whether the stored permutation was built for the same
@@ -384,7 +397,7 @@ func (r *ProbeOrder) remember(me, n, nodeSize, intra int) {
 }
 
 // shuffle permutes s in place (Fisher–Yates).
-func (r *ProbeOrder) shuffle(s []int) {
+func (r *ProbeOrder) shuffle(s []uint16) {
 	for i := len(s) - 1; i > 0; i-- {
 		j := int(r.next() % uint64(i+1))
 		s[i], s[j] = s[j], s[i]
@@ -401,7 +414,9 @@ func (r *ProbeOrder) shuffle(s []int) {
 // OOM-killed the first 131072-PE work-stealing run at ~130 GB. The strided
 // walk runs it in 0.86 GB (EXPERIMENTS.md D3). Completion at that scale is
 // still bounded by the algorithm itself: exhaustion means every idle PE
-// walks all P−1 victims, an O(P²) event bill no engine can waive.
+// walks all P−1 victims, an O(P²) event bill no engine can waive. Below it
+// a table's ids are two bytes each, 33.5 MB of tables over 4,096 PEs (8-byte
+// ids took 134 MB), and des's Doze numbers a table's polls in two bytes too.
 const probeWalkCacheMax = 4096
 
 // ProbeWalk is a lazily generated probe cycle: each of the n−1 victims
@@ -415,7 +430,7 @@ const probeWalkCacheMax = 4096
 // entropy is immaterial, and the O(1) footprint is what makes 100K+-PE
 // work-stealing simulations affordable in memory.
 type ProbeWalk struct {
-	perm []int // cached-permutation path; nil on the strided path
+	perm []uint16 // cached-permutation path; nil on the strided path
 	idx  int
 
 	// Strided path. Victims are (start+k·str) mod n skipping the block
@@ -468,7 +483,7 @@ func (r *ProbeOrder) WalkHier(me, n, nodeSize int) ProbeWalk {
 // Victim returns the walk's current victim without consuming it.
 func (w *ProbeWalk) Victim() int {
 	if w.perm != nil {
-		return w.perm[w.idx]
+		return int(w.perm[w.idx])
 	}
 	return w.cur
 }
@@ -478,7 +493,7 @@ func (w *ProbeWalk) Victim() int {
 // (Host.Doze) reads ahead in it. The slice is the walk's own and stands
 // until the cycle ends. A strided walk, whose order exists only as
 // arithmetic, returns nil.
-func (w *ProbeWalk) Rest() []int {
+func (w *ProbeWalk) Rest() []uint16 {
 	if w.perm == nil {
 		return nil
 	}

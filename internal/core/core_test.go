@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -241,7 +242,7 @@ func TestProbeRNG(t *testing.T) {
 			t.Fatalf("victim(%d) out of range: %d", 2, v)
 		}
 	}
-	perm := r.Cycle(3, 6)
+	perm := ints(r.Cycle(3, 6))
 	if len(perm) != 5 {
 		t.Fatalf("cycle length %d", len(perm))
 	}
@@ -260,6 +261,15 @@ func TestProbeRNG(t *testing.T) {
 			t.Fatal("ProbeOrder not deterministic")
 		}
 	}
+}
+
+// ints is a probe table as the thread ids it holds.
+func ints(perm []uint16) []int {
+	s := make([]int, len(perm))
+	for i, v := range perm {
+		s[i] = int(v)
+	}
+	return s
 }
 
 func TestHierarchicalVariantCorrect(t *testing.T) {
@@ -291,7 +301,7 @@ func TestHierarchicalOptionsValidation(t *testing.T) {
 func TestCycleHier(t *testing.T) {
 	r := NewProbeOrder(1, 5)
 	// 12 threads in nodes of 4; me = 5 lives on node 1 = {4,5,6,7}.
-	perm := r.CycleHier(5, 12, 4)
+	perm := ints(r.CycleHier(5, 12, 4))
 	if len(perm) != 11 {
 		t.Fatalf("perm length %d", len(perm))
 	}
@@ -356,7 +366,7 @@ func TestCycleIsPermutationProperty(t *testing.T) {
 		n := int(n8%63) + 2 // 2..64
 		me := int(me8) % n
 		r := NewProbeOrder(seed, me)
-		perm := r.Cycle(me, n)
+		perm := ints(r.Cycle(me, n))
 		if len(perm) != n-1 {
 			return false
 		}
@@ -383,7 +393,7 @@ func TestCycleHierPartitionProperty(t *testing.T) {
 		me := int(me8) % n
 		g := int(g8%8) + 1
 		r := NewProbeOrder(seed, me)
-		perm := r.CycleHier(me, n, g)
+		perm := ints(r.CycleHier(me, n, g))
 		if len(perm) != n-1 {
 			return false
 		}
@@ -536,10 +546,10 @@ func TestProbeWalkSmallMatchesCycle(t *testing.T) {
 			var perm []int
 			var w ProbeWalk
 			if hier {
-				perm = a.CycleHier(7, 64, 8)
+				perm = ints(a.CycleHier(7, 64, 8))
 				w = b.WalkHier(7, 64, 8)
 			} else {
-				perm = a.Cycle(7, 64)
+				perm = ints(a.Cycle(7, 64))
 				w = b.Walk(7, 64)
 			}
 			got := make([]int, 0, len(perm))
@@ -658,6 +668,24 @@ func probeWalkSets(t *testing.T, r *ProbeOrder, me, n, nodeSize int) (intra, res
 	return intra, rest
 }
 
+// TestProbeTableTwoBytesAnID: the largest walk that is a table, over
+// probeWalkCacheMax threads, holds its ids in two bytes each — building it
+// allocates at most 2 bytes an id (4,095 victims fill the allocator's 8 KiB
+// class). TotalAlloc counts bytes, so the bound holds on any host.
+func TestProbeTableTwoBytesAnID(t *testing.T) {
+	r := NewProbeOrder(1, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := r.Walk(0, probeWalkCacheMax)
+	runtime.ReadMemStats(&after)
+	if n := len(w.Rest()); n != probeWalkCacheMax-1 {
+		t.Fatalf("a walk over %d threads has %d victims in its table", probeWalkCacheMax, n)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*probeWalkCacheMax {
+		t.Errorf("a table walk over %d threads allocated %d bytes, want at most %d", probeWalkCacheMax, got, 2*probeWalkCacheMax)
+	}
+}
+
 // TestProbeWalkHierPartialLastBlock: on the strided path with
 // n % nodeSize != 0, a walker inside the truncated last node block must
 // visit exactly the same victim sets as the cached CycleHier path — the
@@ -676,7 +704,7 @@ func TestProbeWalkHierPartialLastBlock(t *testing.T) {
 
 		// The cached path is the oracle: CycleHier builds the same cycle
 		// eagerly (callable at any n; only WalkHier switches on the cap).
-		oracle := NewProbeOrder(99, me).CycleHier(me, n, nodeSize)
+		oracle := ints(NewProbeOrder(99, me).CycleHier(me, n, nodeSize))
 		base := (me / nodeSize) * nodeSize
 		end := base + nodeSize
 		if end > n {
@@ -720,7 +748,7 @@ func TestProbeWalkHierDegenerateBlock(t *testing.T) {
 	if len(intra) != 0 {
 		t.Fatalf("degenerate block produced %d same-node victims, want 0", len(intra))
 	}
-	oracle := NewProbeOrder(42, me).CycleHier(me, n, nodeSize)
+	oracle := ints(NewProbeOrder(42, me).CycleHier(me, n, nodeSize))
 	if len(rest) != len(oracle) {
 		t.Fatalf("walk visited %d victims, CycleHier has %d", len(rest), len(oracle))
 	}

@@ -34,7 +34,7 @@ type availWrite struct {
 // service point at, its k-th poll the read of ahead[k−1] at at + k·period.
 type doze struct {
 	at, period int64
-	ahead      []int
+	ahead      []uint16
 	// readAt[v] is the poll that reads v's word: of this sleep if ahead says
 	// so too, else left over from an earlier one.
 	readAt []uint16
@@ -91,7 +91,7 @@ func (pe *upcPE) setAvail(by, v int) {
 		return
 	}
 	for _, s := range u.dozing {
-		if k := int(s.readAt[pe.me]); k > 0 && k <= len(s.ahead) && s.ahead[k-1] == pe.me {
+		if k := int(s.readAt[pe.me]); k > 0 && k <= len(s.ahead) && int(s.ahead[k-1]) == pe.me {
 			if poll := s.at + int64(k)*s.period; poll >= s.pollAfter(now, by) {
 				s.rouse(poll, wakeWord)
 			}
@@ -177,10 +177,10 @@ func (pe *upcPE) Doze(w *core.ProbeWalk) time.Duration {
 	if pe.readAt == nil {
 		pe.readAt = make([]uint16, len(u.upc)) // a table walk has at most 4095 polls
 	}
-	d := u.between(pe.me, rest[0]).remoteRef
+	d := u.between(pe.me, int(rest[0])).remoteRef
 	n, why := 0, wakeEnd
 	for _, v := range rest {
-		if u.nodeSize > 1 && u.between(pe.me, v).remoteRef != d {
+		if u.nodeSize > 1 && u.between(pe.me, int(v)).remoteRef != d {
 			break
 		}
 		n++
@@ -225,7 +225,7 @@ func (pe *upcPE) Probed(w *core.ProbeWalk) (int64, bool) {
 	pe.charge(time.Duration(int64(n+1) * pe.period))
 	saw := false
 	for k := 1; k <= n; k++ {
-		v, t := ahead[k-1], pe.at+int64(k)*pe.period
+		v, t := int(ahead[k-1]), pe.at+int64(k)*pe.period
 		wa := u.availAt(v, t, pe.me)
 		if wa > 0 {
 			panic("des: a counted probe read surplus")

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -608,7 +609,9 @@ func TestEngineThroughputGate(t *testing.T) {
 // benchmark's configuration under the same rule: 3,131,451 events, 1,998,722
 // counted and 512 handoffs as before the windows, Pops 837,898 → 532,857 and
 // Moved 4 → 46,446. When a PE became a coroutine rather than a goroutine, no
-// count moved. The upc-distmem row was re-baselined once too, when a
+// count moved; when a rank stopped being one — its step is the whole PE,
+// started parked and finished by the dispatcher (Sim.spawnStepped) — only its
+// two resumptions went (Handoffs 32 → 0 and 512 → 0). The upc-distmem row was re-baselined once too, when a
 // searching PE stopped dispatching the probes no write can reach (DESIGN.md
 // §9, "A probe is a read of a word with a history"): its 2,976 events and
 // 441 handoffs did not move, 995 of the events are now probes counted at one
@@ -645,7 +648,7 @@ func TestEngineCountsPinned(t *testing.T) {
 		"upc-distmem/t3-small/seed1": {Engine: EngineBatched, Events: 2976, Pops: 1909, Counted: 995, Handoffs: 441,
 			Wakes: Wakes{Word: 86, End: 56, Post: 2, Moved: 45}},
 		"mpi-ws/t3-small/seed1": {Engine: EngineBatched, Events: 14315, Lookahead: 4 * time.Microsecond,
-			Pops: 2641, Counted: 8408, Handoffs: 32, Wakes: Wakes{Moved: 168}},
+			Pops: 2641, Counted: 8408, Wakes: Wakes{Moved: 168}},
 	}
 	// The benchmark's two configurations, each with the identity row the
 	// benchmark takes beside it (des.sharded2_*): at Shards 2 the run is the
@@ -660,7 +663,7 @@ func TestEngineCountsPinned(t *testing.T) {
 				Wakes: Wakes{Word: 7296, End: 960, Post: 44, Moved: 6681}}},
 		{"mpi-ws/sim_msgpoll", Config{Algorithm: core.MPIWS, PEs: 256, Chunk: 16, Model: &pgas.KittyHawk, PollInterval: 8, Seed: 1},
 			Info{Engine: EngineBatched, Events: 3131451, Lookahead: 4 * time.Microsecond,
-				Pops: 532857, Counted: 1998722, Handoffs: 512, Wakes: Wakes{Moved: 46446}}},
+				Pops: 532857, Counted: 1998722, Wakes: Wakes{Moved: 46446}}},
 	} {
 		res, info, err := RunInfo(&onesidedTree, row.cfg)
 		if err != nil {
@@ -689,6 +692,32 @@ func TestEngineCountsPinned(t *testing.T) {
 	})
 	if len(want) != 0 {
 		t.Errorf("rows missing from the differential matrix: %v", want)
+	}
+}
+
+// TestSteppedPEsStartNoGoroutine: a PE whose whole body is one stepped
+// advance — an mpi-ws rank, a static PE — has no coroutine, so a run of 512 of
+// them starts no goroutine. The count is read where each PE's finish runs, at
+// the boundary of its last step, and must be the count before the run.
+func TestSteppedPEsStartNoGoroutine(t *testing.T) {
+	for _, algo := range []core.Algorithm{core.MPIWS, core.Static} {
+		cfg := Config{Algorithm: algo, PEs: 512}.withDefaults()
+		res := &core.Result{}
+		res.Threads = make([]stats.Thread, cfg.PEs)
+		sim := New()
+		before, most := runtime.NumGoroutine(), 0
+		finish := func(*Proc) { most = max(most, runtime.NumGoroutine()) }
+		if algo == core.MPIWS {
+			simMPIWS(sim, &uts.T3Small, cfg, newCosts(cfg.Model), res, nil, nil, finish)
+		} else {
+			simStatic(sim, &uts.T3Small, cfg, newCosts(cfg.Model), res, finish)
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if most != before {
+			t.Errorf("%s at %d PEs: %d goroutines inside the run, %d before it", algo, cfg.PEs, most, before)
+		}
 	}
 }
 

@@ -30,8 +30,8 @@ type simMPIRun struct {
 
 // simMPIPE is one simulated MPI rank: the host (core.MsgHost) of the rank
 // in virtual time. The rank's step function is the PE's whole body — one
-// stepped advance from spawn to finish, run inside the dispatcher — and Work
-// is the part of it written here.
+// stepped advance from spawn to finish, run inside the dispatcher with no
+// coroutine of its own — and Work is the part of it written here.
 type simMPIPE struct {
 	simPE
 	r     *simMPIRun
@@ -75,7 +75,7 @@ func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps
 				return d, fl
 			}
 		}
-		pe.spawn(sim, func() { pe.p.AdvanceStepped(step) }, pe.deliver, finish)
+		pe.spawnStepped(sim, step, pe.deliver, finish)
 	}
 }
 

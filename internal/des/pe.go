@@ -47,6 +47,16 @@ func (pe *simPE) spawn(sim *Sim, body, effect func(), finish func(*Proc)) {
 	pe.Virt = pe.p.Now
 }
 
+// spawnStepped is spawn for a PE whose whole body is the stepped advance
+// step: it enters the Working state at spawn, the instant 0 its first step
+// runs at, and finish runs at the boundary that ends the advance.
+func (pe *simPE) spawnStepped(sim *Sim, step core.Stepper, effect func(), finish func(*Proc)) {
+	pe.p = sim.spawnStepped(step, finish)
+	pe.p.effect = effect
+	pe.Virt = pe.p.Now
+	pe.Rec(obs.KindStateChange, -1, int64(stats.Working))
+}
+
 // Now is the virtual timestamp controller feedback is stamped with.
 func (pe *simPE) Now() int64 { return int64(pe.p.Now()) }
 

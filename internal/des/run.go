@@ -99,9 +99,10 @@ type Info struct {
 	// reached (core.StepSleep). 0 under the legacy engine, which steps
 	// every poll.
 	Counted uint64
-	// Handoffs is the number of times a PE's coroutine was resumed. All
-	// three counts are exact and, on the batched engine, a function of the
-	// configuration alone.
+	// Handoffs is the number of times a PE's coroutine was resumed: 0 for
+	// mpi-ws and static, whose PEs are stepped advances with no coroutine.
+	// All three counts are exact and, on the batched engine, a function of
+	// the configuration alone.
 	Handoffs uint64
 	// Wakes is what ended the counted sleeps of searching PEs and how many
 	// queued wakes moved earlier; exact like the three above, zero where

@@ -35,12 +35,13 @@
 // simulation is an exact function of (tree spec, algorithm, machine
 // profile, seed): every figure regenerated from it is bit-reproducible.
 //
-// The simulator is process-oriented: each PE is a coroutine (coro.go) that
-// the event loop resumes, one at a time, on the goroutine running it. A PE
-// calls Proc.Advance to consume virtual time, Proc.Block/Proc.Wake for
-// sleep/wakeup (used by lock queues), and otherwise manipulates shared
-// simulation state freely — exactly one PE runs at any instant, so there
-// are no data races by construction. A panic in a PE surfaces from Run.
+// The simulator is process-oriented, on the goroutine running it: a UPC PE
+// is a coroutine (coro.go) the event loop resumes, an mpi-ws rank or static
+// PE one stepped advance the loop runs itself. A PE calls Proc.Advance to
+// consume virtual time, Proc.Block/Proc.Wake for sleep/wakeup (lock
+// queues), and otherwise manipulates shared simulation state freely —
+// exactly one PE runs at any instant, so there are no data races by
+// construction. A panic in a PE surfaces from Run.
 //
 // # Engines
 //
@@ -170,8 +171,9 @@ type Proc struct {
 	id  int
 	sim *Sim
 
-	// The PE's coroutine (start) and its way back to the dispatcher, the
-	// parked stepped advance, if any, and the pending interrupt mask.
+	// The PE's coroutine (start), nil for a stepped PE (spawnStepped), and
+	// its way back to the dispatcher, the parked stepped advance, if any, and
+	// the pending interrupt mask.
 	next   func() (int64, bool)
 	back   func(int64) bool
 	stepFn Stepper
@@ -208,10 +210,13 @@ type Proc struct {
 	qt           int64
 	qnext, qprev *Proc
 
+	// A stepped PE's end, run when its advance ends (spawnStepped).
+	done func(*Proc)
+
 	// Up to three whole cache lines: the allocator's size class for a Proc is
 	// then a multiple of the line, and the layout above is the layout in
 	// memory (TestEngineCountsPinned holds both).
-	_ [56]byte
+	_ [48]byte
 }
 
 // ID returns the PE number.
@@ -232,13 +237,40 @@ func (p *Proc) ClearIntr(m Intr) { p.intr &^= m }
 // Spawn registers a PE with the given body, scheduled to start at virtual
 // time zero. Must be called before Run.
 func (s *Sim) Spawn(body func(p *Proc)) *Proc {
+	p := s.proc()
+	p.start(body)
+	s.schedule(p, 0)
+	return p
+}
+
+// spawnStepped registers a PE whose whole body is one stepped advance: step
+// runs from virtual time zero, and done at the boundary that ends the advance
+// — StepDone's, or a poll that finds an interrupt posted — when the PE is
+// finished. The batched engine gives such a PE no coroutine: its advance
+// starts parked, contStep runs it and ends it. The legacy reference runs the
+// body AdvanceStepped(step), then done, on a coroutine like any other.
+func (s *Sim) spawnStepped(step Stepper, done func(*Proc)) *Proc {
+	p := s.proc()
+	if s.legacy {
+		p.start(func(p *Proc) {
+			p.AdvanceStepped(step)
+			done(p)
+		})
+	} else {
+		// The first step runs before any interrupt check, as in AdvanceStepped.
+		p.stepFn, p.stepFl, p.done = step, StepNoPoll, done
+	}
+	s.schedule(p, 0)
+	return p
+}
+
+// proc numbers the next PE.
+func (s *Sim) proc() *Proc {
 	if s.nprocs >= MaxPEs {
 		panic(fmt.Sprintf("des: Spawn of PE %d: the event key holds %d PE ids", s.nprocs, MaxPEs))
 	}
 	p := &Proc{id: s.nprocs, sim: s}
 	s.nprocs++
-	p.start(body)
-	s.schedule(p, 0)
 	return p
 }
 
@@ -390,9 +422,8 @@ func (s *Sim) ahead(t int64, id int) bool {
 // contStep continues a parked stepped advance at its boundary, in dispatcher
 // context. It applies the boundary's flags, then keeps stepping inline —
 // committing quanta that precede every queued event without any heap
-// traffic or coroutine switch — until the advance ends (the PE is resumed
-// with what ended it), a quantum collides with the queue and is
-// rescheduled, or it sleeps.
+// traffic or coroutine switch — until the advance ends (end), a quantum
+// collides with the queue and is rescheduled, or it sleeps.
 //
 //uts:noalloc
 func (s *Sim) contStep(p *Proc) {
@@ -406,15 +437,13 @@ func (s *Sim) contStep(p *Proc) {
 			p.effect()
 		}
 		if fl&StepDone != 0 {
-			p.stepFn = nil
-			s.run(p, 0)
+			s.end(p, 0)
 			return
 		}
 		if fl&StepNoPoll == 0 && p.intr != 0 {
 			m := p.intr
 			p.intr = 0
-			p.stepFn = nil
-			s.run(p, m)
+			s.end(p, m)
 			return
 		}
 		var dt time.Duration
@@ -434,6 +463,20 @@ func (s *Sim) contStep(p *Proc) {
 			s.events++
 		}
 	}
+}
+
+// end ends p's stepped advance, by interrupt mask m or by StepDone (0): the
+// PE's coroutine resumes with m, and a stepped PE is finished.
+//
+//uts:noalloc
+func (s *Sim) end(p *Proc, m Intr) {
+	p.stepFn = nil
+	if p.next == nil {
+		s.finished++
+		p.done(p)
+		return
+	}
+	s.run(p, m)
 }
 
 // sleep takes p off the queue: its step returned quantum dt with StepSleep,

@@ -320,12 +320,21 @@ func bothEngines(t *testing.T, w dozeWorld) dozeRun {
 // at its initial 0 reads as a worker without surplus and keeps cycles coming.
 func idleAt0(then ...dozeOp) []dozeOp { return append([]dozeOp{{v: -1}}, then...) }
 
+// ints is a probe table as the thread ids it holds.
+func ints(rest []uint16) []int {
+	s := make([]int, len(rest))
+	for i, v := range rest {
+		s[i] = int(v)
+	}
+	return s
+}
+
 func TestProbeSleepMatchesStepping(t *testing.T) {
 	const pes, me = 8, 3
 	d := newCosts(&pgas.KittyHawk).remoteRef
 	// The searcher's first cycle: poll k, at k·d, reads order[k−1].
 	first := core.NewProbeOrder(1, me).Walk(me, pes)
-	order := slices.Clone(first.Rest())
+	order := ints(first.Rest())
 	pollOf := func(v int) time.Duration { return time.Duration(slices.Index(order, v)+1) * d }
 	lower, higher := -1, -1 // a victim with a smaller id than the searcher's, one with a larger, neither read first
 	for _, v := range order[1:] {

@@ -23,50 +23,49 @@ func simStatic(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, f
 	for i := 0; i < cfg.PEs; i++ {
 		pe := &simStaticPE{simPE: newSimPE(sp, cfg, res, nil, i), cs: cs, batch: cfg.batch()}
 		if i == 0 {
-			pe.extraRoot = &root
+			pe.T.Nodes++ // the root
+			if root.NumKids == 0 {
+				pe.T.Leaves++
+			}
 		}
 		for j := i; j < len(kids); j += cfg.PEs {
 			pe.Local.Push(kids[j])
 		}
-		pe.spawn(sim, pe.run, nil, finish)
+		// The whole share is one stepped advance: one quantum per batch of
+		// node work, committed inline whenever no other PE's boundary lands
+		// earlier — a statically partitioned PE never interacts, so its
+		// entire traversal typically costs a handful of events.
+		pe.spawnStepped(sim, pe.step, nil, func(p *Proc) {
+			pe.Rec(obs.KindStateChange, -1, int64(stats.Idle))
+			finish(p)
+		})
 	}
 }
 
 type simStaticPE struct {
 	simPE
-	cs        costs
-	batch     int
-	extraRoot *uts.Node
+	cs      costs
+	batch   int
+	pending int // nodes explored since the last quantum
 }
 
-func (pe *simStaticPE) run() {
-	if pe.extraRoot != nil {
-		pe.T.Nodes++
-		if pe.extraRoot.NumKids == 0 {
-			pe.T.Leaves++
+// step is one quantum: a batch of node work, or the rest of the share.
+func (pe *simStaticPE) step() (time.Duration, uint8) {
+	for {
+		if pe.Visit(1) == 0 {
+			return pe.quantum(), StepDone
+		}
+		pe.pending++
+		if pe.pending >= pe.batch {
+			return pe.quantum(), 0
 		}
 	}
-	// The whole share is one stepped advance: one quantum per batch of
-	// node work, committed inline whenever no other PE's boundary lands
-	// earlier — a statically partitioned PE never interacts, so its entire
-	// traversal typically costs a handful of events.
-	pending := 0
-	pe.p.AdvanceStepped(func() (time.Duration, uint8) {
-		for {
-			if pe.Visit(1) == 0 {
-				d := time.Duration(pending) * pe.cs.nodeCost
-				pending = 0
-				pe.FlushNodes()
-				return pe.charge(d), StepDone
-			}
-			pending++
-			if pending >= pe.batch {
-				d := time.Duration(pending) * pe.cs.nodeCost
-				pending = 0
-				pe.FlushNodes()
-				return pe.charge(d), 0
-			}
-		}
-	})
-	pe.Rec(obs.KindStateChange, -1, int64(stats.Idle))
+}
+
+// quantum charges the pending nodes' work and flushes their count.
+func (pe *simStaticPE) quantum() time.Duration {
+	d := time.Duration(pe.pending) * pe.cs.nodeCost
+	pe.pending = 0
+	pe.FlushNodes()
+	return pe.charge(d)
 }

@@ -225,8 +225,8 @@ func (sp *Spec) binomialCut() float64 { return sp.Q * rng.RandMax }
 func (sp *Spec) binomialBelow() int64 { return int64(math.Ceil(sp.binomialCut())) }
 
 // geometricCount draws from a geometric distribution with mean geoBranch(d):
-// with p = 1/(1+b), the count floor(log(u)/log(1−p)) has mean b. Depths at
-// or below GenMx are leaves.
+// with p = 1/(1+b) and u = r/2³¹ in [0, 1), UTS's count
+// floor(log(1−u)/log(1−p)) has mean b. Depths at or below GenMx are leaves.
 func geometricCount(sp *Spec, height, r int32) int {
 	d := int(height)
 	if d >= sp.GenMx {
@@ -238,14 +238,5 @@ func geometricCount(sp *Spec, height, r int32) int {
 	}
 	p := 1 / (1 + b)
 	u := float64(r) / float64(rng.RandMax)
-	// Guard u == 0: log(0) is −Inf which would give a huge count before
-	// the MaxChildren clip; treat it as the largest representable draw.
-	if u <= 0 {
-		return MaxChildren
-	}
-	k := int(math.Log(u) / math.Log(1-p))
-	if k < 0 {
-		k = 0
-	}
-	return k
+	return int(math.Log(1-u) / math.Log(1-p)) // a ratio ≥ 0: the conversion is the floor
 }

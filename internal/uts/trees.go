@@ -63,16 +63,18 @@ var (
 	GeoFixed = Spec{Name: "geo-fixed", Kind: Geometric, Seed: 19, B0: 4,
 		GenMx: 8, Shape: ShapeFixed}
 
-	// GeoLinear mimics the UTS T1 shape: linearly decaying branching.
+	// GeoLinear has UTS T5's shape, linearly decaying branching (-a 0), at
+	// T1's branching, depth and seed (-b 4 -d 10 -r 19); T1's own shape is
+	// the fixed one (-a 3).
 	GeoLinear = Spec{Name: "geo-linear", Kind: Geometric, Seed: 19, B0: 4,
 		GenMx: 10, Shape: ShapeLinear}
 
 	// GeoCyclic alternates bushy and sparse depth bands.
-	GeoCyclic = Spec{Name: "geo-cyclic", Kind: Geometric, Seed: 2, B0: 4,
+	GeoCyclic = Spec{Name: "geo-cyclic", Kind: Geometric, Seed: 3, B0: 4,
 		GenMx: 20, Shape: ShapeCyclic}
 
 	// HybridSmall switches from geometric to binomial at 30% of GenMx.
-	HybridSmall = Spec{Name: "hybrid-small", Kind: Hybrid, Seed: 8, B0: 6,
+	HybridSmall = Spec{Name: "hybrid-small", Kind: Hybrid, Seed: 9, B0: 6,
 		M: 2, Q: 0.49, GenMx: 10, Shift: 0.3}
 
 	// Balanced3x7 is a deterministic 3-ary depth-7 tree with exactly

@@ -24,8 +24,8 @@ var pinned = map[string]struct {
 }{
 	"bench-tiny":   {3337, 1698, 100},
 	"bench-small":  {63575, 31887, 319},
-	"geo-linear":   {9332, 5184, 10},
-	"hybrid-small": {22176, 11262, 193},
+	"geo-linear":   {1132, 641, 10},
+	"hybrid-small": {37328, 18921, 292},
 	"balanced-3x7": {3280, 2187, 7},
 }
 
@@ -34,8 +34,8 @@ var pinnedLarge = map[string]struct {
 	maxDepth      int32
 }{
 	"bench-medium": {481599, 241049, 1665},
-	"geo-fixed":    {153910, 123131, 8},
-	"geo-cyclic":   {240850, 152422, 20},
+	"geo-fixed":    {18796, 15085, 8},
+	"geo-cyclic":   {335310, 211947, 20},
 	"bench-large":  {6698443, 3350221, 6853},
 }
 
@@ -67,20 +67,24 @@ func TestPinnedCountsLarge(t *testing.T) {
 	}
 }
 
-// TestUTSPublishedCounts walks two of the trees UTS publishes counts for
+// TestUTSPublishedCounts walks four of the trees UTS publishes counts for
 // from UTS's own root — the SHA-1 of sixteen zero bytes followed by the
 // 4-byte big-endian seed, where rng.BRG.Init hashes the seed alone — with
-// this package's Expand, so spawn, Rand and the binomial draw are checked
-// against the published figures. T3L (111M nodes) runs behind UTS_GATES=1.
+// this package's Expand, so spawn, Rand and the binomial and geometric draws
+// are checked against the published figures: T1 is UTS's -t 1 -a 3 -d 10
+// -b 4 -r 19, T5 its -t 1 -a 0 -d 20 -b 4 -r 34. T3L (111M nodes) runs
+// behind UTS_GATES=1.
 func TestUTSPublishedCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
-		sp            Spec // UTS -t 0 -b 2000 -q Q -m M -r Seed
+		sp            Spec // UTS's -t, -a, -d, -b, -q, -m and -r
 		nodes, leaves int64
 		depth         int32
 		gated         bool
 	}{
+		{"T1", Spec{Kind: Geometric, Shape: ShapeFixed, B0: 4, GenMx: 10, Seed: 19}, 4130071, 3305118, 10, false},
 		{"T3", Spec{Kind: Binomial, B0: 2000, Q: 0.124875, M: 8, Seed: 42}, 4112897, 3599034, 1572, false},
+		{"T5", Spec{Kind: Geometric, Shape: ShapeLinear, B0: 4, GenMx: 20, Seed: 34}, 4147582, 2181318, 20, false},
 		{"T3L", Spec{Kind: Binomial, B0: 2000, Q: 0.200014, M: 5, Seed: 7}, 111345631, 89076904, 17844, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -434,8 +438,10 @@ func TestFamilyPathsMatchGenericStream(t *testing.T) {
 	alfg.Name, alfg.RNG = "bench-tiny+alfg", "ALFG"
 	alfg3.Name, alfg3.RNG, alfg3.Granularity = "bench-tiny+alfg-g3", "ALFG", 3
 	brg3.Name, brg3.Granularity = "bench-tiny-g3", 3
-	geo := GeoLinear // odd child counts: the one-lane tail
-	geo.Name, geo.RNG = "geo-linear+alfg", "ALFG"
+	// Odd child counts: the one-lane tail. Seed 19's ALFG tree is its root
+	// alone, seed 20's has 9,234 nodes.
+	geo := GeoLinear
+	geo.Name, geo.RNG, geo.Seed = "geo-linear+alfg", "ALFG", 20
 	for _, sp := range []*Spec{&alfg, &alfg3, &brg3, &geo} {
 		fast, generic := sp.Stream(), opaqueStream{sp.Stream()}
 		var nodes int

@@ -101,15 +101,29 @@ one_work_loop() {
 }
 
 # One baton: fails if a simulated PE grows a goroutine and channels of its
-# own back, or the simulator a second thread: a PE is a coroutine its
-# dispatcher resumes (the package's one iter.Pull, des/coro.go), the
-# dispatcher a loop on the goroutine that calls Run, and nothing else in the
-# package starts a goroutine, holds a channel or imports sync.
+# own back, or the simulator a second thread: a PE that blocks (a UPC PE) is
+# a coroutine its dispatcher resumes (the package's one iter.Pull,
+# des/coro.go), a PE that is one stepped advance is no coroutine at all, the
+# dispatcher is a loop on the goroutine that calls Run, and nothing else in
+# the package starts a goroutine, holds a channel or imports sync.
 one_baton() {
 	src=$(ls internal/des/*.go | grep -v _test.go)
 	test "$(cat $src | grep -c 'iter\.Pull(')" -eq 1
 	if grep -nE '^\s*go |\bchan\b|"sync(/atomic)?"' $src; then exit 1; fi
 	if sed -n '/^type Proc struct/,/^}/p' internal/des/sim.go | grep -nwE '^\s*status'; then exit 1; fi
+}
+
+# A step is not a coroutine: fails if a PE whose whole body is one stepped
+# advance — an mpi-ws rank (des/mpi.go), a static PE (des/static.go) — gets a
+# coroutine back, a goroutine stack each of hundreds of PEs would hold for
+# the whole run: neither file runs AdvanceStepped or hands a body to
+# a coroutine spawn (Sim.Spawn, simPE.spawn); each registers its step
+# (spawnStepped).
+step_is_not_a_coroutine() {
+	for f in internal/des/mpi.go internal/des/static.go; do
+		if grep -nE 'AdvanceStepped\(|\.(spawn|Spawn)\(' $f; then echo "in $f"; exit 1; fi
+		grep -q '\.spawnStepped(' $f
+	done
 }
 
 # One window: fails if a second place decides to dispatch a run in windows,
@@ -142,8 +156,9 @@ no_interpreter() {
 
 # One record: fails if the diffusion trace grows a sampler back: a traced run
 # records each PE's work-source status where it changes (upcPE.setAvail, the
-# mpi-ws rank's step), so the only proc a run spawns is a PE (simPE.spawn) —
-# des/run.go spawns none — and no sampler type is declared in internal/des.
+# mpi-ws rank's step), so the only proc a run spawns is a PE (simPE.spawn,
+# spawnStepped) — des/run.go spawns none — and no sampler type is declared in
+# internal/des.
 one_record() {
 	if grep -n '\.Spawn(' internal/des/run.go; then exit 1; fi
 	test "$(cat $(ls internal/des/*.go | grep -v _test.go) | grep -c '\.Spawn(')" -eq 1
@@ -240,6 +255,7 @@ rule "One rank loop" "§9, §17" one_rank_loop
 rule "One node kernel" "§7, §17" one_node_kernel
 rule "One work loop" "§17" one_work_loop
 rule "One baton" "§9" one_baton
+rule "A step is not a coroutine" "§9" step_is_not_a_coroutine
 rule "One window" "§9" one_window
 rule "No interpreter" "§9" no_interpreter
 rule "One record" "§9" one_record
@@ -249,5 +265,5 @@ rule "No net below the command line" "§10, §13" no_net_below_cmd
 rule "Off is nil" "§15" off_is_nil
 rule "The live plane reads once" "§13" live_plane_reads_once
 rule "One lint driver" "§11" one_lint_driver
-[ $failed -eq 0 ] && echo "shape: 16 rules hold"
+[ $failed -eq 0 ] && echo "shape: 17 rules hold"
 exit $failed
