@@ -126,7 +126,7 @@ fingerprints:
 		bin/uts-sim -tree $$tree -alg $$alg -pes $$pes -seed $$seed | sed 's/ wall=[^ ]*//'; \
 	done; done; done; done
 
-# Regenerate every paper table/figure at quick scale (~3 min).
+# Regenerate every paper table/figure at quick scale (~20 s on two cores).
 experiments:
 	$(GO) run ./cmd/uts-bench -scale quick -csv results/quick | tee results/quick.txt
 

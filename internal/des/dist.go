@@ -59,62 +59,35 @@ func simDistMem(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, 
 // reproduces the original flush-then-manipulate order exactly. The PE
 // returns out of work, its counter saying so.
 func (pe *simDistPE) Work() {
-	cs := &pe.r.cs
 	k := pe.Ctl.Chunk(pe.r.cfg.Chunk)
 	batch := pe.r.cfg.batch()
-	pending := 0
-	releasing := false
-	drained := false
-	done := false
+	edge := core.Yielded
 	step := func() (time.Duration, uint8) {
-		if releasing {
-			releasing = false
+		switch edge {
+		case core.Surplus:
 			pe.pool.Put(pe.Release(k))
 			pe.setAvail(pe.me, pe.pool.Len())
 			pe.Released(pe.avail())
-		}
-		if drained {
-			drained = false
+		case core.Drained:
 			c, ok := pe.pool.TakeNewest()
 			if !ok {
-				done = true
 				return 0, StepDone
 			}
 			pe.setAvail(pe.me, pe.pool.Len())
 			pe.Reacquired(c)
 		}
-		for {
-			if pe.Visit(1) == 0 {
-				drained = true
-				d := time.Duration(pending) * cs.nodeCost
-				pending = 0
-				pe.FlushNodes()
-				return pe.charge(d), 0
-			}
-			pending++
-			if pe.Local.Len() >= 2*k {
-				releasing = true
-				d := time.Duration(pending) * cs.nodeCost
-				pending = 0
-				return pe.charge(d), 0
-			}
-			if pending >= batch {
-				d := time.Duration(pending) * cs.nodeCost
-				pending = 0
-				pe.FlushNodes()
-				// The knob refresh sits at the batch boundary — a point with
-				// no release pending, so the 2k threshold and the released
-				// chunk never straddle a chunk-size change.
-				pe.NoteCtl(pe.Now())
-				k = pe.Ctl.Chunk(pe.r.cfg.Chunk)
-				return pe.charge(d), 0
-			}
+		d, e := pe.working(batch, k, pe.r.cs.nodeCost)
+		if edge = e; e == core.Yielded {
+			// The knob refresh sits at the batch boundary — a point with
+			// no release pending, so the 2k threshold and the released
+			// chunk never straddle a chunk-size change.
+			pe.NoteCtl(pe.Now())
+			k = pe.Ctl.Chunk(pe.r.cfg.Chunk)
 		}
+		return d, 0
 	}
-	for !done {
-		if pe.Steps(step) {
-			pe.Service()
-		}
+	for pe.Steps(step) {
+		pe.Service()
 	}
 	pe.setAvail(pe.me, -1)
 }

@@ -176,20 +176,16 @@ func (pe *simMPIPE) Work() (time.Duration, bool) {
 		pe.ph = wExplore
 		fallthrough
 	case wExplore:
-		pe.atPoll = false
-		pending := 0
-		for !rank.Terminated() && pe.Visit(1) == 1 {
-			pending++
-			if pending >= pe.poll {
-				pe.atPoll = true
-				break
-			}
+		var d time.Duration
+		edge := core.Drained
+		if !rank.Terminated() {
+			d, edge = pe.working(pe.poll, 0, cs.nodeCost)
 		}
-		pe.FlushNodes()
+		pe.atPoll = edge == core.Yielded
 		pe.NoteCtl(pe.Now())
 		pe.poll = pe.Ctl.Poll(pe.r.cfg.PollInterval)
 		pe.ph = wIprobe
-		return pe.charge(time.Duration(pending) * cs.nodeCost), false
+		return d, false
 	case wIprobe:
 		// MPI_Iprobe costs library time on every check.
 		pe.ph = wEval

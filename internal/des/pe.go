@@ -73,6 +73,28 @@ func (pe *simPE) charge(d time.Duration) time.Duration {
 	return d
 }
 
+// working is one quantum of Figure 1's Working state in virtual time, up to
+// one of WallPE.Working's edges: Drained when Visit(1) finds the stack
+// empty, Surplus once it holds 2k nodes (never at k = 0), Yielded after
+// batch nodes. The quantum, n nodes' work, is booked to the current state;
+// the lane's node count is flushed at Drained and Yielded, not at Surplus,
+// whose release follows at the same instant.
+func (pe *simPE) working(batch, k int, nodeCost time.Duration) (time.Duration, core.Edge) {
+	for n := 1; ; n++ {
+		if pe.Visit(1) == 0 {
+			pe.FlushNodes()
+			return pe.charge(time.Duration(n-1) * nodeCost), core.Drained
+		}
+		if k > 0 && pe.Local.Len() >= 2*k {
+			return pe.charge(time.Duration(n) * nodeCost), core.Surplus
+		}
+		if n >= batch {
+			pe.FlushNodes()
+			return pe.charge(time.Duration(n) * nodeCost), core.Yielded
+		}
+	}
+}
+
 // SetState pairs the stats state charge target with the tracer's state
 // event.
 func (pe *simPE) SetState(s stats.State) {

@@ -4,8 +4,12 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/stack"
+	"repro/internal/stats"
 	"repro/internal/uts"
 )
 
@@ -89,5 +93,93 @@ func TestEpisodeAllocationsPinned(t *testing.T) {
 		t.Errorf("bench-small, upc-distmem, 64 PEs allocated %d objects, want at most %d", least, bound)
 	} else {
 		t.Logf("%d objects", least)
+	}
+}
+
+// TestWorkingEdges drives a bare simulated PE over bench-tiny one quantum
+// at a time against a shadow PE stepped a node at a time, which says where
+// WallPE.Working's edges fall: Surplus the node the stack reaches 2k (never
+// at k = 0), Yielded after exactly batch nodes, Drained on an empty stack.
+// A quantum is its nodes' work, booked to the current state, and the lane's
+// live count is flushed at Drained and Yielded but not at Surplus, whose
+// release follows at the same instant.
+func TestWorkingEdges(t *testing.T) {
+	for _, tc := range []struct {
+		batch, k int
+		yields   bool // some quantum ends at Yielded
+	}{{8, 4, true}, {3, 2, true}, {8, 1, false}, {8, 0, true}, {1, 0, true}} {
+		edges := walkWorking(t, tc.batch, tc.k)
+		if (edges[core.Surplus] > 0) != (tc.k > 0) || (edges[core.Yielded] > 0) != tc.yields || edges[core.Drained] == 0 {
+			t.Errorf("batch %d, k %d: edges %v", tc.batch, tc.k, edges)
+		}
+	}
+}
+
+// walkWorking explores bench-tiny to its end through simPE.working, releasing
+// k nodes at Surplus and reacquiring the newest chunk at Drained, and counts
+// the edges it met.
+func walkWorking(t *testing.T, batch, k int) map[core.Edge]int {
+	const nodeCost = 3 * time.Nanosecond
+	sp := &uts.BenchTiny
+	res := &core.Result{}
+	res.Threads = make([]stats.Thread, 1)
+	pe := newSimPE(sp, Config{Tracer: obs.NewVirtual(1, 0)}, res, nil, 0)
+	var shadowT stats.Thread
+	shadow := core.NewPE(sp, &shadowT, nil, nil)
+	pe.Local.Push(uts.Root(sp))
+	shadow.Local.Push(uts.Root(sp))
+	var pool, shadowPool []stack.Chunk
+	edges := map[core.Edge]int{}
+	for {
+		nodes, live, booked := pe.T.Nodes, pe.Lane.LiveNodes(), pe.T.InState[stats.Working]
+		d, edge := pe.working(batch, k, nodeCost)
+		edges[edge]++
+
+		want, n := core.Yielded, 1
+		for ; ; n++ {
+			if shadow.Visit(1) == 0 {
+				want, n = core.Drained, n-1
+				break
+			}
+			if k > 0 && shadow.Local.Len() >= 2*k {
+				want = core.Surplus
+				break
+			}
+			if n >= batch {
+				break
+			}
+		}
+		if edge != want || pe.T.Nodes-nodes != int64(n) {
+			t.Fatalf("batch %d, k %d: edge %d after %d nodes, want %d after %d",
+				batch, k, edge, pe.T.Nodes-nodes, want, n)
+		}
+		if d != time.Duration(n)*nodeCost || pe.T.InState[stats.Working]-booked != d {
+			t.Fatalf("batch %d, k %d: quantum %v, booked %v, want %v for %d nodes",
+				batch, k, d, pe.T.InState[stats.Working]-booked, time.Duration(n)*nodeCost, n)
+		}
+		wantLive := pe.T.Nodes
+		if edge == core.Surplus {
+			wantLive = live
+		}
+		if got := pe.Lane.LiveNodes(); got != wantLive {
+			t.Fatalf("batch %d, k %d: live count %d at edge %d, want %d", batch, k, got, edge, wantLive)
+		}
+
+		switch edge {
+		case core.Surplus:
+			pool = append(pool, pe.Release(k))
+			shadowPool = append(shadowPool, shadow.Release(k))
+		case core.Drained:
+			last := len(pool) - 1
+			if last < 0 {
+				if pe.T.Nodes != 3337 {
+					t.Fatalf("batch %d, k %d: %d nodes, want bench-tiny's 3337", batch, k, pe.T.Nodes)
+				}
+				return edges
+			}
+			pe.Reacquired(pool[last])
+			shadow.Reacquired(shadowPool[last])
+			pool, shadowPool = pool[:last], shadowPool[:last]
+		}
 	}
 }

@@ -87,45 +87,31 @@ func (pe *simSharedPE) Service() {}
 // no boundary ever needs an interrupt check. Under streamlined termination
 // the PE returns with its counter saying it is out of work.
 func (pe *simSharedPE) Work() {
-	cs := &pe.r.cs
 	k := pe.Ctl.Chunk(pe.r.cfg.Chunk)
 	batch := pe.r.cfg.batch()
-	pending := 0
-	thresholdHit := false
+	var edge core.Edge
 	step := func() (time.Duration, uint8) {
-		for {
-			if pe.Visit(1) == 0 {
-				d := time.Duration(pending) * cs.nodeCost
-				pending = 0
-				pe.FlushNodes()
-				return pe.charge(d), StepDone
-			}
-			pending++
-			// Under the relaxed mode the shared region is a bounded ring:
-			// when it is full the release is skipped (back-pressure) and
-			// the PE keeps exploring locally instead of ending the batch.
-			if pe.Local.Len() >= 2*k && !(pe.r.mode.Relaxed && pe.pool.Len() >= stack.RelaxedSlots) {
-				thresholdHit = true
-				d := time.Duration(pending) * cs.nodeCost
-				pending = 0
-				return pe.charge(d), StepDone
-			}
-			if pending >= batch {
-				d := time.Duration(pending) * cs.nodeCost
-				pending = 0
-				pe.FlushNodes()
-				pe.NoteCtl(pe.Now())
-				k = pe.Ctl.Chunk(pe.r.cfg.Chunk)
-				return pe.charge(d), 0
-			}
+		// Under the relaxed mode the shared region is a bounded ring: while
+		// it is full there is no release (back-pressure) and the PE keeps
+		// exploring locally. No other PE runs inside a quantum, so the
+		// ring's fill is fixed for all of it.
+		kq := k
+		if pe.r.mode.Relaxed && pe.pool.Len() >= stack.RelaxedSlots {
+			kq = 0
 		}
+		d, e := pe.working(batch, kq, pe.r.cs.nodeCost)
+		if edge = e; e != core.Yielded {
+			return d, StepDone
+		}
+		pe.NoteCtl(pe.Now())
+		k = pe.Ctl.Chunk(pe.r.cfg.Chunk)
+		return d, 0
 	}
 	for {
 		pe.p.AdvanceStepped(step)
 		pe.NoteCtl(pe.Now())
 		k = pe.Ctl.Chunk(pe.r.cfg.Chunk)
-		if thresholdHit {
-			thresholdHit = false
+		if edge == core.Surplus {
 			pe.releaseChunk(k)
 			continue
 		}

@@ -20,8 +20,10 @@ func simStatic(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, f
 	root := uts.Root(sp)
 	kids := uts.Children(sp, st, &root, nil)
 
+	batch := cfg.batch()
 	for i := 0; i < cfg.PEs; i++ {
-		pe := &simStaticPE{simPE: newSimPE(sp, cfg, res, nil, i), cs: cs, batch: cfg.batch()}
+		pe := new(simPE)
+		*pe = newSimPE(sp, cfg, res, nil, i)
 		if i == 0 {
 			pe.T.Nodes++ // the root
 			if root.NumKids == 0 {
@@ -35,37 +37,16 @@ func simStatic(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, f
 		// node work, committed inline whenever no other PE's boundary lands
 		// earlier — a statically partitioned PE never interacts, so its
 		// entire traversal typically costs a handful of events.
-		pe.spawnStepped(sim, pe.step, nil, func(p *Proc) {
+		step := func() (time.Duration, uint8) {
+			d, e := pe.working(batch, 0, cs.nodeCost)
+			if e == core.Drained {
+				return d, StepDone
+			}
+			return d, 0
+		}
+		pe.spawnStepped(sim, step, nil, func(p *Proc) {
 			pe.Rec(obs.KindStateChange, -1, int64(stats.Idle))
 			finish(p)
 		})
 	}
-}
-
-type simStaticPE struct {
-	simPE
-	cs      costs
-	batch   int
-	pending int // nodes explored since the last quantum
-}
-
-// step is one quantum: a batch of node work, or the rest of the share.
-func (pe *simStaticPE) step() (time.Duration, uint8) {
-	for {
-		if pe.Visit(1) == 0 {
-			return pe.quantum(), StepDone
-		}
-		pe.pending++
-		if pe.pending >= pe.batch {
-			return pe.quantum(), 0
-		}
-	}
-}
-
-// quantum charges the pending nodes' work and flushes their count.
-func (pe *simStaticPE) quantum() time.Duration {
-	d := time.Duration(pe.pending) * pe.cs.nodeCost
-	pe.pending = 0
-	pe.FlushNodes()
-	return pe.charge(d)
 }

@@ -47,9 +47,11 @@ var (
 	BenchHuge = Spec{Name: "bench-huge", Kind: Binomial, Seed: 559, B0: 2000, M: 2,
 		Q: 0.5 * (1 - 1e-4), RNG: "ALFG"}
 
-	// T3Small: expected ~10k nodes with the paper's T3 shape (binomial,
-	// B0 = 200 fan-out); sized for differential engine tests where every
-	// algorithm × seed combination must run in tier-1 time.
+	// T3Small: expected ~10k nodes; a binomial tree (B0 = 200, m = 2) sized
+	// for differential engine tests where every algorithm × seed
+	// combination must run in tier-1 time. Not UTS's T3 shape, which is
+	// B0 = 2000, m = 8 (uts_test.go walks that one); the name stays because
+	// make fingerprints prints it.
 	T3Small = Spec{Name: "t3-small", Kind: Binomial, Seed: 31, B0: 200, M: 2,
 		Q: 0.5 * (1 - 2e-2)}
 

@@ -67,13 +67,14 @@ func TestPinnedCountsLarge(t *testing.T) {
 	}
 }
 
-// TestUTSPublishedCounts walks four of the trees UTS publishes counts for
+// TestUTSPublishedCounts walks five of the trees UTS publishes counts for
 // from UTS's own root — the SHA-1 of sixteen zero bytes followed by the
 // 4-byte big-endian seed, where rng.BRG.Init hashes the seed alone — with
-// this package's Expand, so spawn, Rand and the binomial and geometric draws
-// are checked against the published figures: T1 is UTS's -t 1 -a 3 -d 10
-// -b 4 -r 19, T5 its -t 1 -a 0 -d 20 -b 4 -r 34. T3L (111M nodes) runs
-// behind UTS_GATES=1.
+// this package's Expand, so spawn, Rand and the binomial, geometric and
+// hybrid draws are checked against the published figures: T1 is UTS's -t 1
+// -a 3 -d 10 -b 4 -r 19, T5 its -t 1 -a 0 -d 20 -b 4 -r 34, T4 its -t 2 -a 0
+// -d 16 -b 6 -r 1 -q 0.234375 -m 4, binomial below half the depth cutoff.
+// T3L (111M nodes) runs behind UTS_GATES=1.
 func TestUTSPublishedCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -84,6 +85,7 @@ func TestUTSPublishedCounts(t *testing.T) {
 	}{
 		{"T1", Spec{Kind: Geometric, Shape: ShapeFixed, B0: 4, GenMx: 10, Seed: 19}, 4130071, 3305118, 10, false},
 		{"T3", Spec{Kind: Binomial, B0: 2000, Q: 0.124875, M: 8, Seed: 42}, 4112897, 3599034, 1572, false},
+		{"T4", Spec{Kind: Hybrid, Shape: ShapeLinear, B0: 6, GenMx: 16, Q: 0.234375, M: 4, Shift: 0.5, Seed: 1}, 4132453, 3108986, 134, false},
 		{"T5", Spec{Kind: Geometric, Shape: ShapeLinear, B0: 4, GenMx: 20, Seed: 34}, 4147582, 2181318, 20, false},
 		{"T3L", Spec{Kind: Binomial, B0: 2000, Q: 0.200014, M: 5, Seed: 7}, 111345631, 89076904, 17844, true},
 	} {

@@ -72,13 +72,15 @@ one_rank_loop() {
 # share one yield cadence (core.YieldEvery). The frontier order has two doors
 # — core.PE.Visit (through PopExpand) and uts's own sequential loops — and
 # the simulator, whose virtual-time schedule is defined per node, only ever
-# asks for 1.
+# asks for 1, in one place: simPE.working (des/pe.go), the Working state of
+# every simulated scheduler.
 one_node_kernel() {
 	src=$(git ls-files 'internal/**/*.go' | grep -v _test.go)
 	if grep -n 'uts\.Expand(' $(echo "$src" | grep -v '^internal/stack/stack.go$'); then exit 1; fi
 	if grep -n '\.PopExpand(' $(echo "$src" | grep -v '^internal/core/shell.go$'); then exit 1; fi
 	if grep -n 'SpawnLanes(' $(echo "$src" | grep -vE '^internal/(rng/sha1spawn|uts/expand)\.go$'); then exit 1; fi
 	if grep -n '\.Visit(' $(echo "$src" | grep '^internal/des/') | grep -v '\.Visit(1)'; then exit 1; fi
+	if grep -n '\.Visit(' $(echo "$src" | grep '^internal/des/' | grep -v '^internal/des/pe\.go$'); then exit 1; fi
 	if grep -nE 'PushAll\(.*\.Children\(' $src; then exit 1; fi
 	if grep -n 'Local\.TakeBottom' $(echo "$src" | grep -v '^internal/core/shell.go$'); then exit 1; fi
 	if grep -n 'ClusterYieldEvery' $src; then exit 1; fi
