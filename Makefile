@@ -79,9 +79,10 @@ bench-smoke:
 # batched engine >= 4x the legacy reference (wall-clock), a record with a
 # live sampler attached allocates nothing (a count: no spare core needed),
 # adaptive from the worst chunk >= 0.95x the best (T3XXL on the batched
-# engine, ~15 s), and UTS's published T3L counts from UTS's root (~6 s).
+# engine, ~15 s), UTS's published T3L counts from UTS's root (~6 s), and
+# bench-huge's counts under every spawn kernel (80 M ALFG nodes, ~15 s).
 gates:
-	UTS_GATES=1 $(GO) test -count=1 -v -timeout 10m -run 'Gate$$|^TestUTSPublishedCounts$$' ./internal/des/ ./internal/uts/
+	UTS_GATES=1 $(GO) test -count=1 -v -timeout 10m -run 'Gate$$|^TestUTSPublishedCounts$$|^TestCountsIdenticalUnderEveryKernel$$' ./internal/des/ ./internal/uts/ ./internal/rng/
 
 # Alternating parent/change pairs of the one benchmark command (DESIGN.md
 # §18): `make ab PARENT=<checkout of the parent commit> WORKLOAD=<name>

@@ -29,7 +29,7 @@ func main() {
 		specs = []*uts.Spec{only}
 	}
 	// A sequential rate is a spawn-kernel rate: never print one without it.
-	fmt.Printf("# BRG spawn kernel: %s\n", rng.KernelName())
+	fmt.Printf("# spawn kernels: %s\n", rng.KernelName())
 	fmt.Printf("%-14s %-6s %12s %12s %8s %10s\n", "tree", "rng", "nodes", "leaves", "maxdep", "Mnodes/s")
 	for _, sp := range specs {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)

@@ -85,7 +85,7 @@ func main() {
 		fmt.Print(res.Summary())
 		if *verbose {
 			fmt.Print(res.PerThreadTable())
-			fmt.Printf("# BRG spawn kernel: %s\n", rng.KernelName()) // a rate is a statement about it
+			fmt.Printf("# spawn kernels: %s\n", rng.KernelName()) // a rate is a statement about it
 		}
 		err = f.Finish(os.Stdout, tracer)
 	}

@@ -76,8 +76,8 @@ func NewPE(sp *uts.Spec, t *stats.Thread, lane *obs.Lane, ctl *policy.Controller
 // node a call, which is what a virtual-time schedule is defined over and all
 // the simulator ever passes; a wall-clock worker passes how many nodes it
 // may explore before its next poll or yield, and where the CPU has the
-// sixteen-lane spawn kernel gets a frontier of the top nodes visited in one
-// call.
+// AVX-512 lane kernels (sixteen SHA-1 lanes, 32 ALFG lanes) gets a frontier
+// of the top nodes visited in one call.
 //
 //uts:noalloc
 func (pe *PE) Visit(most int) int {

@@ -1,17 +1,22 @@
 package rng
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"unsafe"
+)
 
 // ALFG is a splittable stream in the spirit of the additive
 // lagged-Fibonacci generator option of the UTS distribution. It exists for
 // the same reason the original did: on very large trees SHA-1 dominated the
 // sequential cost, and a generator without it let the simulator explore
 // larger trees in the same wall time. What a spawn costs is a serial chain
-// of 18 SplitMix64 finalizers (one for the child key, alfgValue's 17):
+// of 19 SplitMix64 finalizers (two for the child key, alfgValue's 17):
 // ~105 ns for one child, ~55 ns per child when two siblings' chains run
 // side by side (SpawnPairInto) — a little over a SHA-NI BRG child, well
-// under half the portable BRG kernel's (the rng.* rows of benchmark/ hold
-// the figures).
+// under half the portable BRG kernel's — and ~16 ns per child when 32
+// children's chains run side by side in the AVX-512 lanes of alfg32_amd64.s
+// (SpawnLanes, the frontier's kernel; the rng.* rows of benchmark/ and
+// DESIGN.md §7 hold the figures).
 //
 // Layout of the 20-byte state: bytes [0:8] hold a 64-bit stream key, bytes
 // [8:16] a 64-bit position word, bytes [16:20] the cached 31-bit random value
@@ -131,6 +136,39 @@ func (ALFG) SpawnPairInto(dst0, dst1 *State, s *State, i int) {
 	v0, v1 := alfgValuePair(k0, k1)
 	alfgPut(dst0, k0, pos, v0)
 	alfgPut(dst1, k1, pos, v1)
+}
+
+// ALFGLanes is the width of the ALFG lane kernel (ALFG.SpawnLanes), and
+// ALFGMinLanes the fewest spawns worth one call of it: a call costs
+// ≈400 ns and ≈3.5 more a lane it carries, a pair ≈110, so from eight
+// lanes up the wide call is the cheaper (DESIGN.md §7).
+const (
+	ALFGLanes    = 32
+	ALFGMinLanes = 8
+)
+
+// SpawnLanes is SpawnInto for ALFGLanes (parent state, child index) pairs
+// at once: for every j < n it writes child idx[j] of the state at byte
+// offset off[j] from src to the 20 bytes at dst + j*stride. All parents
+// are read before anything is stored, so destinations may overlap the
+// parents; lanes from n up are neither read nor written. Go gathers the
+// parents' keys and positions and writes the children; alfg32 runs the
+// finalizer chains of all the lanes side by side. It may be called only
+// where Lanes reports MaxLanes (the one CPUID decision covers both
+// families' lane kernels), with 1 <= n <= ALFGLanes.
+//
+//uts:noalloc
+func (ALFG) SpawnLanes(dst *State, stride uintptr, src *State, off, idx *[ALFGLanes]uint32, n int) {
+	var key, val, pos [ALFGLanes]uint64
+	for j := range key[:n] {
+		p := (*State)(unsafe.Add(unsafe.Pointer(src), off[j]))
+		key[j] = binary.BigEndian.Uint64(p[0:8])
+		pos[j] = binary.BigEndian.Uint64(p[8:16]) + 1
+	}
+	alfg32(&key, &val, idx)
+	for j := range key[:n] {
+		alfgPut((*State)(unsafe.Add(unsafe.Pointer(dst), uintptr(j)*stride)), key[j], pos[j], val[j])
+	}
 }
 
 // Rand returns the cached 31-bit value computed at spawn time.

@@ -3,6 +3,7 @@ package rng
 import (
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -158,8 +159,71 @@ func TestALFGFastAgainstReference(t *testing.T) {
 	}
 }
 
+// checkALFGLanes holds ALFG.SpawnLanes to SpawnInto at every lane count
+// from 1 to ALFGLanes, called as expandFrontier calls it: the parents are
+// the first records of a stack of 28-byte records (uts.Node's layout) and
+// the children land from the first record up, on top of parents other lanes
+// still read. Lanes mix four parents (s, two of its children, its
+// complement) and indices on both sides of i, so the boundary seeds wrap
+// through 0 and 2³²−1; nothing outside a live lane's 20 bytes is written.
+func checkALFGLanes(t *testing.T, s State, i uint32) {
+	t.Helper()
+	const rec = 28
+	parents := [4]State{s, ALFG{}.Spawn(&s, 1), ALFG{}.Spawn(&s, int(i)), s}
+	for b := range parents[3] {
+		parents[3][b] ^= 0xff
+	}
+	var off, idx [ALFGLanes]uint32
+	for j := range off {
+		off[j] = uint32(j*7%len(parents)) * rec
+		idx[j] = i + uint32(j/2) - 3
+	}
+	for n := 1; n <= ALFGLanes; n++ {
+		var buf [(ALFGLanes + 1) * rec]byte
+		for b := range buf {
+			buf[b] = byte(b)
+		}
+		for p := range parents {
+			copy(buf[p*rec:], parents[p][:])
+		}
+		before := buf
+		ALFG{}.SpawnLanes((*State)(buf[:]), rec, (*State)(buf[:]), &off, &idx, n)
+		for j := 0; j <= ALFGLanes; j++ {
+			slot, keep := buf[j*rec:(j+1)*rec], before[j*rec:(j+1)*rec]
+			if j < n {
+				var want State
+				ALFG{}.SpawnInto(&want, &parents[off[j]/rec], int(idx[j]))
+				if got := State(slot); got != want {
+					t.Fatalf("SpawnLanes n=%d lane %d (parent %d, index %d) = %x, want %x", n, j, off[j]/rec, idx[j], got, want)
+				}
+				slot, keep = slot[StateSize:], keep[StateSize:]
+			}
+			if string(slot) != string(keep) {
+				t.Fatalf("SpawnLanes n=%d: record %d written outside a live lane's 20 bytes", n, j)
+			}
+		}
+	}
+}
+
+// TestALFGLanesAgainstSpawnInto runs checkALFGLanes on random states and
+// on the indices where a zero-extension or carry slip would show.
+func TestALFGLanesAgainstSpawnInto(t *testing.T) {
+	if !AVX512.Available() {
+		t.Skip("CPUID reports no avx512: the ALFG lane kernel cannot run on this host")
+	}
+	r := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 50; trial++ {
+		var s State
+		r.Read(s[:])
+		for _, i := range []uint32{0, 3, maxChildren, 1<<31 - 1, 1 << 31, 1<<32 - 1} {
+			checkALFGLanes(t, s, i)
+		}
+	}
+}
+
 // FuzzALFGKernels is the differential fuzz target of the ALFG entry points
-// (make fuzz-smoke), in the shape of FuzzSpawnKernels.
+// (make fuzz-smoke), in the shape of FuzzSpawnKernels; the lane entry point
+// joins them where the CPU has it.
 func FuzzALFGKernels(f *testing.F) {
 	var zero, ones State
 	for j := range ones {
@@ -175,6 +239,9 @@ func FuzzALFGKernels(f *testing.F) {
 		copy(s[:], raw)
 		checkALFGKernels(t, s, int(i))
 		checkALFGKernels(t, s, int(int32(i))) // negative indices reach uint64(i)+1 sign-extended
+		if AVX512.Available() {
+			checkALFGLanes(t, s, i)
+		}
 	})
 }
 
@@ -187,5 +254,28 @@ func BenchmarkSpawnALFGPair(b *testing.B) {
 	for i := 0; i < b.N; i += 2 {
 		ALFG{}.SpawnPairInto(&kids[0], &kids[1], &s, 0)
 		s = kids[i>>1&1]
+	}
+}
+
+// BenchmarkSpawnALFGLanes is ALFG.SpawnLanes in place on 28-byte records,
+// parents' pairs of children as a frontier lays them out, per spawned child,
+// at full width and at a few narrower counts — where a call breaks even
+// with pairs is ALFGMinLanes.
+func BenchmarkSpawnALFGLanes(b *testing.B) {
+	if !AVX512.Available() {
+		b.Skip("CPUID reports no avx512: the ALFG lane kernel cannot run on this host")
+	}
+	for _, lanes := range []int{ALFGLanes, 16, ALFGMinLanes, 4} {
+		b.Run(fmt.Sprintf("lanes%d", lanes), func(b *testing.B) {
+			var rec [ALFGLanes][28]byte
+			var off, idx [ALFGLanes]uint32
+			for j := range off {
+				off[j], idx[j] = uint32(j/2*28), uint32(j&1)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i += lanes {
+				ALFG{}.SpawnLanes((*State)(rec[0][:]), 28, (*State)(rec[0][:]), &off, &idx, lanes)
+			}
+		})
 	}
 }

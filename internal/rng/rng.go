@@ -23,12 +23,14 @@
 //     register filled from a SplitMix64 chain — a fixed linear map of seven
 //     of the fill's words, which is how it is computed (alfg.go). The chain
 //     is the cost: ~105 ns for one child, ~55 ns per child for the two
-//     siblings of a binary node spawned side by side. That is a little over
-//     a SHA-NI BRG child (~45 ns) and well under half the portable BRG
-//     kernel's (~130–155 ns), so ALFG is the cheaper family on every host
-//     without SHA extensions and about level where they exist (the
-//     rng.alfg_spawn_ns and rng.brg_spawnmany_ns rows of benchmark/). Its
-//     trees are its own, so it stays what those runs are pinned to.
+//     siblings of a binary node spawned side by side, ~16 ns per child for
+//     32 children of a traversal's frontier in AVX-512 lanes (KernelName
+//     says whether). On the pair that is a little over a SHA-NI BRG child
+//     (~45 ns) and well under half the portable BRG kernel's (~130–155 ns),
+//     so ALFG is the cheaper family on every host without SHA extensions
+//     and about level where they exist (the rng.alfg_spawn_ns and
+//     rng.brg_spawnmany_ns rows of benchmark/). Its trees are its own, so
+//     it stays what those runs are pinned to.
 //
 // All streams are deterministic functions of the root seed, so every tree in
 // this repository is exactly reproducible.

@@ -44,33 +44,37 @@ const (
 	sha1K0 = 0x5a827999
 )
 
-// KernelName reports which spawn kernels this process runs: "sha-ni x2"
-// (SHA extensions, two sibling lanes per call) or "go-unrolled", behind
-// "avx512 x16 + " where spawns that come sixteen at a time have the
-// AVX-512 kernel. A sequential rate means nothing without it.
+// KernelName reports which spawn kernels this process runs, BRG's and
+// then ALFG's: for BRG "sha-ni x2" (SHA extensions, two sibling lanes per
+// call) or "go-unrolled", behind "avx512 x16 + " where spawns that come
+// sixteen at a time have the AVX-512 kernel; for ALFG "avx512 x32" where
+// they come 32 at a time, else "pair x2". A sequential rate means nothing
+// without it.
 func KernelName() string {
-	name := "go-unrolled"
+	brg, alfg := "go-unrolled", "pair x2"
 	if useNI {
-		name = "sha-ni x2"
+		brg = "sha-ni x2"
 	}
 	if use16 {
-		name = "avx512 x16 + " + name
+		brg, alfg = "avx512 x16 + "+brg, "avx512 x32"
 	}
-	return name
+	return "BRG " + brg + ", ALFG " + alfg
 }
 
-// MaxLanes is the width of the widest kernel, and MinLanes the fewest
-// spawns worth one call of it: a sixteen-lane call costs ≈170 ns whatever
-// it carries, a SHA-NI pair ≈62 ns, so from six lanes up the wide call is
-// the cheaper (DESIGN.md §7 has the measurement).
+// MaxLanes is the width of the widest SHA-1 kernel, and MinLanes the
+// fewest spawns worth one call of it (ALFG's are ALFGLanes and
+// ALFGMinLanes): a sixteen-lane call costs ≈170 ns whatever it carries, a
+// SHA-NI pair ≈62 ns, so from six lanes up the wide call is the cheaper
+// (DESIGN.md §7 has the measurement).
 const (
 	MaxLanes = 16
 	MinLanes = 6
 )
 
-// Lanes reports how many spawns one kernel call of this process computes
-// side by side: MaxLanes where the CPU has AVX-512 (SpawnLanes), else the 2
-// of SpawnPair. A traversal that can pick its order fills them.
+// Lanes reports how many SHA-1 spawns one kernel call of this process
+// computes side by side: MaxLanes where the CPU has AVX-512 (SpawnLanes,
+// and then ALFG.SpawnLanes too), else the 2 of SpawnPair. A traversal that
+// can pick its order fills them.
 func Lanes() int {
 	if use16 {
 		return MaxLanes

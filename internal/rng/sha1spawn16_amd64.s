@@ -360,8 +360,9 @@ TEXT ·spawn16(SB), NOSPLIT, $0-48
 
 // func cpuHasAVX512() bool
 //
-// AVX512F and AVX512BW (leaf 7 EBX bits 16 and 30: VPSHUFB on a ZMM
-// register is BW) and an operating system that saves the state they use:
+// AVX512F, AVX512DQ and AVX512BW (leaf 7 EBX bits 16, 17 and 30: VPSHUFB
+// on a ZMM register is BW, the ALFG kernel's VPMULLQ is DQ) and an
+// operating system that saves the state they use:
 // OSXSAVE (leaf 1 ECX bit 27) and XCR0 bits 1, 2, 5, 6, 7 (SSE, AVX,
 // opmask, ZMM0..15 upper halves, ZMM16..31). Without the last a CPU that
 // advertises the instructions still faults on the first of them.
@@ -384,8 +385,8 @@ TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
 	MOVL $7, AX
 	XORL CX, CX
 	CPUID
-	ANDL $(1<<16 | 1<<30), BX
-	CMPL BX, $(1<<16 | 1<<30)
+	ANDL $(1<<16 | 1<<17 | 1<<30), BX
+	CMPL BX, $(1<<16 | 1<<17 | 1<<30)
 	JNE  no
 	MOVB $1, ret+0(FP)
 no:

@@ -15,3 +15,7 @@ func spawnPairNI(dst0, dst1, parent *State, idx uint32) {
 func spawn16(dst *State, stride uintptr, src *State, off, idx *[16]uint32, n int) {
 	panic("rng: no AVX-512 kernel on this architecture")
 }
+
+func alfg32(key, val *[32]uint64, idx *[32]uint32) {
+	panic("rng: no AVX-512 kernel on this architecture")
+}

@@ -340,9 +340,9 @@ func TestSpawnAllocatesNothing(t *testing.T) {
 func TestKernelName(t *testing.T) {
 	narrow := map[bool]string{true: "sha-ni x2", false: "go-unrolled"}
 	eachKernel(t, func(t *testing.T) {
-		want := narrow[useNI]
+		want := "BRG " + narrow[useNI] + ", ALFG pair x2"
 		if use16 {
-			want = "avx512 x16 + " + want
+			want = "BRG avx512 x16 + " + narrow[useNI] + ", ALFG avx512 x32"
 		}
 		if got := KernelName(); got != want {
 			t.Errorf("KernelName() = %q with useNI=%v use16=%v, want %q", got, useNI, use16, want)

@@ -1,6 +1,7 @@
 package rng_test
 
 import (
+	"os"
 	"testing"
 
 	"repro/internal/core"
@@ -13,18 +14,18 @@ import (
 // only this directory's tests can set the kernel dispatch variable
 // (rng.ForceKernel, export_test.go): the program has no knob for it.
 
-// kernelTrees is every sample tree that reaches the SHA-1 kernel, plus the
-// shapes the pair walk has corners for: granularity 2 (a pair is one
-// child's two spawns) and 3 (pairs straddle children), and the full-scale
-// root fan-out B0 = 2000 on a small tree. The geometric samples supply odd
-// child counts (the one-lane tail).
+// kernelTrees is every sample tree, the ALFG ones too — the one dispatch
+// decision that picks the sixteen SHA-1 lanes picks the 32 ALFG lanes —
+// plus the shapes the pair walk has corners for: granularity 2 (a pair is
+// one child's two spawns) and 3 (pairs straddle children), and the
+// full-scale root fan-out B0 = 2000 on a small tree. The geometric samples
+// supply odd child counts (the one-lane tail). bench-large is left out in
+// -short mode, and bench-huge (80 M ALFG nodes, ≈15 s over the three
+// kernels) runs only under UTS_GATES=1 (make gates).
 func kernelTrees(short bool) []*uts.Spec {
 	var specs []*uts.Spec
 	for _, sp := range uts.SampleTrees {
-		if _, brg := sp.Stream().(rng.BRG); !brg {
-			continue // ALFG trees never execute a SHA-1
-		}
-		if short && sp == &uts.BenchLarge {
+		if short && sp == &uts.BenchLarge || sp == &uts.BenchHuge && os.Getenv("UTS_GATES") != "1" {
 			continue
 		}
 		specs = append(specs, sp)
@@ -40,7 +41,8 @@ func kernelTrees(short bool) []*uts.Spec {
 // TestCountsIdenticalUnderEveryKernel requires the same tree — nodes,
 // leaves, depth — from the sequential traversal whichever kernels spawn it,
 // and so whichever order they let it take: strict depth-first under the
-// narrow two, frontiers under the sixteen-lane one.
+// narrow two, frontiers under the lane kernels (sixteen SHA-1 lanes, 32
+// ALFG lanes).
 func TestCountsIdenticalUnderEveryKernel(t *testing.T) {
 	for _, sp := range kernelTrees(testing.Short()) {
 		var portable uts.Count

@@ -9,7 +9,7 @@ import "repro/internal/rng"
 // traversal loops of this repository do not go through it: the sequential
 // oracle and the schedulers' node kernel (stack.Deque.PopExpand) both run
 // Expand, which writes children straight onto their own DFS stack and,
-// under the 16-lane BRG kernel, spawns a frontier of nodes per call, which
+// under the AVX-512 lane kernels, spawns a frontier of nodes per call, which
 // keeps the Figure 3 comparison apples-to-apples. Children is one node at a
 // time on the strict pair kernel, so a loop over it pays 3–4× the traversal
 // loops' cost a node on an AVX-512 host (194–208 ms against 47–63 ms on a

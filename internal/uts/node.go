@@ -226,14 +226,12 @@ func (sp *Spec) binomialBelow() int64 { return int64(math.Ceil(sp.binomialCut())
 
 // geometricCount draws from a geometric distribution with mean geoBranch(d):
 // with p = 1/(1+b) and u = r/2³¹ in [0, 1), UTS's count
-// floor(log(1−u)/log(1−p)) has mean b. Depths at or below GenMx are leaves.
+// floor(log(1−u)/log(1−p)) has mean b. Where the shape cuts the tree b is
+// 0 and the node a leaf; so it is where b is NaN, which exp-dec gives below
+// depth 1 for B0 = GenMx = 1 (0/0 in its exponent).
 func geometricCount(sp *Spec, height, r int32) int {
-	d := int(height)
-	if d >= sp.GenMx {
-		return 0
-	}
-	b := sp.geoBranch(d)
-	if b < 1e-12 {
+	b := sp.geoBranch(int(height))
+	if !(b >= 1e-12) {
 		return 0
 	}
 	p := 1 / (1 + b)

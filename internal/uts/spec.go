@@ -56,7 +56,9 @@ func (k Kind) String() string {
 }
 
 // Shape selects how a geometric tree's expected branching factor varies
-// with depth.
+// with depth: UTS's shape functions (-a), all with B0 at the root. UTS
+// numbers them 0 linear, 1 exp-dec, 2 cyclic, 3 fixed, which is not the
+// order of the constants below.
 type Shape int
 
 const (
@@ -66,11 +68,13 @@ const (
 	// ShapeLinear decreases the expected branching factor linearly with
 	// depth, reaching zero at GenMx.
 	ShapeLinear
-	// ShapeExpDec decays the expected branching factor exponentially
-	// with depth.
+	// ShapeExpDec decays the expected branching factor as a power of the
+	// depth, B0·d^(−ln B0/ln GenMx): 1 at GenMx, below it deeper, and no
+	// depth cut.
 	ShapeExpDec
-	// ShapeCyclic varies the expected branching factor sinusoidally with
-	// period GenMx/5, producing alternating bushy and sparse bands.
+	// ShapeCyclic varies the expected branching factor as B0^sin(2πd/GenMx):
+	// bands of GenMx/2 levels above 1 and below it in turn, cut above
+	// 5·GenMx.
 	ShapeCyclic
 )
 
@@ -203,10 +207,12 @@ func (sp *Spec) ExpectedSize() float64 {
 		}
 		return n
 	case Geometric:
-		// Expected branching factor b per level gives a geometric series.
+		// Expected branching factor b per level gives a geometric series,
+		// summed until a level is negligible: the shapes' own depth cuts
+		// end it, and 100·GenMx levels end exp-dec's, which has none.
 		n := 1.0
 		level := 1.0
-		for d := 0; d < sp.GenMx; d++ {
+		for d := 0; d < 100*sp.GenMx; d++ {
 			level *= sp.geoBranch(d)
 			n += level
 			if level < 1e-9 {
@@ -229,31 +235,28 @@ func (sp *Spec) ExpectedSize() float64 {
 	return math.NaN()
 }
 
-// geoBranch is the expected branching factor of a geometric tree at depth d.
+// geoBranch is the expected branching factor of a geometric tree at depth
+// d, UTS's shape function (uts_numChildren_geo): B0 at the root whatever
+// the shape, and below it each shape with its own depth cut — fixed and
+// linear at GenMx, cyclic above 5·GenMx, exp-dec none.
 func (sp *Spec) geoBranch(d int) float64 {
 	b0 := float64(sp.B0)
-	switch sp.Shape {
-	case ShapeFixed:
+	if d == 0 {
 		return b0
+	}
+	switch sp.Shape {
 	case ShapeLinear:
-		f := 1 - float64(d)/float64(sp.GenMx)
-		if f < 0 {
-			f = 0
-		}
-		return b0 * f
+		return b0 * max(0, 1-float64(d)/float64(sp.GenMx))
 	case ShapeExpDec:
-		// Decay so the expected branching reaches 1 at GenMx.
-		if b0 <= 1 {
-			return b0
-		}
-		return b0 * math.Pow(b0, -float64(d)/float64(sp.GenMx))
+		return b0 * math.Pow(float64(d), -math.Log(b0)/math.Log(float64(sp.GenMx)))
 	case ShapeCyclic:
-		if d >= sp.GenMx {
+		if d > 5*sp.GenMx {
 			return 0
 		}
-		// Sinusoidal with period GenMx/5, floored at 0.1·B0 so that sparse
-		// bands throttle growth without truncating the tree outright.
-		return b0 * (0.55 + 0.45*math.Sin(2*math.Pi*float64(d)/float64(sp.GenMx)*5))
+		return math.Pow(b0, math.Sin(2*math.Pi*float64(d)/float64(sp.GenMx)))
+	}
+	if d >= sp.GenMx { // ShapeFixed
+		return 0
 	}
 	return b0
 }

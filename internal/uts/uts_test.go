@@ -35,7 +35,7 @@ var pinnedLarge = map[string]struct {
 }{
 	"bench-medium": {481599, 241049, 1665},
 	"geo-fixed":    {18796, 15085, 8},
-	"geo-cyclic":   {335310, 211947, 20},
+	"geo-cyclic":   {127037, 69182, 38},
 	"bench-large":  {6698443, 3350221, 6853},
 }
 
@@ -67,14 +67,16 @@ func TestPinnedCountsLarge(t *testing.T) {
 	}
 }
 
-// TestUTSPublishedCounts walks five of the trees UTS publishes counts for
+// TestUTSPublishedCounts walks six of the trees UTS publishes counts for
 // from UTS's own root — the SHA-1 of sixteen zero bytes followed by the
 // 4-byte big-endian seed, where rng.BRG.Init hashes the seed alone — with
 // this package's Expand, so spawn, Rand and the binomial, geometric and
 // hybrid draws are checked against the published figures: T1 is UTS's -t 1
-// -a 3 -d 10 -b 4 -r 19, T5 its -t 1 -a 0 -d 20 -b 4 -r 34, T4 its -t 2 -a 0
-// -d 16 -b 6 -r 1 -q 0.234375 -m 4, binomial below half the depth cutoff.
-// T3L (111M nodes) runs behind UTS_GATES=1.
+// -a 3 -d 10 -b 4 -r 19, T5 its -t 1 -a 0 -d 20 -b 4 -r 34, T2 its -t 1 -a 2
+// -d 16 -b 6 -r 502 (the cyclic shape), T4 its -t 2 -a 0 -d 16 -b 6 -r 1 -q
+// 0.234375 -m 4, binomial below half the depth cutoff. UTS publishes node
+// counts and depths; T2's leaf count is this walk's own. T3L (111M nodes)
+// runs behind UTS_GATES=1.
 func TestUTSPublishedCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -84,6 +86,7 @@ func TestUTSPublishedCounts(t *testing.T) {
 		gated         bool
 	}{
 		{"T1", Spec{Kind: Geometric, Shape: ShapeFixed, B0: 4, GenMx: 10, Seed: 19}, 4130071, 3305118, 10, false},
+		{"T2", Spec{Kind: Geometric, Shape: ShapeCyclic, B0: 6, GenMx: 16, Seed: 502}, 4117769, 2342762, 81, false},
 		{"T3", Spec{Kind: Binomial, B0: 2000, Q: 0.124875, M: 8, Seed: 42}, 4112897, 3599034, 1572, false},
 		{"T4", Spec{Kind: Hybrid, Shape: ShapeLinear, B0: 6, GenMx: 16, Q: 0.234375, M: 4, Shift: 0.5, Seed: 1}, 4132453, 3108986, 134, false},
 		{"T5", Spec{Kind: Geometric, Shape: ShapeLinear, B0: 4, GenMx: 20, Seed: 34}, 4147582, 2181318, 20, false},
@@ -304,6 +307,29 @@ func TestGeometricKidsBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGeoBranchExpDec holds the exp-dec shape to UTS's b(d) = B0·d^(−ln
+// B0/ln GenMx) at three depths: with B0 = 4 and GenMx = 16 the exponent is
+// −1/2, so b(4) = 2, b(16) = 1 and b(64) = 1/2; b(0) is B0. The shape has
+// no depth cut: at four times GenMx the top draw still has children.
+func TestGeoBranchExpDec(t *testing.T) {
+	sp := Spec{Kind: Geometric, Shape: ShapeExpDec, B0: 4, GenMx: 16}
+	for _, tc := range []struct {
+		d    int
+		want float64
+	}{{0, 4}, {4, 2}, {16, 1}, {64, 0.5}} {
+		if got := sp.geoBranch(tc.d); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("b(%d) = %v, want %v", tc.d, got, tc.want)
+		}
+	}
+	if k := geometricCount(&sp, 64, rng.RandMax-1); k == 0 {
+		t.Error("no children at depth 64 for the top draw: exp-dec must not cut at GenMx")
+	}
+	one := Spec{Kind: Geometric, Shape: ShapeExpDec, B0: 1, GenMx: 1}
+	if k := geometricCount(&one, 2, rng.RandMax-1); k != 0 {
+		t.Errorf("B0 = GenMx = 1 (a NaN branching factor) draws %d children, want a leaf", k)
 	}
 }
 
