@@ -81,8 +81,18 @@ bench-smoke:
 # adaptive from the worst chunk >= 0.95x the best (T3XXL on the batched
 # engine, ~15 s), UTS's published T3L counts from UTS's root (~6 s), and
 # bench-huge's counts under every spawn kernel (80 M ALFG nodes, ~15 s).
+# Then the paper tables at quick scale are regenerated and diffed against
+# results/quick.txt (~30 s): every number in it but E1's section (wall-clock
+# rates and the host's spawn kernels) and the `generated in` times is a
+# deterministic function of the code, so a change that moves a DES number
+# commits the regenerated file (`make experiments`) with it.
+QUICK_CMP := /^\#\# /{skip = /^\#\# E1 /} !skip && !/^note: scale=quick, generated in /
 gates:
 	UTS_GATES=1 $(GO) test -count=1 -v -timeout 10m -run 'Gate$$|^TestUTSPublishedCounts$$|^TestCountsIdenticalUnderEveryKernel$$' ./internal/des/ ./internal/uts/ ./internal/rng/
+	@mkdir -p bin
+	$(GO) run ./cmd/uts-bench -scale quick > bin/quick.txt
+	@awk '$(QUICK_CMP)' results/quick.txt > bin/quick.want
+	@awk '$(QUICK_CMP)' bin/quick.txt | diff -u bin/quick.want - && echo "gates: results/quick.txt regenerates (E1 and the generation times aside)"
 
 # Alternating parent/change pairs of the one benchmark command (DESIGN.md
 # §18): `make ab PARENT=<checkout of the parent commit> WORKLOAD=<name>

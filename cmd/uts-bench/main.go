@@ -16,13 +16,18 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment ID (E1..E7, A1..A3) or \"all\"")
+	ids := make([]string, len(bench.All))
+	for i, e := range bench.All {
+		ids[i] = e.ID
+	}
+	exp := flag.String("exp", "all", "experiment ID ("+strings.Join(ids, ", ")+") or \"all\"")
 	scale := flag.String("scale", "quick", "smoke, quick or full")
 	csvDir := flag.String("csv", "", "directory to write per-experiment CSV files (optional)")
 	list := flag.Bool("list", false, "list experiments and exit")

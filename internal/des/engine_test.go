@@ -181,8 +181,13 @@ type rawRun struct {
 // a stream seeded by (seed, PE): plain and stepped advances (NoPoll
 // boundaries, ended early by interrupts other PEs post), remote calls,
 // immediate and delayed sends, two effects staged on one boundary, and lock
-// sections shared with the neighbour PE. Durations come from a handful of
-// values so that boundaries of different PEs keep falling on one instant.
+// sections shared with the neighbour PE. Every fourth PE is instead one
+// stepped advance from spawn to finish (spawnStepped): random quanta, some
+// NoPoll, some staging a read and an operation — a post among them — on
+// other PEs, ended by StepDone or by an interrupt another PE posted; the
+// batched engine runs it in its dispatcher, the legacy reference on a
+// coroutine. Durations come from a handful of values so that boundaries of
+// different PEs keep falling on one instant.
 func buildRawWorkload(s *Sim, seed int64, n, rounds int) *rawRun {
 	const (
 		opAdd = iota
@@ -228,9 +233,9 @@ func buildRawWorkload(s *Sim, seed int64, n, rounds int) *rawRun {
 	hops := []time.Duration{hop, hop + 1, 2 * hop}
 	for i := 0; i < n; i++ {
 		rng := rand.New(rand.NewSource(seed<<8 + int64(i)))
-		procs[i] = s.Spawn(func(p *Proc) {
-			log := func(v ...int64) { r.logs[i] = append(r.logs[i], v...) }
-			pick := func(ds []time.Duration) time.Duration { return ds[rng.Intn(len(ds))] }
+		log := func(v ...int64) { r.logs[i] = append(r.logs[i], v...) }
+		pick := func(ds []time.Duration) time.Duration { return ds[rng.Intn(len(ds))] }
+		body := func(p *Proc) {
 			for k := 0; k < rounds; k++ {
 				dst, val := rng.Intn(n), int64(i<<20|k)
 				switch rng.Intn(8) {
@@ -302,7 +307,34 @@ func buildRawWorkload(s *Sim, seed int64, n, rounds int) *rawRun {
 				}
 				log(int64(p.Now()))
 			}
-		})
+		}
+		if i%4 == 3 {
+			quanta, k, read := 1+rng.Intn(rounds), 0, false
+			procs[i] = s.spawnStepped(func() (time.Duration, uint8) {
+				if read { // what the effect staged on the last boundary saw
+					log(staged[i][0].res, staged[i][1].res)
+					read = false
+				}
+				log(int64(procs[i].Now()))
+				if k == quanta {
+					return 0, StepDone
+				}
+				k++
+				d, fl := pick(durs), uint8(rng.Intn(2))*StepNoPoll
+				if rng.Intn(3) == 0 {
+					op := uint8([]int{opAdd, opMax, opPost}[rng.Intn(3)])
+					staged[i] = [2]rawOp{{dst: rng.Intn(n), op: opRead}, {dst: rng.Intn(n), op: op, a: int64(i<<20 | k)}}
+					read = true
+					return procs[i].Stage(d, 0), fl
+				}
+				return d, fl
+			}, func(p *Proc) { log(staged[i][0].res, staged[i][1].res, int64(k), int64(p.intr), int64(p.Now())) })
+			if rng.Intn(4) == 0 { // posted before the run: the first step still runs
+				procs[i].Post(IntrSteal)
+			}
+		} else {
+			procs[i] = s.Spawn(body)
+		}
 		procs[i].effect = func() {
 			for k := range staged[i] {
 				o := &staged[i][k]

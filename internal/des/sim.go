@@ -46,16 +46,17 @@
 // # Engines
 //
 // Two engines implement that contract. The batched engine (New, the one a
-// run uses) is the Sim itself: a loop that pops an event and resumes its PE,
-// the event queue a flat 4-ary indexed min-heap of value-typed entries. An
-// Advance whose deadline precedes every queued event commits inline without
-// touching the heap or leaving the PE, and protocol loops expressed as step
-// functions (AdvanceStepped) run entirely inside the loop with zero
-// coroutine switches. A run whose PEs reach each other only through messages
-// that take at least a lookahead to land — mpi-ws — is dispatched one
-// lookahead-wide window at a time, the window's events a bag (calendar):
-// nothing done inside a window is seen across PEs before it ends, so their
-// order inside it is free. The legacy engine (legacy.go) resumes the PE once
+// run uses) is the Sim itself: one loop that pops an event and resumes its
+// PE (dispatch), the event queue a flat 4-ary indexed min-heap of
+// value-typed entries. An Advance whose deadline precedes every queued event
+// commits inline without touching the heap or leaving the PE, and protocol
+// loops expressed as step functions (AdvanceStepped) are stepped by one loop,
+// steps, which the dispatcher runs with zero coroutine switches. A run whose
+// PEs reach each other only through messages that take at least a lookahead
+// to land — mpi-ws — is dispatched one lookahead-wide window at a time, the
+// window's events a bag (calendar) the same loop pops from: nothing done
+// inside a window is seen across PEs before it ends, so their order inside
+// it is free. The legacy engine (legacy.go) resumes the PE once
 // per event and keeps a boxed container/heap queue; it is the bit-identical
 // reference this package's tests hold the batched one to
 // (TestEngineDifferential) and is reachable from nowhere else. Both execute
@@ -247,8 +248,9 @@ func (s *Sim) Spawn(body func(p *Proc)) *Proc {
 // runs from virtual time zero, and done at the boundary that ends the advance
 // — StepDone's, or a poll that finds an interrupt posted — when the PE is
 // finished. The batched engine gives such a PE no coroutine: its advance
-// starts parked, contStep runs it and ends it. The legacy reference runs the
-// body AdvanceStepped(step), then done, on a coroutine like any other.
+// starts parked, and dispatch runs it (steps) and ends it. The legacy
+// reference runs the body AdvanceStepped(step), then done, on a coroutine like
+// any other.
 func (s *Sim) spawnStepped(step Stepper, done func(*Proc)) *Proc {
 	p := s.proc()
 	if s.legacy {
@@ -332,9 +334,6 @@ func (s *Sim) Run() error {
 	if s.legacy {
 		return s.runLegacy()
 	}
-	if s.cal != nil {
-		return s.dispatchWindows()
-	}
 	return s.dispatch()
 }
 
@@ -348,52 +347,50 @@ func (s *Sim) drained() error {
 }
 
 // dispatch pops events and resumes their PEs until the queue drains, and
-// reports a drained queue with PEs still blocked as a deadlock.
+// reports a drained queue with PEs still blocked as a deadlock. A popped
+// boundary of a stepped advance continues in place (steps); any other event
+// resumes its PE's coroutine.
+//
+// A windowed run's events come out of the calendar's bag in any order: a
+// parked event goes to the calendar, and before each event runs the sentinel
+// root moves to the end of the window it belongs to, so that ahead —
+// unchanged — commits every boundary inside that window inline and parks
+// every one past it.
 //
 //uts:noalloc
 func (s *Sim) dispatch() error {
-	for {
-		e, ok := s.next()
-		if !ok {
-			return s.drained()
-		}
-		s.now = e.t
-		s.events++
-		s.pops++
-		if p := e.p; p.stepFn != nil {
-			s.contStep(p)
-		} else {
-			s.run(p, 0)
-		}
-	}
-}
-
-// dispatchWindows is dispatch for a windowed run: the events of the current
-// window come out of the calendar's bag in any order, and before each runs
-// the sentinel root moves to the end of the window it belongs to, so that
-// ahead — unchanged — commits every boundary inside that window inline and
-// parks every one past it. A parked event goes to the calendar.
-//
-//uts:noalloc
-func (s *Sim) dispatchWindows() error {
 	c := s.cal
 	for {
-		if s.hasPend {
-			s.hasPend = false
-			c.push(s.pend)
+		var e ev
+		var ok bool
+		if c == nil {
+			e, ok = s.next()
+		} else {
+			if s.hasPend {
+				s.hasPend = false
+				c.push(s.pend)
+			}
+			if e, ok = c.pop(); ok {
+				s.heap.a[0].t = c.end
+			}
 		}
-		e, ok := c.pop()
 		if !ok {
 			return s.drained()
 		}
-		s.heap.a[0].t = c.end
 		s.now = e.t
 		s.events++
 		s.pops++
-		if p := e.p; p.stepFn != nil {
-			s.contStep(p)
-		} else {
+		p := e.p
+		if p.stepFn == nil {
 			s.run(p, 0)
+			continue
+		}
+		fl := p.stepFl
+		if fl&StepSleep != 0 {
+			s.woke(p)
+		}
+		if m, ended := s.steps(p, fl); ended {
+			s.end(p, m)
 		}
 	}
 }
@@ -419,45 +416,45 @@ func (s *Sim) ahead(t int64, id int) bool {
 	return s.heap.empty() || s.heap.rootAfter(t, id)
 }
 
-// contStep continues a parked stepped advance at its boundary, in dispatcher
-// context. It applies the boundary's flags, then keeps stepping inline —
-// committing quanta that precede every queued event without any heap
-// traffic or coroutine switch — until the advance ends (end), a quantum
-// collides with the queue and is rescheduled, or it sleeps.
+// steps is the stepped advance of the batched engine, the one place it steps:
+// p's advance stands at a boundary with flags fl, the clock on it. It applies
+// the boundary — the staged effect, then StepDone, then, at a service point,
+// a pending interrupt — and keeps stepping: a quantum that precedes every
+// queued event commits inline, without heap traffic or a coroutine switch;
+// one that collides with the queue parks, and a StepSleep one sleeps. It
+// reports the mask that ended the advance and true, or false when the advance
+// parked or slept and the dispatcher will continue it here.
+//
+// The boundary and the commit stay written out in the loop: as calls they
+// are not inlined, two a quantum.
 //
 //uts:noalloc
-func (s *Sim) contStep(p *Proc) {
-	fl := p.stepFl
-	if fl&StepSleep != 0 {
-		s.woke(p)
-	}
+func (s *Sim) steps(p *Proc, fl uint8) (Intr, bool) {
 	for {
 		if p.staged {
 			p.staged = false
 			p.effect()
 		}
 		if fl&StepDone != 0 {
-			s.end(p, 0)
-			return
+			return 0, true
 		}
 		if fl&StepNoPoll == 0 && p.intr != 0 {
 			m := p.intr
 			p.intr = 0
-			s.end(p, m)
-			return
+			return m, true
 		}
 		var dt time.Duration
 		dt, fl = p.stepFn()
 		if dt > 0 {
 			if fl&StepSleep != 0 {
 				s.sleep(p, int64(dt), fl)
-				return
+				return 0, false
 			}
 			t := s.now + int64(dt)
 			if !s.ahead(t, p.id) {
 				p.stepFl = fl
 				s.park(p, t)
-				return
+				return 0, false
 			}
 			s.now = t
 			s.events++
@@ -647,46 +644,20 @@ func (p *Proc) Advance(d time.Duration) {
 // The first step executes before any interrupt check, matching protocols
 // that explore before polling. Quanta run inline while their boundary
 // precedes every queued event; otherwise the PE parks and the dispatcher
-// continues the same step sequence in place, so a whole batch of node
-// work, probes, or idle polls costs zero coroutine switches.
+// continues the same step sequence in place (steps), so a whole batch of
+// node work, probes, or idle polls costs zero coroutine switches.
 //
 //uts:noalloc
 func (p *Proc) AdvanceStepped(step Stepper) Intr {
 	if p.sim.legacy {
 		return p.legacyAdvanceStepped(step)
 	}
-	s := p.sim
-	for {
-		d, fl := step()
-		if d > 0 {
-			if fl&StepSleep != 0 {
-				p.stepFn = step
-				s.sleep(p, int64(d), fl)
-				return p.yield()
-			}
-			t := s.now + int64(d)
-			if !s.ahead(t, p.id) {
-				p.stepFn = step
-				p.stepFl = fl
-				s.park(p, t)
-				return p.yield()
-			}
-			s.now = t
-			s.events++
-		}
-		if p.staged {
-			p.staged = false
-			p.effect()
-		}
-		if fl&StepDone != 0 {
-			return 0
-		}
-		if fl&StepNoPoll == 0 && p.intr != 0 {
-			m := p.intr
-			p.intr = 0
-			return m
-		}
+	p.stepFn = step
+	if m, ended := p.sim.steps(p, StepNoPoll); ended {
+		p.stepFn = nil
+		return m
 	}
+	return p.yield()
 }
 
 // yield suspends p's coroutine until the dispatcher resumes it at an event
@@ -938,7 +909,7 @@ type calendar struct {
 const calSlots = 8
 
 // windowed makes s a windowed run: it is dispatched one window of width w at
-// a time (dispatchWindows), its events queued in a calendar, not the heap.
+// a time (dispatch), its events queued in a calendar, not the heap.
 // It is run.go's to choose, before the first Spawn, and only for a run in
 // which every effect of one PE on another is a message that takes at least w
 // to land (Stage holds it to that) and nothing observes the PEs at

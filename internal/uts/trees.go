@@ -21,7 +21,10 @@ var (
 	T1Paper = Spec{Name: "T1paper", Kind: Binomial, Seed: 0, B0: 2000, M: 2,
 		Q: 0.5 * (1 - 1e-8)}
 
-	// T2Paper is the 157-billion-node tree of Section 4.2.2, footnote 2.
+	// T2Paper is the 157-billion-node tree of Section 4.2.2, footnote 2. Its
+	// q has two readings: 0.5·(1−10⁻⁶) = 0.4999995, the one here, and the
+	// UTS distribution's T3WL value 0.4999999995 = 0.5·(1−10⁻⁹). Neither has
+	// been walked to the paper's count, so which the paper ran is open.
 	T2Paper = Spec{Name: "T2paper", Kind: Binomial, Seed: 559, B0: 2000, M: 2,
 		Q: 0.5 * (1 - 1e-6)}
 

@@ -145,6 +145,25 @@ one_window() {
 	test "$body" = 'return s.heap.empty() || s.heap.rootAfter(t, id)'
 }
 
+# One stepped advance: fails if the batched engine grows a second stepping
+# loop or a second dispatch loop back. A stepped advance is stepped in one
+# place, Sim.steps — the coroutine's start (AdvanceStepped) and the
+# dispatcher's continuation both call it — so the boundary rule (staged
+# effect, then StepDone, then the interrupt at a service point) is one edit,
+# and the legacy reference's own copy (legacy.go) is the oracle the
+# differentials hold it to: the boundary effect runs in exactly those two
+# places. Events leave the queue in one loop, Sim.dispatch, the calendar of a
+# windowed run a branch at its pop: each is where a model checker would
+# choose which tied event runs first.
+one_stepped_advance() {
+	src=$(ls internal/des/*.go | grep -v _test.go)
+	test "$(cat $src | grep -c 'p\.effect()')" -eq 2
+	test "$(sed -n '/^func (s \*Sim) steps(/,/^}/p' internal/des/sim.go | grep -c 'p\.effect()')" -eq 1
+	test "$(grep -c 'p\.effect()' internal/des/legacy.go)" -eq 1
+	test "$(cat $src | grep -cE '^func (\([^)]*\) )?dispatch')" -eq 1
+	grep -q '^func (s \*Sim) dispatch() error {' internal/des/sim.go
+}
+
 # No interpreter: fails if the simulator grows an op-code interpreter back. A
 # cross-PE effect in virtual time is a typed call at its place in the
 # schedule — a method after the advance it completes, or the host's boundary
@@ -260,6 +279,7 @@ rule "One work loop" "§17" one_work_loop
 rule "One baton" "§9" one_baton
 rule "A step is not a coroutine" "§9" step_is_not_a_coroutine
 rule "One window" "§9" one_window
+rule "One stepped advance" "§9" one_stepped_advance
 rule "No interpreter" "§9" no_interpreter
 rule "One record" "§9" one_record
 rule "No HTTP below the command line" "§13" no_http_below_cmd
@@ -268,5 +288,5 @@ rule "No net below the command line" "§10, §13" no_net_below_cmd
 rule "Off is nil" "§15" off_is_nil
 rule "The live plane reads once" "§13" live_plane_reads_once
 rule "One lint driver" "§11" one_lint_driver
-[ $failed -eq 0 ] && echo "shape: 17 rules hold"
+[ $failed -eq 0 ] && echo "shape: 18 rules hold"
 exit $failed
