@@ -13,12 +13,15 @@ import (
 // algorithms differ in how a chunk is made stealable and stolen, the
 // substrates in which clock passes while a PE waits; both sit behind Host.
 //
-// Search and wait are resumable step functions, the form the simulator's
+// The machine is a step function (Machine.Start), the form the simulator's
 // dispatcher runs inline, because it is the strictest: it names every
-// service point and every one-sided read with the instant it completes. A
-// wall-clock PE runs the same functions back to back (WallPE.Steps), so
-// goroutines, TCP ranks and simulated PEs take every discovery and
-// termination decision in the same order by construction.
+// service point and every one-sided read with the instant it completes, and
+// an operation of the host that takes time — a batch of node work, a steal,
+// the barrier — hands its quanta back through the step (Host.Busy) instead
+// of waiting them out. A wall-clock PE runs the same step in a loop
+// (WallPE.Steps), each operation whole inside its call, so goroutines, TCP
+// ranks and simulated PEs take every discovery and termination decision in
+// the same order by construction.
 
 // Stepper yields one quantum of a stepped advance: the duration to consume
 // and the flags governing the boundary the quantum ends at.
@@ -55,11 +58,23 @@ type Host interface {
 	BeginSteal()
 	EndSteal(ok bool, back stats.State)
 
-	// Engine. Steps runs step until StepDone (false) or until a service
-	// point — a boundary without StepNoPoll, never before the first
-	// quantum — finds a steal request pending or the run stopped (true);
-	// the caller services and resumes with the same step.
-	Steps(step Stepper) bool
+	// Engine. Steps runs a step function to its end (StepDone) on the
+	// host's own clock: what Machine.Run steps it with.
+	Steps(step Stepper)
+	// Interrupted is asked at every service point — the end of a quantum
+	// without StepNoPoll, never before the first — and reports a steal
+	// request pending or the run stopped: the machine then calls Service,
+	// and, in the search or the wait, gives up if Stopped.
+	Interrupted() bool
+	// Busy is asked after every call of Work, Service, Steal, Enter and
+	// Leave. A host whose operations take time its step must return (the
+	// simulator's) may leave the operation unfinished: Busy then reports the
+	// quantum it waits for, that quantum's flags, and true, and the machine
+	// returns the quantum and calls the same operation again at its end. The
+	// call after which Busy reports false was the operation's last, and what
+	// it returned is the operation's result. A wall-clock host finishes every
+	// operation inside its call.
+	Busy() (time.Duration, uint8, bool)
 	// StageAvail stages a one-sided read of v's work-available word,
 	// complete at the end of the quantum the calling step is about to
 	// return, and returns that quantum's length, already booked to the
@@ -132,11 +147,15 @@ type Machine struct {
 	ep episode
 }
 
-// episode is the state of one search or termination wait, kept in the
-// Machine so that an episode allocates nothing: its steps are bound once a
-// run, and the walk they share with Host.Doze/Probed is this one.
+// episode is where the machine stands between two calls of its step, kept
+// in the Machine so that a run allocates nothing past Start: its place in
+// Figure 1, and the state of the search or termination wait under way —
+// the walk it shares with Host.Doze/Probed is this one.
 type episode struct {
-	searchStep, waitStep Stepper
+	at    uint8       // the machine's place in Figure 1 (at*)
+	poll  bool        // the last quantum ended at a service point
+	serve bool        // a Service asked for there is under way
+	back  stats.State // the state the steal attempt under way returns to
 
 	walk      ProbeWalk
 	ph        int
@@ -147,37 +166,124 @@ type episode struct {
 	announced bool // the wait: termination was announced
 }
 
-// Run is the Figure-1 state machine. The PE starts in the Working state.
-func (m *Machine) Run() {
-	h := m.H
-	m.ep.searchStep, m.ep.waitStep = m.searchQuantum, m.waitQuantum
+// The machine's places in Figure 1. Each that calls a host operation calls
+// it again while the host is Busy with it.
+const (
+	atWork   = iota // the Working state: Work
+	atSearch        // a probe cycle (searchQuantum)
+	atSteal         // a steal attempt at the victim, from the search or the wait
+	atEnter         // entering the termination barrier
+	atWait          // the streamlined wait (waitQuantum)
+	atLeave         // leaving the barrier to steal
+	atLast          // the run is over: answer a last raced-in request
+	atEnd           // the step is done
+)
+
+// Run runs the machine to its end on the host's own clock (Host.Steps). A
+// simulated PE is stepped by the dispatcher instead (Start).
+func (m *Machine) Run() { m.H.Steps(m.Start()) }
+
+// Start returns the machine's step function: Figure 1 from the Working state
+// to the end of the run, one quantum per call. A host operation runs inside
+// the call until it is Busy; at a service point the next call first serves
+// a pending request (Interrupted, Service).
+func (m *Machine) Start() Stepper {
+	m.ep = episode{}
+	return m.step
+}
+
+func (m *Machine) step() (time.Duration, uint8) {
+	h, e := m.H, &m.ep
+	if e.poll {
+		e.poll = false
+		e.serve = h.Interrupted()
+	}
+	if e.serve {
+		h.Service()
+		if d, fl, busy := h.Busy(); busy {
+			return d, fl
+		}
+		e.serve = false
+		if e.at != atWork && h.Stopped() {
+			if e.at == atSearch {
+				m.searched(false)
+			} else {
+				e.at = atLast
+			}
+		}
+	}
 	for {
-		h.Work()
-		h.SetState(stats.Searching)
-		found := m.search()
-		if !found {
-			h.SetState(stats.Idle)
-			found = h.Settle(true)
-		}
-		if h.Stopped() {
-			return
-		}
-		if found {
-			h.SetState(stats.Working)
-			continue
-		}
-		m.PE.T.TermBarrierEntries++
-		h.Rec(obs.KindTermEnter, -1, 0)
-		if m.terminate() {
+		switch e.at {
+		case atWork:
+			h.Work()
+			if d, fl, busy := h.Busy(); busy {
+				return m.quantum(d, fl)
+			}
+			h.SetState(stats.Searching)
+			m.search()
+		case atSearch:
+			d, fl := m.searchQuantum()
+			if fl&StepDone == 0 {
+				return m.quantum(d, fl)
+			}
+			if e.over {
+				m.searched(e.found)
+			} else {
+				m.steal(stats.Searching)
+			}
+		case atSteal:
+			ok := h.Steal(e.victim)
+			if d, fl, busy := h.Busy(); busy {
+				return m.quantum(d, fl)
+			}
+			m.stole(ok)
+		case atEnter:
+			over := h.Enter()
+			if d, fl, busy := h.Busy(); busy {
+				return m.quantum(d, fl)
+			}
+			m.entered(over)
+		case atWait:
+			d, fl := m.waitQuantum()
+			if fl&StepDone == 0 {
+				return m.quantum(d, fl)
+			}
+			e.at = atLeave
+			if e.announced {
+				e.at = atLast
+			}
+		case atLeave:
+			ok := h.Leave()
+			if d, fl, busy := h.Busy(); busy {
+				return m.quantum(d, fl)
+			}
+			if !ok {
+				e.at = atLast
+				continue
+			}
+			m.steal(stats.Idle)
+		case atLast:
 			h.Service() // answer any last raced-in request with a denial
-			return
+			if d, fl, busy := h.Busy(); busy {
+				return m.quantum(d, fl)
+			}
+			e.at = atEnd
+		default: // atEnd
+			return 0, StepDone
 		}
-		h.Rec(obs.KindTermExit, -1, 0)
-		h.SetState(stats.Working)
 	}
 }
 
-// Phases of the step functions. A probe is a quantum triple: a zero-length
+// quantum returns a quantum of the step, noting whether it ends at a service
+// point.
+//
+//uts:noalloc
+func (m *Machine) quantum(d time.Duration, fl uint8) (time.Duration, uint8) {
+	m.ep.poll = fl&StepNoPoll == 0
+	return d, fl
+}
+
+// Phases of the probe steps. A probe is a quantum triple: a zero-length
 // service point, the one-sided reference (no service point between issuing
 // a read and having its answer), the evaluation at the completion instant.
 // The termination wait polls the announcement flag between the first two.
@@ -188,35 +294,41 @@ const (
 	phEval
 )
 
-// search is work discovery: pseudo-random probe cycles over the other
-// PEs, stealing wherever a probe finds surplus. It reports true with work
-// on the local stack, false when termination detection is next.
-func (m *Machine) search() bool {
-	h, e := m.H, &m.ep
+// search begins work discovery: pseudo-random probe cycles over the other
+// PEs, stealing wherever a probe finds surplus, until work is on the local
+// stack or termination detection is next (searched).
+func (m *Machine) search() {
+	e := &m.ep
 	if m.N == 1 {
-		return false
+		m.searched(false)
+		return
 	}
 	e.over, e.found = false, false
 	if !m.newWalk() {
-		return e.found
+		m.searched(e.found)
+		return
 	}
-	e.ph, e.victim = phPoll, -1
-	for {
-		if !m.steps(e.searchStep) {
-			return false
-		}
-		if e.over {
-			return e.found
-		}
-		ok := m.steal(e.victim, stats.Searching)
-		m.PE.NoteCtl(h.Now())
-		if ok {
-			return true
-		}
-		if !m.next() {
-			return e.found
-		}
-		e.ph = phPoll
+	e.ph, e.victim, e.at = phPoll, -1, atSearch
+}
+
+// searched is the end of a search: back to work if it found some, else —
+// once anything handed out has come home — into the termination barrier.
+func (m *Machine) searched(found bool) {
+	h, e := m.H, &m.ep
+	if !found {
+		h.SetState(stats.Idle)
+		found = h.Settle(true)
+	}
+	switch {
+	case h.Stopped():
+		e.at = atEnd
+	case found:
+		h.SetState(stats.Working)
+		e.at = atWork
+	default:
+		m.PE.T.TermBarrierEntries++
+		h.Rec(obs.KindTermEnter, -1, 0)
+		e.at = atEnter
 	}
 }
 
@@ -251,7 +363,8 @@ func (m *Machine) next() bool {
 	return m.newWalk()
 }
 
-// searchQuantum is the search's step.
+// searchQuantum is the probe cycle's step: StepDone with a victim to steal
+// from, or with the search over.
 //
 //uts:noalloc
 func (m *Machine) searchQuantum() (time.Duration, uint8) {
@@ -284,61 +397,70 @@ func (m *Machine) searchQuantum() (time.Duration, uint8) {
 	}
 }
 
-// steps runs step to its end, servicing steal requests at its service
-// points; false if the run stopped first.
-func (m *Machine) steps(step Stepper) bool {
-	for m.H.Steps(step) {
-		m.H.Service()
-		if m.H.Stopped() {
-			return false
-		}
-	}
-	return true
+// steal begins one steal attempt at the victim, in the Stealing state; back
+// is the state it returns to, Searching or (from the wait) Idle.
+func (m *Machine) steal(back stats.State) {
+	h, e := m.H, &m.ep
+	h.BeginSteal()
+	h.Rec(obs.KindStealRequest, int32(e.victim), 0)
+	e.back, e.at = back, atSteal
 }
 
-// steal is one steal attempt at v, in the Stealing state and back.
-func (m *Machine) steal(v int, back stats.State) bool {
-	h := m.H
-	h.BeginSteal()
-	h.Rec(obs.KindStealRequest, int32(v), 0)
-	ok := h.Steal(v)
+// stole ends the steal attempt. From the search, work goes back to the
+// Working state and a failure on to the next victim; from the wait, work
+// leaves the barrier for good and a failure enters it again.
+func (m *Machine) stole(ok bool) {
+	h, e := m.H, &m.ep
 	if !ok {
 		m.PE.T.FailedSteals++
-		h.Rec(obs.KindStealFail, int32(v), 0)
+		h.Rec(obs.KindStealFail, int32(e.victim), 0)
 	}
-	h.EndSteal(ok, back)
-	return ok
-}
-
-// terminate reports true when the whole computation is over, false when
-// the PE acquired work (or, without Stream, was sent back to look for it).
-// Under Stream the PE waits inside the barrier servicing steal requests,
-// polling the announcement flag and inspecting a single PE at a time so as
-// not to overwhelm the remaining workers; it leaves before any steal, and
-// not at all if the announcement is there when the probe's answer is.
-func (m *Machine) terminate() bool {
-	h, e := m.H, &m.ep
-	if h.Enter() {
-		return true
-	}
-	if !m.Stream {
-		return false
-	}
-	e.ph, e.victim, e.announced = phPoll, -1, false
-	for {
-		if !m.steps(e.waitStep) || e.announced || !h.Leave() {
-			return true
-		}
-		if m.steal(e.victim, stats.Idle) {
-			return false
-		}
-		if h.Enter() {
-			return true
+	h.EndSteal(ok, e.back)
+	switch {
+	case e.back == stats.Idle && ok:
+		m.resume()
+	case e.back == stats.Idle:
+		e.at = atEnter
+	default:
+		m.PE.NoteCtl(h.Now())
+		switch {
+		case ok:
+			m.searched(true)
+		case !m.next():
+			m.searched(e.found)
+		default:
+			e.ph, e.at = phPoll, atSearch
 		}
 	}
 }
 
-// waitQuantum is the termination wait's step.
+// entered follows Enter: the run is over, or — under Stream — the wait
+// inside the barrier begins, or the PE is sent back to look for work.
+// The streamlined wait services steal requests, polls the announcement flag
+// and inspects a single PE at a time so as not to overwhelm the remaining
+// workers; it leaves before any steal, and not at all if the announcement
+// is there when the probe's answer is.
+func (m *Machine) entered(over bool) {
+	e := &m.ep
+	switch {
+	case over:
+		e.at = atLast
+	case !m.Stream:
+		m.resume()
+	default:
+		e.ph, e.victim, e.announced, e.at = phPoll, -1, false, atWait
+	}
+}
+
+// resume leaves the barrier with work, or to look for it.
+func (m *Machine) resume() {
+	m.H.Rec(obs.KindTermExit, -1, 0)
+	m.H.SetState(stats.Working)
+	m.ep.at = atWork
+}
+
+// waitQuantum is the termination wait's step: StepDone announced, or with a
+// victim found working with surplus.
 //
 //uts:noalloc
 func (m *Machine) waitQuantum() (time.Duration, uint8) {

@@ -245,7 +245,8 @@ type WallPE struct {
 	PE
 
 	// Interrupt reports, at a service point of the machine, a pending
-	// steal request or an abandoned run. The scheduler sets it.
+	// steal request or an abandoned run (Interrupted). The scheduler sets
+	// it.
 	Interrupt func() bool
 
 	staged [2]int64 // the reads of the current quantum, in staging order
@@ -365,25 +366,29 @@ func (w *WallPE) Working(fixedK int, request *atomic.Int32) Edge {
 func (w *WallPE) K() int { return w.k }
 
 // Steps is the machine's engine on the wall clock, the synchronous
-// counterpart of the simulator's stepped advance: quanta run back to back
-// (a staged read has already taken its time), and every service point
-// yields the processor — searching and waiting PEs must not starve working
-// ones when goroutines outnumber cores — then asks Interrupt.
-func (w *WallPE) Steps(step Stepper) bool {
+// counterpart of the simulator's dispatcher: quanta run back to back (a
+// staged read, and every operation of the host, has already taken its time
+// when the step returns), and every service point yields the processor —
+// searching and waiting PEs must not starve working ones when goroutines
+// outnumber cores — before the machine asks Interrupted.
+func (w *WallPE) Steps(step Stepper) {
 	for {
 		w.nstag = 0
 		_, fl := step()
 		if fl&StepDone != 0 {
-			return false
+			return
 		}
 		if fl&StepNoPoll == 0 {
 			runtime.Gosched()
-			if w.Interrupt() {
-				return true
-			}
 		}
 	}
 }
+
+// Interrupted asks the scheduler's Interrupt.
+func (w *WallPE) Interrupted() bool { return w.Interrupt() }
+
+// Busy: on the wall clock an operation has happened when its call returns.
+func (w *WallPE) Busy() (time.Duration, uint8, bool) { return 0, 0, false }
 
 // Drive runs to its end a step function that has no service points — the
 // message-passing rank — in a plain loop: whatever a quantum stood for has

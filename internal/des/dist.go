@@ -1,8 +1,6 @@
 package des
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/stack"
@@ -24,10 +22,13 @@ type simDistPE struct {
 	upcPE
 	r *simDistRun
 
-	request int // thief ID or -1
-
 	resp      []stack.Chunk
 	respReady bool
+
+	// The chunks a Service under way grants, serving while it waits for its
+	// writes.
+	serving bool
+	grant   []stack.Chunk
 }
 
 func simDistMem(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps *policy.Set, wakes *Wakes, log *sourceLog, finish func(*Proc)) {
@@ -38,76 +39,75 @@ func simDistMem(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, 
 	}
 	r.pes = make([]*simDistPE, cfg.PEs)
 	for i := 0; i < cfg.PEs; i++ {
-		pe := &simDistPE{upcPE: upcPE{simPE: newSimPE(sp, cfg, res, ps, i), u: &r.upcRun}, r: r, request: -1}
+		pe := &simDistPE{upcPE: r.newPE(sp, res, ps, i), r: r}
 		r.pes[i], r.upc[i] = pe, &pe.upcPE
 		if i == 0 {
 			pe.Local.Push(uts.Root(sp))
 		}
 		m := &core.Machine{H: pe, PE: &pe.PE, Rng: pe.rng, Me: i, N: cfg.PEs,
 			Stream: true, Hier: cfg.Algorithm == core.UPCDistMemHier, NodeSize: r.nodeSize}
-		pe.spawn(sim, m.Run, pe.read, finish)
+		pe.spawnStepped(sim, m.Start(), pe.read, finish)
 	}
 }
 
-// Work explores nodes batch-wise as one stepped advance: each quantum is a
-// batch of node work (ending early at a release threshold or stack drain),
-// and the boundary between quanta is the polling point where a thief's
-// posted interrupt is observed — the same virtual instant the original
-// per-batch service() call would have seen the request word, but with zero
-// events while no thief is knocking. Release and reacquire are executed at
-// the boundary instant, after any pending request has been serviced, which
-// reproduces the original flush-then-manipulate order exactly. The PE
-// returns out of work, its counter saying so.
+// Work explores nodes a batch a quantum: each quantum is a batch of node
+// work, ending early at a release threshold or stack drain, and the
+// boundary between quanta is the service point where the machine looks at
+// the request word — the same virtual instant the original per-batch
+// service() call would have seen it, but with zero events while no thief is
+// knocking. Release and reacquire are executed at the boundary instant,
+// after any pending request has been serviced, which reproduces the
+// original flush-then-manipulate order exactly. The PE ends out of work,
+// its counter saying so.
 func (pe *simDistPE) Work() {
-	k := pe.Ctl.Chunk(pe.r.cfg.Chunk)
-	batch := pe.r.cfg.batch()
-	edge := core.Yielded
-	step := func() (time.Duration, uint8) {
-		switch edge {
-		case core.Surplus:
-			pe.pool.Put(pe.Release(k))
-			pe.setAvail(pe.me, pe.pool.Len())
-			pe.Released(pe.avail())
-		case core.Drained:
-			c, ok := pe.pool.TakeNewest()
-			if !ok {
-				return 0, StepDone
-			}
-			pe.setAvail(pe.me, pe.pool.Len())
-			pe.Reacquired(c)
-		}
-		d, e := pe.working(batch, k, pe.r.cs.nodeCost)
-		if edge = e; e == core.Yielded {
-			// The knob refresh sits at the batch boundary — a point with
-			// no release pending, so the 2k threshold and the released
-			// chunk never straddle a chunk-size change.
-			pe.NoteCtl(pe.Now())
-			k = pe.Ctl.Chunk(pe.r.cfg.Chunk)
-		}
-		return d, 0
+	if !pe.inWork {
+		pe.inWork, pe.k, pe.edge = true, pe.Ctl.Chunk(pe.r.cfg.Chunk), core.Yielded
 	}
-	for pe.Steps(step) {
-		pe.Service()
+	switch pe.edge {
+	case core.Surplus:
+		pe.pool.Put(pe.Release(pe.k))
+		pe.setAvail(pe.me, pe.pool.Len())
+		pe.Released(pe.avail())
+	case core.Drained:
+		c, ok := pe.pool.TakeNewest()
+		if !ok {
+			pe.inWork = false
+			pe.setAvail(pe.me, -1)
+			return
+		}
+		pe.setAvail(pe.me, pe.pool.Len())
+		pe.Reacquired(c)
 	}
-	pe.setAvail(pe.me, -1)
+	d, e := pe.working(pe.r.cfg.batch(), pe.k, pe.r.cs.nodeCost)
+	if pe.edge = e; e == core.Yielded {
+		// The knob refresh sits at the batch boundary — a point with no
+		// release pending, so the 2k threshold and the released chunk never
+		// straddle a chunk-size change.
+		pe.NoteCtl(pe.Now())
+		pe.k = pe.Ctl.Chunk(pe.r.cfg.Chunk)
+	}
+	pe.wait(d, 0) // a service point
 }
 
 // Service answers a pending request: half the pool (rapid diffusion) or a
-// denial, for the cost of two remote writes. It also clears the steal
-// interrupt, so a request consumed through a direct check cannot trigger a
-// stale second wakeup at the next polling boundary.
+// denial, for the cost of two remote writes.
 func (pe *simDistPE) Service() {
-	pe.p.ClearIntr(IntrSteal)
-	if pe.request < 0 {
+	thief := pe.request
+	if thief < 0 {
 		return
 	}
-	thief := pe.request
-	var chunks []stack.Chunk
-	if pe.pool.Len() > 0 {
-		chunks = pe.pool.TakeHalf()
-		pe.setAvail(pe.me, pe.pool.Len())
+	if !pe.serving {
+		pe.serving = true
+		if pe.pool.Len() > 0 {
+			pe.grant = pe.pool.TakeHalf()
+			pe.setAvail(pe.me, pe.pool.Len())
+		}
+		pe.then(2 * pe.r.between(pe.me, thief).remoteRef) // amount + address writes
+		return
 	}
-	pe.advance(2 * pe.r.between(pe.me, thief).remoteRef) // amount + address writes
+	pe.serving = false
+	chunks := pe.grant
+	pe.grant = nil
 	tp := pe.r.pes[thief]
 	tp.resp, tp.respReady = chunks, true
 	pe.request = -1
@@ -118,64 +118,70 @@ func (pe *simDistPE) Service() {
 	}
 }
 
-// Steal claims the victim's request word, posts the steal interrupt that
-// makes the victim's engine observe the request at its next quantized
-// polling boundary, and polls its own response slot until the owner
-// answers. The wait is a poll loop rather than a blocking sleep because
-// the waiting thief must keep servicing its own request word (two thieves
-// can be each other's victims).
+// Steal claims the victim's request word — the claim is what the victim's
+// machine sees at its next service point (Interrupted), and a dozing victim
+// is woken for it — and polls its own response slot until the owner
+// answers. The wait is a poll loop rather than a blocking sleep because the
+// waiting thief must keep servicing its own request word (two thieves can
+// be each other's victims): each quantum is one respPoll, and at its end the
+// slot is looked at first and a request of its own answered second, so a
+// response that arrives at that same boundary leaves the request for the
+// next service point. After a service the next poll is charged before the
+// slot is looked at again.
 func (pe *simDistPE) Steal(v int) bool {
 	r := pe.r
-	cs := &r.cs
-
-	pe.advance(r.between(pe.me, v).lockRTT) // lock-protected request-word write
-	vs := r.pes[v]
-	if vs.request != -1 {
+	switch pe.pc {
+	case 0:
+		pe.pc = 1
+		pe.then(r.between(pe.me, v).lockRTT) // lock-protected request-word write
 		return false
-	}
-	vs.request = pe.me
-	vs.p.Post(IntrSteal)
-	vs.wakeForRequest(pe.me)
-
-	// The response wait is a stepped advance: each quantum is one respPoll,
-	// each boundary is the original loop-top respReady check, and a steal
-	// request landing mid-wait surfaces as an interrupt at the boundary —
-	// the same virtual instant the original loop's service() call saw the
-	// request word. `polled` enforces the original's service-then-poll-
-	// then-check order: after any service point the next quantum charges
-	// before respReady is consulted again.
-	pe.Service() // the original serviced once before the first poll
-	polled := false
-	step := func() (time.Duration, uint8) {
-		if polled && pe.respReady {
-			return 0, StepDone
+	case 1: // the write's end: the claim
+		vs := r.pes[v]
+		if vs.request != -1 {
+			pe.pc = 0
+			return false
 		}
-		polled = true
-		return pe.charge(cs.respPoll), 0
-	}
-	for {
-		m := pe.p.AdvanceStepped(step)
-		if m == 0 {
-			break // respReady observed at a poll boundary
-		}
-		// The original checks respReady before servicing: when the
-		// response arrived at this same boundary, exit and leave the
-		// request — interrupt re-posted — for the next service point.
+		vs.request = pe.me
+		vs.wakeForRequest(pe.me)
+		pe.pc = 2 // a service before the first poll
+	case 3: // a poll's end
 		if pe.respReady {
-			pe.p.Post(m)
-			break
+			return pe.landing(v)
 		}
-		pe.Service()
-		polled = false
+		if pe.request >= 0 {
+			pe.pc = 2
+		}
+	case 4: // the get's end
+		return pe.landed(v)
 	}
-	chunks := pe.resp
-	pe.resp = nil
-	pe.respReady = false
+	if pe.pc == 2 {
+		if pe.Service(); pe.serving {
+			return false
+		}
+	}
+	pe.pc = 3
+	pe.then(r.cs.respPoll)
+	return false
+}
 
-	if len(chunks) == 0 {
+// landing takes the owner's answer out of the response slot: a denial ends
+// the steal, a grant waits for its one-sided get.
+func (pe *simDistPE) landing(v int) bool {
+	pe.respReady = false
+	if len(pe.resp) == 0 {
+		pe.resp, pe.pc = nil, 0
 		return false
 	}
-	pe.advance(r.between(pe.me, v).bulk(stack.NodeCount(chunks) * uts.NodeBytes)) // one-sided get
+	pe.pc = 4
+	pe.then(pe.r.between(pe.me, v).bulk(stack.NodeCount(pe.resp) * uts.NodeBytes)) // one-sided get
+	return false
+}
+
+// landed books the chunks the get brought, the first onto the local stack
+// and the rest into the pool.
+func (pe *simDistPE) landed(v int) bool {
+	chunks := pe.resp
+	pe.resp, pe.pc = nil, 0
 	for _, c := range pe.Landed(v, chunks) {
 		pe.pool.Put(c)
 	}

@@ -171,7 +171,7 @@ func (pe *upcPE) Doze(w *core.ProbeWalk) time.Duration {
 	u := pe.u
 	// A request pending here was posted after the service point's check; the
 	// next one, a probe on, must find it.
-	if len(rest) < 2 || pe.p.intr != 0 || !pe.p.Counts() {
+	if len(rest) < 2 || pe.request >= 0 || !pe.p.Counts() {
 		return 0
 	}
 	if pe.readAt == nil {

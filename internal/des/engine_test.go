@@ -650,7 +650,9 @@ func TestEngineThroughputGate(t *testing.T) {
 // of 144 wakes (Pops 2,940 → 1,909; 36 were and are inline). The 256-PE row
 // is the benchmark's sim_onesided configuration, where a cycle is 255 probes
 // and a sleep can span all of one: 399,666 events as ever, 282,957 of them
-// counted at 8,300 wakes.
+// counted at 8,300 wakes. When the UPC PEs became step functions too
+// (core.Machine.Start), only their resumptions went: Handoffs 441 → 0 and,
+// at 256 PEs, 13,312 → 0; no other count moved.
 func TestEngineCountsPinned(t *testing.T) {
 	if size := unsafe.Sizeof(ev{}); size > 24 {
 		t.Errorf("a queued event is %d bytes, want at most 24", size)
@@ -677,7 +679,7 @@ func TestEngineCountsPinned(t *testing.T) {
 	check("dispatchWorkload(64, 2000)", Info{Events: sim.events, Pops: sim.pops, Counted: sim.counted, Handoffs: sim.handoffs},
 		Info{Events: 128064, Pops: 128064, Handoffs: 128})
 	want := map[string]Info{
-		"upc-distmem/t3-small/seed1": {Engine: EngineBatched, Events: 2976, Pops: 1909, Counted: 995, Handoffs: 441,
+		"upc-distmem/t3-small/seed1": {Engine: EngineBatched, Events: 2976, Pops: 1909, Counted: 995,
 			Wakes: Wakes{Word: 86, End: 56, Post: 2, Moved: 45}},
 		"mpi-ws/t3-small/seed1": {Engine: EngineBatched, Events: 14315, Lookahead: 4 * time.Microsecond,
 			Pops: 2641, Counted: 8408, Wakes: Wakes{Moved: 168}},
@@ -691,7 +693,7 @@ func TestEngineCountsPinned(t *testing.T) {
 		want Info
 	}{
 		{"upc-distmem/sim_onesided", Config{Algorithm: core.UPCDistMem, PEs: 256, Chunk: 16, Model: &pgas.KittyHawk, Seed: 1},
-			Info{Engine: EngineBatched, Events: 399666, Pops: 116535, Counted: 282957, Handoffs: 13312,
+			Info{Engine: EngineBatched, Events: 399666, Pops: 116535, Counted: 282957,
 				Wakes: Wakes{Word: 7296, End: 960, Post: 44, Moved: 6681}}},
 		{"mpi-ws/sim_msgpoll", Config{Algorithm: core.MPIWS, PEs: 256, Chunk: 16, Model: &pgas.KittyHawk, PollInterval: 8, Seed: 1},
 			Info{Engine: EngineBatched, Events: 3131451, Lookahead: 4 * time.Microsecond,
@@ -727,28 +729,31 @@ func TestEngineCountsPinned(t *testing.T) {
 	}
 }
 
-// TestSteppedPEsStartNoGoroutine: a PE whose whole body is one stepped
-// advance — an mpi-ws rank, a static PE — has no coroutine, so a run of 512 of
-// them starts no goroutine. The count is read where each PE's finish runs, at
-// the boundary of its last step, and must be the count before the run.
+// TestSteppedPEsStartNoGoroutine: every simulated PE is a step function —
+// an mpi-ws rank, a static PE, and the Figure-1 machine of each UPC
+// algorithm — with no coroutine, so a run of 512 of them starts no
+// goroutine. The count is read where each PE's finish runs, at the boundary
+// of its last step, and must be the count before the run.
 func TestSteppedPEsStartNoGoroutine(t *testing.T) {
-	for _, algo := range []core.Algorithm{core.MPIWS, core.Static} {
+	for _, algo := range []core.Algorithm{
+		core.MPIWS, core.Static, core.UPCSharedMem, core.UPCTerm, core.UPCTermRapdif, core.UPCTermRelaxed,
+		core.UPCDistMem, core.UPCDistMemHier,
+	} {
 		cfg := Config{Algorithm: algo, PEs: 512}.withDefaults()
 		res := &core.Result{}
 		res.Threads = make([]stats.Thread, cfg.PEs)
 		sim := New()
 		before, most := runtime.NumGoroutine(), 0
 		finish := func(*Proc) { most = max(most, runtime.NumGoroutine()) }
-		if algo == core.MPIWS {
-			simMPIWS(sim, &uts.T3Small, cfg, newCosts(cfg.Model), res, nil, nil, finish)
-		} else {
-			simStatic(sim, &uts.T3Small, cfg, newCosts(cfg.Model), res, finish)
+		if err := spawnPEs(sim, &uts.T3Small, cfg, newCosts(cfg.Model), res, nil, &Wakes{}, nil, finish); err != nil {
+			t.Fatal(err)
 		}
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if most != before {
-			t.Errorf("%s at %d PEs: %d goroutines inside the run, %d before it", algo, cfg.PEs, most, before)
+		if most != before || sim.handoffs != 0 {
+			t.Errorf("%s at %d PEs: %d goroutines inside the run, %d before it; %d coroutine resumptions",
+				algo, cfg.PEs, most, before, sim.handoffs)
 		}
 	}
 }

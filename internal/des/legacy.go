@@ -51,6 +51,10 @@ func (p *Proc) legacyAdvanceStepped(step Stepper) Intr {
 			p.effect()
 		}
 		if fl&StepDone != 0 {
+			if fl&StepSleep != 0 { // stepBlock
+				p.Block()
+				continue
+			}
 			return 0
 		}
 		if fl&StepNoPoll == 0 && p.intr != 0 {

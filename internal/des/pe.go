@@ -21,6 +21,14 @@ type simPE struct {
 	me    int
 	rng   *core.ProbeOrder
 	state stats.State // Working at start, the zero value
+
+	// The quantum the host operation under way waits for (then, Busy), and
+	// a lock acquisition's progress through it (acquire).
+	busy     bool
+	waitFl   uint8
+	waitD    time.Duration
+	locking  uint8
+	queuedAt time.Duration
 }
 
 // newSimPE builds PE i's shell for a simulated run; spawn binds p.
@@ -32,11 +40,12 @@ func newSimPE(sp *uts.Spec, cfg Config, res *core.Result, ps *policy.Set, i int)
 	}
 }
 
-// spawn registers the PE's process with the simulation and binds pe.p at
-// once — in a windowed run another PE can deliver to this one before its
-// body has started — and with it effect, what the host does at the boundary
-// of a quantum it staged (Proc.Stage); then body runs on it from the Working
-// state, and finish records its end.
+// spawn registers the PE's process with the simulation as a coroutine and
+// binds pe.p at once, with effect, what the host does at the boundary of a
+// quantum it staged (Proc.Stage); then body runs on it from the Working
+// state, and finish records its end. A host whose body blocks in Advance or
+// Acquire — one driven by core.Machine.Run through Steps — needs it; the
+// simulator's own PEs are stepped (spawnStepped).
 func (pe *simPE) spawn(sim *Sim, body, effect func(), finish func(*Proc)) {
 	pe.p = sim.Spawn(func(p *Proc) {
 		pe.Rec(obs.KindStateChange, -1, int64(stats.Working))
@@ -47,9 +56,11 @@ func (pe *simPE) spawn(sim *Sim, body, effect func(), finish func(*Proc)) {
 	pe.Virt = pe.p.Now
 }
 
-// spawnStepped is spawn for a PE whose whole body is the stepped advance
-// step: it enters the Working state at spawn, the instant 0 its first step
-// runs at, and finish runs at the boundary that ends the advance.
+// spawnStepped registers a PE whose whole body is the step function step,
+// and binds pe.p at once — in a windowed run another PE can deliver to this
+// one before its first step — and with it effect: it enters the Working
+// state at spawn, the instant 0 its first step runs at, and finish runs at
+// the boundary that ends the advance.
 func (pe *simPE) spawnStepped(sim *Sim, step core.Stepper, effect func(), finish func(*Proc)) {
 	pe.p = sim.spawnStepped(step, finish)
 	pe.p.effect = effect
@@ -59,12 +70,6 @@ func (pe *simPE) spawnStepped(sim *Sim, step core.Stepper, effect func(), finish
 
 // Now is the virtual timestamp controller feedback is stamped with.
 func (pe *simPE) Now() int64 { return int64(pe.p.Now()) }
-
-// advance consumes virtual time, charging it to the PE's current state.
-func (pe *simPE) advance(d time.Duration) {
-	pe.T.AddState(pe.state, d)
-	pe.p.Advance(d)
-}
 
 // charge books d of virtual time against the PE's current state without
 // advancing the clock — used by step functions, where the engine advances.
@@ -114,10 +119,93 @@ func (pe *simPE) EndSteal(ok bool, back stats.State) {
 	pe.SetState(back)
 }
 
-// Steps: the engine third of the machine's Host (core.Host) in virtual time
-// is the stepped advance itself. A service point is a quantum boundary at
-// which the dispatcher finds a posted interrupt.
-func (pe *simPE) Steps(step core.Stepper) bool { return pe.p.AdvanceStepped(step) != 0 }
+// The engine third of the machine's Host (core.Host) in virtual time. A
+// host operation that takes time waits for it a quantum at a time (wait,
+// then) and the machine, told so by Busy, returns the quantum from its step
+// and calls the operation again at its end; the simulator steps the machine
+// itself (spawnStepped). Steps and Interrupted are the machine's Run on a
+// coroutine, whose service points the engine ends at a posted interrupt.
+
+// wait makes the host operation under way wait for a quantum of d with
+// flags fl before the machine calls it again.
+//
+//uts:noalloc
+func (pe *simPE) wait(d time.Duration, fl uint8) {
+	pe.busy, pe.waitD, pe.waitFl = true, d, fl
+}
+
+// then waits for d of virtual time charged to the PE's current state: the
+// operation goes on at the end of d, with no service point there.
+//
+//uts:noalloc
+func (pe *simPE) then(d time.Duration) { pe.wait(pe.charge(d), StepNoPoll) }
+
+// Busy reports the quantum the last operation waits for.
+//
+//uts:noalloc
+func (pe *simPE) Busy() (time.Duration, uint8, bool) {
+	if !pe.busy {
+		return 0, 0, false
+	}
+	pe.busy = false
+	return pe.waitD, pe.waitFl, true
+}
+
+// acquire takes l for an acquisition round trip of cost, a call per quantum
+// from inside a host operation: true while the operation must wait — for
+// the round trip, then, if l is held, to be handed it (stepBlock) — false
+// holding it, the time spent queued charged to the current state.
+//
+//uts:noalloc
+func (pe *simPE) acquire(l *Lock, cost time.Duration) bool {
+	switch pe.locking {
+	case 0:
+		pe.locking = 1
+		pe.then(cost)
+		return true
+	case 1:
+		if pe.p.take(l) {
+			break
+		}
+		pe.locking, pe.queuedAt = 2, pe.p.Now()
+		pe.wait(0, stepBlock)
+		return true
+	default: // handed over by the holder's release
+		pe.charge(pe.p.Now() - pe.queuedAt)
+	}
+	pe.locking = 0
+	return false
+}
+
+// release lets go of l, to its oldest waiter if any, for a release round trip
+// of cost that the operation then waits for.
+//
+//uts:noalloc
+func (pe *simPE) release(l *Lock, cost time.Duration) {
+	pe.p.handOver(l)
+	pe.then(cost)
+}
+
+// Steps runs step on the PE's coroutine to its end, an interrupt that ends
+// the stepped advance at a service point left posted for Interrupted.
+func (pe *simPE) Steps(step core.Stepper) {
+	for {
+		m := pe.p.AdvanceStepped(step)
+		if m == 0 {
+			return
+		}
+		pe.p.Post(m)
+	}
+}
+
+// Interrupted takes a steal interrupt posted to the PE's proc.
+func (pe *simPE) Interrupted() bool {
+	if pe.p.intr&IntrSteal == 0 {
+		return false
+	}
+	pe.p.ClearIntr(IntrSteal)
+	return true
+}
 
 // Settle and Stopped: a simulated PE hands out no work that could come
 // back unfetched, and a simulation is never abandoned midway.

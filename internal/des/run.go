@@ -99,10 +99,11 @@ type Info struct {
 	// reached (core.StepSleep). 0 under the legacy engine, which steps
 	// every poll.
 	Counted uint64
-	// Handoffs is the number of times a PE's coroutine was resumed: 0 for
-	// mpi-ws and static, whose PEs are stepped advances with no coroutine.
-	// All three counts are exact and, on the batched engine, a function of
-	// the configuration alone.
+	// Handoffs is the number of times a PE's coroutine was resumed: 0, for
+	// every simulated PE of every algorithm is a stepped advance with no
+	// coroutine; only a body handed to Sim.Spawn has one. All three counts
+	// are exact and, on the batched engine, a function of the configuration
+	// alone.
 	Handoffs uint64
 	// Wakes is what ended the counted sleeps of searching PEs and how many
 	// queued wakes moved earlier; exact like the three above, zero where
@@ -342,19 +343,9 @@ func run(sp *uts.Spec, cfg Config, log *sourceLog) (*core.Result, Info, error) {
 	}
 	finish := func(p *Proc) { ends[p.ID()] = p.Now() }
 
-	switch cfg.Algorithm {
-	case core.Static:
-		simStatic(sim, sp, cfg, cs, res, finish)
-	case core.UPCSharedMem, core.UPCTerm, core.UPCTermRapdif, core.UPCTermRelaxed:
-		simShared(sim, sp, cfg, cs, res, core.SharedVariants[cfg.Algorithm], pset, &info.Wakes, log, finish)
-	case core.UPCDistMem, core.UPCDistMemHier:
-		simDistMem(sim, sp, cfg, cs, res, pset, &info.Wakes, log, finish)
-	case core.MPIWS:
-		simMPIWS(sim, sp, cfg, cs, res, pset, log, finish)
-	default:
-		return nil, info, fmt.Errorf("des: cannot simulate algorithm %q", cfg.Algorithm)
+	if err := spawnPEs(sim, sp, cfg, cs, res, pset, &info.Wakes, log, finish); err != nil {
+		return nil, info, err
 	}
-
 	if err := sim.Run(); err != nil {
 		return nil, info, err
 	}
@@ -364,4 +355,21 @@ func run(sp *uts.Spec, cfg Config, log *sourceLog) (*core.Result, Info, error) {
 	res.Obs = cfg.Tracer.Summary()
 	res.Policy = pset.Summary()
 	return res, info, nil
+}
+
+// spawnPEs registers the PEs of cfg's algorithm with sim, each a stepped PE.
+func spawnPEs(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, pset *policy.Set, wakes *Wakes, log *sourceLog, finish func(*Proc)) error {
+	switch cfg.Algorithm {
+	case core.Static:
+		simStatic(sim, sp, cfg, cs, res, finish)
+	case core.UPCSharedMem, core.UPCTerm, core.UPCTermRapdif, core.UPCTermRelaxed:
+		simShared(sim, sp, cfg, cs, res, core.SharedVariants[cfg.Algorithm], pset, wakes, log, finish)
+	case core.UPCDistMem, core.UPCDistMemHier:
+		simDistMem(sim, sp, cfg, cs, res, pset, wakes, log, finish)
+	case core.MPIWS:
+		simMPIWS(sim, sp, cfg, cs, res, pset, log, finish)
+	default:
+		return fmt.Errorf("des: cannot simulate algorithm %q", cfg.Algorithm)
+	}
+	return nil
 }

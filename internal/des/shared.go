@@ -42,6 +42,13 @@ type simSharedPE struct {
 	r *simSharedRun
 
 	lock Lock
+
+	// The chunk a release or a reacquire holds across a quantum, and found,
+	// whether the reacquire (or the cancelable barrier) found what it looked
+	// for; the chunks a steal holds.
+	chunk stack.Chunk
+	found bool
+	got   []stack.Chunk
 }
 
 // simShared sets up the PEs for upc-sharedmem / upc-term / upc-term-rapdif.
@@ -50,174 +57,216 @@ func simShared(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, m
 	r.freeAnnounce = true
 	r.pes = make([]*simSharedPE, cfg.PEs)
 	for i := 0; i < cfg.PEs; i++ {
-		pe := &simSharedPE{upcPE: upcPE{simPE: newSimPE(sp, cfg, res, ps, i), u: &r.upcRun}, r: r}
+		pe := &simSharedPE{upcPE: r.newPE(sp, res, ps, i), r: r}
 		r.pes[i], r.upc[i] = pe, &pe.upcPE
 		if i == 0 {
 			pe.Local.Push(uts.Root(sp))
 		}
 		m := &core.Machine{H: pe, PE: &pe.PE, Rng: pe.rng, Me: i, N: cfg.PEs, Stream: mode.StreamTerm}
-		pe.spawn(sim, m.Run, pe.read, finish)
+		pe.spawnStepped(sim, m.Start(), pe.read, finish)
 	}
-}
-
-// acquire/release wrap the virtual lock with affinity-dependent costs and
-// charge the queueing wait to the current state.
-func (pe *simSharedPE) acquire(l *Lock, cost time.Duration) {
-	before := pe.p.Now()
-	pe.p.Acquire(l, cost)
-	pe.T.AddState(pe.state, pe.p.Now()-before)
-}
-
-func (pe *simSharedPE) release(l *Lock, cost time.Duration) {
-	before := pe.p.Now()
-	pe.p.Release(l, cost)
-	pe.T.AddState(pe.state, pe.p.Now()-before)
 }
 
 // Service has nothing to answer: thieves of this family take from the pool
 // under the victim's lock rather than posting requests.
 func (pe *simSharedPE) Service() {}
 
-// Work explores nodes as one stepped advance: each quantum is a batch of
-// node work, ending the advance at the 2k release threshold and when the
-// local region drains — the lock-protected release/reacquire manipulations
-// run in the PE's own coroutine between advances, at the same virtual
-// instants as the original per-batch loop. Thieves of this family take
-// from the pool under the victim's lock rather than posting requests, so
-// no boundary ever needs an interrupt check. Under streamlined termination
-// the PE returns with its counter saying it is out of work.
+// Places of Work between its calls.
+const (
+	workBatch     = iota // a quantum of node work
+	workEdge             // its end: release at Surplus, else reacquire
+	workRelease          // the release: the own lock, then the in-lock update
+	workReleased         // the chunk is in the shared region
+	workPut              // ... and the lock let go
+	workReacquire        // the reacquire: the own lock, then the in-lock update
+	workTaken            // the newest chunk taken, or none
+	workBack             // ... and the lock let go
+	workCancel           // the cancelable barrier's reset: its lock, then the flag
+	workCanceled         // ... and that lock let go
+)
+
+// Work explores nodes a batch a quantum, ending a batch at the 2k release
+// threshold and when the local region drains; the lock-protected
+// release/reacquire manipulations follow at the batch's end, at the same
+// virtual instants as the original per-batch loop. Thieves of this family
+// take from the pool under the victim's lock rather than posting requests,
+// so no boundary needs a service point. Under streamlined termination the
+// PE ends with its counter saying it is out of work.
 func (pe *simSharedPE) Work() {
-	k := pe.Ctl.Chunk(pe.r.cfg.Chunk)
-	batch := pe.r.cfg.batch()
-	var edge core.Edge
-	step := func() (time.Duration, uint8) {
-		// Under the relaxed mode the shared region is a bounded ring: while
-		// it is full there is no release (back-pressure) and the PE keeps
-		// exploring locally. No other PE runs inside a quantum, so the
-		// ring's fill is fixed for all of it.
-		kq := k
-		if pe.r.mode.Relaxed && pe.pool.Len() >= stack.RelaxedSlots {
-			kq = 0
-		}
-		d, e := pe.working(batch, kq, pe.r.cs.nodeCost)
-		if edge = e; e != core.Yielded {
-			return d, StepDone
-		}
-		pe.NoteCtl(pe.Now())
-		k = pe.Ctl.Chunk(pe.r.cfg.Chunk)
-		return d, 0
+	r, cs := pe.r, &pe.r.cs
+	if !pe.inWork {
+		pe.inWork, pe.k, pe.pc = true, pe.Ctl.Chunk(r.cfg.Chunk), workBatch
 	}
 	for {
-		pe.p.AdvanceStepped(step)
-		pe.NoteCtl(pe.Now())
-		k = pe.Ctl.Chunk(pe.r.cfg.Chunk)
-		if edge == core.Surplus {
-			pe.releaseChunk(k)
-			continue
-		}
-		if !pe.reacquire() {
-			if pe.r.mode.StreamTerm {
-				pe.setAvail(pe.me, -1)
+		switch pe.pc {
+		case workBatch:
+			// Under the relaxed mode the shared region is a bounded ring:
+			// while it is full there is no release (back-pressure) and the
+			// PE keeps exploring locally. No other PE runs inside a quantum,
+			// so the ring's fill is fixed for all of it.
+			kq := pe.k
+			if r.mode.Relaxed && pe.pool.Len() >= stack.RelaxedSlots {
+				kq = 0
 			}
+			d, e := pe.working(r.cfg.batch(), kq, cs.nodeCost)
+			if pe.edge = e; e == core.Yielded {
+				pe.NoteCtl(pe.Now())
+				pe.k = pe.Ctl.Chunk(r.cfg.Chunk)
+			} else {
+				pe.pc = workEdge
+			}
+			pe.wait(d, StepNoPoll)
+			return
+		case workEdge:
+			pe.NoteCtl(pe.Now())
+			pe.k = pe.Ctl.Chunk(r.cfg.Chunk)
+			if pe.edge == core.Surplus {
+				pe.chunk = pe.Release(pe.k)
+				pe.pc = workRelease
+			} else {
+				pe.pc = workReacquire
+			}
+		case workRelease, workReacquire:
+			// The owner's own lock, where it can be delayed behind queued
+			// remote thieves — the interference Section 3.3.3 eliminates —
+			// then the in-lock pointer updates, local affinity. The relaxed
+			// mode takes no lock: its publish is one local store into the
+			// ring slot, its retract the ledger compare-and-swap on the
+			// owner's own partition — the owner-path saving the variant
+			// exists for.
+			if !r.mode.Relaxed && pe.acquire(&pe.lock, cs.localRef) {
+				return
+			}
+			pe.pc++ // workReleased, workTaken
+			pe.then(cs.localRef)
+			return
+		case workReleased:
+			pe.pool.Put(pe.chunk)
+			pe.chunk = nil
+			pe.setAvail(pe.me, pe.pool.Len())
+			if r.mode.Relaxed {
+				pe.Released(pe.avail())
+				pe.pc = workBatch
+				continue
+			}
+			pe.pc = workPut
+			pe.release(&pe.lock, cs.localRef)
+			return
+		case workPut:
+			pe.Released(pe.avail())
+			pe.pc = workBatch
+			if !r.mode.StreamTerm {
+				pe.pc = workCancel
+			}
+		case workTaken:
+			pe.chunk, pe.found = pe.pool.TakeNewest()
+			if pe.found {
+				pe.setAvail(pe.me, pe.pool.Len())
+			}
+			pe.pc = workBack
+			if !r.mode.Relaxed {
+				pe.release(&pe.lock, cs.localRef)
+				return
+			}
+		case workBack:
+			if !pe.found {
+				if r.mode.StreamTerm {
+					pe.setAvail(pe.me, -1)
+				}
+				pe.inWork, pe.pc = false, workBatch
+				return
+			}
+			pe.Reacquired(pe.chunk)
+			pe.chunk = nil
+			pe.pc = workBatch
+		case workCancel:
+			// term.CancelBarrier.Cancel: a remote lock round trip on every
+			// release, the dominant overhead of the shared-memory algorithm at
+			// small chunk sizes (Section 4.2.1).
+			if pe.acquire(&r.cbLock, pe.barrierLockCost()) {
+				return
+			}
+			pe.pc = workCanceled
+			pe.then(pe.barrierFlagCost())
+			return
+		case workCanceled:
+			if r.cbCount > 0 && !r.cbDone {
+				r.cbCancel = true
+			}
+			pe.pc = workBatch
+			pe.release(&r.cbLock, pe.barrierLockCost())
 			return
 		}
 	}
 }
 
-// releaseChunk moves k nodes into the PE's shared region under its own
-// lock — where the owner can be delayed behind queued remote thieves, the
-// interference Section 3.3.3 eliminates — and, under the shared-memory
-// algorithm, resets the cancelable barrier.
-func (pe *simSharedPE) releaseChunk(k int) {
-	cs := &pe.r.cs
-	chunk := pe.Release(k)
-	if pe.r.mode.Relaxed {
-		// Fence-free publish: one local store into the ring slot, no lock
-		// round trip at all — the owner-path saving the variant exists for.
-		pe.advance(cs.localRef)
-		pe.pool.Put(chunk)
-		pe.setAvail(pe.me, pe.pool.Len())
-		pe.Released(pe.avail())
-		return
-	}
-	pe.acquire(&pe.lock, cs.localRef)
-	pe.advance(cs.localRef) // in-lock pointer updates, local affinity
-	pe.pool.Put(chunk)
-	pe.setAvail(pe.me, pe.pool.Len())
-	pe.release(&pe.lock, cs.localRef)
-	pe.Released(pe.avail())
-	if !pe.r.mode.StreamTerm {
-		pe.cbCancelOp()
-	}
-}
-
-func (pe *simSharedPE) reacquire() bool {
-	cs := &pe.r.cs
-	if pe.r.mode.Relaxed {
-		// Fence-free retract: the ledger compare-and-swap on the owner's
-		// own partition, no lock.
-		pe.advance(cs.localRef)
-		c, ok := pe.pool.TakeNewest()
-		if !ok {
-			return false
-		}
-		pe.setAvail(pe.me, pe.pool.Len())
-		pe.Reacquired(c)
-		return true
-	}
-	pe.acquire(&pe.lock, cs.localRef)
-	pe.advance(cs.localRef) // in-lock pointer updates, local affinity
-	c, ok := pe.pool.TakeNewest()
-	if ok {
-		pe.setAvail(pe.me, pe.pool.Len())
-	}
-	pe.release(&pe.lock, cs.localRef)
-	if !ok {
-		return false
-	}
-	pe.Reacquired(c)
-	return true
-}
-
+// Steal locks the victim's stack, reserves one chunk (or half the chunks
+// under rapid diffusion), releases the lock, and transfers the reservation
+// with a one-sided get. The first chunk lands on the thief's local stack;
+// any further chunks go into the thief's own shared region, under its own
+// lock (Section 3.3.2).
 func (pe *simSharedPE) Steal(v int) bool {
 	r := pe.r
-	cs := &r.cs
-	vs := r.pes[v]
 	if r.mode.Relaxed {
 		return pe.stealRelaxed(v)
 	}
-	pe.acquire(&vs.lock, cs.lockRTT)
-	// The reservation manipulates the victim's stack pointers remotely
-	// while holding the lock — this is the hold period during which the
-	// paper observes working threads being delayed by thieves.
-	pe.advance(2 * cs.remoteRef)
-	half := pe.Ctl.StealHalf(r.mode.StealHalf)
-	var chunks []stack.Chunk
-	if half {
-		chunks = vs.pool.TakeHalf()
-	} else if c, ok := vs.pool.TakeOldest(); ok {
-		chunks = append(chunks, c)
-	}
-	if len(chunks) > 0 {
-		vs.setAvail(pe.me, vs.pool.Len())
-	}
-	pe.release(&vs.lock, cs.lockRTT)
-	if len(chunks) == 0 {
-		return false
-	}
-
-	pe.advance(cs.bulk(stack.NodeCount(chunks) * uts.NodeBytes))
-	if rest := pe.Landed(v, chunks); len(rest) > 0 {
-		pe.acquire(&pe.lock, cs.localRef)
-		for _, c := range rest {
+	cs := &r.cs
+	vs := r.pes[v]
+	switch pe.pc {
+	case 0:
+		if pe.acquire(&vs.lock, cs.lockRTT) {
+			return false
+		}
+		// The reservation manipulates the victim's stack pointers remotely
+		// while holding the lock — this is the hold period during which the
+		// paper observes working threads being delayed by thieves.
+		pe.pc = 1
+		pe.then(2 * cs.remoteRef)
+	case 1:
+		if pe.Ctl.StealHalf(r.mode.StealHalf) {
+			pe.got = vs.pool.TakeHalf()
+		} else if c, ok := vs.pool.TakeOldest(); ok {
+			pe.got = append(pe.got, c)
+		}
+		if len(pe.got) > 0 {
+			vs.setAvail(pe.me, vs.pool.Len())
+		}
+		pe.pc = 2
+		pe.release(&vs.lock, cs.lockRTT)
+	case 2:
+		if len(pe.got) == 0 {
+			pe.pc = 0
+			return false
+		}
+		pe.pc = 3
+		pe.then(cs.bulk(stack.NodeCount(pe.got) * uts.NodeBytes))
+	case 3:
+		pe.got = pe.Landed(v, pe.got)
+		if len(pe.got) == 0 {
+			pe.got, pe.pc = nil, 0
+			if r.mode.StreamTerm {
+				pe.setAvail(pe.me, 0)
+			}
+			return true
+		}
+		pe.pc = 4
+		fallthrough
+	case 4:
+		if pe.acquire(&pe.lock, cs.localRef) {
+			return false
+		}
+		for _, c := range pe.got {
 			pe.pool.Put(c)
 		}
+		pe.got = nil
 		pe.setAvail(pe.me, pe.pool.Len())
+		pe.pc = 5
 		pe.release(&pe.lock, cs.localRef)
-	} else if r.mode.StreamTerm {
-		pe.setAvail(pe.me, 0)
+	default:
+		pe.pc = 0
+		return true
 	}
-	return true
+	return false
 }
 
 // stealRelaxed models the fence-free claim: a one-sided scan of the
@@ -230,22 +279,31 @@ func (pe *simSharedPE) Steal(v int) bool {
 func (pe *simSharedPE) stealRelaxed(v int) bool {
 	r := pe.r
 	cs := &r.cs
-	vs := r.pes[v]
-	pe.advance(2 * cs.remoteRef) // slot scan + claim handshake
-	c, ok := vs.pool.TakeOldest()
-	if !ok {
-		return false
+	switch pe.pc {
+	case 0:
+		pe.pc = 1
+		pe.then(2 * cs.remoteRef) // slot scan + claim handshake
+	case 1:
+		c, ok := r.pes[v].pool.TakeOldest()
+		if !ok {
+			pe.pc = 0
+			return false
+		}
+		pe.chunk, pe.pc = c, 2
+		pe.then(cs.bulk(len(c) * uts.NodeBytes))
+	default:
+		pe.Landed(v, []stack.Chunk{pe.chunk})
+		pe.chunk, pe.pc = nil, 0
+		if r.mode.StreamTerm {
+			pe.setAvail(pe.me, 0)
+		}
+		return true
 	}
-	pe.advance(cs.bulk(len(c) * uts.NodeBytes))
-	pe.Landed(v, []stack.Chunk{c})
-	if r.mode.StreamTerm {
-		pe.setAvail(pe.me, 0)
-	}
-	return true
+	return false
 }
 
-// lockCost is the cancelable barrier's lock cost: its state has affinity
-// to PE 0.
+// barrierLockCost is the cancelable barrier's lock cost: its state has
+// affinity to PE 0.
 func (pe *simSharedPE) barrierLockCost() time.Duration {
 	if pe.me == 0 {
 		return pe.r.cs.localRef
@@ -253,8 +311,6 @@ func (pe *simSharedPE) barrierLockCost() time.Duration {
 	return pe.r.cs.lockRTT
 }
 
-// cbEnter mirrors term.CancelBarrier.Enter under virtual time, including
-// the remote spinning on the cancellation/termination flags.
 // barrierFlagCost is the in-lock flag-manipulation cost of the cancelable
 // barrier: local for PE 0, one remote reference otherwise.
 func (pe *simSharedPE) barrierFlagCost() time.Duration {
@@ -264,50 +320,6 @@ func (pe *simSharedPE) barrierFlagCost() time.Duration {
 	return pe.r.cs.remoteRef
 }
 
-func (pe *simSharedPE) cbEnter() bool {
-	r := pe.r
-	pe.acquire(&r.cbLock, pe.barrierLockCost())
-	pe.advance(pe.barrierFlagCost())
-	r.cbCount++
-	if r.cbCount == len(r.pes) {
-		r.cbDone = true
-	}
-	pe.release(&r.cbLock, pe.barrierLockCost())
-
-	// Remote flag spin, batched: one quantum per check interval, executed
-	// inline by the engine while no earlier event intervenes.
-	pe.p.AdvanceStepped(func() (time.Duration, uint8) {
-		if r.cbCancel || r.cbDone {
-			return 0, StepDone
-		}
-		return pe.charge(pe.r.cs.remoteRef), 0
-	})
-
-	pe.acquire(&r.cbLock, pe.barrierLockCost())
-	pe.advance(pe.barrierFlagCost())
-	if r.cbDone {
-		pe.release(&r.cbLock, pe.barrierLockCost())
-		return true
-	}
-	r.cbCount--
-	r.cbCancel = false
-	pe.release(&r.cbLock, pe.barrierLockCost())
-	return false
-}
-
-// cbCancelOp mirrors term.CancelBarrier.Cancel: a remote lock round trip
-// on every release, the dominant overhead of the shared-memory algorithm
-// at small chunk sizes (Section 4.2.1).
-func (pe *simSharedPE) cbCancelOp() {
-	r := pe.r
-	pe.acquire(&r.cbLock, pe.barrierLockCost())
-	pe.advance(pe.barrierFlagCost())
-	if r.cbCount > 0 && !r.cbDone {
-		r.cbCancel = true
-	}
-	pe.release(&r.cbLock, pe.barrierLockCost())
-}
-
 // Enter enters the family's barrier: the streamlined one, or the
 // cancelable one, which waits inside.
 func (pe *simSharedPE) Enter() bool {
@@ -315,4 +327,44 @@ func (pe *simSharedPE) Enter() bool {
 		return pe.cbEnter()
 	}
 	return pe.upcPE.Enter()
+}
+
+// cbEnter mirrors term.CancelBarrier.Enter under virtual time: count in
+// under the barrier's lock, spin remotely on the cancellation/termination
+// flags a remote reference a quantum, and count out again under the lock
+// unless the barrier completed.
+func (pe *simSharedPE) cbEnter() bool {
+	r := pe.r
+	switch pe.pc {
+	case 0, 3:
+		if pe.acquire(&r.cbLock, pe.barrierLockCost()) {
+			return false
+		}
+		pe.pc++
+		pe.then(pe.barrierFlagCost())
+	case 1:
+		if r.cbCount++; r.cbCount == len(r.pes) {
+			r.cbDone = true
+		}
+		pe.pc = 2
+		pe.release(&r.cbLock, pe.barrierLockCost())
+	case 2:
+		if !r.cbCancel && !r.cbDone {
+			pe.then(r.cs.remoteRef)
+			return false
+		}
+		pe.pc = 3
+		return pe.cbEnter()
+	case 4:
+		if pe.found = r.cbDone; !pe.found {
+			r.cbCount--
+			r.cbCancel = false
+		}
+		pe.pc = 5
+		pe.release(&r.cbLock, pe.barrierLockCost())
+	default:
+		pe.pc = 0
+		return pe.found
+	}
+	return false
 }

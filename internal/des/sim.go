@@ -13,15 +13,16 @@
 // feedback points, the bookkeeping of every work-movement event (released,
 // reacquired, granted, denied, landed) — and the protocol loops: for the
 // UPC algorithms the Figure-1 loop with its work discovery and termination
-// wait, core.Machine, driven here by the stepped advance and there by
-// core.WallPE.Steps; for mpi-ws the whole rank — message handling, the
-// idle/steal-request loop, the Dijkstra token ring — core.MsgRank, a step
-// function too: one stepped advance from spawn to finish here, its sends
-// staged against the quantum they cost (Proc.Stage) and its idle polls a
-// sleep the engine may count instead of run (StepSleep), over the inbox of
-// mpi.go; a plain loop over msg.Comm there (core.WallPE.Drive). A searching
-// UPC PE sleeps the same way through the probes of its cycle that read words
-// no write has reached (upcPE.Doze, over the histories of doze.go).
+// wait, core.Machine, and for mpi-ws the whole rank — message handling, the
+// idle/steal-request loop, the Dijkstra token ring — core.MsgRank. Both are
+// step functions: one stepped advance from spawn to finish here, a plain
+// loop there (core.WallPE.Steps, core.WallPE.Drive). Here a read or a send
+// is staged against the quantum it costs (Proc.Stage), a UPC operation that
+// takes time — a batch of nodes, a steal, a lock, the barrier — hands its
+// quanta back through the machine's step (core.Host.Busy), and the idle
+// polls of a rank, like the probes of a searching UPC PE that read words no
+// write has reached (upcPE.Doze, over the histories of doze.go), are a sleep
+// the engine may count instead of run (StepSleep), over the inbox of mpi.go.
 // TestMachineDriversAgree and TestMsgRankDriversAgree hold each pair of
 // drivers to one log. What is still mirrored by hand is the UPC
 // work/release/steal bodies — what is charged, locked and stored around
@@ -35,12 +36,13 @@
 // simulation is an exact function of (tree spec, algorithm, machine
 // profile, seed): every figure regenerated from it is bit-reproducible.
 //
-// The simulator is process-oriented, on the goroutine running it: a UPC PE
-// is a coroutine (coro.go) the event loop resumes, an mpi-ws rank or static
-// PE one stepped advance the loop runs itself. A PE calls Proc.Advance to
-// consume virtual time, Proc.Block/Proc.Wake for sleep/wakeup (lock
-// queues), and otherwise manipulates shared simulation state freely —
-// exactly one PE runs at any instant, so there are no data races by
+// The simulator is process-oriented, on the goroutine running it: every
+// simulated PE is one stepped advance the event loop runs itself
+// (spawnStepped), with no coroutine and no stack of its own; a body handed to
+// Sim.Spawn is a coroutine (coro.go) the loop resumes, which calls
+// Proc.Advance to consume virtual time and Proc.Block/Proc.Wake for
+// sleep/wakeup (lock queues). Either manipulates shared simulation state
+// freely — exactly one PE runs at any instant, so there are no data races by
 // construction. A panic in a PE surfaces from Run.
 //
 // # Engines
@@ -148,6 +150,12 @@ const (
 	// of running them (see sleep). The batched dispatcher takes the
 	// permission; the legacy reference steps every poll.
 	StepSleep = core.StepSleep
+
+	// stepBlock, a zero-length quantum, stops the advance until another PE
+	// wakes it (Proc.Wake — a lock's Release handing the lock over, take):
+	// nothing is queued for the PE until then, and its step is called again
+	// at the wake's event, as Proc.Block resumes a coroutine.
+	stepBlock = StepDone | StepNoPoll | StepSleep
 )
 
 const maxVT = int64(^uint64(0) >> 1) // +infinity for virtual time
@@ -159,8 +167,10 @@ const Never = time.Duration(maxVT)
 // Stepper yields one quantum of a stepped advance: the virtual duration to
 // consume and the flags governing the boundary it creates. Step functions
 // may freely read and write simulation state (exactly one PE runs at any
-// instant) but must not call Advance, Block, or lock operations — they
-// execute in dispatcher context, outside the PE's coroutine.
+// instant) but must not call Advance, Block, Acquire or Release — they
+// execute in dispatcher context, outside any coroutine. A step queues for a
+// lock with take and waits for it by returning stepBlock, and lets go of one
+// with handOver.
 type Stepper = core.Stepper
 
 // Proc is the simulator-side handle of one PE. The fields are in the order a
@@ -436,6 +446,10 @@ func (s *Sim) steps(p *Proc, fl uint8) (Intr, bool) {
 			p.effect()
 		}
 		if fl&StepDone != 0 {
+			if fl&StepSleep != 0 { // stepBlock: a Wake continues the advance
+				p.stepFl = StepNoPoll
+				return 0, false
+			}
 			return 0, true
 		}
 		if fl&StepNoPoll == 0 && p.intr != 0 {
@@ -1049,13 +1063,9 @@ func (l *Lock) dequeue() *Proc {
 //uts:noalloc
 func (p *Proc) Acquire(l *Lock, cost time.Duration) {
 	p.Advance(cost)
-	if !l.held {
-		l.held = true
-		return
+	if !p.take(l) {
+		p.Block() // woken by Release with the lock already assigned to us
 	}
-	l.enqueue(p)
-	p.Block()
-	// Woken by Release with the lock already assigned to us.
 }
 
 // Release hands the lock to the oldest waiter, if any, and consumes cost
@@ -1063,6 +1073,30 @@ func (p *Proc) Acquire(l *Lock, cost time.Duration) {
 //
 //uts:noalloc
 func (p *Proc) Release(l *Lock, cost time.Duration) {
+	p.handOver(l)
+	p.Advance(cost)
+}
+
+// take is the acquisition itself, at the end of its round trip: p holds l
+// if it was free, else queues behind the holder and reports false. A queued
+// PE waits to be woken holding the lock — a coroutine in Block, a stepped
+// PE by returning stepBlock — so one queue serves both.
+//
+//uts:noalloc
+func (p *Proc) take(l *Lock) bool {
+	if !l.held {
+		l.held = true
+		return true
+	}
+	l.enqueue(p)
+	return false
+}
+
+// handOver lets go of l: to its oldest waiter, woken at this instant, or
+// free. The release's round trip is the caller's to consume.
+//
+//uts:noalloc
+func (p *Proc) handOver(l *Lock) {
 	if !l.held {
 		panic("des: release of unheld lock")
 	}
@@ -1071,5 +1105,16 @@ func (p *Proc) Release(l *Lock, cost time.Duration) {
 	} else {
 		l.held = false
 	}
-	p.Advance(cost)
+}
+
+// tick is a zero-length boundary of a PE alone in its run: with no other
+// PE to order against, an event to count and nothing more. It stands in for
+// an Advance(0) in a step, which may not advance.
+//
+//uts:noalloc
+func (p *Proc) tick() {
+	if p.sim.nprocs != 1 {
+		panic("des: a zero-length boundary of a PE that is not alone")
+	}
+	p.sim.events++
 }

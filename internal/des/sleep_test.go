@@ -240,12 +240,17 @@ func (h *dozeHost) logf(format string, a ...any) {
 
 func (h *dozeHost) Work() {}
 func (h *dozeHost) Service() {
-	h.p.ClearIntr(IntrSteal)
+	h.request = -1
 	h.logf("service")
 }
 func (h *dozeHost) Steal(v int) bool {
-	h.logf("steal %d", v)
-	h.advance(h.u.cs.lockRTT)
+	if h.pc == 0 {
+		h.logf("steal %d", v)
+		h.pc = 1
+		h.then(h.u.cs.lockRTT)
+		return false
+	}
+	h.pc = 0
 	return false
 }
 func (h *dozeHost) Enter() bool { h.logf("enter"); return true }
@@ -265,15 +270,19 @@ func runDozeWorld(t *testing.T, sim *Sim, w dozeWorld) dozeRun {
 	}
 	hosts := make([]*dozeHost, w.pes)
 	for i := range hosts {
-		hosts[i] = &dozeHost{upcPE: upcPE{simPE: newSimPE(&uts.BenchTiny, cfg, res, nil, i), u: u}, run: &run}
+		hosts[i] = &dozeHost{upcPE: u.newPE(&uts.BenchTiny, res, nil, i), run: &run}
 		u.upc[i] = &hosts[i].upcPE
 	}
 	for i, h := range hosts {
 		if slices.Contains(w.searchers, i) {
 			m := &core.Machine{H: h, PE: &h.PE, Rng: h.rng, Me: i, N: w.pes, Stream: true, Hier: w.nodeSize > 1, NodeSize: w.nodeSize}
-			h.spawn(sim, func() {
-				h.setAvail(h.me, -1)
-				m.Run()
+			step, begun := m.Start(), false
+			h.spawnStepped(sim, func() (time.Duration, uint8) {
+				if !begun {
+					begun = true
+					h.setAvail(h.me, -1)
+				}
+				return step()
 			}, h.read, func(*Proc) {})
 			continue
 		}
@@ -281,7 +290,7 @@ func runDozeWorld(t *testing.T, sim *Sim, w dozeWorld) dozeRun {
 			for _, op := range w.ops[h.me] {
 				h.p.Advance(op.at - h.p.Now())
 				if op.v == claimWord {
-					hosts[op.to].p.Post(IntrSteal)
+					hosts[op.to].request = h.me
 					hosts[op.to].wakeForRequest(h.me)
 				} else {
 					h.setAvail(h.me, op.v)

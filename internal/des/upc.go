@@ -3,8 +3,11 @@ package des
 import (
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/stack"
 	"repro/internal/term"
+	"repro/internal/uts"
 )
 
 // What the two UPC families share in virtual time beyond the shell: the
@@ -60,6 +63,18 @@ type upcPE struct {
 	u    *upcRun
 	pool stack.Pool
 
+	// request is the PE's request word: the thief that claimed it, or −1.
+	// Only thieves of the distributed-memory family claim one (simDistPE);
+	// the machine looks at it at every service point (Interrupted).
+	request int
+	// pc is the place of the host operation under way, between the calls
+	// the machine makes of it while it is Busy. Work's release granularity
+	// and the edge its last quantum ended at are kept while inWork.
+	pc     uint8
+	inWork bool
+	edge   core.Edge
+	k      int
+
 	// hist is what the PE's word (upcRun.words, stored through setAvail
 	// alone) held before, doze the PE's own sleep over the words of others
 	// (doze.go).
@@ -72,6 +87,17 @@ type upcPE struct {
 	probe, flag bool
 	reads       [2]int64
 }
+
+// newPE is PE i's share of the family's host: the shell, and a request
+// word nobody claimed.
+func (u *upcRun) newPE(sp *uts.Spec, res *core.Result, ps *policy.Set, i int) upcPE {
+	return upcPE{simPE: newSimPE(sp, u.cfg, res, ps, i), u: u, request: -1}
+}
+
+// Interrupted reports a claimed request word.
+//
+//uts:noalloc
+func (pe *upcPE) Interrupted() bool { return pe.request >= 0 }
 
 // avail is the PE's work-available word as it stands.
 func (pe *upcPE) avail() int { return int(pe.u.words[pe.me].v) }
@@ -125,14 +151,27 @@ func (pe *upcPE) Staged(i int) int64 { return pe.reads[i] }
 // reference per level of the announcement tree.
 func (pe *upcPE) Enter() bool {
 	u := pe.u
-	pe.advance(u.cs.remoteRef)
-	if u.sbCount++; u.sbCount != len(u.upc) {
+	switch pe.pc {
+	case 0:
+		pe.pc = 1
+		pe.then(u.cs.remoteRef)
 		return false
+	case 1:
+		if u.sbCount++; u.sbCount != len(u.upc) {
+			pe.pc = 0
+			return false
+		}
+		pe.pc = 2
+		ad := time.Duration(term.AnnounceLevels(len(u.upc))) * u.cs.remoteRef
+		if ad > 0 {
+			pe.then(ad)
+			return false
+		}
+		if !u.freeAnnounce {
+			pe.p.tick() // a lone PE's announcement: a boundary, and no time
+		}
 	}
-	ad := time.Duration(term.AnnounceLevels(len(u.upc))) * u.cs.remoteRef
-	if ad > 0 || !u.freeAnnounce {
-		pe.advance(ad)
-	}
+	pe.pc = 0
 	u.sbAnnounced = true
 	return true
 }
@@ -141,7 +180,12 @@ func (pe *upcPE) Enter() bool {
 // seen the flag still clear at the completion instant of the probe that
 // found work, and the barrier cannot fill while the PE probed holds it.
 func (pe *upcPE) Leave() bool {
-	pe.advance(pe.u.cs.remoteRef)
+	if pe.pc == 0 {
+		pe.pc = 1
+		pe.then(pe.u.cs.remoteRef)
+		return false
+	}
+	pe.pc = 0
 	pe.u.sbCount--
 	return true
 }

@@ -104,9 +104,10 @@ one_work_loop() {
 }
 
 # One baton: fails if a simulated PE grows a goroutine and channels of its
-# own back, or the simulator a second thread: a PE that blocks (a UPC PE) is
-# a coroutine its dispatcher resumes (the package's one iter.Pull,
-# des/coro.go), a PE that is one stepped advance is no coroutine at all, the
+# own back, or the simulator a second thread: every simulated PE is a step
+# function the dispatcher runs (Sim.spawnStepped), the package's one
+# iter.Pull (des/coro.go) serves only bodies handed to Sim.Spawn — a
+# blocking body's, and the legacy reference's coroutine around a step — the
 # dispatcher is a loop on the goroutine that calls Run, and nothing else in
 # the package starts a goroutine, holds a channel or imports sync.
 one_baton() {
@@ -116,15 +117,19 @@ one_baton() {
 	if sed -n '/^type Proc struct/,/^}/p' internal/des/sim.go | grep -nwE '^\s*status'; then exit 1; fi
 }
 
-# A step is not a coroutine: fails if a PE whose whole body is one stepped
-# advance — an mpi-ws rank (des/mpi.go), a static PE (des/static.go) — gets a
-# coroutine back, a goroutine stack each of hundreds of PEs would hold for
-# the whole run: neither file runs AdvanceStepped or hands a body to
-# a coroutine spawn (Sim.Spawn, simPE.spawn); each registers its step
-# (spawnStepped).
+# A step is not a coroutine: fails if a simulated PE gets a coroutine back,
+# a goroutine stack each of hundreds of PEs would hold for the whole run.
+# Every PE is a step function: an mpi-ws rank (des/mpi.go), a static PE
+# (des/static.go), the Figure-1 machine of a UPC family (des/dist.go,
+# des/shared.go, over des/upc.go and des/doze.go). None of those files runs
+# AdvanceStepped, blocks in Advance, Block or a lock's Acquire, or hands a
+# body to a coroutine spawn (Sim.Spawn, simPE.spawn); each host registers
+# its step (spawnStepped).
 step_is_not_a_coroutine() {
-	for f in internal/des/mpi.go internal/des/static.go; do
-		if grep -nE 'AdvanceStepped\(|\.(spawn|Spawn)\(' $f; then echo "in $f"; exit 1; fi
+	for f in internal/des/mpi.go internal/des/static.go internal/des/dist.go internal/des/shared.go internal/des/upc.go internal/des/doze.go; do
+		if grep -nE 'AdvanceStepped\(|\.(spawn|Spawn)\(|\bp\.(Advance|Block|Acquire)\(' $f; then echo "in $f"; exit 1; fi
+	done
+	for f in internal/des/mpi.go internal/des/static.go internal/des/dist.go internal/des/shared.go; do
 		grep -q '\.spawnStepped(' $f
 	done
 }
