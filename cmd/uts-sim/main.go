@@ -75,8 +75,8 @@ func main() {
 			if info.Lookahead > 0 {
 				lookahead = fmt.Sprintf(" lookahead=%v", info.Lookahead)
 			}
-			fmt.Printf("engine: pops=%d inline=%d counted=%d handoffs=%d%s\n",
-				info.Pops, info.Events-info.Pops-info.Counted, info.Counted, info.Handoffs, lookahead)
+			fmt.Printf("engine: pops=%d inline=%d counted=%d%s\n",
+				info.Pops, info.Events-info.Pops-info.Counted, info.Counted, lookahead)
 			fmt.Printf("wakes: word=%d end=%d post=%d moved=%d\n",
 				info.Wakes.Word, info.Wakes.End, info.Wakes.Post, info.Wakes.Moved)
 			fmt.Print(res.PerThreadTable())

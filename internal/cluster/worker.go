@@ -30,7 +30,7 @@ func (n *node) runWorker() error {
 	w.Start()
 	defer w.Stop()
 	m := core.Machine{H: w, PE: &w.PE, Rng: core.NewProbeOrder(n.cfg.Seed, w.me), Me: w.me, N: n.cfg.Ranks, Stream: true}
-	m.Run()
+	w.Steps(m.Start())
 	// A rank that terminates cleanly holds nothing: work still reserved or
 	// pooled is a subtree nobody explored, and says so rather than count short.
 	if reserved, pooled := n.handoff.Pending(), w.pool.Len(); w.err == nil && reserved+pooled > 0 {

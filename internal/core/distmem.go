@@ -76,7 +76,7 @@ func runDistMem(sp *uts.Spec, opt Options, res *Result, hier bool) error {
 		defer w.Stop()
 		m := Machine{H: w, PE: &w.PE, Rng: NewProbeOrder(opt.Seed, me), Me: me, N: opt.Threads,
 			Stream: true, Hier: hier, NodeSize: dom.NodeSize()}
-		m.Run()
+		w.Steps(m.Start())
 	})
 	return nil
 }

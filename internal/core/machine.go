@@ -58,13 +58,11 @@ type Host interface {
 	BeginSteal()
 	EndSteal(ok bool, back stats.State)
 
-	// Engine. Steps runs a step function to its end (StepDone) on the
-	// host's own clock: what Machine.Run steps it with.
-	Steps(step Stepper)
-	// Interrupted is asked at every service point — the end of a quantum
-	// without StepNoPoll, never before the first — and reports a steal
-	// request pending or the run stopped: the machine then calls Service,
-	// and, in the search or the wait, gives up if Stopped.
+	// Engine. Interrupted is asked at every service point — the end of a
+	// quantum without StepNoPoll, never before the first — and reports a
+	// steal request pending or the run stopped: the machine then calls
+	// Service, and, in the search or the wait, gives up if Stopped. The
+	// host answers it from its own request word; no engine delivers it.
 	Interrupted() bool
 	// Busy is asked after every call of Work, Service, Steal, Enter and
 	// Leave. A host whose operations take time its step must return (the
@@ -178,10 +176,6 @@ const (
 	atLast          // the run is over: answer a last raced-in request
 	atEnd           // the step is done
 )
-
-// Run runs the machine to its end on the host's own clock (Host.Steps). A
-// simulated PE is stepped by the dispatcher instead (Start).
-func (m *Machine) Run() { m.H.Steps(m.Start()) }
 
 // Start returns the machine's step function: Figure 1 from the Working state
 // to the end of the run, one quantum per call. A host operation runs inside

@@ -82,7 +82,7 @@ func runShared(sp *uts.Spec, opt Options, res *Result, v SharedVariant) error {
 		w.Start()
 		defer w.Stop()
 		m := Machine{H: w, PE: &w.PE, Rng: NewProbeOrder(opt.Seed, me), Me: me, N: opt.Threads, Stream: v.StreamTerm}
-		m.Run()
+		w.Steps(m.Start())
 	})
 	if v.Relaxed && !opt.abort.Load() {
 		// Accounting check: termination required every ring to drain, so

@@ -365,7 +365,8 @@ func (w *WallPE) Working(fixedK int, request *atomic.Int32) Edge {
 // K is the release granularity in effect; it changes only across a yield.
 func (w *WallPE) K() int { return w.k }
 
-// Steps is the machine's engine on the wall clock, the synchronous
+// Steps is the machine's engine on the wall clock (w.Steps(m.Start()) runs
+// Machine m to its end), the synchronous
 // counterpart of the simulator's dispatcher: quanta run back to back (a
 // staged read, and every operation of the host, has already taken its time
 // when the step returns), and every service point yields the processor —

@@ -178,13 +178,14 @@ type rawRun struct {
 }
 
 // buildRawWorkload spawns n PEs on s, each running rounds actions drawn from
-// a stream seeded by (seed, PE): plain and stepped advances (NoPoll
-// boundaries, ended early by interrupts other PEs post), remote calls,
-// immediate and delayed sends, two effects staged on one boundary, and lock
-// sections shared with the neighbour PE. Every fourth PE is instead one
-// stepped advance from spawn to finish (spawnStepped): random quanta, some
-// NoPoll, some staging a read and an operation — a post among them — on
-// other PEs, ended by StepDone or by an interrupt another PE posted; the
+// a stream seeded by (seed, PE): plain and stepped advances (some boundaries
+// NoPoll), remote calls, immediate and delayed sends, two effects staged on
+// one boundary, and lock sections shared with the neighbour PE. Every fourth
+// PE is instead one stepped advance from spawn to finish (spawnStepped):
+// random quanta, some NoPoll, some staging a read and an operation on other
+// PEs, some opening a lock section on the neighbour's lock — the round trip,
+// then take, then stepBlock until the holder hands it over, then handOver —
+// against a neighbour that takes it with Acquire; ended by StepDone. The
 // batched engine runs it in its dispatcher, the legacy reference on a
 // coroutine. Durations come from a handful of values so that boundaries of
 // different PEs keep falling on one instant.
@@ -193,7 +194,6 @@ func buildRawWorkload(s *Sim, seed int64, n, rounds int) *rawRun {
 		opAdd = iota
 		opRead
 		opMax
-		opPost
 		opMail
 	)
 	r := &rawRun{state: make([]int64, n), shared: make([]int64, n),
@@ -209,8 +209,6 @@ func buildRawWorkload(s *Sim, seed int64, n, rounds int) *rawRun {
 			r.state[dst] += a
 		case opMax:
 			r.state[dst] = max(old, a)
-		case opPost:
-			procs[dst].Post(Intr(1) << (a & 3))
 		case opMail: // sorted insert: order of application must not show
 			m := r.mail[dst]
 			i := 0
@@ -241,7 +239,7 @@ func buildRawWorkload(s *Sim, seed int64, n, rounds int) *rawRun {
 				switch rng.Intn(8) {
 				case 0:
 					p.Advance(pick(durs))
-				case 1: // stepped advance; a posted interrupt may end it early
+				case 1: // stepped advance
 					quanta := make([]time.Duration, 1+rng.Intn(6))
 					flags := make([]uint8, len(quanta))
 					for j := range quanta {
@@ -249,20 +247,20 @@ func buildRawWorkload(s *Sim, seed int64, n, rounds int) *rawRun {
 						flags[j] = uint8(rng.Intn(2)) * StepNoPoll
 					}
 					j := 0
-					m := p.AdvanceStepped(func() (time.Duration, uint8) {
+					p.AdvanceStepped(func() (time.Duration, uint8) {
 						if j == len(quanta) {
 							return 0, StepDone
 						}
 						j++
 						return quanta[j-1], flags[j-1]
 					})
-					log(int64(m), int64(j))
+					log(int64(j))
 				case 2: // remote call: the operation at the completion instant
 					p.Advance(pick(hops))
 					log(apply(dst, uint8(rng.Intn(4)), val, 0))
 				case 3:
 					p.Advance(pick(hops))
-					apply(dst, uint8([]int{opAdd, opMax, opPost}[rng.Intn(3)]), val, 0)
+					apply(dst, uint8([]int{opAdd, opMax}[rng.Intn(2)]), val, 0)
 				case 4: // delayed send, visible to dst from its stamp on
 					adv, delay := pick(durs), pick(hops)
 					p.Advance(adv)
@@ -271,7 +269,7 @@ func buildRawWorkload(s *Sim, seed int64, n, rounds int) *rawRun {
 					dst2, d, fl := rng.Intn(n), pick(hops), uint8(rng.Intn(2))*StepNoPoll
 					op2, tail := uint8(rng.Intn(3)), pick(durs)
 					j := 0
-					m := p.AdvanceStepped(func() (time.Duration, uint8) {
+					p.AdvanceStepped(func() (time.Duration, uint8) {
 						j++
 						switch j {
 						case 1:
@@ -283,7 +281,7 @@ func buildRawWorkload(s *Sim, seed int64, n, rounds int) *rawRun {
 						}
 						return 0, StepDone
 					})
-					log(int64(m), int64(j))
+					log(int64(j))
 				case 6: // lock section with the neighbour PE
 					if i^1 >= n {
 						break
@@ -310,28 +308,51 @@ func buildRawWorkload(s *Sim, seed int64, n, rounds int) *rawRun {
 		}
 		if i%4 == 3 {
 			quanta, k, read := 1+rng.Intn(rounds), 0, false
+			// The lock section: where it stands (0 none, 1 the acquisition's
+			// round trip, 2 holding the lock, 3 leaving it) and what it read.
+			l, w := &locks[i&^1], &r.shared[i&^1]
+			section, held := 0, int64(0)
 			procs[i] = s.spawnStepped(func() (time.Duration, uint8) {
+				p := procs[i]
 				if read { // what the effect staged on the last boundary saw
 					log(staged[i][0].res, staged[i][1].res)
 					read = false
 				}
-				log(int64(procs[i].Now()))
+				log(int64(p.Now()))
+				fl := uint8(rng.Intn(2)) * StepNoPoll
+				switch section {
+				case 1: // the round trip is over: hold the lock, or wait to be handed it
+					section = 2
+					if !p.take(l) {
+						return 0, stepBlock
+					}
+					fallthrough
+				case 2:
+					section, held = 3, *w
+					return pick(durs), fl
+				case 3:
+					section, *w = 0, held*3+int64(i)
+					p.handOver(l)
+					log(held)
+					return pick(durs), fl
+				}
 				if k == quanta {
 					return 0, StepDone
 				}
 				k++
-				d, fl := pick(durs), uint8(rng.Intn(2))*StepNoPoll
-				if rng.Intn(3) == 0 {
-					op := uint8([]int{opAdd, opMax, opPost}[rng.Intn(3)])
+				d := pick(durs)
+				switch rng.Intn(4) {
+				case 0:
+					op := uint8([]int{opAdd, opMax}[rng.Intn(2)])
 					staged[i] = [2]rawOp{{dst: rng.Intn(n), op: opRead}, {dst: rng.Intn(n), op: op, a: int64(i<<20 | k)}}
 					read = true
-					return procs[i].Stage(d, 0), fl
+					return p.Stage(d, 0), fl
+				case 1:
+					section = 1
+					return pick(hops), fl
 				}
 				return d, fl
-			}, func(p *Proc) { log(staged[i][0].res, staged[i][1].res, int64(k), int64(p.intr), int64(p.Now())) })
-			if rng.Intn(4) == 0 { // posted before the run: the first step still runs
-				procs[i].Post(IntrSteal)
-			}
+			}, func(p *Proc) { log(staged[i][0].res, staged[i][1].res, int64(k), int64(p.Now())) })
 		} else {
 			procs[i] = s.Spawn(body)
 		}
@@ -620,10 +641,12 @@ func TestEngineThroughputGate(t *testing.T) {
 
 // TestEngineCountsPinned pins how the batched engine reaches its boundaries,
 // not just how many: events that went through the queue (Info.Pops; the
-// rest committed inline) and coroutine resumptions (Info.Handoffs), on pure
-// dispatch and on two rows of the differential matrix. The counts are exact
-// on any host, so an indirection added to the dispatcher shows here as an
-// integer where a timing would drown it; the pure-dispatch and upc-distmem
+// rest committed inline) and coroutine resumptions (Sim.handoffs: pure
+// dispatch's Spawn bodies, two each; no simulated PE has a coroutine, so no
+// row of a protocol run reports them), on pure dispatch and on two rows of
+// the differential matrix. The counts are exact on any host, so an
+// indirection added to the dispatcher shows here as an integer where a
+// timing would drown it; the pure-dispatch and upc-distmem
 // values are what the engine reported before the sharded engine came to
 // share its dispatcher. The mpi-ws row was re-baselined once, when an idle
 // rank stopped being an event stream (DESIGN.md §9): its 14,315 events did
@@ -643,8 +666,8 @@ func TestEngineThroughputGate(t *testing.T) {
 // Moved 4 → 46,446. When a PE became a coroutine rather than a goroutine, no
 // count moved; when a rank stopped being one — its step is the whole PE,
 // started parked and finished by the dispatcher (Sim.spawnStepped) — only its
-// two resumptions went (Handoffs 32 → 0 and 512 → 0). The upc-distmem row was re-baselined once too, when a
-// searching PE stopped dispatching the probes no write can reach (DESIGN.md
+// two resumptions went (Handoffs 32 → 0 and 512 → 0). The upc-distmem row
+// was re-baselined once too, when a searching PE stopped dispatching the probes no write can reach (DESIGN.md
 // §9, "A probe is a read of a word with a history"): its 2,976 events and
 // 441 handoffs did not move, 995 of the events are now probes counted at one
 // of 144 wakes (Pops 2,940 → 1,909; 36 were and are inline). The 256-PE row
@@ -676,8 +699,11 @@ func TestEngineCountsPinned(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	check("dispatchWorkload(64, 2000)", Info{Events: sim.events, Pops: sim.pops, Counted: sim.counted, Handoffs: sim.handoffs},
-		Info{Events: 128064, Pops: 128064, Handoffs: 128})
+	check("dispatchWorkload(64, 2000)", Info{Events: sim.events, Pops: sim.pops, Counted: sim.counted},
+		Info{Events: 128064, Pops: 128064})
+	if sim.handoffs != 128 {
+		t.Errorf("dispatchWorkload(64, 2000): %d coroutine resumptions, want 128", sim.handoffs)
+	}
 	want := map[string]Info{
 		"upc-distmem/t3-small/seed1": {Engine: EngineBatched, Events: 2976, Pops: 1909, Counted: 995,
 			Wakes: Wakes{Word: 86, End: 56, Post: 2, Moved: 45}},
@@ -806,8 +832,8 @@ func BenchmarkSimEngine(b *testing.B) {
 }
 
 // BenchmarkSimSteal stresses the steal path: chunk 1 under rapid diffusion
-// makes nearly every explored node a protocol interaction, so interrupt
-// delivery and the lock waiter ring dominate instead of batched work.
+// makes nearly every explored node a protocol interaction, so request
+// service and the lock waiter ring dominate instead of batched work.
 func BenchmarkSimSteal(b *testing.B) {
 	for _, e := range engines {
 		b.Run(e.name, func(b *testing.B) {

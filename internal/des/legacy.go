@@ -40,7 +40,7 @@ func (s *Sim) runLegacy() error {
 // park/schedule/pop round trip per nonzero quantum — the per-boundary cost
 // profile of the original engine — while applying the boundary flags in
 // exactly the order the batched engine does.
-func (p *Proc) legacyAdvanceStepped(step Stepper) Intr {
+func (p *Proc) legacyAdvanceStepped(step Stepper) {
 	for {
 		d, fl := step()
 		if d > 0 {
@@ -55,12 +55,7 @@ func (p *Proc) legacyAdvanceStepped(step Stepper) Intr {
 				p.Block()
 				continue
 			}
-			return 0
-		}
-		if fl&StepNoPoll == 0 && p.intr != 0 {
-			m := p.intr
-			p.intr = 0
-			return m
+			return
 		}
 	}
 }

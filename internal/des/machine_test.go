@@ -14,8 +14,8 @@ import (
 
 // The driver-agreement test: one scripted host, driven through the
 // Figure-1 machine (core.Machine) once by the wall-clock engine
-// (core.WallPE.Steps) and once by the virtual-time one (a Sim's stepped
-// advance). The script fixes everything a run decides from — what each
+// (core.WallPE.Steps) and once by the virtual-time one (the dispatcher's
+// steps, the machine registered with spawnStepped as every simulated PE is). The script fixes everything a run decides from — what each
 // probe answers, how each steal ends, when a steal request lands, when the
 // barrier completes — as a function of how many probes, steals, flag reads
 // and barrier calls came before, never of time. The two logs of every call
@@ -35,8 +35,7 @@ type script struct {
 
 	probes, flags, nsteals, enters, leaves int
 
-	pending bool
-	post    func() // how the driver under test learns of a request
+	pending bool // a request landed and was not yet serviced: what Interrupted answers
 	log     []string
 }
 
@@ -46,7 +45,6 @@ func (s *script) readAvail(v int) int64 {
 	s.probes++
 	if s.requests[s.probes] {
 		s.pending = true
-		s.post()
 	}
 	if wa, ok := s.avail[s.probes]; ok {
 		return wa
@@ -129,8 +127,8 @@ func (w *wallFake) StageAnnounced(time.Duration) time.Duration {
 }
 
 // simFake is the scripted host on the virtual-time driver: reads are staged
-// against their quantum and run by its boundary effect, a request is a
-// posted interrupt.
+// against their quantum and run by its boundary effect, and a request is
+// seen where the machine asks Interrupted, as on the wall clock.
 type simFake struct {
 	simPE
 	*script
@@ -140,6 +138,7 @@ type simFake struct {
 
 func (f *simFake) Settle(e bool) bool { return f.script.Settle(e) }
 func (f *simFake) Stopped() bool      { return false }
+func (f *simFake) Interrupted() bool  { return f.pending }
 func (f *simFake) StageAvail(v int) time.Duration {
 	f.stage = append(f.stage, func() int64 { return f.readAvail(v) })
 	return f.charge(f.p.Stage(10*time.Nanosecond, 0))
@@ -170,12 +169,11 @@ const (
 func runWallFake(sc script) []string {
 	var th stats.Thread
 	w := &wallFake{WallPE: core.WallPE{PE: core.NewPE(&uts.BenchTiny, &th, nil, nil)}, script: &sc}
-	sc.post = func() {}
 	w.Interrupt = func() bool { return sc.pending }
 	w.Start()
 	defer w.Stop()
 	m := core.Machine{H: logged{w, &sc}, PE: &w.PE, Rng: core.NewProbeOrder(1, fakeMe), Me: fakeMe, N: fakePEs, Stream: true}
-	m.Run()
+	w.Steps(m.Start())
 	return sc.log
 }
 
@@ -183,10 +181,9 @@ func runSimFake(t *testing.T, sc script) []string {
 	res := &core.Result{}
 	res.Threads = make([]stats.Thread, fakeMe+1)
 	f := &simFake{simPE: newSimPE(&uts.BenchTiny, Config{Seed: 1}, res, nil, fakeMe), script: &sc}
-	sc.post = func() { f.p.Post(IntrSteal) }
 	sim := New()
 	m := core.Machine{H: logged{f, &sc}, PE: &f.PE, Rng: f.rng, Me: fakeMe, N: fakePEs, Stream: true}
-	f.spawn(sim, m.Run, f.read, func(*Proc) {})
+	f.spawnStepped(sim, m.Start(), f.read, func(*Proc) {})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}

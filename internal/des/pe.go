@@ -31,7 +31,7 @@ type simPE struct {
 	queuedAt time.Duration
 }
 
-// newSimPE builds PE i's shell for a simulated run; spawn binds p.
+// newSimPE builds PE i's shell for a simulated run; spawnStepped binds p.
 func newSimPE(sp *uts.Spec, cfg Config, res *core.Result, ps *policy.Set, i int) simPE {
 	return simPE{
 		PE:  core.NewPE(sp, &res.Threads[i], cfg.Tracer.Lane(i), ps.Controller(i)),
@@ -40,27 +40,12 @@ func newSimPE(sp *uts.Spec, cfg Config, res *core.Result, ps *policy.Set, i int)
 	}
 }
 
-// spawn registers the PE's process with the simulation as a coroutine and
-// binds pe.p at once, with effect, what the host does at the boundary of a
-// quantum it staged (Proc.Stage); then body runs on it from the Working
-// state, and finish records its end. A host whose body blocks in Advance or
-// Acquire — one driven by core.Machine.Run through Steps — needs it; the
-// simulator's own PEs are stepped (spawnStepped).
-func (pe *simPE) spawn(sim *Sim, body, effect func(), finish func(*Proc)) {
-	pe.p = sim.Spawn(func(p *Proc) {
-		pe.Rec(obs.KindStateChange, -1, int64(stats.Working))
-		body()
-		finish(p)
-	})
-	pe.p.effect = effect
-	pe.Virt = pe.p.Now
-}
-
 // spawnStepped registers a PE whose whole body is the step function step,
 // and binds pe.p at once — in a windowed run another PE can deliver to this
-// one before its first step — and with it effect: it enters the Working
-// state at spawn, the instant 0 its first step runs at, and finish runs at
-// the boundary that ends the advance.
+// one before its first step — and with it effect, what the host does at the
+// boundary of a quantum it staged (Proc.Stage): it enters the Working state
+// at spawn, the instant 0 its first step runs at, and finish runs at the
+// boundary that ends the advance.
 func (pe *simPE) spawnStepped(sim *Sim, step core.Stepper, effect func(), finish func(*Proc)) {
 	pe.p = sim.spawnStepped(step, finish)
 	pe.p.effect = effect
@@ -123,8 +108,8 @@ func (pe *simPE) EndSteal(ok bool, back stats.State) {
 // host operation that takes time waits for it a quantum at a time (wait,
 // then) and the machine, told so by Busy, returns the quantum from its step
 // and calls the operation again at its end; the simulator steps the machine
-// itself (spawnStepped). Steps and Interrupted are the machine's Run on a
-// coroutine, whose service points the engine ends at a posted interrupt.
+// itself (spawnStepped). Interrupted is the protocol's: a UPC PE reads its
+// request word (upcPE.Interrupted).
 
 // wait makes the host operation under way wait for a quantum of d with
 // flags fl before the machine calls it again.
@@ -184,27 +169,6 @@ func (pe *simPE) acquire(l *Lock, cost time.Duration) bool {
 func (pe *simPE) release(l *Lock, cost time.Duration) {
 	pe.p.handOver(l)
 	pe.then(cost)
-}
-
-// Steps runs step on the PE's coroutine to its end, an interrupt that ends
-// the stepped advance at a service point left posted for Interrupted.
-func (pe *simPE) Steps(step core.Stepper) {
-	for {
-		m := pe.p.AdvanceStepped(step)
-		if m == 0 {
-			return
-		}
-		pe.p.Post(m)
-	}
-}
-
-// Interrupted takes a steal interrupt posted to the PE's proc.
-func (pe *simPE) Interrupted() bool {
-	if pe.p.intr&IntrSteal == 0 {
-		return false
-	}
-	pe.p.ClearIntr(IntrSteal)
-	return true
 }
 
 // Settle and Stopped: a simulated PE hands out no work that could come

@@ -97,16 +97,11 @@ type Info struct {
 	// dispatched: the polls of a sleeping PE that nothing could answer — an
 	// idle mpi-ws rank's, a searching UPC PE's probes of words no write
 	// reached (core.StepSleep). 0 under the legacy engine, which steps
-	// every poll.
+	// every poll. Both counts are exact and, on the batched engine, a
+	// function of the configuration alone.
 	Counted uint64
-	// Handoffs is the number of times a PE's coroutine was resumed: 0, for
-	// every simulated PE of every algorithm is a stepped advance with no
-	// coroutine; only a body handed to Sim.Spawn has one. All three counts
-	// are exact and, on the batched engine, a function of the configuration
-	// alone.
-	Handoffs uint64
 	// Wakes is what ended the counted sleeps of searching PEs and how many
-	// queued wakes moved earlier; exact like the three above, zero where
+	// queued wakes moved earlier; exact like the two above, zero where
 	// every poll is stepped.
 	Wakes Wakes
 }
@@ -349,7 +344,7 @@ func run(sp *uts.Spec, cfg Config, log *sourceLog) (*core.Result, Info, error) {
 	if err := sim.Run(); err != nil {
 		return nil, info, err
 	}
-	info.Events, info.Pops, info.Counted, info.Handoffs = sim.events, sim.pops, sim.counted, sim.handoffs
+	info.Events, info.Pops, info.Counted = sim.events, sim.pops, sim.counted
 	info.Wakes.Moved = sim.moved
 	res.Elapsed = slices.Max(ends[:cfg.PEs])
 	res.Obs = cfg.Tracer.Summary()

@@ -54,7 +54,6 @@ type simSharedPE struct {
 // simShared sets up the PEs for upc-sharedmem / upc-term / upc-term-rapdif.
 func simShared(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, mode core.SharedVariant, ps *policy.Set, wakes *Wakes, log *sourceLog, finish func(*Proc)) {
 	r := &simSharedRun{upcRun: newUPCRun(cfg, cs, wakes, log), mode: mode}
-	r.freeAnnounce = true
 	r.pes = make([]*simSharedPE, cfg.PEs)
 	for i := 0; i < cfg.PEs; i++ {
 		pe := &simSharedPE{upcPE: r.newPE(sp, res, ps, i), r: r}

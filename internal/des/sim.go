@@ -43,7 +43,10 @@
 // Proc.Advance to consume virtual time and Proc.Block/Proc.Wake for
 // sleep/wakeup (lock queues). Either manipulates shared simulation state
 // freely — exactly one PE runs at any instant, so there are no data races by
-// construction. A panic in a PE surfaces from Run.
+// construction — and one PE learns what another did only by reading that
+// state: a steal request is the victim's request word, which its step reads
+// at a service point (core.Host.Interrupted); the engine delivers nothing. A
+// panic in a PE surfaces from Run.
 //
 // # Engines
 //
@@ -127,24 +130,14 @@ func (s *Sim) Now() time.Duration { return time.Duration(s.now) }
 // events/second measures pure engine overhead.
 func (s *Sim) Events() uint64 { return s.events }
 
-// Intr is a bitmask of typed interrupts posted to a PE. A thief posts
-// IntrSteal after claiming a victim's request word; the victim's engine
-// observes the mask at its next quantized polling boundary, exactly where
-// the per-node polling of the real implementation would have seen the
-// request word.
-type Intr uint32
-
-// IntrSteal signals a pending steal request on the PE's request word.
-const IntrSteal Intr = 1 << 0
-
 // Step flags returned by a Stepper alongside the quantum duration. The
 // vocabulary is core's, where the one protocol machine written in it lives.
 const (
-	// StepDone ends the stepped advance; AdvanceStepped returns 0.
+	// StepDone ends the stepped advance.
 	StepDone = core.StepDone
-	// StepNoPoll suppresses the interrupt check at this quantum's
-	// boundary — used for boundaries where the original protocol had no
-	// service point, keeping the batched schedule bit-identical.
+	// StepNoPoll marks a boundary that is not a service point. The engine
+	// passes it over: whether a pending request is looked at is the step's
+	// own question (core.Host.Interrupted).
 	StepNoPoll = core.StepNoPoll
 	// StepSleep permits the engine to count the polls that follow instead
 	// of running them (see sleep). The batched dispatcher takes the
@@ -183,8 +176,7 @@ type Proc struct {
 	sim *Sim
 
 	// The PE's coroutine (start), nil for a stepped PE (spawnStepped), and
-	// its way back to the dispatcher, the parked stepped advance, if any, and
-	// the pending interrupt mask.
+	// its way back to the dispatcher, and the parked stepped advance, if any.
 	next   func() (int64, bool)
 	back   func(int64) bool
 	stepFn Stepper
@@ -193,7 +185,6 @@ type Proc struct {
 	// (t, id, seq) key orders the event queue identically under every engine.
 	seq uint64
 
-	intr   Intr
 	stepFl uint8
 
 	// staged says the current quantum ends in effect, the host's boundary
@@ -211,10 +202,6 @@ type Proc struct {
 	due     int64
 	skipped int64
 
-	// The interrupt mask that ended a stepped advance, handed over at the
-	// resumption (run).
-	resumed Intr
-
 	// While the proc's queued event waits in a windowed run's calendar
 	// bucket, its instant and its neighbours there: a bucket is a list
 	// through the procs it holds (calendar).
@@ -227,7 +214,7 @@ type Proc struct {
 	// Up to three whole cache lines: the allocator's size class for a Proc is
 	// then a multiple of the line, and the layout above is the layout in
 	// memory (TestEngineCountsPinned holds both).
-	_ [48]byte
+	_ [56]byte
 }
 
 // ID returns the PE number.
@@ -235,15 +222,6 @@ func (p *Proc) ID() int { return p.id }
 
 // Now returns the current virtual time (valid only while running).
 func (p *Proc) Now() time.Duration { return time.Duration(p.sim.now) }
-
-// Post sets interrupt bits on p. The poster is another PE (or the
-// simulation setup); p observes the mask at its next polling boundary.
-func (p *Proc) Post(m Intr) { p.intr |= m }
-
-// ClearIntr clears interrupt bits on p. Protocol service routines call it
-// when they consume the underlying request through a direct check, so a
-// stale mask cannot trigger a second service.
-func (p *Proc) ClearIntr(m Intr) { p.intr &^= m }
 
 // Spawn registers a PE with the given body, scheduled to start at virtual
 // time zero. Must be called before Run.
@@ -255,8 +233,7 @@ func (s *Sim) Spawn(body func(p *Proc)) *Proc {
 }
 
 // spawnStepped registers a PE whose whole body is one stepped advance: step
-// runs from virtual time zero, and done at the boundary that ends the advance
-// — StepDone's, or a poll that finds an interrupt posted — when the PE is
+// runs from virtual time zero, and done at StepDone's boundary, when the PE is
 // finished. The batched engine gives such a PE no coroutine: its advance
 // starts parked, and dispatch runs it (steps) and ends it. The legacy
 // reference runs the body AdvanceStepped(step), then done, on a coroutine like
@@ -269,8 +246,7 @@ func (s *Sim) spawnStepped(step Stepper, done func(*Proc)) *Proc {
 			done(p)
 		})
 	} else {
-		// The first step runs before any interrupt check, as in AdvanceStepped.
-		p.stepFn, p.stepFl, p.done = step, StepNoPoll, done
+		p.stepFn, p.done = step, done
 	}
 	s.schedule(p, 0)
 	return p
@@ -392,27 +368,24 @@ func (s *Sim) dispatch() error {
 		s.pops++
 		p := e.p
 		if p.stepFn == nil {
-			s.run(p, 0)
+			s.run(p)
 			continue
 		}
 		fl := p.stepFl
 		if fl&StepSleep != 0 {
 			s.woke(p)
 		}
-		if m, ended := s.steps(p, fl); ended {
-			s.end(p, m)
+		if s.steps(p, fl) {
+			s.end(p)
 		}
 	}
 }
 
-// run resumes p's coroutine until it yields back or its body returns,
-// handing it m, the interrupt mask that ended its stepped advance (0 for
-// anything else).
+// run resumes p's coroutine until it yields back or its body returns.
 //
 //uts:noalloc
-func (s *Sim) run(p *Proc, m Intr) {
+func (s *Sim) run(p *Proc) {
 	s.handoffs++
-	p.resumed = m
 	if _, ok := p.next(); !ok {
 		s.finished++
 	}
@@ -428,18 +401,17 @@ func (s *Sim) ahead(t int64, id int) bool {
 
 // steps is the stepped advance of the batched engine, the one place it steps:
 // p's advance stands at a boundary with flags fl, the clock on it. It applies
-// the boundary — the staged effect, then StepDone, then, at a service point,
-// a pending interrupt — and keeps stepping: a quantum that precedes every
-// queued event commits inline, without heap traffic or a coroutine switch;
-// one that collides with the queue parks, and a StepSleep one sleeps. It
-// reports the mask that ended the advance and true, or false when the advance
-// parked or slept and the dispatcher will continue it here.
+// the boundary — the staged effect, then StepDone — and keeps stepping: a
+// quantum that precedes every queued event commits inline, without heap
+// traffic or a coroutine switch; one that collides with the queue parks, a
+// StepSleep one sleeps, and stepBlock waits for a Wake. It reports whether the
+// advance ended, false when the dispatcher will continue it here.
 //
 // The boundary and the commit stay written out in the loop: as calls they
 // are not inlined, two a quantum.
 //
 //uts:noalloc
-func (s *Sim) steps(p *Proc, fl uint8) (Intr, bool) {
+func (s *Sim) steps(p *Proc, fl uint8) bool {
 	for {
 		if p.staged {
 			p.staged = false
@@ -447,28 +419,23 @@ func (s *Sim) steps(p *Proc, fl uint8) (Intr, bool) {
 		}
 		if fl&StepDone != 0 {
 			if fl&StepSleep != 0 { // stepBlock: a Wake continues the advance
-				p.stepFl = StepNoPoll
-				return 0, false
+				p.stepFl = 0
+				return false
 			}
-			return 0, true
-		}
-		if fl&StepNoPoll == 0 && p.intr != 0 {
-			m := p.intr
-			p.intr = 0
-			return m, true
+			return true
 		}
 		var dt time.Duration
 		dt, fl = p.stepFn()
 		if dt > 0 {
 			if fl&StepSleep != 0 {
 				s.sleep(p, int64(dt), fl)
-				return 0, false
+				return false
 			}
 			t := s.now + int64(dt)
 			if !s.ahead(t, p.id) {
 				p.stepFl = fl
 				s.park(p, t)
-				return 0, false
+				return false
 			}
 			s.now = t
 			s.events++
@@ -476,18 +443,18 @@ func (s *Sim) steps(p *Proc, fl uint8) (Intr, bool) {
 	}
 }
 
-// end ends p's stepped advance, by interrupt mask m or by StepDone (0): the
-// PE's coroutine resumes with m, and a stepped PE is finished.
+// end ends p's stepped advance at StepDone: the PE's coroutine resumes, and
+// a stepped PE is finished.
 //
 //uts:noalloc
-func (s *Sim) end(p *Proc, m Intr) {
+func (s *Sim) end(p *Proc) {
 	p.stepFn = nil
 	if p.next == nil {
 		s.finished++
 		p.done(p)
 		return
 	}
-	s.run(p, m)
+	s.run(p)
 }
 
 // sleep takes p off the queue: its step returned quantum dt with StepSleep,
@@ -648,41 +615,36 @@ func (p *Proc) Advance(d time.Duration) {
 }
 
 // AdvanceStepped consumes virtual time one quantum at a time, calling step
-// for each. After a quantum with duration d the clock stands exactly at
-// the quantum's boundary; there the engine applies the returned flags:
-// StepDone ends the advance (returns 0), and — unless StepNoPoll is set —
-// a pending interrupt mask ends it too (returns the mask, cleared). A
-// zero-duration quantum creates no event but still gets its boundary
-// flags applied, mirroring the zero-pending flush of the protocol loops.
+// for each, until a quantum returns StepDone. After a quantum with duration d
+// the clock stands exactly at the quantum's boundary, where the engine
+// applies the returned flags. A zero-duration quantum creates no event but
+// still gets its boundary flags applied, mirroring the zero-pending flush of
+// the protocol loops.
 //
-// The first step executes before any interrupt check, matching protocols
-// that explore before polling. Quanta run inline while their boundary
-// precedes every queued event; otherwise the PE parks and the dispatcher
-// continues the same step sequence in place (steps), so a whole batch of
-// node work, probes, or idle polls costs zero coroutine switches.
+// Quanta run inline while their boundary precedes every queued event;
+// otherwise the PE parks and the dispatcher continues the same step sequence
+// in place (steps), so a whole batch of node work, probes, or idle polls
+// costs zero coroutine switches.
 //
 //uts:noalloc
-func (p *Proc) AdvanceStepped(step Stepper) Intr {
+func (p *Proc) AdvanceStepped(step Stepper) {
 	if p.sim.legacy {
-		return p.legacyAdvanceStepped(step)
+		p.legacyAdvanceStepped(step)
+		return
 	}
 	p.stepFn = step
-	if m, ended := p.sim.steps(p, StepNoPoll); ended {
+	if p.sim.steps(p, 0) {
 		p.stepFn = nil
-		return m
+		return
 	}
-	return p.yield()
+	p.yield()
 }
 
-// yield suspends p's coroutine until the dispatcher resumes it at an event
-// (or at the end of a stepped advance it continued), and returns the
-// interrupt mask that ended that advance, or 0.
+// yield suspends p's coroutine until the dispatcher resumes it at an event,
+// or at the end of a stepped advance it continued.
 //
 //uts:noalloc
-func (p *Proc) yield() Intr {
-	p.back(0)
-	return p.resumed
-}
+func (p *Proc) yield() { p.back(0) }
 
 // Block parks the PE until another PE calls Wake on it. Only the legacy
 // reference reads the value yielded: the batched engine queues nothing for
@@ -1105,16 +1067,4 @@ func (p *Proc) handOver(l *Lock) {
 	} else {
 		l.held = false
 	}
-}
-
-// tick is a zero-length boundary of a PE alone in its run: with no other
-// PE to order against, an event to count and nothing more. It stands in for
-// an Advance(0) in a step, which may not advance.
-//
-//uts:noalloc
-func (p *Proc) tick() {
-	if p.sim.nprocs != 1 {
-		panic("des: a zero-length boundary of a PE that is not alone")
-	}
-	p.sim.events++
 }

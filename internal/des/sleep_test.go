@@ -286,9 +286,9 @@ func runDozeWorld(t *testing.T, sim *Sim, w dozeWorld) dozeRun {
 			}, h.read, func(*Proc) {})
 			continue
 		}
-		h.spawn(sim, func() {
+		h.p = sim.Spawn(func(p *Proc) {
 			for _, op := range w.ops[h.me] {
-				h.p.Advance(op.at - h.p.Now())
+				p.Advance(op.at - p.Now())
 				if op.v == claimWord {
 					hosts[op.to].request = h.me
 					hosts[op.to].wakeForRequest(h.me)
@@ -296,7 +296,9 @@ func runDozeWorld(t *testing.T, sim *Sim, w dozeWorld) dozeRun {
 					h.setAvail(h.me, op.v)
 				}
 			}
-		}, nil, func(*Proc) {})
+		})
+		h.Virt = h.p.Now
+		h.Rec(obs.KindStateChange, -1, int64(stats.Working))
 	}
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)

@@ -29,10 +29,6 @@ type upcRun struct {
 
 	sbCount     int
 	sbAnnounced bool
-	// freeAnnounce: a zero-level announcement (a lone PE's) costs not even
-	// a zero-length advance — the shared-memory family's accounting, pinned
-	// by the golden fingerprints.
-	freeAnnounce bool
 
 	// words[i] is PE i's work-available word — what thieves probe — as its
 	// latest store left it, side by side because a searcher reads them all;
@@ -162,13 +158,10 @@ func (pe *upcPE) Enter() bool {
 			return false
 		}
 		pe.pc = 2
-		ad := time.Duration(term.AnnounceLevels(len(u.upc))) * u.cs.remoteRef
-		if ad > 0 {
+		// A lone PE's announcement has no level: no time, and no boundary.
+		if ad := time.Duration(term.AnnounceLevels(len(u.upc))) * u.cs.remoteRef; ad > 0 {
 			pe.then(ad)
 			return false
-		}
-		if !u.freeAnnounce {
-			pe.p.tick() // a lone PE's announcement: a boundary, and no time
 		}
 	}
 	pe.pc = 0

@@ -49,19 +49,14 @@ one_clock() {
 # both hosts drive, MsgHost has no Wait, and between spawn and finish a
 # simulated rank never leaves the dispatcher — des/mpi.go advances nothing
 # itself, every quantum is returned from the step. The smoke is exact on any
-# host: an idle rank's unanswerable polls are counted, not run, so a 64-PE
-# run resumes each PE twice (128 handoffs) where the blocking loop needed
-# 71,066.
+# host: a 64-PE run passes 305,696 boundaries. That it resumes no coroutine
+# on the way is tier-1's to hold (TestSteppedPEsStartNoGoroutine).
 one_rank_loop() {
 	if sed -n '/^type MsgHost interface/,/^}/p' internal/core/msgrank.go | grep -n 'Wait()'; then exit 1; fi
 	if grep -n 'h\.Wait(' internal/core/msgrank.go; then exit 1; fi
 	if grep -nE 'pe\.wait|\.Advance\(|\.advance\(' internal/des/mpi.go; then exit 1; fi
 	go build -o bin/uts-sim ./cmd/uts-sim
-	out=$(bin/uts-sim -alg mpi-ws -tree bench-small -pes 64 -verbose)
-	echo "$out" | grep -q ' events=305696 '
-	h=$(echo "$out" | sed -n 's/^engine: .* handoffs=\([0-9]*\).*$/\1/p')
-	test -n "$h"
-	test "$h" -lt 7100
+	bin/uts-sim -alg mpi-ws -tree bench-small -pes 64 | grep -q ' events=305696 '
 }
 
 # One node kernel: fails if a scheduler grows its own node kernel or its own
@@ -106,10 +101,10 @@ one_work_loop() {
 # One baton: fails if a simulated PE grows a goroutine and channels of its
 # own back, or the simulator a second thread: every simulated PE is a step
 # function the dispatcher runs (Sim.spawnStepped), the package's one
-# iter.Pull (des/coro.go) serves only bodies handed to Sim.Spawn — a
-# blocking body's, and the legacy reference's coroutine around a step — the
-# dispatcher is a loop on the goroutine that calls Run, and nothing else in
-# the package starts a goroutine, holds a channel or imports sync.
+# iter.Pull (des/coro.go) serves only a body handed to Sim.Spawn (the tests'
+# and the benchmark's) and the legacy reference's coroutine around a step,
+# the dispatcher is a loop on the goroutine that calls Run, and nothing else
+# in the package starts a goroutine, holds a channel or imports sync.
 one_baton() {
 	src=$(ls internal/des/*.go | grep -v _test.go)
 	test "$(cat $src | grep -c 'iter\.Pull(')" -eq 1
@@ -123,8 +118,8 @@ one_baton() {
 # (des/static.go), the Figure-1 machine of a UPC family (des/dist.go,
 # des/shared.go, over des/upc.go and des/doze.go). None of those files runs
 # AdvanceStepped, blocks in Advance, Block or a lock's Acquire, or hands a
-# body to a coroutine spawn (Sim.Spawn, simPE.spawn); each host registers
-# its step (spawnStepped).
+# body to a coroutine (Sim.Spawn); each host registers its step
+# (spawnStepped).
 step_is_not_a_coroutine() {
 	for f in internal/des/mpi.go internal/des/static.go internal/des/dist.go internal/des/shared.go internal/des/upc.go internal/des/doze.go; do
 		if grep -nE 'AdvanceStepped\(|\.(spawn|Spawn)\(|\bp\.(Advance|Block|Acquire)\(' $f; then echo "in $f"; exit 1; fi
@@ -154,7 +149,7 @@ one_window() {
 # loop or a second dispatch loop back. A stepped advance is stepped in one
 # place, Sim.steps — the coroutine's start (AdvanceStepped) and the
 # dispatcher's continuation both call it — so the boundary rule (staged
-# effect, then StepDone, then the interrupt at a service point) is one edit,
+# effect, then StepDone or stepBlock's wait) is one edit,
 # and the legacy reference's own copy (legacy.go) is the oracle the
 # differentials hold it to: the boundary effect runs in exactly those two
 # places. Events leave the queue in one loop, Sim.dispatch, the calendar of a
@@ -183,14 +178,25 @@ no_interpreter() {
 
 # One record: fails if the diffusion trace grows a sampler back: a traced run
 # records each PE's work-source status where it changes (upcPE.setAvail, the
-# mpi-ws rank's step), so the only proc a run spawns is a PE (simPE.spawn,
-# spawnStepped) — des/run.go spawns none — and no sampler type is declared in
-# internal/des.
+# mpi-ws rank's step), so the only proc a run spawns is a PE (spawnStepped) —
+# no non-test file of internal/des calls Sim.Spawn — and no sampler type is
+# declared in internal/des.
 one_record() {
-	if grep -n '\.Spawn(' internal/des/run.go; then exit 1; fi
-	test "$(cat $(ls internal/des/*.go | grep -v _test.go) | grep -c '\.Spawn(')" -eq 1
-	grep -q 'pe.p = sim.Spawn(' internal/des/pe.go
+	if grep -n '\.Spawn(' $(ls internal/des/*.go | grep -v _test.go); then exit 1; fi
 	if grep -nE '^type sampler\b' internal/des/*.go; then exit 1; fi
+}
+
+# No interrupt mask: fails if the engine grows a second way for a victim to
+# learn of a thief back. A thief claims the victim's request word, and the
+# victim reads it at its next service point (core.Host.Interrupted, which
+# the host answers); no mask is posted to a proc and delivered by the engine
+# at a boundary, the machine's Host has no Steps to run it on a coroutine,
+# and des/pe.go's shell spawns no coroutine.
+no_interrupt_mask() {
+	src=$(ls internal/des/*.go | grep -v _test.go)
+	if grep -nE '\bIntr(Steal)?\b|\.Post\(|ClearIntr' $src; then exit 1; fi
+	if sed -n '/^type Host interface/,/^}/p' internal/core/machine.go | grep -n 'Steps('; then exit 1; fi
+	if grep -nE '^func \([a-z]+ \*?simPE\) (spawn|Steps|Interrupted)\(' internal/des/pe.go; then exit 1; fi
 }
 
 # No HTTP below the command line: fails if a package other than cmd/uts-dist,
@@ -287,11 +293,12 @@ rule "One window" "§9" one_window
 rule "One stepped advance" "§9" one_stepped_advance
 rule "No interpreter" "§9" no_interpreter
 rule "One record" "§9" one_record
+rule "No interrupt mask" "§9, §17" no_interrupt_mask
 rule "No HTTP below the command line" "§13" no_http_below_cmd
 rule "No reflective codec" "§10" no_reflective_codec
 rule "No net below the command line" "§10, §13" no_net_below_cmd
 rule "Off is nil" "§15" off_is_nil
 rule "The live plane reads once" "§13" live_plane_reads_once
 rule "One lint driver" "§11" one_lint_driver
-[ $failed -eq 0 ] && echo "shape: 18 rules hold"
+[ $failed -eq 0 ] && echo "shape: 19 rules hold"
 exit $failed
