@@ -1,0 +1,72 @@
+package bench
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/des"
+	"repro/internal/pgas"
+	"repro/internal/uts"
+)
+
+// TestPaperClaims holds the simulator to the paper's qualitative claims, each
+// on the smallest tree and PE count of the Kitty Hawk profile on which it
+// holds — deterministic runs, so a change that breaks one is a change to the
+// schedule, never noise. Larger configurations where a claim does not hold
+// are findings in EXPERIMENTS.md, not bounds to loosen here.
+func TestPaperClaims(t *testing.T) {
+	t.Run("E2", func(t *testing.T) {
+		// Figure 4 on bench-tiny at 16 PEs (at 8, upc-sharedmem is only
+		// 0.6x the slowest other at k = 1).
+		const pes = 16
+		rate := func(alg core.Algorithm, k int) float64 {
+			res, err := des.Run(&uts.BenchTiny, des.Config{Algorithm: alg, PEs: pes, Chunk: k, Model: &pgas.KittyHawk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Rate()
+		}
+		// The shared-memory algorithm collapses at the smallest chunk: under
+		// half the rate of every other implementation.
+		sm := rate(core.UPCSharedMem, 1)
+		for _, alg := range []core.Algorithm{core.UPCTerm, core.UPCTermRapdif, core.UPCDistMem, core.MPIWS} {
+			if r := rate(alg, 1); sm >= r/2 {
+				t.Errorf("k=1: upc-sharedmem %.2f Mnodes/s, not under half of %s's %.2f", sm/1e6, alg, r/1e6)
+			}
+		}
+		// Each refinement improves on the last at every small chunk.
+		for _, k := range []int{1, 2, 4, 8} {
+			term, rapdif, dist := rate(core.UPCTerm, k), rate(core.UPCTermRapdif, k), rate(core.UPCDistMem, k)
+			if !(term < rapdif && rapdif < dist) {
+				t.Errorf("k=%d: upc-term %.2f, upc-term-rapdif %.2f, upc-distmem %.2f Mnodes/s: want increasing", k, term/1e6, rapdif/1e6, dist/1e6)
+			}
+		}
+		// The one-sided protocol beats message passing where stealing is
+		// most frequent.
+		if mpi, dist := rate(core.MPIWS, 1), rate(core.UPCDistMem, 1); mpi >= dist {
+			t.Errorf("k=1: mpi-ws %.2f Mnodes/s, not below upc-distmem's %.2f", mpi/1e6, dist/1e6)
+		}
+	})
+	t.Run("A1", func(t *testing.T) {
+		// Rapid diffusion (Section 3.3.2) on bench-tiny at 8 PEs: stealing
+		// half the victim's chunks makes P/2 PEs work sources sooner than
+		// stealing one. "Never" is later than any instant.
+		const pes = 8
+		reach := func(alg core.Algorithm, k int) time.Duration {
+			_, tr, err := des.RunTraced(&uts.BenchTiny, des.Config{Algorithm: alg, PEs: pes, Chunk: k, Model: &pgas.KittyHawk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := tr.TimeToSources(pes / 2); d >= 0 {
+				return d
+			}
+			return des.Never
+		}
+		for _, k := range []int{1, 2, 4, 8} {
+			if one, half := reach(core.UPCTerm, k), reach(core.UPCTermRapdif, k); half >= one {
+				t.Errorf("k=%d: steal-half reaches %d work sources at %v, steal-one at %v: want sooner", k, pes/2, half, one)
+			}
+		}
+	})
+}

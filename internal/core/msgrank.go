@@ -13,8 +13,9 @@ import (
 // baseline of Section 3.2 (after Dinan et al. [2]): stealing is a
 // request/response message exchange, a working rank polls for requests at a
 // user-supplied interval, and termination is detected with the Dijkstra
-// token ring [9]. The substrates differ in how a message travels and in how
-// a beat of waiting passes; both sit behind MsgHost. The body is the
+// token ring [9]. The substrates differ in how a message travels, in how a
+// beat of waiting passes and in what a quantum of exploring and a look at
+// the queue cost; all of it sits behind MsgHost. The body is the
 // simulator's, the stricter of the two it replaced: a trace event precedes
 // the send it describes, and the controller is fed after a wait, not
 // before.
@@ -39,10 +40,14 @@ type MsgHost interface {
 	// Sleep is the beat of waiting with nothing visible to Recv: the
 	// quantum the rank's step returns with StepSleep.
 	Sleep() time.Duration
-	// Work runs one quantum of exploring, passing every message it polls to
-	// Handle, and reports done once the local stack is empty or the rank
-	// has terminated and its last poll is behind it.
-	Work() (d time.Duration, done bool)
+	// Explore is one quantum of exploring, at most most nodes off the local
+	// stack, and whether it stopped at most (more); false once the stack
+	// is empty or the run abandoned. It feeds the controller at the host's
+	// Working cadence: at each yield on the wall clock, where that reads
+	// the clock, at the quantum's end in the simulator.
+	Explore(most int) (d time.Duration, more bool)
+	// Iprobe is the quantum one look at the message queue costs.
+	Iprobe() time.Duration
 	// Stopped reports an abandoned run; the rank returns at its next check.
 	Stopped() bool
 }
@@ -50,17 +55,22 @@ type MsgHost interface {
 // MsgRank is one rank's work-or-idle loop and its half of the token ring, as
 // a step function (Start): one action per call, its duration returned
 // instead of slept, the form Machine.search has. The simulator's dispatcher
-// runs it inline; a wall-clock host calls it in a plain loop.
+// runs it inline; a wall-clock host runs it with WallPE.Steps. The rank has
+// no service points: it looks at its queue in its own poll cycle, so every
+// quantum but the idle beat is StepNoPoll.
 type MsgRank struct {
 	H     MsgHost
 	PE    *PE // the host's shell
 	Rng   *ProbeOrder
 	Me, N int // this rank, all ranks
 	Chunk int // the fixed steal granularity k (PE.Ctl.Chunk adapts it)
+	Poll  int // the fixed poll interval in nodes (PE.Ctl.Poll adapts it)
 
-	phase  uint8 // rankTurn, rankWork or rankIdle
+	phase  uint8 // rankTurn … rankIdle
 	waited bool  // idle has slept since a Recv last found a message
+	atPoll bool  // the last explore quantum reached the interval
 	bcast  int   // rank 0 announcing termination: the next rank to tell, else 0
+	got    int   // messages the current drain has handled
 
 	// Dijkstra token-ring state.
 	color       msg.Color // this rank's color; black after sending work
@@ -71,11 +81,20 @@ type MsgRank struct {
 	terminated  bool
 }
 
-// Phases of the rank's step.
+// Phases of the rank's step. Working is the poll cycle of Section 3.2: a
+// quantum of up to poll nodes, one look at the queue (MPI_Iprobe), and the
+// evaluation of what it found — a message is handled and costs one more
+// look; the drain ends at the first look that finds nothing. An explore or
+// a look whose quantum is 0 falls through to the next phase in the same
+// call: neither stages anything, so an engine that would have called the
+// step again at once sees the same schedule, and on the wall clock, where
+// every quantum is 0, a cycle is one call.
 const (
-	rankTurn = iota // between phases: work if there is any, else search
-	rankWork        // inside the host's Work
-	rankIdle        // searching: requests, replies and the token
+	rankTurn    = iota // between phases: work if there is any, else search
+	rankExplore        // a quantum of exploring
+	rankIprobe         // a look at the queue
+	rankEval           // what the look found
+	rankIdle           // searching: requests, replies and the token
 )
 
 // Start returns the rank's step function. The PE starts in the Working
@@ -93,32 +112,66 @@ func (r *MsgRank) Start() Stepper {
 }
 
 func (r *MsgRank) step() (time.Duration, uint8) {
-	h := r.H
+	h, pe := r.H, r.PE
 	switch r.phase {
 	case rankTurn:
 		if r.terminated || h.Stopped() {
 			return 0, StepDone
 		}
-		if r.PE.Local.Len() > 0 {
-			r.phase = rankWork
+		if pe.Local.Len() > 0 {
+			r.phase = rankExplore
 		} else {
 			h.SetState(stats.Searching)
 			r.phase = rankIdle
 		}
-		return 0, 0
-	case rankWork:
-		d, done := h.Work()
-		if done {
-			r.phase = rankTurn
+		return 0, StepNoPoll
+	case rankExplore:
+		// The interval is read afresh for every quantum: the controller
+		// changes it only where it is fed, inside Explore.
+		d, more := h.Explore(pe.Ctl.Poll(r.Poll))
+		r.atPoll = more
+		r.phase = rankIprobe
+		if d > 0 {
+			return d, StepNoPoll
 		}
-		return d, 0
+		fallthrough
+	case rankIprobe:
+		r.phase = rankEval
+		if d := h.Iprobe(); d > 0 {
+			return d, StepNoPoll
+		}
+		fallthrough
+	case rankEval:
+		return r.eval(), StepNoPoll
 	}
 	return r.idle()
 }
 
-// Terminated reports that the rank has seen the run end; the host's Work
-// stops exploring at it.
-func (r *MsgRank) Terminated() bool { return r.terminated }
+// eval handles the message the last look found, or ends the drain: the
+// looks of one drain are one poll for the controller, which tunes the
+// interval from the hit rate. After a quantum that reached the interval the
+// rank explores on, or — the stack drained, or the run over — takes one
+// trailing look before it leaves the cycle.
+func (r *MsgRank) eval() time.Duration {
+	h, pe := r.H, r.PE
+	if m := h.Recv(); m != nil {
+		r.got++
+		r.phase = rankIprobe
+		return r.handle(m)
+	}
+	pe.Ctl.NotePoll(r.got)
+	r.got = 0
+	switch {
+	case r.atPoll && pe.Local.Len() > 0 && !r.terminated:
+		r.phase = rankExplore
+	case r.atPoll:
+		r.atPoll = false
+		r.phase = rankIprobe
+	default:
+		r.phase = rankTurn
+	}
+	return 0
+}
 
 // Grantable is the surplus rule: a steal request is granted k nodes while
 // the stack holds at least 2k. It returns that k, or 0 for a denial.
@@ -129,9 +182,9 @@ func (r *MsgRank) Grantable() int {
 	return 0
 }
 
-// Handle processes one message and returns the quantum of the reply it
+// handle processes one message and returns the quantum of the reply it
 // sent, 0 if it sent none.
-func (r *MsgRank) Handle(m *msg.Message) time.Duration {
+func (r *MsgRank) handle(m *msg.Message) time.Duration {
 	h, pe := r.H, r.PE
 	switch m.Tag {
 	case msg.TagStealRequest:
@@ -177,7 +230,7 @@ func (r *MsgRank) idle() (time.Duration, uint8) {
 	h, pe := r.H, r.PE
 	switch {
 	case r.bcast > 0:
-		return r.announce(), 0
+		return r.announce(), StepNoPoll
 	case pe.Local.Len() > 0 || r.terminated:
 		return r.leaveIdle()
 	}
@@ -186,14 +239,14 @@ func (r *MsgRank) idle() (time.Duration, uint8) {
 			r.waited = false
 			pe.NoteCtl(h.Now())
 		}
-		return r.Handle(m), 0
+		return r.handle(m), StepNoPoll
 	}
 	switch {
 	case r.N == 1:
 		r.terminated = true
 		return r.leaveIdle()
 	case r.haveToken && !r.outstanding:
-		return r.passToken(), 0
+		return r.passToken(), StepNoPoll
 	case h.Stopped():
 		return r.leaveIdle()
 	case !r.outstanding:
@@ -202,7 +255,7 @@ func (r *MsgRank) idle() (time.Duration, uint8) {
 		pe.StealBegin(h.Now())
 		h.Rec(obs.KindStealRequest, int32(v), 0)
 		r.outstanding = true
-		return h.Send(v, msg.Message{Tag: msg.TagStealRequest}), 0
+		return h.Send(v, msg.Message{Tag: msg.TagStealRequest}), StepNoPoll
 	}
 	r.waited = true
 	return h.Sleep(), StepSleep
@@ -211,7 +264,7 @@ func (r *MsgRank) idle() (time.Duration, uint8) {
 func (r *MsgRank) leaveIdle() (time.Duration, uint8) {
 	r.H.SetState(stats.Working)
 	r.phase = rankTurn
-	return 0, 0
+	return 0, StepNoPoll
 }
 
 // passToken applies the Dijkstra rules. Rank 0 judges the completed round

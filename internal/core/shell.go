@@ -105,8 +105,9 @@ func (pe *PE) FlushNodes() {
 
 // NoteCtl feeds node progress and the stack depth to the controller,
 // stamped now, which is what closes adaptation windows. Called at the
-// FlushNodes cadence — a point with no release in flight, so the 2k
-// threshold and the released chunk never straddle a knob change.
+// FlushNodes cadence — at a yield on the wall clock, at a quantum's end in
+// the simulator — a point with no release in flight, so the 2k threshold
+// and the released chunk never straddle a knob change.
 //
 //uts:noalloc
 func (pe *PE) NoteCtl(now int64) {
@@ -311,17 +312,31 @@ func (w *WallPE) yield() {
 	runtime.Gosched()
 }
 
-// Explore is Visit on the yield cadence, the work loop of a scheduler that
-// releases nothing (mpi-ws, static): at most most nodes and no more than are
-// left of the interval (0, false: an empty stack), or a yield, and says so.
-func (w *WallPE) Explore(most int) (n int, yielded bool) {
-	if w.sinceYield >= YieldEvery {
-		w.yield()
-		return 0, true
+// Explore is Visit on the yield cadence, the Working state of a scheduler
+// that releases nothing (mpi-ws, static): it visits up to most nodes and
+// reports whether it stopped at most (more), false once the stack is empty
+// — flushed — or Interrupt, asked at every yield, reports the run
+// abandoned. A visit takes no more than is left of most or of the
+// interval, and the yield follows the visit that fills the interval, so the
+// next quantum's caller reads a controller fed up to its last node. The
+// quantum is 0: on the wall clock the nodes have been visited when it
+// returns.
+func (w *WallPE) Explore(most int) (time.Duration, bool) {
+	for most > 0 {
+		n := w.Visit(min(most, YieldEvery-w.sinceYield))
+		if n == 0 {
+			w.FlushNodes()
+			return 0, false
+		}
+		most -= n
+		if w.sinceYield += n; w.sinceYield >= YieldEvery {
+			w.yield()
+			if w.Interrupt() {
+				return 0, false
+			}
+		}
 	}
-	n = w.Visit(min(most, YieldEvery-w.sinceYield))
-	w.sinceYield += n
-	return n, false
+	return 0, true
 }
 
 // Edge is where Working stopped exploring.
@@ -365,13 +380,14 @@ func (w *WallPE) Working(fixedK int, request *atomic.Int32) Edge {
 // K is the release granularity in effect; it changes only across a yield.
 func (w *WallPE) K() int { return w.k }
 
-// Steps is the machine's engine on the wall clock (w.Steps(m.Start()) runs
-// Machine m to its end), the synchronous
+// Steps is the engine of a step function on the wall clock (w.Steps(m.Start())
+// runs Machine m to its end, w.Steps(r.Start()) MsgRank r), the synchronous
 // counterpart of the simulator's dispatcher: quanta run back to back (a
-// staged read, and every operation of the host, has already taken its time
-// when the step returns), and every service point yields the processor —
-// searching and waiting PEs must not starve working ones when goroutines
-// outnumber cores — before the machine asks Interrupted.
+// staged read, a send, and every operation of the host, has already taken
+// its time when the step returns), and every service point — the rank's
+// idle beat is its only one — yields the processor: searching and waiting
+// PEs must not starve working ones when goroutines outnumber cores. A
+// machine then asks Interrupted.
 func (w *WallPE) Steps(step Stepper) {
 	for {
 		w.nstag = 0
@@ -390,22 +406,6 @@ func (w *WallPE) Interrupted() bool { return w.Interrupt() }
 
 // Busy: on the wall clock an operation has happened when its call returns.
 func (w *WallPE) Busy() (time.Duration, uint8, bool) { return 0, 0, false }
-
-// Drive runs to its end a step function that has no service points — the
-// message-passing rank — in a plain loop: whatever a quantum stood for has
-// happened when the step returns, and a beat of waiting (StepSleep) yields
-// the processor.
-func (w *WallPE) Drive(step Stepper) {
-	for {
-		_, fl := step()
-		if fl&StepDone != 0 {
-			return
-		}
-		if fl&StepSleep != 0 {
-			runtime.Gosched()
-		}
-	}
-}
 
 // Stage is how a wall-clock host stages a read it has just executed.
 func (w *WallPE) Stage(v int64) time.Duration {

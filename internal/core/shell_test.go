@@ -411,12 +411,12 @@ func TestWallClockCadencesCountNodes(t *testing.T) {
 		var th stats.Thread
 		var abort atomic.Bool
 		count := &pollCounter{Comm: comm}
-		w := &mpiWorker{WallPE: WallPE{PE: NewPE(sp, &th, obs.New(1, 0).Lane(0), nil)}, abort: &abort, comm: count, poll: poll}
+		w := &mpiWorker{WallPE: WallPE{PE: NewPE(sp, &th, obs.New(1, 0).Lane(0), nil), Interrupt: abort.Load}, abort: &abort, comm: count}
 		count.w = w
-		w.rank = MsgRank{H: w, PE: &w.PE, Rng: NewProbeOrder(1, 0), N: 1, Chunk: 16}
+		w.rank = MsgRank{H: w, PE: &w.PE, Rng: NewProbeOrder(1, 0), N: 1, Chunk: 16, Poll: poll}
 		w.Local.Push(uts.Root(sp))
 		w.Start()
-		w.Drive(w.rank.Start())
+		w.Steps(w.rank.Start())
 		w.Stop()
 		if want := uts.SearchSequential(sp); th.Nodes != want.Nodes || th.Leaves != want.Leaves {
 			t.Fatalf("poll %d: %d nodes / %d leaves, sequential %d / %d", poll, th.Nodes, th.Leaves, want.Nodes, want.Leaves)

@@ -33,13 +33,8 @@ func runStatic(sp *uts.Spec, opt Options, res *Result) error {
 		for i := me; i < len(kids); i += opt.Threads {
 			w.Local.Push(kids[i])
 		}
-		for {
-			n, yielded := w.Explore(math.MaxInt) // no budget but the yield interval's
-			if yielded && opt.abort.Load() || !yielded && n == 0 {
-				break
-			}
-		}
-		w.FlushNodes()
+		w.Interrupt = opt.abort.Load
+		w.Explore(math.MaxInt) // to the empty stack, or the abandoned run
 		w.SetState(stats.Idle)
 	})
 	return nil

@@ -31,7 +31,7 @@ type simMPIRun struct {
 // simMPIPE is one simulated MPI rank: the host (core.MsgHost) of the rank
 // in virtual time. The rank's step function is the PE's whole body — one
 // stepped advance from spawn to finish, run inside the dispatcher with no
-// coroutine of its own — and Work is the part of it written here.
+// coroutine of its own; what its quanta cost is written here.
 type simMPIPE struct {
 	simPE
 	r     *simMPIRun
@@ -42,12 +42,6 @@ type simMPIPE struct {
 	// The message Send staged against the current quantum, and its rank.
 	out simMsg
 	to  int
-
-	// Work's position in its cycle, between calls.
-	ph     uint8
-	atPoll bool // this cycle's iprobe is the in-loop drain at since>=poll
-	poll   int  // the poll interval in effect
-	got    int  // messages the current drain has handled
 }
 
 func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps *policy.Set, log *sourceLog, finish func(*Proc)) {
@@ -55,7 +49,7 @@ func simMPIWS(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps
 	r.pes = make([]*simMPIPE, cfg.PEs)
 	for i := 0; i < cfg.PEs; i++ {
 		pe := &simMPIPE{simPE: newSimPE(sp, cfg, res, ps, i), r: r}
-		pe.rank = core.MsgRank{H: pe, PE: &pe.PE, Rng: pe.rng, Me: i, N: cfg.PEs, Chunk: cfg.Chunk}
+		pe.rank = core.MsgRank{H: pe, PE: &pe.PE, Rng: pe.rng, Me: i, N: cfg.PEs, Chunk: cfg.Chunk, Poll: cfg.PollInterval}
 		r.pes[i] = pe
 		if i == 0 {
 			pe.Local.Push(uts.Root(sp))
@@ -152,64 +146,13 @@ func (pe *simMPIPE) Sleep() time.Duration {
 	return pe.p.StageSleep(pe.charge(pe.r.cs.idlePoll), due)
 }
 
-// Work's phases: the poll interval is read on entry, then each cycle is a
-// quantum of up to poll nodes, a quantum for the MPI_Iprobe check, and the
-// evaluation of what it found.
-const (
-	wEnter = iota
-	wExplore
-	wIprobe
-	wEval
-)
-
-// Work is one quantum of exploring. A message the iprobe finds is handled
-// here, in the step — its reply is a staged send, the quantum returned — and
-// costs one more iprobe to look for the next; the cycle ends when the stack
-// has drained (or the rank terminated) and the trailing probe found nothing
-// more.
-func (pe *simMPIPE) Work() (time.Duration, bool) {
-	cs := &pe.r.cs
-	rank := &pe.rank
-	switch pe.ph {
-	case wEnter:
-		pe.poll = pe.Ctl.Poll(pe.r.cfg.PollInterval)
-		pe.ph = wExplore
-		fallthrough
-	case wExplore:
-		var d time.Duration
-		edge := core.Drained
-		if !rank.Terminated() {
-			d, edge = pe.working(pe.poll, 0, cs.nodeCost)
-		}
-		pe.atPoll = edge == core.Yielded
-		pe.NoteCtl(pe.Now())
-		pe.poll = pe.Ctl.Poll(pe.r.cfg.PollInterval)
-		pe.ph = wIprobe
-		return d, false
-	case wIprobe:
-		// MPI_Iprobe costs library time on every check.
-		pe.ph = wEval
-		return pe.charge(cs.iprobe), false
-	}
-	// wEval
-	if m := pe.Recv(); m != nil {
-		pe.got++
-		pe.ph = wIprobe
-		return rank.Handle(m), false
-	}
-	pe.Ctl.NotePoll(pe.got) // the iprobes of one drain are one poll
-	pe.got = 0
-	switch {
-	case pe.atPoll && pe.Local.Len() > 0 && !rank.Terminated():
-		pe.ph = wExplore
-	case pe.atPoll:
-		// The loop exits here; the trailing flush is empty, but its drain
-		// still pays one more iprobe.
-		pe.atPoll = false
-		pe.ph = wIprobe
-	default:
-		pe.ph = wEnter
-		return 0, true
-	}
-	return 0, false
+// Explore is one quantum of up to most nodes, node by node at nodeCost,
+// after which the controller is fed.
+func (pe *simMPIPE) Explore(most int) (time.Duration, bool) {
+	d, edge := pe.working(most, 0, pe.r.cs.nodeCost)
+	pe.NoteCtl(pe.Now())
+	return d, edge == core.Yielded
 }
+
+// Iprobe: MPI_Iprobe costs library time on every check.
+func (pe *simMPIPE) Iprobe() time.Duration { return pe.charge(pe.r.cs.iprobe) }

@@ -13,10 +13,10 @@
 // feedback points, the bookkeeping of every work-movement event (released,
 // reacquired, granted, denied, landed) — and the protocol loops: for the
 // UPC algorithms the Figure-1 loop with its work discovery and termination
-// wait, core.Machine, and for mpi-ws the whole rank — message handling, the
-// idle/steal-request loop, the Dijkstra token ring — core.MsgRank. Both are
-// step functions: one stepped advance from spawn to finish here, a plain
-// loop there (core.WallPE.Steps, core.WallPE.Drive). Here a read or a send
+// wait, core.Machine, and for mpi-ws the whole rank — the poll cycle and
+// message handling, the idle/steal-request loop, the Dijkstra token ring —
+// core.MsgRank. Both are step functions: one stepped advance from spawn to
+// finish here, a plain loop there (core.WallPE.Steps). Here a read or a send
 // is staged against the quantum it costs (Proc.Stage), a UPC operation that
 // takes time — a batch of nodes, a steal, a lock, the barrier — hands its
 // quanta back through the machine's step (core.Host.Busy), and the idle
@@ -26,10 +26,10 @@
 // TestMachineDriversAgree and TestMsgRankDriversAgree hold each pair of
 // drivers to one log. What is still mirrored by hand is the UPC
 // work/release/steal bodies — what is charged, locked and stored around
-// those events, core/{sharedmem,distmem}.go against des/{shared,dist}.go —
-// and what a poll of mpi-ws's Work costs and when the next is due (the
-// message it finds goes to MsgRank.Handle, in the step, on both); the
-// differential suites (exact counts on both sides, golden fingerprints
+// those events, core/{sharedmem,distmem}.go against des/{shared,dist}.go;
+// of mpi-ws only what a quantum of exploring and a look at the queue cost
+// (MsgHost.Explore, MsgHost.Iprobe) is each substrate's. The differential
+// suites (exact counts on both sides, golden fingerprints
 // here) keep those honest.
 //
 // Because the event loop is sequential and tie-broken deterministically, a

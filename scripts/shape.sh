@@ -45,18 +45,32 @@ one_clock() {
 }
 
 # One rank loop: fails if the message-passing rank grows a blocking loop
-# back: its idle/handle/token logic is one step function (core.MsgRank) that
-# both hosts drive, MsgHost has no Wait, and between spawn and finish a
-# simulated rank never leaves the dispatcher — des/mpi.go advances nothing
-# itself, every quantum is returned from the step. The smoke is exact on any
-# host: a 64-PE run passes 305,696 boundaries. That it resumes no coroutine
-# on the way is tier-1's to hold (TestSteppedPEsStartNoGoroutine).
+# back: its poll cycle and its idle/handle/token logic are one step function
+# (core.MsgRank) that both hosts drive with what a quantum costs, MsgHost has
+# no Wait, and between spawn and finish a simulated rank never leaves the
+# dispatcher — des/mpi.go advances nothing itself, every quantum is returned
+# from the step. The smoke is exact on any host: a 64-PE run passes 305,696
+# boundaries. That it resumes no coroutine on the way is tier-1's to hold
+# (TestSteppedPEsStartNoGoroutine).
 one_rank_loop() {
 	if sed -n '/^type MsgHost interface/,/^}/p' internal/core/msgrank.go | grep -n 'Wait()'; then exit 1; fi
 	if grep -n 'h\.Wait(' internal/core/msgrank.go; then exit 1; fi
 	if grep -nE 'pe\.wait|\.Advance\(|\.advance\(' internal/des/mpi.go; then exit 1; fi
 	go build -o bin/uts-sim ./cmd/uts-sim
 	bin/uts-sim -alg mpi-ws -tree bench-small -pes 64 | grep -q ' events=305696 '
+}
+
+# One poll loop: fails if a substrate grows its own poll cycle back. A
+# working rank explores up to its interval, looks at its queue and handles
+# what it finds in core.MsgRank alone; a host says what a quantum of
+# exploring and a look cost (MsgHost.Explore, MsgHost.Iprobe) and neither
+# handles a message, loops over its queue nor counts a poll, MsgHost has no
+# Work, and the wall clock runs the rank with the machine's Steps, not a
+# Drive of its own.
+one_poll_loop() {
+	if grep -nE 'NotePoll\(|\.[Hh]andle\(|for .*Recv\(\)' internal/core/mpiws.go internal/des/mpi.go; then exit 1; fi
+	if sed -n '/^type MsgHost interface/,/^}/p' internal/core/msgrank.go | grep -n 'Work('; then exit 1; fi
+	if grep -nE '^func \([a-z]+ \*?WallPE\) Drive\(' internal/core/shell.go; then exit 1; fi
 }
 
 # One node kernel: fails if a scheduler grows its own node kernel or its own
@@ -285,6 +299,7 @@ rule "One benchmark system" "§18" one_benchmark_system
 rule "One doorway" "§10" one_doorway
 rule "One clock" "§8" one_clock
 rule "One rank loop" "§9, §17" one_rank_loop
+rule "One poll loop" "§17" one_poll_loop
 rule "One node kernel" "§7, §17" one_node_kernel
 rule "One work loop" "§17" one_work_loop
 rule "One baton" "§9" one_baton
@@ -300,5 +315,5 @@ rule "No net below the command line" "§10, §13" no_net_below_cmd
 rule "Off is nil" "§15" off_is_nil
 rule "The live plane reads once" "§13" live_plane_reads_once
 rule "One lint driver" "§11" one_lint_driver
-[ $failed -eq 0 ] && echo "shape: 19 rules hold"
+[ $failed -eq 0 ] && echo "shape: 20 rules hold"
 exit $failed
