@@ -16,7 +16,7 @@ bin/uts-vet: $(UTS_VET_SRCS)
 
 # Static analysis: the custom uts-vet analyzer suite, seven analyzers
 # (chargecheck, detcheck, noalloc, lockcheck, obscheck, atomiccheck,
-# ordercheck — see internal/lint and DESIGN.md §11, §16) runs through
+# ordercheck — see internal/lint and DESIGN.md §11) runs through
 # go vet, the one driver: every file, test files too, and every
 # suppression that has no reason or silences nothing. Then staticcheck
 # and govulncheck when the binaries are installed (the CI lint job

@@ -34,7 +34,7 @@ import (
 
 // version feeds go vet's build cache via -V=full: bump it whenever the
 // analyzer suite changes behavior, or cached vet results go stale.
-const version = "uts-vet version 1.3.0"
+const version = "uts-vet version 1.4.0"
 
 func main() {
 	args := os.Args[1:]

@@ -330,3 +330,57 @@ func TestMPIWSSamplerFollowsAdaptedChunk(t *testing.T) {
 		t.Errorf("%d steals succeeded but no work source was recorded", steals)
 	}
 }
+
+// kWatch is the host of a simulated shared-memory PE that counts the calls
+// of Work that move k inside a work spell at any edge but Yielded.
+type kWatch struct {
+	*simSharedPE
+	moved *int
+}
+
+func (w kWatch) Work() {
+	k, in := w.k, w.inWork
+	w.simSharedPE.Work()
+	if in && w.k != k && w.edge != core.Yielded {
+		*w.moved++
+	}
+}
+
+// TestSharedChunkMovesOnlyAtYield holds the simulated shared-memory family
+// to PE.NoteCtl's rule (DESIGN.md §17), as the dist family and the wall
+// clock keep it: an adaptive run feeds and reads the controller only at a
+// Yielded edge, so the k a Surplus edge releases is the k that set its 2k
+// threshold. The PEs are simShared's, each behind a kWatch host.
+func TestSharedChunkMovesOnlyAtYield(t *testing.T) {
+	sp := &uts.BenchSmall
+	for _, pes := range []int{8, 16, 32} {
+		cfg := Config{Algorithm: core.UPCTermRelaxed, PEs: pes}.withDefaults()
+		cs := newCosts(cfg.Model)
+		base := core.PolicyBase(cfg.Algorithm, cfg.Chunk, cfg.PollInterval, cfg.NodeSize, cfg.Model, cfg.Intra)
+		pset := policy.NewSet(&policy.Config{Window: max(8*cs.remoteRef, 32*cs.nodeCost)}, base, pes)
+		res := &core.Result{Spec: sp, Algorithm: cfg.Algorithm, Chunk: cfg.Chunk}
+		res.Threads = make([]stats.Thread, pes)
+		sim := New()
+		r := &simSharedRun{upcRun: newUPCRun(cfg, cs, &Wakes{}, nil), mode: core.SharedVariants[cfg.Algorithm]}
+		r.pes = make([]*simSharedPE, pes)
+		moved := 0
+		for i := range r.pes {
+			pe := &simSharedPE{upcPE: r.newPE(sp, res, pset, i), r: r}
+			r.pes[i], r.upc[i] = pe, &pe.upcPE
+			if i == 0 {
+				pe.Local.Push(uts.Root(sp))
+			}
+			m := &core.Machine{H: kWatch{pe, &moved}, PE: &pe.PE, Rng: pe.rng, Me: i, N: pes, Stream: r.mode.StreamTerm}
+			pe.spawnStepped(sim, m.Start(), pe.read, func(*Proc) {})
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Nodes(); got != 63575 {
+			t.Fatalf("%d PEs: %d nodes, want 63575", pes, got)
+		}
+		if moved != 0 {
+			t.Errorf("%d PEs: k moved at %d edges other than Yielded", pes, moved)
+		}
+	}
+}

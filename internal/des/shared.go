@@ -117,8 +117,8 @@ func (pe *simSharedPE) Work() {
 			pe.wait(d, StepNoPoll)
 			return
 		case workEdge:
-			pe.NoteCtl(pe.Now())
-			pe.k = pe.Ctl.Chunk(r.cfg.Chunk)
+			// k moves only across a Yielded edge (PE.NoteCtl): the release
+			// gives the k that set its 2k threshold.
 			if pe.edge == core.Surplus {
 				pe.chunk = pe.Release(pe.k)
 				pe.pc = workRelease

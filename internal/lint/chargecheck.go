@@ -24,10 +24,11 @@ import (
 // *remote handle*; dereferencing that handle — selecting a field or
 // calling a method through it — is a remote access and must be
 // lexically dominated by a charge call: a Charge* / Acquire statement
-// among the prior statements on the access's own block path. Binding
-// the handle to a variable is free (taking a pointer is not a
-// reference); an access that is itself part of a charging call (e.g.
-// vs.lk.Acquire(me)) is its own payment.
+// among the prior statements on the access's own block path (precedes,
+// the suite's one notion of dominance). Binding the handle to a variable
+// is free (taking a pointer is not a reference); an access that is
+// itself part of a charging call (e.g. vs.lk.Acquire(me)) is its own
+// payment.
 //
 // Lexical dominance is an approximation of real dominance: a charge in
 // a sibling branch does not count, a charge earlier in the same
@@ -176,50 +177,23 @@ func checkCharges(pass *Pass, fd *ast.FuncDecl, recvName string) {
 		return false
 	}
 
-	// stmtContainsCharge: does the statement subtree contain a charge
-	// call (used for dominance over prior path statements)?
-	stmtCharges := func(s ast.Stmt) bool {
+	// charges reports whether a statement or expression subtree contains
+	// a charge call; dominatedByCharge asks it of the statements that run
+	// before the target (precedes).
+	charges := func(n ast.Node) bool {
 		found := false
-		ast.Inspect(s, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && isChargeCall(call) {
-				found = true
-			}
-			return !found
-		})
+		if n != nil {
+			ast.Inspect(n, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && isChargeCall(call) {
+					found = true
+				}
+				return !found
+			})
+		}
 		return found
 	}
-
-	// dominatedByCharge: a charge call appears among the statements
-	// lexically preceding the node on its own block path.
 	dominatedByCharge := func(target ast.Node) bool {
-		chain := pathTo(fd.Body, target)
-		for _, n := range chain {
-			for _, s := range stmtList(n) {
-				if s.Pos() >= target.Pos() {
-					break
-				}
-				if stmtCharges(s) {
-					return true
-				}
-			}
-		}
-		// Control-flow headers on the path (if init/cond, for init)
-		// execute before the body: count their charges too.
-		for _, n := range chain {
-			switch h := n.(type) {
-			case *ast.IfStmt:
-				if h.Body.Pos() <= target.Pos() || (h.Else != nil && h.Else.Pos() <= target.Pos()) {
-					if (h.Init != nil && stmtCharges(h.Init)) || exprCharges(h.Cond, isChargeCall) {
-						return true
-					}
-				}
-			case *ast.ForStmt:
-				if h.Body.Pos() <= target.Pos() && h.Init != nil && stmtCharges(h.Init) {
-					return true
-				}
-			}
-		}
-		return false
+		return precedes(fd.Body, target, charges)
 	}
 
 	// Pass 2: find remote accesses and validate dominance.
@@ -246,22 +220,6 @@ func checkCharges(pass *Pass, fd *ast.FuncDecl, recvName string) {
 		}
 		return true
 	})
-}
-
-// exprCharges reports whether an expression subtree contains a charge
-// call.
-func exprCharges(e ast.Expr, isChargeCall func(*ast.CallExpr) bool) bool {
-	if e == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isChargeCall(call) {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // outermostStmtExpr returns the outermost statement containing the

@@ -14,8 +14,9 @@
 //   - noalloc: functions annotated //uts:noalloc (spawn kernel, DES
 //     dispatch, obs record path, msg ring ops) are checked for
 //     constructs that heap-allocate or box.
-//   - lockcheck: in internal/cluster, core and msg every Lock/Acquire is
-//     released on every exit path.
+//   - lockcheck: in internal/cluster, core, msg and term every
+//     Lock/Acquire is released later in its own statement list, and no
+//     return, break, continue or goto leaves the section between.
 //   - obscheck: obs events are recorded with declared Kind* constants,
 //     and the obs and policy hooks stay nil-receiver-safe (a nil tracer,
 //     sampler or controller is the documented "off" representation).
@@ -24,7 +25,11 @@
 //     single-threaded regions).
 //   - ordercheck: //uts:orders a<b publish-order invariants (the relaxed
 //     ring's ledger before its slot, the obs seqlock's invalidate before
-//     payload before publish) hold by dominance on every path.
+//     payload before publish) hold in statement order.
+//
+// "a runs before b" has one meaning across the suite, precedes: a
+// stands earlier in a statement list on b's block path, which is
+// dominance wherever no goto jumps over a.
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
 // API shape (Analyzer, Pass, Reportf, analysistest-style golden files)
@@ -423,9 +428,8 @@ func exprString(e ast.Expr) string {
 }
 
 // stmtList returns the statement list a node directly holds — the body
-// of a block, switch case, or select comm clause — or nil. Dominance
-// walks treat all three as block levels: a statement sequence where a
-// prior sibling executes before a later one.
+// of a block, switch case, or select comm clause — or nil: the levels
+// of precedes' walk, and the lists lockcheck scans for sections.
 func stmtList(n ast.Node) []ast.Stmt {
 	switch n := n.(type) {
 	case *ast.BlockStmt:
@@ -438,35 +442,51 @@ func stmtList(n ast.Node) []ast.Stmt {
 	return nil
 }
 
-// pathTo returns the chain of AST nodes from the function body down to
-// the node at pos (inclusive), or nil. It is the backbone of the
-// lexical-dominance approximation chargecheck uses.
-func pathTo(root ast.Node, target ast.Node) []ast.Node {
-	var path []ast.Node
-	var found bool
-	ast.Inspect(root, func(n ast.Node) bool {
-		if found || n == nil {
-			return false
+// precedes reports whether a statement for which pred holds runs before
+// target on every path through body, by lexical order: it stands earlier
+// in a statement list on target's block path, or it is the init or the
+// condition of an if, or the init of a for, whose body holds target. pred
+// sees nil for an absent init. This is the suite's one notion of
+// dominance, chargecheck's and ordercheck's: it is real dominance while no
+// goto jumps over the statement, so ordercheck refuses a goto.
+func precedes(body, target ast.Node, pred func(ast.Node) bool) bool {
+	for _, n := range pathTo(body, target) {
+		for _, s := range stmtList(n) {
+			if s.Pos() >= target.Pos() {
+				break
+			}
+			if pred(s) {
+				return true
+			}
 		}
-		path = append(path, n)
-		if n == target {
-			found = true
-			return false
+		switch h := n.(type) {
+		case *ast.IfStmt:
+			if h.Body.Pos() <= target.Pos() && (pred(h.Init) || pred(h.Cond)) {
+				return true
+			}
+		case *ast.ForStmt:
+			if h.Body.Pos() <= target.Pos() && pred(h.Init) {
+				return true
+			}
 		}
-		// Keep descending; prune the tail when the subtree misses.
-		return true
-	})
-	if !found {
-		return nil
 	}
-	// path contains every node visited before target in DFS order, not
-	// just ancestors: filter to nodes whose range encloses target.
+	return false
+}
+
+// pathTo returns the chain of AST nodes from root down to target
+// (inclusive), or nil: the block path precedes walks.
+func pathTo(root ast.Node, target ast.Node) []ast.Node {
 	var chain []ast.Node
-	tpos, tend := target.Pos(), target.End()
-	for _, n := range path {
-		if n.Pos() <= tpos && tend <= n.End() {
-			chain = append(chain, n)
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil || len(chain) > 0 && chain[len(chain)-1] == target ||
+			n.End() <= target.Pos() || target.End() <= n.Pos() {
+			return false
 		}
+		chain = append(chain, n)
+		return n != target
+	})
+	if len(chain) == 0 || chain[len(chain)-1] != target {
+		return nil
 	}
 	return chain
 }

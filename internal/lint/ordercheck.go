@@ -6,23 +6,24 @@ import (
 	"strings"
 )
 
-// Ordercheck verifies declared publish-order invariants by dominance
-// on the real control-flow graph. The fence-free ring and the obs
-// seqlock both stand on "this write happens before that write on every
-// path": the ledger/payload stores must precede the publishing store,
-// and the seq-odd store must precede the payload writes which must
-// precede the seq-even store. Reordering any of them is a silent
-// memory-model bug no test deterministically catches.
+// Ordercheck verifies declared publish-order invariants in statement
+// order. The fence-free ring and the obs seqlock both stand on "this
+// write happens before that write on every path": the ledger/payload
+// stores must precede the publishing store, and the seq-odd store must
+// precede the payload writes which must precede the seq-even store.
+// Reordering any of them is a silent memory-model bug no test
+// deterministically catches.
 //
 // A function opts in with a doc-comment directive:
 //
 //	//uts:orders ledger<slot
 //	//uts:orders invalidate<payload payload<publish
 //
-// Each a<b pair demands: every statement in group a strictly dominates
-// every statement in group b (executes before it on every path from
-// the function entry). Statements join a group either by an explicit
-// trailing mark,
+// Each a<b pair demands: every statement in group a comes earlier on the
+// block path of every statement in group b (precedes), so it runs before
+// it on every path from the function entry — which holds while no goto
+// jumps over it, so a goto in such a function is a finding. Statements
+// join a group either by an explicit trailing mark,
 //
 //	seg.n[i] = int32(len(c)) //uts:mark ledger
 //
@@ -30,10 +31,10 @@ import (
 // assignment to x.slot, x.slot.Store(v), or atomic.StoreX(&x.slot, v)
 // is in group "slot". A pair whose group matches no statement is a
 // finding (the invariant went stale); so is a malformed directive or a
-// nameless mark.
+// nameless mark. Function literals are not part of the function.
 var Ordercheck = &Analyzer{
 	Name: "ordercheck",
-	Doc:  "//uts:orders a<b publish-order invariants hold by dominance on every path",
+	Doc:  "//uts:orders a<b publish-order invariants hold in statement order",
 	Run:  runOrdercheck,
 }
 
@@ -123,21 +124,25 @@ func checkOrders(pass *Pass, fd *ast.FuncDecl, pairs []orderPair, marks map[line
 		groupNames[p.after] = true
 	}
 
-	c := BuildCFG(fd.Body)
-	groups := make(map[string][]ast.Node)
-	type memberKey struct {
-		g string
-		n ast.Node
-	}
-	seen := make(map[memberKey]bool)
-	for n := range c.pos {
-		for _, g := range nodeGroups(pass, n, marks) {
-			if groupNames[g] && !seen[memberKey{g, n}] {
-				seen[memberKey{g, n}] = true
-				groups[g] = append(groups[g], n)
+	groups := make(map[string][]ast.Stmt)
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.BranchStmt:
+			if n.Tok == token.GOTO {
+				pass.Reportf(n.Pos(), "goto in %s, which declares a publish order: statement order proves the order only in a function without one",
+					fd.Name.Name)
+			}
+		case ast.Stmt:
+			for _, g := range stmtGroups(pass, n, marks) {
+				if ms := groups[g]; groupNames[g] && (len(ms) == 0 || ms[len(ms)-1] != n) {
+					groups[g] = append(ms, n)
+				}
 			}
 		}
-	}
+		return true
+	})
 
 	for _, p := range pairs {
 		before, after := groups[p.before], groups[p.after]
@@ -152,7 +157,7 @@ func checkOrders(pass *Pass, fd *ast.FuncDecl, pairs []orderPair, marks map[line
 		}
 		for _, b := range after {
 			for _, a := range before {
-				if !c.NodeDominates(a, b) {
+				if !precedes(fd.Body, b, func(s ast.Node) bool { return s == a }) {
 					pass.Reportf(b.Pos(), "publish-order invariant %s<%s violated: the %s write at %s does not precede this %s write on every path",
 						p.before, p.after, p.before, pass.Fset.Position(a.Pos()), p.after)
 				}
@@ -161,15 +166,18 @@ func checkOrders(pass *Pass, fd *ast.FuncDecl, pairs []orderPair, marks map[line
 	}
 }
 
-// nodeGroups returns the ordering groups a CFG node belongs to: the
-// explicit //uts:mark names on its line plus the field names its
-// stores target.
-func nodeGroups(pass *Pass, n ast.Node, marks map[lineKey][]string) []string {
-	pos := pass.Fset.Position(n.Pos())
-	var gs []string
-	if _, isStmt := n.(ast.Stmt); isStmt {
-		gs = append(gs, marks[lineKey{pos.Filename, pos.Line}]...)
+// stmtGroups returns the ordering groups a simple statement belongs to:
+// the explicit //uts:mark names on its line plus the field names its
+// stores target. A compound statement, which holds statements of its
+// own, belongs to none.
+func stmtGroups(pass *Pass, n ast.Stmt, marks map[lineKey][]string) []string {
+	switch n.(type) {
+	case *ast.BlockStmt, *ast.IfStmt, *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt,
+		*ast.TypeSwitchStmt, *ast.SelectStmt, *ast.CaseClause, *ast.CommClause, *ast.LabeledStmt:
+		return nil
 	}
+	pos := pass.Fset.Position(n.Pos())
+	gs := append([]string(nil), marks[lineKey{pos.Filename, pos.Line}]...)
 	switch n := n.(type) {
 	case *ast.AssignStmt:
 		for _, lhs := range n.Lhs {

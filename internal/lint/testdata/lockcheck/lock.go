@@ -51,10 +51,12 @@ func (n *node) okSwitchCase(k kind) bool {
 	return true
 }
 
-// okBothArms releases on each arm — invisible to the old lexical rule,
-// proven by the CFG lattice.
+// okBothArms releases on each arm. It leaks nothing, but its section is
+// not closed in the acquire's own statement list, which is the one shape
+// lockcheck proves: it is a finding, and the fix is one release after the
+// branch.
 func (n *node) okBothArms(deep bool) {
-	n.mu.Lock()
+	n.mu.Lock() // want "not released on the path falling out"
 	if deep {
 		n.retries++
 		n.mu.Unlock()
@@ -80,17 +82,88 @@ func (n *node) okLoopBody(k int) {
 	}
 }
 
-// okInfinite holds the lock into a loop that never exits: there is no
-// exit path to leak on.
+// okInfinite holds the lock into a loop that never exits. There is no
+// exit to leak on, but no release follows the acquire in its statement
+// list either: a lock held for good is a finding, to be silenced with a
+// reason where it is meant.
 func (n *node) okInfinite() {
-	n.mu.Lock()
+	n.mu.Lock() // want "not released on the path falling out"
 	for {
 		n.retries++
 	}
 }
 
+// badBothArmsReturn releases on each arm and returns from one: the
+// return leaves the section before the release that closes it.
+func (n *node) badBothArmsReturn(deep bool) int {
+	n.mu.Lock()
+	if deep {
+		n.mu.Unlock()
+		return 1 // want "return may leave n.mu held"
+	}
+	n.mu.Unlock()
+	return 0
+}
+
+// badBreak leaves the section through the loop's break.
+func (n *node) badBreak(k int) {
+	for i := 0; i < k; i++ {
+		n.mu.Lock()
+		if n.retries > i {
+			break // want "break may leave n.mu held"
+		}
+		n.retries++
+		n.mu.Unlock()
+	}
+}
+
+// badContinue leaves the section through the loop's continue.
+func (n *node) badContinue(k int) {
+	for i := 0; i < k; i++ {
+		n.mu.Lock()
+		if n.retries > i {
+			continue // want "continue may leave n.mu held"
+		}
+		n.retries++
+		n.mu.Unlock()
+	}
+}
+
+// badGoto leaves the section through a goto to a label outside it.
+func (n *node) badGoto(v int) {
+	n.mu.Lock()
+	if v < 0 {
+		goto out // want "goto may leave n.mu held"
+	}
+	n.retries = v
+	n.mu.Unlock()
+out:
+	n.retries++
+}
+
+// okInnerBranches breaks, continues and jumps only within the section:
+// each target lies inside it.
+func (n *node) okInnerBranches(k int, t kind) {
+	n.mu.Lock()
+	for i := 0; i < k; i++ {
+		if i == 1 {
+			continue
+		}
+		switch t {
+		case kindPut:
+			break
+		}
+		if n.retries > k {
+			goto done
+		}
+		n.retries++
+	}
+done:
+	n.mu.Unlock()
+}
+
 // okPanicExit: panicking with the lock held is not a leak finding —
-// the runtime unwinds, and the CFG routes panic edges past the check.
+// the runtime unwinds, and a panic is not an exit lockcheck looks for.
 func (n *node) okPanicExit(v int) {
 	n.mu.Lock()
 	if v < 0 {

@@ -84,3 +84,16 @@ func (r *ring) okSuppressed(i int, v uint64) {
 	r.slot.Store(v) //uts:ok ordercheck corpus exception: reorder is documented and benign here
 	r.n[i] = 1      //uts:mark ledger
 }
+
+// badGoto jumps over the ledger write to the publish: statement order
+// proves the declared order only in a function without a goto.
+//
+//uts:orders ledger<slot
+func (r *ring) badGoto(i int, v uint64, deep bool) {
+	if deep {
+		goto publish // want "goto in badGoto"
+	}
+	r.n[i] = 1 //uts:mark ledger
+publish:
+	r.slot.Store(v)
+}

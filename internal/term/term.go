@@ -74,14 +74,13 @@ func (b *CancelBarrier) Enter(me int) bool {
 	}
 
 	b.lk.Acquire(me)
-	if b.done.Load() {
-		b.lk.Release(me)
-		return true
+	done := b.done.Load()
+	if !done {
+		b.count.Add(-1)
+		b.cancel.Store(false)
 	}
-	b.count.Add(-1)
-	b.cancel.Store(false)
 	b.lk.Release(me)
-	return false
+	return done
 }
 
 // SetAbort installs an abort flag: once it reads true, Enter returns true

@@ -285,6 +285,15 @@ one_lint_driver() {
 	sed -n '/^func TestRepoClean(/,/^}/p' internal/lint/lint_test.go | grep -q '"vet", "-vettool='
 }
 
+# One dominance: fails if uts-vet grows a second notion of "a runs before
+# b" back. chargecheck and ordercheck ask precedes (lint.go), the lexical
+# statement order of a block path, and lockcheck scans the acquire's own
+# statement list: no non-test file of internal/lint declares a CFG, its
+# builder, a dominator query or a dataflow solver.
+one_dominance() {
+	if grep -nE '^type (CFG|FlowAnalysis) |^func (\([^)]*\) )?(BuildCFG|(Node)?Dominates)\(|^func \([^)]*\) Solve\(' $(ls internal/lint/*.go | grep -v _test.go); then exit 1; fi
+}
+
 failed=0
 # rule NAME SECTIONS FUNCTION: the function runs in a subshell under -e, as
 # each did as a CI step, so its first failing line fails the rule.
@@ -315,5 +324,6 @@ rule "No net below the command line" "§10, §13" no_net_below_cmd
 rule "Off is nil" "§15" off_is_nil
 rule "The live plane reads once" "§13" live_plane_reads_once
 rule "One lint driver" "§11" one_lint_driver
-[ $failed -eq 0 ] && echo "shape: 20 rules hold"
+rule "One dominance" "§11" one_dominance
+[ $failed -eq 0 ] && echo "shape: 21 rules hold"
 exit $failed
