@@ -14,15 +14,17 @@ UTS_VET_SRCS := $(wildcard cmd/uts-vet/*.go) $(wildcard internal/lint/*.go)
 bin/uts-vet: $(UTS_VET_SRCS)
 	$(GO) build -o $@ ./cmd/uts-vet
 
-# Static analysis: the custom uts-vet analyzer suite, seven analyzers
-# (chargecheck, detcheck, noalloc, lockcheck, obscheck, atomiccheck,
-# ordercheck — see internal/lint and DESIGN.md §11) runs through
-# go vet, the one driver: every file, test files too, and every
-# suppression that has no reason or silences nothing. Then staticcheck
-# and govulncheck when the binaries are installed (the CI lint job
-# installs them; offline dev boxes may not). Before any of it, the
+# Static analysis: go vet's own checks (copylocks among them: an atomic
+# word is a sync/atomic type, so a copy of one is a finding), then the
+# custom uts-vet analyzer suite, six analyzers (chargecheck, detcheck,
+# noalloc, lockcheck, obscheck, ordercheck — see internal/lint and
+# DESIGN.md §11) through go vet, the one driver: every file, test files
+# too, and every suppression that has no reason or silences nothing. Then
+# staticcheck and govulncheck when the binaries are installed (the CI lint
+# job installs them; offline dev boxes may not). Before any of it, the
 # structural rules (shape).
 lint: shape bin/uts-vet
+	$(GO) vet ./...
 	$(GO) vet -vettool=bin/uts-vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
@@ -98,7 +100,9 @@ gates:
 # §18): `make ab PARENT=<checkout of the parent commit> WORKLOAD=<name>
 # PAIRS=n [TRACE=1] [SECONDS=20] [METRICS='a b']`. Which side runs first
 # flips every pair, seeds 1..n; prints every pair of every metric, the
-# median of the pair ratios and the sign count. No verdict and no ledger of
+# median of the pair ratios, the sign count and each side's own min–max
+# across its runs (a side that spreads past the metric's bound cannot
+# resolve a change of that size). No verdict and no ledger of
 # its own: scripts/ab.sh only calls benchmark/run.sh in both checkouts, and
 # keeps what it printed in results/ab/PR<n>-<workload>.txt (n from CHANGES.md,
 # or PR=n) for the CHANGES entry to point at.

@@ -1,7 +1,7 @@
 // Command uts-vet runs the repo's custom analyzer suite (internal/lint),
-// seven analyzers: chargecheck, detcheck, noalloc, lockcheck, obscheck,
-// atomiccheck, ordercheck — the invariants the paper's numbers stand on,
-// which the Go type system cannot express. It has one mode:
+// six analyzers: chargecheck, detcheck, noalloc, lockcheck, obscheck,
+// ordercheck — the invariants the paper's numbers stand on, which the Go
+// type system cannot express. It has one mode:
 //
 //	go vet -vettool=$(which uts-vet) ./...
 //
@@ -9,10 +9,10 @@
 //
 // go vet hands the tool every package with its _test.go files, so one
 // pass sees every file. For each package uts-vet reports what lint.Check
-// returns: each finding no //uts:ok or //uts:plain comment silences, and
-// each such comment that has no reason, names an unknown analyzer, or
-// silences nothing — the invariant it once excused no longer needs
-// excusing, so the comment is stale.
+// returns: each finding no //uts:ok comment silences, and each such
+// comment that has no reason, names an unknown analyzer, or silences
+// nothing — the invariant it once excused no longer needs excusing, so
+// the comment is stale.
 //
 // The tool speaks the cmd/go unitchecker protocol: -V=full prints a
 // version fingerprint for the build cache, -flags declares no extra
@@ -34,7 +34,7 @@ import (
 
 // version feeds go vet's build cache via -V=full: bump it whenever the
 // analyzer suite changes behavior, or cached vet results go stale.
-const version = "uts-vet version 1.4.0"
+const version = "uts-vet version 1.5.0"
 
 func main() {
 	args := os.Args[1:]

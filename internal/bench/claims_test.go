@@ -15,7 +15,7 @@ import (
 // holds — deterministic runs, so a change that breaks one is a change to the
 // schedule, never noise. Larger configurations where a claim does not hold
 // are findings in EXPERIMENTS.md, not bounds to loosen here. A3 is E2's
-// last ordering; E5 has no test yet.
+// last ordering.
 func TestPaperClaims(t *testing.T) {
 	t.Run("E2", func(t *testing.T) {
 		// Figure 4 on bench-tiny at 16 PEs (at 8, upc-sharedmem is only
@@ -92,6 +92,44 @@ func TestPaperClaims(t *testing.T) {
 		}
 		if small, large := spot(4), spot(8); len(large) >= len(small) {
 			t.Errorf("chunks within 10%% of the best rate: %v at 4 PEs, %v at 8: want fewer at 8", small, large)
+		}
+	})
+	t.Run("E5", func(t *testing.T) {
+		// The refinements stack (Section 4.2): each implementation, at its
+		// own best chunkSweep rate, beats the one before it. Strict on
+		// bench-tiny at 8, 16 and 32 PEs (at 64, upc-term and
+		// upc-term-rapdif tie).
+		best := func(tree *uts.Spec, alg core.Algorithm, pes int) float64 {
+			top := 0.0
+			for _, k := range chunkSweep {
+				res, err := des.Run(tree, des.Config{Algorithm: alg, PEs: pes, Chunk: k, Model: &pgas.KittyHawk})
+				if err != nil {
+					t.Fatal(err)
+				}
+				top = max(top, res.Rate())
+			}
+			return top
+		}
+		stack := []core.Algorithm{core.UPCSharedMem, core.UPCTerm, core.UPCTermRapdif, core.UPCDistMem}
+		for _, pes := range []int{8, 16, 32} {
+			prev := 0.0
+			for _, alg := range stack {
+				r := best(&uts.BenchTiny, alg, pes)
+				if r <= prev {
+					t.Errorf("%d PEs: %s at its best chunk %.2f Mnodes/s, not above the previous refinement's %.2f", pes, alg, r/1e6, prev/1e6)
+				}
+				prev = r
+			}
+		}
+		// The total gain, upc-distmem over upc-sharedmem, grows with P on
+		// bench-small from 8 to 64 PEs.
+		prev := 0.0
+		for _, pes := range []int{8, 16, 32, 64} {
+			gain := best(&uts.BenchSmall, core.UPCDistMem, pes)/best(&uts.BenchSmall, core.UPCSharedMem, pes) - 1
+			if gain <= prev {
+				t.Errorf("%d PEs: total gain %+.1f%%, not above the %+.1f%% at half the PEs", pes, 100*gain, 100*prev)
+			}
+			prev = gain
 		}
 	})
 	t.Run("A1", func(t *testing.T) {

@@ -8,7 +8,6 @@ func All() []*Analyzer {
 		Noalloc,
 		Lockcheck,
 		Obscheck,
-		Atomiccheck,
 		Ordercheck,
 	}
 }

@@ -1,4 +1,4 @@
-// Package lint is the repo's custom static-analysis suite: seven
+// Package lint is the repo's custom static-analysis suite: six
 // analyzers that machine-check the invariants the paper's results stand
 // on and that the Go type system cannot see.
 //
@@ -20,9 +20,6 @@
 //   - obscheck: obs events are recorded with declared Kind* constants,
 //     and the obs and policy hooks stay nil-receiver-safe (a nil tracer,
 //     sampler or controller is the documented "off" representation).
-//   - atomiccheck: a field accessed through sync/atomic anywhere is
-//     accessed atomically on every path (//uts:plain escapes provably
-//     single-threaded regions).
 //   - ordercheck: //uts:orders a<b publish-order invariants (the relaxed
 //     ring's ledger before its slot, the obs seqlock's invalidate before
 //     payload before publish) hold in statement order.
@@ -48,14 +45,12 @@
 //
 // The reason is mandatory; an //uts:ok comment without one is itself
 // reported. Suppressions are per-line and per-analyzer, so one cannot
-// blanket-disable a rule. atomiccheck has a dedicated escape hatch,
+// blanket-disable a rule. Check, which the uts-vet driver runs on every
+// package go vet hands it, also reports a suppression that names an
+// unknown analyzer or silences nothing.
 //
-//	//uts:plain <reason>
-//
-// for provably single-threaded init/reset regions; it follows the same
-// line-coverage and mandatory-reason rules. Check, which the uts-vet
-// driver runs on every package go vet hands it, also reports a comment
-// of either form that names an unknown analyzer or silences nothing.
+// Atomic words need no analyzer: they are sync/atomic's types, so the
+// compiler rejects a plain access and go vet's copylocks reports a copy.
 package lint
 
 import (
@@ -196,7 +191,7 @@ func check(pkg *Package, as []*Analyzer, audit bool) ([]Diagnostic, error) {
 			report(fmt.Sprintf("suppression names unknown analyzer %q: %s", s.analyzer, s.comment))
 			continue
 		case !s.justified:
-			report(s.badMessage())
+			report("//uts:ok " + s.analyzer + " needs a justification: //uts:ok " + s.analyzer + " <reason>")
 			continue
 		}
 		live := false
@@ -232,9 +227,9 @@ type lineKey struct {
 	line int
 }
 
-// A suppression is one //uts:ok or //uts:plain comment: the analyzer it
-// silences, where it stands (it covers its own line and the one below),
-// and whether it carries the mandatory justification.
+// A suppression is one //uts:ok comment: the analyzer it silences, where
+// it stands (it covers its own line and the one below), and whether it
+// carries the mandatory justification.
 type suppression struct {
 	analyzer  string
 	pos       token.Position
@@ -247,36 +242,17 @@ func (s suppression) covers(pos token.Position) bool {
 	return pos.Filename == s.pos.Filename && (pos.Line == s.pos.Line || pos.Line == s.pos.Line+1)
 }
 
-// badMessage is the finding text for a suppression missing its reason.
-func (s suppression) badMessage() string {
-	if strings.HasPrefix(s.comment, "//uts:plain") {
-		return "//uts:plain needs a justification: //uts:plain <reason>"
-	}
-	return "//uts:ok " + s.analyzer + " needs a justification: //uts:ok " + s.analyzer + " <reason>"
-}
-
-// suppressions lists every suppression comment in the files:
-// //uts:ok <analyzer> <reason> for any analyzer, and
-// //uts:plain <reason>, which is atomiccheck's single-threaded-region
-// escape hatch. An //uts:ok that names no analyzer is inert.
+// suppressions lists every //uts:ok <analyzer> <reason> comment in the
+// files. An //uts:ok that names no analyzer is inert.
 func suppressions(fset *token.FileSet, files []*ast.File) []suppression {
 	var out []suppression
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				s := suppression{pos: fset.Position(c.Pos()), comment: c.Text}
-				if text, ok := strings.CutPrefix(c.Text, "//uts:ok"); ok {
-					fields := strings.Fields(text)
-					if len(fields) == 0 {
-						continue
-					}
-					s.analyzer, s.justified = fields[0], len(fields) >= 2
-				} else if text, ok := strings.CutPrefix(c.Text, "//uts:plain"); ok {
-					s.analyzer, s.justified = "atomiccheck", len(strings.Fields(text)) >= 1
-				} else {
-					continue
+				text, ok := strings.CutPrefix(c.Text, "//uts:ok")
+				if fields := strings.Fields(text); ok && len(fields) > 0 {
+					out = append(out, suppression{fields[0], fset.Position(c.Pos()), len(fields) >= 2, c.Text})
 				}
-				out = append(out, s)
 			}
 		}
 	}
@@ -292,33 +268,6 @@ func (p *Pass) Inspect(f func(ast.Node) bool) {
 }
 
 // --- shared type/AST helpers used by the analyzers ---
-
-// unparen strips any number of enclosing parentheses.
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-// fieldOf resolves a selector to the struct field it names, or nil for
-// method selections, package-qualified names, and untypeable code.
-func (p *Pass) fieldOf(sel *ast.SelectorExpr) *types.Var {
-	if s, ok := p.Info.Selections[sel]; ok {
-		if s.Kind() != types.FieldVal {
-			return nil
-		}
-		v, _ := s.Obj().(*types.Var)
-		return v
-	}
-	if v, ok := p.Info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
-		return v
-	}
-	return nil
-}
 
 // deref removes one level of pointer indirection.
 func deref(t types.Type) types.Type {

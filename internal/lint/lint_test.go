@@ -55,25 +55,18 @@ func TestMalformedSuppression(t *testing.T) {
 
 // TestMalformedDirectives checks the directive-hygiene findings that
 // cannot be expressed as // want goldens (a // want comment cannot
-// share the line with the malformed directive it describes): a
-// //uts:plain with no reason, empty and malformed //uts:orders
-// directives, and a nameless //uts:mark.
+// share the line with the malformed directive it describes): empty and
+// malformed //uts:orders directives, and a nameless //uts:mark.
 func TestMalformedDirectives(t *testing.T) {
 	pkg, err := LoadDir(filepath.Join("testdata", "directivebad"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var diags []Diagnostic
-	for _, a := range []*Analyzer{Atomiccheck, Ordercheck} {
-		ds, err := Run(a, pkg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diags = append(diags, ds...)
+	diags, err := Run(Ordercheck, pkg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, wantSub := range []string{
-		"//uts:plain needs a justification",
-		"plain write of atomic word g.top", // the reasonless //uts:plain silences nothing
 		"empty //uts:orders directive",
 		`malformed //uts:orders pair "ledger<"`,
 		"//uts:mark needs a group name",

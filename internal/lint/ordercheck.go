@@ -28,10 +28,10 @@ import (
 //	seg.n[i] = int32(len(c)) //uts:mark ledger
 //
 // or, unmarked, by the innermost field name they store to — an
-// assignment to x.slot, x.slot.Store(v), or atomic.StoreX(&x.slot, v)
-// is in group "slot". A pair whose group matches no statement is a
-// finding (the invariant went stale); so is a malformed directive or a
-// nameless mark. Function literals are not part of the function.
+// assignment to x.slot or x.slot.Store(v) is in group "slot". A pair
+// whose group matches no statement is a finding (the invariant went
+// stale); so is a malformed directive or a nameless mark. Function
+// literals are not part of the function.
 var Ordercheck = &Analyzer{
 	Name: "ordercheck",
 	Doc:  "//uts:orders a<b publish-order invariants hold in statement order",
@@ -197,16 +197,6 @@ func stmtGroups(pass *Pass, n ast.Stmt, marks map[lineKey][]string) []string {
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && atomicWriteMethods[sel.Sel.Name] {
 			if _, _, isMethod := pass.methodCall(call); isMethod {
 				if name := innermostFieldName(sel.X); name != "" {
-					gs = append(gs, name)
-				}
-			}
-		}
-		if path, fn, ok := pass.pkgFuncCall(call); ok && path == "sync/atomic" &&
-			(strings.HasPrefix(fn, "Store") || strings.HasPrefix(fn, "Swap") ||
-				strings.HasPrefix(fn, "Add") || strings.HasPrefix(fn, "CompareAndSwap")) &&
-			len(call.Args) > 0 {
-			if ue, ok := unparen(call.Args[0]).(*ast.UnaryExpr); ok && ue.Op == token.AND {
-				if name := innermostFieldName(ue.X); name != "" {
 					gs = append(gs, name)
 				}
 			}

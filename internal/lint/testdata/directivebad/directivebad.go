@@ -1,25 +1,14 @@
 // Package directivebad exercises the malformed-directive findings that
-// cannot share a line with a // want comment: a //uts:plain without a
-// reason, empty and malformed //uts:orders directives, and a nameless
-// //uts:mark. The checks are programmatic (TestMalformedDirectives).
+// cannot share a line with a // want comment: empty and malformed
+// //uts:orders directives, and a nameless //uts:mark. The checks are
+// programmatic (TestMalformedDirectives).
 package directivebad
 
 import "sync/atomic"
 
 type gauge struct {
-	top int64
-	n   []int32
-	w   atomic.Uint64
-}
-
-func (g *gauge) bump() {
-	atomic.AddInt64(&g.top, 1)
-}
-
-// badPlain annotates a plain write with no reason: the directive is a
-// finding and the underlying plain-access finding still fires.
-func (g *gauge) badPlain() {
-	g.top = 0 //uts:plain
+	n []int32
+	w atomic.Uint64
 }
 
 // badEmptyOrders declares nothing.

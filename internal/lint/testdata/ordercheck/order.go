@@ -6,7 +6,7 @@ package orderdata
 import "sync/atomic"
 
 type ring struct {
-	buf  []uint64
+	buf  []atomic.Uint64
 	n    []int32
 	slot atomic.Uint64
 	seq  uint64
@@ -44,10 +44,10 @@ func (r *ring) badConditional(i int, v uint64, deep bool) {
 //
 //uts:orders invalidate<payload payload<publish
 func (r *ring) record(i int, a, b uint64) {
-	atomic.StoreUint64(&r.buf[i], r.seq|1) //uts:mark invalidate
-	atomic.StoreUint64(&r.buf[i+1], a)     //uts:mark payload
-	atomic.StoreUint64(&r.buf[i+2], b)     //uts:mark payload
-	atomic.StoreUint64(&r.buf[i], r.seq+2) //uts:mark publish
+	r.buf[i].Store(r.seq | 1) //uts:mark invalidate
+	r.buf[i+1].Store(a)       //uts:mark payload
+	r.buf[i+2].Store(b)       //uts:mark payload
+	r.buf[i].Store(r.seq + 2) //uts:mark publish
 	r.seq += 2
 }
 
@@ -55,9 +55,9 @@ func (r *ring) record(i int, a, b uint64) {
 //
 //uts:orders payload<publish
 func (r *ring) badBracket(i int, a, b uint64) {
-	atomic.StoreUint64(&r.buf[i+1], a)     //uts:mark payload
-	atomic.StoreUint64(&r.buf[i], r.seq+2) //uts:mark publish // want "publish-order invariant payload<publish violated"
-	atomic.StoreUint64(&r.buf[i+2], b)     //uts:mark payload
+	r.buf[i+1].Store(a)       //uts:mark payload
+	r.buf[i].Store(r.seq + 2) //uts:mark publish // want "publish-order invariant payload<publish violated"
+	r.buf[i+2].Store(b)       //uts:mark payload
 }
 
 // badStale declares a group no statement carries anymore.

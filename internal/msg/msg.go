@@ -115,9 +115,6 @@ func NewComm(n int, model *pgas.Model) (*Comm, error) {
 	return &Comm{n: n, model: model, inboxes: make([]inbox, n)}, nil
 }
 
-// Ranks returns the communicator size.
-func (c *Comm) Ranks() int { return c.n }
-
 // Send delivers m to rank `to` asynchronously, charging the sender the
 // injection latency plus the bandwidth term for the payload. Sending to
 // self is allowed (used by single-rank termination).

@@ -92,14 +92,6 @@ func (h *Histogram) Sum() int64 { return h.sum }
 func (h *Histogram) Min() int64 { return h.min }
 func (h *Histogram) Max() int64 { return h.max }
 
-// Mean returns the arithmetic mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
 // Quantile returns an estimate of the q-quantile (q in [0,1]): the lower
 // bound of the bucket holding the rank-⌈q·n⌉ observation, clamped to the
 // observed [min, max]. Exact for values below 16, within 6.25% above.

@@ -6,7 +6,8 @@ import "sync/atomic"
 // owning PE) never blocks, never allocates, and takes no locks; readers
 // may snapshot at any time, including while the writer is recording.
 //
-// Each slot is slotWords uint64 words, all accessed atomically. Word 0
+// Each slot is slotWords atomic words: a plain read or write of one does
+// not compile, and go vet's copylocks reports a copy of one. Word 0
 // is a seqlock stamp: the writer invalidates it (stores 0) before
 // touching the payload words and publishes seq+1 after, so a reader that
 // sees the same non-zero stamp before and after copying the payload has
@@ -16,7 +17,7 @@ import "sync/atomic"
 // path: every shared word is an atomic access, and torn payloads are
 // detected rather than returned.
 type ring struct {
-	buf  []uint64
+	buf  []atomic.Uint64
 	size uint64
 	// pos is the next sequence number to write — equivalently, the
 	// number of events ever recorded.
@@ -37,7 +38,7 @@ const (
 
 func (r *ring) init(size int) {
 	r.size = uint64(size)
-	r.buf = make([]uint64, uint64(size)*slotWords)
+	r.buf = make([]atomic.Uint64, uint64(size)*slotWords)
 }
 
 // record appends one event stamped t, ns in the tracer's timebase.
@@ -52,11 +53,11 @@ func (r *ring) record(k Kind, pe, other int32, value, t int64) {
 	i := (seq % r.size) * slotWords
 	b := r.buf
 	hdr := uint64(k) | (uint64(pe)&idMask)<<peShift | (uint64(other+1)&idMask)<<otherShift
-	atomic.StoreUint64(&b[i], 0)               //uts:mark invalidate
-	atomic.StoreUint64(&b[i+1], hdr)           //uts:mark payload
-	atomic.StoreUint64(&b[i+2], uint64(value)) //uts:mark payload
-	atomic.StoreUint64(&b[i+3], uint64(t))     //uts:mark payload
-	atomic.StoreUint64(&b[i], seq+1)           //uts:mark publish
+	b[i].Store(0)               //uts:mark invalidate
+	b[i+1].Store(hdr)           //uts:mark payload
+	b[i+2].Store(uint64(value)) //uts:mark payload
+	b[i+3].Store(uint64(t))     //uts:mark payload
+	b[i].Store(seq + 1)         //uts:mark publish
 	r.pos.Store(seq + 1)
 }
 
@@ -92,14 +93,14 @@ func (r *ring) snapshotSince(since uint64, dst []Event) ([]Event, uint64, uint64
 	b := r.buf
 	for s := lo; s < hi; s++ {
 		i := (s % r.size) * slotWords
-		if atomic.LoadUint64(&b[i]) != s+1 {
+		if b[i].Load() != s+1 {
 			missed++ // the writer lapped this slot before we read it
 			continue
 		}
-		hdr := atomic.LoadUint64(&b[i+1])
-		value := int64(atomic.LoadUint64(&b[i+2]))
-		t := int64(atomic.LoadUint64(&b[i+3]))
-		if atomic.LoadUint64(&b[i]) != s+1 {
+		hdr := b[i+1].Load()
+		value := int64(b[i+2].Load())
+		t := int64(b[i+3].Load())
+		if b[i].Load() != s+1 {
 			missed++ // overwritten while copying: payload may be torn
 			continue
 		}

@@ -10,9 +10,11 @@
 # the host's mood and neither always runs on a warm or a cold machine. It
 # prints every pair of every METRIC (default: the four end-to-end metrics
 # untraced, the workload's own <layer>.trace_overhead_pct traced), then per
-# metric the median of the pair ratios change/parent and how many pairs
-# read higher, lower and equal. It judges nothing — which direction is
-# better, and by how much, is BENCHMARK.json's to say. What it prints it also
+# metric the median of the pair ratios change/parent, how many pairs read
+# higher, lower and equal, and each side's own min–max across its runs (a
+# side whose spread exceeds the metric's bound cannot resolve a difference
+# of that size). It judges nothing — which direction is better, and by how
+# much, is BENCHMARK.json's to say. What it prints it also
 # writes to results/ab/PR<n>-WORKLOAD[-trace].txt, the file a CHANGES.md entry
 # points at instead of pasting the pairs; n is one past the last "- PR n:"
 # entry of CHANGES.md, or $PR. Each run's full output stays under
@@ -98,7 +100,19 @@ for m in $metrics; do
 			if (NR == 0) { printf "%-28s no pair with a non-zero parent;", m; exit }
 			med = (NR % 2) ? r[(NR + 1) / 2] : (r[NR / 2] + r[NR / 2 + 1]) / 2
 			printf "%-28s median change/parent %.4f over %d pairs;", m, med, NR }'
-	awk -v m="$m" '$1 == m { if ($4 + 0 > $3 + 0) hi++; else if ($4 + 0 < $3 + 0) lo++; else eq++ }
-		END { printf " change higher in %d, lower in %d, equal in %d\n", hi, lo, eq }' "$stem.pairs"
+	awk -v m="$m" '
+		# span VALUE SIDE: widen the min–max of SIDE by one run ("nan" is no run).
+		function span(v, s) {
+			if (v == "nan") return
+			if (!(s in lo) || v + 0 < lo[s] + 0) lo[s] = v
+			if (!(s in hi) || v + 0 > hi[s] + 0) hi[s] = v
+		}
+		function show(s) { return (s in lo) ? lo[s] "–" hi[s] : "none" }
+		$1 == m {
+			if ($4 + 0 > $3 + 0) up++; else if ($4 + 0 < $3 + 0) down++; else eq++
+			span($3, "parent"); span($4, "change")
+		}
+		END { printf " change higher in %d, lower in %d, equal in %d; parent %s, change %s\n",
+			up, down, eq, show("parent"), show("change") }' "$stem.pairs"
 done
 } | tee "$record"

@@ -39,7 +39,7 @@ one_clock() {
 	grep -q 'slotWords = 4$' internal/obs/ring.go
 	test "$(cat $src | grep -c '\.wallNow(')" -eq 1
 	test "$(sed -n '/^func (l \*Lane) Rec(/,/^}/p' internal/obs/obs.go | grep -c '\.wallNow(')" -eq 1
-	test "$(sed -n '/^func (r \*ring) record(/,/^}/p' internal/obs/ring.go | grep -cE 'atomic\.StoreUint64\(|\.Store\(')" -eq 6
+	test "$(sed -n '/^func (r \*ring) record(/,/^}/p' internal/obs/ring.go | grep -c '\.Store(')" -eq 6
 	if sed -n '/^type Event struct/,/^}/p' internal/obs/obs.go | grep -wE 'Wall|Virt'; then exit 1; fi
 	if cat $src | grep -nE 'func \(e \*?Event\) T\(\)'; then exit 1; fi
 }
@@ -294,6 +294,17 @@ one_dominance() {
 	if grep -nE '^type (CFG|FlowAnalysis) |^func (\([^)]*\) )?(BuildCFG|(Node)?Dominates)\(|^func \([^)]*\) Solve\(' $(ls internal/lint/*.go | grep -v _test.go); then exit 1; fi
 }
 
+# Typed atomics: fails if an atomic word goes untyped again. A word shared
+# without a lock is a sync/atomic type (atomic.Uint64, []atomic.Uint64,
+# atomic.Pointer[T] ...), so the compiler rejects a plain read or write of
+# it and go vet's copylocks (make lint and CI run go vet) reports a copy:
+# no Go file outside lint's golden corpora calls a sync/atomic function,
+# and the analyzer that checked untyped words, with its //uts:plain
+# escape, stays gone.
+typed_atomics() {
+	if git grep --untracked -nE '\batomic\.(Load|Store|Add|Swap|CompareAndSwap|And|Or)[A-Za-z0-9]*\(|Atomiccheck|uts:plain' -- '*.go' ':!internal/lint/testdata'; then exit 1; fi
+}
+
 failed=0
 # rule NAME SECTIONS FUNCTION: the function runs in a subshell under -e, as
 # each did as a CI step, so its first failing line fails the rule.
@@ -325,5 +336,6 @@ rule "Off is nil" "§15" off_is_nil
 rule "The live plane reads once" "§13" live_plane_reads_once
 rule "One lint driver" "§11" one_lint_driver
 rule "One dominance" "§11" one_dominance
-[ $failed -eq 0 ] && echo "shape: 21 rules hold"
+rule "Typed atomics" "§8, §11" typed_atomics
+[ $failed -eq 0 ] && echo "shape: 22 rules hold"
 exit $failed
