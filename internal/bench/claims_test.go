@@ -100,15 +100,11 @@ func TestPaperClaims(t *testing.T) {
 		// bench-tiny at 8, 16 and 32 PEs (at 64, upc-term and
 		// upc-term-rapdif tie).
 		best := func(tree *uts.Spec, alg core.Algorithm, pes int) float64 {
-			top := 0.0
-			for _, k := range chunkSweep {
-				res, err := des.Run(tree, des.Config{Algorithm: alg, PEs: pes, Chunk: k, Model: &pgas.KittyHawk})
-				if err != nil {
-					t.Fatal(err)
-				}
-				top = max(top, res.Rate())
+			k, results, err := des.TuneChunk(tree, des.Config{Algorithm: alg, PEs: pes, Model: &pgas.KittyHawk}, chunkSweep)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return top
+			return results[k].Rate()
 		}
 		stack := []core.Algorithm{core.UPCSharedMem, core.UPCTerm, core.UPCTermRapdif, core.UPCDistMem}
 		for _, pes := range []int{8, 16, 32} {

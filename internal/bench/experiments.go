@@ -241,17 +241,11 @@ func E5Refinements(sc Scale) (*Table, error) {
 	}
 	var base, prev float64
 	for _, alg := range []core.Algorithm{core.UPCSharedMem, core.UPCTerm, core.UPCTermRapdif, core.UPCDistMem} {
-		var best *core.Result
-		bestK := 0
-		for _, k := range chunks {
-			res, err := des.Run(tree, des.Config{Algorithm: alg, PEs: pes, Chunk: k, Model: &pgas.KittyHawk})
-			if err != nil {
-				return nil, err
-			}
-			if best == nil || res.Rate() > best.Rate() {
-				best, bestK = res, k
-			}
+		bestK, results, err := des.TuneChunk(tree, des.Config{Algorithm: alg, PEs: pes, Model: &pgas.KittyHawk}, chunks)
+		if err != nil {
+			return nil, err
 		}
+		best := results[bestK]
 		rate := best.Rate()
 		if base == 0 {
 			base, prev = rate, rate

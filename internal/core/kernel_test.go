@@ -287,23 +287,8 @@ func TestReleaseRecycling(t *testing.T) {
 		t.Logf("%d releases: %d buffers made, %d reused; %d thefts", made+reused, made, reused, thefts)
 	})
 
-	t.Run("a shared chunk is never reused", func(t *testing.T) {
-		var th stats.Thread
-		pe := NewPE(&uts.BenchTiny, &th, nil, nil)
-		pe.SharedChunks = true // what the relaxed ring's worker sets
-		back, stolen := make(stack.Chunk, 4), make(stack.Chunk, 4)
-		pe.Reacquired(back)
-		pe.Landed(1, []stack.Chunk{stolen})
-		if len(pe.free) != 0 {
-			t.Fatalf("%d buffers kept of chunks another thread may still be reading", len(pe.free))
-		}
-		if c := pe.Release(4); bufOf(c) == bufOf(back) || bufOf(c) == bufOf(stolen) {
-			t.Error("a release wrote into a buffer it had handed out before")
-		}
-	})
-
 	want := uts.SearchSequential(&uts.BenchSmall)
-	for _, alg := range []Algorithm{UPCTerm, UPCDistMem} {
+	for _, alg := range []Algorithm{UPCTerm, UPCDistMem, UPCTermRelaxed} {
 		t.Run(string(alg), func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				res, err := Run(&uts.BenchSmall, Options{Algorithm: alg, Threads: 8, Chunk: 1, Seed: seed})
@@ -332,29 +317,37 @@ func mallocsOf(f func()) uint64 {
 // is in a pool at once (the tree's depth bounds that), two closures a probe
 // cycle, the set-up — not one allocation a release, which is what a run
 // made (nodes/2 ≈ 31,800 on this tree) while every release took a fresh
-// slice.
+// slice. The relaxed ring, whose full ring skips most releases, recycles
+// too: fewer than half as many allocations as releases, where a fresh
+// slice a release made more allocations than releases.
 func TestAllocationsPerRun(t *testing.T) {
-	sp := &uts.BenchSmall
-	const bound = 6000
-	for _, alg := range []Algorithm{UPCTerm, UPCDistMem} {
-		opt := Options{Algorithm: alg, Threads: 2, Chunk: 1, Seed: 1}
+	run := func(alg Algorithm, threads int) (n uint64, releases int64) {
 		var res *Result
-		n := mallocsOf(func() {
+		n = mallocsOf(func() {
 			var err error
-			if res, err = Run(sp, opt); err != nil {
+			if res, err = Run(&uts.BenchSmall, Options{Algorithm: alg, Threads: threads, Chunk: 1, Seed: 1}); err != nil {
 				t.Fatal(err)
 			}
 		})
-		var releases int64
 		for i := range res.Threads {
 			releases += res.Threads[i].Releases
 		}
+		t.Logf("%s, %d threads: %d allocations, %d releases, %d nodes", alg, threads, n, releases, res.Nodes())
+		return n, releases
+	}
+	const bound = 6000
+	for _, alg := range []Algorithm{UPCTerm, UPCDistMem} {
+		n, releases := run(alg, 2)
 		if releases < 5*bound {
 			t.Fatalf("%s: only %d releases: the run no longer releases at every other node", alg, releases)
 		}
 		if n > bound {
 			t.Errorf("%s: %d allocations in a run of %d releases, want at most %d", alg, n, releases, bound)
 		}
-		t.Logf("%s: %d allocations, %d releases, %d nodes", alg, n, releases, res.Nodes())
+	}
+	for _, threads := range []int{2, 4} {
+		if n, releases := run(UPCTermRelaxed, threads); 2*n >= uint64(releases) {
+			t.Errorf("%s, %d threads: %d allocations in a run of %d releases, want fewer than half", UPCTermRelaxed, threads, n, releases)
+		}
 	}
 }

@@ -74,7 +74,6 @@ func runShared(sp *uts.Spec, opt Options, res *Result, v SharedVariant) error {
 
 	eachThread(sp, opt, res, func(me int, pe WallPE) {
 		w := &sharedWorker{WallPE: pe, run: r, me: me}
-		w.SharedChunks = v.Relaxed
 		w.Interrupt = opt.abort.Load
 		if me == 0 {
 			w.Local.Push(uts.Root(sp))
@@ -172,7 +171,7 @@ func (w *sharedWorker) releaseRelaxed(k int) {
 	if s.ring.Full() {
 		return
 	}
-	chunk := w.Release(k) // a fresh buffer every time: PE.SharedChunks
+	chunk := w.Release(k)
 	rec, ok := s.ring.Publish(chunk)
 	if rec != nil {
 		// Publish resolved a clobbered, never-consumed slot: the chunk

@@ -50,14 +50,12 @@ type PE struct {
 	// nothing for it. A chunk has one owner at a time and changes hands under
 	// whatever orders the protocol's own hand-over (the pool's lock, the
 	// response slot's flag, a message, a virtual instant), so the buffer of a
-	// stolen chunk goes to the thief's list, never back to the victim's.
+	// stolen chunk goes to the thief's list, never back to the victim's. The
+	// relaxed ring is no exception: a claimer that loses the ledger's CAS
+	// has read the chunk's header, never its nodes (DESIGN.md §14).
 	free []stack.Chunk
 
-	// SharedChunks turns the recycling off. The relaxed ring sets it: there
-	// a thief may still be reading a duplicate take of a slice after the
-	// ledger gave the chunk to someone else (its multiplicity, DESIGN.md
-	// §14), so no holder of a chunk knows it is the last reader.
-	SharedChunks bool
+	_ [8]byte // keeps every worker a whole number of cache lines
 
 	flushed  int64 // T.Nodes already published to the lane's live counter
 	ctlNodes int64 // T.Nodes already reported to the controller
@@ -161,9 +159,7 @@ func (pe *PE) Release(k int) stack.Chunk {
 // recycle keeps the buffer of c, whose nodes the caller has just copied
 // onto Local, for the next Release.
 func (pe *PE) recycle(c stack.Chunk) {
-	if !pe.SharedChunks {
-		pe.free = append(pe.free, c[:0])
-	}
+	pe.free = append(pe.free, c[:0])
 }
 
 // Released books a chunk made stealable, leaving avail of them.

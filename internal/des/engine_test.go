@@ -759,7 +759,9 @@ func TestEngineCountsPinned(t *testing.T) {
 // an mpi-ws rank, a static PE, and the Figure-1 machine of each UPC
 // algorithm — with no coroutine, so a run of 512 of them starts no
 // goroutine. The count is read where each PE's finish runs, at the boundary
-// of its last step, and must be the count before the run.
+// of its last step, and must not exceed the count before the run: a
+// goroutine an earlier test left behind may exit mid-run, and only one the
+// run started reads higher.
 func TestSteppedPEsStartNoGoroutine(t *testing.T) {
 	for _, algo := range []core.Algorithm{
 		core.MPIWS, core.Static, core.UPCSharedMem, core.UPCTerm, core.UPCTermRapdif, core.UPCTermRelaxed,
@@ -777,7 +779,7 @@ func TestSteppedPEsStartNoGoroutine(t *testing.T) {
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if most != before || sim.handoffs != 0 {
+		if most > before || sim.handoffs != 0 {
 			t.Errorf("%s at %d PEs: %d goroutines inside the run, %d before it; %d coroutine resumptions",
 				algo, cfg.PEs, most, before, sim.handoffs)
 		}

@@ -7,7 +7,6 @@ func All() []*Analyzer {
 		Detcheck,
 		Noalloc,
 		Lockcheck,
-		Obscheck,
 		Ordercheck,
 	}
 }

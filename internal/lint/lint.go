@@ -1,4 +1,4 @@
-// Package lint is the repo's custom static-analysis suite: six
+// Package lint is the repo's custom static-analysis suite: five
 // analyzers that machine-check the invariants the paper's results stand
 // on and that the Go type system cannot see.
 //
@@ -17,9 +17,6 @@
 //   - lockcheck: in internal/cluster, core, msg and term every
 //     Lock/Acquire is released later in its own statement list, and no
 //     return, break, continue or goto leaves the section between.
-//   - obscheck: obs events are recorded with declared Kind* constants,
-//     and the obs and policy hooks stay nil-receiver-safe (a nil tracer,
-//     sampler or controller is the documented "off" representation).
 //   - ordercheck: //uts:orders a<b publish-order invariants (the relaxed
 //     ring's ledger before its slot, the obs seqlock's invalidate before
 //     payload before publish) hold in statement order.
@@ -51,6 +48,9 @@
 //
 // Atomic words need no analyzer: they are sync/atomic's types, so the
 // compiler rejects a plain access and go vet's copylocks reports a copy.
+// Nor do the obs and policy contracts: a test calls every method of each
+// nil-is-off type on a nil receiver, and make shape ("Declared kinds")
+// holds every Lane.Rec/RecV call to a Kind* constant.
 package lint
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -414,6 +415,26 @@ func TestNilSafety(t *testing.T) {
 	l.RecV(KindChunkTransfer, 1, 16, time.Microsecond)
 	if l.Snapshot(nil) != nil || l.Recorded() != 0 {
 		t.Error("nil lane should be empty")
+	}
+	// Every exported method of a nil-is-off type returns on a nil
+	// receiver, given zero arguments: a method added later is held too.
+	for _, off := range []any{(*Tracer)(nil), (*Lane)(nil), (*Sampler)(nil), (*Summary)(nil)} {
+		v := reflect.ValueOf(off)
+		for i := 0; i < v.NumMethod(); i++ {
+			m, name := v.Method(i), v.Type().Method(i).Name
+			args := make([]reflect.Value, m.Type().NumIn())
+			for j := range args {
+				args[j] = reflect.Zero(m.Type().In(j))
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("(%v).%s on nil panicked: %v", v.Type(), name, r)
+					}
+				}()
+				m.Call(args)
+			}()
+		}
 	}
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, tr); err != nil {

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -146,6 +147,26 @@ func TestNilControllerIsFixedKnobs(t *testing.T) {
 	if c.Chunk(7) != 7 || c.Poll(9) != 9 || !c.StealHalf(true) || c.StealHalf(false) || c.NodeSize() != 1 {
 		t.Errorf("nil controller: Chunk(7)=%d Poll(9)=%d StealHalf(true)=%v StealHalf(false)=%v NodeSize=%d, want 7 9 true false 1",
 			c.Chunk(7), c.Poll(9), c.StealHalf(true), c.StealHalf(false), c.NodeSize())
+	}
+	// Every exported method of a nil-is-off type returns on a nil
+	// receiver, given zero arguments: a method added later is held too.
+	for _, off := range []any{(*Controller)(nil), (*Set)(nil), (*Summary)(nil)} {
+		v := reflect.ValueOf(off)
+		for i := 0; i < v.NumMethod(); i++ {
+			m, name := v.Method(i), v.Type().Method(i).Name
+			args := make([]reflect.Value, m.Type().NumIn())
+			for j := range args {
+				args[j] = reflect.Zero(m.Type().In(j))
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("(%v).%s on nil panicked: %v", v.Type(), name, r)
+					}
+				}()
+				m.Call(args)
+			}()
+		}
 	}
 }
 

@@ -11,13 +11,15 @@
 # prints every pair of every METRIC (default: the four end-to-end metrics
 # untraced, the workload's own <layer>.trace_overhead_pct traced), then per
 # metric the median of the pair ratios change/parent, how many pairs read
-# higher, lower and equal, and each side's own min–max across its runs (a
-# side whose spread exceeds the metric's bound cannot resolve a difference
-# of that size). It judges nothing — which direction is better, and by how
-# much, is BENCHMARK.json's to say. What it prints it also
-# writes to results/ab/PR<n>-WORKLOAD[-trace].txt, the file a CHANGES.md entry
-# points at instead of pasting the pairs; n is one past the last "- PR n:"
-# entry of CHANGES.md, or $PR. Each run's full output stays under
+# higher, lower and equal, how many miss the metric on a side (a run that
+# printed no value, "nan", which enters neither the median nor the counts),
+# and each side's own min–max across its runs (a side whose spread exceeds
+# the metric's bound cannot resolve a difference of that size). It judges
+# nothing — which direction is better, and by how much, is BENCHMARK.json's
+# to say. What it prints it also writes to
+# results/ab/PR<n>-WORKLOAD[-trace].txt, the file a CHANGES.md entry points
+# at instead of pasting the pairs; n is one past the last "- PR n:" entry of
+# CHANGES.md, or $PR. Each run's full output stays under
 # .bench_build/ab/ until the next `make ab` of the same workload and mode
 # overwrites it.
 set -eu
@@ -95,7 +97,7 @@ done
 
 echo
 for m in $metrics; do
-	awk -v m="$m" '$1 == m && $3 + 0 != 0 { printf "%.6f\n", $4 / $3 }' "$stem.pairs" | sort -n |
+	awk -v m="$m" '$1 == m && $3 != "nan" && $4 != "nan" && $3 + 0 != 0 { printf "%.6f\n", $4 / $3 }' "$stem.pairs" | sort -n |
 		awk -v m="$m" '{ r[NR] = $1 } END {
 			if (NR == 0) { printf "%-28s no pair with a non-zero parent;", m; exit }
 			med = (NR % 2) ? r[(NR + 1) / 2] : (r[NR / 2] + r[NR / 2 + 1]) / 2
@@ -109,10 +111,11 @@ for m in $metrics; do
 		}
 		function show(s) { return (s in lo) ? lo[s] "–" hi[s] : "none" }
 		$1 == m {
-			if ($4 + 0 > $3 + 0) up++; else if ($4 + 0 < $3 + 0) down++; else eq++
 			span($3, "parent"); span($4, "change")
+			if ($3 == "nan" || $4 == "nan") missing++
+			else if ($4 + 0 > $3 + 0) up++; else if ($4 + 0 < $3 + 0) down++; else eq++
 		}
-		END { printf " change higher in %d, lower in %d, equal in %d; parent %s, change %s\n",
-			up, down, eq, show("parent"), show("change") }' "$stem.pairs"
+		END { printf " change higher in %d, lower in %d, equal in %d, missing in %d; parent %s, change %s\n",
+			up, down, eq, missing, show("parent"), show("change") }' "$stem.pairs"
 done
 } | tee "$record"

@@ -305,6 +305,17 @@ typed_atomics() {
 	if git grep --untracked -nE '\batomic\.(Load|Store|Add|Swap|CompareAndSwap|And|Or)[A-Za-z0-9]*\(|Atomiccheck|uts:plain' -- '*.go' ':!internal/lint/testdata'; then exit 1; fi
 }
 
+# Declared kinds: fails if an event is recorded with anything but a declared
+# kind. The timeline and Chrome exporters name an event, and the histograms
+# route it, by its obs.Kind constant, so the first argument of every Lane.Rec
+# and Lane.RecV call in Go outside lint's golden corpora, tests included, is a
+# Kind* constant (obs.KindX in other packages) or the forwarded Kind
+# parameter k. Each call is checked, not each line: a literal, arithmetic on a
+# kind, or a line break after the parenthesis fails.
+declared_kinds() {
+	if git grep --untracked -noE '\.RecV?\((((obs\.)?Kind[A-Z][A-Za-z0-9]*|k),)?' -- '*.go' ':!internal/lint/testdata' | grep -E '\($'; then exit 1; fi
+}
+
 failed=0
 # rule NAME SECTIONS FUNCTION: the function runs in a subshell under -e, as
 # each did as a CI step, so its first failing line fails the rule.
@@ -337,5 +348,6 @@ rule "The live plane reads once" "§13" live_plane_reads_once
 rule "One lint driver" "§11" one_lint_driver
 rule "One dominance" "§11" one_dominance
 rule "Typed atomics" "§8, §11" typed_atomics
-[ $failed -eq 0 ] && echo "shape: 22 rules hold"
+rule "Declared kinds" "§8, §11" declared_kinds
+[ $failed -eq 0 ] && echo "shape: 23 rules hold"
 exit $failed
