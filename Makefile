@@ -16,15 +16,16 @@ bin/uts-vet: $(UTS_VET_SRCS)
 
 # Static analysis: go vet's own checks (copylocks among them: an atomic
 # word is a sync/atomic type, so a copy of one is a finding), then the
-# custom uts-vet analyzer suite, five analyzers (chargecheck, detcheck,
-# noalloc, lockcheck, ordercheck — see internal/lint and DESIGN.md §11)
-# through go vet, the one driver: every file, test files too, and every
-# suppression that has no reason or silences nothing. Then
+# custom uts-vet analyzer suite, four analyzers (chargecheck, detcheck,
+# lockcheck, ordercheck — see internal/lint and DESIGN.md §11) through go
+# vet, the one driver: every file, test files too, and every suppression
+# that has no reason or silences nothing. Then
 # staticcheck and govulncheck when the binaries are installed (the CI lint
 # job installs them; offline dev boxes may not). Before any of it, the
 # structural rules (shape), whose "Declared kinds" holds the trace's event
 # kinds; the off-is-nil contract is a test (TestNilSafety,
-# TestNilControllerIsFixedKnobs).
+# TestNilControllerIsFixedKnobs), and so are the zero-allocation hot paths
+# (the allocation pins, DESIGN.md §11).
 lint: shape bin/uts-vet
 	$(GO) vet ./...
 	$(GO) vet -vettool=bin/uts-vet ./...
@@ -83,8 +84,10 @@ bench-smoke:
 # batched engine >= 4x the legacy reference (wall-clock), a record with a
 # live sampler attached allocates nothing (a count: no spare core needed),
 # adaptive from the worst chunk >= 0.95x the best (T3XXL on the batched
-# engine, ~15 s), UTS's published T3L counts from UTS's root (~6 s), and
-# bench-huge's counts under every spawn kernel (80 M ALFG nodes, ~15 s).
+# engine, ~15 s), UTS's published T3L counts from UTS's root (~6 s),
+# bench-huge's counts under every spawn kernel (80 M ALFG nodes, ~15 s), and
+# A1 at grain: steal-half reaches P/2 work sources before steal-one on
+# bench-large at 64 PEs, chunks 1-8 (TestPaperClaims/A1, ~15 s).
 # Then the paper tables at quick scale are regenerated and diffed against
 # results/quick.txt (~30 s): every number in it but E1's section (wall-clock
 # rates and the host's spawn kernels) and the `generated in` times is a
@@ -93,6 +96,7 @@ bench-smoke:
 QUICK_CMP := /^\#\# /{skip = /^\#\# E1 /} !skip && !/^note: scale=quick, generated in /
 gates:
 	UTS_GATES=1 $(GO) test -count=1 -v -timeout 10m -run 'Gate$$|^TestUTSPublishedCounts$$|^TestCountsIdenticalUnderEveryKernel$$' ./internal/des/ ./internal/uts/ ./internal/rng/
+	UTS_GATES=1 $(GO) test -count=1 -v -run '^TestPaperClaims$$/^A1$$' ./internal/bench/
 	@mkdir -p bin
 	$(GO) run ./cmd/uts-bench -scale quick > bin/quick.txt
 	@awk '$(QUICK_CMP)' results/quick.txt > bin/quick.want

@@ -1,5 +1,5 @@
 // Command uts-vet runs the repo's custom analyzer suite (internal/lint),
-// five analyzers: chargecheck, detcheck, noalloc, lockcheck, ordercheck —
+// four analyzers: chargecheck, detcheck, lockcheck, ordercheck —
 // the invariants the paper's numbers stand on, which the Go type system
 // cannot express. It has one mode:
 //
@@ -34,7 +34,7 @@ import (
 
 // version feeds go vet's build cache via -V=full: bump it whenever the
 // analyzer suite changes behavior, or cached vet results go stale.
-const version = "uts-vet version 1.6.0"
+const version = "uts-vet version 1.7.0"
 
 func main() {
 	args := os.Args[1:]

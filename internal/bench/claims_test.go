@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"testing"
 	"time"
 
@@ -132,21 +133,38 @@ func TestPaperClaims(t *testing.T) {
 		// Rapid diffusion (Section 3.3.2) on bench-tiny at 8 PEs: stealing
 		// half the victim's chunks makes P/2 PEs work sources sooner than
 		// stealing one. "Never" is later than any instant.
-		const pes = 8
-		reach := func(alg core.Algorithm, k int) time.Duration {
-			_, tr, err := des.RunTraced(&uts.BenchTiny, des.Config{Algorithm: alg, PEs: pes, Chunk: k, Model: &pgas.KittyHawk})
-			if err != nil {
-				t.Fatal(err)
+		sooner := func(sp *uts.Spec, pes int) {
+			reach := func(alg core.Algorithm, k int) time.Duration {
+				_, tr, err := des.RunTraced(sp, des.Config{Algorithm: alg, PEs: pes, Chunk: k, Model: &pgas.KittyHawk})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := tr.TimeToSources(pes / 2); d >= 0 {
+					return d
+				}
+				return des.Never
 			}
-			if d := tr.TimeToSources(pes / 2); d >= 0 {
+			at := func(d time.Duration) any {
+				if d == des.Never {
+					return "never"
+				}
 				return d
 			}
-			return des.Never
-		}
-		for _, k := range []int{1, 2, 4, 8} {
-			if one, half := reach(core.UPCTerm, k), reach(core.UPCTermRapdif, k); half >= one {
-				t.Errorf("k=%d: steal-half reaches %d work sources at %v, steal-one at %v: want sooner", k, pes/2, half, one)
+			for _, k := range []int{1, 2, 4, 8} {
+				if one, half := reach(core.UPCTerm, k), reach(core.UPCTermRapdif, k); half >= one {
+					t.Errorf("%s, %d PEs, k=%d: steal-half reaches %d work sources at %v, steal-one at %v: want sooner", sp.Name, pes, k, pes/2, at(half), at(one))
+				} else {
+					t.Logf("%s, %d PEs, k=%d: steal-half %v, steal-one %v", sp.Name, pes, k, at(half), at(one))
+				}
 			}
+		}
+		sooner(&uts.BenchTiny, 8)
+		// At grain, behind UTS_GATES=1 (make gates, ≈15 s): on bench-large
+		// at 64 PEs, where a chunk is a small share of a PE's stack, as on
+		// the paper's trees. On bench-medium at 64 PEs steal-half never
+		// reaches P/2 at chunk 8 (EXPERIMENTS.md, A1).
+		if os.Getenv("UTS_GATES") == "1" {
+			sooner(&uts.BenchLarge, 64)
 		}
 	})
 }

@@ -270,8 +270,6 @@ func (m *Machine) step() (time.Duration, uint8) {
 
 // quantum returns a quantum of the step, noting whether it ends at a service
 // point.
-//
-//uts:noalloc
 func (m *Machine) quantum(d time.Duration, fl uint8) (time.Duration, uint8) {
 	m.ep.poll = fl&StepNoPoll == 0
 	return d, fl
@@ -327,8 +325,6 @@ func (m *Machine) searched(found bool) {
 }
 
 // newWalk starts a probe cycle, unless work came home by itself first.
-//
-//uts:noalloc
 func (m *Machine) newWalk() bool {
 	e := &m.ep
 	if m.H.Settle(false) {
@@ -342,8 +338,6 @@ func (m *Machine) newWalk() bool {
 
 // next moves to the next victim, through a fresh cycle if this one is
 // spent and said that work is still out there. False: search over.
-//
-//uts:noalloc
 func (m *Machine) next() bool {
 	e := &m.ep
 	e.walk.Advance()
@@ -359,8 +353,6 @@ func (m *Machine) next() bool {
 
 // searchQuantum is the probe cycle's step: StepDone with a victim to steal
 // from, or with the search over.
-//
-//uts:noalloc
 func (m *Machine) searchQuantum() (time.Duration, uint8) {
 	h, e := m.H, &m.ep
 	switch e.ph {
@@ -455,8 +447,6 @@ func (m *Machine) resume() {
 
 // waitQuantum is the termination wait's step: StepDone announced, or with a
 // victim found working with surplus.
-//
-//uts:noalloc
 func (m *Machine) waitQuantum() (time.Duration, uint8) {
 	h, e := m.H, &m.ep
 	switch e.ph {

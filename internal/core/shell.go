@@ -76,8 +76,6 @@ func NewPE(sp *uts.Spec, t *stats.Thread, lane *obs.Lane, ctl *policy.Controller
 // may explore before its next poll or yield, and where the CPU has the
 // AVX-512 lane kernels (sixteen SHA-1 lanes, 32 ALFG lanes) gets a frontier
 // of the top nodes visited in one call.
-//
-//uts:noalloc
 func (pe *PE) Visit(most int) int {
 	nodes, leaves := pe.Local.PopExpand(pe.sp, pe.st, most)
 	if nodes == 0 {
@@ -92,8 +90,6 @@ func (pe *PE) Visit(most int) int {
 // FlushNodes publishes node progress to the lane's live counter — one
 // atomic add per flush, called at the yield/quantum cadence and never per
 // node. The counter is observation-only.
-//
-//uts:noalloc
 func (pe *PE) FlushNodes() {
 	if d := pe.T.Nodes - pe.flushed; d != 0 {
 		pe.Lane.AddNodes(d)
@@ -106,8 +102,6 @@ func (pe *PE) FlushNodes() {
 // FlushNodes cadence — at a yield on the wall clock, at a quantum's end in
 // the simulator — a point with no release in flight, so the 2k threshold
 // and the released chunk never straddle a knob change.
-//
-//uts:noalloc
 func (pe *PE) NoteCtl(now int64) {
 	pe.Ctl.NoteNodes(int(pe.T.Nodes-pe.ctlNodes), pe.Local.Len(), now)
 	pe.ctlNodes = pe.T.Nodes
@@ -126,8 +120,6 @@ func (pe *PE) VictimTier(hier bool, nodeSize int) int {
 
 // Rec records a trace event stamped with the PE's timebase: the virtual
 // clock if one is bound, else the wall clock.
-//
-//uts:noalloc
 func (pe *PE) Rec(k obs.Kind, other int32, value int64) {
 	switch {
 	case pe.Lane == nil: // untraced
@@ -146,8 +138,6 @@ func (pe *PE) Rec(k obs.Kind, other int32, value int64) {
 // Release takes the k oldest local nodes off the stack as a chunk, into a
 // recycled buffer when there is one. The caller makes it stealable and
 // books that (Released, or the grant it rides in).
-//
-//uts:noalloc
 func (pe *PE) Release(k int) stack.Chunk {
 	var buf stack.Chunk
 	if last := len(pe.free) - 1; last >= 0 {
@@ -163,8 +153,6 @@ func (pe *PE) recycle(c stack.Chunk) {
 }
 
 // Released books a chunk made stealable, leaving avail of them.
-//
-//uts:noalloc
 func (pe *PE) Released(avail int) {
 	pe.T.Releases++
 	pe.Rec(obs.KindRelease, -1, int64(avail))
@@ -172,8 +160,6 @@ func (pe *PE) Released(avail int) {
 
 // Reacquired books the owner taking chunk c back and puts it on the local
 // stack.
-//
-//uts:noalloc
 func (pe *PE) Reacquired(c stack.Chunk) {
 	pe.T.Reacquires++
 	pe.Rec(obs.KindReacquire, -1, int64(len(c)))

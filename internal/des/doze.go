@@ -64,8 +64,6 @@ type Wakes struct {
 // shared-memory family, where a thief corrects its victim's count. A word
 // that turns positive is what a dozing searcher may not sleep past, and what
 // a traced run logs, with its way back to 0 or −1: the PE is a work source.
-//
-//uts:noalloc
 func (pe *upcPE) setAvail(by, v int) {
 	u := pe.u
 	w := &u.words[pe.me]
@@ -82,10 +80,10 @@ func (pe *upcPE) setAvail(by, v int) {
 		return
 	}
 	now := int64(p.Now())
-	if len(pe.hist) == cap(pe.hist) {
+	if len(pe.hist) == cap(pe.hist) { // compact first: steady state reuses the array
 		pe.hist = pe.hist[:copy(pe.hist, pe.hist[pe.deadWrites(now):])]
 	}
-	pe.hist = append(pe.hist, *w) //uts:ok noalloc amortized growth; the compaction above reuses the backing array in steady state
+	pe.hist = append(pe.hist, *w)
 	*w = availWrite{t: now, by: int32(by), v: int32(v)}
 	if was > 0 || v <= 0 {
 		return

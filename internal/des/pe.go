@@ -113,21 +113,15 @@ func (pe *simPE) EndSteal(ok bool, back stats.State) {
 
 // wait makes the host operation under way wait for a quantum of d with
 // flags fl before the machine calls it again.
-//
-//uts:noalloc
 func (pe *simPE) wait(d time.Duration, fl uint8) {
 	pe.busy, pe.waitD, pe.waitFl = true, d, fl
 }
 
 // then waits for d of virtual time charged to the PE's current state: the
 // operation goes on at the end of d, with no service point there.
-//
-//uts:noalloc
 func (pe *simPE) then(d time.Duration) { pe.wait(pe.charge(d), StepNoPoll) }
 
 // Busy reports the quantum the last operation waits for.
-//
-//uts:noalloc
 func (pe *simPE) Busy() (time.Duration, uint8, bool) {
 	if !pe.busy {
 		return 0, 0, false
@@ -140,8 +134,6 @@ func (pe *simPE) Busy() (time.Duration, uint8, bool) {
 // from inside a host operation: true while the operation must wait — for
 // the round trip, then, if l is held, to be handed it (stepBlock) — false
 // holding it, the time spent queued charged to the current state.
-//
-//uts:noalloc
 func (pe *simPE) acquire(l *Lock, cost time.Duration) bool {
 	switch pe.locking {
 	case 0:
@@ -164,8 +156,6 @@ func (pe *simPE) acquire(l *Lock, cost time.Duration) bool {
 
 // release lets go of l, to its oldest waiter if any, for a release round trip
 // of cost that the operation then waits for.
-//
-//uts:noalloc
 func (pe *simPE) release(l *Lock, cost time.Duration) {
 	pe.p.handOver(l)
 	pe.then(cost)

@@ -273,8 +273,6 @@ func (s *Sim) schedule(p *Proc, t int64) {
 }
 
 // push queues e: on the heap, or in a windowed run's calendar.
-//
-//uts:noalloc
 func (s *Sim) push(e ev) {
 	if s.cal != nil {
 		s.cal.push(e)
@@ -288,8 +286,6 @@ func (s *Sim) push(e ev) {
 // next — one heap exchange (single sift-down) instead of a push/pop pair.
 // The sequence number comes from the proc's own counter, exactly as
 // schedule would have drawn it, so tie-breaks are unchanged.
-//
-//uts:noalloc
 func (s *Sim) park(p *Proc, t int64) {
 	s.pend = ev{t: t, key: p.nextKey(), p: p}
 	s.hasPend = true
@@ -300,8 +296,6 @@ func (s *Sim) park(p *Proc, t int64) {
 // park condition required the root's key to order at or before the parked
 // event's — so the slot always goes through exchange when the heap is
 // nonempty.
-//
-//uts:noalloc
 func (s *Sim) next() (ev, bool) {
 	if s.hasPend {
 		s.hasPend = false
@@ -342,8 +336,6 @@ func (s *Sim) drained() error {
 // root moves to the end of the window it belongs to, so that ahead —
 // unchanged — commits every boundary inside that window inline and parks
 // every one past it.
-//
-//uts:noalloc
 func (s *Sim) dispatch() error {
 	c := s.cal
 	for {
@@ -382,8 +374,6 @@ func (s *Sim) dispatch() error {
 }
 
 // run resumes p's coroutine until it yields back or its body returns.
-//
-//uts:noalloc
 func (s *Sim) run(p *Proc) {
 	s.handoffs++
 	if _, ok := p.next(); !ok {
@@ -393,8 +383,6 @@ func (s *Sim) run(p *Proc) {
 
 // ahead is the inline-commit test: a boundary of proc id at time t may be
 // taken without the queue when it orders before every queued event.
-//
-//uts:noalloc
 func (s *Sim) ahead(t int64, id int) bool {
 	return s.heap.empty() || s.heap.rootAfter(t, id)
 }
@@ -409,8 +397,6 @@ func (s *Sim) ahead(t int64, id int) bool {
 //
 // The boundary and the commit stay written out in the loop: as calls they
 // are not inlined, two a quantum.
-//
-//uts:noalloc
 func (s *Sim) steps(p *Proc, fl uint8) bool {
 	for {
 		if p.staged {
@@ -445,8 +431,6 @@ func (s *Sim) steps(p *Proc, fl uint8) bool {
 
 // end ends p's stepped advance at StepDone: the PE's coroutine resumes, and
 // a stepped PE is finished.
-//
-//uts:noalloc
 func (s *Sim) end(p *Proc) {
 	p.stepFn = nil
 	if p.next == nil {
@@ -468,8 +452,6 @@ func (s *Sim) end(p *Proc) {
 // stepping every poll produces. A PE that is never notified stays out of the
 // queue and is reported by the drained-queue deadlock check like any blocked
 // one.
-//
-//uts:noalloc
 func (s *Sim) sleep(p *Proc, dt int64, fl uint8) {
 	p.stepFl = fl
 	p.sleepAt, p.sleepD, p.wakeAt = s.now, dt, maxVT
@@ -486,8 +468,6 @@ func (s *Sim) sleep(p *Proc, dt int64, fl uint8) {
 // searcher, where the scan is ≈1 % of the run at 256 PEs and ≈3.5 % at 1024
 // (DESIGN.md §9 has the counts) against a position index every sift of every
 // run would have to keep.
-//
-//uts:noalloc
 func (s *Sim) wake(p *Proc, at int64) bool {
 	k := max(1, (at-p.sleepAt+p.sleepD-1)/p.sleepD)
 	t := p.sleepAt + k*p.sleepD
@@ -511,8 +491,6 @@ func (s *Sim) wake(p *Proc, at int64) bool {
 // woke accounts for the sleep p's wake just popped from: the clock stands on
 // poll k, and the k−1 before it are boundaries that passed without being
 // dispatched.
-//
-//uts:noalloc
 func (s *Sim) woke(p *Proc) {
 	p.skipped = (s.now-p.sleepAt)/p.sleepD - 1
 	p.sleepD = 0
@@ -527,8 +505,6 @@ func (s *Sim) woke(p *Proc) {
 // one-sided read of another PE's state completes, or a message leaves. lag is
 // how long after the boundary the effect becomes visible to another PE; in a
 // windowed run no message lands inside the window it was sent in.
-//
-//uts:noalloc
 func (p *Proc) Stage(d, lag time.Duration) time.Duration {
 	if int64(lag) < p.sim.window() {
 		panic("des: a message that lands inside the window it was sent in — the run cannot be windowed")
@@ -543,8 +519,6 @@ func (p *Proc) Stage(d, lag time.Duration) time.Duration {
 // already on its way becomes visible to the PE's polls (Never: nothing is) —
 // a message in flight, or the poll a searching PE has to run whatever happens.
 // Later events reach a sleeping PE through Notify.
-//
-//uts:noalloc
 func (p *Proc) StageSleep(d, due time.Duration) time.Duration {
 	p.due = int64(due)
 	return d
@@ -560,8 +534,6 @@ func (p *Proc) StageSleep(d, due time.Duration) time.Duration {
 // boundary effect is one); it does nothing unless p is in a counted
 // sleep, and reports whether p's wake is now queued for this event — false if
 // it was due at that poll or an earlier one already.
-//
-//uts:noalloc
 func (p *Proc) Notify(at time.Duration) bool {
 	return p.sleepD != 0 && p.sim.wake(p, int64(at))
 }
@@ -570,16 +542,12 @@ func (p *Proc) Notify(at time.Duration) bool {
 // A host whose sleep needs bookkeeping of its own — a registry of sleepers
 // that writers walk — asks before it keeps any: under the legacy reference
 // every poll is stepped and the bookkeeping would be waste.
-//
-//uts:noalloc
 func (p *Proc) Counts() bool { return !p.sim.legacy }
 
 // CountedPolls returns, once, how many polls the engine counted without
 // calling the step during the sleep that just ended: k−1 when the step
 // resumes at poll k, always 0 under an engine that steps every poll. A step
 // that books time per poll adds this many.
-//
-//uts:noalloc
 func (p *Proc) CountedPolls() int64 {
 	k := p.skipped
 	p.skipped = 0
@@ -593,8 +561,6 @@ func (p *Proc) CountedPolls() int64 {
 // first, exactly as if this PE had parked and been popped in key order,
 // so skipping the queue preserves the schedule. Negative delays are
 // treated as zero.
-//
-//uts:noalloc
 func (p *Proc) Advance(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -625,8 +591,6 @@ func (p *Proc) Advance(d time.Duration) {
 // otherwise the PE parks and the dispatcher continues the same step sequence
 // in place (steps), so a whole batch of node work, probes, or idle polls
 // costs zero coroutine switches.
-//
-//uts:noalloc
 func (p *Proc) AdvanceStepped(step Stepper) {
 	if p.sim.legacy {
 		p.legacyAdvanceStepped(step)
@@ -642,8 +606,6 @@ func (p *Proc) AdvanceStepped(step Stepper) {
 
 // yield suspends p's coroutine until the dispatcher resumes it at an event,
 // or at the end of a stepped advance it continued.
-//
-//uts:noalloc
 func (p *Proc) yield() { p.back(0) }
 
 // Block parks the PE until another PE calls Wake on it. Only the legacy
@@ -689,8 +651,6 @@ const (
 
 // nextSeq draws p's next sequence number. One that no longer fits its field
 // would carry into the id and reorder the run, so it stops it instead.
-//
-//uts:noalloc
 func (p *Proc) nextSeq() uint64 {
 	if p.seq == seqMax {
 		panic("des: a PE exhausted the event key's sequence field")
@@ -700,14 +660,10 @@ func (p *Proc) nextSeq() uint64 {
 }
 
 // nextKey is the tie-break word of p's next scheduled resumption.
-//
-//uts:noalloc
 func (p *Proc) nextKey() uint64 { return uint64(p.id)<<seqBits | p.nextSeq() }
 
 // before128 is the borrow of (t1, k1) − (t2, k2) as 128-bit numbers: 1 when
 // the first key orders strictly before the second, else 0.
-//
-//uts:noalloc
 func before128(t1 int64, k1 uint64, t2 int64, k2 uint64) uint64 {
 	_, b := bits.Sub64(k1, k2, 0)
 	_, b = bits.Sub64(uint64(t1), uint64(t2), b)
@@ -716,11 +672,8 @@ func before128(t1 int64, k1 uint64, t2 int64, k2 uint64) uint64 {
 
 // before is the event order as a 0/1 word, for the selection in siftDown
 // that must not branch on it; less is the same as a bool.
-//
-//uts:noalloc
 func (a *ev) before(b *ev) uint64 { return before128(a.t, a.key, b.t, b.key) }
 
-//uts:noalloc
 func (a *ev) less(b *ev) bool { return a.before(b) != 0 }
 
 // flatHeap is a flat 4-ary indexed min-heap of value-typed events: no
@@ -739,22 +692,17 @@ func (h *flatHeap) empty() bool { return len(h.a) == 0 }
 // the key can never tie exactly against a queued event and the seq
 // component need not be consulted: the would-be event stands for all of
 // them with its seq field full.
-//
-//uts:noalloc
 func (h *flatHeap) rootAfter(t int64, id int) bool {
 	r := &h.a[0]
 	return before128(t, uint64(id)<<seqBits|seqMax, r.t, r.key) != 0
 }
 
-//uts:noalloc
 func (h *flatHeap) push(e ev) {
-	h.a = append(h.a, e) //uts:ok noalloc amortized slice growth; steady-state pushes reuse the backing array
+	h.a = append(h.a, e)
 	h.siftUp(len(h.a)-1, e)
 }
 
 // siftUp places e at or above the hole i, moving larger parents down.
-//
-//uts:noalloc
 func (h *flatHeap) siftUp(i int, e ev) {
 	a := h.a
 	for i > 0 {
@@ -771,8 +719,6 @@ func (h *flatHeap) siftUp(i int, e ev) {
 // moveEarlier is decrease-key by scan: the queued event of p, which must
 // have one, moves to the earlier instant t. The scan starts at the leaves: a
 // wake that has to move was queued far ahead.
-//
-//uts:noalloc
 func (h *flatHeap) moveEarlier(p *Proc, t int64) {
 	i := len(h.a) - 1
 	for h.a[i].p != p {
@@ -783,7 +729,6 @@ func (h *flatHeap) moveEarlier(p *Proc, t int64) {
 	h.siftUp(i, e)
 }
 
-//uts:noalloc
 func (h *flatHeap) pop() (ev, bool) {
 	n := len(h.a)
 	if n == 0 {
@@ -805,8 +750,6 @@ func (h *flatHeap) pop() (ev, bool) {
 // for the engine's hottest pattern — a PE parks and the dispatcher
 // immediately needs the next event — valid whenever e orders at-or-after
 // the current root, which the park condition guarantees.
-//
-//uts:noalloc
 func (h *flatHeap) exchange(e ev) ev {
 	top := h.a[0]
 	h.a[0] = e
@@ -824,8 +767,6 @@ func (h *flatHeap) exchange(e ev) ev {
 // smaller of each pair, then the smaller of those. Keys are distinct — every
 // (id, seq) is drawn once — so the minimum is the one the loop would find.
 // Only the last group of a heap can be short; it keeps the loop.
-//
-//uts:noalloc
 func (h *flatHeap) siftDown(i int) {
 	a := h.a
 	n := len(a)
@@ -899,8 +840,6 @@ func (s *Sim) windowed(w time.Duration) {
 }
 
 // window is the width of a windowed run's windows, 0 in any other run.
-//
-//uts:noalloc
 func (s *Sim) window() int64 {
 	if s.cal == nil {
 		return 0
@@ -908,7 +847,6 @@ func (s *Sim) window() int64 {
 	return s.cal.w
 }
 
-//uts:noalloc
 func (c *calendar) push(e ev) {
 	k := e.t / c.w
 	if k < c.cur {
@@ -929,8 +867,6 @@ func (c *calendar) push(e ev) {
 
 // pop takes an event of the current window, moving on to the next window
 // that has one when the current is empty.
-//
-//uts:noalloc
 func (c *calendar) pop() (ev, bool) {
 	for {
 		b := &c.ring[c.cur&(calSlots-1)]
@@ -959,8 +895,6 @@ func (c *calendar) pop() (ev, bool) {
 
 // moveEarlier moves p's queued event from instant from to the earlier to:
 // unlinked from its bucket, or, from the far heap, by flatHeap's scan.
-//
-//uts:noalloc
 func (c *calendar) moveEarlier(p *Proc, from, to int64) {
 	if lim := (c.cur + calSlots) * c.w; from >= lim {
 		c.far.moveEarlier(p, to)
@@ -1021,8 +955,6 @@ func (l *Lock) dequeue() *Proc {
 
 // Acquire takes the lock, first consuming cost (the acquisition RTT), then
 // queueing behind the current holder if necessary.
-//
-//uts:noalloc
 func (p *Proc) Acquire(l *Lock, cost time.Duration) {
 	p.Advance(cost)
 	if !p.take(l) {
@@ -1032,8 +964,6 @@ func (p *Proc) Acquire(l *Lock, cost time.Duration) {
 
 // Release hands the lock to the oldest waiter, if any, and consumes cost
 // (the release RTT) on the calling PE.
-//
-//uts:noalloc
 func (p *Proc) Release(l *Lock, cost time.Duration) {
 	p.handOver(l)
 	p.Advance(cost)
@@ -1043,8 +973,6 @@ func (p *Proc) Release(l *Lock, cost time.Duration) {
 // if it was free, else queues behind the holder and reports false. A queued
 // PE waits to be woken holding the lock — a coroutine in Block, a stepped
 // PE by returning stepBlock — so one queue serves both.
-//
-//uts:noalloc
 func (p *Proc) take(l *Lock) bool {
 	if !l.held {
 		l.held = true
@@ -1056,8 +984,6 @@ func (p *Proc) take(l *Lock) bool {
 
 // handOver lets go of l: to its oldest waiter, woken at this instant, or
 // free. The release's round trip is the caller's to consume.
-//
-//uts:noalloc
 func (p *Proc) handOver(l *Lock) {
 	if !l.held {
 		panic("des: release of unheld lock")

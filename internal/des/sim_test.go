@@ -1,6 +1,7 @@
 package des
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -221,4 +222,63 @@ func TestReleaseUnheldPanics(t *testing.T) {
 		p.Release(&Lock{}, 0)
 	})
 	_ = s.Run()
+}
+
+// TestCoroutineAllocationsPinned holds the path the benchmark's bare-engine
+// rows run, Sim.Spawn bodies on their coroutines, to allocating nothing per
+// event: each body advances, runs a stepped advance of a few quanta and
+// holds a contended Lock, round after round, and a run of ten times the
+// rounds allocates no more objects than the short one (its procs,
+// coroutines, heap and lock queue, all sized by the PEs). Each count is the
+// least of three runs.
+func TestCoroutineAllocationsPinned(t *testing.T) {
+	const pes = 16
+	objects := func(rounds int) (least, events uint64) {
+		least = 1 << 62
+		for i := 0; i < 3; i++ {
+			sim := New()
+			var l Lock
+			for range pes {
+				sim.Spawn(func(p *Proc) {
+					k := 0
+					step := func() (time.Duration, uint8) {
+						if k&3 == 3 {
+							return 0, StepDone
+						}
+						k++
+						return time.Duration(1 + k&1), 0
+					}
+					for r := 0; r < rounds; r++ {
+						p.Advance(time.Duration(1 + (r+p.ID())&3))
+						k = 0
+						p.AdvanceStepped(step)
+						p.Acquire(&l, time.Nanosecond)
+						p.Advance(2 * time.Nanosecond)
+						p.Release(&l, time.Nanosecond)
+					}
+				})
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			err := sim.Run()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least, events = min(least, after.Mallocs-before.Mallocs), sim.Events()
+		}
+		return least, events
+	}
+	short, shortEvents := objects(200)
+	long, longEvents := objects(2000)
+	if longEvents < 9*shortEvents {
+		t.Fatalf("%d events in the long run, %d in the short one: the rounds no longer scale the run", longEvents, shortEvents)
+	}
+	if long > short {
+		t.Errorf("%d rounds allocated %d objects in %d events, %d rounds %d in %d: the coroutine path allocates per event",
+			2000, long, longEvents, 200, short, shortEvents)
+	} else {
+		t.Logf("%d objects for %d events, %d for %d", short, shortEvents, long, longEvents)
+	}
 }

@@ -91,8 +91,6 @@ func (u *upcRun) newPE(sp *uts.Spec, res *core.Result, ps *policy.Set, i int) up
 }
 
 // Interrupted reports a claimed request word.
-//
-//uts:noalloc
 func (pe *upcPE) Interrupted() bool { return pe.request >= 0 }
 
 // avail is the PE's work-available word as it stands.

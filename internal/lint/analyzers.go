@@ -5,7 +5,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Chargecheck,
 		Detcheck,
-		Noalloc,
 		Lockcheck,
 		Ordercheck,
 	}

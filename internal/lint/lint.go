@@ -1,4 +1,4 @@
-// Package lint is the repo's custom static-analysis suite: five
+// Package lint is the repo's custom static-analysis suite: four
 // analyzers that machine-check the invariants the paper's results stand
 // on and that the Go type system cannot see.
 //
@@ -11,9 +11,6 @@
 //     byte-identical differential tests depend on it — so wall-clock
 //     reads, global math/rand state, and map-order iteration are banned
 //     there.
-//   - noalloc: functions annotated //uts:noalloc (spawn kernel, DES
-//     dispatch, obs record path, msg ring ops) are checked for
-//     constructs that heap-allocate or box.
 //   - lockcheck: in internal/cluster, core, msg and term every
 //     Lock/Acquire is released later in its own statement list, and no
 //     return, break, continue or goto leaves the section between.
@@ -50,7 +47,10 @@
 // compiler rejects a plain access and go vet's copylocks reports a copy.
 // Nor do the obs and policy contracts: a test calls every method of each
 // nil-is-off type on a nil receiver, and make shape ("Declared kinds")
-// holds every Lane.Rec/RecV call to a Kind* constant.
+// holds every Lane.Rec/RecV call to a Kind* constant. Nor do the
+// zero-allocation hot paths (spawn kernels, node kernel, DES dispatch,
+// obs record path, msg ring, relaxed ring, controller windows): tests
+// measure them at 0 allocs/op or pin a run's allocated objects.
 package lint
 
 import (
@@ -334,21 +334,6 @@ func recvIdent(fd *ast.FuncDecl) *ast.Ident {
 		return nil
 	}
 	return fd.Recv.List[0].Names[0]
-}
-
-// hasFuncComment reports whether the function's doc comment contains the
-// given directive line (e.g. "//uts:noalloc").
-func hasFuncComment(fd *ast.FuncDecl, directive string) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.TrimSpace(c.Text) == directive ||
-			strings.HasPrefix(strings.TrimSpace(c.Text), directive+" ") {
-			return true
-		}
-	}
-	return false
 }
 
 // exprString renders a (small) expression for matching and messages:

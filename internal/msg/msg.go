@@ -118,8 +118,6 @@ func NewComm(n int, model *pgas.Model) (*Comm, error) {
 // Send delivers m to rank `to` asynchronously, charging the sender the
 // injection latency plus the bandwidth term for the payload. Sending to
 // self is allowed (used by single-rank termination).
-//
-//uts:noalloc
 func (c *Comm) Send(from, to int, m Message) {
 	if to < 0 || to >= c.n {
 		panic(fmt.Sprintf("msg: send to rank %d of %d", to, c.n))
@@ -140,15 +138,13 @@ func (c *Comm) Send(from, to int, m Message) {
 		ib.q = ib.q[:live]
 		ib.head = 0
 	}
-	ib.q = append(ib.q, m) //uts:ok noalloc amortized growth; the compaction above reuses the backing array in steady state
+	ib.q = append(ib.q, m)
 	ib.mu.Unlock()
 }
 
 // Recv polls rank me's inbox, returning the oldest pending message if any.
 // It never blocks; the work-stealing protocol is built on explicit polling
 // (the paper's user-tunable polling interval).
-//
-//uts:noalloc
 func (c *Comm) Recv(me int) (Message, bool) {
 	ib := &c.inboxes[me]
 	ib.mu.Lock()

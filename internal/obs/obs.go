@@ -339,8 +339,6 @@ type Hists struct {
 // Rec records an event at the current wall time — the form the real
 // goroutine implementations use, on a tracer built by New. No-op on a nil
 // lane.
-//
-//uts:noalloc
 func (l *Lane) Rec(k Kind, other int32, value int64) {
 	if l == nil {
 		return
@@ -351,8 +349,6 @@ func (l *Lane) Rec(k Kind, other int32, value int64) {
 // RecV records an event at the given virtual instant and reads no other
 // clock — the form the discrete-event simulators use, on a tracer built
 // by NewVirtual. No-op on a nil lane.
-//
-//uts:noalloc
 func (l *Lane) RecV(k Kind, other int32, value int64, virt time.Duration) {
 	if l == nil {
 		return
@@ -362,8 +358,6 @@ func (l *Lane) RecV(k Kind, other int32, value int64, virt time.Duration) {
 
 // rec feeds the histograms and appends the event to the ring, both at
 // clock, the event's instant on the tracer's timebase.
-//
-//uts:noalloc
 func (l *Lane) rec(k Kind, other int32, value, clock int64) {
 	switch k {
 	case KindStateChange:
@@ -429,8 +423,6 @@ func (l *Lane) SnapshotSince(since uint64, dst []Event) (events []Event, next, m
 // boundaries (release, reacquire, steal, termination), never per node, so
 // the hot loop stays free of shared-memory traffic. Nil-safe, no-op when
 // tracing is off.
-//
-//uts:noalloc
 func (l *Lane) AddNodes(delta int64) {
 	if l == nil {
 		return

@@ -46,7 +46,6 @@ func (r *ring) init(size int) {
 // precedes every payload word, and every payload word precedes the
 // publishing stamp — ordercheck enforces both halves by dominance.
 //
-//uts:noalloc
 //uts:orders invalidate<payload payload<publish
 func (r *ring) record(k Kind, pe, other int32, value, t int64) {
 	seq := r.pos.Load() // single writer: no contention on the load

@@ -171,8 +171,6 @@ func (c *Controller) init(cfg Config, base Base) {
 
 // Chunk returns the adapted chunk size (owner-only read), fixed on a nil
 // Controller.
-//
-//uts:noalloc
 func (c *Controller) Chunk(fixed int) int {
 	if c == nil {
 		return fixed
@@ -182,8 +180,6 @@ func (c *Controller) Chunk(fixed int) int {
 
 // StealHalf returns the adapted steal-half/steal-k selection, fixed on a
 // nil Controller.
-//
-//uts:noalloc
 func (c *Controller) StealHalf(fixed bool) bool {
 	if c == nil {
 		return fixed
@@ -193,8 +189,6 @@ func (c *Controller) StealHalf(fixed bool) bool {
 
 // Poll returns the adapted mpi-ws poll interval, fixed on a nil
 // Controller.
-//
-//uts:noalloc
 func (c *Controller) Poll(fixed int) int {
 	if c == nil {
 		return fixed
@@ -206,8 +200,6 @@ func (c *Controller) Poll(fixed int) int {
 // the latency model favors intra-node steals, 1 (flat) otherwise and on a
 // nil Controller. Fixed for the run — topology does not drift — so no
 // window logic touches it.
-//
-//uts:noalloc
 func (c *Controller) NodeSize() int {
 	if c == nil {
 		return 1
@@ -217,8 +209,6 @@ func (c *Controller) NodeSize() int {
 
 // StealBegin marks the start of a steal attempt. One attempt may be in
 // flight per PE (true of every scheduler here).
-//
-//uts:noalloc
 func (c *Controller) StealBegin(nowNS int64) {
 	if c == nil {
 		return
@@ -230,8 +220,6 @@ func (c *Controller) StealBegin(nowNS int64) {
 
 // StealEnd completes the attempt begun by StealBegin: ok reports whether
 // work was obtained and nodes how many tree nodes came with it.
-//
-//uts:noalloc
 func (c *Controller) StealEnd(ok bool, nodes int, nowNS int64) {
 	if c == nil || !c.inSteal {
 		return
@@ -252,8 +240,6 @@ func (c *Controller) StealEnd(ok bool, nodes int, nowNS int64) {
 // rule: an owner whose stack never reaches the 2k release threshold
 // shares nothing, generates no steal evidence at all (one-sided probes
 // are invisible to it), and would otherwise serialize the run forever.
-//
-//uts:noalloc
 func (c *Controller) NoteNodes(n, depth int, nowNS int64) {
 	if c == nil {
 		return
@@ -270,8 +256,6 @@ func (c *Controller) NoteNodes(n, depth int, nowNS int64) {
 
 // NotePoll reports one incoming-message drain and how many messages it
 // found (mpi-ws).
-//
-//uts:noalloc
 func (c *Controller) NotePoll(msgs int) {
 	if c == nil {
 		return
@@ -283,8 +267,6 @@ func (c *Controller) NotePoll(msgs int) {
 // NoteDenied reports a steal request this PE denied while still holding
 // work above the steal threshold's reach — the victim-side witness that
 // its own k is withholding work from live demand.
-//
-//uts:noalloc
 func (c *Controller) NoteDenied() {
 	if c == nil {
 		return
@@ -292,7 +274,6 @@ func (c *Controller) NoteDenied() {
 	c.denied++
 }
 
-//uts:noalloc
 func (c *Controller) open(nowNS int64) {
 	if !c.winOpen {
 		c.winOpen = true
@@ -359,7 +340,6 @@ func (c *Controller) closeWindow(nowNS int64) {
 	c.winStart = nowNS
 }
 
-//uts:noalloc
 func (c *Controller) resetSteal(nowNS int64) {
 	c.obsStart = nowNS
 	c.attempts, c.okSteals, c.stolen = 0, 0, 0
@@ -368,7 +348,6 @@ func (c *Controller) resetSteal(nowNS int64) {
 	c.stealNS = 0
 }
 
-//uts:noalloc
 func (c *Controller) resetPoll() {
 	c.polls, c.msgs = 0, 0
 }

@@ -378,3 +378,34 @@ func TestStealEndUnpaired(t *testing.T) {
 		t.Errorf("unpaired StealEnd changed the chunk: k=%d", c.Chunk(0))
 	}
 }
+
+// TestControllerAllocatesNothing: every method a PE calls on its own
+// controller — the knob reads, the steal bracket, the poll and denial notes
+// and NoteNodes, which closes the window — allocates nothing, with a window
+// closing on every call of the loop and the evidence moving between failed
+// and landed steals, missed and hit polls, and a starved stack (a window
+// with no steal traffic and a stack under 2k).
+func TestControllerAllocatesNothing(t *testing.T) {
+	s, c := newCtl(t, Config{}, Base{Chunk: 16, Poll: 8, NodeSize: 4, HierPays: true})
+	var now int64
+	i := 0
+	if n := testing.AllocsPerRun(2000, func() {
+		i++
+		for a := 0; a < minAttempts && i%4 != 3; a++ { // every fourth window starves
+			c.StealBegin(now + int64(a))
+			c.StealEnd(i&1 == 0, c.Chunk(16), now+int64(a)+10)
+			c.NotePoll(i & 2)
+		}
+		if i%3 == 0 {
+			c.NoteDenied()
+		}
+		_, _ = c.StealHalf(false), c.Poll(8)+c.NodeSize()
+		now += win
+		c.NoteNodes(100, i%7, now)
+	}); n != 0 {
+		t.Errorf("the controller's window allocates %v times per call", n)
+	}
+	if w := s.Summary().Windows; w < 1500 {
+		t.Errorf("%d windows closed over 2000 calls, want at least 1500", w)
+	}
+}

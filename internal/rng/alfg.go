@@ -57,8 +57,6 @@ func splitmix64(x uint64) uint64 {
 // feeding the next, with the words that reach the output summed as they
 // pass. The chain is the cost — ~13 cycles a link, nothing to overlap it
 // with.
-//
-//uts:noalloc
 func alfgValue(key uint64) uint64 {
 	var v uint64
 	for _, c := range alfgCoef {
@@ -70,8 +68,6 @@ func alfgValue(key uint64) uint64 {
 
 // alfgValuePair is alfgValue of two keys at once: the two chains are
 // independent, so the second runs in the first one's latency shadow.
-//
-//uts:noalloc
 func alfgValuePair(k0, k1 uint64) (v0, v1 uint64) {
 	for _, c := range alfgCoef {
 		k0, k1 = splitmix64(k0), splitmix64(k1)
@@ -83,8 +79,6 @@ func alfgValuePair(k0, k1 uint64) (v0, v1 uint64) {
 
 // alfgPut writes the state of the node with the given key, position and
 // register output.
-//
-//uts:noalloc
 func alfgPut(dst *State, key, pos, v uint64) {
 	binary.BigEndian.PutUint64(dst[0:8], key)
 	binary.BigEndian.PutUint64(dst[8:16], pos)
@@ -114,8 +108,6 @@ func (a ALFG) Spawn(s *State, i int) State {
 
 // SpawnInto is the write-in-place form of Spawn, mirroring BRG.SpawnInto so
 // traversal loops can use either family without heap traffic. dst may be s.
-//
-//uts:noalloc
 func (ALFG) SpawnInto(dst *State, s *State, i int) {
 	key := alfgChildKey(binary.BigEndian.Uint64(s[0:8]), i)
 	pos := binary.BigEndian.Uint64(s[8:16]) + 1
@@ -127,8 +119,6 @@ func (ALFG) SpawnInto(dst *State, s *State, i int) {
 // Spawner.SpawnPair, and like it the form the binary interior of a tree is
 // expanded with. The parent is read in full before anything is stored, so
 // either destination may be s; if both are one State it ends up child i+1.
-//
-//uts:noalloc
 func (ALFG) SpawnPairInto(dst0, dst1 *State, s *State, i int) {
 	key := binary.BigEndian.Uint64(s[0:8])
 	pos := binary.BigEndian.Uint64(s[8:16]) + 1
@@ -156,8 +146,6 @@ const (
 // finalizer chains of all the lanes side by side. It may be called only
 // where Lanes reports MaxLanes (the one CPUID decision covers both
 // families' lane kernels), with 1 <= n <= ALFGLanes.
-//
-//uts:noalloc
 func (ALFG) SpawnLanes(dst *State, stride uintptr, src *State, off, idx *[ALFGLanes]uint32, n int) {
 	var key, val, pos [ALFGLanes]uint64
 	for j := range key[:n] {

@@ -89,8 +89,6 @@ func Lanes() int {
 // overlap the parents; lanes from n up are neither read nor written. It is
 // for callers that hold their states inside larger records (uts.Node) and
 // may be called only where Lanes reports MaxLanes, with 1 <= n <= MaxLanes.
-//
-//uts:noalloc
 func SpawnLanes(dst *State, stride uintptr, src *State, off, idx *[MaxLanes]uint32, n int) {
 	spawn16(dst, stride, src, off, idx, n)
 }
@@ -111,8 +109,6 @@ type Spawner struct {
 // Reset loads the parent state s. For the portable kernel it also runs
 // the child-independent rounds 0..4; the SHA-NI kernel does four rounds
 // per instruction and has no use for them.
-//
-//uts:noalloc
 func (z *Spawner) Reset(s *State) {
 	z.parent = *s
 	if useNI {
@@ -143,8 +139,6 @@ func (z *Spawner) Reset(s *State) {
 // paper's trees are binary in the interior, so one call is one expansion:
 // the SHA-NI kernel runs the two hash chains interleaved, each filling the
 // other's instruction latency.
-//
-//uts:noalloc
 func (z *Spawner) SpawnPair(dst0, dst1 *State, i int) {
 	if useNI {
 		spawnPairNI(dst0, dst1, &z.parent, uint32(i))
@@ -159,8 +153,6 @@ func (z *Spawner) SpawnPair(dst0, dst1 *State, i int) {
 // of the n remain, and returns how many it wrote: a multiple of sixteen or
 // n where the CPU has the kernel, 0 where it has not. The caller spawns the
 // rest in pairs.
-//
-//uts:noalloc
 func (z *Spawner) SpawnWide(dst *State, stride uintptr, n, base int) int {
 	if !use16 {
 		return 0
@@ -181,8 +173,6 @@ func (z *Spawner) SpawnWide(dst *State, stride uintptr, n, base int) int {
 // SpawnMany fills dst[j] with the state of child base+j of the Reset
 // parent: sixteen at a time where the CPU can, then pairs, then the odd
 // one out.
-//
-//uts:noalloc
 func (z *Spawner) SpawnMany(dst []State, base int) {
 	j := 0
 	if len(dst) >= MinLanes {
@@ -199,8 +189,6 @@ func (z *Spawner) SpawnMany(dst []State, base int) {
 // SpawnInto writes the state of child number i of the Reset parent into
 // *dst. It does not modify the Spawner, so one Reset serves any number of
 // calls. The portable kernel runs rounds 5..79 of the specialized block.
-//
-//uts:noalloc
 func (z *Spawner) SpawnInto(dst *State, i int) {
 	if useNI {
 		spawnNI(dst, &z.parent, uint32(i))

@@ -130,8 +130,6 @@ type relaxedSeg struct {
 // torn into ptr/n at publish; length and capacity coincide, which is
 // harmless — takers only read the nodes (PushAll copies them into the
 // local deque).
-//
-//uts:noalloc
 func (g *relaxedSeg) payload(i int) Chunk {
 	if g.n[i] == 0 {
 		return nil
@@ -164,8 +162,6 @@ func claimWord(s uint64, tag int) uint64 {
 
 // entry locates the ledger entry of sequence s. A nil return means the
 // segment was consumed and dropped (s is below the ledger base).
-//
-//uts:noalloc
 func (r *Relaxed) entry(s uint64) (*relaxedSeg, int) {
 	led := r.led.Load()
 	gi := (s - 1) / relaxedSegSize
@@ -180,8 +176,6 @@ func (r *Relaxed) entry(s uint64) (*relaxedSeg, int) {
 // view, so concurrent claimers keep reading through their own loaded
 // pointer. The common case — s lands in the same segment as the previous
 // publish — is a cached-pointer hit with no atomic load.
-//
-//uts:noalloc
 func (r *Relaxed) ownerEntry(s uint64) (*relaxedSeg, int) {
 	gi := (s - 1) / relaxedSegSize
 	if gi != r.ownSegGi || r.ownSeg == nil {
@@ -198,8 +192,6 @@ func (r *Relaxed) ownerEntry(s uint64) (*relaxedSeg, int) {
 // ownEntry is the owner's non-growing ledger lookup (retract and resolve
 // paths): the same bounds discipline as entry, through the owner's plain
 // cached view instead of the atomic pointer.
-//
-//uts:noalloc
 func (r *Relaxed) ownEntry(s uint64) (*relaxedSeg, int) {
 	led := r.ownLed
 	gi := (s - 1) / relaxedSegSize
@@ -268,8 +260,6 @@ func (r *Relaxed) resolve(s uint64) (Chunk, bool) {
 // Full reports whether the next publish position still holds an
 // unconsumed publication — the owner-side cheap check (one atomic load)
 // that gates release attempts while the ring is saturated.
-//
-//uts:noalloc
 func (r *Relaxed) Full() bool {
 	p := r.bot % RelaxedSlots
 	sh := r.shadow[p]
@@ -288,7 +278,6 @@ func (r *Relaxed) Full() bool {
 // makes the sequence number visible to thieves — ordercheck enforces
 // the declared invariant by dominance.
 //
-//uts:noalloc
 //uts:orders ledger<slot
 func (r *Relaxed) Publish(c Chunk) (Chunk, bool) {
 	var recovered Chunk
@@ -327,8 +316,6 @@ func (r *Relaxed) Publish(c Chunk) (Chunk, bool) {
 // reports false once every published chunk has been consumed — by the
 // owner or by thieves — which is the owner's proof that no published work
 // remains before it declares itself out of work.
-//
-//uts:noalloc
 func (r *Relaxed) Retract() (Chunk, bool) {
 	if r.live == 0 {
 		return nil, false
@@ -370,8 +357,6 @@ func (r *Relaxed) Retract() (Chunk, bool) {
 // candidates whose payload this thief read and then lost to a concurrent
 // claimer — which the caller surfaces in the run statistics. ok reports
 // whether a chunk was won.
-//
-//uts:noalloc
 func (r *Relaxed) Claim(tag int) (c Chunk, dups int, ok bool) {
 	var snap [RelaxedSlots]uint64
 	for p := 0; p < RelaxedSlots; p++ {
@@ -423,8 +408,6 @@ type relaxedTake struct {
 // a consumer, otherwise take (read) the payload. Between this read and
 // commitTake the chunk may also be taken by others — that window is the
 // protocol's multiplicity.
-//
-//uts:noalloc
 func (r *Relaxed) takeSnapshot(p int, s uint64) (t relaxedTake) {
 	seg, i := r.entry(s)
 	if seg == nil || seg.state[i].Load() != 0 {
@@ -441,8 +424,6 @@ func (r *Relaxed) takeSnapshot(p int, s uint64) (t relaxedTake) {
 // newer publication when stale, and what the owner's shadow recovery
 // handles), then the ledger CAS that finalizes exactly one consumer.
 // dup reports that the taken chunk was lost to a concurrent claimer.
-//
-//uts:noalloc
 func (r *Relaxed) commitTake(t relaxedTake, tag int) (c Chunk, dup bool) {
 	r.slots[t.p].w.Store(claimWord(t.s, tag))
 	if t.seg.state[t.i].CompareAndSwap(0, int32(tag)+1) {

@@ -341,3 +341,37 @@ func TestRelaxedConcurrentStress(t *testing.T) {
 		t.Fatalf("Published() = %d, want >= %d", r.Published(), n)
 	}
 }
+
+// TestRelaxedAllocatesNothing: in steady state — the ring wrapped, the
+// ledger pruned behind its live window — a release and reacquire cycle
+// allocates nothing: the owner publishes three chunks, a thief claims the
+// oldest and the owner retracts the rest. A ledger segment is one
+// allocation per 2,048 publishes, under one a call.
+func TestRelaxedAllocatesNothing(t *testing.T) {
+	r := NewRelaxed(0)
+	chunks := []Chunk{rch(0), rch(1), rch(2)}
+	cycle := func() {
+		for _, c := range chunks {
+			if r.Full() {
+				t.Fatal("the ring is full with every earlier chunk consumed")
+			}
+			if _, ok := r.Publish(c); !ok {
+				t.Fatal("Publish refused")
+			}
+		}
+		if c, dups, ok := r.Claim(7); !ok || dups != 0 || rid(c) != 0 {
+			t.Fatalf("Claim = (%v, %d, %v), want chunk 0", c, dups, ok)
+		}
+		for want := 2; want >= 1; want-- {
+			if c, ok := r.Retract(); !ok || rid(c) != want {
+				t.Fatalf("Retract() = (%v, %v), want chunk %d", c, ok, want)
+			}
+		}
+	}
+	for i := 0; i < relaxedSegSize; i++ {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(2000, cycle); n != 0 {
+		t.Errorf("a publish, claim and retract cycle allocates %v times", n)
+	}
+}

@@ -68,8 +68,6 @@ func (d *Deque) Pop() (uts.Node, bool) {
 // live node is only ever popped here, alone: the pop that empties the stack
 // resets it first, which drops the dead prefix and an oversized backing
 // array before the children land.
-//
-//uts:noalloc
 func (d *Deque) PopExpand(sp *uts.Spec, st rng.Stream, most int) (nodes, leaves int) {
 	top := len(d.buf) - 1
 	if most > 1 && top > d.base {

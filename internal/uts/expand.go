@@ -1,6 +1,7 @@
 package uts
 
 import (
+	"slices"
 	"unsafe"
 
 	"repro/internal/rng"
@@ -107,12 +108,10 @@ func expandFrontier(sp *Spec, stack []Node, floor, most, width, least int) (out 
 		lane += k
 	}
 
-	if total := first + lanes; total <= cap(stack) {
-		out = stack[:total]
-	} else { // amortized growth, as in Children
-		out = make([]Node, total, total+total/2)
-		copy(out, stack)
-	}
+	// Grown as in Children; the leaves among the parents can leave total
+	// below len(stack).
+	total := first + lanes
+	out = slices.Grow(stack, max(0, total-len(stack)))[:total]
 	kids := out[first:]
 	// Parents and children share the slots from first up; the kernel reads
 	// every parent before it writes any child.

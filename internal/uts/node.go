@@ -2,6 +2,7 @@ package uts
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -59,16 +60,10 @@ func Children(sp *Spec, st rng.Stream, n *Node, dst []Node) []Node {
 		g = 1
 	}
 
-	// Grow dst once up front (append's amortized policy, without append's
-	// temporary for the added elements), then fill the new tail in place.
+	// Grow dst once up front, by append's amortized policy, then fill the
+	// new tail in place.
 	base := len(dst)
-	if total := base + k; total <= cap(dst) {
-		dst = dst[:total]
-	} else {
-		grown := make([]Node, total, total+total/2)
-		copy(grown, dst[:base])
-		dst = grown
-	}
+	dst = slices.Grow(dst, k)[:base+k]
 	kids := dst[base:]
 	h := n.Height + 1
 
