@@ -16,14 +16,15 @@ bin/uts-vet: $(UTS_VET_SRCS)
 
 # Static analysis: go vet's own checks (copylocks among them: an atomic
 # word is a sync/atomic type, so a copy of one is a finding), then the
-# custom uts-vet analyzer suite, four analyzers (chargecheck, detcheck,
-# lockcheck, ordercheck — see internal/lint and DESIGN.md §11) through go
-# vet, the one driver: every file, test files too, and every suppression
-# that has no reason or silences nothing. Then
-# staticcheck and govulncheck when the binaries are installed (the CI lint
-# job installs them; offline dev boxes may not). Before any of it, the
-# structural rules (shape), whose "Declared kinds" holds the trace's event
-# kinds; the off-is-nil contract is a test (TestNilSafety,
+# custom uts-vet analyzer suite, two analyzers (detcheck, lockcheck — see
+# internal/lint and DESIGN.md §11) through go vet, the one driver: every
+# file, test files too, and every suppression that has no reason or
+# silences nothing. Then staticcheck and govulncheck when the binaries are
+# installed (the CI lint job installs them; offline dev boxes may not).
+# Before any of it, the structural rules (shape), whose "Declared kinds"
+# holds the trace's event kinds and whose "Publish orders" and "Charged
+# remote access" pin the publish orders and the remote charges; the
+# off-is-nil contract is a test (TestNilSafety,
 # TestNilControllerIsFixedKnobs), and so are the zero-allocation hot paths
 # (the allocation pins, DESIGN.md §11).
 lint: shape bin/uts-vet

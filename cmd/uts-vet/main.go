@@ -1,7 +1,7 @@
 // Command uts-vet runs the repo's custom analyzer suite (internal/lint),
-// four analyzers: chargecheck, detcheck, lockcheck, ordercheck —
-// the invariants the paper's numbers stand on, which the Go type system
-// cannot express. It has one mode:
+// two analyzers: detcheck and lockcheck — the invariants the paper's
+// numbers stand on, which the Go type system cannot express and a grep
+// cannot see. It has one mode:
 //
 //	go vet -vettool=$(which uts-vet) ./...
 //
@@ -34,7 +34,7 @@ import (
 
 // version feeds go vet's build cache via -V=full: bump it whenever the
 // analyzer suite changes behavior, or cached vet results go stale.
-const version = "uts-vet version 1.7.0"
+const version = "uts-vet version 1.8.0"
 
 func main() {
 	args := os.Args[1:]

@@ -3,9 +3,7 @@ package lint
 // All returns the full analyzer suite in the order uts-vet runs it.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Chargecheck,
 		Detcheck,
 		Lockcheck,
-		Ordercheck,
 	}
 }

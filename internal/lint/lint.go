@@ -1,26 +1,16 @@
-// Package lint is the repo's custom static-analysis suite: four
+// Package lint is the repo's custom static-analysis suite: two
 // analyzers that machine-check the invariants the paper's results stand
-// on and that the Go type system cannot see.
+// on and that the Go type system cannot see, each needing what a grep
+// does not have — the type checker, or a statement list.
 //
-//   - chargecheck: in internal/core, touching another PE's affinity
-//     state (stacks, steal slots, response words) without first charging
-//     the PGAS latency model silently corrupts every simulated-cost
-//     figure. The paper's experiment *is* the cost accounting.
-//   - detcheck: internal/des, internal/core, and internal/uts must stay
-//     deterministic functions of (spec, algorithm, model, seed) —
-//     byte-identical differential tests depend on it — so wall-clock
-//     reads, global math/rand state, and map-order iteration are banned
-//     there.
+//   - detcheck: internal/des, internal/core, internal/uts and
+//     internal/policy must stay deterministic functions of (spec,
+//     algorithm, model, seed) — byte-identical differential tests depend
+//     on it — so wall-clock reads, global math/rand state, and map-order
+//     iteration are banned there.
 //   - lockcheck: in internal/cluster, core, msg and term every
 //     Lock/Acquire is released later in its own statement list, and no
 //     return, break, continue or goto leaves the section between.
-//   - ordercheck: //uts:orders a<b publish-order invariants (the relaxed
-//     ring's ledger before its slot, the obs seqlock's invalidate before
-//     payload before publish) hold in statement order.
-//
-// "a runs before b" has one meaning across the suite, precedes: a
-// stands earlier in a statement list on b's block path, which is
-// dominance wherever no goto jumps over a.
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
 // API shape (Analyzer, Pass, Reportf, analysistest-style golden files)
@@ -50,7 +40,11 @@
 // holds every Lane.Rec/RecV call to a Kind* constant. Nor do the
 // zero-allocation hot paths (spawn kernels, node kernel, DES dispatch,
 // obs record path, msg ring, relaxed ring, controller windows): tests
-// measure them at 0 allocs/op or pin a run's allocated objects.
+// measure them at 0 allocs/op or pin a run's allocated objects. Nor do
+// the publish orders of the relaxed ring and the obs seqlock, or the
+// latency-model charges before each remote access in internal/core: the
+// few functions that hold them have their store and charge sequences
+// pinned by make shape ("Publish orders", "Charged remote access").
 package lint
 
 import (
@@ -327,15 +321,6 @@ func (p *Pass) pkgFuncCall(call *ast.CallExpr) (pkgPath, name string, ok bool) {
 	return obj.Pkg().Path(), obj.Name(), true
 }
 
-// recvIdent returns the receiver identifier of a function declaration,
-// or nil for plain functions and anonymous receivers.
-func recvIdent(fd *ast.FuncDecl) *ast.Ident {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return nil
-	}
-	return fd.Recv.List[0].Names[0]
-}
-
 // exprString renders a (small) expression for matching and messages:
 // identifiers, selectors, and indexes only, "" for anything else.
 func exprString(e ast.Expr) string {
@@ -362,8 +347,8 @@ func exprString(e ast.Expr) string {
 }
 
 // stmtList returns the statement list a node directly holds — the body
-// of a block, switch case, or select comm clause — or nil: the levels
-// of precedes' walk, and the lists lockcheck scans for sections.
+// of a block, switch case, or select comm clause — or nil: the lists
+// lockcheck scans for sections.
 func stmtList(n ast.Node) []ast.Stmt {
 	switch n := n.(type) {
 	case *ast.BlockStmt:
@@ -374,53 +359,4 @@ func stmtList(n ast.Node) []ast.Stmt {
 		return n.Body
 	}
 	return nil
-}
-
-// precedes reports whether a statement for which pred holds runs before
-// target on every path through body, by lexical order: it stands earlier
-// in a statement list on target's block path, or it is the init or the
-// condition of an if, or the init of a for, whose body holds target. pred
-// sees nil for an absent init. This is the suite's one notion of
-// dominance, chargecheck's and ordercheck's: it is real dominance while no
-// goto jumps over the statement, so ordercheck refuses a goto.
-func precedes(body, target ast.Node, pred func(ast.Node) bool) bool {
-	for _, n := range pathTo(body, target) {
-		for _, s := range stmtList(n) {
-			if s.Pos() >= target.Pos() {
-				break
-			}
-			if pred(s) {
-				return true
-			}
-		}
-		switch h := n.(type) {
-		case *ast.IfStmt:
-			if h.Body.Pos() <= target.Pos() && (pred(h.Init) || pred(h.Cond)) {
-				return true
-			}
-		case *ast.ForStmt:
-			if h.Body.Pos() <= target.Pos() && pred(h.Init) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// pathTo returns the chain of AST nodes from root down to target
-// (inclusive), or nil: the block path precedes walks.
-func pathTo(root ast.Node, target ast.Node) []ast.Node {
-	var chain []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil || len(chain) > 0 && chain[len(chain)-1] == target ||
-			n.End() <= target.Pos() || target.End() <= n.Pos() {
-			return false
-		}
-		chain = append(chain, n)
-		return n != target
-	})
-	if len(chain) == 0 || chain[len(chain)-1] != target {
-		return nil
-	}
-	return chain
 }

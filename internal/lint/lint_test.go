@@ -53,37 +53,6 @@ func TestMalformedSuppression(t *testing.T) {
 	}
 }
 
-// TestMalformedDirectives checks the directive-hygiene findings that
-// cannot be expressed as // want goldens (a // want comment cannot
-// share the line with the malformed directive it describes): empty and
-// malformed //uts:orders directives, and a nameless //uts:mark.
-func TestMalformedDirectives(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "directivebad"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := Run(Ordercheck, pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, wantSub := range []string{
-		"empty //uts:orders directive",
-		`malformed //uts:orders pair "ledger<"`,
-		"//uts:mark needs a group name",
-	} {
-		found := false
-		for _, d := range diags {
-			if strings.Contains(d.Message, wantSub) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("no diagnostic containing %q; got %v", wantSub, diags)
-		}
-	}
-}
-
 // TestCheckAuditsSuppressions runs the whole suite the way uts-vet does
 // over a corpus loaded as a deterministic package: a suppression with no
 // reason, one naming an unknown analyzer and one that silences nothing are

@@ -44,19 +44,18 @@ func (r *ring) init(size int) {
 // record appends one event stamped t, ns in the tracer's timebase.
 // Owner-only. The stamp bracket is a seqlock: the invalidating zero store
 // precedes every payload word, and every payload word precedes the
-// publishing stamp — ordercheck enforces both halves by dominance.
-//
-//uts:orders invalidate<payload payload<publish
+// publishing stamp — make shape ("Publish orders") pins the six stores
+// in this order.
 func (r *ring) record(k Kind, pe, other int32, value, t int64) {
 	seq := r.pos.Load() // single writer: no contention on the load
 	i := (seq % r.size) * slotWords
 	b := r.buf
 	hdr := uint64(k) | (uint64(pe)&idMask)<<peShift | (uint64(other+1)&idMask)<<otherShift
-	b[i].Store(0)               //uts:mark invalidate
-	b[i+1].Store(hdr)           //uts:mark payload
-	b[i+2].Store(uint64(value)) //uts:mark payload
-	b[i+3].Store(uint64(t))     //uts:mark payload
-	b[i].Store(seq + 1)         //uts:mark publish
+	b[i].Store(0)
+	b[i+1].Store(hdr)
+	b[i+2].Store(uint64(value))
+	b[i+3].Store(uint64(t))
+	b[i].Store(seq + 1)
 	r.pos.Store(seq + 1)
 }
 

@@ -274,11 +274,9 @@ func (r *Relaxed) Full() bool {
 // clobbered, never-consumed publication: the caller owns it again and
 // must put it back to work.
 //
-// The ledger entry (count word) must be complete before the slot store
-// makes the sequence number visible to thieves — ordercheck enforces
-// the declared invariant by dominance.
-//
-//uts:orders ledger<slot
+// The ledger entry (pointer and count) must be complete before the slot
+// store makes the sequence number visible to thieves — make shape
+// ("Publish orders") pins both ledger writes above the one slot store.
 func (r *Relaxed) Publish(c Chunk) (Chunk, bool) {
 	var recovered Chunk
 	p := r.bot % RelaxedSlots
@@ -299,8 +297,8 @@ func (r *Relaxed) Publish(c Chunk) (Chunk, bool) {
 	if len(c) > 0 {
 		seg.ptr[i] = &c[0]
 	}
-	seg.n[i] = int32(len(c))       //uts:mark ledger
-	r.slots[p].w.Store(pubWord(s)) //uts:mark slot
+	seg.n[i] = int32(len(c))
+	r.slots[p].w.Store(pubWord(s))
 	r.shadow[p] = s << 1
 	r.bot++
 	r.live++

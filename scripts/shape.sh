@@ -285,11 +285,12 @@ one_lint_driver() {
 	sed -n '/^func TestRepoClean(/,/^}/p' internal/lint/lint_test.go | grep -q '"vet", "-vettool='
 }
 
-# One dominance: fails if uts-vet grows a second notion of "a runs before
-# b" back. chargecheck and ordercheck ask precedes (lint.go), the lexical
-# statement order of a block path, and lockcheck scans the acquire's own
-# statement list: no non-test file of internal/lint declares a CFG, its
-# builder, a dominator query or a dataflow solver.
+# One dominance: fails if uts-vet grows a notion of "a runs before b" back.
+# lockcheck scans the acquire's own statement list for its release, and
+# nothing else in uts-vet asks whether one statement runs before another
+# (publish orders and remote charges are pinned below): no non-test file of
+# internal/lint declares a CFG, its builder, a dominator query or a
+# dataflow solver.
 one_dominance() {
 	if grep -nE '^type (CFG|FlowAnalysis) |^func (\([^)]*\) )?(BuildCFG|(Node)?Dominates)\(|^func \([^)]*\) Solve\(' $(ls internal/lint/*.go | grep -v _test.go); then exit 1; fi
 }
@@ -330,6 +331,85 @@ measured_allocations() {
 	if git grep --untracked -n '//uts:noalloc' -- '*.go' ':!internal/lint/testdata'; then exit 1; fi
 }
 
+# pin WHAT GOT WANT: fails, printing the difference, unless GOT is WANT.
+pin() {
+	[ "$2" = "$3" ] && return
+	echo "$1:"
+	diff --label pinned --label tree -u <(echo "$3") <(echo "$2")
+	return 1
+}
+
+# stmts FILE FUNC ERE: the lines of the function FILE declares as
+# `func FUNC(` that match ERE, in source order, joined by "; ", each
+# without its first tab and with a ">" for every further one.
+stmts() {
+	sed -n "/^func $2(/,/^}/p" "$1" | grep -E "$3" | sed -E 's/^\t//; :a; s/^(>*)\t/\1>/; ta' | paste -sd';' | sed 's/;/; /g'
+}
+
+# Publish orders: fails if a publishing store moves above what it
+# publishes. ring.record's seqlock stores the invalidating zero, the three
+# payload words, the publishing stamp, then pos; Relaxed.Publish writes both
+# ledger words (the chunk's pointer and its count) before the one slot store
+# that makes the sequence number visible to thieves. Neither function
+# loops or jumps, so its line order is its store order.
+# No Go file carries an //uts:orders or //uts:mark directive: with no
+# analyzer to read them, they would promise what nothing checks.
+publish_orders() {
+	if git grep --untracked -nE '//uts:(orders|mark)' -- '*.go'; then exit 1; fi
+	pin ring.record "$(stmts internal/obs/ring.go '(r \*ring) record' '\.Store\(')" \
+		'b[i].Store(0); b[i+1].Store(hdr); b[i+2].Store(uint64(value)); b[i+3].Store(uint64(t)); b[i].Store(seq + 1); r.pos.Store(seq + 1)'
+	pin Relaxed.Publish "$(stmts internal/stack/relaxed.go '(r \*Relaxed) Publish' 'seg\.[a-z]+\[i\] = |\.Store\(')" \
+		'>seg.ptr[i] = &c[0]; seg.n[i] = int32(len(c)); r.slots[p].w.Store(pubWord(s))'
+}
+
+# Charged remote access: fails if a UPC thread touches another thread's
+# stack without paying the latency model first. In non-test internal/core,
+# stacks[x] with x other than the worker's w.me or setup's i or me is
+# indexed in six methods only; in each, its charges (Domain.ChargeRef,
+# ChargeBulk, ChargeLockRTT; the victim lock's Acquire, Release), its
+# accesses through the stack (vs.f, ts.f, stacks[x].f) and its transfer of
+# stolen chunks (Landed, paid by ChargeBulk) run in the pinned order. A ">"
+# marks a line nested one block deeper: every charge is a statement of the
+# method body, and no function in internal/core has a goto, so a charge
+# before an access in line order runs before it on every path.
+charged_remote_access() {
+	src=$(ls internal/core/*.go | grep -v _test.go)
+	if grep -nE '^\s*goto ' $src; then exit 1; fi
+	got=$(awk '
+		function flush() { if (remote) print m ":" seq }
+		FNR == 1 { flush(); remote = 0 }
+		/^func / {
+			flush(); seq = ""; remote = 0; split("", h)
+			m = $0; sub(/^func /, "", m); sub(/^\([a-z]+ \*?/, "", m); sub(/\) /, ".", m); sub(/\(.*/, "", m)
+		}
+		/^[ \t]*\/\// { next }
+		{
+			tok = ""
+			if ($0 ~ /stacks\[/ && $0 !~ /stacks\[(w\.me|i|me)\]/) {
+				remote = 1
+				if (match($0, /stacks\[[^]]*\]\.[A-Za-z]+/)) tok = substr($0, RSTART, RLENGTH)
+				else if ($0 ~ /^\t+[a-z][A-Za-z0-9]* := /) h[$1] = 1
+			}
+			if (match($0, /\.Charge(Ref|Bulk|LockRTT)\(/)) tok = substr($0, RSTART + 1, RLENGTH - 2)
+			else if ($0 ~ /\.Landed\(/) tok = "Landed"
+			else for (v in h) if (match($0, "(^|[^A-Za-z0-9_.])" v "\\.[A-Za-z]+")) {
+				tok = substr($0, RSTART, RLENGTH); sub(/^[^A-Za-z]/, "", tok)
+				if (match($0, /\.lk\.(Acquire|Release)\(/)) tok = substr($0, RSTART + 4, RLENGTH - 5)
+			}
+			if (tok == "") next
+			match($0, /^\t*/)
+			for (d = 1; d < RLENGTH; d++) tok = ">" tok
+			seq = seq " " tok
+		}
+		END { flush() }' $src)
+	pin "methods that index another thread's stack" "$got" 'distWorker.Service: ChargeRef ChargeRef ts.resp ts.respReady
+distWorker.StageAvail: ChargeRef stacks[v].workAvail
+distWorker.Steal: ChargeLockRTT vs.request ChargeBulk Landed
+sharedWorker.StageAvail: ChargeRef stacks[v].workAvail
+sharedWorker.Steal: Acquire >vs.pool vs.pool >vs.workAvail Release ChargeBulk Landed
+sharedWorker.stealRelaxed: ChargeRef ChargeRef vs.ring ChargeBulk Landed'
+}
+
 failed=0
 # rule NAME SECTIONS FUNCTION: the function runs in a subshell under -e, as
 # each did as a CI step, so its first failing line fails the rule.
@@ -364,5 +444,7 @@ rule "One dominance" "§11" one_dominance
 rule "Typed atomics" "§8, §11" typed_atomics
 rule "Declared kinds" "§8, §11" declared_kinds
 rule "Measured allocations" "§11" measured_allocations
-[ $failed -eq 0 ] && echo "shape: 24 rules hold"
+rule "Publish orders" "§8, §11, §14" publish_orders
+rule "Charged remote access" "§2, §11" charged_remote_access
+[ $failed -eq 0 ] && echo "shape: 26 rules hold"
 exit $failed
