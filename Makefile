@@ -6,30 +6,17 @@ GO ?= go
 
 all: build test
 
-# bin/uts-vet is a real file target: it rebuilds only when the driver or
-# the analyzer library changes, so repeated `make lint` runs skip the
-# compile (and go vet's -V=full cache then skips unchanged packages).
-UTS_VET_SRCS := $(wildcard cmd/uts-vet/*.go) $(wildcard internal/lint/*.go)
-
-bin/uts-vet: $(UTS_VET_SRCS)
-	$(GO) build -o $@ ./cmd/uts-vet
-
-# Static analysis: go vet's own checks (copylocks among them: an atomic
-# word is a sync/atomic type, so a copy of one is a finding), then the
-# custom uts-vet analyzer suite, two analyzers (detcheck, lockcheck — see
-# internal/lint and DESIGN.md §11) through go vet, the one driver: every
-# file, test files too, and every suppression that has no reason or
-# silences nothing. Then staticcheck and govulncheck when the binaries are
-# installed (the CI lint job installs them; offline dev boxes may not).
-# Before any of it, the structural rules (shape), whose "Declared kinds"
-# holds the trace's event kinds and whose "Publish orders" and "Charged
-# remote access" pin the publish orders and the remote charges; the
-# off-is-nil contract is a test (TestNilSafety,
-# TestNilControllerIsFixedKnobs), and so are the zero-allocation hot paths
-# (the allocation pins, DESIGN.md §11).
-lint: shape bin/uts-vet
+# Static checks: the structural rules (shape) first — among them
+# "Deterministic packages" and "Paired locks", which hold simulation code
+# free of the wall clock, global rand state and new maps, and every lock
+# section released on each exit — then go vet's own checks (copylocks among
+# them: an atomic word is a sync/atomic type, so a copy of one is a
+# finding), then staticcheck and govulncheck when the binaries are
+# installed (the CI lint job installs them; offline dev boxes may not). The
+# off-is-nil contract and the zero-allocation hot paths are tests
+# (DESIGN.md §11).
+lint: shape
 	$(GO) vet ./...
-	$(GO) vet -vettool=bin/uts-vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

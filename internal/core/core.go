@@ -229,7 +229,8 @@ func RunCtx(ctx context.Context, sp *uts.Spec, opt Options) (*Result, error) {
 		res.Threads[i].ID = i
 	}
 
-	start := time.Now() //uts:ok detcheck wall-clock Elapsed/rate reporting only; scheduling runs on virtual time
+	// Wall-clock Elapsed/rate reporting only; scheduling runs on virtual time.
+	start := time.Now()
 	var err error
 	switch opt.Algorithm {
 	case Sequential:

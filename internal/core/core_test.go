@@ -494,7 +494,7 @@ func TestRunCtxMidFlightCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	start := time.Now() //uts:ok detcheck measures real cancellation latency, not simulated time
+	start := time.Now()
 	_, err := RunCtx(ctx, &uts.BenchLarge, Options{Algorithm: UPCDistMem, Threads: 4, Chunk: 16})
 	if err == nil {
 		t.Skip("machine finished BenchLarge before the 5ms deadline?!")
@@ -722,12 +722,12 @@ func TestProbeWalkHierPartialLastBlock(t *testing.T) {
 			t.Fatalf("me=%d: walk sets %d+%d victims, CycleHier %d+%d",
 				me, len(intra), len(rest), len(wantIntra), len(wantRest))
 		}
-		for v := range wantIntra { //uts:ok detcheck membership check: iteration order cannot affect the result
+		for v := range wantIntra {
 			if !intra[v] {
 				t.Fatalf("me=%d: same-node victim %d missing from walk", me, v)
 			}
 		}
-		for v := range wantRest { //uts:ok detcheck membership check: iteration order cannot affect the result
+		for v := range wantRest {
 			if !rest[v] {
 				t.Fatalf("me=%d: off-node victim %d missing from walk", me, v)
 			}

@@ -271,7 +271,9 @@ func (w *WallPE) Now() int64 {
 	if w.Ctl == nil {
 		return 0
 	}
-	return time.Now().UnixNano() //uts:ok detcheck policy feedback timestamp; adaptive real-mode runs are wall-clock paced by design
+	// Policy feedback timestamp: adaptive real-mode runs are wall-clock
+	// paced by design.
+	return time.Now().UnixNano()
 }
 
 // BeginSteal enters the Stealing state and opens the steal window.

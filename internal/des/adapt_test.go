@@ -231,7 +231,7 @@ func TestAdaptBenchGate(t *testing.T) {
 	}
 	bestRate := results[best].Rate()
 	worst, worstRate := best, bestRate
-	for k, r := range results { //uts:ok detcheck min-rate scan: only the rate is compared, order-independent
+	for k, r := range results {
 		if r.Rate() < worstRate {
 			worst, worstRate = k, r.Rate()
 		}

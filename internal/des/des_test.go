@@ -482,7 +482,7 @@ func TestTuneChunk(t *testing.T) {
 	if len(results) != 3 {
 		t.Fatalf("results for %d candidates", len(results))
 	}
-	for k, res := range results { //uts:ok detcheck assertion sweep; pass/fail is order-independent
+	for k, res := range results {
 		checkCounts(t, &uts.BenchTiny, res)
 		if res.Rate() > results[best].Rate() {
 			t.Errorf("chunk %d (%.2gM/s) beats reported best %d (%.2gM/s)",

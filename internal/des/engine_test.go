@@ -614,7 +614,7 @@ func TestEngineThroughputGate(t *testing.T) {
 	run := func(newSim func() *Sim) float64 {
 		sim := newSim()
 		dispatchWorkload(sim, 64, 20000)
-		start := time.Now() //uts:ok detcheck real-time throughput measurement of the engine itself
+		start := time.Now()
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}

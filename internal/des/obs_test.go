@@ -165,7 +165,7 @@ func TestSamplerRecordPathGate(t *testing.T) {
 	}
 	timed := func() float64 {
 		const n = 1 << 20
-		start := time.Now() //uts:ok detcheck ns per record, logged for information; nothing is judged by it
+		start := time.Now()
 		for i := 0; i < n; i++ {
 			record()
 		}

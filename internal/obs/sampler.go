@@ -23,7 +23,7 @@ import (
 // sampler-attached runs).
 //
 // Wall-clock time lives here, in the consumer, never in the
-// detcheck-scoped scheduler packages: the sampler goroutine owns the
+// deterministic scheduler packages: the sampler goroutine owns the
 // ticker, and DES runs keep their virtual clocks untouched — the sampler
 // merely reports the newest virtual timestamp it has seen.
 //

@@ -12,8 +12,8 @@
 // The package is deliberately clockless: every observation carries a
 // caller-supplied timestamp in nanoseconds, which is wall time under the
 // real schedulers and virtual time under the DES. That keeps the DES
-// variant deterministic (and detcheck-clean) and makes adaptive sweeps
-// meaningful at 100K+ simulated PEs.
+// variant deterministic (make shape, "Deterministic packages") and makes
+// adaptive sweeps meaningful at 100K+ simulated PEs.
 //
 // Off is nil: a nil *Controller is a run without adaptation. Its knob
 // reads return the fixed value the caller passes, NodeSize is 1 and every

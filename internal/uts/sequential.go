@@ -56,7 +56,9 @@ const seqStackKeep = 1 << 18
 func SearchSequentialCtx(ctx context.Context, sp *Spec) (Count, error) {
 	const pollEvery = 4096
 	st := sp.Stream()
-	start := time.Now() //uts:ok detcheck elapsed-time reporting only (Count.Elapsed); never feeds traversal order or results
+	// Elapsed-time reporting only (Count.Elapsed); never feeds traversal
+	// order or results.
+	start := time.Now()
 
 	var c Count
 	sp0 := seqStacks.Get().(*[]Node)

@@ -40,7 +40,7 @@ var pinnedLarge = map[string]struct {
 }
 
 func TestPinnedCounts(t *testing.T) {
-	for name, want := range pinned { //uts:ok detcheck assertion sweep over golden counts; order cannot affect pass/fail
+	for name, want := range pinned {
 		sp := ByName(name)
 		if sp == nil {
 			t.Fatalf("tree %q not found", name)
@@ -57,7 +57,7 @@ func TestPinnedCountsLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large trees skipped in -short mode")
 	}
-	for name, want := range pinnedLarge { //uts:ok detcheck assertion sweep over golden counts; order cannot affect pass/fail
+	for name, want := range pinnedLarge {
 		sp := ByName(name)
 		c := SearchSequential(sp)
 		if c.Nodes != want.nodes || c.Leaves != want.leaves || c.MaxDepth != want.maxDepth {
@@ -263,7 +263,7 @@ func TestSearchTimeout(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	start := time.Now() //uts:ok detcheck measures real cancellation latency, not simulated time
+	start := time.Now()
 	_, err := SearchSequentialCtx(ctx, &BenchLarge)
 	if err == nil {
 		t.Skip("machine fast enough to finish BenchLarge in 20ms?!")

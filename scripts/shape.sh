@@ -272,63 +272,93 @@ live_plane_reads_once() {
 	if grep -nE '^\s*(type\s+)?Trajectory\b|^func .*\bTrajectory\(' $(ls internal/policy/*.go | grep -v _test.go); then exit 1; fi
 }
 
-# One lint driver: fails if a second way to run the analyzers grows back.
-# go vet -vettool hands uts-vet every package with its _test.go files, and
-# lint.Check reports each unsilenced finding and each suppression that has
-# no reason, names an unknown analyzer or silences nothing in that one pass:
-# no audit mode, no loader of lint's own (Load), no second parse and
-# type-check in the driver, and tier-1's TestRepoClean runs the same go vet.
-one_lint_driver() {
-	if git grep -n 'unused-suppressions' -- Makefile .github cmd internal; then exit 1; fi
-	if grep -nE '^func Load\(' internal/lint/*.go; then exit 1; fi
-	if grep -nE 'parser\.ParseFile|types\.Config' cmd/uts-vet/*.go; then exit 1; fi
-	sed -n '/^func TestRepoClean(/,/^}/p' internal/lint/lint_test.go | grep -q '"vet", "-vettool='
+# Deterministic packages: fails if simulation code grows a source of
+# nondeterminism (a simulated run is an exact function of tree, algorithm,
+# machine profile and seed). In internal/{des,core,uts,policy} the wall
+# clock is read only in the pinned functions, all on the wall-clock side;
+# no non-test file imports math/rand, and no test uses its package-level
+# state; the map types of non-test code are pinned, since Go randomizes
+# range order. Tests may read the clock and range over maps: what they
+# measure or sweep feeds no run.
+deterministic_packages() {
+	src=$(ls internal/{des,core,uts,policy}/*.go | grep -v _test.go)
+	if grep -n '"math/rand' $src; then exit 1; fi
+	if grep -noE '(^|[^.A-Za-z0-9_])rand\.[A-Za-z0-9_]+' $(ls internal/{des,core,uts,policy}/*_test.go) | grep -vE 'rand\.(New[A-Za-z0-9]*|Rand)$'; then exit 1; fi
+	pin "functions that read the wall clock" "$(sites 'time\.(Now|Since|Until)\(' $src)" 'internal/core/core.go RunCtx: time.Now(
+internal/core/core.go RunCtx: time.Since(
+internal/core/shell.go WallPE.Start: time.Now(
+internal/core/shell.go WallPE.Stop: time.Now(
+internal/core/shell.go WallPE.SetState: time.Now(
+internal/core/shell.go WallPE.Now: time.Now(
+internal/uts/sequential.go SearchSequentialCtx: time.Now(
+internal/uts/sequential.go SearchSequentialCtx: time.Since(
+internal/uts/sequential.go SearchSequentialCtx: time.Since('
+	pin "map types of non-test code" "$(sites 'map\[[^]]*\][^ ,){]*' $src)" 'internal/core/shell.go SharedVariants: map[Algorithm]SharedVariant
+internal/des/tune.go TuneChunk: map[int]*core.Result
+internal/des/tune.go TuneChunk: map[int]*core.Result
+internal/des/tune.go TuneChunk: map[int]float64
+internal/des/tune.go bestCandidate: map[int]float64'
 }
 
-# One dominance: fails if uts-vet grows a notion of "a runs before b" back.
-# lockcheck scans the acquire's own statement list for its release, and
-# nothing else in uts-vet asks whether one statement runs before another
-# (publish orders and remote charges are pinned below): no non-test file of
-# internal/lint declares a CFG, its builder, a dominator query or a
-# dataflow solver.
-one_dominance() {
-	if grep -nE '^type (CFG|FlowAnalysis) |^func (\([^)]*\) )?(BuildCFG|(Node)?Dominates)\(|^func \([^)]*\) Solve\(' $(ls internal/lint/*.go | grep -v _test.go); then exit 1; fi
+# Paired locks: fails if a lock section can be left with its lock held. In
+# internal/{cluster,core,msg,term}, tests too, each X.Lock(), X.RLock() or
+# X.Acquire(...) is a line of its own, followed at once by `defer X.Unlock()`
+# (RUnlock, Release) or later by `X.Unlock()` at its indentation, with no
+# line between that closes its block or, at any depth, returns, breaks,
+# continues or jumps. gofmt gives a statement its own line, so a release on
+# each arm of a branch fails.
+paired_locks() {
+	awk '
+		function leak(why) { print at ": " rel " does not follow: " why; bad = 1; want = "" }
+		FNR == 1 && want != "" { leak("the file ends") }
+		/^[ \t]*(\/\/|$)/ { next }
+		want != "" {
+			if (first && $0 == dfr) { want = ""; next }
+			first = 0
+			if ($0 == want) { want = ""; next }
+			match($0, /^\t*/)
+			if (RLENGTH < ind) leak("line " FNR " closes its block")
+			else if ($0 ~ /^\t*(return|break|continue|goto)([ \t]|$)/) leak("line " FNR " leaves")
+		}
+		/\.(Lock\(\)|RLock\(\)|Acquire\()/ {
+			if (want != "") leak("line " FNR " acquires again")
+			at = FILENAME ":" FNR
+			if ($0 !~ /^\t+[A-Za-z_][A-Za-z0-9_.]*\.(Lock\(\)|RLock\(\)|Acquire\([^()]*\))$/) {
+				print at ": an acquire that is not a statement of its own"; bad = 1; next
+			}
+			match($0, /^\t+/); ind = RLENGTH
+			rel = substr($0, ind + 1); sub(/\.Lock\(/, ".Unlock(", rel); sub(/\.RLock\(/, ".RUnlock(", rel); sub(/\.Acquire\(/, ".Release(", rel)
+			want = substr($0, 1, ind) rel; dfr = substr($0, 1, ind) "defer " rel; first = 1
+		}
+		END { if (want != "") leak("the file ends"); exit bad }' $(ls internal/{cluster,core,msg,term}/*.go)
 }
 
 # Typed atomics: fails if an atomic word goes untyped again. A word shared
 # without a lock is a sync/atomic type (atomic.Uint64, []atomic.Uint64,
 # atomic.Pointer[T] ...), so the compiler rejects a plain read or write of
 # it and go vet's copylocks (make lint and CI run go vet) reports a copy:
-# no Go file outside lint's golden corpora calls a sync/atomic function,
-# and the analyzer that checked untyped words, with its //uts:plain
-# escape, stays gone.
+# no Go file calls a sync/atomic function.
 typed_atomics() {
-	if git grep --untracked -nE '\batomic\.(Load|Store|Add|Swap|CompareAndSwap|And|Or)[A-Za-z0-9]*\(|Atomiccheck|uts:plain' -- '*.go' ':!internal/lint/testdata'; then exit 1; fi
+	if git grep --untracked -nE '\batomic\.(Load|Store|Add|Swap|CompareAndSwap|And|Or)[A-Za-z0-9]*\(' -- '*.go'; then exit 1; fi
 }
 
 # Declared kinds: fails if an event is recorded with anything but a declared
 # kind. The timeline and Chrome exporters name an event, and the histograms
 # route it, by its obs.Kind constant, so the first argument of every Lane.Rec
-# and Lane.RecV call in Go outside lint's golden corpora, tests included, is a
-# Kind* constant (obs.KindX in other packages) or the forwarded Kind
-# parameter k. Each call is checked, not each line: a literal, arithmetic on a
-# kind, or a line break after the parenthesis fails.
+# and Lane.RecV call in Go, tests included, is a Kind* constant (obs.KindX
+# in other packages) or the forwarded Kind parameter k. Each call is
+# checked, not each line: a literal, arithmetic on a kind, or a line break
+# after the parenthesis fails.
 declared_kinds() {
-	if git grep --untracked -noE '\.RecV?\((((obs\.)?Kind[A-Z][A-Za-z0-9]*|k),)?' -- '*.go' ':!internal/lint/testdata' | grep -E '\($'; then exit 1; fi
+	if git grep --untracked -noE '\.RecV?\((((obs\.)?Kind[A-Z][A-Za-z0-9]*|k),)?' -- '*.go' | grep -E '\($'; then exit 1; fi
 }
 
-# Measured allocations: fails if the zero-allocation directive comes back.
-# The spawn kernels, the node kernel, the DES dispatch core, the obs record
-# path, the msg inbox, the relaxed ring and the controller windows allocate
-# nothing per call because tests measure them (testing.AllocsPerRun at 0, or
-# a run's allocated objects within 3 %: DESIGN.md §11), not because a
-# directive asks a linter to approximate escape analysis. With no analyzer
-# to read it, the directive would be a plain comment that promises what
-# nothing checks, so no Go file outside lint's golden corpora carries one.
-# (A `//uts:ok noalloc` suppression is uts-vet's own finding: it names an
-# unknown analyzer.)
-measured_allocations() {
-	if git grep --untracked -n '//uts:noalloc' -- '*.go' ':!internal/lint/testdata'; then exit 1; fi
+# No directives: fails if a //uts: comment comes back. No analyzer reads
+# one (//uts:ok, noalloc, orders, mark, plain): what they marked is a rule
+# here, a test or the compiler (DESIGN.md §11), so it would promise what
+# nothing checks.
+no_directives() {
+	if git grep --untracked -n '//uts:' -- '*.go'; then exit 1; fi
 }
 
 # pin WHAT GOT WANT: fails, printing the difference, unless GOT is WANT.
@@ -346,16 +376,24 @@ stmts() {
 	sed -n "/^func $2(/,/^}/p" "$1" | grep -E "$3" | sed -E 's/^\t//; :a; s/^(>*)\t/\1>/; ta' | paste -sd';' | sed 's/;/; /g'
 }
 
+# sites ERE FILE...: each match of ERE outside a comment line, one a line,
+# as "FILE HOLDER: MATCH", where HOLDER is the function (Type.Method) or
+# the package-level declaration the match is in.
+sites() {
+	awk -v re="$1" '
+		/^func / { h = $0; sub(/^func /, "", h); sub(/^\([a-z]+ \*?/, "", h); sub(/\) /, ".", h); sub(/\(.*/, "", h) }
+		/^(var|const|type) / { h = $2 }
+		/^[ \t]*\/\// { next }
+		{ t = $0; while (match(t, re)) { print FILENAME " " h ": " substr(t, RSTART, RLENGTH); t = substr(t, RSTART + RLENGTH) } }' "${@:2}"
+}
+
 # Publish orders: fails if a publishing store moves above what it
 # publishes. ring.record's seqlock stores the invalidating zero, the three
 # payload words, the publishing stamp, then pos; Relaxed.Publish writes both
 # ledger words (the chunk's pointer and its count) before the one slot store
 # that makes the sequence number visible to thieves. Neither function
 # loops or jumps, so its line order is its store order.
-# No Go file carries an //uts:orders or //uts:mark directive: with no
-# analyzer to read them, they would promise what nothing checks.
 publish_orders() {
-	if git grep --untracked -nE '//uts:(orders|mark)' -- '*.go'; then exit 1; fi
 	pin ring.record "$(stmts internal/obs/ring.go '(r \*ring) record' '\.Store\(')" \
 		'b[i].Store(0); b[i+1].Store(hdr); b[i+2].Store(uint64(value)); b[i+3].Store(uint64(t)); b[i].Store(seq + 1); r.pos.Store(seq + 1)'
 	pin Relaxed.Publish "$(stmts internal/stack/relaxed.go '(r \*Relaxed) Publish' 'seg\.[a-z]+\[i\] = |\.Store\(')" \
@@ -439,11 +477,11 @@ rule "No reflective codec" "§10" no_reflective_codec
 rule "No net below the command line" "§10, §13" no_net_below_cmd
 rule "Off is nil" "§15" off_is_nil
 rule "The live plane reads once" "§13" live_plane_reads_once
-rule "One lint driver" "§11" one_lint_driver
-rule "One dominance" "§11" one_dominance
+rule "Deterministic packages" "§11" deterministic_packages
+rule "Paired locks" "§10, §11" paired_locks
 rule "Typed atomics" "§8, §11" typed_atomics
 rule "Declared kinds" "§8, §11" declared_kinds
-rule "Measured allocations" "§11" measured_allocations
+rule "No directives" "§11" no_directives
 rule "Publish orders" "§8, §11, §14" publish_orders
 rule "Charged remote access" "§2, §11" charged_remote_access
 [ $failed -eq 0 ] && echo "shape: 26 rules hold"
