@@ -6,16 +6,13 @@ GO ?= go
 
 all: build test
 
-# Static checks: the structural rules (shape) first — among them
-# "Deterministic packages" and "Paired locks", which hold simulation code
-# free of the wall clock, global rand state and new maps, and every lock
-# section released on each exit — then go vet's own checks (copylocks among
-# them: an atomic word is a sync/atomic type, so a copy of one is a
-# finding), then staticcheck and govulncheck when the binaries are
-# installed (the CI lint job installs them; offline dev boxes may not). The
-# off-is-nil contract and the zero-allocation hot paths are tests
-# (DESIGN.md §11).
-lint: shape
+# Static checks beyond the structural rules (those run in `go test ./...`,
+# see shape below): go vet's own checks (copylocks among them: an atomic
+# word is a sync/atomic type, so a copy of one is a finding), then
+# staticcheck and govulncheck when the binaries are installed (the CI lint
+# job installs them; offline dev boxes may not). The off-is-nil contract
+# and the zero-allocation hot paths are tests (DESIGN.md §11).
+lint:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
@@ -29,7 +26,11 @@ lint: shape
 	fi
 
 # The structural rules — what exists once, and the greps that fail when a
-# second one grows back (scripts/shape.sh, one shell function per rule).
+# second one grows back (scripts/shape.sh, one shell function per rule),
+# among them "Deterministic packages" and "Paired locks", which hold
+# simulation code free of the wall clock, global rand state and new maps,
+# and every lock section released on each exit. Tier-1 runs them
+# (TestShapeRules, internal/bench); this target runs them alone.
 shape:
 	@bash scripts/shape.sh
 
@@ -73,7 +74,7 @@ bench-smoke:
 # live sampler attached allocates nothing (a count: no spare core needed),
 # adaptive from the worst chunk >= 0.95x the best (T3XXL on the batched
 # engine, ~15 s), UTS's published T3L counts from UTS's root (~6 s),
-# bench-huge's counts under every spawn kernel (80 M ALFG nodes, ~15 s), and
+# bench-huge's counts under both ALFG kernels (80 M nodes, ~8 s), and
 # A1 at grain: steal-half reaches P/2 work sources before steal-one on
 # bench-large at 64 PEs, chunks 1-8 (TestPaperClaims/A1, ~15 s).
 # Then the paper tables at quick scale are regenerated and diffed against

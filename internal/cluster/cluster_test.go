@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -13,17 +12,10 @@ import (
 )
 
 // launch runs an in-process cluster of n ranks over real TCP loopback and
-// returns rank 0's aggregated result.
-//
-// The intended deployment is one OS process per rank, where the operating
-// system timeshares ranks preemptively. Hosting all ranks in one test
-// process on a single-core machine would let one worker goroutine
-// monopolize the sole P between ~10ms async preemptions, so the harness
-// raises GOMAXPROCS to give each rank an OS thread.
+// returns rank 0's aggregated result. Each rank has an OS thread of its
+// own (testProcs).
 func launch(t *testing.T, n int, sp *uts.Spec, chunk int, seed int64) *stats.Run {
 	t.Helper()
-	old := runtime.GOMAXPROCS(n + 1)
-	defer runtime.GOMAXPROCS(old)
 	ready := make(chan string, 1)
 	results := make(chan *stats.Run, 1)
 	errs := make(chan error, n)
@@ -165,6 +157,7 @@ func TestTwoRanks(t *testing.T) {
 }
 
 func TestFourRanksSteals(t *testing.T) {
+	t.Parallel() // mostly a wait (main_test.go)
 	run := launch(t, 4, stealTree, 8, 1)
 	if run.Nodes() != stealTreeNodes {
 		t.Errorf("nodes = %d, want %d", run.Nodes(), stealTreeNodes)
@@ -187,6 +180,7 @@ func TestFourRanksSteals(t *testing.T) {
 }
 
 func TestEightRanksRepeated(t *testing.T) {
+	t.Parallel() // mostly a wait (main_test.go)
 	if testing.Short() {
 		t.Skip("multi-process stress")
 	}
@@ -225,6 +219,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestDialRetryTimesOut(t *testing.T) {
+	t.Parallel() // mostly a wait (main_test.go)
 	start := time.Now()
 	_, err := testNode(t, Config{Ranks: 1}).dialRetry("127.0.0.1:1", 100*time.Millisecond) // port 1: nothing listens
 	if err == nil {

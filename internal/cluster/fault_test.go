@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,8 +46,6 @@ const stealTreeNodes, stealTreeLeaves = 481599, 241049
 // every test here is ultimately asserting.
 func launchFaulty(t *testing.T, n int, base Config, deadline time.Duration) (*stats.Run, map[int]error, []int) {
 	t.Helper()
-	old := runtime.GOMAXPROCS(n + 1)
-	defer runtime.GOMAXPROCS(old)
 	ready := make(chan string, 1)
 	type rankDone struct {
 		rank int
@@ -240,6 +237,7 @@ func TestFaultSeverEverySteal(t *testing.T) {
 // the victim alive, and it simply retries later. Both ranks finish, the
 // tree is counted exactly once, and nothing is marked failed or suspect.
 func TestFaultDropPutResponse(t *testing.T) {
+	t.Parallel() // mostly a wait (main_test.go)
 	plan := &FaultPlan{Rules: []FaultRule{
 		{Rank: 0, Peer: -1, Side: ClientSide, Kind: int(kindPutResponse), Op: FaultDrop, Times: 1},
 	}}
@@ -257,6 +255,7 @@ func TestFaultDropPutResponse(t *testing.T) {
 // reports stats and the run prints a clean summary with a silently
 // wrong node count.
 func TestFaultLostGetChunksReclaimed(t *testing.T) {
+	t.Parallel() // mostly a wait (main_test.go)
 	plan := &FaultPlan{Rules: []FaultRule{
 		{Rank: 1, Peer: -1, Side: ClientSide, Kind: int(kindGetChunks), Op: FaultDrop, Times: 1},
 	}}
@@ -298,6 +297,7 @@ func TestFaultKillBeforeBarrier(t *testing.T) {
 // coordinator: bootstrap must fail on every rank within the dial-timeout
 // window — a bounded, descriptive error, not a hang.
 func TestFaultKillMidBootstrap(t *testing.T) {
+	t.Parallel() // mostly a wait (main_test.go)
 	plan := &FaultPlan{Rules: []FaultRule{
 		{Rank: 2, Peer: -1, Side: ClientSide, Kind: int(kindHello), Op: FaultKill},
 	}}
@@ -324,6 +324,7 @@ func TestFaultKillMidBootstrap(t *testing.T) {
 // clear — with the worker reporting no error, because a dead thief is the
 // thief's problem.
 func TestFaultServiceWithdrawsOnDeadThief(t *testing.T) {
+	t.Parallel() // mostly a wait (main_test.go)
 	n := testNode(t, Config{
 		Rank: 0, Ranks: 2, Chunk: 4,
 		RPCTimeout: 100 * time.Millisecond, RPCRetries: -1,
@@ -577,6 +578,7 @@ func TestRespWaitCoversRetryBudget(t *testing.T) {
 // every reply dropped, a GetAvail (a read) is tried 1+RPCRetries times and a
 // CASRequest (a claim) once, read off the client lane's retry events.
 func TestRetryBudgetIsTheKinds(t *testing.T) {
+	t.Parallel() // mostly a wait (main_test.go)
 	drop := &FaultPlan{Rules: []FaultRule{{Rank: 1, Peer: -1, Side: ServerSide, Kind: KindAny, Op: FaultDrop}}}
 	srv := testNode(t, Config{Rank: 1, Ranks: 2, Fault: drop})
 	tr := obs.New(2, 0)
@@ -688,6 +690,7 @@ func TestBarrierBacksOutDyingRank(t *testing.T) {
 // reports nor is declared dead must only stall rank 0 for StatsTimeout,
 // after which it is named in the failure list along with any dead ranks.
 func TestGatherStatsTimeout(t *testing.T) {
+	t.Parallel() // mostly a wait (main_test.go)
 	n := testNode(t, Config{Rank: 0, Ranks: 4, StatsTimeout: 200 * time.Millisecond})
 	th := stats.Thread{ID: 1}
 	var resp response

@@ -9,6 +9,21 @@ import (
 	"time"
 )
 
+// testProcs is GOMAXPROCS for the whole package: a P for each rank of the
+// largest in-process cluster (TestEightRanksRepeated's eight) and one more.
+// The intended deployment is one OS process per rank, where the operating
+// system timeshares ranks preemptively; hosted in one test process on a
+// single core, one worker goroutine would monopolize the sole P between
+// ~10 ms async preemptions.
+const testProcs = 9
+
+// init sets GOMAXPROCS once, before the testing flags take their defaults
+// from it, so -parallel defaults to testProcs too. The tests that mostly
+// wait — out a deadline, a linger or a retry's backoff — call t.Parallel,
+// and their waits overlap; a test that set GOMAXPROCS would change it under
+// them.
+func init() { runtime.GOMAXPROCS(testProcs) }
+
 // TestMain fails the package when a goroutine of this package outlives the
 // tests: every listener, served connection and outgoing connection a node
 // opens must be gone once its close, teardown or die has run and its peers

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"regexp"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -59,9 +58,8 @@ func sampleValue(body, series string) (float64, bool) {
 // rank up, the per-rank families populated, and the cluster-wide node sum
 // equal to the tree's exact size.
 func TestMetricsRollup(t *testing.T) {
+	t.Parallel() // mostly a wait (main_test.go)
 	const n = 3
-	old := runtime.GOMAXPROCS(n + 1)
-	defer runtime.GOMAXPROCS(old)
 	sp := &uts.BenchTiny
 	const linger = 4 * time.Second
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -104,7 +103,6 @@ func (l *pipeListener) Addr() string { return l.addr }
 // listen and dial goes through the node's transport, here in memory. The
 // counts are the tree's.
 func TestClusterOverPipes(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	pn := &pipeNet{lns: map[string]*pipeListener{}}
 	ready := make(chan string, 1)
 	n0 := testNode(t, Config{Rank: 0, Ranks: 2, Coord: "pipe", CoordReady: ready, Spec: &uts.BenchTiny, Chunk: 4})

@@ -337,7 +337,7 @@ const (
 // clock, up to its next edge. request (−1 or a thief; nil for the
 // shared-memory family, whose thieves help themselves) is read before every
 // visit; fixedK is K without a controller. It returns at an edge instead of
-// calling a hook, so no call on the per-node path is dynamic (DESIGN.md §17).
+// calling a hook, so no call on the per-node path is dynamic (DESIGN.md §16).
 func (w *WallPE) Working(fixedK int, request *atomic.Int32) Edge {
 	if w.k == 0 {
 		w.k = w.Ctl.Chunk(fixedK)

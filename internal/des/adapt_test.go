@@ -347,7 +347,7 @@ func (w kWatch) Work() {
 }
 
 // TestSharedChunkMovesOnlyAtYield holds the simulated shared-memory family
-// to PE.NoteCtl's rule (DESIGN.md §17), as the dist family and the wall
+// to PE.NoteCtl's rule (DESIGN.md §16), as the dist family and the wall
 // clock keep it: an adaptive run feeds and reads the controller only at a
 // Yielded edge, so the k a Surplus edge releases is the k that set its 2k
 // threshold. The PEs are simShared's, each behind a kWatch host.

@@ -2,6 +2,8 @@ package rng_test
 
 import (
 	"os"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -20,7 +22,7 @@ import (
 // one child's two spawns) and 3 (pairs straddle children), and the
 // full-scale root fan-out B0 = 2000 on a small tree. The geometric samples
 // supply odd child counts (the one-lane tail). bench-large is left out in
-// -short mode, and bench-huge (80 M ALFG nodes, ≈15 s over the three
+// -short mode, and bench-huge (80 M ALFG nodes, ≈8 s over the two ALFG
 // kernels) runs only under UTS_GATES=1 (make gates).
 func kernelTrees(short bool) []*uts.Spec {
 	var specs []*uts.Spec
@@ -42,29 +44,74 @@ func kernelTrees(short bool) []*uts.Spec {
 // leaves, depth — from the sequential traversal whichever kernels spawn it,
 // and so whichever order they let it take: strict depth-first under the
 // narrow two, frontiers under the lane kernels (sixteen SHA-1 lanes, 32
-// ALFG lanes).
+// ALFG lanes). A tree is counted once per distinct code it reaches
+// (reached): a configuration that would run the same kernels in the same
+// order as an earlier one is a repeat, logged with the leg it repeats.
+// Under one configuration the trees share nothing the traversals write, so
+// they are counted side by side.
 func TestCountsIdenticalUnderEveryKernel(t *testing.T) {
-	for _, sp := range kernelTrees(testing.Short()) {
-		var portable uts.Count
-		for _, k := range rng.Kernels {
-			if !k.Available() {
-				t.Logf("CPUID reports no %v: that kernel cannot run on this host", k)
+	specs := kernelTrees(testing.Short())
+	portable := make([]uts.Count, len(specs))
+	legs := make([]map[string]rng.Kernel, len(specs))
+	for i := range legs {
+		legs[i] = map[string]rng.Kernel{}
+	}
+	for _, k := range rng.Kernels {
+		if !k.Available() {
+			t.Logf("CPUID reports no %v: that kernel cannot run on this host", k)
+			continue
+		}
+		restore := rng.ForceKernel(k)
+		var wg sync.WaitGroup
+		for i, sp := range specs {
+			code := reached(sp)
+			if first, ok := legs[i][code]; ok {
+				t.Logf("%s: %v leg skipped, it repeats the %v leg (%s)", sp.Name, k, first, code)
 				continue
 			}
-			restore := rng.ForceKernel(k)
-			c := uts.SearchSequential(sp)
-			restore()
-			c.Elapsed = 0
-			if k == rng.GoUnrolled {
-				portable = c
-			} else if c != portable {
-				t.Errorf("%s: %v %+v, go-unrolled %+v", sp.Name, k, c, portable)
-			}
+			legs[i][code] = k
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c := uts.SearchSequential(sp)
+				c.Elapsed = 0
+				if k == rng.GoUnrolled {
+					portable[i] = c
+				} else if c != portable[i] {
+					t.Errorf("%s: %v %+v, go-unrolled %+v", sp.Name, k, c, portable[i])
+				}
+			}()
 		}
-		if portable.Nodes < 2 {
-			t.Errorf("%s: degenerate tree, %d nodes", sp.Name, portable.Nodes)
+		wg.Wait()
+		restore()
+	}
+	for i, sp := range specs {
+		if portable[i].Nodes < 2 {
+			t.Errorf("%s: degenerate tree, %d nodes", sp.Name, portable[i].Nodes)
 		}
 	}
+}
+
+// reached names the spawn code a sequential traversal of sp runs under the
+// kernel configuration in force, from the facts the dispatch reads: the
+// stream family, the granularity and rng.Lanes(). uts.Expand visits
+// frontiers on the lane kernel only at granularity 1 where Lanes is
+// MaxLanes; everything else is the strict step through uts.Children, which
+// spawns ALFG in Go pairs and BRG with the pair kernel KernelName reports —
+// the one a frontier's root fan-out and short frontiers take too.
+func reached(sp *uts.Spec) string {
+	frontier := sp.Granularity <= 1 && rng.Lanes() == rng.MaxLanes
+	brg, alfg, _ := strings.Cut(strings.TrimPrefix(rng.KernelName(), "BRG "), ", ALFG ")
+	if _, ok := sp.Stream().(rng.ALFG); ok {
+		if frontier {
+			return "ALFG " + alfg
+		}
+		return "ALFG pair x2"
+	}
+	if !frontier {
+		brg = strings.TrimPrefix(brg, "avx512 x16 + ")
+	}
+	return "BRG " + brg
 }
 
 // TestChildrenAllocatesNothing holds a node expansion into a stack with

@@ -1,17 +1,25 @@
 #!/bin/bash
 # make shape: the structural rules of this repository, one function each —
 # the things that exist once, and the greps that fail when a second one
-# grows back. `make lint` runs them, CI runs `make shape`. Every rule runs
-# even after one has failed; a failure names the rule and the DESIGN.md
-# section that gives its reason.
+# grows back. Tier-1 runs them: `go test ./...` includes TestShapeRules
+# (internal/bench), which fails naming each failing rule; `make shape` is
+# the quick way to run them alone. Every rule runs even after one has
+# failed; a failure names the rule and the DESIGN.md section that gives its
+# reason. Nothing here writes into the tree.
 cd "$(dirname "$0")/.." || exit 2
+
+# What the link rules read, listed once: the module's packages, what those
+# other than cmd/uts-dist link, and what the benchmark links.
+pkgs=$(go list ./...) &&
+	deps=$(go list -deps $(grep -vx repro/cmd/uts-dist <<< "$pkgs")) &&
+	benchdeps=$(go list -C benchmark -deps .) || exit 2
 
 # One benchmark system: fails if the second one grows back. ISSUE.md is the
 # per-PR task text; `if`, because bash -e does not stop on a negated command.
 one_benchmark_system() {
 	if git grep -nE '[A-Z]+_BENCH_GATE' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then exit 1; fi
 	test ! -e bench_test.go
-	if go list ./... | grep -qx repro; then exit 1; fi
+	if grep -qx repro <<< "$pkgs"; then exit 1; fi
 }
 
 # One doorway: fails if internal/cluster grows a second way to reach a peer:
@@ -56,8 +64,7 @@ one_rank_loop() {
 	if sed -n '/^type MsgHost interface/,/^}/p' internal/core/msgrank.go | grep -n 'Wait()'; then exit 1; fi
 	if grep -n 'h\.Wait(' internal/core/msgrank.go; then exit 1; fi
 	if grep -nE 'pe\.wait|\.Advance\(|\.advance\(' internal/des/mpi.go; then exit 1; fi
-	go build -o bin/uts-sim ./cmd/uts-sim
-	bin/uts-sim -alg mpi-ws -tree bench-small -pes 64 | grep -q ' events=305696 '
+	go run ./cmd/uts-sim -alg mpi-ws -tree bench-small -pes 64 | grep ' events=305696 ' >/dev/null
 }
 
 # One poll loop: fails if a substrate grows its own poll cycle back. A
@@ -220,8 +227,8 @@ no_interrupt_mask() {
 # of peak RSS whether or not it served. Only uts-dist imports "net/http...".
 no_http_below_cmd() {
 	http='net/http|net/http/pprof|crypto/tls'
-	if go list -deps $(go list ./... | grep -vx repro/cmd/uts-dist) | grep -xE "$http"; then exit 1; fi
-	if go list -C benchmark -deps . | grep -xE "$http"; then exit 1; fi
+	if grep -xE "$http" <<< "$deps"; then exit 1; fi
+	if grep -xE "$http" <<< "$benchdeps"; then exit 1; fi
 	if git grep --untracked -n '"net/http' -- '*.go' ':!cmd/uts-dist/'; then exit 1; fi
 }
 
@@ -229,7 +236,7 @@ no_http_below_cmd() {
 # is one fixed frame (cluster/proto.go); linked, gob cost every binary
 # 0.34–0.38 MiB of peak RSS, and a cluster_tcp rep most of its allocation.
 no_reflective_codec() {
-	test "$(go list -C benchmark -deps . | grep -cx encoding/gob)" -eq 0
+	test "$(grep -cx encoding/gob <<< "$benchdeps")" -eq 0
 	if git grep --untracked -n '"encoding/gob"' -- '*.go' ':!*_test.go'; then exit 1; fi
 }
 
@@ -240,8 +247,8 @@ no_reflective_codec() {
 # linked, net made every binary dynamic against libc and cost each workload
 # 1.6–2.2 MiB of peak RSS. Only uts-dist and the !linux socket twin import it.
 no_net_below_cmd() {
-	if go list -deps $(go list ./... | grep -vx repro/cmd/uts-dist) | grep -xE 'net|runtime/cgo'; then exit 1; fi
-	if go list -C benchmark -deps . | grep -xE 'net|runtime/cgo'; then exit 1; fi
+	if grep -xE 'net|runtime/cgo' <<< "$deps"; then exit 1; fi
+	if grep -xE 'net|runtime/cgo' <<< "$benchdeps"; then exit 1; fi
 	if git grep --untracked -nF '"net"' -- '*.go' ':!*_test.go' ':!cmd/uts-dist/' ':!internal/cluster/sock_other.go'; then exit 1; fi
 }
 
@@ -449,8 +456,8 @@ sharedWorker.stealRelaxed: ChargeRef ChargeRef vs.ring ChargeBulk Landed'
 }
 
 failed=0
-# rule NAME SECTIONS FUNCTION: the function runs in a subshell under -e, as
-# each did as a CI step, so its first failing line fails the rule.
+# rule NAME SECTIONS FUNCTION: the function runs in a subshell under -e, so
+# its first failing line fails the rule.
 rule() {
 	(set -e; "$3")
 	if [ $? -ne 0 ]; then
@@ -461,17 +468,17 @@ rule() {
 rule "One benchmark system" "§18" one_benchmark_system
 rule "One doorway" "§10" one_doorway
 rule "One clock" "§8" one_clock
-rule "One rank loop" "§9, §17" one_rank_loop
-rule "One poll loop" "§17" one_poll_loop
-rule "One node kernel" "§7, §17" one_node_kernel
-rule "One work loop" "§17" one_work_loop
+rule "One rank loop" "§9, §16" one_rank_loop
+rule "One poll loop" "§16" one_poll_loop
+rule "One node kernel" "§7, §16" one_node_kernel
+rule "One work loop" "§16" one_work_loop
 rule "One baton" "§9" one_baton
 rule "A step is not a coroutine" "§9" step_is_not_a_coroutine
 rule "One window" "§9" one_window
 rule "One stepped advance" "§9" one_stepped_advance
 rule "No interpreter" "§9" no_interpreter
 rule "One record" "§9" one_record
-rule "No interrupt mask" "§9, §17" no_interrupt_mask
+rule "No interrupt mask" "§9, §16" no_interrupt_mask
 rule "No HTTP below the command line" "§13" no_http_below_cmd
 rule "No reflective codec" "§10" no_reflective_codec
 rule "No net below the command line" "§10, §13" no_net_below_cmd
