@@ -65,11 +65,11 @@ race:
 
 # One iteration of every Benchmark* function, each in the package it
 # measures: keeps them compiling and running, measures nothing. Rates and
-# ratios are rows of BENCHMARK.json (`bash benchmark/run.sh`, DESIGN.md §18).
+# ratios are rows of BENCHMARK.json (`bash benchmark/run.sh`, DESIGN.md §17).
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
-# The opt-in gates behind the one switch UTS_GATES=1 (DESIGN.md §18):
+# The opt-in gates behind the one switch UTS_GATES=1 (DESIGN.md §17):
 # batched engine >= 4x the legacy reference (wall-clock), a record with a
 # live sampler attached allocates nothing (a count: no spare core needed),
 # adaptive from the worst chunk >= 0.95x the best (T3XXL on the batched
@@ -92,7 +92,7 @@ gates:
 	@awk '$(QUICK_CMP)' bin/quick.txt | diff -u bin/quick.want - && echo "gates: results/quick.txt regenerates (E1 and the generation times aside)"
 
 # Alternating parent/change pairs of the one benchmark command (DESIGN.md
-# §18): `make ab PARENT=<checkout of the parent commit> WORKLOAD=<name>
+# §17): `make ab PARENT=<checkout of the parent commit> WORKLOAD=<name>
 # PAIRS=n [TRACE=1] [SECONDS=20] [METRICS='a b']`. Which side runs first
 # flips every pair, seeds 1..n; prints every pair of every metric, the
 # median of the pair ratios, the sign count and each side's own min–max

@@ -230,6 +230,26 @@ func TestDialRetryTimesOut(t *testing.T) {
 	}
 }
 
+// TestCallToClosedListenerIsDeadAtOnce: a peer that has finished closes
+// its listener and its streams. A call to it meets EOF on the open stream,
+// redials at once and is refused, and the refusal is the verdict: no
+// backoff is slept.
+func TestCallToClosedListenerIsDeadAtOnce(t *testing.T) {
+	srv := testNode(t, Config{Rank: 1, Ranks: 2})
+	cli := testNode(t, Config{Rank: 0, Ranks: 2})
+	cli.addrs = []string{"", serveOn(t, srv)}
+	defer cli.peers.closeAll()
+	if _, err := cli.call(1, &request{Kind: kindGetAvail, From: 0}); err != nil {
+		t.Fatalf("call to a live peer: %v", err)
+	}
+	srv.close()
+	start := time.Now()
+	_, err := cli.call(1, &request{Kind: kindGetAvail, From: 0})
+	if el := time.Since(start); !errors.Is(err, errPeerDead) || el > 50*time.Millisecond {
+		t.Errorf("call to a closed peer: %v after %v, want its errPeerDead verdict within 50ms", err, el)
+	}
+}
+
 // TestCoordinatorRejectsBadHello drives the bootstrap error paths with a
 // hand-rolled client: a hello claiming an invalid rank must abort the
 // coordinator with an error rather than hang the cluster.

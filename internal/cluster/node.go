@@ -3,11 +3,13 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/netip"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -302,7 +304,7 @@ func idempotentKind(k reqKind) bool {
 }
 
 // call performs one RPC to rank r under the configured deadline.
-// Idempotent kinds are retried with exponential backoff and jitter.
+// Idempotent kinds are retried (attempt says when, and after what pause).
 // When every attempt fails, the verdict depends on the kind: an
 // exhausted idempotent retry loop is itself the evidence, but a
 // non-idempotent kind had only one attempt, so a fully retried
@@ -336,8 +338,7 @@ func (n *node) call(r int, req *request) (*response, error) {
 		}
 	}
 	n.markDead(r)
-	return nil, fmt.Errorf("cluster: rank %d: rank %d %w after %d attempt(s): %v",
-		n.cfg.Rank, r, errPeerDead, n.budget(req.Kind), lastErr)
+	return nil, fmt.Errorf("cluster: rank %d: rank %d %w: %v", n.cfg.Rank, r, errPeerDead, lastErr)
 }
 
 // budget is how many times a request of kind k is tried: 1+RPCRetries for
@@ -356,18 +357,22 @@ func (n *node) backoff() time.Duration {
 }
 
 // attempt runs the bounded retry loop for one RPC: one exchange through
-// the doorway per attempt (RPC deadline, redial after a failure), and
-// exponential backoff with jitter in between, up to the kind's budget.
-// Returns the first successful response, or (nil, lastErr) once the
-// attempts are spent.
+// the doorway per attempt (RPC deadline, redial after a failure), up to the
+// kind's budget. A timeout is waited out with exponential backoff and
+// jitter; an exchange the peer closed (EOF, reset) is redialled at once,
+// and a refused dial ends the attempts — past bootstrap the rank's listener
+// is gone, and so is the rank. Returns the first successful response, or
+// (nil, lastErr) once the attempts are spent.
 func (n *node) attempt(r int, req *request) (*response, error) {
 	backoff := n.backoff()
 	var lastErr error
 	for a, attempts := 0, n.budget(req.Kind); a < attempts; a++ {
 		if a > 0 {
 			n.lane.Rec(obs.KindRPCRetry, int32(r), int64(a))
-			time.Sleep(n.jitter(backoff))
-			backoff *= 2
+			if !peerClosed(lastErr) {
+				time.Sleep(n.jitter(backoff))
+				backoff *= 2
+			}
 		}
 		resp, err := n.peers.exchange(r, req, n.cfg.RPCTimeout)
 		if err == nil {
@@ -376,8 +381,18 @@ func (n *node) attempt(r int, req *request) (*response, error) {
 		if lastErr = err; n.killed.Load() {
 			return nil, errKilled
 		}
+		if errors.Is(err, syscall.ECONNREFUSED) {
+			break
+		}
 	}
 	return nil, lastErr
+}
+
+// peerClosed reports an exchange that failed because the peer ended the
+// stream, not because it was slow.
+func peerClosed(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }
 
 // jitter is a pause drawn from [backoff/2, 3·backoff/2).

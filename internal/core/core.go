@@ -21,9 +21,7 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -57,7 +55,8 @@ const (
 	// stated future work (Section 6.2): upc-distmem with locality-aware
 	// work discovery that probes threads on the same cluster node before
 	// probing off-node (the bupc_thread_distance idea). It differs from
-	// upc-distmem only when Options.NodeSize groups threads into nodes.
+	// upc-distmem only in the simulator, whose des.Config.NodeSize groups
+	// PEs into nodes; the goroutine substrate has no nodes and runs it flat.
 	UPCDistMemHier Algorithm = "upc-distmem-hier"
 
 	// UPCTermRelaxed is upc-term with the lock-guarded shared region
@@ -101,14 +100,6 @@ type Options struct {
 	// SeqRate, if non-zero, is the sequential baseline rate (nodes/s)
 	// recorded in the result for speedup computation.
 	SeqRate float64
-	// NodeSize, when >= 2, groups threads into cluster nodes of NodeSize
-	// consecutive IDs: references between same-node threads are charged
-	// to IntraModel instead of Model, and upc-distmem-hier probes
-	// same-node victims first.
-	NodeSize int
-	// IntraModel is the intra-node cost model used with NodeSize; nil
-	// leaves the machine flat.
-	IntraModel *pgas.Model
 	// Tracer, when non-nil, records steal-protocol events and latency
 	// histograms for every worker (one obs lane per thread; create it
 	// with obs.New(Threads, ringSize)). The nil default keeps every
@@ -123,12 +114,7 @@ type Options struct {
 	// byte-identical to a build without the policy package.
 	Adapt *policy.Config
 
-	// abort, set by RunCtx, tells every worker to abandon the search; the
-	// zero value (nil) is replaced by withDefaults so workers can always
-	// load it.
-	abort *atomic.Bool
-
-	// policySet, built by RunCtx from Adapt, holds the per-thread
+	// policySet, built by Run from Adapt, holds the per-thread
 	// controllers handed to workers.
 	policySet *policy.Set
 }
@@ -150,9 +136,6 @@ func (o Options) withDefaults() Options {
 	if o.PollInterval == 0 {
 		o.PollInterval = 8
 	}
-	if o.abort == nil {
-		o.abort = new(atomic.Bool)
-	}
 	return o
 }
 
@@ -166,9 +149,6 @@ func (o Options) validate() error {
 	}
 	if o.PollInterval < 0 {
 		return fmt.Errorf("core: negative poll interval %d", o.PollInterval)
-	}
-	if o.NodeSize < 0 {
-		return fmt.Errorf("core: negative node size %d", o.NodeSize)
 	}
 	switch o.Algorithm {
 	case Sequential, Static, UPCSharedMem, UPCTerm, UPCTermRapdif, UPCTermRelaxed, UPCDistMem, UPCDistMemHier, MPIWS, "":
@@ -190,14 +170,6 @@ type Result struct {
 // returns the aggregated statistics. The returned node count always equals
 // the sequential count for sp.
 func Run(sp *uts.Spec, opt Options) (*Result, error) {
-	return RunCtx(context.Background(), sp, opt)
-}
-
-// RunCtx is Run with cooperative cancellation: when ctx is cancelled every
-// worker abandons the search at its next check point and RunCtx returns
-// ctx.Err() together with the partial statistics accumulated so far (whose
-// node count is then less than the full tree's).
-func RunCtx(ctx context.Context, sp *uts.Spec, opt Options) (*Result, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
@@ -205,22 +177,8 @@ func RunCtx(ctx context.Context, sp *uts.Spec, opt Options) (*Result, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-
-	var abort atomic.Bool
-	if ctx.Done() != nil {
-		watcher := make(chan struct{})
-		defer close(watcher)
-		go func() {
-			select {
-			case <-ctx.Done():
-				abort.Store(true)
-			case <-watcher:
-			}
-		}()
-	}
-	opt.abort = &abort
 	opt.policySet = policy.NewSet(opt.Adapt,
-		PolicyBase(opt.Algorithm, opt.Chunk, opt.PollInterval, opt.NodeSize, opt.Model, opt.IntraModel), opt.Threads)
+		PolicyBase(opt.Algorithm, opt.Chunk, opt.PollInterval, 0, opt.Model, nil), opt.Threads)
 
 	res := &Result{Spec: sp, Algorithm: opt.Algorithm, Chunk: opt.Chunk}
 	res.SeqRate = opt.SeqRate
@@ -234,8 +192,7 @@ func RunCtx(ctx context.Context, sp *uts.Spec, opt Options) (*Result, error) {
 	var err error
 	switch opt.Algorithm {
 	case Sequential:
-		c, serr := uts.SearchSequentialCtx(ctx, sp)
-		err = serr
+		c := uts.SearchSequential(sp)
 		res.Threads = res.Threads[:1]
 		res.Threads[0].Nodes = c.Nodes
 		res.Threads[0].Leaves = c.Leaves
@@ -244,21 +201,16 @@ func RunCtx(ctx context.Context, sp *uts.Spec, opt Options) (*Result, error) {
 		err = runStatic(sp, opt, res)
 	case UPCSharedMem, UPCTerm, UPCTermRapdif, UPCTermRelaxed:
 		err = runShared(sp, opt, res, SharedVariants[opt.Algorithm])
-	case UPCDistMem:
-		err = runDistMem(sp, opt, res, false)
-	case UPCDistMemHier:
-		err = runDistMem(sp, opt, res, true)
+	case UPCDistMem, UPCDistMemHier:
+		err = runDistMem(sp, opt, res)
 	case MPIWS:
 		err = runMPIWS(sp, opt, res)
 	}
 	res.Elapsed = time.Since(start)
 	res.Obs = opt.Tracer.Summary()
 	res.Policy = opt.policySet.Summary()
-	if err != nil && err != ctx.Err() {
+	if err != nil {
 		return nil, err
-	}
-	if ctx.Err() != nil && (abort.Load() || err != nil) {
-		return res, ctx.Err()
 	}
 	return res, nil
 }

@@ -51,13 +51,13 @@ type distRun struct {
 	sb     *term.StreamBarrier
 }
 
-// runDistMem executes upc-distmem, or upc-distmem-hier when hier is set.
-func runDistMem(sp *uts.Spec, opt Options, res *Result, hier bool) error {
+// runDistMem executes upc-distmem (and upc-distmem-hier, which without
+// nodes probes the same flat cycle).
+func runDistMem(sp *uts.Spec, opt Options, res *Result) error {
 	dom, err := pgas.NewDomain(opt.Threads, opt.Model)
 	if err != nil {
 		return err
 	}
-	dom.SetTopology(opt.NodeSize, opt.IntraModel)
 	r := &distRun{opt: opt, dom: dom, sb: term.NewStreamBarrier(dom)}
 	r.stacks = make([]*privStack, opt.Threads)
 	for i := range r.stacks {
@@ -68,14 +68,13 @@ func runDistMem(sp *uts.Spec, opt Options, res *Result, hier bool) error {
 	eachThread(sp, opt, res, func(me int, pe WallPE) {
 		w := &distWorker{WallPE: pe, run: r, me: me}
 		request := &r.stacks[me].request
-		w.Interrupt = func() bool { return request.Load() != noThief || opt.abort.Load() }
+		w.Interrupt = func() bool { return request.Load() != noThief }
 		if me == 0 {
 			w.Local.Push(uts.Root(sp))
 		}
 		w.Start()
 		defer w.Stop()
-		m := Machine{H: w, PE: &w.PE, Rng: NewProbeOrder(opt.Seed, me), Me: me, N: opt.Threads,
-			Stream: true, Hier: hier, NodeSize: dom.NodeSize()}
+		m := Machine{H: w, PE: &w.PE, Rng: NewProbeOrder(opt.Seed, me), Me: me, N: opt.Threads, Stream: true}
 		w.Steps(m.Start())
 	})
 	return nil
@@ -91,8 +90,8 @@ type distWorker struct {
 
 func (w *distWorker) stack() *privStack { return w.run.stacks[w.me] }
 
-// Stopped reports a cancelled run.
-func (w *distWorker) Stopped() bool { return w.run.opt.abort.Load() }
+// Stopped: a run of goroutines goes on to global termination.
+func (w *distWorker) Stopped() bool { return false }
 
 // Work explores nodes until local stack and steal pool are both empty,
 // then tells probing threads so. Working polls the request word before every
@@ -117,10 +116,6 @@ func (w *distWorker) Work() {
 			}
 			s.workAvail.Store(int32(s.pool.Len()))
 			w.Reacquired(c)
-		case Yielded:
-			if w.run.opt.abort.Load() {
-				return
-			}
 		}
 	}
 }
@@ -183,9 +178,6 @@ func (w *distWorker) Steal(v int) bool {
 	// Await the response in our own slot: spinning on local memory.
 	me := w.stack()
 	for !me.respReady.Load() {
-		if w.run.opt.abort.Load() {
-			return false
-		}
 		w.Service() // we may be someone else's victim meanwhile
 		runtime.Gosched()
 	}

@@ -121,8 +121,9 @@ type Host interface {
 	// inside Enter and has let go when it reports false.
 	Enter() bool
 	Leave() bool
-	// Stopped reports an abandoned run (cancellation, a fatal transport
-	// error); the machine returns at its next check.
+	// Stopped reports a run the host cannot go on with (the cluster's
+	// fatal transport error or kill); the machine returns at its next
+	// check. The goroutine workers and the simulator answer false.
 	Stopped() bool
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/msg"
@@ -16,8 +15,7 @@ func runMPIWS(sp *uts.Spec, opt Options, res *Result) error {
 		return err
 	}
 	eachThread(sp, opt, res, func(me int, pe WallPE) {
-		w := &mpiWorker{WallPE: pe, abort: opt.abort, comm: comm, me: me}
-		w.Interrupt = opt.abort.Load
+		w := &mpiWorker{WallPE: pe, comm: comm, me: me}
 		w.rank = MsgRank{H: w, PE: &w.PE, Rng: NewProbeOrder(opt.Seed, me), Me: me, N: opt.Threads, Chunk: opt.Chunk, Poll: opt.PollInterval}
 		if me == 0 {
 			w.Local.Push(uts.Root(sp))
@@ -41,12 +39,11 @@ type transport interface {
 // queue costs nothing more than the Recv.
 type mpiWorker struct {
 	WallPE
-	rank  MsgRank
-	abort *atomic.Bool
-	comm  transport
-	me    int
-	rx    msg.Message // what the last Recv took
-	_     [8]byte     // whole cache lines (TestStackStructsPadded)
+	rank MsgRank
+	comm transport
+	me   int
+	rx   msg.Message // what the last Recv took
+	_    [16]byte    // whole cache lines (TestStackStructsPadded)
 }
 
 func (w *mpiWorker) Send(to int, m msg.Message) time.Duration {
@@ -55,7 +52,7 @@ func (w *mpiWorker) Send(to int, m msg.Message) time.Duration {
 }
 func (w *mpiWorker) Sleep() time.Duration  { return 0 }
 func (w *mpiWorker) Iprobe() time.Duration { return 0 }
-func (w *mpiWorker) Stopped() bool         { return w.abort.Load() }
+func (w *mpiWorker) Stopped() bool         { return false }
 
 func (w *mpiWorker) Recv() *msg.Message {
 	m, ok := w.comm.Recv(w.me)

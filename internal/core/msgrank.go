@@ -48,7 +48,8 @@ type MsgHost interface {
 	Explore(most int) (d time.Duration, more bool)
 	// Iprobe is the quantum one look at the message queue costs.
 	Iprobe() time.Duration
-	// Stopped reports an abandoned run; the rank returns at its next check.
+	// Stopped reports a run the host gives up; the rank returns at its
+	// next check. The goroutine rank and the simulator's answer false.
 	Stopped() bool
 }
 

@@ -69,12 +69,10 @@ func runShared(sp *uts.Spec, opt Options, res *Result, v SharedVariant) error {
 		r.sb = term.NewStreamBarrier(dom)
 	} else {
 		r.cb = term.NewCancelBarrier(dom)
-		r.cb.SetAbort(opt.abort)
 	}
 
 	eachThread(sp, opt, res, func(me int, pe WallPE) {
 		w := &sharedWorker{WallPE: pe, run: r, me: me}
-		w.Interrupt = opt.abort.Load
 		if me == 0 {
 			w.Local.Push(uts.Root(sp))
 		}
@@ -83,11 +81,10 @@ func runShared(sp *uts.Spec, opt Options, res *Result, v SharedVariant) error {
 		m := Machine{H: w, PE: &w.PE, Rng: NewProbeOrder(opt.Seed, me), Me: me, N: opt.Threads, Stream: v.StreamTerm}
 		w.Steps(m.Start())
 	})
-	if v.Relaxed && !opt.abort.Load() {
+	if v.Relaxed {
 		// Accounting check: termination required every ring to drain, so
 		// every chunk ever published must have exactly one ledger
 		// consumer. A leftover unconsumed entry would mean lost work.
-		// (An aborted run abandons published work by design.)
 		for i, s := range r.stacks {
 			if n := s.ring.Unconsumed(); n != 0 {
 				return fmt.Errorf("relaxed ring %d: %d published chunks never consumed", i, n)
@@ -107,8 +104,8 @@ type sharedWorker struct {
 
 func (w *sharedWorker) stack() *sharedStack { return w.run.stacks[w.me] }
 
-// Stopped reports a cancelled run.
-func (w *sharedWorker) Stopped() bool { return w.run.opt.abort.Load() }
+// Stopped: a run of goroutines goes on to global termination.
+func (w *sharedWorker) Stopped() bool { return false }
 
 // Service has nothing to answer: thieves of this family help themselves
 // under the victim's lock.
@@ -128,10 +125,6 @@ func (w *sharedWorker) Work() {
 				if w.run.variant.StreamTerm {
 					w.stack().workAvail.Store(-1)
 				}
-				return
-			}
-		case Yielded:
-			if w.run.opt.abort.Load() {
 				return
 			}
 		}

@@ -219,7 +219,7 @@ type WallPE struct {
 	// A line of distance in front of the per-node words (PE.Local's
 	// header): the workers that embed this can be allocated next to each
 	// other, and without it the fields one reads per node at its tail share
-	// a line with the ones its neighbour writes per node (DESIGN.md §18).
+	// a line with the ones its neighbour writes per node (DESIGN.md §17).
 	// The work loop's two words end it, so that the workers keep their sizes,
 	// whole lines (TestStackStructsPadded).
 	_             [cacheLine - 16]byte
@@ -228,8 +228,8 @@ type WallPE struct {
 	PE
 
 	// Interrupt reports, at a service point of the machine, a pending
-	// steal request or an abandoned run (Interrupted). The scheduler sets
-	// it.
+	// steal request (Interrupted). A scheduler whose thieves post requests
+	// sets it; nil means none is ever pending.
 	Interrupt func() bool
 
 	staged [2]int64 // the reads of the current quantum, in staging order
@@ -299,8 +299,7 @@ func (w *WallPE) yield() {
 // Explore is Visit on the yield cadence, the Working state of a scheduler
 // that releases nothing (mpi-ws, static): it visits up to most nodes and
 // reports whether it stopped at most (more), false once the stack is empty
-// — flushed — or Interrupt, asked at every yield, reports the run
-// abandoned. A visit takes no more than is left of most or of the
+// — flushed. A visit takes no more than is left of most or of the
 // interval, and the yield follows the visit that fills the interval, so the
 // next quantum's caller reads a controller fed up to its last node. The
 // quantum is 0: on the wall clock the nodes have been visited when it
@@ -315,9 +314,6 @@ func (w *WallPE) Explore(most int) (time.Duration, bool) {
 		most -= n
 		if w.sinceYield += n; w.sinceYield >= YieldEvery {
 			w.yield()
-			if w.Interrupt() {
-				return 0, false
-			}
 		}
 	}
 	return 0, true
@@ -330,7 +326,7 @@ const (
 	Drained Edge = iota // the local stack is empty: reacquire, or be out of work
 	Surplus             // Local.Len() >= 2*K(): release K() — the same K — nodes (Section 3.1)
 	Pending             // request holds a thief: answer it
-	Yielded             // a yield interval just ended: look at the abort flag
+	Yielded             // a yield interval just ended: k may have adapted
 )
 
 // Working is Figure 1's Working state of every UPC algorithm on the wall
@@ -385,8 +381,8 @@ func (w *WallPE) Steps(step Stepper) {
 	}
 }
 
-// Interrupted asks the scheduler's Interrupt.
-func (w *WallPE) Interrupted() bool { return w.Interrupt() }
+// Interrupted asks the scheduler's Interrupt, if it set one.
+func (w *WallPE) Interrupted() bool { return w.Interrupt != nil && w.Interrupt() }
 
 // Busy: on the wall clock an operation has happened when its call returns.
 func (w *WallPE) Busy() (time.Duration, uint8, bool) { return 0, 0, false }

@@ -409,9 +409,8 @@ func TestWallClockCadencesCountNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 		var th stats.Thread
-		var abort atomic.Bool
 		count := &pollCounter{Comm: comm}
-		w := &mpiWorker{WallPE: WallPE{PE: NewPE(sp, &th, obs.New(1, 0).Lane(0), nil), Interrupt: abort.Load}, abort: &abort, comm: count}
+		w := &mpiWorker{WallPE: WallPE{PE: NewPE(sp, &th, obs.New(1, 0).Lane(0), nil)}, comm: count}
 		count.w = w
 		w.rank = MsgRank{H: w, PE: &w.PE, Rng: NewProbeOrder(1, 0), N: 1, Chunk: 16, Poll: poll}
 		w.Local.Push(uts.Root(sp))

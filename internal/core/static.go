@@ -33,8 +33,7 @@ func runStatic(sp *uts.Spec, opt Options, res *Result) error {
 		for i := me; i < len(kids); i += opt.Threads {
 			w.Local.Push(kids[i])
 		}
-		w.Interrupt = opt.abort.Load
-		w.Explore(math.MaxInt) // to the empty stack, or the abandoned run
+		w.Explore(math.MaxInt) // to the empty stack
 		w.SetState(stats.Idle)
 	})
 	return nil

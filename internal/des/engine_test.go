@@ -569,7 +569,7 @@ func TestLockFIFOUnderHeavyContention(t *testing.T) {
 }
 
 // gate skips t unless UTS_GATES=1 (`make gates`): the one switch every
-// slow or wall-clock gate of the repo hides behind. DESIGN.md §18.
+// slow or wall-clock gate of the repo hides behind. DESIGN.md §17.
 func gate(t *testing.T) {
 	t.Helper()
 	if os.Getenv("UTS_GATES") != "1" {
@@ -710,28 +710,34 @@ func TestEngineCountsPinned(t *testing.T) {
 		"mpi-ws/t3-small/seed1": {Engine: EngineBatched, Events: 14315, Lookahead: 4 * time.Microsecond,
 			Pops: 2641, Counted: 8408, Wakes: Wakes{Moved: 168}},
 	}
-	// The benchmark's two configurations, each with the identity row the
-	// benchmark takes beside it (des.sharded2_*): at Shards 2 the run is the
-	// batched engine's, the same counts and a result equal to Shards 0's.
+	// The benchmark's two configurations and the mpi-ws smoke of DESIGN.md
+	// §9 (uts-sim -alg mpi-ws -tree bench-small -pes 64: a rank loop that
+	// grows a blocking wait moves its events), each with the identity row
+	// the benchmark takes beside it (des.sharded2_*): at Shards 2 the run is
+	// the batched engine's, the same counts and a result equal to Shards 0's.
 	for _, row := range []struct {
 		name string
+		sp   *uts.Spec
 		cfg  Config
 		want Info
 	}{
-		{"upc-distmem/sim_onesided", Config{Algorithm: core.UPCDistMem, PEs: 256, Chunk: 16, Model: &pgas.KittyHawk, Seed: 1},
+		{"upc-distmem/sim_onesided", &onesidedTree, Config{Algorithm: core.UPCDistMem, PEs: 256, Chunk: 16, Model: &pgas.KittyHawk, Seed: 1},
 			Info{Engine: EngineBatched, Events: 399666, Pops: 116535, Counted: 282957,
 				Wakes: Wakes{Word: 7296, End: 960, Post: 44, Moved: 6681}}},
-		{"mpi-ws/sim_msgpoll", Config{Algorithm: core.MPIWS, PEs: 256, Chunk: 16, Model: &pgas.KittyHawk, PollInterval: 8, Seed: 1},
+		{"mpi-ws/sim_msgpoll", &onesidedTree, Config{Algorithm: core.MPIWS, PEs: 256, Chunk: 16, Model: &pgas.KittyHawk, PollInterval: 8, Seed: 1},
 			Info{Engine: EngineBatched, Events: 3131451, Lookahead: 4 * time.Microsecond,
 				Pops: 532857, Counted: 1998722, Wakes: Wakes{Moved: 46446}}},
+		{"mpi-ws/bench-small/64", &uts.BenchSmall, Config{Algorithm: core.MPIWS, PEs: 64, Chunk: 16, Model: &pgas.KittyHawk, PollInterval: 8},
+			Info{Engine: EngineBatched, Events: 305696, Lookahead: 4 * time.Microsecond,
+				Pops: 53134, Counted: 190511, Wakes: Wakes{Moved: 4045}}},
 	} {
-		res, info, err := RunInfo(&onesidedTree, row.cfg)
+		res, info, err := RunInfo(row.sp, row.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		check(row.name, info, row.want)
 		row.cfg.Shards = 2
-		res2, info, err := RunInfo(&onesidedTree, row.cfg)
+		res2, info, err := RunInfo(row.sp, row.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

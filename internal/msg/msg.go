@@ -161,12 +161,3 @@ func (c *Comm) Recv(me int) (Message, bool) {
 	}
 	return m, true
 }
-
-// Pending reports the number of queued messages for rank me without
-// consuming them (MPI_Iprobe analogue).
-func (c *Comm) Pending(me int) int {
-	ib := &c.inboxes[me]
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	return len(ib.q) - ib.head
-}

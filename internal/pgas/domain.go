@@ -13,52 +13,6 @@ import (
 type Domain struct {
 	n     int
 	model *Model
-
-	// Two-level topology (optional): threads are grouped into cluster
-	// nodes of nodeSize consecutive IDs; references between threads on
-	// the same node are charged to intra instead of model. This realizes
-	// the machine structure behind the paper's Section 6.2 suggestion of
-	// stealing within a node (bupc_thread_distance) before going off-node.
-	nodeSize int
-	intra    *Model
-}
-
-// SetTopology groups the domain's threads into cluster nodes of nodeSize
-// consecutive IDs and charges references between same-node threads to the
-// intra model. nodeSize <= 1 or a nil intra model restores the flat
-// machine.
-func (d *Domain) SetTopology(nodeSize int, intra *Model) {
-	if nodeSize <= 1 || intra == nil {
-		d.nodeSize = 0
-		d.intra = nil
-		return
-	}
-	d.nodeSize = nodeSize
-	d.intra = intra
-}
-
-// NodeSize returns the cluster-node size, or 0 for a flat machine.
-func (d *Domain) NodeSize() int { return d.nodeSize }
-
-// SameNode reports whether threads a and b live on the same cluster node.
-// On a flat machine only a == b is local.
-func (d *Domain) SameNode(a, b int) bool {
-	if a == b {
-		return true
-	}
-	if d.nodeSize <= 1 {
-		return false
-	}
-	return a/d.nodeSize == b/d.nodeSize
-}
-
-// modelFor returns the cost model governing a reference from thread me to
-// data with affinity to owner.
-func (d *Domain) modelFor(me, owner int) *Model {
-	if d.intra != nil && me != owner && d.SameNode(me, owner) {
-		return d.intra
-	}
-	return d.model
 }
 
 // NewDomain creates a domain of n threads under the given cost model.
@@ -86,7 +40,7 @@ func (d *Domain) ChargeRef(me, owner int) {
 	if me == owner {
 		Charge(d.model.LocalRef)
 	} else {
-		Charge(d.modelFor(me, owner).RemoteRef)
+		Charge(d.model.RemoteRef)
 	}
 }
 
@@ -96,7 +50,7 @@ func (d *Domain) ChargeBulk(me, owner, n int) {
 	if me == owner {
 		Charge(d.model.LocalRef)
 	} else {
-		Charge(d.modelFor(me, owner).BulkCost(n))
+		Charge(d.model.BulkCost(n))
 	}
 }
 
@@ -108,7 +62,7 @@ func (d *Domain) ChargeLockRTT(me, owner int) {
 		Charge(d.model.LocalRef)
 		return
 	}
-	Charge(d.modelFor(me, owner).LockRTT)
+	Charge(d.model.LockRTT)
 }
 
 // Lock is a UPC-style global lock: any thread may acquire it, and acquiring
@@ -123,7 +77,7 @@ type Lock struct {
 	// One lock, one cache line: the locks of a run are allocated back to
 	// back, and at their bare 24 bytes two threads' mutex words share a
 	// line, so each owner's uncontended acquire bounces the other's
-	// (DESIGN.md §18).
+	// (DESIGN.md §17).
 	_ [64 - 24]byte
 }
 
@@ -138,7 +92,7 @@ func (l *Lock) Acquire(me int) {
 	if me == l.owner {
 		Charge(l.dom.model.LocalRef)
 	} else {
-		Charge(l.dom.modelFor(me, l.owner).LockRTT)
+		Charge(l.dom.model.LockRTT)
 	}
 	l.mu.Lock()
 }
@@ -149,6 +103,6 @@ func (l *Lock) Release(me int) {
 	if me == l.owner {
 		Charge(l.dom.model.LocalRef)
 	} else {
-		Charge(l.dom.modelFor(me, l.owner).LockRTT)
+		Charge(l.dom.model.LockRTT)
 	}
 }

@@ -150,52 +150,3 @@ func TestChargeRefAffinity(t *testing.T) {
 		t.Errorf("local ref (%v) costlier than remote (%v)", local, remote)
 	}
 }
-
-func TestTopology(t *testing.T) {
-	d, _ := NewDomain(12, &Topsail)
-	if d.NodeSize() != 0 {
-		t.Error("flat domain should have node size 0")
-	}
-	if d.SameNode(1, 2) {
-		t.Error("flat domain: distinct threads share no node")
-	}
-	if !d.SameNode(3, 3) {
-		t.Error("a thread is always on its own node")
-	}
-	d.SetTopology(4, &Altix)
-	if d.NodeSize() != 4 {
-		t.Errorf("NodeSize = %d", d.NodeSize())
-	}
-	if !d.SameNode(0, 3) || d.SameNode(3, 4) || !d.SameNode(8, 11) {
-		t.Error("node grouping wrong")
-	}
-	// Resetting topology.
-	d.SetTopology(1, &Altix)
-	if d.NodeSize() != 0 {
-		t.Error("nodeSize 1 should flatten the domain")
-	}
-	d.SetTopology(4, nil)
-	if d.NodeSize() != 0 {
-		t.Error("nil intra model should flatten the domain")
-	}
-}
-
-func TestTopologyChargesIntraModel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-dependent")
-	}
-	inter := Model{Name: "inter", RemoteRef: 2 * time.Millisecond}
-	intra := Model{Name: "intra", RemoteRef: 0}
-	d, _ := NewDomain(8, &inter)
-	d.SetTopology(4, &intra)
-	start := time.Now()
-	d.ChargeRef(0, 1) // same node: intra, free
-	if el := time.Since(start); el > time.Millisecond {
-		t.Errorf("intra-node ref took %v", el)
-	}
-	start = time.Now()
-	d.ChargeRef(0, 5) // different node: inter
-	if el := time.Since(start); el < 2*time.Millisecond {
-		t.Errorf("inter-node ref took only %v", el)
-	}
-}

@@ -41,9 +41,6 @@ type CancelBarrier struct {
 	count  atomic.Int32
 	cancel atomic.Bool
 	done   atomic.Bool
-	// abort, when set and raised, releases waiters as if terminated; used
-	// by cancellable runs so no thread is stranded in the spin loop.
-	abort *atomic.Bool
 }
 
 // NewCancelBarrier creates the barrier for all threads of dom. The barrier
@@ -64,9 +61,6 @@ func (b *CancelBarrier) Enter(me int) bool {
 	b.lk.Release(me)
 
 	for !b.cancel.Load() && !b.done.Load() {
-		if b.abort != nil && b.abort.Load() {
-			return true
-		}
 		// Waiters spin remotely on the termination/cancellation flags —
 		// "an arbitrary number of remote operations" (Section 3.1).
 		b.dom.ChargeRef(me, 0)
@@ -82,10 +76,6 @@ func (b *CancelBarrier) Enter(me int) bool {
 	b.lk.Release(me)
 	return done
 }
-
-// SetAbort installs an abort flag: once it reads true, Enter returns true
-// (treating the run as terminated) instead of waiting indefinitely.
-func (b *CancelBarrier) SetAbort(flag *atomic.Bool) { b.abort = flag }
 
 // Cancel wakes barrier waiters because new work was released. It is called
 // by a working thread after every release() — the remote operation whose
