@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,72 +10,17 @@ import (
 	"repro/internal/uts"
 )
 
-// launch runs an in-process cluster of n ranks over real TCP loopback and
-// returns rank 0's aggregated result. Each rank has an OS thread of its
-// own (testProcs).
-func launch(t *testing.T, n int, sp *uts.Spec, chunk int, seed int64) *stats.Run {
+// launch is launchFaulty with every error fatal: it returns rank 0's
+// aggregated result.
+func launch(t *testing.T, n int, base Config, tr transport) *stats.Run {
 	t.Helper()
-	ready := make(chan string, 1)
-	results := make(chan *stats.Run, 1)
-	errs := make(chan error, n)
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		run, err := Run(Config{
-			Rank: 0, Ranks: n, Coord: "127.0.0.1:0", CoordReady: ready,
-			Spec: sp, Chunk: chunk, Seed: seed,
-		})
+	run, errs, _ := launchFaulty(t, n, base, tr, 60*time.Second)
+	for r, err := range errs {
 		if err != nil {
-			errs <- err
-			return
-		}
-		results <- run
-	}()
-
-	var coord string
-	if n > 1 {
-		select {
-		case coord = <-ready:
-		case err := <-errs:
-			t.Fatalf("coordinator failed to start: %v", err)
-		case <-time.After(10 * time.Second):
-			t.Fatal("coordinator never came up")
-		}
-		for r := 1; r < n; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				if _, err := Run(Config{
-					Rank: r, Ranks: n, Coord: coord,
-					Spec: sp, Chunk: chunk, Seed: seed,
-				}); err != nil {
-					errs <- err
-				}
-			}(r)
+			t.Fatalf("rank %d failed: %v", r, err)
 		}
 	}
-
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("cluster run timed out (deadlock?)")
-	}
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
-	}
-	select {
-	case run := <-results:
-		return run
-	default:
-		t.Fatal("rank 0 produced no result")
-		return nil
-	}
+	return run
 }
 
 // testNode builds a node as Run does — validated, defaults filled in —
@@ -140,14 +84,14 @@ func dialPeer(t *testing.T, addr string) *peerConn {
 }
 
 func TestSingleRank(t *testing.T) {
-	run := launch(t, 1, &uts.BenchTiny, 8, 0)
+	run := launch(t, 1, Config{Spec: &uts.BenchTiny, Chunk: 8}, sockets)
 	if run.Nodes() != 3337 {
 		t.Errorf("nodes = %d, want 3337", run.Nodes())
 	}
 }
 
 func TestTwoRanks(t *testing.T) {
-	run := launch(t, 2, &uts.BenchTiny, 4, 0)
+	run := launch(t, 2, Config{Spec: &uts.BenchTiny, Chunk: 4}, sockets)
 	if run.Nodes() != 3337 || run.Leaves() != 1698 {
 		t.Errorf("counts = (%d, %d), want (3337, 1698)", run.Nodes(), run.Leaves())
 	}
@@ -158,7 +102,7 @@ func TestTwoRanks(t *testing.T) {
 
 func TestFourRanksSteals(t *testing.T) {
 	t.Parallel() // mostly a wait (main_test.go)
-	run := launch(t, 4, stealTree, 8, 1)
+	run := launch(t, 4, Config{Spec: stealTree, Chunk: 8, Seed: 1}, sockets)
 	if run.Nodes() != stealTreeNodes {
 		t.Errorf("nodes = %d, want %d", run.Nodes(), stealTreeNodes)
 	}
@@ -185,7 +129,7 @@ func TestEightRanksRepeated(t *testing.T) {
 		t.Skip("multi-process stress")
 	}
 	for seed := int64(0); seed < 3; seed++ {
-		run := launch(t, 8, &uts.BenchTiny, 2, seed)
+		run := launch(t, 8, Config{Spec: &uts.BenchTiny, Chunk: 2, Seed: seed}, sockets)
 		if run.Nodes() != 3337 {
 			t.Fatalf("seed %d: nodes = %d, want 3337", seed, run.Nodes())
 		}
@@ -193,7 +137,7 @@ func TestEightRanksRepeated(t *testing.T) {
 }
 
 func TestGeometricTreeCluster(t *testing.T) {
-	run := launch(t, 3, &uts.GeoLinear, 8, 0)
+	run := launch(t, 3, Config{Spec: &uts.GeoLinear, Chunk: 8}, sockets)
 	if run.Nodes() != 1132 {
 		t.Errorf("nodes = %d, want 1132", run.Nodes())
 	}

@@ -38,13 +38,14 @@ var stealTree = &uts.BenchMedium
 
 const stealTreeNodes, stealTreeLeaves = 481599, 241049
 
-// launchFaulty runs an in-process cluster where ranks are allowed — even
-// expected — to fail. It returns rank 0's result (nil when rank 0 itself
-// failed), every rank's error and, per rule of base.Fault, how many times
-// it fired over all ranks; it fails the test if the cluster does not wind
-// down within deadline: bounded completion under faults is the property
-// every test here is ultimately asserting.
-func launchFaulty(t *testing.T, n int, base Config, deadline time.Duration) (*stats.Run, map[int]error, []int) {
+// launchFaulty runs an in-process cluster of n ranks over transport tr,
+// where ranks are allowed — even expected — to fail. It returns rank 0's
+// result (nil when rank 0 itself failed), every rank's error and, per rule
+// of base.Fault, how many times it fired over all ranks; it fails the test
+// if the cluster does not wind down within deadline: bounded completion
+// under faults is the property every test here is ultimately asserting.
+// Each rank has an OS thread of its own (testProcs).
+func launchFaulty(t *testing.T, n int, base Config, tr transport, deadline time.Duration) (*stats.Run, map[int]error, []int) {
 	t.Helper()
 	ready := make(chan string, 1)
 	type rankDone struct {
@@ -58,6 +59,7 @@ func launchFaulty(t *testing.T, n int, base Config, deadline time.Duration) (*st
 		cfg := base
 		cfg.Rank, cfg.Ranks, cfg.Coord, cfg.CoordReady = r, n, coord, coordReady
 		nodes[r] = testNode(t, cfg)
+		nodes[r].tr = tr
 		go func() {
 			run, err := nodes[r].run()
 			results <- rankDone{r, run, err}
@@ -65,13 +67,15 @@ func launchFaulty(t *testing.T, n int, base Config, deadline time.Duration) (*st
 	}
 
 	launch(0, "127.0.0.1:0", ready)
-	select {
-	case coord := <-ready:
-		for r := 1; r < n; r++ {
-			launch(r, coord, nil)
+	if n > 1 {
+		select {
+		case coord := <-ready:
+			for r := 1; r < n; r++ {
+				launch(r, coord, nil)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("coordinator never came up")
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("coordinator never came up")
 	}
 
 	var run *stats.Run
@@ -140,7 +144,7 @@ func TestFaultKillMidStealFourRanks(t *testing.T) {
 	plan := &FaultPlan{Rules: []FaultRule{
 		{Rank: 2, Peer: -1, Side: ClientSide, Kind: int(kindCASRequest), Op: FaultKill},
 	}}
-	run, errs, fired := launchFaulty(t, 4, faultCfg(stealTree, 8, plan), 60*time.Second)
+	run, errs, fired := launchFaulty(t, 4, faultCfg(stealTree, 8, plan), sockets, 60*time.Second)
 	requireFired(t, fired, 1)
 
 	if !errors.Is(errs[2], errKilled) {
@@ -204,7 +208,7 @@ func TestFaultSeverMidSteal(t *testing.T) {
 	plan := &FaultPlan{Rules: []FaultRule{
 		{Rank: 0, Peer: -1, Side: ServerSide, Kind: int(kindGetChunks), Op: FaultSever, Times: 1},
 	}}
-	run, errs, fired := launchFaulty(t, 2, faultCfg(stealTree, 4, plan), 30*time.Second)
+	run, errs, fired := launchFaulty(t, 2, faultCfg(stealTree, 4, plan), sockets, 30*time.Second)
 	requireFired(t, fired, 1)
 	requireHealthyExactRun(t, run, errs, stealTreeNodes, stealTreeLeaves)
 }
@@ -220,7 +224,7 @@ func TestFaultSeverEverySteal(t *testing.T) {
 	plan := &FaultPlan{Rules: []FaultRule{
 		{Rank: 0, Peer: -1, Side: ServerSide, Kind: int(kindGetChunks), Op: FaultSever},
 	}}
-	run, errs, fired := launchFaulty(t, 2, faultCfg(stealTree, 4, plan), 30*time.Second)
+	run, errs, fired := launchFaulty(t, 2, faultCfg(stealTree, 4, plan), sockets, 30*time.Second)
 	requireFired(t, fired, anyTimes)
 	requireHealthyExactRun(t, run, errs, stealTreeNodes, stealTreeLeaves)
 	if steals := run.Sum(func(th *stats.Thread) int64 { return th.Steals }); steals != 0 {
@@ -241,7 +245,7 @@ func TestFaultDropPutResponse(t *testing.T) {
 	plan := &FaultPlan{Rules: []FaultRule{
 		{Rank: 0, Peer: -1, Side: ClientSide, Kind: int(kindPutResponse), Op: FaultDrop, Times: 1},
 	}}
-	run, errs, fired := launchFaulty(t, 2, faultCfg(stealTree, 4, plan), 30*time.Second)
+	run, errs, fired := launchFaulty(t, 2, faultCfg(stealTree, 4, plan), sockets, 30*time.Second)
 	requireFired(t, fired, 1)
 	requireHealthyExactRun(t, run, errs, stealTreeNodes, stealTreeLeaves)
 }
@@ -259,7 +263,7 @@ func TestFaultLostGetChunksReclaimed(t *testing.T) {
 	plan := &FaultPlan{Rules: []FaultRule{
 		{Rank: 1, Peer: -1, Side: ClientSide, Kind: int(kindGetChunks), Op: FaultDrop, Times: 1},
 	}}
-	run, errs, fired := launchFaulty(t, 2, faultCfg(stealTree, 4, plan), 30*time.Second)
+	run, errs, fired := launchFaulty(t, 2, faultCfg(stealTree, 4, plan), sockets, 30*time.Second)
 	requireFired(t, fired, 1)
 	requireHealthyExactRun(t, run, errs, stealTreeNodes, stealTreeLeaves)
 }
@@ -271,7 +275,7 @@ func TestFaultKillBeforeBarrier(t *testing.T) {
 	plan := &FaultPlan{Rules: []FaultRule{
 		{Rank: 3, Peer: -1, Side: ClientSide, Kind: int(kindBarrierEnter), Op: FaultKill},
 	}}
-	run, errs, fired := launchFaulty(t, 4, faultCfg(&uts.BenchTiny, 4, plan), 60*time.Second)
+	run, errs, fired := launchFaulty(t, 4, faultCfg(&uts.BenchTiny, 4, plan), sockets, 60*time.Second)
 	requireFired(t, fired, 1)
 
 	if !errors.Is(errs[3], errKilled) {
@@ -303,7 +307,7 @@ func TestFaultKillMidBootstrap(t *testing.T) {
 	}}
 	cfg := faultCfg(&uts.BenchTiny, 4, plan)
 	cfg.DialTimeout = 2 * time.Second
-	run, errs, fired := launchFaulty(t, 3, cfg, 30*time.Second)
+	run, errs, fired := launchFaulty(t, 3, cfg, sockets, 30*time.Second)
 	requireFired(t, fired, 1)
 
 	if run != nil {
@@ -354,6 +358,73 @@ func TestFaultServiceWithdrawsOnDeadThief(t *testing.T) {
 	}
 	if !n.isDead(1) {
 		t.Error("unresponsive thief was not marked dead")
+	}
+}
+
+// failAt is a rank's worker as the machine's host, with a fatal error set
+// at the first probe the machine starts after enters barrier entries, as a
+// failed RPC there would set it. In a run of two ranks the other counts as
+// dead until then, so the rank gets there without an RPC; from then on any
+// RPC would dial it.
+type failAt struct {
+	*clusterWorker
+	enters int
+	err    error
+	fired  bool
+}
+
+func (f *failAt) Rec(k obs.Kind, other int32, value int64) {
+	switch {
+	case k == obs.KindTermEnter:
+		f.enters--
+	case k == obs.KindProbeStart && f.enters == 0 && !f.fired:
+		f.fired = true
+		f.fail(f.err)
+		f.n.dead[1-f.me].Store(false)
+	}
+	f.clusterWorker.Rec(k, other, value)
+}
+
+// TestFaultFailedRankEndsLocally: a rank whose fatal error is set — before
+// it starts, with the root to work on; in its first probe cycle; in the
+// streamlined wait — runs its machine to the end and returns that error,
+// with no RPC after the error: its transport fails the test on any dial.
+// Rank 1's barrier is rank 0's, over RPC; rank 0's is local, and only it
+// can reach the wait alone.
+func TestFaultFailedRankEndsLocally(t *testing.T) {
+	errFatal := errors.New("fatal transport error")
+	for _, tc := range []struct {
+		name   string
+		rank   int
+		enters int // barrier entries before the failing probe; −1: failed at the start
+	}{{"working", 0, -1}, {"probe cycle", 1, 0}, {"streamlined wait", 0, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := testNode(t, Config{Rank: tc.rank, Ranks: 2})
+			n.tr.dial = func(addr string, _ time.Duration) (stream, error) {
+				t.Errorf("dial %q: an RPC went out after the error", addr)
+				return nil, errors.New("no dial")
+			}
+			w := newWorker(n)
+			h := &failAt{clusterWorker: w, enters: tc.enters, err: errFatal}
+			if tc.enters < 0 {
+				w.fail(errFatal)
+			} else {
+				n.dead[1-tc.rank].Store(true)
+			}
+			done := make(chan error, 1)
+			go func() { done <- w.run(h) }()
+			select {
+			case err := <-done:
+				if err != errFatal {
+					t.Errorf("run returned %v, want %v", err, errFatal)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the failed rank's machine never ended")
+			}
+			if tc.enters >= 0 && !h.fired {
+				t.Error("the run ended before the probe that fails")
+			}
+		})
 	}
 }
 
@@ -846,19 +917,10 @@ func TestAdvertiseAddr(t *testing.T) {
 // Advertise settings — the multi-host plumbing, exercised on loopback —
 // and checks the result is identical to the default-bound run.
 func TestBindAdvertiseCluster(t *testing.T) {
-	base := Config{
+	run := launch(t, 2, Config{
 		Spec: &uts.BenchTiny, Chunk: 4,
 		Bind: "0.0.0.0:0", Advertise: "127.0.0.1",
-	}
-	run, errs, _ := launchFaulty(t, 2, base, 60*time.Second)
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d failed: %v", r, err)
-		}
-	}
-	if run == nil {
-		t.Fatal("rank 0 produced no result")
-	}
+	}, sockets)
 	if run.Nodes() != 3337 || run.Leaves() != 1698 {
 		t.Errorf("counts = (%d, %d), want (3337, 1698)", run.Nodes(), run.Leaves())
 	}

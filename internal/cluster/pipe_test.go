@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/stats"
 	"repro/internal/uts"
 )
 
@@ -104,38 +103,7 @@ func (l *pipeListener) Addr() string { return l.addr }
 // counts are the tree's.
 func TestClusterOverPipes(t *testing.T) {
 	pn := &pipeNet{lns: map[string]*pipeListener{}}
-	ready := make(chan string, 1)
-	n0 := testNode(t, Config{Rank: 0, Ranks: 2, Coord: "pipe", CoordReady: ready, Spec: &uts.BenchTiny, Chunk: 4})
-	n0.tr = pn.transport()
-	var run *stats.Run
-	errs := make(chan error, 2)
-	go func() {
-		var err error
-		run, err = n0.run()
-		errs <- err
-	}()
-	var coord string
-	select {
-	case coord = <-ready:
-	case err := <-errs:
-		t.Fatalf("coordinator: %v", err)
-	}
-	n1 := testNode(t, Config{Rank: 1, Ranks: 2, Coord: coord, Spec: &uts.BenchTiny, Chunk: 4})
-	n1.tr = pn.transport()
-	go func() {
-		_, err := n1.run()
-		errs <- err
-	}()
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(60 * time.Second):
-			t.Fatal("cluster over pipes timed out")
-		}
-	}
+	run := launch(t, 2, Config{Spec: &uts.BenchTiny, Chunk: 4}, pn.transport())
 	if run.Nodes() != 3337 || run.Leaves() != 1698 {
 		t.Errorf("counts = (%d, %d), want (3337, 1698)", run.Nodes(), run.Leaves())
 	}

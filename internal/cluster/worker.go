@@ -15,25 +15,35 @@ import (
 // runWorker runs the Section 3.3 distributed-memory algorithm on this
 // rank's worker thread, with every remote interaction going over TCP.
 func (n *node) runWorker() error {
+	w := newWorker(n)
+	return w.run(w)
+}
+
+// newWorker builds the rank's worker, rank 0's holding the root.
+func newWorker(n *node) *clusterWorker {
 	w := &clusterWorker{
 		// This rank is one PE, so it owns the set's single controller.
 		WallPE: core.WallPE{PE: core.NewPE(n.cfg.Spec, &n.t, n.cfg.Tracer.Lane(n.cfg.Rank), n.pset.Controller(0))},
 		n:      n,
 		me:     n.cfg.Rank,
 	}
-	w.Interrupt = func() bool {
-		return n.reqWord.Load() >= 0 || n.killed.Load() || w.err != nil
-	}
+	w.Interrupt = func() bool { return n.reqWord.Load() >= 0 || n.killed.Load() }
 	if w.me == 0 {
 		w.Local.Push(uts.Root(n.cfg.Spec))
 	}
+	return w
+}
+
+// run drives the machine over h, the worker itself (a test's wrapper of
+// it), to the end of the run and returns the worker's error.
+func (w *clusterWorker) run(h core.Host) error {
 	w.Start()
 	defer w.Stop()
-	m := core.Machine{H: w, PE: &w.PE, Rng: core.NewProbeOrder(n.cfg.Seed, w.me), Me: w.me, N: n.cfg.Ranks, Stream: true}
+	m := core.Machine{H: h, PE: &w.PE, Rng: core.NewProbeOrder(w.n.cfg.Seed, w.me), Me: w.me, N: w.n.cfg.Ranks, Stream: true}
 	w.Steps(m.Start())
 	// A rank that terminates cleanly holds nothing: work still reserved or
 	// pooled is a subtree nobody explored, and says so rather than count short.
-	if reserved, pooled := n.handoff.Pending(), w.pool.Len(); w.err == nil && reserved+pooled > 0 {
+	if reserved, pooled := w.n.handoff.Pending(), w.pool.Len(); w.err == nil && reserved+pooled > 0 {
 		return fmt.Errorf("cluster: rank %d terminated with unexplored work: %d handoff entries reserved, %d chunks pooled",
 			w.me, reserved, pooled)
 	}
@@ -42,9 +52,13 @@ func (n *node) runWorker() error {
 
 // clusterWorker is the rank's worker thread, the machine's Host (core.Host)
 // over TCP. The fault paths reach the machine through the hooks every host
-// has: a dead rank answers a probe "not a worker", reserved work no thief
-// fetched comes home through Settle, and an error the run cannot survive
-// (this rank killed, the coordinator unreachable) is err, what Stopped reports.
+// has: a dead rank answers a probe "not a worker", and reserved work no
+// thief fetched comes home through Settle. An error the run cannot survive
+// (this rank killed, the coordinator unreachable) is err, and once it is
+// set the same hooks end the run without another RPC: every probe reads
+// "not a worker", Settle regains nothing, Enter reports the run over,
+// Leave refuses and the announcement flag reads set, so the machine ends
+// at the barrier and run returns err.
 type clusterWorker struct {
 	core.WallPE
 	n    *node
@@ -67,8 +81,6 @@ func (w *clusterWorker) failUnlessPeer(err error) {
 		w.fail(err)
 	}
 }
-
-func (w *clusterWorker) Stopped() bool { return w.err != nil }
 
 // Work explores nodes until the local stack and the steal pool drain and
 // leaves the work-available word saying the rank is out of work. The kill
@@ -196,7 +208,7 @@ func (w *clusterWorker) Settle(entering bool) bool {
 		}
 		runtime.Gosched()
 	}
-	return regained && w.pool.Len() > 0
+	return regained && w.pool.Len() > 0 && w.err == nil
 }
 
 // getAvail reads rank v's work-available word with a one-sided get. A rank
@@ -221,11 +233,12 @@ func (w *clusterWorker) StageAvail(v int) time.Duration {
 	return w.Stage(int64(w.getAvail(v)))
 }
 
-// StageAnnounced asks rank 0 whether termination was announced.
+// StageAnnounced asks rank 0 whether termination was announced; a rank
+// that has failed reads it set.
 func (w *clusterWorker) StageAnnounced(time.Duration) time.Duration {
 	switch {
 	case w.err != nil:
-		return w.Stage(0)
+		return w.StageFlag(true)
 	case w.me == 0:
 		return w.StageFlag(w.n.announced.Load())
 	}
@@ -321,16 +334,23 @@ func (w *clusterWorker) barrier(kind reqKind) *response {
 }
 
 // Enter and Leave: the barrier completes over the surviving membership
-// (rank 0 shrinks the required count as deaths are reported).
+// (rank 0 shrinks the required count as deaths are reported). For a rank
+// that has failed the run is over: it enters no barrier and leaves none.
 func (w *clusterWorker) Enter() bool {
-	if w.me == 0 {
+	switch {
+	case w.err != nil:
+		return true
+	case w.me == 0:
 		return w.n.barEnter(0)
 	}
 	return w.barrier(kindBarrierEnter).Last
 }
 
 func (w *clusterWorker) Leave() bool {
-	if w.me == 0 {
+	switch {
+	case w.err != nil:
+		return false
+	case w.me == 0:
 		return w.n.barLeave(0)
 	}
 	return w.barrier(kindBarrierLeave).OK

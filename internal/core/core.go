@@ -178,7 +178,7 @@ func Run(sp *uts.Spec, opt Options) (*Result, error) {
 		return nil, err
 	}
 	opt.policySet = policy.NewSet(opt.Adapt,
-		PolicyBase(opt.Algorithm, opt.Chunk, opt.PollInterval, 0, opt.Model, nil), opt.Threads)
+		PolicyBase(opt.Algorithm, opt.Chunk, opt.PollInterval), opt.Threads)
 
 	res := &Result{Spec: sp, Algorithm: opt.Algorithm, Chunk: opt.Chunk}
 	res.SeqRate = opt.SeqRate

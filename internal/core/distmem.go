@@ -90,9 +90,6 @@ type distWorker struct {
 
 func (w *distWorker) stack() *privStack { return w.run.stacks[w.me] }
 
-// Stopped: a run of goroutines goes on to global termination.
-func (w *distWorker) Stopped() bool { return false }
-
 // Work explores nodes until local stack and steal pool are both empty,
 // then tells probing threads so. Working polls the request word before every
 // visit — a local read whose cost is negligible, the point of the design.

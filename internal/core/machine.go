@@ -59,10 +59,10 @@ type Host interface {
 	EndSteal(ok bool, back stats.State)
 
 	// Engine. Interrupted is asked at every service point — the end of a
-	// quantum without StepNoPoll, never before the first — and reports a
-	// steal request pending or the run stopped: the machine then calls
-	// Service, and, in the search or the wait, gives up if Stopped. The
-	// host answers it from its own request word; no engine delivers it.
+	// quantum without StepNoPoll, never before the first — and reports
+	// work for Service: a steal request pending (on the cluster, also a kill
+	// to notice). The machine then calls Service. The host answers it from
+	// its own words; no engine delivers it.
 	Interrupted() bool
 	// Busy is asked after every call of Work, Service, Steal, Enter and
 	// Leave. A host whose operations take time its step must return (the
@@ -121,10 +121,6 @@ type Host interface {
 	// inside Enter and has let go when it reports false.
 	Enter() bool
 	Leave() bool
-	// Stopped reports a run the host cannot go on with (the cluster's
-	// fatal transport error or kill); the machine returns at its next
-	// check. The goroutine workers and the simulator answer false.
-	Stopped() bool
 }
 
 // Machine is one PE's Figure-1 loop.
@@ -139,9 +135,9 @@ type Machine struct {
 	// barrier inspecting one PE at a time. Without it (Section 3.1) one
 	// cycle without a steal leads to a barrier that waits by itself.
 	Stream bool
-	// Hier and NodeSize select the victim tier (PE.VictimTier).
-	Hier     bool
-	NodeSize int
+	// Tier groups a probe cycle's victims by nodes of Tier consecutive PEs,
+	// same-node victims first (ProbeOrder.WalkHier); <= 1 is a flat cycle.
+	Tier int
 
 	ep episode
 }
@@ -199,13 +195,6 @@ func (m *Machine) step() (time.Duration, uint8) {
 			return d, fl
 		}
 		e.serve = false
-		if e.at != atWork && h.Stopped() {
-			if e.at == atSearch {
-				m.searched(false)
-			} else {
-				e.at = atLast
-			}
-		}
 	}
 	for {
 		switch e.at {
@@ -312,17 +301,14 @@ func (m *Machine) searched(found bool) {
 		h.SetState(stats.Idle)
 		found = h.Settle(true)
 	}
-	switch {
-	case h.Stopped():
-		e.at = atEnd
-	case found:
+	if found {
 		h.SetState(stats.Working)
 		e.at = atWork
-	default:
-		m.PE.T.TermBarrierEntries++
-		h.Rec(obs.KindTermEnter, -1, 0)
-		e.at = atEnter
+		return
 	}
+	m.PE.T.TermBarrierEntries++
+	h.Rec(obs.KindTermEnter, -1, 0)
+	e.at = atEnter
 }
 
 // newWalk starts a probe cycle, unless work came home by itself first.
@@ -332,7 +318,7 @@ func (m *Machine) newWalk() bool {
 		e.over, e.found = true, true
 		return false
 	}
-	e.walk = m.Rng.WalkHier(m.Me, m.N, m.PE.VictimTier(m.Hier, m.NodeSize))
+	e.walk = m.Rng.WalkHier(m.Me, m.N, m.Tier)
 	e.sawWorker = false
 	return true
 }

@@ -52,7 +52,6 @@ func (w *mpiWorker) Send(to int, m msg.Message) time.Duration {
 }
 func (w *mpiWorker) Sleep() time.Duration  { return 0 }
 func (w *mpiWorker) Iprobe() time.Duration { return 0 }
-func (w *mpiWorker) Stopped() bool         { return false }
 
 func (w *mpiWorker) Recv() *msg.Message {
 	m, ok := w.comm.Recv(w.me)

@@ -42,15 +42,12 @@ type MsgHost interface {
 	Sleep() time.Duration
 	// Explore is one quantum of exploring, at most most nodes off the local
 	// stack, and whether it stopped at most (more); false once the stack
-	// is empty or the run abandoned. It feeds the controller at the host's
-	// Working cadence: at each yield on the wall clock, where that reads
-	// the clock, at the quantum's end in the simulator.
+	// is empty. It feeds the controller at the host's Working cadence: at
+	// each yield on the wall clock, where that reads the clock, at the
+	// quantum's end in the simulator.
 	Explore(most int) (d time.Duration, more bool)
 	// Iprobe is the quantum one look at the message queue costs.
 	Iprobe() time.Duration
-	// Stopped reports a run the host gives up; the rank returns at its
-	// next check. The goroutine rank and the simulator's answer false.
-	Stopped() bool
 }
 
 // MsgRank is one rank's work-or-idle loop and its half of the token ring, as
@@ -58,7 +55,10 @@ type MsgHost interface {
 // instead of slept, the form Machine.search has. The simulator's dispatcher
 // runs it inline; a wall-clock host runs it with WallPE.Steps. The rank has
 // no service points: it looks at its queue in its own poll cycle, so every
-// quantum but the idle beat is StepNoPoll.
+// quantum but the idle beat is StepNoPoll. A rank ends only at the
+// termination the token ring detects: both of its substrates run every
+// rank to the end, and the cluster, the one that gives a run up, runs the
+// one-sided protocol instead.
 type MsgRank struct {
 	H     MsgHost
 	PE    *PE // the host's shell
@@ -100,7 +100,7 @@ const (
 
 // Start returns the rank's step function. The PE starts in the Working
 // state, the root on rank 0's stack; the step ends (StepDone) when the rank
-// has seen the run terminate or the host stopped.
+// has seen the run terminate.
 func (r *MsgRank) Start() Stepper {
 	if r.Me == 0 {
 		// Rank 0 owns the initial (conceptually black) token; the first
@@ -116,7 +116,7 @@ func (r *MsgRank) step() (time.Duration, uint8) {
 	h, pe := r.H, r.PE
 	switch r.phase {
 	case rankTurn:
-		if r.terminated || h.Stopped() {
+		if r.terminated {
 			return 0, StepDone
 		}
 		if pe.Local.Len() > 0 {
@@ -248,8 +248,6 @@ func (r *MsgRank) idle() (time.Duration, uint8) {
 		return r.leaveIdle()
 	case r.haveToken && !r.outstanding:
 		return r.passToken(), StepNoPoll
-	case h.Stopped():
-		return r.leaveIdle()
 	case !r.outstanding:
 		v := r.Rng.Victim(r.Me, r.N)
 		pe.T.Probes++

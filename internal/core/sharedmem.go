@@ -104,9 +104,6 @@ type sharedWorker struct {
 
 func (w *sharedWorker) stack() *sharedStack { return w.run.stacks[w.me] }
 
-// Stopped: a run of goroutines goes on to global termination.
-func (w *sharedWorker) Stopped() bool { return false }
-
 // Service has nothing to answer: thieves of this family help themselves
 // under the victim's lock.
 func (w *sharedWorker) Service() {}

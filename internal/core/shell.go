@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/pgas"
 	"repro/internal/policy"
 	"repro/internal/rng"
 	"repro/internal/stack"
@@ -105,17 +104,6 @@ func (pe *PE) FlushNodes() {
 func (pe *PE) NoteCtl(now int64) {
 	pe.Ctl.NoteNodes(int(pe.T.Nodes-pe.ctlNodes), pe.Local.Len(), now)
 	pe.ctlNodes = pe.T.Nodes
-}
-
-// VictimTier returns the node width a probe cycle should group same-node
-// victims by, given the scheduler's topology (nodeSize <= 1: none): that
-// width under the hierarchical algorithm, or when the controller found
-// intra-node steals cheap enough to prefer; else 1, a flat cycle.
-func (pe *PE) VictimTier(hier bool, nodeSize int) int {
-	if nodeSize > 1 && (hier || pe.Ctl.NodeSize() > 1) {
-		return nodeSize
-	}
-	return 1
 }
 
 // Rec records a trace event stamped with the PE's timebase: the virtual
@@ -442,21 +430,6 @@ var SharedVariants = map[Algorithm]SharedVariant{
 
 // PolicyBase is the static configuration the adaptive controllers start
 // from and stay bounded around, the same on every substrate.
-func PolicyBase(a Algorithm, chunk, poll, nodeSize int, model, intra *pgas.Model) policy.Base {
-	return policy.Base{
-		Chunk:     chunk,
-		Poll:      poll,
-		StealHalf: SharedVariants[a].StealHalf,
-		NodeSize:  nodeSize,
-		HierPays:  hierPays(model, intra),
-	}
-}
-
-// hierPays reports whether the latency model makes intra-node victims
-// worth preferring: a same-node steal round trip (lock plus reference)
-// costing at most half the remote one. With no intra model the machine is
-// flat and tiering cannot pay.
-func hierPays(remote, intra *pgas.Model) bool {
-	return intra != nil && remote != nil &&
-		2*(intra.LockRTT+intra.RemoteRef) <= remote.LockRTT+remote.RemoteRef
+func PolicyBase(a Algorithm, chunk, poll int) policy.Base {
+	return policy.Base{Chunk: chunk, Poll: poll, StealHalf: SharedVariants[a].StealHalf}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/pgas"
 	"repro/internal/policy"
 	"repro/internal/stats"
@@ -251,32 +252,43 @@ func TestAdaptBenchGate(t *testing.T) {
 	}
 }
 
-// TestAdaptiveHierTier pins the latency-model-driven victim tier: with an
-// intra-node model cheap enough that same-node steals pay, an adaptive
-// flat-distmem run reports the hierarchical tier in its summary (the
-// controller drives the walk even though the operator asked for the flat
-// algorithm).
+// TestAdaptiveHierTier pins the latency-model-driven victim tier, read off
+// the trace: an adaptive flat-distmem run on nodes of 8 whose intra-node
+// model makes a same-node steal pay starts every PE's probing on its own
+// node (the tier drives the walk although the operator asked for the flat
+// algorithm); where the intra-node model is no cheaper than the remote one,
+// the walk stays flat and not every first probe is a neighbour's.
 func TestAdaptiveHierTier(t *testing.T) {
-	altix := pgas.Altix
-	cfg := Config{Algorithm: core.UPCDistMem, PEs: 32, Chunk: 8,
-		Model: &pgas.KittyHawk, NodeSize: 8, Intra: &altix, Seed: 31,
-		Adapt: &policy.Config{}}
-	res, err := Run(&uts.T3Small, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Policy == nil || res.Policy.HierTier != 8 {
-		t.Fatalf("expected hier tier 8 from the latency model, got %+v", res.Policy)
-	}
-	// A flat machine (no intra model) must stay flat.
-	cfg.Intra = nil
-	cfg.NodeSize = 0
-	res, err = Run(&uts.T3Small, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Policy.HierTier != 1 {
-		t.Fatalf("flat machine must keep tier 1, got %d", res.Policy.HierTier)
+	const pes, node = 32, 8
+	for _, tc := range []struct {
+		intra pgas.Model
+		pays  bool
+	}{{pgas.Altix, true}, {pgas.KittyHawk, false}} {
+		cfg := Config{Algorithm: core.UPCDistMem, PEs: pes, Chunk: 8,
+			Model: &pgas.KittyHawk, NodeSize: node, Intra: &tc.intra, Seed: 31,
+			Adapt: &policy.Config{}, Tracer: obs.NewVirtual(pes, 1<<12)}
+		if _, err := Run(&uts.T3Small, cfg); err != nil {
+			t.Fatal(err)
+		}
+		onNode := 0
+		for i := 0; i < pes; i++ {
+			evs, _, missed := cfg.Tracer.Lane(i).SnapshotSince(0, nil)
+			if missed > 0 {
+				t.Fatalf("PE %d: the ring lost %d events", i, missed)
+			}
+			for _, e := range evs {
+				if e.Kind == obs.KindProbeStart {
+					if int(e.Other)/node == i/node {
+						onNode++
+					}
+					break
+				}
+			}
+		}
+		if all := onNode == pes; all != tc.pays {
+			t.Errorf("intra %s: %d of %d PEs probed their own node first, want all: %v",
+				tc.intra.Name, onNode, pes, tc.pays)
+		}
 	}
 }
 
@@ -356,7 +368,7 @@ func TestSharedChunkMovesOnlyAtYield(t *testing.T) {
 	for _, pes := range []int{8, 16, 32} {
 		cfg := Config{Algorithm: core.UPCTermRelaxed, PEs: pes}.withDefaults()
 		cs := newCosts(cfg.Model)
-		base := core.PolicyBase(cfg.Algorithm, cfg.Chunk, cfg.PollInterval, cfg.NodeSize, cfg.Model, cfg.Intra)
+		base := core.PolicyBase(cfg.Algorithm, cfg.Chunk, cfg.PollInterval)
 		pset := policy.NewSet(&policy.Config{Window: max(8*cs.remoteRef, 32*cs.nodeCost)}, base, pes)
 		res := &core.Result{Spec: sp, Algorithm: cfg.Algorithm, Chunk: cfg.Chunk}
 		res.Threads = make([]stats.Thread, pes)

@@ -33,9 +33,19 @@ type simDistPE struct {
 
 func simDistMem(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, ps *policy.Set, wakes *Wakes, log *sourceLog, finish func(*Proc)) {
 	r := &simDistRun{upcRun: newUPCRun(cfg, cs, wakes, log)}
+	// The victim tier: on a machine with nodes, a probe cycle tries same-node
+	// victims first under upc-distmem-hier, or under adaptation where the
+	// latency model says it pays — a same-node lock plus reference costing
+	// at most half a remote one. Topology does not drift, so it is decided
+	// once.
+	tier := 1
 	if cfg.NodeSize >= 2 && cfg.Intra != nil {
 		r.nodeSize = cfg.NodeSize
 		r.intra = newCosts(cfg.Intra)
+		pays := 2*(cfg.Intra.LockRTT+cfg.Intra.RemoteRef) <= cfg.Model.LockRTT+cfg.Model.RemoteRef
+		if cfg.Algorithm == core.UPCDistMemHier || cfg.Adapt != nil && pays {
+			tier = r.nodeSize
+		}
 	}
 	r.pes = make([]*simDistPE, cfg.PEs)
 	for i := 0; i < cfg.PEs; i++ {
@@ -44,8 +54,7 @@ func simDistMem(sim *Sim, sp *uts.Spec, cfg Config, cs costs, res *core.Result, 
 		if i == 0 {
 			pe.Local.Push(uts.Root(sp))
 		}
-		m := &core.Machine{H: pe, PE: &pe.PE, Rng: pe.rng, Me: i, N: cfg.PEs,
-			Stream: true, Hier: cfg.Algorithm == core.UPCDistMemHier, NodeSize: r.nodeSize}
+		m := &core.Machine{H: pe, PE: &pe.PE, Rng: pe.rng, Me: i, N: cfg.PEs, Stream: true, Tier: tier}
 		pe.spawnStepped(sim, m.Start(), pe.read, finish)
 	}
 }

@@ -92,8 +92,6 @@ func (s *script) Leave() bool {
 	return s.leaves != s.refuse
 }
 
-func (s *script) Stopped() bool { return false }
-
 // logged wraps either fake so that what the machine asks of the clock
 // third (the real adapter's on both sides) lands in the log too: trace
 // values carry the probe victims and answers, state changes the verdicts
@@ -137,7 +135,6 @@ type simFake struct {
 }
 
 func (f *simFake) Settle(e bool) bool { return f.script.Settle(e) }
-func (f *simFake) Stopped() bool      { return false }
 func (f *simFake) Interrupted() bool  { return f.pending }
 func (f *simFake) StageAvail(v int) time.Duration {
 	f.stage = append(f.stage, func() int64 { return f.readAvail(v) })

@@ -45,8 +45,8 @@ type msgScript struct {
 }
 
 const (
-	scriptChunk = 2  // k: a request is granted at a stack of 4
-	scriptRecvs = 50 // no case takes more Recv calls
+	scriptChunk = 2   // k: a request is granted at a stack of 4
+	scriptSteps = 500 // no case takes more steps
 )
 
 func (s *msgScript) logf(format string, a ...any) { s.log = append(s.log, fmt.Sprintf(format, a...)) }
@@ -82,27 +82,28 @@ func (s *msgScript) Explore(most int) (time.Duration, bool) {
 
 func (s *msgScript) Iprobe() time.Duration { s.logf("iprobe"); return s.look }
 
-// Stopped abandons a run whose script has run out: a rank waiting for a
-// message the script never sends — one that ignored its terminate — stops
-// instead of polling forever, and run logs stoppedLine, which fails every
-// case.
-func (s *msgScript) Stopped() bool { return s.recvs > scriptRecvs }
-
-const stoppedLine = "stopped: the script ran out of messages"
+const stoppedLine = "stopped: the rank outlived its script"
 
 // run has drive run the rank's step function over host h (the script plus
 // one driver's clock, Sleep and post) and returns the log, closed with the
-// counters the rank kept.
+// counters the rank kept. Either driver stops the step at scriptSteps: a
+// rank waiting for a message the script never sends — one that ignored its
+// terminate — ends there instead of polling forever, and the log gets
+// stoppedLine, which fails every case.
 func (s *msgScript) run(h core.MsgHost, pe *core.PE, drive func(core.Stepper)) []string {
 	s.pe = pe
 	for i := 0; i < s.start; i++ {
 		pe.Local.Push(uts.Node{})
 	}
 	rank := &core.MsgRank{H: loggedMsg{h, s}, PE: pe, Rng: core.NewProbeOrder(1, s.me), Me: s.me, N: s.n, Chunk: scriptChunk, Poll: max(s.poll, 1)}
-	drive(rank.Start())
-	if s.recvs > scriptRecvs {
-		s.logf(stoppedLine)
-	}
+	step, steps := rank.Start(), 0
+	drive(func() (time.Duration, uint8) {
+		if steps++; steps > scriptSteps {
+			s.logf(stoppedLine)
+			return 0, core.StepDone
+		}
+		return step()
+	})
 	t := pe.T
 	s.logf("probes=%d requests=%d releases=%d steals=%d failed=%d", t.Probes, t.Requests, t.Releases, t.Steals, t.FailedSteals)
 	return s.log
@@ -144,7 +145,6 @@ func (f *simMsgFake) Sleep() time.Duration {
 	const poll = 250 * time.Nanosecond
 	return f.p.StageSleep(f.charge(poll), f.p.Now()+poll)
 }
-func (f *simMsgFake) Stopped() bool { return f.msgScript.Stopped() }
 
 func runWallMsgFake(sc msgScript) []string {
 	var th stats.Thread

@@ -161,7 +161,5 @@ func (pe *simPE) release(l *Lock, cost time.Duration) {
 	pe.then(cost)
 }
 
-// Settle and Stopped: a simulated PE hands out no work that could come
-// back unfetched, and a simulation is never abandoned midway.
+// Settle: a simulated PE hands out no work that could come back unfetched.
 func (pe *simPE) Settle(bool) bool { return false }
-func (pe *simPE) Stopped() bool    { return false }

@@ -328,7 +328,7 @@ func run(sp *uts.Spec, cfg Config, log *sourceLog) (*core.Result, Info, error) {
 			}
 		}
 		pset = policy.NewSet(&acfg,
-			core.PolicyBase(cfg.Algorithm, cfg.Chunk, cfg.PollInterval, cfg.NodeSize, cfg.Model, cfg.Intra), cfg.PEs)
+			core.PolicyBase(cfg.Algorithm, cfg.Chunk, cfg.PollInterval), cfg.PEs)
 	}
 
 	// Completion bookkeeping: every PE records its own end time.

@@ -275,7 +275,7 @@ func runDozeWorld(t *testing.T, sim *Sim, w dozeWorld) dozeRun {
 	}
 	for i, h := range hosts {
 		if slices.Contains(w.searchers, i) {
-			m := &core.Machine{H: h, PE: &h.PE, Rng: h.rng, Me: i, N: w.pes, Stream: true, Hier: w.nodeSize > 1, NodeSize: w.nodeSize}
+			m := &core.Machine{H: h, PE: &h.PE, Rng: h.rng, Me: i, N: w.pes, Stream: true, Tier: w.nodeSize}
 			step, begun := m.Start(), false
 			h.spawnStepped(sim, func() (time.Duration, uint8) {
 				if !begun {

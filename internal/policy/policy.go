@@ -1,13 +1,13 @@
 // Package policy implements per-PE closed-loop controllers for the three
 // steal-tuning knobs the paper fixes statically: the chunk size k
 // (Section 4.2.1's manually-swept granularity), steal-half vs steal-k
-// selection, and the mpi-ws poll interval — plus a hierarchical
-// victim-selection tier driven by the latency model rather than by the
-// operator. Controllers consume windowed feedback (the time spent inside
-// steal attempts, failed-steal rate, delivered chunk sizes, poll hit rate)
-// and adjust their PE's knobs between windows, so a deployment started
-// from a bad static configuration walks itself onto the Figure-4 plateau
-// instead of needing a uts-tune re-sweep.
+// selection, and the mpi-ws poll interval. Controllers consume windowed
+// feedback (the time spent inside steal attempts, failed-steal rate,
+// delivered chunk sizes, poll hit rate) and adjust their PE's knobs between
+// windows, so a deployment started from a bad static configuration walks
+// itself onto the Figure-4 plateau instead of needing a uts-tune re-sweep.
+// Which victims a PE probes first is not a knob: the simulator, the one
+// substrate with nodes, decides it once per run.
 //
 // The package is deliberately clockless: every observation carries a
 // caller-supplied timestamp in nanoseconds, which is wall time under the
@@ -16,9 +16,8 @@
 // adaptive sweeps meaningful at 100K+ simulated PEs.
 //
 // Off is nil: a nil *Controller is a run without adaptation. Its knob
-// reads return the fixed value the caller passes, NodeSize is 1 and every
-// Note*/Steal* call does nothing, so a scheduler calls its controller
-// unguarded.
+// reads return the fixed value the caller passes and every Note*/Steal*
+// call does nothing, so a scheduler calls its controller unguarded.
 //
 // Concurrency contract: a Controller is owned by its PE — all Note*/knob
 // methods are owner-only, unsynchronized, and allocation-free on the hot
@@ -50,12 +49,6 @@ type Base struct {
 	Chunk     int  // resolved Options.Chunk / Config.Chunk
 	Poll      int  // resolved PollInterval (mpi-ws); 0 elsewhere
 	StealHalf bool // base variant steals half (upc-term-rapdif) vs k
-	NodeSize  int  // configured node width; <= 1 means no topology
-	// HierPays reports the latency model's verdict on the intra-node
-	// tier: true when an intra-node steal round-trip is at most half the
-	// remote one, so preferring same-node victims is worth the narrower
-	// victim pool. Computed once by the wiring (it has both models).
-	HierPays bool
 }
 
 // Controller tuning constants. The decision rule is slow-start plus AIMD
@@ -110,10 +103,9 @@ type Controller struct {
 	pollMin, pollMax int
 
 	// Knobs, read by the owning PE on its hot path.
-	k        int
-	half     bool
-	poll     int
-	nodeSize int // victim-walk tier: base.NodeSize when hier pays, else 1
+	k    int
+	half bool
+	poll int
 
 	// Window accounting (owner-only). The steal-evidence counters
 	// (attempts..denied, nodes, obsStart) and the poll counters reset
@@ -159,10 +151,6 @@ func (c *Controller) init(cfg Config, base Base) {
 	c.k = clamp(base.Chunk, c.kMin, c.kMax)
 	c.half = base.StealHalf
 	c.poll = clamp(base.Poll, c.pollMin, c.pollMax)
-	c.nodeSize = 1
-	if base.NodeSize > 1 && base.HierPays {
-		c.nodeSize = base.NodeSize
-	}
 	c.kLo, c.kHi = c.k, c.k
 	c.aChunk.Store(int64(c.k))
 	c.aPoll.Store(int64(c.poll))
@@ -194,17 +182,6 @@ func (c *Controller) Poll(fixed int) int {
 		return fixed
 	}
 	return c.poll
-}
-
-// NodeSize returns the victim-walk tier: the configured node width when
-// the latency model favors intra-node steals, 1 (flat) otherwise and on a
-// nil Controller. Fixed for the run — topology does not drift — so no
-// window logic touches it.
-func (c *Controller) NodeSize() int {
-	if c == nil {
-		return 1
-	}
-	return c.nodeSize
 }
 
 // StealBegin marks the start of a steal attempt. One attempt may be in
@@ -529,7 +506,6 @@ func (s *Set) Summary() *Summary {
 	sum := &Summary{
 		PEs:        len(s.ctls),
 		ChunkStart: s.ctls[0].base.Chunk,
-		HierTier:   s.ctls[0].nodeSize,
 	}
 	lo, hi := int(^uint(0)>>1), 0
 	var kSum int64
@@ -575,7 +551,6 @@ type Summary struct {
 
 	StealHalfOn int // PEs that ended on steal-half
 	PollFinal   int // PE 0's final poll interval (mpi-ws)
-	HierTier    int // victim-walk tier in effect (1 = flat)
 }
 
 // String renders the one-line form used by stats.Run.Summary().

@@ -59,20 +59,9 @@ func TestNewSetNil(t *testing.T) {
 
 func TestBaseKnobs(t *testing.T) {
 	_, c := newCtl(t, Config{}, Base{Chunk: 16, Poll: 8, StealHalf: true})
-	if c.Chunk(0) != 16 || c.Poll(0) != 8 || !c.StealHalf(false) || c.NodeSize() != 1 {
-		t.Errorf("base knobs not adopted: k=%d poll=%d half=%v tier=%d",
-			c.Chunk(0), c.Poll(0), c.StealHalf(false), c.NodeSize())
-	}
-}
-
-func TestHierTier(t *testing.T) {
-	_, c := newCtl(t, Config{}, Base{Chunk: 16, NodeSize: 8, HierPays: true})
-	if c.NodeSize() != 8 {
-		t.Errorf("hier-pays tier = %d, want 8", c.NodeSize())
-	}
-	_, c = newCtl(t, Config{}, Base{Chunk: 16, NodeSize: 8, HierPays: false})
-	if c.NodeSize() != 1 {
-		t.Errorf("flat-model tier = %d, want 1", c.NodeSize())
+	if c.Chunk(0) != 16 || c.Poll(0) != 8 || !c.StealHalf(false) {
+		t.Errorf("base knobs not adopted: k=%d poll=%d half=%v",
+			c.Chunk(0), c.Poll(0), c.StealHalf(false))
 	}
 }
 
@@ -144,9 +133,9 @@ func TestNilControllerIsFixedKnobs(t *testing.T) {
 	c.NoteDenied()
 	c.StealBegin(0)
 	c.StealEnd(true, 5, win)
-	if c.Chunk(7) != 7 || c.Poll(9) != 9 || !c.StealHalf(true) || c.StealHalf(false) || c.NodeSize() != 1 {
-		t.Errorf("nil controller: Chunk(7)=%d Poll(9)=%d StealHalf(true)=%v StealHalf(false)=%v NodeSize=%d, want 7 9 true false 1",
-			c.Chunk(7), c.Poll(9), c.StealHalf(true), c.StealHalf(false), c.NodeSize())
+	if c.Chunk(7) != 7 || c.Poll(9) != 9 || !c.StealHalf(true) || c.StealHalf(false) {
+		t.Errorf("nil controller: Chunk(7)=%d Poll(9)=%d StealHalf(true)=%v StealHalf(false)=%v, want 7 9 true false",
+			c.Chunk(7), c.Poll(9), c.StealHalf(true), c.StealHalf(false))
 	}
 	// Every exported method of a nil-is-off type returns on a nil
 	// receiver, given zero arguments: a method added later is held too.
@@ -386,7 +375,7 @@ func TestStealEndUnpaired(t *testing.T) {
 // and landed steals, missed and hit polls, and a starved stack (a window
 // with no steal traffic and a stack under 2k).
 func TestControllerAllocatesNothing(t *testing.T) {
-	s, c := newCtl(t, Config{}, Base{Chunk: 16, Poll: 8, NodeSize: 4, HierPays: true})
+	s, c := newCtl(t, Config{}, Base{Chunk: 16, Poll: 8})
 	var now int64
 	i := 0
 	if n := testing.AllocsPerRun(2000, func() {
@@ -399,7 +388,7 @@ func TestControllerAllocatesNothing(t *testing.T) {
 		if i%3 == 0 {
 			c.NoteDenied()
 		}
-		_, _ = c.StealHalf(false), c.Poll(8)+c.NodeSize()
+		_, _ = c.StealHalf(false), c.Poll(8)
 		now += win
 		c.NoteNodes(100, i%7, now)
 	}); n != 0 {
